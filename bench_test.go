@@ -204,9 +204,9 @@ func BenchmarkAblationFreqBlocks(b *testing.B) {
 }
 
 // BenchmarkMappedSpeedup measures the host-mapped engine (the coarsen+fiss
-// plans run on real cores by exec.MappedEngine) against the
-// goroutine-per-filter ParallelEngine across the parallelization suite,
-// in sink items per second. GOMAXPROCS is raised to at least 8 so the
+// plans run on real cores by exec.MappedEngine) against the same engine's
+// goroutine-per-filter plan across the parallelization suite, in sink items
+// per second. GOMAXPROCS is raised to at least 8 so the
 // measurement exercises a real multi-worker mapping even on small hosts.
 // With STREAMIT_BENCH_JSON=dir, streamit-bench/v1 snapshots land in dir
 // (BENCH_<app>.json per app plus BENCH_mapped_suite.json).

@@ -133,7 +133,7 @@ func main() {
 	iters := flag.Int("iters", 1000, "steady-state iterations to run")
 	doLinear := flag.Bool("linear", false, "apply the linear optimizer first")
 	strategy := flag.String("strategy", "", "map onto the simulated multicore with this strategy instead of running sequentially")
-	parallel := flag.Bool("parallel", false, "run on the goroutine-per-filter parallel backend")
+	parallel := flag.Bool("parallel", false, "run on the goroutine-per-filter plan of the mapped engine (one worker per node)")
 	mapStrat := flag.String("map", "", "run on the host-mapped engine with this rewrite strategy: task, 'fine-grained data', task+data, task+swp (alias swp), or task+data+swp")
 	workers := flag.Int("workers", 0, "worker cores for -map (0 = all cores)")
 	dynamic := flag.Bool("dynamic", false, "run on the demand-driven dynamic-rate backend (-iters counts sink items)")
@@ -142,7 +142,7 @@ func main() {
 	backendName := flag.String("backend", "vm", "work-function backend: vm (bytecode) or interp (tree-walking)")
 	faultSpec := flag.String("faults", "", "inject faults: 'kind:filter@firing' (kind: panic, stall, corrupt), 'kind:workerN@iter' (kind: crash, stall, slow; -map only), or 'rand:N@seed', ';'-separated")
 	onError := flag.String("on-error", "", "recovery policies: 'policy' or 'filter=policy' (fail, retry[:n[:backoff]], skip, restart), ','-separated")
-	watchdog := flag.Duration("watchdog", 0, "no-progress window before the parallel/dynamic engines abort with a deadlock report (0 = default, negative = off)")
+	watchdog := flag.Duration("watchdog", 0, "no-progress window before the mapped/dynamic engines abort with a deadlock report (0 = default, negative = off)")
 	ckptPath := flag.String("checkpoint", "", "write an engine checkpoint to this file (sequential and -map engines)")
 	ckptAfter := flag.Int("checkpoint-after", 0, "with -checkpoint: stop and save after this many steady iterations")
 	resumePath := flag.String("resume", "", "restore a checkpoint written by -checkpoint and run the remaining iterations (sequential and -map engines)")

@@ -23,8 +23,9 @@ var MappedStrategies = []partition.Strategy{
 }
 
 // MappedRow reports one app of the host-mapped engine benchmark: sink
-// items per wall-clock second on the goroutine-per-filter ParallelEngine
-// and on the MappedEngine under each host-executable rewrite strategy.
+// items per wall-clock second on the goroutine-per-filter plan (the mapped
+// engine over the unrewritten graph, one worker per node) and on the
+// MappedEngine under each host-executable rewrite strategy.
 // Speedup is the best strategy's rate over the per-filter baseline —
 // the rate a partitioner that picks per-app (as the paper's does) gets.
 type MappedRow struct {
@@ -69,8 +70,8 @@ func sinkItems(g *ir.Graph, s *sched.Schedule) int64 {
 	return per
 }
 
-// MappedBench measures the host-mapped engine against the
-// goroutine-per-filter ParallelEngine on the parallelization suite, with
+// MappedBench measures the host-mapped engine's coarse-grained plans
+// against its goroutine-per-filter plan on the parallelization suite, with
 // workers worker cores (0 selects GOMAXPROCS). The returned mean is the
 // geomean best-strategy speedup over the per-filter baseline.
 func MappedBench(workers int) ([]MappedRow, float64, error) {
@@ -89,7 +90,7 @@ func MappedBench(workers int) ([]MappedRow, float64, error) {
 		if err != nil {
 			return nil, 0, fmt.Errorf("%s: %w", app.Name, err)
 		}
-		pe, err := exec.NewParallel(g, s)
+		pe, err := exec.NewParallelOpts(g, s, exec.Options{})
 		if err != nil {
 			return nil, 0, fmt.Errorf("%s parallel: %w", app.Name, err)
 		}

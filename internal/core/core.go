@@ -225,14 +225,10 @@ func (c *Compiled) EngineOpts(opts RunOptions) (*exec.Engine, error) {
 	return sh.NewEngine(opts.execOptions())
 }
 
-// ParallelEngine builds the goroutine-per-filter backend (no teleport
-// messaging or feedback loops; see exec.NewParallel).
-func (c *Compiled) ParallelEngine() (*exec.ParallelEngine, error) {
-	return c.ParallelEngineOpts(RunOptions{})
-}
-
-// ParallelEngineOpts is ParallelEngine with explicit run options.
-func (c *Compiled) ParallelEngineOpts(opts RunOptions) (*exec.ParallelEngine, error) {
+// ParallelEngineOpts builds the goroutine-per-filter plan: the mapped
+// engine over the graph as compiled, one worker per node (no teleport
+// messaging or feedback loops; see exec.NewParallelOpts).
+func (c *Compiled) ParallelEngineOpts(opts RunOptions) (*exec.MappedEngine, error) {
 	return exec.NewParallelOpts(c.Graph, c.Schedule, opts.execOptions())
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"errors"
+	"math"
 	"streamit/internal/ir"
 	"strings"
 	"testing"
@@ -321,7 +322,7 @@ func TestRunnerKinds(t *testing.T) {
 		want string
 	}{
 		{EngineSequential, "*exec.Engine"},
-		{EngineParallel, "*exec.ParallelEngine"},
+		{EngineParallel, "*exec.MappedEngine"},
 		{EngineMapped, "*exec.MappedEngine"},
 	}
 	for _, tc := range cases {
@@ -337,6 +338,50 @@ func TestRunnerKinds(t *testing.T) {
 	}
 	if _, err := ParseEngine("warp"); err == nil {
 		t.Fatal("ParseEngine accepted an unknown engine")
+	}
+}
+
+// TestRunnerParallelIsIdentityPlan: EngineParallel names a plan, not an
+// engine — the mapped engine over the graph as compiled, one worker per
+// node — and its output is byte-equal to the sequential engine's.
+func TestRunnerParallelIsIdentityPlan(t *testing.T) {
+	run := func(kind EngineKind) ([]float64, Runner) {
+		prog := apps.FMRadio(4, 16)
+		pipe := prog.Top.(*ir.Pipeline)
+		snk, got := exec.SliceSink("collect")
+		pipe.Children[len(pipe.Children)-1] = snk
+		c, err := Compile(prog, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := c.Run(kind, 12, RunOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		return *got, r
+	}
+	seq, _ := run(EngineSequential)
+	par, r := run(EngineParallel)
+	me, ok := r.(*exec.MappedEngine)
+	if !ok {
+		t.Fatalf("runner is %T, want *exec.MappedEngine", r)
+	}
+	sizes := me.PartitionSizes()
+	if len(sizes) != len(me.G.Nodes) {
+		t.Fatalf("%d partitions for %d nodes", len(sizes), len(me.G.Nodes))
+	}
+	for _, n := range sizes {
+		if n != 1 {
+			t.Fatalf("partition sizes %v, want all 1", sizes)
+		}
+	}
+	if len(seq) == 0 || len(par) != len(seq) {
+		t.Fatalf("parallel plan produced %d items, sequential %d", len(par), len(seq))
+	}
+	for i := range seq {
+		if math.Float64bits(par[i]) != math.Float64bits(seq[i]) {
+			t.Fatalf("item %d: parallel plan %v, sequential %v", i, par[i], seq[i])
+		}
 	}
 }
 

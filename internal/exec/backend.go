@@ -8,7 +8,7 @@ import (
 )
 
 // Backend selects the work-function execution substrate shared by all
-// three engines (sequential, parallel, dynamic). The zero value is the
+// engines (sequential, mapped, dynamic). The zero value is the
 // bytecode VM, so engines default to the fast path.
 type Backend int
 

@@ -81,7 +81,7 @@ func NewDynamicBackend(g *ir.Graph, backend Backend) (*DynamicEngine, error) {
 // NewDynamicOpts is the full-option constructor. Fault injection and the
 // watchdog are supported; recovery policies are not — a dynamic filter's
 // pushes go straight to live channels where consumers may already have
-// seen them, so there is no rollback point. Use the sequential or parallel
+// seen them, so there is no rollback point. Use the sequential or mapped
 // engine for retry/skip/restart semantics.
 func NewDynamicOpts(g *ir.Graph, opts Options) (*DynamicEngine, error) {
 	if len(g.Portals) > 0 || len(g.Constraints) > 0 {
@@ -91,7 +91,7 @@ func NewDynamicOpts(g *ir.Graph, opts Options) (*DynamicEngine, error) {
 		return nil, fmt.Errorf("exec: dynamic execution needs at least one sink to count output")
 	}
 	if opts.OnError.Active() {
-		return nil, fmt.Errorf("exec: the dynamic engine cannot roll back firings (pushes reach live channels); recovery policies require the sequential or parallel engine")
+		return nil, fmt.Errorf("exec: the dynamic engine cannot roll back firings (pushes reach live channels); recovery policies require the sequential or mapped engine")
 	}
 	d := &DynamicEngine{G: g, Backend: opts.Backend, ChanCap: 4096, Watchdog: opts.Watchdog, rec: opts.Trace}
 	if opts.Profile {
@@ -113,14 +113,8 @@ func NewDynamicOpts(g *ir.Graph, opts Options) (*DynamicEngine, error) {
 	for _, n := range g.Nodes {
 		rt := &dynNodeRT{node: n}
 		if n.Kind == ir.NodeFilter {
-			k := n.Filter.Kernel
-			rt.state = k.NewState()
-			if k.Init != nil {
-				env := wfunc.NewEnv(k.Init)
-				env.State = rt.state
-				if err := wfunc.Exec(k.Init, env); err != nil {
-					return nil, fmt.Errorf("init of %s: %w", n.Name, err)
-				}
+			if rt.state, err = freshState(n); err != nil {
+				return nil, err
 			}
 		}
 		d.nodes[n.ID] = rt
@@ -150,7 +144,7 @@ func (d *DynamicEngine) Run(sinkItems int64) error {
 
 // ScheduleBudget returns per-node firing budgets equal to a static
 // schedule's init phase plus iters steady iterations — the firing counts
-// the sequential and parallel engines produce for the same run length.
+// the sequential and mapped engines produce for the same run length.
 func ScheduleBudget(s *sched.Schedule, iters int) []int64 {
 	budget := make([]int64, len(s.Reps))
 	for i := range budget {
@@ -184,14 +178,7 @@ func (d *DynamicEngine) run(sinkItems int64, budget []int64) error {
 	for _, n := range d.G.Nodes {
 		d.statuses[n.ID] = newNodeStatus(n.Name)
 	}
-	var wd *watchdog
-	if d.Watchdog >= 0 {
-		interval := d.Watchdog
-		if interval == 0 {
-			interval = DefaultWatchdogInterval
-		}
-		wd = newWatchdog("dynamic", interval, &d.progress, d.statuses, stop)
-	}
+	wd := newWatchdog("dynamic", d.Watchdog, &d.progress, d.statuses, stop)
 
 	chans := make([]chan float64, len(d.G.Edges))
 	for _, e := range d.G.Edges {
@@ -225,11 +212,8 @@ func (d *DynamicEngine) run(sinkItems int64, budget []int64) error {
 		}(rt)
 	}
 	wg.Wait()
-	if wd != nil {
-		wd.close()
-		if derr := wd.error(); derr != nil {
-			return derr
-		}
+	if derr := wd.finish(); derr != nil {
+		return derr
 	}
 	close(errs)
 	for err := range errs {

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"streamit/internal/faults"
 	"streamit/internal/ir"
 	"streamit/internal/obs"
 	"streamit/internal/sched"
-	"streamit/internal/sdep"
 	"streamit/internal/wfunc"
 )
 
@@ -20,15 +18,12 @@ type Engine struct {
 	// construction (bytecode VM by default).
 	Backend Backend
 
-	calc  *sdep.Calc
 	chans []*channel
 	nodes []*nodeRT
 
-	// pending teleport messages, keyed by receiver node ID.
-	pending [][]*message
-	// static latency constraints derived from Send statements and
-	// MAX_LATENCY directives.
-	constraints []constraint
+	// teleport holds the pending messages and latency constraints, and
+	// delivers on the paper's timing rules around each firing.
+	teleport
 
 	// Printer receives values from println statements; nil discards.
 	Printer func(node string, v float64)
@@ -127,16 +122,6 @@ func NewFromGraphOpts(g *ir.Graph, s *sched.Schedule, opts Options) (*Engine, er
 	return sh.NewEngine(opts)
 }
 
-// sdepCalc lazily builds the engine's sdep calculator. Only messaging
-// constraints consult it, so the allocation (and its memo tables) is
-// skipped entirely for the common message-free program.
-func (e *Engine) sdepCalc() *sdep.Calc {
-	if e.calc == nil {
-		e.calc = sdep.NewCalc(e.G, e.Sch)
-	}
-	return e.calc
-}
-
 func collectSends(f *wfunc.Func) []*wfunc.Send {
 	var out []*wfunc.Send
 	var walk func(body []wfunc.Stmt)
@@ -163,8 +148,7 @@ func collectSends(f *wfunc.Func) []*wfunc.Send {
 
 // progressTapeOf returns the tape that measures a node's execution progress
 // for messaging purposes: its output tape, or — for sinks, which the paper's
-// MAX_LATENCY example uses as endpoints — its input tape. Shared by the
-// sequential engine and the pipelined mapped engine.
+// MAX_LATENCY example uses as endpoints — its input tape.
 func progressTapeOf(n *ir.Node) (*ir.Edge, error) {
 	if edge := n.OutEdge(); edge != nil {
 		return edge, nil
@@ -183,9 +167,9 @@ func progressRateOf(n *ir.Node) int64 {
 	return int64(n.TotalPop())
 }
 
-// progress returns the node's position on its progress tape: n(O) for
+// tapeProgress returns the node's position on its progress tape: n(O) for
 // producers, items consumed for sinks.
-func (e *Engine) progress(n *ir.Node) int64 {
+func (e *Engine) tapeProgress(n *ir.Node) int64 {
 	if edge := n.OutEdge(); edge != nil {
 		return e.chans[edge.ID].pushed
 	}
@@ -205,33 +189,8 @@ func sinkMargin(n *ir.Node) int64 {
 	return 0
 }
 
-// miTapes computes mi{a->progress of bNode}(x). When a and b are the same
-// edge, bNode is a sink consuming directly from a: x items of progress
-// require x plus its peek margin to appear on the tape.
-func (e *Engine) miTapes(a, b *ir.Edge, bNode *ir.Node, x int64) (int64, error) {
-	if a == b {
-		if x <= 0 {
-			return 0, nil
-		}
-		return x + sinkMargin(bNode), nil
-	}
-	return e.sdepCalc().Mi(a, b, x)
-}
-
-// maTapes computes ma{a->progress of bNode}(x). When a and b are the same
-// edge, bNode is a sink consuming directly from a: with x items on the tape
-// it can consume floor((x-margin)/pop)*pop items.
-func (e *Engine) maTapes(a, b *ir.Edge, bNode *ir.Node, x int64) (int64, error) {
-	if a == b {
-		pop := int64(bNode.TotalPop())
-		m := sinkMargin(bNode)
-		if x < m+pop || pop == 0 {
-			return 0, nil
-		}
-		return (x - m) / pop * pop, nil
-	}
-	return e.sdepCalc().Ma(a, b, x)
-}
+// kernelState is the state a node's message handlers run against.
+func (e *Engine) kernelState(n *ir.Node) *wfunc.State { return e.nodes[n.ID].state }
 
 // RunInit executes the initialization schedule.
 func (e *Engine) RunInit() error {
@@ -349,47 +308,6 @@ func (e *Engine) canFire(n *ir.Node) bool {
 	return true
 }
 
-// constraintsAllow checks equations mc1/mc2 for every constraint whose
-// receiver is n: firing n must not advance its output tape beyond the point
-// where a message from the (potential) sender could still be delivered.
-func (e *Engine) constraintsAllow(n *ir.Node) (bool, error) {
-	for _, c := range e.constraints {
-		if c.receiver != n {
-			continue
-		}
-		oB, err := progressTapeOf(c.receiver)
-		if err != nil {
-			return false, err
-		}
-		oA, err := progressTapeOf(c.sender)
-		if err != nil {
-			return false, err
-		}
-		pushA := progressRateOf(c.sender)
-		nOB := e.progress(c.receiver)
-		nOA := e.progress(c.sender)
-		pushB := progressRateOf(n)
-		if c.upstream {
-			bound, err := e.miTapes(oB, oA, c.sender, nOA+pushA*int64(c.latency))
-			if err != nil {
-				return false, err
-			}
-			if nOB+pushB > bound {
-				return false, nil
-			}
-		} else {
-			bound, err := e.maTapes(oA, oB, c.receiver, nOA+pushA*int64(c.latency-1))
-			if err != nil {
-				return false, err
-			}
-			if nOB+pushB > bound {
-				return false, nil
-			}
-		}
-	}
-	return true, nil
-}
-
 // fire executes one firing of n, delivering due messages per the paper's
 // timing rules: downstream receivers get messages immediately before the
 // firing that first sees the sender's effects; upstream receivers get them
@@ -460,30 +378,12 @@ func (e *Engine) fireFilter(rt *nodeRT) error {
 	if e.sup != nil {
 		return e.fireSupervised(rt, inCh, outCh)
 	}
-	return e.attemptFire(rt, inCh, outCh, faults.Fault{}, false)
+	return e.attemptFire(rt, inCh, outCh, false)
 }
 
-// attemptFire executes one (possibly fault-afflicted) work invocation,
-// converting panics and IL runtime errors into *ExecError.
-func (e *Engine) attemptFire(rt *nodeRT, inCh, outCh *channel, fault faults.Fault, injected bool) (err error) {
-	n := rt.node
-	defer func() {
-		if r := recover(); r != nil {
-			err = asExecError(n.Name, rt.fired, r)
-		}
-	}()
-	if injected {
-		switch fault.Kind {
-		case faults.Panic:
-			return &ExecError{Filter: n.Name, Op: "injected panic", Iteration: rt.fired}
-		case faults.Stall:
-			// The sequential engine is single-threaded: blocking here would
-			// hang with no watchdog to notice, so stalls report synchronously.
-			return &ExecError{Filter: n.Name, Op: "injected stall", Iteration: rt.fired,
-				Err: fmt.Errorf("sequential engine reports stalls synchronously")}
-		}
-	}
-	var in, out wfunc.Tape
+// tapesOf resolves the tapes a filter's work function sees: its channels,
+// or the counting/tapping wrappers over them when set.
+func (rt *nodeRT) tapesOf(inCh, outCh *channel) (in, out wfunc.Tape) {
 	if inCh != nil {
 		in = inCh
 		if rt.inT != nil {
@@ -496,7 +396,21 @@ func (e *Engine) attemptFire(rt *nodeRT, inCh, outCh *channel, fault faults.Faul
 			out = rt.outT
 		}
 	}
-	if injected && fault.Kind == faults.Corrupt {
+	return in, out
+}
+
+// attemptFire executes one work invocation, converting panics and IL
+// runtime errors into *ExecError. corrupt (an injected Corrupt fault)
+// replaces every push with the corruption sentinel.
+func (e *Engine) attemptFire(rt *nodeRT, inCh, outCh *channel, corrupt bool) (err error) {
+	n := rt.node
+	defer func() {
+		if r := recover(); r != nil {
+			err = asExecError(n.Name, rt.fired, r)
+		}
+	}()
+	in, out := rt.tapesOf(inCh, outCh)
+	if corrupt {
 		out = corruptOut(out)
 	}
 	if rt.override != nil {
@@ -521,100 +435,34 @@ func (e *Engine) attemptFire(rt *nodeRT, inCh, outCh *channel, fault faults.Faul
 	return nil
 }
 
-// fireSupervised wraps one filter firing in the fault injector and the
-// filter's recovery policy. When the policy may need to roll the firing
-// back (anything but Fail), the filter's tapes and state are saved first;
-// recovery rewinds to that save point.
+// fireSupervised hands one filter firing to the supervisor. The tape save
+// point is a clone of the filter's rings; injected stalls report
+// synchronously.
 func (e *Engine) fireSupervised(rt *nodeRT, inCh, outCh *channel) error {
-	n := rt.node
-	pol := e.sup.pol.For(n.Name)
-	rollback := pol.Action != faults.Fail
-	var inSave, outSave *channel
-	var stateSave *wfunc.State
-	if rollback {
+	f := &firing{n: rt.node, fired: rt.fired, state: &rt.state, runner: rt.runner}
+	f.in, f.out = rt.tapesOf(inCh, outCh)
+	if rt.send != nil {
+		f.msgs = &e.teleport
+	}
+	f.work = func(corrupt bool) error { return e.attemptFire(rt, inCh, outCh, corrupt) }
+	f.mark = func() func() {
+		var inSave, outSave *channel
 		if inCh != nil {
 			inSave = inCh.clone()
 		}
 		if outCh != nil {
 			outSave = outCh.clone()
 		}
-		if rt.state != nil {
-			stateSave = rt.state.Clone()
-		}
-	}
-	restore := func() {
-		if inCh != nil {
-			inCh.restoreFrom(inSave)
-		}
-		if outCh != nil {
-			outCh.restoreFrom(outSave)
-		}
-		if stateSave != nil {
-			rt.state = stateSave.Clone()
-			if rt.runner != nil {
-				rt.runner.setState(rt.state)
+		return func() {
+			if inCh != nil {
+				inCh.restoreFrom(inSave)
+			}
+			if outCh != nil {
+				outCh.restoreFrom(outSave)
 			}
 		}
 	}
-	fault, injected := e.sup.take(n.Name, rt.fired)
-	if injected {
-		traceFault(e.rec, n.ID, n.Name, fault.Kind.String())
-	}
-	err := e.attemptFire(rt, inCh, outCh, fault, injected)
-	if err == nil {
-		return nil
-	}
-	switch pol.Action {
-	case faults.Retry:
-		for attempt := 1; attempt <= pol.Retries; attempt++ {
-			e.sup.noteRetry(n.Name)
-			traceRecovery(e.rec, n.ID, n.Name, "retry")
-			if pol.Backoff > 0 {
-				time.Sleep(time.Duration(attempt) * pol.Backoff)
-			}
-			restore()
-			if err = e.attemptFire(rt, inCh, outCh, faults.Fault{}, false); err == nil {
-				return nil
-			}
-		}
-		return fmt.Errorf("exec: %d retries exhausted: %w", pol.Retries, err)
-	case faults.Skip:
-		restore()
-		e.sup.noteSkip(n.Name)
-		traceRecovery(e.rec, n.ID, n.Name, "skip")
-		var in, out wfunc.Tape
-		if inCh != nil {
-			in = inCh
-			if rt.inT != nil {
-				in = rt.inT
-			}
-		}
-		if outCh != nil {
-			out = outCh
-			if rt.outT != nil {
-				out = rt.outT
-			}
-		}
-		skipFiring(n, in, out)
-		return nil
-	case faults.Restart:
-		restore()
-		st, serr := freshState(n)
-		if serr != nil {
-			return serr
-		}
-		rt.state = st
-		if rt.runner != nil {
-			rt.runner.setState(st)
-		}
-		e.sup.noteRestart(n.Name)
-		traceRecovery(e.rec, n.ID, n.Name, "restart")
-		if err = e.attemptFire(rt, inCh, outCh, faults.Fault{}, false); err != nil {
-			return fmt.Errorf("exec: restart did not recover: %w", err)
-		}
-		return nil
-	}
-	return err
+	return e.sup.fire(f, e.rec)
 }
 
 // SupervisionReport renders per-filter recovery counters (empty when the

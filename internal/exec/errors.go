@@ -85,7 +85,7 @@ func (s FilterStatus) String() string {
 // still waiting and what it is waiting on; Cycle names the wait-cycle (or
 // terminal chain) the watchdog traced through the blocked nodes.
 type DeadlockError struct {
-	Engine   string // "parallel" or "dynamic"
+	Engine   string // "mapped" or "dynamic"
 	Interval time.Duration
 	Blocked  []FilterStatus
 	Cycle    []string

@@ -292,7 +292,7 @@ func TestPanicBecomesError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pe, err := NewParallel(g, s)
+	pe, err := NewParallelOpts(g, s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -243,7 +243,7 @@ func TestUnknownFaultFilterRejected(t *testing.T) {
 	}
 }
 
-func runParFault(t *testing.T, mid *ir.Filter, iters int, opts Options) ([]float64, *ParallelEngine, error) {
+func runParFault(t *testing.T, mid *ir.Filter, iters int, opts Options) ([]float64, *MappedEngine, error) {
 	t.Helper()
 	g, s, got := faultPipeline(t, mid)
 	pe, err := NewParallelOpts(g, s, opts)

@@ -17,11 +17,12 @@ import (
 )
 
 // MappedEngine executes a flattened stream graph on a fixed set of worker
-// goroutines — one per fused partition, default GOMAXPROCS — instead of
-// one per filter. Each worker fires its assigned nodes in global
-// topological order once per steady iteration; edges between nodes on the
-// same worker are plain in-memory queues, edges crossing workers are
-// batched SPSC channels carrying one steady iteration's items per batch.
+// goroutines — one per fused partition, default GOMAXPROCS; one per node is
+// the degenerate plan (NewParallelOpts). Each worker fires its assigned
+// nodes in global topological order once per steady iteration; edges
+// between nodes on the same worker are plain in-memory queues, edges
+// crossing workers are batched SPSC channels carrying one steady
+// iteration's items per batch.
 //
 // This is the host-execution form of the partitioner's coarse-grained
 // plans: the ExecPlan rewrite (fusion + executable fission) shrinks the
@@ -145,6 +146,21 @@ type MappedEngine struct {
 	statuses []*nodeStatus
 }
 
+// errStopped unwinds a worker goroutine after the run was aborted (watchdog
+// deadlock, or another worker's error). It never reaches the caller of Run.
+var errStopped = errors.New("exec: run aborted")
+
+// pnodeRT is the per-node runtime state that outlives epochs and re-plans.
+type pnodeRT struct {
+	node  *ir.Node
+	state *wfunc.State
+	// fired counts firings (the fault injector's index).
+	fired int64
+	// override, when set, fires in place of the kernel's work function
+	// during steady state (MappedEngine.OverrideWork).
+	override func(in, out wfunc.Tape)
+}
+
 // DefaultQueueDepth is the cross-worker channel capacity in batches.
 const DefaultQueueDepth = 2
 
@@ -154,10 +170,11 @@ func NewMapped(g *ir.Graph, s *sched.Schedule, assign []int, workers int) (*Mapp
 	return NewMappedOpts(g, s, assign, workers, Options{Backend: BackendVM})
 }
 
-// NewMappedOpts is the full-option constructor. Without Options.Stages the
-// graph restrictions match the parallel engine's — no teleport messaging,
-// no feedback loops; a pipelined plan (Options.Stages set) lifts both,
-// hosting them inside single-worker stage clusters.
+// NewMappedOpts is the full-option constructor. A lockstep plan (no
+// Options.Stages) moves one batch per edge per steady iteration, so it
+// rejects teleport messaging and feedback loops, which need
+// finer-than-batch interleaving; a pipelined plan (Options.Stages set)
+// lifts both, hosting them inside single-worker stage clusters.
 func NewMappedOpts(g *ir.Graph, s *sched.Schedule, assign []int, workers int, opts Options) (*MappedEngine, error) {
 	if opts.Stages == nil {
 		if len(g.Portals) > 0 || len(g.Constraints) > 0 {
@@ -213,6 +230,7 @@ func NewMappedOpts(g *ir.Graph, s *sched.Schedule, assign []int, workers int, op
 		if err != nil {
 			return nil, err
 		}
+		sw.host = me
 		me.swp = sw
 	}
 	if opts.Elastic {
@@ -235,16 +253,10 @@ func NewMappedOpts(g *ir.Graph, s *sched.Schedule, assign []int, workers int, op
 
 	me.nodes = make([]*pnodeRT, len(g.Nodes))
 	for _, n := range g.Nodes {
-		rt := &pnodeRT{node: n, carry: make([][]float64, len(n.In))}
+		rt := &pnodeRT{node: n}
 		if n.Kind == ir.NodeFilter {
-			k := n.Filter.Kernel
-			rt.state = k.NewState()
-			if k.Init != nil {
-				env := wfunc.NewEnv(k.Init)
-				env.State = rt.state
-				if err := wfunc.Exec(k.Init, env); err != nil {
-					return nil, fmt.Errorf("init of %s: %w", n.Name, err)
-				}
+			if rt.state, err = freshState(n); err != nil {
+				return nil, err
 			}
 		}
 		me.nodes[n.ID] = rt
@@ -320,10 +332,10 @@ func (me *MappedEngine) Run(iters int) error {
 	return me.runSteady(iters)
 }
 
-// setup re-initializes the engine: initialization runs on a scratch
-// sequential engine sharing our node states (the same scheme as the
-// parallel engine), the steady topology is rebuilt, and the consumer
-// queues are seeded with the init residue (peek margins).
+// setup re-initializes the engine: initialization (a transient) runs on a
+// scratch sequential engine sharing our node states, profiler and trace
+// recorder, the steady topology is rebuilt, and the consumer queues are
+// seeded with the init residue (peek margins, feedback delays).
 func (me *MappedEngine) setup() error {
 	seq, err := NewFromGraph(me.G, me.Sch)
 	if err != nil {
@@ -521,14 +533,7 @@ func (me *MappedEngine) runEpoch(iters int) error {
 	for _, st := range me.statuses {
 		st.set(stRunning, "", 0, -1)
 	}
-	var wd *watchdog
-	if me.Watchdog >= 0 {
-		interval := me.Watchdog
-		if interval == 0 {
-			interval = DefaultWatchdogInterval
-		}
-		wd = newWatchdog("mapped", interval, &me.progress, me.statuses, stopAll)
-	}
+	wd := newWatchdog("mapped", me.Watchdog, &me.progress, me.statuses, stopAll)
 
 	// Worker trace lanes sit above the node and schedule lanes.
 	laneBase := len(me.G.Nodes) + 1
@@ -558,11 +563,8 @@ func (me *MappedEngine) runEpoch(iters int) error {
 		}(w)
 	}
 	wg.Wait()
-	if wd != nil {
-		wd.close()
-		if derr := wd.error(); derr != nil {
-			return derr
-		}
+	if derr := wd.finish(); derr != nil {
+		return derr
 	}
 	close(errs)
 	// A crash is recoverable; any other failure wins over it.
@@ -852,7 +854,7 @@ func (me *MappedEngine) prepareNode(n *ir.Node) *mnodeCtx {
 		// partialTape counts the progress tape's movement inside the
 		// current firing so mid-firing sends see the sequential engine's
 		// exact counter values.
-		c.msg = &msender{me: me, node: n}
+		c.msg = &sender{t: &sw.teleport, node: n}
 		c.partial = &sw.partial[n.ID]
 		if n.OutEdge() != nil {
 			if c.tOut != nil {
@@ -925,9 +927,9 @@ func (me *MappedEngine) stepNode(c *mnodeCtx) error {
 	return nil
 }
 
-// recvBatch mirrors the parallel engine's: record the wait state while
-// blocked so the watchdog can trace who waits on whom, and unwind when the
-// run aborts.
+// recvBatch receives one batch, recording the wait state while blocked so
+// the watchdog can trace who waits on whom, and unwinds when the run
+// aborts.
 func (me *MappedEngine) recvBatch(n *ir.Node, e *ir.Edge, ch chan []float64, q *SliceQueue, st *nodeStatus) ([]float64, error) {
 	select {
 	case batch := <-ch:
@@ -997,30 +999,15 @@ func (me *MappedEngine) fireTimed(c *mnodeCtx, st *nodeStatus) error {
 	return err
 }
 
-// fireOnce executes one firing of the node on its queues (mirroring the
-// parallel engine's firing semantics, including supervision).
+// fireOnce executes one firing of the node on its queues.
 func (me *MappedEngine) fireOnce(c *mnodeCtx, st *nodeStatus) error {
 	n := c.rt.node
 	switch n.Kind {
 	case ir.NodeFilter:
 		if me.sup != nil {
-			return me.fireFilterSupervised(c, st)
+			return me.fireSupervised(c, st)
 		}
-		if c.partial != nil {
-			*c.partial = 0
-		}
-		if c.rt.override != nil {
-			c.rt.override(c.tIn, c.tOut)
-			return nil
-		}
-		if n.Filter.WorkFn != nil {
-			n.Filter.WorkFn(c.tIn, c.tOut, c.rt.state)
-			return nil
-		}
-		if err := c.runner.run(c.tIn, c.tOut, c.msg, nil); err != nil {
-			return &ExecError{Filter: n.Name, Op: "work", Iteration: c.rt.fired, Err: err}
-		}
-		return nil
+		return me.work(c, c.tOut)
 	case ir.NodeSplitter:
 		if n.SJ.Kind == ir.SJDuplicate {
 			v := c.in[0].Pop()
@@ -1054,141 +1041,71 @@ func (me *MappedEngine) fireOnce(c *mnodeCtx, st *nodeStatus) error {
 	return fmt.Errorf("exec: unknown node kind")
 }
 
-// fireFilterSupervised wraps one filter firing in the fault injector and
-// the filter's recovery policy (the parallel engine's semantics on the
-// shared queues).
-func (me *MappedEngine) fireFilterSupervised(c *mnodeCtx, st *nodeStatus) error {
-	rt := c.rt
-	n := rt.node
-	name := n.Name
-	pol := me.sup.pol.For(name)
-	rollback := pol.Action != faults.Fail
-	var qIn, qOut *SliceQueue
-	if len(c.in) > 0 && n.In[0] != nil {
-		qIn = c.in[0]
+// work runs the filter's kernel once, pushing to out (the node's out tape,
+// or a corrupting wrapper over it). Panics unwind to the caller's recover:
+// the worker's on the plain path, the supervisor's under supervision.
+func (me *MappedEngine) work(c *mnodeCtx, out wfunc.Tape) error {
+	n := c.rt.node
+	// Each attempt starts with a clean mid-firing progress counter (a
+	// rollback rewound the tapes it mirrors).
+	if c.partial != nil {
+		*c.partial = 0
 	}
-	if len(c.out) > 0 && n.Out[0] != nil {
-		qOut = c.out[0]
+	if c.rt.override != nil {
+		c.rt.override(c.tIn, out)
+		return nil
 	}
-	var inHead, outLen int
-	var stateSave *wfunc.State
-	if rollback {
-		if qIn != nil {
+	if n.Filter.WorkFn != nil {
+		n.Filter.WorkFn(c.tIn, out, c.rt.state)
+		return nil
+	}
+	if err := c.runner.run(c.tIn, out, c.msg, nil); err != nil {
+		return &ExecError{Filter: n.Name, Op: "work", Iteration: c.rt.fired, Err: err}
+	}
+	return nil
+}
+
+// fireSupervised hands one filter firing to the supervisor. The tape save
+// point is the queues' head/length marks; an injected stall under the fail
+// policy parks the worker until the watchdog aborts the run.
+func (me *MappedEngine) fireSupervised(c *mnodeCtx, st *nodeStatus) error {
+	n := c.rt.node
+	f := &firing{n: n, fired: c.rt.fired, in: c.tIn, out: c.tOut, state: &c.rt.state, runner: c.runner}
+	if c.msg != nil {
+		f.msgs = &me.swp.teleport
+	}
+	f.work = func(corrupt bool) error {
+		if corrupt {
+			return me.work(c, corruptOut(c.tOut))
+		}
+		return me.work(c, c.tOut)
+	}
+	f.mark = func() func() {
+		var qIn, qOut *SliceQueue
+		var inHead, outLen int
+		if len(c.in) > 0 && n.In[0] != nil {
+			qIn = c.in[0]
 			inHead = qIn.head
 		}
-		if qOut != nil {
+		if len(c.out) > 0 && n.Out[0] != nil {
+			qOut = c.out[0]
 			outLen = len(qOut.buf)
 		}
-		if rt.state != nil {
-			stateSave = rt.state.Clone()
-		}
-	}
-	restore := func() {
-		if qIn != nil {
-			qIn.head = inHead
-		}
-		if qOut != nil {
-			qOut.buf = qOut.buf[:outLen]
-		}
-		if stateSave != nil {
-			rt.state = stateSave.Clone()
-			if c.runner != nil {
-				c.runner.setState(rt.state)
+		return func() {
+			if qIn != nil {
+				qIn.head = inHead
+			}
+			if qOut != nil {
+				qOut.buf = qOut.buf[:outLen]
 			}
 		}
 	}
-	attempt := func(fault faults.Fault, injected bool) (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = asExecError(name, rt.fired, r)
-			}
-		}()
-		if injected {
-			switch fault.Kind {
-			case faults.Panic:
-				return &ExecError{Filter: name, Op: "injected panic", Iteration: rt.fired}
-			case faults.Stall:
-				if rollback {
-					// A recoverable policy turns the stall into a synchronous
-					// failure (the sequential engine's convention), so
-					// retry/skip/restart actually recover instead of wedging
-					// the worker until the watchdog aborts the run.
-					return &ExecError{Filter: name, Op: "injected stall", Iteration: rt.fired,
-						Err: fmt.Errorf("stall reported synchronously under a %s policy", pol.Action)}
-				}
-				st.set(stStalled, "", 0, -1)
-				<-me.stopCh
-				return errStopped
-			}
-		}
-		// Each attempt starts with a clean mid-firing progress counter
-		// (rollback rewound the tapes it mirrors).
-		if c.partial != nil {
-			*c.partial = 0
-		}
-		wOut := c.tOut
-		if injected && fault.Kind == faults.Corrupt {
-			wOut = corruptOut(wOut)
-		}
-		if rt.override != nil {
-			rt.override(c.tIn, wOut)
-			return nil
-		}
-		if n.Filter.WorkFn != nil {
-			n.Filter.WorkFn(c.tIn, wOut, rt.state)
-			return nil
-		}
-		if err := c.runner.run(c.tIn, wOut, c.msg, nil); err != nil {
-			return &ExecError{Filter: name, Op: "work", Iteration: rt.fired, Err: err}
-		}
-		return nil
+	f.park = func() error {
+		st.set(stStalled, "", 0, -1)
+		<-me.stopCh
+		return errStopped
 	}
-	fault, injected := me.sup.take(name, rt.fired)
-	if injected {
-		traceFault(me.rec, n.ID, name, fault.Kind.String())
-	}
-	err := attempt(fault, injected)
-	if err == nil || err == errStopped {
-		return err
-	}
-	switch pol.Action {
-	case faults.Retry:
-		for a := 1; a <= pol.Retries; a++ {
-			me.sup.noteRetry(name)
-			traceRecovery(me.rec, n.ID, name, "retry")
-			if pol.Backoff > 0 {
-				time.Sleep(time.Duration(a) * pol.Backoff)
-			}
-			restore()
-			if err = attempt(faults.Fault{}, false); err == nil || err == errStopped {
-				return err
-			}
-		}
-		return fmt.Errorf("exec: %d retries exhausted: %w", pol.Retries, err)
-	case faults.Skip:
-		restore()
-		me.sup.noteSkip(name)
-		traceRecovery(me.rec, n.ID, name, "skip")
-		skipFiring(n, c.tIn, c.tOut)
-		return nil
-	case faults.Restart:
-		restore()
-		stFresh, serr := freshState(n)
-		if serr != nil {
-			return serr
-		}
-		rt.state = stFresh
-		if c.runner != nil {
-			c.runner.setState(stFresh)
-		}
-		me.sup.noteRestart(name)
-		traceRecovery(me.rec, n.ID, name, "restart")
-		if err = attempt(faults.Fault{}, false); err != nil && err != errStopped {
-			return fmt.Errorf("exec: restart did not recover: %w", err)
-		}
-		return err
-	}
-	return err
+	return me.sup.fire(f, me.rec)
 }
 
 // WorkerOf reports the worker a node runs on (diagnostics).

@@ -7,7 +7,6 @@ import (
 
 	"streamit/internal/ir"
 	"streamit/internal/sched"
-	"streamit/internal/sdep"
 	"streamit/internal/wfunc"
 )
 
@@ -54,11 +53,10 @@ type swpState struct {
 	msgNode   []bool // fires through the messaging-aware cluster path
 	sends     []bool // filter's work function contains Send statements
 
-	// Messaging runtime; pending/partial are nil when the graph has none.
-	constraints []constraint
-	calc        *sdep.Calc
-	pending     [][]*message
-	partial     []int64 // mid-firing progress-tape movement, by node ID
+	// Messaging runtime on the engine's derived progress counters;
+	// pending/partial are nil when the graph has none.
+	teleport
+	partial []int64 // mid-firing progress-tape movement, by node ID
 
 	// Segment position: the engine runs segIters logical iterations per
 	// segment (one Run call), with base iterations retired by earlier
@@ -101,6 +99,7 @@ func newSWPState(g *ir.Graph, s *sched.Schedule, opts Options, assign []int) (*s
 		return nil, fmt.Errorf("exec: stage batch %d out of range (want >= 1 cycles)", opts.StageBatch)
 	}
 	sw := &swpState{
+		teleport:  teleport{g: g, sch: s, trace: opts.Trace},
 		levels:    append([]int(nil), opts.Stages...),
 		batch:     int64(batch),
 		clusterOf: make([]int, n),
@@ -172,7 +171,6 @@ func newSWPState(g *ir.Graph, s *sched.Schedule, opts Options, assign []int) (*s
 			return nil, err
 		}
 		sw.constraints = cs
-		sw.calc = sdep.NewCalc(g, s)
 		sw.pending = make([][]*message, n)
 		sw.partial = make([]int64, n)
 		// Every messaging endpoint fires through the cluster path (message
@@ -404,7 +402,7 @@ func (me *MappedEngine) swpClusterStep(sp *swpStep, fi int64, cur **mnodeCtx) er
 				if !me.swpCanFire(c) {
 					break
 				}
-				ok, err := me.swpConstraintsAllow(n)
+				ok, err := sw.constraintsAllow(n)
 				if err != nil {
 					return err
 				}
@@ -435,7 +433,7 @@ func (me *MappedEngine) swpClusterStep(sp *swpStep, fi int64, cur **mnodeCtx) er
 // before, upstream immediately after.
 func (me *MappedEngine) swpClusterFire(c *mnodeCtx, st *nodeStatus) error {
 	n := c.rt.node
-	if err := me.swpDeliverDue(n, true); err != nil {
+	if err := me.swp.deliverDue(n, true); err != nil {
 		return err
 	}
 	if err := me.fireTimed(c, st); err != nil {
@@ -449,7 +447,7 @@ func (me *MappedEngine) swpClusterFire(c *mnodeCtx, st *nodeStatus) error {
 		*c.partial = 0
 	}
 	atomic.AddInt64(&me.progress, 1)
-	return me.swpDeliverDue(n, false)
+	return me.swp.deliverDue(n, false)
 }
 
 // swpCanFire checks input availability for one firing (the sequential
@@ -486,11 +484,11 @@ func (me *MappedEngine) swpFlush(c *mnodeCtx) error {
 	return nil
 }
 
-// swpProgress mirrors the sequential engine's progress counter from firing
+// tapeProgress mirrors the sequential engine's progress counter from firing
 // counts: pushed items on the out tape (initial delay items included, as
 // channel construction pushes them) or popped items for sinks, plus the
 // mid-firing movement recorded by partialTape.
-func (me *MappedEngine) swpProgress(n *ir.Node) int64 {
+func (me *MappedEngine) tapeProgress(n *ir.Node) int64 {
 	rt := me.nodes[n.ID]
 	var partial int64
 	if me.swp.partial != nil {
@@ -505,189 +503,8 @@ func (me *MappedEngine) swpProgress(n *ir.Node) int64 {
 	return 0
 }
 
-// swpMiTapes and swpMaTapes are the engine's miTapes/maTapes over the
-// pipelined calc.
-func (me *MappedEngine) swpMiTapes(a, b *ir.Edge, bNode *ir.Node, x int64) (int64, error) {
-	if a == b {
-		if x <= 0 {
-			return 0, nil
-		}
-		return x + sinkMargin(bNode), nil
-	}
-	return me.swp.calc.Mi(a, b, x)
-}
-
-func (me *MappedEngine) swpMaTapes(a, b *ir.Edge, bNode *ir.Node, x int64) (int64, error) {
-	if a == b {
-		pop := int64(bNode.TotalPop())
-		m := sinkMargin(bNode)
-		if x < m+pop || pop == 0 {
-			return 0, nil
-		}
-		return (x - m) / pop * pop, nil
-	}
-	return me.swp.calc.Ma(a, b, x)
-}
-
-// swpConstraintsAllow is the sequential engine's constraintsAllow on the
-// derived progress counters.
-func (me *MappedEngine) swpConstraintsAllow(n *ir.Node) (bool, error) {
-	for _, c := range me.swp.constraints {
-		if c.receiver != n {
-			continue
-		}
-		oB, err := progressTapeOf(c.receiver)
-		if err != nil {
-			return false, err
-		}
-		oA, err := progressTapeOf(c.sender)
-		if err != nil {
-			return false, err
-		}
-		pushA := progressRateOf(c.sender)
-		nOB := me.swpProgress(c.receiver)
-		nOA := me.swpProgress(c.sender)
-		pushB := progressRateOf(n)
-		if c.upstream {
-			bound, err := me.swpMiTapes(oB, oA, c.sender, nOA+pushA*int64(c.latency))
-			if err != nil {
-				return false, err
-			}
-			if nOB+pushB > bound {
-				return false, nil
-			}
-		} else {
-			bound, err := me.swpMaTapes(oA, oB, c.receiver, nOA+pushA*int64(c.latency-1))
-			if err != nil {
-				return false, err
-			}
-			if nOB+pushB > bound {
-				return false, nil
-			}
-		}
-	}
-	return true, nil
-}
-
-// swpDeliverDue delivers pending messages for node n on the sequential
-// engine's timing rules.
-func (me *MappedEngine) swpDeliverDue(n *ir.Node, before bool) error {
-	sw := me.swp
-	if sw.pending == nil {
-		return nil
-	}
-	msgs := sw.pending[n.ID]
-	if len(msgs) == 0 {
-		return nil
-	}
-	var keep []*message
-	nOB := me.swpProgress(n)
-	pushB := progressRateOf(n)
-	for _, m := range msgs {
-		due := false
-		switch {
-		case m.bestEffort:
-			due = before
-		case m.upstream:
-			due = !before && nOB >= m.target
-		default:
-			due = before && nOB+pushB > m.target
-		}
-		if due {
-			if me.rec != nil {
-				me.rec.Instant(n.ID, "deliver "+m.handler, "teleport", n.Name)
-			}
-			if err := me.swpInvokeHandler(n, m); err != nil {
-				return err
-			}
-		} else {
-			keep = append(keep, m)
-		}
-	}
-	sw.pending[n.ID] = keep
-	return nil
-}
-
-func (me *MappedEngine) swpInvokeHandler(n *ir.Node, m *message) error {
-	k := n.Filter.Kernel
-	h := k.Handlers[m.handler]
-	if h == nil {
-		return fmt.Errorf("%s: missing handler %q", n.Name, m.handler)
-	}
-	env := wfunc.NewEnv(h)
-	env.State = me.nodes[n.ID].state
-	env.SetArgs(m.args)
-	env.Msg = &msender{me: me, node: n}
-	return wfunc.Exec(h, env)
-}
-
-// msender adapts the pipelined mapped engine to wfunc.Messenger for one
-// filter: the sequential sender's wavefront computation (messaging.go) on
-// the derived progress counters. Cluster members never skew, so the
-// windows — and with them delivery timing — match the sequential engine's
-// exactly.
-type msender struct {
-	me   *MappedEngine
-	node *ir.Node
-}
-
-// Send implements wfunc.Messenger; see the sequential sender.Send for the
-// wavefront equations.
-func (s *msender) Send(portal int, handler string, args []float64, minLat, maxLat int, bestEffort bool) error {
-	me := s.me
-	if portal < 0 || portal >= len(me.G.Portals) {
-		return fmt.Errorf("filter %s sends to unknown portal %d", s.node.Name, portal)
-	}
-	p := me.G.Portals[portal]
-	for _, f := range p.Receivers {
-		r := me.G.FilterNode[f]
-		if r == nil {
-			return fmt.Errorf("portal %s receiver %s not in graph", p.Name, f.Kernel.Name)
-		}
-		if _, ok := f.Kernel.Handlers[handler]; !ok {
-			return fmt.Errorf("portal %s receiver %s has no handler %q", p.Name, f.Kernel.Name, handler)
-		}
-		m := &message{handler: handler, args: args, bestEffort: bestEffort}
-		if !bestEffort {
-			oA, err := progressTapeOf(s.node)
-			if err != nil {
-				return err
-			}
-			oB, err := progressTapeOf(r)
-			if err != nil {
-				return err
-			}
-			sCount := me.swpProgress(s.node)
-			pushA := progressRateOf(s.node)
-			lam := int64(minLat)
-			switch {
-			case me.G.Downstream(r, s.node): // receiver upstream
-				m.upstream = true
-				target, err := me.swpMiTapes(oB, oA, s.node, sCount+pushA*lam)
-				if err != nil {
-					return err
-				}
-				if me.swpProgress(r) > target {
-					return fmt.Errorf("message from %s to upstream %s with latency %d is undeliverable: receiver already past the wavefront (add a MAX_LATENCY constraint)", s.node.Name, r.Name, lam)
-				}
-				m.target = target
-			case me.G.Downstream(s.node, r): // receiver downstream
-				target, err := me.swpMaTapes(oA, oB, r, sCount+pushA*(lam-1))
-				if err != nil {
-					return err
-				}
-				if me.swpProgress(r) > target {
-					return fmt.Errorf("message from %s to downstream %s with latency %d is undeliverable: receiver already past the wavefront", s.node.Name, r.Name, lam)
-				}
-				m.target = target
-			default:
-				return fmt.Errorf("message from %s to %s: parallel receivers are beyond this implementation (as in the paper)", s.node.Name, r.Name)
-			}
-		}
-		me.swp.pending[r.ID] = append(me.swp.pending[r.ID], m)
-	}
-	return nil
-}
+// kernelState is the state a node's message handlers run against.
+func (me *MappedEngine) kernelState(n *ir.Node) *wfunc.State { return me.nodes[n.ID].state }
 
 // partialTape counts a sender's progress-tape movement inside the current
 // firing: pushes on its out tape, or pops on its in tape for sinks. The

@@ -4,12 +4,125 @@ import (
 	"fmt"
 
 	"streamit/internal/ir"
+	"streamit/internal/obs"
+	"streamit/internal/sched"
+	"streamit/internal/sdep"
 	"streamit/internal/wfunc"
 )
 
-// sender adapts the engine to the wfunc.Messenger interface for one filter.
+// msgHost is the engine side of teleport messaging: where a node stands on
+// its progress tape right now (n(O) for producers, items consumed for
+// sinks), and the kernel state its handlers run against. The sequential
+// engine reads live channel counters; the pipelined mapped engine derives
+// the same numbers from firing counts, which is exact because members of a
+// messaging stage cluster never skew.
+type msgHost interface {
+	tapeProgress(n *ir.Node) int64
+	kernelState(n *ir.Node) *wfunc.State
+}
+
+// teleport is the teleport-messaging runtime: the paper's delivery rules
+// (equations 2 and 3) and schedule constraints (mc1/mc2), stated once for
+// every engine that hosts messaging. Engines embed it and point host at
+// themselves.
+type teleport struct {
+	g    *ir.Graph
+	sch  *sched.Schedule
+	host msgHost
+	// constraints are the static latency constraints derived from Send
+	// statements and MAX_LATENCY directives.
+	constraints []constraint
+	// pending teleport messages, keyed by receiver node ID; nil on a mapped
+	// plan whose graph has no messaging.
+	pending [][]*message
+	// calc is built on first use: only messaging consults it, so the
+	// allocation (and its memo tables) is skipped entirely for the common
+	// message-free program.
+	calc *sdep.Calc
+	// trace receives delivery instants; nil when tracing is off.
+	trace *obs.Recorder
+}
+
+func (t *teleport) sdepCalc() *sdep.Calc {
+	if t.calc == nil {
+		t.calc = sdep.NewCalc(t.g, t.sch)
+	}
+	return t.calc
+}
+
+// miTapes computes mi{a->progress of bNode}(x). When a and b are the same
+// edge, bNode is a sink consuming directly from a: x items of progress
+// require x plus its peek margin to appear on the tape.
+func (t *teleport) miTapes(a, b *ir.Edge, bNode *ir.Node, x int64) (int64, error) {
+	if a == b {
+		if x <= 0 {
+			return 0, nil
+		}
+		return x + sinkMargin(bNode), nil
+	}
+	return t.sdepCalc().Mi(a, b, x)
+}
+
+// maTapes computes ma{a->progress of bNode}(x). When a and b are the same
+// edge, bNode is a sink consuming directly from a: with x items on the tape
+// it can consume floor((x-margin)/pop)*pop items.
+func (t *teleport) maTapes(a, b *ir.Edge, bNode *ir.Node, x int64) (int64, error) {
+	if a == b {
+		pop := int64(bNode.TotalPop())
+		m := sinkMargin(bNode)
+		if x < m+pop || pop == 0 {
+			return 0, nil
+		}
+		return (x - m) / pop * pop, nil
+	}
+	return t.sdepCalc().Ma(a, b, x)
+}
+
+// constraintsAllow checks equations mc1/mc2 for every constraint whose
+// receiver is n: firing n must not advance its output tape beyond the point
+// where a message from the (potential) sender could still be delivered.
+func (t *teleport) constraintsAllow(n *ir.Node) (bool, error) {
+	for _, c := range t.constraints {
+		if c.receiver != n {
+			continue
+		}
+		oB, err := progressTapeOf(c.receiver)
+		if err != nil {
+			return false, err
+		}
+		oA, err := progressTapeOf(c.sender)
+		if err != nil {
+			return false, err
+		}
+		pushA := progressRateOf(c.sender)
+		nOB := t.host.tapeProgress(c.receiver)
+		nOA := t.host.tapeProgress(c.sender)
+		pushB := progressRateOf(n)
+		if c.upstream {
+			bound, err := t.miTapes(oB, oA, c.sender, nOA+pushA*int64(c.latency))
+			if err != nil {
+				return false, err
+			}
+			if nOB+pushB > bound {
+				return false, nil
+			}
+		} else {
+			bound, err := t.maTapes(oA, oB, c.receiver, nOA+pushA*int64(c.latency-1))
+			if err != nil {
+				return false, err
+			}
+			if nOB+pushB > bound {
+				return false, nil
+			}
+		}
+	}
+	return true, nil
+}
+
+// sender adapts the messaging runtime to the wfunc.Messenger interface for
+// one filter.
 type sender struct {
-	e    *Engine
+	t    *teleport
 	node *ir.Node
 }
 
@@ -26,13 +139,13 @@ type sender struct {
 // where s is n(O_A) at send time and λ the message latency. Best-effort
 // messages are delivered before the receiver's next firing.
 func (s *sender) Send(portal int, handler string, args []float64, minLat, maxLat int, bestEffort bool) error {
-	e := s.e
-	if portal < 0 || portal >= len(e.G.Portals) {
+	t := s.t
+	if portal < 0 || portal >= len(t.g.Portals) {
 		return fmt.Errorf("filter %s sends to unknown portal %d", s.node.Name, portal)
 	}
-	p := e.G.Portals[portal]
+	p := t.g.Portals[portal]
 	for _, f := range p.Receivers {
-		r := e.G.FilterNode[f]
+		r := t.g.FilterNode[f]
 		if r == nil {
 			return fmt.Errorf("portal %s receiver %s not in graph", p.Name, f.Kernel.Name)
 		}
@@ -49,26 +162,26 @@ func (s *sender) Send(portal int, handler string, args []float64, minLat, maxLat
 			if err != nil {
 				return err
 			}
-			sCount := e.progress(s.node)
+			sCount := t.host.tapeProgress(s.node)
 			pushA := progressRateOf(s.node)
 			lam := int64(minLat)
 			switch {
-			case e.G.Downstream(r, s.node): // receiver upstream
+			case t.g.Downstream(r, s.node): // receiver upstream
 				m.upstream = true
-				target, err := e.miTapes(oB, oA, s.node, sCount+pushA*lam)
+				target, err := t.miTapes(oB, oA, s.node, sCount+pushA*lam)
 				if err != nil {
 					return err
 				}
-				if e.progress(r) > target {
+				if t.host.tapeProgress(r) > target {
 					return fmt.Errorf("message from %s to upstream %s with latency %d is undeliverable: receiver already past the wavefront (add a MAX_LATENCY constraint)", s.node.Name, r.Name, lam)
 				}
 				m.target = target
-			case e.G.Downstream(s.node, r): // receiver downstream
-				target, err := e.maTapes(oA, oB, r, sCount+pushA*(lam-1))
+			case t.g.Downstream(s.node, r): // receiver downstream
+				target, err := t.maTapes(oA, oB, r, sCount+pushA*(lam-1))
 				if err != nil {
 					return err
 				}
-				if e.progress(r) > target {
+				if t.host.tapeProgress(r) > target {
 					return fmt.Errorf("message from %s to downstream %s with latency %d is undeliverable: receiver already past the wavefront", s.node.Name, r.Name, lam)
 				}
 				m.target = target
@@ -76,7 +189,7 @@ func (s *sender) Send(portal int, handler string, args []float64, minLat, maxLat
 				return fmt.Errorf("message from %s to %s: parallel receivers are beyond this implementation (as in the paper)", s.node.Name, r.Name)
 			}
 		}
-		e.pending[r.ID] = append(e.pending[r.ID], m)
+		t.pending[r.ID] = append(t.pending[r.ID], m)
 	}
 	return nil
 }
@@ -84,13 +197,16 @@ func (s *sender) Send(portal int, handler string, args []float64, minLat, maxLat
 // deliverDue delivers pending messages for node n. before=true is invoked
 // immediately before a firing (downstream and best-effort deliveries);
 // before=false immediately after (upstream deliveries).
-func (e *Engine) deliverDue(n *ir.Node, before bool) error {
-	msgs := e.pending[n.ID]
+func (t *teleport) deliverDue(n *ir.Node, before bool) error {
+	if t.pending == nil {
+		return nil
+	}
+	msgs := t.pending[n.ID]
 	if len(msgs) == 0 {
 		return nil
 	}
 	var keep []*message
-	nOB := e.progress(n)
+	nOB := t.host.tapeProgress(n)
 	pushB := progressRateOf(n)
 	for _, m := range msgs {
 		due := false
@@ -105,32 +221,52 @@ func (e *Engine) deliverDue(n *ir.Node, before bool) error {
 			due = before && nOB+pushB > m.target
 		}
 		if due {
-			if e.rec != nil {
-				e.rec.Instant(n.ID, "deliver "+m.handler, "teleport", n.Name)
+			if t.trace != nil {
+				t.trace.Instant(n.ID, "deliver "+m.handler, "teleport", n.Name)
 			}
-			if err := e.invokeHandler(n, m); err != nil {
+			if err := t.invokeHandler(n, m); err != nil {
 				return err
 			}
 		} else {
 			keep = append(keep, m)
 		}
 	}
-	e.pending[n.ID] = keep
+	t.pending[n.ID] = keep
 	return nil
 }
 
-func (e *Engine) invokeHandler(n *ir.Node, m *message) error {
+func (t *teleport) invokeHandler(n *ir.Node, m *message) error {
 	k := n.Filter.Kernel
 	h := k.Handlers[m.handler]
 	if h == nil {
 		return fmt.Errorf("%s: missing handler %q", n.Name, m.handler)
 	}
 	env := wfunc.NewEnv(h)
-	env.State = e.nodes[n.ID].state
+	env.State = t.host.kernelState(n)
 	env.SetArgs(m.args)
 	// Handlers may send further messages (paper appendix restriction 4
 	// permits this; they may not touch the tapes, which wfunc.Validate
 	// enforces statically).
-	env.Msg = &sender{e: e, node: n}
+	env.Msg = &sender{t: t, node: n}
 	return wfunc.Exec(h, env)
+}
+
+// mark records how many messages each receiver has pending, and rewind
+// drops everything enqueued since: the teleport half of a supervised
+// firing's save point. A firing that is rolled back never happened, so the
+// messages it sent before failing must not be delivered. Only sends append
+// to pending during a work invocation (handlers run between firings), so
+// the lengths are the whole save point.
+func (t *teleport) mark() []int {
+	lens := make([]int, len(t.pending))
+	for i, msgs := range t.pending {
+		lens[i] = len(msgs)
+	}
+	return lens
+}
+
+func (t *teleport) rewind(lens []int) {
+	for i, l := range lens {
+		t.pending[i] = t.pending[i][:l]
+	}
 }

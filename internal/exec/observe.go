@@ -65,7 +65,7 @@ func profileSJ(st *obs.FilterStats, n *ir.Node) {
 	st.AddPushes(pushes)
 }
 
-// obsTape wraps a stable tape (parallel SliceQueue, dynamic dynIn/dynOut)
+// obsTape wraps a stable tape (mapped SliceQueue, dynamic dynIn/dynOut)
 // with per-operation counting. lenFn, when set, samples output occupancy
 // after each push for the high-water mark.
 type obsTape struct {
@@ -122,11 +122,11 @@ func (t *seqObsTape) Push(v float64) {
 }
 
 // adoptObs attaches a profiler and/or trace recorder to the engine,
-// wrapping filter tapes in counting adapters. The parallel engine calls it
+// wrapping filter tapes in counting adapters. The mapped engine calls it
 // on its scratch init engine so the init transient lands in the same
 // counters as the steady state.
 func (e *Engine) adoptObs(prof *obs.Profiler, rec *obs.Recorder) {
-	e.prof, e.rec = prof, rec
+	e.prof, e.rec, e.trace = prof, rec, rec
 	if rec != nil {
 		for _, n := range e.G.Nodes {
 			if n.Kind == ir.NodeFilter {
@@ -158,12 +158,6 @@ func (e *Engine) Profile() *obs.Profiler { return e.prof }
 
 // TraceRecorder returns the engine's trace recorder (nil unless attached).
 func (e *Engine) TraceRecorder() *obs.Recorder { return e.rec }
-
-// Profile returns the engine's profiler (nil unless Options.Profile).
-func (pe *ParallelEngine) Profile() *obs.Profiler { return pe.prof }
-
-// TraceRecorder returns the engine's trace recorder (nil unless attached).
-func (pe *ParallelEngine) TraceRecorder() *obs.Recorder { return pe.rec }
 
 // Profile returns the engine's profiler (nil unless Options.Profile).
 func (d *DynamicEngine) Profile() *obs.Profiler { return d.prof }

@@ -37,7 +37,7 @@ func runParallelOutputs(t *testing.T, prog *ir.Program, iters int) []float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pe, err := NewParallel(g, s)
+	pe, err := NewParallelOpts(g, s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestParallelRejectsMessagingAndLoops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewParallel(g, s); err == nil {
+	if _, err := NewParallelOpts(g, s, Options{}); err == nil {
 		t.Fatal("expected rejection of teleport messaging")
 	}
 
@@ -117,7 +117,7 @@ func TestParallelRejectsMessagingAndLoops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewParallel(g2, s2); err == nil {
+	if _, err := NewParallelOpts(g2, s2, Options{}); err == nil {
 		t.Fatal("expected rejection of feedback loops")
 	}
 }
@@ -150,7 +150,7 @@ func BenchmarkParallelVsSequentialTDE(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		pe, err := NewParallel(g, s)
+		pe, err := NewParallelOpts(g, s, Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

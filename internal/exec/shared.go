@@ -120,15 +120,16 @@ func (sh *Shared) Fingerprint() uint64 { return graphFingerprint(sh.G, sh.Sch) }
 func (sh *Shared) NewEngine(opts Options) (*Engine, error) {
 	opts.Backend = sh.Backend
 	e := &Engine{
-		G:           sh.G,
-		Sch:         sh.Sch,
-		Backend:     sh.Backend,
-		chans:       make([]*channel, len(sh.G.Edges)),
-		nodes:       make([]*nodeRT, len(sh.G.Nodes)),
-		pending:     make([][]*message, len(sh.G.Nodes)),
-		constraints: sh.constraints,
-		dynamic:     sh.dynamic,
+		G:       sh.G,
+		Sch:     sh.Sch,
+		Backend: sh.Backend,
+		chans:   make([]*channel, len(sh.G.Edges)),
+		nodes:   make([]*nodeRT, len(sh.G.Nodes)),
+		dynamic: sh.dynamic,
+		teleport: teleport{g: sh.G, sch: sh.Sch, constraints: sh.constraints,
+			pending: make([][]*message, len(sh.G.Nodes))},
 	}
+	e.host = e
 	for _, edge := range sh.G.Edges {
 		ch := newChannel(sh.ringCap[edge.ID])
 		for _, v := range edge.Initial {
@@ -143,7 +144,7 @@ func (sh *Shared) NewEngine(opts Options) (*Engine, error) {
 			rt.state = sh.protos[n.ID].Clone()
 			rt.runner = newWorkRunnerCompiled(k, rt.state, sh.progs[n.ID])
 			if sh.sends[n.ID] {
-				rt.send = &sender{e: e, node: n}
+				rt.send = &sender{t: &e.teleport, node: n}
 			}
 			name := n.Name
 			rt.print = func(v float64) {

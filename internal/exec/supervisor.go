@@ -13,7 +13,7 @@ import (
 	"streamit/internal/wfunc"
 )
 
-// Options configure engine construction across all three engines: the
+// Options configure engine construction across all engines: the
 // work-function backend, an optional fault-injection plan, per-kernel
 // recovery policies, and the watchdog interval for the concurrent engines.
 type Options struct {
@@ -23,7 +23,7 @@ type Options struct {
 	Faults *faults.Plan
 	// OnError maps filters to recovery policies (zero value: fail).
 	OnError faults.Policies
-	// Watchdog is the stall-detection interval of the parallel and dynamic
+	// Watchdog is the stall-detection interval of the mapped and dynamic
 	// engines: if no item or batch moves anywhere for this long, the run
 	// aborts with a *DeadlockError describing the blocked wait-cycle.
 	// 0 selects DefaultWatchdogInterval; negative disables the watchdog.
@@ -99,17 +99,9 @@ type Options struct {
 }
 
 // DefaultWatchdogInterval is the no-progress window after which the
-// parallel and dynamic engines declare deadlock. Generous enough that only
+// mapped and dynamic engines declare deadlock. Generous enough that only
 // a genuine wedge (never a slow kernel making progress) trips it.
 const DefaultWatchdogInterval = 5 * time.Second
-
-// watchdogInterval resolves the option value.
-func (o Options) watchdogInterval() time.Duration {
-	if o.Watchdog == 0 {
-		return DefaultWatchdogInterval
-	}
-	return o.Watchdog
-}
 
 // supervised reports whether the options ask for any supervision work.
 func (o Options) supervised() bool {
@@ -142,7 +134,7 @@ type DegradedStats struct {
 
 // supervisor applies fault injection and recovery policies to filter
 // firings. One instance is shared by all node contexts of an engine; it is
-// concurrency-safe for the parallel and dynamic engines.
+// concurrency-safe for the mapped and dynamic engines.
 type supervisor struct {
 	inj *faults.Injector
 	pol faults.Policies
@@ -288,6 +280,142 @@ func (s *supervisor) Report() string {
 	return b.String()
 }
 
+// firing is one filter firing as the supervisor sees it. The state machine
+// in fire is engine-independent; the engine fills in what only it knows —
+// how to run its kernel on its tapes, how to save and rewind those tapes,
+// and what a wedged kernel looks like on it.
+type firing struct {
+	n     *ir.Node
+	fired int64 // the filter's firing index (the injector's key)
+	// in and out are the filter's tapes as its work function sees them; a
+	// skipped firing honors the static rates on them.
+	in, out wfunc.Tape
+	// state and runner locate the kernel state, so rollback can reinstall
+	// the saved copy and Restart a fresh one.
+	state  **wfunc.State
+	runner *workRunner
+	// work runs the kernel once; corrupt asks for every push to be replaced
+	// by the corruption sentinel. It need not recover panics.
+	work func(corrupt bool) error
+	// mark saves the filter's tapes and returns the function that rewinds
+	// them to that point.
+	mark func() (rewind func())
+	// msgs is the messaging runtime the filter sends through, nil when it
+	// cannot send: messages a failed attempt enqueued are rolled back with
+	// its tapes and state.
+	msgs *teleport
+	// park is what an injected stall does under the fail policy: block like
+	// a wedged kernel until the watchdog aborts the run, then unwind. nil on
+	// the single-threaded sequential engine, where blocking would hang with
+	// no watchdog to notice, so the stall reports synchronously instead.
+	park func() error
+}
+
+func (f *firing) setState(st *wfunc.State) {
+	*f.state = st
+	if f.runner != nil {
+		f.runner.setState(st)
+	}
+}
+
+// fire wraps one filter firing in the fault injector and the filter's
+// recovery policy. When the policy may need to roll the firing back
+// (anything but Fail), the filter's tapes, state, and in-flight messages
+// are saved first; recovery rewinds to that save point, so a failed attempt
+// leaves no trace.
+func (s *supervisor) fire(f *firing, rec *obs.Recorder) error {
+	n, name := f.n, f.n.Name
+	pol := s.pol.For(name)
+	rollback := pol.Action != faults.Fail
+	var restore func()
+	if rollback {
+		rewind := f.mark()
+		var sent []int
+		if f.msgs != nil {
+			sent = f.msgs.mark()
+		}
+		var stateSave *wfunc.State
+		if *f.state != nil {
+			stateSave = (*f.state).Clone()
+		}
+		restore = func() {
+			rewind()
+			if f.msgs != nil {
+				f.msgs.rewind(sent)
+			}
+			if stateSave != nil {
+				f.setState(stateSave.Clone())
+			}
+		}
+	}
+	attempt := func(corrupt bool) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = asExecError(name, f.fired, r)
+			}
+		}()
+		return f.work(corrupt)
+	}
+	var err error
+	fault, injected := s.take(name, f.fired)
+	if injected {
+		traceFault(rec, n.ID, name, fault.Kind.String())
+	}
+	switch {
+	case injected && fault.Kind == faults.Panic:
+		err = &ExecError{Filter: name, Op: "injected panic", Iteration: f.fired}
+	case injected && fault.Kind == faults.Stall:
+		if f.park != nil && !rollback {
+			return f.park()
+		}
+		// A recoverable policy turns the stall into a synchronous failure,
+		// so retry/skip/restart actually recover instead of wedging the
+		// filter until the watchdog aborts the run.
+		err = &ExecError{Filter: name, Op: "injected stall", Iteration: f.fired,
+			Err: fmt.Errorf("stall reported synchronously under the %s policy", pol.Action)}
+	default:
+		err = attempt(injected && fault.Kind == faults.Corrupt)
+	}
+	if err == nil {
+		return nil
+	}
+	switch pol.Action {
+	case faults.Retry:
+		for a := 1; a <= pol.Retries; a++ {
+			s.noteRetry(name)
+			traceRecovery(rec, n.ID, name, "retry")
+			if pol.Backoff > 0 {
+				time.Sleep(time.Duration(a) * pol.Backoff)
+			}
+			restore()
+			if err = attempt(false); err == nil {
+				return nil
+			}
+		}
+		return fmt.Errorf("exec: %d retries exhausted: %w", pol.Retries, err)
+	case faults.Skip:
+		restore()
+		s.noteSkip(name)
+		traceRecovery(rec, n.ID, name, "skip")
+		skipFiring(n, f.in, f.out)
+		return nil
+	case faults.Restart:
+		restore()
+		st, serr := freshState(n)
+		if serr != nil {
+			return serr
+		}
+		f.setState(st)
+		s.noteRestart(name)
+		traceRecovery(rec, n.ID, name, "restart")
+		if err = attempt(false); err != nil {
+			return fmt.Errorf("exec: restart did not recover: %w", err)
+		}
+		return nil
+	}
+	return err
+}
+
 // corruptTape passes reads through but replaces every pushed value with
 // the corruption sentinel — the tape-level realization of a Corrupt fault.
 type corruptTape struct {
@@ -317,8 +445,9 @@ func skipFiring(n *ir.Node, in, out wfunc.Tape) {
 	}
 }
 
-// freshState re-creates a filter's initial state (fields re-initialized,
-// init function re-run) for the Restart policy.
+// freshState creates a filter's initial state (fields initialized, init
+// function run): what an engine starts from, and what the Restart policy
+// resets to.
 func freshState(n *ir.Node) (*wfunc.State, error) {
 	k := n.Filter.Kernel
 	st := k.NewState()
@@ -326,7 +455,7 @@ func freshState(n *ir.Node) (*wfunc.State, error) {
 		env := wfunc.NewEnv(k.Init)
 		env.State = st
 		if err := wfunc.Exec(k.Init, env); err != nil {
-			return nil, fmt.Errorf("restart init of %s: %w", n.Name, err)
+			return nil, fmt.Errorf("init of %s: %w", n.Name, err)
 		}
 	}
 	return st, nil

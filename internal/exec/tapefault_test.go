@@ -51,7 +51,7 @@ func TestTakeUnderflowIsExecError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pe, err := NewParallel(g, s)
+	pe, err := NewParallelOpts(g, s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,7 +63,7 @@ func (s *nodeStatus) snapshot() (FilterStatus, int) {
 // and, when the counter freezes for the configured interval, collects
 // every node's wait state, traces the wait-cycle, and aborts the run.
 type watchdog struct {
-	engine   string // "parallel" or "dynamic"
+	engine   string // "mapped" or "dynamic"
 	interval time.Duration
 	progress *int64
 	statuses []*nodeStatus
@@ -78,7 +78,16 @@ type watchdog struct {
 
 // newWatchdog starts the monitor goroutine. progress must be updated with
 // atomic adds; statuses is indexed by node ID (nil entries are ignored).
+// interval is the engine's Watchdog setting: 0 selects
+// DefaultWatchdogInterval, negative disables detection (a nil watchdog,
+// whose finish reports nothing).
 func newWatchdog(engine string, interval time.Duration, progress *int64, statuses []*nodeStatus, stop func()) *watchdog {
+	if interval < 0 {
+		return nil
+	}
+	if interval == 0 {
+		interval = DefaultWatchdogInterval
+	}
 	w := &watchdog{
 		engine: engine, interval: interval, progress: progress,
 		statuses: statuses, stop: stop, quit: make(chan struct{}),
@@ -146,19 +155,15 @@ func (w *watchdog) anyRunning() bool {
 	return false
 }
 
-// close stops the monitor and waits for it; the run finished (or aborted).
-func (w *watchdog) close() {
-	select {
-	case <-w.quit:
-	default:
-		close(w.quit)
-	}
-	w.wg.Wait()
-}
-
-// error returns the deadlock report if the watchdog fired, else nil.
+// finish stops the monitor once the run has finished (or aborted), waits
+// for it, and returns the deadlock report if the watchdog fired, else nil.
 // (Typed nil must not escape into a plain error.)
-func (w *watchdog) error() error {
+func (w *watchdog) finish() error {
+	if w == nil {
+		return nil
+	}
+	close(w.quit)
+	w.wg.Wait()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err == nil {

@@ -69,8 +69,8 @@ func TestParallelStallWatchdog(t *testing.T) {
 		t.Fatalf("err = %v, want *DeadlockError", err)
 	}
 	expectStall(t, faultsCh, "Double")
-	if de.Engine != "parallel" {
-		t.Fatalf("engine = %q, want parallel", de.Engine)
+	if de.Engine != "mapped" {
+		t.Fatalf("engine = %q, want mapped", de.Engine)
 	}
 	stalled := false
 	for _, fs := range de.Blocked {

@@ -60,7 +60,10 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 func writeErr(w http.ResponseWriter, err error) {
 	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooBig):
+		code = http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrSessionLimit), errors.Is(err, ErrIterBacklog):
 		code = http.StatusTooManyRequests
 	case errors.Is(err, ErrClosed):
@@ -100,8 +103,14 @@ func failIfQuarantined(w http.ResponseWriter, s *Session) bool {
 	return true
 }
 
-func decode(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes bounds every request body. The largest legitimate one is a
+// feed that fills a session's input buffer: the default MaxBufferedIn of
+// 65536 items at float64's longest JSON spelling (24 bytes plus a comma)
+// is 1.6 MB; program sources are far smaller.
+const maxBodyBytes = 4 << 20
+
+func decode(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	return dec.Decode(v)
 }
@@ -129,7 +138,7 @@ func (srv *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		Source string `json:"source"`
 		Top    string `json:"top"`
 	}
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -154,7 +163,7 @@ func (srv *Server) handleNewSession(w http.ResponseWriter, r *http.Request) {
 		Faults  string `json:"faults"`
 		OnError string `json:"on_error"`
 	}
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -208,7 +217,7 @@ func (srv *Server) handleRun(w http.ResponseWriter, r *http.Request, s *Session)
 	var req struct {
 		Iterations int `json:"iterations"`
 	}
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -231,7 +240,7 @@ func (srv *Server) handleFeed(w http.ResponseWriter, r *http.Request, s *Session
 	var req struct {
 		Values []float64 `json:"values"`
 	}
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -276,7 +285,7 @@ func (srv *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		Dir string `json:"dir"`
 	}
 	if r.ContentLength != 0 {
-		if err := decode(r, &req); err != nil {
+		if err := decode(w, r, &req); err != nil {
 			writeErr(w, err)
 			return
 		}

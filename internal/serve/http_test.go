@@ -258,3 +258,52 @@ func TestHTTPBadFaultSpecs(t *testing.T) {
 	httpJSON(t, cl, "POST", ts.URL+"/v1/sessions",
 		map[string]any{"program": "t", "on_error": "g=fly-to-the-moon"}, http.StatusBadRequest)
 }
+
+// TestHTTPOversizedFeedRejected: request bodies are bounded. A feed larger
+// than any legitimate one is refused with 413 in the usual JSON error
+// shape before it is buffered, and the session goes on working.
+func TestHTTPOversizedFeedRejected(t *testing.T) {
+	srv := newTestServer(t, Config{Workers: 1})
+	loadTest(t, srv, "t", 2)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	cl := ts.Client()
+
+	resp := httpJSON(t, cl, "POST", ts.URL+"/v1/sessions",
+		map[string]any{"program": "t", "source": "src"}, http.StatusCreated)
+	sURL := fmt.Sprintf("%s/v1/sessions/%.0f", ts.URL, resp["id"].(float64))
+
+	huge := `{"values":[` + strings.Repeat("1.5,", maxBodyBytes/4) + `1.5]}`
+	r, err := cl.Post(sURL+"/feed", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatalf("oversized feed: %v", err)
+	}
+	var body map[string]any
+	err = json.NewDecoder(r.Body).Decode(&body)
+	r.Body.Close()
+	if r.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized feed: status %d, want 413", r.StatusCode)
+	}
+	if err != nil || body["error"] == nil {
+		t.Fatalf("oversized feed: body %v (decode error %v), want a JSON error", body, err)
+	}
+	if in, _ := srv.Session(1).Buffered(); in != 0 {
+		t.Fatalf("rejected feed buffered %d items", in)
+	}
+
+	resp = httpJSON(t, cl, "POST", sURL+"/feed",
+		map[string]any{"values": []float64{1, 2, 3}}, http.StatusOK)
+	if resp["accepted"].(float64) != 3 {
+		t.Fatalf("feed after rejection accepted %v items, want 3", resp["accepted"])
+	}
+	httpJSON(t, cl, "POST", sURL+"/run", map[string]int{"iterations": 3}, http.StatusOK)
+	for {
+		if resp = httpJSON(t, cl, "GET", sURL, nil, http.StatusOK); resp["done"].(float64) >= 3 {
+			break
+		}
+	}
+	resp = httpJSON(t, cl, "GET", sURL+"/drain", nil, http.StatusOK)
+	if got := fmt.Sprint(resp["values"]); got != "[2 4 6]" {
+		t.Fatalf("drained %s after the rejected feed, want [2 4 6]", got)
+	}
+}
