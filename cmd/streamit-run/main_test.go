@@ -1,0 +1,79 @@
+package main
+
+import (
+	"bytes"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestCLIEndToEnd builds the binary and drives it the way a user does. The
+// example program prints no items, so the observables are the exit status,
+// the summary line naming the backend that ran, and the checkpoint image.
+func TestCLIEndToEnd(t *testing.T) {
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "streamit-run")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	prog, err := filepath.Abs("../../examples/strprogs/fmradio.str")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(t *testing.T, args ...string) string {
+		t.Helper()
+		out, err := exec.Command(bin, append(args, prog)...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("streamit-run %s: %v\n%s", strings.Join(args, " "), err, out)
+		}
+		return string(out)
+	}
+
+	const iters, after = "40", "15"
+	backends := []struct {
+		name, summary string
+		args          []string
+	}{
+		{"sequential", "ran 40 steady-state iterations (", nil},
+		{"parallel", "ran 40 steady-state iterations on the parallel backend", []string{"-parallel"}},
+		{"task+data", "on the mapped (task+data, 2 workers) backend", []string{"-map", "task+data", "-workers", "2"}},
+		{"task+swp", "on the mapped (task+swp, 2 workers) backend", []string{"-map", "task+swp", "-workers", "2"}},
+		{"task+ckpt", "on the mapped (task, 2 workers) backend", []string{"-map", "task", "-workers", "2", "-checkpoint-every", "1"}},
+	}
+	for _, b := range backends {
+		t.Run(b.name, func(t *testing.T) {
+			if out := run(t, append([]string{"-iters", iters}, b.args...)...); !strings.Contains(out, b.summary) {
+				t.Fatalf("summary does not name the backend (want %q):\n%s", b.summary, out)
+			}
+		})
+	}
+
+	// Checkpoint at `after`, resume to `iters`: once on a zero-skew plan and
+	// once on a pipelined one. Two invocations must write the same image.
+	for _, strat := range []string{"task+data", "task+swp"} {
+		t.Run("resume/"+strat, func(t *testing.T) {
+			base := []string{"-iters", iters, "-map", strat, "-workers", "2"}
+			var imgs [2][]byte
+			for i := range imgs {
+				path := filepath.Join(dir, fmt.Sprintf("%s-%d.ckpt", strat, i))
+				out := run(t, append(base, "-checkpoint", path, "-checkpoint-after", after)...)
+				if want := "at iteration " + after; !strings.Contains(out, want) {
+					t.Fatalf("checkpoint run did not report %q:\n%s", want, out)
+				}
+				if imgs[i], err = os.ReadFile(path); err != nil {
+					t.Fatal(err)
+				}
+				out = run(t, append(base, "-resume", path)...)
+				if want := "finished at iteration " + iters; !strings.Contains(out, want) {
+					t.Fatalf("resumed run did not report %q:\n%s", want, out)
+				}
+			}
+			if len(imgs[0]) == 0 || !bytes.Equal(imgs[0], imgs[1]) {
+				t.Fatalf("two invocations wrote different images (%d vs %d bytes)", len(imgs[0]), len(imgs[1]))
+			}
+		})
+	}
+}

@@ -118,6 +118,12 @@ type ckptSWP struct {
 	levels   []int // per-node stage levels
 }
 
+// done is how many of the segment's iterations node id had completed at
+// the barrier: its gated cycles, clamped to the segment.
+func (s *ckptSWP) done(id int) int64 {
+	return min(max(s.cycles-int64(s.levels[id])*int64(s.batch), 0), s.segIters)
+}
+
 type ckptNode struct {
 	fired int64
 	state *wfunc.State // nil for stateless nodes
@@ -496,6 +502,30 @@ func readImage(data []byte, wantFP uint64) (*ckptImage, error) {
 	return img, nil
 }
 
+// checkNodeState validates one node's checkpointed field state against the
+// shape the engine holds for it. Every engine runs it over all nodes before
+// it installs anything from the image.
+func checkNodeState(name string, have, in *wfunc.State) error {
+	if (in != nil) != (have != nil) {
+		return fmt.Errorf("exec: checkpoint state presence mismatch on node %s", name)
+	}
+	if in == nil {
+		return nil
+	}
+	if len(in.Scalars) != len(have.Scalars) {
+		return fmt.Errorf("exec: node %s has %d scalar fields, checkpoint has %d", name, len(have.Scalars), len(in.Scalars))
+	}
+	if len(in.Arrays) != len(have.Arrays) {
+		return fmt.Errorf("exec: node %s has %d array fields, checkpoint has %d", name, len(have.Arrays), len(in.Arrays))
+	}
+	for k := range in.Arrays {
+		if len(in.Arrays[k]) != len(have.Arrays[k]) {
+			return fmt.Errorf("exec: node %s array field %d has size %d, checkpoint has %d", name, k, len(have.Arrays[k]), len(in.Arrays[k]))
+		}
+	}
+	return nil
+}
+
 // WriteCheckpoint serializes the engine's execution state. iteration is
 // the caller's steady-state position (how many iterations have run), so a
 // resuming process knows how many remain.
@@ -540,39 +570,30 @@ func (e *Engine) RestoreCheckpoint(data []byte) (int64, error) {
 		return 0, fmt.Errorf("exec: checkpoint has %d edges, engine has %d", len(img.edges), len(e.chans))
 	}
 	for i, rt := range e.nodes {
+		if err := checkNodeState(rt.node.Name, rt.state, img.nodes[i].state); err != nil {
+			return 0, err
+		}
+	}
+	for i, rt := range e.nodes {
 		in := img.nodes[i]
 		rt.fired = in.fired
-		if (in.state != nil) != (rt.state != nil) {
-			return 0, fmt.Errorf("exec: checkpoint state presence mismatch on node %s", rt.node.Name)
-		}
-		if in.state == nil {
-			continue
-		}
-		if len(in.state.Scalars) != len(rt.state.Scalars) {
-			return 0, fmt.Errorf("exec: node %s has %d scalar fields, checkpoint has %d", rt.node.Name, len(rt.state.Scalars), len(in.state.Scalars))
-		}
-		if len(in.state.Arrays) != len(rt.state.Arrays) {
-			return 0, fmt.Errorf("exec: node %s has %d array fields, checkpoint has %d", rt.node.Name, len(rt.state.Arrays), len(in.state.Arrays))
-		}
-		for k := range in.state.Arrays {
-			if len(in.state.Arrays[k]) != len(rt.state.Arrays[k]) {
-				return 0, fmt.Errorf("exec: node %s array field %d has size %d, checkpoint has %d", rt.node.Name, k, len(rt.state.Arrays[k]), len(in.state.Arrays[k]))
+		if in.state != nil {
+			rt.state.Scalars = in.state.Scalars
+			rt.state.Arrays = in.state.Arrays
+			if rt.runner != nil {
+				rt.runner.setState(rt.state)
 			}
-		}
-		rt.state.Scalars = in.state.Scalars
-		rt.state.Arrays = in.state.Arrays
-		if rt.runner != nil {
-			rt.runner.setState(rt.state)
 		}
 	}
 	for i, ie := range img.edges {
-		ch := newChannel(len(ie.items))
+		// Refill the existing ring: tape wrappers hold pointers to it.
+		ch := e.chans[i]
+		ch.head, ch.count = 0, 0
 		for _, v := range ie.items {
 			ch.Push(v)
 		}
 		ch.pushed = ie.pushed
 		ch.popped = ie.popped
-		e.chans[i] = ch
 	}
 	copy(e.pending, img.pending)
 	e.Firings = img.firings

@@ -559,9 +559,7 @@ func (e *Engine) Snapshot() *Snapshot {
 		pending: make([][]*message, len(e.pending)),
 	}
 	for i, ch := range e.chans {
-		cp := *ch
-		cp.buf = append([]float64(nil), ch.buf...)
-		s.chans[i] = &cp
+		s.chans[i] = ch.clone()
 	}
 	for i, rt := range e.nodes {
 		if rt.state != nil {
@@ -582,9 +580,8 @@ func (e *Engine) Snapshot() *Snapshot {
 // engine.
 func (e *Engine) Restore(s *Snapshot) {
 	for i, ch := range s.chans {
-		cp := *ch
-		cp.buf = append([]float64(nil), ch.buf...)
-		e.chans[i] = &cp
+		// Into the existing ring: tape wrappers hold pointers to it.
+		e.chans[i].restoreFrom(ch)
 	}
 	for i, rt := range e.nodes {
 		if s.states[i] != nil {

@@ -18,11 +18,9 @@ import (
 
 // MappedEngine executes a flattened stream graph on a fixed set of worker
 // goroutines — one per fused partition, default GOMAXPROCS; one per node is
-// the degenerate plan (NewParallelOpts). Each worker fires its assigned
-// nodes in global topological order once per steady iteration; edges
-// between nodes on the same worker are plain in-memory queues, edges
-// crossing workers are batched SPSC channels carrying one steady
-// iteration's items per batch.
+// the degenerate plan (NewParallelOpts). Edges between nodes on the same
+// worker are plain in-memory queues, edges crossing workers are batched
+// SPSC channels.
 //
 // This is the host-execution form of the partitioner's coarse-grained
 // plans: the ExecPlan rewrite (fusion + executable fission) shrinks the
@@ -30,37 +28,42 @@ import (
 // cost scales with the partition count, not the filter count. Results are
 // bit-identical to the sequential Engine.
 //
+// One run loop (mapped_swp.go) executes every plan, parameterised by a
+// stage map. A node at stage level l fires logical iteration
+// t-l*StageBatch at macro-cycle t, and cross-worker transfers flush once
+// per StageBatch cycles. With Options.Stages the levels skew the workers
+// — coarse-grained software pipelining: producers work on later
+// iterations while consumers still drain earlier ones — and feedback
+// loops and teleport messaging run inside single-worker stage clusters at
+// firing granularity. Without it the engine runs the zero-skew plan (every
+// level 0, a flush per cycle, no clusters), which is lockstep: each worker
+// fires its nodes in global topological order once per steady iteration
+// and every cross-worker edge carries one iteration's items per batch. It
+// has no clusters to host feedback or messaging, so it rejects both.
+//
 // Fault tolerance: steady state runs in epochs. At every epoch boundary
-// all workers have completed the same iteration count, every cross-worker
-// channel has been drained (each edge carries exactly one batch per
-// iteration), and the engine state — filter states, firing counts, and
-// consumer-queue residue — is bit-identical to a sequential engine's at
-// the same iteration. That barrier is where coordinated checkpoints are
-// taken (WriteCheckpoint, sharing the sequential engine's image format)
-// and where worker-crash recovery rolls back to: an injected crash
-// (faults "crash:workerN@iter") unwinds the epoch, the supervisor
-// re-plans the assignment onto the surviving workers, restores the last
-// checkpoint, and resumes.
+// all workers have completed the same cycle count and every cross-worker
+// channel has been drained (flush and receive schedules match). On a
+// zero-skew plan the engine state at that barrier — filter states, firing
+// counts, and consumer-queue residue — is bit-identical to a sequential
+// engine's at the same iteration; on a skewed plan that holds at segment
+// boundaries, and a barrier in between carries an SWPS trailer recording
+// the skew plus any unflushed staging residue. That barrier is where
+// coordinated checkpoints are taken (WriteCheckpoint, sharing the
+// sequential engine's image format) and where worker-crash recovery rolls
+// back to: an injected crash (faults "crash:workerN@iter") unwinds the
+// epoch, the supervisor re-plans the assignment onto the surviving
+// workers, restores the last checkpoint, and resumes.
 //
 // Deadlock-freedom: every worker visits its nodes in a common linear
-// extension of the dataflow order and every edge carries exactly one batch
-// per iteration, so the worker holding the globally earliest incomplete
-// firing always has its inputs available and its output channel short of
-// capacity — it can always progress. A watchdog still supervises the run
-// (fault injection can wedge it deliberately) and attributes blocked
-// edges to workers in its DeadlockError.
-//
-// Software pipelining (Options.Stages): instead of the lockstep iteration
-// schedule, workers run stage-skewed macro-cycles — a node at stage level
-// l fires logical iteration t-l*StageBatch at cycle t, so producers work
-// on later iterations while consumers still drain earlier ones, and
-// cross-worker transfers flush once per StageBatch cycles instead of once
-// per iteration. Feedback loops and teleport messaging, which the
-// lockstep schedule cannot host, run inside single-worker stage clusters
-// at firing granularity (mapped_swp.go), so the pipelined engine lifts
-// both restrictions. Epoch barriers fall on cycle boundaries; the
-// checkpoint image then carries an SWPS trailer recording the skew plus
-// any unflushed staging residue, and rolls back/resumes exactly.
+// extension of the dataflow order, and a batch is received where its edge
+// needs it — before the consumer's step when producer and consumer share a
+// stage, after the cycle's steps when the edge advances the stage — so
+// the worker holding the globally earliest incomplete firing always has
+// its inputs available and its output channel short of capacity. A
+// watchdog still supervises the run (fault injection can wedge it
+// deliberately) and attributes blocked edges to workers in its
+// DeadlockError.
 type MappedEngine struct {
 	G   *ir.Graph
 	Sch *sched.Schedule
@@ -102,8 +105,9 @@ type MappedEngine struct {
 
 	sup *supervisor
 
-	// swp holds the software-pipelining runtime (stage levels, clusters,
-	// messaging state, segment position); nil for lockstep plans.
+	// swp holds the stage plan and its runtime (stage levels, clusters,
+	// messaging state, segment position). Lockstep is its zero-skew
+	// instance, so it is never nil.
 	swp *swpState
 
 	// local masks the workers this engine instance actually runs when it
@@ -118,6 +122,10 @@ type MappedEngine struct {
 
 	nodes []*pnodeRT
 	order [][]*ir.Node // per-worker node lists in topological order
+	// plans is each worker's schedule over the current topology
+	// (mapped_swp.go): built by the first epoch after buildTopology, dropped
+	// when a drive returns so an idle engine does not pin its work runners.
+	plans []*workerPlan
 
 	// Steady-state topology, rebuilt by setup and by crash recovery:
 	// per-edge consumer queues, and for cross-worker edges a producer
@@ -170,11 +178,11 @@ func NewMapped(g *ir.Graph, s *sched.Schedule, assign []int, workers int) (*Mapp
 	return NewMappedOpts(g, s, assign, workers, Options{Backend: BackendVM})
 }
 
-// NewMappedOpts is the full-option constructor. A lockstep plan (no
-// Options.Stages) moves one batch per edge per steady iteration, so it
-// rejects teleport messaging and feedback loops, which need
-// finer-than-batch interleaving; a pipelined plan (Options.Stages set)
-// lifts both, hosting them inside single-worker stage clusters.
+// NewMappedOpts is the full-option constructor. Without Options.Stages the
+// engine runs the zero-skew plan — lockstep: one batch per edge per steady
+// iteration — so it rejects teleport messaging and feedback loops, which
+// need finer-than-batch interleaving; a pipelined plan (Options.Stages
+// set) lifts both, hosting them inside single-worker stage clusters.
 func NewMappedOpts(g *ir.Graph, s *sched.Schedule, assign []int, workers int, opts Options) (*MappedEngine, error) {
 	if opts.Stages == nil {
 		if len(g.Portals) > 0 || len(g.Constraints) > 0 {
@@ -225,14 +233,12 @@ func NewMappedOpts(g *ir.Graph, s *sched.Schedule, assign []int, workers int, op
 		me.local = append([]bool(nil), opts.LocalWorkers...)
 		me.remote = opts.Remote
 	}
-	if opts.Stages != nil {
-		sw, err := newSWPState(g, s, opts, me.Assign)
-		if err != nil {
-			return nil, err
-		}
-		sw.host = me
-		me.swp = sw
+	sw, err := newSWPState(g, s, opts, me.Assign)
+	if err != nil {
+		return nil, err
 	}
+	sw.host = me
+	me.swp = sw
 	if opts.Elastic {
 		es, err := newElasticState(opts)
 		if err != nil {
@@ -251,6 +257,7 @@ func NewMappedOpts(g *ir.Graph, s *sched.Schedule, assign []int, workers int, op
 	}
 	me.sup = sup
 
+	me.initFired, me.initPushed = initCounts(g, s)
 	me.nodes = make([]*pnodeRT, len(g.Nodes))
 	for _, n := range g.Nodes {
 		rt := &pnodeRT{node: n}
@@ -284,8 +291,8 @@ func (me *MappedEngine) Profile() *obs.Profiler { return me.prof }
 // TraceRecorder returns the trace recorder (nil when tracing is off).
 func (me *MappedEngine) TraceRecorder() *obs.Recorder { return me.rec }
 
-// mnodeCtx is the per-node execution context a worker prepares once per
-// epoch: the node's tapes over the shared edge queues and its runner.
+// mnodeCtx is the per-node execution context planWorkers prepares once per
+// topology: the node's tapes over the shared edge queues and its runner.
 type mnodeCtx struct {
 	rt      *pnodeRT
 	runner  *workRunner
@@ -325,11 +332,7 @@ func (me *MappedEngine) Run(iters int) error {
 	if err := me.setup(); err != nil {
 		return err
 	}
-	if sw := me.swp; sw != nil {
-		sw.base, sw.segIters = 0, int64(iters)
-		return me.runCycles()
-	}
-	return me.runSteady(iters)
+	return me.runTo(int64(iters))
 }
 
 // setup re-initializes the engine: initialization (a transient) runs on a
@@ -348,7 +351,6 @@ func (me *MappedEngine) setup() error {
 	if err := seq.RunInit(); err != nil {
 		return err
 	}
-	me.initCounters()
 	for _, n := range me.G.Nodes {
 		rt := me.nodes[n.ID]
 		rt.fired = seq.nodes[n.ID].fired
@@ -368,18 +370,17 @@ func (me *MappedEngine) setup() error {
 		q := me.queues[e.ID]
 		q.buf, q.head = buf, 0
 	}
-	if sw := me.swp; sw != nil {
-		// Initialization may leave teleport messages in flight; adopt them
-		// from the scratch engine, and zero the mid-firing progress counters.
-		if sw.pending != nil {
-			for i := range sw.pending {
-				sw.pending[i] = append([]*message(nil), seq.pending[i]...)
-			}
-		}
-		for i := range sw.partial {
-			sw.partial[i] = 0
-		}
+	// Initialization may leave teleport messages in flight; adopt them from
+	// the scratch engine, zero the mid-firing progress counters, and open a
+	// fresh segment at iteration 0.
+	sw := me.swp
+	for i := range sw.pending {
+		sw.pending[i] = append([]*message(nil), seq.pending[i]...)
 	}
+	for i := range sw.partial {
+		sw.partial[i] = 0
+	}
+	sw.base, sw.segIters = 0, 0
 	me.iter = 0
 	me.lastImg = nil
 	me.ready = true
@@ -394,6 +395,7 @@ func (me *MappedEngine) buildTopology() error {
 	if err != nil {
 		return err
 	}
+	me.plans = nil
 	me.order = make([][]*ir.Node, me.Workers)
 	for _, n := range topo {
 		w := me.Assign[n.ID]
@@ -440,16 +442,28 @@ func (me *MappedEngine) buildTopology() error {
 	return nil
 }
 
-// runSteady drives iters steady iterations from the current position in
-// checkpointed epochs, recovering from injected worker crashes.
-func (me *MappedEngine) runSteady(iters int) error {
-	return me.driveTo(me.iter + int64(iters))
+// runTo runs from the current barrier to logical iteration total: the rest
+// of the segment, epilogue included. A fresh segment takes its length here
+// and a zero-skew plan's open segment is extended; a skewed segment already
+// under way can only be finished.
+func (me *MappedEngine) runTo(total int64) error {
+	sw := me.swp
+	if sw.segIters == 0 || sw.maxStage() == 0 {
+		sw.segIters = total - sw.base
+	}
+	if total != sw.base+sw.segIters {
+		return fmt.Errorf("exec: pipelined checkpoint resumes a segment running to iteration %d; caller asked for %d", sw.base+sw.segIters, total)
+	}
+	if sw.segIters <= 0 {
+		return nil
+	}
+	return me.driveTo(sw.segIters + sw.maxStage())
 }
 
-// driveTo runs epochs until me.iter reaches end — steady iterations on
-// lockstep plans, macro-cycles on pipelined ones — rolling back to the
-// last coordinated checkpoint on injected worker crashes.
+// driveTo runs epochs until the cycle position me.iter reaches end, rolling
+// back to the last coordinated checkpoint on injected worker crashes.
 func (me *MappedEngine) driveTo(end int64) error {
+	defer func() { me.plans = nil }()
 	every := me.CheckpointEvery
 	if every <= 0 && me.sup.hasWorkerFaults() {
 		// Crash recovery needs a rollback target; default to the finest
@@ -526,6 +540,9 @@ func (b *sliceBuffer) Write(p []byte) (int, error) {
 // for the barrier. On return without error every channel is drained and
 // the engine state is at a consistent iteration boundary.
 func (me *MappedEngine) runEpoch(iters int) error {
+	if me.plans == nil {
+		me.planWorkers()
+	}
 	me.stopCh = make(chan struct{})
 	var stopOnce sync.Once
 	stopAll := func() { stopOnce.Do(func() { close(me.stopCh) }) }
@@ -603,7 +620,7 @@ func (me *MappedEngine) recoverFromCrash(wc *workerCrash) error {
 	if me.Replan != nil {
 		assign = me.Replan(survivors)
 	}
-	if !validAssign(assign, len(me.G.Nodes), survivors) || !me.clustersIntact(assign) {
+	if !me.validAssign(assign, survivors) {
 		assign = me.reassignWithout(wc.worker)
 	}
 	me.Workers = survivors
@@ -618,24 +635,15 @@ func (me *MappedEngine) recoverFromCrash(wc *workerCrash) error {
 }
 
 // validAssign checks a replanned assignment covers every node within the
-// worker range.
-func validAssign(assign []int, nodes, workers int) bool {
-	if len(assign) != nodes {
+// worker range and keeps every stage cluster on a single worker.
+func (me *MappedEngine) validAssign(assign []int, workers int) bool {
+	if len(assign) != len(me.G.Nodes) {
 		return false
 	}
 	for _, w := range assign {
 		if w < 0 || w >= workers {
 			return false
 		}
-	}
-	return true
-}
-
-// clustersIntact reports whether a replanned assignment keeps every stage
-// cluster on a single worker (vacuously true for lockstep plans).
-func (me *MappedEngine) clustersIntact(assign []int) bool {
-	if me.swp == nil {
-		return true
 	}
 	for _, members := range me.swp.clusters {
 		for _, id := range members[1:] {
@@ -666,23 +674,15 @@ func (me *MappedEngine) reassignWithout(dead int) []int {
 		renum[w] = next
 		next++
 	}
-	unitOf := func(id int) []int {
-		if me.swp != nil {
-			if ci := me.swp.clusterOf[id]; ci >= 0 {
-				return me.swp.clusters[ci]
-			}
-		}
-		return nil
-	}
 	assign := make([]int, len(me.Assign))
 	seen := make([]bool, len(me.Assign))
 	for id, w := range me.Assign {
 		if seen[id] {
 			continue
 		}
-		unit := unitOf(id)
-		if unit == nil {
-			unit = []int{id}
+		unit := []int{id}
+		if ci := me.swp.clusterOf[id]; ci >= 0 {
+			unit = me.swp.clusters[ci]
 		}
 		for _, m := range unit {
 			seen[m] = true
@@ -710,90 +710,19 @@ func (me *MappedEngine) reassignWithout(dead int) []int {
 	return assign
 }
 
-// runWorker drives one worker's node list through iters steady iterations
-// (or, pipelined, iters macro-cycles) of the current epoch.
-func (me *MappedEngine) runWorker(w, lane, iters int) error {
-	if me.swp != nil {
-		return me.runWorkerSWP(w, lane, iters)
-	}
-	ctxs := make([]*mnodeCtx, 0, len(me.order[w]))
-	// compact lists this worker's purely-local queues: only their owner
-	// touches them, and their per-item Push/Pop traffic never passes
-	// through Append's compaction.
-	var compact []*SliceQueue
-	for _, n := range me.order[w] {
-		ctxs = append(ctxs, me.prepareNode(n))
-	}
-	for _, e := range me.G.Edges {
-		if me.Assign[e.Src.ID] == w && me.Assign[e.Dst.ID] == w {
-			compact = append(compact, me.queues[e.ID])
-		}
-	}
-
-	var cur *mnodeCtx // the node currently firing, for fault attribution
-	err := func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				if wc, ok := r.(*workerCrash); ok {
-					err = wc
-					return
-				}
-				name, fired := fmt.Sprintf("worker %d", w), int64(0)
-				if cur != nil {
-					name, fired = cur.rt.node.Name, cur.rt.fired
-				}
-				err = asExecError(name, fired, r)
-			}
-		}()
-		for it := 0; it < iters; it++ {
-			if me.sup != nil {
-				gi := me.iter + int64(it)
-				if wf, ok := me.sup.takeWorker(w, gi); ok {
-					if err := me.workerFault(w, lane, gi, wf, ctxs); err != nil {
-						return err
-					}
-				}
-			}
-			var t0 time.Duration
-			if me.rec != nil {
-				t0 = me.rec.Stamp()
-			}
-			for _, c := range ctxs {
-				cur = c
-				if err := me.stepNode(c); err != nil {
-					return err
-				}
-			}
-			cur = nil
-			for _, q := range compact {
-				q.Compact()
-			}
-			if me.rec != nil {
-				end := me.rec.Stamp()
-				me.rec.Slice(lane, fmt.Sprintf("worker %d", w), "iteration", t0, end)
-			}
-		}
-		return nil
-	}()
-	for _, c := range ctxs {
-		me.statuses[c.rt.node.ID].set(stDone, "", 0, -1)
-	}
-	return err
-}
-
 // workerFault applies one injected worker-level fault at the top of a
-// steady iteration, before the worker fires anything: Crash panics (the
-// recover in runWorker hands it to the epoch driver for rollback), Stall
-// wedges the worker for the watchdog to attribute, Slow sleeps briefly.
-func (me *MappedEngine) workerFault(w, lane int, iter int64, wf faults.WorkerFault, ctxs []*mnodeCtx) error {
+// cycle, before the worker fires anything: Crash panics (the recover in
+// runWorker hands it to the epoch driver for rollback), Stall wedges the
+// worker for the watchdog to attribute, Slow sleeps briefly.
+func (me *MappedEngine) workerFault(w, lane int, iter int64, wf faults.WorkerFault) error {
 	name := fmt.Sprintf("worker%d", w)
 	traceFault(me.rec, lane, name, wf.Kind.String())
 	switch wf.Kind {
 	case faults.Crash:
 		panic(&workerCrash{worker: w, iter: iter})
 	case faults.Stall:
-		for _, c := range ctxs {
-			me.statuses[c.rt.node.ID].set(stStalled, "", 0, -1)
+		for _, n := range me.order[w] {
+			me.statuses[n.ID].set(stStalled, "", 0, -1)
 		}
 		<-me.stopCh
 		return errStopped
@@ -849,7 +778,7 @@ func (me *MappedEngine) prepareNode(n *ir.Node) *mnodeCtx {
 			}
 		}
 	}
-	if sw := me.swp; sw != nil && n.Kind == ir.NodeFilter && sw.sends[n.ID] {
+	if sw := me.swp; sw.sends[n.ID] {
 		// Message sends compute sdep windows from live progress counters;
 		// partialTape counts the progress tape's movement inside the
 		// current firing so mid-firing sends see the sequential engine's
@@ -867,81 +796,24 @@ func (me *MappedEngine) prepareNode(n *ir.Node) *mnodeCtx {
 	return c
 }
 
-// stepNode advances one node by one steady iteration: receive cross-worker
-// input batches, fire reps times, ship cross-worker output batches.
-func (me *MappedEngine) stepNode(c *mnodeCtx) error {
-	n := c.rt.node
-	st := me.statuses[n.ID]
-	for p, e := range n.In {
-		if e == nil {
-			continue
-		}
-		if me.remoteIn != nil && me.remoteIn[e.ID] {
-			batch, err := me.remote.Recv(e.ID, me.stopCh)
-			if err != nil {
-				if errors.Is(err, ErrRemoteStopped) {
-					return errStopped
-				}
-				return err
-			}
-			c.in[p].Append(batch)
-			continue
-		}
-		if me.chans[e.ID] == nil {
-			continue
-		}
-		batch, err := me.recvBatch(n, e, me.chans[e.ID], c.in[p], st)
-		if err != nil {
-			return err
-		}
-		c.in[p].Append(batch)
-	}
-	for r := 0; r < c.reps; r++ {
-		if err := me.fireTimed(c, st); err != nil {
-			return err
-		}
-		if c.pst != nil {
-			c.pst.AddFiring()
-		}
-		c.rt.fired++
-		atomic.AddInt64(&me.progress, 1)
-	}
-	for p, e := range n.Out {
-		if e == nil || c.localOut[p] {
-			continue
-		}
-		batch := c.out[p].Take(c.produce[p])
-		if me.remoteOut != nil && me.remoteOut[e.ID] {
-			if err := me.remote.Send(e.ID, batch, me.stopCh); err != nil {
-				if errors.Is(err, ErrRemoteStopped) {
-					return errStopped
-				}
-				return err
-			}
-			continue
-		}
-		if err := me.sendBatch(e, me.chans[e.ID], batch, st); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// recvBatch receives one batch, recording the wait state while blocked so
-// the watchdog can trace who waits on whom, and unwinds when the run
-// aborts.
-func (me *MappedEngine) recvBatch(n *ir.Node, e *ir.Edge, ch chan []float64, q *SliceQueue, st *nodeStatus) ([]float64, error) {
+// recvBatch receives one batch of a cross-worker edge, recording the wait
+// state while blocked so the watchdog can trace who waits on whom, and
+// unwinds when the run aborts. queued is the consumer queue's occupancy,
+// for the report.
+func (me *MappedEngine) recvBatch(e *ir.Edge, queued int) ([]float64, error) {
+	ch := me.chans[e.ID]
 	select {
 	case batch := <-ch:
 		atomic.AddInt64(&me.progress, 1)
 		return batch, nil
 	default:
 	}
-	st.set(stWaitRecv, e.String(), q.Len(), e.Src.ID)
+	st := me.statuses[e.Dst.ID]
+	st.set(stWaitRecv, e.String(), queued, e.Src.ID)
 	defer st.set(stRunning, "", 0, -1)
 	if me.prof != nil {
 		t0 := time.Now()
-		defer func() { me.prof.At(n.ID).AddStall(time.Since(t0)) }()
+		defer func() { me.prof.At(e.Dst.ID).AddStall(time.Since(t0)) }()
 	}
 	select {
 	case batch := <-ch:
@@ -952,14 +824,17 @@ func (me *MappedEngine) recvBatch(n *ir.Node, e *ir.Edge, ch chan []float64, q *
 	}
 }
 
-// sendBatch ships one batch, recording the wait state while blocked.
-func (me *MappedEngine) sendBatch(e *ir.Edge, ch chan []float64, batch []float64, st *nodeStatus) error {
+// sendBatch ships one batch of a cross-worker edge, recording the wait
+// state while blocked.
+func (me *MappedEngine) sendBatch(e *ir.Edge, batch []float64) error {
+	ch := me.chans[e.ID]
 	select {
 	case ch <- batch:
 		atomic.AddInt64(&me.progress, 1)
 		return nil
 	default:
 	}
+	st := me.statuses[e.Src.ID]
 	st.set(stWaitSend, e.String(), len(batch), e.Dst.ID)
 	defer st.set(stRunning, "", 0, -1)
 	if me.prof != nil {
@@ -975,15 +850,33 @@ func (me *MappedEngine) sendBatch(e *ir.Edge, ch chan []float64, batch []float64
 	}
 }
 
-// fireTimed is fireOnce under the observability stamps (work time, firing
-// slices) shared by the lockstep and pipelined stepping paths.
-func (me *MappedEngine) fireTimed(c *mnodeCtx, st *nodeStatus) error {
+// fire executes one firing — under the observability stamps when a
+// profiler or recorder is attached — and counts it: the node's firing
+// index (the fault injector's), the profile, the watchdog's progress.
+func (me *MappedEngine) fire(c *mnodeCtx) error {
+	var err error
 	if c.pst == nil && me.rec == nil {
-		return me.fireOnce(c, st)
+		err = me.fireOnce(c)
+	} else {
+		err = me.fireTimed(c)
 	}
+	if err != nil {
+		return err
+	}
+	if c.pst != nil {
+		c.pst.AddFiring()
+	}
+	c.rt.fired++
+	atomic.AddInt64(&me.progress, 1)
+	return nil
+}
+
+// fireTimed is fireOnce under the observability stamps (work time, firing
+// slices).
+func (me *MappedEngine) fireTimed(c *mnodeCtx) error {
 	n := c.rt.node
 	start := time.Now()
-	err := me.fireOnce(c, st)
+	err := me.fireOnce(c)
 	d := time.Since(start)
 	if c.pst != nil {
 		if n.Kind == ir.NodeFilter {
@@ -1000,12 +893,12 @@ func (me *MappedEngine) fireTimed(c *mnodeCtx, st *nodeStatus) error {
 }
 
 // fireOnce executes one firing of the node on its queues.
-func (me *MappedEngine) fireOnce(c *mnodeCtx, st *nodeStatus) error {
+func (me *MappedEngine) fireOnce(c *mnodeCtx) error {
 	n := c.rt.node
 	switch n.Kind {
 	case ir.NodeFilter:
 		if me.sup != nil {
-			return me.fireSupervised(c, st)
+			return me.fireSupervised(c)
 		}
 		return me.work(c, c.tOut)
 	case ir.NodeSplitter:
@@ -1068,7 +961,7 @@ func (me *MappedEngine) work(c *mnodeCtx, out wfunc.Tape) error {
 // fireSupervised hands one filter firing to the supervisor. The tape save
 // point is the queues' head/length marks; an injected stall under the fail
 // policy parks the worker until the watchdog aborts the run.
-func (me *MappedEngine) fireSupervised(c *mnodeCtx, st *nodeStatus) error {
+func (me *MappedEngine) fireSupervised(c *mnodeCtx) error {
 	n := c.rt.node
 	f := &firing{n: n, fired: c.rt.fired, in: c.tIn, out: c.tOut, state: &c.rt.state, runner: c.runner}
 	if c.msg != nil {
@@ -1101,7 +994,7 @@ func (me *MappedEngine) fireSupervised(c *mnodeCtx, st *nodeStatus) error {
 		}
 	}
 	f.park = func() error {
-		st.set(stStalled, "", 0, -1)
+		me.statuses[n.ID].set(stStalled, "", 0, -1)
 		<-me.stopCh
 		return errStopped
 	}

@@ -3,6 +3,9 @@ package exec
 import (
 	"fmt"
 	"io"
+
+	"streamit/internal/ir"
+	"streamit/internal/sched"
 )
 
 // Mapped checkpoints reuse the sequential engine's image format over the
@@ -21,89 +24,90 @@ import (
 // (initPushed includes an edge's pre-loaded delay items, which the channel
 // counters count as pushes).
 //
-// Pipelined engines add two wrinkles. An edge's buffered items split
-// between the consumer's queue and the producer's unflushed staging
-// residue; the image concatenates them (consumer queue first — it holds
-// the older items), and a skewed restore re-derives the split from the
-// flush schedule. And between segment boundaries the barrier is
-// stage-skewed — each node has completed cycle-stage iterations, not a
-// common count — so the image carries the SWPS trailer (checkpoint.go)
-// recording the segment position and stage schedule; only a pipelined
-// mapped engine with the same schedule can resume it. Boundary images
-// (cycle 0 or segIters+maxStage) are uniform and interchange with the
-// sequential engine like lockstep images do.
+// Skewed plans add two wrinkles. An edge's buffered items split between
+// the consumer's queue and the producer's unflushed staging residue; the
+// image concatenates them (consumer queue first — it holds the older
+// items), and a skewed restore re-derives the split from the flush
+// schedule. And between segment boundaries the barrier is stage-skewed —
+// each node has completed cycle-stage iterations, not a common count — so
+// the image carries the SWPS trailer (checkpoint.go) recording the segment
+// position and stage schedule; only a mapped engine with the same schedule
+// can resume it. Boundary images (cycle 0 or segIters+maxStage) are
+// uniform, and so is every image of a zero-skew plan: those interchange
+// with the sequential engine.
 
 // Fingerprint hashes the engine's graph and schedule structure; it equals
 // the sequential engine's fingerprint over the same graph and schedule.
 func (me *MappedEngine) Fingerprint() uint64 { return graphFingerprint(me.G, me.Sch) }
 
-// initCounters derives the post-initialization firing and push totals from
-// the schedule. These let checkpoints be written and validated without
-// replaying initialization.
-func (me *MappedEngine) initCounters() {
-	me.initFired = make([]int64, len(me.G.Nodes))
-	for _, n := range me.G.Nodes {
-		me.initFired[n.ID] = int64(me.Sch.InitReps[n.ID])
+// initCounts derives the post-initialization firing totals (per node) and
+// push totals (per edge) from the schedule. These let checkpoints be
+// written, assembled and validated without replaying initialization.
+func initCounts(g *ir.Graph, s *sched.Schedule) (fired, pushed []int64) {
+	fired = make([]int64, len(g.Nodes))
+	for _, n := range g.Nodes {
+		fired[n.ID] = int64(s.InitReps[n.ID])
 	}
-	me.initPushed = make([]int64, len(me.G.Edges))
-	for _, e := range me.G.Edges {
-		me.initPushed[e.ID] = me.initFired[e.Src.ID]*int64(e.Src.PushPort(e.SrcPort)) +
-			int64(len(e.Initial))
+	pushed = make([]int64, len(g.Edges))
+	for _, e := range g.Edges {
+		pushed[e.ID] = fired[e.Src.ID]*int64(e.Src.PushPort(e.SrcPort)) + int64(len(e.Initial))
 	}
+	return fired, pushed
+}
+
+// edgeItems copies an edge's buffered content at a barrier: the consumer
+// queue, then any unflushed staging residue (the newest stretch of the
+// edge's content).
+func (me *MappedEngine) edgeItems(e *ir.Edge) []float64 {
+	q := me.queues[e.ID]
+	items := append([]float64(nil), q.buf[q.head:]...)
+	if st := me.stage[e.ID]; st != nil {
+		items = append(items, st.buf[st.head:]...)
+	}
+	return items
 }
 
 // image captures the engine-neutral checkpoint at the current barrier.
 func (me *MappedEngine) image(iteration int64) *ckptImage {
 	sw := me.swp
-	if sw != nil {
-		iteration = sw.base + sw.completed(me.iter)
-	}
 	img := &ckptImage{
 		iteration: iteration,
 		nodes:     make([]ckptNode, len(me.nodes)),
 		edges:     make([]ckptEdge, len(me.G.Edges)),
 		pending:   make([][]*message, len(me.nodes)),
 	}
+	if sw.maxStage() > 0 {
+		// Only a skewed plan has barriers that are not uniform: it records
+		// the iterations every stage has retired, and between segment
+		// boundaries the stage trailer. Zero-skew images never carry one, so
+		// they stay interchangeable with the sequential engine.
+		img.iteration = sw.base + sw.completed(me.iter)
+		if me.iter > 0 && me.iter < sw.segIters+sw.maxStage() {
+			img.swp = &ckptSWP{base: sw.base, segIters: sw.segIters, cycles: me.iter,
+				batch: int(sw.batch), levels: append([]int(nil), sw.levels...)}
+		}
+	}
 	for i, rt := range me.nodes {
 		img.nodes[i] = ckptNode{fired: rt.fired, state: rt.state}
 		img.firings += rt.fired
 	}
 	for _, e := range me.G.Edges {
-		q := me.queues[e.ID]
-		items := make([]float64, 0, q.Len())
-		for i := 0; i < q.Len(); i++ {
-			items = append(items, q.Peek(i))
-		}
-		if st := me.stage[e.ID]; st != nil {
-			// Unflushed staging residue follows the consumer queue's items
-			// (it is the newest stretch of the edge's content).
-			for i := 0; i < st.Len(); i++ {
-				items = append(items, st.Peek(i))
-			}
-		}
+		items := me.edgeItems(e)
 		pushed := me.initPushed[e.ID] +
 			(me.nodes[e.Src.ID].fired-me.initFired[e.Src.ID])*int64(e.Src.PushPort(e.SrcPort))
 		img.edges[e.ID] = ckptEdge{pushed: pushed, popped: pushed - int64(len(items)), items: items}
 	}
-	if sw != nil {
-		if sw.pending != nil {
-			for i := range sw.pending {
-				img.pending[i] = append([]*message(nil), sw.pending[i]...)
-			}
-		}
-		if me.iter > 0 && me.iter < sw.segIters+sw.maxStage() {
-			img.swp = &ckptSWP{base: sw.base, segIters: sw.segIters, cycles: me.iter,
-				batch: int(sw.batch), levels: append([]int(nil), sw.levels...)}
-		}
+	for i := range sw.pending {
+		img.pending[i] = append([]*message(nil), sw.pending[i]...)
 	}
 	return img
 }
 
 // WriteCheckpoint serializes the engine's execution state at an iteration
 // boundary. The engine must have completed a Run or a RestoreCheckpoint
-// (steady state quiesced: all workers joined, channels drained). On
-// pipelined engines the recorded iteration is derived from the cycle
-// position (retired iterations), superseding the argument.
+// (steady state quiesced: all workers joined, channels drained). On skewed
+// plans the recorded iteration is derived from the cycle position (retired
+// iterations), superseding the argument.
 func (me *MappedEngine) WriteCheckpoint(w io.Writer, iteration int64) error {
 	if !me.ready {
 		return fmt.Errorf("exec: mapped engine has no state to checkpoint; run it (or restore into it) first")
@@ -120,25 +124,17 @@ func (me *MappedEngine) WriteCheckpoint(w io.Writer, iteration int64) error {
 // RestoreCheckpoint loads a checkpoint image taken over the same graph and
 // schedule (by a mapped or sequential engine), replacing the engine's
 // execution state. It returns the logical iteration recorded at checkpoint
-// time (on pipelined engines, the retired-iteration count of a skewed
-// barrier). On error the engine's state is unspecified and it must not be
-// run.
+// time (the retired-iteration count, for a skewed barrier). On error the
+// engine's state is unspecified and it must not be run.
 func (me *MappedEngine) RestoreCheckpoint(data []byte) (int64, error) {
-	if !me.ready {
-		// The constructor already initialized states and topology; the
-		// image supersedes initialization effects, so only the schedule
-		// counters are needed.
-		me.initCounters()
-		me.ready = true
-	}
+	// The constructor already initialized states and topology, and the image
+	// supersedes initialization effects.
+	me.ready = true
 	if err := me.applyImage(data); err != nil {
 		return 0, err
 	}
 	me.lastImg = append([]byte(nil), data...)
-	if sw := me.swp; sw != nil {
-		return sw.base + sw.completed(me.iter), nil
-	}
-	return me.iter, nil
+	return me.swp.base + me.swp.completed(me.iter), nil
 }
 
 // applyImage decodes, validates, and installs a checkpoint image.
@@ -155,7 +151,7 @@ func (me *MappedEngine) applyImage(data []byte) error {
 		return fmt.Errorf("exec: checkpoint has %d edges, engine has %d", len(img.edges), len(me.G.Edges))
 	}
 	if img.swp != nil {
-		if sw == nil {
+		if sw.maxStage() == 0 {
 			return fmt.Errorf("exec: checkpoint is a stage-skewed software-pipelining barrier; only a pipelined mapped engine can resume it")
 		}
 		if int64(img.swp.batch) != sw.batch {
@@ -171,9 +167,6 @@ func (me *MappedEngine) applyImage(data []byte) error {
 		if len(msgs) == 0 {
 			continue
 		}
-		if sw == nil {
-			return fmt.Errorf("exec: checkpoint carries pending teleport messages; the mapped engine needs a pipelined plan for messaging")
-		}
 		if sw.pending == nil {
 			return fmt.Errorf("exec: checkpoint carries pending teleport messages for node %d, but this graph has no messaging", i)
 		}
@@ -181,46 +174,21 @@ func (me *MappedEngine) applyImage(data []byte) error {
 	// Validate shapes and invariants fully before mutating anything.
 	for i, rt := range me.nodes {
 		in := img.nodes[i]
-		if (in.state != nil) != (rt.state != nil) {
-			return fmt.Errorf("exec: checkpoint state presence mismatch on node %s", rt.node.Name)
+		if err := checkNodeState(rt.node.Name, rt.state, in.state); err != nil {
+			return err
 		}
 		if in.fired < me.initFired[i] {
 			return fmt.Errorf("exec: checkpoint fired count %d of node %s below its initialization count %d", in.fired, rt.node.Name, me.initFired[i])
 		}
-		if sw != nil {
-			// Pipelined gating targets are derived from the segment position,
-			// so firing counts must sit exactly on the stage schedule (skewed
-			// images) or on a common iteration boundary (uniform images).
-			want := me.initFired[i]
-			if img.swp != nil {
-				done := img.swp.cycles - int64(img.swp.levels[i])*int64(img.swp.batch)
-				if done < 0 {
-					done = 0
-				}
-				if done > img.swp.segIters {
-					done = img.swp.segIters
-				}
-				want += (img.swp.base + done) * int64(me.Sch.Reps[i])
-			} else {
-				want += img.iteration * int64(me.Sch.Reps[i])
-			}
-			if in.fired != want {
-				return fmt.Errorf("exec: checkpoint fired count %d of node %s off the pipelined stage schedule (want %d)", in.fired, rt.node.Name, want)
-			}
+		// Gating targets are derived from the segment position, so firing
+		// counts must sit exactly on the stage schedule (skewed images) or on
+		// a common iteration boundary (uniform images).
+		done := img.iteration
+		if img.swp != nil {
+			done = img.swp.base + img.swp.done(i)
 		}
-		if in.state == nil {
-			continue
-		}
-		if len(in.state.Scalars) != len(rt.state.Scalars) {
-			return fmt.Errorf("exec: node %s has %d scalar fields, checkpoint has %d", rt.node.Name, len(rt.state.Scalars), len(in.state.Scalars))
-		}
-		if len(in.state.Arrays) != len(rt.state.Arrays) {
-			return fmt.Errorf("exec: node %s has %d array fields, checkpoint has %d", rt.node.Name, len(rt.state.Arrays), len(in.state.Arrays))
-		}
-		for k := range in.state.Arrays {
-			if len(in.state.Arrays[k]) != len(rt.state.Arrays[k]) {
-				return fmt.Errorf("exec: node %s array field %d has size %d, checkpoint has %d", rt.node.Name, k, len(rt.state.Arrays[k]), len(in.state.Arrays[k]))
-			}
+		if want := me.initFired[i] + done*int64(me.Sch.Reps[i]); in.fired != want {
+			return fmt.Errorf("exec: checkpoint fired count %d of node %s off the stage schedule (want %d)", in.fired, rt.node.Name, want)
 		}
 	}
 	staged := make([]int, len(me.G.Edges))
@@ -233,20 +201,11 @@ func (me *MappedEngine) applyImage(data []byte) error {
 		}
 		if img.swp != nil && me.stage[e.ID] != nil {
 			// Re-derive the producer's unflushed staging residue from the
-			// flush schedule: everything produced since its last flush point.
-			K := int64(img.swp.batch)
-			iseg := img.swp.cycles - int64(img.swp.levels[e.Src.ID])*K
-			if iseg < 0 {
-				iseg = 0
+			// flush schedule: everything produced since its last flush point
+			// (a batch boundary, or the segment's last firing).
+			if iseg := img.swp.done(e.Src.ID); iseg < img.swp.segIters {
+				staged[e.ID] = int(iseg%int64(img.swp.batch)) * e.Src.PushPort(e.SrcPort)
 			}
-			if iseg > img.swp.segIters {
-				iseg = img.swp.segIters
-			}
-			flushed := iseg / K * K
-			if iseg == img.swp.segIters {
-				flushed = iseg
-			}
-			staged[e.ID] = int(iseg-flushed) * e.Src.PushPort(e.SrcPort)
 			if staged[e.ID] > len(ie.items) {
 				return fmt.Errorf("exec: checkpoint edge %s buffers %d items, fewer than its %d-item staging residue", e, len(ie.items), staged[e.ID])
 			}
@@ -276,33 +235,33 @@ func (me *MappedEngine) applyImage(data []byte) error {
 			}
 		}
 	}
-	if sw != nil {
-		if sw.pending != nil {
-			for i := range sw.pending {
-				sw.pending[i] = append([]*message(nil), img.pending[i]...)
-			}
-		}
-		for i := range sw.partial {
-			sw.partial[i] = 0
-		}
-		switch {
-		case img.swp != nil:
-			sw.base, sw.segIters = img.swp.base, img.swp.segIters
-			me.iter = img.swp.cycles
-		case sw.segIters > 0 && img.iteration == sw.base:
-			// Rollback to the running segment's start barrier.
-			me.iter = 0
-		case sw.segIters > 0 && img.iteration == sw.base+sw.segIters:
-			me.iter = sw.segIters + sw.maxStage()
-		default:
-			// A foreign uniform image starts a fresh segment here; the next
-			// RunFromCheckpoint sets the segment length.
-			sw.base, sw.segIters = img.iteration, 0
-			me.iter = 0
-		}
-		return nil
+	for i := range sw.pending {
+		sw.pending[i] = append([]*message(nil), img.pending[i]...)
 	}
-	me.iter = img.iteration
+	for i := range sw.partial {
+		sw.partial[i] = 0
+	}
+	switch {
+	case img.swp != nil:
+		sw.base, sw.segIters = img.swp.base, img.swp.segIters
+		me.iter = img.swp.cycles
+	case sw.maxStage() == 0:
+		// Every barrier of a zero-skew plan is uniform and its one segment
+		// starts at iteration 0, so the cycle position is the iteration — of
+		// a rollback mid-run as of a foreign image.
+		me.iter = img.iteration
+		sw.reach(me.iter)
+	case sw.segIters > 0 && img.iteration == sw.base:
+		// Rollback to the running segment's start barrier.
+		me.iter = 0
+	case sw.segIters > 0 && img.iteration == sw.base+sw.segIters:
+		me.iter = sw.segIters + sw.maxStage()
+	default:
+		// A foreign uniform image starts a fresh segment here; the next
+		// RunFromCheckpoint sets the segment length.
+		sw.base, sw.segIters = img.iteration, 0
+		me.iter = 0
+	}
 	return nil
 }
 
@@ -319,16 +278,5 @@ func (me *MappedEngine) RunFromCheckpoint(data []byte, total int) error {
 	if int64(total) < it {
 		return fmt.Errorf("exec: checkpoint is at iteration %d, past the requested total %d", it, total)
 	}
-	if sw := me.swp; sw != nil {
-		if sw.segIters > 0 {
-			if int64(total) != sw.base+sw.segIters {
-				return fmt.Errorf("exec: pipelined checkpoint resumes a segment running to iteration %d; caller asked for %d", sw.base+sw.segIters, total)
-			}
-		} else {
-			sw.segIters = int64(total) - sw.base
-			me.iter = 0
-		}
-		return me.runCycles()
-	}
-	return me.runSteady(total - int(it))
+	return me.runTo(int64(total))
 }

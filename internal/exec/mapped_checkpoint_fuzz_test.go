@@ -110,7 +110,7 @@ func FuzzMappedCheckpointRestore(f *testing.F) {
 			if it < 0 {
 				t.Fatalf("accepted image with negative iteration %d", it)
 			}
-			if runErr := me.runSteady(1); runErr != nil {
+			if runErr := me.StepEpoch(1); runErr != nil {
 				// A structured error is fine (e.g. a restored state that makes a
 				// kernel fault surfaces as an ExecError or DeadlockError); a
 				// panic or a hang would have failed already.
@@ -129,7 +129,7 @@ func FuzzMappedCheckpointRestore(f *testing.F) {
 		if it < 0 {
 			t.Fatalf("pipelined engine accepted image with negative iteration %d", it)
 		}
-		if runErr := pe.runSteady(1); runErr != nil {
+		if runErr := pe.StepEpoch(1); runErr != nil {
 			t.Logf("pipelined resumed run errored (acceptably): %v", runErr)
 		}
 	})

@@ -51,10 +51,12 @@ func (me *MappedEngine) Sharded() bool { return me.local != nil }
 // Run's setup phase exposed on its own.
 func (me *MappedEngine) Prepare() error { return me.setup() }
 
-// Iteration returns the number of completed steady iterations.
+// Iteration returns the engine's cycle position: the number of completed
+// steady iterations on a zero-skew plan, the only kind a shard runs.
 func (me *MappedEngine) Iteration() int64 { return me.iter }
 
-// StepEpoch runs iters steady iterations across the local workers and
+// StepEpoch runs iters cycles (steady iterations of a zero-skew plan,
+// whose open segment grows to cover them) across the local workers and
 // waits for the barrier — one distributed epoch. Unlike Run it takes no
 // checkpoints and performs no crash recovery (the distributed coordinator
 // owns both); on error the engine's state is unspecified and the shard
@@ -66,6 +68,7 @@ func (me *MappedEngine) StepEpoch(iters int) error {
 	if iters <= 0 {
 		return fmt.Errorf("exec: epoch of %d iterations", iters)
 	}
+	me.swp.reach(me.iter + int64(iters))
 	if err := me.runEpoch(iters); err != nil {
 		return err
 	}
@@ -120,19 +123,9 @@ func (me *MappedEngine) ExportShard() (*ShardState, error) {
 		if !me.localWorker(me.Assign[e.Dst.ID]) {
 			continue
 		}
-		q := me.queues[e.ID]
-		items := make([]float64, 0, q.Len())
-		for i := 0; i < q.Len(); i++ {
-			items = append(items, q.Peek(i))
-		}
-		if sq := me.stage[e.ID]; sq != nil {
-			// Quiesced lockstep barriers leave staging empty; keep the
-			// image()-identical concatenation anyway for safety.
-			for i := 0; i < sq.Len(); i++ {
-				items = append(items, sq.Peek(i))
-			}
-		}
-		st.Edges = append(st.Edges, ShardEdgeState{ID: e.ID, Items: items})
+		// Quiesced zero-skew barriers leave staging empty; image()'s
+		// concatenation is kept anyway.
+		st.Edges = append(st.Edges, ShardEdgeState{ID: e.ID, Items: me.edgeItems(e)})
 	}
 	return st, nil
 }
@@ -145,10 +138,7 @@ func (me *MappedEngine) ExportShard() (*ShardState, error) {
 // totals, and per-edge pushed/popped counters are reconstructed from the
 // firing counts exactly as the mapped engine does.
 func AssembleShardImage(g *ir.Graph, s *sched.Schedule, iteration int64, parts []*ShardState) ([]byte, error) {
-	initFired := make([]int64, len(g.Nodes))
-	for _, n := range g.Nodes {
-		initFired[n.ID] = int64(s.InitReps[n.ID])
-	}
+	initFired, initPushed := initCounts(g, s)
 	img := &ckptImage{
 		iteration: iteration,
 		nodes:     make([]ckptNode, len(g.Nodes)),
@@ -198,7 +188,7 @@ func AssembleShardImage(g *ir.Graph, s *sched.Schedule, iteration int64, parts [
 		}
 	}
 	for _, e := range g.Edges {
-		pushed := initFired[e.Src.ID]*int64(e.Src.PushPort(e.SrcPort)) + int64(len(e.Initial)) +
+		pushed := initPushed[e.ID] +
 			(img.nodes[e.Src.ID].fired-initFired[e.Src.ID])*int64(e.Src.PushPort(e.SrcPort))
 		ie := &img.edges[e.ID]
 		ie.pushed = pushed

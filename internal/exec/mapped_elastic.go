@@ -216,12 +216,12 @@ func (me *MappedEngine) imbalanced(sample obs.WindowSample) bool {
 func (me *MappedEngine) replanAssign(target int, sample obs.WindowSample) []int {
 	if me.ReplanMeasured != nil {
 		perFiring := sample.PerFiring(nodeNames(me.G))
-		if a := me.ReplanMeasured(target, perFiring); validAssign(a, len(me.G.Nodes), target) && me.clustersIntact(a) {
+		if a := me.ReplanMeasured(target, perFiring); me.validAssign(a, target) {
 			return a
 		}
 	}
 	if me.Replan != nil {
-		if a := me.Replan(target); validAssign(a, len(me.G.Nodes), target) && me.clustersIntact(a) {
+		if a := me.Replan(target); me.validAssign(a, target) {
 			return a
 		}
 	}
@@ -238,15 +238,13 @@ func (me *MappedEngine) measuredAssign(target int, sample obs.WindowSample) []in
 	}
 	var units []unit
 	grouped := make([]bool, len(me.G.Nodes))
-	if me.swp != nil {
-		for _, members := range me.swp.clusters {
-			u := unit{members: members}
-			for _, id := range members {
-				grouped[id] = true
-				u.w += sample.WorkNS[id]
-			}
-			units = append(units, u)
+	for _, members := range me.swp.clusters {
+		u := unit{members: members}
+		for _, id := range members {
+			grouped[id] = true
+			u.w += sample.WorkNS[id]
 		}
+		units = append(units, u)
 	}
 	for _, n := range me.G.Nodes {
 		if !grouped[n.ID] {

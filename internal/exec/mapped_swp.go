@@ -1,8 +1,8 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"streamit/internal/ir"
@@ -10,24 +10,37 @@ import (
 	"streamit/internal/wfunc"
 )
 
-// Coarse-grained software pipelining on the mapped engine.
+// The mapped engine's stage plan and the one worker loop that runs it.
 //
-// A pipelined plan (Options.Stages) gives every node a stage level; the
-// engine turns levels into stage offsets, stage = level * StageBatch, and
-// runs macro-cycles instead of lockstep iterations. At cycle t a node with
-// stage s fires its logical iteration t-s (once it is gated: s <= t <
-// s+segIters), so a segment of I iterations takes I + maxStage cycles —
-// the first maxStage cycles are the prologue (downstream stages idle), the
-// last maxStage the epilogue (upstream stages done). Producers therefore
-// work StageBatch cycles ahead of their consumers per level of separation,
-// which is what lets each worker run K=StageBatch iterations of its nodes
-// between cross-worker transfers: output is staged locally and flushed as
-// one batch every K gated cycles (and at the segment's last firing), and
-// the consumer performs one matching blocking receive at the same cycle
-// index. Every cross-worker edge spans at least one level, so the K-cycle
-// skew guarantees the flushed data always arrives before the consumer
-// needs it, and the matched flush/receive schedule keeps channels drained
-// at every epoch barrier.
+// Every mapped engine carries a stage plan: each node has a stage level,
+// the engine turns levels into stage offsets, stage = level * StageBatch,
+// and workers run macro-cycles. At cycle t a node with stage s fires its
+// logical iteration t-s (once it is gated: s <= t < s+segIters), so a
+// segment of I iterations takes I + maxStage cycles — the first maxStage
+// cycles are the prologue (downstream stages idle), the last maxStage the
+// epilogue (upstream stages done). Cross-worker output is staged locally
+// and flushed as one batch every K=StageBatch gated cycles (and at the
+// segment's last firing); the consumer performs one matching blocking
+// receive at the same cycle index, so channels are drained at every epoch
+// barrier.
+//
+// Lockstep is the zero-skew plan, which the engine builds itself when the
+// caller supplies no Options.Stages: every level 0, K = 1, no clusters.
+// There is no prologue or epilogue, a cycle is a steady iteration, every
+// barrier is uniform, and the segment stays open — it starts at iteration
+// 0 and is extended at each barrier the run continues from.
+//
+// Where a batch is received is a property of its edge, read off the stage
+// map. When the producer runs at the consumer's stage (every cross-worker
+// edge of a zero-skew plan) the consumer needs the batch this very cycle,
+// so it is received immediately before the consumer's step; every worker
+// visits its nodes in a common topological order, so the worker holding
+// the globally earliest incomplete firing always has its inputs available.
+// When the edge advances the stage (every cross-cluster edge of a plan the
+// caller supplies) the batch feeds a later cycle, and is received after
+// the cycle's steps: receiving it before the step would, on flush cycles,
+// chain producer to consumer across workers and serialise exactly the
+// overlap the skew exists to create.
 //
 // Feedback loops and teleport messaging cannot tolerate pipeline skew
 // between their members — a loop interleaves at firing granularity and
@@ -36,14 +49,16 @@ import (
 // members share one worker and one stage, and fire through a data-driven
 // loop that mirrors the sequential engine's dynamic scheduler, including
 // constraint gating and message delivery, which keeps outputs
-// bit-identical to the sequential Engine.
+// bit-identical to the sequential Engine. The zero-skew plan has no
+// clusters, which is why it cannot host either.
 
 // DefaultStageBatch is the pipelined flush interval in macro-cycles: how
 // many iterations each stage runs ahead of the next, and how many
 // iterations' worth of items one cross-worker transfer carries.
 const DefaultStageBatch = 8
 
-// swpState is the software-pipelining runtime of a mapped engine.
+// swpState is the stage plan and its runtime position; every mapped engine
+// has one.
 type swpState struct {
 	levels    []int // per-node stage level
 	numLevels int
@@ -59,8 +74,10 @@ type swpState struct {
 	partial []int64 // mid-firing progress-tape movement, by node ID
 
 	// Segment position: the engine runs segIters logical iterations per
-	// segment (one Run call), with base iterations retired by earlier
-	// segments (checkpointed restarts).
+	// segment, with base iterations retired by earlier segments
+	// (checkpointed restarts); MappedEngine.iter is the cycle position
+	// within it. A zero-skew plan runs one open segment from iteration 0
+	// (base 0, cycle position = iteration) that reach extends.
 	base     int64
 	segIters int64
 }
@@ -71,40 +88,59 @@ func (sw *swpState) maxStage() int64 { return int64(sw.numLevels-1) * sw.batch }
 // completed converts a cycle position into fully-retired logical
 // iterations (those every stage has finished).
 func (sw *swpState) completed(cycle int64) int64 {
-	done := cycle - sw.maxStage()
-	if done < 0 {
-		done = 0
-	}
-	if done > sw.segIters {
-		done = sw.segIters
-	}
-	return done
+	return min(max(cycle-sw.maxStage(), 0), sw.segIters)
 }
 
-// newSWPState validates a pipelined configuration against the graph and
-// assignment: complete non-negative levels, clusters whole on one worker
-// at one level (feedback edges inside one cluster), cross-cluster forward
-// edges strictly increasing in level, and the full messaging hull inside
-// a single cluster.
+// flushDue reports whether a node at its fi-th gated firing of the segment
+// (1-based) flushes its staged output this cycle: at batch boundaries and
+// at the segment's last firing. Counts outside the segment are not gated.
+func (sw *swpState) flushDue(fi int64) bool {
+	return fi >= 1 && fi <= sw.segIters && (fi%sw.batch == 0 || fi == sw.segIters)
+}
+
+// reach extends a zero-skew plan's open segment to cover cycle position
+// end. A skewed segment's length is fixed when it starts: its epilogue and
+// last flush are scheduled against it.
+func (sw *swpState) reach(end int64) {
+	if sw.maxStage() == 0 && sw.segIters < end {
+		sw.segIters = end
+	}
+}
+
+// newSWPState builds the engine's stage plan. Without Options.Stages that
+// is the zero-skew plan. A plan the caller supplies is validated against
+// the graph and assignment: complete non-negative levels, clusters whole
+// on one worker at one level (feedback edges inside one cluster),
+// cross-cluster forward edges strictly increasing in level, and the full
+// messaging hull inside a single cluster.
 func newSWPState(g *ir.Graph, s *sched.Schedule, opts Options, assign []int) (*swpState, error) {
 	n := len(g.Nodes)
-	if len(opts.Stages) != n {
-		return nil, fmt.Errorf("exec: stage map covers %d of %d nodes", len(opts.Stages), n)
-	}
-	batch := opts.StageBatch
-	if batch == 0 {
-		batch = DefaultStageBatch
-	}
-	if batch < 1 {
-		return nil, fmt.Errorf("exec: stage batch %d out of range (want >= 1 cycles)", opts.StageBatch)
-	}
 	sw := &swpState{
 		teleport:  teleport{g: g, sch: s, trace: opts.Trace},
-		levels:    append([]int(nil), opts.Stages...),
-		batch:     int64(batch),
+		numLevels: 1,
+		batch:     1,
 		clusterOf: make([]int, n),
 		msgNode:   make([]bool, n),
 		sends:     make([]bool, n),
+	}
+	for i := range sw.clusterOf {
+		sw.clusterOf[i] = -1
+	}
+	if opts.Stages == nil {
+		// NewMappedOpts has already turned away what only clusters can host.
+		sw.levels = make([]int, n)
+		return sw, nil
+	}
+	if len(opts.Stages) != n {
+		return nil, fmt.Errorf("exec: stage map covers %d of %d nodes", len(opts.Stages), n)
+	}
+	sw.levels = append([]int(nil), opts.Stages...)
+	sw.batch = int64(opts.StageBatch)
+	if sw.batch == 0 {
+		sw.batch = DefaultStageBatch
+	}
+	if sw.batch < 1 {
+		return nil, fmt.Errorf("exec: stage batch %d out of range (want >= 1 cycles)", opts.StageBatch)
 	}
 	for id, lv := range sw.levels {
 		if lv < 0 {
@@ -113,9 +149,6 @@ func newSWPState(g *ir.Graph, s *sched.Schedule, opts Options, assign []int) (*s
 		if lv+1 > sw.numLevels {
 			sw.numLevels = lv + 1
 		}
-	}
-	for i := range sw.clusterOf {
-		sw.clusterOf[i] = -1
 	}
 	for ci, members := range opts.StageClusters {
 		if len(members) == 0 {
@@ -217,77 +250,93 @@ func newSWPState(g *ir.Graph, s *sched.Schedule, opts Options, assign []int) (*s
 	return sw, nil
 }
 
-// runCycles drives the current segment from the engine's cycle position to
-// its end (segIters + maxStage cycles) in checkpointed epochs.
-func (me *MappedEngine) runCycles() error {
-	sw := me.swp
-	if sw.segIters <= 0 {
-		return nil
-	}
-	return me.driveTo(sw.segIters + sw.maxStage())
-}
-
 // swpStep is one slot in a worker's per-cycle firing order: a singleton
 // node, or a whole stage cluster fired through the data-driven loop.
 type swpStep struct {
 	ctxs    []*mnodeCtx
 	stage   int64 // first gated cycle (level * batch)
 	cluster bool
+	// pre lists the cross-worker in-edges whose producer runs at this
+	// step's stage: received immediately before the step fires.
+	pre []swpIn
 }
 
-// swpIn is one cross-worker in-edge with its producer's flush schedule.
+// swpIn is one cross-worker (or shard-boundary) in-edge with its
+// producer's flush schedule.
 type swpIn struct {
 	e        *ir.Edge
-	ch       chan []float64
 	q        *SliceQueue
 	srcStage int64
 }
 
-// runWorkerSWP drives one worker through cycles macro-cycles of the
-// current epoch: per cycle, fire each gated step once, flush staged
-// cross-worker output at batch boundaries, then receive every producer
-// flush scheduled for this cycle index.
-func (me *MappedEngine) runWorkerSWP(w, lane, cycles int) error {
-	sw := me.swp
-	K := sw.batch
-	var steps []*swpStep
-	var ctxs []*mnodeCtx
-	byCluster := map[int]*swpStep{}
-	for _, n := range me.order[w] {
-		c := me.prepareNode(n)
-		ctxs = append(ctxs, c)
-		stage := int64(sw.levels[n.ID]) * K
-		if ci := sw.clusterOf[n.ID]; ci >= 0 || sw.msgNode[n.ID] {
-			key := ci
-			if ci < 0 {
-				key = -1 - n.ID // singleton messaging endpoint
-			}
-			st := byCluster[key]
-			if st == nil {
-				st = &swpStep{stage: stage, cluster: true}
-				byCluster[key] = st
-				steps = append(steps, st)
-			}
-			st.ctxs = append(st.ctxs, c) // me.order is topological, so ctxs stay ordered
-			continue
-		}
-		steps = append(steps, &swpStep{ctxs: []*mnodeCtx{c}, stage: stage})
-	}
-	var compact []*SliceQueue
-	for _, e := range me.G.Edges {
-		if me.Assign[e.Src.ID] == w && me.Assign[e.Dst.ID] == w {
-			compact = append(compact, me.queues[e.ID])
-		}
-	}
-	var ins []swpIn
-	for _, e := range me.G.Edges {
-		if me.chans[e.ID] != nil && me.Assign[e.Dst.ID] == w {
-			ins = append(ins, swpIn{e: e, ch: me.chans[e.ID], q: me.queues[e.ID],
-				srcStage: int64(sw.levels[e.Src.ID]) * K})
-		}
-	}
+// workerPlan is one worker's share of the stage plan: its steps in
+// topological order, the in-edges received after the cycle's steps (those
+// that advance the stage), and the worker-local queues compacted once per
+// cycle. It is topology data — planWorkers derives it once per
+// buildTopology, not per epoch, which is what keeps a
+// checkpoint-every-iteration run from re-compiling every work function at
+// every barrier.
+type workerPlan struct {
+	steps []*swpStep
+	post  []swpIn
+	// compact lists this worker's purely-local queues: only their owner
+	// touches them, and their per-item Push/Pop traffic never passes
+	// through Append's compaction.
+	compact []*SliceQueue
+}
 
-	var cur *mnodeCtx // the node currently firing, for fault attribution
+// planWorkers builds every local worker's plan over the current topology.
+func (me *MappedEngine) planWorkers() {
+	sw := me.swp
+	me.plans = make([]*workerPlan, me.Workers)
+	for w, nodes := range me.order {
+		pl := &workerPlan{}
+		units := map[int]*swpStep{}
+		for _, n := range nodes {
+			c := me.prepareNode(n)
+			ci := sw.clusterOf[n.ID]
+			clustered := ci >= 0 || sw.msgNode[n.ID] // a lone messaging endpoint fires through the cluster path too
+			if ci < 0 {
+				ci = -1 - n.ID // a singleton is its own unit
+			}
+			sp := units[ci]
+			if sp == nil {
+				sp = &swpStep{stage: int64(sw.levels[n.ID]) * sw.batch, cluster: clustered}
+				units[ci] = sp
+				pl.steps = append(pl.steps, sp)
+			}
+			sp.ctxs = append(sp.ctxs, c) // me.order is topological, so ctxs stay ordered
+			for p, e := range n.In {
+				if e == nil || (me.chans[e.ID] == nil && !me.remoteIn[e.ID]) {
+					continue
+				}
+				in := swpIn{e: e, q: c.in[p], srcStage: int64(sw.levels[e.Src.ID]) * sw.batch}
+				if in.srcStage == sp.stage {
+					sp.pre = append(sp.pre, in)
+				} else {
+					pl.post = append(pl.post, in)
+				}
+			}
+			for p, e := range n.Out {
+				if e != nil && c.localOut[p] {
+					pl.compact = append(pl.compact, c.out[p])
+				}
+			}
+		}
+		me.plans[w] = pl
+	}
+}
+
+// runWorker drives one worker through cycles macro-cycles of the current
+// epoch — the one run loop of every plan. Per cycle: for each gated step,
+// receive the same-stage producer flushes due this cycle, fire the step
+// once, and flush its staged cross-worker output at batch boundaries; then
+// receive every stage-advancing producer flush scheduled for this cycle
+// index.
+func (me *MappedEngine) runWorker(w, lane, cycles int) error {
+	sw, pl := me.swp, me.plans[w]
+	K := sw.batch
+	var cur *mnodeCtx // the node currently firing or flushing, for fault attribution
 	err := func() (err error) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -306,7 +355,7 @@ func (me *MappedEngine) runWorkerSWP(w, lane, cycles int) error {
 			t := me.iter + int64(it)
 			if me.sup != nil {
 				if wf, ok := me.sup.takeWorker(w, t); ok {
-					if err := me.workerFault(w, lane, t, wf, ctxs); err != nil {
+					if err := me.workerFault(w, lane, t, wf); err != nil {
 						return err
 					}
 				}
@@ -315,44 +364,50 @@ func (me *MappedEngine) runWorkerSWP(w, lane, cycles int) error {
 			if me.rec != nil {
 				t0 = me.rec.Stamp()
 			}
-			for _, sp := range steps {
-				fi := t - sp.stage + 1 // 1-based firing count once gated
+			for _, sp := range pl.steps {
+				fi := t - sp.stage + 1
 				if fi < 1 || fi > sw.segIters {
 					continue
+				}
+				due := sw.flushDue(fi)
+				if due {
+					for _, in := range sp.pre {
+						if err := me.recvEdge(in); err != nil {
+							return err
+						}
+					}
 				}
 				if sp.cluster {
 					if err := me.swpClusterStep(sp, fi, &cur); err != nil {
 						return err
 					}
 				} else {
+					// A singleton's one logical iteration: reps firings.
 					cur = sp.ctxs[0]
-					if err := me.swpFireStep(sp.ctxs[0]); err != nil {
-						return err
-					}
-				}
-				cur = nil
-				if fi%K == 0 || fi == sw.segIters {
-					for _, c := range sp.ctxs {
-						if err := me.swpFlush(c); err != nil {
+					for r := 0; r < cur.reps; r++ {
+						if err := me.fire(cur); err != nil {
 							return err
 						}
 					}
 				}
-			}
-			for _, in := range ins {
-				fi := t - in.srcStage + 1
-				if fi < 1 || fi > sw.segIters {
-					continue
+				if due {
+					for _, c := range sp.ctxs {
+						cur = c
+						if err := me.flush(c, (fi-1)%K+1); err != nil {
+							return err
+						}
+					}
 				}
-				if fi%K == 0 || fi == sw.segIters {
-					batch, err := me.recvBatch(in.e.Dst, in.e, in.ch, in.q, me.statuses[in.e.Dst.ID])
-					if err != nil {
+				cur = nil
+			}
+			for _, in := range pl.post {
+				if sw.flushDue(t - in.srcStage + 1) {
+					if err := me.recvEdge(in); err != nil {
 						return err
 					}
-					in.q.Append(batch)
 				}
 			}
-			for _, q := range compact {
+			for _, q := range pl.compact {
 				q.Compact()
 			}
 			if me.rec != nil {
@@ -362,27 +417,10 @@ func (me *MappedEngine) runWorkerSWP(w, lane, cycles int) error {
 		}
 		return nil
 	}()
-	for _, c := range ctxs {
-		me.statuses[c.rt.node.ID].set(stDone, "", 0, -1)
+	for _, n := range me.order[w] {
+		me.statuses[n.ID].set(stDone, "", 0, -1)
 	}
 	return err
-}
-
-// swpFireStep fires a gated singleton node's one logical iteration (reps
-// firings) of this cycle.
-func (me *MappedEngine) swpFireStep(c *mnodeCtx) error {
-	st := me.statuses[c.rt.node.ID]
-	for r := 0; r < c.reps; r++ {
-		if err := me.fireTimed(c, st); err != nil {
-			return err
-		}
-		if c.pst != nil {
-			c.pst.AddFiring()
-		}
-		c.rt.fired++
-		atomic.AddInt64(&me.progress, 1)
-	}
-	return nil
 }
 
 // swpClusterStep advances every member of a stage cluster to its firing
@@ -397,7 +435,6 @@ func (me *MappedEngine) swpClusterStep(sp *swpStep, fi int64, cur **mnodeCtx) er
 		for _, c := range sp.ctxs {
 			n := c.rt.node
 			target := me.initFired[n.ID] + (sw.base+fi)*int64(c.reps)
-			st := me.statuses[n.ID]
 			for c.rt.fired < target {
 				if !me.swpCanFire(c) {
 					break
@@ -410,7 +447,7 @@ func (me *MappedEngine) swpClusterStep(sp *swpStep, fi int64, cur **mnodeCtx) er
 					break
 				}
 				*cur = c
-				if err := me.swpClusterFire(c, st); err != nil {
+				if err := me.swpClusterFire(c); err != nil {
 					return err
 				}
 				progressed = true
@@ -431,22 +468,17 @@ func (me *MappedEngine) swpClusterStep(sp *swpStep, fi int64, cur **mnodeCtx) er
 // swpClusterFire is one cluster-member firing with message delivery on the
 // sequential engine's timing: best-effort/downstream messages immediately
 // before, upstream immediately after.
-func (me *MappedEngine) swpClusterFire(c *mnodeCtx, st *nodeStatus) error {
+func (me *MappedEngine) swpClusterFire(c *mnodeCtx) error {
 	n := c.rt.node
 	if err := me.swp.deliverDue(n, true); err != nil {
 		return err
 	}
-	if err := me.fireTimed(c, st); err != nil {
+	if err := me.fire(c); err != nil {
 		return err
 	}
-	if c.pst != nil {
-		c.pst.AddFiring()
-	}
-	c.rt.fired++
 	if c.partial != nil {
 		*c.partial = 0
 	}
-	atomic.AddInt64(&me.progress, 1)
 	return me.swp.deliverDue(n, false)
 }
 
@@ -465,23 +497,56 @@ func (me *MappedEngine) swpCanFire(c *mnodeCtx) bool {
 	return true
 }
 
-// swpFlush ships a node's staged cross-worker output as one batch per
-// edge. Called at batch boundaries and at the node's last gated cycle, so
-// the consumer's matching receive schedule drains every batch.
-func (me *MappedEngine) swpFlush(c *mnodeCtx) error {
-	n := c.rt.node
-	st := me.statuses[n.ID]
-	for p, e := range n.Out {
+// flush ships iters iterations of a node's staged cross-worker output as
+// one batch per edge. Called at batch boundaries and at the node's last
+// gated cycle, so the consumer's matching receive schedule drains every
+// batch. It takes exactly produce × iters items, not whatever is staged:
+// that is the producer-side rate check, so a filter that pushed less than
+// it declared faults here, as a take naming it, instead of starving its
+// consumer a stage later.
+func (me *MappedEngine) flush(c *mnodeCtx, iters int64) error {
+	for p, e := range c.rt.node.Out {
 		if e == nil || c.localOut[p] {
 			continue
 		}
-		q := c.out[p]
-		batch := q.Take(q.Len())
-		if err := me.sendBatch(e, me.chans[e.ID], batch, st); err != nil {
+		batch := c.out[p].Take(c.produce[p] * int(iters))
+		var err error
+		if me.remoteOut[e.ID] {
+			err = remoteErr(me.remote.Send(e.ID, batch, me.stopCh))
+		} else {
+			err = me.sendBatch(e, batch)
+		}
+		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// recvEdge receives one batch of a cross-worker or shard-boundary in-edge
+// into its consumer queue.
+func (me *MappedEngine) recvEdge(in swpIn) error {
+	var batch []float64
+	var err error
+	if me.remoteIn[in.e.ID] {
+		batch, err = me.remote.Recv(in.e.ID, me.stopCh)
+		err = remoteErr(err)
+	} else {
+		batch, err = me.recvBatch(in.e, in.q.Len())
+	}
+	if err != nil {
+		return err
+	}
+	in.q.Append(batch)
+	return nil
+}
+
+// remoteErr maps a shard transport's stop sentinel onto the quiet unwind.
+func remoteErr(err error) error {
+	if errors.Is(err, ErrRemoteStopped) {
+		return errStopped
+	}
+	return err
 }
 
 // tapeProgress mirrors the sequential engine's progress counter from firing
@@ -490,10 +555,7 @@ func (me *MappedEngine) swpFlush(c *mnodeCtx) error {
 // mid-firing movement recorded by partialTape.
 func (me *MappedEngine) tapeProgress(n *ir.Node) int64 {
 	rt := me.nodes[n.ID]
-	var partial int64
-	if me.swp.partial != nil {
-		partial = me.swp.partial[n.ID]
-	}
+	partial := me.swp.partial[n.ID] // allocated whenever the graph has messaging
 	if e := n.OutEdge(); e != nil {
 		return int64(len(e.Initial)) + rt.fired*int64(n.TotalPush()) + partial
 	}
@@ -534,15 +596,16 @@ func (t *partialTape) Push(v float64) {
 	}
 }
 
-// Stages exposes the pipelined stage offsets (nil for lockstep plans);
-// diagnostics and tests.
+// Stages exposes the pipelined stage offsets (nil for a zero-skew plan,
+// which is lockstep); diagnostics and tests.
 func (me *MappedEngine) Stages() []int {
-	if me.swp == nil {
+	sw := me.swp
+	if sw.maxStage() == 0 {
 		return nil
 	}
-	out := make([]int, len(me.swp.levels))
-	for i, lv := range me.swp.levels {
-		out[i] = lv * int(me.swp.batch)
+	out := make([]int, len(sw.levels))
+	for i, lv := range sw.levels {
+		out[i] = lv * int(sw.batch)
 	}
 	return out
 }

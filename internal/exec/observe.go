@@ -65,8 +65,9 @@ func profileSJ(st *obs.FilterStats, n *ir.Node) {
 	st.AddPushes(pushes)
 }
 
-// obsTape wraps a stable tape (mapped SliceQueue, dynamic dynIn/dynOut)
-// with per-operation counting. lenFn, when set, samples output occupancy
+// obsTape wraps a tape (sequential ring, mapped SliceQueue, dynamic
+// dynIn/dynOut) with per-operation counting. The tape object must outlive
+// the wrapper — every engine restores into its tapes, never replaces them. lenFn, when set, samples output occupancy
 // after each push for the high-water mark.
 type obsTape struct {
 	inner wfunc.Tape
@@ -89,35 +90,6 @@ func (t *obsTape) Push(v float64) {
 	t.inner.Push(v)
 	if t.lenFn != nil {
 		t.st.NoteOccupancy(int64(t.lenFn()))
-	}
-}
-
-// seqObsTape is the sequential engine's counting tape. It resolves the
-// channel through the engine on every operation because Restore replaces
-// channel objects wholesale; a direct pointer would go stale.
-type seqObsTape struct {
-	e    *Engine
-	edge int
-	st   *obs.FilterStats
-	out  bool
-}
-
-func (t *seqObsTape) Peek(i int) float64 {
-	t.st.AddPeek()
-	return t.e.chans[t.edge].Peek(i)
-}
-
-func (t *seqObsTape) Pop() float64 {
-	t.st.AddPop()
-	return t.e.chans[t.edge].Pop()
-}
-
-func (t *seqObsTape) Push(v float64) {
-	t.st.AddPush()
-	ch := t.e.chans[t.edge]
-	ch.Push(v)
-	if t.out {
-		t.st.NoteOccupancy(int64(ch.Len()))
 	}
 }
 
@@ -145,10 +117,11 @@ func (e *Engine) adoptObs(prof *obs.Profiler, rec *obs.Recorder) {
 			continue
 		}
 		if edge := n.InEdge(); edge != nil {
-			rt.inT = &seqObsTape{e: e, edge: edge.ID, st: prof.At(n.ID)}
+			rt.inT = &obsTape{inner: e.chans[edge.ID], st: prof.At(n.ID)}
 		}
 		if edge := n.OutEdge(); edge != nil {
-			rt.outT = &seqObsTape{e: e, edge: edge.ID, st: prof.At(n.ID), out: true}
+			ch := e.chans[edge.ID]
+			rt.outT = &obsTape{inner: ch, st: prof.At(n.ID), lenFn: ch.Len}
 		}
 	}
 }

@@ -271,7 +271,11 @@ func (e *Engine) TapSink(name string, fn func(float64)) error {
 		return fmt.Errorf("exec: tap target %q has no input tape", name)
 	}
 	rt := e.nodes[n.ID]
-	rt.inT = &tapTape{e: e, edge: edge.ID, inner: rt.inT, fn: fn}
+	inner := rt.inT
+	if inner == nil {
+		inner = e.chans[edge.ID]
+	}
+	rt.inT = &tapTape{inner: inner, fn: fn}
 	return nil
 }
 
@@ -286,29 +290,18 @@ func (e *Engine) filterByName(name string) *ir.Node {
 }
 
 // tapTape forwards to the filter's effective input tape (a profiling
-// wrapper when set, else the engine's current channel — resolved per
-// operation because Restore replaces channel objects) and reports every
-// popped value.
+// wrapper when set, else the edge's ring) and reports every popped value.
 type tapTape struct {
-	e     *Engine
-	edge  int
-	inner wfunc.Tape // next wrapper down, nil = the channel itself
+	inner wfunc.Tape
 	fn    func(float64)
 }
 
-func (t *tapTape) tape() wfunc.Tape {
-	if t.inner != nil {
-		return t.inner
-	}
-	return t.e.chans[t.edge]
-}
-
-func (t *tapTape) Peek(i int) float64 { return t.tape().Peek(i) }
+func (t *tapTape) Peek(i int) float64 { return t.inner.Peek(i) }
 
 func (t *tapTape) Pop() float64 {
-	v := t.tape().Pop()
+	v := t.inner.Pop()
 	t.fn(v)
 	return v
 }
 
-func (t *tapTape) Push(v float64) { t.tape().Push(v) }
+func (t *tapTape) Push(v float64) { t.inner.Push(v) }

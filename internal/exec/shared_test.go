@@ -1,8 +1,11 @@
 package exec
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
+	"streamit/internal/apps"
 	"streamit/internal/ir"
 	"streamit/internal/sched"
 	"streamit/internal/wfunc"
@@ -226,5 +229,102 @@ func TestOverrideWorkRates(t *testing.T) {
 	}
 	if _, ok := err.(*ExecError); !ok {
 		t.Fatalf("rate violation produced %T (%v), want *ExecError", err, err)
+	}
+}
+
+// TestTapAndProfileSurviveRestore: tape wrappers (TapSink, profiling) hold
+// pointers to the engine's rings, so Restore and RestoreCheckpoint must
+// refill the rings in place. An engine rolled back mid-run — after
+// speculating past the restore point, so the rings really change under the
+// wrappers — must tap the same items and count the same operations as
+// uninterrupted runs, and end in the same state.
+func TestTapAndProfileSurviveRestore(t *testing.T) {
+	const at, spec, total = 6, 3, 14
+	build := func(t *testing.T, profile bool) (*Engine, *[]float64) {
+		g, s := flattenApp(t, apps.App{Build: func() *ir.Program { return apps.FMRadio(4, 16) }})
+		e, err := NewFromGraphOpts(g, s, Options{Profile: profile})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := &[]float64{}
+		for _, n := range g.Nodes {
+			if n.Kind == ir.NodeFilter && n.InEdge() != nil && n.OutEdge() == nil {
+				if err := e.TapSink(n.Name, func(v float64) { *got = append(*got, v) }); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := e.RunInit(); err != nil {
+			t.Fatal(err)
+		}
+		return e, got
+	}
+	steady := func(t *testing.T, e *Engine, n int) {
+		t.Helper()
+		if err := e.RunSteady(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	image := func(t *testing.T, e *Engine, it int64) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := e.WriteCheckpoint(&buf, it); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	restores := map[string]func(t *testing.T, e *Engine) func(){
+		"Restore": func(t *testing.T, e *Engine) func() {
+			snap := e.Snapshot()
+			return func() { e.Restore(snap) }
+		},
+		"RestoreCheckpoint": func(t *testing.T, e *Engine) func() {
+			img := image(t, e, at)
+			return func() {
+				if _, err := e.RestoreCheckpoint(img); err != nil {
+					t.Fatal(err)
+				}
+			}
+		},
+	}
+	for how, save := range restores {
+		for _, profile := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/profile=%v", how, profile), func(t *testing.T) {
+				// Uninterrupted reference, marking the tap stream at the restore
+				// point and at the end of the speculated stretch.
+				ref, refGot := build(t, profile)
+				steady(t, ref, at)
+				a := len(*refGot)
+				steady(t, ref, spec)
+				b := len(*refGot)
+				steady(t, ref, total-at-spec)
+				want := append(append([]float64(nil), (*refGot)[:b]...), (*refGot)[a:]...)
+
+				e, got := build(t, profile)
+				steady(t, e, at)
+				restore := save(t, e)
+				steady(t, e, spec)
+				restore()
+				steady(t, e, total-at)
+
+				if len(*got) != len(want) {
+					t.Fatalf("tapped %d items, want %d", len(*got), len(want))
+				}
+				for i := range want {
+					if (*got)[i] != want[i] {
+						t.Fatalf("tapped item %d: %v, want %v", i, (*got)[i], want[i])
+					}
+				}
+				if !bytes.Equal(image(t, e, total), image(t, ref, total)) {
+					t.Fatal("final state differs from the uninterrupted run")
+				}
+				if profile {
+					// The profiler is not rolled back, so the interrupted run has
+					// counted total+spec iterations' worth of operations.
+					steady(t, ref, spec)
+					diffCounts(t, how, profileCounts(ref.Profile()), profileCounts(e.Profile()))
+				}
+			})
+		}
 	}
 }

@@ -34,10 +34,10 @@ func lyingFilter(name string, declaredPush, actual int) *ir.Filter {
 	}
 }
 
-// TestTakeUnderflowIsExecError: a filter that pushes fewer items than its
-// declared rate makes the parallel engine's batch Take underflow; that must
-// surface as a structured ExecError (op "take"), not a raw slice panic.
-func TestTakeUnderflowIsExecError(t *testing.T) {
+// liarGraph is src -> liar -> snk, where liar declares a push rate of 2 and
+// pushes 1.
+func liarGraph(t *testing.T) (*ir.Graph, *sched.Schedule) {
+	t.Helper()
 	prog := &ir.Program{Name: "liar", Top: ir.Pipe("main",
 		RampSource("src"),
 		lyingFilter("liar", 2, 1),
@@ -51,11 +51,14 @@ func TestTakeUnderflowIsExecError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pe, err := NewParallelOpts(g, s, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = pe.Run(2)
+	return g, s
+}
+
+// wantTakeFault asserts err is the producer-side rate check: a structured
+// ExecError (op "take") naming the lying filter, not a raw slice panic and
+// not a pop fault on whoever consumes from it.
+func wantTakeFault(t *testing.T, err error) {
+	t.Helper()
 	if err == nil {
 		t.Fatal("expected a take underflow error")
 	}
@@ -69,6 +72,40 @@ func TestTakeUnderflowIsExecError(t *testing.T) {
 	if !strings.Contains(ee.Filter, "liar") {
 		t.Fatalf("fault attributed to %q, want the lying filter (%v)", ee.Filter, ee)
 	}
+}
+
+// TestTakeUnderflowIsExecError: a filter that pushes fewer items than its
+// declared rate makes the parallel engine's batch Take underflow; that must
+// surface as a structured ExecError (op "take"), not a raw slice panic.
+func TestTakeUnderflowIsExecError(t *testing.T) {
+	g, s := liarGraph(t)
+	pe, err := NewParallelOpts(g, s, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantTakeFault(t, pe.Run(2))
+}
+
+// TestTakeUnderflowIsExecErrorPipelined: the same rate violation on a
+// pipelined plan (one node per stage and per worker). The flush takes
+// exactly what the schedule says was produced since the last one, so the
+// shortfall is the liar's take fault here too, not an empty-queue pop on
+// its consumer a stage later.
+func TestTakeUnderflowIsExecErrorPipelined(t *testing.T) {
+	g, s := liarGraph(t)
+	topo, err := g.TopoOrder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stages := make([]int, len(g.Nodes))
+	for lv, n := range topo {
+		stages[n.ID] = lv
+	}
+	me, err := NewMappedOpts(g, s, stages, len(g.Nodes), Options{Stages: stages})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantTakeFault(t, me.Run(2))
 }
 
 // TestSliceQueueTakeGuard: the direct panic payload of an underflowing
