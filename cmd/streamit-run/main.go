@@ -90,11 +90,11 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"time"
 
@@ -105,6 +105,7 @@ import (
 	"streamit/internal/machine"
 	"streamit/internal/obs"
 	"streamit/internal/partition"
+	"streamit/internal/wire"
 )
 
 // observed is the observability surface shared by all three engines.
@@ -428,23 +429,14 @@ func asCheckpointer(r core.Runner) checkpointer {
 	return ck
 }
 
-// writeCheckpoint saves the engine image atomically enough for a CLI: a
-// temp file in the same directory, then rename.
+// writeCheckpoint saves the engine image: wire.WriteFile's temp file in
+// the same directory, then rename, so a resume never reads a torn image.
 func writeCheckpoint(e checkpointer, path string, iteration int64) error {
-	f, err := os.CreateTemp(filepath.Dir(path), ".streamit-ckpt-*")
-	if err != nil {
+	var img bytes.Buffer
+	if err := e.WriteCheckpoint(&img, iteration); err != nil {
 		return err
 	}
-	if err := e.WriteCheckpoint(f, iteration); err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(f.Name())
-		return err
-	}
-	return os.Rename(f.Name(), path)
+	return wire.WriteFile(path, img.Bytes())
 }
 
 // report prints the supervision summary when anything degraded the run.

@@ -229,7 +229,7 @@ func ElasticBench(workers int) (*ElasticResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	elastic.ReplanMeasured = func(target int, perFiring map[string]int64) []int {
+	elastic.Replan = func(target int, perFiring map[string]int64) []int {
 		return plan.AssignMeasured(g2, s2, target, perFiring)
 	}
 	if r.ElasticRate, err = sinkRate(elastic.Run, per, MeasureDur); err != nil {

@@ -277,17 +277,15 @@ func (c *Compiled) MappedEngineOpts(opts RunOptions) (*exec.MappedEngine, error)
 	if err != nil {
 		return nil, err
 	}
-	// Crash recovery re-packs the same rewritten graph onto the surviving
-	// workers; the rewrite itself is never redone (its fission factor — and
+	// Crash recovery and the elastic controller re-pack the same rewritten
+	// graph; the rewrite itself is never redone (its fission factor — and
 	// with it the graph and checkpoint fingerprint — depends on the worker
-	// count, so recovery must only re-assign).
-	me.Replan = func(workers int) []int { return plan.AssignN(g2, s2, workers) }
-	// The elastic controller re-packs from live measured work. The profile
-	// it hands over is keyed by the rewritten graph's node names, which is
+	// count, so a re-plan must only re-assign). The profile the controller
+	// hands over is keyed by the rewritten graph's node names, which is
 	// exactly the key space AssignMeasured expects — no demangling here
 	// (contrast MeasuredWorkFromMapped, which crosses back to the original
 	// flat names for a fresh compile).
-	me.ReplanMeasured = func(workers int, perFiringNS map[string]int64) []int {
+	me.Replan = func(workers int, perFiringNS map[string]int64) []int {
 		return plan.AssignMeasured(g2, s2, workers, perFiringNS)
 	}
 	return me, nil

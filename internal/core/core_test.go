@@ -528,8 +528,8 @@ func TestMappedElasticDriver(t *testing.T) {
 	if !ok {
 		t.Fatalf("runner is %T, want *exec.MappedEngine", r)
 	}
-	if me.ReplanMeasured == nil {
-		t.Error("driver did not install the measured re-planning hook")
+	if me.Replan == nil {
+		t.Error("driver did not install the partition re-planning hook")
 	}
 	if me.Workers != 2 {
 		t.Errorf("Workers = %d after scheduled resize, want 2", me.Workers)

@@ -4,8 +4,35 @@ import (
 	"fmt"
 
 	"streamit/internal/exec"
-	"streamit/internal/wfunc"
+	"streamit/internal/wire"
 )
+
+// Every payload is a list of internal/wire primitives: encode appends the
+// message's fields in declaration order, decode reads them back in the same
+// order and checks the reader once, at the end (its first fault sticks, and
+// Done also rejects trailing bytes).
+
+func payloadReader(p []byte) *wire.Reader { return wire.NewReader("dist: payload", p) }
+
+// writeU32s and readU32s carry a u32 list (shard IDs, worker numbers).
+func writeU32s(w *wire.Writer, vs []uint32) {
+	w.Count(len(vs))
+	for _, v := range vs {
+		w.U32(v)
+	}
+}
+
+func readU32s(r *wire.Reader) []uint32 {
+	n := r.Count(4)
+	if n == 0 {
+		return nil
+	}
+	vs := make([]uint32, n)
+	for i := range vs {
+		vs[i] = r.U32()
+	}
+	return vs
+}
 
 // helloMsg is a shard's join handshake: its display name and the address
 // its data-plane listener accepts peer links on.
@@ -19,27 +46,17 @@ type helloMsg struct {
 const protoVersion = 1
 
 func (m *helloMsg) encode() []byte {
-	var b wbuf
-	b.u32(m.Proto)
-	b.str(m.Name)
-	b.str(m.DataAddr)
-	return b
+	var w wire.Writer
+	w.U32(m.Proto)
+	w.Str(m.Name)
+	w.Str(m.DataAddr)
+	return w
 }
 
 func decodeHello(p []byte) (*helloMsg, error) {
-	r := &rbuf{b: p}
-	m := &helloMsg{}
-	var err error
-	if m.Proto, err = r.u32(); err != nil {
-		return nil, err
-	}
-	if m.Name, err = r.str(); err != nil {
-		return nil, err
-	}
-	if m.DataAddr, err = r.str(); err != nil {
-		return nil, err
-	}
-	return m, r.done()
+	r := payloadReader(p)
+	m := &helloMsg{Proto: r.U32(), Name: r.Str(), DataAddr: r.Str()}
+	return m, r.Done()
 }
 
 // jobMsg carries everything a shard needs to rebuild the coordinator's
@@ -64,73 +81,31 @@ type jobMsg struct {
 }
 
 func (m *jobMsg) encode() []byte {
-	var b wbuf
-	b.u32(m.ShardID)
-	b.str(m.App)
-	b.str(m.Source)
-	b.str(m.Top)
-	b.str(m.Strategy)
-	b.u8(m.Backend)
-	b.u32(m.Shards)
-	b.u32(m.PerShard)
-	b.u32(m.Epoch)
-	b.u32(m.QueueDepth)
-	if m.TapSinks {
-		b.u8(1)
-	} else {
-		b.u8(0)
-	}
-	b.str(m.Faults)
-	b.u64(m.Fingerprint)
-	return b
+	var w wire.Writer
+	w.U32(m.ShardID)
+	w.Str(m.App)
+	w.Str(m.Source)
+	w.Str(m.Top)
+	w.Str(m.Strategy)
+	w.U8(m.Backend)
+	w.U32(m.Shards)
+	w.U32(m.PerShard)
+	w.U32(m.Epoch)
+	w.U32(m.QueueDepth)
+	w.Bool(m.TapSinks)
+	w.Str(m.Faults)
+	w.U64(m.Fingerprint)
+	return w
 }
 
 func decodeJob(p []byte) (*jobMsg, error) {
-	r := &rbuf{b: p}
-	m := &jobMsg{}
-	var err error
-	if m.ShardID, err = r.u32(); err != nil {
-		return nil, err
+	r := payloadReader(p)
+	m := &jobMsg{
+		ShardID: r.U32(), App: r.Str(), Source: r.Str(), Top: r.Str(), Strategy: r.Str(),
+		Backend: r.U8(), Shards: r.U32(), PerShard: r.U32(), Epoch: r.U32(), QueueDepth: r.U32(),
+		TapSinks: r.Bool(), Faults: r.Str(), Fingerprint: r.U64(),
 	}
-	if m.App, err = r.str(); err != nil {
-		return nil, err
-	}
-	if m.Source, err = r.str(); err != nil {
-		return nil, err
-	}
-	if m.Top, err = r.str(); err != nil {
-		return nil, err
-	}
-	if m.Strategy, err = r.str(); err != nil {
-		return nil, err
-	}
-	if m.Backend, err = r.u8(); err != nil {
-		return nil, err
-	}
-	if m.Shards, err = r.u32(); err != nil {
-		return nil, err
-	}
-	if m.PerShard, err = r.u32(); err != nil {
-		return nil, err
-	}
-	if m.Epoch, err = r.u32(); err != nil {
-		return nil, err
-	}
-	if m.QueueDepth, err = r.u32(); err != nil {
-		return nil, err
-	}
-	tap, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	m.TapSinks = tap != 0
-	if m.Faults, err = r.str(); err != nil {
-		return nil, err
-	}
-	if m.Fingerprint, err = r.u64(); err != nil {
-		return nil, err
-	}
-	return m, r.done()
+	return m, r.Done()
 }
 
 // assignMsg installs one generation's topology on a shard: the live shard
@@ -147,67 +122,28 @@ type assignMsg struct {
 }
 
 func (m *assignMsg) encode() []byte {
-	var b wbuf
-	b.u32(m.Gen)
-	b.i64(m.StartIter)
-	b.u32(uint32(len(m.LiveShards)))
-	for _, s := range m.LiveShards {
-		b.u32(s)
-	}
-	b.u32(uint32(len(m.Peers)))
+	var w wire.Writer
+	w.U32(m.Gen)
+	w.I64(m.StartIter)
+	writeU32s(&w, m.LiveShards)
+	w.Count(len(m.Peers))
 	for _, p := range m.Peers {
-		b.str(p)
+		w.Str(p)
 	}
-	b.u32(uint32(len(m.Assign)))
-	for _, w := range m.Assign {
-		b.u32(w)
-	}
-	b.bytes(m.Image)
-	return b
+	writeU32s(&w, m.Assign)
+	w.Bytes(m.Image)
+	return w
 }
 
 func decodeAssign(p []byte) (*assignMsg, error) {
-	r := &rbuf{b: p}
-	m := &assignMsg{}
-	var err error
-	if m.Gen, err = r.u32(); err != nil {
-		return nil, err
-	}
-	if m.StartIter, err = r.i64(); err != nil {
-		return nil, err
-	}
-	n, err := r.count(4, "live shards")
-	if err != nil {
-		return nil, err
-	}
-	m.LiveShards = make([]uint32, n)
-	for i := range m.LiveShards {
-		if m.LiveShards[i], err = r.u32(); err != nil {
-			return nil, err
-		}
-	}
-	if n, err = r.count(4, "peers"); err != nil {
-		return nil, err
-	}
-	m.Peers = make([]string, n)
+	r := payloadReader(p)
+	m := &assignMsg{Gen: r.U32(), StartIter: r.I64(), LiveShards: readU32s(r)}
+	m.Peers = make([]string, r.Count(4))
 	for i := range m.Peers {
-		if m.Peers[i], err = r.str(); err != nil {
-			return nil, err
-		}
+		m.Peers[i] = r.Str()
 	}
-	if n, err = r.count(4, "assignments"); err != nil {
-		return nil, err
-	}
-	m.Assign = make([]uint32, n)
-	for i := range m.Assign {
-		if m.Assign[i], err = r.u32(); err != nil {
-			return nil, err
-		}
-	}
-	if m.Image, err = r.bytes(); err != nil {
-		return nil, err
-	}
-	return m, r.done()
+	m.Assign, m.Image = readU32s(r), r.Bytes()
+	return m, r.Done()
 }
 
 // sinkChunk is one epoch's captured output of one locally-owned sink.
@@ -227,116 +163,45 @@ type barrierMsg struct {
 }
 
 func (m *barrierMsg) encode() []byte {
-	var b wbuf
-	b.u32(m.Gen)
-	b.i64(m.Iter)
-	b.i64(m.State.Iteration)
-	b.u32(uint32(len(m.State.Nodes)))
+	var w wire.Writer
+	w.U32(m.Gen)
+	w.I64(m.Iter)
+	w.I64(m.State.Iteration)
+	w.Count(len(m.State.Nodes))
 	for _, ns := range m.State.Nodes {
-		b.u32(uint32(ns.ID))
-		b.i64(ns.Fired)
-		if ns.State == nil {
-			b.u8(0)
-			continue
-		}
-		b.u8(1)
-		b.floats(ns.State.Scalars)
-		b.u32(uint32(len(ns.State.Arrays)))
-		for _, arr := range ns.State.Arrays {
-			b.floats(arr)
-		}
+		w.U32(uint32(ns.ID))
+		w.I64(ns.Fired)
+		exec.WriteNodeState(&w, ns.State)
 	}
-	b.u32(uint32(len(m.State.Edges)))
+	w.Count(len(m.State.Edges))
 	for _, es := range m.State.Edges {
-		b.u32(uint32(es.ID))
-		b.floats(es.Items)
+		w.U32(uint32(es.ID))
+		w.Floats(es.Items)
 	}
-	b.u32(uint32(len(m.Sinks)))
+	w.Count(len(m.Sinks))
 	for _, sc := range m.Sinks {
-		b.u32(sc.Node)
-		b.floats(sc.Items)
+		w.U32(sc.Node)
+		w.Floats(sc.Items)
 	}
-	return b
+	return w
 }
 
 func decodeBarrier(p []byte) (*barrierMsg, error) {
-	r := &rbuf{b: p}
-	m := &barrierMsg{State: &exec.ShardState{}}
-	var err error
-	if m.Gen, err = r.u32(); err != nil {
-		return nil, err
-	}
-	if m.Iter, err = r.i64(); err != nil {
-		return nil, err
-	}
-	if m.State.Iteration, err = r.i64(); err != nil {
-		return nil, err
-	}
-	n, err := r.count(13, "nodes")
-	if err != nil {
-		return nil, err
-	}
-	m.State.Nodes = make([]exec.ShardNodeState, n)
+	r := payloadReader(p)
+	m := &barrierMsg{Gen: r.U32(), Iter: r.I64(), State: &exec.ShardState{Iteration: r.I64()}}
+	m.State.Nodes = make([]exec.ShardNodeState, r.Count(13)) // u32 id + i64 fired + u8 has minimum
 	for i := range m.State.Nodes {
-		ns := &m.State.Nodes[i]
-		id, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		ns.ID = int(id)
-		if ns.Fired, err = r.i64(); err != nil {
-			return nil, err
-		}
-		has, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
-		if has == 0 {
-			continue
-		}
-		st := &wfunc.State{}
-		if st.Scalars, err = r.floats(); err != nil {
-			return nil, err
-		}
-		na, err := r.count(4, "state arrays")
-		if err != nil {
-			return nil, err
-		}
-		st.Arrays = make([][]float64, na)
-		for k := range st.Arrays {
-			if st.Arrays[k], err = r.floats(); err != nil {
-				return nil, err
-			}
-		}
-		ns.State = st
+		m.State.Nodes[i] = exec.ShardNodeState{ID: int(r.U32()), Fired: r.I64(), State: exec.ReadNodeState(r)}
 	}
-	if n, err = r.count(8, "edges"); err != nil {
-		return nil, err
-	}
-	m.State.Edges = make([]exec.ShardEdgeState, n)
+	m.State.Edges = make([]exec.ShardEdgeState, r.Count(8)) // u32 id + u32 count minimum
 	for i := range m.State.Edges {
-		id, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		m.State.Edges[i].ID = int(id)
-		if m.State.Edges[i].Items, err = r.floats(); err != nil {
-			return nil, err
-		}
+		m.State.Edges[i] = exec.ShardEdgeState{ID: int(r.U32()), Items: r.Floats()}
 	}
-	if n, err = r.count(8, "sinks"); err != nil {
-		return nil, err
-	}
-	m.Sinks = make([]sinkChunk, n)
+	m.Sinks = make([]sinkChunk, r.Count(8))
 	for i := range m.Sinks {
-		if m.Sinks[i].Node, err = r.u32(); err != nil {
-			return nil, err
-		}
-		if m.Sinks[i].Items, err = r.floats(); err != nil {
-			return nil, err
-		}
+		m.Sinks[i] = sinkChunk{Node: r.U32(), Items: r.Floats()}
 	}
-	return m, r.done()
+	return m, r.Done()
 }
 
 // batchMsg is one cross-shard edge's per-iteration batch on a data link.
@@ -349,27 +214,17 @@ type batchMsg struct {
 }
 
 func (m *batchMsg) encode() []byte {
-	var b wbuf
-	b.u32(m.Edge)
-	b.u64(m.Seq)
-	b.floats(m.Items)
-	return b
+	var w wire.Writer
+	w.U32(m.Edge)
+	w.U64(m.Seq)
+	w.Floats(m.Items)
+	return w
 }
 
 func decodeBatch(p []byte) (*batchMsg, error) {
-	r := &rbuf{b: p}
-	m := &batchMsg{}
-	var err error
-	if m.Edge, err = r.u32(); err != nil {
-		return nil, err
-	}
-	if m.Seq, err = r.u64(); err != nil {
-		return nil, err
-	}
-	if m.Items, err = r.floats(); err != nil {
-		return nil, err
-	}
-	return m, r.done()
+	r := payloadReader(p)
+	m := &batchMsg{Edge: r.U32(), Seq: r.U64(), Items: r.Floats()}
+	return m, r.Done()
 }
 
 // linkHelloMsg identifies a dialing shard on a fresh data connection.
@@ -379,23 +234,16 @@ type linkHelloMsg struct {
 }
 
 func (m *linkHelloMsg) encode() []byte {
-	var b wbuf
-	b.u32(m.From)
-	b.u32(m.Gen)
-	return b
+	var w wire.Writer
+	w.U32(m.From)
+	w.U32(m.Gen)
+	return w
 }
 
 func decodeLinkHello(p []byte) (*linkHelloMsg, error) {
-	r := &rbuf{b: p}
-	m := &linkHelloMsg{}
-	var err error
-	if m.From, err = r.u32(); err != nil {
-		return nil, err
-	}
-	if m.Gen, err = r.u32(); err != nil {
-		return nil, err
-	}
-	return m, r.done()
+	r := payloadReader(p)
+	m := &linkHelloMsg{From: r.U32(), Gen: r.U32()}
+	return m, r.Done()
 }
 
 // beatMsg is a shard heartbeat: WaitingOn lists the stable IDs of shards
@@ -408,30 +256,15 @@ type beatMsg struct {
 }
 
 func (m *beatMsg) encode() []byte {
-	var b wbuf
-	b.u32(uint32(len(m.WaitingOn)))
-	for _, s := range m.WaitingOn {
-		b.u32(s)
-	}
-	return b
+	var w wire.Writer
+	writeU32s(&w, m.WaitingOn)
+	return w
 }
 
 func decodeBeat(p []byte) (*beatMsg, error) {
-	r := &rbuf{b: p}
-	m := &beatMsg{}
-	n, err := r.count(4, "waiting-on shards")
-	if err != nil {
-		return nil, err
-	}
-	if n > 0 {
-		m.WaitingOn = make([]uint32, n)
-		for i := range m.WaitingOn {
-			if m.WaitingOn[i], err = r.u32(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return m, r.done()
+	r := payloadReader(p)
+	m := &beatMsg{WaitingOn: readU32s(r)}
+	return m, r.Done()
 }
 
 // genMsg is the shared shape of the small control acks that carry only a
@@ -442,23 +275,16 @@ type genMsg struct {
 }
 
 func (m *genMsg) encode() []byte {
-	var b wbuf
-	b.u32(m.Gen)
-	b.u32(m.Iters)
-	return b
+	var w wire.Writer
+	w.U32(m.Gen)
+	w.U32(m.Iters)
+	return w
 }
 
 func decodeGen(p []byte) (*genMsg, error) {
-	r := &rbuf{b: p}
-	m := &genMsg{}
-	var err error
-	if m.Gen, err = r.u32(); err != nil {
-		return nil, err
-	}
-	if m.Iters, err = r.u32(); err != nil {
-		return nil, err
-	}
-	return m, r.done()
+	r := payloadReader(p)
+	m := &genMsg{Gen: r.U32(), Iters: r.U32()}
+	return m, r.Done()
 }
 
 // textMsg carries jobOK's fingerprint echo, abort reasons, and error
@@ -469,23 +295,16 @@ type textMsg struct {
 }
 
 func (m *textMsg) encode() []byte {
-	var b wbuf
-	b.u64(m.Code)
-	b.str(m.Text)
-	return b
+	var w wire.Writer
+	w.U64(m.Code)
+	w.Str(m.Text)
+	return w
 }
 
 func decodeText(p []byte) (*textMsg, error) {
-	r := &rbuf{b: p}
-	m := &textMsg{}
-	var err error
-	if m.Code, err = r.u64(); err != nil {
-		return nil, err
-	}
-	if m.Text, err = r.str(); err != nil {
-		return nil, err
-	}
-	return m, r.done()
+	r := payloadReader(p)
+	m := &textMsg{Code: r.U64(), Text: r.Str()}
+	return m, r.Done()
 }
 
 // decodeAny re-parses a frame's payload by type — the fuzz target's hook

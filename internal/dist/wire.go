@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 )
 
 // Wire framing: every message is
@@ -28,9 +27,10 @@ import (
 // little-endian, CRC-32C (Castagnoli) over type + length + payload. The
 // length is validated against MaxFrame BEFORE any payload allocation, so
 // a torn or hostile header cannot trigger a huge allocation; the CRC
-// rejects corrupted frames before their payload is parsed. Payloads use
-// the same hand-rolled little-endian encoding style as the checkpoint
-// image format (bounds-checked reader, no reflection).
+// rejects corrupted frames before their payload is parsed. Payloads
+// (messages.go) are lists of internal/wire primitives — the codec of the
+// checkpoint image — read through its sticky-error Reader under the
+// "dist: payload" prefix.
 
 const (
 	frameMagic = 0x57525453 // "STRW" little-endian
@@ -159,124 +159,4 @@ func readFrame(r *bufio.Reader) (msgType, []byte, error) {
 		return 0, nil, fmt.Errorf("dist: frame CRC mismatch on %s frame", t)
 	}
 	return t, payload, nil
-}
-
-// wbuf is the append-based payload encoder.
-type wbuf []byte
-
-func (b *wbuf) u8(v byte)     { *b = append(*b, v) }
-func (b *wbuf) u32(v uint32)  { *b = binary.LittleEndian.AppendUint32(*b, v) }
-func (b *wbuf) u64(v uint64)  { *b = binary.LittleEndian.AppendUint64(*b, v) }
-func (b *wbuf) i64(v int64)   { b.u64(uint64(v)) }
-func (b *wbuf) f64(v float64) { b.u64(math.Float64bits(v)) }
-func (b *wbuf) str(s string) {
-	b.u32(uint32(len(s)))
-	*b = append(*b, s...)
-}
-func (b *wbuf) bytes(p []byte) {
-	b.u32(uint32(len(p)))
-	*b = append(*b, p...)
-}
-func (b *wbuf) floats(vs []float64) {
-	b.u32(uint32(len(vs)))
-	for _, v := range vs {
-		b.f64(v)
-	}
-}
-
-// rbuf is the bounds-checked payload decoder. Every count is validated
-// against the remaining bytes before the backing slice is allocated, the
-// same discipline as the checkpoint reader.
-type rbuf struct {
-	b   []byte
-	off int
-}
-
-func (r *rbuf) take(n int) ([]byte, error) {
-	if n < 0 || r.off+n > len(r.b) {
-		return nil, fmt.Errorf("dist: truncated payload: want %d bytes at offset %d of %d", n, r.off, len(r.b))
-	}
-	v := r.b[r.off : r.off+n]
-	r.off += n
-	return v, nil
-}
-
-// count validates a declared element count against the bytes remaining.
-func (r *rbuf) count(elemSize int, what string) (int, error) {
-	n, err := r.u32()
-	if err != nil {
-		return 0, err
-	}
-	if int64(n)*int64(elemSize) > int64(len(r.b)-r.off) {
-		return 0, fmt.Errorf("dist: payload declares %d %s but only %d bytes remain", n, what, len(r.b)-r.off)
-	}
-	return int(n), nil
-}
-
-func (r *rbuf) u8() (byte, error) {
-	v, err := r.take(1)
-	if err != nil {
-		return 0, err
-	}
-	return v[0], nil
-}
-func (r *rbuf) u32() (uint32, error) {
-	v, err := r.take(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(v), nil
-}
-func (r *rbuf) u64() (uint64, error) {
-	v, err := r.take(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(v), nil
-}
-func (r *rbuf) i64() (int64, error) {
-	v, err := r.u64()
-	return int64(v), err
-}
-func (r *rbuf) f64() (float64, error) {
-	v, err := r.u64()
-	return math.Float64frombits(v), err
-}
-func (r *rbuf) str() (string, error) {
-	n, err := r.count(1, "string bytes")
-	if err != nil {
-		return "", err
-	}
-	v, err := r.take(n)
-	return string(v), err
-}
-func (r *rbuf) bytes() ([]byte, error) {
-	n, err := r.count(1, "bytes")
-	if err != nil {
-		return nil, err
-	}
-	v, err := r.take(n)
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), v...), nil
-}
-func (r *rbuf) floats() ([]float64, error) {
-	n, err := r.count(8, "floats")
-	if err != nil {
-		return nil, err
-	}
-	vs := make([]float64, n)
-	for i := range vs {
-		if vs[i], err = r.f64(); err != nil {
-			return nil, err
-		}
-	}
-	return vs, nil
-}
-func (r *rbuf) done() error {
-	if r.off != len(r.b) {
-		return fmt.Errorf("dist: %d trailing bytes after payload", len(r.b)-r.off)
-	}
-	return nil
 }

@@ -10,6 +10,7 @@ import (
 
 	"streamit/internal/exec"
 	"streamit/internal/wfunc"
+	"streamit/internal/wire"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -155,10 +156,10 @@ func TestMessageDecodersRejectTruncation(t *testing.T) {
 	}
 	// A hostile count cannot drive allocation: declare 2^32-1 floats in a
 	// tiny payload.
-	var b wbuf
-	b.u32(2)
-	b.u64(7)
-	b.u32(0xffffffff)
+	var b wire.Writer
+	b.U32(2)
+	b.U64(7)
+	b.U32(0xffffffff)
 	if _, err := decodeBatch(b); err == nil {
 		t.Fatal("hostile float count accepted")
 	}

@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"math"
 
 	"streamit/internal/ir"
 	"streamit/internal/sched"
 	"streamit/internal/wfunc"
+	"streamit/internal/wire"
 )
 
 // Checkpoint format: a self-describing binary image of an engine's
@@ -36,10 +36,13 @@ import (
 //	    magic "SWPS" | i64 base | i64 segIters | i64 cycles |
 //	    u32 batch | u32 level count, u32 levels...
 //
-// Every count is validated against the remaining data before allocation,
-// and shapes are re-validated against the engine's graph at apply time, so
-// corrupt or truncated images produce errors, never panics or huge
-// allocations.
+// The fields are internal/wire primitives (the one codec the session
+// envelope and the distributed payloads also use): encodeImage and
+// readImage below are this list spelled once each way. The reader validates
+// every count against the remaining data before allocation and latches the
+// first fault, and shapes are re-validated against the engine's graph at
+// apply time, so corrupt or truncated images produce errors, never panics
+// or huge allocations.
 //
 // Images without the SWPS trailer are uniform: every node sits at the same
 // logical iteration, and any engine over the fingerprinted graph can
@@ -134,186 +137,89 @@ type ckptEdge struct {
 	items          []float64
 }
 
-// ckptWriter accumulates the image, latching the first write error.
-type ckptWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (c *ckptWriter) bytes(b []byte) {
-	if c.err == nil {
-		_, c.err = c.w.Write(b)
+// WriteNodeState appends one node's state section, `u8 has | floats
+// scalars | count | floats array...` — the one spelling shared by the image
+// and by the distributed barrier report.
+func WriteNodeState(w *wire.Writer, st *wfunc.State) {
+	w.Bool(st != nil)
+	if st == nil {
+		return
+	}
+	w.Floats(st.Scalars)
+	w.Count(len(st.Arrays))
+	for _, a := range st.Arrays {
+		w.Floats(a)
 	}
 }
 
-func (c *ckptWriter) u8(v byte) { c.bytes([]byte{v}) }
-
-func (c *ckptWriter) u32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	c.bytes(b[:])
-}
-
-func (c *ckptWriter) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	c.bytes(b[:])
-}
-
-func (c *ckptWriter) i64(v int64)   { c.u64(uint64(v)) }
-func (c *ckptWriter) f64(v float64) { c.u64(math.Float64bits(v)) }
-
-func (c *ckptWriter) floats(vs []float64) {
-	c.u32(uint32(len(vs)))
-	for _, v := range vs {
-		c.f64(v)
+// ReadNodeState reads the section WriteNodeState wrote; nil for a
+// stateless node.
+func ReadNodeState(r *wire.Reader) *wfunc.State {
+	if !r.Bool() {
+		return nil
 	}
-}
-
-func (c *ckptWriter) str(s string) {
-	c.u32(uint32(len(s)))
-	c.bytes([]byte(s))
-}
-
-// writeImage serializes an image under the given graph fingerprint.
-func writeImage(w io.Writer, fp uint64, img *ckptImage) error {
-	c := &ckptWriter{w: w}
-	c.bytes([]byte(checkpointMagic))
-	c.u32(checkpointVersion)
-	c.u64(fp)
-	c.i64(img.iteration)
-	c.i64(img.firings)
-	c.u32(uint32(len(img.nodes)))
-	for _, n := range img.nodes {
-		c.i64(n.fired)
-		if n.state == nil {
-			c.u8(0)
-			continue
-		}
-		c.u8(1)
-		c.floats(n.state.Scalars)
-		c.u32(uint32(len(n.state.Arrays)))
-		for _, a := range n.state.Arrays {
-			c.floats(a)
-		}
+	st := &wfunc.State{Scalars: r.Floats()}
+	st.Arrays = make([][]float64, r.Count(4))
+	for k := range st.Arrays {
+		st.Arrays[k] = r.Floats()
 	}
-	c.u32(uint32(len(img.edges)))
+	return st
+}
+
+// encodeImage serializes an image under the given graph fingerprint.
+func encodeImage(fp uint64, img *ckptImage) []byte {
+	// Size the buffer for everything but pending messages and the trailer,
+	// so a typical image is one allocation instead of a doubling series.
+	size := 64 + 32*len(img.nodes) + 24*len(img.edges)
 	for _, e := range img.edges {
-		c.i64(e.pushed)
-		c.i64(e.popped)
-		c.floats(e.items)
+		size += 8 * len(e.items)
+	}
+	for _, n := range img.nodes {
+		if n.state != nil {
+			size += 8 * len(n.state.Scalars)
+			for _, a := range n.state.Arrays {
+				size += 4 + 8*len(a)
+			}
+		}
+	}
+	w := append(make(wire.Writer, 0, size), checkpointMagic...)
+	w.U32(checkpointVersion)
+	w.U64(fp)
+	w.I64(img.iteration)
+	w.I64(img.firings)
+	w.Count(len(img.nodes))
+	for _, n := range img.nodes {
+		w.I64(n.fired)
+		WriteNodeState(&w, n.state)
+	}
+	w.Count(len(img.edges))
+	for _, e := range img.edges {
+		w.I64(e.pushed)
+		w.I64(e.popped)
+		w.Floats(e.items)
 	}
 	for _, msgs := range img.pending {
-		c.u32(uint32(len(msgs)))
+		w.Count(len(msgs))
 		for _, m := range msgs {
-			c.str(m.handler)
-			c.floats(m.args)
-			c.i64(m.target)
-			b := byte(0)
-			if m.upstream {
-				b = 1
-			}
-			c.u8(b)
-			b = 0
-			if m.bestEffort {
-				b = 1
-			}
-			c.u8(b)
+			w.Str(m.handler)
+			w.Floats(m.args)
+			w.I64(m.target)
+			w.Bool(m.upstream)
+			w.Bool(m.bestEffort)
 		}
 	}
 	if sw := img.swp; sw != nil {
-		c.bytes([]byte(swpMagic))
-		c.i64(sw.base)
-		c.i64(sw.segIters)
-		c.i64(sw.cycles)
-		c.u32(uint32(sw.batch))
-		c.u32(uint32(len(sw.levels)))
+		w = append(w, swpMagic...)
+		w.I64(sw.base)
+		w.I64(sw.segIters)
+		w.I64(sw.cycles)
+		w.U32(uint32(sw.batch))
+		w.Count(len(sw.levels))
 		for _, lv := range sw.levels {
-			c.u32(uint32(lv))
+			w.U32(uint32(lv))
 		}
 	}
-	return c.err
-}
-
-// ckptReader consumes the image with hard bounds checks: every read
-// validates the remaining length first, so malformed input fails cleanly.
-type ckptReader struct {
-	data []byte
-	off  int
-}
-
-func (c *ckptReader) remaining() int { return len(c.data) - c.off }
-
-func (c *ckptReader) take(n int) ([]byte, error) {
-	if n < 0 || c.remaining() < n {
-		return nil, fmt.Errorf("exec: checkpoint truncated at offset %d (want %d more bytes, have %d)", c.off, n, c.remaining())
-	}
-	b := c.data[c.off : c.off+n]
-	c.off += n
-	return b, nil
-}
-
-func (c *ckptReader) u8() (byte, error) {
-	b, err := c.take(1)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-func (c *ckptReader) u32() (uint32, error) {
-	b, err := c.take(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b), nil
-}
-
-func (c *ckptReader) u64() (uint64, error) {
-	b, err := c.take(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
-}
-
-func (c *ckptReader) i64() (int64, error) {
-	v, err := c.u64()
-	return int64(v), err
-}
-
-func (c *ckptReader) f64() (float64, error) {
-	v, err := c.u64()
-	return math.Float64frombits(v), err
-}
-
-// count reads a u32 length and checks it against the bytes that must
-// follow (per-element size), so a corrupt length cannot trigger a huge
-// allocation.
-func (c *ckptReader) count(elemSize int, what string) (int, error) {
-	v, err := c.u32()
-	if err != nil {
-		return 0, err
-	}
-	n := int(v)
-	if n*elemSize > c.remaining() {
-		return 0, fmt.Errorf("exec: checkpoint %s count %d exceeds remaining data", what, n)
-	}
-	return n, nil
-}
-
-func (c *ckptReader) floats(what string) ([]float64, error) {
-	n, err := c.count(8, what)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, n)
-	for i := range out {
-		if out[i], err = c.f64(); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return w
 }
 
 // readImage decodes and validates a checkpoint against the expected graph
@@ -322,184 +228,71 @@ func (c *ckptReader) floats(what string) ([]float64, error) {
 // (node/edge counts, state field sizes) happen when an engine applies the
 // image, since only the engine knows its graph.
 func readImage(data []byte, wantFP uint64) (*ckptImage, error) {
-	c := &ckptReader{data: data}
-	magic, err := c.take(len(checkpointMagic))
-	if err != nil {
-		return nil, err
+	r := wire.NewReader("exec: checkpoint", data)
+	if magic := r.Raw(len(checkpointMagic)); string(magic) != checkpointMagic {
+		r.Failf("has a bad magic (not a checkpoint image)")
 	}
-	if string(magic) != checkpointMagic {
-		return nil, fmt.Errorf("exec: not a checkpoint image (bad magic)")
+	if version := r.U32(); version != checkpointVersion {
+		r.Failf("version %d not supported (want %d)", version, checkpointVersion)
 	}
-	version, err := c.u32()
-	if err != nil {
-		return nil, err
+	if fp := r.U64(); fp != wantFP {
+		r.Failf("fingerprint %016x does not match this program (%016x); was it taken from a different graph or schedule?", fp, wantFP)
 	}
-	if version != checkpointVersion {
-		return nil, fmt.Errorf("exec: checkpoint version %d not supported (want %d)", version, checkpointVersion)
-	}
-	fp, err := c.u64()
-	if err != nil {
-		return nil, err
-	}
-	if fp != wantFP {
-		return nil, fmt.Errorf("exec: checkpoint fingerprint %016x does not match this program (%016x); was it taken from a different graph or schedule?", fp, wantFP)
-	}
-	img := &ckptImage{}
-	if img.iteration, err = c.i64(); err != nil {
-		return nil, err
-	}
-	if img.firings, err = c.i64(); err != nil {
-		return nil, err
-	}
-	numNodes, err := c.count(9, "node") // i64 fired + u8 hasState minimum
-	if err != nil {
-		return nil, err
-	}
-	img.nodes = make([]ckptNode, numNodes)
+	img := &ckptImage{iteration: r.I64(), firings: r.I64()}
+	img.nodes = make([]ckptNode, r.Count(9)) // i64 fired + u8 hasState minimum
 	for i := range img.nodes {
-		n := &img.nodes[i]
-		if n.fired, err = c.i64(); err != nil {
-			return nil, err
-		}
-		hasState, err := c.u8()
-		if err != nil {
-			return nil, err
-		}
-		if hasState > 1 {
-			return nil, fmt.Errorf("exec: checkpoint state flag %d out of range on node %d", hasState, i)
-		}
-		if hasState == 0 {
-			continue
-		}
-		scalars, err := c.floats("scalar")
-		if err != nil {
-			return nil, err
-		}
-		numArrays, err := c.count(4, "array")
-		if err != nil {
-			return nil, err
-		}
-		arrays := make([][]float64, numArrays)
-		for k := range arrays {
-			if arrays[k], err = c.floats("array data"); err != nil {
-				return nil, err
-			}
-		}
-		n.state = &wfunc.State{Scalars: scalars, Arrays: arrays}
+		img.nodes[i] = ckptNode{fired: r.I64(), state: ReadNodeState(r)}
 	}
-	numEdges, err := c.count(20, "edge") // i64+i64+u32 minimum
-	if err != nil {
-		return nil, err
-	}
-	img.edges = make([]ckptEdge, numEdges)
+	img.edges = make([]ckptEdge, r.Count(20)) // i64+i64+u32 minimum
 	for i := range img.edges {
 		e := &img.edges[i]
-		if e.pushed, err = c.i64(); err != nil {
-			return nil, err
-		}
-		if e.popped, err = c.i64(); err != nil {
-			return nil, err
-		}
-		if e.items, err = c.floats("channel item"); err != nil {
-			return nil, err
-		}
+		e.pushed, e.popped, e.items = r.I64(), r.I64(), r.Floats()
 		if e.pushed-e.popped != int64(len(e.items)) {
-			return nil, fmt.Errorf("exec: checkpoint edge %d counters (pushed %d, popped %d) disagree with %d buffered items", i, e.pushed, e.popped, len(e.items))
+			r.Failf("edge %d counters (pushed %d, popped %d) disagree with %d buffered items", i, e.pushed, e.popped, len(e.items))
 		}
 	}
-	img.pending = make([][]*message, numNodes)
+	img.pending = make([][]*message, len(img.nodes))
 	for i := range img.pending {
-		numMsgs, err := c.count(1, "message")
-		if err != nil {
-			return nil, err
-		}
-		for k := 0; k < numMsgs; k++ {
-			nameLen, err := c.count(1, "handler name")
-			if err != nil {
-				return nil, err
-			}
-			name, err := c.take(nameLen)
-			if err != nil {
-				return nil, err
-			}
-			args, err := c.floats("message arg")
-			if err != nil {
-				return nil, err
-			}
-			target, err := c.i64()
-			if err != nil {
-				return nil, err
-			}
-			up, err := c.u8()
-			if err != nil {
-				return nil, err
-			}
-			be, err := c.u8()
-			if err != nil {
-				return nil, err
-			}
-			if up > 1 || be > 1 {
-				return nil, fmt.Errorf("exec: checkpoint message flags out of range")
-			}
+		// str length + floats count + i64 target + two flags minimum. The list
+		// grows by append, so the loop itself must stop at a fault.
+		for k := r.Count(18); k > 0 && r.Err() == nil; k-- {
 			img.pending[i] = append(img.pending[i], &message{
-				handler: string(name), args: args, target: target,
-				upstream: up == 1, bestEffort: be == 1,
+				handler: r.Str(), args: r.Floats(), target: r.I64(),
+				upstream: r.Bool(), bestEffort: r.Bool(),
 			})
 		}
 	}
-	if c.remaining() > 0 {
-		magic, err := c.take(len(swpMagic))
-		if err != nil {
-			return nil, err
+	if r.Remaining() > 0 {
+		if magic := r.Raw(len(swpMagic)); string(magic) == swpMagic {
+			img.swp = readSWP(r, len(img.nodes))
+		} else {
+			r.Failf("has %d trailing bytes", r.Remaining()+len(swpMagic))
 		}
-		if string(magic) != swpMagic {
-			return nil, fmt.Errorf("exec: %d trailing bytes after checkpoint image", c.remaining()+len(swpMagic))
-		}
-		sw := &ckptSWP{}
-		if sw.base, err = c.i64(); err != nil {
-			return nil, err
-		}
-		if sw.segIters, err = c.i64(); err != nil {
-			return nil, err
-		}
-		if sw.cycles, err = c.i64(); err != nil {
-			return nil, err
-		}
-		batch, err := c.u32()
-		if err != nil {
-			return nil, err
-		}
-		sw.batch = int(batch)
-		numLevels, err := c.count(4, "stage level")
-		if err != nil {
-			return nil, err
-		}
-		if numLevels != int(numNodes) {
-			return nil, fmt.Errorf("exec: checkpoint stage trailer has %d levels for %d nodes", numLevels, numNodes)
-		}
-		sw.levels = make([]int, numLevels)
-		maxLevel := 0
-		for i := range sw.levels {
-			lv, err := c.u32()
-			if err != nil {
-				return nil, err
-			}
-			sw.levels[i] = int(lv)
-			if int(lv) > maxLevel {
-				maxLevel = int(lv)
-			}
-		}
-		if sw.batch < 1 || sw.base < 0 || sw.segIters < 1 || sw.cycles < 1 ||
-			sw.cycles >= sw.segIters+int64(maxLevel)*int64(sw.batch) {
-			return nil, fmt.Errorf("exec: checkpoint stage trailer out of range (base %d, segment %d, cycle %d, batch %d)",
-				sw.base, sw.segIters, sw.cycles, sw.batch)
-		}
-		img.swp = sw
 	}
-	if c.remaining() != 0 {
-		return nil, fmt.Errorf("exec: %d trailing bytes after checkpoint image", c.remaining())
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return img, nil
+}
+
+// readSWP reads the stage-skew trailer that follows its magic.
+func readSWP(r *wire.Reader, numNodes int) *ckptSWP {
+	sw := &ckptSWP{base: r.I64(), segIters: r.I64(), cycles: r.I64(), batch: int(r.U32())}
+	sw.levels = make([]int, r.Count(4))
+	if len(sw.levels) != numNodes {
+		r.Failf("stage trailer has %d levels for %d nodes", len(sw.levels), numNodes)
+	}
+	maxLevel := 0
+	for i := range sw.levels {
+		sw.levels[i] = int(r.U32())
+		maxLevel = max(maxLevel, sw.levels[i])
+	}
+	if sw.batch < 1 || sw.base < 0 || sw.segIters < 1 || sw.cycles < 1 ||
+		sw.cycles >= sw.segIters+int64(maxLevel)*int64(sw.batch) {
+		r.Failf("stage trailer out of range (base %d, segment %d, cycle %d, batch %d)",
+			sw.base, sw.segIters, sw.cycles, sw.batch)
+	}
+	return sw
 }
 
 // checkNodeState validates one node's checkpointed field state against the
@@ -547,7 +340,8 @@ func (e *Engine) WriteCheckpoint(w io.Writer, iteration int64) error {
 		}
 		img.edges[i] = ckptEdge{pushed: ch.pushed, popped: ch.popped, items: items}
 	}
-	return writeImage(w, e.Fingerprint(), img)
+	_, err := w.Write(encodeImage(e.Fingerprint(), img))
+	return err
 }
 
 // RestoreCheckpoint loads a checkpoint image into an engine constructed

@@ -2,11 +2,14 @@ package exec
 
 import (
 	"bytes"
+	"runtime"
+	"strings"
 	"testing"
 
 	"streamit/internal/apps"
 	"streamit/internal/ir"
 	"streamit/internal/sched"
+	"streamit/internal/wire"
 )
 
 func buildEngine(t *testing.T, prog *ir.Program, backend Backend) *Engine {
@@ -209,5 +212,51 @@ func TestCheckpointMessagingProgram(t *testing.T) {
 	m := fresh.pending[0][0]
 	if m.handler != "setGain" || m.target != 42 || !m.upstream || len(m.args) != 2 || m.args[1] != -2 {
 		t.Fatalf("message corrupted in round trip: %+v", m)
+	}
+}
+
+// hostileMessageImage is a well-formed header, one stateless node and no
+// edges, then a pending-message count followed by 0xff bytes up to size: the
+// first message's handler length is 2^32-1, so decoding faults inside the
+// message loop.
+func hostileMessageImage(fp uint64, count uint32, size int) []byte {
+	w := append(wire.Writer(nil), checkpointMagic...)
+	w.U32(checkpointVersion)
+	w.U64(fp)
+	w.I64(0) // iteration
+	w.I64(0) // firings
+	w.Count(1)
+	w.I64(0)      // fired
+	w.Bool(false) // stateless
+	w.Count(0)    // edges
+	w.U32(count)
+	for len(w) < size {
+		w.U8(0xff)
+	}
+	return w
+}
+
+// TestCheckpointHostileMessageCount: a message count is checked against the
+// bytes that remain, and a fault inside the message loop stops it — a large
+// image claiming millions of messages is rejected without allocating for
+// them. (The message list grows by append, so unlike the make-then-fill
+// lists the loop itself has to stop.)
+func TestCheckpointHostileMessageCount(t *testing.T) {
+	const fp, size = 0x1234, 4 << 20
+	for _, count := range []uint32{
+		4 << 20,     // more messages than the bytes could hold: Count rejects it
+		size/18 - 8, // fits the check; the first message is garbage
+	} {
+		data := hostileMessageImage(fp, count, size)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := readImage(data, fp)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "truncated") {
+			t.Fatalf("count %d: got %v, want a truncation error", count, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+			t.Errorf("count %d: rejecting the image allocated %d bytes", count, got)
+		}
 	}
 }

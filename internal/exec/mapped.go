@@ -88,17 +88,14 @@ type MappedEngine struct {
 	// (then every iteration, the rollback target for crash recovery).
 	CheckpointEvery int
 
-	// Replan recomputes a node→worker assignment for a reduced worker
-	// count during crash recovery (typically partition.ExecPlan.AssignN).
-	// nil, or an invalid result, falls back to redistributing the dead
-	// worker's nodes onto the least-loaded survivors.
-	Replan func(workers int) []int
-
-	// ReplanMeasured recomputes an assignment from live measured work per
-	// firing (typically partition.ExecPlan.AssignMeasured) — the elastic
-	// controller's preferred packer. nil, or an invalid result, falls back
-	// to Replan and then to the engine's own measured packing.
-	ReplanMeasured func(workers int, perFiringNS map[string]int64) []int
+	// Replan recomputes a node→worker assignment for a new worker count
+	// (typically partition.ExecPlan.AssignMeasured). Crash recovery passes
+	// a nil map — pack by the plan's static estimates — and the elastic
+	// controller passes live measured work per firing, keyed by node name.
+	// nil, or an invalid result, falls back to the engine's own packing:
+	// the dead worker's nodes onto the least-loaded survivors after a
+	// crash, LPT over the measured window on an elastic step.
+	Replan func(workers int, perFiringNS map[string]int64) []int
 
 	// elastic is the runtime replan controller (nil unless Options.Elastic).
 	elastic *elasticState
@@ -516,24 +513,16 @@ func (me *MappedEngine) driveTo(end int64) error {
 
 // snapshot records the coordinated checkpoint at the current barrier.
 func (me *MappedEngine) snapshot() error {
-	var buf sliceBuffer
-	if err := me.WriteCheckpoint(&buf, me.iter); err != nil {
+	img, err := me.checkpoint(me.iter)
+	if err != nil {
 		return err
 	}
-	me.lastImg = buf
+	me.lastImg = img
 	if me.rec != nil {
 		me.rec.Instant(len(me.G.Nodes), "checkpoint", "checkpoint",
-			fmt.Sprintf("iteration %d (%d bytes)", me.iter, len(buf)))
+			fmt.Sprintf("iteration %d (%d bytes)", me.iter, len(img)))
 	}
 	return nil
-}
-
-// sliceBuffer is a minimal io.Writer over an owned byte slice.
-type sliceBuffer []byte
-
-func (b *sliceBuffer) Write(p []byte) (int, error) {
-	*b = append(*b, p...)
-	return len(p), nil
 }
 
 // runEpoch runs iters steady iterations across the worker set and waits
@@ -618,7 +607,7 @@ func (me *MappedEngine) recoverFromCrash(wc *workerCrash) error {
 	survivors := me.Workers - 1
 	var assign []int
 	if me.Replan != nil {
-		assign = me.Replan(survivors)
+		assign = me.Replan(survivors, nil)
 	}
 	if !me.validAssign(assign, survivors) {
 		assign = me.reassignWithout(wc.worker)

@@ -109,16 +109,26 @@ func (me *MappedEngine) image(iteration int64) *ckptImage {
 // plans the recorded iteration is derived from the cycle position (retired
 // iterations), superseding the argument.
 func (me *MappedEngine) WriteCheckpoint(w io.Writer, iteration int64) error {
+	img, err := me.checkpoint(iteration)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(img)
+	return err
+}
+
+// checkpoint is WriteCheckpoint into a fresh slice.
+func (me *MappedEngine) checkpoint(iteration int64) ([]byte, error) {
 	if !me.ready {
-		return fmt.Errorf("exec: mapped engine has no state to checkpoint; run it (or restore into it) first")
+		return nil, fmt.Errorf("exec: mapped engine has no state to checkpoint; run it (or restore into it) first")
 	}
 	if me.local != nil && me.iter > 0 {
 		// A shard advances only its own partitions; the rest of the graph
 		// is stale here. The coordinator assembles full images from the
 		// shards' ExportShard slices instead.
-		return fmt.Errorf("exec: a sharded engine holds only its local partitions' state; use ExportShard + AssembleShardImage")
+		return nil, fmt.Errorf("exec: a sharded engine holds only its local partitions' state; use ExportShard + AssembleShardImage")
 	}
-	return writeImage(w, me.Fingerprint(), me.image(iteration))
+	return encodeImage(me.Fingerprint(), me.image(iteration)), nil
 }
 
 // RestoreCheckpoint loads a checkpoint image taken over the same graph and

@@ -197,9 +197,5 @@ func AssembleShardImage(g *ir.Graph, s *sched.Schedule, iteration int64, parts [
 			return nil, fmt.Errorf("exec: assemble: edge %s buffers %d items but only %d were ever pushed", e, len(ie.items), pushed)
 		}
 	}
-	var buf sliceBuffer
-	if err := writeImage(&buf, graphFingerprint(g, s), img); err != nil {
-		return nil, err
-	}
-	return buf, nil
+	return encodeImage(graphFingerprint(g, s), img), nil
 }

@@ -209,19 +209,13 @@ func (me *MappedEngine) imbalanced(sample obs.WindowSample) bool {
 }
 
 // replanAssign picks the new node→worker assignment for target workers:
-// the plan-aware measured hook first (partition.ExecPlan.AssignMeasured
-// through core), then the static re-plan hook, then the engine's own
-// measured packing. Any candidate that fails validation (coverage, worker
-// range, stage clusters whole) falls through to the next.
+// the plan-aware Replan hook over the window's measured work per firing
+// (partition.ExecPlan.AssignMeasured through core), or the engine's own
+// measured packing when there is no hook or its answer fails validation
+// (coverage, worker range, stage clusters whole).
 func (me *MappedEngine) replanAssign(target int, sample obs.WindowSample) []int {
-	if me.ReplanMeasured != nil {
-		perFiring := sample.PerFiring(nodeNames(me.G))
-		if a := me.ReplanMeasured(target, perFiring); me.validAssign(a, target) {
-			return a
-		}
-	}
 	if me.Replan != nil {
-		if a := me.Replan(target); me.validAssign(a, target) {
+		if a := me.Replan(target, sample.PerFiring(nodeNames(me.G))); me.validAssign(a, target) {
 			return a
 		}
 	}

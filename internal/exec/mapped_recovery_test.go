@@ -420,7 +420,7 @@ func TestMappedWorkerCrashReplanHook(t *testing.T) {
 		t.Fatal(err)
 	}
 	replanned := 0
-	me.Replan = func(workers int) []int {
+	me.Replan = func(workers int, _ map[string]int64) []int {
 		replanned++
 		out := make([]int, len(g.Nodes))
 		for i := range out {

@@ -42,3 +42,11 @@ func wfuncKernel(name string, peek, pop, push int, scale float64) *wfunc.Kernel 
 	b.WorkBody(body...)
 	return b.Build()
 }
+
+// sliceBuffer is a minimal io.Writer over an owned byte slice.
+type sliceBuffer []byte
+
+func (b *sliceBuffer) Write(p []byte) (int, error) {
+	*b = append(*b, p...)
+	return len(p), nil
+}

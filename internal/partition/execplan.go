@@ -568,24 +568,19 @@ func (t *planWindow) Push(float64) { panic("partition: replica input window is r
 // same greedy packing the simulated mappers use). g2 and s2 must be the
 // flattening and schedule of plan.Program.
 func (p *ExecPlan) Assign(g2 *ir.Graph, s2 *sched.Schedule) []int {
-	return p.AssignN(g2, s2, p.Workers)
+	return p.AssignMeasured(g2, s2, p.Workers, nil)
 }
 
-// AssignN is Assign onto an explicit worker count — the re-planning hook
-// for crash recovery, which packs the same rewritten graph onto the
-// surviving workers without re-running the fusion/fission rewrite (the
-// graph, schedule, and checkpoint fingerprint all stay fixed).
-func (p *ExecPlan) AssignN(g2 *ir.Graph, s2 *sched.Schedule, workers int) []int {
-	return p.AssignMeasured(g2, s2, workers, nil)
-}
-
-// AssignMeasured is AssignN with live measurements: perFiringNS maps
-// rewritten-graph node names (g2 names — fused segments and fission
-// replicas, exactly the profiler's key space on a mapped engine) to
-// measured work per firing in nanoseconds, which overrides the plan's
-// static estimate for the nodes it covers. This is the elastic re-plan
-// entry point: the elaborated graph, its schedule, and therefore the
-// checkpoint fingerprint all stay fixed — only the packing moves.
+// AssignMeasured is Assign onto an explicit worker count, optionally with
+// live measurements — the one re-planning entry point. It packs the same
+// rewritten graph without re-running the fusion/fission rewrite, so the
+// elaborated graph, its schedule, and therefore the checkpoint fingerprint
+// all stay fixed — only the packing moves. Crash recovery calls it with
+// the surviving worker count and a nil map (the plan's static estimates);
+// the elastic controller passes perFiringNS, which maps rewritten-graph
+// node names (g2 names — fused segments and fission replicas, exactly the
+// profiler's key space on a mapped engine) to measured work per firing in
+// nanoseconds and overrides the static estimate for the nodes it covers.
 // Measured weights are rescaled so covered nodes keep the covered set's
 // total static weight, letting measured and estimated nodes pack on one
 // scale (the same discipline as BuildOptions.MeasuredWorkNS).

@@ -16,7 +16,7 @@ import (
 // Worker numbering is global and contiguous per shard: worker w runs on
 // shard w/perShard, so the same assignment drives every shard's engine
 // (each masks its own worker range via Options.LocalWorkers) and the
-// coordinator's bookkeeping. Like AssignN/AssignMeasured this re-packs
+// coordinator's bookkeeping. Like AssignMeasured this re-packs
 // the SAME rewritten graph — the fingerprint never changes, which is what
 // lets crash recovery move a dead shard's partitions onto survivors and
 // restore the last barrier image unchanged.

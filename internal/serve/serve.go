@@ -22,6 +22,7 @@ import (
 	"streamit/internal/core"
 	"streamit/internal/exec"
 	"streamit/internal/ir"
+	"streamit/internal/wire"
 )
 
 // maxBatch caps Config.Batch; it bounds the worker's stack-allocated
@@ -116,6 +117,13 @@ type Server struct {
 	snapshotsTaken   atomic.Int64
 	restoredCount    atomic.Int64
 	lat              latHist
+
+	// snapMu admits one Snapshot sweep at a time: a sweep removes the files
+	// (and killed sweeps' temporaries) it did not itself write.
+	snapMu sync.Mutex
+	// writeFile persists one snapshot file (wire.WriteFile); the snapshot
+	// tests replace it to cut a sweep short.
+	writeFile func(path string, data []byte) error
 }
 
 // program is a named entry in the registry; versions accumulate on reload
@@ -155,6 +163,7 @@ func New(cfg Config) *Server {
 		sessions:          map[uint64]*Session{},
 		tenantIters:       map[string]int64{},
 		tenantQuarantines: map[string]int64{},
+		writeFile:         wire.WriteFile,
 	}
 }
 

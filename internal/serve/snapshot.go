@@ -2,11 +2,9 @@ package serve
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -14,13 +12,18 @@ import (
 	"time"
 
 	"streamit/internal/faults"
+	"streamit/internal/wire"
 )
 
-// Session checkpoint envelope: the engine's fingerprinted image (the PR 5
-// format, byte-portable across backends) wrapped with everything else a
-// session owns — identity, fed-input ring, undrained output, progress
-// counters, and recovery policies — so a restored server resumes exactly
-// where the snapshot cut, bit-identical to a run that never stopped.
+// Session checkpoint envelope: the engine's fingerprinted image (the
+// exec/checkpoint.go format, byte-portable across backends) wrapped with
+// everything else a session owns — identity, fed-input ring, undrained
+// output, progress counters, and recovery policies — so a restored server
+// resumes exactly where the snapshot cut, bit-identical to a run that never
+// stopped. It is a list of internal/wire primitives, in sessImage's field
+// order behind the magic and a u32 version: u64 fingerprint, u64 id, str
+// program/source/tenant/policy spec, bool profile/inited, i64 goal/done,
+// floats input/output, bytes engine image.
 const (
 	sessMagic    = "STRMSESS"
 	sessVersion  = 1
@@ -60,24 +63,23 @@ func (s *Session) Checkpoint(w io.Writer) error {
 	if err := s.eng.WriteCheckpoint(&eng, s.done); err != nil {
 		return err
 	}
-	c := &sessWriter{w: w}
-	c.bytes([]byte(sessMagic))
-	c.u32(sessVersion)
-	c.u64(s.ver.fp)
-	c.u64(s.ID)
-	c.str(s.ver.name)
-	c.str(s.opt.Source)
-	c.str(s.opt.Tenant)
-	c.str(policiesSpec(s.opt.OnError))
-	c.bool(s.opt.Profile)
-	c.bool(s.inited)
-	c.i64(s.goal)
-	c.i64(s.done)
-	c.floats(s.input.items())
-	c.floats(s.output.items())
-	c.u32(uint32(eng.Len()))
-	c.bytes(eng.Bytes())
-	return c.err
+	e := append(wire.Writer(nil), sessMagic...)
+	e.U32(sessVersion)
+	e.U64(s.ver.fp)
+	e.U64(s.ID)
+	e.Str(s.ver.name)
+	e.Str(s.opt.Source)
+	e.Str(s.opt.Tenant)
+	e.Str(policiesSpec(s.opt.OnError))
+	e.Bool(s.opt.Profile)
+	e.Bool(s.inited)
+	e.I64(s.goal)
+	e.I64(s.done)
+	e.Floats(s.input.items())
+	e.Floats(s.output.items())
+	e.Bytes(eng.Bytes())
+	_, err := w.Write(e)
+	return err
 }
 
 // policiesSpec renders recovery policies back into the ParsePolicies spec
@@ -116,70 +118,26 @@ type sessImage struct {
 }
 
 func decodeSession(data []byte) (*sessImage, error) {
-	c := &sessReader{data: data}
-	magic, err := c.take(len(sessMagic))
-	if err != nil {
-		return nil, err
+	r := wire.NewReader("serve: session checkpoint", data)
+	if magic := r.Raw(len(sessMagic)); string(magic) != sessMagic {
+		r.Failf("has a bad magic (not a session checkpoint)")
 	}
-	if string(magic) != sessMagic {
-		return nil, fmt.Errorf("serve: not a session checkpoint (bad magic)")
+	if version := r.U32(); version != sessVersion {
+		r.Failf("version %d not supported (want %d)", version, sessVersion)
 	}
-	version, err := c.u32()
-	if err != nil {
-		return nil, err
+	img := &sessImage{
+		fp: r.U64(), id: r.U64(),
+		program: r.Str(), source: r.Str(), tenant: r.Str(), onError: r.Str(),
+		profile: r.Bool(), inited: r.Bool(),
+		goal: r.I64(), done: r.I64(),
+		input: r.Floats(), output: r.Floats(),
 	}
-	if version != sessVersion {
-		return nil, fmt.Errorf("serve: session checkpoint version %d not supported (want %d)", version, sessVersion)
-	}
-	img := &sessImage{}
-	if img.fp, err = c.u64(); err != nil {
-		return nil, err
-	}
-	if img.id, err = c.u64(); err != nil {
-		return nil, err
-	}
-	if img.program, err = c.str("program name"); err != nil {
-		return nil, err
-	}
-	if img.source, err = c.str("source name"); err != nil {
-		return nil, err
-	}
-	if img.tenant, err = c.str("tenant"); err != nil {
-		return nil, err
-	}
-	if img.onError, err = c.str("policy spec"); err != nil {
-		return nil, err
-	}
-	if img.profile, err = c.bool(); err != nil {
-		return nil, err
-	}
-	if img.inited, err = c.bool(); err != nil {
-		return nil, err
-	}
-	if img.goal, err = c.i64(); err != nil {
-		return nil, err
-	}
-	if img.done, err = c.i64(); err != nil {
-		return nil, err
-	}
-	if img.input, err = c.floats("input ring"); err != nil {
-		return nil, err
-	}
-	if img.output, err = c.floats("output ring"); err != nil {
-		return nil, err
-	}
-	n, err := c.count(1, "engine image")
-	if err != nil {
-		return nil, err
-	}
-	if img.eng, err = c.take(n); err != nil {
-		return nil, err
-	}
-	if c.remaining() != 0 {
-		return nil, fmt.Errorf("serve: %d trailing bytes after session checkpoint", c.remaining())
-	}
+	img.eng = r.Raw(r.Count(1))
 	if img.done < 0 || img.goal < img.done {
-		return nil, fmt.Errorf("serve: session checkpoint progress counters out of range (done %d, goal %d)", img.done, img.goal)
+		r.Failf("progress counters out of range (done %d, goal %d)", img.done, img.goal)
+	}
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return img, nil
 }
@@ -206,9 +164,13 @@ const SnapshotSchema = "streamit-serve-snapshot/v1"
 // Snapshot persists every resident session's checkpoint into dir (one
 // session-<id>.ckpt per session plus a manifest), quiescing each session
 // in turn — the server keeps serving throughout. Quarantined sessions are
-// skipped and counted. Stale session files from an earlier snapshot are
-// removed after the new cut lands, so dir always holds exactly one
-// coherent restore set. An empty dir selects Config.SnapshotDir.
+// skipped and counted. Every file is written under a temporary name and
+// renamed into place, the manifest last, so a sweep killed at any point
+// leaves each session file the complete old or the complete new envelope
+// and the directory restorable. Stale session files from an earlier
+// snapshot, and temporaries a killed sweep left behind, are removed after
+// the new cut lands, so dir always holds exactly one coherent restore set.
+// Sweeps are serialized. An empty dir selects Config.SnapshotDir.
 func (srv *Server) Snapshot(dir string) (SnapshotSummary, error) {
 	if dir == "" {
 		dir = srv.cfg.SnapshotDir
@@ -219,10 +181,15 @@ func (srv *Server) Snapshot(dir string) (SnapshotSummary, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return SnapshotSummary{}, err
 	}
+	srv.snapMu.Lock()
+	defer srv.snapMu.Unlock()
 	stale := map[string]bool{}
-	if old, err := filepath.Glob(filepath.Join(dir, "session-*.ckpt")); err == nil {
-		for _, f := range old {
-			stale[f] = true
+	old, _ := os.ReadDir(dir)
+	for _, f := range old {
+		n := f.Name()
+		if strings.HasPrefix(n, "session-") && strings.HasSuffix(n, ".ckpt") ||
+			strings.HasPrefix(n, ".tmp-session-") || strings.HasPrefix(n, ".tmp-"+manifestName+"-") {
+			stale[filepath.Join(dir, n)] = true
 		}
 	}
 
@@ -244,7 +211,7 @@ func (srv *Server) Snapshot(dir string) (SnapshotSummary, error) {
 		}
 		name := fmt.Sprintf("session-%d.ckpt", s.ID)
 		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		if err := srv.writeFile(path, buf.Bytes()); err != nil {
 			return sum, err
 		}
 		delete(stale, path)
@@ -260,7 +227,7 @@ func (srv *Server) Snapshot(dir string) (SnapshotSummary, error) {
 	if err != nil {
 		return sum, err
 	}
-	if err := os.WriteFile(filepath.Join(dir, manifestName), mb, 0o644); err != nil {
+	if err := srv.writeFile(filepath.Join(dir, manifestName), mb); err != nil {
 		return sum, err
 	}
 	srv.snapshotsTaken.Add(1)
@@ -396,155 +363,4 @@ func (srv *Server) restoreSession(data []byte) error {
 	s.kickLocked() // resume any iterations that were still owed
 	s.mu.Unlock()
 	return nil
-}
-
-// sessWriter serializes the envelope; the first write error sticks.
-type sessWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (c *sessWriter) bytes(b []byte) {
-	if c.err == nil {
-		_, c.err = c.w.Write(b)
-	}
-}
-
-func (c *sessWriter) u8(v byte) { c.bytes([]byte{v}) }
-
-func (c *sessWriter) bool(v bool) {
-	if v {
-		c.u8(1)
-	} else {
-		c.u8(0)
-	}
-}
-
-func (c *sessWriter) u32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	c.bytes(b[:])
-}
-
-func (c *sessWriter) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	c.bytes(b[:])
-}
-
-func (c *sessWriter) i64(v int64)   { c.u64(uint64(v)) }
-func (c *sessWriter) f64(v float64) { c.u64(math.Float64bits(v)) }
-
-func (c *sessWriter) floats(vs []float64) {
-	c.u32(uint32(len(vs)))
-	for _, v := range vs {
-		c.f64(v)
-	}
-}
-
-func (c *sessWriter) str(s string) {
-	c.u32(uint32(len(s)))
-	c.bytes([]byte(s))
-}
-
-// sessReader consumes the envelope with hard bounds checks, mirroring the
-// engine checkpoint decoder: every length is validated against the bytes
-// that actually follow, so corrupt input fails cleanly instead of
-// allocating.
-type sessReader struct {
-	data []byte
-	off  int
-}
-
-func (c *sessReader) remaining() int { return len(c.data) - c.off }
-
-func (c *sessReader) take(n int) ([]byte, error) {
-	if n < 0 || c.remaining() < n {
-		return nil, fmt.Errorf("serve: session checkpoint truncated at offset %d (want %d more bytes, have %d)", c.off, n, c.remaining())
-	}
-	b := c.data[c.off : c.off+n]
-	c.off += n
-	return b, nil
-}
-
-func (c *sessReader) u8() (byte, error) {
-	b, err := c.take(1)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-func (c *sessReader) bool() (bool, error) {
-	v, err := c.u8()
-	if err != nil {
-		return false, err
-	}
-	if v > 1 {
-		return false, fmt.Errorf("serve: session checkpoint flag %d out of range", v)
-	}
-	return v == 1, nil
-}
-
-func (c *sessReader) u32() (uint32, error) {
-	b, err := c.take(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b), nil
-}
-
-func (c *sessReader) u64() (uint64, error) {
-	b, err := c.take(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
-}
-
-func (c *sessReader) i64() (int64, error) {
-	v, err := c.u64()
-	return int64(v), err
-}
-
-func (c *sessReader) f64() (float64, error) {
-	v, err := c.u64()
-	return math.Float64frombits(v), err
-}
-
-// count reads a u32 length and checks it against the bytes that must
-// follow, so a corrupt length cannot trigger a huge allocation.
-func (c *sessReader) count(elemSize int, what string) (int, error) {
-	v, err := c.u32()
-	if err != nil {
-		return 0, err
-	}
-	n := int(v)
-	if n*elemSize > c.remaining() {
-		return 0, fmt.Errorf("serve: session checkpoint %s count %d exceeds remaining data", what, n)
-	}
-	return n, nil
-}
-
-func (c *sessReader) floats(what string) ([]float64, error) {
-	n, err := c.count(8, what)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, n)
-	for i := range out {
-		if out[i], err = c.f64(); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-func (c *sessReader) str(what string) (string, error) {
-	n, err := c.count(1, what)
-	if err != nil {
-		return "", err
-	}
-	b, err := c.take(n)
-	return string(b), err
 }

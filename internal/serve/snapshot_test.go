@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"streamit/internal/apps"
 	"streamit/internal/faults"
 	"streamit/internal/ir"
+	"streamit/internal/wire"
 )
 
 // restartCycle snapshots srv to dir, closes it (the "kill"), builds a new
@@ -343,6 +345,107 @@ func TestSnapshotStaleFileRemoval(t *testing.T) {
 	}
 }
 
+// TestSnapshotInterrupted: a sweep cut short after k of n files — the k-th
+// write dies with half its bytes in a temporary file, as a kill would leave
+// it — must leave every session file the complete old or the complete new
+// envelope, the old manifest in place, and all n sessions restorable.
+func TestSnapshotInterrupted(t *testing.T) {
+	const n = 5
+	for k := 1; k <= n+1; k++ { // the n+1st write is the manifest
+		t.Run(fmt.Sprintf("fail-write-%d", k), func(t *testing.T) {
+			dir := t.TempDir()
+			srv := newTestServer(t, Config{Workers: 2})
+			loadTest(t, srv, "t", 2.0)
+			var sessions []*Session
+			advance := func(to int64) {
+				t.Helper()
+				for _, s := range sessions {
+					done, _ := s.Progress()
+					if err := s.Run(int(to - done)); err != nil {
+						t.Fatalf("Run: %v", err)
+					}
+					if err := s.WaitDone(to, 5*time.Second); err != nil {
+						t.Fatalf("WaitDone: %v", err)
+					}
+				}
+			}
+			for i := 0; i < n; i++ {
+				s, err := srv.NewSession(SessionOptions{Program: "t"})
+				if err != nil {
+					t.Fatalf("NewSession: %v", err)
+				}
+				sessions = append(sessions, s)
+			}
+			advance(3)
+			if _, err := srv.Snapshot(dir); err != nil {
+				t.Fatalf("first Snapshot: %v", err)
+			}
+			oldManifest, err := os.ReadFile(filepath.Join(dir, manifestName))
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			advance(7)
+			writes := 0
+			srv.writeFile = func(path string, data []byte) error {
+				if writes++; writes == k {
+					tmp := filepath.Join(filepath.Dir(path), ".tmp-"+filepath.Base(path)+"-killed")
+					if err := os.WriteFile(tmp, data[:len(data)/2], 0o644); err != nil {
+						t.Errorf("writing the torn temporary: %v", err)
+					}
+					return errors.New("killed mid-write")
+				}
+				return wire.WriteFile(path, data)
+			}
+			if _, err := srv.Snapshot(dir); err == nil {
+				t.Fatal("interrupted Snapshot reported success")
+			}
+
+			files, _ := filepath.Glob(filepath.Join(dir, "session-*.ckpt"))
+			if len(files) != n {
+				t.Fatalf("%d session files after the interrupted sweep, want %d: %v", len(files), n, files)
+			}
+			sort.Strings(files)
+			for i, f := range files {
+				data, err := os.ReadFile(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				img, err := decodeSession(data)
+				if err != nil {
+					t.Fatalf("%s is torn: %v", filepath.Base(f), err)
+				}
+				want := int64(3) // not reached by the sweep: the old cut
+				if i < k-1 {
+					want = 7
+				}
+				if img.done != want {
+					t.Fatalf("%s holds iteration %d, want %d (file %d of a sweep cut at write %d)", filepath.Base(f), img.done, want, i+1, k)
+				}
+			}
+			if man, err := os.ReadFile(filepath.Join(dir, manifestName)); err != nil || !bytes.Equal(man, oldManifest) {
+				t.Fatalf("manifest changed by an interrupted sweep (%v)", err)
+			}
+
+			srv2 := newTestServer(t, Config{Workers: 2})
+			loadTest(t, srv2, "t", 2.0)
+			rs, err := srv2.Restore(dir)
+			if err != nil || rs.Restored != n || len(rs.Failed) != 0 {
+				t.Fatalf("Restore after the interrupted sweep: restored %d, failed %v, err %v", rs.Restored, rs.Failed, err)
+			}
+
+			// The next complete sweep removes the killed one's temporary.
+			srv.writeFile = wire.WriteFile
+			if _, err := srv.Snapshot(dir); err != nil {
+				t.Fatalf("Snapshot after the interrupted sweep: %v", err)
+			}
+			if left, _ := filepath.Glob(filepath.Join(dir, ".tmp-*")); len(left) != 0 {
+				t.Fatalf("temporaries survive a complete sweep: %v", left)
+			}
+		})
+	}
+}
+
 // TestDecodeSessionTruncation fuzzes the envelope decoder with every
 // truncation prefix and a corrupted header: each must produce an error —
 // never a panic, never a silently half-restored session.
@@ -384,6 +487,46 @@ func TestDecodeSessionTruncation(t *testing.T) {
 	if _, err := decodeSession(bad); err == nil {
 		t.Fatal("corrupted magic accepted")
 	}
+}
+
+// FuzzDecodeSession drives the envelope decoder, and the restore path
+// behind it, with arbitrary bytes: reject with an error or restore a
+// session, never panic, and never size anything by a count the data does
+// not back.
+func FuzzDecodeSession(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "session_fmradio.ckpt"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	f.Add([]byte{})
+	f.Add([]byte(sessMagic))
+	f.Add(golden[:len(golden)/2])
+	for _, off := range []int{8, 12, 28, 33, 0x56, 0x58, 0x68, 0x84, 0xa2, len(golden) - 1} {
+		mut := append([]byte(nil), golden...)
+		mut[off] ^= 0xff
+		f.Add(mut)
+	}
+	srv := New(Config{Workers: 1})
+	f.Cleanup(srv.Close)
+	if _, err := srv.LoadProgram("radio", apps.FMRadio(2, 8)); err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		img, err := decodeSession(data)
+		if err != nil {
+			return
+		}
+		if 8*(len(img.input)+len(img.output))+len(img.eng) > len(data) {
+			t.Fatalf("decoded %d+%d floats and a %d-byte image from %d bytes", len(img.input), len(img.output), len(img.eng), len(data))
+		}
+		if img.done < 0 || img.goal < img.done {
+			t.Fatalf("accepted progress counters done %d, goal %d", img.done, img.goal)
+		}
+		if srv.restoreSession(data) == nil {
+			srv.Session(img.id).Close()
+		}
+	})
 }
 
 // TestRestoreOnBootDir: Config.SnapshotDir is the implicit target for both

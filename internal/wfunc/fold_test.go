@@ -1,6 +1,7 @@
 package wfunc
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -108,17 +109,33 @@ func TestQuickFoldPreservesEval(t *testing.T) {
 		e := gen(rng, 5)
 		locals := []float64{float64(rng.Intn(7) - 3), float64(rng.Intn(7) - 3), float64(rng.Intn(7) - 3)}
 		env := &Env{locals: append([]float64(nil), locals...)}
+		var finite func(e Expr) bool
+		finite = func(e Expr) bool {
+			v, err := eval(e, env)
+			if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+				return false
+			}
+			switch x := e.(type) {
+			case *Unary:
+				return finite(x.X)
+			case *Binary:
+				return finite(x.A) && finite(x.B)
+			}
+			return true
+		}
 		before, err1 := eval(e, env)
+		allFinite := finite(e) // before folding, which rewrites e in place
 		folded := FoldExpr(e)
 		after, err2 := eval(folded, env)
 		if err1 != nil || err2 != nil {
 			return err1 != nil && err2 != nil
 		}
 		// Division by zero yields NaN/Inf; the documented x*0 -> 0 liberty
-		// means folding may turn such values finite. Accept any folded
-		// result when the original is not finite; otherwise require exact
-		// agreement (NaN is impossible here by construction).
-		if before != before || before > 1e308 || before < -1e308 {
+		// means folding may turn such values finite, and a comparison or a
+		// min/max above them can hide that from the final value. So the
+		// property is claimed only for trees every sub-expression of which
+		// is finite; for those, require exact agreement.
+		if !allFinite {
 			return true
 		}
 		if before != after {
@@ -127,7 +144,8 @@ func TestQuickFoldPreservesEval(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+	// A fixed source keeps go test ./... deterministic.
+	if err := quick.Check(f, &quick.Config{MaxCount: 400, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }
