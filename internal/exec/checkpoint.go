@@ -92,8 +92,9 @@ func graphFingerprint(g *ir.Graph, s *sched.Schedule) uint64 {
 	return h.Sum64()
 }
 
-// Fingerprint hashes the engine's graph and schedule structure.
-func (e *Engine) Fingerprint() uint64 { return graphFingerprint(e.G, e.Sch) }
+// Fingerprint is the hash of the engine's graph and schedule structure,
+// computed once when its Shared bundle was built.
+func (e *Engine) Fingerprint() uint64 { return e.fp }
 
 // GraphFingerprint hashes a graph and schedule structure — the identity
 // under which checkpoints restore, compiled-program caches key, and the
@@ -129,12 +130,19 @@ func (s *ckptSWP) done(id int) int64 {
 
 type ckptNode struct {
 	fired int64
-	state *wfunc.State // nil for stateless nodes
+	// state is what an engine writing an image lends it (nil for stateless
+	// nodes); reading one decodes straight into the engine's states instead.
+	state *wfunc.State
 }
 
+// ckptEdge is one edge's counters and buffered items. An engine writing an
+// image lends its own buffers instead of copying them — more is the stretch
+// that follows items there (a ring's wrapped part, a queue's unflushed
+// staging residue) — so such an image must be encoded before the engine
+// runs again. A decoded image has everything in items.
 type ckptEdge struct {
 	pushed, popped int64
-	items          []float64
+	items, more    []float64
 }
 
 // WriteNodeState appends one node's state section, `u8 has | floats
@@ -166,13 +174,24 @@ func ReadNodeState(r *wire.Reader) *wfunc.State {
 	return st
 }
 
-// encodeImage serializes an image under the given graph fingerprint.
-func encodeImage(fp uint64, img *ckptImage) []byte {
+// spare is the free space w lends a caller that is about to Write to it (a
+// bytes.Buffer and a bufio.Writer do): a reused buffer then takes an image
+// without an allocation or a copy. It is nil for any other writer.
+func spare(w io.Writer) []byte {
+	if sb, ok := w.(interface{ AvailableBuffer() []byte }); ok {
+		return sb.AvailableBuffer()
+	}
+	return nil
+}
+
+// encodeImage serializes an image under the given graph fingerprint,
+// appending to dst[:0] when that has the room.
+func encodeImage(dst []byte, fp uint64, img *ckptImage) []byte {
 	// Size the buffer for everything but pending messages and the trailer,
 	// so a typical image is one allocation instead of a doubling series.
 	size := 64 + 32*len(img.nodes) + 24*len(img.edges)
 	for _, e := range img.edges {
-		size += 8 * len(e.items)
+		size += 8 * (len(e.items) + len(e.more))
 	}
 	for _, n := range img.nodes {
 		if n.state != nil {
@@ -182,7 +201,11 @@ func encodeImage(fp uint64, img *ckptImage) []byte {
 			}
 		}
 	}
-	w := append(make(wire.Writer, 0, size), checkpointMagic...)
+	w := wire.Writer(dst[:0])
+	if cap(w) < size {
+		w = make(wire.Writer, 0, size)
+	}
+	w = append(w, checkpointMagic...)
 	w.U32(checkpointVersion)
 	w.U64(fp)
 	w.I64(img.iteration)
@@ -196,7 +219,9 @@ func encodeImage(fp uint64, img *ckptImage) []byte {
 	for _, e := range img.edges {
 		w.I64(e.pushed)
 		w.I64(e.popped)
-		w.Floats(e.items)
+		w.Count(len(e.items) + len(e.more))
+		w.F64s(e.items)
+		w.F64s(e.more)
 	}
 	for _, msgs := range img.pending {
 		w.Count(len(msgs))
@@ -222,12 +247,40 @@ func encodeImage(fp uint64, img *ckptImage) []byte {
 	return w
 }
 
-// readImage decodes and validates a checkpoint against the expected graph
-// fingerprint. Structural invariants (edge counters vs. buffered items,
-// flag ranges, no trailing bytes) are enforced here; graph-shape checks
-// (node/edge counts, state field sizes) happen when an engine applies the
-// image, since only the engine knows its graph.
-func readImage(data []byte, wantFP uint64) (*ckptImage, error) {
+// readNodeState decodes the section WriteNodeState wrote straight into
+// have, the state the engine holds for node name (nil for a node without
+// one), checking the shapes as it goes: field state is most of an image, and
+// this way a restore allocates nothing for it.
+func readNodeState(r *wire.Reader, name string, have *wfunc.State) {
+	if r.Bool() != (have != nil) {
+		r.Failf("state presence mismatch on node %s", name)
+	}
+	if have == nil || r.Err() != nil {
+		return
+	}
+	if n := r.Count(8); n != len(have.Scalars) {
+		r.Failf("has %d scalar fields for node %s, which has %d", n, name, len(have.Scalars))
+	}
+	r.F64s(have.Scalars)
+	if n := r.Count(4); n != len(have.Arrays) {
+		r.Failf("has %d array fields for node %s, which has %d", n, name, len(have.Arrays))
+	}
+	for k, a := range have.Arrays {
+		if n := r.Count(8); n != len(a) {
+			r.Failf("array field %d of node %s has size %d, checkpoint has %d", k, name, len(a), n)
+		}
+		r.F64s(a)
+	}
+}
+
+// readImage decodes a checkpoint into the engine that calls it: node i's
+// field state goes directly into the state node(i) returns with the node's
+// name, everything else into the returned image for the engine to validate
+// against its graph and install. The fingerprint, the node count, state
+// shapes and structural invariants (edge counters vs. buffered items, flag
+// ranges, no trailing bytes) are enforced here. After an error the states
+// handed out may hold part of the image.
+func readImage(data []byte, wantFP uint64, numNodes int, node func(i int) (string, *wfunc.State)) (*ckptImage, error) {
 	r := wire.NewReader("exec: checkpoint", data)
 	if magic := r.Raw(len(checkpointMagic)); string(magic) != checkpointMagic {
 		r.Failf("has a bad magic (not a checkpoint image)")
@@ -239,9 +292,17 @@ func readImage(data []byte, wantFP uint64) (*ckptImage, error) {
 		r.Failf("fingerprint %016x does not match this program (%016x); was it taken from a different graph or schedule?", fp, wantFP)
 	}
 	img := &ckptImage{iteration: r.I64(), firings: r.I64()}
-	img.nodes = make([]ckptNode, r.Count(9)) // i64 fired + u8 hasState minimum
+	if n := r.Count(9); n != numNodes { // i64 fired + u8 hasState minimum
+		r.Failf("has %d nodes, engine has %d", n, numNodes)
+	}
+	img.nodes = make([]ckptNode, numNodes)
 	for i := range img.nodes {
-		img.nodes[i] = ckptNode{fired: r.I64(), state: ReadNodeState(r)}
+		if r.Err() != nil {
+			break
+		}
+		img.nodes[i].fired = r.I64()
+		name, have := node(i)
+		readNodeState(r, name, have)
 	}
 	img.edges = make([]ckptEdge, r.Count(20)) // i64+i64+u32 minimum
 	for i := range img.edges {
@@ -295,30 +356,6 @@ func readSWP(r *wire.Reader, numNodes int) *ckptSWP {
 	return sw
 }
 
-// checkNodeState validates one node's checkpointed field state against the
-// shape the engine holds for it. Every engine runs it over all nodes before
-// it installs anything from the image.
-func checkNodeState(name string, have, in *wfunc.State) error {
-	if (in != nil) != (have != nil) {
-		return fmt.Errorf("exec: checkpoint state presence mismatch on node %s", name)
-	}
-	if in == nil {
-		return nil
-	}
-	if len(in.Scalars) != len(have.Scalars) {
-		return fmt.Errorf("exec: node %s has %d scalar fields, checkpoint has %d", name, len(have.Scalars), len(in.Scalars))
-	}
-	if len(in.Arrays) != len(have.Arrays) {
-		return fmt.Errorf("exec: node %s has %d array fields, checkpoint has %d", name, len(have.Arrays), len(in.Arrays))
-	}
-	for k := range in.Arrays {
-		if len(in.Arrays[k]) != len(have.Arrays[k]) {
-			return fmt.Errorf("exec: node %s array field %d has size %d, checkpoint has %d", name, k, len(have.Arrays[k]), len(in.Arrays[k]))
-		}
-	}
-	return nil
-}
-
 // WriteCheckpoint serializes the engine's execution state. iteration is
 // the caller's steady-state position (how many iterations have run), so a
 // resuming process knows how many remain.
@@ -334,13 +371,13 @@ func (e *Engine) WriteCheckpoint(w io.Writer, iteration int64) error {
 		img.nodes[i] = ckptNode{fired: rt.fired, state: rt.state}
 	}
 	for i, ch := range e.chans {
-		items := make([]float64, ch.Len())
-		for k := range items {
-			items[k] = ch.Peek(k)
-		}
-		img.edges[i] = ckptEdge{pushed: ch.pushed, popped: ch.popped, items: items}
+		// The ring's content is the stretch from head to the end of the
+		// buffer, then whatever wrapped around to its start.
+		first := min(ch.count, len(ch.buf)-ch.head)
+		img.edges[i] = ckptEdge{pushed: ch.pushed, popped: ch.popped,
+			items: ch.buf[ch.head : ch.head+first], more: ch.buf[:ch.count-first]}
 	}
-	_, err := w.Write(encodeImage(e.Fingerprint(), img))
+	_, err := w.Write(encodeImage(spare(w), e.fp, img))
 	return err
 }
 
@@ -350,34 +387,20 @@ func (e *Engine) WriteCheckpoint(w io.Writer, iteration int64) error {
 // must be freshly constructed or otherwise disposable: on error the
 // engine's state is unspecified and it must not be run.
 func (e *Engine) RestoreCheckpoint(data []byte) (int64, error) {
-	img, err := readImage(data, e.Fingerprint())
+	img, err := readImage(data, e.fp, len(e.nodes), func(i int) (string, *wfunc.State) {
+		return e.nodes[i].node.Name, e.nodes[i].state
+	})
 	if err != nil {
 		return 0, err
 	}
 	if img.swp != nil {
 		return 0, fmt.Errorf("exec: checkpoint is a stage-skewed software-pipelining barrier; only a pipelined mapped engine can resume it")
 	}
-	if len(img.nodes) != len(e.nodes) {
-		return 0, fmt.Errorf("exec: checkpoint has %d nodes, engine has %d", len(img.nodes), len(e.nodes))
-	}
 	if len(img.edges) != len(e.chans) {
 		return 0, fmt.Errorf("exec: checkpoint has %d edges, engine has %d", len(img.edges), len(e.chans))
 	}
 	for i, rt := range e.nodes {
-		if err := checkNodeState(rt.node.Name, rt.state, img.nodes[i].state); err != nil {
-			return 0, err
-		}
-	}
-	for i, rt := range e.nodes {
-		in := img.nodes[i]
-		rt.fired = in.fired
-		if in.state != nil {
-			rt.state.Scalars = in.state.Scalars
-			rt.state.Arrays = in.state.Arrays
-			if rt.runner != nil {
-				rt.runner.setState(rt.state)
-			}
-		}
+		rt.fired = img.nodes[i].fired
 	}
 	for i, ie := range img.edges {
 		// Refill the existing ring: tape wrappers hold pointers to it.

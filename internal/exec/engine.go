@@ -20,6 +20,8 @@ type Engine struct {
 
 	chans []*channel
 	nodes []*nodeRT
+	// fp is the graph fingerprint every image is written and checked under.
+	fp uint64
 
 	// teleport holds the pending messages and latency constraints, and
 	// delivers on the paper's timing rules around each firing.

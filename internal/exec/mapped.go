@@ -140,6 +140,8 @@ type MappedEngine struct {
 	initFired  []int64
 	initPushed []int64
 	lastImg    []byte
+	// fp is the graph fingerprint every image is written and checked under.
+	fp uint64
 
 	// prof and rec are the observability hooks; nil when disabled.
 	prof *obs.Profiler
@@ -217,7 +219,7 @@ func NewMappedOpts(g *ir.Graph, s *sched.Schedule, assign []int, workers int, op
 	if opts.CheckpointEvery < 0 {
 		return nil, fmt.Errorf("exec: checkpoint interval %d out of range (want >= 0 iterations)", opts.CheckpointEvery)
 	}
-	me := &MappedEngine{G: g, Sch: s, Backend: opts.Backend, Workers: workers,
+	me := &MappedEngine{G: g, Sch: s, fp: graphFingerprint(g, s), Backend: opts.Backend, Workers: workers,
 		Assign: append([]int(nil), assign...), Depth: depth,
 		Watchdog: opts.Watchdog, CheckpointEvery: opts.CheckpointEvery, rec: opts.Trace}
 	if opts.LocalWorkers != nil {
@@ -513,7 +515,8 @@ func (me *MappedEngine) driveTo(end int64) error {
 
 // snapshot records the coordinated checkpoint at the current barrier.
 func (me *MappedEngine) snapshot() error {
-	img, err := me.checkpoint(me.iter)
+	// The previous rollback target is dead once this one exists: write over it.
+	img, err := me.checkpoint(me.lastImg, me.iter)
 	if err != nil {
 		return err
 	}

@@ -6,6 +6,7 @@ import (
 
 	"streamit/internal/ir"
 	"streamit/internal/sched"
+	"streamit/internal/wfunc"
 )
 
 // Mapped checkpoints reuse the sequential engine's image format over the
@@ -36,9 +37,10 @@ import (
 // uniform, and so is every image of a zero-skew plan: those interchange
 // with the sequential engine.
 
-// Fingerprint hashes the engine's graph and schedule structure; it equals
-// the sequential engine's fingerprint over the same graph and schedule.
-func (me *MappedEngine) Fingerprint() uint64 { return graphFingerprint(me.G, me.Sch) }
+// Fingerprint is the hash of the engine's graph and schedule structure,
+// computed once at construction; it equals the sequential engine's
+// fingerprint over the same graph and schedule.
+func (me *MappedEngine) Fingerprint() uint64 { return me.fp }
 
 // initCounts derives the post-initialization firing totals (per node) and
 // push totals (per edge) from the schedule. These let checkpoints be
@@ -55,19 +57,25 @@ func initCounts(g *ir.Graph, s *sched.Schedule) (fired, pushed []int64) {
 	return fired, pushed
 }
 
-// edgeItems copies an edge's buffered content at a barrier: the consumer
-// queue, then any unflushed staging residue (the newest stretch of the
-// edge's content).
-func (me *MappedEngine) edgeItems(e *ir.Edge) []float64 {
+// edgeContent is an edge's buffered content at a barrier, in the engine's
+// own buffers: the consumer queue, then any unflushed staging residue (the
+// newest stretch of the edge's content).
+func (me *MappedEngine) edgeContent(e *ir.Edge) (queued, staged []float64) {
 	q := me.queues[e.ID]
-	items := append([]float64(nil), q.buf[q.head:]...)
 	if st := me.stage[e.ID]; st != nil {
-		items = append(items, st.buf[st.head:]...)
+		staged = st.buf[st.head:]
 	}
-	return items
+	return q.buf[q.head:], staged
 }
 
-// image captures the engine-neutral checkpoint at the current barrier.
+// edgeItems copies an edge's buffered content at a barrier.
+func (me *MappedEngine) edgeItems(e *ir.Edge) []float64 {
+	queued, staged := me.edgeContent(e)
+	return append(append(make([]float64, 0, len(queued)+len(staged)), queued...), staged...)
+}
+
+// image captures the engine-neutral checkpoint at the current barrier. Its
+// edges lend the engine's queues: encode it before the engine runs again.
 func (me *MappedEngine) image(iteration int64) *ckptImage {
 	sw := me.swp
 	img := &ckptImage{
@@ -92,10 +100,11 @@ func (me *MappedEngine) image(iteration int64) *ckptImage {
 		img.firings += rt.fired
 	}
 	for _, e := range me.G.Edges {
-		items := me.edgeItems(e)
+		queued, staged := me.edgeContent(e)
 		pushed := me.initPushed[e.ID] +
 			(me.nodes[e.Src.ID].fired-me.initFired[e.Src.ID])*int64(e.Src.PushPort(e.SrcPort))
-		img.edges[e.ID] = ckptEdge{pushed: pushed, popped: pushed - int64(len(items)), items: items}
+		img.edges[e.ID] = ckptEdge{pushed: pushed, popped: pushed - int64(len(queued)+len(staged)),
+			items: queued, more: staged}
 	}
 	for i := range sw.pending {
 		img.pending[i] = append([]*message(nil), sw.pending[i]...)
@@ -109,7 +118,7 @@ func (me *MappedEngine) image(iteration int64) *ckptImage {
 // plans the recorded iteration is derived from the cycle position (retired
 // iterations), superseding the argument.
 func (me *MappedEngine) WriteCheckpoint(w io.Writer, iteration int64) error {
-	img, err := me.checkpoint(iteration)
+	img, err := me.checkpoint(spare(w), iteration)
 	if err != nil {
 		return err
 	}
@@ -117,8 +126,9 @@ func (me *MappedEngine) WriteCheckpoint(w io.Writer, iteration int64) error {
 	return err
 }
 
-// checkpoint is WriteCheckpoint into a fresh slice.
-func (me *MappedEngine) checkpoint(iteration int64) ([]byte, error) {
+// checkpoint is WriteCheckpoint into dst[:0] when that has the room, into a
+// fresh slice otherwise.
+func (me *MappedEngine) checkpoint(dst []byte, iteration int64) ([]byte, error) {
 	if !me.ready {
 		return nil, fmt.Errorf("exec: mapped engine has no state to checkpoint; run it (or restore into it) first")
 	}
@@ -128,7 +138,7 @@ func (me *MappedEngine) checkpoint(iteration int64) ([]byte, error) {
 		// shards' ExportShard slices instead.
 		return nil, fmt.Errorf("exec: a sharded engine holds only its local partitions' state; use ExportShard + AssembleShardImage")
 	}
-	return encodeImage(me.Fingerprint(), me.image(iteration)), nil
+	return encodeImage(dst, me.fp, me.image(iteration)), nil
 }
 
 // RestoreCheckpoint loads a checkpoint image taken over the same graph and
@@ -143,20 +153,21 @@ func (me *MappedEngine) RestoreCheckpoint(data []byte) (int64, error) {
 	if err := me.applyImage(data); err != nil {
 		return 0, err
 	}
-	me.lastImg = append([]byte(nil), data...)
+	// Like setup, a restore leaves no rollback target: a drive that needs
+	// one takes its own snapshot before its first epoch.
+	me.lastImg = nil
 	return me.swp.base + me.swp.completed(me.iter), nil
 }
 
 // applyImage decodes, validates, and installs a checkpoint image.
 func (me *MappedEngine) applyImage(data []byte) error {
-	img, err := readImage(data, me.Fingerprint())
+	img, err := readImage(data, me.fp, len(me.nodes), func(i int) (string, *wfunc.State) {
+		return me.nodes[i].node.Name, me.nodes[i].state
+	})
 	if err != nil {
 		return err
 	}
 	sw := me.swp
-	if len(img.nodes) != len(me.nodes) {
-		return fmt.Errorf("exec: checkpoint has %d nodes, engine has %d", len(img.nodes), len(me.nodes))
-	}
 	if len(img.edges) != len(me.G.Edges) {
 		return fmt.Errorf("exec: checkpoint has %d edges, engine has %d", len(img.edges), len(me.G.Edges))
 	}
@@ -181,12 +192,10 @@ func (me *MappedEngine) applyImage(data []byte) error {
 			return fmt.Errorf("exec: checkpoint carries pending teleport messages for node %d, but this graph has no messaging", i)
 		}
 	}
-	// Validate shapes and invariants fully before mutating anything.
+	// Field states are already in place (readImage decoded them there);
+	// validate every counter before touching anything else.
 	for i, rt := range me.nodes {
 		in := img.nodes[i]
-		if err := checkNodeState(rt.node.Name, rt.state, in.state); err != nil {
-			return err
-		}
 		if in.fired < me.initFired[i] {
 			return fmt.Errorf("exec: checkpoint fired count %d of node %s below its initialization count %d", in.fired, rt.node.Name, me.initFired[i])
 		}
@@ -222,21 +231,17 @@ func (me *MappedEngine) applyImage(data []byte) error {
 		}
 	}
 	for i, rt := range me.nodes {
-		in := img.nodes[i]
-		rt.fired = in.fired
-		if in.state != nil {
-			rt.state.Scalars = in.state.Scalars
-			rt.state.Arrays = in.state.Arrays
-		}
+		rt.fired = img.nodes[i].fired
 	}
 	for _, e := range me.G.Edges {
 		ie := img.edges[e.ID]
 		split := len(ie.items) - staged[e.ID]
+		// Refill the queues in place: they keep the capacity they grew to.
 		q := me.queues[e.ID]
-		q.buf = append([]float64(nil), ie.items[:split]...)
+		q.buf = append(q.buf[:0], ie.items[:split]...)
 		q.head = 0
 		if st := me.stage[e.ID]; st != nil {
-			st.buf = append([]float64(nil), ie.items[split:]...)
+			st.buf = append(st.buf[:0], ie.items[split:]...)
 			st.head = 0
 		}
 		if ch := me.chans[e.ID]; ch != nil {

@@ -197,5 +197,5 @@ func AssembleShardImage(g *ir.Graph, s *sched.Schedule, iteration int64, parts [
 			return nil, fmt.Errorf("exec: assemble: edge %s buffers %d items but only %d were ever pushed", e, len(ie.items), pushed)
 		}
 	}
-	return encodeImage(graphFingerprint(g, s), img), nil
+	return encodeImage(nil, graphFingerprint(g, s), img), nil
 }

@@ -27,6 +27,9 @@ type Shared struct {
 	// uses (the VM programs are compiled at bundle build time).
 	Backend Backend
 
+	// fp is the graph fingerprint, hashed once for every engine stamped
+	// from this bundle.
+	fp uint64
 	// progs[n.ID] is the node's compiled VM program; nil when the node is
 	// not a filter, the backend is the interpreter, or compilation fell
 	// back. Programs are immutable and shared by every engine's Machines.
@@ -56,6 +59,7 @@ func NewShared(g *ir.Graph, s *sched.Schedule, backend Backend) (*Shared, error)
 		G:       g,
 		Sch:     s,
 		Backend: backend,
+		fp:      graphFingerprint(g, s),
 		progs:   make([]*vm.Program, len(g.Nodes)),
 		protos:  make([]*wfunc.State, len(g.Nodes)),
 		sends:   make([]bool, len(g.Nodes)),
@@ -108,9 +112,9 @@ func NewShared(g *ir.Graph, s *sched.Schedule, backend Backend) (*Shared, error)
 	return sh, nil
 }
 
-// Fingerprint hashes the bundle's graph and schedule structure; it equals
-// the fingerprint of every engine built from this Shared.
-func (sh *Shared) Fingerprint() uint64 { return graphFingerprint(sh.G, sh.Sch) }
+// Fingerprint is the hash of the bundle's graph and schedule structure; it
+// equals the fingerprint of every engine built from this Shared.
+func (sh *Shared) Fingerprint() uint64 { return sh.fp }
 
 // NewEngine stamps out one engine instance from the shared artifacts.
 // Construction is allocation-light: tape rings at their schedule high-water
@@ -123,6 +127,7 @@ func (sh *Shared) NewEngine(opts Options) (*Engine, error) {
 		G:       sh.G,
 		Sch:     sh.Sch,
 		Backend: sh.Backend,
+		fp:      sh.fp,
 		chans:   make([]*channel, len(sh.G.Edges)),
 		nodes:   make([]*nodeRT, len(sh.G.Nodes)),
 		dynamic: sh.dynamic,

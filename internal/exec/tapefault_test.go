@@ -142,75 +142,37 @@ func TestSliceQueueCompact(t *testing.T) {
 	}
 }
 
-// fusedFaultProgram builds src -> fuse(a, b) -> sink and returns the error
-// from running it sequentially.
-func fusedFaultProgram(t *testing.T, a, b *ir.Filter, sinkPop int) error {
-	t.Helper()
-	fused, err := fuse.Pipeline("fault", a, b)
-	if err != nil {
-		t.Fatalf("fusion itself failed: %v", err)
-	}
-	prog := &ir.Program{Name: "ff", Top: ir.Pipe("main",
-		RampSource("src"), fused, NullSink("snk", sinkPop),
-	)}
-	e, err := New(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e.Run(2)
-}
-
-// TestFusedInterTapeUnderflowIsExecError: a pure native producer that
-// pushes fewer items than declared starves the fused intermediate buffer;
-// the consumer's pop must surface as an ExecError naming the fuse tape.
-func TestFusedInterTapeUnderflowIsExecError(t *testing.T) {
-	a := lyingFilter("alie", 2, 1)
-	a.Pure = true
-	kb := wfunc.NewKernel("b", 2, 2, 1)
-	kb.WorkBody(wfunc.Push1(wfunc.AddX(wfunc.PopE(), wfunc.PopE())))
-	b := &ir.Filter{Kernel: kb.Build(), In: ir.TypeFloat, Out: ir.TypeFloat}
-
-	err := fusedFaultProgram(t, a, b, 1)
-	if err == nil {
-		t.Fatal("expected an intermediate-tape underflow error")
-	}
-	var ee *ExecError
-	if !errors.As(err, &ee) {
-		t.Fatalf("want *ExecError, got %T: %v", err, err)
-	}
-	if !strings.Contains(ee.Err.Error(), "fuse: intermediate") {
-		t.Fatalf("want a fuse intermediate-tape fault, got %v", ee)
-	}
-}
-
-// TestFusedWindowOverreadIsExecError: a pure native producer peeking past
-// its declared window trips the window-tape bound instead of reading
-// items the schedule never guaranteed.
-func TestFusedWindowOverreadIsExecError(t *testing.T) {
-	ka := wfunc.NewKernel("wlie", 1, 1, 1)
-	ka.WorkBody(wfunc.Pop1(), wfunc.Push1(wfunc.C(0)))
-	a := &ir.Filter{
-		Kernel: ka.Build(),
-		In:     ir.TypeFloat,
-		Out:    ir.TypeFloat,
-		Pure:   true,
-		WorkFn: func(in, out wfunc.Tape, state *wfunc.State) {
-			out.Push(in.Peek(10)) // far past the declared 1-item window
-		},
-	}
-	kb := wfunc.NewKernel("b", 1, 1, 1)
-	kb.WorkBody(wfunc.Push1(wfunc.PopE()))
-	b := &ir.Filter{Kernel: kb.Build(), In: ir.TypeFloat, Out: ir.TypeFloat}
-
-	err := fusedFaultProgram(t, a, b, 1)
-	if err == nil {
-		t.Fatal("expected a window over-read error")
-	}
-	var ee *ExecError
-	if !errors.As(err, &ee) {
-		t.Fatalf("want *ExecError, got %T: %v", err, err)
-	}
-	if !strings.Contains(ee.Err.Error(), "fuse: window") {
-		t.Fatalf("want a fuse window-tape fault, got %v", ee)
+// TestFusedNodeRunsOnSelectedBackend: a fused filter is an IL kernel like
+// any other, so the engine runs it on the backend it was given — a
+// vm.Machine under BackendVM, an interpreter frame under BackendInterp.
+func TestFusedNodeRunsOnSelectedBackend(t *testing.T) {
+	for _, backend := range []Backend{BackendVM, BackendInterp} {
+		gain := func(name string) *ir.Filter {
+			b := wfunc.NewKernel(name, 1, 1, 1)
+			b.WorkBody(wfunc.Push1(wfunc.MulX(wfunc.PopE(), wfunc.C(2))))
+			return &ir.Filter{Kernel: b.Build(), In: ir.TypeFloat, Out: ir.TypeFloat}
+		}
+		fused, err := fuse.Chain("a+b", gain("a"), gain("b"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fused.WorkFn != nil {
+			t.Fatal("fused filter carries a native work function")
+		}
+		e, err := NewBackend(&ir.Program{Name: "fb", Top: ir.Pipe("main",
+			RampSource("src"), fused, NullSink("snk", 1))}, backend)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Run(4); err != nil {
+			t.Fatal(err)
+		}
+		r := e.nodes[e.G.FilterNode[fused].ID].runner
+		if r == nil {
+			t.Fatalf("%s: fused node has no work runner", backend)
+		}
+		if onVM := r.mach != nil; onVM != (backend == BackendVM) {
+			t.Fatalf("%s: fused node runs on the VM = %v", backend, onVM)
+		}
 	}
 }

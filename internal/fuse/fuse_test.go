@@ -1,8 +1,10 @@
 package fuse
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -11,8 +13,22 @@ import (
 	"streamit/internal/wfunc"
 )
 
+func filterOf(b *wfunc.KernelBuilder) *ir.Filter {
+	return &ir.Filter{Kernel: b.Build(), In: ir.TypeFloat, Out: ir.TypeFloat}
+}
+
+// popN unrolls n pops, as the apps' small filters do.
+func popN(n int) []wfunc.Stmt {
+	var body []wfunc.Stmt
+	for j := 0; j < n; j++ {
+		body = append(body, wfunc.Pop1())
+	}
+	return body
+}
+
 // mkStateless builds a stateless filter: each output is a scaled window
-// sum plus the output index.
+// sum plus the output index. The sum is never initialised, so the body
+// relies on locals starting every firing at zero.
 func mkStateless(name string, peek, pop, push int, scale float64) *ir.Filter {
 	b := wfunc.NewKernel(name, peek, pop, push)
 	i := b.Local("i")
@@ -23,11 +39,8 @@ func mkStateless(name string, peek, pop, push int, scale float64) *ir.Filter {
 	for j := 0; j < push; j++ {
 		body = append(body, wfunc.Push1(wfunc.AddX(wfunc.MulX(s, wfunc.C(scale)), wfunc.Ci(j))))
 	}
-	for j := 0; j < pop; j++ {
-		body = append(body, wfunc.Pop1())
-	}
-	b.WorkBody(body...)
-	return &ir.Filter{Kernel: b.Build(), In: ir.TypeFloat, Out: ir.TypeFloat}
+	b.WorkBody(append(body, popN(pop)...)...)
+	return filterOf(b)
 }
 
 // mkStateful builds a consumer with persistent state: a running sum over
@@ -44,11 +57,88 @@ func mkStateful(name string, peek, pop, push int) *ir.Filter {
 	for j := 0; j < push; j++ {
 		body = append(body, wfunc.Push1(wfunc.AddX(acc, wfunc.Ci(j))))
 	}
-	for j := 0; j < pop; j++ {
-		body = append(body, wfunc.Pop1())
+	b.WorkBody(append(body, popN(pop)...)...)
+	return filterOf(b)
+}
+
+// mkHorner pops inside a loop and inside expressions, and pushes inside a
+// loop: both cursors of a fused edge have to move with the iterations.
+func mkHorner(name string, pop, push int) *ir.Filter {
+	b := wfunc.NewKernel(name, pop, pop, push)
+	i := b.Local("i")
+	x := b.Local("x")
+	b.WorkBody(
+		wfunc.ForUp(i, wfunc.Ci(0), wfunc.Ci(pop),
+			wfunc.Set(x, wfunc.SubX(wfunc.MulX(x, wfunc.C(0.5)), wfunc.PopE()))),
+		wfunc.ForUp(i, wfunc.Ci(0), wfunc.Ci(push),
+			wfunc.Push1(wfunc.AddX(x, wfunc.MulX(i, wfunc.C(0.125))))),
+	)
+	return filterOf(b)
+}
+
+// mkBranchy pops in an if condition and in both arms, pushes a difference
+// of two pops evaluated in one expression (order matters), breaks out of a
+// loop between two pops, and reads a peek behind a pop in one statement.
+func mkBranchy(name string, pop, push int) *ir.Filter {
+	b := wfunc.NewKernel(name, pop, pop, push)
+	i := b.Local("i")
+	u := b.Local("u")
+	w := b.FieldArray("w", 4)
+	b.InitBody(wfunc.ForUp(i, wfunc.Ci(0), wfunc.Ci(4),
+		wfunc.SetFIdx(w, i, wfunc.AddX(wfunc.MulX(i, wfunc.C(0.25)), wfunc.C(1)))))
+	var body []wfunc.Stmt
+	rest := pop - 1
+	then := []wfunc.Stmt{wfunc.Set(u, wfunc.C(1))}
+	els := []wfunc.Stmt{wfunc.Set(u, wfunc.C(-1))}
+	if rest >= 2 {
+		then = append(then, wfunc.Set(u, wfunc.SubX(wfunc.PopE(), wfunc.PopE())))
+		els = append(els, wfunc.Set(u, wfunc.AddX(wfunc.MulX(wfunc.PopE(), wfunc.C(3)), wfunc.PeekE(0))), wfunc.Pop1())
+		rest -= 2
+	}
+	body = append(body, wfunc.IfElse(wfunc.Bin(wfunc.Gt, wfunc.Bin(wfunc.Mod, wfunc.PopE(), wfunc.C(3)), wfunc.C(0)), then, els))
+	if rest > 0 {
+		// The break fires on the last iteration, behind its pop: the cursor
+		// update pending at that point has to happen on that path too.
+		body = append(body, wfunc.ForUp(i, wfunc.Ci(0), wfunc.Ci(rest),
+			wfunc.Set(u, wfunc.AddX(u, wfunc.PopE())),
+			wfunc.IfS(wfunc.Bin(wfunc.Ge, i, wfunc.Ci(rest-1)), &wfunc.Break{})))
+	}
+	for j := 0; j < push; j++ {
+		body = append(body, wfunc.Push1(wfunc.MulX(u, wfunc.FIdx(w, wfunc.Ci(j%4)))))
 	}
 	b.WorkBody(body...)
-	return &ir.Filter{Kernel: b.Build(), In: ir.TypeFloat, Out: ir.TypeFloat}
+	return filterOf(b)
+}
+
+// mkScratch accumulates into a local array it never clears and indexes its
+// input with computed peeks.
+func mkScratch(name string, pop, push int) *ir.Filter {
+	b := wfunc.NewKernel(name, pop, pop, push)
+	i := b.Local("i")
+	a := b.LocalArray("a", pop)
+	b.WorkBody(
+		wfunc.ForUp(i, wfunc.Ci(0), wfunc.Ci(pop),
+			wfunc.SetLIdx(a, i, wfunc.AddX(wfunc.LIdx(a, i), wfunc.PeekX(wfunc.SubX(wfunc.Ci(pop-1), i))))),
+		wfunc.ForUp(i, wfunc.Ci(0), wfunc.Ci(push),
+			wfunc.Push1(wfunc.SubX(wfunc.LIdx(a, wfunc.Bin(wfunc.Mod, i, wfunc.Ci(pop))), i))),
+		wfunc.ForUp(i, wfunc.Ci(0), wfunc.Ci(pop), wfunc.Pop1()),
+	)
+	return filterOf(b)
+}
+
+// mkGather pushes once per iteration of a loop that starts at one and
+// gathers from computed peeks, then drops its input in a loop of bare pops
+// — the shape of the cipher suites' permutations.
+func mkGather(name string, pop, push int) *ir.Filter {
+	b := wfunc.NewKernel(name, pop, pop, push)
+	i := b.Local("i")
+	b.WorkBody(
+		&wfunc.For{Var: i.Idx, From: wfunc.Ci(1), To: wfunc.Ci(push), Body: []wfunc.Stmt{
+			wfunc.Push1(wfunc.SubX(wfunc.PeekX(wfunc.Bin(wfunc.Mod, wfunc.MulX(i, wfunc.Ci(3)), wfunc.Ci(pop))), i))}},
+		wfunc.ForUp(i, wfunc.Ci(0), wfunc.Ci(pop), wfunc.Pop1()),
+		wfunc.Push1(i), // the loop variable's value behind the dropped loop
+	)
+	return filterOf(b)
 }
 
 func ramp(name string) *ir.Filter {
@@ -62,8 +152,8 @@ func ramp(name string) *ir.Filter {
 }
 
 // TestConcurrentFusion fuses independent pipelines from concurrent
-// goroutines: purity now lives on the fused filters themselves, so
-// parallel compiles must share no mutable state (run under -race).
+// goroutines: fusion keeps no state outside the kernels it returns, so
+// parallel compiles must share nothing mutable (run under -race).
 func TestConcurrentFusion(t *testing.T) {
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -74,22 +164,13 @@ func TestConcurrentFusion(t *testing.T) {
 				a := mkStateless("a", 2, 1, 2, 0.5)
 				b := mkStateless("b", 2, 2, 1, 2)
 				c := mkStateful("c", 1, 1, 1)
-				ab, err := Pipeline("ab", a, b)
+				abc, err := Chain("abc", a, b, c)
 				if err != nil {
 					t.Errorf("worker %d: %v", w, err)
 					return
 				}
-				if !ab.Pure {
-					t.Errorf("worker %d: fused stateless pair not marked pure", w)
-					return
-				}
-				abc, err := Pipeline("abc", ab, c)
-				if err != nil {
-					t.Errorf("worker %d: refusing pure fused producer: %v", w, err)
-					return
-				}
-				if abc.Pure {
-					t.Errorf("worker %d: stateful-consumer fusion marked pure", w)
+				if abc.WorkFn != nil || !wfunc.WritesFields(abc.Kernel.Work) {
+					t.Errorf("worker %d: fused filter is not a stateful IL kernel", w)
 					return
 				}
 			}
@@ -98,149 +179,265 @@ func TestConcurrentFusion(t *testing.T) {
 	wg.Wait()
 }
 
-func outputsOf(t *testing.T, mid []ir.Stream, iters int) []float64 {
+func outputsOn(t *testing.T, backend exec.Backend, mid []ir.Stream, iters int) []float64 {
 	t.Helper()
 	snk, got := exec.SliceSink("snk")
 	children := append([]ir.Stream{ramp("src")}, mid...)
 	children = append(children, snk)
 	prog := &ir.Program{Name: "t", Top: ir.Pipe("main", children...)}
-	out, err := exec.RunCollect(prog, iters, got)
+	e, err := exec.NewBackend(prog, backend)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out
+	if err := e.Run(iters); err != nil {
+		t.Fatal(err)
+	}
+	return *got
+}
+
+func outputsOf(t *testing.T, mid []ir.Stream, iters int) []float64 {
+	t.Helper()
+	return outputsOn(t, exec.BackendVM, mid, iters)
+}
+
+// wantSameBits compares the common prefix of two output streams bit for
+// bit and insists it is long enough to mean something.
+func wantSameBits(t *testing.T, what string, plain, fused []float64, atLeast int) {
+	t.Helper()
+	n := min(len(plain), len(fused))
+	if n < atLeast {
+		t.Fatalf("%s: too few outputs to compare: %d", what, n)
+	}
+	for i := 0; i < n; i++ {
+		if math.Float64bits(plain[i]) != math.Float64bits(fused[i]) {
+			t.Fatalf("%s: output %d differs: pipeline %v, fused %v", what, i, plain[i], fused[i])
+		}
+	}
+}
+
+// wantFusedMatches runs the unfused pipeline on the interpreter and the
+// fused filter on both backends.
+func wantFusedMatches(t *testing.T, what string, mk func() []*ir.Filter) {
+	t.Helper()
+	var mid []ir.Stream
+	for _, f := range mk() {
+		mid = append(mid, f)
+	}
+	plain := outputsOn(t, exec.BackendInterp, mid, 64)
+	for _, backend := range []exec.Backend{exec.BackendVM, exec.BackendInterp} {
+		fused, err := Chain("fused", mk()...)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		wantSameBits(t, fmt.Sprintf("%s on %s", what, backend), plain,
+			outputsOn(t, backend, []ir.Stream{fused}, 64), 16)
+	}
+}
+
+// wantPeekRule asserts err is the refusal that names the paper's rule.
+func wantPeekRule(t *testing.T, err error) {
+	t.Helper()
+	if err == nil || !strings.Contains(err.Error(), "may head a chain but never joins one") {
+		t.Fatalf("want the peeking-filter rule, got %v", err)
+	}
 }
 
 // TestFusedMatchesPipeline: fusion preserves outputs for rate-changing,
-// peeking, and stateful-consumer combinations.
+// peeking-head, and stateful-tail combinations, and refuses a peeking
+// consumer.
 func TestFusedMatchesPipeline(t *testing.T) {
 	cases := []struct {
-		name string
-		a, b func() *ir.Filter
+		name    string
+		a, b    func() *ir.Filter
+		refused bool
 	}{
 		{"simple", func() *ir.Filter { return mkStateless("A", 1, 1, 1, 2) },
-			func() *ir.Filter { return mkStateless("B", 1, 1, 1, 3) }},
+			func() *ir.Filter { return mkStateless("B", 1, 1, 1, 3) }, false},
 		{"rate-change", func() *ir.Filter { return mkStateless("A", 2, 2, 3, 0.5) },
-			func() *ir.Filter { return mkStateless("B", 2, 2, 1, 1.5) }},
+			func() *ir.Filter { return mkStateless("B", 2, 2, 1, 1.5) }, false},
 		{"peeking-consumer", func() *ir.Filter { return mkStateless("A", 1, 1, 1, 1) },
-			func() *ir.Filter { return mkStateless("B", 5, 1, 1, 0.25) }},
+			func() *ir.Filter { return mkStateless("B", 5, 1, 1, 0.25) }, true},
 		{"peeking-producer", func() *ir.Filter { return mkStateless("A", 4, 2, 1, 1) },
-			func() *ir.Filter { return mkStateless("B", 1, 1, 2, 2) }},
+			func() *ir.Filter { return mkStateless("B", 1, 1, 2, 2) }, false},
 		{"stateful-consumer", func() *ir.Filter { return mkStateless("A", 1, 1, 2, 1) },
-			func() *ir.Filter { return mkStateful("B", 3, 2, 1) }},
+			func() *ir.Filter { return mkStateful("B", 2, 2, 1) }, false},
 	}
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			plain := outputsOf(t, []ir.Stream{c.a(), c.b()}, 64)
-			fused, err := Pipeline("fused", c.a(), c.b())
-			if err != nil {
-				t.Fatal(err)
+			if c.refused {
+				_, err := Chain("fused", c.a(), c.b())
+				wantPeekRule(t, err)
+				return
 			}
-			fusedOut := outputsOf(t, []ir.Stream{fused}, 64)
-			n := min(len(plain), len(fusedOut))
-			if n < 16 {
-				t.Fatalf("too few outputs: %d", n)
-			}
-			for i := 0; i < n; i++ {
-				if math.Abs(plain[i]-fusedOut[i]) > 1e-9 {
-					t.Fatalf("output %d differs: pipeline %v, fused %v", i, plain[i], fusedOut[i])
-				}
-			}
+			wantFusedMatches(t, c.name, func() []*ir.Filter { return []*ir.Filter{c.a(), c.b()} })
 		})
 	}
 }
 
-// TestFuseRandomized: random rate combinations preserve semantics.
-func TestFuseRandomized(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 30; trial++ {
-		aPop := rng.Intn(3) + 1
-		aPush := rng.Intn(3) + 1
-		aPeek := aPop + rng.Intn(3)
-		bPop := rng.Intn(3) + 1
-		bPush := rng.Intn(3) + 1
-		bPeek := bPop + rng.Intn(4)
-		mk := func() (*ir.Filter, *ir.Filter) {
-			return mkStateless("A", aPeek, aPop, aPush, 0.5),
-				mkStateful("B", bPeek, bPop, bPush)
-		}
-		a1, b1 := mk()
-		plain := outputsOf(t, []ir.Stream{a1, b1}, 48)
-		a2, b2 := mk()
-		fused, err := Pipeline("fused", a2, b2)
-		if err != nil {
-			t.Fatalf("trial %d (a:%d/%d/%d b:%d/%d/%d): %v", trial, aPeek, aPop, aPush, bPeek, bPop, bPush, err)
-		}
-		fusedOut := outputsOf(t, []ir.Stream{fused}, 48)
-		n := min(len(plain), len(fusedOut))
-		if n < 8 {
-			t.Fatalf("trial %d: too few outputs", trial)
-		}
-		for i := 0; i < n; i++ {
-			if math.Abs(plain[i]-fusedOut[i]) > 1e-9 {
-				t.Fatalf("trial %d output %d: pipeline %v, fused %v", trial, i, plain[i], fusedOut[i])
-			}
-		}
+// TestChainTable: the n-ary shapes the planner produces — a peeking head
+// with a rate-changing middle and a stateful tail, every body style, and a
+// head that fires several times inside one fused firing.
+func TestChainTable(t *testing.T) {
+	cases := map[string]func() []*ir.Filter{
+		"fir-head": func() []*ir.Filter {
+			return []*ir.Filter{mkStateless("A", 7, 1, 1, 0.5), mkHorner("B", 2, 3), mkBranchy("C", 3, 2), mkStateful("D", 1, 1, 1)}
+		},
+		"3:2 then 2:3": func() []*ir.Filter {
+			return []*ir.Filter{mkHorner("A", 3, 2), mkScratch("B", 2, 3), mkGather("C", 3, 2), mkStateless("D", 1, 1, 1, 3)}
+		},
+		"peeking head fires thrice": func() []*ir.Filter {
+			return []*ir.Filter{mkStateless("A", 5, 2, 1, 1), mkBranchy("B", 3, 3), mkScratch("C", 3, 1)}
+		},
+		"six stages": func() []*ir.Filter {
+			return []*ir.Filter{mkBranchy("A", 1, 2), mkScratch("B", 4, 3), mkHorner("C", 1, 1),
+				mkStateless("D", 2, 2, 3, 0.25), mkBranchy("E", 4, 1), mkStateful("F", 3, 3, 2)}
+		},
+	}
+	for name, mk := range cases {
+		mk := mk
+		t.Run(name, func(t *testing.T) { wantFusedMatches(t, name, mk) })
 	}
 }
 
-// TestFuseRejections: stateful producers, handlers, and dynamic rates are
-// rejected with clear errors.
-func TestFuseRejections(t *testing.T) {
-	stateful := mkStateful("S", 1, 1, 1)
-	plain := mkStateless("P", 1, 1, 1, 1)
-	if _, err := Pipeline("x", stateful, plain); err == nil {
-		t.Error("stateful producer should be rejected")
+// TestChainEdgesTakeTurns: the frame of a chain does not grow with its
+// length — internal edges alternate between two local arrays, each as large
+// as the largest edge it hosts (a 96-stage Serpent segment with an array
+// per edge zeroed and streamed through 97 KB every firing).
+func TestChainEdgesTakeTurns(t *testing.T) {
+	// Edge sizes in one fused firing: 6, 6, 4, 4, 2.
+	fused, err := Chain("x", mkHorner("A", 1, 6), mkHorner("B", 1, 1), mkHorner("C", 3, 2),
+		mkHorner("D", 1, 1), mkHorner("E", 2, 1), mkHorner("F", 1, 1))
+	if err != nil {
+		t.Fatal(err)
 	}
+	if got := fused.Kernel.Work.ArraySizes; len(got) != 2 || got[0] != 6 || got[1] != 6 {
+		t.Errorf("local arrays %v, want the two edge arrays [6 6]", got)
+	}
+}
+
+// TestFuseRandomized: seeded random chains of 2-6 kernels over the rate
+// pairs 1:1, 2:3 and 3:2 (and their mixes), any body style in any place, a
+// peeking head and a stateful tail now and then.
+func TestFuseRandomized(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	rates := [][2]int{{1, 1}, {2, 3}, {3, 2}, {1, 2}, {4, 1}}
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + rng.Intn(5)
+		type spec struct{ style, peek, pop, push int }
+		specs := make([]spec, n)
+		var desc []string
+		for i := range specs {
+			r := rates[rng.Intn(len(rates))]
+			s := spec{style: rng.Intn(5), peek: r[0], pop: r[0], push: r[1]}
+			if i == 0 && rng.Intn(2) == 0 {
+				s.style, s.peek = 0, s.pop+1+rng.Intn(4)
+			}
+			if i == n-1 && rng.Intn(3) == 0 {
+				s.style = 5
+			}
+			specs[i] = s
+			desc = append(desc, fmt.Sprintf("%d:%d/%d/%d", s.style, s.peek, s.pop, s.push))
+		}
+		mk := func() []*ir.Filter {
+			fs := make([]*ir.Filter, n)
+			for i, s := range specs {
+				name := fmt.Sprintf("K%d", i)
+				switch s.style {
+				case 0:
+					fs[i] = mkStateless(name, s.peek, s.pop, s.push, 0.5)
+				case 1:
+					fs[i] = mkHorner(name, s.pop, s.push)
+				case 2:
+					fs[i] = mkBranchy(name, s.pop, s.push)
+				case 3:
+					fs[i] = mkScratch(name, s.pop, s.push)
+				case 4:
+					fs[i] = mkGather(name, s.pop, s.push)
+				case 5:
+					fs[i] = mkStateful(name, s.pop, s.pop, s.push)
+				}
+			}
+			return fs
+		}
+		wantFusedMatches(t, fmt.Sprintf("trial %d (%s)", trial, strings.Join(desc, " ")), mk)
+	}
+}
+
+// TestFuseRejections: a peeking non-head, a stateful producer, handlers,
+// senders, dynamic rates, native bodies and misplaced pops are refused
+// with errors that say why.
+func TestFuseRejections(t *testing.T) {
+	plain := func() *ir.Filter { return mkStateless("P", 1, 1, 1, 1) }
+	refused := func(what, want string, fs ...*ir.Filter) {
+		t.Helper()
+		_, err := Chain("x", fs...)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: want an error containing %q, got %v", what, want, err)
+		}
+	}
+	refused("stateful producer", "only the last stage", mkStateful("S", 1, 1, 1), plain())
+	refused("peeking third stage", "may head a chain but never joins one", plain(), plain(), mkStateless("B", 3, 1, 1, 1))
+
 	dynB := wfunc.NewKernel("dyn", 1, 1, 1)
 	dynB.Dynamic()
 	dynB.WorkBody(wfunc.Push1(wfunc.PopE()))
-	dyn := &ir.Filter{Kernel: dynB.Build(), In: ir.TypeFloat, Out: ir.TypeFloat}
-	if _, err := Pipeline("x", plain, dyn); err == nil {
-		t.Error("dynamic consumer should be rejected")
+	refused("dynamic consumer", "dynamic rates", plain(), filterOf(dynB))
+
+	hb := wfunc.NewKernel("h", 1, 1, 1)
+	hb.WorkBody(wfunc.Push1(wfunc.PopE()))
+	hb.Handler("set", 0)
+	refused("handler", "message handlers", filterOf(hb), plain())
+
+	sb := wfunc.NewKernel("s", 1, 1, 1)
+	sb.WorkBody(wfunc.Push1(wfunc.PopE()), &wfunc.Send{Portal: 0, Handler: "set", BestEffort: true})
+	refused("sender", "sends messages", plain(), filterOf(sb))
+
+	native := plain()
+	native.WorkFn = func(in, out wfunc.Tape, _ *wfunc.State) { out.Push(in.Pop()) }
+	refused("native", "native filter", native, plain())
+
+	cb := wfunc.NewKernel("c", 2, 2, 1)
+	cb.WorkBody(wfunc.Push1(&wfunc.Cond{C: wfunc.PopE(), A: wfunc.PopE(), B: wfunc.PopE()}))
+	refused("conditional pop", "a conditional arm", plain(), mkStateless("U", 1, 1, 2, 1), filterOf(cb))
+	// The same body reads the real tape when it heads the chain.
+	if _, err := Chain("x", filterOf(cb), plain()); err != nil {
+		t.Errorf("conditional pops in the head stage: %v", err)
 	}
+
+	refused("single filter", "at least two", plain())
 }
 
-// TestFusePipelineStream coarsens a whole pipeline and preserves output.
+// TestFusePipelineStream coarsens a whole pipeline: the peeking third
+// filter starts a chain of its own, and the output is unchanged.
 func TestFusePipelineStream(t *testing.T) {
 	mk := func() []ir.Stream {
 		return []ir.Stream{
 			mkStateless("A", 1, 1, 2, 0.5),
 			mkStateless("B", 2, 2, 1, 2),
 			mkStateless("C", 3, 1, 1, 0.25),
+			mkStateless("D", 1, 1, 1, 4),
 		}
 	}
 	plain := outputsOf(t, mk(), 48)
-	p := ir.Pipe("mid", mk()...)
-	fp := FusePipelineStream(p)
-	if len(fp.Children) != 1 {
-		t.Fatalf("expected full coarsening to 1 filter, got %d", len(fp.Children))
+	fp := FusePipelineStream(ir.Pipe("mid", mk()...))
+	var names []string
+	for _, c := range fp.Children {
+		names = append(names, c.StreamName())
 	}
-	fusedOut := outputsOf(t, []ir.Stream{fp}, 48)
-	n := min(len(plain), len(fusedOut))
-	for i := 0; i < n; i++ {
-		if math.Abs(plain[i]-fusedOut[i]) > 1e-9 {
-			t.Fatalf("output %d: %v vs %v", i, plain[i], fusedOut[i])
-		}
+	if got := strings.Join(names, " "); got != "A+B C+D" {
+		t.Fatalf("coarsened pipeline is %q, want \"A+B C+D\"", got)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	wantSameBits(t, "coarsened pipeline", plain, outputsOf(t, []ir.Stream{fp}, 48), 16)
 }
 
 // BenchmarkFusionOverhead compares a three-filter pipeline against its
-// fully fused form: fusion removes per-firing engine and channel overhead
-// at the cost of re-deriving peek history.
+// fully fused form: fusion removes per-firing engine and channel overhead.
 func BenchmarkFusionOverhead(b *testing.B) {
 	mk := func() []ir.Stream {
 		return []ir.Stream{
-			mkStateless("A", 1, 1, 1, 0.5),
-			mkStateless("B", 3, 1, 1, 2),
+			mkStateless("A", 3, 1, 1, 0.5),
+			mkStateless("B", 1, 1, 1, 2),
 			mkStateless("C", 1, 1, 1, 0.25),
 		}
 	}

@@ -43,13 +43,6 @@ type Filter struct {
 	// analysis; the kernel still declares rates, and its IL (if any) is
 	// used for work estimation.
 	WorkFn func(in, out wfunc.Tape, state *wfunc.State)
-
-	// Pure marks a native (WorkFn) filter whose output is a pure function
-	// of its input window — no state carried across firings. The fusion
-	// and fission transforms set it on the filters they synthesize so they
-	// can legally compose further; IL filters are analyzed structurally
-	// and ignore it.
-	Pure bool
 }
 
 // StreamName implements Stream.

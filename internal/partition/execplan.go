@@ -149,8 +149,8 @@ type planBuilder struct {
 
 // transformable reports whether f may participate in fusion/fission: a
 // static-rate, data-carrying, stateless IL filter without messaging. Native
-// filters are excluded even when marked Pure — their closures may not be
-// reentrant, so they cannot be replicated or re-driven by the fused runner.
+// filters are excluded: their closures have no IL to fuse and may not be
+// reentrant, so they cannot be replicated either.
 func (b *planBuilder) transformable(f *ir.Filter) bool {
 	k := f.Kernel
 	if f.WorkFn != nil || k.Dynamic || len(k.Handlers) > 0 {
@@ -318,35 +318,25 @@ func (b *planBuilder) fineFactor(f *ir.Filter) int {
 	return b.workers
 }
 
-// segment splits a run at boundaries where fusion fails (probed on
-// throwaway copies so the originals stay untouched).
+// segment cuts a run into fusable stretches: the paper's coarsening fuses
+// neighbours only while the result stays stateless, so a filter that peeks
+// beyond its pop rate may head a segment and never joins one.
 func (b *planBuilder) segment(run []*ir.Filter) [][]*ir.Filter {
-	var segs [][]*ir.Filter
-	cur := []*ir.Filter{run[0]}
-	probe := ir.Stream(copyFilter(run[0], ""))
-	for _, f := range run[1:] {
-		var fused *ir.Filter
-		var err error
-		if pf, ok := probe.(*ir.Filter); ok {
-			fused, err = fuse.Pipeline("probe", pf, copyFilter(f, ""))
+	segs := [][]*ir.Filter{{run[0]}}
+	for i, f := range run[1:] {
+		if fuse.CanFollow(run[i], f) != nil {
+			segs = append(segs, nil)
 		}
-		if err != nil || fused == nil {
-			segs = append(segs, cur)
-			cur = []*ir.Filter{f}
-			probe = copyFilter(f, "")
-			continue
-		}
-		probe = fused
-		cur = append(cur, f)
+		segs[len(segs)-1] = append(segs[len(segs)-1], f)
 	}
-	return append(segs, cur)
+	return segs
 }
 
 // rewriteSegment emits the executable form of one fusable segment with
 // fission factor k: the original filter (len 1, k==1), a single fused
-// filter (k==1), or a scatter/replicas/gather split-join (k>1). Replicas
-// are built from fresh copies so no kernel state or fused closure is
-// shared between them.
+// filter (k==1), or a scatter/replicas/gather split-join (k>1). Every
+// filter it synthesizes is plain IL; replicas are fresh Filter and Kernel
+// values sharing immutable bodies.
 func (b *planBuilder) rewriteSegment(seg []*ir.Filter, k int) (ir.Stream, error) {
 	var segWork int64
 	for _, f := range seg {
@@ -356,75 +346,43 @@ func (b *planBuilder) rewriteSegment(seg []*ir.Filter, k int) (ir.Stream, error)
 	// converting segment work to per-firing work of the fused result.
 	inItems := b.reps(seg[0]) * int64(seg[0].Kernel.Pop)
 
-	if k <= 1 {
-		if len(seg) == 1 {
-			return seg[0], nil
-		}
-		fused, err := foldFuse(seg)
-		if err != nil {
-			return nil, err
-		}
-		b.plan.Fused += len(seg) - 1
-		b.plan.Work[fused] = perFiring(segWork, int64(fused.Kernel.Pop), inItems)
-		return fused, nil
-	}
-
-	name := segName(seg)
-	replicas := make([]*ir.Filter, k)
-	for r := 0; r < k; r++ {
-		copies := make([]*ir.Filter, len(seg))
-		for i, f := range seg {
-			copies[i] = copyFilter(f, "")
-		}
-		var rep *ir.Filter
-		if len(copies) == 1 {
-			rep = copies[0]
-		} else {
-			var err error
-			rep, err = foldFuse(copies)
-			if err != nil {
-				return nil, err
-			}
-		}
-		rep.Kernel.Name = fmt.Sprintf("%s/f%d", name, r)
-		replicas[r] = rep
-	}
+	whole := seg[0]
 	if len(seg) > 1 {
-		b.plan.Fused += len(seg) - 1
-	}
-	b.plan.Replicas += k
-
-	kr := replicas[0].Kernel
-	P, U, E := kr.Pop, kr.Push, kr.Peek-kr.Pop
-	wPop := make([]int, k)
-	wPush := make([]int, k)
-	for r := range wPop {
-		wPop[r], wPush[r] = P, U
-	}
-	pf := perFiring(segWork, int64(P), inItems)
-	if E == 0 {
-		// Round-robin scatter of each replica's pop quantum; ordered
-		// round-robin gather restores the original output order (replica r
-		// handles original firings r, r+k, r+2k, ...).
-		for _, rep := range replicas {
-			b.plan.Work[rep] = pf
-		}
-		return ir.SJ(name+"_fiss", ir.RoundRobin(wPop...), ir.RoundRobin(wPush...), filterStreams(replicas)...), nil
-	}
-	// Peeking fission: every replica sees the whole stream (duplicate
-	// splitter) and runs one constituent firing per k·P consumed items,
-	// reading its slice through an offset window — PGraph.fiss's duplicated
-	// peek margin, made executable.
-	wrapped := make([]*ir.Filter, k)
-	for r, rep := range replicas {
-		w, err := wrapPeekingReplica(rep, r, k)
-		if err != nil {
+		var err error
+		if whole, err = fuse.Chain(fuse.Name(seg), seg...); err != nil {
 			return nil, err
 		}
-		b.plan.Work[w] = pf
-		wrapped[r] = w
+		b.plan.Fused += len(seg) - 1
 	}
-	return ir.SJ(name+"_fiss", ir.Duplicate(), ir.RoundRobin(wPush...), filterStreams(wrapped)...), nil
+	kw := whole.Kernel
+	P, U, E := kw.Pop, kw.Push, kw.Peek-kw.Pop
+	pf := perFiring(segWork, int64(P), inItems)
+	if k <= 1 {
+		if len(seg) > 1 {
+			b.plan.Work[whole] = pf
+		}
+		return whole, nil
+	}
+
+	b.plan.Replicas += k
+	replicas := make([]ir.Stream, k)
+	wPush := make([]int, k)
+	wPop := make([]int, k)
+	for r := range replicas {
+		rep := replica(whole, r, k)
+		rep.Kernel.Name = fmt.Sprintf("%s/f%d", kw.Name, r)
+		b.plan.Work[rep] = pf
+		replicas[r], wPop[r], wPush[r] = rep, P, U
+	}
+	// Ordered round-robin gather restores the original output order: replica
+	// r handles original firings r, r+k, r+2k, ...
+	split := ir.RoundRobin(wPop...)
+	if E > 0 {
+		// Peeking fission: every replica sees the whole stream — PGraph.fiss's
+		// duplicated peek margin, made executable.
+		split = ir.Duplicate()
+	}
+	return ir.SJ(kw.Name+"_fiss", split, ir.RoundRobin(wPush...), replicas...), nil
 }
 
 // perFiring converts segment work per original steady iteration into
@@ -441,127 +399,43 @@ func perFiring(work, pop, inItems int64) int64 {
 	return w
 }
 
-func segName(seg []*ir.Filter) string {
-	name := seg[0].Kernel.Name
-	for _, f := range seg[1:] {
-		name += "+" + f.Kernel.Name
-	}
-	return name
-}
-
-func filterStreams(fs []*ir.Filter) []ir.Stream {
-	out := make([]ir.Stream, len(fs))
-	for i, f := range fs {
-		out[i] = f
-	}
-	return out
-}
-
 // copyFilter clones an IL filter for use as a fission replica: a fresh
 // Filter and Kernel value (flattening requires single appearance) sharing
 // the immutable IL bodies; per-instance state is created by the engines.
-func copyFilter(f *ir.Filter, tag string) *ir.Filter {
+func copyFilter(f *ir.Filter) *ir.Filter {
 	k := *f.Kernel
-	k.Name = f.Kernel.Name + tag
-	return &ir.Filter{Kernel: &k, In: f.In, Out: f.Out, Pure: f.Pure}
+	return &ir.Filter{Kernel: &k, In: f.In, Out: f.Out}
 }
 
-// foldFuse fuses a segment left to right into one filter.
-func foldFuse(seg []*ir.Filter) (*ir.Filter, error) {
-	acc := seg[0]
-	for _, f := range seg[1:] {
-		fused, err := fuse.Pipeline(acc.Kernel.Name+"+"+f.Kernel.Name, acc, f)
-		if err != nil {
-			return nil, err
+// replica builds replica r of k of filter f. Behind a round-robin splitter
+// (f does not peek beyond its pop rate) that is a plain copy. Behind a
+// duplicate splitter every replica sees the whole stream and owns every
+// k-th firing: it consumes k·P items per firing with the same E extra of
+// peek margin, and runs f's own work body between r·P leading and (k-1-r)·P
+// trailing pops — peeks are relative to the read position, so the leading
+// pops shift the window for free, and replica r's j-th firing reproduces
+// original firing j·k+r exactly.
+func replica(f *ir.Filter, r, k int) *ir.Filter {
+	rep := copyFilter(f)
+	kr := rep.Kernel
+	P, E := kr.Pop, kr.Peek-kr.Pop
+	if E == 0 {
+		return rep
+	}
+	work := *kr.Work
+	skip := &wfunc.LocalRef{Idx: work.NumLocals}
+	work.NumLocals++
+	pops := func(n int) []wfunc.Stmt {
+		if n == 0 {
+			return nil
 		}
-		acc = fused
+		return []wfunc.Stmt{wfunc.ForUp(skip, wfunc.Ci(0), wfunc.Ci(n), wfunc.Pop1())}
 	}
-	return acc, nil
+	work.Body = append(append(pops(r*P), work.Body...), pops((k-1-r)*P)...)
+	kr.Work = &work
+	kr.Pop, kr.Peek = k*P, k*P+E
+	return rep
 }
-
-// wrapPeekingReplica builds replica r of k for a peeking filter: a native
-// filter consuming k·P items per firing with a peek margin of E extra,
-// running the inner filter once over the window starting at r·P. The
-// duplicate splitter delivers the full stream to every replica, so replica
-// r's j-th firing reproduces original firing j·k+r exactly.
-func wrapPeekingReplica(inner *ir.Filter, r, k int) (*ir.Filter, error) {
-	ki := inner.Kernel
-	P, U, E := ki.Pop, ki.Push, ki.Peek-ki.Pop
-	peek, pop := k*P+E, k*P
-
-	shell := wfunc.NewKernel(ki.Name, peek, pop, U)
-	shell.Dynamic() // skip the static body check; behaviour is the closure below
-	shell.WorkBody()
-	kern := shell.Build()
-	kern.Dynamic = false
-	kern.Peek, kern.Pop, kern.Push = peek, pop, U
-
-	var fire func(in, out wfunc.Tape)
-	if inner.WorkFn != nil {
-		// A fused replica: its closure owns all state (none, being pure).
-		fire = func(in, out wfunc.Tape) { inner.WorkFn(in, out, nil) }
-	} else {
-		state := ki.NewState()
-		if ki.Init != nil {
-			env := wfunc.NewEnv(ki.Init)
-			env.State = state
-			if err := wfunc.Exec(ki.Init, env); err != nil {
-				return nil, fmt.Errorf("partition: init of replica %s: %w", ki.Name, err)
-			}
-		}
-		env := wfunc.NewEnv(ki.Work)
-		env.State = state
-		fire = func(in, out wfunc.Tape) {
-			env.Reset()
-			env.In, env.Out = in, out
-			if err := wfunc.Exec(ki.Work, env); err != nil {
-				panic(fmt.Errorf("partition: replica %s: %w", ki.Name, err))
-			}
-		}
-	}
-	base := r * P
-	workFn := func(in, out wfunc.Tape, _ *wfunc.State) {
-		w := &planWindow{under: in, base: base, limit: peek}
-		fire(w, out)
-		for i := 0; i < pop; i++ {
-			in.Pop()
-		}
-	}
-	return &ir.Filter{Kernel: kern, In: inner.In, Out: inner.Out, WorkFn: workFn, Pure: true}, nil
-}
-
-// planWindow is a read-only offset window over a tape: peeks shift by
-// base+cursor, pops advance only the cursor. Out-of-window reads panic
-// with an error value so the engines report a structured ExecError.
-type planWindow struct {
-	under  wfunc.Tape
-	base   int
-	cursor int
-	limit  int
-}
-
-// Peek implements wfunc.Tape.
-func (t *planWindow) Peek(i int) float64 {
-	idx := t.base + t.cursor + i
-	if i < 0 || idx >= t.limit {
-		panic(fmt.Errorf("partition: replica peek(%d) at offset %d reads past the %d-item window", i, idx, t.limit))
-	}
-	return t.under.Peek(idx)
-}
-
-// Pop implements wfunc.Tape.
-func (t *planWindow) Pop() float64 {
-	idx := t.base + t.cursor
-	if idx >= t.limit {
-		panic(fmt.Errorf("partition: replica pop at offset %d reads past the %d-item window", idx, t.limit))
-	}
-	v := t.under.Peek(idx)
-	t.cursor++
-	return v
-}
-
-// Push is invalid on the window.
-func (t *planWindow) Push(float64) { panic("partition: replica input window is read-only") }
 
 // Assign maps every node of the rewritten flat graph onto a worker with
 // longest-processing-time bin-packing over the plan's work estimates (the

@@ -86,6 +86,35 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFloatRuns: F64s moves floats four at a time with a tail; every length
+// around that width round-trips bit for bit, counted or not, and appends
+// behind what the writer already holds.
+func TestFloatRuns(t *testing.T) {
+	for n := 0; n <= 13; n++ {
+		vs := make([]float64, n)
+		for i := range vs {
+			vs[i] = math.Float64frombits(0x0102030405060708 * uint64(i+1))
+		}
+		w := append(Writer(nil), "xyz"...)
+		w.Floats(vs)
+		w.F64s(vs)
+		r := NewReader("wire: floats", w)
+		r.Raw(3)
+		counted := r.Floats()
+		bare := make([]float64, n)
+		r.F64s(bare)
+		if err := r.Done(); err != nil {
+			t.Fatalf("%d floats: %v", n, err)
+		}
+		for i, v := range vs {
+			if math.Float64bits(counted[i]) != math.Float64bits(v) || math.Float64bits(bare[i]) != math.Float64bits(v) {
+				t.Fatalf("%d floats: item %d came back as %x and %x, want %x", n, i,
+					math.Float64bits(counted[i]), math.Float64bits(bare[i]), math.Float64bits(v))
+			}
+		}
+	}
+}
+
 // TestEveryPrefixIsTruncated: cutting the encoding anywhere yields the
 // truncation error under the caller's prefix, and one extra byte is
 // rejected by Done.

@@ -97,9 +97,10 @@ var (
 	// DefaultMachine is the 16-tile configuration of the evaluation.
 	DefaultMachine = machine.DefaultConfig
 
-	// FuseFilters collapses two pipelined filters into one (see
-	// internal/fuse for the stateless-producer requirement).
-	FuseFilters = fuse.Pipeline
+	// FuseFilters collapses a pipeline of two or more filters into one IL
+	// filter (see internal/fuse: stages before the last must be stateless,
+	// and a filter that peeks beyond its pop rate may only come first).
+	FuseFilters = fuse.Chain
 
 	// CompileDynamic builds the demand-driven engine for dynamic-rate
 	// programs.
