@@ -10,9 +10,6 @@ package streamit_test
 
 import (
 	"fmt"
-	"os"
-	"runtime"
-	"strconv"
 	"testing"
 
 	"streamit/internal/bench"
@@ -123,8 +120,9 @@ func BenchmarkFigVsSpace(b *testing.B) {
 	b.ReportMetric(mean, "x-geomean-vs-space")
 }
 
-// BenchmarkTableLinear regenerates E7: measured interpreter speedup from
-// linear combination and frequency translation (paper: ~400% average).
+// BenchmarkTableLinear regenerates E7: measured speedup from linear
+// combination and frequency translation on the sequential engine's default
+// (VM) backend (paper: ~400% average).
 func BenchmarkTableLinear(b *testing.B) {
 	var mean float64
 	for i := 0; i < b.N; i++ {
@@ -150,25 +148,6 @@ func BenchmarkTableTeleport(b *testing.B) {
 		}
 	}
 	b.ReportMetric(res.Improvement, "%improvement")
-}
-
-// BenchmarkVMSpeedup measures the bytecode-VM execution backend against
-// the tree-walking interpreter on the linear suite's work functions
-// (items/sec at the sinks; acceptance floor is a 1.5x geomean).
-func BenchmarkVMSpeedup(b *testing.B) {
-	var rows []bench.VMRow
-	var mean float64
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, mean, err = bench.VMBench()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.Speedup, "x-"+r.Name)
-	}
-	b.ReportMetric(mean, "x-geomean-vm")
 }
 
 // BenchmarkAblationScaling regenerates A1: geomean speedups at several
@@ -201,239 +180,4 @@ func BenchmarkAblationFreqBlocks(b *testing.B) {
 	for _, r := range rows {
 		b.ReportMetric(r.Speedup, fmt.Sprintf("x-block%d", r.Block))
 	}
-}
-
-// BenchmarkMappedSpeedup measures the host-mapped engine (the coarsen+fiss
-// plans run on real cores by exec.MappedEngine) against the same engine's
-// goroutine-per-filter plan across the parallelization suite, in sink items
-// per second. GOMAXPROCS is raised to at least 8 so the
-// measurement exercises a real multi-worker mapping even on small hosts.
-// With STREAMIT_BENCH_JSON=dir, streamit-bench/v1 snapshots land in dir
-// (BENCH_<app>.json per app plus BENCH_mapped_suite.json).
-func BenchmarkMappedSpeedup(b *testing.B) {
-	workers := runtime.NumCPU()
-	if workers < 8 {
-		workers = 8
-	}
-	prevProcs := runtime.GOMAXPROCS(workers)
-	defer runtime.GOMAXPROCS(prevProcs)
-	prevDir := bench.JSONDir
-	bench.JSONDir = os.Getenv("STREAMIT_BENCH_JSON")
-	defer func() { bench.JSONDir = prevDir }()
-
-	var rows []bench.MappedRow
-	var mean float64
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, mean, err = bench.MappedBench(workers)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := bench.WriteMappedSnapshots(rows, mean, workers); err != nil {
-		b.Fatal(err)
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.Speedup, "x-"+r.Name)
-	}
-	b.ReportMetric(mean, "x-geomean-mapped")
-}
-
-// BenchmarkMappedSWP measures coarse-grained software pipelining on real
-// cores: every suite app under the lockstep task and task+data plans and
-// under both pipelined strategies (task+swp, task+data+swp), on the
-// host-mapped engine. The headline metric is the geomean ratio of the
-// best pipelined strategy over the task+data plan. GOMAXPROCS is raised
-// to at least 8 so the stage skew spans real workers. With
-// STREAMIT_BENCH_JSON=dir, a streamit-bench/v1 snapshot lands in
-// dir/BENCH_mapped_swp.json.
-func BenchmarkMappedSWP(b *testing.B) {
-	workers := runtime.NumCPU()
-	if workers < 8 {
-		workers = 8
-	}
-	prevProcs := runtime.GOMAXPROCS(workers)
-	defer runtime.GOMAXPROCS(prevProcs)
-	prevDir := bench.JSONDir
-	bench.JSONDir = os.Getenv("STREAMIT_BENCH_JSON")
-	defer func() { bench.JSONDir = prevDir }()
-
-	var rows []bench.MappedRow
-	var vsTaskdata, vsTask float64
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, vsTaskdata, vsTask, err = bench.MappedSWPBench(workers)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := bench.WriteSWPSnapshot(rows, workers); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(vsTaskdata, "x-swp-vs-taskdata")
-	b.ReportMetric(vsTask, "x-swp-vs-task")
-}
-
-// BenchmarkMappedRecovery measures the fault-tolerance costs of the mapped
-// engine: steady-state throughput with and without per-iteration
-// coordinated checkpoints, the checkpoint image size, and the wall time of
-// a run that crashes a worker mid-way and recovers onto the survivors.
-// With STREAMIT_BENCH_JSON=dir, a streamit-bench/v1 snapshot lands in
-// dir/BENCH_mapped_recovery.json.
-func BenchmarkMappedRecovery(b *testing.B) {
-	workers := runtime.NumCPU()
-	if workers < 4 {
-		workers = 4
-	}
-	prevProcs := runtime.GOMAXPROCS(workers)
-	defer runtime.GOMAXPROCS(prevProcs)
-	prevDir := bench.JSONDir
-	bench.JSONDir = os.Getenv("STREAMIT_BENCH_JSON")
-	defer func() { bench.JSONDir = prevDir }()
-
-	var res *bench.RecoveryResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = bench.RecoveryBench(workers)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := bench.WriteRecoverySnapshot(res); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(res.OverheadPct, "%ckpt-overhead")
-	b.ReportMetric(float64(res.ImageBytes), "ckpt-bytes")
-	b.ReportMetric(res.RecoveryMS, "ms-crash-recover")
-}
-
-// BenchmarkMappedElastic measures elastic runtime re-planning on the
-// skewed synthetic pipeline: throughput under the mis-planned static
-// assignment, under the elastic engine that re-packs from its live
-// profile, and under the oracle assignment built with perfect per-firing
-// measurements (acceptance: elastic within ~10% of oracle), plus the
-// mid-run resize bit-identity check. With STREAMIT_BENCH_JSON=dir, a
-// streamit-bench/v1 snapshot lands in dir/BENCH_mapped_elastic.json.
-func BenchmarkMappedElastic(b *testing.B) {
-	prevProcs := runtime.GOMAXPROCS(bench.ElasticWorkers + 1)
-	defer runtime.GOMAXPROCS(prevProcs)
-	prevDir := bench.JSONDir
-	bench.JSONDir = os.Getenv("STREAMIT_BENCH_JSON")
-	defer func() { bench.JSONDir = prevDir }()
-
-	var res *bench.ElasticResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = bench.ElasticBench(bench.ElasticWorkers)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := bench.WriteElasticSnapshot(res); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(res.ElasticRate, "items/s-elastic")
-	b.ReportMetric(res.ConvergencePct, "%-vs-oracle")
-	b.ReportMetric(float64(res.Replans), "replans")
-}
-
-// BenchmarkServeSoak measures the multi-tenant streaming server: 10k
-// concurrent sessions (alternating the paper-suite Vocoder and FMRadio
-// applications) resident in one process, multiplexed onto a worker pool
-// sized to the host, reported as session density, aggregate iteration
-// throughput, and per-iteration latency quantiles.
-// STREAMIT_SERVE_BENCH_SESSIONS scales the fleet (CI smoke runs use a
-// small one); with STREAMIT_BENCH_JSON=dir, a streamit-bench/v1 snapshot
-// lands in dir/BENCH_serve.json.
-func BenchmarkServeSoak(b *testing.B) {
-	prevDir := bench.JSONDir
-	bench.JSONDir = os.Getenv("STREAMIT_BENCH_JSON")
-	defer func() { bench.JSONDir = prevDir }()
-
-	sessions := bench.DefaultServeSessions
-	if env := os.Getenv("STREAMIT_SERVE_BENCH_SESSIONS"); env != "" {
-		n, err := strconv.Atoi(env)
-		if err != nil || n <= 0 {
-			b.Fatalf("bad STREAMIT_SERVE_BENCH_SESSIONS %q", env)
-		}
-		sessions = n
-	}
-	var res *bench.ServeResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = bench.ServeBench(sessions, 16, runtime.GOMAXPROCS(0))
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := bench.WriteServeSnapshot(res); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(res.SessionsPerCore, "sessions/core")
-	b.ReportMetric(res.ItersPerSec, "iters/s")
-	b.ReportMetric(float64(res.P99NS), "ns-p99-iter")
-}
-
-// BenchmarkServeRecovery measures the streaming server's checkpointed
-// restart: a resident fleet runs half its iterations, Server.Snapshot
-// persists every session, the server is torn down, and a fresh server
-// restores the fleet from disk and finishes the run. Reported as snapshot
-// cost (ms, bytes/session) and restore throughput (sessions/s).
-// STREAMIT_SERVE_BENCH_SESSIONS scales the fleet; with
-// STREAMIT_BENCH_JSON=dir, a streamit-bench/v1 snapshot lands in
-// dir/BENCH_serve_recovery.json.
-func BenchmarkServeRecovery(b *testing.B) {
-	prevDir := bench.JSONDir
-	bench.JSONDir = os.Getenv("STREAMIT_BENCH_JSON")
-	defer func() { bench.JSONDir = prevDir }()
-
-	sessions := bench.DefaultServeSessions
-	if env := os.Getenv("STREAMIT_SERVE_BENCH_SESSIONS"); env != "" {
-		n, err := strconv.Atoi(env)
-		if err != nil || n <= 0 {
-			b.Fatalf("bad STREAMIT_SERVE_BENCH_SESSIONS %q", env)
-		}
-		sessions = n
-	}
-	var res *bench.ServeRecoveryResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = bench.ServeRecoveryBench(sessions, 16, runtime.GOMAXPROCS(0))
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := bench.WriteServeRecoverySnapshot(res); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(res.SnapshotMS, "ms-snapshot")
-	b.ReportMetric(res.BytesPerSession, "bytes/session")
-	b.ReportMetric(res.RestoredPerSec, "sessions/s-restored")
-}
-
-// BenchmarkDist measures distributed mapped execution over loopback TCP:
-// sharded vs single-process throughput of the same plan, the overhead of
-// a coordinated barrier every iteration, and the wall time of a sharded
-// run whose shard crashes mid-way and is recovered onto the survivors.
-// With STREAMIT_BENCH_JSON=dir, a streamit-bench/v1 snapshot lands in
-// dir/BENCH_dist.json.
-func BenchmarkDist(b *testing.B) {
-	prevDir := bench.JSONDir
-	bench.JSONDir = os.Getenv("STREAMIT_BENCH_JSON")
-	defer func() { bench.JSONDir = prevDir }()
-
-	var res *bench.DistResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = bench.DistBench(2, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := bench.WriteDistSnapshot(res); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(res.ShardedRate, "iters/s-sharded")
-	b.ReportMetric(res.BarrierPct, "%barrier-overhead")
-	b.ReportMetric(res.RecoveryMS, "ms-crash-recover")
 }

@@ -1,5 +1,7 @@
 // Command streamit-bench regenerates the tables and figures of the paper's
-// evaluation on the simulated 16-tile machine and the sequential runtime.
+// evaluation (E1–E8, A1–A3 in EXPERIMENTS.md) on the simulated 16-tile
+// machine and the sequential runtime. Numbers for the native runtimes come
+// from `go run ./benchmark`.
 //
 // Usage:
 //
@@ -7,70 +9,25 @@
 //	streamit-bench -table main     # one table: benchchar, main, finegrain,
 //	                               # softpipe, thruput, vsspace, linear,
 //	                               # teleport, scaling, commablation,
-//	                               # freqblocks, vm, mapped, recovery, serve,
-//	                               # serve-recovery, elastic
+//	                               # freqblocks
 //	streamit-bench -dur 500ms      # longer measurement windows for E7/E8
-//	streamit-bench -json out       # write BENCH_<app>.json snapshots to out/
-//	streamit-bench -validate 'out/BENCH_*.json'  # check snapshot schema
-//
-// The execution benchmarks (vm, teleport) additionally write their
-// measurements as BENCH_<app>.json snapshots (schema streamit-bench/v1,
-// see internal/obs) into the -json directory, so CI can archive and diff
-// them; -json ” disables snapshot writing.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 
 	"streamit/internal/bench"
-	"streamit/internal/obs"
 )
 
-// validate checks every file matching the glob against the benchmark
-// snapshot schema; zero matches is an error (a silent no-op validation
-// would let CI rot).
-func validate(glob string) error {
-	paths, err := filepath.Glob(glob)
-	if err != nil {
-		return err
-	}
-	if len(paths) == 0 {
-		return fmt.Errorf("no files match %q", glob)
-	}
-	for _, p := range paths {
-		data, err := os.ReadFile(p)
-		if err != nil {
-			return err
-		}
-		if err := obs.ValidateBench(data); err != nil {
-			return fmt.Errorf("%s: %w", p, err)
-		}
-		fmt.Printf("%s: ok\n", p)
-	}
-	return nil
-}
-
 func main() {
-	table := flag.String("table", "all", "table to print: all, benchchar, main, finegrain, softpipe, thruput, vsspace, linear, teleport, scaling, commablation, freqblocks, vm, mapped, recovery, serve, serve-recovery, elastic, dist")
+	table := flag.String("table", "all", "table to print: all, benchchar, main, finegrain, softpipe, thruput, vsspace, linear, teleport, scaling, commablation, freqblocks")
 	dur := flag.Duration("dur", 150*time.Millisecond, "measurement window per configuration for the execution benchmarks")
-	jsonDir := flag.String("json", ".", "directory for BENCH_<app>.json snapshots (empty: do not write snapshots)")
-	check := flag.String("validate", "", "validate BENCH_*.json files matching this glob and exit")
 	flag.Parse()
 
-	if *check != "" {
-		if err := validate(*check); err != nil {
-			fmt.Fprintln(os.Stderr, "streamit-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	bench.MeasureDur = *dur
-	bench.JSONDir = *jsonDir
 	var err error
 	switch *table {
 	case "all":
@@ -97,20 +54,6 @@ func main() {
 		err = bench.PrintCommAblation(os.Stdout)
 	case "freqblocks":
 		err = bench.PrintFreqBlocks(os.Stdout)
-	case "vm":
-		err = bench.PrintVM(os.Stdout)
-	case "mapped":
-		err = bench.PrintMapped(os.Stdout)
-	case "recovery":
-		err = bench.PrintRecovery(os.Stdout)
-	case "serve":
-		err = bench.PrintServe(os.Stdout)
-	case "serve-recovery":
-		err = bench.PrintServeRecovery(os.Stdout)
-	case "elastic":
-		err = bench.PrintElastic(os.Stdout)
-	case "dist":
-		err = bench.PrintDist(os.Stdout)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown table %q\n", *table)
 		os.Exit(2)

@@ -32,5 +32,6 @@
 //
 // Executables: cmd/streamitc (compile and analyze .str programs),
 // cmd/streamit-run (execute them), and cmd/streamit-bench (regenerate the
-// paper's evaluation). Runnable examples live under examples/.
+// paper's evaluation); go run ./benchmark measures the native runtimes.
+// Runnable examples live under examples/.
 package streamit

@@ -271,13 +271,7 @@ func VsSpace() ([]VsSpaceRow, float64, error) {
 // per second (items consumed by the graph's sinks, per wall-clock second)
 // on the default (VM) backend.
 func measureRate(prog *ir.Program, minDur time.Duration) (float64, error) {
-	return measureRateBackend(prog, minDur, exec.BackendVM)
-}
-
-// measureRateBackend is measureRate with an explicit work-function
-// backend.
-func measureRateBackend(prog *ir.Program, minDur time.Duration, backend exec.Backend) (float64, error) {
-	e, err := exec.NewBackend(prog, backend)
+	e, err := exec.New(prog)
 	if err != nil {
 		return 0, err
 	}
@@ -324,9 +318,9 @@ type LinearRow struct {
 // configuration in the execution benchmarks (E7/E8).
 var MeasureDur = 150 * time.Millisecond
 
-// LinearBench measures E7: interpreter throughput of each linear benchmark
-// unoptimized, with linear combination, and with combination plus
-// frequency translation.
+// LinearBench measures E7: sequential-engine throughput (default VM
+// backend) of each linear benchmark unoptimized, with linear combination,
+// and with combination plus frequency translation.
 func LinearBench() ([]LinearRow, float64, error) {
 	var rows []LinearRow
 	var fulls []float64
@@ -375,41 +369,6 @@ func LinearBench() ([]LinearRow, float64, error) {
 		fulls = append(fulls, row.SpeedupFull)
 	}
 	return rows, GeoMean(fulls), nil
-}
-
-// VMRow reports one benchmark of the bytecode-VM execution backend
-// against the tree-walking interpreter.
-type VMRow struct {
-	Name       string
-	InterpRate float64 // sink items per second, interpreter backend
-	VMRate     float64 // sink items per second, bytecode VM backend
-	Speedup    float64 // VMRate / InterpRate
-}
-
-// VMBench measures the linear suite (unoptimized, so every work function
-// actually executes IL) on both work-function backends and reports the
-// per-app speedup plus its geometric mean.
-func VMBench() ([]VMRow, float64, error) {
-	var rows []VMRow
-	var speedups []float64
-	for _, app := range apps.LinearSuite() {
-		interp, err := measureRateBackend(app.Build(), MeasureDur, exec.BackendInterp)
-		if err != nil {
-			return nil, 0, fmt.Errorf("%s interp: %w", app.Name, err)
-		}
-		vmRate, err := measureRateBackend(app.Build(), MeasureDur, exec.BackendVM)
-		if err != nil {
-			return nil, 0, fmt.Errorf("%s vm: %w", app.Name, err)
-		}
-		rows = append(rows, VMRow{
-			Name:       app.Name,
-			InterpRate: interp,
-			VMRate:     vmRate,
-			Speedup:    vmRate / interp,
-		})
-		speedups = append(speedups, vmRate/interp)
-	}
-	return rows, GeoMean(speedups), nil
 }
 
 // TeleportResult reports E8.

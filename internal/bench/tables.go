@@ -107,7 +107,7 @@ func PrintLinear(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintln(w, "Table linear: measured interpreter speedup from linear optimization")
+	fmt.Fprintln(w, "Table linear: measured speedup from linear optimization (bytecode VM backend)")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "Benchmark\tLinear filters\tCombined away\tFreq kernels\tCombination\tFull")
 	for _, r := range rows {
@@ -122,33 +122,10 @@ func PrintLinear(w io.Writer) error {
 	return nil
 }
 
-// PrintVM renders the bytecode-VM vs interpreter backend comparison (and,
-// with JSONDir set, writes one BENCH_<app>.json snapshot per row).
-func PrintVM(w io.Writer) error {
-	rows, mean, err := VMBench()
-	if err != nil {
-		return err
-	}
-	if err := writeVMSnapshots(rows, mean); err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "Table vm: work-function throughput, bytecode VM vs tree-walking interpreter")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "Benchmark\tInterp items/sec\tVM items/sec\tSpeedup")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%.0f\t%.0f\t%.2fx\n", r.Name, r.InterpRate, r.VMRate, r.Speedup)
-	}
-	fmt.Fprintf(tw, "geometric mean\t\t\t%.2fx\n", mean)
-	return tw.Flush()
-}
-
 // PrintTeleport renders E8.
 func PrintTeleport(w io.Writer) error {
 	res, err := TeleportBench()
 	if err != nil {
-		return err
-	}
-	if err := writeTeleportSnapshot(res); err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "Table teleport: frequency-hopping radio, teleport messaging vs manual embedding")
@@ -168,7 +145,7 @@ func PrintAll(w io.Writer) error {
 	printers := []func(io.Writer) error{
 		PrintBenchChar, PrintMainComparison, PrintFineGrained, PrintSoftPipe,
 		PrintThroughput, PrintVsSpace, PrintLinear, PrintTeleport,
-		PrintScaling, PrintCommAblation, PrintFreqBlocks, PrintVM,
+		PrintScaling, PrintCommAblation, PrintFreqBlocks,
 	}
 	for i, p := range printers {
 		if i > 0 {

@@ -180,3 +180,36 @@ func TestScheduleBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestSteadyStateAllocatesNothing pins the sequential engine's firing path
+// at zero allocations per steady iteration for every suite app, with the
+// profiler off and on: tapes, kernels' frames and the profiler's counters
+// are all sized before the first steady firing.
+func TestSteadyStateAllocatesNothing(t *testing.T) {
+	for _, app := range apps.Suite() {
+		for _, profile := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/profile=%v", app.Name, profile), func(t *testing.T) {
+				g, s := flattenApp(t, app)
+				e, err := NewFromGraphOpts(g, s, Options{Profile: profile})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := e.RunInit(); err != nil {
+					t.Fatal(err)
+				}
+				// Warm-up: rings that grow lazily reach their steady size.
+				if err := e.RunSteady(2); err != nil {
+					t.Fatal(err)
+				}
+				allocs := testing.AllocsPerRun(5, func() {
+					if err := e.RunSteady(1); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if allocs != 0 {
+					t.Fatalf("RunSteady(1) allocates %.0f objects per iteration, want 0", allocs)
+				}
+			})
+		}
+	}
+}

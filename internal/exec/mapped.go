@@ -334,12 +334,18 @@ func (me *MappedEngine) Run(iters int) error {
 	return me.runTo(int64(iters))
 }
 
+// initEngine builds the scratch sequential engine that runs the init
+// schedule, on the mapped engine's own backend.
+func (me *MappedEngine) initEngine() (*Engine, error) {
+	return NewFromGraphBackend(me.G, me.Sch, me.Backend)
+}
+
 // setup re-initializes the engine: initialization (a transient) runs on a
 // scratch sequential engine sharing our node states, profiler and trace
 // recorder, the steady topology is rebuilt, and the consumer queues are
 // seeded with the init residue (peek margins, feedback delays).
 func (me *MappedEngine) setup() error {
-	seq, err := NewFromGraph(me.G, me.Sch)
+	seq, err := me.initEngine()
 	if err != nil {
 		return err
 	}

@@ -230,3 +230,30 @@ func runMappedConformance(t *testing.T, app apps.App, strat partition.Strategy, 
 			strat, len(wantImg), len(gotImg))
 	}
 }
+
+// TestMappedInitEngineRunsOnSelectedBackend: the scratch engine that runs a
+// mapped engine's init schedule (the firings that fill the peek windows)
+// uses the mapped engine's backend, so -backend interp -map … runs the
+// reference interpreter from the first firing on.
+func TestMappedInitEngineRunsOnSelectedBackend(t *testing.T) {
+	mb := buildMapped(t, func() *ir.Program { return apps.FMRadio(2, 8) }, partition.StratCoarseData)
+	for _, backend := range []Backend{BackendVM, BackendInterp} {
+		seq, err := mb.engine(t, Options{Backend: backend}).initEngine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		kernels := 0
+		for _, rt := range seq.nodes {
+			if rt.runner == nil || rt.node.Filter.WorkFn != nil {
+				continue
+			}
+			kernels++
+			if onVM := rt.runner.mach != nil; onVM != (backend == BackendVM) {
+				t.Fatalf("%s: init engine runs %s on the VM = %v", backend, rt.node.Name, onVM)
+			}
+		}
+		if kernels == 0 {
+			t.Fatalf("%s: init engine has no IL kernels to check", backend)
+		}
+	}
+}

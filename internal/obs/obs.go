@@ -1,8 +1,7 @@
 // Package obs is the observability layer shared by every execution engine
 // and both work-function backends: a per-filter profiler (firings, tape
-// traffic, work and stall time, buffer high-water marks), a Chrome
-// trace_event recorder, and a stable JSON metrics schema for benchmark
-// snapshots (BENCH_<app>.json).
+// traffic, work and stall time, buffer high-water marks) and a Chrome
+// trace_event recorder.
 //
 // The paper's evaluation hinges on measuring where cycles go — per-filter
 // work estimates drive partitioning and the Raw results report throughput

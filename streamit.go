@@ -71,9 +71,6 @@ type (
 	// TraceRecorder collects Chrome trace_event records from a run
 	// (attach via RunOptions.TracePath or exec.Options.Trace).
 	TraceRecorder = obs.Recorder
-	// BenchSnapshot is the BENCH_<app>.json metrics schema written by
-	// streamit-bench.
-	BenchSnapshot = obs.BenchSnapshot
 )
 
 // Constructors and helpers.
@@ -119,8 +116,6 @@ var (
 
 	// NewTraceRecorder starts a trace recorder (epoch = now).
 	NewTraceRecorder = obs.NewRecorder
-	// ValidateBench checks a BENCH_<app>.json snapshot against the schema.
-	ValidateBench = obs.ValidateBench
 )
 
 // Work-function execution backends.
