@@ -42,11 +42,12 @@ func TestCLIEndToEnd(t *testing.T) {
 		{"task+data", "on the mapped (task+data, 2 workers) backend", []string{"-map", "task+data", "-workers", "2"}},
 		{"task+swp", "on the mapped (task+swp, 2 workers) backend", []string{"-map", "task+swp", "-workers", "2"}},
 		{"task+ckpt", "on the mapped (task, 2 workers) backend", []string{"-map", "task", "-workers", "2", "-checkpoint-every", "1"}},
+		{"crash recovery", "crashes=1", []string{"-map", "task+data+swp", "-workers", "4", "-faults", "crash:worker1@2"}},
 	}
 	for _, b := range backends {
 		t.Run(b.name, func(t *testing.T) {
 			if out := run(t, append([]string{"-iters", iters}, b.args...)...); !strings.Contains(out, b.summary) {
-				t.Fatalf("summary does not name the backend (want %q):\n%s", b.summary, out)
+				t.Fatalf("summary does not report %q:\n%s", b.summary, out)
 			}
 		})
 	}

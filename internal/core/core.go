@@ -24,7 +24,6 @@ import (
 	"streamit/internal/partition"
 	"streamit/internal/sched"
 	"streamit/internal/sdep"
-	"streamit/internal/wfunc"
 )
 
 // Options configure compilation.
@@ -229,7 +228,24 @@ func (c *Compiled) EngineOpts(opts RunOptions) (*exec.Engine, error) {
 // engine over the graph as compiled, one worker per node (no teleport
 // messaging or feedback loops; see exec.NewParallelOpts).
 func (c *Compiled) ParallelEngineOpts(opts RunOptions) (*exec.MappedEngine, error) {
-	return exec.NewParallelOpts(c.Graph, c.Schedule, opts.execOptions())
+	eopts := opts.execOptions()
+	// The identity plan rewrites nothing, so the empty plan re-packs it.
+	eopts.Replan = replanner(&partition.ExecPlan{}, c.Graph, c.Schedule)
+	return exec.NewParallelOpts(c.Graph, c.Schedule, eopts)
+}
+
+// replanner is the planner core hands every mapped engine: the plan's own
+// packer over the rewritten graph the engine runs. Crash recovery and the
+// elastic controller re-pack that graph; the rewrite itself is never redone
+// (its fission factor — and with it the graph and checkpoint fingerprint —
+// depends on the worker count, so a re-plan must only re-assign). Engine
+// and plan index the same graph, so measured work crosses by node ID — no
+// demangling (contrast MeasuredWorkFromMapped, which crosses back to the
+// original flat names for a fresh compile).
+func replanner(plan *partition.ExecPlan, g2 *ir.Graph, s2 *sched.Schedule) func(int, []int64) ([]int, error) {
+	return func(workers int, workNS []int64) ([]int, error) {
+		return plan.Pack(g2, s2, partition.Topology{Shards: workers, PerShard: 1}, workNS)
+	}
 }
 
 // MappedEngine builds the host-mapped engine with default options: the
@@ -273,22 +289,8 @@ func (c *Compiled) MappedEngineOpts(opts RunOptions) (*exec.MappedEngine, error)
 		eopts.Stages = st.Levels
 		eopts.StageClusters = st.Clusters
 	}
-	me, err := exec.NewMappedOpts(g2, s2, plan.Assign(g2, s2), plan.Workers, eopts)
-	if err != nil {
-		return nil, err
-	}
-	// Crash recovery and the elastic controller re-pack the same rewritten
-	// graph; the rewrite itself is never redone (its fission factor — and
-	// with it the graph and checkpoint fingerprint — depends on the worker
-	// count, so a re-plan must only re-assign). The profile the controller
-	// hands over is keyed by the rewritten graph's node names, which is
-	// exactly the key space AssignMeasured expects — no demangling here
-	// (contrast MeasuredWorkFromMapped, which crosses back to the original
-	// flat names for a fresh compile).
-	me.Replan = func(workers int, perFiringNS map[string]int64) []int {
-		return plan.AssignMeasured(g2, s2, workers, perFiringNS)
-	}
-	return me, nil
+	eopts.Replan = replanner(plan, g2, s2)
+	return exec.NewMappedOpts(g2, s2, plan.Assign(g2, s2), plan.Workers, eopts)
 }
 
 // MeasuredWorkFromMapped translates a work profile taken on a mapped
@@ -352,26 +354,6 @@ type Runner interface {
 	Degraded() map[string]exec.DegradedStats
 }
 
-// concurrencyBlocker reports why the compiled program cannot run on the
-// concurrent engines, or "" when it can: feedback loops and teleport
-// messaging both need the sequential runtime's global firing order.
-func (c *Compiled) concurrencyBlocker() string {
-	for _, e := range c.Graph.Edges {
-		if e.Back {
-			return "feedback loop"
-		}
-	}
-	if len(c.Graph.Portals) > 0 || len(c.Graph.Constraints) > 0 {
-		return "teleport messaging"
-	}
-	for _, n := range c.Graph.Nodes {
-		if n.Kind == ir.NodeFilter && n.Filter.WorkFn == nil && wfunc.SendsMessages(n.Filter.Kernel.Work) {
-			return "message-sending filter " + n.Name
-		}
-	}
-	return ""
-}
-
 // Runner builds the requested engine. Programs whose features the
 // concurrent engines cannot execute (feedback loops, teleport messaging)
 // are detected up front and fall back to the sequential engine with a
@@ -381,7 +363,7 @@ func (c *Compiled) concurrencyBlocker() string {
 // back.
 func (c *Compiled) Runner(kind EngineKind, opts RunOptions) (Runner, error) {
 	if kind != EngineSequential && !(kind == EngineMapped && opts.MapStrategy.Pipelined()) {
-		if why := c.concurrencyBlocker(); why != "" {
+		if why := c.Graph.LockstepBlocker(); why != "" {
 			opts.logf("core: %s engine unavailable for %s (%s); falling back to sequential", kind, c.Program.Name, why)
 			kind = EngineSequential
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 
 	"errors"
@@ -454,9 +455,6 @@ func TestMappedCrashRecoveryDriver(t *testing.T) {
 	if me.Workers != 2 {
 		t.Errorf("engine degraded to %d workers, want 2", me.Workers)
 	}
-	if me.Replan == nil {
-		t.Error("driver did not install the partition re-planning hook")
-	}
 	st := me.Degraded()["worker1"]
 	if st.Injected != 1 || st.Crashes != 1 {
 		t.Errorf("worker1 stats = %+v, want 1 injection and 1 crash", st)
@@ -464,6 +462,75 @@ func TestMappedCrashRecoveryDriver(t *testing.T) {
 	if rep := me.SupervisionReport(); !strings.Contains(rep, "crashes=1") {
 		t.Errorf("supervision report does not count the crash:\n%s", rep)
 	}
+}
+
+// TestMappedCrashMatrix: crash recovery through the path every binary
+// takes — Runner(EngineMapped), the plan's packer as the planner — on the
+// pipelined strategies, where the re-pack separates producers from
+// consumers mid-segment and the restore has to rebuild staging residue the
+// crashed topology never held. Every run finishes, reports the one crash,
+// and ends on a checkpoint image byte-equal to an undisturbed run's. The
+// identity plan re-plans through the same packer.
+func TestMappedCrashMatrix(t *testing.T) {
+	const iters = 6
+	finish := func(t *testing.T, c *Compiled, kind EngineKind, opts RunOptions, spec string) []byte {
+		t.Helper()
+		var err error
+		if spec != "" {
+			if opts.Faults, err = faults.ParsePlan(spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r, err := c.Run(kind, iters, opts)
+		if err != nil {
+			t.Fatalf("run did not finish: %v", err)
+		}
+		me := r.(*exec.MappedEngine)
+		if spec != "" {
+			if st := me.Degraded()["worker1"]; st.Injected != 1 || st.Crashes != 1 {
+				t.Fatalf("worker1 stats = %+v, want 1 injection and 1 crash", st)
+			}
+		}
+		var img bytes.Buffer
+		if err := me.WriteCheckpoint(&img, iters); err != nil {
+			t.Fatal(err)
+		}
+		return img.Bytes()
+	}
+	for _, app := range apps.Suite() {
+		app := app
+		t.Run(app.Name, func(t *testing.T) {
+			t.Parallel()
+			c, err := Compile(app.Build(), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, strat := range []partition.Strategy{partition.StratSWP, partition.StratCombined} {
+				for workers := 2; workers <= 4; workers++ {
+					opts := RunOptions{Workers: workers, MapStrategy: strat}
+					want := finish(t, c, EngineMapped, opts, "")
+					for at := 1; at <= 3; at++ {
+						spec := fmt.Sprintf("crash:worker1@%d", at)
+						t.Run(fmt.Sprintf("%s/%d/%s", strat, workers, spec), func(t *testing.T) {
+							if got := finish(t, c, EngineMapped, opts, spec); !bytes.Equal(want, got) {
+								t.Fatalf("recovered run ends on a different state (%d vs %d bytes)", len(got), len(want))
+							}
+						})
+					}
+				}
+			}
+		})
+	}
+	t.Run("parallel", func(t *testing.T) {
+		c, err := Compile(apps.FMRadio(4, 16), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := finish(t, c, EngineParallel, RunOptions{}, "")
+		if got := finish(t, c, EngineParallel, RunOptions{}, "crash:worker1@2"); !bytes.Equal(want, got) {
+			t.Fatalf("recovered run ends on a different state (%d vs %d bytes)", len(got), len(want))
+		}
+	})
 }
 
 // TestMappedProfileFeedback: the profile→partition feedback loop closes for
@@ -527,9 +594,6 @@ func TestMappedElasticDriver(t *testing.T) {
 	me, ok := r.(*exec.MappedEngine)
 	if !ok {
 		t.Fatalf("runner is %T, want *exec.MappedEngine", r)
-	}
-	if me.Replan == nil {
-		t.Error("driver did not install the partition re-planning hook")
 	}
 	if me.Workers != 2 {
 		t.Errorf("Workers = %d after scheduled resize, want 2", me.Workers)

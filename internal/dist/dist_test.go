@@ -3,6 +3,7 @@ package dist
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -90,7 +91,7 @@ func refRun(t *testing.T, spec Spec, cfg Config, total int) (map[string][]float6
 	if err != nil {
 		t.Fatal(err)
 	}
-	assign, err := jp.plan.AssignSharded(jp.g2, jp.s2, cfg.Shards, cfg.PerShard, nil)
+	assign, err := jp.plan.Pack(jp.g2, jp.s2, partition.Topology{Shards: cfg.Shards, PerShard: cfg.PerShard}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,6 +187,20 @@ func TestDistSingleShard(t *testing.T) {
 	}
 	want, _ := refRun(t, spec, cfg, total)
 	sameOutputs(t, "single-shard vs single-process", res.Outputs, want)
+}
+
+// TestDistRejectsPipelinedStrategy: stage skew cannot cross a shard
+// boundary, so a pipelined strategy is turned away when the job is
+// planned — before anything is packed or any shard joins. (The packer
+// itself packs any plan onto any grid; this is the gate.)
+func TestDistRejectsPipelinedStrategy(t *testing.T) {
+	for _, strat := range []partition.Strategy{partition.StratSWP, partition.StratCombined} {
+		cfg := testConfig(2)
+		cfg.Strategy = strat
+		if _, err := NewCoordinator(Spec{App: "DCT"}, cfg); err == nil || !strings.Contains(err.Error(), "wants lockstep") {
+			t.Errorf("%s: err = %v, want the lockstep-only rejection", strat, err)
+		}
+	}
 }
 
 // TestDistCrashRecovery: shard 1 crashes mid-run (connections severed,

@@ -67,7 +67,7 @@ type linkSet struct {
 // newLinkSet classifies the generation's edges against the assignment:
 // edges whose producer and consumer land on different shards become
 // remote, and each remote peer gets one link. Worker w runs on shard
-// w/perShard, matching partition.AssignSharded's numbering.
+// w/perShard, matching partition.Topology's numbering.
 func newLinkSet(g2 *ir.Graph, assign []int, perShard, myIdx, liveCount int, gen uint32, depth int, wto time.Duration) *linkSet {
 	ls := &linkSet{
 		gen:     gen,

@@ -52,8 +52,8 @@ import (
 // coordinated checkpoints are taken (WriteCheckpoint, sharing the
 // sequential engine's image format) and where worker-crash recovery rolls
 // back to: an injected crash (faults "crash:workerN@iter") unwinds the
-// epoch, the supervisor re-plans the assignment onto the surviving
-// workers, restores the last checkpoint, and resumes.
+// epoch, the planner (Options.Replan) re-packs the graph onto the surviving
+// workers, and the engine restores the last checkpoint there and resumes.
 //
 // Deadlock-freedom: every worker visits its nodes in a common linear
 // extension of the dataflow order, and a batch is received where its edge
@@ -88,14 +88,9 @@ type MappedEngine struct {
 	// (then every iteration, the rollback target for crash recovery).
 	CheckpointEvery int
 
-	// Replan recomputes a node→worker assignment for a new worker count
-	// (typically partition.ExecPlan.AssignMeasured). Crash recovery passes
-	// a nil map — pack by the plan's static estimates — and the elastic
-	// controller passes live measured work per firing, keyed by node name.
-	// nil, or an invalid result, falls back to the engine's own packing:
-	// the dead worker's nodes onto the least-loaded survivors after a
-	// crash, LPT over the measured window on an elastic step.
-	Replan func(workers int, perFiringNS map[string]int64) []int
+	// replan is the planner behind every re-plan (Options.Replan); nil on an
+	// engine whose configuration never re-plans.
+	replan func(workers int, workNS []int64) ([]int, error)
 
 	// elastic is the runtime replan controller (nil unless Options.Elastic).
 	elastic *elasticState
@@ -171,43 +166,20 @@ type pnodeRT struct {
 // DefaultQueueDepth is the cross-worker channel capacity in batches.
 const DefaultQueueDepth = 2
 
-// NewMapped prepares a mapped engine on the default backend with every
-// node assigned by the caller; workers <= 0 selects GOMAXPROCS.
-func NewMapped(g *ir.Graph, s *sched.Schedule, assign []int, workers int) (*MappedEngine, error) {
-	return NewMappedOpts(g, s, assign, workers, Options{Backend: BackendVM})
-}
-
 // NewMappedOpts is the full-option constructor. Without Options.Stages the
 // engine runs the zero-skew plan — lockstep: one batch per edge per steady
 // iteration — so it rejects teleport messaging and feedback loops, which
 // need finer-than-batch interleaving; a pipelined plan (Options.Stages
 // set) lifts both, hosting them inside single-worker stage clusters.
 func NewMappedOpts(g *ir.Graph, s *sched.Schedule, assign []int, workers int, opts Options) (*MappedEngine, error) {
-	if opts.Stages == nil {
-		if len(g.Portals) > 0 || len(g.Constraints) > 0 {
-			return nil, fmt.Errorf("exec: the mapped backend does not support teleport messaging; use a pipelined plan or the sequential Engine")
-		}
-		for _, e := range g.Edges {
-			if e.Back {
-				return nil, fmt.Errorf("exec: feedback loops need finer-than-batch interleaving; use a pipelined plan or the sequential Engine")
-			}
-		}
-		for _, n := range g.Nodes {
-			if n.Kind == ir.NodeFilter && wfunc.SendsMessages(n.Filter.Kernel.Work) {
-				return nil, fmt.Errorf("exec: filter %s sends messages; use a pipelined plan or the sequential Engine", n.Name)
-			}
-		}
+	if why := g.LockstepBlocker(); why != "" && opts.Stages == nil {
+		return nil, fmt.Errorf("exec: %s needs finer-than-batch interleaving; use a pipelined plan or the sequential Engine", why)
+	}
+	if opts.Replan == nil && opts.replans() {
+		return nil, fmt.Errorf("exec: elastic re-planning and worker-crash recovery re-pack the graph through Options.Replan, and none is attached")
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if len(assign) != len(g.Nodes) {
-		return nil, fmt.Errorf("exec: assignment covers %d of %d nodes", len(assign), len(g.Nodes))
-	}
-	for id, w := range assign {
-		if w < 0 || w >= workers {
-			return nil, fmt.Errorf("exec: node %d assigned to worker %d of %d", id, w, workers)
-		}
 	}
 	depth := opts.QueueDepth
 	if depth == 0 {
@@ -221,7 +193,7 @@ func NewMappedOpts(g *ir.Graph, s *sched.Schedule, assign []int, workers int, op
 	}
 	me := &MappedEngine{G: g, Sch: s, fp: graphFingerprint(g, s), Backend: opts.Backend, Workers: workers,
 		Assign: append([]int(nil), assign...), Depth: depth,
-		Watchdog: opts.Watchdog, CheckpointEvery: opts.CheckpointEvery, rec: opts.Trace}
+		Watchdog: opts.Watchdog, CheckpointEvery: opts.CheckpointEvery, rec: opts.Trace, replan: opts.Replan}
 	if opts.LocalWorkers != nil {
 		if len(opts.LocalWorkers) != workers {
 			return nil, fmt.Errorf("exec: LocalWorkers masks %d of %d workers", len(opts.LocalWorkers), workers)
@@ -232,12 +204,15 @@ func NewMappedOpts(g *ir.Graph, s *sched.Schedule, assign []int, workers int, op
 		me.local = append([]bool(nil), opts.LocalWorkers...)
 		me.remote = opts.Remote
 	}
-	sw, err := newSWPState(g, s, opts, me.Assign)
+	sw, err := newSWPState(g, s, opts)
 	if err != nil {
 		return nil, err
 	}
 	sw.host = me
 	me.swp = sw
+	if err := me.validAssign(me.Assign, workers); err != nil {
+		return nil, fmt.Errorf("exec: %w", err)
+	}
 	if opts.Elastic {
 		es, err := newElasticState(opts)
 		if err != nil {
@@ -603,8 +578,8 @@ func (me *MappedEngine) runEpoch(iters int) error {
 }
 
 // recoverFromCrash degrades the engine onto the surviving workers: count
-// the crash, re-plan the assignment, rebuild the topology, and roll back
-// to the last coordinated checkpoint.
+// the crash, re-plan the assignment, and roll back to the last coordinated
+// checkpoint on the new topology.
 func (me *MappedEngine) recoverFromCrash(wc *workerCrash) error {
 	if me.Workers <= 1 {
 		return &ExecError{Filter: fmt.Sprintf("worker %d", wc.worker), Op: "crash",
@@ -613,99 +588,61 @@ func (me *MappedEngine) recoverFromCrash(wc *workerCrash) error {
 	name := fmt.Sprintf("worker%d", wc.worker)
 	me.sup.noteCrash(name)
 	traceRecovery(me.rec, len(me.G.Nodes)+1+wc.worker, name, "replan")
-	survivors := me.Workers - 1
-	var assign []int
-	if me.Replan != nil {
-		assign = me.Replan(survivors, nil)
+	assign, err := me.planOnto(me.Workers-1, nil)
+	if err == nil {
+		err = me.adopt(me.Workers-1, assign)
 	}
-	if !me.validAssign(assign, survivors) {
-		assign = me.reassignWithout(wc.worker)
-	}
-	me.Workers = survivors
-	me.Assign = assign
-	if err := me.buildTopology(); err != nil {
-		return err
-	}
-	if err := me.applyImage(me.lastImg); err != nil {
+	if err != nil {
 		return fmt.Errorf("exec: rollback after worker %d crash: %w", wc.worker, err)
 	}
 	return nil
 }
 
-// validAssign checks a replanned assignment covers every node within the
-// worker range and keeps every stage cluster on a single worker.
-func (me *MappedEngine) validAssign(assign []int, workers int) bool {
-	if len(assign) != len(me.G.Nodes) {
-		return false
+// planOnto asks the planner to re-pack the engine's graph onto workers and
+// holds the answer to the engine's invariants. The planner and the engine
+// index the same rewritten graph, so workNS (nil, or one window's measured
+// work) and the assignment are both by node ID.
+func (me *MappedEngine) planOnto(workers int, workNS []int64) ([]int, error) {
+	assign, err := me.replan(workers, workNS)
+	if err == nil {
+		err = me.validAssign(assign, workers)
 	}
-	for _, w := range assign {
-		if w < 0 || w >= workers {
-			return false
-		}
+	if err != nil {
+		return nil, fmt.Errorf("re-plan onto %d workers: %w", workers, err)
 	}
-	for _, members := range me.swp.clusters {
-		for _, id := range members[1:] {
-			if assign[id] != assign[members[0]] {
-				return false
-			}
-		}
-	}
-	return true
+	return assign, nil
 }
 
-// reassignWithout is the fallback re-plan: the dead worker's nodes move to
-// the least-loaded survivors (by node count) and the survivors renumber
-// densely to 0..Workers-2. Pipelined stage clusters move as a unit so they
-// stay on one worker.
-func (me *MappedEngine) reassignWithout(dead int) []int {
-	load := make([]int, me.Workers)
-	for _, w := range me.Assign {
-		load[w]++
+// adopt moves the engine onto a re-planned assignment: rebuild the worker
+// topology and restore the last barrier image onto it.
+func (me *MappedEngine) adopt(workers int, assign []int) error {
+	me.Workers, me.Assign = workers, assign
+	if err := me.buildTopology(); err != nil {
+		return err
 	}
-	renum := make([]int, me.Workers)
-	next := 0
-	for w := range renum {
-		if w == dead {
-			renum[w] = -1
-			continue
-		}
-		renum[w] = next
-		next++
+	return me.applyImage(me.lastImg)
+}
+
+// validAssign holds an assignment — the constructor's, or a planner's
+// answer — to the engine's invariants: every node covered, every worker in
+// range, every stage cluster on a single worker.
+func (me *MappedEngine) validAssign(assign []int, workers int) error {
+	if len(assign) != len(me.G.Nodes) {
+		return fmt.Errorf("assignment covers %d of %d nodes", len(assign), len(me.G.Nodes))
 	}
-	assign := make([]int, len(me.Assign))
-	seen := make([]bool, len(me.Assign))
-	for id, w := range me.Assign {
-		if seen[id] {
-			continue
-		}
-		unit := []int{id}
-		if ci := me.swp.clusterOf[id]; ci >= 0 {
-			unit = me.swp.clusters[ci]
-		}
-		for _, m := range unit {
-			seen[m] = true
-		}
-		if w != dead {
-			for _, m := range unit {
-				assign[m] = renum[w]
-			}
-			continue
-		}
-		best := -1
-		for sw := 0; sw < me.Workers; sw++ {
-			if sw == dead {
-				continue
-			}
-			if best < 0 || load[sw] < load[best] {
-				best = sw
-			}
-		}
-		load[best] += len(unit)
-		for _, m := range unit {
-			assign[m] = renum[best]
+	for id, w := range assign {
+		if w < 0 || w >= workers {
+			return fmt.Errorf("node %d assigned to worker %d of %d", id, w, workers)
 		}
 	}
-	return assign
+	for ci, members := range me.swp.clusters {
+		for _, id := range members[1:] {
+			if assign[id] != assign[members[0]] {
+				return fmt.Errorf("stage cluster %d splits across workers %d and %d", ci, assign[members[0]], assign[id])
+			}
+		}
+	}
+	return nil
 }
 
 // workerFault applies one injected worker-level fault at the top of a
@@ -998,9 +935,6 @@ func (me *MappedEngine) fireSupervised(c *mnodeCtx) error {
 	}
 	return me.sup.fire(f, me.rec)
 }
-
-// WorkerOf reports the worker a node runs on (diagnostics).
-func (me *MappedEngine) WorkerOf(id int) int { return me.Assign[id] }
 
 // PartitionSizes returns per-worker node counts, sorted descending
 // (diagnostics and tests).

@@ -221,9 +221,10 @@ func (me *MappedEngine) applyImage(data []byte) error {
 		if img.swp != nil && me.stage[e.ID] != nil {
 			// Re-derive the producer's unflushed staging residue from the
 			// flush schedule: everything produced since its last flush point
-			// (a batch boundary, or the segment's last firing).
+			// (a batch boundary, or the segment's last firing) — whole
+			// iterations, each Reps firings of the port's push rate.
 			if iseg := img.swp.done(e.Src.ID); iseg < img.swp.segIters {
-				staged[e.ID] = int(iseg%int64(img.swp.batch)) * e.Src.PushPort(e.SrcPort)
+				staged[e.ID] = int(iseg%int64(img.swp.batch)) * me.Sch.Reps[e.Src.ID] * e.Src.PushPort(e.SrcPort)
 			}
 			if staged[e.ID] > len(ie.items) {
 				return fmt.Errorf("exec: checkpoint edge %s buffers %d items, fewer than its %d-item staging residue", e, len(ie.items), staged[e.ID])

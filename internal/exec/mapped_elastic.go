@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"streamit/internal/faults"
@@ -142,8 +143,11 @@ func (me *MappedEngine) elasticStep() error {
 	if !forced && !me.imbalanced(sample) {
 		return nil
 	}
-	assign := me.replanAssign(target, sample)
-	if target == me.Workers && equalAssign(assign, me.Assign) {
+	assign, err := me.planOnto(target, sample.WorkNS)
+	if err != nil {
+		return fmt.Errorf("exec: elastic replan at iteration %d: %w", me.iter, err)
+	}
+	if target == me.Workers && slices.Equal(assign, me.Assign) {
 		return nil // already as balanced as the packer can make it
 	}
 	if !forced {
@@ -157,12 +161,7 @@ func (me *MappedEngine) elasticStep() error {
 		me.rec.Instant(len(me.G.Nodes), "elastic replan", "replan",
 			fmt.Sprintf("iteration %d: %d -> %d workers", me.iter, me.Workers, target))
 	}
-	me.Workers = target
-	me.Assign = assign
-	if err := me.buildTopology(); err != nil {
-		return err
-	}
-	if err := me.applyImage(me.lastImg); err != nil {
+	if err := me.adopt(target, assign); err != nil {
 		return fmt.Errorf("exec: elastic replan at iteration %d: %w", me.iter, err)
 	}
 	es.replans++
@@ -206,84 +205,6 @@ func (me *MappedEngine) imbalanced(sample obs.WindowSample) bool {
 	}
 	mean := float64(sum) / float64(me.Workers)
 	return float64(max) >= me.elastic.threshold*mean
-}
-
-// replanAssign picks the new node→worker assignment for target workers:
-// the plan-aware Replan hook over the window's measured work per firing
-// (partition.ExecPlan.AssignMeasured through core), or the engine's own
-// measured packing when there is no hook or its answer fails validation
-// (coverage, worker range, stage clusters whole).
-func (me *MappedEngine) replanAssign(target int, sample obs.WindowSample) []int {
-	if me.Replan != nil {
-		if a := me.Replan(target, sample.PerFiring(nodeNames(me.G))); me.validAssign(a, target) {
-			return a
-		}
-	}
-	return me.measuredAssign(target, sample)
-}
-
-// measuredAssign is the engine-internal fallback packer: LPT over the
-// window's measured per-node work (total nanoseconds in the window, which
-// already weights by firing rate), with stage clusters packed whole.
-func (me *MappedEngine) measuredAssign(target int, sample obs.WindowSample) []int {
-	type unit struct {
-		members []int
-		w       int64
-	}
-	var units []unit
-	grouped := make([]bool, len(me.G.Nodes))
-	for _, members := range me.swp.clusters {
-		u := unit{members: members}
-		for _, id := range members {
-			grouped[id] = true
-			u.w += sample.WorkNS[id]
-		}
-		units = append(units, u)
-	}
-	for _, n := range me.G.Nodes {
-		if !grouped[n.ID] {
-			units = append(units, unit{members: []int{n.ID}, w: sample.WorkNS[n.ID]})
-		}
-	}
-	for i := range units {
-		if units[i].w < 1 {
-			units[i].w = 1
-		}
-	}
-	// Stable LPT: heaviest first, ties in first-member order.
-	for i := 1; i < len(units); i++ {
-		for j := i; j > 0 && units[j].w > units[j-1].w; j-- {
-			units[j], units[j-1] = units[j-1], units[j]
-		}
-	}
-	loads := make([]int64, target)
-	assign := make([]int, len(me.G.Nodes))
-	for _, u := range units {
-		best := 0
-		for w := 1; w < target; w++ {
-			if loads[w] < loads[best] {
-				best = w
-			}
-		}
-		for _, id := range u.members {
-			assign[id] = best
-		}
-		loads[best] += u.w
-	}
-	return assign
-}
-
-// equalAssign reports whether two assignments are identical.
-func equalAssign(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // OverrideWork replaces the steady-state work function of every rewritten

@@ -285,10 +285,7 @@ func TestMappedElasticOptionValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if mb.stages != nil {
-				tc.opts.Stages = mb.stages.Levels
-				tc.opts.StageClusters = mb.stages.Clusters
-			}
+			tc.opts.Replan = packer(mb.plan, mb.g2, mb.s2)
 			_, err := NewMappedOpts(mb.g2, mb.s2, mb.assign, mb.workers, tc.opts)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("got %v, want error mentioning %q", err, tc.want)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -19,17 +20,28 @@ import (
 )
 
 // mappedBuild is one rewritten application instance: the flat rewritten
-// graph and schedule a mapped engine runs, its worker assignment, and the
-// collector slices its sinks were swapped for. Engines built over the same
-// mappedBuild share the collectors, so an interrupted run plus its resumed
-// continuation append to the same output stream.
+// graph and schedule a mapped engine runs, the plan that produced them, its
+// worker assignment, and the collector slices its sinks were swapped for.
+// Engines built over the same mappedBuild share the collectors, so an
+// interrupted run plus its resumed continuation append to the same output
+// stream.
 type mappedBuild struct {
 	g2      *ir.Graph
 	s2      *sched.Schedule
+	plan    *partition.ExecPlan
 	assign  []int
 	workers int
 	outs    []*[]float64
 	stages  *partition.StagePlan // non-nil for pipelined strategies
+}
+
+// packer is the planner every binary attaches (core.MappedEngineOpts):
+// partition's packer over the plan the graph came from. A hand-built graph
+// has no rewrite to account for, so the empty plan packs it.
+func packer(plan *partition.ExecPlan, g *ir.Graph, s *sched.Schedule) func(int, []int64) ([]int, error) {
+	return func(workers int, workNS []int64) ([]int, error) {
+		return plan.Pack(g, s, partition.Topology{Shards: workers, PerShard: 1}, workNS)
+	}
 }
 
 func buildMapped(tb testing.TB, build func() *ir.Program, strat partition.Strategy) *mappedBuild {
@@ -58,7 +70,7 @@ func buildMapped(tb testing.TB, build func() *ir.Program, strat partition.Strate
 	if err != nil {
 		tb.Fatalf("scheduling rewritten program: %v", err)
 	}
-	mb := &mappedBuild{g2: g2, s2: s2, assign: plan.Assign(g2, s2), workers: plan.Workers, outs: outs}
+	mb := &mappedBuild{g2: g2, s2: s2, plan: plan, assign: plan.Assign(g2, s2), workers: plan.Workers, outs: outs}
 	if plan.Pipelined {
 		st, err := partition.PipelineStages(g2)
 		if err != nil {
@@ -74,6 +86,9 @@ func (mb *mappedBuild) engine(tb testing.TB, opts Options) *MappedEngine {
 	if mb.stages != nil {
 		opts.Stages = mb.stages.Levels
 		opts.StageClusters = mb.stages.Clusters
+	}
+	if opts.Replan == nil && mb.plan != nil {
+		opts.Replan = packer(mb.plan, mb.g2, mb.s2)
 	}
 	me, err := NewMappedOpts(mb.g2, mb.s2, mb.assign, mb.workers, opts)
 	if err != nil {
@@ -359,6 +374,7 @@ func TestMappedWorkerCrashRecovery(t *testing.T) {
 	me, err := NewMappedOpts(g, s, assign, 3, Options{
 		Faults: mustPlan(t, "crash:worker1@2"),
 		Trace:  rec,
+		Replan: packer(&partition.ExecPlan{}, g, s),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -402,8 +418,10 @@ func TestMappedWorkerCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestMappedWorkerCrashReplanHook: crash recovery prefers the installed
-// Replan hook's assignment over the built-in least-loaded fallback.
+// TestMappedWorkerCrashReplanHook: the engine does not pack. Crash recovery
+// runs on the planner's answer, an answer that breaks an engine invariant
+// fails the run with an error naming the rule, and a configuration that
+// re-plans is refused at construction when no planner is attached.
 func TestMappedWorkerCrashReplanHook(t *testing.T) {
 	const iters = 6
 	clean, _, err := runSeqFault(t, gainFilter("Double", 2), iters, Options{})
@@ -415,32 +433,84 @@ func TestMappedWorkerCrashReplanHook(t *testing.T) {
 	for i := range assign {
 		assign[i] = i % 3
 	}
-	me, err := NewMappedOpts(g, s, assign, 3, Options{Faults: mustPlan(t, "crash:worker2@1")})
+	replanned := 0
+	var answer []int
+	me, err := NewMappedOpts(g, s, assign, 3, Options{Faults: mustPlan(t, "crash:worker2@1"),
+		Replan: func(workers int, workNS []int64) ([]int, error) {
+			replanned++
+			if workNS != nil {
+				t.Errorf("crash recovery passed a measurement: %v", workNS)
+			}
+			answer = make([]int, len(g.Nodes))
+			for i := range answer {
+				answer[i] = (i + 1) % workers
+			}
+			return answer, nil
+		}})
 	if err != nil {
 		t.Fatal(err)
-	}
-	replanned := 0
-	me.Replan = func(workers int, _ map[string]int64) []int {
-		replanned++
-		out := make([]int, len(g.Nodes))
-		for i := range out {
-			out[i] = i % workers
-		}
-		return out
 	}
 	if err := me.Run(iters); err != nil {
 		t.Fatalf("crashed run did not recover: %v", err)
 	}
 	if replanned != 1 {
-		t.Errorf("Replan hook called %d times, want 1", replanned)
+		t.Errorf("planner called %d times, want 1", replanned)
 	}
-	if len(*got) != len(clean) {
-		t.Fatalf("recovered run produced %d items, clean run %d", len(*got), len(clean))
+	if me.Workers != 2 || !slices.Equal(me.Assign, answer) {
+		t.Errorf("engine runs %v on %d workers, planner answered %v", me.Assign, me.Workers, answer)
 	}
-	for i := range clean {
-		if (*got)[i] != clean[i] {
-			t.Fatalf("item %d differs after replanned recovery: %v vs %v", i, (*got)[i], clean[i])
+	if !slices.Equal(*got, clean) {
+		t.Fatalf("replanned recovery produced %v, clean run %v", *got, clean)
+	}
+
+	for _, bad := range []struct {
+		name   string
+		answer func(workers int) ([]int, error)
+		want   string
+	}{
+		{"short", func(int) ([]int, error) { return make([]int, len(g.Nodes)-1), nil }, "assignment covers"},
+		{"out of range", func(workers int) ([]int, error) {
+			a := make([]int, len(g.Nodes))
+			a[0] = workers
+			return a, nil
+		}, "assigned to worker 2 of 2"},
+		{"planner error", func(int) ([]int, error) { return nil, errors.New("no plan today") }, "no plan today"},
+	} {
+		g, s, _ := faultPipeline(t, gainFilter("Double", 2))
+		me, err := NewMappedOpts(g, s, assign, 3, Options{Faults: mustPlan(t, "crash:worker2@1"),
+			Replan: func(workers int, _ []int64) ([]int, error) { return bad.answer(workers) }})
+		if err != nil {
+			t.Fatal(err)
 		}
+		if err := me.Run(iters); err == nil || !strings.Contains(err.Error(), bad.want) {
+			t.Errorf("%s answer: err = %v, want one naming %q", bad.name, err, bad.want)
+		}
+	}
+
+	// On a pipelined plan the stage clusters are part of the contract.
+	rb := buildMapped(t, func() *ir.Program { return apps.Reverb(4, 0.5) }, partition.StratSWP)
+	loop := rb.stages.Clusters[0]
+	split := rb.engine(t, Options{Faults: mustPlan(t, fmt.Sprintf("crash:worker%d@2", rb.assign[loop[0]])),
+		Replan: func(int, []int64) ([]int, error) {
+			a := make([]int, len(rb.g2.Nodes))
+			a[loop[0]] = 1
+			return a, nil
+		}})
+	if err := split.Run(iters); err == nil || !strings.Contains(err.Error(), "stage cluster 0 splits across workers") {
+		t.Errorf("cluster-splitting answer: err = %v, want one naming the split cluster", err)
+	}
+
+	for name, opts := range map[string]Options{
+		"crash fault": {Faults: mustPlan(t, "crash:worker2@1")},
+		"elastic":     {Elastic: true},
+	} {
+		if _, err := NewMappedOpts(g, s, assign, 3, opts); err == nil || !strings.Contains(err.Error(), "Options.Replan") {
+			t.Errorf("%s without a planner: err = %v, want a construction error naming Options.Replan", name, err)
+		}
+	}
+	// Worker faults that never re-plan build as before.
+	if _, err := NewMappedOpts(g, s, assign, 3, Options{Faults: mustPlan(t, "slow:worker0@1;stall:worker1@9")}); err != nil {
+		t.Errorf("slow/stall faults need no planner: %v", err)
 	}
 }
 
@@ -513,7 +583,8 @@ func TestMappedWorkerStallWatchdog(t *testing.T) {
 func TestMappedCrashNoSurvivors(t *testing.T) {
 	g, s, _ := faultPipeline(t, gainFilter("Double", 2))
 	assign := make([]int, len(g.Nodes))
-	me, err := NewMappedOpts(g, s, assign, 1, Options{Faults: mustPlan(t, "crash:worker0@1")})
+	me, err := NewMappedOpts(g, s, assign, 1, Options{Faults: mustPlan(t, "crash:worker0@1"),
+		Replan: packer(&partition.ExecPlan{}, g, s)})
 	if err != nil {
 		t.Fatal(err)
 	}

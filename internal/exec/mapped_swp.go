@@ -52,10 +52,10 @@ import (
 // bit-identical to the sequential Engine. The zero-skew plan has no
 // clusters, which is why it cannot host either.
 
-// DefaultStageBatch is the pipelined flush interval in macro-cycles: how
-// many iterations each stage runs ahead of the next, and how many
-// iterations' worth of items one cross-worker transfer carries.
-const DefaultStageBatch = 8
+// StageBatch is the pipelined flush interval in macro-cycles: how many
+// iterations each stage runs ahead of the next, and how many iterations'
+// worth of items one cross-worker transfer carries.
+const StageBatch = 8
 
 // swpState is the stage plan and its runtime position; every mapped engine
 // has one.
@@ -109,11 +109,12 @@ func (sw *swpState) reach(end int64) {
 
 // newSWPState builds the engine's stage plan. Without Options.Stages that
 // is the zero-skew plan. A plan the caller supplies is validated against
-// the graph and assignment: complete non-negative levels, clusters whole
-// on one worker at one level (feedback edges inside one cluster),
-// cross-cluster forward edges strictly increasing in level, and the full
-// messaging hull inside a single cluster.
-func newSWPState(g *ir.Graph, s *sched.Schedule, opts Options, assign []int) (*swpState, error) {
+// the graph: complete non-negative levels, clusters at one level (feedback
+// edges inside one cluster), cross-cluster forward edges strictly
+// increasing in level, and the full messaging hull inside a single cluster.
+// That every cluster sits on one worker is validAssign's to check, of the
+// first assignment as of every later one.
+func newSWPState(g *ir.Graph, s *sched.Schedule, opts Options) (*swpState, error) {
 	n := len(g.Nodes)
 	sw := &swpState{
 		teleport:  teleport{g: g, sch: s, trace: opts.Trace},
@@ -135,13 +136,7 @@ func newSWPState(g *ir.Graph, s *sched.Schedule, opts Options, assign []int) (*s
 		return nil, fmt.Errorf("exec: stage map covers %d of %d nodes", len(opts.Stages), n)
 	}
 	sw.levels = append([]int(nil), opts.Stages...)
-	sw.batch = int64(opts.StageBatch)
-	if sw.batch == 0 {
-		sw.batch = DefaultStageBatch
-	}
-	if sw.batch < 1 {
-		return nil, fmt.Errorf("exec: stage batch %d out of range (want >= 1 cycles)", opts.StageBatch)
-	}
+	sw.batch = StageBatch
 	for id, lv := range sw.levels {
 		if lv < 0 {
 			return nil, fmt.Errorf("exec: node %d has negative stage level %d", id, lv)
@@ -162,9 +157,6 @@ func newSWPState(g *ir.Graph, s *sched.Schedule, opts Options, assign []int) (*s
 				return nil, fmt.Errorf("exec: node %d appears in stage clusters %d and %d", id, sw.clusterOf[id], ci)
 			}
 			sw.clusterOf[id] = ci
-			if assign[id] != assign[members[0]] {
-				return nil, fmt.Errorf("exec: stage cluster %d splits across workers %d and %d", ci, assign[members[0]], assign[id])
-			}
 			if sw.levels[id] != sw.levels[members[0]] {
 				return nil, fmt.Errorf("exec: stage cluster %d spans levels %d and %d", ci, sw.levels[members[0]], sw.levels[id])
 			}
@@ -190,10 +182,7 @@ func newSWPState(g *ir.Graph, s *sched.Schedule, opts Options, assign []int) (*s
 
 	hasMsg := len(g.Portals) > 0 || len(g.Constraints) > 0
 	for _, nd := range g.Nodes {
-		if nd.Kind != ir.NodeFilter || nd.Filter.WorkFn != nil {
-			continue
-		}
-		if k := nd.Filter.Kernel; k != nil && k.Work != nil && wfunc.SendsMessages(k.Work) {
+		if nd.SendsMessages() {
 			sw.sends[nd.ID] = true
 			hasMsg = true
 		}

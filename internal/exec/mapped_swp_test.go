@@ -203,6 +203,34 @@ func TestMappedPipelinedMidSegmentCheckpoint(t *testing.T) {
 		t.Fatalf("resumed final state differs from uninterrupted run (%d vs %d bytes)", len(want), len(got))
 	}
 
+	// Restore onto a different assignment of the same plan, as a re-plan
+	// does: a source that fires more than once per iteration sat beside its
+	// consumer when the image was taken mid-prologue (no staging, the whole
+	// edge in one queue) and is on another worker now, so the restore must
+	// carve whole iterations — Reps firings each — back out as the residue.
+	sortB := buildMapped(t, func() *ir.Program { return apps.BitonicSort(16) }, partition.StratSWP)
+	sortRef := sortB.engine(t, Options{})
+	if err := sortRef.Run(segIters); err != nil {
+		t.Fatal(err)
+	}
+	movedB := buildMapped(t, func() *ir.Program { return apps.BitonicSort(16) }, partition.StratSWP)
+	src := movedB.g2.Sources()[0]
+	dst := src.OutEdge().Dst
+	if movedB.s2.Reps[src.ID] < 2 {
+		t.Fatalf("source %s fires once per iteration; the case needs Reps > 1", src.Name)
+	}
+	movedB.assign[src.ID] = movedB.assign[dst.ID]
+	early, _ := skewedCheckpoint(t, movedB, segIters, 3)
+	movedB.assign[src.ID] = (movedB.assign[dst.ID] + 1) % movedB.workers
+	moved := movedB.engine(t, Options{})
+	if err := moved.RunFromCheckpoint(early, segIters); err != nil {
+		t.Fatalf("resume on a re-packed assignment: %v", err)
+	}
+	if want, got := mappedCkptBytes(t, sortRef, segIters), mappedCkptBytes(t, moved, segIters); !bytes.Equal(want, got) {
+		t.Fatalf("resume on a re-packed assignment ends on a different state (%d vs %d bytes)", len(want), len(got))
+	}
+	compareOuts(t, sortB.outs, movedB.outs, "re-packed resume")
+
 	// A pipelined resume must target the segment the barrier belongs to.
 	wrong := intB.engine(t, Options{})
 	if err := wrong.RunFromCheckpoint(img, segIters+1); err == nil {

@@ -50,10 +50,17 @@ type Options struct {
 	// and teleport-messaging hulls. Each group must sit on one worker at
 	// one stage level. Only meaningful with Stages.
 	StageClusters [][]int
-	// StageBatch is the pipelined cross-worker flush interval in
-	// macro-cycles (and the stage distance between adjacent levels).
-	// 0 selects DefaultStageBatch. Only meaningful with Stages.
-	StageBatch int
+	// Replan is the mapped engine's planner: it re-assigns the nodes of the
+	// engine's own graph to a new worker count (partition.ExecPlan.Pack
+	// over the plan the engine was built from). The engine never packs:
+	// crash recovery asks for the surviving count with nil workNS (the
+	// plan's static estimates), the elastic controller passes the closed
+	// window's measured work per node, indexed by node ID. An answer that
+	// breaks the engine's invariants (every node covered, workers in range,
+	// stage clusters whole) fails the run. Required by the two
+	// configurations that re-plan — Elastic, and a fault plan scheduling
+	// crash:workerN; the other engines ignore it.
+	Replan func(workers int, workNS []int64) ([]int, error)
 	// Elastic enables the mapped engine's runtime re-plan controller: the
 	// profiler's windowed per-worker busy time feeds an imbalance detector
 	// that, when it trips (or when Resize asks for a different worker
@@ -106,6 +113,20 @@ const DefaultWatchdogInterval = 5 * time.Second
 // supervised reports whether the options ask for any supervision work.
 func (o Options) supervised() bool {
 	return !o.Faults.Empty() || o.OnError.Active()
+}
+
+// replans reports whether the options select one of the two mapped-engine
+// configurations that re-plan at run time: the elastic controller, or
+// recovery from a scheduled worker crash.
+func (o Options) replans() bool {
+	if o.Faults != nil {
+		for _, wf := range o.Faults.WorkerFaults {
+			if wf.Kind == faults.Crash {
+				return true
+			}
+		}
+	}
+	return o.Elastic
 }
 
 // filterNames lists the graph's filter-node names in deterministic graph

@@ -179,6 +179,36 @@ func (n *Node) KernelOf() *wfunc.Kernel {
 	return n.Filter.Kernel
 }
 
+// SendsMessages reports whether the node is an IL filter whose work
+// function sends teleport messages. A native WorkFn replaces the IL body,
+// so native filters never do.
+func (n *Node) SendsMessages() bool {
+	k := n.KernelOf()
+	return k != nil && n.Filter.WorkFn == nil && wfunc.SendsMessages(k.Work)
+}
+
+// LockstepBlocker reports why the graph cannot run under a lockstep plan —
+// one batch per edge per steady iteration — or "" when it can. Feedback
+// loops interleave at firing granularity and teleport delivery windows are
+// relative to live progress counters, so both need the sequential engine's
+// firing order or a pipelined plan's single-worker stage clusters.
+func (g *Graph) LockstepBlocker() string {
+	for _, e := range g.Edges {
+		if e.Back {
+			return "feedback loop"
+		}
+	}
+	if len(g.Portals) > 0 || len(g.Constraints) > 0 {
+		return "teleport messaging"
+	}
+	for _, n := range g.Nodes {
+		if n.SendsMessages() {
+			return "message-sending filter " + n.Name
+		}
+	}
+	return ""
+}
+
 // InEdge returns the node's first connected input edge (filters and
 // splitters have exactly one), or nil.
 func (n *Node) InEdge() *Edge {

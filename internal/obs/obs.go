@@ -201,20 +201,6 @@ func (w *WorkWindow) Advance() WindowSample {
 	return ws
 }
 
-// PerFiring returns the sample's average work per firing in nanoseconds,
-// keyed by node name (nodes that did not fire or recorded no work in the
-// window are omitted) — the shape the partitioner's measured-work inputs
-// consume.
-func (ws WindowSample) PerFiring(names []string) map[string]int64 {
-	out := map[string]int64{}
-	for i, wk := range ws.WorkNS {
-		if i < len(names) && ws.Firings[i] > 0 && wk > 0 {
-			out[names[i]] = wk / ws.Firings[i]
-		}
-	}
-	return out
-}
-
 // Table renders the per-filter profile as an aligned text table (the
 // streamit-run -profile report). Nodes that never fired are omitted.
 func (p *Profiler) Table() string {

@@ -149,26 +149,3 @@ func TestWorkWindow(t *testing.T) {
 		t.Errorf("window 2 node c = %d firings / %d ns", s2.Firings[2], s2.WorkNS[2])
 	}
 }
-
-// TestWindowSamplePerFiring: the per-firing view averages within the
-// window and omits nodes that recorded no firings or no work.
-func TestWindowSamplePerFiring(t *testing.T) {
-	names := []string{"a", "b", "c"}
-	p := NewProfiler(names)
-	w := NewWorkWindow(p)
-	p.At(0).AddFiring()
-	p.At(0).AddFiring()
-	p.At(0).AddWork(time.Microsecond)
-	p.At(1).AddFiring() // fired but zero recorded work
-
-	per := w.Advance().PerFiring(names)
-	if got := per["a"]; got != 500 {
-		t.Errorf("a = %d ns/firing, want 500", got)
-	}
-	if _, ok := per["b"]; ok {
-		t.Error("zero-work node b present in per-firing map")
-	}
-	if _, ok := per["c"]; ok {
-		t.Error("idle node c present in per-firing map")
-	}
-}

@@ -3,7 +3,6 @@ package partition
 import (
 	"fmt"
 	"runtime"
-	"sort"
 
 	"streamit/internal/fuse"
 	"streamit/internal/ir"
@@ -66,8 +65,8 @@ func BuildExecPlan(prog *ir.Program, g *ir.Graph, s *sched.Schedule, opts ExecPl
 			opts.Strategy, StratTask, StratFineData, StratCoarseData, StratSWP, StratCombined)
 	}
 	pipelined := opts.Strategy == StratSWP || opts.Strategy == StratCombined
-	if hasFeedback(prog.Top) && !pipelined {
-		return nil, fmt.Errorf("partition: feedback loops need finer-than-batch interleaving; the mapped engine cannot run %s (use a pipelined strategy)", prog.Name)
+	if why := g.LockstepBlocker(); why != "" && !pipelined {
+		return nil, fmt.Errorf("partition: %s needs finer-than-batch interleaving; the mapped engine cannot run %s under %q (use a pipelined strategy)", why, prog.Name, opts.Strategy)
 	}
 	workers := opts.Workers
 	if workers <= 0 {
@@ -113,26 +112,6 @@ func BuildExecPlan(prog *ir.Program, g *ir.Graph, s *sched.Schedule, opts ExecPl
 		Named:       prog.Named,
 	}
 	return b.plan, nil
-}
-
-func hasFeedback(s ir.Stream) bool {
-	switch s := s.(type) {
-	case *ir.FeedbackLoop:
-		return true
-	case *ir.Pipeline:
-		for _, c := range s.Children {
-			if hasFeedback(c) {
-				return true
-			}
-		}
-	case *ir.SplitJoin:
-		for _, c := range s.Children {
-			if hasFeedback(c) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // planBuilder carries the rewrite state: strategy, work estimates from the
@@ -435,74 +414,4 @@ func replica(f *ir.Filter, r, k int) *ir.Filter {
 	kr.Work = &work
 	kr.Pop, kr.Peek = k*P, k*P+E
 	return rep
-}
-
-// Assign maps every node of the rewritten flat graph onto a worker with
-// longest-processing-time bin-packing over the plan's work estimates (the
-// same greedy packing the simulated mappers use). g2 and s2 must be the
-// flattening and schedule of plan.Program.
-func (p *ExecPlan) Assign(g2 *ir.Graph, s2 *sched.Schedule) []int {
-	return p.AssignMeasured(g2, s2, p.Workers, nil)
-}
-
-// AssignMeasured is Assign onto an explicit worker count, optionally with
-// live measurements — the one re-planning entry point. It packs the same
-// rewritten graph without re-running the fusion/fission rewrite, so the
-// elaborated graph, its schedule, and therefore the checkpoint fingerprint
-// all stay fixed — only the packing moves. Crash recovery calls it with
-// the surviving worker count and a nil map (the plan's static estimates);
-// the elastic controller passes perFiringNS, which maps rewritten-graph
-// node names (g2 names — fused segments and fission replicas, exactly the
-// profiler's key space on a mapped engine) to measured work per firing in
-// nanoseconds and overrides the static estimate for the nodes it covers.
-// Measured weights are rescaled so covered nodes keep the covered set's
-// total static weight, letting measured and estimated nodes pack on one
-// scale (the same discipline as BuildOptions.MeasuredWorkNS).
-func (p *ExecPlan) AssignMeasured(g2 *ir.Graph, s2 *sched.Schedule, workers int, perFiringNS map[string]int64) []int {
-	if workers < 1 {
-		workers = 1
-	}
-	nodeW := p.nodeWeights(g2, s2, perFiringNS)
-	// Packing units: single nodes, except that pipelined plans keep every
-	// stage cluster (feedback cycles, messaging hulls) whole — its members
-	// must fire as a unit on one worker.
-	type unit struct {
-		members []int
-		w       int64
-	}
-	var units []unit
-	grouped := make([]bool, len(g2.Nodes))
-	if p.Pipelined {
-		if sp, err := PipelineStages(g2); err == nil {
-			for _, c := range sp.Clusters {
-				u := unit{members: c}
-				for _, id := range c {
-					u.w += nodeW[id]
-					grouped[id] = true
-				}
-				units = append(units, u)
-			}
-		}
-	}
-	for _, n := range g2.Nodes {
-		if !grouped[n.ID] {
-			units = append(units, unit{members: []int{n.ID}, w: nodeW[n.ID]})
-		}
-	}
-	sort.SliceStable(units, func(i, j int) bool { return units[i].w > units[j].w })
-	loads := make([]int64, workers)
-	assign := make([]int, len(g2.Nodes))
-	for _, u := range units {
-		best := 0
-		for w := 1; w < len(loads); w++ {
-			if loads[w] < loads[best] {
-				best = w
-			}
-		}
-		for _, id := range u.members {
-			assign[id] = best
-		}
-		loads[best] += u.w
-	}
-	return assign
 }

@@ -59,7 +59,7 @@ func TestRewriteDoesNotInflateWork(t *testing.T) {
 				what := fmt.Sprintf("%s under %s on %d workers", app.Name, strat, workers)
 				plan, err := BuildExecPlan(prog, g, s, ExecPlanOptions{Strategy: strat, Workers: workers})
 				if err != nil {
-					if hasFeedback(prog.Top) {
+					if g.LockstepBlocker() != "" {
 						continue // lockstep strategies refuse feedback loops
 					}
 					t.Fatalf("%s: %v", what, err)

@@ -413,28 +413,15 @@ func barrieredLPT(g *machine.WGraph, tiles int) (*machine.Mapping, error) {
 		}
 	}
 	for s := 0; s <= maxStage; s++ {
-		var nodes []*machine.WNode
+		var ids []int
+		var work []int64
 		for _, n := range g.Nodes {
 			if st[n.ID] == s {
-				nodes = append(nodes, n)
+				ids, work = append(ids, n.ID), append(work, n.Work)
 			}
 		}
-		sort.Slice(nodes, func(i, j int) bool {
-			if nodes[i].Work != nodes[j].Work {
-				return nodes[i].Work > nodes[j].Work
-			}
-			return nodes[i].ID < nodes[j].ID
-		})
-		load := make([]int64, tiles)
-		for _, n := range nodes {
-			best := 0
-			for t := 1; t < tiles; t++ {
-				if load[t] < load[best] {
-					best = t
-				}
-			}
-			m.Tile[n.ID] = best
-			load[best] += n.Work
+		for i, tile := range lpt(work, tiles) {
+			m.Tile[ids[i]] = tile
 		}
 	}
 	return m, nil
@@ -448,31 +435,16 @@ func packedPipelined(g *machine.WGraph, tiles int, comm machine.CommKind) (*mach
 	if err != nil {
 		return nil, err
 	}
-	m := &machine.Mapping{
-		Tile:  make([]int, len(g.Nodes)),
+	work := make([]int64, len(g.Nodes))
+	for _, n := range g.Nodes {
+		work[n.ID] = n.Work
+	}
+	return &machine.Mapping{
+		Tile:  lpt(work, tiles),
 		Stage: st,
 		Mode:  machine.ModePipelined,
 		Comm:  comm,
-	}
-	nodes := append([]*machine.WNode(nil), g.Nodes...)
-	sort.Slice(nodes, func(i, j int) bool {
-		if nodes[i].Work != nodes[j].Work {
-			return nodes[i].Work > nodes[j].Work
-		}
-		return nodes[i].ID < nodes[j].ID
-	})
-	load := make([]int64, tiles)
-	for _, n := range nodes {
-		best := 0
-		for t := 1; t < tiles; t++ {
-			if load[t] < load[best] {
-				best = t
-			}
-		}
-		m.Tile[n.ID] = best
-		load[best] += n.Work
-	}
-	return m, nil
+	}, nil
 }
 
 // fuseLightestSiblings merges the lightest pair of sibling nodes — nodes

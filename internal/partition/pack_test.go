@@ -1,0 +1,238 @@
+package partition
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+
+	"streamit/internal/apps"
+	"streamit/internal/ir"
+	"streamit/internal/sched"
+)
+
+// buildPlan rewrites prog for workers cores and flattens and schedules the
+// result. A lockstep strategy refusing a program it cannot host reports
+// ok=false; any other failure is fatal.
+func buildPlan(t *testing.T, prog *ir.Program, strat Strategy, workers int) (plan *ExecPlan, g2 *ir.Graph, s2 *sched.Schedule, ok bool) {
+	t.Helper()
+	g, err := ir.Flatten(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sched.Compute(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err = BuildExecPlan(prog, g, s, ExecPlanOptions{Strategy: strat, Workers: workers})
+	if err != nil {
+		if !strat.Pipelined() && g.LockstepBlocker() != "" {
+			return nil, nil, nil, false
+		}
+		t.Fatal(err)
+	}
+	if g2, err = ir.Flatten(plan.Program); err != nil {
+		t.Fatal(err)
+	}
+	if s2, err = sched.Compute(g2); err != nil {
+		t.Fatal(err)
+	}
+	return plan, g2, s2, true
+}
+
+func buildShardedPlan(t *testing.T, strat Strategy, workers int) (*ExecPlan, *ir.Graph, *sched.Schedule) {
+	t.Helper()
+	plan, g2, s2, _ := buildPlan(t, apps.FMRadio(4, 16), strat, workers)
+	return plan, g2, s2
+}
+
+func mustPack(t *testing.T, plan *ExecPlan, g2 *ir.Graph, s2 *sched.Schedule, topo Topology, measured []int64) []int {
+	t.Helper()
+	assign, err := plan.Pack(g2, s2, topo, measured)
+	if err != nil {
+		t.Fatalf("Pack onto %dx%d: %v", topo.Shards, topo.PerShard, err)
+	}
+	return assign
+}
+
+// TestPackContract states the packer's contract once, over every app, host
+// strategy, bin count, and weight source: every node lands in range, every
+// stage cluster sits on one worker, the packing is deterministic (the
+// coordinator and the engines each compute it and must agree), the heaviest
+// bin carries at most the mean plus the heaviest unit (the greedy bound),
+// and both levels are the same loop — n shards of one worker, one shard of n
+// workers, and Assign on the plan's own count all agree, while a real grid
+// keeps clusters whole too. Reverb and the frequency-hopping radio add the
+// feedback and teleport-messaging clusters the twelve suite apps lack.
+func TestPackContract(t *testing.T) {
+	progs := apps.Suite()
+	progs = append(progs,
+		apps.App{Name: "Reverb", Build: func() *ir.Program { return apps.Reverb(4, 0.5) }},
+		apps.App{Name: "FreqHoppingRadio", Build: func() *ir.Program { return apps.FreqHoppingRadio(true) }})
+	clusters := 0
+	for _, app := range progs {
+		for _, strat := range []Strategy{StratTask, StratFineData, StratCoarseData, StratSWP, StratCombined} {
+			plan, g2, s2, ok := buildPlan(t, app.Build(), strat, 4)
+			if !ok {
+				continue
+			}
+			var units [][]int
+			if plan.Pipelined {
+				sp, err := PipelineStages(g2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				units = sp.Clusters
+				clusters += len(units)
+			}
+			for id := range g2.Nodes {
+				if !slices.ContainsFunc(units, func(u []int) bool { return slices.Contains(u, id) }) {
+					units = append(units, []int{id})
+				}
+			}
+			rng := rand.New(rand.NewSource(int64(len(g2.Nodes))))
+			skewed := make([]int64, len(g2.Nodes))
+			for id := range skewed {
+				skewed[id] = 1 + rng.Int63n(1000)
+			}
+			skewed[rng.Intn(len(skewed))] *= 1000
+			for _, measured := range [][]int64{nil, skewed} {
+				work := steadyWork(g2, s2, plan.Work, measured)
+				for _, bins := range []int{1, 2, 3, 4, 8} {
+					what := fmt.Sprintf("%s under %s onto %d (measured=%v)", app.Name, strat, bins, measured != nil)
+					assign := mustPack(t, plan, g2, s2, Topology{Shards: bins, PerShard: 1}, measured)
+					if len(assign) != len(g2.Nodes) {
+						t.Fatalf("%s: assignment covers %d of %d nodes", what, len(assign), len(g2.Nodes))
+					}
+					load := make([]int64, bins)
+					var total, heaviest int64
+					for _, members := range units {
+						var w int64
+						for _, id := range members {
+							if assign[id] < 0 || assign[id] >= bins {
+								t.Fatalf("%s: node %d on worker %d", what, id, assign[id])
+							}
+							if assign[id] != assign[members[0]] {
+								t.Fatalf("%s: cluster %v splits across workers %d and %d", what, members, assign[members[0]], assign[id])
+							}
+							w += max(work[id], 1)
+						}
+						load[assign[members[0]]] += w
+						total += w
+						heaviest = max(heaviest, w)
+					}
+					if got, bound := slices.Max(load), total/int64(bins)+heaviest; got > bound {
+						t.Errorf("%s: heaviest bin carries %d, above mean + heaviest unit = %d", what, got, bound)
+					}
+					if again := mustPack(t, plan, g2, s2, Topology{Shards: bins, PerShard: 1}, measured); !slices.Equal(assign, again) {
+						t.Errorf("%s: two calls disagree", what)
+					}
+					if oneShard := mustPack(t, plan, g2, s2, Topology{Shards: 1, PerShard: bins}, measured); !slices.Equal(assign, oneShard) {
+						t.Errorf("%s: %d shards of one worker and one shard of %d workers disagree", what, bins, bins)
+					}
+					if bins == plan.Workers && measured == nil && !slices.Equal(assign, plan.Assign(g2, s2)) {
+						t.Errorf("%s: Assign disagrees with Pack onto the plan's own worker count", what)
+					}
+					grid := mustPack(t, plan, g2, s2, Topology{Shards: bins, PerShard: 2}, measured)
+					for _, members := range units {
+						for _, id := range members {
+							if grid[id] < 0 || grid[id] >= 2*bins || grid[id] != grid[members[0]] {
+								t.Fatalf("%s: %dx2 grid puts node %d of unit %v on worker %d", what, bins, id, members, grid[id])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if clusters == 0 {
+		t.Error("no plan had a stage cluster; the cluster clause was never exercised")
+	}
+}
+
+// TestPackSharded: on a real grid both shards get work, and the second
+// level actually spreads a shard's nodes over its local workers.
+func TestPackSharded(t *testing.T) {
+	plan, g2, s2 := buildShardedPlan(t, StratCoarseData, 4)
+	const shards, perShard = 2, 2
+	assign := mustPack(t, plan, g2, s2, Topology{Shards: shards, PerShard: perShard}, nil)
+	perWorker := make([]int, shards*perShard)
+	perShardN := make([]int, shards)
+	for _, w := range assign {
+		perWorker[w]++
+		perShardN[w/perShard]++
+	}
+	for sh, n := range perShardN {
+		if n == 0 {
+			t.Fatalf("shard %d received no nodes: per-worker %v", sh, perWorker)
+		}
+	}
+	busyWorkers := 0
+	for _, n := range perWorker {
+		if n > 0 {
+			busyWorkers++
+		}
+	}
+	if busyWorkers < shards+1 {
+		t.Fatalf("second-level packing left work on only %d workers: %v", busyWorkers, perWorker)
+	}
+}
+
+// TestPackShardedMeasured: live measurements steer the shard-level
+// packing — a node measured as the dominant cost ends up alone against
+// the rest, and the call stays valid.
+func TestPackShardedMeasured(t *testing.T) {
+	plan, g2, s2 := buildShardedPlan(t, StratTask, 4)
+	// Find a mid-graph filter and declare it overwhelmingly expensive.
+	hot := slices.IndexFunc(g2.Nodes, func(n *ir.Node) bool {
+		return n.Kind == ir.NodeFilter && !n.IsSource() && !n.IsSink()
+	})
+	if hot < 0 {
+		t.Fatal("no interior filter found")
+	}
+	measured := make([]int64, len(g2.Nodes))
+	measured[hot] = 1_000_000
+	assign := mustPack(t, plan, g2, s2, Topology{Shards: 2, PerShard: 2}, measured)
+	hotShard := assign[hot] / 2
+	// The hot node's shard should carry fewer peers than the other shard.
+	counts := []int{0, 0}
+	for _, w := range assign {
+		counts[w/2]++
+	}
+	other := 1 - hotShard
+	if counts[hotShard] > counts[other] {
+		t.Fatalf("hot filter %s's shard %d carries %d nodes vs %d on the other; measured weights ignored",
+			g2.Nodes[hot].Name, hotShard, counts[hotShard], counts[other])
+	}
+}
+
+// TestPackRejects: degenerate shapes, a measurement of the wrong
+// graph, and a pipelined plan whose graph cannot be staged fail loudly —
+// nothing behind Pack packs a second opinion without the clusters.
+func TestPackRejects(t *testing.T) {
+	plan, g2, s2 := buildShardedPlan(t, StratCoarseData, 4)
+	if _, err := plan.Pack(g2, s2, Topology{Shards: 0, PerShard: 2}, nil); err == nil {
+		t.Fatal("0 shards should be rejected")
+	}
+	if _, err := plan.Pack(g2, s2, Topology{Shards: 2, PerShard: 0}, nil); err == nil {
+		t.Fatal("0 workers per shard should be rejected")
+	}
+	if _, err := plan.Pack(g2, s2, Topology{Shards: 2, PerShard: 1}, make([]int64, 1)); err == nil {
+		t.Fatal("a measurement covering 1 node should be rejected")
+	}
+
+	// A forward cycle no back edge accounts for: stage contraction fails.
+	a := &ir.Node{ID: 0, Kind: ir.NodeSplitter, Name: "a"}
+	b := &ir.Node{ID: 1, Kind: ir.NodeJoiner, Name: "b"}
+	cyclic := &ir.Graph{Name: "cyclic", Nodes: []*ir.Node{a, b},
+		Edges: []*ir.Edge{{ID: 0, Src: a, Dst: b}, {ID: 1, Src: b, Dst: a}}}
+	swp := &ExecPlan{Strategy: StratSWP, Workers: 2, Pipelined: true}
+	sch := &sched.Schedule{Reps: []int{1, 1}}
+	if _, err := swp.Pack(cyclic, sch, Topology{Shards: 2, PerShard: 1}, nil); err == nil || !strings.Contains(err.Error(), "left a cycle") {
+		t.Fatalf("err = %v, want the stage contraction's cycle error", err)
+	}
+	if assign := swp.Assign(cyclic, sch); assign != nil {
+		t.Fatalf("Assign packed an unstageable graph: %v", assign)
+	}
+}

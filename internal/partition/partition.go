@@ -28,46 +28,6 @@ import (
 // routed (address bookkeeping plus a word copy).
 const routerCost = 3
 
-// applyMeasuredWork swaps static filter work estimates for profiled ones.
-// Measured nanoseconds are rescaled so that the covered filters' total
-// work in cycles is unchanged — only the distribution between filters
-// shifts to the measured proportions. IO endpoints keep zero work and
-// unmeasured filters keep their static estimate.
-func applyMeasuredWork(p *PGraph, g *ir.Graph, s *sched.Schedule, measured map[string]int64) {
-	var sumStatic, sumNS int64
-	for _, n := range g.Nodes {
-		pn := p.nodes[n.ID]
-		if n.Kind != ir.NodeFilter || pn.io {
-			continue
-		}
-		ns, ok := measured[n.Name]
-		if !ok || ns <= 0 {
-			continue
-		}
-		sumStatic += pn.work
-		sumNS += ns * int64(s.Reps[n.ID])
-	}
-	if sumStatic <= 0 || sumNS <= 0 {
-		return
-	}
-	scale := float64(sumStatic) / float64(sumNS)
-	for _, n := range g.Nodes {
-		pn := p.nodes[n.ID]
-		if n.Kind != ir.NodeFilter || pn.io {
-			continue
-		}
-		ns, ok := measured[n.Name]
-		if !ok || ns <= 0 {
-			continue
-		}
-		w := int64(float64(ns*int64(s.Reps[n.ID])) * scale)
-		if w < 1 {
-			w = 1
-		}
-		pn.work = w
-	}
-}
-
 // pnode is a mutable partitioning node: one or more original flat-graph
 // nodes (fusion) or a replica slice of one (fission).
 type pnode struct {
@@ -104,9 +64,7 @@ type BuildOptions struct {
 }
 
 // Build derives the weighted steady-state graph from a scheduled flat
-// graph. Work estimates come from the IL work estimator scaled by the
-// steady repetition counts; splitters and joiners are charged per item
-// routed.
+// graph, weighted by steadyWork.
 func Build(g *ir.Graph, s *sched.Schedule) (*PGraph, error) {
 	return BuildOpts(g, s, BuildOptions{})
 }
@@ -114,38 +72,37 @@ func Build(g *ir.Graph, s *sched.Schedule) (*PGraph, error) {
 // BuildOpts is Build with explicit options.
 func BuildOpts(g *ir.Graph, s *sched.Schedule, opts BuildOptions) (*PGraph, error) {
 	p := &PGraph{nodes: map[int]*pnode{}, edges: map[[2]int]int64{}}
+	var measured []int64
+	if len(opts.MeasuredWorkNS) > 0 {
+		measured = make([]int64, len(g.Nodes))
+		for _, n := range g.Nodes {
+			measured[n.ID] = opts.MeasuredWorkNS[n.Name] * int64(s.Reps[n.ID])
+		}
+	}
+	work := steadyWork(g, s, nil, measured)
 	for _, n := range g.Nodes {
-		pn := &pnode{id: n.ID, name: n.Name, count: 1}
-		reps := int64(s.Reps[n.ID])
+		pn := &pnode{id: n.ID, name: n.Name, count: 1, work: work[n.ID]}
 		switch n.Kind {
 		case ir.NodeFilter:
 			k := n.Filter.Kernel
-			c := wfunc.EstimateKernel(k)
-			pn.work = c.Cycles * reps
-			pn.flops = c.Flops * reps
+			pn.flops = wfunc.EstimateKernel(k).Flops * int64(s.Reps[n.ID])
 			pn.stateful = n.IsStateful()
 			pn.peeking = n.IsPeeking()
 			pn.margin = int64(k.Peek - k.Pop)
 			pn.io = n.IsSource() || n.IsSink()
 			if pn.io {
-				// File readers/writers stream from the DRAM ports in the
-				// paper's setup; they are not mapped to compute tiles and
-				// contribute traffic but no cycles.
-				pn.work, pn.flops = 0, 0
+				// File readers/writers are not mapped to compute tiles
+				// (steadyWork charges them no cycles either).
+				pn.flops = 0
 				pn.stateful = false
 			}
 		default:
-			items := int64(n.TotalPop()+n.TotalPush()) * reps / 2
-			pn.work = items * routerCost
 			pn.router = true
 		}
 		p.nodes[n.ID] = pn
 		if n.ID >= p.nextID {
 			p.nextID = n.ID + 1
 		}
-	}
-	if len(opts.MeasuredWorkNS) > 0 {
-		applyMeasuredWork(p, g, s, opts.MeasuredWorkNS)
 	}
 	for _, e := range g.Edges {
 		items := int64(s.ItemsPerSteady(e))

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"streamit/internal/ir"
-	"streamit/internal/wfunc"
 )
 
 // StagePlan is the coarse-grained software-pipelining stage map of a
@@ -113,11 +112,7 @@ func PipelineStages(g *ir.Graph) (*StagePlan, error) {
 	// Messaging hull: all endpoints and everything between two of them.
 	var seeds []int
 	for _, nd := range g.Nodes {
-		if nd.Kind != ir.NodeFilter || nd.Filter == nil {
-			continue
-		}
-		k := nd.Filter.Kernel
-		if k != nil && nd.Filter.WorkFn == nil && k.Work != nil && wfunc.SendsMessages(k.Work) {
+		if nd.SendsMessages() {
 			seeds = append(seeds, nd.ID)
 		}
 	}
