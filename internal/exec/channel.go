@@ -61,6 +61,16 @@ func (c *channel) Push(v float64) {
 	c.pushed++
 }
 
+// Window implements wfunc.Window: the ring as it lies, wrap included.
+func (c *channel) Window() ([]float64, int, int, int) { return c.buf, c.head, c.mask, c.count }
+
+// Advance implements wfunc.Window.
+func (c *channel) Advance(_, pops int) {
+	c.head = (c.head + pops) & c.mask
+	c.count -= pops
+	c.popped += int64(pops)
+}
+
 func (c *channel) grow() {
 	nb := make([]float64, 2*len(c.buf))
 	for i := 0; i < c.count; i++ {

@@ -85,6 +85,25 @@ func (t *obsTape) Pop() float64 {
 	return t.inner.Pop()
 }
 
+// Window implements wfunc.Window by forwarding the inner tape's, so a
+// profiled run takes the same span instructions as an unprofiled one; over
+// an inner tape that has none it reports nothing buffered, which no span
+// instruction's guard accepts.
+func (t *obsTape) Window() ([]float64, int, int, int) {
+	if w, ok := t.inner.(wfunc.Window); ok {
+		return w.Window()
+	}
+	return nil, 0, 0, 0
+}
+
+// Advance implements wfunc.Window: a span's traffic is counted in one call
+// per kind, equal to what its Peek and Pop calls would have added.
+func (t *obsTape) Advance(peeks, pops int) {
+	t.st.AddPeeks(int64(peeks))
+	t.st.AddPops(int64(pops))
+	t.inner.(wfunc.Window).Advance(peeks, pops)
+}
+
 func (t *obsTape) Push(v float64) {
 	t.st.AddPush()
 	t.inner.Push(v)

@@ -66,6 +66,12 @@ func (q *SliceQueue) Pop() float64 {
 	return v
 }
 
+// Window implements wfunc.Window.
+func (q *SliceQueue) Window() ([]float64, int, int, int) { return q.buf, q.head, -1, q.Len() }
+
+// Advance implements wfunc.Window.
+func (q *SliceQueue) Advance(_, pops int) { q.head += pops }
+
 // Push implements wfunc.Tape.
 func (q *SliceQueue) Push(v float64) { q.buf = append(q.buf, v) }
 

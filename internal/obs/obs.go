@@ -58,6 +58,9 @@ func (s *FilterStats) AddPops(n int64) { s.popped.Add(n) }
 // AddPeek counts one peek at the input tape.
 func (s *FilterStats) AddPeek() { s.peeked.Add(1) }
 
+// AddPeeks counts n peeks at once.
+func (s *FilterStats) AddPeeks(n int64) { s.peeked.Add(n) }
+
 // AddWork accumulates time spent inside the work function.
 func (s *FilterStats) AddWork(d time.Duration) { s.workNS.Add(int64(d)) }
 

@@ -201,16 +201,20 @@ func (c *compiler) stmt(s wfunc.Stmt) {
 		c.expr(s.From)
 		c.emit(opStoreLocal, s.Var)
 		c.pop(1)
+		// A loop of the span family gets one guarded native instruction in
+		// front of its ordinary bytecode, which stays the only fault path.
+		span := c.span(s)
 		top := len(c.p.code)
-		jz := -1
 		// Constant bounds (the common counted loop after folding) fuse the
 		// load/compare/branch head into one instruction.
+		head := -1
 		if to, ok := s.To.(*wfunc.Const); ok && fits16(s.Var) {
 			if ci := c.cpool(to.V); fits16(ci) {
-				jz = c.emit2(opJGeLC, 0, s.Var|ci<<16)
+				head = c.emit2(opJGeLC, 0, s.Var|ci<<16)
 			}
 		}
-		if jz < 0 {
+		jz := head
+		if head < 0 {
 			c.emit(opLoadLocal, s.Var)
 			c.push(1)
 			c.expr(s.To)
@@ -226,20 +230,30 @@ func (c *compiler) stmt(s wfunc.Stmt) {
 		for _, at := range lc.continues {
 			c.patch(at)
 		}
-		switch step := s.Step.(type) {
-		case nil:
-			c.emit2(opIncLocalC, s.Var, c.cpool(1))
-		case *wfunc.Const:
-			c.emit2(opIncLocalC, s.Var, c.cpool(step.V))
+		step, constStep := 1.0, s.Step == nil
+		if k, ok := s.Step.(*wfunc.Const); ok {
+			step, constStep = k.V, true
+		}
+		switch {
+		case constStep && head >= 0:
+			// Tested at the bottom: step, compare and jump back to the body
+			// in one dispatch. The head above only guards entry.
+			c.emit2(opLoopLC, head+1, c.cpool(step))
+		case constStep:
+			c.emit2(opIncLocalC, s.Var, c.cpool(step))
+			c.emit(opJump, top)
 		default:
 			c.expr(s.Step)
 			c.emit(opIncLocal, s.Var)
 			c.pop(1)
+			c.emit(opJump, top)
 		}
-		c.emit(opJump, top)
 		c.patch(jz)
 		for _, at := range lc.breaks {
 			c.patch(at)
+		}
+		if span >= 0 {
+			c.p.code[span].b = int32(len(c.p.code))
 		}
 	case *wfunc.While:
 		top := len(c.p.code)

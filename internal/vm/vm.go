@@ -13,7 +13,9 @@
 // same points, so sdep-based teleport delivery is unchanged. Dispatch over
 // a flat instruction array replaces the interpreter's per-node type
 // switches, recursive calls, and error plumbing, which is worth several
-// times the throughput on the hot path every engine shares.
+// times the throughput on the hot path every engine shares. Counted loops
+// of a closed family skip dispatch altogether: one guarded span instruction
+// runs the whole loop natively over tape and array spans (span.go).
 package vm
 
 import (
@@ -64,6 +66,13 @@ const (
 	opLoadFieldIdxL // push state.Arrays[a][int(locals[b])]
 	opJGeLC         // if !(locals[b&0xffff] < consts[b>>16]) { pc = a }
 	opIncLocalC     // locals[a] += consts[b]
+	opLoopLC        // v, bound from the opJGeLC at a-1: locals[v] += consts[b]; if locals[v] < bound { pc = a }
+
+	// The span instruction (span.go) sits in front of a counted loop's
+	// ordinary bytecode: if the guard of spans[a] holds it runs the whole
+	// loop natively and sets pc = b, the instruction behind the loop;
+	// otherwise it does nothing.
+	opSpan
 
 	// Unary operators (dedicated opcodes keep the hot ones branch-cheap;
 	// the trigonometric tail delegates to wfunc.EvalUnary).
@@ -112,7 +121,8 @@ type Program struct {
 	code       []instr
 	consts     []float64
 	sends      []sendSite
-	numLocals  int
+	spans      []spanInstr // operands of the opSpan instructions
+	numLocals  int         // the function's locals, then the spans' hidden offset slots
 	arraySizes []int
 	maxStack   int
 }
@@ -317,6 +327,19 @@ func (m *Machine) Run(in, out wfunc.Tape, msg wfunc.Messenger, print func(float6
 			}
 		case opIncLocalC:
 			locals[ins.a] += p.consts[ins.b]
+		case opLoopLC:
+			// Counted-loop back edge. The variable and bound are the ones
+			// packed into the head the body sits under; v < bound — not
+			// !(v >= bound) — so a NaN leaves the loop as it does there.
+			h := code[ins.a-1].b
+			locals[h&0xffff] += p.consts[ins.b]
+			if locals[h&0xffff] < p.consts[h>>16] {
+				pc = int(ins.a)
+			}
+		case opSpan:
+			if m.span(&p.spans[ins.a], in) {
+				pc = int(ins.b)
+			}
 
 		case opNeg:
 			st[sp-1] = -st[sp-1]

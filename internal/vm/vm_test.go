@@ -9,66 +9,16 @@ import (
 	"streamit/internal/wfunc"
 )
 
-// runBoth executes k's work function once on the interpreter and once on
-// the VM from identical starting conditions and returns both result sets:
-// output items, final field state, and errors.
-func runBoth(t *testing.T, k *wfunc.Kernel, input []float64) (iOut, vOut []float64, iErr, vErr error) {
+// matchesInterpreter fires k once on both backends over input (fireBoth,
+// span_test.go) and requires a clean firing that left the same outputs,
+// field state and tape behind.
+func matchesInterpreter(t *testing.T, k *wfunc.Kernel, input []float64) {
 	t.Helper()
-	iIn := wfunc.NewSliceTape(input...)
-	iTape := wfunc.NewSliceTape()
-	iSt := k.NewState()
-	env := wfunc.NewEnv(k.Work)
-	env.State = iSt
-	env.In, env.Out = iIn, iTape
-	env.Reset()
-	iErr = wfunc.Exec(k.Work, env)
-
-	vIn := wfunc.NewSliceTape(input...)
-	vTape := wfunc.NewSliceTape()
-	vSt := k.NewState()
-	p, err := Compile(k.Work)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
+	interp, vm := fireBoth(t, k, input, nil)
+	if interp.err != "" {
+		t.Fatalf("the interpreter faulted: %s", interp.err)
 	}
-	m := NewMachine(p)
-	m.SetState(vSt)
-	vErr = m.Run(vIn, vTape, nil, nil)
-
-	if iErr == nil && vErr == nil {
-		compareStates(t, iSt, vSt)
-		if iIn.Len() != vIn.Len() {
-			t.Fatalf("consumed different amounts: interp left %d, vm left %d", iIn.Len(), vIn.Len())
-		}
-	}
-	return iTape.Items(), vTape.Items(), iErr, vErr
-}
-
-func compareStates(t *testing.T, a, b *wfunc.State) {
-	t.Helper()
-	for i := range a.Scalars {
-		if math.Float64bits(a.Scalars[i]) != math.Float64bits(b.Scalars[i]) {
-			t.Fatalf("field scalar %d: interp %v, vm %v", i, a.Scalars[i], b.Scalars[i])
-		}
-	}
-	for i := range a.Arrays {
-		for j := range a.Arrays[i] {
-			if math.Float64bits(a.Arrays[i][j]) != math.Float64bits(b.Arrays[i][j]) {
-				t.Fatalf("field array %d[%d]: interp %v, vm %v", i, j, a.Arrays[i][j], b.Arrays[i][j])
-			}
-		}
-	}
-}
-
-func compareItems(t *testing.T, iOut, vOut []float64) {
-	t.Helper()
-	if len(iOut) != len(vOut) {
-		t.Fatalf("interp pushed %d items, vm pushed %d", len(iOut), len(vOut))
-	}
-	for i := range iOut {
-		if math.Float64bits(iOut[i]) != math.Float64bits(vOut[i]) {
-			t.Fatalf("output %d: interp %v, vm %v", i, iOut[i], vOut[i])
-		}
-	}
+	sameOutcome(t, interp, vm)
 }
 
 func TestFIRMatchesInterpreter(t *testing.T) {
@@ -93,11 +43,7 @@ func TestFIRMatchesInterpreter(t *testing.T) {
 	for j := range input {
 		input[j] = math.Cos(float64(j) * 1.3)
 	}
-	iOut, vOut, iErr, vErr := runBoth(t, k, input)
-	if iErr != nil || vErr != nil {
-		t.Fatalf("errors: interp %v, vm %v", iErr, vErr)
-	}
-	compareItems(t, iOut, vOut)
+	matchesInterpreter(t, k, input)
 }
 
 func TestControlFlowMatchesInterpreter(t *testing.T) {
@@ -133,11 +79,7 @@ func TestControlFlowMatchesInterpreter(t *testing.T) {
 		wfunc.Push1(acc),
 	)
 	k := kb.Build()
-	iOut, vOut, iErr, vErr := runBoth(t, k, []float64{1.5, -2.25, 3, -0.5})
-	if iErr != nil || vErr != nil {
-		t.Fatalf("errors: interp %v, vm %v", iErr, vErr)
-	}
-	compareItems(t, iOut, vOut)
+	matchesInterpreter(t, k, []float64{1.5, -2.25, 3, -0.5})
 }
 
 func TestShortCircuitSkipsTapeEffects(t *testing.T) {
@@ -152,11 +94,7 @@ func TestShortCircuitSkipsTapeEffects(t *testing.T) {
 	)
 	k := kb.Build()
 	// First pop yields 0: second pop must be skipped by both backends.
-	iOut, vOut, iErr, vErr := runBoth(t, k, []float64{0, 42})
-	if iErr != nil || vErr != nil {
-		t.Fatalf("errors: interp %v, vm %v", iErr, vErr)
-	}
-	compareItems(t, iOut, vOut)
+	matchesInterpreter(t, k, []float64{0, 42})
 }
 
 func TestArrayIndexErrorMatches(t *testing.T) {
@@ -167,13 +105,11 @@ func TestArrayIndexErrorMatches(t *testing.T) {
 		wfunc.Push1(wfunc.FIdx(a, wfunc.C(9))),
 	)
 	k := kb.Build()
-	_, _, iErr, vErr := runBoth(t, k, []float64{1})
-	if iErr == nil || vErr == nil {
-		t.Fatalf("expected errors, got interp %v, vm %v", iErr, vErr)
+	interp, vm := fireBoth(t, k, []float64{1}, nil)
+	if interp.err == "" {
+		t.Fatal("expected an index error from the interpreter")
 	}
-	if iErr.Error() != vErr.Error() {
-		t.Fatalf("error text differs:\n  interp: %v\n  vm:     %v", iErr, vErr)
-	}
+	sameOutcome(t, interp, vm)
 }
 
 // recorder captures teleport sends for comparison.
@@ -306,17 +242,22 @@ func randExpr(rng *rand.Rand, depth int, locals []*wfunc.LocalRef, fields []*wfu
 }
 
 // TestRandomizedEquivalence compiles hundreds of random kernels and
-// checks bit-identical behaviour (outputs, state, consumption) between
-// the interpreter and the VM.
+// checks bit-identical behaviour (faults, outputs, state, consumption)
+// between the interpreter and the VM. Each kernel ends in loops in and
+// around the span family (span_test.go) whose bounds and offsets — the
+// random statements' results among them — may overrun window and arrays.
 func TestRandomizedEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const peekWin, farrSize = 6, 5
 	for trial := 0; trial < 300; trial++ {
-		kb := wfunc.NewKernel(fmt.Sprintf("rand%d", trial), peekWin, 2, 3)
+		kb := wfunc.NewKernel(fmt.Sprintf("rand%d", trial), peekWin, 2, 3).Dynamic()
 		fa := kb.FieldArray("fa", farrSize, 0.5, -1.25, 2, 0.75, -3)
 		fields := []*wfunc.FieldRef{kb.Field("f0", 1.5), kb.Field("f1", -0.5)}
 		locals := []*wfunc.LocalRef{kb.Local("l0"), kb.Local("l1"), kb.Local("l2")}
 		i := kb.Local("i")
+		gen := &spanGen{pick: rng.Intn, tapeRead: true, v: i, acc: locals[2], offs: locals[:2],
+			farrs: []int{fa, kb.FieldArray("fb", 9, 3, 1, -4, 1, 5, -9, 2, 6)},
+			larrs: []int{kb.LocalArray("la", 7)}}
 
 		var body []wfunc.Stmt
 		nstmt := rng.Intn(4) + 1
@@ -336,29 +277,27 @@ func TestRandomizedEquivalence(t *testing.T) {
 					[]wfunc.Stmt{wfunc.Set(locals[1], e)}))
 			}
 		}
-		// A loop accumulating over the peek window, then the static rate:
-		// pop 2, push 3.
+		// A loop accumulating over the peek window, two generated ones, then
+		// the static rate: pop 2, push 3.
 		body = append(body,
 			wfunc.ForUp(i, wfunc.Ci(0), wfunc.Ci(peekWin),
 				wfunc.Set(locals[2], wfunc.AddX(locals[2], wfunc.PeekX(i)))),
+			gen.loop(), wfunc.Push1(i), gen.loop(), wfunc.Push1(i),
 			wfunc.Pop1(), wfunc.Pop1(),
 			wfunc.Push1(locals[0]), wfunc.Push1(locals[1]), wfunc.Push1(locals[2]),
 		)
 		kb.WorkBody(body...)
 		k := kb.Build()
 
-		input := make([]float64, peekWin+2)
+		input := make([]float64, peekWin+8)
 		for j := range input {
 			input[j] = float64(rng.Intn(17)-8) / 2
 		}
-		iOut, vOut, iErr, vErr := runBoth(t, k, input)
-		if (iErr == nil) != (vErr == nil) {
-			t.Fatalf("trial %d: error mismatch: interp %v, vm %v", trial, iErr, vErr)
+		interp, vm := fireBoth(t, k, input, nil)
+		sameOutcome(t, interp, vm)
+		if t.Failed() {
+			t.Fatalf("trial %d", trial)
 		}
-		if iErr != nil {
-			continue
-		}
-		compareItems(t, iOut, vOut)
 	}
 }
 
