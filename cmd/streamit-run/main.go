@@ -95,7 +95,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"time"
 
 	"streamit/internal/core"
@@ -292,13 +291,8 @@ func main() {
 
 	if *parallel || *mapStrat != "" {
 		kind := core.EngineParallel
-		label := "parallel"
 		if *mapStrat != "" {
 			kind = core.EngineMapped
-			label = fmt.Sprintf("mapped (%s, %d workers)", *mapStrat, runtime.GOMAXPROCS(0))
-			if *workers > 0 {
-				label = fmt.Sprintf("mapped (%s, %d workers)", *mapStrat, *workers)
-			}
 			runOpts.MapStrategy = partition.Strategy(*mapStrat)
 			if *mapStrat == "swp" { // common shorthand
 				runOpts.MapStrategy = partition.StratSWP
@@ -321,6 +315,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+		label := engineLabel(r, *mapStrat)
 		start := time.Now()
 		switch {
 		case *resumePath != "":
@@ -409,6 +404,20 @@ func main() {
 	fmt.Printf("%.0f firings/sec\n", float64(e.Firings)/dur.Seconds())
 	report(e.SupervisionReport(), len(e.Degraded()) > 0)
 	finishObs(e, runOpts.TracePath)
+}
+
+// engineLabel names the engine c.Runner built, which is the sequential one
+// when the program made core fall back. Taken before the run: recovery and
+// elastic re-plans change the worker count.
+func engineLabel(r core.Runner, mapStrat string) string {
+	me, ok := r.(*exec.MappedEngine)
+	switch {
+	case !ok:
+		return "sequential"
+	case mapStrat == "":
+		return "parallel"
+	}
+	return fmt.Sprintf("mapped (%s, %d workers)", mapStrat, me.Workers)
 }
 
 // checkpointer is the checkpoint surface the sequential and mapped

@@ -52,6 +52,27 @@ func TestCLIEndToEnd(t *testing.T) {
 		})
 	}
 
+	// A teleport program cannot run under a lockstep plan: core falls back
+	// to the sequential engine, and the summary must name what ran.
+	t.Run("fallback", func(t *testing.T) {
+		freqhop, err := filepath.Abs("../../examples/strprogs/freqhop.str")
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := exec.Command(bin, "-iters", iters, "-map", "task", "-workers", "2", freqhop).CombinedOutput()
+		if err != nil {
+			t.Fatalf("streamit-run -map task freqhop.str: %v\n%s", err, out)
+		}
+		for _, want := range []string{"falling back to sequential", "iterations on the sequential backend"} {
+			if !strings.Contains(string(out), want) {
+				t.Fatalf("output does not report %q:\n%s", want, out)
+			}
+		}
+		if strings.Contains(string(out), "mapped (") {
+			t.Fatalf("summary names the mapped engine after a fallback:\n%s", out)
+		}
+	})
+
 	// Checkpoint at `after`, resume to `iters`: once on a zero-skew plan and
 	// once on a pipelined one. Two invocations must write the same image.
 	for _, strat := range []string{"task+data", "task+swp"} {

@@ -27,8 +27,10 @@
 //   - internal/bench    — the harness regenerating every table and figure
 //   - internal/core     — the compiler driver tying it all together
 //
-// The root package re-exports the compiler driver's entry points so that
-// code inside this module has a single convenient import; see streamit.go.
+// The compiler driver, internal/core, is the entry point; the binaries and
+// examples import it and the subsystem packages directly. The root package
+// holds this overview and the test that keeps every exported name under
+// internal/ called by something that ships (surface_test.go).
 //
 // Executables: cmd/streamitc (compile and analyze .str programs),
 // cmd/streamit-run (execute them), and cmd/streamit-bench (regenerate the

@@ -30,17 +30,6 @@ func Source(name string) *ir.Filter {
 	return &ir.Filter{Kernel: b.Build(), In: ir.TypeVoid, Out: ir.TypeFloat}
 }
 
-// PulseSource pushes a unit impulse every period samples.
-func PulseSource(name string, period int) *ir.Filter {
-	b := wfunc.NewKernel(name, 0, 0, 1)
-	n := b.Field("n", 0)
-	b.WorkBody(
-		wfunc.Push1(wfunc.Bin(wfunc.Eq, n, wfunc.C(0))),
-		wfunc.SetF(n, wfunc.Bin(wfunc.Mod, wfunc.AddX(n, wfunc.C(1)), wfunc.Ci(period))),
-	)
-	return &ir.Filter{Kernel: b.Build(), In: ir.TypeVoid, Out: ir.TypeFloat}
-}
-
 // Sink returns an IL sink consuming pop items per firing.
 func Sink(name string, pop int) *ir.Filter {
 	b := wfunc.NewKernel(name, pop, pop, 0)
@@ -137,19 +126,6 @@ func Gain(name string, g float64) *ir.Filter {
 	return &ir.Filter{Kernel: b.Build(), In: ir.TypeFloat, Out: ir.TypeFloat}
 }
 
-// Magnitude computes sqrt(a^2+b^2) over pairs (nonlinear, stateless).
-func Magnitude(name string) *ir.Filter {
-	b := wfunc.NewKernel(name, 2, 2, 1)
-	a := b.Local("a")
-	c := b.Local("c")
-	b.WorkBody(
-		wfunc.Set(a, wfunc.PopE()),
-		wfunc.Set(c, wfunc.PopE()),
-		wfunc.Push1(wfunc.Un(wfunc.Sqrt, wfunc.AddX(wfunc.MulX(a, a), wfunc.MulX(c, c)))),
-	)
-	return &ir.Filter{Kernel: b.Build(), In: ir.TypeFloat, Out: ir.TypeFloat}
-}
-
 // MatMul applies a dense rows x cols constant matrix per firing (pop cols,
 // push rows) — the shape of DCT stages and beamformer weights.
 func MatMul(name string, rows, cols int, seed float64) *ir.Filter {
@@ -172,13 +148,6 @@ func MatMul(name string, rows, cols int, seed float64) *ir.Filter {
 		),
 		wfunc.ForUp(i, wfunc.Ci(0), wfunc.Ci(cols), wfunc.Pop1()),
 	)
-	return &ir.Filter{Kernel: b.Build(), In: ir.TypeFloat, Out: ir.TypeFloat}
-}
-
-// XorPair xors consecutive items as integers (DES/Serpent rounds).
-func XorPair(name string) *ir.Filter {
-	b := wfunc.NewKernel(name, 2, 2, 1)
-	b.WorkBody(wfunc.Push1(wfunc.Bin(wfunc.BitXor, wfunc.PopE(), wfunc.PopE())))
 	return &ir.Filter{Kernel: b.Build(), In: ir.TypeFloat, Out: ir.TypeFloat}
 }
 

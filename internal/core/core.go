@@ -74,10 +74,6 @@ type RunOptions struct {
 	// pipelined forms task+swp (no rewrite, stage-skewed execution) and
 	// task+data+swp (rewrite plus stage skew). The zero value is task+data.
 	MapStrategy partition.Strategy
-	// MeasuredWorkNS feeds profiled per-firing work (see ProfileWork) back
-	// into the mapped rewrite and worker assignment in place of the static
-	// IL estimates.
-	MeasuredWorkNS map[string]int64
 	// QueueDepth bounds the mapped engine's cross-worker channels, in
 	// batches (0 selects exec.DefaultQueueDepth). The backpressure bound:
 	// a producer runs at most QueueDepth iterations ahead of a consumer.
@@ -239,20 +235,11 @@ func (c *Compiled) ParallelEngineOpts(opts RunOptions) (*exec.MappedEngine, erro
 // elastic controller re-pack that graph; the rewrite itself is never redone
 // (its fission factor — and with it the graph and checkpoint fingerprint —
 // depends on the worker count, so a re-plan must only re-assign). Engine
-// and plan index the same graph, so measured work crosses by node ID — no
-// demangling (contrast MeasuredWorkFromMapped, which crosses back to the
-// original flat names for a fresh compile).
+// and plan index the same graph, so measured work crosses by node ID.
 func replanner(plan *partition.ExecPlan, g2 *ir.Graph, s2 *sched.Schedule) func(int, []int64) ([]int, error) {
 	return func(workers int, workNS []int64) ([]int, error) {
 		return plan.Pack(g2, s2, partition.Topology{Shards: workers, PerShard: 1}, workNS)
 	}
-}
-
-// MappedEngine builds the host-mapped engine with default options: the
-// graph is rewritten by fusion and executable fission (task+data) and the
-// partitions run one goroutine per worker core.
-func (c *Compiled) MappedEngine() (*exec.MappedEngine, error) {
-	return c.MappedEngineOpts(RunOptions{})
 }
 
 // MappedEngineOpts rewrites the compiled graph with the configured
@@ -265,9 +252,8 @@ func (c *Compiled) MappedEngineOpts(opts RunOptions) (*exec.MappedEngine, error)
 		strat = partition.StratCoarseData
 	}
 	plan, err := partition.BuildExecPlan(c.Program, c.Graph, c.Schedule, partition.ExecPlanOptions{
-		Strategy:       strat,
-		Workers:        opts.Workers,
-		MeasuredWorkNS: opts.MeasuredWorkNS,
+		Strategy: strat,
+		Workers:  opts.Workers,
 	})
 	if err != nil {
 		return nil, err
@@ -293,38 +279,6 @@ func (c *Compiled) MappedEngineOpts(opts RunOptions) (*exec.MappedEngine, error)
 	return exec.NewMappedOpts(g2, s2, plan.Assign(g2, s2), plan.Workers, eopts)
 }
 
-// MeasuredWorkFromMapped translates a work profile taken on a mapped
-// engine's rewritten graph back onto this program's flat filter names — the
-// key space RunOptions.MeasuredWorkNS consumes. The mapped engine runs the
-// plan's rewritten program, so its Profiler.WorkNSPerFiring keys are fused
-// segments and fission replicas ("lowpass+demod/f2#5"); feeding those
-// directly into MeasuredWorkNS silently matches nothing. This closes the
-// profile→partition feedback loop for mapped runs: fused segments are split
-// among their constituents, replicas summed, and everything re-expressed as
-// nanoseconds per original-node firing. strat and workers must match the
-// run that produced the profile.
-func (c *Compiled) MeasuredWorkFromMapped(strat partition.Strategy, workers int, perFiringNS map[string]int64) (map[string]int64, error) {
-	if strat == "" {
-		strat = partition.StratCoarseData
-	}
-	plan, err := partition.BuildExecPlan(c.Program, c.Graph, c.Schedule, partition.ExecPlanOptions{
-		Strategy: strat,
-		Workers:  workers,
-	})
-	if err != nil {
-		return nil, err
-	}
-	g2, err := ir.Flatten(plan.Program)
-	if err != nil {
-		return nil, fmt.Errorf("core: flattening mapped rewrite: %w", err)
-	}
-	s2, err := sched.Compute(g2)
-	if err != nil {
-		return nil, fmt.Errorf("core: scheduling mapped rewrite: %w", err)
-	}
-	return partition.MeasuredFromMapped(c.Graph, c.Schedule, g2, s2, perFiringNS), nil
-}
-
 // EngineKind names an execution engine family for Runner.
 type EngineKind string
 
@@ -333,15 +287,6 @@ const (
 	EngineParallel   EngineKind = "parallel"
 	EngineMapped     EngineKind = "mapped"
 )
-
-// ParseEngine maps user-facing engine names onto EngineKind values.
-func ParseEngine(s string) (EngineKind, error) {
-	switch EngineKind(s) {
-	case EngineSequential, EngineParallel, EngineMapped:
-		return EngineKind(s), nil
-	}
-	return "", fmt.Errorf("core: unknown engine %q (want sequential, parallel, or mapped)", s)
-}
 
 // Runner is the execution surface shared by the sequential, parallel, and
 // mapped engines: run a number of steady-state iterations and expose the
@@ -390,13 +335,8 @@ func (c *Compiled) Run(kind EngineKind, iters int, opts RunOptions) (Runner, err
 	return r, r.Run(iters)
 }
 
-// CompileDynamic parses and flattens a program with dynamic-rate filters
-// (no static schedule exists) and returns the demand-driven engine.
-func CompileDynamic(prog *ir.Program) (*exec.DynamicEngine, error) {
-	return CompileDynamicOpts(prog, RunOptions{})
-}
-
-// CompileDynamicOpts is CompileDynamic with explicit run options.
+// CompileDynamicOpts flattens a program with dynamic-rate filters (no
+// static schedule exists) and returns the demand-driven engine.
 func CompileDynamicOpts(prog *ir.Program, opts RunOptions) (*exec.DynamicEngine, error) {
 	g, err := ir.Flatten(prog)
 	if err != nil {
@@ -405,13 +345,7 @@ func CompileDynamicOpts(prog *ir.Program, opts RunOptions) (*exec.DynamicEngine,
 	return exec.NewDynamicOpts(g, opts.execOptions())
 }
 
-// CompileSourceDynamic is CompileDynamic over textual source.
-func CompileSourceDynamic(src, top string) (*exec.DynamicEngine, error) {
-	return CompileSourceDynamicOpts(src, top, RunOptions{})
-}
-
-// CompileSourceDynamicOpts is CompileSourceDynamic with explicit run
-// options.
+// CompileSourceDynamicOpts is CompileDynamicOpts over textual source.
 func CompileSourceDynamicOpts(src, top string, opts RunOptions) (*exec.DynamicEngine, error) {
 	prog, err := lang.ParseAndElaborate(src, top)
 	if err != nil {
@@ -461,53 +395,6 @@ func (c *Compiled) MapOntoTraced(strat partition.Strategy, cfg machine.Config, i
 		return nil, err
 	}
 	return res, nil
-}
-
-// ProfileWork runs iters steady-state iterations on a profiled sequential
-// engine and returns each filter's measured average work per firing in
-// nanoseconds — the measured-work estimate MapOntoMeasured (and
-// partition.BuildOptions.MeasuredWorkNS) consume in place of the static IL
-// estimator.
-func (c *Compiled) ProfileWork(iters int) (map[string]int64, error) {
-	e, err := c.EngineOpts(RunOptions{Profile: true})
-	if err != nil {
-		return nil, err
-	}
-	if err := e.Run(iters); err != nil {
-		return nil, err
-	}
-	return e.Profile().WorkNSPerFiring(), nil
-}
-
-// ProfileWorkMapped is ProfileWork on the mapped engine itself: it runs
-// iters steady-state iterations under the given strategy with profiling on,
-// then demangles the rewritten-graph profile back to flat filter names via
-// MeasuredWorkFromMapped. Use it when the deployment target is the mapped
-// engine — measuring on the topology that will actually run captures
-// fusion/fission overheads the sequential profile cannot see.
-func (c *Compiled) ProfileWorkMapped(strat partition.Strategy, workers, iters int) (map[string]int64, error) {
-	me, err := c.MappedEngineOpts(RunOptions{Profile: true, MapStrategy: strat, Workers: workers})
-	if err != nil {
-		return nil, err
-	}
-	if err := me.Run(iters); err != nil {
-		return nil, err
-	}
-	return c.MeasuredWorkFromMapped(strat, workers, me.Profile().WorkNSPerFiring())
-}
-
-// MapOntoMeasured is MapOnto with profiler-measured per-firing work (see
-// ProfileWork) replacing the static work estimates during partitioning.
-func (c *Compiled) MapOntoMeasured(strat partition.Strategy, cfg machine.Config, iters int, workNS map[string]int64) (*machine.Result, error) {
-	pg, err := partition.BuildOpts(c.Graph, c.Schedule, partition.BuildOptions{MeasuredWorkNS: workNS})
-	if err != nil {
-		return nil, err
-	}
-	plan, err := pg.Map(strat, cfg.Tiles())
-	if err != nil {
-		return nil, err
-	}
-	return plan.Simulate(cfg, iters)
 }
 
 // Report renders a human-readable compilation report: structure, rates,

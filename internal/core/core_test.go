@@ -337,8 +337,8 @@ func TestRunnerKinds(t *testing.T) {
 			t.Fatalf("kind %s built %s, want %s", tc.kind, got, tc.want)
 		}
 	}
-	if _, err := ParseEngine("warp"); err == nil {
-		t.Fatal("ParseEngine accepted an unknown engine")
+	if _, err := c.Runner("warp", RunOptions{}); err == nil {
+		t.Fatal("Runner accepted an unknown engine kind")
 	}
 }
 
@@ -367,13 +367,12 @@ func TestRunnerParallelIsIdentityPlan(t *testing.T) {
 	if !ok {
 		t.Fatalf("runner is %T, want *exec.MappedEngine", r)
 	}
-	sizes := me.PartitionSizes()
-	if len(sizes) != len(me.G.Nodes) {
-		t.Fatalf("%d partitions for %d nodes", len(sizes), len(me.G.Nodes))
+	if me.Workers != len(me.G.Nodes) {
+		t.Fatalf("%d workers for %d nodes", me.Workers, len(me.G.Nodes))
 	}
-	for _, n := range sizes {
-		if n != 1 {
-			t.Fatalf("partition sizes %v, want all 1", sizes)
+	for id, w := range me.Assign {
+		if w != id {
+			t.Fatalf("assignment %v, want one node per worker", me.Assign)
 		}
 	}
 	if len(seq) == 0 || len(par) != len(seq) {
@@ -531,49 +530,6 @@ func TestMappedCrashMatrix(t *testing.T) {
 			t.Fatalf("recovered run ends on a different state (%d vs %d bytes)", len(got), len(want))
 		}
 	})
-}
-
-// TestMappedProfileFeedback: the profile→partition feedback loop closes for
-// mapped runs. A mapped engine profiles the REWRITTEN graph — its counters
-// are keyed by fused-segment and fission-replica names — so before
-// ProfileWorkMapped existed, feeding a mapped profile into MeasuredWorkNS
-// silently matched no flat node and the measured bias was dropped.
-func TestMappedProfileFeedback(t *testing.T) {
-	c, err := Compile(apps.FMRadio(4, 16), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const strat = partition.StratCoarseData
-	work, err := c.ProfileWorkMapped(strat, 3, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(work) == 0 {
-		t.Fatal("mapped profile translated to no measurements")
-	}
-	flat := map[string]bool{}
-	for _, n := range c.Graph.Nodes {
-		flat[n.Name] = true
-	}
-	for name, ns := range work {
-		if !flat[name] {
-			t.Errorf("translated key %q is not a flat node name of the original graph", name)
-		}
-		if ns < 1 {
-			t.Errorf("translated work for %s = %d, want >= 1", name, ns)
-		}
-	}
-	// The translated profile must be consumable end to end: the next
-	// compile's mapped engine builds (and runs) with it installed.
-	r, err := c.Run(EngineMapped, 2, RunOptions{
-		Workers: 3, MapStrategy: strat, MeasuredWorkNS: work,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := r.(*exec.MappedEngine); !ok {
-		t.Fatalf("runner is %T, want *exec.MappedEngine", r)
-	}
 }
 
 // TestMappedElasticDriver: the driver lowers the elastic options and wires

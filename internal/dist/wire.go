@@ -96,35 +96,6 @@ func EncodeFrame(t msgType, payload []byte) []byte {
 	return b
 }
 
-// DecodeFrame parses one frame from the front of b, returning the frame
-// type, its payload (aliasing b), and the total bytes consumed. Oversized
-// length prefixes, bad magic, truncation, and CRC mismatches all fail —
-// and the length check precedes any payload access, so a hostile prefix
-// cannot drive allocation.
-func DecodeFrame(b []byte) (msgType, []byte, int, error) {
-	if len(b) < frameHdrLen {
-		return 0, nil, 0, fmt.Errorf("dist: truncated frame header: %d of %d bytes", len(b), frameHdrLen)
-	}
-	if m := binary.LittleEndian.Uint32(b); m != frameMagic {
-		return 0, nil, 0, fmt.Errorf("dist: bad frame magic %#x", m)
-	}
-	t := msgType(b[4])
-	n := binary.LittleEndian.Uint32(b[5:])
-	if n > MaxFrame {
-		return 0, nil, 0, fmt.Errorf("dist: frame payload of %d bytes exceeds the %d-byte cap", n, MaxFrame)
-	}
-	total := frameHdrLen + int(n) + 4
-	if len(b) < total {
-		return 0, nil, 0, fmt.Errorf("dist: truncated frame: %d of %d bytes", len(b), total)
-	}
-	payload := b[frameHdrLen : frameHdrLen+int(n)]
-	crc := binary.LittleEndian.Uint32(b[frameHdrLen+int(n):])
-	if crc != frameCRC(t, payload) {
-		return 0, nil, 0, fmt.Errorf("dist: frame CRC mismatch on %s frame", t)
-	}
-	return t, payload, total, nil
-}
-
 // writeFrame ships one frame in a single Write.
 func writeFrame(w io.Writer, t msgType, payload []byte) error {
 	if len(payload) > MaxFrame {

@@ -13,23 +13,25 @@ import (
 	"streamit/internal/wire"
 )
 
+// decodeFrame runs the socket decoder, readFrame, over the bytes of b and
+// also reports how many of them it consumed.
+func decodeFrame(b []byte) (msgType, []byte, int, error) {
+	src := bytes.NewReader(b)
+	r := bufio.NewReader(src)
+	typ, payload, err := readFrame(r)
+	return typ, payload, len(b) - src.Len() - r.Buffered(), err
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	payload := []byte("the quick brown fox")
 	b := EncodeFrame(mtBarrier, payload)
-	typ, got, n, err := DecodeFrame(b)
+	// A second frame behind the first must be left unread.
+	typ, got, n, err := decodeFrame(append(b, EncodeFrame(mtRun, nil)...))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if typ != mtBarrier || !bytes.Equal(got, payload) || n != len(b) {
 		t.Fatalf("round trip: type %v payload %q consumed %d", typ, got, n)
-	}
-	// The streaming reader agrees with the slice decoder.
-	rt, rp, err := readFrame(bufio.NewReader(bytes.NewReader(b)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt != mtBarrier || !bytes.Equal(rp, payload) {
-		t.Fatalf("readFrame: type %v payload %q", rt, rp)
 	}
 }
 
@@ -38,7 +40,7 @@ func TestFrameRejectsCorruption(t *testing.T) {
 
 	// Truncation at every length short of a full frame.
 	for n := 0; n < len(b); n++ {
-		if _, _, _, err := DecodeFrame(b[:n]); err == nil {
+		if _, _, _, err := decodeFrame(b[:n]); err == nil {
 			t.Fatalf("truncation to %d of %d bytes decoded", n, len(b))
 		}
 	}
@@ -47,7 +49,7 @@ func TestFrameRejectsCorruption(t *testing.T) {
 	for i := 0; i < len(b); i++ {
 		c := append([]byte(nil), b...)
 		c[i] ^= 0x40
-		if _, _, _, err := DecodeFrame(c); err == nil {
+		if _, _, _, err := decodeFrame(c); err == nil {
 			t.Fatalf("bit flip at byte %d decoded", i)
 		}
 	}
@@ -55,11 +57,8 @@ func TestFrameRejectsCorruption(t *testing.T) {
 	// must be the cap error even though the declared payload is absent.
 	huge := EncodeFrame(mtRun, nil)
 	binary.LittleEndian.PutUint32(huge[5:], MaxFrame+1)
-	if _, _, _, err := DecodeFrame(huge); err == nil || !strings.Contains(err.Error(), "cap") {
+	if _, _, _, err := decodeFrame(huge); err == nil || !strings.Contains(err.Error(), "cap") {
 		t.Fatalf("oversized prefix: %v", err)
-	}
-	if _, _, err := readFrame(bufio.NewReader(bytes.NewReader(huge))); err == nil || !strings.Contains(err.Error(), "cap") {
-		t.Fatalf("oversized prefix via reader: %v", err)
 	}
 }
 
@@ -165,9 +164,10 @@ func TestMessageDecodersRejectTruncation(t *testing.T) {
 	}
 }
 
-// FuzzWireFrame drives the frame decoder and every payload decoder with
-// arbitrary bytes: no panic, no huge allocation (the length cap precedes
-// allocation), and every frame EncodeFrame produces must round-trip.
+// FuzzWireFrame drives the socket frame decoder (readFrame) and every
+// payload decoder with arbitrary bytes: no panic, no huge allocation (the
+// length cap precedes allocation), and every frame EncodeFrame produces
+// must round-trip.
 func FuzzWireFrame(f *testing.F) {
 	f.Add(EncodeFrame(mtHeartbeat, (&beatMsg{WaitingOn: []uint32{1}}).encode()))
 	f.Add(EncodeFrame(mtBatch, (&batchMsg{Edge: 1, Seq: 2, Items: []float64{3}}).encode()))
@@ -176,7 +176,7 @@ func FuzzWireFrame(f *testing.F) {
 	f.Add(EncodeFrame(mtAssign, (&assignMsg{Assign: []uint32{0}}).encode()))
 	f.Add([]byte("not a frame at all"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		typ, payload, n, err := DecodeFrame(data)
+		typ, payload, n, err := decodeFrame(data)
 		if err != nil {
 			return
 		}

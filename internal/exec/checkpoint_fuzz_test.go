@@ -12,7 +12,7 @@ import (
 // allocate unboundedly. Seeds include a valid image and targeted
 // corruptions of it so the fuzzer starts deep in the format.
 func FuzzCheckpointRestore(f *testing.F) {
-	src := buildEngine2(f, BackendVM)
+	src := buildEngine(f, apps.FMRadio(2, 8), BackendVM)
 	if err := src.Run(2); err != nil {
 		f.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func FuzzCheckpointRestore(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		e := buildEngine2(t, BackendVM)
+		e := buildEngine(t, apps.FMRadio(2, 8), BackendVM)
 		it, err := e.RestoreCheckpoint(data)
 		if err != nil {
 			return // rejected cleanly: the only acceptable failure mode
@@ -49,14 +49,4 @@ func FuzzCheckpointRestore(f *testing.F) {
 			t.Logf("resumed run errored (acceptably): %v", rerr)
 		}
 	})
-}
-
-// buildEngine2 is buildEngine for both *testing.T and *testing.F.
-func buildEngine2(tb testing.TB, backend Backend) *Engine {
-	tb.Helper()
-	e, err := NewBackend(apps.FMRadio(2, 8), backend)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return e
 }

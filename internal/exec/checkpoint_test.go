@@ -13,7 +13,7 @@ import (
 	"streamit/internal/wire"
 )
 
-func buildEngine(t *testing.T, prog *ir.Program, backend Backend) *Engine {
+func buildEngine(t testing.TB, prog *ir.Program, backend Backend) *Engine {
 	t.Helper()
 	g, err := ir.Flatten(prog)
 	if err != nil {

@@ -156,7 +156,7 @@ func TestEngineConformance(t *testing.T) {
 						t.Fatalf("%s: %v", label, err)
 					}
 					d.ChanCap = dynChanCap(g, s)
-					if err := d.RunBudget(ScheduleBudget(s, confIters)); err != nil {
+					if err := d.runBudget(scheduleBudget(s, confIters)); err != nil {
 						t.Fatalf("%s run: %v", label, err)
 					}
 					diffCounts(t, label, want, profileCounts(d.Profile()))
@@ -169,7 +169,7 @@ func TestEngineConformance(t *testing.T) {
 // TestScheduleBudget checks the budget arithmetic against the schedule.
 func TestScheduleBudget(t *testing.T) {
 	g, s := flattenApp(t, apps.Suite()[0])
-	b := ScheduleBudget(s, 3)
+	b := scheduleBudget(s, 3)
 	if len(b) != len(g.Nodes) {
 		t.Fatalf("budget length %d, want %d", len(b), len(g.Nodes))
 	}

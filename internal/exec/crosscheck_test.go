@@ -10,8 +10,10 @@ import (
 )
 
 // TestEngineMatchesAbstractSim: the value-carrying engine and the abstract
-// count-only simulation must agree on every channel occupancy after init
-// plus k steady iterations, for randomized rate pipelines with split-joins.
+// count-only simulation must agree on every channel occupancy and firing
+// count after init plus k steady iterations, for randomized rate pipelines
+// with split-joins. The engine's side is read from its checkpoint image,
+// the one contract for engine state.
 func TestEngineMatchesAbstractSim(t *testing.T) {
 	mk := func(name string, peek, pop, push int) *ir.Filter {
 		b := wfunc.NewKernel(name, peek, pop, push)
@@ -46,7 +48,7 @@ func TestEngineMatchesAbstractSim(t *testing.T) {
 				mk("B", peekB, popB, pushB), mk("C", peekB, popB, pushB))
 		}
 		p := ir.Pipe("main", mk("src", 0, 0, pushA), mid, mk("snk", 2, 2, 0))
-		g, err := ir.FlattenStream("x", p)
+		g, err := ir.Flatten(&ir.Program{Name: "x", Top: p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +56,7 @@ func TestEngineMatchesAbstractSim(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := NewFromGraph(g, s)
+		e, err := NewFromGraphBackend(g, s, BackendVM)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,14 +77,19 @@ func TestEngineMatchesAbstractSim(t *testing.T) {
 		for k := 0; k < iters; k++ {
 			run(s.Steady)
 		}
+		img, err := readImage(checkpointBytes(t, e, int64(iters)), e.Fingerprint(), len(g.Nodes),
+			func(i int) (string, *wfunc.State) { return g.Nodes[i].Name, e.nodes[i].state })
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, edge := range g.Edges {
-			if got, want := e.ChannelLen(edge), sim.Items[edge.ID]; got != want {
+			if got, want := len(img.edges[edge.ID].items), sim.Items[edge.ID]; got != want {
 				t.Fatalf("trial %d: channel %s holds %d items, abstract sim says %d",
 					trial, edge, got, want)
 			}
 		}
 		for _, n := range g.Nodes {
-			if got, want := e.FiredCount(n), int64(sim.Fired[n.ID]); got != want {
+			if got, want := img.nodes[n.ID].fired, int64(sim.Fired[n.ID]); got != want {
 				t.Fatalf("trial %d: node %s fired %d times, abstract sim says %d",
 					trial, n.Name, got, want)
 			}

@@ -9,7 +9,6 @@ import (
 	"streamit/internal/faults"
 	"streamit/internal/ir"
 	"streamit/internal/obs"
-	"streamit/internal/sched"
 	"streamit/internal/wfunc"
 )
 
@@ -67,19 +66,9 @@ type dynNodeRT struct {
 // stopSignal unwinds a node goroutine during shutdown.
 type stopSignal struct{}
 
-// NewDynamic prepares a dynamic engine for a flattened graph (no schedule
-// is needed or computed) on the default (VM) backend.
-func NewDynamic(g *ir.Graph) (*DynamicEngine, error) {
-	return NewDynamicBackend(g, BackendVM)
-}
-
-// NewDynamicBackend is NewDynamic with an explicit work-function backend.
-func NewDynamicBackend(g *ir.Graph, backend Backend) (*DynamicEngine, error) {
-	return NewDynamicOpts(g, Options{Backend: backend})
-}
-
-// NewDynamicOpts is the full-option constructor. Fault injection and the
-// watchdog are supported; recovery policies are not — a dynamic filter's
+// NewDynamicOpts prepares a dynamic engine for a flattened graph (no
+// schedule is needed or computed). Fault injection and the watchdog are
+// supported; recovery policies are not — a dynamic filter's
 // pushes go straight to live channels where consumers may already have
 // seen them, so there is no rollback point. Use the sequential or mapped
 // engine for retry/skip/restart semantics.
@@ -140,32 +129,6 @@ func (d *DynamicEngine) Degraded() map[string]DegradedStats {
 // Run executes until the sinks have consumed at least sinkItems items.
 func (d *DynamicEngine) Run(sinkItems int64) error {
 	return d.run(sinkItems, nil)
-}
-
-// ScheduleBudget returns per-node firing budgets equal to a static
-// schedule's init phase plus iters steady iterations — the firing counts
-// the sequential and mapped engines produce for the same run length.
-func ScheduleBudget(s *sched.Schedule, iters int) []int64 {
-	budget := make([]int64, len(s.Reps))
-	for i := range budget {
-		budget[i] = int64(s.InitReps[i]) + int64(iters)*int64(s.Reps[i])
-	}
-	return budget
-}
-
-// RunBudget executes until every node has fired exactly budget[nodeID]
-// times (see ScheduleBudget). Unlike Run, which stops on a sink-item count
-// and leaves upstream firing counts nondeterministic, a budgeted run is
-// fully deterministic in its observable counters — this is what lets the
-// cross-engine conformance suite compare the demand-driven engine against
-// the schedule-driven ones. The budget must be consistent with the
-// graph's rates (a schedule-derived budget always is); an infeasible
-// budget wedges and is reported by the watchdog.
-func (d *DynamicEngine) RunBudget(budget []int64) error {
-	if len(budget) != len(d.G.Nodes) {
-		return fmt.Errorf("exec: budget for %d nodes, graph has %d", len(budget), len(d.G.Nodes))
-	}
-	return d.run(0, budget)
 }
 
 func (d *DynamicEngine) run(sinkItems int64, budget []int64) error {

@@ -46,7 +46,7 @@ func TestDynamicRunLengthDecoder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDynamic(g)
+	d, err := NewDynamicOpts(g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestDynamicMatchesSequentialOnStaticProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDynamic(g)
+	d, err := NewDynamicOpts(g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestDynamicFeedbackLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDynamic(g)
+	d, err := NewDynamicOpts(g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestDynamicReportsNodeErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDynamic(g)
+	d, err := NewDynamicOpts(g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

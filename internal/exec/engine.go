@@ -83,11 +83,6 @@ type constraint struct {
 // New flattens, verifies, and prepares prog for execution on the default
 // (VM) backend.
 func New(prog *ir.Program) (*Engine, error) {
-	return NewBackend(prog, BackendVM)
-}
-
-// NewBackend is New with an explicit work-function backend.
-func NewBackend(prog *ir.Program, backend Backend) (*Engine, error) {
 	g, err := ir.Flatten(prog)
 	if err != nil {
 		return nil, err
@@ -96,17 +91,11 @@ func NewBackend(prog *ir.Program, backend Backend) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewFromGraphBackend(g, s, backend)
-}
-
-// NewFromGraph prepares an engine for an already-flattened graph on the
-// default (VM) backend.
-func NewFromGraph(g *ir.Graph, s *sched.Schedule) (*Engine, error) {
 	return NewFromGraphBackend(g, s, BackendVM)
 }
 
-// NewFromGraphBackend is NewFromGraph with an explicit work-function
-// backend.
+// NewFromGraphBackend prepares an engine for an already-flattened graph on
+// the given work-function backend.
 func NewFromGraphBackend(g *ir.Graph, s *sched.Schedule, backend Backend) (*Engine, error) {
 	return NewFromGraphOpts(g, s, Options{Backend: backend})
 }
@@ -511,23 +500,6 @@ func (e *Engine) fireJoiner(n *ir.Node) {
 	}
 }
 
-// ChannelLen returns the buffered item count on an edge (for tests).
-func (e *Engine) ChannelLen(edge *ir.Edge) int { return e.chans[edge.ID].Len() }
-
-// ChannelItems returns the buffered items on an edge in order, without
-// consuming them (for tests, notably the backend crosscheck).
-func (e *Engine) ChannelItems(edge *ir.Edge) []float64 {
-	ch := e.chans[edge.ID]
-	out := make([]float64, ch.Len())
-	for i := range out {
-		out[i] = ch.Peek(i)
-	}
-	return out
-}
-
-// FiredCount returns the number of firings of a node so far.
-func (e *Engine) FiredCount(n *ir.Node) int64 { return e.nodes[n.ID].fired }
-
 // State returns the mutable kernel state of a filter (for tests and
 // examples that inspect fields).
 func (e *Engine) State(f *ir.Filter) *wfunc.State {
@@ -536,70 +508,4 @@ func (e *Engine) State(f *ir.Filter) *wfunc.State {
 		return nil
 	}
 	return e.nodes[n.ID].state
-}
-
-// Snapshot captures the engine's complete execution state — channel
-// contents, filter fields, firing counters, and pending messages — so a
-// speculative execution can later be rolled back. This is the paper's
-// envisioned sdep application: a software speculation system rolls back
-// the appropriate actor executions after a failed prediction.
-type Snapshot struct {
-	chans   []*channel
-	states  []*wfunc.State
-	fired   []int64
-	firings int64
-	pending [][]*message
-}
-
-// Snapshot captures the current state.
-func (e *Engine) Snapshot() *Snapshot {
-	s := &Snapshot{
-		chans:   make([]*channel, len(e.chans)),
-		states:  make([]*wfunc.State, len(e.nodes)),
-		fired:   make([]int64, len(e.nodes)),
-		firings: e.Firings,
-		pending: make([][]*message, len(e.pending)),
-	}
-	for i, ch := range e.chans {
-		s.chans[i] = ch.clone()
-	}
-	for i, rt := range e.nodes {
-		if rt.state != nil {
-			s.states[i] = rt.state.Clone()
-		}
-		s.fired[i] = rt.fired
-	}
-	for i, msgs := range e.pending {
-		for _, m := range msgs {
-			cp := *m
-			s.pending[i] = append(s.pending[i], &cp)
-		}
-	}
-	return s
-}
-
-// Restore rolls the engine back to a snapshot taken earlier on the same
-// engine.
-func (e *Engine) Restore(s *Snapshot) {
-	for i, ch := range s.chans {
-		// Into the existing ring: tape wrappers hold pointers to it.
-		e.chans[i].restoreFrom(ch)
-	}
-	for i, rt := range e.nodes {
-		if s.states[i] != nil {
-			rt.state = s.states[i].Clone()
-			if rt.runner != nil {
-				rt.runner.setState(rt.state)
-			}
-		}
-		rt.fired = s.fired[i]
-	}
-	e.Firings = s.firings
-	for i := range e.pending {
-		e.pending[i] = nil
-		for _, m := range s.pending[i] {
-			cp := *m
-			e.pending[i] = append(e.pending[i], &cp)
-		}
-	}
 }

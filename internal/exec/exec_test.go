@@ -209,7 +209,7 @@ func TestFeedbackDoubler(t *testing.T) {
 
 func TestPeekingInitSchedule(t *testing.T) {
 	// Moving average peek 4 pop 1: first output averages items 0..3.
-	src := RampSource("ramp")
+	src := rampFilter("ramp")
 	snk, got := SliceSink("snk")
 	avg := func() *ir.Filter {
 		b := wfunc.NewKernel("avg4", 4, 1, 1)

@@ -42,28 +42,6 @@ func SliceSink(name string) (*ir.Filter, *[]float64) {
 	}, collected
 }
 
-// RampSource returns an IL filter pushing 0, 1, 2, ... one per firing.
-func RampSource(name string) *ir.Filter {
-	b := wfunc.NewKernel(name, 0, 0, 1)
-	n := b.Field("n", 0)
-	b.WorkBody(
-		wfunc.Push1(n),
-		wfunc.SetF(n, wfunc.AddX(n, wfunc.C(1))),
-	)
-	return &ir.Filter{Kernel: b.Build(), In: ir.TypeVoid, Out: ir.TypeFloat}
-}
-
-// NullSink returns an IL filter that discards pop items per firing.
-func NullSink(name string, pop int) *ir.Filter {
-	b := wfunc.NewKernel(name, pop, pop, 0)
-	var body []wfunc.Stmt
-	for i := 0; i < pop; i++ {
-		body = append(body, wfunc.Pop1())
-	}
-	b.WorkBody(body...)
-	return &ir.Filter{Kernel: b.Build(), In: ir.TypeFloat, Out: ir.TypeVoid}
-}
-
 // RunCollect is a convenience that builds an engine for prog, runs init
 // plus iters steady iterations, and returns the items collected by sink
 // (which must have been created with SliceSink and placed in prog).

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -934,17 +933,4 @@ func (me *MappedEngine) fireSupervised(c *mnodeCtx) error {
 		return errStopped
 	}
 	return me.sup.fire(f, me.rec)
-}
-
-// PartitionSizes returns per-worker node counts, sorted descending
-// (diagnostics and tests).
-func (me *MappedEngine) PartitionSizes() []int {
-	sizes := make([]int, 0, me.Workers)
-	for w := 0; w < me.Workers; w++ {
-		if len(me.order[w]) > 0 {
-			sizes = append(sizes, len(me.order[w]))
-		}
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
-	return sizes
 }

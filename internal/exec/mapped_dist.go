@@ -42,9 +42,6 @@ func (me *MappedEngine) localWorker(w int) bool {
 	return me.local == nil || me.local[w]
 }
 
-// Sharded reports whether this engine is one shard of a distributed run.
-func (me *MappedEngine) Sharded() bool { return me.local != nil }
-
 // Prepare replays initialization and (re)builds the steady-state topology
 // without running any steady iterations — the distributed shard's setup
 // step, after which RestoreCheckpoint or StepEpoch may be called. It is

@@ -126,9 +126,6 @@ func TestMappedShardedBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !me.Sharded() {
-			t.Fatal("engine with LocalWorkers should report Sharded")
-		}
 		if err := me.Prepare(); err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +188,7 @@ func TestMappedShardedBitIdentical(t *testing.T) {
 		// an independently-compiled graph — the interchange path a shard
 		// migration rides.
 		if done+epoch == iters {
-			seq, err := NewFromGraph(single.g, single.s)
+			seq, err := NewFromGraphBackend(single.g, single.s, BackendVM)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -20,12 +20,12 @@ import (
 // OverrideWork to open a gap between the static plan and reality.
 func skewProg() *ir.Program {
 	return &ir.Program{Name: "skew", Top: ir.Pipe("main",
-		RampSource("src"),
+		rampFilter("src"),
 		gainFilter("a", 2),
 		gainFilter("b", 3),
 		gainFilter("hot", 5),
 		gainFilter("d", 7),
-		NullSink("snk", 1))}
+		nullSink("snk", 1))}
 }
 
 // spinGain burns CPU and then computes exactly what gainFilter(g) computes,

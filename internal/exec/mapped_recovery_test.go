@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -332,27 +331,6 @@ func runMappedFaultPolicy(t *testing.T, app apps.App, strat partition.Strategy, 
 	compareOuts(t, sb.outs, mb.outs, kind+"/"+policy)
 }
 
-// recoveryObserver buffers fault, recovery, and checkpoint instants so
-// tests assert on observed events instead of timing.
-func recoveryObserver() (*obs.Recorder, func() []obs.Event) {
-	rec := obs.NewRecorder()
-	var mu sync.Mutex
-	var events []obs.Event
-	rec.OnEvent(func(ev obs.Event) {
-		switch ev.Cat {
-		case "fault", "recovery", "checkpoint":
-			mu.Lock()
-			events = append(events, ev)
-			mu.Unlock()
-		}
-	})
-	return rec, func() []obs.Event {
-		mu.Lock()
-		defer mu.Unlock()
-		return append([]obs.Event(nil), events...)
-	}
-}
-
 // TestMappedWorkerCrashRecovery: a worker crash mid-run rolls back to the
 // last coordinated checkpoint, re-plans the dead worker's partition onto
 // the survivors, and completes with output bit-identical to a clean
@@ -366,7 +344,7 @@ func TestMappedWorkerCrashRecovery(t *testing.T) {
 	}
 
 	g, s, got := faultPipeline(t, gainFilter("Double", 2))
-	rec, snap := recoveryObserver()
+	rec := obs.NewRecorder()
 	assign := make([]int, len(g.Nodes))
 	for i := range assign {
 		assign[i] = i % 3
@@ -403,7 +381,7 @@ func TestMappedWorkerCrashRecovery(t *testing.T) {
 		t.Errorf("supervision report does not count the crash:\n%s", rep)
 	}
 	var sawFault, sawRecovery, sawCheckpoint bool
-	for _, ev := range snap() {
+	for _, ev := range rec.Events() {
 		switch {
 		case ev.Cat == "fault" && ev.Name == "fault: crash":
 			sawFault = true

@@ -16,9 +16,9 @@ import (
 // build-up or drain.
 func threeLevelProg() *ir.Program {
 	return &ir.Program{Name: "three", Top: ir.Pipe("main",
-		RampSource("src"),
+		rampFilter("src"),
 		gainFilter("g", 10),
-		NullSink("snk", 1))}
+		nullSink("snk", 1))}
 }
 
 // TestSWPShortGoal: pipelined runs whose goal is smaller than the pipeline

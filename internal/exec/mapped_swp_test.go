@@ -214,7 +214,13 @@ func TestMappedPipelinedMidSegmentCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	movedB := buildMapped(t, func() *ir.Program { return apps.BitonicSort(16) }, partition.StratSWP)
-	src := movedB.g2.Sources()[0]
+	var src *ir.Node
+	for _, n := range movedB.g2.Nodes {
+		if n.IsSource() {
+			src = n
+			break
+		}
+	}
 	dst := src.OutEdge().Dst
 	if movedB.s2.Reps[src.ID] < 2 {
 		t.Fatalf("source %s fires once per iteration; the case needs Reps > 1", src.Name)

@@ -167,8 +167,8 @@ func TestMaxLatencyConstraintBoundsRunahead(t *testing.T) {
 		}
 		aNode := e.G.FilterNode[a]
 		edge := aNode.OutEdge()
-		if e.ChannelLen(edge) > 3 {
-			t.Fatalf("A ran %d items ahead of the sink; MAX_LATENCY allows 3", e.ChannelLen(edge))
+		if ahead := e.chans[edge.ID].Len(); ahead > 3 {
+			t.Fatalf("A ran %d items ahead of the sink; MAX_LATENCY allows 3", ahead)
 		}
 	}
 }

@@ -233,11 +233,12 @@ func TestOverrideWorkRates(t *testing.T) {
 }
 
 // TestTapAndProfileSurviveRestore: tape wrappers (TapSink, profiling) hold
-// pointers to the engine's rings, so Restore and RestoreCheckpoint must
-// refill the rings in place. An engine rolled back mid-run — after
-// speculating past the restore point, so the rings really change under the
-// wrappers — must tap the same items and count the same operations as
-// uninterrupted runs, and end in the same state.
+// pointers to the engine's rings, so RestoreCheckpoint must refill the
+// rings in place. An engine rolled back mid-run to an in-memory image —
+// after speculating past the restore point, so the rings really change
+// under the wrappers — must tap the same items and count the same
+// operations as uninterrupted runs, and end in the same state: replay equals
+// speculation, the paper's envisioned use of sdep.
 func TestTapAndProfileSurviveRestore(t *testing.T) {
 	const at, spec, total = 6, 3, 14
 	build := func(t *testing.T, profile bool) (*Engine, *[]float64) {
@@ -273,58 +274,44 @@ func TestTapAndProfileSurviveRestore(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	restores := map[string]func(t *testing.T, e *Engine) func(){
-		"Restore": func(t *testing.T, e *Engine) func() {
-			snap := e.Snapshot()
-			return func() { e.Restore(snap) }
-		},
-		"RestoreCheckpoint": func(t *testing.T, e *Engine) func() {
+	for _, profile := range []bool{false, true} {
+		t.Run(fmt.Sprintf("RestoreCheckpoint/profile=%v", profile), func(t *testing.T) {
+			// Uninterrupted reference, marking the tap stream at the restore
+			// point and at the end of the speculated stretch.
+			ref, refGot := build(t, profile)
+			steady(t, ref, at)
+			a := len(*refGot)
+			steady(t, ref, spec)
+			b := len(*refGot)
+			steady(t, ref, total-at-spec)
+			want := append(append([]float64(nil), (*refGot)[:b]...), (*refGot)[a:]...)
+
+			e, got := build(t, profile)
+			steady(t, e, at)
 			img := image(t, e, at)
-			return func() {
-				if _, err := e.RestoreCheckpoint(img); err != nil {
-					t.Fatal(err)
+			steady(t, e, spec)
+			if _, err := e.RestoreCheckpoint(img); err != nil {
+				t.Fatal(err)
+			}
+			steady(t, e, total-at)
+
+			if len(*got) != len(want) {
+				t.Fatalf("tapped %d items, want %d", len(*got), len(want))
+			}
+			for i := range want {
+				if (*got)[i] != want[i] {
+					t.Fatalf("tapped item %d: %v, want %v", i, (*got)[i], want[i])
 				}
 			}
-		},
-	}
-	for how, save := range restores {
-		for _, profile := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/profile=%v", how, profile), func(t *testing.T) {
-				// Uninterrupted reference, marking the tap stream at the restore
-				// point and at the end of the speculated stretch.
-				ref, refGot := build(t, profile)
-				steady(t, ref, at)
-				a := len(*refGot)
+			if !bytes.Equal(image(t, e, total), image(t, ref, total)) {
+				t.Fatal("final state differs from the uninterrupted run")
+			}
+			if profile {
+				// The profiler is not rolled back, so the interrupted run has
+				// counted total+spec iterations' worth of operations.
 				steady(t, ref, spec)
-				b := len(*refGot)
-				steady(t, ref, total-at-spec)
-				want := append(append([]float64(nil), (*refGot)[:b]...), (*refGot)[a:]...)
-
-				e, got := build(t, profile)
-				steady(t, e, at)
-				restore := save(t, e)
-				steady(t, e, spec)
-				restore()
-				steady(t, e, total-at)
-
-				if len(*got) != len(want) {
-					t.Fatalf("tapped %d items, want %d", len(*got), len(want))
-				}
-				for i := range want {
-					if (*got)[i] != want[i] {
-						t.Fatalf("tapped item %d: %v, want %v", i, (*got)[i], want[i])
-					}
-				}
-				if !bytes.Equal(image(t, e, total), image(t, ref, total)) {
-					t.Fatal("final state differs from the uninterrupted run")
-				}
-				if profile {
-					// The profiler is not rolled back, so the interrupted run has
-					// counted total+spec iterations' worth of operations.
-					steady(t, ref, spec)
-					diffCounts(t, how, profileCounts(ref.Profile()), profileCounts(e.Profile()))
-				}
-			})
-		}
+				diffCounts(t, "RestoreCheckpoint", profileCounts(ref.Profile()), profileCounts(e.Profile()))
+			}
+		})
 	}
 }

@@ -39,9 +39,9 @@ func lyingFilter(name string, declaredPush, actual int) *ir.Filter {
 func liarGraph(t *testing.T) (*ir.Graph, *sched.Schedule) {
 	t.Helper()
 	prog := &ir.Program{Name: "liar", Top: ir.Pipe("main",
-		RampSource("src"),
+		rampFilter("src"),
 		lyingFilter("liar", 2, 1),
-		NullSink("snk", 2),
+		nullSink("snk", 2),
 	)}
 	g, err := ir.Flatten(prog)
 	if err != nil {
@@ -159,11 +159,8 @@ func TestFusedNodeRunsOnSelectedBackend(t *testing.T) {
 		if fused.WorkFn != nil {
 			t.Fatal("fused filter carries a native work function")
 		}
-		e, err := NewBackend(&ir.Program{Name: "fb", Top: ir.Pipe("main",
-			RampSource("src"), fused, NullSink("snk", 1))}, backend)
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := buildEngine(t, &ir.Program{Name: "fb", Top: ir.Pipe("main",
+			rampFilter("src"), fused, nullSink("snk", 1))}, backend)
 		if err := e.Run(4); err != nil {
 			t.Fatal(err)
 		}

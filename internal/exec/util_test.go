@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"streamit/internal/ir"
+	"streamit/internal/sched"
 	"streamit/internal/wfunc"
 )
 
@@ -20,6 +21,42 @@ func rampFilter(name string) *ir.Filter {
 	n := b.Field("n", 0)
 	b.WorkBody(wfunc.Push1(n), wfunc.SetF(n, wfunc.AddX(n, wfunc.C(1))))
 	return &ir.Filter{Kernel: b.Build(), In: ir.TypeVoid, Out: ir.TypeFloat}
+}
+
+// nullSink returns an IL filter that discards pop items per firing.
+func nullSink(name string, pop int) *ir.Filter {
+	b := wfunc.NewKernel(name, pop, pop, 0)
+	var body []wfunc.Stmt
+	for i := 0; i < pop; i++ {
+		body = append(body, wfunc.Pop1())
+	}
+	b.WorkBody(body...)
+	return &ir.Filter{Kernel: b.Build(), In: ir.TypeFloat, Out: ir.TypeVoid}
+}
+
+// scheduleBudget returns per-node firing budgets equal to a static
+// schedule's init phase plus iters steady iterations — the firing counts
+// the sequential and mapped engines produce for the same run length.
+func scheduleBudget(s *sched.Schedule, iters int) []int64 {
+	budget := make([]int64, len(s.Reps))
+	for i := range budget {
+		budget[i] = int64(s.InitReps[i]) + int64(iters)*int64(s.Reps[i])
+	}
+	return budget
+}
+
+// runBudget executes until every node has fired exactly budget[nodeID]
+// times (see scheduleBudget). Unlike Run, which stops on a sink-item count
+// and leaves upstream firing counts nondeterministic, a budgeted run is
+// fully deterministic in its observable counters — this is what lets the
+// cross-engine conformance suite compare the demand-driven engine against
+// the schedule-driven ones. An infeasible budget wedges and is reported by
+// the watchdog.
+func (d *DynamicEngine) runBudget(budget []int64) error {
+	if len(budget) != len(d.G.Nodes) {
+		return fmt.Errorf("exec: budget for %d nodes, graph has %d", len(budget), len(d.G.Nodes))
+	}
+	return d.run(0, budget)
 }
 
 // wfuncKernel builds a deterministic kernel with the given rates: each

@@ -11,50 +11,34 @@ import (
 	"streamit/internal/obs"
 )
 
-// stallObserver attaches a trace recorder whose OnEvent hook captures
-// fault-injection instants. The hook fires synchronously on the engine
-// goroutine the moment the injector delivers the stall, so the tests below
-// assert on an observed event instead of guessing with sleeps — the
-// watchdog interval then only bounds the run's duration, it is not load-
-// bearing for correctness of the assertion.
-func stallObserver() (*obs.Recorder, chan obs.Event) {
-	rec := obs.NewRecorder()
-	faultsCh := make(chan obs.Event, 16)
-	rec.OnEvent(func(ev obs.Event) {
-		if ev.Cat == "fault" {
-			select {
-			case faultsCh <- ev:
-			default:
-			}
-		}
-	})
-	return rec, faultsCh
-}
-
-// expectStall asserts that the injector delivered a stall to the named
-// filter (the hook buffered it during the run; no waiting is involved).
-func expectStall(t *testing.T, faultsCh chan obs.Event, filter string) {
+// expectStall asserts that the trace recorded the injector delivering a
+// stall to the named filter, so the tests below assert on an observed
+// event instead of guessing with sleeps — the watchdog interval then only
+// bounds the run's duration, it is not load-bearing for the assertion.
+func expectStall(t *testing.T, rec *obs.Recorder, filter string) {
 	t.Helper()
-	select {
-	case ev := <-faultsCh:
+	for _, ev := range rec.Events() {
+		if ev.Cat != "fault" {
+			continue
+		}
 		if ev.Name != "fault: stall" {
 			t.Fatalf("observed %q, want fault: stall", ev.Name)
 		}
 		if faults.BaseName(ev.Detail) != filter {
 			t.Fatalf("stall delivered to %q, want %s", ev.Detail, filter)
 		}
-	default:
-		t.Fatalf("no fault event observed: the stall was never injected")
+		return
 	}
+	t.Fatalf("no fault event observed: the stall was never injected")
 }
 
 // TestParallelStallWatchdog: an injected stall wedges one goroutine; the
 // watchdog detects frozen progress and reports the blocked filters. The
-// obs event hook proves the stall was actually delivered, so a
+// recorded fault event proves the stall was actually delivered, so a
 // *DeadlockError here can only mean the watchdog saw the wedge.
 func TestParallelStallWatchdog(t *testing.T) {
 	g, s, _ := faultPipeline(t, gainFilter("Double", 2))
-	rec, faultsCh := stallObserver()
+	rec := obs.NewRecorder()
 	pe, err := NewParallelOpts(g, s, Options{
 		Faults:   mustPlan(t, "stall:Double@5"),
 		Watchdog: 150 * time.Millisecond,
@@ -68,7 +52,7 @@ func TestParallelStallWatchdog(t *testing.T) {
 	if !errors.As(err, &de) {
 		t.Fatalf("err = %v, want *DeadlockError", err)
 	}
-	expectStall(t, faultsCh, "Double")
+	expectStall(t, rec, "Double")
 	if de.Engine != "mapped" {
 		t.Fatalf("engine = %q, want mapped", de.Engine)
 	}
@@ -89,7 +73,7 @@ func TestParallelStallWatchdog(t *testing.T) {
 // TestDynamicStallWatchdog: same detection on the dynamic engine.
 func TestDynamicStallWatchdog(t *testing.T) {
 	g, _, _ := faultPipeline(t, gainFilter("Double", 2))
-	rec, faultsCh := stallObserver()
+	rec := obs.NewRecorder()
 	d, err := NewDynamicOpts(g, Options{
 		Faults:   mustPlan(t, "stall:Double@5"),
 		Watchdog: 150 * time.Millisecond,
@@ -103,7 +87,7 @@ func TestDynamicStallWatchdog(t *testing.T) {
 	if !errors.As(err, &de) {
 		t.Fatalf("err = %v, want *DeadlockError", err)
 	}
-	expectStall(t, faultsCh, "Double")
+	expectStall(t, rec, "Double")
 	if de.Engine != "dynamic" {
 		t.Fatalf("engine = %q, want dynamic", de.Engine)
 	}

@@ -21,26 +21,3 @@ func BenchmarkForward1024(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkConvolver64x256 measures overlap-save filtering per block.
-func BenchmarkConvolver64x256(b *testing.B) {
-	h := make([]float64, 64)
-	for i := range h {
-		h[i] = float64(i % 5)
-	}
-	cv, err := NewConvolver(h, 256)
-	if err != nil {
-		b.Fatal(err)
-	}
-	in := make([]float64, cv.Window())
-	out := make([]float64, cv.Block())
-	for i := range in {
-		in[i] = float64(i % 17)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := cv.Process(in, out); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -1,7 +1,6 @@
 // Package fft provides the fast-Fourier-transform substrate used by the
 // linear optimizer's frequency translation (and by the FFT/TDE benchmark
-// verifiers): an iterative radix-2 decimation-in-time complex FFT plus
-// real-input convolution helpers for overlap-save filtering.
+// verifiers): an iterative radix-2 decimation-in-time complex FFT.
 package fft
 
 import (
@@ -25,23 +24,6 @@ func NextPow2(n int) int {
 // Forward computes the in-place radix-2 FFT of x. len(x) must be a power of
 // two.
 func Forward(x []complex128) error {
-	return transform(x, false)
-}
-
-// Inverse computes the in-place inverse FFT of x (including the 1/N
-// normalization). len(x) must be a power of two.
-func Inverse(x []complex128) error {
-	if err := transform(x, true); err != nil {
-		return err
-	}
-	n := complex(float64(len(x)), 0)
-	for i := range x {
-		x[i] /= n
-	}
-	return nil
-}
-
-func transform(x []complex128, inverse bool) error {
 	n := len(x)
 	if !IsPow2(n) {
 		return fmt.Errorf("fft: length %d is not a power of two", n)
@@ -59,11 +41,7 @@ func transform(x []complex128, inverse bool) error {
 	}
 	// Butterfly stages.
 	for size := 2; size <= n; size <<= 1 {
-		ang := 2 * math.Pi / float64(size)
-		if !inverse {
-			ang = -ang
-		}
-		wn := cmplx.Rect(1, ang)
+		wn := cmplx.Rect(1, -2*math.Pi/float64(size))
 		for start := 0; start < n; start += size {
 			w := complex(1, 0)
 			half := size / 2
@@ -75,87 +53,6 @@ func transform(x []complex128, inverse bool) error {
 				w *= wn
 			}
 		}
-	}
-	return nil
-}
-
-// RealForward computes the FFT of a real signal, returning a full complex
-// spectrum of the same (power-of-two) length.
-func RealForward(x []float64) ([]complex128, error) {
-	c := make([]complex128, len(x))
-	for i, v := range x {
-		c[i] = complex(v, 0)
-	}
-	if err := Forward(c); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// Convolver performs overlap-save FIR filtering: y[n] = sum_k h[k]*x[n+k]
-// (the StreamIt peek-convention correlation, matching an N-tap FIR filter
-// that peeks x[n..n+N-1]). It processes blocks of B outputs per call using
-// an FFT of size B + len(h) - 1 rounded up to a power of two.
-type Convolver struct {
-	taps  int
-	block int
-	size  int
-	hF    []complex128
-	in    []complex128
-}
-
-// NewConvolver builds a convolver for impulse response h producing block
-// outputs per Process call.
-func NewConvolver(h []float64, block int) (*Convolver, error) {
-	if len(h) == 0 || block <= 0 {
-		return nil, fmt.Errorf("fft: convolver needs taps and a positive block size")
-	}
-	size := NextPow2(block + len(h) - 1)
-	hF := make([]complex128, size)
-	for i, v := range h {
-		hF[i] = complex(v, 0)
-	}
-	if err := Forward(hF); err != nil {
-		return nil, err
-	}
-	return &Convolver{taps: len(h), block: block, size: size, hF: hF, in: make([]complex128, size)}, nil
-}
-
-// Block returns the number of outputs produced per Process call.
-func (c *Convolver) Block() int { return c.block }
-
-// Window returns the number of input samples consumed per Process call:
-// block + taps - 1 (the last taps-1 samples must be re-presented on the
-// next call, exactly like a peeking filter that pops block items).
-func (c *Convolver) Window() int { return c.block + c.taps - 1 }
-
-// Process computes block outputs from window inputs: out[i] =
-// sum_k h[k] * x[i+k] for i in [0, block).
-func (c *Convolver) Process(x []float64, out []float64) error {
-	if len(x) < c.Window() || len(out) < c.block {
-		return fmt.Errorf("fft: Process needs %d inputs and %d outputs, got %d/%d", c.Window(), c.block, len(x), len(out))
-	}
-	for i := 0; i < c.size; i++ {
-		if i < c.Window() {
-			c.in[i] = complex(x[i], 0)
-		} else {
-			c.in[i] = 0
-		}
-	}
-	if err := Forward(c.in); err != nil {
-		return err
-	}
-	// Correlation y = x ⋆ h: multiply X by conj(H)... with our indexing
-	// y[i] = sum_k h[k] x[i+k], equivalent to convolution of x with the
-	// time-reversed h; in frequency domain Y = X * conj(H) when h is real.
-	for i := range c.in {
-		c.in[i] *= cmplx.Conj(c.hF[i])
-	}
-	if err := Inverse(c.in); err != nil {
-		return err
-	}
-	for i := 0; i < c.block; i++ {
-		out[i] = real(c.in[i])
 	}
 	return nil
 }

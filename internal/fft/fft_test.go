@@ -2,6 +2,7 @@ package fft
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -40,6 +41,20 @@ func TestNonPow2Rejected(t *testing.T) {
 	}
 }
 
+// inverse undoes Forward through conjugation: IFFT(x) = conj(FFT(conj(x)))/N.
+func inverse(x []complex128) error {
+	for i := range x {
+		x[i] = cmplx.Conj(x[i])
+	}
+	if err := Forward(x); err != nil {
+		return err
+	}
+	for i := range x {
+		x[i] = cmplx.Conj(x[i]) / complex(float64(len(x)), 0)
+	}
+	return nil
+}
+
 func TestQuickInverseRoundTrip(t *testing.T) {
 	f := func(seed int64, sizeSel uint8) bool {
 		n := 1 << (2 + sizeSel%7) // 4..256
@@ -50,7 +65,7 @@ func TestQuickInverseRoundTrip(t *testing.T) {
 			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 			orig[i] = x[i]
 		}
-		if Forward(x) != nil || Inverse(x) != nil {
+		if Forward(x) != nil || inverse(x) != nil {
 			return false
 		}
 		for i := range x {
@@ -85,72 +100,6 @@ func TestParsevalProperty(t *testing.T) {
 	freqEnergy /= float64(n)
 	if math.Abs(timeEnergy-freqEnergy) > 1e-7 {
 		t.Errorf("Parseval violated: time %v, freq %v", timeEnergy, freqEnergy)
-	}
-}
-
-func TestConvolverMatchesDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for _, taps := range []int{1, 3, 8, 17} {
-		for _, block := range []int{1, 4, 64} {
-			h := make([]float64, taps)
-			for i := range h {
-				h[i] = rng.NormFloat64()
-			}
-			cv, err := NewConvolver(h, block)
-			if err != nil {
-				t.Fatal(err)
-			}
-			x := make([]float64, cv.Window())
-			for i := range x {
-				x[i] = rng.NormFloat64()
-			}
-			out := make([]float64, block)
-			if err := cv.Process(x, out); err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < block; i++ {
-				var want float64
-				for k := 0; k < taps; k++ {
-					want += h[k] * x[i+k]
-				}
-				if math.Abs(out[i]-want) > 1e-8 {
-					t.Errorf("taps=%d block=%d out[%d] = %v, want %v", taps, block, i, out[i], want)
-				}
-			}
-		}
-	}
-}
-
-func TestConvolverStreaming(t *testing.T) {
-	// Sliding the window by block and re-presenting the overlap produces a
-	// contiguous correct output stream.
-	h := []float64{0.5, -0.25, 0.125}
-	block := 8
-	cv, err := NewConvolver(h, block)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	signal := make([]float64, 64)
-	for i := range signal {
-		signal[i] = rng.NormFloat64()
-	}
-	var stream []float64
-	for start := 0; start+cv.Window() <= len(signal); start += block {
-		out := make([]float64, block)
-		if err := cv.Process(signal[start:start+cv.Window()], out); err != nil {
-			t.Fatal(err)
-		}
-		stream = append(stream, out...)
-	}
-	for i := range stream {
-		var want float64
-		for k := range h {
-			want += h[k] * signal[i+k]
-		}
-		if math.Abs(stream[i]-want) > 1e-8 {
-			t.Errorf("stream[%d] = %v, want %v", i, stream[i], want)
-		}
 	}
 }
 

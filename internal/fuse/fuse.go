@@ -169,46 +169,14 @@ func Chain(name string, filters ...*ir.Filter) (*ir.Filter, error) {
 }
 
 // Name is the conventional name of the chain of filters, "a+b+c": fault
-// plans and profile demangling split fused instance names at the plus signs
-// to find the constituents.
+// plans split fused instance names at the plus signs to find the
+// constituents.
 func Name(filters []*ir.Filter) string {
 	name := filters[0].Kernel.Name
 	for _, f := range filters[1:] {
 		name += "+" + f.Kernel.Name
 	}
 	return name
-}
-
-// FusePipelineStream fuses every maximal run of adjacent fusable filters in
-// a pipeline, returning a new pipeline (other children are kept as-is). It
-// is a convenience for coarsening whole pipelines.
-func FusePipelineStream(p *ir.Pipeline) *ir.Pipeline {
-	out := &ir.Pipeline{Name: p.Name + "_fused"}
-	var run []*ir.Filter
-	flush := func() {
-		if len(run) > 1 {
-			if fused, err := Chain(Name(run), run...); err == nil {
-				run = []*ir.Filter{fused}
-			}
-		}
-		for _, f := range run {
-			out.Add(f)
-		}
-		run = nil
-	}
-	for _, c := range p.Children {
-		f, ok := c.(*ir.Filter)
-		if !ok || len(run) > 0 && CanFollow(run[len(run)-1], f) != nil {
-			flush()
-		}
-		if !ok {
-			out.Add(c)
-			continue
-		}
-		run = append(run, f)
-	}
-	flush()
-	return out
 }
 
 // repetitions solves the chain's balance equations

@@ -10,6 +10,7 @@ import (
 
 	"streamit/internal/exec"
 	"streamit/internal/ir"
+	"streamit/internal/sched"
 	"streamit/internal/wfunc"
 )
 
@@ -185,7 +186,15 @@ func outputsOn(t *testing.T, backend exec.Backend, mid []ir.Stream, iters int) [
 	children := append([]ir.Stream{ramp("src")}, mid...)
 	children = append(children, snk)
 	prog := &ir.Program{Name: "t", Top: ir.Pipe("main", children...)}
-	e, err := exec.NewBackend(prog, backend)
+	g, err := ir.Flatten(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sched.Compute(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := exec.NewFromGraphBackend(g, s, backend)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,42 +417,22 @@ func TestFuseRejections(t *testing.T) {
 	refused("single filter", "at least two", plain())
 }
 
-// TestFusePipelineStream coarsens a whole pipeline: the peeking third
-// filter starts a chain of its own, and the output is unchanged.
-func TestFusePipelineStream(t *testing.T) {
-	mk := func() []ir.Stream {
-		return []ir.Stream{
-			mkStateless("A", 1, 1, 2, 0.5),
-			mkStateless("B", 2, 2, 1, 2),
-			mkStateless("C", 3, 1, 1, 0.25),
-			mkStateless("D", 1, 1, 1, 4),
-		}
-	}
-	plain := outputsOf(t, mk(), 48)
-	fp := FusePipelineStream(ir.Pipe("mid", mk()...))
-	var names []string
-	for _, c := range fp.Children {
-		names = append(names, c.StreamName())
-	}
-	if got := strings.Join(names, " "); got != "A+B C+D" {
-		t.Fatalf("coarsened pipeline is %q, want \"A+B C+D\"", got)
-	}
-	wantSameBits(t, "coarsened pipeline", plain, outputsOf(t, []ir.Stream{fp}, 48), 16)
-}
-
 // BenchmarkFusionOverhead compares a three-filter pipeline against its
 // fully fused form: fusion removes per-firing engine and channel overhead.
 func BenchmarkFusionOverhead(b *testing.B) {
-	mk := func() []ir.Stream {
-		return []ir.Stream{
+	mk := func() []*ir.Filter {
+		return []*ir.Filter{
 			mkStateless("A", 3, 1, 1, 0.5),
 			mkStateless("B", 1, 1, 1, 2),
 			mkStateless("C", 1, 1, 1, 0.25),
 		}
 	}
-	run := func(b *testing.B, mid []ir.Stream) {
+	run := func(b *testing.B, mid ...*ir.Filter) {
 		snk, _ := exec.SliceSink("snk")
-		children := append([]ir.Stream{ramp("src")}, mid...)
+		children := []ir.Stream{ramp("src")}
+		for _, f := range mid {
+			children = append(children, f)
+		}
 		children = append(children, snk)
 		prog := &ir.Program{Name: "t", Top: ir.Pipe("main", children...)}
 		e, err := exec.New(prog)
@@ -460,9 +449,12 @@ func BenchmarkFusionOverhead(b *testing.B) {
 			}
 		}
 	}
-	b.Run("unfused", func(b *testing.B) { run(b, mk()) })
+	b.Run("unfused", func(b *testing.B) { run(b, mk()...) })
 	b.Run("fused", func(b *testing.B) {
-		fp := FusePipelineStream(ir.Pipe("mid", mk()...))
-		run(b, []ir.Stream{fp})
+		fused, err := Chain(Name(mk()), mk()...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		run(b, fused)
 	})
 }

@@ -220,11 +220,6 @@ func Flatten(p *Program) (*Graph, error) {
 	return f.g, nil
 }
 
-// FlattenStream flattens a bare stream with no messaging declarations.
-func FlattenStream(name string, s Stream) (*Graph, error) {
-	return Flatten(&Program{Name: name, Top: s})
-}
-
 func (f *flattener) node(kind NodeKind, name string) *Node {
 	n := &Node{ID: len(f.g.Nodes), Kind: kind, Name: fmt.Sprintf("%s#%d", name, len(f.g.Nodes))}
 	f.g.Nodes = append(f.g.Nodes, n)

@@ -54,7 +54,7 @@ func fir(name string, taps int) *Filter {
 
 func TestFlattenPipeline(t *testing.T) {
 	p := Pipe("main", srcFilter("src", 1), gain("g1", 2), gain("g2", 3), sinkFilter("snk", 1))
-	g, err := FlattenStream("t", p)
+	g, err := Flatten(&Program{Name: "t", Top: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestFlattenSplitJoin(t *testing.T) {
 	sj := SJ("eq", Duplicate(), RoundRobin(),
 		gain("band1", 1), gain("band2", 2), gain("band3", 3))
 	p := Pipe("main", srcFilter("src", 1), sj, sinkFilter("snk", 3))
-	g, err := FlattenStream("t", p)
+	g, err := Flatten(&Program{Name: "t", Top: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestFlattenWeightedRoundRobin(t *testing.T) {
 	sj := SJ("bfly", RoundRobin(n, n), RoundRobin(),
 		gain("scale", 1.5), Identity(TypeFloat))
 	p := Pipe("main", srcFilter("src", 2*n), sj, sinkFilter("snk", 2))
-	g, err := FlattenStream("t", p)
+	g, err := Flatten(&Program{Name: "t", Top: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestFlattenFeedbackLoop(t *testing.T) {
 		},
 	}
 	p := Pipe("main", srcFilter("src", 1), fl, sinkFilter("snk", 1))
-	g, err := FlattenStream("t", p)
+	g, err := Flatten(&Program{Name: "t", Top: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestTypeMismatchRejected(t *testing.T) {
 	bad := gain("bad", 1)
 	bad.In = TypeInt
 	p := Pipe("main", srcFilter("src", 1), bad, sinkFilter("snk", 1))
-	if _, err := FlattenStream("t", p); err == nil {
+	if _, err := Flatten(&Program{Name: "t", Top: p}); err == nil {
 		t.Fatal("expected type mismatch error")
 	} else if !strings.Contains(err.Error(), "cannot connect") {
 		t.Fatalf("unexpected error: %v", err)
@@ -182,7 +182,7 @@ func TestTypeMismatchRejected(t *testing.T) {
 func TestSingleAppearanceRejected(t *testing.T) {
 	f := gain("shared", 2)
 	p := Pipe("main", srcFilter("src", 1), f, f, sinkFilter("snk", 1))
-	if _, err := FlattenStream("t", p); err == nil {
+	if _, err := Flatten(&Program{Name: "t", Top: p}); err == nil {
 		t.Fatal("expected single-appearance error")
 	}
 }
@@ -190,7 +190,7 @@ func TestSingleAppearanceRejected(t *testing.T) {
 func TestWeightArityRejected(t *testing.T) {
 	sj := SJ("sj", RoundRobin(1, 2, 3), RoundRobin(), gain("a", 1), gain("b", 1))
 	p := Pipe("main", srcFilter("src", 1), sj, sinkFilter("snk", 2))
-	if _, err := FlattenStream("t", p); err == nil {
+	if _, err := Flatten(&Program{Name: "t", Top: p}); err == nil {
 		t.Fatal("expected weight arity error")
 	}
 }
@@ -201,7 +201,7 @@ func TestZeroWeightSourceBranch(t *testing.T) {
 	sj := SJ("sj", RoundRobin(1, 0), RoundRobin(1, 1),
 		gain("a", 1), srcFilter("gen", 1))
 	p := Pipe("main", srcFilter("src", 1), sj, sinkFilter("snk", 2))
-	g, err := FlattenStream("t", p)
+	g, err := Flatten(&Program{Name: "t", Top: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,18 +214,18 @@ func TestZeroWeightSourceBranch(t *testing.T) {
 	sj2 := SJ("sj2", RoundRobin(1, 1), RoundRobin(1, 1),
 		gain("a2", 1), srcFilter("gen2", 1))
 	p2 := Pipe("main2", srcFilter("src2", 1), sj2, sinkFilter("snk2", 2))
-	if _, err := FlattenStream("t", p2); err == nil {
+	if _, err := Flatten(&Program{Name: "t", Top: p2}); err == nil {
 		t.Fatal("expected zero-weight restriction error")
 	}
 }
 
 func TestDanglingIORejected(t *testing.T) {
 	p := Pipe("main", srcFilter("src", 1), gain("g", 1))
-	if _, err := FlattenStream("t", p); err == nil {
+	if _, err := Flatten(&Program{Name: "t", Top: p}); err == nil {
 		t.Fatal("expected unconsumed-output error")
 	}
 	p2 := Pipe("main", gain("g2", 1), sinkFilter("snk", 1))
-	if _, err := FlattenStream("t", p2); err == nil {
+	if _, err := Flatten(&Program{Name: "t", Top: p2}); err == nil {
 		t.Fatal("expected missing-input error")
 	}
 }
@@ -235,7 +235,7 @@ func TestComputeStats(t *testing.T) {
 		Pipe("b1", fir("f1", 8), gain("g1", 1)),
 		gain("g2", 2))
 	p := Pipe("main", srcFilter("src", 1), sj, sinkFilter("snk", 2))
-	g, err := FlattenStream("t", p)
+	g, err := Flatten(&Program{Name: "t", Top: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestComputeStats(t *testing.T) {
 
 func TestDownstream(t *testing.T) {
 	p := Pipe("main", srcFilter("src", 1), gain("a", 1), gain("b", 1), sinkFilter("snk", 1))
-	g, err := FlattenStream("t", p)
+	g, err := Flatten(&Program{Name: "t", Top: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestDotOutput(t *testing.T) {
 		Delay: 3,
 	}
 	p := Pipe("main", srcFilter("dsrc", 1), fl, sinkFilter("dsnk", 1))
-	g, err := FlattenStream("t", p)
+	g, err := Flatten(&Program{Name: "t", Top: p})
 	if err != nil {
 		t.Fatal(err)
 	}

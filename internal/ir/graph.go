@@ -45,17 +45,6 @@ func (g *Graph) TopoOrder() ([]*Node, error) {
 	return order, nil
 }
 
-// Sources returns nodes with no inputs.
-func (g *Graph) Sources() []*Node {
-	var out []*Node
-	for _, n := range g.Nodes {
-		if n.IsSource() {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // Sinks returns nodes with no outputs.
 func (g *Graph) Sinks() []*Node {
 	var out []*Node

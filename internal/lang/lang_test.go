@@ -334,17 +334,34 @@ void->void pipeline Main() {
 	if len(prog.Constraints) != 1 || prog.Constraints[0].Latency != 5 {
 		t.Fatalf("constraints = %+v", prog.Constraints)
 	}
-	e, err := exec.New(prog)
+	g, err := ir.Flatten(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sched.Compute(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := exec.NewFromGraphOpts(g, s, exec.Options{Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Run(50); err != nil {
 		t.Fatal(err)
 	}
-	mid := prog.Constraints[0].Upstream
-	node := e.G.FilterNode[mid]
-	if buffered := e.ChannelLen(node.OutEdge()); buffered > 5 {
-		t.Errorf("mid ran %d items ahead; MAX_LATENCY allows 5", buffered)
+	// What mid pushed and out has not popped is what sits between them.
+	c := prog.Constraints[0]
+	var pushed, popped int64
+	for _, fp := range e.Profile().Snapshot() {
+		switch fp.Name {
+		case g.FilterNode[c.Upstream].Name:
+			pushed = fp.Pushed
+		case g.FilterNode[c.Downstream].Name:
+			popped = fp.Popped
+		}
+	}
+	if pushed == 0 || pushed-popped > 5 {
+		t.Errorf("mid pushed %d, out popped %d; MAX_LATENCY allows 5 in between", pushed, popped)
 	}
 }
 

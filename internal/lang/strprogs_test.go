@@ -69,7 +69,7 @@ func TestExampleProgramsCompileAndRun(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				d, err := exec.NewDynamic(g)
+				d, err := exec.NewDynamicOpts(g, exec.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -172,30 +172,6 @@ func TestExtractRejectsNonlinear(t *testing.T) {
 	}
 }
 
-func TestExpandEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 20; trial++ {
-		r := randRep(rng, 3)
-		m := rng.Intn(3) + 2
-		e := r.Expand(m)
-		input := randStream(int64(trial), e.Peek+4*e.Pop)
-		a := runRep(t, r, input)
-		b := runRep(t, e, input)
-		n := len(b)
-		if len(a) < n {
-			n = len(a)
-		}
-		if n == 0 {
-			t.Fatalf("trial %d: no outputs to compare", trial)
-		}
-		for i := 0; i < n; i++ {
-			if math.Abs(a[i]-b[i]) > 1e-9 {
-				t.Fatalf("trial %d: expand mismatch at %d: %v vs %v", trial, i, a[i], b[i])
-			}
-		}
-	}
-}
-
 // Property: pipeline combination is semantics-preserving.
 func TestQuickCombinePipeline(t *testing.T) {
 	f := func(seed int64) bool {
@@ -482,14 +458,6 @@ func max(a, b int) int {
 		return a
 	}
 	return b
-}
-
-func TestExpandIdentityCase(t *testing.T) {
-	r := NewRep(2, 1, 1)
-	r.A[0][0] = 1
-	if e := r.Expand(1); e != r {
-		t.Error("Expand(1) should return the receiver")
-	}
 }
 
 func TestCombineSplitJoinRejections(t *testing.T) {

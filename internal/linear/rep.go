@@ -34,9 +34,6 @@ func NewRep(peek, pop, push int) *Rep {
 	return r
 }
 
-// Cols returns the peek-window width.
-func (r *Rep) Cols() int { return r.Peek }
-
 // NonZeros counts nonzero matrix coefficients (the multiply count of a
 // direct implementation).
 func (r *Rep) NonZeros() int {
@@ -68,26 +65,6 @@ func (r *Rep) Apply(window []float64) ([]float64, error) {
 		out[j] = acc
 	}
 	return out, nil
-}
-
-// Expand returns the representation of m consecutive firings treated as
-// one: peek grows by (m-1)*pop, and the j-th firing's rows shift right by
-// j*pop columns.
-func (r *Rep) Expand(m int) *Rep {
-	if m <= 1 {
-		return r
-	}
-	e := NewRep(r.Peek+(m-1)*r.Pop, m*r.Pop, m*r.Push)
-	for f := 0; f < m; f++ {
-		for j := 0; j < r.Push; j++ {
-			dst := e.A[f*r.Push+j]
-			for i, c := range r.A[j] {
-				dst[f*r.Pop+i] += c
-			}
-			e.B[f*r.Push+j] = r.B[j]
-		}
-	}
-	return e
 }
 
 // Toeplitz reports whether the representation is a pure sliding

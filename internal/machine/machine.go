@@ -82,15 +82,6 @@ func (g *WGraph) AddEdge(src, dst *WNode, items int64) *WEdge {
 	return e
 }
 
-// TotalWork sums compute cycles per steady iteration.
-func (g *WGraph) TotalWork() int64 {
-	var t int64
-	for _, n := range g.Nodes {
-		t += n.Work
-	}
-	return t
-}
-
 // TotalFlops sums floating-point work per steady iteration.
 func (g *WGraph) TotalFlops() int64 {
 	var t int64

@@ -134,30 +134,6 @@ func (p *Profiler) Snapshot() []FilterProfile {
 	return out
 }
 
-// ByName returns the snapshot keyed by node name (flattened instance names
-// are unique within a graph).
-func (p *Profiler) ByName() map[string]FilterProfile {
-	out := make(map[string]FilterProfile, len(p.stats))
-	for _, fp := range p.Snapshot() {
-		out[fp.Name] = fp
-	}
-	return out
-}
-
-// WorkNSPerFiring returns each node's average measured work per firing in
-// nanoseconds (nodes that never fired or recorded no work are omitted).
-// This is the measured-work estimate the partitioner can consume in place
-// of the static IL estimator.
-func (p *Profiler) WorkNSPerFiring() map[string]int64 {
-	out := map[string]int64{}
-	for _, fp := range p.Snapshot() {
-		if fp.Firings > 0 && fp.WorkNS > 0 {
-			out[fp.Name] = fp.WorkNS / fp.Firings
-		}
-	}
-	return out
-}
-
 // WorkWindow watches a Profiler over sliding windows: each Advance closes
 // the current window and returns the per-node work and firing deltas
 // accumulated inside it, indexed by node ID like the profiler itself.

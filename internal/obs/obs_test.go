@@ -23,7 +23,7 @@ func TestFilterStatsCounters(t *testing.T) {
 	st.AddWork(10 * time.Microsecond)
 	st.AddStall(2 * time.Microsecond)
 
-	fp := p.ByName()["fir"]
+	fp := p.Snapshot()[0]
 	want := FilterProfile{Name: "fir", Firings: 2, Pushed: 4, Popped: 6,
 		Peeked: 1, WorkNS: 10000, StallNS: 2000}
 	if fp != want {
@@ -78,18 +78,6 @@ func TestSnapshotSortedByName(t *testing.T) {
 		if snap[i-1].Name > snap[i].Name {
 			t.Errorf("snapshot not sorted: %q before %q", snap[i-1].Name, snap[i].Name)
 		}
-	}
-}
-
-func TestWorkNSPerFiring(t *testing.T) {
-	p := NewProfiler([]string{"idle", "busy"})
-	busy := p.At(1)
-	busy.AddFiring()
-	busy.AddFiring()
-	busy.AddWork(100 * time.Nanosecond)
-	m := p.WorkNSPerFiring()
-	if len(m) != 1 || m["busy"] != 50 {
-		t.Errorf("WorkNSPerFiring() = %v, want map[busy:50]", m)
 	}
 }
 

@@ -35,14 +35,11 @@ type Event struct {
 
 // Recorder collects trace events from any number of goroutines. The zero
 // cost path is a nil *Recorder held by the engines; with a recorder
-// attached, each event is one short critical section. Synchronous OnEvent
-// hooks let tests observe runtime events (fault injection, recovery,
-// message delivery) deterministically instead of sleeping on timing.
+// attached, each event is one short critical section.
 type Recorder struct {
 	mu     sync.Mutex
 	clock  func() time.Duration // elapsed since epoch; swappable for tests
 	events []Event
-	hooks  []func(Event)
 }
 
 // NewRecorder starts a recorder whose epoch is now.
@@ -66,24 +63,11 @@ func (r *Recorder) Stamp() time.Duration {
 	return c()
 }
 
-// OnEvent registers a hook invoked synchronously, in recording order, for
-// every subsequent event. Hooks run on the recording goroutine (an engine
-// worker): keep them short and do not call back into the recorder.
-func (r *Recorder) OnEvent(h func(Event)) {
-	r.mu.Lock()
-	r.hooks = append(r.hooks, h)
-	r.mu.Unlock()
-}
-
-// emit appends the event and fans it out to hooks.
+// emit appends the event.
 func (r *Recorder) emit(ev Event) {
 	r.mu.Lock()
 	r.events = append(r.events, ev)
-	hooks := r.hooks
 	r.mu.Unlock()
-	for _, h := range hooks {
-		h(ev)
-	}
 }
 
 // Lane names a lane (Chrome renders it as the thread name).
@@ -116,13 +100,6 @@ func (r *Recorder) Events() []Event {
 	out := make([]Event, len(r.events))
 	copy(out, r.events)
 	return out
-}
-
-// Len reports how many events have been recorded.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.events)
 }
 
 // WriteChromeTrace writes the recorded events as Chrome trace JSON.

@@ -143,23 +143,6 @@ func TestWriteChromeTraceHostileInput(t *testing.T) {
 	}
 }
 
-func TestRecorderOnEvent(t *testing.T) {
-	r := NewRecorder()
-	var got []Event
-	r.OnEvent(func(ev Event) { got = append(got, ev) })
-	r.Lane(0, "a")
-	r.Instant(0, "fault: stall", "fault", "a")
-	if len(got) != 2 {
-		t.Fatalf("hook saw %d events, want 2", len(got))
-	}
-	if got[1].Cat != "fault" || got[1].Name != "fault: stall" {
-		t.Errorf("hook saw %+v", got[1])
-	}
-	if r.Len() != 2 {
-		t.Errorf("Len() = %d, want 2", r.Len())
-	}
-}
-
 func TestRecorderWriteFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.json")
 	if err := goldenRecorder().WriteFile(path); err != nil {

@@ -22,10 +22,6 @@ type ExecPlanOptions struct {
 	Strategy Strategy
 	// Workers is the target core count; 0 selects runtime.GOMAXPROCS(0).
 	Workers int
-	// MeasuredWorkNS supplies profiled per-firing work (see
-	// BuildOptions.MeasuredWorkNS); it biases both the fission granularity
-	// heuristic and the worker assignment.
-	MeasuredWorkNS map[string]int64
 }
 
 // ExecPlan is an executable mapping plan: the elaborated IR rewritten by
@@ -41,7 +37,7 @@ type ExecPlan struct {
 	// with the input program.
 	Program *ir.Program
 	// Work estimates cycles per firing for filters of Program, on the
-	// static estimator's scale (measured-work rescaled when provided).
+	// static estimator's scale.
 	// Filters synthesized by fusion/fission carry their constituents' work.
 	Work map[*ir.Filter]int64
 	// Fused counts filters folded away by coarsening; Replicas counts
@@ -72,7 +68,7 @@ func BuildExecPlan(prog *ir.Program, g *ir.Graph, s *sched.Schedule, opts ExecPl
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	pg, err := BuildOpts(g, s, BuildOptions{MeasuredWorkNS: opts.MeasuredWorkNS})
+	pg, err := Build(g, s)
 	if err != nil {
 		return nil, err
 	}

@@ -236,3 +236,90 @@ func TestPackRejects(t *testing.T) {
 		t.Fatalf("Assign packed an unstageable graph: %v", assign)
 	}
 }
+
+// measuredPipe flattens and schedules src -> a -> b -> snk, a and b with
+// identical static work; the pipeline's node IDs are 0..3 in that order.
+func measuredPipe(t *testing.T) (*ir.Graph, *sched.Schedule) {
+	t.Helper()
+	g, err := ir.Flatten(&ir.Program{Name: "mw", Top: ir.Pipe("p",
+		heavyFilter("src", 100, 0, 0, 1),
+		heavyFilter("a", 200, 0, 1, 1),
+		heavyFilter("b", 200, 0, 1, 1),
+		heavyFilter("snk", 100, 0, 1, 0))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sched.Compute(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, s
+}
+
+// TestMeasuredWorkReshapesProportions: measurements that say filter a is 3x
+// filter b shift steadyWork's split to 3:1 while the covered filters'
+// combined cycle total stays on the static scale, so measured and
+// estimated nodes still pack on one scale.
+func TestMeasuredWorkReshapesProportions(t *testing.T) {
+	g, s := measuredPipe(t)
+	const src, a, b, snk = 0, 1, 2, 3
+	sw := steadyWork(g, s, nil, nil)
+	if sw[a] == 0 || sw[a] != sw[b] {
+		t.Fatalf("static baseline skewed: a=%d b=%d", sw[a], sw[b])
+	}
+	mw := steadyWork(g, s, nil, []int64{src: 0, a: 3000, b: 1000, snk: 0})
+	if ratio := float64(mw[a]) / float64(mw[b]); ratio < 2.9 || ratio > 3.1 {
+		t.Errorf("a/b work ratio = %.2f, want ~3.0", ratio)
+	}
+	// Integer truncation allows a little slack.
+	if diff := sw[a] + sw[b] - mw[a] - mw[b]; diff < -2 || diff > 2 {
+		t.Errorf("covered work total drifted: static %d, measured %d", sw[a]+sw[b], mw[a]+mw[b])
+	}
+}
+
+// TestMeasuredWorkPartialCoverage: a filter without a measurement keeps its
+// static estimate, file endpoints stay at zero work whatever was measured
+// on them, and a sole covered filter rescales onto its own static total.
+func TestMeasuredWorkPartialCoverage(t *testing.T) {
+	g, s := measuredPipe(t)
+	const src, a, b, snk = 0, 1, 2, 3
+	sw := steadyWork(g, s, nil, nil)
+	mw := steadyWork(g, s, nil, []int64{src: 9999, a: 5000, b: 0, snk: 9999})
+	if mw[b] != sw[b] {
+		t.Errorf("unmeasured filter b changed: %d -> %d", sw[b], mw[b])
+	}
+	if mw[src] != 0 || mw[snk] != 0 {
+		t.Errorf("io endpoints gained work: src=%d snk=%d", mw[src], mw[snk])
+	}
+	if mw[a] != sw[a] {
+		t.Errorf("sole covered filter a should keep its static total: %d -> %d", sw[a], mw[a])
+	}
+}
+
+// TestMeasuredWorkIgnoredWhenUseless: no measurement, all zeros, and
+// non-positive entries leave the static estimates untouched.
+func TestMeasuredWorkIgnoredWhenUseless(t *testing.T) {
+	g, s := measuredPipe(t)
+	sw := steadyWork(g, s, nil, nil)
+	for _, m := range [][]int64{nil, make([]int64, 4), {0, 0, -5, 0}} {
+		if mw := steadyWork(g, s, nil, m); !slices.Equal(mw, sw) {
+			t.Errorf("measured %v: work %v, want static %v", m, mw, sw)
+		}
+	}
+}
+
+// TestMeasuredWorkTotalStable: the graph-wide total does not move when
+// measurements only redistribute filter weights.
+func TestMeasuredWorkTotalStable(t *testing.T) {
+	g, s := measuredPipe(t)
+	total := func(work []int64) (sum int64) {
+		for _, w := range work {
+			sum += w
+		}
+		return sum
+	}
+	static, measured := total(steadyWork(g, s, nil, nil)), total(steadyWork(g, s, nil, []int64{0, 7000, 500, 0}))
+	if d := static - measured; d < -2 || d > 2 {
+		t.Errorf("total work drifted by %d (static %d, measured %d)", d, static, measured)
+	}
+}

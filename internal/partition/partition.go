@@ -50,36 +50,11 @@ type PGraph struct {
 	nextID int
 }
 
-// BuildOptions tune how the weighted steady-state graph is derived.
-type BuildOptions struct {
-	// MeasuredWorkNS maps flat node names to profiled work per firing in
-	// nanoseconds (from obs.Profiler.WorkNSPerFiring). When non-empty,
-	// measured values replace the static IL estimate for the filters they
-	// cover, rescaled so the total filter work stays on the static
-	// estimator's cycle scale — the machine model's compute/communication
-	// calibration is preserved while relative filter weights become
-	// measured rather than estimated. Filters without a measurement keep
-	// their static estimate; flops always stay static.
-	MeasuredWorkNS map[string]int64
-}
-
 // Build derives the weighted steady-state graph from a scheduled flat
 // graph, weighted by steadyWork.
 func Build(g *ir.Graph, s *sched.Schedule) (*PGraph, error) {
-	return BuildOpts(g, s, BuildOptions{})
-}
-
-// BuildOpts is Build with explicit options.
-func BuildOpts(g *ir.Graph, s *sched.Schedule, opts BuildOptions) (*PGraph, error) {
 	p := &PGraph{nodes: map[int]*pnode{}, edges: map[[2]int]int64{}}
-	var measured []int64
-	if len(opts.MeasuredWorkNS) > 0 {
-		measured = make([]int64, len(g.Nodes))
-		for _, n := range g.Nodes {
-			measured[n.ID] = opts.MeasuredWorkNS[n.Name] * int64(s.Reps[n.ID])
-		}
-	}
-	work := steadyWork(g, s, nil, measured)
+	work := steadyWork(g, s, nil, nil)
 	for _, n := range g.Nodes {
 		pn := &pnode{id: n.ID, name: n.Name, count: 1, work: work[n.ID]}
 		switch n.Kind {

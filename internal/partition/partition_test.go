@@ -48,7 +48,7 @@ func statefulFilter(name string, loops int) *ir.Filter {
 
 func buildP(t *testing.T, s ir.Stream) *PGraph {
 	t.Helper()
-	g, err := ir.FlattenStream("t", s)
+	g, err := ir.Flatten(&ir.Program{Name: "t", Top: s})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,6 +272,31 @@ func TestSpaceMultiplexedFusesToTiles(t *testing.T) {
 	}
 	if plan.Mapping.Mode != machine.ModePipelined || plan.Mapping.Comm != machine.CommNoC {
 		t.Error("space mapping should be pipelined over the NoC")
+	}
+}
+
+// TestSpaceMultiplexedFusesWideSplitJoin: a split-join wider than the
+// machine cannot be fused along chains alone; sibling branches merge
+// (lightest pair first) until the graph fits, and it still simulates.
+func TestSpaceMultiplexedFusesWideSplitJoin(t *testing.T) {
+	var branches []ir.Stream
+	for i := 0; i < 12; i++ {
+		branches = append(branches, heavyFilter("b"+name(i), 100+10*i, 1, 1, 1))
+	}
+	p := buildP(t, ir.Pipe("main",
+		heavyFilter("src", 2, 0, 0, 1),
+		ir.SJ("wide", ir.Duplicate(), ir.RoundRobin(), branches...),
+		heavyFilter("snk", 2, 12, 12, 0)))
+	const tiles = 4
+	plan, err := p.Map(StratSpace, tiles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(plan.Graph.Nodes); n > tiles {
+		t.Errorf("space mapping has %d nodes, want <= %d", n, tiles)
+	}
+	if res := simulate(t, plan); res.CyclesPerIter <= 0 {
+		t.Errorf("fused mapping simulates to %v cycles per iteration", res.CyclesPerIter)
 	}
 }
 

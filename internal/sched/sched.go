@@ -447,9 +447,6 @@ func (s *Schedule) TotalFirings() int {
 	return t
 }
 
-// RepsOf returns the steady repetition count for a node.
-func (s *Schedule) RepsOf(n *ir.Node) int { return s.Reps[n.ID] }
-
 // ItemsPerSteady returns the number of items crossing edge e per steady
 // iteration.
 func (s *Schedule) ItemsPerSteady(e *ir.Edge) int {

@@ -30,7 +30,7 @@ func filter(name string, peek, pop, push int) *ir.Filter {
 
 func mustFlatten(t *testing.T, s ir.Stream) *ir.Graph {
 	t.Helper()
-	g, err := ir.FlattenStream("t", s)
+	g, err := ir.Flatten(&ir.Program{Name: "t", Top: s})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestQuickBalanceEquations(t *testing.T) {
 			prev = push
 		}
 		children = append(children, filter("snk", prev, prev, 0))
-		g, err := ir.FlattenStream("q", ir.Pipe("main", children...))
+		g, err := ir.Flatten(&ir.Program{Name: "q", Top: ir.Pipe("main", children...)})
 		if err != nil {
 			return true // duplicate-name single appearance etc.
 		}

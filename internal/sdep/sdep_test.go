@@ -31,7 +31,7 @@ func filter(name string, peek, pop, push int) *ir.Filter {
 
 func build(t *testing.T, s ir.Stream) (*ir.Graph, *sched.Schedule, *Calc) {
 	t.Helper()
-	g, err := ir.FlattenStream("t", s)
+	g, err := ir.Flatten(&ir.Program{Name: "t", Top: s})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestVerifyEndToEnd(t *testing.T) {
 		filter("A", 2, 1, 1),
 		filter("snk", 1, 1, 0),
 	)
-	g, err := ir.FlattenStream("t", p)
+	g, err := ir.Flatten(&ir.Program{Name: "t", Top: p})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -493,9 +493,4 @@ func (srv *Server) recordIters(tenant string, latNS []int64) {
 	srv.mu.Unlock()
 }
 
-// CacheStats exposes the server's compile-cache counters.
-func (srv *Server) CacheStats() (entries int, hits, misses int64) {
-	return srv.cache.Stats()
-}
-
 func fingerprintString(fp uint64) string { return fmt.Sprintf("%016x", fp) }

@@ -402,8 +402,8 @@ func TestSessionProfile(t *testing.T) {
 		t.Fatal("Profile() = nil with Profile option set")
 	}
 	var firings int64 = -1
-	for name, fp := range p.ByName() {
-		if strings.HasPrefix(name, "g#") {
+	for _, fp := range p.Snapshot() {
+		if strings.HasPrefix(fp.Name, "g#") {
 			firings = fp.Firings
 		}
 	}

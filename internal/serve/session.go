@@ -366,6 +366,12 @@ func (s *Session) runBatch() bool {
 	var lat [maxBatch]int64
 	completed, initDone, err := s.runEngine(runInit, k, &lat)
 
+	// Before s.done moves: a waiter this batch wakes must never find the
+	// server-wide counters behind its own session's progress.
+	if completed > 0 {
+		s.srv.recordIters(s.opt.Tenant, lat[:completed])
+	}
+
 	s.mu.Lock()
 	if initDone {
 		s.inited = true
@@ -386,10 +392,6 @@ func (s *Session) runBatch() bool {
 	}
 	s.notifyLocked()
 	s.mu.Unlock()
-
-	if completed > 0 {
-		s.srv.recordIters(s.opt.Tenant, lat[:completed])
-	}
 	return runnable
 }
 

@@ -2,12 +2,14 @@ package vm_test
 
 // Backend equivalence crosscheck: every application in the benchmark
 // suites must produce bit-identical results on the bytecode VM and the
-// tree-walking interpreter — channel contents, filter field state, firing
-// counts, and println output all compared via float64 bit patterns after
-// a multi-iteration run. This is the acceptance gate for the VM backend:
-// any divergence, however small, fails loudly with the app and location.
+// tree-walking interpreter — the checkpoint image (channel contents, filter
+// field state, firing counts, pending messages) and println output, all
+// compared via float64 bit patterns after a multi-iteration run. This is
+// the acceptance gate for the VM backend: any divergence, however small,
+// fails loudly with the app and the first differing byte or print.
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"testing"
@@ -49,6 +51,16 @@ func runOn(t *testing.T, prog *ir.Program, iters int, backend exec.Backend) *bac
 	return r
 }
 
+// image is the engine's complete execution state as a checkpoint.
+func (r *backendRun) image(t *testing.T, iters int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := r.engine.WriteCheckpoint(&buf, int64(iters)); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	return buf.Bytes()
+}
+
 // crosscheck runs prog-builder twice (once per backend) and compares every
 // observable bit of the final execution state.
 func crosscheck(t *testing.T, build func() *ir.Program, iters int) {
@@ -63,47 +75,16 @@ func crosscheck(t *testing.T, build func() *ir.Program, iters int) {
 			len(vmRun.graph.Edges), len(inRun.graph.Edges))
 	}
 
-	// Firing counts and field state per node.
-	for i, vn := range vmRun.graph.Nodes {
-		in := inRun.graph.Nodes[i]
-		if vf, inf := vmRun.engine.FiredCount(vn), inRun.engine.FiredCount(in); vf != inf {
-			t.Errorf("node %s: fired %d on vm, %d on interp", vn.Name, vf, inf)
+	// One checkpoint image holds every node's firing count and field state,
+	// every edge's counters and residual items (peek margins, split/join
+	// buffering) and the pending messages, all as float64 bit patterns.
+	vImg, iImg := vmRun.image(t, iters), inRun.image(t, iters)
+	if !bytes.Equal(vImg, iImg) {
+		at := 0
+		for at < len(vImg) && at < len(iImg) && vImg[at] == iImg[at] {
+			at++
 		}
-		if vn.Kind != ir.NodeFilter {
-			continue
-		}
-		vs := vmRun.engine.State(vn.Filter)
-		is := inRun.engine.State(in.Filter)
-		for j := range vs.Scalars {
-			if math.Float64bits(vs.Scalars[j]) != math.Float64bits(is.Scalars[j]) {
-				t.Errorf("node %s: field %d differs: vm %v interp %v",
-					vn.Name, j, vs.Scalars[j], is.Scalars[j])
-			}
-		}
-		for j := range vs.Arrays {
-			for k := range vs.Arrays[j] {
-				if math.Float64bits(vs.Arrays[j][k]) != math.Float64bits(is.Arrays[j][k]) {
-					t.Errorf("node %s: array %d[%d] differs: vm %v interp %v",
-						vn.Name, j, k, vs.Arrays[j][k], is.Arrays[j][k])
-				}
-			}
-		}
-	}
-
-	// Residual channel contents (peek margins, split/join buffering).
-	for i, ve := range vmRun.graph.Edges {
-		ie := inRun.graph.Edges[i]
-		vItems := vmRun.engine.ChannelItems(ve)
-		iItems := inRun.engine.ChannelItems(ie)
-		if len(vItems) != len(iItems) {
-			t.Errorf("edge %s: %d items on vm, %d on interp", ve, len(vItems), len(iItems))
-			continue
-		}
-		for j := range vItems {
-			if math.Float64bits(vItems[j]) != math.Float64bits(iItems[j]) {
-				t.Errorf("edge %s item %d differs: vm %v interp %v", ve, j, vItems[j], iItems[j])
-			}
-		}
+		t.Errorf("checkpoint images differ at byte %d (%d bytes on vm, %d on interp)", at, len(vImg), len(iImg))
 	}
 
 	// println output, in order, bit-exact.

@@ -127,12 +127,6 @@ type Program struct {
 	maxStack   int
 }
 
-// Name returns the compiled function's name (for diagnostics).
-func (p *Program) Name() string { return p.name }
-
-// Len returns the instruction count (for tests and size accounting).
-func (p *Program) Len() int { return len(p.code) }
-
 // Machine is the mutable execution frame for one Program: the operand
 // stack, zero-initialized locals, and local arrays. One Machine per filter
 // instance; Run fires the work function once.

@@ -33,12 +33,11 @@ import (
 // directly: w = append(w, magic...).
 type Writer []byte
 
-func (w *Writer) U8(v byte)     { *w = append(*w, v) }
-func (w *Writer) U32(v uint32)  { *w = binary.LittleEndian.AppendUint32(*w, v) }
-func (w *Writer) U64(v uint64)  { *w = binary.LittleEndian.AppendUint64(*w, v) }
-func (w *Writer) I64(v int64)   { w.U64(uint64(v)) }
-func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
-func (w *Writer) Count(n int)   { w.U32(uint32(n)) }
+func (w *Writer) U8(v byte)    { *w = append(*w, v) }
+func (w *Writer) U32(v uint32) { *w = binary.LittleEndian.AppendUint32(*w, v) }
+func (w *Writer) U64(v uint64) { *w = binary.LittleEndian.AppendUint64(*w, v) }
+func (w *Writer) I64(v int64)  { w.U64(uint64(v)) }
+func (w *Writer) Count(n int)  { w.U32(uint32(n)) }
 
 func (w *Writer) Bool(v bool) {
 	if v {
@@ -155,8 +154,7 @@ func (r *Reader) U64() uint64 {
 	return 0
 }
 
-func (r *Reader) I64() int64   { return int64(r.U64()) }
-func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
+func (r *Reader) I64() int64 { return int64(r.U64()) }
 
 // Bool reads a flag byte; anything but 0 or 1 is a fault.
 func (r *Reader) Bool() bool {

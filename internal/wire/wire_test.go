@@ -33,7 +33,7 @@ func (v *record) encode() []byte {
 	w.U32(v.U32)
 	w.U64(v.U64)
 	w.I64(v.I64)
-	w.F64(v.F64)
+	w.F64s([]float64{v.F64})
 	w.Str(v.Str)
 	w.Bytes(v.Blob)
 	w.Floats(v.Floats)
@@ -49,8 +49,10 @@ func decodeRecord(b []byte) (*record, error) {
 	if string(r.Raw(4)) != "MAGC" {
 		r.Failf("has a bad magic")
 	}
-	v := &record{U8: r.U8(), Flag: r.Bool(), U32: r.U32(), U64: r.U64(), I64: r.I64(), F64: r.F64(),
-		Str: r.Str(), Blob: r.Bytes(), Floats: r.Floats()}
+	v := &record{U8: r.U8(), Flag: r.Bool(), U32: r.U32(), U64: r.U64(), I64: r.I64()}
+	var f [1]float64
+	r.F64s(f[:])
+	v.F64, v.Str, v.Blob, v.Floats = f[0], r.Str(), r.Bytes(), r.Floats()
 	v.List = make([]uint32, r.Count(4))
 	for i := range v.List {
 		v.List[i] = r.U32()
@@ -185,7 +187,7 @@ func TestFirstFaultSticks(t *testing.T) {
 	if fs, s, b, n := r.Floats(), r.Str(), r.Bytes(), r.Count(1); fs != nil || s != "" || b != nil || n != 0 {
 		t.Fatalf("reads after the fault returned %v %q %v %d", fs, s, b, n)
 	}
-	if r.U8() != 0 || r.U32() != 0 || r.U64() != 0 || r.I64() != 0 || r.F64() != 0 || r.Raw(1) != nil || r.Remaining() != 0 {
+	if r.U8() != 0 || r.U32() != 0 || r.U64() != 0 || r.I64() != 0 || r.Raw(1) != nil || r.Remaining() != 0 {
 		t.Fatal("scalar reads after the fault are not zero")
 	}
 	r.Failf("semantic check on a zero value")
