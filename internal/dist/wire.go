@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // Wire framing: every message is
@@ -25,9 +26,10 @@ import (
 //	u32 magic "STRW" | u8 type | u32 payload length | payload | u32 CRC
 //
 // little-endian, CRC-32C (Castagnoli) over type + length + payload. The
-// length is validated against MaxFrame BEFORE any payload allocation, so
-// a torn or hostile header cannot trigger a huge allocation; the CRC
-// rejects corrupted frames before their payload is parsed. Payloads
+// length is validated against MaxFrame BEFORE any payload allocation, and
+// the payload buffer grows with the bytes that actually arrive, so a torn
+// or hostile header cannot trigger a huge allocation; the CRC rejects
+// corrupted frames before their payload is parsed. Payloads
 // (messages.go) are lists of internal/wire primitives — the codec of the
 // checkpoint image — read through its sticky-error Reader under the
 // "dist: payload" prefix.
@@ -42,6 +44,11 @@ const (
 
 	// frameHdrLen is magic + type + payload length.
 	frameHdrLen = 4 + 1 + 4
+
+	// frameChunk is what readFrame allocates on the word of a length prefix
+	// alone; beyond it the buffer at most doubles per step of received
+	// bytes. Every frame the app suite sends fits in one chunk.
+	frameChunk = 64 << 10
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -106,7 +113,9 @@ func writeFrame(w io.Writer, t msgType, payload []byte) error {
 }
 
 // readFrame reads one frame from a buffered reader. The length prefix is
-// validated against MaxFrame before the payload buffer is allocated.
+// validated against MaxFrame before the payload buffer is allocated, and
+// the buffer is sized by what has been received, not by what was declared:
+// a header that promises 64 MiB and delivers nothing costs one chunk.
 func readFrame(r *bufio.Reader) (msgType, []byte, error) {
 	var hdr [frameHdrLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -120,9 +129,15 @@ func readFrame(r *bufio.Reader) (msgType, []byte, error) {
 	if n > MaxFrame {
 		return 0, nil, fmt.Errorf("dist: frame payload of %d bytes exceeds the %d-byte cap", n, MaxFrame)
 	}
-	body := make([]byte, int(n)+4)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, err
+	total := int(n) + 4
+	var body []byte
+	for len(body) < total {
+		// frameChunk on the header's word, then as much again as arrived.
+		step := min(total-len(body), max(len(body), frameChunk))
+		body = slices.Grow(body, step)[:len(body)+step]
+		if _, err := io.ReadFull(r, body[len(body)-step:]); err != nil {
+			return 0, nil, err
+		}
 	}
 	payload := body[:n]
 	crc := binary.LittleEndian.Uint32(body[n:])

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -20,6 +21,42 @@ func decodeFrame(b []byte) (msgType, []byte, int, error) {
 	r := bufio.NewReader(src)
 	typ, payload, err := readFrame(r)
 	return typ, payload, len(b) - src.Len() - r.Buffered(), err
+}
+
+// allocatedBy reports the bytes f allocated (and whatever any other live
+// goroutine did meanwhile; the bounds below leave room for that).
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestReadFrameHostileLengthAllocatesLittle: a header may declare up to
+// MaxFrame, but the decoder must pay for bytes that arrive, not bytes that
+// are promised — nine hostile bytes used to cost 64 MiB.
+func TestReadFrameHostileLengthAllocatesLittle(t *testing.T) {
+	hdr := EncodeFrame(mtBarrier, nil)[:frameHdrLen]
+	binary.LittleEndian.PutUint32(hdr[5:], MaxFrame)
+	for _, sent := range []int{0, 1, 100 << 10} {
+		b := append(append([]byte(nil), hdr...), make([]byte, sent)...)
+		var err error
+		got := allocatedBy(func() { _, _, _, err = decodeFrame(b) })
+		if err == nil {
+			t.Fatalf("%d of %d declared bytes sent: truncated frame decoded", sent, MaxFrame)
+		}
+		if got > 1<<20 {
+			t.Errorf("%d of %d declared bytes sent: decoder allocated %d bytes, want at most 1 MiB", sent, MaxFrame, got)
+		}
+	}
+	// A frame longer than one chunk still round-trips through the growth
+	// steps.
+	payload := bytes.Repeat([]byte{0xa5, 0x5a, 7}, frameChunk)
+	typ, p, n, err := decodeFrame(EncodeFrame(mtAssign, payload))
+	if err != nil || typ != mtAssign || !bytes.Equal(p, payload) || n != frameHdrLen+len(payload)+4 {
+		t.Fatalf("multi-chunk frame: type %v, %d payload bytes, consumed %d, err %v", typ, len(p), n, err)
+	}
 }
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -166,8 +203,8 @@ func TestMessageDecodersRejectTruncation(t *testing.T) {
 
 // FuzzWireFrame drives the socket frame decoder (readFrame) and every
 // payload decoder with arbitrary bytes: no panic, no huge allocation (the
-// length cap precedes allocation), and every frame EncodeFrame produces
-// must round-trip.
+// length cap precedes allocation and the buffer grows with the bytes
+// received), and every frame EncodeFrame produces must round-trip.
 func FuzzWireFrame(f *testing.F) {
 	f.Add(EncodeFrame(mtHeartbeat, (&beatMsg{WaitingOn: []uint32{1}}).encode()))
 	f.Add(EncodeFrame(mtBatch, (&batchMsg{Edge: 1, Seq: 2, Items: []float64{3}}).encode()))
@@ -175,7 +212,19 @@ func FuzzWireFrame(f *testing.F) {
 	f.Add(EncodeFrame(mtJob, (&jobMsg{App: "DCT"}).encode()))
 	f.Add(EncodeFrame(mtAssign, (&assignMsg{Assign: []uint32{0}}).encode()))
 	f.Add([]byte("not a frame at all"))
+	hostile := EncodeFrame(mtBarrier, nil)
+	binary.LittleEndian.PutUint32(hostile[5:], MaxFrame)
+	f.Add(hostile)
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= frameHdrLen && binary.LittleEndian.Uint32(data[5:]) > uint32(len(data)) {
+			// A header that declares more than the input delivers: the
+			// decoder pays for received bytes, not promised ones. (Only
+			// these inputs are measured; reading the allocator's counters
+			// on every input would cost two thirds of the throughput.)
+			if got := allocatedBy(func() { decodeFrame(data) }); got > 1<<20+4*uint64(len(data)) {
+				t.Fatalf("decoding %d bytes allocated %d", len(data), got)
+			}
+		}
 		typ, payload, n, err := decodeFrame(data)
 		if err != nil {
 			return

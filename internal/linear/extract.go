@@ -2,7 +2,6 @@ package linear
 
 import (
 	"fmt"
-	"math"
 
 	"streamit/internal/wfunc"
 )
@@ -329,7 +328,7 @@ func (ex *extractor) eval(e wfunc.Expr) (aff, error) {
 			return x.scale(-1), nil
 		}
 		if x.isConst() {
-			return constAff(applyUnary(e.Op, x.konst)), nil
+			return constAff(wfunc.EvalUnary(e.Op, x.konst)), nil
 		}
 		return aff{}, fmt.Errorf("nonlinear unary %v of input-dependent value", e.Op)
 	case *wfunc.Binary:
@@ -364,7 +363,7 @@ func (ex *extractor) eval(e wfunc.Expr) (aff, error) {
 			return aff{}, fmt.Errorf("division by input-dependent value is nonlinear")
 		default:
 			if a.isConst() && b.isConst() {
-				return constAff(applyBinary(e.Op, a.konst, b.konst)), nil
+				return constAff(wfunc.EvalBinary(e.Op, a.konst, b.konst)), nil
 			}
 			return aff{}, fmt.Errorf("nonlinear operator %v on input-dependent values", e.Op)
 		}
@@ -392,114 +391,4 @@ func (ex *extractor) peekAff(i int) (aff, error) {
 	coeffs := make([]float64, abs+1)
 	coeffs[abs] = 1
 	return aff{coeffs: coeffs}, nil
-}
-
-func applyUnary(op wfunc.UnOp, x float64) float64 {
-	switch op {
-	case wfunc.Not:
-		if x == 0 {
-			return 1
-		}
-		return 0
-	case wfunc.BitNot:
-		return float64(^int64(x))
-	case wfunc.Trunc:
-		return math.Trunc(x)
-	case wfunc.Abs:
-		return math.Abs(x)
-	case wfunc.Sin:
-		return math.Sin(x)
-	case wfunc.Cos:
-		return math.Cos(x)
-	case wfunc.Tan:
-		return math.Tan(x)
-	case wfunc.Asin:
-		return math.Asin(x)
-	case wfunc.Acos:
-		return math.Acos(x)
-	case wfunc.Atan:
-		return math.Atan(x)
-	case wfunc.Exp:
-		return math.Exp(x)
-	case wfunc.Log:
-		return math.Log(x)
-	case wfunc.Sqrt:
-		return math.Sqrt(x)
-	case wfunc.Floor:
-		return math.Floor(x)
-	case wfunc.Ceil:
-		return math.Ceil(x)
-	case wfunc.Round:
-		return math.Round(x)
-	}
-	return math.NaN()
-}
-
-func applyBinary(op wfunc.BinOp, a, b float64) float64 {
-	switch op {
-	case wfunc.Mod:
-		if int64(b) == 0 {
-			return math.NaN()
-		}
-		return float64(int64(a) % int64(b))
-	case wfunc.Pow:
-		return math.Pow(a, b)
-	case wfunc.Atan2:
-		return math.Atan2(a, b)
-	case wfunc.Min:
-		return math.Min(a, b)
-	case wfunc.Max:
-		return math.Max(a, b)
-	case wfunc.And:
-		if a != 0 && b != 0 {
-			return 1
-		}
-		return 0
-	case wfunc.Or:
-		if a != 0 || b != 0 {
-			return 1
-		}
-		return 0
-	case wfunc.BitAnd:
-		return float64(int64(a) & int64(b))
-	case wfunc.BitOr:
-		return float64(int64(a) | int64(b))
-	case wfunc.BitXor:
-		return float64(int64(a) ^ int64(b))
-	case wfunc.Shl:
-		return float64(int64(a) << (uint64(b) & 63))
-	case wfunc.Shr:
-		return float64(int64(a) >> (uint64(b) & 63))
-	case wfunc.Eq:
-		if a == b {
-			return 1
-		}
-		return 0
-	case wfunc.Ne:
-		if a != b {
-			return 1
-		}
-		return 0
-	case wfunc.Lt:
-		if a < b {
-			return 1
-		}
-		return 0
-	case wfunc.Le:
-		if a <= b {
-			return 1
-		}
-		return 0
-	case wfunc.Gt:
-		if a > b {
-			return 1
-		}
-		return 0
-	case wfunc.Ge:
-		if a >= b {
-			return 1
-		}
-		return 0
-	}
-	return math.NaN()
 }

@@ -115,6 +115,68 @@ func TestExtractUsesInitConstants(t *testing.T) {
 	}
 }
 
+// TestExtractFoldsConstantOperators: an operator applied to constants folds
+// to the value the IL's shared operator table (wfunc.EvalUnary/EvalBinary)
+// defines, so the extracted coefficient is the one every backend computes:
+// % truncates to integers, shifts mask to 63, logic yields 0/1.
+func TestExtractFoldsConstantOperators(t *testing.T) {
+	c := wfunc.C
+	un := func(op wfunc.UnOp, x float64) wfunc.Expr { return wfunc.Un(op, c(x)) }
+	bin := func(op wfunc.BinOp, a, b float64) wfunc.Expr { return wfunc.Bin(op, c(a), c(b)) }
+	for _, tc := range []struct {
+		name string
+		e    wfunc.Expr
+		want float64
+	}{
+		{"not", un(wfunc.Not, 0), 1},
+		{"bitnot", un(wfunc.BitNot, 5.9), -6},
+		{"trunc", un(wfunc.Trunc, -2.7), -2},
+		{"abs", un(wfunc.Abs, -2.5), 2.5},
+		{"sin", un(wfunc.Sin, 0.5), math.Sin(0.5)},
+		{"cos", un(wfunc.Cos, 0.5), math.Cos(0.5)},
+		{"tan", un(wfunc.Tan, 0.5), math.Tan(0.5)},
+		{"asin", un(wfunc.Asin, 0.5), math.Asin(0.5)},
+		{"acos", un(wfunc.Acos, 0.5), math.Acos(0.5)},
+		{"atan", un(wfunc.Atan, 0.5), math.Atan(0.5)},
+		{"exp", un(wfunc.Exp, 0.5), math.Exp(0.5)},
+		{"log", un(wfunc.Log, 0.5), math.Log(0.5)},
+		{"sqrt", un(wfunc.Sqrt, 2), math.Sqrt(2)},
+		{"floor", un(wfunc.Floor, -2.5), -3},
+		{"ceil", un(wfunc.Ceil, -2.5), -2},
+		{"round", un(wfunc.Round, 2.5), 3},
+		{"mod", bin(wfunc.Mod, 7.9, 3.2), 1},
+		{"mod by zero", bin(wfunc.Mod, 7, 0.5), math.NaN()},
+		{"pow", bin(wfunc.Pow, 2, 10), 1024},
+		{"atan2", bin(wfunc.Atan2, 1, 2), math.Atan2(1, 2)},
+		{"min", bin(wfunc.Min, 3, -4), -4},
+		{"max", bin(wfunc.Max, 3, -4), 3},
+		{"and", bin(wfunc.And, 2, 0), 0},
+		{"or", bin(wfunc.Or, 2, 0), 1},
+		{"bitand", bin(wfunc.BitAnd, 12.7, 10), 8},
+		{"bitor", bin(wfunc.BitOr, 12, 10), 14},
+		{"bitxor", bin(wfunc.BitXor, 12, 10), 6},
+		{"shl", bin(wfunc.Shl, 1, 65), 2},
+		{"shr", bin(wfunc.Shr, -8, 65), -4},
+		{"eq", bin(wfunc.Eq, 2, 2), 1},
+		{"ne", bin(wfunc.Ne, 2, 2), 0},
+		{"lt", bin(wfunc.Lt, 1, 2), 1},
+		{"le", bin(wfunc.Le, 2, 2), 1},
+		{"gt", bin(wfunc.Gt, 1, 2), 0},
+		{"ge", bin(wfunc.Ge, 1, 2), 0},
+	} {
+		b := wfunc.NewKernel("Fold", 1, 1, 1)
+		b.WorkBody(wfunc.Push1(wfunc.MulX(wfunc.PopE(), tc.e)))
+		r, err := Extract(b.Build())
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if got := r.A[0][0]; math.Float64bits(got) != math.Float64bits(tc.want) && !(math.IsNaN(got) && math.IsNaN(tc.want)) {
+			t.Errorf("%s: coefficient %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestExtractRateChangers(t *testing.T) {
 	// Decimator: pop 2, push mean.
 	b := wfunc.NewKernel("Dec", 2, 2, 1)

@@ -23,12 +23,6 @@ type sim struct {
 	portFree []int64
 	busy     []int64
 
-	// Fault-injection state: cycle each tile/link dies (MaxInt64 = never),
-	// plus the first fault-induced error, latched by fail().
-	tileDownAt []int64
-	linkDownAt map[link]int64
-	err        error
-
 	// done[n] is the completion time of node n in the current iteration;
 	// prevDone[n] in the previous iteration (for pipelined lag-1 deps).
 	done, prevDone []int64
@@ -38,13 +32,10 @@ type sim struct {
 // returns throughput and utilization metrics. Warmup iterations (pipeline
 // fill) are excluded from the cycles-per-iteration measurement.
 func Simulate(g *WGraph, m *Mapping, cfg Config, iters int) (*Result, error) {
-	return simulateHooked(g, m, cfg, iters, nil, nil)
+	return simulateHooked(g, m, cfg, iters, nil)
 }
 
-func simulateHooked(g *WGraph, m *Mapping, cfg Config, iters int, fp *FaultPlan, hook func(TraceEvent)) (*Result, error) {
-	if err := fp.validate(cfg); err != nil {
-		return nil, err
-	}
+func simulateHooked(g *WGraph, m *Mapping, cfg Config, iters int, hook func(TraceEvent)) (*Result, error) {
 	if len(m.Tile) != len(g.Nodes) {
 		return nil, fmt.Errorf("machine: mapping covers %d nodes, graph has %d", len(m.Tile), len(g.Nodes))
 	}
@@ -75,7 +66,6 @@ func simulateHooked(g *WGraph, m *Mapping, cfg Config, iters int, fp *FaultPlan,
 		s.inEdges[e.Dst] = append(s.inEdges[e.Dst], e)
 		s.outEdges[e.Src] = append(s.outEdges[e.Src], e)
 	}
-	s.applyFaultPlan(fp)
 
 	warm := iters / 2
 	var warmEnd, end int64
@@ -85,9 +75,6 @@ func simulateHooked(g *WGraph, m *Mapping, cfg Config, iters int, fp *FaultPlan,
 			end = s.runBarriered()
 		} else {
 			end = s.runPipelined()
-		}
-		if s.err != nil {
-			return nil, s.err
 		}
 		if it == warm-1 {
 			warmEnd = end
@@ -121,33 +108,33 @@ func (s *sim) record(n *WNode, start, end int64) {
 	}
 }
 
-// routeNoC reserves a route between two tiles for w words starting no
-// earlier than ready, and returns the arrival time of the last word. The
-// default route is dimension-ordered XY; if a link on it has failed, the
-// YX route is tried, and if both are severed the transfer is a hard
-// communication failure (recorded via fail, the run aborts).
+// routeNoC reserves the XY route between two tiles for w words starting no
+// earlier than ready, and returns the arrival time of the last word.
 func (s *sim) routeNoC(from, to int, w int64, ready int64) int64 {
 	if w == 0 {
 		return ready
 	}
-	// Check routes against failed links before reserving anything, so a
-	// doomed transfer does not pollute link reservations.
-	hops := s.pathXY(from, to)
-	if s.pathBlocked(hops, ready) {
-		hops = s.pathYX(from, to)
-		if s.pathBlocked(hops, ready) {
-			s.fail(fmt.Errorf("machine: transfer from tile %d to tile %d at cycle %d: both XY and YX routes cross failed links", from, to, ready))
-			return ready
-		}
-	}
+	x1, y1 := s.tileXY(from)
+	x2, y2 := s.tileXY(to)
 	t := ready
-	for _, l := range hops {
+	hop := func(ax, ay, bx, by int) {
+		l := link{ax, ay, bx, by}
 		start := t
 		if s.linkFree[l] > start {
 			start = s.linkFree[l]
 		}
 		s.linkFree[l] = start + w
 		t = start + 1 // head-word latency; the stream is pipelined
+	}
+	for x1 != x2 {
+		nx := x1 + sign(x2-x1)
+		hop(x1, y1, nx, y1)
+		x1 = nx
+	}
+	for y1 != y2 {
+		ny := y1 + sign(y2-y1)
+		hop(x1, y1, x1, ny)
+		y1 = ny
 	}
 	// Arrival of the last word: head latency accumulated in t, plus the
 	// stream length behind the head.
@@ -273,9 +260,6 @@ func (s *sim) runBarriered() int64 {
 					start = arr
 				}
 			}
-			if !s.checkTile(n, tile, start) {
-				return base
-			}
 			cost := n.Work + s.commOverhead(n)
 			s.done[n.ID] = start + cost
 			s.record(n, start, s.done[n.ID])
@@ -316,9 +300,6 @@ func (s *sim) runPipelined() int64 {
 			if avail > start {
 				start = avail
 			}
-		}
-		if !s.checkTile(n, tile, start) {
-			return end
 		}
 		cost := n.Work + s.commOverhead(n)
 		s.done[n.ID] = start + cost

@@ -23,7 +23,7 @@ type TraceEvent struct {
 // by issue time per tile.
 func SimulateTrace(g *WGraph, m *Mapping, cfg Config, iters int) (*Result, []TraceEvent, error) {
 	events := make([]TraceEvent, 0, iters*len(g.Nodes))
-	res, err := simulateHooked(g, m, cfg, iters, nil, func(ev TraceEvent) {
+	res, err := simulateHooked(g, m, cfg, iters, func(ev TraceEvent) {
 		events = append(events, ev)
 	})
 	if err != nil {

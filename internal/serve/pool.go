@@ -6,27 +6,26 @@ import (
 	"time"
 )
 
-// pool is the shared work-stealing worker pool every session's steady-state
-// iterations run on. Each worker owns a deque: it pushes sessions that still
-// have runnable work to its own tail (LIFO, cache-warm) and steals from the
-// head of a victim's deque when its own runs dry. Newly runnable sessions
-// enter through a global FIFO so admission order is roughly fair across
-// tenants. Workers park on a condition variable when the whole pool is dry;
-// a version counter closes the race between a failed scan and the park, so
-// no submit is ever lost.
+// pool is the shared worker pool every session's steady-state iterations
+// run on: one FIFO of runnable sessions under one lock. A session that
+// becomes runnable joins the back; a worker whose session is still runnable
+// after a batch puts it behind whatever else is queued and takes the head,
+// so every runnable session gets a batch per round however many there are
+// (round-robin — a session with a long request cannot starve a neighbour).
+// Workers park on a condition variable, under the queue's own lock, when the
+// queue is empty.
 //
 // With a batch timeout set, a watchdog goroutine samples every worker's
 // heartbeat: a batch that overstays its deadline gets its session declared
 // stuck, its worker written off as lost, and a replacement worker spawned —
 // the pool keeps serving at full strength around a wedged kernel.
 type pool struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	global  []*Session
-	version uint64
-	idle    int
-	closed  bool
-	nextID  int
+	mu     sync.Mutex
+	cond   *sync.Cond
+	queue  []*Session // runnable sessions; queue[head:] is live, oldest first
+	head   int
+	closed bool
+	nextID int
 
 	workers []*worker // live and lost; readers snapshot under mu
 
@@ -36,14 +35,11 @@ type pool struct {
 	stuck    atomic.Int64
 	replaced atomic.Int64
 
-	steals atomic.Int64
-	parks  atomic.Int64
+	parks atomic.Int64
 }
 
 type worker struct {
 	id   int
-	p    *pool
-	dq   deque
 	hb   heartbeat
 	lost atomic.Bool   // written off by the watchdog; exits after its batch
 	done chan struct{} // closed when the scheduling loop returns
@@ -51,7 +47,7 @@ type worker struct {
 
 // heartbeat is the watchdog's view of what a worker is doing right now:
 // the session whose batch it is running and since when. begin/end bracket
-// runBatch; sample is the watchdog's racing read.
+// runBatch; markOverdue is the watchdog's check-and-claim.
 type heartbeat struct {
 	mu    sync.Mutex
 	s     *Session
@@ -70,61 +66,11 @@ func (h *heartbeat) end() {
 	h.mu.Unlock()
 }
 
-func (h *heartbeat) sample() (*Session, time.Duration) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.s == nil {
-		return nil, 0
-	}
-	return h.s, time.Since(h.since)
-}
-
-// deque is a mutex-based work-stealing deque. The owner pushes and pops at
-// the tail; thieves take from the head. Contention is negligible: the owner
-// touches it once per batch and thieves only appear when their own deques
-// are empty.
-type deque struct {
-	mu    sync.Mutex
-	items []*Session
-}
-
-func (d *deque) pushTail(s *Session) {
-	d.mu.Lock()
-	d.items = append(d.items, s)
-	d.mu.Unlock()
-}
-
-func (d *deque) popTail() *Session {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n := len(d.items)
-	if n == 0 {
-		return nil
-	}
-	s := d.items[n-1]
-	d.items[n-1] = nil
-	d.items = d.items[:n-1]
-	return s
-}
-
-func (d *deque) stealHead() *Session {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.items) == 0 {
-		return nil
-	}
-	s := d.items[0]
-	copy(d.items, d.items[1:])
-	d.items[len(d.items)-1] = nil
-	d.items = d.items[:len(d.items)-1]
-	return s
-}
-
 func newPool(workers int, timeout time.Duration) *pool {
 	p := &pool{timeout: timeout}
 	p.cond = sync.NewCond(&p.mu)
-	// Workers start consuming p.workers (via workerList) the moment the
-	// first one spawns, so even construction appends need the lock.
+	// The watchdog and Stats read p.workers (via workerList) concurrently,
+	// so even construction appends need the lock.
 	p.mu.Lock()
 	for i := 0; i < workers; i++ {
 		p.spawnLocked()
@@ -140,7 +86,7 @@ func newPool(workers int, timeout time.Duration) *pool {
 
 // spawnLocked starts one worker. Callers hold p.mu.
 func (p *pool) spawnLocked() {
-	w := &worker{id: p.nextID, p: p, done: make(chan struct{})}
+	w := &worker{id: p.nextID, done: make(chan struct{})}
 	p.nextID++
 	p.workers = append(p.workers, w)
 	go func() {
@@ -159,28 +105,65 @@ func (p *pool) workerList() []*worker {
 	return ws
 }
 
-// submit enqueues a session that just became runnable. The caller must hold
-// the session's scheduled flag (see Session.kick): a session is in at most
-// one place — the global queue or one worker's deque — at any time.
+// popLocked takes the oldest queued session. Callers hold p.mu and have
+// checked the queue is not empty. The popped prefix is reclaimed once it is
+// at least as long as what is still queued, so a pop costs amortized O(1)
+// and an empty queue always has len(p.queue) == 0.
+func (p *pool) popLocked() *Session {
+	s := p.queue[p.head]
+	p.queue[p.head] = nil
+	p.head++
+	if p.head*2 >= len(p.queue) {
+		n := copy(p.queue, p.queue[p.head:])
+		clear(p.queue[n:])
+		p.queue, p.head = p.queue[:n], 0
+	}
+	return s
+}
+
+// submit enqueues a session that just became runnable and wakes one parked
+// worker for it. The caller must hold the session's scheduled flag (see
+// Session.kickLocked): a session is in at most one place — the queue or a
+// worker's hands — at any time.
 func (p *pool) submit(s *Session) {
 	p.mu.Lock()
-	p.global = append(p.global, s)
-	p.version++
-	if p.idle > 0 {
-		p.cond.Signal()
-	}
+	p.queue = append(p.queue, s)
+	p.cond.Signal()
 	p.mu.Unlock()
 }
 
-// bump advertises that some worker's deque gained an item, waking a parked
-// worker to come steal it.
-func (p *pool) bump() {
+// next blocks until a session is runnable and returns it, or returns nil
+// once the pool is closed. The wait is under the queue's own lock, so a
+// submit cannot land between the emptiness check and the park.
+func (p *pool) next() *Session {
 	p.mu.Lock()
-	p.version++
-	if p.idle > 0 {
-		p.cond.Signal()
+	defer p.mu.Unlock()
+	for len(p.queue) == 0 && !p.closed {
+		p.parks.Add(1)
+		p.cond.Wait()
 	}
-	p.mu.Unlock()
+	if p.closed {
+		return nil
+	}
+	return p.popLocked()
+}
+
+// rotate is a worker giving up a session that is still runnable after its
+// batch: s goes behind whatever else is queued and the head comes back — s
+// itself when nothing else waits, nil once the pool is closed. It does not
+// signal: the queue is no longer than before, so no parked worker has
+// anything new to do.
+func (p *pool) rotate(s *Session) *Session {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		return nil
+	}
+	if len(p.queue) == 0 {
+		return s
+	}
+	p.queue = append(p.queue, s)
+	return p.popLocked()
 }
 
 // close stops the watchdog and joins every worker that is not written off
@@ -204,74 +187,19 @@ func (p *pool) close() {
 	}
 }
 
-// steal scans the other workers round-robin from w's successor and takes
-// the head of the first non-empty deque. Lost workers' deques are empty —
-// the watchdog rescued them — but are scanned harmlessly regardless.
-func (p *pool) steal(w *worker) *Session {
-	ws := p.workerList()
-	n := len(ws)
-	start := w.id % n
-	for i := 1; i < n; i++ {
-		v := ws[(start+i)%n]
-		if v == w {
-			continue
-		}
-		if s := v.dq.stealHead(); s != nil {
-			p.steals.Add(1)
-			return s
-		}
-	}
-	return nil
-}
-
-// run is one worker's scheduling loop: global queue, own deque, steal,
-// park. The version counter read at the top of each pass makes parking
-// sound — if any submit or bump landed between the scan and the re-lock,
-// the version moved and the worker rescans instead of sleeping.
+// run is one worker's scheduling loop: take the head of the queue, run one
+// batch, and either rotate the session (still runnable) or come back for the
+// next one. It returns when the pool closes or the watchdog writes the
+// worker off.
 func (p *pool) run(w *worker) {
-	for {
-		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
-			return
-		}
-		v := p.version
-		var s *Session
-		if len(p.global) > 0 {
-			s = p.global[0]
-			copy(p.global, p.global[1:])
-			p.global[len(p.global)-1] = nil
-			p.global = p.global[:len(p.global)-1]
-		}
-		p.mu.Unlock()
-
-		if s == nil {
-			s = w.dq.popTail()
-		}
-		if s == nil {
-			s = p.steal(w)
-		}
-		if s == nil {
-			p.mu.Lock()
-			if p.closed {
-				p.mu.Unlock()
-				return
-			}
-			if p.version == v && len(p.global) == 0 {
-				p.idle++
-				p.parks.Add(1)
-				p.cond.Wait()
-				p.idle--
-			}
-			p.mu.Unlock()
-			continue
-		}
-
+	s := p.next()
+	for s != nil {
 		w.hb.begin(s)
 		runnable := s.runBatch()
 		w.hb.end()
 
-		if w.lost.Load() {
+		switch {
+		case w.lost.Load():
 			// The watchdog wrote this worker off while the batch overstayed
 			// its deadline (the session is already marked stuck, so runnable
 			// is false for it) — but if a replacement raced us here with a
@@ -280,12 +208,10 @@ func (p *pool) run(w *worker) {
 				p.submit(s)
 			}
 			return
-		}
-		if runnable {
-			// Still runnable: back on our own tail. Advertise it so an idle
-			// worker can steal if we are the bottleneck.
-			w.dq.pushTail(s)
-			p.bump()
+		case runnable:
+			s = p.rotate(s)
+		default:
+			s = p.next()
 		}
 	}
 }

@@ -1,13 +1,14 @@
 package serve
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 )
 
 // TestPoolManySessions drives enough concurrent sessions through a small
-// pool that work stealing and parking both exercise, and checks every
+// pool that queueing, rotation and parking all exercise, and checks every
 // session completes its goal.
 func TestPoolManySessions(t *testing.T) {
 	srv := newTestServer(t, Config{Workers: 4, MaxSessions: 1024})
@@ -84,96 +85,124 @@ func TestPoolNoLostWakeup(t *testing.T) {
 	}
 }
 
-// TestDequeStealPopInterleaving hammers the owner/thief protocol: one
-// owner pushing and popping at the tail while several thieves rip from the
-// head. Every pushed session must come out exactly once — a double-serve
-// would break the scheduled-flag exclusivity token, a lost one strands a
-// session forever.
-func TestDequeStealPopInterleaving(t *testing.T) {
-	const total = 20000
-	const thieves = 4
-	d := &deque{}
-	sessions := make([]*Session, total)
-	for i := range sessions {
-		sessions[i] = &Session{ID: uint64(i)}
+// shareSessions opens n sessions on a server of the given worker count, asks
+// each for goal iterations, and returns their progress at the moment the
+// first of them is half done.
+func shareSessions(t *testing.T, workers, n int, goal int64) []int64 {
+	t.Helper()
+	srv := newTestServer(t, Config{Workers: workers, MaxQueuedIters: int(goal), MaxBufferedOut: int(goal)})
+	loadTest(t, srv, "t", 1.5)
+	ss := make([]*Session, n)
+	for i := range ss {
+		s, err := srv.NewSession(SessionOptions{Program: "t"})
+		if err != nil {
+			t.Fatalf("session %d: %v", i, err)
+		}
+		ss[i] = s
 	}
-
-	var mu sync.Mutex
-	seen := make(map[*Session]int, total)
-	count := func(s *Session) {
-		mu.Lock()
-		seen[s]++
-		mu.Unlock()
-	}
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for i := 0; i < thieves; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if s := d.stealHead(); s != nil {
-					count(s)
-					continue
-				}
-				select {
-				case <-stop:
-					// Queue may refill after we saw it empty: one last sweep.
-					for s := d.stealHead(); s != nil; s = d.stealHead() {
-						count(s)
-					}
-					return
-				default:
-				}
-			}
-		}()
-	}
-	// The owner interleaves pushes with tail pops, like a worker requeueing
-	// its own session and immediately claiming the next batch.
-	for i, s := range sessions {
-		d.pushTail(s)
-		if i%3 == 0 {
-			if s := d.popTail(); s != nil {
-				count(s)
-			}
+	for i, s := range ss {
+		if err := s.Run(int(goal)); err != nil {
+			t.Fatalf("session %d: Run: %v", i, err)
 		}
 	}
-	close(stop)
-	wg.Wait()
-	for s := d.popTail(); s != nil; s = d.popTail() {
-		count(s)
-	}
-
-	if len(seen) != total {
-		t.Fatalf("%d distinct sessions came out, want %d", len(seen), total)
-	}
-	for s, n := range seen {
-		if n != 1 {
-			t.Fatalf("session %d served %d times, want exactly once", s.ID, n)
+	done := make([]int64, n)
+	for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		half := false
+		for i, s := range ss {
+			done[i], _ = s.Progress()
+			half = half || done[i] >= goal/2
+		}
+		if half {
+			return done
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no session half done after 60s: %v", done)
 		}
 	}
 }
 
-// TestDequeFIFOSteals pins the ordering contract: thieves take the oldest
-// work (head), the owner the newest (tail), so a stolen session is always
-// the one that waited longest.
-func TestDequeFIFOSteals(t *testing.T) {
-	d := &deque{}
-	a, b, c := &Session{ID: 1}, &Session{ID: 2}, &Session{ID: 3}
-	d.pushTail(a)
-	d.pushTail(b)
-	d.pushTail(c)
-	if got := d.stealHead(); got != a {
-		t.Fatalf("stealHead = %v, want oldest (ID 1)", got.ID)
+// TestPoolSharesAWorker pins the fairness guarantee: runnable sessions
+// beyond the worker count take turns batch by batch instead of waiting for
+// a neighbour to finish. With one worker and two long requests, neither is
+// far behind when the other is half done.
+func TestPoolSharesAWorker(t *testing.T) {
+	for _, tc := range []struct{ workers, sessions int }{{1, 2}, {2, 3}} {
+		t.Run(fmt.Sprintf("%dworkers%dsessions", tc.workers, tc.sessions), func(t *testing.T) {
+			const goal = 200000
+			done := shareSessions(t, tc.workers, tc.sessions, goal)
+			for i, d := range done {
+				if d < goal/8 {
+					t.Errorf("session %d starved: progress %v of %d when the first was half done", i, done, goal)
+				}
+			}
+		})
 	}
-	if got := d.popTail(); got != c {
-		t.Fatalf("popTail = %v, want newest (ID 3)", got.ID)
+}
+
+// TestPoolCloseWithRunnableSession checks that a session with work left for
+// ever cannot hold Close: the worker rotating it sees the pool closed.
+func TestPoolCloseWithRunnableSession(t *testing.T) {
+	const goal = 1 << 30
+	srv := New(Config{Workers: 1, MaxQueuedIters: goal, MaxBufferedOut: goal})
+	loadTest(t, srv, "t", 1.0)
+	s, err := srv.NewSession(SessionOptions{Program: "t"})
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
 	}
-	if got := d.stealHead(); got != b {
-		t.Fatalf("stealHead = %v, want remaining (ID 2)", got.ID)
+	if err := s.Run(goal); err != nil {
+		t.Fatalf("Run: %v", err)
 	}
-	if d.stealHead() != nil || d.popTail() != nil {
-		t.Fatal("drained deque still yields sessions")
+	if err := s.WaitDone(1, 10*time.Second); err != nil {
+		t.Fatalf("session never started: %v", err)
+	}
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(time.Second):
+		t.Fatal("Close did not return within 1s while a session stayed runnable")
+	}
+}
+
+// TestRotateDoesNotWakeIdleWorker counts parks over sequential two-batch
+// requests on a two-worker pool. The worker that runs a request keeps the
+// session for its second batch and parks once when it is done; the other
+// worker has nothing to do and must stay parked, so N requests cost N parks
+// on top of the initial one per worker — not 2N.
+func TestRotateDoesNotWakeIdleWorker(t *testing.T) {
+	const workers, batch, requests = 2, 4, 200
+	srv := newTestServer(t, Config{Workers: workers, Batch: batch})
+	loadTest(t, srv, "t", 1.0)
+	s, err := srv.NewSession(SessionOptions{Program: "t"})
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
+	}
+	// Each request starts from a quiescent pool, so a park counted below is
+	// one the request caused, not a worker still on its way to the queue.
+	quiesce := func(parks int64) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); srv.Stats().Pool.Parks < parks; time.Sleep(50 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("pool never quiesced: %d parks, want %d", srv.Stats().Pool.Parks, parks)
+			}
+		}
+	}
+	for i := 0; i < requests; i++ {
+		quiesce(int64(workers + i))
+		if err := s.Run(2 * batch); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		if err := s.WaitDone(int64((i+1)*2*batch), 10*time.Second); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		s.Drain(0)
+	}
+	quiesce(workers + requests)
+	if got := srv.Stats().Pool.Parks; got > workers+requests {
+		t.Fatalf("%d parks after %d two-batch requests on %d workers, want at most %d: a requeue woke the idle worker",
+			got, requests, workers, workers+requests)
 	}
 }

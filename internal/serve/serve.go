@@ -1,13 +1,14 @@
 // Package serve is a multi-tenant streaming server: it compiles StreamIt
 // programs once, then multiplexes thousands of cheap per-tenant sessions
-// of those programs onto one work-stealing worker pool sized to the
-// machine. Sessions share the program's immutable artifacts (graph,
-// schedule, VM bytecode, init-state prototypes — see exec.Shared) and own
-// only their tapes, filter state, and VM frames, so an idle session costs
-// a few kilobytes. Admission control bounds sessions and per-session
-// iteration backlog; backpressure from a slow consumer throttles only its
-// own session; reloading a program's source hot-swaps new sessions onto
-// the new version while old sessions drain on the version they pinned.
+// of those programs onto one worker pool sized to the machine, which
+// serves runnable sessions round-robin, a batch at a time. Sessions share
+// the program's immutable artifacts (graph, schedule, VM bytecode,
+// init-state prototypes — see exec.Shared) and own only their tapes,
+// filter state, and VM frames, so an idle session costs a few kilobytes.
+// Admission control bounds sessions and per-session iteration backlog;
+// backpressure from a slow consumer throttles only its own session;
+// reloading a program's source hot-swaps new sessions onto the new version
+// while old sessions drain on the version they pinned.
 package serve
 
 import (
@@ -51,9 +52,8 @@ type Config struct {
 	Backend exec.Backend
 	// BatchTimeout arms the stuck-session watchdog: a single batch holding
 	// one pool worker longer than this marks its session stuck (a
-	// worker-attributed *StuckError), rescues the worker's queued sessions,
-	// and spawns a replacement worker so the pool keeps serving at full
-	// strength. 0 disables the watchdog.
+	// worker-attributed *StuckError) and spawns a replacement worker so the
+	// pool keeps serving at full strength. 0 disables the watchdog.
 	BatchTimeout time.Duration
 	// SnapshotDir is the default directory for Snapshot/Restore, used by
 	// the HTTP /v1/snapshot endpoint when the request names none.

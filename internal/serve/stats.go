@@ -127,9 +127,11 @@ type LatencySummary struct {
 type PoolCounters struct {
 	// Workers is the live worker count: configured size plus replacements,
 	// minus workers lost to stuck batches.
-	Workers int   `json:"workers"`
-	Steals  int64 `json:"steals"`
-	Parks   int64 `json:"parks"`
+	Workers int `json:"workers"`
+	// Steals is always 0: the pool is one queue, so there is nothing to
+	// steal. The field stays because streamit-serve/v1 readers expect it.
+	Steals int64 `json:"steals"`
+	Parks  int64 `json:"parks"`
 	// Lost counts workers written off by the stuck-session watchdog;
 	// Replaced counts the fresh workers spawned to take their slots.
 	Lost     int64 `json:"lost"`
@@ -190,7 +192,6 @@ func (srv *Server) Stats() Stats {
 		},
 		Pool: PoolCounters{
 			Workers:  len(srv.pool.workerList()) - int(lost),
-			Steals:   srv.pool.steals.Load(),
 			Parks:    srv.pool.parks.Load(),
 			Lost:     lost,
 			Replaced: srv.pool.replaced.Load(),

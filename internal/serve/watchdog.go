@@ -28,7 +28,7 @@ func (e *StuckError) Error() string {
 // markOverdue is the watchdog's atomic check-and-claim: if the worker is
 // still inside a batch that has outlived timeout, it is written off as
 // lost and the wedged session returned. Holding h.mu across the claim
-// closes the race with a batch that completes between sample and verdict —
+// closes the race with a batch that completes between check and verdict —
 // end() and markOverdue serialize on the same lock, so a worker declared
 // lost is provably still inside the overdue batch.
 func (h *heartbeat) markOverdue(w *worker, timeout time.Duration) (*Session, time.Duration, bool) {
@@ -75,19 +75,12 @@ func (p *pool) watch() {
 	}
 }
 
-// declareStuck quarantines the wedged session, rescues the lost worker's
-// queued sessions back onto the global queue, and spawns a replacement
-// worker so the pool keeps its configured parallelism. The lost worker's
-// goroutine exits on its own if its kernel ever returns.
+// declareStuck quarantines the wedged session and spawns a replacement
+// worker so the pool keeps its configured parallelism. The lost worker
+// holds nothing but that session; its goroutine exits on its own if its
+// kernel ever returns.
 func (p *pool) declareStuck(w *worker, s *Session, elapsed time.Duration) {
 	s.markStuck(w.id, elapsed, p.timeout)
-	for {
-		q := w.dq.stealHead()
-		if q == nil {
-			break
-		}
-		p.submit(q)
-	}
 	p.stuck.Add(1)
 	p.mu.Lock()
 	if !p.closed {

@@ -29,14 +29,13 @@ var surfaceAllow = map[string]string{
 	"FeedbackJoinMin2": closedForm,
 	"FeedbackJoinMax":  closedForm,
 
-	"Unwrap":         "exec.ExecError: reached through errors.Is/As, never by name",
-	"SpanCounts":     "vm.Program: feeds core.TestSuiteSpanKernels, the CI gate on which loops compile to span instructions",
-	"SetClock":       "obs.Recorder: the fake clock behind obs/testdata/trace_golden.json",
-	"SliceSource":    "exec: cross-package test fixture, the pair of SliceSink (which examples/quickstart uses)",
-	"RunCollect":     "exec: cross-package test fixture over New and SliceSink",
-	"Reverb":         "apps: the suites' feedback-loop program (pipelined conformance, crash matrix, pack clusters)",
-	"Resize":         "exec.MappedEngine: live resize request taken at the next barrier, the entry a control plane calls; ResizeAt/ResizeTo only schedules one before the run",
-	"SimulateFaults": "machine: the simulator's tile and link fault model; no binary injects them yet",
+	"Unwrap":      "exec.ExecError: reached through errors.Is/As, never by name",
+	"SpanCounts":  "vm.Program: feeds core.TestSuiteSpanKernels, the CI gate on which loops compile to span instructions",
+	"SetClock":    "obs.Recorder: the fake clock behind obs/testdata/trace_golden.json",
+	"SliceSource": "exec: cross-package test fixture, the pair of SliceSink (which examples/quickstart uses)",
+	"RunCollect":  "exec: cross-package test fixture over New and SliceSink",
+	"Reverb":      "apps: the suites' feedback-loop program (pipelined conformance, crash matrix, pack clusters)",
+	"Resize":      "exec.MappedEngine: live resize request taken at the next barrier, the entry a control plane calls; ResizeAt/ResizeTo only schedules one before the run",
 }
 
 // TestExportedSurfaceHasShippingCallers fails for every exported function
