@@ -52,10 +52,11 @@ type RunOptions struct {
 	// restart); the zero value fails fast. Build with
 	// faults.ParsePolicies. The dynamic engine rejects non-fail policies.
 	OnError faults.Policies
-	// Watchdog is the no-progress window after which the parallel and
-	// dynamic engines abort with a *exec.DeadlockError naming the blocked
+	// Watchdog is the no-progress window after which the mapped engine,
+	// under every plan (-parallel's identity plan included), and the
+	// dynamic engine abort with a *exec.DeadlockError naming the blocked
 	// filters and wait-cycle. 0 selects exec.DefaultWatchdogInterval;
-	// negative disables detection.
+	// negative disables detection; the sequential engine has none.
 	Watchdog time.Duration
 	// Profile enables the per-filter profiler (firings, tape traffic,
 	// work/stall time, buffer high-water marks). Read the results from the

@@ -1,9 +1,13 @@
-// Package exec is the sequential StreamIt runtime. It executes a flattened
-// stream graph: filters run their IL work functions (or native Go kernels)
-// against ring-buffer channels; splitters and joiners route values; teleport
-// messages are delivered at the tape positions dictated by the
-// information-wavefront semantics, and MAX_LATENCY directives constrain the
-// dynamic schedule.
+// Package exec runs flattened StreamIt graphs. Three engines — the
+// sequential engine (the oracle, with teleport messaging and MAX_LATENCY
+// constraints on the schedule), the mapped engine (worker goroutines over
+// batched queues, every parallel plan) and the dynamic engine (one
+// goroutine per node over blocking tapes, for data-dependent rates) — fire
+// their nodes through one firing core (fire.go): filters run their IL work
+// functions (or native Go kernels), splitters and joiners route values, and
+// teleport messages are delivered at the tape positions dictated by the
+// information-wavefront semantics. The engines own only their tapes, their
+// rollback marks, their progress counting and their outer loops.
 package exec
 
 import "fmt"
@@ -83,20 +87,3 @@ func (c *channel) grow() {
 
 // Len returns the number of buffered items.
 func (c *channel) Len() int { return c.count }
-
-// clone returns an independent copy (supervised-rollback save point).
-func (c *channel) clone() *channel {
-	cp := *c
-	cp.buf = append([]float64(nil), c.buf...)
-	return &cp
-}
-
-// restoreFrom rolls the channel back to a clone taken earlier.
-func (c *channel) restoreFrom(saved *channel) {
-	c.buf = append(c.buf[:0], saved.buf...)
-	c.mask = saved.mask
-	c.head = saved.head
-	c.count = saved.count
-	c.pushed = saved.pushed
-	c.popped = saved.popped
-}

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"streamit/internal/faults"
 	"streamit/internal/ir"
 	"streamit/internal/obs"
 	"streamit/internal/wfunc"
@@ -42,25 +41,18 @@ type DynamicEngine struct {
 	// engine's only diagnosis for insufficient buffering or rate mismatch.
 	Watchdog time.Duration
 
-	sup *supervisor
-
-	// prof and rec are the observability hooks; nil when disabled.
-	prof *obs.Profiler
-	rec  *obs.Recorder
-
-	nodes  []*dynNodeRT
+	// core holds the node records, the supervisor and the observability
+	// hooks, and fires every node.
+	core
 	popped int64
 
-	// Per-run supervision state.
+	// Per-run state: the watchdog's view, and the blocking tapes by edge ID
+	// with the signal that stops them.
 	progress int64
 	statuses []*nodeStatus
-}
-
-type dynNodeRT struct {
-	node  *ir.Node
-	state *wfunc.State
-	// fired counts completed firings (the fault injector's index).
-	fired int64
+	ins      []*dynIn
+	outs     []*dynOut
+	done     chan struct{}
 }
 
 // stopSignal unwinds a node goroutine during shutdown.
@@ -82,7 +74,8 @@ func NewDynamicOpts(g *ir.Graph, opts Options) (*DynamicEngine, error) {
 	if opts.OnError.Active() {
 		return nil, fmt.Errorf("exec: the dynamic engine cannot roll back firings (pushes reach live channels); recovery policies require the sequential or mapped engine")
 	}
-	d := &DynamicEngine{G: g, Backend: opts.Backend, ChanCap: 4096, Watchdog: opts.Watchdog, rec: opts.Trace}
+	d := &DynamicEngine{G: g, Backend: opts.Backend, ChanCap: 4096, Watchdog: opts.Watchdog}
+	d.core = core{eng: d, rec: opts.Trace, nodes: make([]*nodeRT, len(g.Nodes))}
 	if opts.Profile {
 		d.prof = obs.NewProfiler(nodeNames(g))
 	}
@@ -98,13 +91,18 @@ func NewDynamicOpts(g *ir.Graph, opts Options) (*DynamicEngine, error) {
 		return nil, err
 	}
 	d.sup = sup
-	d.nodes = make([]*dynNodeRT, len(g.Nodes))
 	for _, n := range g.Nodes {
-		rt := &dynNodeRT{node: n}
+		rt := &nodeRT{node: n}
 		if n.Kind == ir.NodeFilter {
 			if rt.state, err = freshState(n); err != nil {
 				return nil, err
 			}
+			if n.Filter.WorkFn == nil {
+				rt.runner = newWorkRunner(n.Filter.Kernel, rt.state, d.Backend)
+			}
+		}
+		if d.prof != nil {
+			rt.pst = d.prof.At(n.ID)
 		}
 		d.nodes[n.ID] = rt
 	}
@@ -114,27 +112,15 @@ func NewDynamicOpts(g *ir.Graph, opts Options) (*DynamicEngine, error) {
 // SinkItems returns the total items consumed by sinks in the last Run.
 func (d *DynamicEngine) SinkItems() int64 { return atomic.LoadInt64(&d.popped) }
 
-// SupervisionReport renders per-filter fault counters (empty when the
-// engine is unsupervised or nothing was injected).
-func (d *DynamicEngine) SupervisionReport() string { return d.sup.Report() }
-
-// Degraded returns per-filter fault counters (nil when unsupervised).
-func (d *DynamicEngine) Degraded() map[string]DegradedStats {
-	if d.sup == nil {
-		return nil
-	}
-	return d.sup.Stats()
-}
-
 // Run executes until the sinks have consumed at least sinkItems items.
 func (d *DynamicEngine) Run(sinkItems int64) error {
 	return d.run(sinkItems, nil)
 }
 
 func (d *DynamicEngine) run(sinkItems int64, budget []int64) error {
-	done := make(chan struct{})
+	d.done = make(chan struct{})
 	var stopOnce sync.Once
-	stop := func() { stopOnce.Do(func() { close(done) }) }
+	stop := func() { stopOnce.Do(func() { close(d.done) }) }
 	atomic.StoreInt64(&d.popped, 0)
 	atomic.StoreInt64(&d.progress, 0)
 	d.statuses = make([]*nodeStatus, len(d.G.Nodes))
@@ -143,7 +129,8 @@ func (d *DynamicEngine) run(sinkItems int64, budget []int64) error {
 	}
 	wd := newWatchdog("dynamic", d.Watchdog, &d.progress, d.statuses, stop)
 
-	chans := make([]chan float64, len(d.G.Edges))
+	d.ins = make([]*dynIn, len(d.G.Edges))
+	d.outs = make([]*dynOut, len(d.G.Edges))
 	for _, e := range d.G.Edges {
 		capacity := d.ChanCap
 		if len(e.Initial) >= capacity {
@@ -153,14 +140,22 @@ func (d *DynamicEngine) run(sinkItems int64, budget []int64) error {
 		for _, v := range e.Initial {
 			ch <- v
 		}
-		chans[e.ID] = ch
+		in := &dynIn{ch: ch, done: d.done, st: d.statuses[e.Dst.ID], progress: &d.progress,
+			edge: e.String(), srcID: e.Src.ID, prof: d.nodes[e.Dst.ID].pst}
+		if e.Dst.IsSink() && budget == nil {
+			in.count, in.target, in.stop = &d.popped, sinkItems, stop
+		}
+		d.ins[e.ID] = in
+		d.outs[e.ID] = &dynOut{ch: ch, done: d.done, st: d.statuses[e.Src.ID], progress: &d.progress,
+			edge: e.String(), dstID: e.Dst.ID, prof: d.nodes[e.Src.ID].pst}
 	}
 
 	var wg sync.WaitGroup
 	errs := make(chan error, len(d.G.Nodes))
 	for _, rt := range d.nodes {
+		rt.bind(d)
 		wg.Add(1)
-		go func(rt *dynNodeRT) {
+		go func(rt *nodeRT) {
 			defer wg.Done()
 			defer d.statuses[rt.node.ID].set(stDone, "", 0, -1)
 			defer func() {
@@ -171,7 +166,18 @@ func (d *DynamicEngine) run(sinkItems int64, budget []int64) error {
 					}
 				}
 			}()
-			d.runDynNode(rt, chans, done, sinkItems, stop, budget)
+			for budget == nil || rt.fired < budget[rt.node.ID] {
+				select {
+				case <-d.done:
+					return
+				default:
+				}
+				if err := d.fire(rt); err != nil {
+					errs <- err
+					stop()
+					return
+				}
+			}
 		}(rt)
 	}
 	wg.Wait()
@@ -192,161 +198,23 @@ func (d *DynamicEngine) run(sinkItems int64, budget []int64) error {
 	return nil
 }
 
-func (d *DynamicEngine) runDynNode(rt *dynNodeRT, chans []chan float64, done chan struct{}, target int64, stop func(), budget []int64) {
-	n := rt.node
-	st := d.statuses[n.ID]
-	var pst *obs.FilterStats
-	if d.prof != nil {
-		pst = d.prof.At(n.ID)
-	}
-	// Build tapes.
-	ins := make([]*dynIn, len(n.In))
-	for p, e := range n.In {
-		if e == nil {
-			continue
-		}
-		ins[p] = &dynIn{
-			ch: chans[e.ID], done: done,
-			st: st, progress: &d.progress, edge: e.String(), srcID: e.Src.ID,
-			prof: pst,
-		}
-		if n.IsSink() && budget == nil {
-			ins[p].count = &d.popped
-			ins[p].target = target
-			ins[p].stop = stop
-		}
-	}
-	outs := make([]*dynOut, len(n.Out))
-	for p, e := range n.Out {
-		if e == nil {
-			continue
-		}
-		outs[p] = &dynOut{
-			ch: chans[e.ID], done: done,
-			st: st, progress: &d.progress, edge: e.String(), dstID: e.Dst.ID,
-			prof: pst,
-		}
-	}
+// inTape implements coreHost: the edge's blocking reader.
+func (d *DynamicEngine) inTape(e *ir.Edge) wfunc.Tape { return d.ins[e.ID] }
 
-	var runner *workRunner
-	if n.Kind == ir.NodeFilter && n.Filter.WorkFn == nil {
-		runner = newWorkRunner(n.Filter.Kernel, rt.state, d.Backend)
-	}
+// outTape implements coreHost: the edge's blocking writer.
+func (d *DynamicEngine) outTape(e *ir.Edge) wfunc.Tape { return d.outs[e.ID] }
 
-	// Filter tapes, wrapped in counting adapters when profiling.
-	var fIn, fOut wfunc.Tape
-	if n.Kind == ir.NodeFilter {
-		if len(ins) > 0 && ins[0] != nil {
-			fIn = ins[0]
-			if pst != nil {
-				fIn = &obsTape{inner: ins[0], st: pst}
-			}
-		}
-		if len(outs) > 0 && outs[0] != nil {
-			fOut = outs[0]
-			if pst != nil {
-				fOut = &obsTape{inner: outs[0], st: pst, lenFn: outs[0].Len}
-			}
-		}
-	}
+// save implements coreHost; it is never called, because the engine rejects
+// every policy that rolls a firing back (NewDynamicOpts).
+func (d *DynamicEngine) save(*nodeRT) func() { return func() {} }
 
-	for budget == nil || rt.fired < budget[n.ID] {
-		select {
-		case <-done:
-			panic(stopSignal{})
-		default:
-		}
-		var start time.Time
-		var stall0 int64
-		if pst != nil || d.rec != nil {
-			start = time.Now()
-			if pst != nil {
-				stall0 = pst.StallNanos()
-			}
-		}
-		switch n.Kind {
-		case ir.NodeFilter:
-			tIn, tOut := fIn, fOut
-			if d.sup != nil {
-				if fault, ok := d.sup.take(n.Name, rt.fired); ok {
-					traceFault(d.rec, n.ID, n.Name, fault.Kind.String())
-					switch fault.Kind {
-					case faults.Panic:
-						panic(&ExecError{Filter: n.Name, Op: "injected panic", Iteration: rt.fired})
-					case faults.Stall:
-						// Wedge like a hung kernel until the watchdog (or
-						// another node's completion) aborts the run.
-						st.set(stStalled, "", 0, -1)
-						<-done
-						panic(stopSignal{})
-					case faults.Corrupt:
-						tOut = corruptOut(tOut)
-					}
-				}
-			}
-			if n.Filter.WorkFn != nil {
-				n.Filter.WorkFn(tIn, tOut, rt.state)
-			} else if err := runner.run(tIn, tOut, nil, nil); err != nil {
-				panic(&ExecError{Filter: n.Name, Op: "work", Iteration: rt.fired, Err: err})
-			}
-		case ir.NodeSplitter:
-			if n.SJ.Kind == ir.SJDuplicate {
-				v := ins[0].Pop()
-				for p := range outs {
-					if outs[p] != nil {
-						outs[p].Push(v)
-					}
-				}
-			} else {
-				for p := range outs {
-					for k := 0; k < n.SJ.Weights[p]; k++ {
-						v := ins[0].Pop()
-						if outs[p] != nil {
-							outs[p].Push(v)
-						}
-					}
-				}
-			}
-		case ir.NodeJoiner:
-			for p := range ins {
-				if ins[p] == nil {
-					continue
-				}
-				for k := 0; k < n.SJ.Weights[p]; k++ {
-					outs[0].Push(ins[p].Pop())
-				}
-			}
-		}
-		rt.fired++
-		if pst != nil || d.rec != nil {
-			d.noteFiring(n, pst, start, stall0)
-		}
-	}
-}
-
-// noteFiring credits one dynamic-engine firing. Demand-driven pops and
-// pushes can block mid-firing, so the blocked time (accumulated by the
-// tapes into StallNanos during this firing) is subtracted from the work
-// measurement; the trace slice keeps the full elapsed span, which is what
-// the timeline viewer should show.
-func (d *DynamicEngine) noteFiring(n *ir.Node, pst *obs.FilterStats, start time.Time, stall0 int64) {
-	elapsed := time.Since(start)
-	if pst != nil {
-		pst.AddFiring()
-		if n.Kind == ir.NodeFilter {
-			work := elapsed - time.Duration(pst.StallNanos()-stall0)
-			if work < 0 {
-				work = 0
-			}
-			pst.AddWork(work)
-		} else {
-			profileSJ(pst, n)
-		}
-	}
-	if d.rec != nil && n.Kind == ir.NodeFilter {
-		end := d.rec.Stamp()
-		d.rec.Slice(n.ID, n.Name, "firing", end-elapsed, end)
-	}
+// park implements coreHost: the stalled filter's goroutine blocks like a
+// hung kernel until the watchdog (or another node's completion) stops the
+// run, then unwinds.
+func (d *DynamicEngine) park(rt *nodeRT) error {
+	d.statuses[rt.node.ID].set(stStalled, "", 0, -1)
+	<-d.done
+	panic(stopSignal{})
 }
 
 // dynIn is a blocking input tape: Pop and Peek receive from the channel on

@@ -176,11 +176,7 @@ func TestDynamicReportsNodeErrors(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected node error")
 	}
-	if !containsStr(err.Error(), "oob") {
+	if !strings.Contains(err.Error(), "oob") {
 		t.Errorf("error should name the node: %v", err)
 	}
-}
-
-func containsStr(s, sub string) bool {
-	return strings.Contains(s, sub)
 }

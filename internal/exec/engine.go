@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"streamit/internal/ir"
-	"streamit/internal/obs"
 	"streamit/internal/sched"
 	"streamit/internal/wfunc"
 )
@@ -18,8 +17,10 @@ type Engine struct {
 	// construction (bytecode VM by default).
 	Backend Backend
 
+	// core holds the node records, the supervisor and the observability
+	// hooks, and fires every node.
+	core
 	chans []*channel
-	nodes []*nodeRT
 	// fp is the graph fingerprint every image is written and checked under.
 	fp uint64
 
@@ -34,32 +35,13 @@ type Engine struct {
 	Firings int64
 	// dynamic is set when messaging requires constraint-aware scheduling.
 	dynamic bool
-	// sup applies fault injection and recovery policies; nil when
-	// unsupervised (the zero-overhead default).
-	sup *supervisor
+	// cur is the node being fired, for blameFiring.
+	cur *nodeRT
 
-	// prof and rec are the observability hooks; nil when disabled (the
-	// zero-overhead default). laneSched is the trace lane for steady
-	// iterations; steadyIdx numbers them across RunSteady calls.
-	prof      *obs.Profiler
-	rec       *obs.Recorder
+	// laneSched is the trace lane for steady iterations; steadyIdx numbers
+	// them across RunSteady calls.
 	laneSched int
 	steadyIdx int64
-}
-
-// nodeRT is the per-node runtime state.
-type nodeRT struct {
-	node   *ir.Node
-	state  *wfunc.State
-	runner *workRunner
-	send   *sender       // hoisted messenger (only for message-sending filters)
-	print  func(float64) // hoisted print hook trampoline
-	// override, when set, fires in place of the kernel's work function for
-	// this engine instance only (see Engine.OverrideWork).
-	override func(in, out wfunc.Tape)
-	fired    int64
-	// inT/outT are counting tape wrappers, set only when profiling.
-	inT, outT wfunc.Tape
 }
 
 // message is an in-flight teleport message.
@@ -180,31 +162,26 @@ func sinkMargin(n *ir.Node) int64 {
 	return 0
 }
 
-// kernelState is the state a node's message handlers run against.
-func (e *Engine) kernelState(n *ir.Node) *wfunc.State { return e.nodes[n.ID].state }
-
 // RunInit executes the initialization schedule.
-func (e *Engine) RunInit() error {
+func (e *Engine) RunInit() (err error) {
+	defer e.blameFiring(&err)
 	if e.dynamic {
-		return e.runDynamic(e.Sch.InitReps, true)
+		return e.runDataDriven(e.Sch.InitReps, 1, "initialization")
 	}
 	return e.runEntries(e.Sch.Init)
 }
 
 // RunSteady executes the steady-state schedule iters times.
-func (e *Engine) RunSteady(iters int) error {
+func (e *Engine) RunSteady(iters int) (err error) {
+	defer e.blameFiring(&err)
 	if e.dynamic {
-		target := make([]int, len(e.G.Nodes))
-		for i, r := range e.Sch.Reps {
-			target[i] = iters * r
-		}
 		if e.rec == nil {
-			return e.runDynamic(target, false)
+			return e.runDataDriven(e.Sch.Reps, iters, "steady-state")
 		}
 		// Constraint-aware scheduling interleaves iterations, so the trace
 		// gets one slice covering the whole batch.
 		t0 := e.rec.Stamp()
-		err := e.runDynamic(target, false)
+		err = e.runDataDriven(e.Sch.Reps, iters, "steady-state")
 		e.rec.Slice(e.laneSched, fmt.Sprintf("steady x%d", iters), "iteration", t0, e.rec.Stamp())
 		return err
 	}
@@ -232,280 +209,86 @@ func (e *Engine) Run(iters int) error {
 	return e.RunSteady(iters)
 }
 
+// blameFiring is the sequential engine's one recover on the firing path,
+// deferred by RunInit and RunSteady — none is installed per firing. A
+// runtime panic (a native-kernel bug, buffer misuse) unwinds to it and
+// surfaces as an *ExecError naming the node being fired, the operation and
+// the firing index.
+func (e *Engine) blameFiring(err *error) {
+	if r := recover(); r != nil {
+		*err = blame(r, e.cur, "sequential engine")
+	}
+}
+
+// runEntries fires one pass of a static schedule phase, delivering due
+// teleport messages around each firing.
 func (e *Engine) runEntries(entries []sched.Entry) error {
 	for _, en := range entries {
+		rt := e.nodes[en.Node.ID]
+		e.cur = rt
 		for i := 0; i < en.Count; i++ {
-			if err := e.fire(en.Node); err != nil {
+			if err := e.step(rt); err != nil {
 				return err
 			}
+			e.Firings++
 		}
 	}
 	return nil
 }
 
-// runDynamic fires nodes data-driven, respecting messaging constraints,
-// until each node has fired extra[n] more times than at entry.
-func (e *Engine) runDynamic(extra []int, isInit bool) error {
-	order, err := e.G.TopoOrder()
+// runDataDriven fires nodes through the core's constraint-aware data-driven
+// loop until each has fired iters*reps[n] more times than at entry.
+func (e *Engine) runDataDriven(reps []int, iters int, phase string) error {
+	topo, err := e.G.TopoOrder()
 	if err != nil {
 		return err
 	}
-	target := make([]int64, len(e.G.Nodes))
-	remaining := int64(0)
-	for _, n := range e.G.Nodes {
-		target[n.ID] = e.nodes[n.ID].fired + int64(extra[n.ID])
-		remaining += int64(extra[n.ID])
+	order := make([]*nodeRT, len(topo))
+	goal := make([]int64, len(topo))
+	for i, n := range topo {
+		order[i] = e.nodes[n.ID]
+		goal[i] = order[i].fired + int64(iters*reps[n.ID])
 	}
-	for remaining > 0 {
-		progress := int64(0)
-		for _, n := range order {
-			rt := e.nodes[n.ID]
-			for rt.fired < target[n.ID] && e.canFire(n) {
-				ok, err := e.constraintsAllow(n)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					break
-				}
-				if err := e.fire(n); err != nil {
-					return err
-				}
-				progress++
-			}
-		}
-		if progress == 0 {
-			phase := "steady-state"
-			if isInit {
-				phase = "initialization"
-			}
-			return fmt.Errorf("messaging constraints are unsatisfiable: no progress possible during %s", phase)
-		}
-		remaining -= progress
-	}
-	return nil
+	fired, err := e.dataDriven(e, order, goal, phase, &e.cur)
+	e.Firings += fired
+	return err
 }
 
-// canFire checks input availability for one firing of n.
-func (e *Engine) canFire(n *ir.Node) bool {
-	for p, edge := range n.In {
-		if edge == nil {
-			continue
-		}
-		if e.chans[edge.ID].Len() < n.PeekPort(p) {
-			return false
-		}
-	}
-	return true
-}
+// inTape implements coreHost: an edge is one ring, read by its consumer.
+func (e *Engine) inTape(edge *ir.Edge) wfunc.Tape { return e.chans[edge.ID] }
 
-// fire executes one firing of n, delivering due messages per the paper's
-// timing rules: downstream receivers get messages immediately before the
-// firing that first sees the sender's effects; upstream receivers get them
-// immediately after the firing that last affects the sender's data.
-// Runtime panics (native-kernel bugs, buffer misuse) surface as structured
-// *ExecError values naming the node, operation, and firing index.
-func (e *Engine) fire(n *ir.Node) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = asExecError(n.Name, e.nodes[n.ID].fired, r)
-		}
-	}()
-	return e.fireInner(n)
-}
+// outTape implements coreHost: the same ring, written by its producer.
+func (e *Engine) outTape(edge *ir.Edge) wfunc.Tape { return e.chans[edge.ID] }
 
-func (e *Engine) fireInner(n *ir.Node) error {
-	if err := e.deliverDue(n, true); err != nil {
-		return err
-	}
-	rt := e.nodes[n.ID]
-	switch n.Kind {
-	case ir.NodeFilter:
-		if e.prof == nil && e.rec == nil {
-			if err := e.fireFilter(rt); err != nil {
-				return err
-			}
-		} else {
-			start := time.Now()
-			ferr := e.fireFilter(rt)
-			d := time.Since(start)
-			if e.prof != nil {
-				e.prof.At(n.ID).AddWork(d)
-			}
-			if e.rec != nil {
-				end := e.rec.Stamp()
-				e.rec.Slice(n.ID, n.Name, "firing", end-d, end)
-			}
-			if ferr != nil {
-				return ferr
-			}
-		}
-	case ir.NodeSplitter:
-		e.fireSplitter(n)
-	case ir.NodeJoiner:
-		e.fireJoiner(n)
-	}
-	rt.fired++
-	e.Firings++
-	if e.prof != nil {
-		st := e.prof.At(n.ID)
-		st.AddFiring()
-		if n.Kind != ir.NodeFilter {
-			profileSJ(st, n)
-		}
-	}
-	return e.deliverDue(n, false)
-}
+// buffered implements queues.
+func (e *Engine) buffered(edge *ir.Edge) int { return e.chans[edge.ID].count }
 
-func (e *Engine) fireFilter(rt *nodeRT) error {
-	n := rt.node
-	var inCh, outCh *channel
-	if edge := n.InEdge(); edge != nil {
-		inCh = e.chans[edge.ID]
+// save implements coreHost by marking the filter's rings by position, as
+// the mapped engine marks its queues: the firing's pops rewind by head,
+// count and popped, its pushes by count and pushed alone — a ring that grew
+// during the firing kept its first count items in place.
+func (e *Engine) save(rt *nodeRT) func() {
+	var in, out *channel
+	var inAt, outAt channel
+	if edge := rt.node.InEdge(); edge != nil {
+		in = e.chans[edge.ID]
+		inAt = *in
 	}
-	if edge := n.OutEdge(); edge != nil {
-		outCh = e.chans[edge.ID]
+	if edge := rt.node.OutEdge(); edge != nil {
+		out = e.chans[edge.ID]
+		outAt = *out
 	}
-	if e.sup != nil {
-		return e.fireSupervised(rt, inCh, outCh)
-	}
-	return e.attemptFire(rt, inCh, outCh, false)
-}
-
-// tapesOf resolves the tapes a filter's work function sees: its channels,
-// or the counting/tapping wrappers over them when set.
-func (rt *nodeRT) tapesOf(inCh, outCh *channel) (in, out wfunc.Tape) {
-	if inCh != nil {
-		in = inCh
-		if rt.inT != nil {
-			in = rt.inT
+	return func() {
+		if in != nil {
+			in.head, in.count, in.popped = inAt.head, inAt.count, inAt.popped
 		}
-	}
-	if outCh != nil {
-		out = outCh
-		if rt.outT != nil {
-			out = rt.outT
-		}
-	}
-	return in, out
-}
-
-// attemptFire executes one work invocation, converting panics and IL
-// runtime errors into *ExecError. corrupt (an injected Corrupt fault)
-// replaces every push with the corruption sentinel.
-func (e *Engine) attemptFire(rt *nodeRT, inCh, outCh *channel, corrupt bool) (err error) {
-	n := rt.node
-	defer func() {
-		if r := recover(); r != nil {
-			err = asExecError(n.Name, rt.fired, r)
-		}
-	}()
-	in, out := rt.tapesOf(inCh, outCh)
-	if corrupt {
-		out = corruptOut(out)
-	}
-	if rt.override != nil {
-		rt.override(in, out)
-		return nil
-	}
-	if n.Filter.WorkFn != nil {
-		n.Filter.WorkFn(in, out, rt.state)
-		return nil
-	}
-	var print func(float64)
-	if e.Printer != nil {
-		print = rt.print
-	}
-	var msg wfunc.Messenger
-	if rt.send != nil {
-		msg = rt.send
-	}
-	if err := rt.runner.run(in, out, msg, print); err != nil {
-		return &ExecError{Filter: n.Name, Op: "work", Iteration: rt.fired, Err: err}
-	}
-	return nil
-}
-
-// fireSupervised hands one filter firing to the supervisor. The tape save
-// point is a clone of the filter's rings; injected stalls report
-// synchronously.
-func (e *Engine) fireSupervised(rt *nodeRT, inCh, outCh *channel) error {
-	f := &firing{n: rt.node, fired: rt.fired, state: &rt.state, runner: rt.runner}
-	f.in, f.out = rt.tapesOf(inCh, outCh)
-	if rt.send != nil {
-		f.msgs = &e.teleport
-	}
-	f.work = func(corrupt bool) error { return e.attemptFire(rt, inCh, outCh, corrupt) }
-	f.mark = func() func() {
-		var inSave, outSave *channel
-		if inCh != nil {
-			inSave = inCh.clone()
-		}
-		if outCh != nil {
-			outSave = outCh.clone()
-		}
-		return func() {
-			if inCh != nil {
-				inCh.restoreFrom(inSave)
-			}
-			if outCh != nil {
-				outCh.restoreFrom(outSave)
-			}
-		}
-	}
-	return e.sup.fire(f, e.rec)
-}
-
-// SupervisionReport renders per-filter recovery counters (empty when the
-// engine is unsupervised or nothing degraded).
-func (e *Engine) SupervisionReport() string { return e.sup.Report() }
-
-// Degraded returns per-filter recovery counters (nil when unsupervised).
-func (e *Engine) Degraded() map[string]DegradedStats {
-	if e.sup == nil {
-		return nil
-	}
-	return e.sup.Stats()
-}
-
-func (e *Engine) fireSplitter(n *ir.Node) {
-	in := e.chans[n.InEdge().ID]
-	if n.SJ.Kind == ir.SJDuplicate {
-		v := in.Pop()
-		for _, edge := range n.Out {
-			if edge != nil {
-				e.chans[edge.ID].Push(v)
-			}
-		}
-		return
-	}
-	for p, edge := range n.Out {
-		w := n.SJ.Weights[p]
-		for k := 0; k < w; k++ {
-			v := in.Pop()
-			if edge != nil {
-				e.chans[edge.ID].Push(v)
-			}
+		if out != nil {
+			out.count, out.pushed = outAt.count, outAt.pushed
 		}
 	}
 }
 
-func (e *Engine) fireJoiner(n *ir.Node) {
-	out := e.chans[n.OutEdge().ID]
-	for p, edge := range n.In {
-		w := n.SJ.Weights[p]
-		for k := 0; k < w; k++ {
-			out.Push(e.chans[edge.ID].Pop())
-		}
-	}
-}
-
-// State returns the mutable kernel state of a filter (for tests and
-// examples that inspect fields).
-func (e *Engine) State(f *ir.Filter) *wfunc.State {
-	n := e.G.FilterNode[f]
-	if n == nil {
-		return nil
-	}
-	return e.nodes[n.ID].state
-}
+// park implements coreHost. The engine is single-threaded, with no
+// watchdog to notice a wedged filter, so it never parks: an injected stall
+// reports synchronously.
+func (e *Engine) park(*nodeRT) error { return nil }

@@ -94,7 +94,9 @@ type MappedEngine struct {
 	// elastic is the runtime replan controller (nil unless Options.Elastic).
 	elastic *elasticState
 
-	sup *supervisor
+	// core holds the node records (which outlive epochs and re-plans), the
+	// supervisor and the observability hooks, and fires every node.
+	core
 
 	// swp holds the stage plan and its runtime (stage levels, clusters,
 	// messaging state, segment position). Lockstep is its zero-skew
@@ -111,11 +113,11 @@ type MappedEngine struct {
 	remoteIn  []bool
 	remoteOut []bool
 
-	nodes []*pnodeRT
 	order [][]*ir.Node // per-worker node lists in topological order
 	// plans is each worker's schedule over the current topology
 	// (mapped_swp.go): built by the first epoch after buildTopology, dropped
-	// when a drive returns so an idle engine does not pin its work runners.
+	// with the runners it bound when a drive returns, so an idle engine
+	// does not pin its work runners.
 	plans []*workerPlan
 
 	// Steady-state topology, rebuilt by setup and by crash recovery:
@@ -137,10 +139,6 @@ type MappedEngine struct {
 	// fp is the graph fingerprint every image is written and checked under.
 	fp uint64
 
-	// prof and rec are the observability hooks; nil when disabled.
-	prof *obs.Profiler
-	rec  *obs.Recorder
-
 	// Per-epoch supervision state.
 	stopCh   chan struct{}
 	progress int64
@@ -150,17 +148,6 @@ type MappedEngine struct {
 // errStopped unwinds a worker goroutine after the run was aborted (watchdog
 // deadlock, or another worker's error). It never reaches the caller of Run.
 var errStopped = errors.New("exec: run aborted")
-
-// pnodeRT is the per-node runtime state that outlives epochs and re-plans.
-type pnodeRT struct {
-	node  *ir.Node
-	state *wfunc.State
-	// fired counts firings (the fault injector's index).
-	fired int64
-	// override, when set, fires in place of the kernel's work function
-	// during steady state (MappedEngine.OverrideWork).
-	override func(in, out wfunc.Tape)
-}
 
 // DefaultQueueDepth is the cross-worker channel capacity in batches.
 const DefaultQueueDepth = 2
@@ -192,7 +179,7 @@ func NewMappedOpts(g *ir.Graph, s *sched.Schedule, assign []int, workers int, op
 	}
 	me := &MappedEngine{G: g, Sch: s, fp: graphFingerprint(g, s), Backend: opts.Backend, Workers: workers,
 		Assign: append([]int(nil), assign...), Depth: depth,
-		Watchdog: opts.Watchdog, CheckpointEvery: opts.CheckpointEvery, rec: opts.Trace, replan: opts.Replan}
+		Watchdog: opts.Watchdog, CheckpointEvery: opts.CheckpointEvery, replan: opts.Replan}
 	if opts.LocalWorkers != nil {
 		if len(opts.LocalWorkers) != workers {
 			return nil, fmt.Errorf("exec: LocalWorkers masks %d of %d workers", len(opts.LocalWorkers), workers)
@@ -209,6 +196,7 @@ func NewMappedOpts(g *ir.Graph, s *sched.Schedule, assign []int, workers int, op
 	}
 	sw.host = me
 	me.swp = sw
+	me.core = core{eng: me, rec: opts.Trace, msgs: &sw.teleport}
 	if err := me.validAssign(me.Assign, workers); err != nil {
 		return nil, fmt.Errorf("exec: %w", err)
 	}
@@ -231,13 +219,19 @@ func NewMappedOpts(g *ir.Graph, s *sched.Schedule, assign []int, workers int, op
 	me.sup = sup
 
 	me.initFired, me.initPushed = initCounts(g, s)
-	me.nodes = make([]*pnodeRT, len(g.Nodes))
+	me.nodes = make([]*nodeRT, len(g.Nodes))
 	for _, n := range g.Nodes {
-		rt := &pnodeRT{node: n}
+		rt := &nodeRT{node: n}
 		if n.Kind == ir.NodeFilter {
 			if rt.state, err = freshState(n); err != nil {
 				return nil, err
 			}
+		}
+		if sw.sends[n.ID] {
+			rt.msg = &sender{t: &sw.teleport, node: n, partial: &sw.partial[n.ID]}
+		}
+		if me.prof != nil {
+			rt.pst = me.prof.At(n.ID)
 		}
 		me.nodes[n.ID] = rt
 	}
@@ -245,43 +239,6 @@ func NewMappedOpts(g *ir.Graph, s *sched.Schedule, assign []int, workers int, op
 		return nil, err
 	}
 	return me, nil
-}
-
-// SupervisionReport renders per-filter recovery counters.
-func (me *MappedEngine) SupervisionReport() string { return me.sup.Report() }
-
-// Degraded returns per-filter recovery counters (nil when unsupervised).
-func (me *MappedEngine) Degraded() map[string]DegradedStats {
-	if me.sup == nil {
-		return nil
-	}
-	return me.sup.Stats()
-}
-
-// Profile returns the per-filter profiler (nil when profiling is off).
-func (me *MappedEngine) Profile() *obs.Profiler { return me.prof }
-
-// TraceRecorder returns the trace recorder (nil when tracing is off).
-func (me *MappedEngine) TraceRecorder() *obs.Recorder { return me.rec }
-
-// mnodeCtx is the per-node execution context planWorkers prepares once per
-// topology: the node's tapes over the shared edge queues and its runner.
-type mnodeCtx struct {
-	rt      *pnodeRT
-	runner  *workRunner
-	in, out []*SliceQueue
-	// local[p] reports that out[p] is a same-worker queue written in
-	// place; others are staging queues drained into channel batches.
-	localOut  []bool
-	tIn, tOut wfunc.Tape
-	produce   []int
-	reps      int
-	pst       *obs.FilterStats
-	// msg and partial are set only on message-sending filters of pipelined
-	// plans: the messenger handed to the work runner, and the node's
-	// mid-firing progress-tape movement (swpState.partial slot).
-	msg     wfunc.Messenger
-	partial *int64
 }
 
 // workerCrash is the panic payload of an injected worker crash. The
@@ -442,7 +399,7 @@ func (me *MappedEngine) runTo(total int64) error {
 // driveTo runs epochs until the cycle position me.iter reaches end, rolling
 // back to the last coordinated checkpoint on injected worker crashes.
 func (me *MappedEngine) driveTo(end int64) error {
-	defer func() { me.plans = nil }()
+	defer me.unplan()
 	every := me.CheckpointEvery
 	if every <= 0 && me.sup.hasWorkerFaults() {
 		// Crash recovery needs a rollback target; default to the finest
@@ -667,67 +624,37 @@ func (me *MappedEngine) workerFault(w, lane int, iter int64, wf faults.WorkerFau
 	return nil
 }
 
-// prepareNode builds one node's tapes over the shared per-edge queues.
-func (me *MappedEngine) prepareNode(n *ir.Node) *mnodeCtx {
-	rt := me.nodes[n.ID]
-	c := &mnodeCtx{rt: rt, reps: me.Sch.Reps[n.ID]}
-	if n.Kind == ir.NodeFilter && n.Filter.WorkFn == nil {
-		c.runner = newWorkRunner(n.Filter.Kernel, rt.state, me.Backend)
+// bindNode gives a node its work runner and its tapes over the current
+// topology's queues.
+func (me *MappedEngine) bindNode(rt *nodeRT) {
+	n := rt.node
+	if n.Kind != ir.NodeFilter {
+		return
 	}
-	c.in = make([]*SliceQueue, len(n.In))
-	for p, e := range n.In {
-		if e != nil {
-			c.in[p] = me.queues[e.ID]
-		}
+	if n.Filter.WorkFn == nil {
+		rt.runner = newWorkRunner(n.Filter.Kernel, rt.state, me.Backend)
 	}
-	c.out = make([]*SliceQueue, len(n.Out))
-	c.localOut = make([]bool, len(n.Out))
-	c.produce = make([]int, len(n.Out))
-	for p, e := range n.Out {
-		if e == nil {
-			continue
-		}
-		c.produce[p] = c.reps * n.PushPort(p)
-		if me.stage[e.ID] != nil {
-			c.out[p] = me.stage[e.ID]
-		} else {
-			c.out[p] = me.queues[e.ID]
-			c.localOut[p] = true
-		}
-	}
-	if me.prof != nil {
-		c.pst = me.prof.At(n.ID)
-	}
-	if n.Kind == ir.NodeFilter {
-		if len(n.In) > 0 && n.In[0] != nil {
-			c.tIn = c.in[0]
-			if c.pst != nil {
-				c.tIn = &obsTape{inner: c.in[0], st: c.pst}
-			}
-		}
-		if len(n.Out) > 0 && n.Out[0] != nil {
-			c.tOut = c.out[0]
-			if c.pst != nil {
-				c.tOut = &obsTape{inner: c.out[0], st: c.pst, lenFn: c.out[0].Len}
-			}
-		}
-	}
-	if sw := me.swp; sw.sends[n.ID] {
+	rt.bind(me)
+	if rt.msg != nil {
 		// Message sends compute sdep windows from live progress counters;
 		// partialTape counts the progress tape's movement inside the
 		// current firing so mid-firing sends see the sequential engine's
 		// exact counter values.
-		c.msg = &sender{t: &sw.teleport, node: n}
-		c.partial = &sw.partial[n.ID]
 		if n.OutEdge() != nil {
-			if c.tOut != nil {
-				c.tOut = &partialTape{inner: c.tOut, count: c.partial}
-			}
-		} else if c.tIn != nil {
-			c.tIn = &partialTape{inner: c.tIn, count: c.partial, pops: true}
+			rt.out = &partialTape{inner: rt.out, count: rt.msg.partial}
+		} else if rt.in != nil {
+			rt.in = &partialTape{inner: rt.in, count: rt.msg.partial, pops: true}
 		}
 	}
-	return c
+}
+
+// unplan drops the worker plans and the runners and tapes they bound into
+// the node records.
+func (me *MappedEngine) unplan() {
+	me.plans = nil
+	for _, rt := range me.nodes {
+		rt.runner, rt.in, rt.out = nil, nil, nil
+	}
 }
 
 // recvBatch receives one batch of a cross-worker edge, recording the wait
@@ -784,153 +711,51 @@ func (me *MappedEngine) sendBatch(e *ir.Edge, batch []float64) error {
 	}
 }
 
-// fire executes one firing — under the observability stamps when a
-// profiler or recorder is attached — and counts it: the node's firing
-// index (the fault injector's), the profile, the watchdog's progress.
-func (me *MappedEngine) fire(c *mnodeCtx) error {
-	var err error
-	if c.pst == nil && me.rec == nil {
-		err = me.fireOnce(c)
-	} else {
-		err = me.fireTimed(c)
+// inTape implements coreHost: an edge's consumer reads its queue.
+func (me *MappedEngine) inTape(e *ir.Edge) wfunc.Tape { return me.queues[e.ID] }
+
+// outTape implements coreHost.
+func (me *MappedEngine) outTape(e *ir.Edge) wfunc.Tape { return me.outQueue(e) }
+
+// outQueue is where an edge's producer pushes: the consumer queue itself
+// on a same-worker edge, else the staging queue flushed into batches.
+func (me *MappedEngine) outQueue(e *ir.Edge) *SliceQueue {
+	if st := me.stage[e.ID]; st != nil {
+		return st
 	}
-	if err != nil {
-		return err
-	}
-	if c.pst != nil {
-		c.pst.AddFiring()
-	}
-	c.rt.fired++
-	atomic.AddInt64(&me.progress, 1)
-	return nil
+	return me.queues[e.ID]
 }
 
-// fireTimed is fireOnce under the observability stamps (work time, firing
-// slices).
-func (me *MappedEngine) fireTimed(c *mnodeCtx) error {
-	n := c.rt.node
-	start := time.Now()
-	err := me.fireOnce(c)
-	d := time.Since(start)
-	if c.pst != nil {
-		if n.Kind == ir.NodeFilter {
-			c.pst.AddWork(d)
-		} else {
-			profileSJ(c.pst, n)
+// buffered implements queues.
+func (me *MappedEngine) buffered(e *ir.Edge) int { return me.queues[e.ID].Len() }
+
+// save implements coreHost by marking the filter's queues: the head of the
+// one it reads, the length of the one it writes.
+func (me *MappedEngine) save(rt *nodeRT) func() {
+	var in, out *SliceQueue
+	var inHead, outLen int
+	if e := rt.node.InEdge(); e != nil {
+		in = me.queues[e.ID]
+		inHead = in.head
+	}
+	if e := rt.node.OutEdge(); e != nil {
+		out = me.outQueue(e)
+		outLen = len(out.buf)
+	}
+	return func() {
+		if in != nil {
+			in.head = inHead
+		}
+		if out != nil {
+			out.buf = out.buf[:outLen]
 		}
 	}
-	if me.rec != nil && n.Kind == ir.NodeFilter {
-		end := me.rec.Stamp()
-		me.rec.Slice(n.ID, n.Name, "firing", end-d, end)
-	}
-	return err
 }
 
-// fireOnce executes one firing of the node on its queues.
-func (me *MappedEngine) fireOnce(c *mnodeCtx) error {
-	n := c.rt.node
-	switch n.Kind {
-	case ir.NodeFilter:
-		if me.sup != nil {
-			return me.fireSupervised(c)
-		}
-		return me.work(c, c.tOut)
-	case ir.NodeSplitter:
-		if n.SJ.Kind == ir.SJDuplicate {
-			v := c.in[0].Pop()
-			for p, e := range n.Out {
-				if e != nil {
-					c.out[p].Push(v)
-				}
-			}
-			return nil
-		}
-		for p, e := range n.Out {
-			for k := 0; k < n.SJ.Weights[p]; k++ {
-				v := c.in[0].Pop()
-				if e != nil {
-					c.out[p].Push(v)
-				}
-			}
-		}
-		return nil
-	case ir.NodeJoiner:
-		for p, e := range n.In {
-			if e == nil {
-				continue
-			}
-			for k := 0; k < n.SJ.Weights[p]; k++ {
-				c.out[0].Push(c.in[p].Pop())
-			}
-		}
-		return nil
-	}
-	return fmt.Errorf("exec: unknown node kind")
-}
-
-// work runs the filter's kernel once, pushing to out (the node's out tape,
-// or a corrupting wrapper over it). Panics unwind to the caller's recover:
-// the worker's on the plain path, the supervisor's under supervision.
-func (me *MappedEngine) work(c *mnodeCtx, out wfunc.Tape) error {
-	n := c.rt.node
-	// Each attempt starts with a clean mid-firing progress counter (a
-	// rollback rewound the tapes it mirrors).
-	if c.partial != nil {
-		*c.partial = 0
-	}
-	if c.rt.override != nil {
-		c.rt.override(c.tIn, out)
-		return nil
-	}
-	if n.Filter.WorkFn != nil {
-		n.Filter.WorkFn(c.tIn, out, c.rt.state)
-		return nil
-	}
-	if err := c.runner.run(c.tIn, out, c.msg, nil); err != nil {
-		return &ExecError{Filter: n.Name, Op: "work", Iteration: c.rt.fired, Err: err}
-	}
-	return nil
-}
-
-// fireSupervised hands one filter firing to the supervisor. The tape save
-// point is the queues' head/length marks; an injected stall under the fail
-// policy parks the worker until the watchdog aborts the run.
-func (me *MappedEngine) fireSupervised(c *mnodeCtx) error {
-	n := c.rt.node
-	f := &firing{n: n, fired: c.rt.fired, in: c.tIn, out: c.tOut, state: &c.rt.state, runner: c.runner}
-	if c.msg != nil {
-		f.msgs = &me.swp.teleport
-	}
-	f.work = func(corrupt bool) error {
-		if corrupt {
-			return me.work(c, corruptOut(c.tOut))
-		}
-		return me.work(c, c.tOut)
-	}
-	f.mark = func() func() {
-		var qIn, qOut *SliceQueue
-		var inHead, outLen int
-		if len(c.in) > 0 && n.In[0] != nil {
-			qIn = c.in[0]
-			inHead = qIn.head
-		}
-		if len(c.out) > 0 && n.Out[0] != nil {
-			qOut = c.out[0]
-			outLen = len(qOut.buf)
-		}
-		return func() {
-			if qIn != nil {
-				qIn.head = inHead
-			}
-			if qOut != nil {
-				qOut.buf = qOut.buf[:outLen]
-			}
-		}
-	}
-	f.park = func() error {
-		me.statuses[n.ID].set(stStalled, "", 0, -1)
-		<-me.stopCh
-		return errStopped
-	}
-	return me.sup.fire(f, me.rec)
+// park implements coreHost: the stalled filter's worker blocks until the
+// watchdog aborts the run.
+func (me *MappedEngine) park(rt *nodeRT) error {
+	me.statuses[rt.node.ID].set(stStalled, "", 0, -1)
+	<-me.stopCh
+	return errStopped
 }

@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"streamit/internal/ir"
@@ -46,10 +47,10 @@ import (
 // between their members — a loop interleaves at firing granularity and
 // sdep delivery windows are relative to live progress counters — so the
 // partitioner wraps each of them in a stage cluster (StageClusters): all
-// members share one worker and one stage, and fire through a data-driven
-// loop that mirrors the sequential engine's dynamic scheduler, including
-// constraint gating and message delivery, which keeps outputs
-// bit-identical to the sequential Engine. The zero-skew plan has no
+// members share one worker and one stage, and fire through the firing
+// core's data-driven loop — the one the sequential engine schedules
+// messaging programs with, constraint gating and message delivery included
+// — which keeps outputs bit-identical to the sequential Engine. The zero-skew plan has no
 // clusters, which is why it cannot host either.
 
 // StageBatch is the pipelined flush interval in macro-cycles: how many
@@ -242,9 +243,11 @@ func newSWPState(g *ir.Graph, s *sched.Schedule, opts Options) (*swpState, error
 // swpStep is one slot in a worker's per-cycle firing order: a singleton
 // node, or a whole stage cluster fired through the data-driven loop.
 type swpStep struct {
-	ctxs    []*mnodeCtx
+	nodes   []*nodeRT
 	stage   int64 // first gated cycle (level * batch)
 	cluster bool
+	// goal is the cluster members' firing targets for the cycle at hand.
+	goal []int64
 	// pre lists the cross-worker in-edges whose producer runs at this
 	// step's stage: received immediately before the step fires.
 	pre []swpIn
@@ -282,7 +285,8 @@ func (me *MappedEngine) planWorkers() {
 		pl := &workerPlan{}
 		units := map[int]*swpStep{}
 		for _, n := range nodes {
-			c := me.prepareNode(n)
+			rt := me.nodes[n.ID]
+			me.bindNode(rt)
 			ci := sw.clusterOf[n.ID]
 			clustered := ci >= 0 || sw.msgNode[n.ID] // a lone messaging endpoint fires through the cluster path too
 			if ci < 0 {
@@ -294,21 +298,24 @@ func (me *MappedEngine) planWorkers() {
 				units[ci] = sp
 				pl.steps = append(pl.steps, sp)
 			}
-			sp.ctxs = append(sp.ctxs, c) // me.order is topological, so ctxs stay ordered
-			for p, e := range n.In {
+			sp.nodes = append(sp.nodes, rt) // me.order is topological, so nodes stay ordered
+			if sp.cluster {
+				sp.goal = append(sp.goal, 0)
+			}
+			for _, e := range n.In {
 				if e == nil || (me.chans[e.ID] == nil && !me.remoteIn[e.ID]) {
 					continue
 				}
-				in := swpIn{e: e, q: c.in[p], srcStage: int64(sw.levels[e.Src.ID]) * sw.batch}
+				in := swpIn{e: e, q: me.queues[e.ID], srcStage: int64(sw.levels[e.Src.ID]) * sw.batch}
 				if in.srcStage == sp.stage {
 					sp.pre = append(sp.pre, in)
 				} else {
 					pl.post = append(pl.post, in)
 				}
 			}
-			for p, e := range n.Out {
-				if e != nil && c.localOut[p] {
-					pl.compact = append(pl.compact, c.out[p])
+			for _, e := range n.Out {
+				if e != nil && me.stage[e.ID] == nil {
+					pl.compact = append(pl.compact, me.queues[e.ID])
 				}
 			}
 		}
@@ -325,7 +332,7 @@ func (me *MappedEngine) planWorkers() {
 func (me *MappedEngine) runWorker(w, lane, cycles int) error {
 	sw, pl := me.swp, me.plans[w]
 	K := sw.batch
-	var cur *mnodeCtx // the node currently firing or flushing, for fault attribution
+	var cur *nodeRT // the node currently firing or flushing, for fault attribution
 	err := func() (err error) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -333,11 +340,7 @@ func (me *MappedEngine) runWorker(w, lane, cycles int) error {
 					err = wc
 					return
 				}
-				name, fired := fmt.Sprintf("worker %d", w), int64(0)
-				if cur != nil {
-					name, fired = cur.rt.node.Name, cur.rt.fired
-				}
-				err = asExecError(name, fired, r)
+				err = blame(r, cur, fmt.Sprintf("worker %d", w))
 			}
 		}()
 		for it := 0; it < cycles; it++ {
@@ -367,22 +370,30 @@ func (me *MappedEngine) runWorker(w, lane, cycles int) error {
 					}
 				}
 				if sp.cluster {
-					if err := me.swpClusterStep(sp, fi, &cur); err != nil {
+					// Every member's one logical iteration, interleaved at
+					// firing granularity.
+					for i, rt := range sp.nodes {
+						sp.goal[i] = me.initFired[rt.node.ID] + (sw.base+fi)*int64(me.Sch.Reps[rt.node.ID])
+					}
+					fired, err := me.dataDriven(me, sp.nodes, sp.goal, "steady-state", &cur)
+					atomic.AddInt64(&me.progress, fired)
+					if err != nil {
 						return err
 					}
 				} else {
 					// A singleton's one logical iteration: reps firings.
-					cur = sp.ctxs[0]
-					for r := 0; r < cur.reps; r++ {
+					cur = sp.nodes[0]
+					for r := me.Sch.Reps[cur.node.ID]; r > 0; r-- {
 						if err := me.fire(cur); err != nil {
 							return err
 						}
+						atomic.AddInt64(&me.progress, 1)
 					}
 				}
 				if due {
-					for _, c := range sp.ctxs {
-						cur = c
-						if err := me.flush(c, (fi-1)%K+1); err != nil {
+					for _, rt := range sp.nodes {
+						cur = rt
+						if err := me.flush(rt, (fi-1)%K+1); err != nil {
 							return err
 						}
 					}
@@ -412,80 +423,6 @@ func (me *MappedEngine) runWorker(w, lane, cycles int) error {
 	return err
 }
 
-// swpClusterStep advances every member of a stage cluster to its firing
-// target for this cycle through the sequential engine's data-driven
-// discipline: topological passes firing whatever has input and is allowed
-// by the messaging constraints, delivering due messages around each
-// firing, until all members reach target or no member can move.
-func (me *MappedEngine) swpClusterStep(sp *swpStep, fi int64, cur **mnodeCtx) error {
-	sw := me.swp
-	for {
-		progressed, allDone := false, true
-		for _, c := range sp.ctxs {
-			n := c.rt.node
-			target := me.initFired[n.ID] + (sw.base+fi)*int64(c.reps)
-			for c.rt.fired < target {
-				if !me.swpCanFire(c) {
-					break
-				}
-				ok, err := sw.constraintsAllow(n)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					break
-				}
-				*cur = c
-				if err := me.swpClusterFire(c); err != nil {
-					return err
-				}
-				progressed = true
-			}
-			if c.rt.fired < target {
-				allDone = false
-			}
-		}
-		if allDone {
-			return nil
-		}
-		if !progressed {
-			return fmt.Errorf("messaging constraints are unsatisfiable: no progress possible during steady-state")
-		}
-	}
-}
-
-// swpClusterFire is one cluster-member firing with message delivery on the
-// sequential engine's timing: best-effort/downstream messages immediately
-// before, upstream immediately after.
-func (me *MappedEngine) swpClusterFire(c *mnodeCtx) error {
-	n := c.rt.node
-	if err := me.swp.deliverDue(n, true); err != nil {
-		return err
-	}
-	if err := me.fire(c); err != nil {
-		return err
-	}
-	if c.partial != nil {
-		*c.partial = 0
-	}
-	return me.swp.deliverDue(n, false)
-}
-
-// swpCanFire checks input availability for one firing (the sequential
-// engine's canFire over the worker-local queues).
-func (me *MappedEngine) swpCanFire(c *mnodeCtx) bool {
-	n := c.rt.node
-	for p, e := range n.In {
-		if e == nil {
-			continue
-		}
-		if c.in[p].Len() < n.PeekPort(p) {
-			return false
-		}
-	}
-	return true
-}
-
 // flush ships iters iterations of a node's staged cross-worker output as
 // one batch per edge. Called at batch boundaries and at the node's last
 // gated cycle, so the consumer's matching receive schedule drains every
@@ -493,12 +430,13 @@ func (me *MappedEngine) swpCanFire(c *mnodeCtx) bool {
 // that is the producer-side rate check, so a filter that pushed less than
 // it declared faults here, as a take naming it, instead of starving its
 // consumer a stage later.
-func (me *MappedEngine) flush(c *mnodeCtx, iters int64) error {
-	for p, e := range c.rt.node.Out {
-		if e == nil || c.localOut[p] {
+func (me *MappedEngine) flush(rt *nodeRT, iters int64) error {
+	n := rt.node
+	for p, e := range n.Out {
+		if e == nil || me.stage[e.ID] == nil {
 			continue
 		}
-		batch := c.out[p].Take(c.produce[p] * int(iters))
+		batch := me.stage[e.ID].Take(me.Sch.Reps[n.ID] * n.PushPort(p) * int(iters))
 		var err error
 		if me.remoteOut[e.ID] {
 			err = remoteErr(me.remote.Send(e.ID, batch, me.stopCh))
@@ -554,9 +492,6 @@ func (me *MappedEngine) tapeProgress(n *ir.Node) int64 {
 	return 0
 }
 
-// kernelState is the state a node's message handlers run against.
-func (me *MappedEngine) kernelState(n *ir.Node) *wfunc.State { return me.nodes[n.ID].state }
-
 // partialTape counts a sender's progress-tape movement inside the current
 // firing: pushes on its out tape, or pops on its in tape for sinks. The
 // counter resets at each firing (and each supervised retry attempt), so
@@ -583,18 +518,4 @@ func (t *partialTape) Push(v float64) {
 	if !t.pops {
 		*t.count++
 	}
-}
-
-// Stages exposes the pipelined stage offsets (nil for a zero-skew plan,
-// which is lockstep); diagnostics and tests.
-func (me *MappedEngine) Stages() []int {
-	sw := me.swp
-	if sw.maxStage() == 0 {
-		return nil
-	}
-	out := make([]int, len(sw.levels))
-	for i, lv := range sw.levels {
-		out[i] = lv * int(sw.batch)
-	}
-	return out
 }

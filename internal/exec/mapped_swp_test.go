@@ -105,15 +105,8 @@ func TestMappedSWPStageSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stages := me.Stages()
-	skewed := false
-	for _, v := range stages {
-		if v != stages[0] {
-			skewed = true
-		}
-	}
-	if !skewed {
-		t.Fatal("pipelined engine reports uniform stage offsets; no skew")
+	if me.swp.maxStage() != int64(st.NumLevels-1)*StageBatch {
+		t.Fatalf("pipelined engine's last stage offset is %d, want %d levels of %d cycles", me.swp.maxStage(), st.NumLevels-1, StageBatch)
 	}
 	if err := me.Run(3); err != nil {
 		t.Fatal(err)

@@ -124,6 +124,12 @@ func (t *teleport) constraintsAllow(n *ir.Node) (bool, error) {
 type sender struct {
 	t    *teleport
 	node *ir.Node
+	// partial is the filter's mid-firing progress-tape movement where the
+	// engine derives progress from firing counts (the mapped engine's
+	// swpState.partial slot, fed by partialTape); nil where live tape
+	// counters hold it. The firing core zeroes it at every attempt and
+	// after every firing.
+	partial *int64
 }
 
 // Send implements wfunc.Messenger. The message is scheduled for delivery to

@@ -8,8 +8,8 @@ import (
 
 // This file is the engines' glue to internal/obs. Observability is opt-in:
 // when disabled every engine holds nil profiler/recorder pointers and the
-// hot paths pay one nil check; when enabled, filter tapes are wrapped in
-// counting adapters and firings are timed.
+// firing core pays one nil check per firing; when enabled, nodeRT.bind wraps
+// filter tapes in counting adapters and the core stamps every firing.
 
 // nodeNames lists node names indexed by node ID (the profiler's indexing).
 func nodeNames(g *ir.Graph) []string {
@@ -21,8 +21,9 @@ func nodeNames(g *ir.Graph) []string {
 }
 
 // sjCounts returns the items one firing of a splitter or joiner pops and
-// pushes, mirroring exactly what the fire loops do (nil ports consume but
-// do not produce on splitters, and are skipped entirely on joiners).
+// pushes: the arithmetic of the firing core's routing body (route), whose
+// nil ports consume but do not produce on splitters and are skipped
+// entirely on joiners. TestSJCountsMatchRoute holds the two together.
 func sjCounts(n *ir.Node) (pops, pushes int64) {
 	switch n.Kind {
 	case ir.NodeSplitter:
@@ -66,9 +67,10 @@ func profileSJ(st *obs.FilterStats, n *ir.Node) {
 }
 
 // obsTape wraps a tape (sequential ring, mapped SliceQueue, dynamic
-// dynIn/dynOut) with per-operation counting. The tape object must outlive
-// the wrapper — every engine restores into its tapes, never replaces them. lenFn, when set, samples output occupancy
-// after each push for the high-water mark.
+// dynIn/dynOut) with per-operation counting. The tape must outlive the
+// wrapper: every engine restores into its tapes, never replaces them.
+// lenFn, when set, samples output occupancy after each push for the
+// high-water mark.
 type obsTape struct {
 	inner wfunc.Tape
 	st    *obs.FilterStats
@@ -112,10 +114,10 @@ func (t *obsTape) Push(v float64) {
 	}
 }
 
-// adoptObs attaches a profiler and/or trace recorder to the engine,
-// wrapping filter tapes in counting adapters. The mapped engine calls it
-// on its scratch init engine so the init transient lands in the same
-// counters as the steady state.
+// adoptObs attaches a profiler and/or trace recorder to the engine and
+// binds every filter's tapes, under counting adapters when profiling. The
+// mapped engine calls it on its scratch init engine so the init transient
+// lands in the same counters as the steady state.
 func (e *Engine) adoptObs(prof *obs.Profiler, rec *obs.Recorder) {
 	e.prof, e.rec, e.trace = prof, rec, rec
 	if rec != nil {
@@ -127,35 +129,13 @@ func (e *Engine) adoptObs(prof *obs.Profiler, rec *obs.Recorder) {
 		e.laneSched = len(e.G.Nodes)
 		rec.Lane(e.laneSched, "steady iterations")
 	}
-	if prof == nil {
-		return
-	}
 	for _, rt := range e.nodes {
-		n := rt.node
-		if n.Kind != ir.NodeFilter {
-			continue
+		if prof != nil {
+			rt.pst = prof.At(rt.node.ID)
 		}
-		if edge := n.InEdge(); edge != nil {
-			rt.inT = &obsTape{inner: e.chans[edge.ID], st: prof.At(n.ID)}
-		}
-		if edge := n.OutEdge(); edge != nil {
-			ch := e.chans[edge.ID]
-			rt.outT = &obsTape{inner: ch, st: prof.At(n.ID), lenFn: ch.Len}
-		}
+		rt.bind(e)
 	}
 }
-
-// Profile returns the engine's profiler (nil unless Options.Profile).
-func (e *Engine) Profile() *obs.Profiler { return e.prof }
-
-// TraceRecorder returns the engine's trace recorder (nil unless attached).
-func (e *Engine) TraceRecorder() *obs.Recorder { return e.rec }
-
-// Profile returns the engine's profiler (nil unless Options.Profile).
-func (d *DynamicEngine) Profile() *obs.Profiler { return d.prof }
-
-// TraceRecorder returns the engine's trace recorder (nil unless attached).
-func (d *DynamicEngine) TraceRecorder() *obs.Recorder { return d.rec }
 
 // traceFault records a fault-injection instant on the node's lane.
 func traceFault(rec *obs.Recorder, tid int, name, kind string) {

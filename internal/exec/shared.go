@@ -129,11 +129,11 @@ func (sh *Shared) NewEngine(opts Options) (*Engine, error) {
 		Backend: sh.Backend,
 		fp:      sh.fp,
 		chans:   make([]*channel, len(sh.G.Edges)),
-		nodes:   make([]*nodeRT, len(sh.G.Nodes)),
 		dynamic: sh.dynamic,
 		teleport: teleport{g: sh.G, sch: sh.Sch, constraints: sh.constraints,
 			pending: make([][]*message, len(sh.G.Nodes))},
 	}
+	e.core = core{eng: e, nodes: make([]*nodeRT, len(sh.G.Nodes)), msgs: &e.teleport}
 	e.host = e
 	for _, edge := range sh.G.Edges {
 		ch := newChannel(sh.ringCap[edge.ID])
@@ -149,7 +149,7 @@ func (sh *Shared) NewEngine(opts Options) (*Engine, error) {
 			rt.state = sh.protos[n.ID].Clone()
 			rt.runner = newWorkRunnerCompiled(k, rt.state, sh.progs[n.ID])
 			if sh.sends[n.ID] {
-				rt.send = &sender{t: &e.teleport, node: n}
+				rt.msg = &sender{t: &e.teleport, node: n}
 			}
 			name := n.Name
 			rt.print = func(v float64) {
@@ -165,13 +165,11 @@ func (sh *Shared) NewEngine(opts Options) (*Engine, error) {
 		return nil, err
 	}
 	e.sup = sup
-	if opts.Profile || opts.Trace != nil {
-		var prof *obs.Profiler
-		if opts.Profile {
-			prof = obs.NewProfiler(nodeNames(sh.G))
-		}
-		e.adoptObs(prof, opts.Trace)
+	var prof *obs.Profiler
+	if opts.Profile {
+		prof = obs.NewProfiler(nodeNames(sh.G))
 	}
+	e.adoptObs(prof, opts.Trace)
 	return e, nil
 }
 
@@ -271,16 +269,11 @@ func (e *Engine) TapSink(name string, fn func(float64)) error {
 	if n == nil {
 		return fmt.Errorf("exec: tap target %q is not a filter in the graph", name)
 	}
-	edge := n.InEdge()
-	if edge == nil {
+	if n.InEdge() == nil {
 		return fmt.Errorf("exec: tap target %q has no input tape", name)
 	}
 	rt := e.nodes[n.ID]
-	inner := rt.inT
-	if inner == nil {
-		inner = e.chans[edge.ID]
-	}
-	rt.inT = &tapTape{inner: inner, fn: fn}
+	rt.in = &tapTape{inner: rt.in, fn: fn}
 	return nil
 }
 

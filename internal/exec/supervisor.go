@@ -301,98 +301,70 @@ func (s *supervisor) Report() string {
 	return b.String()
 }
 
-// firing is one filter firing as the supervisor sees it. The state machine
-// in fire is engine-independent; the engine fills in what only it knows —
-// how to run its kernel on its tapes, how to save and rewind those tapes,
-// and what a wedged kernel looks like on it.
-type firing struct {
-	n     *ir.Node
-	fired int64 // the filter's firing index (the injector's key)
-	// in and out are the filter's tapes as its work function sees them; a
-	// skipped firing honors the static rates on them.
-	in, out wfunc.Tape
-	// state and runner locate the kernel state, so rollback can reinstall
-	// the saved copy and Restart a fresh one.
-	state  **wfunc.State
-	runner *workRunner
-	// work runs the kernel once; corrupt asks for every push to be replaced
-	// by the corruption sentinel. It need not recover panics.
-	work func(corrupt bool) error
-	// mark saves the filter's tapes and returns the function that rewinds
-	// them to that point.
-	mark func() (rewind func())
-	// msgs is the messaging runtime the filter sends through, nil when it
-	// cannot send: messages a failed attempt enqueued are rolled back with
-	// its tapes and state.
-	msgs *teleport
-	// park is what an injected stall does under the fail policy: block like
-	// a wedged kernel until the watchdog aborts the run, then unwind. nil on
-	// the single-threaded sequential engine, where blocking would hang with
-	// no watchdog to notice, so the stall reports synchronously instead.
-	park func() error
-}
-
-func (f *firing) setState(st *wfunc.State) {
-	*f.state = st
-	if f.runner != nil {
-		f.runner.setState(st)
-	}
-}
-
 // fire wraps one filter firing in the fault injector and the filter's
-// recovery policy. When the policy may need to roll the firing back
-// (anything but Fail), the filter's tapes, state, and in-flight messages
-// are saved first; recovery rewinds to that save point, so a failed attempt
-// leaves no trace.
-func (s *supervisor) fire(f *firing, rec *obs.Recorder) error {
-	n, name := f.n, f.n.Name
+// recovery policy; the engine contributes only how to save its tapes and
+// what a wedged kernel looks like on it (coreHost). When the policy may need
+// to roll the firing back (anything but Fail), the filter's tapes, state,
+// and the messages it sends are saved first; recovery rewinds to that save
+// point, so a failed attempt leaves no trace.
+func (s *supervisor) fire(c *core, rt *nodeRT) error {
+	n, name, rec := rt.node, rt.node.Name, c.rec
 	pol := s.pol.For(name)
 	rollback := pol.Action != faults.Fail
 	var restore func()
 	if rollback {
-		rewind := f.mark()
+		rewind := c.eng.save(rt)
 		var sent []int
-		if f.msgs != nil {
-			sent = f.msgs.mark()
+		if rt.msg != nil {
+			sent = c.msgs.mark()
 		}
 		var stateSave *wfunc.State
-		if *f.state != nil {
-			stateSave = (*f.state).Clone()
+		if rt.state != nil {
+			stateSave = rt.state.Clone()
 		}
 		restore = func() {
 			rewind()
-			if f.msgs != nil {
-				f.msgs.rewind(sent)
+			if rt.msg != nil {
+				c.msgs.rewind(sent)
 			}
 			if stateSave != nil {
-				f.setState(stateSave.Clone())
+				rt.setState(stateSave.Clone())
 			}
 		}
 	}
 	attempt := func(corrupt bool) (err error) {
 		defer func() {
 			if r := recover(); r != nil {
-				err = asExecError(name, f.fired, r)
+				if _, stop := r.(stopSignal); stop {
+					panic(r) // a dynamic tape unwinding a stopped run, not a fault
+				}
+				err = asExecError(name, rt.fired, r)
 			}
 		}()
-		return f.work(corrupt)
+		out := rt.out
+		if corrupt {
+			out = corruptOut(out)
+		}
+		return c.work(rt, out)
 	}
 	var err error
-	fault, injected := s.take(name, f.fired)
+	fault, injected := s.take(name, rt.fired)
 	if injected {
 		traceFault(rec, n.ID, name, fault.Kind.String())
 	}
 	switch {
 	case injected && fault.Kind == faults.Panic:
-		err = &ExecError{Filter: name, Op: "injected panic", Iteration: f.fired}
+		err = &ExecError{Filter: name, Op: "injected panic", Iteration: rt.fired}
 	case injected && fault.Kind == faults.Stall:
-		if f.park != nil && !rollback {
-			return f.park()
+		if !rollback {
+			if err := c.eng.park(rt); err != nil {
+				return err
+			}
 		}
-		// A recoverable policy turns the stall into a synchronous failure,
-		// so retry/skip/restart actually recover instead of wedging the
-		// filter until the watchdog aborts the run.
-		err = &ExecError{Filter: name, Op: "injected stall", Iteration: f.fired,
+		// A recoverable policy (or an engine that cannot park) turns the
+		// stall into a synchronous failure, so retry/skip/restart actually
+		// recover instead of wedging the filter until the watchdog aborts.
+		err = &ExecError{Filter: name, Op: "injected stall", Iteration: rt.fired,
 			Err: fmt.Errorf("stall reported synchronously under the %s policy", pol.Action)}
 	default:
 		err = attempt(injected && fault.Kind == faults.Corrupt)
@@ -418,7 +390,7 @@ func (s *supervisor) fire(f *firing, rec *obs.Recorder) error {
 		restore()
 		s.noteSkip(name)
 		traceRecovery(rec, n.ID, name, "skip")
-		skipFiring(n, f.in, f.out)
+		skipFiring(n, rt.in, rt.out)
 		return nil
 	case faults.Restart:
 		restore()
@@ -426,7 +398,7 @@ func (s *supervisor) fire(f *firing, rec *obs.Recorder) error {
 		if serr != nil {
 			return serr
 		}
-		f.setState(st)
+		rt.setState(st)
 		s.noteRestart(name)
 		traceRecovery(rec, n.ID, name, "restart")
 		if err = attempt(false); err != nil {

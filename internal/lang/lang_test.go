@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"os"
@@ -12,6 +13,8 @@ import (
 	"streamit/internal/ir"
 	"streamit/internal/linear"
 	"streamit/internal/sched"
+	"streamit/internal/wfunc"
+	"streamit/internal/wire"
 )
 
 func newDetRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
@@ -62,6 +65,33 @@ func TestParseErrorsHavePositions(t *testing.T) {
 	if err == nil {
 		t.Error("expected parse error for bad expression")
 	}
+}
+
+// fieldState reads a filter's field state out of the engine's checkpoint
+// image (the shipped view of a running program's state): the header, then
+// per node its firing count and state section, up to f's node.
+func fieldState(t *testing.T, e *exec.Engine, f *ir.Filter) *wfunc.State {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := e.WriteCheckpoint(&buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	r := wire.NewReader("checkpoint", buf.Bytes())
+	r.Raw(8)   // magic
+	r.U32()    // version
+	r.U64()    // fingerprint
+	r.I64()    // iteration
+	r.I64()    // firings
+	r.Count(9) // nodes
+	var st *wfunc.State
+	for id := 0; id <= e.G.FilterNode[f].ID; id++ {
+		r.I64() // fired
+		st = exec.ReadNodeState(r)
+	}
+	if err := r.Err(); err != nil || st == nil {
+		t.Fatalf("no field state for %s in the image (%v)", f.Kernel.Name, err)
+	}
+	return st
 }
 
 // elaborateAndRun compiles a testdata program and runs it, returning the
@@ -187,7 +217,7 @@ func TestTeleportProgram(t *testing.T) {
 	}
 	// The handler must have fired: the mixer's freq field should be 2.
 	mixer := prog.Portals[0].Receivers[0]
-	st := e.State(mixer)
+	st := fieldState(t, e, mixer)
 	// freq is the second scalar field (count, freq).
 	if st.Scalars[1] != 2 {
 		t.Errorf("mixer freq = %v, want 2 (handler never delivered?)", st.Scalars[1])
@@ -262,7 +292,7 @@ func TestOpAssignAndIncrement(t *testing.T) {
 	if counter == nil {
 		t.Fatal("counter not found")
 	}
-	if got := e.State(counter).Scalars[0]; got != 3 {
+	if got := fieldState(t, e, counter).Scalars[0]; got != 3 {
 		t.Errorf("counter state = %v, want 3", got)
 	}
 }
