@@ -48,7 +48,7 @@ type DynamicEngine struct {
 
 	// Per-run state: the watchdog's view, and the blocking tapes by edge ID
 	// with the signal that stops them.
-	progress int64
+	live     liveness
 	statuses []*nodeStatus
 	ins      []*dynIn
 	outs     []*dynOut
@@ -122,12 +122,12 @@ func (d *DynamicEngine) run(sinkItems int64, budget []int64) error {
 	var stopOnce sync.Once
 	stop := func() { stopOnce.Do(func() { close(d.done) }) }
 	atomic.StoreInt64(&d.popped, 0)
-	atomic.StoreInt64(&d.progress, 0)
+	d.live.progress.Store(0)
 	d.statuses = make([]*nodeStatus, len(d.G.Nodes))
 	for _, n := range d.G.Nodes {
-		d.statuses[n.ID] = newNodeStatus(n.Name)
+		d.statuses[n.ID] = &nodeStatus{name: n.Name, worker: -1, live: &d.live}
 	}
-	wd := newWatchdog("dynamic", d.Watchdog, &d.progress, d.statuses, stop)
+	wd := newWatchdog("dynamic", d.Watchdog, d.G, &d.live, d.statuses, nil, stop)
 
 	d.ins = make([]*dynIn, len(d.G.Edges))
 	d.outs = make([]*dynOut, len(d.G.Edges))
@@ -140,14 +140,14 @@ func (d *DynamicEngine) run(sinkItems int64, budget []int64) error {
 		for _, v := range e.Initial {
 			ch <- v
 		}
-		in := &dynIn{ch: ch, done: d.done, st: d.statuses[e.Dst.ID], progress: &d.progress,
-			edge: e.String(), srcID: e.Src.ID, prof: d.nodes[e.Dst.ID].pst}
+		in := &dynIn{ch: ch, done: d.done, st: d.statuses[e.Dst.ID], progress: &d.live.progress,
+			edge: e.ID, srcID: e.Src.ID, prof: d.nodes[e.Dst.ID].pst}
 		if e.Dst.IsSink() && budget == nil {
 			in.count, in.target, in.stop = &d.popped, sinkItems, stop
 		}
 		d.ins[e.ID] = in
-		d.outs[e.ID] = &dynOut{ch: ch, done: d.done, st: d.statuses[e.Src.ID], progress: &d.progress,
-			edge: e.String(), dstID: e.Dst.ID, prof: d.nodes[e.Src.ID].pst}
+		d.outs[e.ID] = &dynOut{ch: ch, done: d.done, st: d.statuses[e.Src.ID], progress: &d.live.progress,
+			edge: e.ID, dstID: e.Dst.ID, prof: d.nodes[e.Src.ID].pst}
 	}
 
 	var wg sync.WaitGroup
@@ -157,7 +157,7 @@ func (d *DynamicEngine) run(sinkItems int64, budget []int64) error {
 		wg.Add(1)
 		go func(rt *nodeRT) {
 			defer wg.Done()
-			defer d.statuses[rt.node.ID].set(stDone, "", 0, -1)
+			defer d.statuses[rt.node.ID].set(wsDone, -1, 0, -1)
 			defer func() {
 				if r := recover(); r != nil {
 					if _, isStop := r.(stopSignal); !isStop {
@@ -212,7 +212,7 @@ func (d *DynamicEngine) save(*nodeRT) func() { return func() {} }
 // hung kernel until the watchdog (or another node's completion) stops the
 // run, then unwinds.
 func (d *DynamicEngine) park(rt *nodeRT) error {
-	d.statuses[rt.node.ID].set(stStalled, "", 0, -1)
+	d.statuses[rt.node.ID].set(wsStalled, -1, 0, -1)
 	<-d.done
 	panic(stopSignal{})
 }
@@ -231,8 +231,8 @@ type dynIn struct {
 	// Watchdog instrumentation: wait state while blocked, progress on
 	// every item received.
 	st       *nodeStatus
-	progress *int64
-	edge     string
+	progress *atomic.Int64
+	edge     int
 	srcID    int
 	// prof accumulates stall time while blocked (nil unless profiling).
 	prof *obs.FilterStats
@@ -248,32 +248,17 @@ func (t *dynIn) fill(n int) {
 		select {
 		case v := <-t.ch:
 			t.buf = append(t.buf, v)
-			if t.progress != nil {
-				atomic.AddInt64(t.progress, 1)
-			}
+			t.progress.Add(1)
 			continue
 		default:
 		}
 		// Blocking path: record who we wait on for the watchdog.
-		if t.st != nil {
-			t.st.set(stWaitRecv, t.edge, len(t.buf)-t.head, t.srcID)
-		}
-		var t0 time.Time
-		if t.prof != nil {
-			t0 = time.Now()
-		}
+		t0 := t.st.block(wsWaitRecv, t.edge, len(t.buf)-t.head, t.srcID, t.prof)
 		select {
 		case v := <-t.ch:
 			t.buf = append(t.buf, v)
-			if t.progress != nil {
-				atomic.AddInt64(t.progress, 1)
-			}
-			if t.prof != nil {
-				t.prof.AddStall(time.Since(t0))
-			}
-			if t.st != nil {
-				t.st.set(stRunning, "", 0, -1)
-			}
+			t.progress.Add(1)
+			t.st.unblock(t.prof, t0)
 		case <-t.done:
 			panic(stopSignal{})
 		}
@@ -311,8 +296,8 @@ type dynOut struct {
 
 	// Watchdog instrumentation, as in dynIn.
 	st       *nodeStatus
-	progress *int64
-	edge     string
+	progress *atomic.Int64
+	edge     int
 	dstID    int
 	// prof accumulates stall time while blocked (nil unless profiling).
 	prof *obs.FilterStats
@@ -337,31 +322,16 @@ func (t *dynOut) Push(v float64) {
 	// Fast path: channel has room.
 	select {
 	case t.ch <- v:
-		if t.progress != nil {
-			atomic.AddInt64(t.progress, 1)
-		}
+		t.progress.Add(1)
 		return
 	default:
 	}
 	// Blocking path: record who we wait on for the watchdog.
-	if t.st != nil {
-		t.st.set(stWaitSend, t.edge, len(t.ch), t.dstID)
-	}
-	var t0 time.Time
-	if t.prof != nil {
-		t0 = time.Now()
-	}
+	t0 := t.st.block(wsWaitSend, t.edge, len(t.ch), t.dstID, t.prof)
 	select {
 	case t.ch <- v:
-		if t.progress != nil {
-			atomic.AddInt64(t.progress, 1)
-		}
-		if t.prof != nil {
-			t.prof.AddStall(time.Since(t0))
-		}
-		if t.st != nil {
-			t.st.set(stRunning, "", 0, -1)
-		}
+		t.progress.Add(1)
+		t.st.unblock(t.prof, t0)
 	case <-t.done:
 		panic(stopSignal{})
 	}

@@ -59,7 +59,7 @@ func asExecError(filter string, firing int64, r any) *ExecError {
 type FilterStatus struct {
 	Name     string
 	Worker   int           // mapped-engine worker/partition running the node (-1 elsewhere)
-	State    string        // "waiting recv", "waiting send", "in work", "stalled (injected)"
+	State    string        // "waiting recv", "waiting send", "stalled (injected)"
 	Edge     string        // "Src->Dst" tape name, when blocked on one
 	Buffered int           // items visible to the node on that tape
 	Blocked  time.Duration // how long it has been in this state

@@ -20,7 +20,7 @@ import (
 
 // nodeRT is one node's runtime record, the same under every engine. It
 // outlives epochs, re-plans and restores; only the mapped engine rebinds its
-// runner and tapes, once per worker topology.
+// tapes, once per worker topology.
 type nodeRT struct {
 	node   *ir.Node
 	state  *wfunc.State

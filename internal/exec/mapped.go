@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
@@ -27,6 +28,11 @@ import (
 // cost scales with the partition count, not the filter count. Results are
 // bit-identical to the sequential Engine.
 //
+// An engine is built once and run many times: construction builds the
+// worker topology, the first Run, Prepare or drive compiles every kernel
+// once, and the first Run or Prepare runs the init schedule and keeps its
+// outcome as the post-init prototype every later Run resets to in place.
+//
 // One run loop (mapped_swp.go) executes every plan, parameterised by a
 // stage map. A node at stage level l fires logical iteration
 // t-l*StageBatch at macro-cycle t, and cross-worker transfers flush once
@@ -40,19 +46,21 @@ import (
 // and every cross-worker edge carries one iteration's items per batch. It
 // has no clusters to host feedback or messaging, so it rejects both.
 //
-// Fault tolerance: steady state runs in epochs. At every epoch boundary
-// all workers have completed the same cycle count and every cross-worker
-// channel has been drained (flush and receive schedules match). On a
-// zero-skew plan the engine state at that barrier — filter states, firing
-// counts, and consumer-queue residue — is bit-identical to a sequential
-// engine's at the same iteration; on a skewed plan that holds at segment
-// boundaries, and a barrier in between carries an SWPS trailer recording
-// the skew plus any unflushed staging residue. That barrier is where
-// coordinated checkpoints are taken (WriteCheckpoint, sharing the
-// sequential engine's image format) and where worker-crash recovery rolls
-// back to: an injected crash (faults "crash:workerN@iter") unwinds the
-// epoch, the planner (Options.Replan) re-packs the graph onto the surviving
-// workers, and the engine restores the last checkpoint there and resumes.
+// Fault tolerance: steady state runs in epochs, each a release of the
+// drive's workers and a rendezvous at a barrier where all of them have
+// completed the same cycle count and every cross-worker channel has been
+// drained (flush and receive schedules match). On a zero-skew plan the
+// engine state at that barrier — filter states, firing counts, and
+// consumer-queue residue — is bit-identical to a sequential engine's at
+// the same iteration; on a skewed plan that holds at segment boundaries,
+// and a barrier in between carries an SWPS trailer recording the skew plus
+// any unflushed staging residue. That barrier is where coordinated
+// checkpoints are taken (WriteCheckpoint, sharing the sequential engine's
+// image format) and where worker-crash recovery rolls back to: an injected
+// crash (faults "crash:workerN@iter") unwinds the epoch, the planner
+// (Options.Replan) re-packs the graph onto the surviving workers, and the
+// engine restores the last checkpoint there and resumes with a new worker
+// set.
 //
 // Deadlock-freedom: every worker visits its nodes in a common linear
 // extension of the dataflow order, and a batch is received where its edge
@@ -113,16 +121,22 @@ type MappedEngine struct {
 	remoteIn  []bool
 	remoteOut []bool
 
+	// shared compiles the work runners and stamps the init transient's
+	// scratch engine; construction and a restore leave it nil (compile
+	// nothing). proto is what every Run resets to.
+	shared *Shared
+	proto  *mappedProto
+
 	order [][]*ir.Node // per-worker node lists in topological order
 	// plans is each worker's schedule over the current topology
-	// (mapped_swp.go): built by the first epoch after buildTopology, dropped
-	// with the runners it bound when a drive returns, so an idle engine
-	// does not pin its work runners.
+	// (mapped_swp.go), built by its first drive with spent, the channel a
+	// cross-worker edge's batches return to its producer on.
 	plans []*workerPlan
+	spent []chan []float64
 
-	// Steady-state topology, rebuilt by setup and by crash recovery:
+	// Steady-state topology, built at construction and by every re-plan:
 	// per-edge consumer queues, and for cross-worker edges a producer
-	// staging queue plus the batch channel.
+	// staging queue and the batch channel.
 	queues []*SliceQueue
 	stage  []*SliceQueue
 	chans  []chan []float64
@@ -130,19 +144,35 @@ type MappedEngine struct {
 	// Checkpoint bookkeeping: ready marks a completed setup or restore,
 	// iter counts completed steady iterations, initFired/initPushed are
 	// the schedule-derived post-initialization counters the image's edge
-	// counters are reconstructed from, lastImg is the rollback target.
+	// counters are reconstructed from, lastImg is the rollback target (empty
+	// for none). Every barrier image reuses lastImg's buffer, img and imgSWP.
 	ready      bool
 	iter       int64
 	initFired  []int64
 	initPushed []int64
 	lastImg    []byte
+	img        ckptImage
+	imgSWP     ckptSWP
 	// fp is the graph fingerprint every image is written and checked under.
 	fp uint64
 
-	// Per-epoch supervision state.
+	// Drive supervision: the worker set (nil between drives), the signal that
+	// aborts it, and what its watchdog reads.
+	crew     *crew
 	stopCh   chan struct{}
-	progress int64
+	live     liveness
 	statuses []*nodeStatus
+}
+
+// mappedProto is the post-init prototype: the init schedule's edge residue
+// and pending messages, the field state of every filter whose work can
+// change it (no other field is written after init), and the init phase's
+// profile counts, replayed into every later Run's.
+type mappedProto struct {
+	items   [][]float64         // by edge ID
+	pending [][]*message        // by node ID
+	states  []*wfunc.State      // by node ID; nil for stateless nodes
+	profile []obs.FilterProfile // by node ID; nil unless profiling
 }
 
 // errStopped unwinds a worker goroutine after the run was aborted (watchdog
@@ -220,6 +250,7 @@ func NewMappedOpts(g *ir.Graph, s *sched.Schedule, assign []int, workers int, op
 
 	me.initFired, me.initPushed = initCounts(g, s)
 	me.nodes = make([]*nodeRT, len(g.Nodes))
+	me.statuses = make([]*nodeStatus, len(g.Nodes))
 	for _, n := range g.Nodes {
 		rt := &nodeRT{node: n}
 		if n.Kind == ir.NodeFilter {
@@ -234,6 +265,7 @@ func NewMappedOpts(g *ir.Graph, s *sched.Schedule, assign []int, workers int, op
 			rt.pst = me.prof.At(n.ID)
 		}
 		me.nodes[n.ID] = rt
+		me.statuses[n.ID] = &nodeStatus{name: n.Name, live: &me.live}
 	}
 	if err := me.buildTopology(); err != nil {
 		return nil, err
@@ -254,10 +286,10 @@ func (c *workerCrash) Error() string {
 	return fmt.Sprintf("exec: worker %d crashed at iteration %d", c.worker, c.iter)
 }
 
-// Run executes the initialization phase sequentially and then iters
-// steady-state iterations across the worker set. Every call re-runs
-// initialization from scratch (restarting the stream); use
-// RunFromCheckpoint to resume a prior position instead.
+// Run executes the initialization phase and then iters steady-state
+// iterations across the worker set. Every call restarts the stream: it
+// resets the engine to the post-init prototype; use RunFromCheckpoint to
+// resume a prior position instead.
 func (me *MappedEngine) Run(iters int) error {
 	if err := me.setup(); err != nil {
 		return err
@@ -265,76 +297,149 @@ func (me *MappedEngine) Run(iters int) error {
 	return me.runTo(int64(iters))
 }
 
-// initEngine builds the scratch sequential engine that runs the init
-// schedule, on the mapped engine's own backend.
-func (me *MappedEngine) initEngine() (*Engine, error) {
-	return NewFromGraphBackend(me.G, me.Sch, me.Backend)
-}
-
-// setup re-initializes the engine: initialization (a transient) runs on a
-// scratch sequential engine sharing our node states, profiler and trace
-// recorder, the steady topology is rebuilt, and the consumer queues are
-// seeded with the init residue (peek margins, feedback delays).
-func (me *MappedEngine) setup() error {
-	seq, err := me.initEngine()
+// compile builds the engine's Shared and every IL filter's work runner from
+// its programs, once: resets and restores rewrite the states they hold.
+func (me *MappedEngine) compile() error {
+	if me.shared != nil {
+		return nil
+	}
+	sh, err := NewShared(me.G, me.Sch, me.Backend)
 	if err != nil {
 		return err
 	}
-	for _, n := range me.G.Nodes {
-		me.nodes[n.ID].state = seq.nodes[n.ID].state
-	}
-	seq.adoptObs(me.prof, me.rec)
-	if err := seq.RunInit(); err != nil {
-		return err
-	}
-	for _, n := range me.G.Nodes {
-		rt := me.nodes[n.ID]
-		rt.fired = seq.nodes[n.ID].fired
-		if rt.fired != me.initFired[n.ID] {
-			return fmt.Errorf("exec: internal: %s fired %d times during init, schedule says %d", n.Name, rt.fired, me.initFired[n.ID])
+	for _, rt := range me.nodes {
+		if n := rt.node; n.Kind == ir.NodeFilter && n.Filter.WorkFn == nil {
+			rt.runner = newWorkRunnerCompiled(n.Filter.Kernel, rt.state, sh.progs[n.ID])
 		}
 	}
-	if err := me.buildTopology(); err != nil {
+	me.shared = sh
+	return nil
+}
+
+// setup resets the engine to the post-init prototype in the queues and
+// states it already has, at a fresh segment at iteration 0.
+func (me *MappedEngine) setup() error {
+	if err := me.compile(); err != nil {
 		return err
+	}
+	if me.proto == nil {
+		if err := me.capture(); err != nil {
+			return err
+		}
+	} else if p := me.proto.profile; p != nil {
+		for id, d := range p {
+			st := me.prof.At(id)
+			for k := d.Firings; k > 0; k-- {
+				st.AddFiring()
+			}
+			st.AddPushes(d.Pushed)
+			st.AddPops(d.Popped)
+			st.AddPeeks(d.Peeked)
+		}
+	}
+	p := me.proto
+	for id, st := range p.states {
+		if st != nil {
+			copyState(me.nodes[id].state, st)
+		}
+	}
+	for id, rt := range me.nodes {
+		rt.fired = me.initFired[id]
 	}
 	for _, e := range me.G.Edges {
-		ch := seq.chans[e.ID]
-		buf := make([]float64, ch.Len())
-		for i := range buf {
-			buf[i] = ch.Pop()
-		}
 		q := me.queues[e.ID]
-		q.buf, q.head = buf, 0
+		q.buf, q.head = append(q.buf[:0], p.items[e.ID]...), 0
+		if st := me.stage[e.ID]; st != nil {
+			st.buf, st.head = st.buf[:0], 0
+		}
+		me.drain(e)
 	}
-	// Initialization may leave teleport messages in flight; adopt them from
-	// the scratch engine, zero the mid-firing progress counters, and open a
-	// fresh segment at iteration 0.
 	sw := me.swp
 	for i := range sw.pending {
-		sw.pending[i] = append([]*message(nil), seq.pending[i]...)
+		sw.pending[i] = append(sw.pending[i][:0], p.pending[i]...)
 	}
-	for i := range sw.partial {
-		sw.partial[i] = 0
-	}
+	clear(sw.partial)
 	sw.base, sw.segIters = 0, 0
 	me.iter = 0
-	me.lastImg = nil
+	me.lastImg = me.lastImg[:0]
 	me.ready = true
 	return nil
 }
 
-// buildTopology derives the per-worker node lists, edge queues, and
-// status table from the current Workers/Assign (initially and again after
-// crash recovery shrinks the worker set).
+// capture runs the init schedule on a scratch engine stamped from the
+// Shared and sharing the engine's profiler and recorder, installs its
+// field states and keeps the prototype.
+func (me *MappedEngine) capture() error {
+	seq, err := me.shared.NewEngine(Options{})
+	if err != nil {
+		return err
+	}
+	seq.adoptObs(me.prof, me.rec)
+	var before []obs.FilterProfile
+	if me.prof != nil {
+		before = me.prof.Snapshot()
+	}
+	if err := seq.RunInit(); err != nil {
+		return err
+	}
+	p := &mappedProto{items: make([][]float64, len(me.G.Edges)), states: make([]*wfunc.State, len(me.G.Nodes))}
+	for _, n := range me.G.Nodes {
+		rt := seq.nodes[n.ID]
+		if rt.fired != me.initFired[n.ID] {
+			return fmt.Errorf("exec: internal: %s fired %d times during init, schedule says %d", n.Name, rt.fired, me.initFired[n.ID])
+		}
+		if rt.state == nil {
+			continue
+		}
+		copyState(me.nodes[n.ID].state, rt.state)
+		if n.Filter.WorkFn != nil || n.IsStateful() {
+			p.states[n.ID] = rt.state
+		}
+	}
+	for _, e := range me.G.Edges {
+		ch := seq.chans[e.ID]
+		p.items[e.ID] = make([]float64, ch.Len())
+		for i := range p.items[e.ID] {
+			p.items[e.ID][i] = ch.Peek(i)
+		}
+	}
+	p.pending = seq.pending
+	if me.prof != nil {
+		// Snapshots are sorted by name, and node names are unique.
+		id := map[string]int{}
+		for _, n := range me.G.Nodes {
+			id[n.Name] = n.ID
+		}
+		p.profile = make([]obs.FilterProfile, len(me.G.Nodes))
+		for i, a := range me.prof.Snapshot() {
+			b := before[i]
+			p.profile[id[a.Name]] = obs.FilterProfile{Firings: a.Firings - b.Firings,
+				Pushed: a.Pushed - b.Pushed, Popped: a.Popped - b.Popped, Peeked: a.Peeked - b.Peeked}
+		}
+	}
+	me.proto = p
+	return nil
+}
+
+// copyState overwrites dst's fields with src's in place.
+func copyState(dst, src *wfunc.State) {
+	copy(dst.Scalars, src.Scalars)
+	for i, a := range src.Arrays {
+		copy(dst.Arrays[i], a)
+	}
+}
+
+// buildTopology derives the per-worker node lists and edge queues from the
+// current Workers/Assign, at construction and re-plans.
 func (me *MappedEngine) buildTopology() error {
 	topo, err := me.G.TopoOrder()
 	if err != nil {
 		return err
 	}
-	me.plans = nil
 	me.order = make([][]*ir.Node, me.Workers)
 	for _, n := range topo {
 		w := me.Assign[n.ID]
+		me.statuses[n.ID].worker = w
 		if !me.localWorker(w) {
 			continue
 		}
@@ -369,13 +474,24 @@ func (me *MappedEngine) buildTopology() error {
 			me.remoteIn[e.ID] = true
 		}
 	}
-	me.statuses = make([]*nodeStatus, len(me.G.Nodes))
-	for _, n := range me.G.Nodes {
-		st := newNodeStatus(n.Name)
-		st.worker = me.Assign[n.ID]
-		me.statuses[n.ID] = st
-	}
+	me.plans = nil
 	return nil
+}
+
+// drain recycles the batches an aborted epoch left in e's channel.
+func (me *MappedEngine) drain(e *ir.Edge) {
+	for ch := me.chans[e.ID]; len(ch) > 0; {
+		me.recycle(e, <-ch)
+	}
+}
+
+// recycle hands a spent batch back to e's producer (a shard-boundary edge
+// has none; the batch is dropped).
+func (me *MappedEngine) recycle(e *ir.Edge, batch []float64) {
+	select {
+	case me.spent[e.ID] <- batch:
+	default:
+	}
 }
 
 // runTo runs from the current barrier to logical iteration total: the rest
@@ -399,7 +515,6 @@ func (me *MappedEngine) runTo(total int64) error {
 // driveTo runs epochs until the cycle position me.iter reaches end, rolling
 // back to the last coordinated checkpoint on injected worker crashes.
 func (me *MappedEngine) driveTo(end int64) error {
-	defer me.unplan()
 	every := me.CheckpointEvery
 	if every <= 0 && me.sup.hasWorkerFaults() {
 		// Crash recovery needs a rollback target; default to the finest
@@ -420,14 +535,20 @@ func (me *MappedEngine) driveTo(end int64) error {
 			return err
 		}
 	}
+	defer me.stopCrew()
 	for me.iter < end {
+		if me.crew == nil {
+			if err := me.startCrew(); err != nil {
+				return err
+			}
+		}
 		n := int(end - me.iter)
 		if every > 0 && n > every {
 			n = every
 		}
-		if err := me.runEpoch(n); err != nil {
+		if err := me.epoch(n); err != nil {
 			var wc *workerCrash
-			if errors.As(err, &wc) && me.lastImg != nil {
+			if errors.As(err, &wc) && len(me.lastImg) > 0 {
 				if rerr := me.recoverFromCrash(wc); rerr != nil {
 					return rerr
 				}
@@ -465,72 +586,111 @@ func (me *MappedEngine) snapshot() error {
 	return nil
 }
 
-// runEpoch runs iters steady iterations across the worker set and waits
-// for the barrier. On return without error every channel is drained and
-// the engine state is at a consistent iteration boundary.
-func (me *MappedEngine) runEpoch(iters int) error {
+// crew is the worker goroutines of one drive over one topology.
+type crew struct {
+	release []chan int // per worker: the next epoch's cycles; nil for a worker with nothing to run
+	arrive  chan error // one result per started worker per epoch
+	started int
+	parked  []atomic.Bool // per worker: waiting at the barrier
+	wd      *watchdog
+	wg      sync.WaitGroup
+	// abort closes stop, the engine's stopCh while the crew runs: every
+	// blocked transfer and parked filter unwinds.
+	stop  chan struct{}
+	abort func()
+}
+
+// startCrew starts the current topology's workers and their watchdog: the
+// one place a worker starts. A worker waits at the barrier, runs each
+// epoch it is released for and reports back, until the drive ends.
+func (me *MappedEngine) startCrew() error {
+	if err := me.compile(); err != nil {
+		return err
+	}
 	if me.plans == nil {
 		me.planWorkers()
 	}
-	me.stopCh = make(chan struct{})
-	var stopOnce sync.Once
-	stopAll := func() { stopOnce.Do(func() { close(me.stopCh) }) }
-	atomic.StoreInt64(&me.progress, 0)
+	c := &crew{release: make([]chan int, me.Workers), arrive: make(chan error, me.Workers),
+		parked: make([]atomic.Bool, me.Workers), stop: make(chan struct{})}
+	c.abort = sync.OnceFunc(func() { close(c.stop) })
+	me.stopCh = c.stop
 	for _, st := range me.statuses {
-		st.set(stRunning, "", 0, -1)
+		st.set(wsRunning, -1, 0, -1)
 	}
-	wd := newWatchdog("mapped", me.Watchdog, &me.progress, me.statuses, stopAll)
-
 	// Worker trace lanes sit above the node and schedule lanes.
 	laneBase := len(me.G.Nodes) + 1
-	if me.rec != nil {
-		for w := 0; w < me.Workers; w++ {
-			if len(me.order[w]) > 0 {
-				me.rec.Lane(laneBase+w, fmt.Sprintf("worker %d (%d nodes)", w, len(me.order[w])))
-			}
-		}
-	}
-
-	var wg sync.WaitGroup
-	errs := make(chan error, me.Workers)
-	for w := 0; w < me.Workers; w++ {
-		if len(me.order[w]) == 0 {
+	for w, nodes := range me.order {
+		c.parked[w].Store(true)
+		if len(nodes) == 0 {
 			continue
 		}
-		wg.Add(1)
+		if me.rec != nil {
+			me.rec.Lane(laneBase+w, fmt.Sprintf("worker %d (%d nodes)", w, len(nodes)))
+		}
+		c.release[w] = make(chan int, 1)
+		c.started++
+		c.wg.Add(1)
 		go func(w int) {
-			defer wg.Done()
-			if err := me.runWorker(w, laneBase+w, iters); err != nil {
-				if err != errStopped {
-					errs <- err
+			defer c.wg.Done()
+			for cycles := range c.release[w] {
+				err := me.runWorker(w, laneBase+w, cycles)
+				if err != nil {
+					c.abort()
 				}
-				stopAll()
+				c.parked[w].Store(true)
+				c.arrive <- err
 			}
 		}(w)
 	}
-	wg.Wait()
-	if derr := wd.finish(); derr != nil {
+	c.wd = newWatchdog("mapped", me.Watchdog, me.G, &me.live, me.statuses, c.parked, c.abort)
+	me.crew = c
+	return nil
+}
+
+// stopCrew ends the worker set, waiting at the barrier, and its watchdog.
+func (me *MappedEngine) stopCrew() {
+	c := me.crew
+	if c == nil {
+		return
+	}
+	for _, r := range c.release {
+		if r != nil {
+			close(r)
+		}
+	}
+	c.wg.Wait()
+	c.wd.finish()
+	me.crew = nil
+}
+
+// epoch runs cycles macro-cycles across the worker set and waits for the
+// barrier. On return without error every channel is drained and the engine
+// state is at a consistent iteration boundary.
+func (me *MappedEngine) epoch(cycles int) error {
+	c := me.crew
+	for w, r := range c.release {
+		if r != nil {
+			c.parked[w].Store(false)
+			r <- cycles
+		}
+	}
+	// A crash is recoverable; any other failure wins over it.
+	var crash, failed error
+	for i := 0; i < c.started; i++ {
+		switch err := <-c.arrive; {
+		case err == nil || err == errStopped:
+		case errors.As(err, new(*workerCrash)):
+			if crash == nil {
+				crash = err
+			}
+		case failed == nil:
+			failed = err
+		}
+	}
+	if derr := c.wd.verdict(); derr != nil {
 		return derr
 	}
-	close(errs)
-	// A crash is recoverable; any other failure wins over it.
-	var crash *workerCrash
-	for err := range errs {
-		var wc *workerCrash
-		if errors.As(err, &wc) {
-			if crash == nil {
-				crash = wc
-			}
-			continue
-		}
-		if err != nil {
-			return err
-		}
-	}
-	if crash != nil {
-		return crash
-	}
-	return nil
+	return cmp.Or(failed, crash)
 }
 
 // recoverFromCrash degrades the engine onto the surviving workers: count
@@ -569,9 +729,10 @@ func (me *MappedEngine) planOnto(workers int, workNS []int64) ([]int, error) {
 	return assign, nil
 }
 
-// adopt moves the engine onto a re-planned assignment: rebuild the worker
-// topology and restore the last barrier image onto it.
+// adopt moves the engine onto a re-planned assignment: stop the worker set,
+// rebuild the worker topology, and restore the last barrier image onto it.
 func (me *MappedEngine) adopt(workers int, assign []int) error {
+	me.stopCrew()
 	me.Workers, me.Assign = workers, assign
 	if err := me.buildTopology(); err != nil {
 		return err
@@ -613,7 +774,7 @@ func (me *MappedEngine) workerFault(w, lane int, iter int64, wf faults.WorkerFau
 		panic(&workerCrash{worker: w, iter: iter})
 	case faults.Stall:
 		for _, n := range me.order[w] {
-			me.statuses[n.ID].set(stStalled, "", 0, -1)
+			me.statuses[n.ID].set(wsStalled, -1, 0, -1)
 		}
 		<-me.stopCh
 		return errStopped
@@ -624,36 +785,19 @@ func (me *MappedEngine) workerFault(w, lane int, iter int64, wf faults.WorkerFau
 	return nil
 }
 
-// bindNode gives a node its work runner and its tapes over the current
-// topology's queues.
+// bindNode points a filter's tapes at the current topology's queues.
 func (me *MappedEngine) bindNode(rt *nodeRT) {
-	n := rt.node
-	if n.Kind != ir.NodeFilter {
-		return
-	}
-	if n.Filter.WorkFn == nil {
-		rt.runner = newWorkRunner(n.Filter.Kernel, rt.state, me.Backend)
-	}
 	rt.bind(me)
 	if rt.msg != nil {
 		// Message sends compute sdep windows from live progress counters;
 		// partialTape counts the progress tape's movement inside the
 		// current firing so mid-firing sends see the sequential engine's
 		// exact counter values.
-		if n.OutEdge() != nil {
+		if rt.node.OutEdge() != nil {
 			rt.out = &partialTape{inner: rt.out, count: rt.msg.partial}
 		} else if rt.in != nil {
 			rt.in = &partialTape{inner: rt.in, count: rt.msg.partial, pops: true}
 		}
-	}
-}
-
-// unplan drops the worker plans and the runners and tapes they bound into
-// the node records.
-func (me *MappedEngine) unplan() {
-	me.plans = nil
-	for _, rt := range me.nodes {
-		rt.runner, rt.in, rt.out = nil, nil, nil
 	}
 }
 
@@ -665,20 +809,16 @@ func (me *MappedEngine) recvBatch(e *ir.Edge, queued int) ([]float64, error) {
 	ch := me.chans[e.ID]
 	select {
 	case batch := <-ch:
-		atomic.AddInt64(&me.progress, 1)
+		me.live.progress.Add(1)
 		return batch, nil
 	default:
 	}
-	st := me.statuses[e.Dst.ID]
-	st.set(stWaitRecv, e.String(), queued, e.Src.ID)
-	defer st.set(stRunning, "", 0, -1)
-	if me.prof != nil {
-		t0 := time.Now()
-		defer func() { me.prof.At(e.Dst.ID).AddStall(time.Since(t0)) }()
-	}
+	st, prof := me.statuses[e.Dst.ID], me.nodes[e.Dst.ID].pst
+	t0 := st.block(wsWaitRecv, e.ID, queued, e.Src.ID, prof)
+	defer st.unblock(prof, t0)
 	select {
 	case batch := <-ch:
-		atomic.AddInt64(&me.progress, 1)
+		me.live.progress.Add(1)
 		return batch, nil
 	case <-me.stopCh:
 		return nil, errStopped
@@ -691,20 +831,16 @@ func (me *MappedEngine) sendBatch(e *ir.Edge, batch []float64) error {
 	ch := me.chans[e.ID]
 	select {
 	case ch <- batch:
-		atomic.AddInt64(&me.progress, 1)
+		me.live.progress.Add(1)
 		return nil
 	default:
 	}
-	st := me.statuses[e.Src.ID]
-	st.set(stWaitSend, e.String(), len(batch), e.Dst.ID)
-	defer st.set(stRunning, "", 0, -1)
-	if me.prof != nil {
-		t0 := time.Now()
-		defer func() { me.prof.At(e.Src.ID).AddStall(time.Since(t0)) }()
-	}
+	st, prof := me.statuses[e.Src.ID], me.nodes[e.Src.ID].pst
+	t0 := st.block(wsWaitSend, e.ID, len(batch), e.Dst.ID, prof)
+	defer st.unblock(prof, t0)
 	select {
 	case ch <- batch:
-		atomic.AddInt64(&me.progress, 1)
+		me.live.progress.Add(1)
 		return nil
 	case <-me.stopCh:
 		return errStopped
@@ -755,7 +891,7 @@ func (me *MappedEngine) save(rt *nodeRT) func() {
 // park implements coreHost: the stalled filter's worker blocks until the
 // watchdog aborts the run.
 func (me *MappedEngine) park(rt *nodeRT) error {
-	me.statuses[rt.node.ID].set(stStalled, "", 0, -1)
+	me.statuses[rt.node.ID].set(wsStalled, -1, 0, -1)
 	<-me.stopCh
 	return errStopped
 }

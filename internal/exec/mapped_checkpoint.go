@@ -68,22 +68,17 @@ func (me *MappedEngine) edgeContent(e *ir.Edge) (queued, staged []float64) {
 	return q.buf[q.head:], staged
 }
 
-// edgeItems copies an edge's buffered content at a barrier.
-func (me *MappedEngine) edgeItems(e *ir.Edge) []float64 {
-	queued, staged := me.edgeContent(e)
-	return append(append(make([]float64, 0, len(queued)+len(staged)), queued...), staged...)
-}
-
-// image captures the engine-neutral checkpoint at the current barrier. Its
-// edges lend the engine's queues: encode it before the engine runs again.
+// image captures the engine-neutral checkpoint at the current barrier, in
+// storage the engine reuses. It lends the engine's queues, states, stage
+// levels and pending messages: encode it before the engine runs again.
 func (me *MappedEngine) image(iteration int64) *ckptImage {
-	sw := me.swp
-	img := &ckptImage{
-		iteration: iteration,
-		nodes:     make([]ckptNode, len(me.nodes)),
-		edges:     make([]ckptEdge, len(me.G.Edges)),
-		pending:   make([][]*message, len(me.nodes)),
+	sw, img := me.swp, &me.img
+	if img.nodes == nil {
+		img.nodes = make([]ckptNode, len(me.nodes))
+		img.edges = make([]ckptEdge, len(me.G.Edges))
+		img.pending = make([][]*message, len(me.nodes))
 	}
+	img.iteration, img.firings, img.swp = iteration, 0, nil
 	if sw.maxStage() > 0 {
 		// Only a skewed plan has barriers that are not uniform: it records
 		// the iterations every stage has retired, and between segment
@@ -91,8 +86,9 @@ func (me *MappedEngine) image(iteration int64) *ckptImage {
 		// they stay interchangeable with the sequential engine.
 		img.iteration = sw.base + sw.completed(me.iter)
 		if me.iter > 0 && me.iter < sw.segIters+sw.maxStage() {
-			img.swp = &ckptSWP{base: sw.base, segIters: sw.segIters, cycles: me.iter,
-				batch: int(sw.batch), levels: append([]int(nil), sw.levels...)}
+			me.imgSWP = ckptSWP{base: sw.base, segIters: sw.segIters, cycles: me.iter,
+				batch: int(sw.batch), levels: sw.levels}
+			img.swp = &me.imgSWP
 		}
 	}
 	for i, rt := range me.nodes {
@@ -106,9 +102,7 @@ func (me *MappedEngine) image(iteration int64) *ckptImage {
 		img.edges[e.ID] = ckptEdge{pushed: pushed, popped: pushed - int64(len(queued)+len(staged)),
 			items: queued, more: staged}
 	}
-	for i := range sw.pending {
-		img.pending[i] = append([]*message(nil), sw.pending[i]...)
-	}
+	copy(img.pending, sw.pending)
 	return img
 }
 
@@ -148,14 +142,14 @@ func (me *MappedEngine) checkpoint(dst []byte, iteration int64) ([]byte, error) 
 // engine's state is unspecified and it must not be run.
 func (me *MappedEngine) RestoreCheckpoint(data []byte) (int64, error) {
 	// The constructor already initialized states and topology, and the image
-	// supersedes initialization effects.
+	// supersedes initialization effects: a restore compiles nothing.
 	me.ready = true
 	if err := me.applyImage(data); err != nil {
 		return 0, err
 	}
 	// Like setup, a restore leaves no rollback target: a drive that needs
 	// one takes its own snapshot before its first epoch.
-	me.lastImg = nil
+	me.lastImg = me.lastImg[:0]
 	return me.swp.base + me.swp.completed(me.iter), nil
 }
 
@@ -245,11 +239,7 @@ func (me *MappedEngine) applyImage(data []byte) error {
 			st.buf = append(st.buf[:0], ie.items[split:]...)
 			st.head = 0
 		}
-		if ch := me.chans[e.ID]; ch != nil {
-			for len(ch) > 0 {
-				<-ch
-			}
-		}
+		me.drain(e)
 	}
 	for i := range sw.pending {
 		sw.pending[i] = append([]*message(nil), img.pending[i]...)

@@ -231,29 +231,36 @@ func runMappedConformance(t *testing.T, app apps.App, strat partition.Strategy, 
 	}
 }
 
-// TestMappedInitEngineRunsOnSelectedBackend: the scratch engine that runs a
-// mapped engine's init schedule (the firings that fill the peek windows)
-// uses the mapped engine's backend, so -backend interp -map … runs the
-// reference interpreter from the first firing on.
+// TestMappedInitEngineRunsOnSelectedBackend: the engine's Shared — which
+// the scratch engine running the init schedule (the firings that fill the
+// peek windows) is stamped from, and which the steady state's work runners
+// are built from — uses the mapped engine's backend, so -backend interp
+// -map … runs the reference interpreter from the first firing on.
 func TestMappedInitEngineRunsOnSelectedBackend(t *testing.T) {
 	mb := buildMapped(t, func() *ir.Program { return apps.FMRadio(2, 8) }, partition.StratCoarseData)
 	for _, backend := range []Backend{BackendVM, BackendInterp} {
-		seq, err := mb.engine(t, Options{Backend: backend}).initEngine()
+		me := mb.engine(t, Options{Backend: backend})
+		if err := me.compile(); err != nil {
+			t.Fatal(err)
+		}
+		seq, err := me.shared.NewEngine(Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		kernels := 0
-		for _, rt := range seq.nodes {
-			if rt.runner == nil || rt.node.Filter.WorkFn != nil {
-				continue
-			}
-			kernels++
-			if onVM := rt.runner.mach != nil; onVM != (backend == BackendVM) {
-				t.Fatalf("%s: init engine runs %s on the VM = %v", backend, rt.node.Name, onVM)
+		for _, nodes := range [][]*nodeRT{seq.nodes, me.nodes} {
+			for _, rt := range nodes {
+				if rt.runner == nil || rt.node.Filter.WorkFn != nil {
+					continue
+				}
+				kernels++
+				if onVM := rt.runner.mach != nil; onVM != (backend == BackendVM) {
+					t.Fatalf("%s: %s runs on the VM = %v", backend, rt.node.Name, onVM)
+				}
 			}
 		}
 		if kernels == 0 {
-			t.Fatalf("%s: init engine has no IL kernels to check", backend)
+			t.Fatalf("%s: no IL kernels to check", backend)
 		}
 	}
 }

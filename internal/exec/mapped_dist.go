@@ -12,7 +12,7 @@ import (
 // This file is the mapped engine's shard face: the pieces internal/dist
 // composes into a distributed run. A shard is a full MappedEngine over the
 // whole rewritten graph whose Options.LocalWorkers mask names the workers
-// this process executes; initialization replays locally (it is
+// this process executes; initialization runs locally (it is
 // deterministic and cheap), steady state fires only the local partitions,
 // and edges crossing the shard boundary move their per-iteration batches
 // through RemoteHooks instead of in-memory channels. At every epoch
@@ -42,10 +42,10 @@ func (me *MappedEngine) localWorker(w int) bool {
 	return me.local == nil || me.local[w]
 }
 
-// Prepare replays initialization and (re)builds the steady-state topology
-// without running any steady iterations — the distributed shard's setup
-// step, after which RestoreCheckpoint or StepEpoch may be called. It is
-// Run's setup phase exposed on its own.
+// Prepare resets the engine to the post-init prototype (running the init
+// schedule only the first time) without running any steady iterations —
+// the distributed shard's setup step, after which RestoreCheckpoint or
+// StepEpoch may be called. It is Run's reset exposed on its own.
 func (me *MappedEngine) Prepare() error { return me.setup() }
 
 // Iteration returns the engine's cycle position: the number of completed
@@ -54,10 +54,11 @@ func (me *MappedEngine) Iteration() int64 { return me.iter }
 
 // StepEpoch runs iters cycles (steady iterations of a zero-skew plan,
 // whose open segment grows to cover them) across the local workers and
-// waits for the barrier — one distributed epoch. Unlike Run it takes no
-// checkpoints and performs no crash recovery (the distributed coordinator
-// owns both); on error the engine's state is unspecified and the shard
-// must discard it. The engine must be Prepared or restored first.
+// waits for the barrier: one distributed epoch, and a drive of one epoch.
+// A shard's engine takes no checkpoints and performs no crash recovery
+// (the distributed coordinator owns both); on error the engine's state is
+// unspecified and the shard must discard it. The engine must be Prepared
+// or restored first.
 func (me *MappedEngine) StepEpoch(iters int) error {
 	if !me.ready {
 		return fmt.Errorf("exec: engine not prepared; call Prepare or RestoreCheckpoint first")
@@ -65,12 +66,9 @@ func (me *MappedEngine) StepEpoch(iters int) error {
 	if iters <= 0 {
 		return fmt.Errorf("exec: epoch of %d iterations", iters)
 	}
-	me.swp.reach(me.iter + int64(iters))
-	if err := me.runEpoch(iters); err != nil {
-		return err
-	}
-	me.iter += int64(iters)
-	return nil
+	end := me.iter + int64(iters)
+	me.swp.reach(end)
+	return me.driveTo(end)
 }
 
 // ShardNodeState is one locally-owned node's share of a barrier image:
@@ -122,7 +120,9 @@ func (me *MappedEngine) ExportShard() (*ShardState, error) {
 		}
 		// Quiesced zero-skew barriers leave staging empty; image()'s
 		// concatenation is kept anyway.
-		st.Edges = append(st.Edges, ShardEdgeState{ID: e.ID, Items: me.edgeItems(e)})
+		queued, staged := me.edgeContent(e)
+		items := append(make([]float64, 0, len(queued)+len(staged)), queued...)
+		st.Edges = append(st.Edges, ShardEdgeState{ID: e.ID, Items: append(items, staged...)})
 	}
 	return st, nil
 }

@@ -49,6 +49,14 @@ func buildMapped(tb testing.TB, build func() *ir.Program, strat partition.Strate
 	var fs []*ir.Filter
 	var outs []*[]float64
 	prog.Top = swapSinks(prog.Top, &fs, &outs)
+	mb := planMapped(tb, prog, strat)
+	mb.outs = outs
+	return mb
+}
+
+// planMapped is buildMapped over the program as given, its own sinks kept.
+func planMapped(tb testing.TB, prog *ir.Program, strat partition.Strategy) *mappedBuild {
+	tb.Helper()
 	g, err := ir.Flatten(prog)
 	if err != nil {
 		tb.Fatal(err)
@@ -69,7 +77,7 @@ func buildMapped(tb testing.TB, build func() *ir.Program, strat partition.Strate
 	if err != nil {
 		tb.Fatalf("scheduling rewritten program: %v", err)
 	}
-	mb := &mappedBuild{g2: g2, s2: s2, plan: plan, assign: plan.Assign(g2, s2), workers: plan.Workers, outs: outs}
+	mb := &mappedBuild{g2: g2, s2: s2, plan: plan, assign: plan.Assign(g2, s2), workers: plan.Workers}
 	if plan.Pipelined {
 		st, err := partition.PipelineStages(g2)
 		if err != nil {

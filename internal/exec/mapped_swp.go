@@ -3,7 +3,6 @@ package exec
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"streamit/internal/ir"
@@ -263,24 +262,23 @@ type swpIn struct {
 
 // workerPlan is one worker's share of the stage plan: its steps in
 // topological order, the in-edges received after the cycle's steps (those
-// that advance the stage), and the worker-local queues compacted once per
+// that advance the stage), and the consumer queues compacted once per
 // cycle. It is topology data — planWorkers derives it once per
-// buildTopology, not per epoch, which is what keeps a
-// checkpoint-every-iteration run from re-compiling every work function at
-// every barrier.
+// buildTopology, not per Run or epoch.
 type workerPlan struct {
 	steps []*swpStep
 	post  []swpIn
-	// compact lists this worker's purely-local queues: only their owner
-	// touches them, and their per-item Push/Pop traffic never passes
-	// through Append's compaction.
+	// compact lists the queues of this worker's nodes' in-edges: only their
+	// consumer's worker touches them, cross-worker batches included.
 	compact []*SliceQueue
 }
 
-// planWorkers builds every local worker's plan over the current topology.
+// planWorkers builds every local worker's plan over the current topology
+// and binds its filters' tapes.
 func (me *MappedEngine) planWorkers() {
 	sw := me.swp
 	me.plans = make([]*workerPlan, me.Workers)
+	me.spent = make([]chan []float64, len(me.G.Edges))
 	for w, nodes := range me.order {
 		pl := &workerPlan{}
 		units := map[int]*swpStep{}
@@ -303,7 +301,13 @@ func (me *MappedEngine) planWorkers() {
 				sp.goal = append(sp.goal, 0)
 			}
 			for _, e := range n.In {
-				if e == nil || (me.chans[e.ID] == nil && !me.remoteIn[e.ID]) {
+				if e == nil {
+					continue
+				}
+				pl.compact = append(pl.compact, me.queues[e.ID])
+				if me.chans[e.ID] != nil {
+					me.spent[e.ID] = make(chan []float64, me.Depth+2) // see spare
+				} else if !me.remoteIn[e.ID] {
 					continue
 				}
 				in := swpIn{e: e, q: me.queues[e.ID], srcStage: int64(sw.levels[e.Src.ID]) * sw.batch}
@@ -311,11 +315,6 @@ func (me *MappedEngine) planWorkers() {
 					sp.pre = append(sp.pre, in)
 				} else {
 					pl.post = append(pl.post, in)
-				}
-			}
-			for _, e := range n.Out {
-				if e != nil && me.stage[e.ID] == nil {
-					pl.compact = append(pl.compact, me.queues[e.ID])
 				}
 			}
 		}
@@ -329,98 +328,92 @@ func (me *MappedEngine) planWorkers() {
 // once, and flush its staged cross-worker output at batch boundaries; then
 // receive every stage-advancing producer flush scheduled for this cycle
 // index.
-func (me *MappedEngine) runWorker(w, lane, cycles int) error {
+func (me *MappedEngine) runWorker(w, lane, cycles int) (err error) {
 	sw, pl := me.swp, me.plans[w]
 	K := sw.batch
 	var cur *nodeRT // the node currently firing or flushing, for fault attribution
-	err := func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				if wc, ok := r.(*workerCrash); ok {
-					err = wc
-					return
-				}
-				err = blame(r, cur, fmt.Sprintf("worker %d", w))
+	defer func() {
+		if r := recover(); r != nil {
+			if wc, ok := r.(*workerCrash); ok {
+				err = wc
+				return
 			}
-		}()
-		for it := 0; it < cycles; it++ {
-			t := me.iter + int64(it)
-			if me.sup != nil {
-				if wf, ok := me.sup.takeWorker(w, t); ok {
-					if err := me.workerFault(w, lane, t, wf); err != nil {
-						return err
-					}
+			err = blame(r, cur, fmt.Sprintf("worker %d", w))
+		}
+	}()
+	for it := 0; it < cycles; it++ {
+		t := me.iter + int64(it)
+		if me.sup != nil {
+			if wf, ok := me.sup.takeWorker(w, t); ok {
+				if err := me.workerFault(w, lane, t, wf); err != nil {
+					return err
 				}
 			}
-			var t0 time.Duration
-			if me.rec != nil {
-				t0 = me.rec.Stamp()
+		}
+		var t0 time.Duration
+		if me.rec != nil {
+			t0 = me.rec.Stamp()
+		}
+		for _, sp := range pl.steps {
+			fi := t - sp.stage + 1
+			if fi < 1 || fi > sw.segIters {
+				continue
 			}
-			for _, sp := range pl.steps {
-				fi := t - sp.stage + 1
-				if fi < 1 || fi > sw.segIters {
-					continue
-				}
-				due := sw.flushDue(fi)
-				if due {
-					for _, in := range sp.pre {
-						if err := me.recvEdge(in); err != nil {
-							return err
-						}
-					}
-				}
-				if sp.cluster {
-					// Every member's one logical iteration, interleaved at
-					// firing granularity.
-					for i, rt := range sp.nodes {
-						sp.goal[i] = me.initFired[rt.node.ID] + (sw.base+fi)*int64(me.Sch.Reps[rt.node.ID])
-					}
-					fired, err := me.dataDriven(me, sp.nodes, sp.goal, "steady-state", &cur)
-					atomic.AddInt64(&me.progress, fired)
-					if err != nil {
-						return err
-					}
-				} else {
-					// A singleton's one logical iteration: reps firings.
-					cur = sp.nodes[0]
-					for r := me.Sch.Reps[cur.node.ID]; r > 0; r-- {
-						if err := me.fire(cur); err != nil {
-							return err
-						}
-						atomic.AddInt64(&me.progress, 1)
-					}
-				}
-				if due {
-					for _, rt := range sp.nodes {
-						cur = rt
-						if err := me.flush(rt, (fi-1)%K+1); err != nil {
-							return err
-						}
-					}
-				}
-				cur = nil
-			}
-			for _, in := range pl.post {
-				if sw.flushDue(t - in.srcStage + 1) {
+			due := sw.flushDue(fi)
+			if due {
+				for _, in := range sp.pre {
 					if err := me.recvEdge(in); err != nil {
 						return err
 					}
 				}
 			}
-			for _, q := range pl.compact {
-				q.Compact()
+			if sp.cluster {
+				// Every member's one logical iteration, interleaved at
+				// firing granularity.
+				for i, rt := range sp.nodes {
+					sp.goal[i] = me.initFired[rt.node.ID] + (sw.base+fi)*int64(me.Sch.Reps[rt.node.ID])
+				}
+				fired, err := me.dataDriven(me, sp.nodes, sp.goal, "steady-state", &cur)
+				me.live.progress.Add(fired)
+				if err != nil {
+					return err
+				}
+			} else {
+				// A singleton's one logical iteration: reps firings.
+				cur = sp.nodes[0]
+				for r := me.Sch.Reps[cur.node.ID]; r > 0; r-- {
+					if err := me.fire(cur); err != nil {
+						return err
+					}
+					me.live.progress.Add(1)
+				}
 			}
-			if me.rec != nil {
-				end := me.rec.Stamp()
-				me.rec.Slice(lane, fmt.Sprintf("worker %d", w), "cycle", t0, end)
+			if due {
+				for _, rt := range sp.nodes {
+					cur = rt
+					if err := me.flush(rt, (fi-1)%K+1); err != nil {
+						return err
+					}
+				}
+			}
+			cur = nil
+		}
+		for _, in := range pl.post {
+			if sw.flushDue(t - in.srcStage + 1) {
+				if err := me.recvEdge(in); err != nil {
+					return err
+				}
 			}
 		}
-		return nil
-	}()
-	for _, n := range me.order[w] {
-		me.statuses[n.ID].set(stDone, "", 0, -1)
+		for _, q := range pl.compact {
+			q.Compact()
+		}
+		if me.rec != nil {
+			end := me.rec.Stamp()
+			me.rec.Slice(lane, fmt.Sprintf("worker %d", w), "cycle", t0, end)
+		}
 	}
-	return err
+	return nil
 }
 
 // flush ships iters iterations of a node's staged cross-worker output as
@@ -429,19 +422,20 @@ func (me *MappedEngine) runWorker(w, lane, cycles int) error {
 // batch. It takes exactly produce × iters items, not whatever is staged:
 // that is the producer-side rate check, so a filter that pushed less than
 // it declared faults here, as a take naming it, instead of starving its
-// consumer a stage later.
+// consumer a stage later. A shard transport may keep what it is given, so
+// only a batch to a worker of this process is recycled.
 func (me *MappedEngine) flush(rt *nodeRT, iters int64) error {
 	n := rt.node
 	for p, e := range n.Out {
 		if e == nil || me.stage[e.ID] == nil {
 			continue
 		}
-		batch := me.stage[e.ID].Take(me.Sch.Reps[n.ID] * n.PushPort(p) * int(iters))
+		k := me.Sch.Reps[n.ID] * n.PushPort(p) * int(iters)
 		var err error
 		if me.remoteOut[e.ID] {
-			err = remoteErr(me.remote.Send(e.ID, batch, me.stopCh))
+			err = remoteErr(me.remote.Send(e.ID, me.stage[e.ID].Take(k), me.stopCh))
 		} else {
-			err = me.sendBatch(e, batch)
+			err = me.sendBatch(e, me.stage[e.ID].takeInto(me.spare(e), k))
 		}
 		if err != nil {
 			return err
@@ -450,8 +444,25 @@ func (me *MappedEngine) flush(rt *nodeRT, iters int64) error {
 	return nil
 }
 
+// spare is a spent batch of cross-worker edge e to refill. The edge's
+// first flush makes all it will use, sized for its largest flush: one per
+// channel slot, plus the one its producer fills and its consumer empties.
+func (me *MappedEngine) spare(e *ir.Edge) []float64 {
+	select {
+	case b := <-me.spent[e.ID]:
+		return b
+	default:
+	}
+	size := me.Sch.Reps[e.Src.ID] * e.Src.PushPort(e.SrcPort) * int(me.swp.batch)
+	for i := 0; i <= me.Depth; i++ {
+		me.recycle(e, make([]float64, 0, size))
+	}
+	return make([]float64, 0, size)
+}
+
 // recvEdge receives one batch of a cross-worker or shard-boundary in-edge
-// into its consumer queue.
+// into its consumer queue, then hands it back to its producer (a
+// shard-boundary edge has none to take it).
 func (me *MappedEngine) recvEdge(in swpIn) error {
 	var batch []float64
 	var err error
@@ -465,6 +476,7 @@ func (me *MappedEngine) recvEdge(in swpIn) error {
 		return err
 	}
 	in.q.Append(batch)
+	me.recycle(in.e, batch)
 	return nil
 }
 

@@ -2,31 +2,35 @@ package exec
 
 import "fmt"
 
-// SliceQueue is a simple FIFO over a slice implementing wfunc.Tape; the
-// mapped engine uses one per edge end, with batch append/take across
-// workers.
+// SliceQueue is a FIFO over a slice implementing wfunc.Tape and
+// wfunc.Window: the mapped engine's storage at every edge's consumer, and
+// at a cross-worker edge's producer, whose content crosses in batches. It
+// keeps its backing array, moving live items down in place, so a queue in
+// steady state allocates nothing.
 type SliceQueue struct {
 	buf  []float64
 	head int
 }
 
-// Append adds a batch at the write end.
+// Append adds a batch at the write end, first moving the live items to the
+// front when the batch would otherwise not fit.
 func (q *SliceQueue) Append(batch []float64) {
-	// Compact occasionally so the backing array doesn't grow unboundedly.
-	if q.head > 4096 && q.head >= len(q.buf)/2 {
-		q.buf = append([]float64(nil), q.buf[q.head:]...)
-		q.head = 0
+	if len(q.buf)+len(batch) > cap(q.buf) {
+		q.shift()
 	}
 	q.buf = append(q.buf, batch...)
 }
 
-// Take removes exactly n items from the read end.
-func (q *SliceQueue) Take(n int) []float64 {
+// Take removes exactly n items from the read end into a new batch (never
+// nil, even when empty).
+func (q *SliceQueue) Take(n int) []float64 { return q.takeInto(make([]float64, 0, n), n) }
+
+// takeInto is Take into a recycled batch's storage.
+func (q *SliceQueue) takeInto(dst []float64, n int) []float64 {
 	if n < 0 || n > q.Len() {
 		panic(tapeFault{op: "take", detail: fmt.Sprintf("take(%d) with %d items buffered", n, q.Len())})
 	}
-	out := make([]float64, n)
-	copy(out, q.buf[q.head:q.head+n])
+	out := append(dst[:0], q.buf[q.head:q.head+n]...)
 	q.head += n
 	if q.head == len(q.buf) {
 		q.buf = q.buf[:0]
@@ -35,14 +39,17 @@ func (q *SliceQueue) Take(n int) []float64 {
 	return out
 }
 
-// Compact drops consumed items from the front of the backing array. The
-// mapped engine calls it at iteration boundaries on its worker-local
-// queues, where per-item Push/Pop traffic never passes through Append's
-// occasional compaction.
+// Compact drops consumed items from the front of the backing array once
+// they are as many as the live ones, which pay for the copy. The mapped
+// engine calls it once per cycle on every consumer queue.
 func (q *SliceQueue) Compact() {
-	if q.head == 0 {
-		return
+	if q.head >= q.Len() {
+		q.shift()
 	}
+}
+
+// shift moves the live items to the front of the backing array.
+func (q *SliceQueue) shift() {
 	n := copy(q.buf, q.buf[q.head:])
 	q.buf = q.buf[:n]
 	q.head = 0

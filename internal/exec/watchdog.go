@@ -5,83 +5,111 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"streamit/internal/ir"
+	"streamit/internal/obs"
 )
 
-// Node wait states reported by the watchdog.
+// waitState is a node's wait state as a nodeStatus stores it; waitStates
+// names it in the watchdog's report.
+type waitState int32
+
 const (
-	stRunning  = "running"
-	stWaitRecv = "waiting recv"
-	stWaitSend = "waiting send"
-	stInWork   = "in work"
-	stStalled  = "stalled (injected)"
-	stDone     = "done"
+	wsRunning waitState = iota
+	wsWaitRecv
+	wsWaitSend
+	wsStalled
+	wsDone
 )
+
+const stStalled = "stalled (injected)"
+
+var waitStates = [...]string{wsRunning: "running", wsWaitRecv: "waiting recv", wsWaitSend: "waiting send",
+	wsStalled: stStalled, wsDone: "done"}
+
+// liveness is what a watchdog reads of an engine: the progress counter the
+// engine's goroutines bump on every item or batch moved and every firing
+// completed, and the watchdog's own tick count, which dates every
+// wait-state transition without a clock read.
+type liveness struct {
+	progress atomic.Int64
+	ticks    atomic.Int64
+}
 
 // nodeStatus is one node's observable wait state, updated by its goroutine
 // around every potentially-blocking operation and sampled by the watchdog
-// when progress stops.
+// when progress stops. Every field is a plain word: a transition takes no
+// lock, reads no clock and formats nothing. The zero state is running.
 type nodeStatus struct {
-	name   string
-	worker int // mapped-engine worker running the node (-1: not mapped)
+	name string
+	// worker is the mapped-engine worker running the node (-1: not mapped);
+	// it changes only while no watchdog runs.
+	worker int
+	live   *liveness
 
-	mu        sync.Mutex
-	state     string
-	edge      string // "Src->Dst" when blocked on a tape
-	buffered  int    // items visible to the node on that tape
-	blockedOn int    // node ID this node waits on (-1: none)
-	since     time.Time
-}
-
-func newNodeStatus(name string) *nodeStatus {
-	return &nodeStatus{name: name, worker: -1, state: stRunning, blockedOn: -1, since: time.Now()}
+	state     atomic.Int32 // a waitState
+	edge      atomic.Int64 // ID of the edge blocked on (-1: none)
+	buffered  atomic.Int64 // items visible to the node on that edge
+	blockedOn atomic.Int64 // node ID this node waits on (-1: none)
+	since     atomic.Int64 // live.ticks at the transition
 }
 
 // set records a (possibly blocking) state transition.
-func (s *nodeStatus) set(state, edge string, buffered, blockedOn int) {
-	s.mu.Lock()
-	s.state, s.edge, s.buffered, s.blockedOn = state, edge, buffered, blockedOn
-	s.since = time.Now()
-	s.mu.Unlock()
+func (s *nodeStatus) set(state waitState, edge, buffered, blockedOn int) {
+	s.edge.Store(int64(edge))
+	s.buffered.Store(int64(buffered))
+	s.blockedOn.Store(int64(blockedOn))
+	s.since.Store(s.live.ticks.Load())
+	s.state.Store(int32(state))
 }
 
-// snapshot returns the current state as a FilterStatus.
-func (s *nodeStatus) snapshot() (FilterStatus, int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return FilterStatus{
-		Name:     s.name,
-		Worker:   s.worker,
-		State:    s.state,
-		Edge:     s.edge,
-		Buffered: s.buffered,
-		Blocked:  time.Since(s.since),
-	}, s.blockedOn
+// block records that the node waits on edge for node on; it returns when
+// the wait began if prof, the node's profile slot, is set.
+func (s *nodeStatus) block(state waitState, edge, buffered, on int, prof *obs.FilterStats) time.Time {
+	s.set(state, edge, buffered, on)
+	if prof == nil {
+		return time.Time{}
+	}
+	return time.Now()
 }
 
-// watchdog detects engine-wide stalls: it samples a shared progress
-// counter (incremented on every item/batch moved and firing completed)
-// and, when the counter freezes for the configured interval, collects
-// every node's wait state, traces the wait-cycle, and aborts the run.
+// unblock records that the node runs again, booking the wait since t0 as
+// its stall when prof is set.
+func (s *nodeStatus) unblock(prof *obs.FilterStats, t0 time.Time) {
+	s.set(wsRunning, -1, 0, -1)
+	if prof != nil {
+		prof.AddStall(time.Since(t0))
+	}
+}
+
+// watchdog detects engine-wide stalls: it samples the engine's progress
+// counter once per tick and, when the counter freezes for the configured
+// interval, collects every node's wait state, traces the wait-cycle, and
+// aborts the run.
 type watchdog struct {
 	engine   string // "mapped" or "dynamic"
 	interval time.Duration
-	progress *int64
+	tick     time.Duration
+	g        *ir.Graph // names the edges in the report
+	live     *liveness
 	statuses []*nodeStatus
-	stop     func() // aborts the run (idempotent)
+	// parked marks, per mapped-engine worker, one waiting at the epoch
+	// barrier (nil elsewhere): its nodes are idle rather than running, and
+	// while every worker is parked the driver is between epochs, which is
+	// no stall.
+	parked []atomic.Bool
+	stop   func() // aborts the run (idempotent)
 
 	quit chan struct{}
 	wg   sync.WaitGroup
-
-	mu  sync.Mutex
-	err *DeadlockError
+	err  atomic.Pointer[DeadlockError] // the report, once the watchdog fired
 }
 
-// newWatchdog starts the monitor goroutine. progress must be updated with
-// atomic adds; statuses is indexed by node ID (nil entries are ignored).
-// interval is the engine's Watchdog setting: 0 selects
+// newWatchdog starts the monitor goroutine over every node's status,
+// indexed by node ID. interval is the engine's Watchdog setting: 0 selects
 // DefaultWatchdogInterval, negative disables detection (a nil watchdog,
 // whose finish reports nothing).
-func newWatchdog(engine string, interval time.Duration, progress *int64, statuses []*nodeStatus, stop func()) *watchdog {
+func newWatchdog(engine string, interval time.Duration, g *ir.Graph, live *liveness, statuses []*nodeStatus, parked []atomic.Bool, stop func()) *watchdog {
 	if interval < 0 {
 		return nil
 	}
@@ -89,8 +117,8 @@ func newWatchdog(engine string, interval time.Duration, progress *int64, statuse
 		interval = DefaultWatchdogInterval
 	}
 	w := &watchdog{
-		engine: engine, interval: interval, progress: progress,
-		statuses: statuses, stop: stop, quit: make(chan struct{}),
+		engine: engine, interval: interval, tick: max(interval/4, 5*time.Millisecond), g: g, live: live,
+		statuses: statuses, parked: parked, stop: stop, quit: make(chan struct{}),
 	}
 	w.wg.Add(1)
 	go w.run()
@@ -99,26 +127,22 @@ func newWatchdog(engine string, interval time.Duration, progress *int64, statuse
 
 func (w *watchdog) run() {
 	defer w.wg.Done()
-	tick := w.interval / 4
-	if tick < 5*time.Millisecond {
-		tick = 5 * time.Millisecond
-	}
-	t := time.NewTicker(tick)
+	t := time.NewTicker(w.tick)
 	defer t.Stop()
-	last := atomic.LoadInt64(w.progress)
-	lastChange := time.Now()
+	last := w.live.progress.Load()
+	var still time.Duration // how long the counter has stood still
 	for {
 		select {
 		case <-w.quit:
 			return
 		case <-t.C:
 		}
-		cur := atomic.LoadInt64(w.progress)
-		if cur != last {
-			last, lastChange = cur, time.Now()
+		now := w.live.ticks.Add(1)
+		if cur := w.live.progress.Load(); cur != last || w.allParked() {
+			last, still = cur, 0
 			continue
 		}
-		if time.Since(lastChange) < w.interval {
+		if still += w.tick; still < w.interval {
 			continue
 		}
 		// A frozen counter alone is not proof of a wedge: a node can
@@ -127,67 +151,78 @@ func (w *watchdog) run() {
 		// node is blocked on a tape; while something still reports running,
 		// hold off until a generous multiple has passed (a truly wedged
 		// kernel never moves the counter again, so it is still caught).
-		if w.anyRunning() && time.Since(lastChange) < 4*w.interval {
+		if w.anyRunning() && still < 4*w.interval {
 			continue
 		}
-		w.mu.Lock()
-		w.err = w.report()
-		w.mu.Unlock()
+		w.err.Store(w.report(now))
 		w.stop()
 		return
 	}
 }
 
+// allParked reports whether every mapped worker waits at the barrier.
+func (w *watchdog) allParked() bool {
+	for i := range w.parked {
+		if !w.parked[i].Load() {
+			return false
+		}
+	}
+	return w.parked != nil
+}
+
 // anyRunning reports whether any node claims to be computing (rather than
-// blocked on a tape, stalled, or done).
+// blocked on a tape, stalled, done, or idle at the barrier).
 func (w *watchdog) anyRunning() bool {
 	for _, st := range w.statuses {
-		if st == nil {
-			continue
-		}
-		st.mu.Lock()
-		s := st.state
-		st.mu.Unlock()
-		if s == stRunning || s == stInWork {
+		idle := w.parked != nil && w.parked[st.worker].Load()
+		if waitState(st.state.Load()) == wsRunning && !idle {
 			return true
 		}
 	}
 	return false
 }
 
+// verdict returns the deadlock report if the watchdog has fired, else nil.
+func (w *watchdog) verdict() error {
+	if w == nil {
+		return nil
+	}
+	if e := w.err.Load(); e != nil {
+		return e
+	}
+	return nil // a typed nil must not escape into a plain error
+}
+
 // finish stops the monitor once the run has finished (or aborted), waits
-// for it, and returns the deadlock report if the watchdog fired, else nil.
-// (Typed nil must not escape into a plain error.)
+// for it, and returns its verdict.
 func (w *watchdog) finish() error {
 	if w == nil {
 		return nil
 	}
 	close(w.quit)
 	w.wg.Wait()
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err == nil {
-		return nil
-	}
-	return w.err
+	return w.verdict()
 }
 
-// report builds the deadlock description from the sampled statuses.
-func (w *watchdog) report() *DeadlockError {
+// report builds the deadlock description from the sampled statuses at
+// tick now.
+func (w *watchdog) report(now int64) *DeadlockError {
 	e := &DeadlockError{Engine: w.engine, Interval: w.interval}
 	blockedOn := make(map[int]int) // node ID -> node ID it waits on
 	names := make(map[int]string)
 	for id, st := range w.statuses {
-		if st == nil {
+		names[id] = st.name
+		state := waitState(st.state.Load())
+		if state == wsRunning || state == wsDone {
 			continue
 		}
-		snap, on := st.snapshot()
-		names[id] = snap.Name
-		if snap.State == stRunning || snap.State == stDone {
-			continue
+		fs := FilterStatus{Name: st.name, Worker: st.worker, State: waitStates[state],
+			Buffered: int(st.buffered.Load()), Blocked: time.Duration(now-st.since.Load()) * w.tick}
+		if edge := st.edge.Load(); edge >= 0 {
+			fs.Edge = w.g.Edges[edge].String()
 		}
-		e.Blocked = append(e.Blocked, snap)
-		if on >= 0 {
+		e.Blocked = append(e.Blocked, fs)
+		if on := int(st.blockedOn.Load()); on >= 0 {
 			blockedOn[id] = on
 		}
 	}

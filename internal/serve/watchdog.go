@@ -75,12 +75,12 @@ func (p *pool) watch() {
 	}
 }
 
-// declareStuck quarantines the wedged session and spawns a replacement
-// worker so the pool keeps its configured parallelism. The lost worker
-// holds nothing but that session; its goroutine exits on its own if its
-// kernel ever returns.
+// declareStuck counts the lost worker and spawns a replacement so the pool
+// keeps its configured parallelism, then quarantines the wedged session:
+// whoever the verdict wakes reads the pool's counters already settled. The
+// lost worker holds nothing but that session; its goroutine exits on its
+// own if its kernel ever returns.
 func (p *pool) declareStuck(w *worker, s *Session, elapsed time.Duration) {
-	s.markStuck(w.id, elapsed, p.timeout)
 	p.stuck.Add(1)
 	p.mu.Lock()
 	if !p.closed {
@@ -88,6 +88,7 @@ func (p *pool) declareStuck(w *worker, s *Session, elapsed time.Duration) {
 		p.replaced.Add(1)
 	}
 	p.mu.Unlock()
+	s.markStuck(w.id, elapsed, p.timeout)
 }
 
 // markStuck records the watchdog's verdict as the session's terminal
