@@ -9,6 +9,11 @@
 // forces the tree-walking interpreter (bit-identical output, useful for
 // cross-checking and debugging).
 //
+// A program with dynamic-rate filters (`pop *`, `push *`, `peek *`) has no
+// steady-state schedule; it runs on the dynamic engine, the sequential
+// engine under a data-driven loop, and -iters counts sink items instead of
+// iterations.
+//
 // With -repeat N, the sequential run repeats N times in one process. The
 // compiled program is cached by source hash (the same cache the streaming
 // server uses), so repeats skip parsing, scheduling, and VM compilation
@@ -82,7 +87,7 @@
 //
 //	-profile            print a per-filter table after the run: firings,
 //	                    tape traffic, work and stall time, buffer high-water
-//	                    marks (works on all three engines)
+//	                    marks (works on every engine)
 //	-trace out.json     write a Chrome trace_event JSON of the run (load in
 //	                    chrome://tracing or https://ui.perfetto.dev); with
 //	                    -strategy, traces the simulated NoC execution
@@ -91,6 +96,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -100,6 +106,7 @@ import (
 	"streamit/internal/core"
 	"streamit/internal/exec"
 	"streamit/internal/faults"
+	"streamit/internal/lang"
 	"streamit/internal/linear"
 	"streamit/internal/machine"
 	"streamit/internal/obs"
@@ -130,19 +137,18 @@ func finishObs(e observed, tracePath string) {
 
 func main() {
 	top := flag.String("top", "Main", "top-level stream to elaborate")
-	iters := flag.Int("iters", 1000, "steady-state iterations to run")
+	iters := flag.Int("iters", 1000, "steady-state iterations to run (sink items for a program with dynamic-rate filters)")
 	doLinear := flag.Bool("linear", false, "apply the linear optimizer first")
 	strategy := flag.String("strategy", "", "map onto the simulated multicore with this strategy instead of running sequentially")
 	parallel := flag.Bool("parallel", false, "run on the goroutine-per-filter plan of the mapped engine (one worker per node)")
 	mapStrat := flag.String("map", "", "run on the host-mapped engine with this rewrite strategy: task, 'fine-grained data', task+data, task+swp (alias swp), or task+data+swp")
 	workers := flag.Int("workers", 0, "worker cores for -map (0 = all cores)")
-	dynamic := flag.Bool("dynamic", false, "run on the demand-driven dynamic-rate backend (-iters counts sink items)")
 	traceOut := flag.String("trace", "", "write a Chrome trace JSON of the execution to this file (runtime engines or, with -strategy, the simulated machine)")
 	profile := flag.Bool("profile", false, "print the per-filter profile table after the run")
 	backendName := flag.String("backend", "vm", "work-function backend: vm (bytecode) or interp (tree-walking)")
 	faultSpec := flag.String("faults", "", "inject faults: 'kind:filter@firing' (kind: panic, stall, corrupt), 'kind:workerN@iter' (kind: crash, stall, slow; -map only), or 'rand:N@seed', ';'-separated")
 	onError := flag.String("on-error", "", "recovery policies: 'policy' or 'filter=policy' (fail, retry[:n[:backoff]], skip, restart), ','-separated")
-	watchdog := flag.Duration("watchdog", 0, "no-progress window before the mapped/dynamic engines abort with a deadlock report (0 = default, negative = off)")
+	watchdog := flag.Duration("watchdog", 0, "no-progress window before the mapped engine aborts with a deadlock report (0 = default, negative = off)")
 	ckptPath := flag.String("checkpoint", "", "write an engine checkpoint to this file (sequential and -map engines)")
 	ckptAfter := flag.Int("checkpoint-after", 0, "with -checkpoint: stop and save after this many steady iterations")
 	resumePath := flag.String("resume", "", "restore a checkpoint written by -checkpoint and run the remaining iterations (sequential and -map engines)")
@@ -171,7 +177,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *shards > 0 {
-		if *parallel || *dynamic || *strategy != "" || *repeat > 1 || *elastic ||
+		if *parallel || *strategy != "" || *repeat > 1 || *elastic ||
 			*ckptPath != "" || *resumePath != "" || *traceOut != "" || *profile {
 			fatal(fmt.Errorf("-shards runs the distributed engine; it composes with -map (strategy), -per-shard, -epoch, -queue-depth, and -faults only"))
 		}
@@ -204,7 +210,7 @@ func main() {
 		runOpts.OnError = pols
 	}
 	useCkpt := *ckptPath != "" || *resumePath != ""
-	if useCkpt && (*parallel || *dynamic || *strategy != "") {
+	if useCkpt && (*parallel || *strategy != "") {
 		fatal(fmt.Errorf("-checkpoint/-resume support the sequential and -map engines"))
 	}
 	if *ckptPath != "" && *ckptAfter <= 0 {
@@ -214,8 +220,21 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *dynamic {
-		d, err := core.CompileSourceDynamicOpts(string(src), *top, runOpts)
+	opts := core.Options{}
+	if *doLinear {
+		lo := linear.DefaultOptions()
+		opts.Linear = &lo
+	}
+	c, _, err := core.CachedCompileSource(string(src), *top, opts)
+	if errors.Is(err, core.ErrDynamicRates) {
+		if useCkpt || *parallel || *strategy != "" || *mapStrat != "" || *repeat > 1 || *doLinear {
+			fatal(fmt.Errorf("%s has dynamic-rate filters: it runs on the dynamic engine, which takes no -checkpoint, -resume, -parallel, -strategy, -map, -repeat or -linear", flag.Arg(0)))
+		}
+		prog, err := lang.ParseAndElaborate(string(src), *top)
+		if err != nil {
+			fatal(err)
+		}
+		d, err := core.CompileDynamicOpts(prog, runOpts)
 		if err != nil {
 			fatal(err)
 		}
@@ -231,18 +250,12 @@ func main() {
 		finishObs(d, runOpts.TracePath)
 		return
 	}
-	opts := core.Options{}
-	if *doLinear {
-		lo := linear.DefaultOptions()
-		opts.Linear = &lo
-	}
-	c, _, err := core.CachedCompileSource(string(src), *top, opts)
 	if err != nil {
 		fatal(err)
 	}
 
 	if *repeat > 1 {
-		if useCkpt || *parallel || *dynamic || *strategy != "" || *mapStrat != "" {
+		if useCkpt || *parallel || *strategy != "" || *mapStrat != "" {
 			fatal(fmt.Errorf("-repeat supports the plain sequential engine only"))
 		}
 		start := time.Now()

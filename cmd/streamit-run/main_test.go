@@ -73,6 +73,33 @@ func TestCLIEndToEnd(t *testing.T) {
 		}
 	})
 
+	// A program with a dynamic-rate filter runs on the dynamic engine with
+	// no flag, -iters counting sink items.
+	t.Run("dynamic", func(t *testing.T) {
+		rle, err := filepath.Abs("../../examples/strprogs/rle.str")
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := exec.Command(bin, "-iters", "500", "-profile", rle).CombinedOutput()
+		if err != nil {
+			t.Fatalf("streamit-run rle.str: %v\n%s", err, out)
+		}
+		var items int
+		if _, err := fmt.Sscanf(string(out), "dynamic run: %d sink items", &items); err != nil || items < 500 {
+			t.Fatalf("summary does not report at least 500 sink items:\n%s", out)
+		}
+		if !strings.Contains(string(out), "Decode") {
+			t.Fatalf("profile does not list the dynamic-rate filter:\n%s", out)
+		}
+		// A static-engine flag is refused, after the linear pass too.
+		for _, args := range [][]string{{"-map", "task", rle}, {"-linear", rle}} {
+			out, err := exec.Command(bin, args...).CombinedOutput()
+			if err == nil || !strings.Contains(string(out), "has dynamic-rate filters") {
+				t.Fatalf("streamit-run %v: err %v\n%s", args, err, out)
+			}
+		}
+	})
+
 	// Checkpoint at `after`, resume to `iters`: once on a zero-skew plan and
 	// once on a pipelined one. Two invocations must write the same image.
 	for _, strat := range []string{"task+data", "task+swp"} {

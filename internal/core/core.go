@@ -6,6 +6,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"os"
@@ -53,10 +54,10 @@ type RunOptions struct {
 	// faults.ParsePolicies. The dynamic engine rejects non-fail policies.
 	OnError faults.Policies
 	// Watchdog is the no-progress window after which the mapped engine,
-	// under every plan (-parallel's identity plan included), and the
-	// dynamic engine abort with a *exec.DeadlockError naming the blocked
-	// filters and wait-cycle. 0 selects exec.DefaultWatchdogInterval;
-	// negative disables detection; the sequential engine has none.
+	// under every plan (-parallel's identity plan included), aborts with a
+	// *exec.DeadlockError naming the blocked filters and wait-cycle. 0
+	// selects exec.DefaultWatchdogInterval; negative disables detection.
+	// The sequential and dynamic engines are single-threaded and have none.
 	Watchdog time.Duration
 	// Profile enables the per-filter profiler (firings, tape traffic,
 	// work/stall time, buffer high-water marks). Read the results from the
@@ -157,6 +158,11 @@ type Compiled struct {
 	shared   map[exec.Backend]*exec.Shared
 }
 
+// ErrDynamicRates is Compile's error for a program with dynamic-rate
+// filters: it has no steady-state schedule, and runs on the engine
+// CompileDynamicOpts builds.
+var ErrDynamicRates = errors.New("dynamic rates have no static schedule (use the dynamic engine)")
+
 // Compile verifies and schedules prog, applying the optional linear
 // optimization first. The input program is not modified.
 func Compile(prog *ir.Program, opts Options) (*Compiled, error) {
@@ -176,6 +182,11 @@ func Compile(prog *ir.Program, opts Options) (*Compiled, error) {
 	g, err := ir.Flatten(c.Program)
 	if err != nil {
 		return nil, err
+	}
+	for _, n := range g.Nodes {
+		if k := n.KernelOf(); k != nil && k.Dynamic {
+			return nil, fmt.Errorf("filter %s: %w", n.Name, ErrDynamicRates)
+		}
 	}
 	s, err := sched.ComputeOpts(g, sched.Options{MaxLiveItems: opts.MaxLiveItems})
 	if err != nil {
@@ -337,22 +348,14 @@ func (c *Compiled) Run(kind EngineKind, iters int, opts RunOptions) (Runner, err
 }
 
 // CompileDynamicOpts flattens a program with dynamic-rate filters (no
-// static schedule exists) and returns the demand-driven engine.
+// static schedule exists) and returns the dynamic engine: the sequential
+// engine without a schedule, under a data-driven loop.
 func CompileDynamicOpts(prog *ir.Program, opts RunOptions) (*exec.DynamicEngine, error) {
 	g, err := ir.Flatten(prog)
 	if err != nil {
 		return nil, err
 	}
 	return exec.NewDynamicOpts(g, opts.execOptions())
-}
-
-// CompileSourceDynamicOpts is CompileDynamicOpts over textual source.
-func CompileSourceDynamicOpts(src, top string, opts RunOptions) (*exec.DynamicEngine, error) {
-	prog, err := lang.ParseAndElaborate(src, top)
-	if err != nil {
-		return nil, err
-	}
-	return CompileDynamicOpts(prog, opts)
 }
 
 // MapOnto partitions the program for the simulated multicore with the

@@ -204,9 +204,10 @@ func TestRunOptionsSupervision(t *testing.T) {
 		t.Fatalf("parallel degraded stats = %+v", pst)
 	}
 
-	// The dynamic engine has no rollback point; recovery policies are a
-	// construction-time error, surfaced through the driver.
-	if _, err := CompileSourceDynamicOpts(firSrc, "Main", opts); err == nil {
+	// The dynamic engine cannot honour recovery policies (skip needs
+	// declared rates); they are a construction-time error, surfaced
+	// through the driver.
+	if _, err := CompileDynamicOpts(c.Program, opts); err == nil {
 		t.Fatal("dynamic engine accepted a recovery policy")
 	}
 }

@@ -53,23 +53,6 @@ type workRunner struct {
 	mach *vm.Machine // VM frame; nil when the interpreter path is active
 }
 
-// newWorkRunner builds a runner for k bound to the instance state st.
-// Under BackendVM an uncompilable work function silently falls back to
-// the interpreter — the compiler covers the whole IL today, so this is
-// future-proofing for constructs it may not cover yet.
-func newWorkRunner(k *wfunc.Kernel, st *wfunc.State, backend Backend) *workRunner {
-	if backend == BackendVM {
-		if p, err := vm.Compile(k.Work); err == nil {
-			m := vm.NewMachine(p)
-			m.SetState(st)
-			return &workRunner{work: k.Work, mach: m}
-		}
-	}
-	env := wfunc.NewEnv(k.Work)
-	env.State = st
-	return &workRunner{work: k.Work, env: env}
-}
-
 // newWorkRunnerCompiled builds a runner around a pre-compiled VM program
 // (nil selects the interpreter), binding it to the instance state st. This
 // is the allocation-light path: a shared artifact bundle compiles each

@@ -1,13 +1,14 @@
-// Package exec runs flattened StreamIt graphs. Three engines — the
+// Package exec runs flattened StreamIt graphs. Two engines — the
 // sequential engine (the oracle, with teleport messaging and MAX_LATENCY
-// constraints on the schedule), the mapped engine (worker goroutines over
-// batched queues, every parallel plan) and the dynamic engine (one
-// goroutine per node over blocking tapes, for data-dependent rates) — fire
-// their nodes through one firing core (fire.go): filters run their IL work
-// functions (or native Go kernels), splitters and joiners route values, and
-// teleport messages are delivered at the tape positions dictated by the
-// information-wavefront semantics. The engines own only their tapes, their
-// rollback marks, their progress counting and their outer loops.
+// constraints on the schedule) and the mapped engine (worker goroutines
+// over batched queues, every parallel plan) — fire their nodes through one
+// firing core (fire.go): filters run their IL work functions (or native Go
+// kernels), splitters and joiners route values, and teleport messages are
+// delivered at the tape positions dictated by the information-wavefront
+// semantics. The engines own only their tapes, their rollback marks, their
+// progress counting and their outer loops. Programs with data-dependent
+// rates run on the sequential engine built without a schedule, under a
+// data-driven loop of their own (DynamicEngine).
 package exec
 
 import "fmt"
@@ -38,7 +39,8 @@ func newChannel(capacity int) *channel {
 // Peek returns the item i positions from the read end.
 func (c *channel) Peek(i int) float64 {
 	if i < 0 || i >= c.count {
-		panic(tapeFault{op: "peek", detail: fmt.Sprintf("peek(%d) with %d items buffered", i, c.count)})
+		panic(tapeFault{op: "peek", detail: fmt.Sprintf("peek(%d) with %d items buffered", i, c.count),
+			short: max(i+1-c.count, 0)})
 	}
 	return c.buf[(c.head+i)&c.mask]
 }
@@ -46,7 +48,7 @@ func (c *channel) Peek(i int) float64 {
 // Pop consumes the next item.
 func (c *channel) Pop() float64 {
 	if c.count == 0 {
-		panic(tapeFault{op: "pop", detail: "pop on empty channel"})
+		panic(tapeFault{op: "pop", detail: "pop on empty channel", short: 1})
 	}
 	v := c.buf[c.head]
 	c.head = (c.head + 1) & c.mask

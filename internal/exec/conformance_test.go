@@ -17,9 +17,8 @@ const confIters = 4
 
 // counts is the engine-independent view of one node's profile: how often
 // it fired and how many items crossed its tapes. Peeks are deliberately
-// excluded — they are a read pattern, not dataflow, and the demand-driven
-// engine legitimately peeks a different number of times than the static
-// engines.
+// excluded — they are a read pattern, not dataflow, and the dynamic engine
+// also counts the peeks of a dynamic-rate filter's rewound attempts.
 type counts struct {
 	Firings, Pushed, Popped int64
 }
@@ -51,19 +50,6 @@ func flattenApp(t *testing.T, app apps.App) (*ir.Graph, *sched.Schedule) {
 		t.Fatalf("schedule: %v", err)
 	}
 	return g, s
-}
-
-// dynChanCap sizes the demand-driven engine's channels so a full steady
-// iteration can buffer without blocking: twice the static bound plus any
-// initial items, floored at the default.
-func dynChanCap(g *ir.Graph, s *sched.Schedule) int {
-	cap := 4096
-	for _, e := range g.Edges {
-		if need := 2*s.BufCap[e.ID] + len(e.Initial); need > cap {
-			cap = need
-		}
-	}
-	return cap
 }
 
 // diffCounts compares two aggregated profiles and reports every node whose
@@ -155,7 +141,6 @@ func TestEngineConformance(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
-					d.ChanCap = dynChanCap(g, s)
 					if err := d.runBudget(scheduleBudget(s, confIters)); err != nil {
 						t.Fatalf("%s run: %v", label, err)
 					}

@@ -2,337 +2,172 @@ package exec
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"streamit/internal/ir"
-	"streamit/internal/obs"
 	"streamit/internal/wfunc"
 )
 
-// DynamicEngine executes stream graphs with data-dependent rates — the
-// paper's stated future work ("applications such as compression that have
-// dynamically varying flow rates"). No steady-state schedule exists for
-// such programs, so execution is fully demand/data-driven: every node runs
-// in its own goroutine, channels carry single items, Pop blocks until data
-// arrives, and Peek transparently reads ahead. Static-rate filters run
-// unchanged; filters built with KernelBuilder.Dynamic (or declared with
-// `pop *` / `push *` in the language) may pop and push freely.
-//
-// Execution stops once the graph's sinks have consumed the requested
-// number of items. Teleport messaging is not supported (its delivery
-// semantics assume static rates, as the paper notes).
+// DynamicEngine runs stream graphs with data-dependent rates, the paper's
+// stated future work ("applications such as compression that have
+// dynamically varying flow rates"). Such programs have no steady-state
+// schedule, so this is the sequential engine built without one, under a
+// data-driven loop (Run) that fires every node on one thread in a
+// deterministic order. Teleport messaging is not supported (its delivery
+// semantics assume static rates, as the paper notes); without a schedule,
+// neither are steady iterations nor checkpoints.
 type DynamicEngine struct {
-	G *ir.Graph
-	// Backend is the work-function execution substrate (bytecode VM by
-	// default).
-	Backend Backend
-	// ChanCap is the per-edge buffering in items (default 4096). Dynamic
-	// graphs have no static buffer bound; a graph that needs more buffering
-	// than this to make progress wedges with every producer blocked — the
-	// watchdog then aborts the run with a *DeadlockError naming the blocked
-	// wait-cycle. Raise ChanCap for bursty programs.
+	*core // the firing core: the profile, trace and supervision surface
+	// ChanCap is how far a producer runs ahead of its consumer, in items
+	// per edge (default 4096). A graph that needs more buffering than this
+	// deadlocks; raise it for bursty programs.
 	ChanCap int
 
-	// Watchdog is the stall-detection interval: 0 selects
-	// DefaultWatchdogInterval, negative disables detection. Dynamic graphs
-	// have no static deadlock-freedom guarantee, so the watchdog is the
-	// engine's only diagnosis for insufficient buffering or rate mismatch.
-	Watchdog time.Duration
-
-	// core holds the node records, the supervisor and the observability
-	// hooks, and fires every node.
-	core
-	popped int64
-
-	// Per-run state: the watchdog's view, and the blocking tapes by edge ID
-	// with the signal that stops them.
-	live     liveness
-	statuses []*nodeStatus
-	ins      []*dynIn
-	outs     []*dynOut
-	done     chan struct{}
+	e     *Engine
+	order []*nodeRT  // topological
+	sinks []*channel // the sinks' input rings
+	// wait[n.ID] is the input count (its pushed) a dynamic-rate filter that
+	// ran its input dry waits for; fields[n.ID] holds its fields during an
+	// attempt, when its work writes them.
+	wait   []int64
+	fields []*wfunc.State
+	popped int64 // sink items consumed by the last Run
 }
 
-// stopSignal unwinds a node goroutine during shutdown.
-type stopSignal struct{}
-
-// NewDynamicOpts prepares a dynamic engine for a flattened graph (no
-// schedule is needed or computed). Fault injection and the watchdog are
-// supported; recovery policies are not — a dynamic filter's
-// pushes go straight to live channels where consumers may already have
-// seen them, so there is no rollback point. Use the sequential or mapped
-// engine for retry/skip/restart semantics.
+// NewDynamicOpts prepares a dynamic engine for a flattened graph. Fault
+// injection is supported; recovery policies are not, since skip honours
+// declared rates, which a dynamic-rate filter does not have.
 func NewDynamicOpts(g *ir.Graph, opts Options) (*DynamicEngine, error) {
 	if len(g.Portals) > 0 || len(g.Constraints) > 0 {
-		return nil, fmt.Errorf("exec: dynamic-rate execution does not support teleport messaging")
-	}
-	if len(g.Sinks()) == 0 {
-		return nil, fmt.Errorf("exec: dynamic execution needs at least one sink to count output")
+		return nil, fmt.Errorf("exec: dynamic-rate execution does not support teleport messaging or MAX_LATENCY")
 	}
 	if opts.OnError.Active() {
-		return nil, fmt.Errorf("exec: the dynamic engine cannot roll back firings (pushes reach live channels); recovery policies require the sequential or mapped engine")
+		return nil, fmt.Errorf("exec: recovery policies need declared rates, which a dynamic-rate filter does not have; use the sequential or mapped engine")
 	}
-	d := &DynamicEngine{G: g, Backend: opts.Backend, ChanCap: 4096, Watchdog: opts.Watchdog}
-	d.core = core{eng: d, rec: opts.Trace, nodes: make([]*nodeRT, len(g.Nodes))}
-	if opts.Profile {
-		d.prof = obs.NewProfiler(nodeNames(g))
-	}
-	if d.rec != nil {
-		for _, n := range g.Nodes {
-			if n.Kind == ir.NodeFilter {
-				d.rec.Lane(n.ID, n.Name)
-			}
-		}
-	}
-	sup, err := newSupervisor(g, opts)
+	topo, err := g.TopoOrder()
 	if err != nil {
 		return nil, err
 	}
-	d.sup = sup
-	for _, n := range g.Nodes {
-		rt := &nodeRT{node: n}
-		if n.Kind == ir.NodeFilter {
-			if rt.state, err = freshState(n); err != nil {
-				return nil, err
-			}
-			if n.Filter.WorkFn == nil {
-				rt.runner = newWorkRunner(n.Filter.Kernel, rt.state, d.Backend)
-			}
+	e, err := NewFromGraphOpts(g, nil, opts)
+	if err != nil {
+		return nil, err
+	}
+	d := &DynamicEngine{core: &e.core, ChanCap: 4096, e: e,
+		wait: make([]int64, len(g.Nodes)), fields: make([]*wfunc.State, len(g.Nodes))}
+	for _, n := range topo {
+		d.order = append(d.order, e.nodes[n.ID])
+		if in := n.InEdge(); in != nil && n.IsSink() {
+			d.sinks = append(d.sinks, e.chans[in.ID])
 		}
-		if d.prof != nil {
-			rt.pst = d.prof.At(n.ID)
+		if speculative(n) && n.IsStateful() {
+			d.fields[n.ID] = e.nodes[n.ID].state.Clone()
 		}
-		d.nodes[n.ID] = rt
+	}
+	if len(d.sinks) == 0 {
+		return nil, fmt.Errorf("exec: dynamic execution needs at least one sink to count output")
 	}
 	return d, nil
 }
 
-// SinkItems returns the total items consumed by sinks in the last Run.
-func (d *DynamicEngine) SinkItems() int64 { return atomic.LoadInt64(&d.popped) }
-
-// Run executes until the sinks have consumed at least sinkItems items.
-func (d *DynamicEngine) Run(sinkItems int64) error {
-	return d.run(sinkItems, nil)
+// speculative reports whether n is a dynamic-rate filter reading an input,
+// which may read past its declared window.
+func speculative(n *ir.Node) bool {
+	return n.Kind == ir.NodeFilter && n.Filter.Kernel.Dynamic && n.InEdge() != nil
 }
 
-func (d *DynamicEngine) run(sinkItems int64, budget []int64) error {
-	d.done = make(chan struct{})
-	var stopOnce sync.Once
-	stop := func() { stopOnce.Do(func() { close(d.done) }) }
-	atomic.StoreInt64(&d.popped, 0)
-	d.live.progress.Store(0)
-	d.statuses = make([]*nodeStatus, len(d.G.Nodes))
-	for _, n := range d.G.Nodes {
-		d.statuses[n.ID] = &nodeStatus{name: n.Name, worker: -1, live: &d.live}
-	}
-	wd := newWatchdog("dynamic", d.Watchdog, d.G, &d.live, d.statuses, nil, stop)
+// SinkItems returns the items consumed by sinks in the last Run.
+func (d *DynamicEngine) SinkItems() int64 { return d.popped }
 
-	d.ins = make([]*dynIn, len(d.G.Edges))
-	d.outs = make([]*dynOut, len(d.G.Edges))
-	for _, e := range d.G.Edges {
-		capacity := d.ChanCap
-		if len(e.Initial) >= capacity {
-			capacity = len(e.Initial) + d.ChanCap
-		}
-		ch := make(chan float64, capacity)
-		for _, v := range e.Initial {
-			ch <- v
-		}
-		in := &dynIn{ch: ch, done: d.done, st: d.statuses[e.Dst.ID], progress: &d.live.progress,
-			edge: e.ID, srcID: e.Src.ID, prof: d.nodes[e.Dst.ID].pst}
-		if e.Dst.IsSink() && budget == nil {
-			in.count, in.target, in.stop = &d.popped, sinkItems, stop
-		}
-		d.ins[e.ID] = in
-		d.outs[e.ID] = &dynOut{ch: ch, done: d.done, st: d.statuses[e.Src.ID], progress: &d.live.progress,
-			edge: e.ID, dstID: e.Dst.ID, prof: d.nodes[e.Src.ID].pst}
+func (d *DynamicEngine) consumed() (n int64) {
+	for _, c := range d.sinks {
+		n += c.popped
 	}
+	return n
+}
 
-	var wg sync.WaitGroup
-	errs := make(chan error, len(d.G.Nodes))
-	for _, rt := range d.nodes {
-		rt.bind(d)
-		wg.Add(1)
-		go func(rt *nodeRT) {
-			defer wg.Done()
-			defer d.statuses[rt.node.ID].set(wsDone, -1, 0, -1)
-			defer func() {
-				if r := recover(); r != nil {
-					if _, isStop := r.(stopSignal); !isStop {
-						errs <- asExecError(rt.node.Name, rt.fired, r)
-						stop()
-					}
+// Run makes topological passes until the sinks have consumed at least
+// sinkItems more items, firing each node while blocker finds nothing in its
+// way. A rewound attempt is progress too: it raises the filter's wait above
+// its input, which may lift its producer's full ring, and it cannot repeat
+// without new input. A pass that neither fires nor rewinds is a deadlock.
+func (d *DynamicEngine) Run(sinkItems int64) (err error) {
+	defer d.e.blameFiring(&err)
+	start := d.consumed()
+	defer func() { d.popped = d.consumed() - start }()
+	for d.consumed()-start < sinkItems {
+		progressed := false
+		for _, rt := range d.order {
+			for e, _ := d.blocker(rt.node); e == nil; e, _ = d.blocker(rt.node) {
+				d.e.cur = rt
+				if err := d.attempt(rt); err != nil {
+					return err
 				}
-			}()
-			for budget == nil || rt.fired < budget[rt.node.ID] {
-				select {
-				case <-d.done:
-					return
-				default:
-				}
-				if err := d.fire(rt); err != nil {
-					errs <- err
-					stop()
-					return
-				}
+				progressed = true
 			}
-		}(rt)
-	}
-	wg.Wait()
-	if derr := wd.finish(); derr != nil {
-		return derr
-	}
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			return err
 		}
-	}
-	if budget == nil {
-		if got := atomic.LoadInt64(&d.popped); got < sinkItems {
-			return fmt.Errorf("exec: dynamic run stopped after %d of %d sink items", got, sinkItems)
+		if !progressed {
+			return d.deadlock()
 		}
 	}
 	return nil
 }
 
-// inTape implements coreHost: the edge's blocking reader.
-func (d *DynamicEngine) inTape(e *ir.Edge) wfunc.Tape { return d.ins[e.ID] }
-
-// outTape implements coreHost: the edge's blocking writer.
-func (d *DynamicEngine) outTape(e *ir.Edge) wfunc.Tape { return d.outs[e.ID] }
-
-// save implements coreHost; it is never called, because the engine rejects
-// every policy that rolls a firing back (NewDynamicOpts).
-func (d *DynamicEngine) save(*nodeRT) func() { return func() {} }
-
-// park implements coreHost: the stalled filter's goroutine blocks like a
-// hung kernel until the watchdog (or another node's completion) stops the
-// run, then unwinds.
-func (d *DynamicEngine) park(rt *nodeRT) error {
-	d.statuses[rt.node.ID].set(wsStalled, -1, 0, -1)
-	<-d.done
-	panic(stopSignal{})
-}
-
-// dynIn is a blocking input tape: Pop and Peek receive from the channel on
-// demand, buffering look-ahead locally.
-type dynIn struct {
-	ch     chan float64
-	done   chan struct{}
-	buf    []float64
-	head   int
-	count  *int64 // when set (sinks), pops count toward the run target
-	target int64
-	stop   func()
-
-	// Watchdog instrumentation: wait state while blocked, progress on
-	// every item received.
-	st       *nodeStatus
-	progress *atomic.Int64
-	edge     int
-	srcID    int
-	// prof accumulates stall time while blocked (nil unless profiling).
-	prof *obs.FilterStats
-}
-
-func (t *dynIn) fill(n int) {
-	for len(t.buf)-t.head < n {
-		if t.head > 1024 && t.head >= len(t.buf)/2 {
-			t.buf = append([]float64(nil), t.buf[t.head:]...)
-			t.head = 0
-		}
-		// Fast path: data already queued.
-		select {
-		case v := <-t.ch:
-			t.buf = append(t.buf, v)
-			t.progress.Add(1)
-			continue
-		default:
-		}
-		// Blocking path: record who we wait on for the watchdog.
-		t0 := t.st.block(wsWaitRecv, t.edge, len(t.buf)-t.head, t.srcID, t.prof)
-		select {
-		case v := <-t.ch:
-			t.buf = append(t.buf, v)
-			t.progress.Add(1)
-			t.st.unblock(t.prof, t0)
-		case <-t.done:
-			panic(stopSignal{})
+// blocker returns the edge n cannot fire for, nil when it can: an input
+// short of its peek window or of the items a dynamic-rate filter waits
+// for, or an output ring holding ChanCap items whose consumer waits for no
+// more (full).
+func (d *DynamicEngine) blocker(n *ir.Node) (e *ir.Edge, full bool) {
+	if e := starved(d.e, n); e != nil {
+		return e, false
+	}
+	if in := n.InEdge(); in != nil && d.e.chans[in.ID].pushed < d.wait[n.ID] {
+		return in, false
+	}
+	for _, e := range n.Out {
+		if c := d.e.chans[e.ID]; c.count >= d.ChanCap && c.pushed >= d.wait[e.Dst.ID] {
+			return e, true
 		}
 	}
+	return nil, false
 }
 
-// Peek implements wfunc.Tape with transparent read-ahead.
-func (t *dynIn) Peek(i int) float64 {
-	t.fill(i + 1)
-	return t.buf[t.head+i]
-}
-
-// Pop implements wfunc.Tape.
-func (t *dynIn) Pop() float64 {
-	t.fill(1)
-	v := t.buf[t.head]
-	t.head++
-	if t.count != nil {
-		if atomic.AddInt64(t.count, 1) >= t.target {
-			t.stop()
+// attempt fires rt once. A speculative filter fires under a save point
+// (savePoint: its rings, and its fields when its work writes them). An
+// attempt that runs its input dry is rewound, leaving a trace instant and
+// its tape traffic in the profile as a retried firing does, and the filter
+// waits until its input has grown by the items it was short, so no attempt
+// repeats without new input. Every other node fires as on the sequential
+// engine, with no recover.
+func (d *DynamicEngine) attempt(rt *nodeRT) error {
+	n := rt.node
+	if !speculative(n) {
+		return d.fire(rt)
+	}
+	restore := d.savePoint(rt, d.fields[n.ID])
+	defer func() {
+		if r := recover(); r != nil {
+			f, short := r.(tapeFault)
+			if !short || f.short == 0 {
+				panic(r)
+			}
+			restore()
+			d.wait[n.ID] = d.e.chans[n.InEdge().ID].pushed + int64(f.short)
+			traceRecovery(d.rec, n.ID, n.Name, "rewind")
 		}
-	}
-	return v
+	}()
+	return d.fire(rt)
 }
 
-// Push is invalid on an input tape.
-func (t *dynIn) Push(float64) {
-	panic(tapeFault{op: "push", detail: "push on input tape"})
-}
-
-// dynOut is a blocking output tape.
-type dynOut struct {
-	ch   chan float64
-	done chan struct{}
-
-	// Watchdog instrumentation, as in dynIn.
-	st       *nodeStatus
-	progress *atomic.Int64
-	edge     int
-	dstID    int
-	// prof accumulates stall time while blocked (nil unless profiling).
-	prof *obs.FilterStats
-}
-
-// Len reports the items currently queued on the output channel (the
-// profiler's occupancy sample).
-func (t *dynOut) Len() int { return len(t.ch) }
-
-// Peek is invalid on an output tape.
-func (t *dynOut) Peek(int) float64 {
-	panic(tapeFault{op: "peek", detail: "peek on output tape"})
-}
-
-// Pop is invalid on an output tape.
-func (t *dynOut) Pop() float64 {
-	panic(tapeFault{op: "pop", detail: "pop on output tape"})
-}
-
-// Push implements wfunc.Tape, blocking when the channel is full.
-func (t *dynOut) Push(v float64) {
-	// Fast path: channel has room.
-	select {
-	case t.ch <- v:
-		t.progress.Add(1)
-		return
-	default:
-	}
-	// Blocking path: record who we wait on for the watchdog.
-	t0 := t.st.block(wsWaitSend, t.edge, len(t.ch), t.dstID, t.prof)
-	select {
-	case t.ch <- v:
-		t.progress.Add(1)
-		t.st.unblock(t.prof, t0)
-	case <-t.done:
-		panic(stopSignal{})
-	}
+// deadlock reports a pass that neither fired nor rewound while the sinks
+// were short: every node waits on the producer of an input it is short on,
+// or on the consumer of an output ring it has filled.
+func (d *DynamicEngine) deadlock() *DeadlockError {
+	return deadlockReport("dynamic", 0, d.e.G, func(n *ir.Node) (FilterStatus, int, bool) {
+		e, full := d.blocker(n)
+		state, peer := wsWaitRecv, e.Src
+		if full {
+			state, peer = wsWaitSend, e.Dst
+		}
+		return FilterStatus{Worker: -1, State: waitStates[state], Edge: e.String(),
+			Buffered: d.e.chans[e.ID].count}, peer.ID, true
+	})
 }

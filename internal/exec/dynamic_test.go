@@ -1,11 +1,18 @@
 package exec
 
 import (
+	"math"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"streamit/internal/apps"
+	"streamit/internal/faults"
 	"streamit/internal/ir"
+	"streamit/internal/lang"
+	"streamit/internal/obs"
 	"streamit/internal/wfunc"
 )
 
@@ -145,6 +152,293 @@ func TestDynamicFeedbackLoop(t *testing.T) {
 	for i := range want {
 		if (*got)[i] != want[i] {
 			t.Fatalf("out[%d] = %v, want %v", i, (*got)[i], want[i])
+		}
+	}
+}
+
+// blockStream is a stream of length-prefixed blocks: block j holds j%4
+// items (so some blocks are empty), item i being 100j+i+0.5.
+func blockStream(blocks int) []float64 {
+	var s []float64
+	for j := 0; j < blocks; j++ {
+		s = append(s, float64(j%4))
+		for i := 0; i < j%4; i++ {
+			s = append(s, float64(100*j+i)+0.5)
+		}
+	}
+	return s
+}
+
+// blockPipeline builds blocks -> f -> out, where blocks repeats
+// blockStream(8), and the dynamic engine over it with one item ahead per
+// edge (ChanCap 1): f, which reads a whole block per firing, then runs its
+// input dry part-way through nearly every firing.
+func blockPipeline(t *testing.T, f *ir.Filter, opts Options) (*DynamicEngine, *[]float64) {
+	t.Helper()
+	snk, got := SliceSink("out")
+	prog := &ir.Program{Name: "blocks", Top: ir.Pipe("main", SliceSource("blocks", blockStream(8)), f, snk)}
+	g, err := ir.Flatten(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDynamicOpts(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.ChanCap = 1
+	return d, got
+}
+
+// unpack is a `pop *`/`push *` filter: it pops a length k, then k items,
+// pushing each doubled plus k.
+func unpack() *ir.Filter {
+	b := wfunc.NewKernel("Unpack", 0, 0, 0)
+	b.Dynamic()
+	k := b.Local("k")
+	i := b.Local("i")
+	b.WorkBody(
+		wfunc.Set(k, wfunc.PopE()),
+		wfunc.ForUp(i, wfunc.Ci(0), k, wfunc.Push1(wfunc.AddX(wfunc.MulX(wfunc.PopE(), wfunc.C(2)), k))),
+	)
+	return &ir.Filter{Kernel: b.Build(), In: ir.TypeFloat, Out: ir.TypeFloat}
+}
+
+// rewinds counts the rewound attempts a trace recorded.
+func rewinds(rec *obs.Recorder) int {
+	n := 0
+	for _, ev := range rec.Events() {
+		if ev.Name == "recover: rewind" {
+			n++
+		}
+	}
+	return n
+}
+
+// checkOutput compares got bit for bit with want(i), item by item.
+func checkOutput(t *testing.T, got []float64, n int, want func(i int) float64) {
+	t.Helper()
+	if len(got) < n {
+		t.Fatalf("got %d items, want >= %d", len(got), n)
+	}
+	for i, v := range got {
+		if math.Float64bits(v) != math.Float64bits(want(i)) {
+			t.Fatalf("out[%d] = %v, want %v", i, v, want(i))
+		}
+	}
+}
+
+// TestDynamicUnderflowMidFiring: a `pop *` filter that pops a length and
+// then that many items runs its input dry mid-firing. Each such attempt is
+// rewound and retried only once its input has grown: the output is the
+// exact expansion on both backends, and every attempt is either a firing
+// or a rewind that the next attempt follows with new input.
+func TestDynamicUnderflowMidFiring(t *testing.T) {
+	var want []float64
+	data := blockStream(8)
+	for p := 0; p < len(data); {
+		k := int(data[p])
+		for i := 1; i <= k; i++ {
+			want = append(want, data[p+i]*2+float64(k))
+		}
+		p += 1 + k
+	}
+	wantAt := func(i int) float64 { return want[i%len(want)] }
+	for _, backend := range []Backend{BackendVM, BackendInterp} {
+		t.Run(backend.String(), func(t *testing.T) {
+			rec := obs.NewRecorder()
+			d, got := blockPipeline(t, unpack(), Options{Backend: backend, Trace: rec, Profile: true})
+			if err := d.Run(40); err != nil {
+				t.Fatal(err)
+			}
+			checkOutput(t, *got, 40, wantAt)
+			if rewinds(rec) == 0 {
+				t.Fatal("no attempt was rewound: the filter never ran its input dry")
+			}
+			// The profile counts firings, not rewound attempts.
+			for _, p := range d.Profile().Snapshot() {
+				if strings.HasPrefix(p.Name, "Unpack") && p.Firings != d.nodes[1].fired {
+					t.Fatalf("profile counts %d firings, the engine %d", p.Firings, d.nodes[1].fired)
+				}
+			}
+		})
+	}
+	// Block 2's two items (outputs 1 and 2) come from firing 2, whose
+	// attempts are rewound before one completes: the completed one carries
+	// the corruption.
+	t.Run("corrupt", func(t *testing.T) {
+		d, got := blockPipeline(t, unpack(), Options{Faults: mustPlan(t, "corrupt:Unpack@2")})
+		if err := d.Run(40); err != nil {
+			t.Fatal(err)
+		}
+		checkOutput(t, *got, 40, func(i int) float64 {
+			if i == 1 || i == 2 {
+				return faults.CorruptValue
+			}
+			return wantAt(i)
+		})
+		if st := d.Degraded()["Unpack"]; st.Injected != 1 || st.Corrupted != 1 {
+			t.Fatalf("degraded stats %+v, want one corrupt fault", st)
+		}
+	})
+	t.Run("attempts", func(t *testing.T) {
+		f := unpack()
+		attempts, completed := 0, int64(0)
+		dry, pushedAt := false, int64(0)
+		f.WorkFn = func(in, out wfunc.Tape, _ *wfunc.State) {
+			ring := in.(*channel)
+			if dry && ring.pushed <= pushedAt {
+				t.Errorf("attempt %d follows a rewound one with no new input (%d items pushed)", attempts, ring.pushed)
+			}
+			attempts++
+			dry, pushedAt = true, ring.pushed
+			k := in.Pop()
+			for i := 0; i < int(k); i++ {
+				out.Push(in.Pop()*2 + k)
+			}
+			dry = false
+			completed++
+		}
+		rec := obs.NewRecorder()
+		d, got := blockPipeline(t, f, Options{Trace: rec})
+		if err := d.Run(40); err != nil {
+			t.Fatal(err)
+		}
+		checkOutput(t, *got, 40, wantAt)
+		fired := d.nodes[1].fired
+		if fired != completed {
+			t.Fatalf("engine counts %d firings, the kernel completed %d", fired, completed)
+		}
+		if short := rewinds(rec); int64(attempts) > fired+int64(short) {
+			t.Fatalf("%d attempts for %d firings and %d short events", attempts, fired, short)
+		}
+	})
+}
+
+// TestDynamicRewindIsProgress: a producer that pushes 8 items per firing
+// fills its ring past ChanCap in one firing, and the unpacker's blocks (a
+// length 5, then 5 items) are longer than what one burst leaves behind. A
+// pass in which the unpacker only rewinds fires nothing, but the rewind
+// lifts the producer's full ring, so the next pass fires it: the run goes
+// on instead of reporting a deadlock.
+func TestDynamicRewindIsProgress(t *testing.T) {
+	var data []float64
+	for j := 0; j < 8; j++ {
+		data = append(data, 5)
+		for i := 0; i < 5; i++ {
+			data = append(data, float64(10*j+i)+0.5)
+		}
+	}
+	b := wfunc.NewKernel("Burst", 0, 0, 8)
+	b.WorkBody(wfunc.ForUp(b.Local("i"), wfunc.Ci(0), wfunc.Ci(8), wfunc.Push1(wfunc.C(0)))) // placeholder body; native fn used
+	pos := 0
+	burst := &ir.Filter{Kernel: b.Build(), In: ir.TypeVoid, Out: ir.TypeFloat,
+		WorkFn: func(_, out wfunc.Tape, _ *wfunc.State) {
+			for i := 0; i < 8; i++ {
+				out.Push(data[pos%len(data)])
+				pos++
+			}
+		}}
+	snk, got := SliceSink("out")
+	g, err := ir.Flatten(&ir.Program{Name: "burst", Top: ir.Pipe("main", burst, unpack(), snk)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewRecorder()
+	d, err := NewDynamicOpts(g, Options{Trace: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.ChanCap = 2
+	if err := d.Run(100); err != nil {
+		t.Fatal(err)
+	}
+	checkOutput(t, *got, 100, func(i int) float64 {
+		j, k := i/5%8, i%5
+		return (float64(10*j+k)+0.5)*2 + 5
+	})
+	if rewinds(rec) == 0 {
+		t.Fatal("no attempt was rewound: the unpacker never ran its input dry")
+	}
+}
+
+// TestDynamicRewindKeepsFields: a stateful dynamic-rate filter bumps a
+// field before it runs its input dry; the rewound attempt leaves the field
+// as it was, so every output carries the index of the firing that made it.
+func TestDynamicRewindKeepsFields(t *testing.T) {
+	counter := func() *ir.Filter {
+		b := wfunc.NewKernel("Count", 0, 0, 0)
+		b.Dynamic()
+		n := b.Field("n", 0)
+		k := b.Local("k")
+		i := b.Local("i")
+		b.WorkBody(
+			wfunc.SetF(n, wfunc.AddX(n, wfunc.C(1))),
+			wfunc.Set(k, wfunc.PopE()),
+			wfunc.ForUp(i, wfunc.Ci(0), k, wfunc.Push1(wfunc.AddX(wfunc.PopE(), wfunc.MulX(n, wfunc.C(1000))))),
+		)
+		return &ir.Filter{Kernel: b.Build(), In: ir.TypeFloat, Out: ir.TypeFloat}
+	}
+	// Output i comes from block j (counting across repeats), firing j+1.
+	var want []float64
+	for j := 0; len(want) < 200; j++ {
+		for i := 0; i < j%4; i++ {
+			want = append(want, float64(100*(j%8)+i)+0.5+float64(1000*(j+1)))
+		}
+	}
+	for _, backend := range []Backend{BackendVM, BackendInterp} {
+		t.Run(backend.String(), func(t *testing.T) {
+			rec := obs.NewRecorder()
+			d, got := blockPipeline(t, counter(), Options{Backend: backend, Trace: rec})
+			if err := d.Run(40); err != nil {
+				t.Fatal(err)
+			}
+			checkOutput(t, *got, 40, func(i int) float64 { return want[i] })
+			if rewinds(rec) == 0 {
+				t.Fatal("no attempt was rewound: the filter never ran its input dry")
+			}
+			rt := d.nodes[1]
+			if n := rt.state.Scalars[0]; n != float64(rt.fired) {
+				t.Fatalf("field n = %v after %d firings: a rewound attempt kept its write", n, rt.fired)
+			}
+		})
+	}
+}
+
+// TestDynamicDeterministicProfile: the dynamic engine fires on one thread
+// in topological passes, so runs of rle.str on either backend count the
+// same firings and tape traffic at every node.
+func TestDynamicDeterministicProfile(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "..", "examples", "strprogs", "rle.str"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first []obs.FilterProfile
+	for _, backend := range []Backend{BackendVM, BackendInterp, BackendVM} {
+		prog, err := lang.ParseAndElaborate(string(src), "Main")
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := ir.Flatten(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := NewDynamicOpts(g, Options{Backend: backend, Profile: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Run(20000); err != nil {
+			t.Fatal(err)
+		}
+		got := d.Profile().Snapshot()
+		for i := range got {
+			got[i].WorkNS, got[i].StallNS = 0, 0
+		}
+		if first == nil {
+			first = got
+			continue
+		}
+		if !reflect.DeepEqual(got, first) {
+			t.Fatalf("%s run profiles %+v, first run %+v", backend, got, first)
 		}
 	}
 }

@@ -31,10 +31,13 @@ func (e *ExecError) Unwrap() error { return e.Err }
 
 // tapeFault is the panic payload of channel/tape misuse. It carries the
 // operation so the recover site (which knows the firing node) can build a
-// full ExecError; the tape itself does not know who is using it.
+// full ExecError; the tape itself does not know who is using it. short is
+// how many more items an underflow needed (0 for other misuse), which the
+// dynamic engine waits for before a dynamic-rate filter's next attempt.
 type tapeFault struct {
 	op     string
 	detail string
+	short  int
 }
 
 func (f tapeFault) Error() string { return fmt.Sprintf("%s: %s", f.op, f.detail) }
@@ -54,7 +57,7 @@ func asExecError(filter string, firing int64, r any) *ExecError {
 	}
 }
 
-// FilterStatus is one node's wait state in a watchdog report: what it was
+// FilterStatus is one node's wait state in a deadlock report: what it was
 // last seen doing, on which tape, and for how long.
 type FilterStatus struct {
 	Name     string
@@ -80,10 +83,12 @@ func (s FilterStatus) String() string {
 	return b
 }
 
-// DeadlockError reports a watchdog-detected stall: no item or batch moved
-// anywhere in the engine for at least Interval. Blocked lists every node
-// still waiting and what it is waiting on; Cycle names the wait-cycle (or
-// terminal chain) the watchdog traced through the blocked nodes.
+// DeadlockError reports a run that cannot move: on the mapped engine, no
+// batch moved anywhere for at least Interval (the watchdog's verdict); on
+// the dynamic engine, a pass of its data-driven loop neither fired nor
+// rewound while the sinks were short (Interval 0). Blocked lists every node still waiting
+// and what it is waiting on; Cycle names the wait-cycle (or terminal chain)
+// traced through the blocked nodes.
 type DeadlockError struct {
 	Engine   string // "mapped" or "dynamic"
 	Interval time.Duration
@@ -94,7 +99,11 @@ type DeadlockError struct {
 // Error implements error.
 func (e *DeadlockError) Error() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "exec: %s engine watchdog: no progress for %s", e.Engine, e.Interval.Round(time.Millisecond))
+	if e.Interval > 0 {
+		fmt.Fprintf(&b, "exec: %s engine watchdog: no progress for %s", e.Engine, e.Interval.Round(time.Millisecond))
+	} else {
+		fmt.Fprintf(&b, "exec: %s engine deadlock: no node can fire", e.Engine)
+	}
 	for _, s := range e.Blocked {
 		b.WriteString("; ")
 		b.WriteString(s.String())

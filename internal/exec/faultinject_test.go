@@ -337,8 +337,8 @@ func TestDynamicPanicFailPolicy(t *testing.T) {
 	}
 }
 
-// TestDynamicCorruptSentinel: corruption injection works on live channels
-// (no rollback needed).
+// TestDynamicCorruptSentinel: corruption injection works on the dynamic
+// engine (no rollback needed).
 func TestDynamicCorruptSentinel(t *testing.T) {
 	g, _, got := faultPipeline(t, gainFilter("Double", 2))
 	d, err := NewDynamicOpts(g, Options{Faults: mustPlan(t, "corrupt:Double@2")})
@@ -359,8 +359,9 @@ func TestDynamicCorruptSentinel(t *testing.T) {
 	}
 }
 
-// TestDynamicRejectsRecoveryPolicies: pushes reach live channels, so
-// rollback-based policies are a construction-time error.
+// TestDynamicRejectsRecoveryPolicies: skip honours declared rates, which a
+// dynamic-rate filter does not have, so recovery policies are a
+// construction-time error.
 func TestDynamicRejectsRecoveryPolicies(t *testing.T) {
 	g, _, _ := faultPipeline(t, gainFilter("Double", 2))
 	if _, err := NewDynamicOpts(g, Options{OnError: mustPolicies(t, "retry")}); err == nil {

@@ -10,13 +10,14 @@ import (
 )
 
 // The firing core: how a node fires, stated once for every engine. The
-// sequential, mapped and dynamic engines differ in their tapes, in how they
-// save those tapes for a supervised rollback, in how they count progress
-// and in their outer loops; what a firing is — a filter's work dispatch
-// (override, native WorkFn, then the work runner) under the supervisor when
-// one is attached, a splitter's or joiner's routing, the observability
-// stamp, and the constraint-aware data-driven loop that hosts teleport
-// messaging — is this file.
+// sequential and mapped engines differ in their tapes, in how they save
+// those tapes for a supervised rollback, in how they count progress and in
+// their outer loops; the dynamic engine is the sequential one with its own
+// outer loop. What a firing is — a filter's work dispatch (override, native
+// WorkFn, then the work runner) under the supervisor when one is attached,
+// a splitter's or joiner's routing, the observability stamp, and the
+// constraint-aware data-driven loop that hosts teleport messaging — is this
+// file.
 
 // nodeRT is one node's runtime record, the same under every engine. It
 // outlives epochs, re-plans and restores; only the mapped engine rebinds its
@@ -69,7 +70,7 @@ type core struct {
 	prof *obs.Profiler
 	rec  *obs.Recorder
 	// msgs is the teleport-messaging runtime filters send through and the
-	// data-driven loop delivers from; nil on the dynamic engine.
+	// data-driven loop delivers from.
 	msgs *teleport
 }
 
@@ -102,6 +103,30 @@ func (rt *nodeRT) setState(st *wfunc.State) {
 	rt.state = st
 	if rt.runner != nil {
 		rt.runner.setState(st)
+	}
+}
+
+// savePoint marks what a filter firing may change, for a rollback: its
+// tapes (the engine's save), the teleport messages it has sent and, copied
+// into keep when that is set, its fields. The returned restore rewinds all
+// three, as often as it is called.
+func (c *core) savePoint(rt *nodeRT, keep *wfunc.State) (restore func()) {
+	rewind := c.eng.save(rt)
+	var sent []int
+	if rt.msg != nil {
+		sent = c.msgs.mark()
+	}
+	if keep != nil {
+		copyState(keep, rt.state)
+	}
+	return func() {
+		rewind()
+		if rt.msg != nil {
+			c.msgs.rewind(sent)
+		}
+		if keep != nil {
+			copyState(rt.state, keep)
+		}
 	}
 }
 
@@ -146,17 +171,13 @@ func (c *core) fire(rt *nodeRT) error {
 	return nil
 }
 
-// stamped is a filter firing under the observability stamp: work time,
-// less what the tapes spent blocked (only the dynamic engine's tapes block
-// inside a firing), the trace's firing slice over the whole elapsed span,
-// and the firing count.
+// stamped is a filter firing under the observability stamp: work time and
+// the trace's firing slice over the elapsed span, and the firing count. No
+// tape blocks inside a firing: the mapped engine books its stalls between
+// firings.
 func (c *core) stamped(rt *nodeRT) error {
 	n := rt.node
 	start := time.Now()
-	var stall0 int64
-	if rt.pst != nil {
-		stall0 = rt.pst.StallNanos()
-	}
 	var err error
 	if c.sup != nil {
 		err = c.sup.fire(c, rt)
@@ -165,7 +186,7 @@ func (c *core) stamped(rt *nodeRT) error {
 	}
 	d := time.Since(start)
 	if rt.pst != nil {
-		rt.pst.AddWork(max(d-time.Duration(rt.pst.StallNanos()-stall0), 0))
+		rt.pst.AddWork(d)
 	}
 	if c.rec != nil {
 		end := c.rec.Stamp()
@@ -280,7 +301,7 @@ func (c *core) dataDriven(q queues, nodes []*nodeRT, goal []int64, phase string,
 	for {
 		progressed, done := false, true
 		for i, rt := range nodes {
-			for rt.fired < goal[i] && canFire(q, rt.node) {
+			for rt.fired < goal[i] && starved(q, rt.node) == nil {
 				ok, err := c.msgs.constraintsAllow(rt.node)
 				if err != nil {
 					return fired, err
@@ -308,15 +329,16 @@ func (c *core) dataDriven(q queues, nodes []*nodeRT, goal []int64, phase string,
 	}
 }
 
-// canFire checks input availability for one firing of n: every in port
-// holds its peek window.
-func canFire(q queues, n *ir.Node) bool {
+// starved checks input availability for one firing of n: it returns the
+// first in port's edge that holds less than its peek window, nil when n can
+// fire.
+func starved(q queues, n *ir.Node) *ir.Edge {
 	for p, e := range n.In {
 		if e != nil && q.buffered(e) < n.PeekPort(p) {
-			return false
+			return e
 		}
 	}
-	return true
+	return nil
 }
 
 // kernelState is the state a node's message handlers run against.

@@ -90,10 +90,6 @@ type errorCase struct {
 	mid  func() *ir.Filter
 	opts func(t *testing.T) Options
 	op   string
-	// blocking marks a fault the dynamic engine's blocking tapes cannot
-	// produce: a pop past the declared rate waits for the next item there,
-	// a legal read under dynamic rates.
-	blocking bool
 }
 
 const errAt = 5
@@ -137,7 +133,7 @@ func TestCrossEngineErrors(t *testing.T) {
 			)
 			return &ir.Filter{Kernel: b.Build(), In: ir.TypeFloat, Out: ir.TypeFloat}
 		}},
-		{name: "native pop past input", op: "pop", blocking: true, mid: func() *ir.Filter {
+		{name: "native pop past input", op: "pop", mid: func() *ir.Filter {
 			calls := 0
 			f := gainFilter("mid", 1)
 			f.WorkFn = func(in, out wfunc.Tape, _ *wfunc.State) {
@@ -209,6 +205,9 @@ func TestCrossEngineErrors(t *testing.T) {
 			if err != nil {
 				return err
 			}
+			// One item ahead per edge: mid sees exactly its declared window,
+			// as under the schedule, so a pop past it underflows.
+			d.ChanCap = 1
 			return d.Run(64)
 		}},
 	}
@@ -216,9 +215,6 @@ func TestCrossEngineErrors(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var want *ExecError
 			for _, eng := range engines {
-				if tc.blocking && eng.name == "dynamic" {
-					continue
-				}
 				g, s, _ := faultPipeline(t, tc.mid())
 				var opts Options
 				if tc.opts != nil {

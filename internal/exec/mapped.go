@@ -265,7 +265,7 @@ func NewMappedOpts(g *ir.Graph, s *sched.Schedule, assign []int, workers int, op
 			rt.pst = me.prof.At(n.ID)
 		}
 		me.nodes[n.ID] = rt
-		me.statuses[n.ID] = &nodeStatus{name: n.Name, live: &me.live}
+		me.statuses[n.ID] = &nodeStatus{live: &me.live}
 	}
 	if err := me.buildTopology(); err != nil {
 		return nil, err
@@ -642,7 +642,7 @@ func (me *MappedEngine) startCrew() error {
 			}
 		}(w)
 	}
-	c.wd = newWatchdog("mapped", me.Watchdog, me.G, &me.live, me.statuses, c.parked, c.abort)
+	c.wd = newWatchdog(me.Watchdog, me.G, &me.live, me.statuses, c.parked, c.abort)
 	me.crew = c
 	return nil
 }

@@ -66,9 +66,9 @@ func profileSJ(st *obs.FilterStats, n *ir.Node) {
 	st.AddPushes(pushes)
 }
 
-// obsTape wraps a tape (sequential ring, mapped SliceQueue, dynamic
-// dynIn/dynOut) with per-operation counting. The tape must outlive the
-// wrapper: every engine restores into its tapes, never replaces them.
+// obsTape wraps a tape (sequential ring or mapped SliceQueue) with
+// per-operation counting. The tape must outlive the wrapper: every engine
+// restores into its tapes, never replaces them.
 // lenFn, when set, samples output occupancy after each push for the
 // high-water mark.
 type obsTape struct {

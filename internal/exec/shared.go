@@ -53,24 +53,28 @@ type Shared struct {
 // NewShared compiles the reusable execution artifacts for g under the
 // given backend. The work is everything expensive about engine
 // construction: VM compilation per kernel, init-function interpretation,
-// and constraint derivation.
+// and constraint derivation. s is nil for a graph with dynamic rates, which
+// has none: its rings start at their consumer's peek window, and its
+// engines have no fingerprint.
 func NewShared(g *ir.Graph, s *sched.Schedule, backend Backend) (*Shared, error) {
 	sh := &Shared{
 		G:       g,
 		Sch:     s,
 		Backend: backend,
-		fp:      graphFingerprint(g, s),
 		progs:   make([]*vm.Program, len(g.Nodes)),
 		protos:  make([]*wfunc.State, len(g.Nodes)),
 		sends:   make([]bool, len(g.Nodes)),
 		ringCap: make([]int, len(g.Edges)),
 	}
 	for _, edge := range g.Edges {
-		c := s.BufCap[edge.ID]
-		if n := len(edge.Initial); n > c {
-			c = n
+		c := edge.Dst.PeekPort(edge.DstPort)
+		if s != nil {
+			c = s.BufCap[edge.ID]
 		}
-		sh.ringCap[edge.ID] = c
+		sh.ringCap[edge.ID] = max(c, len(edge.Initial))
+	}
+	if s != nil {
+		sh.fp = graphFingerprint(g, s)
 	}
 	// Fission replicas and fused partitions can share one kernel object;
 	// compile each distinct work function once.

@@ -15,7 +15,7 @@ import (
 
 // Options configure engine construction across all engines: the
 // work-function backend, an optional fault-injection plan, per-kernel
-// recovery policies, and the watchdog interval for the concurrent engines.
+// recovery policies, and the mapped engine's watchdog interval.
 type Options struct {
 	// Backend selects the work-function substrate (zero value: bytecode VM).
 	Backend Backend
@@ -23,11 +23,11 @@ type Options struct {
 	Faults *faults.Plan
 	// OnError maps filters to recovery policies (zero value: fail).
 	OnError faults.Policies
-	// Watchdog is the stall-detection interval of the mapped and dynamic
-	// engines: if no item or batch moves anywhere for this long, the run
-	// aborts with a *DeadlockError describing the blocked wait-cycle.
-	// 0 selects DefaultWatchdogInterval; negative disables the watchdog.
-	// The sequential engine is single-threaded and has no watchdog.
+	// Watchdog is the mapped engine's stall-detection interval: if no batch
+	// moves anywhere for this long, the run aborts with a *DeadlockError
+	// describing the blocked wait-cycle. 0 selects DefaultWatchdogInterval;
+	// negative disables the watchdog. The other engines are single-threaded
+	// and ignore it.
 	Watchdog time.Duration
 	// QueueDepth bounds the mapped engine's cross-worker channels, in
 	// batches. 0 selects DefaultQueueDepth; the other engines ignore it.
@@ -105,9 +105,9 @@ type Options struct {
 	Remote *RemoteHooks
 }
 
-// DefaultWatchdogInterval is the no-progress window after which the
-// mapped and dynamic engines declare deadlock. Generous enough that only
-// a genuine wedge (never a slow kernel making progress) trips it.
+// DefaultWatchdogInterval is the no-progress window after which the mapped
+// engine declares deadlock. Generous enough that only a genuine wedge
+// (never a slow kernel making progress) trips it.
 const DefaultWatchdogInterval = 5 * time.Second
 
 // supervised reports whether the options ask for any supervision work.
@@ -155,7 +155,7 @@ type DegradedStats struct {
 
 // supervisor applies fault injection and recovery policies to filter
 // firings. One instance is shared by all node contexts of an engine; it is
-// concurrency-safe for the mapped and dynamic engines.
+// concurrency-safe for the mapped engine's workers.
 type supervisor struct {
 	inj *faults.Injector
 	pol faults.Policies
@@ -163,6 +163,10 @@ type supervisor struct {
 	mu           sync.Mutex
 	stats        map[string]*DegradedStats
 	workerFaults map[int][]faults.WorkerFault // per worker, sorted by Iter
+	// held is, per dynamic-rate filter, the corrupt fault of an attempt the
+	// dynamic engine rewound: the retry of that firing takes it again. Only
+	// dynamic-rate firings read or write it.
+	held map[string]faults.Fault
 }
 
 // newSupervisor materializes the options against a graph. Returns nil when
@@ -175,7 +179,7 @@ func newSupervisor(g *ir.Graph, o Options) (*supervisor, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &supervisor{inj: inj, pol: o.OnError, stats: map[string]*DegradedStats{}}
+	s := &supervisor{inj: inj, pol: o.OnError, stats: map[string]*DegradedStats{}, held: map[string]faults.Fault{}}
 	if o.Faults != nil && len(o.Faults.WorkerFaults) > 0 {
 		s.workerFaults = map[int][]faults.WorkerFault{}
 		for _, wf := range o.Faults.WorkerFaults {
@@ -230,8 +234,20 @@ func (s *supervisor) statFor(filter string) *DegradedStats {
 	return st
 }
 
-// take consults the injector for a fault due at this firing, recording it.
-func (s *supervisor) take(filter string, firing int64) (faults.Fault, bool) {
+// take consults the injector for a fault due at this firing of n, recording
+// it. A dynamic-rate filter first takes back the fault its rewound attempt
+// held; a static-rate firing never looks there.
+func (s *supervisor) take(n *ir.Node, firing int64) (faults.Fault, bool) {
+	filter := n.Name
+	if n.Filter.Kernel.Dynamic {
+		s.mu.Lock()
+		f, ok := s.held[filter]
+		delete(s.held, filter)
+		s.mu.Unlock()
+		if ok {
+			return f, true
+		}
+	}
 	f, ok := s.inj.Next(filter, firing)
 	if ok {
 		s.mu.Lock()
@@ -313,30 +329,29 @@ func (s *supervisor) fire(c *core, rt *nodeRT) error {
 	rollback := pol.Action != faults.Fail
 	var restore func()
 	if rollback {
-		rewind := c.eng.save(rt)
-		var sent []int
-		if rt.msg != nil {
-			sent = c.msgs.mark()
-		}
-		var stateSave *wfunc.State
+		var keep *wfunc.State
 		if rt.state != nil {
-			stateSave = rt.state.Clone()
+			keep = rt.state.Clone()
 		}
-		restore = func() {
-			rewind()
-			if rt.msg != nil {
-				c.msgs.rewind(sent)
-			}
-			if stateSave != nil {
-				rt.setState(stateSave.Clone())
-			}
-		}
+		restore = c.savePoint(rt, keep)
+	}
+	fault, injected := s.take(n, rt.fired)
+	if injected {
+		traceFault(rec, n.ID, name, fault.Kind.String())
 	}
 	attempt := func(corrupt bool) (err error) {
 		defer func() {
 			if r := recover(); r != nil {
-				if _, stop := r.(stopSignal); stop {
-					panic(r) // a dynamic tape unwinding a stopped run, not a fault
+				if _, short := r.(tapeFault); short && n.Filter.Kernel.Dynamic {
+					// A dynamic-rate filter ran its input dry: the dynamic
+					// engine rewinds the attempt, and retries the firing
+					// with the same fault.
+					if corrupt {
+						s.mu.Lock()
+						s.held[name] = fault
+						s.mu.Unlock()
+					}
+					panic(r)
 				}
 				err = asExecError(name, rt.fired, r)
 			}
@@ -348,10 +363,6 @@ func (s *supervisor) fire(c *core, rt *nodeRT) error {
 		return c.work(rt, out)
 	}
 	var err error
-	fault, injected := s.take(name, rt.fired)
-	if injected {
-		traceFault(rec, n.ID, name, fault.Kind.String())
-	}
 	switch {
 	case injected && fault.Kind == faults.Panic:
 		err = &ExecError{Filter: name, Op: "injected panic", Iteration: rt.fired}

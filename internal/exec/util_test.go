@@ -45,18 +45,21 @@ func scheduleBudget(s *sched.Schedule, iters int) []int64 {
 	return budget
 }
 
-// runBudget executes until every node has fired exactly budget[nodeID]
-// times (see scheduleBudget). Unlike Run, which stops on a sink-item count
-// and leaves upstream firing counts nondeterministic, a budgeted run is
-// fully deterministic in its observable counters — this is what lets the
-// cross-engine conformance suite compare the demand-driven engine against
-// the schedule-driven ones. An infeasible budget wedges and is reported by
-// the watchdog.
-func (d *DynamicEngine) runBudget(budget []int64) error {
-	if len(budget) != len(d.G.Nodes) {
-		return fmt.Errorf("exec: budget for %d nodes, graph has %d", len(budget), len(d.G.Nodes))
+// runBudget fires every node exactly budget[nodeID] times (see
+// scheduleBudget) through the firing core's data-driven loop. Run stops on
+// a sink-item count with producers up to ChanCap items ahead; a budgeted
+// run stops every node at the schedule's count, which is what lets the
+// cross-engine conformance suite compare the schedule-less engine's
+// profile against the schedule-driven ones. An infeasible budget fails
+// with the loop's no-progress error.
+func (d *DynamicEngine) runBudget(budget []int64) (err error) {
+	defer d.e.blameFiring(&err)
+	goal := make([]int64, len(d.order))
+	for i, rt := range d.order {
+		goal[i] = budget[rt.node.ID]
 	}
-	return d.run(0, budget)
+	_, err = d.dataDriven(d.e, d.order, goal, "budget", &d.e.cur)
+	return err
 }
 
 // wfuncKernel builds a deterministic kernel with the given rates: each

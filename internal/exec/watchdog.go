@@ -11,7 +11,7 @@ import (
 )
 
 // waitState is a node's wait state as a nodeStatus stores it; waitStates
-// names it in the watchdog's report.
+// names it in deadlock reports.
 type waitState int32
 
 const (
@@ -19,18 +19,17 @@ const (
 	wsWaitRecv
 	wsWaitSend
 	wsStalled
-	wsDone
 )
 
 const stStalled = "stalled (injected)"
 
 var waitStates = [...]string{wsRunning: "running", wsWaitRecv: "waiting recv", wsWaitSend: "waiting send",
-	wsStalled: stStalled, wsDone: "done"}
+	wsStalled: stStalled}
 
-// liveness is what a watchdog reads of an engine: the progress counter the
-// engine's goroutines bump on every item or batch moved and every firing
-// completed, and the watchdog's own tick count, which dates every
-// wait-state transition without a clock read.
+// liveness is what a watchdog reads of the mapped engine: the progress
+// counter its workers bump on every batch moved and every firing, and the
+// watchdog's own tick count, which dates every wait-state transition
+// without a clock read.
 type liveness struct {
 	progress atomic.Int64
 	ticks    atomic.Int64
@@ -41,9 +40,8 @@ type liveness struct {
 // when progress stops. Every field is a plain word: a transition takes no
 // lock, reads no clock and formats nothing. The zero state is running.
 type nodeStatus struct {
-	name string
-	// worker is the mapped-engine worker running the node (-1: not mapped);
-	// it changes only while no watchdog runs.
+	// worker is the mapped-engine worker running the node; it changes only
+	// while no watchdog runs.
 	worker int
 	live   *liveness
 
@@ -82,21 +80,19 @@ func (s *nodeStatus) unblock(prof *obs.FilterStats, t0 time.Time) {
 	}
 }
 
-// watchdog detects engine-wide stalls: it samples the engine's progress
-// counter once per tick and, when the counter freezes for the configured
-// interval, collects every node's wait state, traces the wait-cycle, and
-// aborts the run.
+// watchdog detects stalls of the mapped engine: it samples the engine's
+// progress counter once per tick and, when the counter freezes for the
+// configured interval, collects every node's wait state, traces the
+// wait-cycle, and aborts the run.
 type watchdog struct {
-	engine   string // "mapped" or "dynamic"
 	interval time.Duration
 	tick     time.Duration
-	g        *ir.Graph // names the edges in the report
+	g        *ir.Graph // names the nodes and edges in the report
 	live     *liveness
 	statuses []*nodeStatus
-	// parked marks, per mapped-engine worker, one waiting at the epoch
-	// barrier (nil elsewhere): its nodes are idle rather than running, and
-	// while every worker is parked the driver is between epochs, which is
-	// no stall.
+	// parked marks, per worker, one waiting at the epoch barrier: its nodes
+	// are idle rather than running, and while every worker is parked the
+	// driver is between epochs, which is no stall.
 	parked []atomic.Bool
 	stop   func() // aborts the run (idempotent)
 
@@ -109,7 +105,7 @@ type watchdog struct {
 // indexed by node ID. interval is the engine's Watchdog setting: 0 selects
 // DefaultWatchdogInterval, negative disables detection (a nil watchdog,
 // whose finish reports nothing).
-func newWatchdog(engine string, interval time.Duration, g *ir.Graph, live *liveness, statuses []*nodeStatus, parked []atomic.Bool, stop func()) *watchdog {
+func newWatchdog(interval time.Duration, g *ir.Graph, live *liveness, statuses []*nodeStatus, parked []atomic.Bool, stop func()) *watchdog {
 	if interval < 0 {
 		return nil
 	}
@@ -117,7 +113,7 @@ func newWatchdog(engine string, interval time.Duration, g *ir.Graph, live *liven
 		interval = DefaultWatchdogInterval
 	}
 	w := &watchdog{
-		engine: engine, interval: interval, tick: max(interval/4, 5*time.Millisecond), g: g, live: live,
+		interval: interval, tick: max(interval/4, 5*time.Millisecond), g: g, live: live,
 		statuses: statuses, parked: parked, stop: stop, quit: make(chan struct{}),
 	}
 	w.wg.Add(1)
@@ -160,22 +156,21 @@ func (w *watchdog) run() {
 	}
 }
 
-// allParked reports whether every mapped worker waits at the barrier.
+// allParked reports whether every worker waits at the barrier.
 func (w *watchdog) allParked() bool {
 	for i := range w.parked {
 		if !w.parked[i].Load() {
 			return false
 		}
 	}
-	return w.parked != nil
+	return true
 }
 
 // anyRunning reports whether any node claims to be computing (rather than
-// blocked on a tape, stalled, done, or idle at the barrier).
+// blocked on a tape, stalled, or idle at the barrier).
 func (w *watchdog) anyRunning() bool {
 	for _, st := range w.statuses {
-		idle := w.parked != nil && w.parked[st.worker].Load()
-		if waitState(st.state.Load()) == wsRunning && !idle {
+		if waitState(st.state.Load()) == wsRunning && !w.parked[st.worker].Load() {
 			return true
 		}
 	}
@@ -193,48 +188,56 @@ func (w *watchdog) verdict() error {
 	return nil // a typed nil must not escape into a plain error
 }
 
-// finish stops the monitor once the run has finished (or aborted), waits
-// for it, and returns its verdict.
-func (w *watchdog) finish() error {
-	if w == nil {
-		return nil
+// finish stops the monitor once the drive has ended and waits for it.
+func (w *watchdog) finish() {
+	if w != nil {
+		close(w.quit)
+		w.wg.Wait()
 	}
-	close(w.quit)
-	w.wg.Wait()
-	return w.verdict()
 }
 
 // report builds the deadlock description from the sampled statuses at
 // tick now.
 func (w *watchdog) report(now int64) *DeadlockError {
-	e := &DeadlockError{Engine: w.engine, Interval: w.interval}
-	blockedOn := make(map[int]int) // node ID -> node ID it waits on
-	names := make(map[int]string)
-	for id, st := range w.statuses {
-		names[id] = st.name
+	return deadlockReport("mapped", w.interval, w.g, func(n *ir.Node) (FilterStatus, int, bool) {
+		st := w.statuses[n.ID]
 		state := waitState(st.state.Load())
-		if state == wsRunning || state == wsDone {
-			continue
-		}
-		fs := FilterStatus{Name: st.name, Worker: st.worker, State: waitStates[state],
+		fs := FilterStatus{Worker: st.worker, State: waitStates[state],
 			Buffered: int(st.buffered.Load()), Blocked: time.Duration(now-st.since.Load()) * w.tick}
 		if edge := st.edge.Load(); edge >= 0 {
 			fs.Edge = w.g.Edges[edge].String()
 		}
+		return fs, int(st.blockedOn.Load()), state != wsRunning
+	})
+}
+
+// deadlockReport is the one assembly of a *DeadlockError: wait(n) tells
+// whether node n of g waits and, if so, its status (Name is filled in here)
+// and the node ID it waits on (-1: none); the wait-cycle is traced through
+// those.
+func deadlockReport(engine string, interval time.Duration, g *ir.Graph, wait func(*ir.Node) (FilterStatus, int, bool)) *DeadlockError {
+	e := &DeadlockError{Engine: engine, Interval: interval}
+	blockedOn := make(map[int]int) // node ID -> node ID it waits on
+	for _, n := range g.Nodes {
+		fs, on, waits := wait(n)
+		if !waits {
+			continue
+		}
+		fs.Name = n.Name
 		e.Blocked = append(e.Blocked, fs)
-		if on := int(st.blockedOn.Load()); on >= 0 {
-			blockedOn[id] = on
+		if on >= 0 {
+			blockedOn[n.ID] = on
 		}
 	}
-	e.Cycle = traceWaitCycle(blockedOn, names)
+	e.Cycle = traceWaitCycle(blockedOn, g)
 	return e
 }
 
-// traceWaitCycle follows blocked-on edges from some blocked node; if the
-// walk revisits a node, the loop portion is the deadlock cycle. With no
+// traceWaitCycle follows blocked-on edges from some blocked node of g; if
+// the walk revisits a node, the loop portion is the deadlock cycle. With no
 // cycle (a stall, not a deadlock), the longest chain found is returned so
 // the error still names who waits on whom.
-func traceWaitCycle(blockedOn map[int]int, names map[int]string) []string {
+func traceWaitCycle(blockedOn map[int]int, g *ir.Graph) []string {
 	starts := make([]int, 0, len(blockedOn))
 	for id := range blockedOn {
 		starts = append(starts, id)
@@ -250,9 +253,9 @@ func traceWaitCycle(blockedOn map[int]int, names map[int]string) []string {
 				// Cycle: path[pos:] plus the closing node.
 				var cyc []string
 				for _, p := range path[pos:] {
-					cyc = append(cyc, names[p])
+					cyc = append(cyc, g.Nodes[p].Name)
 				}
-				cyc = append(cyc, names[n])
+				cyc = append(cyc, g.Nodes[n].Name)
 				return cyc
 			}
 			visited[n] = len(path)
@@ -266,7 +269,7 @@ func traceWaitCycle(blockedOn map[int]int, names map[int]string) []string {
 		if len(path) > len(bestChain) {
 			bestChain = nil
 			for _, p := range path {
-				bestChain = append(bestChain, names[p])
+				bestChain = append(bestChain, g.Nodes[p].Name)
 			}
 		}
 	}

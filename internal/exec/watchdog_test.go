@@ -70,36 +70,34 @@ func TestParallelStallWatchdog(t *testing.T) {
 	}
 }
 
-// TestDynamicStallWatchdog: same detection on the dynamic engine.
+// TestDynamicStallWatchdog: the dynamic engine runs on one thread with no
+// watchdog, so an injected stall under the fail policy is reported
+// synchronously, as on the sequential engine.
 func TestDynamicStallWatchdog(t *testing.T) {
 	g, _, _ := faultPipeline(t, gainFilter("Double", 2))
 	rec := obs.NewRecorder()
 	d, err := NewDynamicOpts(g, Options{
-		Faults:   mustPlan(t, "stall:Double@5"),
-		Watchdog: 150 * time.Millisecond,
-		Trace:    rec,
+		Faults: mustPlan(t, "stall:Double@5"),
+		Trace:  rec,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	err = d.Run(64)
-	var de *DeadlockError
-	if !errors.As(err, &de) {
-		t.Fatalf("err = %v, want *DeadlockError", err)
+	var ee *ExecError
+	if !errors.As(err, &ee) {
+		t.Fatalf("err = %v, want *ExecError", err)
 	}
 	expectStall(t, rec, "Double")
-	if de.Engine != "dynamic" {
-		t.Fatalf("engine = %q, want dynamic", de.Engine)
-	}
-	if !strings.Contains(err.Error(), "Double") {
-		t.Fatalf("error %q does not name the stalled filter", err)
+	if faults.BaseName(ee.Filter) != "Double" || ee.Op != "injected stall" || ee.Iteration != 5 {
+		t.Fatalf("err = %+v, want Double's injected stall at firing 5", ee)
 	}
 }
 
 // TestDynamicBufferDeadlockCycle: a rate-mismatched graph (duplicate split
-// feeding a weighted joiner) wedges once the bounded channels fill — the
-// classic dynamic-rate deadlock the watchdog exists for. The report traces
-// the wait-cycle through splitter, branch, and joiner.
+// feeding a weighted joiner) wedges once the bounded rings fill — the
+// classic dynamic-rate deadlock. The pass that cannot move reports it at
+// once, tracing the wait-cycle through the blocked nodes.
 func TestDynamicBufferDeadlockCycle(t *testing.T) {
 	snk, _ := SliceSink("snk")
 	sj := ir.SJ("sj", ir.Duplicate(), ir.RoundRobin(8, 1),
@@ -109,7 +107,7 @@ func TestDynamicBufferDeadlockCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDynamicOpts(g, Options{Watchdog: 150 * time.Millisecond})
+	d, err := NewDynamicOpts(g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +123,8 @@ func TestDynamicBufferDeadlockCycle(t *testing.T) {
 	if len(de.Cycle) < 2 {
 		t.Fatalf("expected a traced wait-cycle, got %v", de.Cycle)
 	}
-	if !strings.Contains(err.Error(), "wait-cycle") {
-		t.Fatalf("error %q does not include the wait-cycle", err)
+	if msg := err.Error(); !strings.Contains(msg, "wait-cycle") || strings.Contains(msg, "watchdog") {
+		t.Fatalf("error %q should include the wait-cycle and no watchdog verdict", msg)
 	}
 }
 
@@ -155,14 +153,17 @@ func TestWatchdogDisabled(t *testing.T) {
 
 // TestWaitCycleTrace: unit test of the cycle tracer.
 func TestWaitCycleTrace(t *testing.T) {
-	names := map[int]string{1: "A", 2: "B", 3: "C", 4: "D"}
+	g := &ir.Graph{}
+	for _, name := range []string{"", "A", "B", "C", "D"} {
+		g.Nodes = append(g.Nodes, &ir.Node{ID: len(g.Nodes), Name: name})
+	}
 	// A -> B -> C -> B is a cycle (B C B); D -> A joins the chain.
-	cycle := traceWaitCycle(map[int]int{1: 2, 2: 3, 3: 2, 4: 1}, names)
+	cycle := traceWaitCycle(map[int]int{1: 2, 2: 3, 3: 2, 4: 1}, g)
 	if len(cycle) != 3 || cycle[0] != "B" || cycle[1] != "C" || cycle[2] != "B" {
 		t.Fatalf("cycle = %v, want [B C B]", cycle)
 	}
 	// No cycle: the longest chain is reported.
-	chain := traceWaitCycle(map[int]int{1: 2, 2: 3}, names)
+	chain := traceWaitCycle(map[int]int{1: 2, 2: 3}, g)
 	if len(chain) < 2 || chain[0] != "A" {
 		t.Fatalf("chain = %v, want the A -> B -> C chain", chain)
 	}

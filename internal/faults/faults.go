@@ -420,8 +420,8 @@ func replicaSet(matches []string) ([]string, bool) {
 }
 
 // Injector hands scheduled faults to an engine as it fires filters. It is
-// safe for concurrent use (the parallel and dynamic engines consult it
-// from every node goroutine).
+// safe for concurrent use (the mapped engine consults it from every worker
+// goroutine).
 type Injector struct {
 	mu      sync.Mutex
 	pending map[string][]Fault // per filter, ascending by firing

@@ -65,12 +65,8 @@ func (s *FilterStats) AddPeeks(n int64) { s.peeked.Add(n) }
 func (s *FilterStats) AddWork(d time.Duration) { s.workNS.Add(int64(d)) }
 
 // AddStall accumulates time spent blocked on a tape (waiting to receive
-// input or to ship output). Always zero on the sequential engine.
+// input or to ship output). Always zero on the single-threaded engines.
 func (s *FilterStats) AddStall(d time.Duration) { s.stallNS.Add(int64(d)) }
-
-// StallNanos returns the stall time accumulated so far (engines whose
-// work functions can block mid-firing subtract it from work measurements).
-func (s *FilterStats) StallNanos() int64 { return s.stallNS.Load() }
 
 // NoteOccupancy raises the output-tape occupancy high-water mark to n if
 // it is higher than the current mark.
