@@ -19,8 +19,8 @@ import (
 // MappedEngine executes a flattened stream graph on a fixed set of worker
 // goroutines — one per fused partition, default GOMAXPROCS; one per node is
 // the degenerate plan (NewParallelOpts). Edges between nodes on the same
-// worker are plain in-memory queues, edges crossing workers are batched
-// SPSC channels.
+// worker are plain in-memory queues, edges crossing workers are lock-free
+// SPSC rings of batch slots (link.go).
 //
 // This is the host-execution form of the partitioner's coarse-grained
 // plans: the ExecPlan rewrite (fusion + executable fission) shrinks the
@@ -48,7 +48,7 @@ import (
 //
 // Fault tolerance: steady state runs in epochs, each a release of the
 // drive's workers and a rendezvous at a barrier where all of them have
-// completed the same cycle count and every cross-worker channel has been
+// completed the same cycle count and every cross-worker link has been
 // drained (flush and receive schedules match). On a zero-skew plan the
 // engine state at that barrier — filter states, firing counts, and
 // consumer-queue residue — is bit-identical to a sequential engine's at
@@ -67,7 +67,7 @@ import (
 // needs it — before the consumer's step when producer and consumer share a
 // stage, after the cycle's steps when the edge advances the stage — so
 // the worker holding the globally earliest incomplete firing always has
-// its inputs available and its output channel short of capacity. A
+// its inputs available and its output links short of capacity. A
 // watchdog still supervises the run (fault injection can wedge it
 // deliberately) and attributes blocked edges to workers in its
 // DeadlockError.
@@ -82,7 +82,7 @@ type MappedEngine struct {
 	Workers int
 	Assign  []int
 
-	// Depth is the cross-worker channel capacity in batches (the
+	// Depth is the cross-worker link capacity in batches (the
 	// backpressure bound; default DefaultQueueDepth).
 	Depth int
 
@@ -113,13 +113,10 @@ type MappedEngine struct {
 
 	// local masks the workers this engine instance actually runs when it
 	// is one shard of a distributed run (Options.LocalWorkers); nil means
-	// all workers are local. remote carries the cross-shard transports;
-	// remoteIn/remoteOut mark edges whose producer or consumer lives on a
-	// peer shard.
-	local     []bool
-	remote    *RemoteHooks
-	remoteIn  []bool
-	remoteOut []bool
+	// all workers are local. remote carries the cross-shard transports of
+	// the edges with one end on a peer shard.
+	local  []bool
+	remote *RemoteHooks
 
 	// shared compiles the work runners and stamps the init transient's
 	// scratch engine; construction and a restore leave it nil (compile
@@ -129,17 +126,15 @@ type MappedEngine struct {
 
 	order [][]*ir.Node // per-worker node lists in topological order
 	// plans is each worker's schedule over the current topology
-	// (mapped_swp.go), built by its first drive with spent, the channel a
-	// cross-worker edge's batches return to its producer on.
+	// (mapped_swp.go), built by its first drive.
 	plans []*workerPlan
-	spent []chan []float64
 
 	// Steady-state topology, built at construction and by every re-plan:
 	// per-edge consumer queues, and for cross-worker edges a producer
-	// staging queue and the batch channel.
+	// staging queue and, within this process, the link.
 	queues []*SliceQueue
 	stage  []*SliceQueue
-	chans  []chan []float64
+	links  []*link
 
 	// Checkpoint bookkeeping: ready marks a completed setup or restore,
 	// iter counts completed steady iterations, initFired/initPushed are
@@ -156,10 +151,11 @@ type MappedEngine struct {
 	// fp is the graph fingerprint every image is written and checked under.
 	fp uint64
 
-	// Drive supervision: the worker set (nil between drives), the signal that
-	// aborts it, and what its watchdog reads.
+	// Drive supervision: the worker set (nil between drives), the signals
+	// that abort it, and what its watchdog reads.
 	crew     *crew
 	stopCh   chan struct{}
+	halted   atomic.Bool
 	live     liveness
 	statuses []*nodeStatus
 }
@@ -179,7 +175,7 @@ type mappedProto struct {
 // deadlock, or another worker's error). It never reaches the caller of Run.
 var errStopped = errors.New("exec: run aborted")
 
-// DefaultQueueDepth is the cross-worker channel capacity in batches.
+// DefaultQueueDepth is the cross-worker link capacity in batches.
 const DefaultQueueDepth = 2
 
 // NewMappedOpts is the full-option constructor. Without Options.Stages the
@@ -347,12 +343,7 @@ func (me *MappedEngine) setup() error {
 		rt.fired = me.initFired[id]
 	}
 	for _, e := range me.G.Edges {
-		q := me.queues[e.ID]
-		q.buf, q.head = append(q.buf[:0], p.items[e.ID]...), 0
-		if st := me.stage[e.ID]; st != nil {
-			st.buf, st.head = st.buf[:0], 0
-		}
-		me.drain(e)
+		me.refill(e, p.items[e.ID], nil)
 	}
 	sw := me.swp
 	for i := range sw.pending {
@@ -429,6 +420,20 @@ func copyState(dst, src *wfunc.State) {
 	}
 }
 
+// refill installs edge e's content at a barrier, in place: queued in the
+// consumer queue, staged in the producer's staging queue, and the link (if
+// any) empty, whatever an aborted epoch left in it.
+func (me *MappedEngine) refill(e *ir.Edge, queued, staged []float64) {
+	q := me.queues[e.ID]
+	q.buf, q.head = append(q.buf[:0], queued...), 0
+	if st := me.stage[e.ID]; st != nil {
+		st.buf, st.head = append(st.buf[:0], staged...), 0
+	}
+	if l := me.links[e.ID]; l != nil {
+		l.reset()
+	}
+}
+
 // buildTopology derives the per-worker node lists and edge queues from the
 // current Workers/Assign, at construction and re-plans.
 func (me *MappedEngine) buildTopology() error {
@@ -447,9 +452,7 @@ func (me *MappedEngine) buildTopology() error {
 	}
 	me.queues = make([]*SliceQueue, len(me.G.Edges))
 	me.stage = make([]*SliceQueue, len(me.G.Edges))
-	me.chans = make([]chan []float64, len(me.G.Edges))
-	me.remoteIn = make([]bool, len(me.G.Edges))
-	me.remoteOut = make([]bool, len(me.G.Edges))
+	me.links = make([]*link, len(me.G.Edges))
 	for _, e := range me.G.Edges {
 		me.queues[e.ID] = &SliceQueue{}
 		srcLocal, dstLocal := me.localWorker(me.Assign[e.Src.ID]), me.localWorker(me.Assign[e.Dst.ID])
@@ -457,41 +460,21 @@ func (me *MappedEngine) buildTopology() error {
 		case srcLocal && dstLocal:
 			if me.Assign[e.Src.ID] != me.Assign[e.Dst.ID] {
 				me.stage[e.ID] = &SliceQueue{}
-				me.chans[e.ID] = make(chan []float64, me.Depth)
+				me.links[e.ID] = newLink(me.Depth, &me.halted)
 			}
-		case srcLocal:
-			// Producer here, consumer on a peer shard: stage the batch and
-			// ship it through the remote transport each iteration.
+		case srcLocal || dstLocal:
+			// The edge crosses the shard boundary: no link, its batches go
+			// through the remote transport, staged here by a local producer.
 			if me.remote == nil {
 				return fmt.Errorf("exec: edge %s crosses the shard boundary but no remote transport is configured", e)
 			}
-			me.remoteOut[e.ID] = true
-			me.stage[e.ID] = &SliceQueue{}
-		case dstLocal:
-			if me.remote == nil {
-				return fmt.Errorf("exec: edge %s crosses the shard boundary but no remote transport is configured", e)
+			if srcLocal {
+				me.stage[e.ID] = &SliceQueue{}
 			}
-			me.remoteIn[e.ID] = true
 		}
 	}
 	me.plans = nil
 	return nil
-}
-
-// drain recycles the batches an aborted epoch left in e's channel.
-func (me *MappedEngine) drain(e *ir.Edge) {
-	for ch := me.chans[e.ID]; len(ch) > 0; {
-		me.recycle(e, <-ch)
-	}
-}
-
-// recycle hands a spent batch back to e's producer (a shard-boundary edge
-// has none; the batch is dropped).
-func (me *MappedEngine) recycle(e *ir.Edge, batch []float64) {
-	select {
-	case me.spent[e.ID] <- batch:
-	default:
-	}
 }
 
 // runTo runs from the current barrier to logical iteration total: the rest
@@ -594,9 +577,8 @@ type crew struct {
 	parked  []atomic.Bool // per worker: waiting at the barrier
 	wd      *watchdog
 	wg      sync.WaitGroup
-	// abort closes stop, the engine's stopCh while the crew runs: every
-	// blocked transfer and parked filter unwinds.
-	stop  chan struct{}
+	// abort raises halted, wakes every link and closes the crew's stopCh:
+	// every waiting transfer and parked filter unwinds.
 	abort func()
 }
 
@@ -611,9 +593,20 @@ func (me *MappedEngine) startCrew() error {
 		me.planWorkers()
 	}
 	c := &crew{release: make([]chan int, me.Workers), arrive: make(chan error, me.Workers),
-		parked: make([]atomic.Bool, me.Workers), stop: make(chan struct{})}
-	c.abort = sync.OnceFunc(func() { close(c.stop) })
-	me.stopCh = c.stop
+		parked: make([]atomic.Bool, me.Workers)}
+	stop := make(chan struct{})
+	c.abort = sync.OnceFunc(func() {
+		me.halted.Store(true)
+		close(stop)
+		for _, l := range me.links {
+			if l != nil {
+				l.feed(sideSend)
+				l.feed(sideRecv)
+			}
+		}
+	})
+	me.stopCh = stop
+	me.halted.Store(false)
 	for _, st := range me.statuses {
 		st.set(wsRunning, -1, 0, -1)
 	}
@@ -664,7 +657,7 @@ func (me *MappedEngine) stopCrew() {
 }
 
 // epoch runs cycles macro-cycles across the worker set and waits for the
-// barrier. On return without error every channel is drained and the engine
+// barrier. On return without error every link is drained and the engine
 // state is at a consistent iteration boundary.
 func (me *MappedEngine) epoch(cycles int) error {
 	c := me.crew
@@ -801,50 +794,31 @@ func (me *MappedEngine) bindNode(rt *nodeRT) {
 	}
 }
 
-// recvBatch receives one batch of a cross-worker edge, recording the wait
-// state while blocked so the watchdog can trace who waits on whom, and
-// unwinds when the run aborts. queued is the consumer queue's occupancy,
-// for the report.
-func (me *MappedEngine) recvBatch(e *ir.Edge, queued int) ([]float64, error) {
-	ch := me.chans[e.ID]
-	select {
-	case batch := <-ch:
-		me.live.progress.Add(1)
-		return batch, nil
-	default:
-	}
-	st, prof := me.statuses[e.Dst.ID], me.nodes[e.Dst.ID].pst
-	t0 := st.block(wsWaitRecv, e.ID, queued, e.Src.ID, prof)
-	defer st.unblock(prof, t0)
-	select {
-	case batch := <-ch:
-		me.live.progress.Add(1)
-		return batch, nil
-	case <-me.stopCh:
-		return nil, errStopped
-	}
-}
-
-// sendBatch ships one batch of a cross-worker edge, recording the wait
-// state while blocked.
-func (me *MappedEngine) sendBatch(e *ir.Edge, batch []float64) error {
-	ch := me.chans[e.ID]
-	select {
-	case ch <- batch:
-		me.live.progress.Add(1)
+// await returns once side s of cross-worker edge e's link can move; an
+// abort unwinds it. Meanwhile the waiting node — the producer on a full
+// link, the consumer on an empty one — shows the watchdog its wait state,
+// with buffered items, and books the wait as its stall if profiled.
+func (me *MappedEngine) await(e *ir.Edge, s, buffered int) error {
+	l := me.links[e.ID]
+	if l.ready(s) {
 		return nil
-	default:
 	}
-	st, prof := me.statuses[e.Src.ID], me.nodes[e.Src.ID].pst
-	t0 := st.block(wsWaitSend, e.ID, len(batch), e.Dst.ID, prof)
-	defer st.unblock(prof, t0)
-	select {
-	case ch <- batch:
-		me.live.progress.Add(1)
-		return nil
-	case <-me.stopCh:
-		return errStopped
+	state, self, peer := wsWaitSend, e.Src, e.Dst
+	if s == sideRecv {
+		state, self, peer = wsWaitRecv, e.Dst, e.Src
 	}
+	st, prof := me.statuses[self.ID], me.nodes[self.ID].pst
+	st.set(state, e.ID, buffered, peer.ID)
+	var t0 time.Time
+	if prof != nil {
+		t0 = time.Now()
+	}
+	err := l.wait(s)
+	st.set(wsRunning, -1, 0, -1)
+	if prof != nil {
+		prof.AddStall(time.Since(t0))
+	}
+	return err
 }
 
 // inTape implements coreHost: an edge's consumer reads its queue.

@@ -108,7 +108,7 @@ func (me *MappedEngine) image(iteration int64) *ckptImage {
 
 // WriteCheckpoint serializes the engine's execution state at an iteration
 // boundary. The engine must have completed a Run or a RestoreCheckpoint
-// (steady state quiesced: all workers joined, channels drained). On skewed
+// (steady state quiesced: all workers joined, links drained). On skewed
 // plans the recorded iteration is derived from the cycle position (retired
 // iterations), superseding the argument.
 func (me *MappedEngine) WriteCheckpoint(w io.Writer, iteration int64) error {
@@ -229,17 +229,9 @@ func (me *MappedEngine) applyImage(data []byte) error {
 		rt.fired = img.nodes[i].fired
 	}
 	for _, e := range me.G.Edges {
-		ie := img.edges[e.ID]
-		split := len(ie.items) - staged[e.ID]
-		// Refill the queues in place: they keep the capacity they grew to.
-		q := me.queues[e.ID]
-		q.buf = append(q.buf[:0], ie.items[:split]...)
-		q.head = 0
-		if st := me.stage[e.ID]; st != nil {
-			st.buf = append(st.buf[:0], ie.items[split:]...)
-			st.head = 0
-		}
-		me.drain(e)
+		items := img.edges[e.ID].items
+		split := len(items) - staged[e.ID]
+		me.refill(e, items[:split], items[split:])
 	}
 	for i := range sw.pending {
 		sw.pending[i] = append([]*message(nil), img.pending[i]...)

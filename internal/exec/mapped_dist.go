@@ -15,7 +15,7 @@ import (
 // this process executes; initialization runs locally (it is
 // deterministic and cheap), steady state fires only the local partitions,
 // and edges crossing the shard boundary move their per-iteration batches
-// through RemoteHooks instead of in-memory channels. At every epoch
+// through RemoteHooks instead of in-memory links. At every epoch
 // barrier each shard exports the state it owns (ExportShard) and the
 // coordinator reassembles the canonical engine-neutral checkpoint image
 // (AssembleShardImage) — byte-identical to what a single-process run

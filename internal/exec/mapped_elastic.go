@@ -13,7 +13,7 @@ import (
 
 // Elastic runtime re-planning. The mapped engine's epoch barriers are
 // exactly the points where PR 5's crash recovery re-plans and rolls back:
-// all workers have retired the same iteration, every channel is drained,
+// all workers have retired the same iteration, every link is drained,
 // and a coordinated checkpoint image of the whole engine state was just
 // taken. The elastic controller reuses that machinery for voluntary
 // re-plans: a windowed imbalance detector over the profiler's per-node
@@ -151,8 +151,8 @@ func (me *MappedEngine) elasticStep() error {
 		return nil // already as balanced as the packer can make it
 	}
 	if !forced {
-		cur := busiestNS(me.Assign, me.Workers, sample.WorkNS)
-		cand := busiestNS(assign, target, sample.WorkNS)
+		cur, _ := busiestNS(me.Assign, me.Workers, sample.WorkNS)
+		cand, _ := busiestNS(assign, target, sample.WorkNS)
 		if float64(cand)*elasticImprove > float64(cur) {
 			return nil // repacking would not meaningfully lift the bottleneck
 		}
@@ -169,42 +169,27 @@ func (me *MappedEngine) elasticStep() error {
 }
 
 // busiestNS returns the bottleneck worker's busy time under an assignment,
-// evaluated against one window's measured per-node work.
-func busiestNS(assign []int, workers int, workNS []int64) int64 {
+// and all workers' total, evaluated against one window's measured per-node
+// work.
+func busiestNS(assign []int, workers int, workNS []int64) (top, sum int64) {
 	busy := make([]int64, workers)
 	for id, w := range assign {
 		if id < len(workNS) {
 			busy[w] += workNS[id]
 		}
 	}
-	var max int64
 	for _, b := range busy {
-		if b > max {
-			max = b
-		}
+		top, sum = max(top, b), sum+b
 	}
-	return max
+	return top, sum
 }
 
 // imbalanced applies the max/mean detector to one window's per-worker
 // busy time.
 func (me *MappedEngine) imbalanced(sample obs.WindowSample) bool {
-	busy := make([]int64, me.Workers)
-	for id, w := range me.Assign {
-		busy[w] += sample.WorkNS[id]
-	}
-	var max, sum int64
-	for _, b := range busy {
-		if b > max {
-			max = b
-		}
-		sum += b
-	}
-	if sum <= 0 {
-		return false
-	}
+	top, sum := busiestNS(me.Assign, me.Workers, sample.WorkNS)
 	mean := float64(sum) / float64(me.Workers)
-	return float64(max) >= me.elastic.threshold*mean
+	return sum > 0 && float64(top) >= me.elastic.threshold*mean
 }
 
 // OverrideWork replaces the steady-state work function of every rewritten

@@ -564,6 +564,63 @@ func TestMappedWorkerStallWatchdog(t *testing.T) {
 	}
 }
 
+// TestMappedStallWatchdogShowsLinkWaits pins what the watchdog reads off
+// the cross-worker links' slow path. Src, Double and the sink each run on
+// their own worker over one-slot links, and worker 1 stalls: the report
+// shows the sink waiting to receive on Double's out-edge, Src waiting to
+// send once its link to Double is full, and the wait chain from Src into
+// the stalled worker.
+func TestMappedStallWatchdogShowsLinkWaits(t *testing.T) {
+	g, s, _ := faultPipeline(t, gainFilter("Double", 2))
+	assign := make([]int, len(g.Nodes))
+	for i := range assign {
+		assign[i] = i
+	}
+	me, err := NewMappedOpts(g, s, assign, len(g.Nodes), Options{
+		Faults:     mustPlan(t, "stall:worker1@1"),
+		Watchdog:   150 * time.Millisecond,
+		QueueDepth: 1,
+		// One epoch for the whole run: at a one-iteration epoch (the
+		// default under worker faults) Src would wait at the barrier, not
+		// on its link.
+		CheckpointEvery: 64,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = me.Run(64)
+	var de *DeadlockError
+	if !errors.As(err, &de) {
+		t.Fatalf("err = %v, want a *DeadlockError", err)
+	}
+	src, mid, snk := g.Nodes[0], g.Nodes[1], g.Nodes[2]
+	if len(g.Nodes) != 3 || src.OutEdge().Dst != mid || mid.OutEdge().Dst != snk {
+		t.Fatalf("graph is not the chain Src -> Double -> sink in node order")
+	}
+	want := map[string]FilterStatus{
+		src.Name: {Worker: 0, State: "waiting send", Edge: src.OutEdge().String()},
+		mid.Name: {Worker: 1, State: stStalled},
+		snk.Name: {Worker: 2, State: "waiting recv", Edge: mid.OutEdge().String()},
+	}
+	for _, fs := range de.Blocked {
+		w, ok := want[fs.Name]
+		if !ok {
+			t.Errorf("unexpected blocked node %v", fs)
+			continue
+		}
+		delete(want, fs.Name)
+		if fs.Worker != w.Worker || fs.State != w.State || fs.Edge != w.Edge {
+			t.Errorf("%s: worker %d, %q on %q; want worker %d, %q on %q", fs.Name, fs.Worker, fs.State, fs.Edge, w.Worker, w.State, w.Edge)
+		}
+	}
+	for name := range want {
+		t.Errorf("%s missing from the report:\n%v", name, err)
+	}
+	if got := strings.Join(de.Cycle, " -> "); got != src.Name+" -> "+mid.Name {
+		t.Errorf("wait chain = %q, want %s -> %s", got, src.Name, mid.Name)
+	}
+}
+
 // TestMappedCrashNoSurvivors: crashing the only worker is not recoverable
 // and must surface a structured error, not hang or panic.
 func TestMappedCrashNoSurvivors(t *testing.T) {

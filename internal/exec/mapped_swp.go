@@ -20,9 +20,10 @@ import (
 // cycles are the prologue (downstream stages idle), the last maxStage the
 // epilogue (upstream stages done). Cross-worker output is staged locally
 // and flushed as one batch every K=StageBatch gated cycles (and at the
-// segment's last firing); the consumer performs one matching blocking
-// receive at the same cycle index, so channels are drained at every epoch
-// barrier.
+// segment's last firing) into a slot of the edge's link, a lock-free ring
+// of Depth batch slots (link.go); the consumer performs one matching
+// receive at the same cycle index, waiting only on an empty ring, so links
+// are drained at every epoch barrier.
 //
 // Lockstep is the zero-skew plan, which the engine builds itself when the
 // caller supplies no Options.Stages: every level 0, K = 1, no clusters.
@@ -252,10 +253,11 @@ type swpStep struct {
 	pre []swpIn
 }
 
-// swpIn is one cross-worker (or shard-boundary) in-edge with its
-// producer's flush schedule.
+// swpIn is one cross-worker in-edge with its producer's flush schedule: its
+// link, or nil on a shard-boundary edge.
 type swpIn struct {
 	e        *ir.Edge
+	l        *link
 	q        *SliceQueue
 	srcStage int64
 }
@@ -278,7 +280,6 @@ type workerPlan struct {
 func (me *MappedEngine) planWorkers() {
 	sw := me.swp
 	me.plans = make([]*workerPlan, me.Workers)
-	me.spent = make([]chan []float64, len(me.G.Edges))
 	for w, nodes := range me.order {
 		pl := &workerPlan{}
 		units := map[int]*swpStep{}
@@ -305,12 +306,11 @@ func (me *MappedEngine) planWorkers() {
 					continue
 				}
 				pl.compact = append(pl.compact, me.queues[e.ID])
-				if me.chans[e.ID] != nil {
-					me.spent[e.ID] = make(chan []float64, me.Depth+2) // see spare
-				} else if !me.remoteIn[e.ID] {
-					continue
+				l := me.links[e.ID]
+				if l == nil && me.localWorker(me.Assign[e.Src.ID]) {
+					continue // both ends on this worker
 				}
-				in := swpIn{e: e, q: me.queues[e.ID], srcStage: int64(sw.levels[e.Src.ID]) * sw.batch}
+				in := swpIn{e: e, l: l, q: me.queues[e.ID], srcStage: int64(sw.levels[e.Src.ID]) * sw.batch}
 				if in.srcStage == sp.stage {
 					sp.pre = append(sp.pre, in)
 				} else {
@@ -423,7 +423,7 @@ func (me *MappedEngine) runWorker(w, lane, cycles int) (err error) {
 // that is the producer-side rate check, so a filter that pushed less than
 // it declared faults here, as a take naming it, instead of starving its
 // consumer a stage later. A shard transport may keep what it is given, so
-// only a batch to a worker of this process is recycled.
+// it gets a new batch; a link's slot is filled in place.
 func (me *MappedEngine) flush(rt *nodeRT, iters int64) error {
 	n := rt.node
 	for p, e := range n.Out {
@@ -432,10 +432,11 @@ func (me *MappedEngine) flush(rt *nodeRT, iters int64) error {
 		}
 		k := me.Sch.Reps[n.ID] * n.PushPort(p) * int(iters)
 		var err error
-		if me.remoteOut[e.ID] {
-			err = remoteErr(me.remote.Send(e.ID, me.stage[e.ID].Take(k), me.stopCh))
-		} else {
-			err = me.sendBatch(e, me.stage[e.ID].takeInto(me.spare(e), k))
+		if l := me.links[e.ID]; l == nil {
+			err = remoteErr(me.remote.Send(e.ID, me.stage[e.ID].Take(make([]float64, 0, k), k), me.stopCh))
+		} else if err = me.await(e, sideSend, k); err == nil {
+			l.send(me.stage[e.ID], k)
+			me.live.progress.Add(1)
 		}
 		if err != nil {
 			return err
@@ -444,39 +445,21 @@ func (me *MappedEngine) flush(rt *nodeRT, iters int64) error {
 	return nil
 }
 
-// spare is a spent batch of cross-worker edge e to refill. The edge's
-// first flush makes all it will use, sized for its largest flush: one per
-// channel slot, plus the one its producer fills and its consumer empties.
-func (me *MappedEngine) spare(e *ir.Edge) []float64 {
-	select {
-	case b := <-me.spent[e.ID]:
-		return b
-	default:
-	}
-	size := me.Sch.Reps[e.Src.ID] * e.Src.PushPort(e.SrcPort) * int(me.swp.batch)
-	for i := 0; i <= me.Depth; i++ {
-		me.recycle(e, make([]float64, 0, size))
-	}
-	return make([]float64, 0, size)
-}
-
 // recvEdge receives one batch of a cross-worker or shard-boundary in-edge
-// into its consumer queue, then hands it back to its producer (a
-// shard-boundary edge has none to take it).
+// into its consumer queue, releasing a link's slot to its producer.
 func (me *MappedEngine) recvEdge(in swpIn) error {
-	var batch []float64
-	var err error
-	if me.remoteIn[in.e.ID] {
-		batch, err = me.remote.Recv(in.e.ID, me.stopCh)
-		err = remoteErr(err)
-	} else {
-		batch, err = me.recvBatch(in.e, in.q.Len())
+	if in.l == nil {
+		batch, err := me.remote.Recv(in.e.ID, me.stopCh)
+		if err == nil {
+			in.q.Append(batch)
+		}
+		return remoteErr(err)
 	}
-	if err != nil {
+	if err := me.await(in.e, sideRecv, in.q.Len()); err != nil {
 		return err
 	}
-	in.q.Append(batch)
-	me.recycle(in.e, batch)
+	in.l.recv(in.q)
+	me.live.progress.Add(1)
 	return nil
 }
 

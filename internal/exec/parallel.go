@@ -7,7 +7,7 @@ import (
 
 // NewParallelOpts builds the goroutine-per-filter engine: the mapped
 // engine under the identity plan, every node its own worker and every edge
-// a cross-worker channel. It is the natural Go rendering of StreamIt's
+// a cross-worker link. It is the natural Go rendering of StreamIt's
 // execution model — each filter an autonomous actor, batch sizes static
 // from the steady-state rates — and the baseline the coarser plans are
 // measured against. Being a lockstep plan it rejects teleport messaging and

@@ -21,12 +21,9 @@ func (q *SliceQueue) Append(batch []float64) {
 	q.buf = append(q.buf, batch...)
 }
 
-// Take removes exactly n items from the read end into a new batch (never
-// nil, even when empty).
-func (q *SliceQueue) Take(n int) []float64 { return q.takeInto(make([]float64, 0, n), n) }
-
-// takeInto is Take into a recycled batch's storage.
-func (q *SliceQueue) takeInto(dst []float64, n int) []float64 {
+// Take removes exactly n items from the read end into dst's storage,
+// growing it when short, and returns the batch.
+func (q *SliceQueue) Take(dst []float64, n int) []float64 {
 	if n < 0 || n > q.Len() {
 		panic(tapeFault{op: "take", detail: fmt.Sprintf("take(%d) with %d items buffered", n, q.Len())})
 	}

@@ -121,7 +121,7 @@ func TestSpanWindowsOfStorageTapes(t *testing.T) {
 					t.Fatalf("firing %d: vm left %d items, interp %d", firing, got.Len(), ref.Len())
 				}
 			}
-			want := refOut.Take(refOut.Len())
+			want := refOut.Take(nil, refOut.Len())
 			if len(over.pushed) != len(want) {
 				t.Fatalf("vm pushed %d items, interp %d", len(over.pushed), len(want))
 			}

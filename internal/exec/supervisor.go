@@ -29,7 +29,7 @@ type Options struct {
 	// negative disables the watchdog. The other engines are single-threaded
 	// and ignore it.
 	Watchdog time.Duration
-	// QueueDepth bounds the mapped engine's cross-worker channels, in
+	// QueueDepth bounds the mapped engine's cross-worker links, in
 	// batches. 0 selects DefaultQueueDepth; the other engines ignore it.
 	QueueDepth int
 	// CheckpointEvery makes the mapped engine snapshot a coordinated
@@ -96,7 +96,7 @@ type Options struct {
 	// distributed run: LocalWorkers[w] marks the workers this process
 	// actually executes, the rest belong to peer shards. Edges crossing
 	// the local/remote boundary move their batches through Remote instead
-	// of in-memory channels. nil (the default) runs every worker locally;
+	// of in-memory links. nil (the default) runs every worker locally;
 	// the other engines ignore it. Requires a lockstep plan (no Stages).
 	LocalWorkers []bool
 	// Remote supplies the cross-shard edge transport for a sharded mapped

@@ -123,7 +123,7 @@ func TestSliceQueueTakeGuard(t *testing.T) {
 			t.Fatalf("unexpected error shape: %v", ee)
 		}
 	}()
-	q.Take(5)
+	q.Take(nil, 5)
 }
 
 // TestSliceQueueCompact: compaction preserves content while resetting the

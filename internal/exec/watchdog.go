@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"streamit/internal/ir"
-	"streamit/internal/obs"
 )
 
 // waitState is a node's wait state as a nodeStatus stores it; waitStates
@@ -52,32 +51,14 @@ type nodeStatus struct {
 	since     atomic.Int64 // live.ticks at the transition
 }
 
-// set records a (possibly blocking) state transition.
+// set records a state transition: the node waits (state) on edge for node
+// blockedOn with buffered items visible, or runs again (wsRunning, -1, 0, -1).
 func (s *nodeStatus) set(state waitState, edge, buffered, blockedOn int) {
 	s.edge.Store(int64(edge))
 	s.buffered.Store(int64(buffered))
 	s.blockedOn.Store(int64(blockedOn))
 	s.since.Store(s.live.ticks.Load())
 	s.state.Store(int32(state))
-}
-
-// block records that the node waits on edge for node on; it returns when
-// the wait began if prof, the node's profile slot, is set.
-func (s *nodeStatus) block(state waitState, edge, buffered, on int, prof *obs.FilterStats) time.Time {
-	s.set(state, edge, buffered, on)
-	if prof == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// unblock records that the node runs again, booking the wait since t0 as
-// its stall when prof is set.
-func (s *nodeStatus) unblock(prof *obs.FilterStats, t0 time.Time) {
-	s.set(wsRunning, -1, 0, -1)
-	if prof != nil {
-		prof.AddStall(time.Since(t0))
-	}
 }
 
 // watchdog detects stalls of the mapped engine: it samples the engine's
