@@ -45,7 +45,7 @@
 //	-checkpoint st.ckpt -checkpoint-after 500   stop at iteration 500, save state
 //	-resume st.ckpt                        restore and finish the remaining iterations
 //	-checkpoint-every 100                  with -map: coordinated checkpoint cadence
-//	-queue-depth 2                         with -map: cross-worker channel capacity (batches)
+//	-queue-depth 2                         with -map: batch slots per cross-worker edge ring
 //	-elastic                               with -map: re-plan at barriers from live profiles
 //	-resize-at 500 -resize-to 2            with -elastic: change the worker count mid-run
 //
@@ -153,7 +153,7 @@ func main() {
 	ckptAfter := flag.Int("checkpoint-after", 0, "with -checkpoint: stop and save after this many steady iterations")
 	resumePath := flag.String("resume", "", "restore a checkpoint written by -checkpoint and run the remaining iterations (sequential and -map engines)")
 	ckptEvery := flag.Int("checkpoint-every", 0, "with -map: take a coordinated checkpoint every N steady iterations (0 = only when worker faults are scheduled)")
-	queueDepth := flag.Int("queue-depth", 0, "with -map: cross-worker channel capacity in batches (0 = default)")
+	queueDepth := flag.Int("queue-depth", 0, "with -map: batch slots in each cross-worker edge's ring (0 = default)")
 	elastic := flag.Bool("elastic", false, "with -map: enable runtime re-planning from live profiles at checkpoint barriers")
 	elasticWindow := flag.Int("elastic-window", 0, "with -elastic: imbalance-observation window in steady iterations (0 = default)")
 	elasticThreshold := flag.Float64("elastic-threshold", 0, "with -elastic: max/mean worker-busy ratio that trips a re-plan (0 = default)")

@@ -47,39 +47,36 @@ func Scaling(tileCounts []int) ([]ScalingRow, error) {
 			return nil, fmt.Errorf("tile count %d does not fit a 4-wide grid", tiles)
 		}
 		row := ScalingRow{Tiles: tiles}
-		for _, strat := range []partition.Strategy{partition.StratTask, partition.StratCoarseData, partition.StratCombined} {
-			var sp []float64
-			for _, p := range ps {
-				seqPlan, err := p.pg.Map(partition.StratSequential, tiles)
-				if err != nil {
-					return nil, err
-				}
-				seq, err := seqPlan.Simulate(cfg, SimIters)
-				if err != nil {
-					return nil, err
-				}
-				plan, err := p.pg.Map(strat, tiles)
-				if err != nil {
-					return nil, err
-				}
-				res, err := plan.Simulate(cfg, SimIters)
-				if err != nil {
-					return nil, err
-				}
-				sp = append(sp, res.Speedup(seq))
-			}
-			switch strat {
-			case partition.StratTask:
-				row.Task = GeoMean(sp)
-			case partition.StratCoarseData:
-				row.TaskData = GeoMean(sp)
-			case partition.StratCombined:
-				row.Combined = GeoMean(sp)
-			}
+		if row.Task, err = geoSpeedup(ps, partition.StratTask, cfg); err != nil {
+			return nil, err
+		}
+		if row.TaskData, err = geoSpeedup(ps, partition.StratCoarseData, cfg); err != nil {
+			return nil, err
+		}
+		if row.Combined, err = geoSpeedup(ps, partition.StratCombined, cfg); err != nil {
+			return nil, err
 		}
 		out = append(out, row)
 	}
 	return out, nil
+}
+
+// geoSpeedup is the suite's geometric-mean speedup of strat over the single
+// core on the machine cfg describes.
+func geoSpeedup(ps []*prepared, strat partition.Strategy, cfg machine.Config) (float64, error) {
+	var sp []float64
+	for _, p := range ps {
+		seq, err := p.simulate(partition.StratSequential, cfg)
+		if err != nil {
+			return 0, err
+		}
+		res, err := p.simulate(strat, cfg)
+		if err != nil {
+			return 0, err
+		}
+		sp = append(sp, res.Speedup(seq))
+	}
+	return GeoMean(sp), nil
 }
 
 // PrintScaling renders the scaling ablation.
@@ -125,32 +122,11 @@ func CommAblation() ([]CommRow, error) {
 	var out []CommRow
 	for _, v := range variants {
 		row := CommRow{Name: v.name}
-		for _, strat := range []partition.Strategy{partition.StratCoarseData, partition.StratCombined} {
-			var sp []float64
-			for _, p := range ps {
-				seqPlan, err := p.pg.Map(partition.StratSequential, v.cfg.Tiles())
-				if err != nil {
-					return nil, err
-				}
-				seq, err := seqPlan.Simulate(v.cfg, SimIters)
-				if err != nil {
-					return nil, err
-				}
-				plan, err := p.pg.Map(strat, v.cfg.Tiles())
-				if err != nil {
-					return nil, err
-				}
-				res, err := plan.Simulate(v.cfg, SimIters)
-				if err != nil {
-					return nil, err
-				}
-				sp = append(sp, res.Speedup(seq))
-			}
-			if strat == partition.StratCoarseData {
-				row.TaskData = GeoMean(sp)
-			} else {
-				row.Combined = GeoMean(sp)
-			}
+		if row.TaskData, err = geoSpeedup(ps, partition.StratCoarseData, v.cfg); err != nil {
+			return nil, err
+		}
+		if row.Combined, err = geoSpeedup(ps, partition.StratCombined, v.cfg); err != nil {
+			return nil, err
 		}
 		out = append(out, row)
 	}

@@ -31,9 +31,9 @@ const SimIters = 24
 // prepared caches the per-app compilation pipeline.
 type prepared struct {
 	app   apps.App
+	prog  *ir.Program
 	graph *ir.Graph
 	sched *sched.Schedule
-	pg    *partition.PGraph
 	plans map[partition.Strategy]*machine.Result
 }
 
@@ -47,25 +47,32 @@ func prepare(app apps.App) (*prepared, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", app.Name, err)
 	}
-	pg, err := partition.Build(g, s)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", app.Name, err)
-	}
-	return &prepared{app: app, graph: g, sched: s, pg: pg,
+	return &prepared{app: app, prog: prog, graph: g, sched: s,
 		plans: map[partition.Strategy]*machine.Result{}}, nil
 }
 
+// simulate lowers the app's plan under strat onto cfg's tiles
+// (partition.Lower, the plan the mapped engine runs) and simulates it.
+func (p *prepared) simulate(strat partition.Strategy, cfg machine.Config) (*machine.Result, error) {
+	plan, err := partition.Lower(p.prog, p.graph, p.sched, strat, cfg.Tiles())
+	if err != nil {
+		return nil, fmt.Errorf("%s/%s: %w", p.app.Name, strat, err)
+	}
+	res, err := plan.Simulate(cfg, SimIters)
+	if err != nil {
+		return nil, fmt.Errorf("%s/%s: %w", p.app.Name, strat, err)
+	}
+	return res, nil
+}
+
+// result is simulate on the default machine, cached per strategy.
 func (p *prepared) result(strat partition.Strategy) (*machine.Result, error) {
 	if r, ok := p.plans[strat]; ok {
 		return r, nil
 	}
-	plan, err := p.pg.Map(strat, machine.DefaultConfig().Tiles())
+	res, err := p.simulate(strat, machine.DefaultConfig())
 	if err != nil {
-		return nil, fmt.Errorf("%s/%s: %w", p.app.Name, strat, err)
-	}
-	res, err := plan.Simulate(machine.DefaultConfig(), SimIters)
-	if err != nil {
-		return nil, fmt.Errorf("%s/%s: %w", p.app.Name, strat, err)
+		return nil, err
 	}
 	p.plans[strat] = res
 	return res, nil
@@ -145,8 +152,8 @@ func BenchChar() ([]CharRow, error) {
 			Stateful:        st.Stateful,
 			ShortestPath:    st.ShortestPath,
 			LongestPath:     st.LongestPath,
-			CompComm:        p.pg.CompCommRatio(),
-			StatefulWorkPct: 100 * p.pg.StatefulWork(),
+			CompComm:        compComm(p.graph, p.sched),
+			StatefulWorkPct: 100 * statefulWork(p.graph, p.sched),
 		})
 	}
 	// Stable sort by stateful work (ascending), preserving suite order for
@@ -157,6 +164,43 @@ func BenchChar() ([]CharRow, error) {
 		}
 	}
 	return rows, nil
+}
+
+// compComm is the static computation-to-communication ratio: estimated
+// cycles per steady iteration over items communicated per steady iteration.
+func compComm(g *ir.Graph, s *sched.Schedule) float64 {
+	var work, items int64
+	for _, w := range partition.SteadyWork(g, s) {
+		work += w
+	}
+	for _, e := range g.Edges {
+		items += int64(s.ItemsPerSteady(e))
+	}
+	if items == 0 {
+		return 0
+	}
+	return float64(work) / float64(items)
+}
+
+// statefulWork is the fraction of filter work done by stateful filters
+// (the paper's final benchmark-table column); splitters, joiners and file
+// I/O are left out.
+func statefulWork(g *ir.Graph, s *sched.Schedule) float64 {
+	work := partition.SteadyWork(g, s)
+	var total, stateful int64
+	for _, n := range g.Nodes {
+		if n.Kind != ir.NodeFilter || n.IsSource() || n.IsSink() {
+			continue
+		}
+		total += work[n.ID]
+		if n.IsStateful() {
+			stateful += work[n.ID]
+		}
+	}
+	if total == 0 {
+		return 0
+	}
+	return float64(stateful) / float64(total)
 }
 
 // SpeedupRow is one benchmark's speedups over single-core for E2/E3/E4.

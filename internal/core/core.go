@@ -76,9 +76,10 @@ type RunOptions struct {
 	// pipelined forms task+swp (no rewrite, stage-skewed execution) and
 	// task+data+swp (rewrite plus stage skew). The zero value is task+data.
 	MapStrategy partition.Strategy
-	// QueueDepth bounds the mapped engine's cross-worker channels, in
-	// batches (0 selects exec.DefaultQueueDepth). The backpressure bound:
-	// a producer runs at most QueueDepth iterations ahead of a consumer.
+	// QueueDepth is the number of batch slots in each cross-worker edge's
+	// ring on the mapped engine (0 selects exec.DefaultQueueDepth). The
+	// backpressure bound: a producer runs at most QueueDepth iterations
+	// ahead of a consumer.
 	QueueDepth int
 	// CheckpointEvery makes the mapped engine take a coordinated
 	// checkpoint every N steady iterations — the rollback target for
@@ -358,14 +359,11 @@ func CompileDynamicOpts(prog *ir.Program, opts RunOptions) (*exec.DynamicEngine,
 	return exec.NewDynamicOpts(g, opts.execOptions())
 }
 
-// MapOnto partitions the program for the simulated multicore with the
-// given strategy and simulates iters steady-state iterations.
+// MapOnto maps the program onto the simulated multicore through the plan
+// the mapped engine runs for the machine's tile count (partition.Lower) and
+// simulates iters steady-state iterations.
 func (c *Compiled) MapOnto(strat partition.Strategy, cfg machine.Config, iters int) (*machine.Result, error) {
-	pg, err := partition.Build(c.Graph, c.Schedule)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := pg.Map(strat, cfg.Tiles())
+	plan, err := partition.Lower(c.Program, c.Graph, c.Schedule, strat, cfg.Tiles())
 	if err != nil {
 		return nil, err
 	}
@@ -374,11 +372,7 @@ func (c *Compiled) MapOnto(strat partition.Strategy, cfg machine.Config, iters i
 
 // MapOntoTraced is MapOnto plus a Chrome trace JSON written to tracePath.
 func (c *Compiled) MapOntoTraced(strat partition.Strategy, cfg machine.Config, iters int, tracePath string) (*machine.Result, error) {
-	pg, err := partition.Build(c.Graph, c.Schedule)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := pg.Map(strat, cfg.Tiles())
+	plan, err := partition.Lower(c.Program, c.Graph, c.Schedule, strat, cfg.Tiles())
 	if err != nil {
 		return nil, err
 	}

@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"streamit/internal/apps"
 	"streamit/internal/exec"
+	"streamit/internal/ir"
 	"streamit/internal/partition"
 )
 
@@ -192,7 +194,8 @@ func TestDistSingleShard(t *testing.T) {
 // TestDistRejectsPipelinedStrategy: stage skew cannot cross a shard
 // boundary, so a pipelined strategy is turned away when the job is
 // planned — before anything is packed or any shard joins. (The packer
-// itself packs any plan onto any grid; this is the gate.)
+// itself packs any plan onto any grid; this is the gate.) So is a
+// program only a pipelined plan could host, such as a feedback loop.
 func TestDistRejectsPipelinedStrategy(t *testing.T) {
 	for _, strat := range []partition.Strategy{partition.StratSWP, partition.StratCombined} {
 		cfg := testConfig(2)
@@ -200,6 +203,11 @@ func TestDistRejectsPipelinedStrategy(t *testing.T) {
 		if _, err := NewCoordinator(Spec{App: "DCT"}, cfg); err == nil || !strings.Contains(err.Error(), "wants lockstep") {
 			t.Errorf("%s: err = %v, want the lockstep-only rejection", strat, err)
 		}
+	}
+	cfg := testConfig(2)
+	cfg.Registry = map[string]func() *ir.Program{"Reverb": func() *ir.Program { return apps.Reverb(4, 0.5) }}
+	if _, err := NewCoordinator(Spec{App: "Reverb"}, cfg); err == nil || !strings.Contains(err.Error(), "wants lockstep") {
+		t.Errorf("feedback program: err = %v, want the lockstep-only rejection", err)
 	}
 }
 

@@ -67,6 +67,9 @@ func buildJobPlan(prog *ir.Program, strategy partition.Strategy, workers int) (*
 	if err != nil {
 		return nil, err
 	}
+	if why := g.LockstepBlocker(); why != "" {
+		return nil, fmt.Errorf("dist: %s needs finer-than-batch interleaving; distributed execution wants lockstep", why)
+	}
 	s, err := sched.Compute(g)
 	if err != nil {
 		return nil, err

@@ -17,8 +17,8 @@ type ExecPlanOptions struct {
 	// StratFineData (replicate every stateless filter), StratCoarseData
 	// (fuse stateless regions, then judicious fission), or the pipelined
 	// variants StratSWP (no rewrite, stage-assigned) and StratCombined
-	// (coarsen+fission plus stages). The simulation-only space strategy is
-	// rejected.
+	// (coarsen+fission plus stages). The simulation-only sequential and space
+	// strategies are rejected.
 	Strategy Strategy
 	// Workers is the target core count; 0 selects runtime.GOMAXPROCS(0).
 	Workers int
@@ -26,9 +26,9 @@ type ExecPlanOptions struct {
 
 // ExecPlan is an executable mapping plan: the elaborated IR rewritten by
 // fusion and executable fission, plus per-filter work estimates for
-// assigning the flattened result to worker cores. Unlike Plan (which
-// feeds the machine simulator), an ExecPlan's Program runs on the real
-// engines and must be bit-identical to the original.
+// assigning the flattened result to worker cores. Its Program runs on the
+// real engines and must be bit-identical to the original; Lower hands the
+// same plan to the machine simulator.
 type ExecPlan struct {
 	Strategy Strategy
 	Workers  int
@@ -60,39 +60,33 @@ func BuildExecPlan(prog *ir.Program, g *ir.Graph, s *sched.Schedule, opts ExecPl
 		return nil, fmt.Errorf("partition: strategy %q is not host-executable (use %q, %q, %q, %q, or %q)",
 			opts.Strategy, StratTask, StratFineData, StratCoarseData, StratSWP, StratCombined)
 	}
-	pipelined := opts.Strategy == StratSWP || opts.Strategy == StratCombined
-	if why := g.LockstepBlocker(); why != "" && !pipelined {
-		return nil, fmt.Errorf("partition: %s needs finer-than-batch interleaving; the mapped engine cannot run %s under %q (use a pipelined strategy)", why, prog.Name, opts.Strategy)
-	}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	pg, err := Build(g, s)
-	if err != nil {
-		return nil, err
 	}
 	b := &planBuilder{
 		strategy: opts.Strategy,
 		workers:  workers,
 		graph:    g,
 		sch:      s,
-		pg:       pg,
-		total:    pg.TotalWork(),
+		work:     SteadyWork(g, s),
 		plan: &ExecPlan{
 			Strategy:  opts.Strategy,
 			Workers:   workers,
 			Work:      map[*ir.Filter]int64{},
-			Pipelined: pipelined,
+			Pipelined: opts.Strategy.Pipelined(),
 		},
 	}
-	// StratTask and StratSWP keep the program untouched. StratCombined also
-	// skips the rewrite for teleport-messaging programs: sdep delivery
-	// windows are computed on the executing graph, so rewriting the nodes
-	// between messaging endpoints could move deliveries to different firing
+	for _, w := range b.work {
+		b.total += w
+	}
+	// StratTask and StratSWP keep the program untouched, and so does every
+	// strategy for a teleport-messaging program: sdep delivery windows are
+	// computed on the executing graph, so rewriting the nodes between
+	// messaging endpoints could move deliveries to different firing
 	// boundaries than the sequential reference on the original program.
 	if opts.Strategy == StratTask || opts.Strategy == StratSWP ||
-		(pipelined && (len(prog.Portals) > 0 || len(prog.Constraints) > 0)) {
+		len(prog.Portals) > 0 || len(prog.Constraints) > 0 {
 		b.plan.Program = prog
 		return b.plan, nil
 	}
@@ -101,11 +95,9 @@ func BuildExecPlan(prog *ir.Program, g *ir.Graph, s *sched.Schedule, opts ExecPl
 		return nil, err
 	}
 	b.plan.Program = &ir.Program{
-		Name:        prog.Name + "_mapped",
-		Top:         top,
-		Portals:     prog.Portals,
-		Constraints: prog.Constraints,
-		Named:       prog.Named,
+		Name:  prog.Name + "_mapped",
+		Top:   top,
+		Named: prog.Named,
 	}
 	return b.plan, nil
 }
@@ -117,7 +109,7 @@ type planBuilder struct {
 	workers  int
 	graph    *ir.Graph
 	sch      *sched.Schedule
-	pg       *PGraph
+	work     []int64 // steadyWork of graph, by node ID
 	total    int64
 	plan     *ExecPlan
 }
@@ -144,7 +136,7 @@ func (b *planBuilder) perSteady(f *ir.Filter) int64 {
 	if n == nil {
 		return 0
 	}
-	return b.pg.nodes[n.ID].work
+	return b.work[n.ID]
 }
 
 func (b *planBuilder) reps(f *ir.Filter) int64 {
@@ -155,10 +147,10 @@ func (b *planBuilder) reps(f *ir.Filter) int64 {
 	return int64(b.sch.Reps[n.ID])
 }
 
-// fissFactor mirrors PGraph.fissAll's granularity heuristic on the
-// 8×workers-scaled steady state: skip nodes too small to be worth
-// scattering, then halve the replica count until each replica carries
-// meaningful work.
+// fissFactor is the judicious-fission heuristic, judged on the steady state
+// scaled by 8×workers so replicas receive whole items: skip segments too
+// small to be worth scattering (under a 4×workers-th of the total), then
+// halve the replica count until each replica carries at least 256 cycles.
 func (b *planBuilder) fissFactor(work int64) int {
 	if work <= 0 {
 		return 1
@@ -202,14 +194,11 @@ func (b *planBuilder) rewrite(s ir.Stream) (ir.Stream, error) {
 		}
 		return nsj, nil
 	case *ir.FeedbackLoop:
-		if b.strategy == StratCombined {
-			// The loop rides through untouched: its nodes form one pipeline
-			// cluster firing at sequential granularity on a single worker,
-			// so rewriting inside it buys nothing and risks reordering the
-			// back-edge interleave.
-			return s, nil
-		}
-		return nil, fmt.Errorf("partition: feedback loop %s reached the rewriter", s.Name)
+		// The loop rides through untouched: its nodes form one stage cluster
+		// firing at sequential granularity on a single worker, so rewriting
+		// inside it buys nothing and risks reordering the back-edge
+		// interleave.
+		return s, nil
 	}
 	return nil, fmt.Errorf("partition: unknown stream kind %T", s)
 }
@@ -353,8 +342,8 @@ func (b *planBuilder) rewriteSegment(seg []*ir.Filter, k int) (ir.Stream, error)
 	// r handles original firings r, r+k, r+2k, ...
 	split := ir.RoundRobin(wPop...)
 	if E > 0 {
-		// Peeking fission: every replica sees the whole stream — PGraph.fiss's
-		// duplicated peek margin, made executable.
+		// Peeking fission: every replica sees the whole stream, so each pays
+		// the duplicated peek margin.
 		split = ir.Duplicate()
 	}
 	return ir.SJ(kw.Name+"_fiss", split, ir.RoundRobin(wPush...), replicas...), nil

@@ -6,107 +6,65 @@ import (
 	"testing"
 )
 
-// chainPG builds a synthetic linear PGraph with the given per-node works,
-// bypassing the IR so the fission heuristics can be probed directly.
-func chainPG(works ...int64) *PGraph {
-	p := &PGraph{nodes: map[int]*pnode{}, edges: map[[2]int]int64{}}
-	for i, w := range works {
-		p.nodes[i] = &pnode{id: i, name: fmt.Sprintf("n%d", i), work: w, count: 1}
-		if i > 0 {
-			p.edges[[2]int{i - 1, i}] = 16
-		}
-	}
-	p.nextID = len(works)
-	return p
-}
+// The TestFissAll cases pin fissFactor, the one fission heuristic, on
+// segment works chosen around its two cut-offs. It judges a segment on the
+// steady state scaled by 8×workers: a segment under a 4×workers-th of the
+// total stays whole, and the replica count halves until each replica
+// carries at least 256 scaled cycles.
 
-// replicas counts the fission replicas ("base/fN") of a node.
-func replicas(p *PGraph, base string) int {
-	c := 0
-	for _, n := range p.nodes {
-		if strings.HasPrefix(n.name, base+"/f") {
-			c++
-		}
-	}
-	return c
+// factor is fissFactor's replica count for a segment doing work cycles per
+// steady iteration of a graph totalling total, on workers workers.
+func factor(workers int, total, work int64) int {
+	return (&planBuilder{workers: workers, total: total}).fissFactor(work)
 }
 
 func TestFissAllOneTileIsIdentity(t *testing.T) {
-	p := chainPG(100000, 100000, 100000)
-	if err := p.fissAll(1); err != nil {
-		t.Fatal(err)
-	}
-	if len(p.nodes) != 3 {
-		t.Fatalf("fissAll(1) changed the node count: %d", len(p.nodes))
-	}
-	for _, n := range p.nodes {
-		if strings.Contains(n.name, "/f") {
-			t.Fatalf("fissAll(1) created replica %s", n.name)
+	for _, work := range []int64{0, 1, 100000, 300000} {
+		if k := factor(1, 300000, work); k != 1 {
+			t.Errorf("one worker fisses work %d into %d replicas", work, k)
 		}
 	}
 }
 
 func TestFissAllSkipsZeroAndLightWork(t *testing.T) {
-	// total = 100100; the light node (100) is below the total/(4*tiles)
-	// threshold and the zero-work node is not fissable at all.
-	p := chainPG(0, 100, 100000)
-	if err := p.fissAll(4); err != nil {
-		t.Fatal(err)
-	}
-	if p.nodes[0] == nil || p.nodes[1] == nil {
-		t.Fatal("zero/light-work nodes should survive fissAll unchanged")
-	}
-	if p.nodes[2] != nil {
-		t.Fatal("heavy node should have been replaced by replicas")
-	}
-	if got := replicas(p, "n2"); got != 4 {
-		t.Fatalf("heavy node replicas = %d, want tiles = 4", got)
+	// total = 100100 on 4 workers: the light segment (100) is below the
+	// total/(4*workers) share and the zero-work one has nothing to split.
+	for work, want := range map[int64]int{0: 1, 100: 1, 100000: 4} {
+		if k := factor(4, 100100, work); k != want {
+			t.Errorf("work %d: %d replicas, want %d", work, k, want)
+		}
 	}
 }
 
 func TestFissAllHalvesReplicationForModestWork(t *testing.T) {
-	// 1100 cycles over 8 tiles is 137/replica — under the 256-cycle floor.
-	// The heuristic halves k until each replica carries meaningful work:
-	// k=4 gives 275 >= 256.
-	p := chainPG(1100)
-	if err := p.fissAll(8); err != nil {
-		t.Fatal(err)
-	}
-	if got := replicas(p, "n0"); got != 4 {
-		t.Fatalf("replicas = %d, want k halved 8 -> 4", got)
-	}
-	for _, n := range p.nodes {
-		if n.work != 1100/4 {
-			t.Fatalf("replica %s work = %d, want %d", n.name, n.work, 1100/4)
-		}
+	// 20 cycles on 8 workers scale to 1280: 160 per replica over 8, under the
+	// 256-cycle floor. Halving stops at k=4, 320 per replica.
+	if k := factor(8, 20, 20); k != 4 {
+		t.Fatalf("replicas = %d, want k halved 8 -> 4", k)
 	}
 }
 
 func TestFissAllKeepsTinyWorkWhole(t *testing.T) {
-	// 300 cycles passes the share threshold (it is the whole graph) but
-	// halving lands at k=1 (300/2 = 150 < 256): no fission at all.
-	p := chainPG(300)
-	if err := p.fissAll(8); err != nil {
-		t.Fatal(err)
-	}
-	if len(p.nodes) != 1 || p.nodes[0] == nil {
-		t.Fatalf("tiny node should stay whole, nodes = %d", len(p.nodes))
+	// 3 cycles pass the share threshold (they are the whole graph) but scale
+	// to 192, and halving lands at k=1 (192/2 = 96 < 256): no fission at all.
+	if k := factor(8, 3, 3); k != 1 {
+		t.Fatalf("tiny segment fissed into %d replicas", k)
 	}
 }
 
+// TestFissionPlanScaleMatchesReplicas: on the stateless chain every fission
+// group holds one replica per tile, so the rewritten steady state covers
+// tiles original ones and Scale says so; task parallelism rewrites nothing
+// and reports a Scale of 1.
 func TestFissionPlanScaleMatchesReplicas(t *testing.T) {
 	const tiles = 4
-	p := statelessChain(t)
 	for _, strat := range []Strategy{StratFineData, StratCoarseData} {
-		plan, err := p.Map(strat, tiles)
-		if err != nil {
-			t.Fatalf("%s: %v", strat, err)
+		plan := lower(t, statelessChain(), strat, tiles)
+		if plan.Scale != tiles {
+			t.Fatalf("%s: Scale = %d, want %d", strat, plan.Scale, tiles)
 		}
-		if plan.Scale != 8*tiles {
-			t.Fatalf("%s: Scale = %d, want %d", strat, plan.Scale, 8*tiles)
-		}
-		// Every fission group in the emitted graph holds at most tiles
-		// replicas, and replica indices never reach the tile count.
+		// Every fission group in the lowered graph holds tiles replicas,
+		// and replica indices never reach the tile count.
 		groups := map[string]int{}
 		for _, n := range plan.Graph.Nodes {
 			base, idx, ok := strings.Cut(n.Name, "/f")
@@ -124,18 +82,14 @@ func TestFissionPlanScaleMatchesReplicas(t *testing.T) {
 			t.Fatalf("%s: no fission replicas emitted for stateless chain", strat)
 		}
 		for base, k := range groups {
-			if k > tiles {
-				t.Fatalf("%s: %s has %d replicas, more than %d tiles", strat, base, k, tiles)
+			if k != tiles {
+				t.Fatalf("%s: %s has %d replicas, want %d", strat, base, k, tiles)
 			}
 		}
 	}
-	// Task parallelism never fisses and therefore reports no scaling.
-	plan, err := p.Map(StratTask, tiles)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Scale != 0 {
-		t.Fatalf("task plan Scale = %d, want 0", plan.Scale)
+	plan := lower(t, statelessChain(), StratTask, tiles)
+	if plan.Scale != 1 {
+		t.Fatalf("task plan Scale = %d, want 1", plan.Scale)
 	}
 	for _, n := range plan.Graph.Nodes {
 		if strings.Contains(n.Name, "/f") {

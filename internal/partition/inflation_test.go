@@ -59,9 +59,6 @@ func TestRewriteDoesNotInflateWork(t *testing.T) {
 				what := fmt.Sprintf("%s under %s on %d workers", app.Name, strat, workers)
 				plan, err := BuildExecPlan(prog, g, s, ExecPlanOptions{Strategy: strat, Workers: workers})
 				if err != nil {
-					if g.LockstepBlocker() != "" {
-						continue // lockstep strategies refuse feedback loops
-					}
 					t.Fatalf("%s: %v", what, err)
 				}
 				g2, err := ir.Flatten(plan.Program)

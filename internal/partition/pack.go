@@ -10,10 +10,14 @@ import (
 )
 
 // Placement: one weight per node, one greedy bin-packing. Every mapping in
-// the package — the simulator's barriered and pipelined tile mappings, an
-// exec plan's initial worker assignment, and every re-pack of it (crash
-// recovery, the elastic controller, a distributed fleet and its recovery)
-// — is lpt over steadyWork.
+// the package — an exec plan's initial worker assignment, its lowering onto
+// the simulator's tiles, and every re-pack of it (crash recovery, the
+// elastic controller, a distributed fleet and its recovery) — is lpt over
+// steadyWork.
+
+// SteadyWork is the static estimate of each node's cycles per steady
+// iteration, indexed by node ID: the weights every plan packs by.
+func SteadyWork(g *ir.Graph, s *sched.Schedule) []int64 { return steadyWork(g, s, nil, nil) }
 
 // steadyWork estimates each node's work per steady iteration, indexed by
 // node ID: for filters the IL estimator's cycles per firing (override's,
@@ -119,9 +123,9 @@ func (p *ExecPlan) Assign(g2 *ir.Graph, s2 *sched.Schedule) []int {
 // and restore the last barrier image unchanged. measured is steadyWork's
 // (nil packs by the plan's static estimates; the elastic controller passes
 // a profile window). Every node weighs at least 1, so zero-work endpoints
-// still spread across workers, and a pipelined plan's stage clusters
-// (feedback cycles, messaging hulls) pack as one unit at both levels: their
-// members must fire together on one worker.
+// still spread across workers, and stage clusters (feedback cycles,
+// messaging hulls) pack as one unit at both levels: their members must fire
+// together on one worker.
 func (p *ExecPlan) Pack(g2 *ir.Graph, s2 *sched.Schedule, topo Topology, measured []int64) ([]int, error) {
 	if topo.Shards < 1 || topo.PerShard < 1 {
 		return nil, fmt.Errorf("partition: assignment wants >= 1 shards and workers per shard, got %d x %d", topo.Shards, topo.PerShard)
@@ -129,17 +133,13 @@ func (p *ExecPlan) Pack(g2 *ir.Graph, s2 *sched.Schedule, topo Topology, measure
 	if measured != nil && len(measured) != len(g2.Nodes) {
 		return nil, fmt.Errorf("partition: measured work covers %d of %d nodes", len(measured), len(g2.Nodes))
 	}
-	var units [][]int
-	var sp *StagePlan
-	if p.Pipelined {
-		var err error
-		if sp, err = PipelineStages(g2); err != nil {
-			return nil, err
-		}
-		units = append(units, sp.Clusters...)
+	sp, err := PipelineStages(g2)
+	if err != nil {
+		return nil, err
 	}
+	units := append([][]int(nil), sp.Clusters...)
 	for id := range g2.Nodes {
-		if sp == nil || sp.ClusterOf[id] < 0 {
+		if sp.ClusterOf[id] < 0 {
 			units = append(units, []int{id})
 		}
 	}

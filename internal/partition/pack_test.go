@@ -13,38 +13,21 @@ import (
 )
 
 // buildPlan rewrites prog for workers cores and flattens and schedules the
-// result. A lockstep strategy refusing a program it cannot host reports
-// ok=false; any other failure is fatal.
-func buildPlan(t *testing.T, prog *ir.Program, strat Strategy, workers int) (plan *ExecPlan, g2 *ir.Graph, s2 *sched.Schedule, ok bool) {
+// result.
+func buildPlan(t *testing.T, prog *ir.Program, strat Strategy, workers int) (*ExecPlan, *ir.Graph, *sched.Schedule) {
 	t.Helper()
-	g, err := ir.Flatten(prog)
+	g, s := compile(t, prog)
+	plan, err := BuildExecPlan(prog, g, s, ExecPlanOptions{Strategy: strat, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := sched.Compute(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err = BuildExecPlan(prog, g, s, ExecPlanOptions{Strategy: strat, Workers: workers})
-	if err != nil {
-		if !strat.Pipelined() && g.LockstepBlocker() != "" {
-			return nil, nil, nil, false
-		}
-		t.Fatal(err)
-	}
-	if g2, err = ir.Flatten(plan.Program); err != nil {
-		t.Fatal(err)
-	}
-	if s2, err = sched.Compute(g2); err != nil {
-		t.Fatal(err)
-	}
-	return plan, g2, s2, true
+	g2, s2 := compile(t, plan.Program)
+	return plan, g2, s2
 }
 
 func buildShardedPlan(t *testing.T, strat Strategy, workers int) (*ExecPlan, *ir.Graph, *sched.Schedule) {
 	t.Helper()
-	plan, g2, s2, _ := buildPlan(t, apps.FMRadio(4, 16), strat, workers)
-	return plan, g2, s2
+	return buildPlan(t, apps.FMRadio(4, 16), strat, workers)
 }
 
 func mustPack(t *testing.T, plan *ExecPlan, g2 *ir.Graph, s2 *sched.Schedule, topo Topology, measured []int64) []int {
@@ -73,19 +56,13 @@ func TestPackContract(t *testing.T) {
 	clusters := 0
 	for _, app := range progs {
 		for _, strat := range []Strategy{StratTask, StratFineData, StratCoarseData, StratSWP, StratCombined} {
-			plan, g2, s2, ok := buildPlan(t, app.Build(), strat, 4)
-			if !ok {
-				continue
+			plan, g2, s2 := buildPlan(t, app.Build(), strat, 4)
+			sp, err := PipelineStages(g2)
+			if err != nil {
+				t.Fatal(err)
 			}
-			var units [][]int
-			if plan.Pipelined {
-				sp, err := PipelineStages(g2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				units = sp.Clusters
-				clusters += len(units)
-			}
+			units := slices.Clone(sp.Clusters)
+			clusters += len(units)
 			for id := range g2.Nodes {
 				if !slices.ContainsFunc(units, func(u []int) bool { return slices.Contains(u, id) }) {
 					units = append(units, []int{id})

@@ -6,17 +6,17 @@
 //   - task parallelism (fork/join over split-join children),
 //   - fine-grained data parallelism (replicate every stateless filter),
 //   - coarse-grained data parallelism (fuse stateless regions, then fiss),
-//   - coarse-grained software pipelining (selective fusion + bin-packing),
+//   - coarse-grained software pipelining (stage-skewed bin-packing),
 //   - the combination of data parallelism and software pipelining, and
-//   - the prior work's space multiplexing (fuse to one filter per tile).
+//   - the prior work's space multiplexing (one contiguous region per tile).
 //
-// Each mapper produces a weighted steady-state task graph plus a tile
-// mapping for the machine simulator.
+// There is one partitioner. BuildExecPlan rewrites the program and Pack
+// assigns the rewritten graph to workers; the mapped engines run that plan,
+// and Lower hands the same plan to the machine simulator.
 package partition
 
 import (
 	"fmt"
-	"sort"
 
 	"streamit/internal/ir"
 	"streamit/internal/machine"
@@ -28,374 +28,218 @@ import (
 // routed (address bookkeeping plus a word copy).
 const routerCost = 3
 
-// pnode is a mutable partitioning node: one or more original flat-graph
-// nodes (fusion) or a replica slice of one (fission).
-type pnode struct {
-	id       int
-	name     string
-	work     int64 // cycles per steady iteration
-	flops    int64
-	stateful bool
-	peeking  bool
-	io       bool  // unfusable, unfissable endpoint (file reader/writer)
-	router   bool  // splitter/joiner
-	margin   int64 // extra words duplicated per replica when fissed
-	count    int   // original filters folded in
+// Strategy names the mapping strategies of the evaluation.
+type Strategy string
+
+// The compared strategies.
+const (
+	StratSequential Strategy = "sequential"
+	StratTask       Strategy = "task"
+	StratFineData   Strategy = "fine-grained data"
+	StratCoarseData Strategy = "task+data"
+	StratSWP        Strategy = "task+swp"
+	StratCombined   Strategy = "task+data+swp"
+	StratSpace      Strategy = "space (prior work)"
+)
+
+// Pipelined reports whether the strategy produces stage-assigned
+// software-pipelined execution plans (BuildExecPlan sets ExecPlan.Pipelined
+// and the mapped engine runs stage-skewed macro-cycles).
+func (s Strategy) Pipelined() bool { return s == StratSWP || s == StratCombined }
+
+// Plan is an exec plan lowered onto the machine simulator: the rewritten
+// program's weighted steady-state task graph and its tile mapping.
+type Plan struct {
+	Strategy Strategy
+	Graph    *machine.WGraph
+	Mapping  *machine.Mapping
+	// Scale is the number of original steady iterations one steady
+	// iteration of Graph covers: fission makes the rewritten program's
+	// steady state a multiple of the original's.
+	Scale int
+	// members lists, per Graph node, the rewritten flat graph's node IDs it
+	// stands for: one, or every member of a stage cluster.
+	members [][]int
 }
 
-// PGraph is the mutable weighted partitioning graph.
-type PGraph struct {
-	nodes  map[int]*pnode
-	edges  map[[2]int]int64 // (src,dst) -> words per steady iteration
-	nextID int
+// Simulate runs the plan on the machine and normalizes the result back to
+// original steady-state iterations.
+func (pl *Plan) Simulate(cfg machine.Config, iters int) (*machine.Result, error) {
+	res, err := machine.Simulate(pl.Graph, pl.Mapping, cfg, iters)
+	if err != nil {
+		return nil, err
+	}
+	if pl.Scale > 1 {
+		res.CyclesPerIter /= float64(pl.Scale)
+		res.ItersPerSec *= float64(pl.Scale)
+	}
+	return res, nil
 }
 
-// Build derives the weighted steady-state graph from a scheduled flat
-// graph, weighted by steadyWork.
-func Build(g *ir.Graph, s *sched.Schedule) (*PGraph, error) {
-	p := &PGraph{nodes: map[int]*pnode{}, edges: map[[2]int]int64{}}
-	work := steadyWork(g, s, nil, nil)
-	for _, n := range g.Nodes {
-		pn := &pnode{id: n.ID, name: n.Name, count: 1, work: work[n.ID]}
-		switch n.Kind {
-		case ir.NodeFilter:
-			k := n.Filter.Kernel
-			pn.flops = wfunc.EstimateKernel(k).Flops * int64(s.Reps[n.ID])
-			pn.stateful = n.IsStateful()
-			pn.peeking = n.IsPeeking()
-			pn.margin = int64(k.Peek - k.Pop)
-			pn.io = n.IsSource() || n.IsSink()
-			if pn.io {
-				// File readers/writers are not mapped to compute tiles
-				// (steadyWork charges them no cycles either).
-				pn.flops = 0
-				pn.stateful = false
+// Lower maps prog, whose flat graph and schedule are g and s, onto a machine
+// of tiles tiles under strat, through the plan the mapped engine runs for
+// tiles workers: BuildExecPlan's rewrite, one node per node of the rewritten
+// graph weighted by steadyWork, every stage cluster (a feedback loop or a
+// teleport hull) contracted into one stateful node, and Pack's assignment as
+// the tiles. The two simulation-only strategies map the task plan:
+// sequential puts every node on tile 0, and space — the prior work's
+// backend, which no engine runs — cuts the topological order into tiles
+// runs of equal work laid along the mesh.
+func Lower(prog *ir.Program, g *ir.Graph, s *sched.Schedule, strat Strategy, tiles int) (*Plan, error) {
+	execStrat := strat
+	switch strat {
+	case StratSequential, StratSpace:
+		execStrat = StratTask
+	case StratTask, StratFineData, StratCoarseData, StratSWP, StratCombined:
+	default:
+		return nil, fmt.Errorf("partition: unknown strategy %q", strat)
+	}
+	plan, err := BuildExecPlan(prog, g, s, ExecPlanOptions{Strategy: execStrat, Workers: tiles})
+	if err != nil {
+		return nil, err
+	}
+	g2, s2 := g, s
+	if plan.Program != prog {
+		if g2, err = ir.Flatten(plan.Program); err != nil {
+			return nil, err
+		}
+		if s2, err = sched.Compute(g2); err != nil {
+			return nil, err
+		}
+	}
+	sp, err := PipelineStages(g2)
+	if err != nil {
+		return nil, err
+	}
+
+	// One simulator node per stage cluster and per node outside one, in
+	// order of lowest member.
+	unit := make([]int, len(g2.Nodes))
+	var members [][]int
+	for _, n := range g2.Nodes {
+		if c := sp.ClusterOf[n.ID]; c < 0 || sp.Clusters[c][0] == n.ID {
+			ids := []int{n.ID}
+			if c >= 0 {
+				ids = sp.Clusters[c]
 			}
-		default:
-			pn.router = true
-		}
-		p.nodes[n.ID] = pn
-		if n.ID >= p.nextID {
-			p.nextID = n.ID + 1
-		}
-	}
-	for _, e := range g.Edges {
-		items := int64(s.ItemsPerSteady(e))
-		p.edges[[2]int{e.Src.ID, e.Dst.ID}] += items
-	}
-	// Collapse feedback loops into single (stateful) nodes: the weighted
-	// task graph must be acyclic, and a loop's iterations are serialized by
-	// its data dependence anyway, so it executes on one tile.
-	alias := map[int]int{}
-	find := func(id int) int {
-		for {
-			a, ok := alias[id]
-			if !ok {
-				return id
+			for _, id := range ids {
+				unit[id] = len(members)
 			}
-			id = a
+			members = append(members, ids)
 		}
 	}
-	for _, e := range g.Edges {
-		if !e.Back {
+	work := steadyWork(g2, s2, plan.Work, nil)
+	wg := &machine.WGraph{}
+	for _, ids := range members {
+		var w, flops int64
+		stateful := len(ids) > 1
+		for _, id := range ids {
+			n := g2.Nodes[id]
+			w += work[id]
+			if n.Kind == ir.NodeFilter && !n.IsSource() && !n.IsSink() {
+				flops += wfunc.EstimateKernel(n.Filter.Kernel).Flops * int64(s2.Reps[id])
+				stateful = stateful || n.IsStateful()
+			}
+		}
+		name := g2.Nodes[ids[0]].Name
+		if len(ids) > 1 {
+			name = "cluster(" + name + ")"
+		}
+		wg.AddNode(name, w, flops, stateful)
+	}
+	between := map[[2]int]*machine.WEdge{}
+	for _, e := range g2.Edges {
+		a, b := unit[e.Src.ID], unit[e.Dst.ID]
+		if a == b {
 			continue
 		}
-		members := []int{e.Dst.ID, e.Src.ID}
-		for _, n := range g.Nodes {
-			if n.ID == e.Dst.ID || n.ID == e.Src.ID {
-				continue
-			}
-			if g.Downstream(e.Dst, n) && g.Downstream(n, e.Src) {
-				members = append(members, n.ID)
-			}
-		}
-		target := find(members[0])
-		for _, id := range members[1:] {
-			b := find(id)
-			if b == target {
-				continue
-			}
-			p.absorb(target, b)
-			alias[b] = target
-		}
-		p.nodes[target].stateful = true
-		p.nodes[target].name = "loop(" + p.nodes[target].name + ")"
-	}
-	return p, nil
-}
-
-// absorb merges node b into node a unconditionally, dropping any resulting
-// self edges (used to collapse feedback cycles).
-func (p *PGraph) absorb(a, b int) {
-	na, nb := p.nodes[a], p.nodes[b]
-	na.work += nb.work
-	na.flops += nb.flops
-	na.stateful = na.stateful || nb.stateful
-	na.peeking = na.peeking || nb.peeking
-	na.io = na.io || nb.io
-	na.router = na.router && nb.router
-	na.count += nb.count
-	for k, v := range p.edges {
-		if k[0] != b && k[1] != b {
+		if we := between[[2]int{a, b}]; we != nil {
+			we.Items += int64(s2.ItemsPerSteady(e))
 			continue
 		}
-		delete(p.edges, k)
-		src, dst := k[0], k[1]
-		if src == b {
-			src = a
+		between[[2]int{a, b}] = wg.AddEdge(wg.Nodes[a], wg.Nodes[b], int64(s2.ItemsPerSteady(e)))
+	}
+
+	stages, err := machine.Stages(wg)
+	if err != nil {
+		return nil, err
+	}
+	// Fork/join strategies exchange stage results through memory behind a
+	// barrier; software pipelining buffers steady-state data in DRAM across
+	// iterations; the single core and the space-multiplexed backend stream
+	// over the mesh.
+	m := &machine.Mapping{Tile: make([]int, len(wg.Nodes)), Stage: stages, Mode: machine.ModeBarriered, Comm: machine.CommDRAM}
+	switch {
+	case strat == StratSequential:
+		m.Mode, m.Comm = machine.ModePipelined, machine.CommNoC
+	case strat == StratSpace:
+		m.Mode, m.Comm = machine.ModePipelined, machine.CommNoC
+		if err := spaceTiles(wg, m.Tile, tiles); err != nil {
+			return nil, err
 		}
-		if dst == b {
-			dst = a
+	default:
+		if strat.Pipelined() {
+			m.Mode = machine.ModePipelined
 		}
-		if src != dst {
-			p.edges[[2]int{src, dst}] += v
+		assign, err := plan.Pack(g2, s2, Topology{Shards: tiles, PerShard: 1}, nil)
+		if err != nil {
+			return nil, err
+		}
+		for id, w := range assign {
+			m.Tile[unit[id]] = w
 		}
 	}
-	delete(p.nodes, b)
+
+	// Any filter the rewrite left alone (every source is one) fires
+	// Scale times as often per rewritten steady iteration as per original.
+	scale := 1
+	for _, n := range g2.Nodes {
+		if o := g.FilterNode[n.Filter]; n.Kind == ir.NodeFilter && o != nil {
+			scale = s2.Reps[n.ID] / s.Reps[o.ID]
+			break
+		}
+	}
+	return &Plan{Strategy: strat, Graph: wg, Mapping: m, Scale: scale, members: members}, nil
 }
 
-// scaleSteady multiplies every node's work and every edge's traffic by f:
-// the graph then represents f original steady-state iterations as one
-// macro-iteration, so fission always has whole items to distribute.
-func (p *PGraph) scaleSteady(f int64) {
-	for _, n := range p.nodes {
-		n.work *= f
-		n.flops *= f
+// spaceTiles is the prior work's layout: the topological order cut into
+// tiles contiguous runs of about equal work, snaked across the grid so
+// pipeline neighbours are mesh neighbours.
+func spaceTiles(g *machine.WGraph, tile []int, tiles int) error {
+	order, err := g.TopoOrder()
+	if err != nil {
+		return err
 	}
-	for k := range p.edges {
-		p.edges[k] *= f
+	var total, done int64
+	for _, n := range order {
+		total += n.Work
 	}
-}
-
-// clone deep-copies the graph so each mapper transforms independently.
-func (p *PGraph) clone() *PGraph {
-	c := &PGraph{nodes: map[int]*pnode{}, edges: map[[2]int]int64{}, nextID: p.nextID}
-	for id, n := range p.nodes {
-		cp := *n
-		c.nodes[id] = &cp
-	}
-	for k, v := range p.edges {
-		c.edges[k] = v
-	}
-	return c
-}
-
-// TotalWork sums compute cycles per steady iteration.
-func (p *PGraph) TotalWork() int64 {
-	var t int64
-	for _, n := range p.nodes {
-		t += n.work
-	}
-	return t
-}
-
-// StatefulWork returns the fraction of steady-state work performed by
-// stateful filters (the paper's final benchmark-table column).
-func (p *PGraph) StatefulWork() float64 {
-	var t, s int64
-	for _, n := range p.nodes {
-		if n.router || n.io {
-			continue
+	for i, n := range order {
+		run := i * tiles / len(order)
+		if total > 0 {
+			run = int(done * int64(tiles) / total)
 		}
-		t += n.work
-		if n.stateful {
-			s += n.work
-		}
+		done += n.Work
+		tile[n.ID] = snakeTile(min(run, tiles-1), tiles)
 	}
-	if t == 0 {
-		return 0
-	}
-	return float64(s) / float64(t)
-}
-
-// CompCommRatio returns the static computation-to-communication ratio:
-// total estimated cycles divided by items communicated per steady state.
-func (p *PGraph) CompCommRatio() float64 {
-	var comm int64
-	for _, v := range p.edges {
-		comm += v
-	}
-	if comm == 0 {
-		return 0
-	}
-	return float64(p.TotalWork()) / float64(comm)
-}
-
-func (p *PGraph) outEdges(id int) [][2]int {
-	var out [][2]int
-	for k := range p.edges {
-		if k[0] == id {
-			out = append(out, k)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][1] < out[j][1] })
-	return out
-}
-
-func (p *PGraph) inEdges(id int) [][2]int {
-	var in [][2]int
-	for k := range p.edges {
-		if k[1] == id {
-			in = append(in, k)
-		}
-	}
-	sort.Slice(in, func(i, j int) bool { return in[i][0] < in[j][0] })
-	return in
-}
-
-// reachable reports whether dst is reachable from src, optionally skipping
-// the direct edge (src,dst).
-func (p *PGraph) reachable(src, dst int, skipDirect bool) bool {
-	seen := map[int]bool{}
-	var stack []int
-	push := func(id int) {
-		if !seen[id] {
-			seen[id] = true
-			stack = append(stack, id)
-		}
-	}
-	for k := range p.edges {
-		if k[0] == src {
-			if k[1] == dst && skipDirect {
-				continue
-			}
-			push(k[1])
-		}
-	}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if n == dst {
-			return true
-		}
-		for k := range p.edges {
-			if k[0] == n {
-				push(k[1])
-			}
-		}
-	}
-	return false
-}
-
-// fuse merges node b into node a (they must be connected and fusion must
-// not create a cycle). Internal traffic disappears (it becomes local
-// buffer reuse inside the fused filter).
-func (p *PGraph) fuse(a, b int) error {
-	na, nb := p.nodes[a], p.nodes[b]
-	if na == nil || nb == nil {
-		return fmt.Errorf("partition: fusing missing node")
-	}
-	// Cycle check: any indirect path between them forbids fusion.
-	if p.reachable(a, b, true) || p.reachable(b, a, true) {
-		return fmt.Errorf("partition: fusing %s and %s would create a cycle", na.name, nb.name)
-	}
-	na.work += nb.work
-	na.flops += nb.flops
-	na.stateful = na.stateful || nb.stateful
-	na.peeking = na.peeking || nb.peeking
-	na.io = na.io || nb.io
-	na.router = na.router && nb.router
-	na.margin += nb.margin
-	na.count += nb.count
-	na.name = na.name + "+" + nb.name
-	for k, v := range p.edges {
-		if k[0] == b {
-			delete(p.edges, k)
-			if k[1] != a {
-				p.edges[[2]int{a, k[1]}] += v
-			}
-		} else if k[1] == b {
-			delete(p.edges, k)
-			if k[0] != a {
-				p.edges[[2]int{k[0], a}] += v
-			}
-		}
-	}
-	delete(p.nodes, b)
 	return nil
 }
 
-// fissable reports whether a node can be data-parallelized.
-func (n *pnode) fissable() bool {
-	return !n.stateful && !n.io && !n.router && n.work > 0
-}
-
-// fiss replaces node id with k replicas, each doing 1/k of the work.
-// Producers scatter to all replicas and consumers gather from all; peeking
-// nodes pay the duplicated window margin on each replica's input.
-func (p *PGraph) fiss(id, k int) error {
-	n := p.nodes[id]
-	if n == nil {
-		return fmt.Errorf("partition: fissing missing node %d", id)
+// snakeTile maps a linear position to a boustrophedon path over the 4xN
+// grid so consecutive positions are mesh neighbours.
+func snakeTile(pos, tiles int) int {
+	cols := 4
+	rows := tiles / cols
+	if rows == 0 {
+		return pos % tiles
 	}
-	if !n.fissable() {
-		return fmt.Errorf("partition: node %s is not fissable", n.name)
+	r := pos / cols
+	c := pos % cols
+	if r%2 == 1 {
+		c = cols - 1 - c
 	}
-	if k <= 1 {
-		return nil
+	if r >= rows {
+		r = rows - 1
 	}
-	ins := p.inEdges(id)
-	outs := p.outEdges(id)
-	for r := 0; r < k; r++ {
-		rid := p.nextID
-		p.nextID++
-		p.nodes[rid] = &pnode{
-			id: rid, name: fmt.Sprintf("%s/f%d", n.name, r),
-			work: n.work / int64(k), flops: n.flops / int64(k),
-			margin: n.margin, count: 0,
-		}
-		for _, e := range ins {
-			p.edges[[2]int{e[0], rid}] = p.edges[e]/int64(k) + n.margin
-		}
-		for _, e := range outs {
-			p.edges[[2]int{rid, e[1]}] = p.edges[e] / int64(k)
-		}
-	}
-	for _, e := range ins {
-		delete(p.edges, e)
-	}
-	for _, e := range outs {
-		delete(p.edges, e)
-	}
-	delete(p.nodes, id)
-	return nil
-}
-
-// sortedIDs returns node IDs in ascending order for determinism.
-func (p *PGraph) sortedIDs() []int {
-	ids := make([]int, 0, len(p.nodes))
-	for id := range p.nodes {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
-}
-
-// emit converts the partitioning graph into a machine weighted graph,
-// returning also the id->index map.
-func (p *PGraph) emit() (*machine.WGraph, map[int]int, error) {
-	g := &machine.WGraph{}
-	idx := map[int]int{}
-	for _, id := range p.sortedIDs() {
-		n := p.nodes[id]
-		wn := g.AddNode(n.name, n.work, n.flops, n.stateful)
-		idx[id] = wn.ID
-	}
-	keys := make([][2]int, 0, len(p.edges))
-	for k := range p.edges {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	for _, k := range keys {
-		g.AddEdge(g.Nodes[idx[k[0]]], g.Nodes[idx[k[1]]], p.edges[k])
-	}
-	if _, err := g.TopoOrder(); err != nil {
-		return nil, nil, err
-	}
-	return g, idx, nil
+	return r*cols + c
 }

@@ -86,10 +86,12 @@ func PipelineStages(g *ir.Graph) (*StagePlan, error) {
 		}
 		return x
 	}
+	merged := false
 	union := func(a, b int) {
 		ra, rb := find(a), find(b)
 		if ra != rb {
 			parent[ra] = rb
+			merged = true
 		}
 	}
 
@@ -141,7 +143,7 @@ func PipelineStages(g *ir.Graph) (*StagePlan, error) {
 
 	// Convex closure: merged clusters may not be convex, so pull in any
 	// node lying on a forward path between two members until stable.
-	for changed := true; changed; {
+	for changed := merged; changed; {
 		changed = false
 		groups := map[int][]int{}
 		for v := 0; v < n; v++ {
