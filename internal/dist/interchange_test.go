@@ -130,6 +130,38 @@ func TestDistGoldenImage(t *testing.T) {
 	}
 }
 
+// TestDistTapKeepsSinkState: a tap captures a sink's input without
+// replacing its work, so a 2-shard run of a program whose sink keeps state
+// ends on the same barrier image with TapSinks on as with it off.
+func TestDistTapKeepsSinkState(t *testing.T) {
+	reg := map[string]func() *ir.Program{"FMRadioAcc": func() *ir.Program {
+		b := wfunc.NewKernel("AccSink", 1, 1, 0)
+		acc := b.Field("acc", 0)
+		b.WorkBody(wfunc.SetF(acc, wfunc.AddX(wfunc.MulX(acc, wfunc.C(0.5)), wfunc.PopE())))
+		prog := apps.FMRadio(2, 8)
+		pipe := prog.Top.(*ir.Pipeline)
+		pipe.Children[len(pipe.Children)-1] = &ir.Filter{Kernel: b.Build(), In: ir.TypeFloat, Out: ir.TypeVoid}
+		return prog
+	}}
+	images := map[bool][]byte{}
+	for _, tap := range []bool{false, true} {
+		cfg := testConfig(2)
+		cfg.TapSinks, cfg.Registry = tap, reg
+		res := runDist(t, Spec{App: "FMRadioAcc"}, cfg, 8, withRegistry(reg))
+		captured := 0
+		for _, stream := range res.Outputs {
+			captured += len(stream)
+		}
+		if (captured > 0) != tap {
+			t.Fatalf("TapSinks=%v: captured %d sink items", tap, captured)
+		}
+		images[tap] = res.FinalImage
+	}
+	if !bytes.Equal(images[true], images[false]) {
+		t.Fatal("tapping the sink changed the final barrier image: the sink's state did not advance")
+	}
+}
+
 // TestDistImageToSequential: a shard-produced barrier image restores into
 // a plain sequential engine, which resumes bit-identically — verified
 // against an uninterrupted sequential run of the same program.

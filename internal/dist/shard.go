@@ -14,7 +14,6 @@ import (
 	"streamit/internal/faults"
 	"streamit/internal/ir"
 	"streamit/internal/partition"
-	"streamit/internal/wfunc"
 )
 
 // ShardOptions configure one shard worker.
@@ -407,9 +406,9 @@ func (sh *shard) handleAssign(p []byte) error {
 	return sh.fc.send(mtReady, (&genMsg{Gen: m.Gen}).encode())
 }
 
-// tapSinks overrides every locally-owned sink filter to capture its input
-// stream instead of running its kernel. Sinks push nothing, so upstream
-// state and the captured values are unaffected by the substitution.
+// tapSinks taps every locally-owned sink filter to capture its input
+// stream. The sink still runs its own kernel, so its state, and the image
+// it leaves, are those of an untapped run.
 func tapSinks(eng *exec.MappedEngine, g2 *ir.Graph, assign []int, local []bool) (map[int]*sinkBuf, error) {
 	sinks := make(map[int]*sinkBuf)
 	for _, n := range g2.Nodes {
@@ -420,12 +419,7 @@ func tapSinks(eng *exec.MappedEngine, g2 *ir.Graph, assign []int, local []bool) 
 			continue
 		}
 		buf := &sinkBuf{}
-		pop := n.TotalPop()
-		if err := eng.OverrideWork(n.Name, func(in, out wfunc.Tape) {
-			for i := 0; i < pop; i++ {
-				buf.items = append(buf.items, in.Pop())
-			}
-		}); err != nil {
+		if err := eng.TapSink(n.Name, func(v float64) { buf.items = append(buf.items, v) }); err != nil {
 			return nil, fmt.Errorf("dist: tap sink %s: %w", n.Name, err)
 		}
 		sinks[n.ID] = buf

@@ -137,9 +137,9 @@ type ckptNode struct {
 
 // ckptEdge is one edge's counters and buffered items. An engine writing an
 // image lends its own buffers instead of copying them — more is the stretch
-// that follows items there (a ring's wrapped part, a queue's unflushed
-// staging residue) — so such an image must be encoded before the engine
-// runs again. A decoded image has everything in items.
+// that follows items there, a ring's wrapped part — so such an image must
+// be encoded before the engine runs again. A decoded image has everything
+// in items.
 type ckptEdge struct {
 	pushed, popped int64
 	items, more    []float64
@@ -221,7 +221,9 @@ func encodeImage(dst []byte, fp uint64, img *ckptImage) []byte {
 		w.I64(e.popped)
 		w.Count(len(e.items) + len(e.more))
 		w.F64s(e.items)
-		w.F64s(e.more)
+		if len(e.more) > 0 { // most edges lend one stretch: skip the call
+			w.F64s(e.more)
+		}
 	}
 	for _, msgs := range img.pending {
 		w.Count(len(msgs))
@@ -371,11 +373,8 @@ func (e *Engine) WriteCheckpoint(w io.Writer, iteration int64) error {
 		img.nodes[i] = ckptNode{fired: rt.fired, state: rt.state}
 	}
 	for i, ch := range e.chans {
-		// The ring's content is the stretch from head to the end of the
-		// buffer, then whatever wrapped around to its start.
-		first := min(ch.count, len(ch.buf)-ch.head)
-		img.edges[i] = ckptEdge{pushed: ch.pushed, popped: ch.popped,
-			items: ch.buf[ch.head : ch.head+first], more: ch.buf[:ch.count-first]}
+		items, more := ch.stretches()
+		img.edges[i] = ckptEdge{pushed: ch.pushed, popped: ch.popped, items: items, more: more}
 	}
 	_, err := w.Write(encodeImage(spare(w), e.fp, img))
 	return err
@@ -403,14 +402,9 @@ func (e *Engine) RestoreCheckpoint(data []byte) (int64, error) {
 		rt.fired = img.nodes[i].fired
 	}
 	for i, ie := range img.edges {
-		// Refill the existing ring: tape wrappers hold pointers to it.
-		ch := e.chans[i]
-		ch.head, ch.count = 0, 0
-		for _, v := range ie.items {
-			ch.Push(v)
-		}
-		ch.pushed = ie.pushed
-		ch.popped = ie.popped
+		// Refill the existing ring, at the image's positions: filters are
+		// bound to it.
+		e.chans[i].fill(ie.popped, ie.items)
 	}
 	copy(e.pending, img.pending)
 	e.Firings = img.firings

@@ -16,9 +16,9 @@ import (
 const confIters = 4
 
 // counts is the engine-independent view of one node's profile: how often
-// it fired and how many items crossed its tapes. Peeks are deliberately
-// excluded — they are a read pattern, not dataflow, and the dynamic engine
-// also counts the peeks of a dynamic-rate filter's rewound attempts.
+// it fired and how many items crossed its tapes. Peeks are left out: the
+// peek window is the declared window times the firings, so it adds
+// nothing the firing count does not already say.
 type counts struct {
 	Firings, Pushed, Popped int64
 }

@@ -116,14 +116,14 @@ func (d *DynamicEngine) Run(sinkItems int64) (err error) {
 // for, or an output ring holding ChanCap items whose consumer waits for no
 // more (full).
 func (d *DynamicEngine) blocker(n *ir.Node) (e *ir.Edge, full bool) {
-	if e := starved(d.e, n); e != nil {
+	if e := d.starved(n); e != nil {
 		return e, false
 	}
 	if in := n.InEdge(); in != nil && d.e.chans[in.ID].pushed < d.wait[n.ID] {
 		return in, false
 	}
 	for _, e := range n.Out {
-		if c := d.e.chans[e.ID]; c.count >= d.ChanCap && c.pushed >= d.wait[e.Dst.ID] {
+		if c := d.e.chans[e.ID]; c.Len() >= d.ChanCap && c.pushed >= d.wait[e.Dst.ID] {
 			return e, true
 		}
 	}
@@ -133,10 +133,10 @@ func (d *DynamicEngine) blocker(n *ir.Node) (e *ir.Edge, full bool) {
 // attempt fires rt once. A speculative filter fires under a save point
 // (savePoint: its rings, and its fields when its work writes them). An
 // attempt that runs its input dry is rewound, leaving a trace instant and
-// its tape traffic in the profile as a retried firing does, and the filter
-// waits until its input has grown by the items it was short, so no attempt
-// repeats without new input. Every other node fires as on the sequential
-// engine, with no recover.
+// nothing in the profile or at a tap (the firing core's hook sees committed
+// firings only), and the filter waits until its input has grown by the
+// items it was short, so no attempt repeats without new input. Every other
+// node fires as on the sequential engine, with no recover.
 func (d *DynamicEngine) attempt(rt *nodeRT) error {
 	n := rt.node
 	if !speculative(n) {
@@ -168,6 +168,6 @@ func (d *DynamicEngine) deadlock() *DeadlockError {
 			state, peer = wsWaitSend, e.Dst
 		}
 		return FilterStatus{Worker: -1, State: waitStates[state], Edge: e.String(),
-			Buffered: d.e.chans[e.ID].count}, peer.ID, true
+			Buffered: d.e.chans[e.ID].Len()}, peer.ID, true
 	})
 }

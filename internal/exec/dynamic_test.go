@@ -254,10 +254,14 @@ func TestDynamicUnderflowMidFiring(t *testing.T) {
 			if rewinds(rec) == 0 {
 				t.Fatal("no attempt was rewound: the filter never ran its input dry")
 			}
-			// The profile counts firings, not rewound attempts.
+			// The profile counts firings, not rewound attempts, and the
+			// traffic the committed firings moved: what the unpacker's rings
+			// hold, which the rewinds put back.
+			rt := d.nodes[1]
 			for _, p := range d.Profile().Snapshot() {
-				if strings.HasPrefix(p.Name, "Unpack") && p.Firings != d.nodes[1].fired {
-					t.Fatalf("profile counts %d firings, the engine %d", p.Firings, d.nodes[1].fired)
+				if strings.HasPrefix(p.Name, "Unpack") && (p.Firings != rt.fired || p.Popped != rt.in.popped || p.Pushed != rt.out.pushed) {
+					t.Fatalf("profile counts %d firings, %d pops, %d pushes; the engine %d, its rings %d and %d",
+						p.Firings, p.Popped, p.Pushed, rt.fired, rt.in.popped, rt.out.pushed)
 				}
 			}
 		})

@@ -140,18 +140,6 @@ func progressRateOf(n *ir.Node) int64 {
 	return int64(n.TotalPop())
 }
 
-// tapeProgress returns the node's position on its progress tape: n(O) for
-// producers, items consumed for sinks.
-func (e *Engine) tapeProgress(n *ir.Node) int64 {
-	if edge := n.OutEdge(); edge != nil {
-		return e.chans[edge.ID].pushed
-	}
-	if edge := n.InEdge(); edge != nil {
-		return e.chans[edge.ID].popped
-	}
-	return 0
-}
-
 // sinkMargin is the peek-pop window margin of a sink node whose progress is
 // measured on its input tape.
 func sinkMargin(n *ir.Node) int64 {
@@ -249,44 +237,16 @@ func (e *Engine) runDataDriven(reps []int, iters int, phase string) error {
 		order[i] = e.nodes[n.ID]
 		goal[i] = order[i].fired + int64(iters*reps[n.ID])
 	}
-	fired, err := e.dataDriven(e, order, goal, phase, &e.cur)
+	fired, err := e.dataDriven(order, goal, phase, &e.cur)
 	e.Firings += fired
 	return err
 }
 
-// inTape implements coreHost: an edge is one ring, read by its consumer.
-func (e *Engine) inTape(edge *ir.Edge) wfunc.Tape { return e.chans[edge.ID] }
+// inRing implements coreHost: an edge is one ring, read by its consumer.
+func (e *Engine) inRing(edge *ir.Edge) *channel { return e.chans[edge.ID] }
 
-// outTape implements coreHost: the same ring, written by its producer.
-func (e *Engine) outTape(edge *ir.Edge) wfunc.Tape { return e.chans[edge.ID] }
-
-// buffered implements queues.
-func (e *Engine) buffered(edge *ir.Edge) int { return e.chans[edge.ID].count }
-
-// save implements coreHost by marking the filter's rings by position, as
-// the mapped engine marks its queues: the firing's pops rewind by head,
-// count and popped, its pushes by count and pushed alone — a ring that grew
-// during the firing kept its first count items in place.
-func (e *Engine) save(rt *nodeRT) func() {
-	var in, out *channel
-	var inAt, outAt channel
-	if edge := rt.node.InEdge(); edge != nil {
-		in = e.chans[edge.ID]
-		inAt = *in
-	}
-	if edge := rt.node.OutEdge(); edge != nil {
-		out = e.chans[edge.ID]
-		outAt = *out
-	}
-	return func() {
-		if in != nil {
-			in.head, in.count, in.popped = inAt.head, inAt.count, inAt.popped
-		}
-		if out != nil {
-			out.count, out.pushed = outAt.count, outAt.pushed
-		}
-	}
-}
+// outRing implements coreHost: the same ring, written by its producer.
+func (e *Engine) outRing(edge *ir.Edge) *channel { return e.chans[edge.ID] }
 
 // park implements coreHost. The engine is single-threaded, with no
 // watchdog to notice a wedged filter, so it never parks: an injected stall

@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -14,21 +15,13 @@ import (
 	"streamit/internal/wfunc"
 )
 
-// countTape is an endless tape that counts its traffic: pops draw zeros,
-// pushes vanish.
-type countTape struct{ pops, pushes int64 }
+// ringHost is a coreHost over one ring per edge, read and written alike:
+// its positions count the traffic.
+type ringHost []*channel
 
-func (t *countTape) Peek(int) float64 { return 0 }
-func (t *countTape) Pop() float64     { t.pops++; return 0 }
-func (t *countTape) Push(float64)     { t.pushes++ }
-
-// countHost is a coreHost over one counting tape per edge.
-type countHost []*countTape
-
-func (h countHost) inTape(e *ir.Edge) wfunc.Tape  { return h[e.ID] }
-func (h countHost) outTape(e *ir.Edge) wfunc.Tape { return h[e.ID] }
-func (h countHost) save(*nodeRT) func()           { return func() {} }
-func (h countHost) park(*nodeRT) error            { return nil }
+func (h ringHost) inRing(e *ir.Edge) *channel  { return h[e.ID] }
+func (h ringHost) outRing(e *ir.Edge) *channel { return h[e.ID] }
+func (h ringHost) park(*nodeRT) error          { return nil }
 
 // TestSJCountsMatchRoute pins sjCounts, the profile's arithmetic, to the
 // traffic the one routing body actually moves. Every engine's split/join
@@ -51,9 +44,12 @@ func TestSJCountsMatchRoute(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			host := make(countHost, 4)
+			// Every ring starts with enough items for every pop.
+			const preload = 64
+			host := make(ringHost, 4)
 			for i := range host {
-				host[i] = &countTape{}
+				host[i] = newChannel(0)
+				host[i].Append(make([]float64, preload))
 			}
 			prof := obs.NewProfiler([]string{"sj"})
 			c := &core{eng: host}
@@ -65,9 +61,9 @@ func TestSJCountsMatchRoute(t *testing.T) {
 				}
 			}
 			var pops, pushes int64
-			for _, tp := range host {
-				pops += tp.pops
-				pushes += tp.pushes
+			for _, r := range host {
+				pops += r.popped
+				pushes += r.pushed - preload
 			}
 			wantPops, wantPushes := sjCounts(tc.node)
 			if pops != firings*wantPops || pushes != firings*wantPushes {
@@ -78,6 +74,75 @@ func TestSJCountsMatchRoute(t *testing.T) {
 			if fp.Firings != firings || fp.Popped != pops || fp.Pushed != pushes {
 				t.Fatalf("profile credits %d firings, %d pops, %d pushes; the tapes saw %d firings, %d pops, %d pushes",
 					fp.Firings, fp.Popped, fp.Pushed, firings, pops, pushes)
+			}
+		})
+	}
+}
+
+// TestTapSeesCommittedPopsOnce: a sink whose work pops its item and then
+// fails once is retried. On both engines its tap sees each committed pop
+// exactly once, and every node's profile counts firings × rate: the
+// rolled-back attempt's pop reaches neither.
+func TestTapSeesCommittedPopsOnce(t *testing.T) {
+	type engine interface {
+		TapSink(name string, fn func(float64)) error
+		Run(iters int) error
+		Profile() *obs.Profiler
+		Degraded() map[string]DegradedStats
+	}
+	for _, kind := range []string{"sequential", "mapped"} {
+		t.Run(kind, func(t *testing.T) {
+			failed := false
+			snk := nullSink("snk", 1)
+			snk.WorkFn = func(in, _ wfunc.Tape, _ *wfunc.State) {
+				in.Pop()
+				if !failed {
+					failed = true
+					panic("fails once, after its pop")
+				}
+			}
+			g, err := ir.Flatten(&ir.Program{Name: "tap", Top: ir.Pipe("main", rampFilter("src"), gainFilter("g", 3), snk)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := sched.Compute(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := Options{OnError: mustPolicies(t, "retry"), Profile: true}
+			var e engine
+			if kind == "sequential" {
+				e, err = NewFromGraphOpts(g, s, opts)
+			} else {
+				e, err = NewParallelOpts(g, s, opts)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []float64
+			if err := e.TapSink(g.FilterNode[snk].Name, func(v float64) { got = append(got, v) }); err != nil {
+				t.Fatal(err)
+			}
+			const iters = 4
+			if err := e.Run(iters); err != nil {
+				t.Fatal(err)
+			}
+			if want := []float64{0, 3, 6, 9}; !reflect.DeepEqual(got, want) {
+				t.Fatalf("the tap saw %v over %d committed firings, want %v", got, iters, want)
+			}
+			if st := e.Degraded()["snk"]; st.Retries != 1 {
+				t.Fatalf("degraded stats %+v, want one retry", st)
+			}
+			byName := map[string]obs.FilterProfile{}
+			for _, fp := range e.Profile().Snapshot() {
+				byName[fp.Name] = fp
+			}
+			for _, n := range g.Nodes {
+				fp := byName[n.Name]
+				if fp.Firings != iters || fp.Popped != iters*int64(n.TotalPop()) || fp.Pushed != iters*int64(n.TotalPush()) {
+					t.Errorf("%s: firings/popped/pushed = %d/%d/%d, want %d firings at pop %d, push %d",
+						n.Name, fp.Firings, fp.Popped, fp.Pushed, iters, n.TotalPop(), n.TotalPush())
+				}
 			}
 		})
 	}

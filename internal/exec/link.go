@@ -5,7 +5,7 @@ import "sync/atomic"
 // link is a cross-worker edge inside one process: a single-producer
 // single-consumer ring of batch slots, each owning its storage. The
 // producer fills the slot at tail in place and publishes it by advancing
-// tail; the consumer appends the slot at head to its queue and releases it
+// tail; the consumer appends the slot at head to its ring and releases it
 // by advancing head. A side that can move touches only these atomics.
 //
 // A side that cannot — a full ring to send into, an empty one to receive
@@ -66,7 +66,7 @@ func (l *link) feed(s int) {
 
 // send fills the free slot at tail with exactly k items taken from stage
 // (Take's rate check) and publishes it. The side must be ready.
-func (l *link) send(stage *SliceQueue, k int) {
+func (l *link) send(stage *channel, k int) {
 	slot := &l.slots[l.tail.Load()%uint64(len(l.slots))]
 	*slot = stage.Take(*slot, k)
 	if l.tail.Add(1); l.waiting[sideRecv].CompareAndSwap(true, false) {
@@ -76,7 +76,7 @@ func (l *link) send(stage *SliceQueue, k int) {
 
 // recv appends the oldest published slot to q and releases it. The side
 // must be ready.
-func (l *link) recv(q *SliceQueue) {
+func (l *link) recv(q *channel) {
 	q.Append(l.slots[l.head.Load()%uint64(len(l.slots))])
 	if l.head.Add(1); l.waiting[sideSend].CompareAndSwap(true, false) {
 		l.feed(sideSend)

@@ -38,7 +38,7 @@ func TestLinkMovesBatchesInOrder(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			stage, v := &SliceQueue{}, 0.0
+			stage, v := newChannel(0), 0.0
 			for _, n := range sizes {
 				for j := 0; j < n; j++ {
 					stage.Push(v)
@@ -56,7 +56,7 @@ func TestLinkMovesBatchesInOrder(t *testing.T) {
 				}
 			}
 		}()
-		q, want := &SliceQueue{}, 0.0
+		q, want := newChannel(0), 0.0
 		for i, n := range sizes {
 			if !l.ready(sideRecv) {
 				if err := l.wait(sideRecv); err != nil {
@@ -76,7 +76,6 @@ func TestLinkMovesBatchesInOrder(t *testing.T) {
 				}
 				want++
 			}
-			q.Compact()
 		}
 		wg.Wait()
 		if prodErr != nil {
@@ -97,7 +96,7 @@ func TestLinkAbortUnwindsParkedSides(t *testing.T) {
 	for depth := 1; depth <= 3; depth++ {
 		var halted atomic.Bool
 		full, empty := newLink(depth, &halted), newLink(depth, &halted)
-		stage := &SliceQueue{}
+		stage := newChannel(0)
 		for i := 0; i < depth; i++ {
 			stage.Push(float64(i))
 			full.send(stage, 1)
@@ -135,7 +134,7 @@ func TestLinkAbortUnwindsParkedSides(t *testing.T) {
 			stage.Push(7)
 			stage.Push(8)
 			l.send(stage, 2)
-			q := &SliceQueue{}
+			q := newChannel(0)
 			l.recv(q)
 			if q.Len() != 2 || q.Pop() != 7 || q.Pop() != 8 || l.ready(sideRecv) {
 				t.Fatalf("depth %d: a batch sent after reset did not arrive alone and whole", depth)

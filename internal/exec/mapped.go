@@ -18,9 +18,10 @@ import (
 
 // MappedEngine executes a flattened stream graph on a fixed set of worker
 // goroutines — one per fused partition, default GOMAXPROCS; one per node is
-// the degenerate plan (NewParallelOpts). Edges between nodes on the same
-// worker are plain in-memory queues, edges crossing workers are lock-free
-// SPSC rings of batch slots (link.go).
+// the degenerate plan (NewParallelOpts). An edge between nodes on the same
+// worker is one ring; an edge crossing workers is a staging ring at its
+// producer, a lock-free SPSC ring of batch slots (link.go), and a ring at
+// its consumer, whose positions all continue one another.
 //
 // This is the host-execution form of the partitioner's coarse-grained
 // plans: the ExecPlan rewrite (fusion + executable fission) shrinks the
@@ -130,17 +131,18 @@ type MappedEngine struct {
 	plans []*workerPlan
 
 	// Steady-state topology, built at construction and by every re-plan:
-	// per-edge consumer queues, and for cross-worker edges a producer
-	// staging queue and, within this process, the link.
-	queues []*SliceQueue
-	stage  []*SliceQueue
+	// per-edge consumer rings, and for cross-worker edges a producer
+	// staging ring and, within this process, the link.
+	queues []*channel
+	stage  []*channel
 	links  []*link
 
 	// Checkpoint bookkeeping: ready marks a completed setup or restore,
 	// iter counts completed steady iterations, initFired/initPushed are
-	// the schedule-derived post-initialization counters the image's edge
-	// counters are reconstructed from, lastImg is the rollback target (empty
-	// for none). Every barrier image reuses lastImg's buffer, img and imgSWP.
+	// the schedule-derived post-initialization counters (the prototype's
+	// ring positions, and what an image's counters are checked against),
+	// lastImg is the rollback target (empty for none). Every barrier image
+	// reuses lastImg's buffer, img, imgSWP and, per edge, gather.
 	ready      bool
 	iter       int64
 	initFired  []int64
@@ -148,6 +150,7 @@ type MappedEngine struct {
 	lastImg    []byte
 	img        ckptImage
 	imgSWP     ckptSWP
+	gather     [][]float64
 	// fp is the graph fingerprint every image is written and checked under.
 	fp uint64
 
@@ -220,9 +223,9 @@ func NewMappedOpts(g *ir.Graph, s *sched.Schedule, assign []int, workers int, op
 	if err != nil {
 		return nil, err
 	}
-	sw.host = me
 	me.swp = sw
 	me.core = core{eng: me, rec: opts.Trace, msgs: &sw.teleport}
+	sw.host = &me.core
 	if err := me.validAssign(me.Assign, workers); err != nil {
 		return nil, fmt.Errorf("exec: %w", err)
 	}
@@ -255,7 +258,7 @@ func NewMappedOpts(g *ir.Graph, s *sched.Schedule, assign []int, workers int, op
 			}
 		}
 		if sw.sends[n.ID] {
-			rt.msg = &sender{t: &sw.teleport, node: n, partial: &sw.partial[n.ID]}
+			rt.msg = &sender{t: &sw.teleport, node: n}
 		}
 		if me.prof != nil {
 			rt.pst = me.prof.At(n.ID)
@@ -343,13 +346,12 @@ func (me *MappedEngine) setup() error {
 		rt.fired = me.initFired[id]
 	}
 	for _, e := range me.G.Edges {
-		me.refill(e, p.items[e.ID], nil)
+		me.refill(e, me.initPushed[e.ID], p.items[e.ID], nil)
 	}
 	sw := me.swp
 	for i := range sw.pending {
 		sw.pending[i] = append(sw.pending[i][:0], p.pending[i]...)
 	}
-	clear(sw.partial)
 	sw.base, sw.segIters = 0, 0
 	me.iter = 0
 	me.lastImg = me.lastImg[:0]
@@ -388,11 +390,8 @@ func (me *MappedEngine) capture() error {
 		}
 	}
 	for _, e := range me.G.Edges {
-		ch := seq.chans[e.ID]
-		p.items[e.ID] = make([]float64, ch.Len())
-		for i := range p.items[e.ID] {
-			p.items[e.ID][i] = ch.Peek(i)
-		}
+		a, b := seq.chans[e.ID].stretches()
+		p.items[e.ID] = append(append(make([]float64, 0, len(a)+len(b)), a...), b...)
 	}
 	p.pending = seq.pending
 	if me.prof != nil {
@@ -420,14 +419,16 @@ func copyState(dst, src *wfunc.State) {
 	}
 }
 
-// refill installs edge e's content at a barrier, in place: queued in the
-// consumer queue, staged in the producer's staging queue, and the link (if
-// any) empty, whatever an aborted epoch left in it.
-func (me *MappedEngine) refill(e *ir.Edge, queued, staged []float64) {
-	q := me.queues[e.ID]
-	q.buf, q.head = append(q.buf[:0], queued...), 0
+// refill installs edge e's content at a barrier, in place, at the edge's
+// absolute counts: pushed items in all, the last staged of them in the
+// producer's staging ring (which ends at pushed), the queued ones before
+// them in the consumer ring (which starts at the edge's popped count), and
+// the link (if any) empty, whatever an aborted epoch left in it.
+func (me *MappedEngine) refill(e *ir.Edge, pushed int64, queued, staged []float64) {
+	at := pushed - int64(len(staged))
+	me.queues[e.ID].fill(at-int64(len(queued)), queued)
 	if st := me.stage[e.ID]; st != nil {
-		st.buf, st.head = append(st.buf[:0], staged...), 0
+		st.fill(at, staged)
 	}
 	if l := me.links[e.ID]; l != nil {
 		l.reset()
@@ -450,16 +451,16 @@ func (me *MappedEngine) buildTopology() error {
 		}
 		me.order[w] = append(me.order[w], n)
 	}
-	me.queues = make([]*SliceQueue, len(me.G.Edges))
-	me.stage = make([]*SliceQueue, len(me.G.Edges))
+	me.queues = make([]*channel, len(me.G.Edges))
+	me.stage = make([]*channel, len(me.G.Edges))
 	me.links = make([]*link, len(me.G.Edges))
 	for _, e := range me.G.Edges {
-		me.queues[e.ID] = &SliceQueue{}
+		me.queues[e.ID] = newChannel(0)
 		srcLocal, dstLocal := me.localWorker(me.Assign[e.Src.ID]), me.localWorker(me.Assign[e.Dst.ID])
 		switch {
 		case srcLocal && dstLocal:
 			if me.Assign[e.Src.ID] != me.Assign[e.Dst.ID] {
-				me.stage[e.ID] = &SliceQueue{}
+				me.stage[e.ID] = newChannel(0)
 				me.links[e.ID] = newLink(me.Depth, &me.halted)
 			}
 		case srcLocal || dstLocal:
@@ -469,7 +470,7 @@ func (me *MappedEngine) buildTopology() error {
 				return fmt.Errorf("exec: edge %s crosses the shard boundary but no remote transport is configured", e)
 			}
 			if srcLocal {
-				me.stage[e.ID] = &SliceQueue{}
+				me.stage[e.ID] = newChannel(0)
 			}
 		}
 	}
@@ -778,22 +779,6 @@ func (me *MappedEngine) workerFault(w, lane int, iter int64, wf faults.WorkerFau
 	return nil
 }
 
-// bindNode points a filter's tapes at the current topology's queues.
-func (me *MappedEngine) bindNode(rt *nodeRT) {
-	rt.bind(me)
-	if rt.msg != nil {
-		// Message sends compute sdep windows from live progress counters;
-		// partialTape counts the progress tape's movement inside the
-		// current firing so mid-firing sends see the sequential engine's
-		// exact counter values.
-		if rt.node.OutEdge() != nil {
-			rt.out = &partialTape{inner: rt.out, count: rt.msg.partial}
-		} else if rt.in != nil {
-			rt.in = &partialTape{inner: rt.in, count: rt.msg.partial, pops: true}
-		}
-	}
-}
-
 // await returns once side s of cross-worker edge e's link can move; an
 // abort unwinds it. Meanwhile the waiting node — the producer on a full
 // link, the consumer on an empty one — shows the watchdog its wait state,
@@ -821,45 +806,17 @@ func (me *MappedEngine) await(e *ir.Edge, s, buffered int) error {
 	return err
 }
 
-// inTape implements coreHost: an edge's consumer reads its queue.
-func (me *MappedEngine) inTape(e *ir.Edge) wfunc.Tape { return me.queues[e.ID] }
+// inRing implements coreHost: an edge's consumer reads its consumer ring.
+func (me *MappedEngine) inRing(e *ir.Edge) *channel { return me.queues[e.ID] }
 
-// outTape implements coreHost.
-func (me *MappedEngine) outTape(e *ir.Edge) wfunc.Tape { return me.outQueue(e) }
-
-// outQueue is where an edge's producer pushes: the consumer queue itself
-// on a same-worker edge, else the staging queue flushed into batches.
-func (me *MappedEngine) outQueue(e *ir.Edge) *SliceQueue {
+// outRing implements coreHost: where an edge's producer pushes — the
+// consumer ring itself on a same-worker edge, else the staging ring flushed
+// into batches.
+func (me *MappedEngine) outRing(e *ir.Edge) *channel {
 	if st := me.stage[e.ID]; st != nil {
 		return st
 	}
 	return me.queues[e.ID]
-}
-
-// buffered implements queues.
-func (me *MappedEngine) buffered(e *ir.Edge) int { return me.queues[e.ID].Len() }
-
-// save implements coreHost by marking the filter's queues: the head of the
-// one it reads, the length of the one it writes.
-func (me *MappedEngine) save(rt *nodeRT) func() {
-	var in, out *SliceQueue
-	var inHead, outLen int
-	if e := rt.node.InEdge(); e != nil {
-		in = me.queues[e.ID]
-		inHead = in.head
-	}
-	if e := rt.node.OutEdge(); e != nil {
-		out = me.outQueue(e)
-		outLen = len(out.buf)
-	}
-	return func() {
-		if in != nil {
-			in.head = inHead
-		}
-		if out != nil {
-			out.buf = out.buf[:outLen]
-		}
-	}
 }
 
 // park implements coreHost: the stalled filter's worker blocks until the

@@ -12,22 +12,21 @@ import (
 // Mapped checkpoints reuse the sequential engine's image format over the
 // same (rewritten) graph and schedule, so the fingerprints and byte images
 // are interchangeable: a checkpoint written by a mapped run restores into
-// a sequential engine over the mapped graph and vice versa. The mapped
-// engine does not track per-edge pushed/popped counters at runtime (the
-// queues are drained batchwise); they are reconstructed from firing
-// counts, which is exact because every firing of an edge's source pushes a
-// static rate onto it:
+// a sequential engine over the mapped graph and vice versa. An edge's
+// counters are its rings' positions, as on the sequential engine: pushed is
+// where its producer's ring ends, popped where its consumer's ring starts.
+// A restore checks them against the firing counts, which is exact because
+// every firing of an edge's source pushes a static rate onto it:
 //
 //	pushed(e) = initPushed(e) + (fired(src) - initFired(src)) * rate(e)
-//	popped(e) = pushed(e) - buffered(e)
 //
 // where initFired/initPushed are the schedule's initialization totals
-// (initPushed includes an edge's pre-loaded delay items, which the channel
-// counters count as pushes).
+// (initPushed includes an edge's pre-loaded delay items, which the ring
+// counts as pushes).
 //
 // Skewed plans add two wrinkles. An edge's buffered items split between
-// the consumer's queue and the producer's unflushed staging residue; the
-// image concatenates them (consumer queue first — it holds the older
+// the consumer's ring and the producer's unflushed staging residue; the
+// image concatenates them (consumer ring first — it holds the older
 // items), and a skewed restore re-derives the split from the flush
 // schedule. And between segment boundaries the barrier is stage-skewed —
 // each node has completed cycle-stage iterations, not a common count — so
@@ -57,19 +56,21 @@ func initCounts(g *ir.Graph, s *sched.Schedule) (fired, pushed []int64) {
 	return fired, pushed
 }
 
-// edgeContent is an edge's buffered content at a barrier, in the engine's
-// own buffers: the consumer queue, then any unflushed staging residue (the
-// newest stretch of the edge's content).
-func (me *MappedEngine) edgeContent(e *ir.Edge) (queued, staged []float64) {
-	q := me.queues[e.ID]
+// edgeItems appends edge e's buffered content at a barrier to dst: the
+// consumer ring's, then any unflushed staging residue (the newest stretch
+// of the edge's content).
+func (me *MappedEngine) edgeItems(dst []float64, e *ir.Edge) []float64 {
+	a, b := me.queues[e.ID].stretches()
+	dst = append(append(dst, a...), b...)
 	if st := me.stage[e.ID]; st != nil {
-		staged = st.buf[st.head:]
+		a, b = st.stretches()
+		dst = append(append(dst, a...), b...)
 	}
-	return q.buf[q.head:], staged
+	return dst
 }
 
 // image captures the engine-neutral checkpoint at the current barrier, in
-// storage the engine reuses. It lends the engine's queues, states, stage
+// storage the engine reuses. It lends the engine's rings, states, stage
 // levels and pending messages: encode it before the engine runs again.
 func (me *MappedEngine) image(iteration int64) *ckptImage {
 	sw, img := me.swp, &me.img
@@ -77,6 +78,7 @@ func (me *MappedEngine) image(iteration int64) *ckptImage {
 		img.nodes = make([]ckptNode, len(me.nodes))
 		img.edges = make([]ckptEdge, len(me.G.Edges))
 		img.pending = make([][]*message, len(me.nodes))
+		me.gather = make([][]float64, len(me.G.Edges))
 	}
 	img.iteration, img.firings, img.swp = iteration, 0, nil
 	if sw.maxStage() > 0 {
@@ -96,11 +98,16 @@ func (me *MappedEngine) image(iteration int64) *ckptImage {
 		img.firings += rt.fired
 	}
 	for _, e := range me.G.Edges {
-		queued, staged := me.edgeContent(e)
-		pushed := me.initPushed[e.ID] +
-			(me.nodes[e.Src.ID].fired-me.initFired[e.Src.ID])*int64(e.Src.PushPort(e.SrcPort))
-		img.edges[e.ID] = ckptEdge{pushed: pushed, popped: pushed - int64(len(queued)+len(staged)),
-			items: queued, more: staged}
+		q := me.queues[e.ID]
+		ie := ckptEdge{pushed: me.outRing(e).pushed, popped: q.popped}
+		if st := me.stage[e.ID]; st != nil && st.Len() > 0 {
+			// A skewed barrier mid-segment: the residue follows the queue.
+			me.gather[e.ID] = me.edgeItems(me.gather[e.ID][:0], e)
+			ie.items = me.gather[e.ID]
+		} else {
+			ie.items, ie.more = q.stretches()
+		}
+		img.edges[e.ID] = ie
 	}
 	copy(img.pending, sw.pending)
 	return img
@@ -229,15 +236,12 @@ func (me *MappedEngine) applyImage(data []byte) error {
 		rt.fired = img.nodes[i].fired
 	}
 	for _, e := range me.G.Edges {
-		items := img.edges[e.ID].items
-		split := len(items) - staged[e.ID]
-		me.refill(e, items[:split], items[split:])
+		ie := img.edges[e.ID]
+		split := len(ie.items) - staged[e.ID]
+		me.refill(e, ie.pushed, ie.items[:split], ie.items[split:])
 	}
 	for i := range sw.pending {
 		sw.pending[i] = append([]*message(nil), img.pending[i]...)
-	}
-	for i := range sw.partial {
-		sw.partial[i] = 0
 	}
 	switch {
 	case img.swp != nil:

@@ -81,7 +81,7 @@ type ShardNodeState struct {
 }
 
 // ShardEdgeState is one locally-owned edge's share of a barrier image:
-// the buffered residue sitting in its consumer queue (ownership follows
+// the buffered residue sitting in its consumer ring (ownership follows
 // the consumer, which is where a quiesced edge's items live).
 type ShardEdgeState struct {
 	ID    int
@@ -120,9 +120,7 @@ func (me *MappedEngine) ExportShard() (*ShardState, error) {
 		}
 		// Quiesced zero-skew barriers leave staging empty; image()'s
 		// concatenation is kept anyway.
-		queued, staged := me.edgeContent(e)
-		items := append(make([]float64, 0, len(queued)+len(staged)), queued...)
-		st.Edges = append(st.Edges, ShardEdgeState{ID: e.ID, Items: append(items, staged...)})
+		st.Edges = append(st.Edges, ShardEdgeState{ID: e.ID, Items: me.edgeItems(nil, e)})
 	}
 	return st, nil
 }
@@ -133,7 +131,7 @@ func (me *MappedEngine) ExportShard() (*ShardState, error) {
 // same iteration. Every node and every edge must be owned by exactly one
 // part; firing counts are validated against the schedule's initialization
 // totals, and per-edge pushed/popped counters are reconstructed from the
-// firing counts exactly as the mapped engine does.
+// firing counts by the rule a mapped restore checks its image against.
 func AssembleShardImage(g *ir.Graph, s *sched.Schedule, iteration int64, parts []*ShardState) ([]byte, error) {
 	initFired, initPushed := initCounts(g, s)
 	img := &ckptImage{

@@ -7,7 +7,6 @@ import (
 
 	"streamit/internal/ir"
 	"streamit/internal/sched"
-	"streamit/internal/wfunc"
 )
 
 // The mapped engine's stage plan and the one worker loop that runs it.
@@ -69,10 +68,9 @@ type swpState struct {
 	msgNode   []bool // fires through the messaging-aware cluster path
 	sends     []bool // filter's work function contains Send statements
 
-	// Messaging runtime on the engine's derived progress counters;
-	// pending/partial are nil when the graph has none.
+	// Messaging runtime over the engine's ring positions; pending is nil
+	// when the graph has none.
 	teleport
-	partial []int64 // mid-firing progress-tape movement, by node ID
 
 	// Segment position: the engine runs segIters logical iterations per
 	// segment, with base iterations retired by earlier segments
@@ -195,7 +193,6 @@ func newSWPState(g *ir.Graph, s *sched.Schedule, opts Options) (*swpState, error
 		}
 		sw.constraints = cs
 		sw.pending = make([][]*message, n)
-		sw.partial = make([]int64, n)
 		// Every messaging endpoint fires through the cluster path (message
 		// delivery and constraint gating), and skew between endpoints
 		// would shift delivery windows, so they must share one cluster.
@@ -258,21 +255,17 @@ type swpStep struct {
 type swpIn struct {
 	e        *ir.Edge
 	l        *link
-	q        *SliceQueue
+	q        *channel
 	srcStage int64
 }
 
 // workerPlan is one worker's share of the stage plan: its steps in
-// topological order, the in-edges received after the cycle's steps (those
-// that advance the stage), and the consumer queues compacted once per
-// cycle. It is topology data — planWorkers derives it once per
-// buildTopology, not per Run or epoch.
+// topological order, and the in-edges received after the cycle's steps
+// (those that advance the stage). It is topology data — planWorkers derives
+// it once per buildTopology, not per Run or epoch.
 type workerPlan struct {
 	steps []*swpStep
 	post  []swpIn
-	// compact lists the queues of this worker's nodes' in-edges: only their
-	// consumer's worker touches them, cross-worker batches included.
-	compact []*SliceQueue
 }
 
 // planWorkers builds every local worker's plan over the current topology
@@ -285,7 +278,7 @@ func (me *MappedEngine) planWorkers() {
 		units := map[int]*swpStep{}
 		for _, n := range nodes {
 			rt := me.nodes[n.ID]
-			me.bindNode(rt)
+			rt.bind(me)
 			ci := sw.clusterOf[n.ID]
 			clustered := ci >= 0 || sw.msgNode[n.ID] // a lone messaging endpoint fires through the cluster path too
 			if ci < 0 {
@@ -305,7 +298,6 @@ func (me *MappedEngine) planWorkers() {
 				if e == nil {
 					continue
 				}
-				pl.compact = append(pl.compact, me.queues[e.ID])
 				l := me.links[e.ID]
 				if l == nil && me.localWorker(me.Assign[e.Src.ID]) {
 					continue // both ends on this worker
@@ -373,7 +365,7 @@ func (me *MappedEngine) runWorker(w, lane, cycles int) (err error) {
 				for i, rt := range sp.nodes {
 					sp.goal[i] = me.initFired[rt.node.ID] + (sw.base+fi)*int64(me.Sch.Reps[rt.node.ID])
 				}
-				fired, err := me.dataDriven(me, sp.nodes, sp.goal, "steady-state", &cur)
+				fired, err := me.dataDriven(sp.nodes, sp.goal, "steady-state", &cur)
 				me.live.progress.Add(fired)
 				if err != nil {
 					return err
@@ -404,9 +396,6 @@ func (me *MappedEngine) runWorker(w, lane, cycles int) (err error) {
 					return err
 				}
 			}
-		}
-		for _, q := range pl.compact {
-			q.Compact()
 		}
 		if me.rec != nil {
 			end := me.rec.Stamp()
@@ -469,48 +458,4 @@ func remoteErr(err error) error {
 		return errStopped
 	}
 	return err
-}
-
-// tapeProgress mirrors the sequential engine's progress counter from firing
-// counts: pushed items on the out tape (initial delay items included, as
-// channel construction pushes them) or popped items for sinks, plus the
-// mid-firing movement recorded by partialTape.
-func (me *MappedEngine) tapeProgress(n *ir.Node) int64 {
-	rt := me.nodes[n.ID]
-	partial := me.swp.partial[n.ID] // allocated whenever the graph has messaging
-	if e := n.OutEdge(); e != nil {
-		return int64(len(e.Initial)) + rt.fired*int64(n.TotalPush()) + partial
-	}
-	if n.InEdge() != nil {
-		return rt.fired*int64(n.TotalPop()) + partial
-	}
-	return 0
-}
-
-// partialTape counts a sender's progress-tape movement inside the current
-// firing: pushes on its out tape, or pops on its in tape for sinks. The
-// counter resets at each firing (and each supervised retry attempt), so
-// derived progress = fired*rate + partial tracks the sequential engine's
-// live channel counters exactly, even mid-firing.
-type partialTape struct {
-	inner wfunc.Tape
-	count *int64
-	pops  bool
-}
-
-func (t *partialTape) Peek(i int) float64 { return t.inner.Peek(i) }
-
-func (t *partialTape) Pop() float64 {
-	v := t.inner.Pop()
-	if t.pops {
-		*t.count++
-	}
-	return v
-}
-
-func (t *partialTape) Push(v float64) {
-	t.inner.Push(v)
-	if !t.pops {
-		*t.count++
-	}
 }

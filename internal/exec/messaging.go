@@ -12,10 +12,9 @@ import (
 
 // msgHost is the engine side of teleport messaging: where a node stands on
 // its progress tape right now (n(O) for producers, items consumed for
-// sinks), and the kernel state its handlers run against. The sequential
-// engine reads live channel counters; the pipelined mapped engine derives
-// the same numbers from firing counts, which is exact because members of a
-// messaging stage cluster never skew.
+// sinks), and the kernel state its handlers run against. The firing core
+// is the one host: every engine's rings count positions, so the sequential
+// and the pipelined mapped engine read the same live counters.
 type msgHost interface {
 	tapeProgress(n *ir.Node) int64
 	kernelState(n *ir.Node) *wfunc.State
@@ -24,7 +23,7 @@ type msgHost interface {
 // teleport is the teleport-messaging runtime: the paper's delivery rules
 // (equations 2 and 3) and schedule constraints (mc1/mc2), stated once for
 // every engine that hosts messaging. Engines embed it and point host at
-// themselves.
+// their firing core.
 type teleport struct {
 	g    *ir.Graph
 	sch  *sched.Schedule
@@ -124,12 +123,6 @@ func (t *teleport) constraintsAllow(n *ir.Node) (bool, error) {
 type sender struct {
 	t    *teleport
 	node *ir.Node
-	// partial is the filter's mid-firing progress-tape movement where the
-	// engine derives progress from firing counts (the mapped engine's
-	// swpState.partial slot, fed by partialTape); nil where live tape
-	// counters hold it. The firing core zeroes it at every attempt and
-	// after every firing.
-	partial *int64
 }
 
 // Send implements wfunc.Messenger. The message is scheduled for delivery to

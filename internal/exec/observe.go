@@ -3,13 +3,13 @@ package exec
 import (
 	"streamit/internal/ir"
 	"streamit/internal/obs"
-	"streamit/internal/wfunc"
 )
 
 // This file is the engines' glue to internal/obs. Observability is opt-in:
 // when disabled every engine holds nil profiler/recorder pointers and the
-// firing core pays one nil check per firing; when enabled, nodeRT.bind wraps
-// filter tapes in counting adapters and the core stamps every firing.
+// firing core pays a nil check per firing; when enabled, the core times
+// every filter firing and its per-firing hook (nodeRT.committed) counts the
+// firing's traffic from its ring positions — no tape is wrapped.
 
 // nodeNames lists node names indexed by node ID (the profiler's indexing).
 func nodeNames(g *ir.Graph) []string {
@@ -57,67 +57,19 @@ func sjCounts(n *ir.Node) (pops, pushes int64) {
 }
 
 // profileSJ credits one splitter/joiner firing's tape traffic. Filters are
-// counted per-operation through wrapped tapes instead; splitters and
-// joiners have static per-firing traffic, so arithmetic is cheaper and
-// identical across engines.
+// counted by the firing core's per-firing hook from their ring positions;
+// splitters and joiners have static per-firing traffic, so arithmetic is
+// cheaper and identical across engines.
 func profileSJ(st *obs.FilterStats, n *ir.Node) {
 	pops, pushes := sjCounts(n)
 	st.AddPops(pops)
 	st.AddPushes(pushes)
 }
 
-// obsTape wraps a tape (sequential ring or mapped SliceQueue) with
-// per-operation counting. The tape must outlive the wrapper: every engine
-// restores into its tapes, never replaces them.
-// lenFn, when set, samples output occupancy after each push for the
-// high-water mark.
-type obsTape struct {
-	inner wfunc.Tape
-	st    *obs.FilterStats
-	lenFn func() int
-}
-
-func (t *obsTape) Peek(i int) float64 {
-	t.st.AddPeek()
-	return t.inner.Peek(i)
-}
-
-func (t *obsTape) Pop() float64 {
-	t.st.AddPop()
-	return t.inner.Pop()
-}
-
-// Window implements wfunc.Window by forwarding the inner tape's, so a
-// profiled run takes the same span instructions as an unprofiled one; over
-// an inner tape that has none it reports nothing buffered, which no span
-// instruction's guard accepts.
-func (t *obsTape) Window() ([]float64, int, int, int) {
-	if w, ok := t.inner.(wfunc.Window); ok {
-		return w.Window()
-	}
-	return nil, 0, 0, 0
-}
-
-// Advance implements wfunc.Window: a span's traffic is counted in one call
-// per kind, equal to what its Peek and Pop calls would have added.
-func (t *obsTape) Advance(peeks, pops int) {
-	t.st.AddPeeks(int64(peeks))
-	t.st.AddPops(int64(pops))
-	t.inner.(wfunc.Window).Advance(peeks, pops)
-}
-
-func (t *obsTape) Push(v float64) {
-	t.st.AddPush()
-	t.inner.Push(v)
-	if t.lenFn != nil {
-		t.st.NoteOccupancy(int64(t.lenFn()))
-	}
-}
-
 // adoptObs attaches a profiler and/or trace recorder to the engine and
-// binds every filter's tapes, under counting adapters when profiling. The
-// mapped engine calls it on its scratch init engine so the init transient
-// lands in the same counters as the steady state.
+// binds every filter's tapes. The mapped engine calls it on its scratch
+// init engine so the init transient lands in the same counters as the
+// steady state.
 func (e *Engine) adoptObs(prof *obs.Profiler, rec *obs.Recorder) {
 	e.prof, e.rec, e.trace = prof, rec, rec
 	if rec != nil {

@@ -138,7 +138,7 @@ func (sh *Shared) NewEngine(opts Options) (*Engine, error) {
 			pending: make([][]*message, len(sh.G.Nodes))},
 	}
 	e.core = core{eng: e, nodes: make([]*nodeRT, len(sh.G.Nodes)), msgs: &e.teleport}
-	e.host = e
+	e.host = &e.core
 	for _, edge := range sh.G.Edges {
 		ch := newChannel(sh.ringCap[edge.ID])
 		for _, v := range edge.Initial {
@@ -254,56 +254,10 @@ func deriveConstraints(g *ir.Graph) ([]constraint, error) {
 // push items fed over the wire, while every other session keeps the
 // program's own source. Call before Run.
 func (e *Engine) OverrideWork(name string, fn func(in, out wfunc.Tape)) error {
-	n := e.filterByName(name)
-	if n == nil {
+	rt := e.filter(name)
+	if rt == nil {
 		return fmt.Errorf("exec: override target %q is not a filter in the graph", name)
 	}
-	e.nodes[n.ID].override = fn
+	rt.override = fn
 	return nil
 }
-
-// TapSink wraps the named filter's input tape so fn observes every item
-// the filter pops, in firing order. Filters with no input tape (sources)
-// are rejected. Taps compose with profiling wrappers and survive
-// checkpoint restores. Under non-fail recovery policies a rolled-back
-// firing's pops are observed again on replay; servers that tap output do
-// not enable those policies. Call before Run.
-func (e *Engine) TapSink(name string, fn func(float64)) error {
-	n := e.filterByName(name)
-	if n == nil {
-		return fmt.Errorf("exec: tap target %q is not a filter in the graph", name)
-	}
-	if n.InEdge() == nil {
-		return fmt.Errorf("exec: tap target %q has no input tape", name)
-	}
-	rt := e.nodes[n.ID]
-	rt.in = &tapTape{inner: rt.in, fn: fn}
-	return nil
-}
-
-// filterByName resolves a flattened instance name to its filter node.
-func (e *Engine) filterByName(name string) *ir.Node {
-	for _, n := range e.G.Nodes {
-		if n.Kind == ir.NodeFilter && n.Name == name {
-			return n
-		}
-	}
-	return nil
-}
-
-// tapTape forwards to the filter's effective input tape (a profiling
-// wrapper when set, else the edge's ring) and reports every popped value.
-type tapTape struct {
-	inner wfunc.Tape
-	fn    func(float64)
-}
-
-func (t *tapTape) Peek(i int) float64 { return t.inner.Peek(i) }
-
-func (t *tapTape) Pop() float64 {
-	v := t.inner.Pop()
-	t.fn(v)
-	return v
-}
-
-func (t *tapTape) Push(v float64) { t.inner.Push(v) }

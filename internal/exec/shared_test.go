@@ -232,13 +232,14 @@ func TestOverrideWorkRates(t *testing.T) {
 	}
 }
 
-// TestTapAndProfileSurviveRestore: tape wrappers (TapSink, profiling) hold
-// pointers to the engine's rings, so RestoreCheckpoint must refill the
-// rings in place. An engine rolled back mid-run to an in-memory image —
-// after speculating past the restore point, so the rings really change
-// under the wrappers — must tap the same items and count the same
-// operations as uninterrupted runs, and end in the same state: replay equals
-// speculation, the paper's envisioned use of sdep.
+// TestTapAndProfileSurviveRestore: filters are bound to the engine's
+// rings, and the per-firing hook (TapSink, profiling) reads them, so
+// RestoreCheckpoint must refill the rings in place. An engine rolled back
+// mid-run to an in-memory image — after speculating past the restore
+// point, so the rings really change under the hook — must tap the same
+// items and count the same operations as uninterrupted runs, and end in
+// the same state: replay equals speculation, the paper's envisioned use of
+// sdep.
 func TestTapAndProfileSurviveRestore(t *testing.T) {
 	const at, spec, total = 6, 3, 14
 	build := func(t *testing.T, profile bool) (*Engine, *[]float64) {

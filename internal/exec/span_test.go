@@ -2,9 +2,11 @@ package exec
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"streamit/internal/apps"
+	"streamit/internal/ir"
 	"streamit/internal/obs"
 	"streamit/internal/vm"
 	"streamit/internal/wfunc"
@@ -22,7 +24,7 @@ func (*spanOnly) Pop() float64     { panic("per-item pop: a span's guard failed"
 func (t *spanOnly) Push(v float64) { t.pushed = append(t.pushed, v) }
 
 func (t *spanOnly) Window() ([]float64, int, int, int) { return t.inner.Window() }
-func (t *spanOnly) Advance(peeks, pops int)            { t.inner.Advance(peeks, pops) }
+func (t *spanOnly) Advance(pops int)                   { t.inner.Advance(pops) }
 
 // windowKernel reads the tape through span instructions only: an 8-tap
 // reduce over peeks, a 2-item reduce over pops, a 3-item drain.
@@ -40,10 +42,10 @@ func windowKernel() *wfunc.Kernel {
 }
 
 // TestSpanWindowsOfStorageTapes fires a kernel of span instructions over
-// the two storage tapes of the timed paths in the states a straight run
-// does not reach — a ring whose window wraps the buffer's end, a
-// SliceQueue after Compact — and holds the result to the interpreter's
-// per-item reads of an identical tape.
+// the one storage tape of the timed paths in states a straight run does
+// not reach — a ring whose window wraps the buffer's end, a ring that grew
+// while wrapped, its positions far from zero — and holds the result to the
+// interpreter's per-item reads of an identical ring.
 func TestSpanWindowsOfStorageTapes(t *testing.T) {
 	k := windowKernel()
 	prog, err := vm.Compile(k.Work)
@@ -66,42 +68,34 @@ func TestSpanWindowsOfStorageTapes(t *testing.T) {
 		for i := 0; i < 14; i++ {
 			c.Push(item(i))
 		}
-		if c.head+c.count <= len(c.buf) {
-			t.Fatalf("the window does not wrap: head %d, count %d, %d slots", c.head, c.count, len(c.buf))
+		if _, more := c.stretches(); len(more) == 0 {
+			t.Fatalf("the window does not wrap: popped %d, %d items, %d slots", c.popped, c.Len(), len(c.buf))
 		}
 		return c
 	}
-	// compacted: items popped off the front, the rest moved down by
-	// Compact, more appended behind them.
-	compacted := func() *SliceQueue {
-		q := &SliceQueue{}
-		q.Append([]float64{9, 9, 9, item(0), item(1), item(2)})
-		for i := 0; i < 3; i++ {
-			q.Pop()
-		}
-		q.Compact()
-		if q.head != 0 || q.Len() != 3 {
-			t.Fatalf("Compact left head %d, %d items", q.head, q.Len())
-		}
+	// grown: a 4-slot ring at position 1e9+3 holding three items that wrap,
+	// then an 11-item batch that grows it to 16 slots around them, each item
+	// staying at its position's slot — where the window wraps again.
+	grown := func() *channel {
+		c := newChannel(4)
+		c.fill(1e9+3, []float64{item(0), item(1), item(2)})
 		batch := make([]float64, 11)
 		for i := range batch {
 			batch[i] = item(i + 3)
 		}
-		q.Append(batch)
-		return q
+		c.Append(batch)
+		if _, more := c.stretches(); len(c.buf) != 16 || len(more) == 0 {
+			t.Fatalf("the grown window does not wrap: %d slots, popped %d", len(c.buf), c.popped)
+		}
+		return c
 	}
 
-	type storage interface {
-		wfunc.Tape
-		wfunc.Window
-		Len() int
-	}
-	for name, mk := range map[string]func() storage{
-		"channel wrapping the ring end": func() storage { return wrapped() },
-		"SliceQueue after Compact":      func() storage { return compacted() },
+	for name, mk := range map[string]func() *channel{
+		"channel wrapping the ring end": wrapped,
+		"channel grown while wrapped":   grown,
 	} {
 		t.Run(name, func(t *testing.T) {
-			ref, refOut := mk(), &SliceQueue{}
+			ref, refOut := mk(), newChannel(0)
 			env := wfunc.NewEnv(k.Work)
 			env.State, env.In, env.Out = k.NewState(), ref, refOut
 
@@ -135,40 +129,48 @@ func TestSpanWindowsOfStorageTapes(t *testing.T) {
 					t.Errorf("buffered item %d: vm %v, interp %v", i, got.Peek(i), ref.Peek(i))
 				}
 			}
-			if c, ok := got.(*channel); ok {
-				if r := ref.(*channel); c.popped != r.popped || c.head != r.head {
-					t.Errorf("ring after the spans: head %d popped %d, interp head %d popped %d", c.head, c.popped, r.head, r.popped)
-				}
+			if got.popped != ref.popped || got.pushed != ref.pushed {
+				t.Errorf("ring after the spans at %d..%d, interp's at %d..%d", got.popped, got.pushed, ref.popped, ref.pushed)
 			}
 		})
 	}
 }
 
-// TestProfiledSpanCounts: the counting tape forwards its inner tape's
-// window, so a profiled run takes the span instructions, and what they add
-// to the profile in bulk equals what the interpreter's per-item calls add —
-// peeks included, which the engine conformance sweep leaves out.
+// TestProfiledSpanCounts: a watched firing — profiled and tapped — runs
+// its work on the filter's rings themselves, so it takes the span
+// instructions, and the per-firing hook counts what the firing moved from
+// ring positions: pops and pushes as position deltas, peeks as the
+// declared window. Every filter of a profiled, traced, tapped and
+// supervised engine is handed its rings, and the VM's profile equals the
+// interpreter's on both engines.
 func TestProfiledSpanCounts(t *testing.T) {
-	// One firing over a counting tape whose inner tape refuses per-item
-	// reads: it completes only through the forwarded window.
+	// One firing whose input refuses per-item reads: it completes only
+	// through span instructions.
 	k := windowKernel()
 	prog, err := vm.Compile(k.Work)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring := newChannel(16)
+	host := ringHost{newChannel(16), newChannel(0)}
 	for i := 0; i < 9; i++ {
-		ring.Push(float64(i))
+		host[0].Push(float64(i))
 	}
 	prof := obs.NewProfiler([]string{"window"})
-	counting := &obsTape{inner: &spanOnly{inner: ring}, st: prof.At(0)}
-	m := vm.NewMachine(prog)
-	m.SetState(k.NewState())
-	if err := m.Run(counting, counting, nil, nil); err != nil {
+	var tapped []float64
+	rt := &nodeRT{node: &ir.Node{Kind: ir.NodeFilter, Name: "window", Filter: &ir.Filter{Kernel: k},
+		In: []*ir.Edge{{ID: 0}}, Out: []*ir.Edge{{ID: 1}}},
+		state: k.NewState(), pst: prof.At(0), tap: func(v float64) { tapped = append(tapped, v) }}
+	rt.runner = newWorkRunnerCompiled(k, rt.state, prog)
+	rt.bind(host)
+	rt.tin = &spanOnly{inner: rt.in}
+	if err := (&core{eng: host}).fire(rt); err != nil {
 		t.Fatal(err)
 	}
-	if fp := prof.Snapshot()[0]; fp.Peeked != 8 || fp.Popped != 5 || fp.Pushed != 2 || ring.Len() != 4 {
-		t.Fatalf("peeked/popped/pushed = %d/%d/%d with %d items left, want 8/5/2 with 4", fp.Peeked, fp.Popped, fp.Pushed, ring.Len())
+	if fp := prof.Snapshot()[0]; fp.Peeked != 8 || fp.Popped != 5 || fp.Pushed != 2 || host[0].Len() != 4 || host[1].Len() != 2 {
+		t.Fatalf("peeked/popped/pushed = %d/%d/%d with %d items left, want 8/5/2 with 4", fp.Peeked, fp.Popped, fp.Pushed, host[0].Len())
+	}
+	if !reflect.DeepEqual(tapped, []float64{0, 1, 2, 3, 4}) {
+		t.Fatalf("the tap saw %v, want the five popped items", tapped)
 	}
 
 	app := apps.Suite()[0]
@@ -177,6 +179,27 @@ func TestProfiledSpanCounts(t *testing.T) {
 			app = a
 		}
 	}
+	g, s := flattenApp(t, app)
+	e, err := NewFromGraphOpts(g, s, Options{Profile: true, Trace: obs.NewRecorder(), OnError: mustPolicies(t, "retry")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range g.Nodes {
+		if n.Kind == ir.NodeFilter && n.InEdge() != nil {
+			if err := e.TapSink(n.Name, func(float64) {}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := e.Run(1); err != nil {
+		t.Fatal(err)
+	}
+	for _, rt := range e.nodes {
+		if in := rt.node.InEdge(); rt.node.Kind == ir.NodeFilter && in != nil && rt.tin != wfunc.Tape(e.chans[in.ID]) {
+			t.Fatalf("%s works on %T, not its ring", rt.node.Name, rt.tin)
+		}
+	}
+
 	profile := func(backend Backend, mapped bool) []obs.FilterProfile {
 		g, s := flattenApp(t, app)
 		opts := Options{Backend: backend, Profile: true}

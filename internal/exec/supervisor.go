@@ -318,11 +318,13 @@ func (s *supervisor) Report() string {
 }
 
 // fire wraps one filter firing in the fault injector and the filter's
-// recovery policy; the engine contributes only how to save its tapes and
-// what a wedged kernel looks like on it (coreHost). When the policy may need
-// to roll the firing back (anything but Fail), the filter's tapes, state,
-// and the messages it sends are saved first; recovery rewinds to that save
-// point, so a failed attempt leaves no trace.
+// recovery policy; the engine contributes only what a wedged kernel looks
+// like on it (coreHost). When the policy may need to roll the firing back
+// (anything but Fail), the filter's ring positions, state, and the
+// messages it sends are saved first; recovery rewinds to that save point,
+// so a failed attempt leaves no trace. A corrupt fault marks the firing,
+// once its work has survived, for the firing core's hook to overwrite
+// what it pushed.
 func (s *supervisor) fire(c *core, rt *nodeRT) error {
 	n, name, rec := rt.node, rt.node.Name, c.rec
 	pol := s.pol.For(name)
@@ -356,11 +358,10 @@ func (s *supervisor) fire(c *core, rt *nodeRT) error {
 				err = asExecError(name, rt.fired, r)
 			}
 		}()
-		out := rt.out
-		if corrupt {
-			out = corruptOut(out)
+		if err = c.work(rt); err == nil {
+			rt.corrupt = corrupt
 		}
-		return c.work(rt, out)
+		return err
 	}
 	var err error
 	switch {
@@ -420,27 +421,9 @@ func (s *supervisor) fire(c *core, rt *nodeRT) error {
 	return err
 }
 
-// corruptTape passes reads through but replaces every pushed value with
-// the corruption sentinel — the tape-level realization of a Corrupt fault.
-type corruptTape struct {
-	inner wfunc.Tape
-}
-
-func (t corruptTape) Peek(i int) float64 { return t.inner.Peek(i) }
-func (t corruptTape) Pop() float64       { return t.inner.Pop() }
-func (t corruptTape) Push(float64)       { t.inner.Push(faults.CorruptValue) }
-
-// corruptOut wraps out (which may be nil for sinks) for one firing.
-func corruptOut(out wfunc.Tape) wfunc.Tape {
-	if out == nil {
-		return nil
-	}
-	return corruptTape{inner: out}
-}
-
 // skipFiring honors a filter's static rates without running its kernel:
 // pop-rate items are consumed and discarded, push-rate zeros emitted.
-func skipFiring(n *ir.Node, in, out wfunc.Tape) {
+func skipFiring(n *ir.Node, in, out *channel) {
 	for i := 0; i < n.TotalPop(); i++ {
 		in.Pop()
 	}

@@ -108,11 +108,12 @@ func TestTakeUnderflowIsExecErrorPipelined(t *testing.T) {
 	wantTakeFault(t, me.Run(2))
 }
 
-// TestSliceQueueTakeGuard: the direct panic payload of an underflowing
-// Take converts into the same ExecError shape the engines report.
-func TestSliceQueueTakeGuard(t *testing.T) {
-	q := &SliceQueue{}
-	q.Append([]float64{1, 2})
+// TestRingTakeGuard: the direct panic payload of an underflowing Take
+// converts into the same ExecError shape the engines report, and leaves
+// the ring as it was.
+func TestRingTakeGuard(t *testing.T) {
+	c := newChannel(0)
+	c.Append([]float64{1, 2})
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -122,24 +123,11 @@ func TestSliceQueueTakeGuard(t *testing.T) {
 		if ee.Op != "take" || ee.Filter != "f" || ee.Iteration != 7 {
 			t.Fatalf("unexpected error shape: %v", ee)
 		}
+		if c.popped != 0 || c.pushed != 2 {
+			t.Fatalf("a refused take moved the ring to popped %d, pushed %d", c.popped, c.pushed)
+		}
 	}()
-	q.Take(nil, 5)
-}
-
-// TestSliceQueueCompact: compaction preserves content while resetting the
-// consumed prefix.
-func TestSliceQueueCompact(t *testing.T) {
-	q := &SliceQueue{}
-	q.Append([]float64{1, 2, 3, 4})
-	q.Pop()
-	q.Pop()
-	q.Compact()
-	if q.head != 0 || q.Len() != 2 {
-		t.Fatalf("after compact: head=%d len=%d", q.head, q.Len())
-	}
-	if q.Peek(0) != 3 || q.Peek(1) != 4 {
-		t.Fatalf("compact corrupted content: %v", q.buf)
-	}
+	c.Take(nil, 5)
 }
 
 // TestFusedNodeRunsOnSelectedBackend: a fused filter is an IL kernel like

@@ -58,7 +58,7 @@ func (d *DynamicEngine) runBudget(budget []int64) (err error) {
 	for i, rt := range d.order {
 		goal[i] = budget[rt.node.ID]
 	}
-	_, err = d.dataDriven(d.e, d.order, goal, "budget", &d.e.cur)
+	_, err = d.dataDriven(d.order, goal, "budget", &d.e.cur)
 	return err
 }
 

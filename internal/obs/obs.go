@@ -42,23 +42,14 @@ func (s *FilterStats) Name() string { return s.name }
 // AddFiring counts one completed firing.
 func (s *FilterStats) AddFiring() { s.firings.Add(1) }
 
-// AddPush counts one item pushed to the output tape.
-func (s *FilterStats) AddPush() { s.pushed.Add(1) }
-
-// AddPop counts one item popped from the input tape.
-func (s *FilterStats) AddPop() { s.popped.Add(1) }
-
-// AddPushes counts n pushed items at once (splitter/joiner firings have
-// static per-firing traffic, so engines credit it arithmetically).
+// AddPushes counts n items pushed to the output tapes. Engines credit a
+// firing's traffic once per firing, not per item.
 func (s *FilterStats) AddPushes(n int64) { s.pushed.Add(n) }
 
-// AddPops counts n popped items at once.
+// AddPops counts n items popped from the input tapes.
 func (s *FilterStats) AddPops(n int64) { s.popped.Add(n) }
 
-// AddPeek counts one peek at the input tape.
-func (s *FilterStats) AddPeek() { s.peeked.Add(1) }
-
-// AddPeeks counts n peeks at once.
+// AddPeeks counts n items of peek window.
 func (s *FilterStats) AddPeeks(n int64) { s.peeked.Add(n) }
 
 // AddWork accumulates time spent inside the work function.
@@ -79,7 +70,11 @@ func (s *FilterStats) NoteOccupancy(n int64) {
 	}
 }
 
-// FilterProfile is an immutable snapshot of one node's counters.
+// FilterProfile is an immutable snapshot of one node's counters. Pushed
+// and Popped are the items the node's committed firings moved. Peeked is
+// the declared peek window summed over a filter's firings (a window of
+// peek items per firing, whatever the work read of it); it is 0 for
+// splitters and joiners.
 type FilterProfile struct {
 	Name    string `json:"name"`
 	Firings int64  `json:"firings"`
@@ -177,11 +172,13 @@ func (w *WorkWindow) Advance() WindowSample {
 }
 
 // Table renders the per-filter profile as an aligned text table (the
-// streamit-run -profile report). Nodes that never fired are omitted.
+// streamit-run -profile report). Nodes that never fired are omitted. The
+// "peek window" column is FilterProfile.Peeked: the declared peek window
+// times the firings, not a count of peek operations.
 func (p *Profiler) Table() string {
 	var b strings.Builder
 	tw := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "filter\tfirings\tpushed\tpopped\tpeeked\twork\twork/firing\tstall\ttape hwm")
+	fmt.Fprintln(tw, "filter\tfirings\tpushed\tpopped\tpeek window\twork\twork/firing\tstall\ttape hwm")
 	for _, fp := range p.Snapshot() {
 		if fp.Firings == 0 {
 			continue

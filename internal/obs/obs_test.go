@@ -15,11 +15,11 @@ func TestFilterStatsCounters(t *testing.T) {
 	}
 	st.AddFiring()
 	st.AddFiring()
-	st.AddPush()
+	st.AddPushes(1)
 	st.AddPushes(3)
-	st.AddPop()
+	st.AddPops(1)
 	st.AddPops(5)
-	st.AddPeek()
+	st.AddPeeks(1)
 	st.AddWork(10 * time.Microsecond)
 	st.AddStall(2 * time.Microsecond)
 
@@ -51,7 +51,7 @@ func TestFilterStatsConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				st.AddFiring()
-				st.AddPush()
+				st.AddPushes(1)
 				st.NoteOccupancy(int64(w*per + i))
 			}
 		}(w)
@@ -82,7 +82,7 @@ func TestTableOmitsIdleNodes(t *testing.T) {
 	p := NewProfiler([]string{"idle", "busy"})
 	st := p.At(1)
 	st.AddFiring()
-	st.AddPush()
+	st.AddPushes(1)
 	st.AddWork(time.Millisecond)
 	tab := p.Table()
 	if !strings.Contains(tab, "busy") {

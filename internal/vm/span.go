@@ -372,7 +372,7 @@ func (m *Machine) span(s *spanInstr, in wfunc.Tape) bool {
 		m.locals[s.acc] = acc
 	}
 	if tape != nil {
-		tape.Advance(int(s.peeks)*n, int(s.pops)*n)
+		tape.Advance(int(s.pops) * n)
 	}
 	m.locals[s.v] = s.bound
 	return true

@@ -24,7 +24,7 @@ type callTape struct {
 func (c *callTape) Peek(i int) float64 { c.calls++; return c.SliceTape.Peek(i) }
 func (c *callTape) Pop() float64       { c.calls++; return c.SliceTape.Pop() }
 
-// noWindow hides a tape's Window, like the engines' per-item wrappers.
+// noWindow hides a tape's Window, like a tape that offers none.
 type noWindow struct{ wfunc.Tape }
 
 // Ways fireBoth can hand the tapes to a firing (nil: as they are).

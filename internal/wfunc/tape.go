@@ -5,9 +5,8 @@ import "fmt"
 // Window is the read-only view a storage tape offers of its buffered items,
 // so that a consumer which has checked a whole loop's accesses against the
 // occupancy can read them in place instead of through one Peek or Pop call
-// per item (the VM's span instructions, internal/vm/span.go). Tapes that
-// wrap another to observe or alter single operations do not implement it;
-// their readers keep to Peek and Pop.
+// per item (the VM's span instructions, internal/vm/span.go). A tape
+// without it is read through Peek and Pop alone.
 type Window interface {
 	// Window returns the storage behind the n buffered items: the item
 	// Peek(i) would return is buf[(base+i)&mask], for 0 <= i < n. mask is
@@ -16,9 +15,8 @@ type Window interface {
 	// callers fetch it anew for every use.
 	Window() (buf []float64, base, mask, n int)
 	// Advance consumes pops items, as that many Pop calls would; pops must
-	// not exceed the n Window just returned. peeks is the number of items
-	// read in place beforehand, for tapes that count operations.
-	Advance(peeks, pops int)
+	// not exceed the n Window just returned.
+	Advance(pops int)
 }
 
 // SliceTape is a simple unbounded Tape backed by a slice. It is used by
@@ -60,7 +58,7 @@ func (t *SliceTape) Push(v float64) { t.buf = append(t.buf, v) }
 func (t *SliceTape) Window() ([]float64, int, int, int) { return t.buf, t.head, -1, t.Len() }
 
 // Advance implements Window.
-func (t *SliceTape) Advance(_, pops int) { t.head += pops }
+func (t *SliceTape) Advance(pops int) { t.head += pops }
 
 // Len returns the number of unconsumed items.
 func (t *SliceTape) Len() int { return len(t.buf) - t.head }
