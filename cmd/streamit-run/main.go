@@ -366,8 +366,13 @@ func main() {
 		dur := time.Since(start)
 		fmt.Printf("ran %d steady-state iterations on the %s backend in %v\n", *iters, label, dur.Round(time.Microsecond))
 		fmt.Printf("%.0f iterations/sec\n", float64(*iters)/dur.Seconds())
-		if me, ok := r.(*exec.MappedEngine); ok && *elastic {
-			fmt.Printf("elastic re-plans: %d (finished on %d workers)\n", me.Replans(), me.Workers)
+		if me, ok := r.(*exec.MappedEngine); ok {
+			switch {
+			case *elastic:
+				fmt.Printf("elastic re-plans: %d (finished on %s)\n", me.Replans(), cutSummary(me))
+			case engineLabel(r, *mapStrat) != label:
+				fmt.Printf("re-planned after a crash: finished on %s\n", cutSummary(me))
+			}
 		}
 		report(r.SupervisionReport(), len(r.Degraded()) > 0)
 		finishObs(r, runOpts.TracePath)
@@ -420,8 +425,9 @@ func main() {
 }
 
 // engineLabel names the engine c.Runner built, which is the sequential one
-// when the program made core fall back. Taken before the run: recovery and
-// elastic re-plans change the worker count.
+// when the program made core fall back, and for a mapped plan its cut.
+// Taken before the run: recovery and elastic re-plans change the cut, and
+// the run reports the final one after it.
 func engineLabel(r core.Runner, mapStrat string) string {
 	me, ok := r.(*exec.MappedEngine)
 	switch {
@@ -430,7 +436,20 @@ func engineLabel(r core.Runner, mapStrat string) string {
 	case mapStrat == "":
 		return "parallel"
 	}
-	return fmt.Sprintf("mapped (%s, %d workers)", mapStrat, me.Workers)
+	return fmt.Sprintf("mapped (%s, %s)", mapStrat, cutSummary(me))
+}
+
+// cutSummary reports the mapped engine's current placement: its worker
+// count and how many edges cross between workers — the hops every
+// iteration pays, each a staging copy, a link slot and a consumer copy.
+func cutSummary(me *exec.MappedEngine) string {
+	cross := 0
+	for _, e := range me.G.Edges {
+		if me.Assign[e.Src.ID] != me.Assign[e.Dst.ID] {
+			cross++
+		}
+	}
+	return fmt.Sprintf("%d workers, %d of %d edges cross", me.Workers, cross, len(me.G.Edges))
 }
 
 // checkpointer is the checkpoint surface the sequential and mapped

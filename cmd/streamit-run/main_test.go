@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -39,9 +40,9 @@ func TestCLIEndToEnd(t *testing.T) {
 	}{
 		{"sequential", "ran 40 steady-state iterations (", nil},
 		{"parallel", "ran 40 steady-state iterations on the parallel backend", []string{"-parallel"}},
-		{"task+data", "on the mapped (task+data, 2 workers) backend", []string{"-map", "task+data", "-workers", "2"}},
-		{"task+swp", "on the mapped (task+swp, 2 workers) backend", []string{"-map", "task+swp", "-workers", "2"}},
-		{"task+ckpt", "on the mapped (task, 2 workers) backend", []string{"-map", "task", "-workers", "2", "-checkpoint-every", "1"}},
+		{"task+data", "on the mapped (task+data, 2 workers, ", []string{"-map", "task+data", "-workers", "2"}},
+		{"task+swp", "on the mapped (task+swp, 2 workers, ", []string{"-map", "task+swp", "-workers", "2"}},
+		{"task+ckpt", "on the mapped (task, 2 workers, ", []string{"-map", "task", "-workers", "2", "-checkpoint-every", "1"}},
 		{"crash recovery", "crashes=1", []string{"-map", "task+data+swp", "-workers", "4", "-faults", "crash:worker1@2"}},
 	}
 	for _, b := range backends {
@@ -51,6 +52,35 @@ func TestCLIEndToEnd(t *testing.T) {
 			}
 		})
 	}
+
+	// The mapped summary reports the plan's cut — how many edges cross
+	// between workers — and, after a crash or an elastic re-plan, the cut
+	// the run finished on.
+	t.Run("cut", func(t *testing.T) {
+		const cut = `(\d+) of (\d+) edges cross`
+		for _, tc := range []struct {
+			args    []string
+			pattern string
+		}{
+			{[]string{"-map", "task+data", "-workers", "2"},
+				`on the mapped \(task\+data, 2 workers, ` + cut + `\) backend`},
+			{[]string{"-map", "task+data+swp", "-workers", "4", "-faults", "crash:worker1@2"},
+				`(?s)mapped \(task\+data\+swp, 4 workers, ` + cut + `\) backend.*\nre-planned after a crash: finished on 3 workers, ` + cut + `\n`},
+			{[]string{"-map", "task", "-workers", "2", "-elastic", "-resize-at", "5", "-resize-to", "3"},
+				`(?s)mapped \(task, 2 workers, ` + cut + `\) backend.*\nelastic re-plans: \d+ \(finished on 3 workers, ` + cut + `\)\n`},
+		} {
+			out := run(t, append([]string{"-iters", iters}, tc.args...)...)
+			m := regexp.MustCompile(tc.pattern).FindStringSubmatch(out)
+			if m == nil {
+				t.Fatalf("%v: output does not report the cut:\n%s", tc.args, out)
+			}
+			for i := 1; i < len(m); i += 2 {
+				if m[i] == "0" || m[i] == m[i+1] {
+					t.Fatalf("%v: %s of %s edges cross; want some but not every edge crossing:\n%s", tc.args, m[i], m[i+1], out)
+				}
+			}
+		}
+	})
 
 	// A teleport program cannot run under a lockstep plan: core falls back
 	// to the sequential engine, and the summary must name what ran.

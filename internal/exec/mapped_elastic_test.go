@@ -125,8 +125,8 @@ func TestMappedElasticImbalanceReplan(t *testing.T) {
 		t.Fatalf("imbalance never tripped a re-plan (replans=%d)", me.Replans())
 	}
 	// After the re-plan the two hot filters no longer share a worker: their
-	// measured work dominates every other node's, so any measured LPT
-	// packing splits them apart.
+	// measured work dominates every other node's, so any cut that minimizes
+	// the heaviest worker's measured load splits them apart.
 	hotW, dW := hotDWorkers(t, mb.g2, me.Assign)
 	if hotW == dW {
 		t.Errorf("after re-plan, hot and d still share worker %d", hotW)

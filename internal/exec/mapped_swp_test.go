@@ -157,7 +157,10 @@ func stagingResidue(me *MappedEngine) int {
 // staging residue; it restores into a fresh pipelined engine — rebuilding
 // the queue/staging split from the flush schedule — and the resumed run
 // finishes the segment bit-identical to an uninterrupted one. The
-// sequential engine must refuse the same image.
+// sequential engine must refuse the same image. The checkpointed engines
+// run an alternating assignment, so the test stages residue whatever the
+// planner's cut; the reference runs the planner's, so the final images also
+// show that an image does not depend on placement.
 func TestMappedPipelinedMidSegmentCheckpoint(t *testing.T) {
 	const segIters, cycles = 16, 11 // 11 = stage(level 1) + 3: three unflushed iterations staged
 	build := func() *ir.Program { return apps.FMRadio(2, 8) }
@@ -170,6 +173,7 @@ func TestMappedPipelinedMidSegmentCheckpoint(t *testing.T) {
 	want := mappedCkptBytes(t, ref, segIters)
 
 	intB := buildMapped(t, build, partition.StratSWP)
+	intB.assign = alternateAssign(t, intB.g2, intB.workers)
 	img, first := skewedCheckpoint(t, intB, segIters, cycles)
 	if got := stagingResidue(first); got == 0 {
 		t.Fatal("mid-segment barrier has no staging residue; the checkpoint exercises nothing")
@@ -207,6 +211,7 @@ func TestMappedPipelinedMidSegmentCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	movedB := buildMapped(t, func() *ir.Program { return apps.BitonicSort(16) }, partition.StratSWP)
+	movedB.assign = alternateAssign(t, movedB.g2, movedB.workers)
 	var src *ir.Node
 	for _, n := range movedB.g2.Nodes {
 		if n.IsSource() {
@@ -361,6 +366,31 @@ func TestMappedChaosSoakSWP(t *testing.T) {
 			}
 		})
 	}
+}
+
+// alternateAssign deals g's nodes round-robin over workers along a
+// topological order, keeping PipelineStages clusters whole, so nearly every
+// edge crosses workers whatever cut the planner would choose (test helper).
+func alternateAssign(tb testing.TB, g *ir.Graph, workers int) []int {
+	tb.Helper()
+	topo, err := g.TopoOrder()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	st, err := partition.PipelineStages(g)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	assign := make([]int, len(g.Nodes))
+	for i, n := range topo {
+		assign[n.ID] = i % workers
+	}
+	for _, members := range st.Clusters {
+		for _, id := range members {
+			assign[id] = assign[members[0]]
+		}
+	}
+	return assign
 }
 
 // defaultAssign spreads nodes over workers in topological runs, keeping

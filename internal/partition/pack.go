@@ -2,18 +2,24 @@ package partition
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"streamit/internal/ir"
 	"streamit/internal/sched"
 	"streamit/internal/wfunc"
 )
 
-// Placement: one weight per node, one greedy bin-packing. Every mapping in
-// the package — an exec plan's initial worker assignment, its lowering onto
-// the simulator's tiles, and every re-pack of it (crash recovery, the
-// elastic controller, a distributed fleet and its recovery) — is lpt over
-// steadyWork.
+// Placement: one order, one contiguous cut. The placement units — each
+// stage cluster and each node outside one — are listed once in structure
+// order (a topological order that keeps every split-join branch together),
+// weighted by steadyWork, and that list is cut into consecutive runs whose
+// heaviest total is as small as a contiguous cut allows. Every worker then
+// holds one stretch of the order, so every cross-worker edge runs from a
+// lower-numbered worker to a higher one: the workers form a chain, and an
+// edge crosses only where the cut falls. Every mapping in the package — an
+// exec plan's initial worker assignment, its lowering onto the simulator's
+// tiles, and every re-pack of it (crash recovery, the elastic controller, a
+// distributed fleet and its recovery) — is this cut.
 
 // SteadyWork is the static estimate of each node's cycles per steady
 // iteration, indexed by node ID: the weights every plan packs by.
@@ -69,31 +75,6 @@ func steadyWork(g *ir.Graph, s *sched.Schedule, override map[*ir.Filter]int64, m
 	return work
 }
 
-// lpt is the placement step: longest-processing-time-first greedy
-// bin-packing. Items are taken heaviest first — stable, so equal weights
-// keep their given order — and each goes to the least-loaded bin, the
-// lowest-numbered one on ties. It returns every item's bin.
-func lpt(weights []int64, bins int) []int {
-	order := make([]int, len(weights))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return weights[order[a]] > weights[order[b]] })
-	load := make([]int64, bins)
-	bin := make([]int, len(weights))
-	for _, i := range order {
-		best := 0
-		for b := 1; b < bins; b++ {
-			if load[b] < load[best] {
-				best = b
-			}
-		}
-		bin[i] = best
-		load[best] += weights[i]
-	}
-	return bin
-}
-
 // Topology is the worker grid an assignment targets: Shards processes of
 // PerShard workers each. Worker numbering is global and contiguous per
 // shard — worker w runs on shard w/PerShard — so one assignment drives
@@ -113,19 +94,20 @@ func (p *ExecPlan) Assign(g2 *ir.Graph, s2 *sched.Schedule) []int {
 	return assign
 }
 
-// Pack is the one assignment entry point: it packs the rewritten graph onto
-// a topology in two lpt levels — onto shards first (minimizing the heaviest
-// shard, which bounds a lockstep epoch), then each shard's share onto its
-// local workers. It never re-runs the fusion/fission rewrite, so the
-// elaborated graph, its schedule, and therefore the checkpoint fingerprint
-// all stay fixed and only the packing moves: that is what lets crash
-// recovery move a dead worker's or shard's partitions onto the survivors
-// and restore the last barrier image unchanged. measured is steadyWork's
-// (nil packs by the plan's static estimates; the elastic controller passes
-// a profile window). Every node weighs at least 1, so zero-work endpoints
-// still spread across workers, and stage clusters (feedback cycles,
-// messaging hulls) pack as one unit at both levels: their members must fire
-// together on one worker.
+// Pack is the one assignment entry point: it cuts the rewritten graph's
+// structure order onto a topology at two levels of the same cut — into
+// shards first (minimizing the heaviest shard, which bounds a lockstep
+// epoch), then each shard's run into its local workers — so the global
+// worker numbering is one chain across shards too. It never re-runs the
+// fusion/fission rewrite, so the elaborated graph, its schedule, and
+// therefore the checkpoint fingerprint all stay fixed and only the cut
+// moves: that is what lets crash recovery move a dead worker's or shard's
+// partitions onto the survivors and restore the last barrier image
+// unchanged. measured is steadyWork's (nil cuts by the plan's static
+// estimates; the elastic controller passes a profile window). Every node
+// weighs at least 1, and stage clusters (feedback cycles, messaging hulls)
+// are one unit at both levels: their members must fire together on one
+// worker. No worker is left empty while there are units for it.
 func (p *ExecPlan) Pack(g2 *ir.Graph, s2 *sched.Schedule, topo Topology, measured []int64) ([]int, error) {
 	if topo.Shards < 1 || topo.PerShard < 1 {
 		return nil, fmt.Errorf("partition: assignment wants >= 1 shards and workers per shard, got %d x %d", topo.Shards, topo.PerShard)
@@ -137,12 +119,7 @@ func (p *ExecPlan) Pack(g2 *ir.Graph, s2 *sched.Schedule, topo Topology, measure
 	if err != nil {
 		return nil, err
 	}
-	units := append([][]int(nil), sp.Clusters...)
-	for id := range g2.Nodes {
-		if sp.ClusterOf[id] < 0 {
-			units = append(units, []int{id})
-		}
-	}
+	units := structureOrder(g2, sp)
 	work := steadyWork(g2, s2, p.Work, measured)
 	weights := make([]int64, len(units))
 	for i, members := range units {
@@ -151,20 +128,103 @@ func (p *ExecPlan) Pack(g2 *ir.Graph, s2 *sched.Schedule, topo Topology, measure
 		}
 	}
 	assign := make([]int, len(g2.Nodes))
-	shardOf := lpt(weights, topo.Shards)
-	for sh := 0; sh < topo.Shards; sh++ {
-		var mine []int
-		var mineW []int64
-		for i, s := range shardOf {
-			if s == sh {
-				mine, mineW = append(mine, i), append(mineW, weights[i])
-			}
-		}
-		for j, local := range lpt(mineW, topo.PerShard) {
-			for _, id := range units[mine[j]] {
-				assign[id] = sh*topo.PerShard + local
+	shards := cut(weights, topo.Shards)
+	for sh := range topo.Shards {
+		lo, hi := shards[sh], shards[sh+1]
+		local := cut(weights[lo:hi], topo.PerShard)
+		for w := range topo.PerShard {
+			for _, members := range units[lo+local[w] : lo+local[w+1]] {
+				for _, id := range members {
+					assign[id] = sh*topo.PerShard + w
+				}
 			}
 		}
 	}
 	return assign, nil
+}
+
+// structureOrder lists g's placement units — each stage cluster as one
+// unit, and each node outside one — in structure order: the reverse
+// postorder of a depth-first walk over the forward edges, started from the
+// graph's roots last to first and leaving every unit through its out-ports
+// last to first. A splitter is therefore followed by its branch 0 whole,
+// then branch 1, and so on, and its joiner comes after all of them, so a
+// contiguous run of the order holds whole branches wherever it can. Node
+// IDs do not serve: a joiner's ID precedes its branches'.
+func structureOrder(g *ir.Graph, sp *StagePlan) [][]int {
+	unit := func(id int) []int {
+		if c := sp.ClusterOf[id]; c >= 0 {
+			return sp.Clusters[c]
+		}
+		return []int{id}
+	}
+	seen := make([]bool, len(g.Nodes))
+	var post [][]int
+	var visit func(id int)
+	visit = func(id int) {
+		members := unit(id)
+		for _, m := range members {
+			seen[m] = true
+		}
+		for i := len(members) - 1; i >= 0; i-- {
+			out := g.Nodes[members[i]].Out
+			for j := len(out) - 1; j >= 0; j-- {
+				if e := out[j]; !e.Back && !seen[e.Dst.ID] {
+					visit(e.Dst.ID)
+				}
+			}
+		}
+		post = append(post, members)
+	}
+	for id := len(g.Nodes) - 1; id >= 0; id-- {
+		if n := g.Nodes[id]; !seen[id] && !slices.ContainsFunc(n.In, func(e *ir.Edge) bool { return !e.Back }) {
+			visit(id)
+		}
+	}
+	slices.Reverse(post)
+	return post
+}
+
+// cut splits weights into bins consecutive runs whose heaviest total is the
+// least any contiguous split reaches, and returns the runs' boundaries: run
+// b is weights[ends[b]:ends[b+1]]. The bound is found by binary search
+// between the heaviest single weight and the total, each probe a greedy
+// prefix fill, so the cost is O(n log Σw).
+func cut(weights []int64, bins int) []int {
+	var lo, hi int64
+	for _, w := range weights {
+		lo, hi = max(lo, w), hi+w
+	}
+	lo = max(lo, (hi+int64(bins)-1)/int64(bins))
+	for lo < hi {
+		if mid := lo + (hi-lo)/2; fill(weights, bins, mid) != nil {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return fill(weights, bins, lo)
+}
+
+// fill cuts weights greedily under bound: a run takes units while its total
+// stays within bound, but closes early once the units left are only enough
+// for one each in the runs still unopened, so no run is empty while there
+// are units for it. It returns the bins+1 run boundaries, or nil if the
+// units need more than bins runs.
+func fill(weights []int64, bins int, bound int64) []int {
+	ends := make([]int, 1, bins+1)
+	var load int64
+	for i, w := range weights {
+		if i > ends[len(ends)-1] && (load+w > bound || len(weights)-i <= bins-len(ends)) {
+			if len(ends) == bins {
+				return nil
+			}
+			ends, load = append(ends, i), 0
+		}
+		load += w
+	}
+	for len(ends) <= bins {
+		ends = append(ends, len(weights))
+	}
+	return ends
 }

@@ -43,8 +43,8 @@ func mustPack(t *testing.T, plan *ExecPlan, g2 *ir.Graph, s2 *sched.Schedule, to
 // strategy, bin count, and weight source: every node lands in range, every
 // stage cluster sits on one worker, the packing is deterministic (the
 // coordinator and the engines each compute it and must agree), the heaviest
-// bin carries at most the mean plus the heaviest unit (the greedy bound),
-// and both levels are the same loop — n shards of one worker, one shard of n
+// bin carries at most the mean plus the heaviest unit (a bound every
+// min-max cut meets), and both levels are the same cut — n shards of one worker, one shard of n
 // workers, and Assign on the plan's own count all agree, while a real grid
 // keeps clusters whole too. Reverb and the frequency-hopping radio add the
 // feedback and teleport-messaging clusters the twelve suite apps lack.
@@ -156,31 +156,31 @@ func TestPackSharded(t *testing.T) {
 	}
 }
 
-// TestPackShardedMeasured: live measurements steer the shard-level
-// packing — a node measured as the dominant cost ends up alone against
-// the rest, and the call stays valid.
+// TestPackShardedMeasured: live measurements steer the cut at both levels
+// of a grid — a filter measured as costlier than everything else together
+// gets a worker of its own, and the call stays valid.
 func TestPackShardedMeasured(t *testing.T) {
 	plan, g2, s2 := buildShardedPlan(t, StratTask, 4)
-	// Find a mid-graph filter and declare it overwhelmingly expensive.
-	hot := slices.IndexFunc(g2.Nodes, func(n *ir.Node) bool {
-		return n.Kind == ir.NodeFilter && !n.IsSource() && !n.IsSink()
-	})
+	measured := make([]int64, len(g2.Nodes))
+	hot := -1
+	for _, n := range g2.Nodes {
+		if n.Kind == ir.NodeFilter && !n.IsSource() && !n.IsSink() {
+			measured[n.ID] = 1
+			if hot < 0 && n.ID > len(g2.Nodes)/2 {
+				hot = n.ID
+			}
+		}
+	}
 	if hot < 0 {
 		t.Fatal("no interior filter found")
 	}
-	measured := make([]int64, len(g2.Nodes))
 	measured[hot] = 1_000_000
 	assign := mustPack(t, plan, g2, s2, Topology{Shards: 2, PerShard: 2}, measured)
-	hotShard := assign[hot] / 2
-	// The hot node's shard should carry fewer peers than the other shard.
-	counts := []int{0, 0}
-	for _, w := range assign {
-		counts[w/2]++
-	}
-	other := 1 - hotShard
-	if counts[hotShard] > counts[other] {
-		t.Fatalf("hot filter %s's shard %d carries %d nodes vs %d on the other; measured weights ignored",
-			g2.Nodes[hot].Name, hotShard, counts[hotShard], counts[other])
+	for id, w := range assign {
+		if w == assign[hot] && id != hot {
+			t.Fatalf("hot filter %s shares worker %d with %s; measured weights ignored",
+				g2.Nodes[hot].Name, w, g2.Nodes[id].Name)
+		}
 	}
 }
 
@@ -298,5 +298,206 @@ func TestMeasuredWorkTotalStable(t *testing.T) {
 	static, measured := total(steadyWork(g, s, nil, nil)), total(steadyWork(g, s, nil, []int64{0, 7000, 500, 0}))
 	if d := static - measured; d < -2 || d > 2 {
 		t.Errorf("total work drifted by %d (static %d, measured %d)", d, static, measured)
+	}
+}
+
+// checkChain asserts that assign is a cut of g's structure order onto
+// workers: worker numbers never fall along the order (so every worker holds
+// one contiguous run, and no cross-worker edge runs backwards), clusters
+// stay whole, the order is topological over forward edges, and no worker is
+// empty while there are units for it.
+func checkChain(t *testing.T, what string, g *ir.Graph, sp *StagePlan, assign []int, workers int) {
+	t.Helper()
+	units := structureOrder(g, sp)
+	pos := make([]int, len(g.Nodes))
+	placed := 0
+	used := make([]bool, workers)
+	last := 0
+	for i, members := range units {
+		w := assign[members[0]]
+		for _, id := range members {
+			if assign[id] != w {
+				t.Fatalf("%s: unit %v splits across workers %d and %d", what, members, w, assign[id])
+			}
+			pos[id] = i
+			placed++
+		}
+		if w < last {
+			t.Fatalf("%s: unit %d of the structure order is on worker %d after worker %d: a worker's run is not contiguous", what, i, w, last)
+		}
+		last, used[w] = w, true
+	}
+	if placed != len(g.Nodes) {
+		t.Fatalf("%s: structure order places %d of %d nodes", what, placed, len(g.Nodes))
+	}
+	for _, e := range g.Edges {
+		src, dst := e.Src.ID, e.Dst.ID
+		if e.Back {
+			if assign[src] != assign[dst] {
+				t.Fatalf("%s: back edge %s leaves its cluster's worker", what, e)
+			}
+			continue
+		}
+		if pos[src] > pos[dst] {
+			t.Fatalf("%s: edge %s runs backwards in the structure order", what, e)
+		}
+		if assign[src] > assign[dst] {
+			t.Fatalf("%s: edge %s runs backwards from worker %d to %d", what, e, assign[src], assign[dst])
+		}
+	}
+	if len(units) >= workers && slices.Contains(used, false) {
+		t.Fatalf("%s: %d units left a worker empty: %v", what, len(units), used)
+	}
+}
+
+// TestPackChain: over the twelve suite apps, every executable strategy and
+// 2, 4 and 16 workers, plus a 2x2 grid and the two apps with stage clusters,
+// the assignment is a chain — each worker one contiguous run of the
+// structure order, every crossing edge forward.
+func TestPackChain(t *testing.T) {
+	progs := append(apps.Suite(),
+		apps.App{Name: "Reverb", Build: func() *ir.Program { return apps.Reverb(4, 0.5) }},
+		apps.App{Name: "FreqHoppingRadio", Build: func() *ir.Program { return apps.FreqHoppingRadio(true) }})
+	for _, app := range progs {
+		for _, strat := range []Strategy{StratTask, StratFineData, StratCoarseData, StratSWP, StratCombined} {
+			for _, workers := range []int{2, 4, 16} {
+				plan, g2, s2 := buildPlan(t, app.Build(), strat, workers)
+				sp, err := PipelineStages(g2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				what := fmt.Sprintf("%s under %s onto %d", app.Name, strat, workers)
+				checkChain(t, what, g2, sp, plan.Assign(g2, s2), workers)
+				if workers == 4 {
+					grid := mustPack(t, plan, g2, s2, Topology{Shards: 2, PerShard: 2}, nil)
+					checkChain(t, what+" as 2x2", g2, sp, grid, 4)
+				}
+			}
+		}
+	}
+}
+
+// TestPackCutOptimal: on seeded random weight vectors the cut's heaviest run
+// equals the brute-force minimum over every contiguous split, its
+// boundaries cover the vector in order, and no run is empty when there are
+// at least as many weights as runs.
+func TestPackCutOptimal(t *testing.T) {
+	// best is the least heaviest run over every split of w into k runs,
+	// empty runs allowed.
+	var best func(w []int64, k int) int64
+	best = func(w []int64, k int) int64 {
+		var sum int64
+		for _, x := range w {
+			sum += x
+		}
+		if k == 1 {
+			return sum
+		}
+		least, head := sum, int64(0)
+		for i := 0; i <= len(w); i++ {
+			if i > 0 {
+				head += w[i-1]
+			}
+			least = min(least, max(head, best(w[i:], k-1)))
+		}
+		return least
+	}
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 2000; trial++ {
+		n, k := rng.Intn(11), 1+rng.Intn(4)
+		w := make([]int64, n)
+		for i := range w {
+			w[i] = 1 + rng.Int63n([]int64{3, 20, 1000}[trial%3])
+		}
+		ends := cut(w, k)
+		if len(ends) != k+1 || ends[0] != 0 || ends[k] != n {
+			t.Fatalf("cut(%v, %d) = %v: boundaries do not cover the weights", w, k, ends)
+		}
+		var heaviest int64
+		for b := 0; b < k; b++ {
+			if ends[b] > ends[b+1] {
+				t.Fatalf("cut(%v, %d) = %v: boundaries out of order", w, k, ends)
+			}
+			if n >= k && ends[b] == ends[b+1] {
+				t.Fatalf("cut(%v, %d) = %v: run %d is empty", w, k, ends, b)
+			}
+			var run int64
+			for _, x := range w[ends[b]:ends[b+1]] {
+				run += x
+			}
+			heaviest = max(heaviest, run)
+		}
+		if want := best(w, k); heaviest != want {
+			t.Fatalf("cut(%v, %d) = %v: heaviest run %d, brute force reaches %d", w, k, ends, heaviest, want)
+		}
+	}
+}
+
+// TestSuiteCrossEdges pins, per suite app, how many edges of the plan for 2
+// workers cross between the workers, under task, task+data and task+swp:
+// each crossing edge is a staging ring, a link and a consumer copy per
+// iteration, so a placement change that adds hops fails here on any
+// machine. None crosses backwards (TestPackChain). Lower a row on purpose
+// when the cut improves.
+func TestSuiteCrossEdges(t *testing.T) {
+	want := map[string][3]int{ // task, task+data, task+swp
+		"BitonicSort":    {1, 1, 1},
+		"ChannelVocoder": {17, 17, 17},
+		"DCT":            {1, 2, 1},
+		"DES":            {1, 1, 1},
+		"FFT":            {2, 2, 2},
+		"FilterBank":     {8, 8, 8},
+		"FMRadio":        {10, 10, 10},
+		"Serpent":        {1, 2, 1},
+		"TDE":            {1, 2, 1},
+		"MPEG2Decoder":   {2, 3, 2},
+		"Vocoder":        {15, 15, 15},
+		"Radar":          {7, 7, 7},
+	}
+	for _, app := range apps.Suite() {
+		row, ok := want[app.Name]
+		if !ok {
+			t.Errorf("%s: no row in the table", app.Name)
+			continue
+		}
+		for i, strat := range []Strategy{StratTask, StratCoarseData, StratSWP} {
+			plan, g2, s2 := buildPlan(t, app.Build(), strat, 2)
+			assign := plan.Assign(g2, s2)
+			cross := 0
+			for _, e := range g2.Edges {
+				if assign[e.Src.ID] != assign[e.Dst.ID] {
+					cross++
+				}
+			}
+			if cross != row[i] {
+				t.Errorf("%s under %s: %d of %d edges cross workers, want %d", app.Name, strat, cross, len(g2.Edges), row[i])
+			}
+		}
+	}
+}
+
+// TestPackStructureOrder: a split-join's branches follow its
+// splitter whole and in port order, and its joiner follows them all —
+// where node IDs put the joiner before the branches.
+func TestPackStructureOrder(t *testing.T) {
+	g, err := ir.Flatten(&ir.Program{Name: "sj", Top: ir.Pipe("p",
+		heavyFilter("src", 10, 0, 0, 2),
+		ir.SJ("sj", ir.RoundRobin(1, 1), ir.RoundRobin(1, 1),
+			ir.Pipe("b0", heavyFilter("a0", 10, 0, 1, 1), heavyFilter("a1", 10, 0, 1, 1)),
+			ir.Pipe("b1", heavyFilter("c0", 10, 0, 1, 1), heavyFilter("c1", 10, 0, 1, 1))),
+		heavyFilter("snk", 10, 0, 2, 0))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := PipelineStages(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, members := range structureOrder(g, sp) {
+		got = append(got, g.Nodes[members[0]].Name)
+	}
+	if want := []string{"src#0", "sj.split#1", "a0#3", "a1#4", "c0#5", "c1#6", "sj.join#2", "snk#7"}; !slices.Equal(got, want) {
+		t.Fatalf("structure order %v, want %v", got, want)
 	}
 }

@@ -6,13 +6,16 @@
 //   - task parallelism (fork/join over split-join children),
 //   - fine-grained data parallelism (replicate every stateless filter),
 //   - coarse-grained data parallelism (fuse stateless regions, then fiss),
-//   - coarse-grained software pipelining (stage-skewed bin-packing),
+//   - coarse-grained software pipelining (stage-skewed pipelined workers),
 //   - the combination of data parallelism and software pipelining, and
 //   - the prior work's space multiplexing (one contiguous region per tile).
 //
 // There is one partitioner. BuildExecPlan rewrites the program and Pack
-// assigns the rewritten graph to workers; the mapped engines run that plan,
-// and Lower hands the same plan to the machine simulator.
+// assigns the rewritten graph to workers by cutting one structure order —
+// a topological order that keeps split-join branches together — into
+// contiguous runs of least maximum work, so the workers form a chain; the
+// mapped engines run that plan, and Lower hands the same plan to the
+// machine simulator.
 package partition
 
 import (
