@@ -42,10 +42,13 @@ import (
 // iterations while consumers still drain earlier ones — and feedback
 // loops and teleport messaging run inside single-worker stage clusters at
 // firing granularity. Without it the engine runs the zero-skew plan (every
-// level 0, a flush per cycle, no clusters), which is lockstep: each worker
-// fires its nodes in global topological order once per steady iteration
-// and every cross-worker edge carries one iteration's items per batch. It
-// has no clusters to host feedback or messaging, so it rejects both.
+// level 0, a flush per cycle, no clusters), which is lockstep in blocks: a
+// cycle covers up to StageBatch steady iterations, each worker fires its
+// nodes' shares of all of them in global topological order, and every
+// cross-worker edge carries the block's items as one batch. Blocks are cut
+// at every barrier, so barriers and images are those of one iteration per
+// cycle. It has no clusters to host feedback or messaging, so it rejects
+// both.
 //
 // Fault tolerance: steady state runs in epochs, each a release of the
 // drive's workers and a rendezvous at a barrier where all of them have
@@ -182,10 +185,11 @@ var errStopped = errors.New("exec: run aborted")
 const DefaultQueueDepth = 2
 
 // NewMappedOpts is the full-option constructor. Without Options.Stages the
-// engine runs the zero-skew plan — lockstep: one batch per edge per steady
-// iteration — so it rejects teleport messaging and feedback loops, which
-// need finer-than-batch interleaving; a pipelined plan (Options.Stages
-// set) lifts both, hosting them inside single-worker stage clusters.
+// engine runs the zero-skew plan — lockstep: one batch per edge per block
+// of steady iterations — so it rejects teleport messaging and feedback
+// loops, which need finer-than-batch interleaving; a pipelined plan
+// (Options.Stages set) lifts both, hosting them inside single-worker stage
+// clusters.
 func NewMappedOpts(g *ir.Graph, s *sched.Schedule, assign []int, workers int, opts Options) (*MappedEngine, error) {
 	if why := g.LockstepBlocker(); why != "" && opts.Stages == nil {
 		return nil, fmt.Errorf("exec: %s needs finer-than-batch interleaving; use a pipelined plan or the sequential Engine", why)

@@ -249,6 +249,68 @@ func TestMappedCheckpointCrossEngine(t *testing.T) {
 	}
 }
 
+// TestMappedCheckpointPartialBlocks: lockstep runs in blocks of StageBatch
+// iterations, cut at every barrier, so run lengths and checkpoint intervals
+// that leave partial blocks must not move a bit. Over the suite's task+data
+// plans, runs of 1, 3, 8 and 13 iterations, and 13-iteration runs with a
+// checkpoint every 1, 3, 8 and 13, give sink streams bit-identical to, and
+// final images byte-equal with, the sequential engine's over the same graph.
+func TestMappedCheckpointPartialBlocks(t *testing.T) {
+	lengths := []int{1, 3, 8, 13}
+	const total = 13
+	for _, app := range apps.Suite() {
+		app := app
+		t.Run(app.Name, func(t *testing.T) {
+			t.Parallel()
+			// One sequential run, imaged at every length; a shorter run's
+			// sink stream is a prefix of the longer one's.
+			sb := buildMapped(t, app.Build, partition.StratCoarseData)
+			se, err := NewFromGraphBackend(sb.g2, sb.s2, BackendVM)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := se.RunInit(); err != nil {
+				t.Fatal(err)
+			}
+			imgs := map[int][]byte{}
+			prefix := map[int][]int{}
+			done := 0
+			for _, n := range lengths {
+				if err := se.RunSteady(n - done); err != nil {
+					t.Fatal(err)
+				}
+				done = n
+				imgs[n], prefix[n] = checkpointBytes(t, se, int64(n)), sinkLens(sb.outs)
+			}
+			stream := since(sb.outs, make([]int, len(sb.outs)))
+
+			// One mapped engine: every Run restarts the stream.
+			mb := buildMapped(t, app.Build, partition.StratCoarseData)
+			me := mb.engine(t, Options{})
+			run := func(n, every int) {
+				label := fmt.Sprintf("%d iterations, checkpoint every %d", n, every)
+				me.CheckpointEvery = every
+				from := sinkLens(mb.outs)
+				if err := me.Run(n); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				want := make([][]float64, len(stream))
+				for i := range stream {
+					want[i] = stream[i][:prefix[n][i]]
+				}
+				tailIs(t, want, mb.outs, from, label)
+				if !bytes.Equal(mappedCkptBytes(t, me, int64(n)), imgs[n]) {
+					t.Fatalf("%s: final image differs from the sequential engine's", label)
+				}
+			}
+			for _, n := range lengths {
+				run(n, 0)
+				run(total, n)
+			}
+		})
+	}
+}
+
 // midTarget picks the first mid-graph filter (one with both input and
 // output edges) of a rewritten graph and a firing index that lands in the
 // second steady iteration, so injected faults hit a filter whose failure
@@ -401,6 +463,69 @@ func TestMappedWorkerCrashRecovery(t *testing.T) {
 	}
 	if !sawFault || !sawRecovery || !sawCheckpoint {
 		t.Errorf("trace missing events: fault=%v recovery=%v checkpoint=%v", sawFault, sawRecovery, sawCheckpoint)
+	}
+}
+
+// TestMappedWorkerCrashMidBlock: a scheduled worker crash cuts the lockstep
+// block it falls in, so it meets the top of its own iteration. With a
+// checkpoint every 8 iterations, a crash at iteration 5 finds the crashed
+// worker's filter five iterations in, the run rolls back to the barrier at
+// iteration 0 and recovers byte-equal to a clean sequential run; on a
+// single worker, with nowhere to recover onto, the crash is reported at
+// iteration 5.
+func TestMappedWorkerCrashMidBlock(t *testing.T) {
+	const iters, every, crashAt = 16, 8, 5
+	clean, seq, err := runSeqFault(t, gainFilter("Double", 2), iters, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := checkpointBytes(t, seq, iters)
+
+	g, s, got := faultPipeline(t, gainFilter("Double", 2))
+	assign := make([]int, len(g.Nodes))
+	for i := range assign {
+		assign[i] = i % 3
+	}
+	mid := g.Nodes[1] // Src, Double, snk: Double runs on worker 1
+	pack := packer(&partition.ExecPlan{}, g, s)
+	var me *MappedEngine
+	crashedAt := int64(-1)
+	me, err = NewMappedOpts(g, s, assign, 3, Options{Faults: mustPlan(t, fmt.Sprintf("crash:worker1@%d", crashAt)),
+		CheckpointEvery: every,
+		Replan: func(workers int, workNS []int64) ([]int, error) {
+			// The planner runs before the rollback: the crashed worker's
+			// filter still stands where the crash found it.
+			crashedAt = (me.nodes[mid.ID].fired - me.initFired[mid.ID]) / int64(s.Reps[mid.ID])
+			return pack(workers, workNS)
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := me.Run(iters); err != nil {
+		t.Fatalf("crashed run did not recover: %v", err)
+	}
+	if crashedAt != crashAt {
+		t.Errorf("the crash found %s %d iterations in, want %d", mid.Name, crashedAt, crashAt)
+	}
+	// The collector is outside the image: what the sink took before the
+	// crash stays in it, and the replay from iteration 0 follows.
+	if len(*got) < len(clean) || !slices.Equal((*got)[len(*got)-len(clean):], clean) {
+		t.Fatalf("recovered run produced %v, want it to end with the clean run's %v", *got, clean)
+	}
+	if img := mappedCkptBytes(t, me, iters); !bytes.Equal(img, want) {
+		t.Fatal("recovered run's final image differs from the clean sequential run's")
+	}
+
+	g, s, _ = faultPipeline(t, gainFilter("Double", 2))
+	solo, err := NewMappedOpts(g, s, make([]int, len(g.Nodes)), 1, Options{
+		Faults:          mustPlan(t, fmt.Sprintf("crash:worker0@%d", crashAt)),
+		CheckpointEvery: every, Replan: packer(&partition.ExecPlan{}, g, s)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ee *ExecError
+	if err := solo.Run(iters); !errors.As(err, &ee) || ee.Op != "crash" || ee.Iteration != crashAt {
+		t.Fatalf("single-worker crash: err = %v, want a crash at iteration %d", err, crashAt)
 	}
 }
 

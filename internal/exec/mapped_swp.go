@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"streamit/internal/ir"
@@ -25,10 +26,16 @@ import (
 // are drained at every epoch barrier.
 //
 // Lockstep is the zero-skew plan, which the engine builds itself when the
-// caller supplies no Options.Stages: every level 0, K = 1, no clusters.
-// There is no prologue or epilogue, a cycle is a steady iteration, every
-// barrier is uniform, and the segment stays open — it starts at iteration
-// 0 and is extended at each barrier the run continues from.
+// caller supplies no Options.Stages: every level 0, no clusters. There is
+// no prologue or epilogue, every barrier is uniform, and the segment stays
+// open — it starts at iteration 0 and is extended at each barrier the run
+// continues from. A zero-skew cycle is a block of up to StageBatch steady
+// iterations: each node fires its share of all of them in one step, and
+// every cross-worker edge ships the block as one batch. Blocks are cut at
+// epoch ends and at scheduled worker faults, which every worker knows, so
+// the workers agree on every block and barriers fall where they would one
+// iteration per cycle. A sharded engine keeps one iteration per cycle: its
+// shard transport frames carry one iteration each.
 //
 // Where a batch is received is a property of its edge, read off the stage
 // map. When the producer runs at the consumer's stage (every cross-worker
@@ -54,7 +61,8 @@ import (
 
 // StageBatch is the pipelined flush interval in macro-cycles: how many
 // iterations each stage runs ahead of the next, and how many iterations'
-// worth of items one cross-worker transfer carries.
+// worth of items one cross-worker transfer carries. It is also the
+// zero-skew plan's block: the steady iterations one lockstep cycle covers.
 const StageBatch = 8
 
 // swpState is the stage plan and its runtime position; every mapped engine
@@ -63,6 +71,11 @@ type swpState struct {
 	levels    []int // per-node stage level
 	numLevels int
 	batch     int64 // K: flush interval and per-level stage distance
+	// block is the iterations one cycle covers at most: StageBatch on an
+	// unsharded zero-skew plan, else 1. cuts are the iterations every
+	// scheduled worker fault hits, sorted: a cycle never spans one.
+	block     int64
+	cuts      []int64
 	clusters  [][]int
 	clusterOf []int  // node ID -> cluster index, -1 for singletons
 	msgNode   []bool // fires through the messaging-aware cluster path
@@ -90,11 +103,46 @@ func (sw *swpState) completed(cycle int64) int64 {
 	return min(max(cycle-sw.maxStage(), 0), sw.segIters)
 }
 
-// flushDue reports whether a node at its fi-th gated firing of the segment
-// (1-based) flushes its staged output this cycle: at batch boundaries and
-// at the segment's last firing. Counts outside the segment are not gated.
-func (sw *swpState) flushDue(fi int64) bool {
-	return fi >= 1 && fi <= sw.segIters && (fi%sw.batch == 0 || fi == sw.segIters)
+// span returns how many iterations the cycle at position t covers, with
+// left cycles remaining in the epoch: the plan's block, cut at the epoch's
+// end and before the next scheduled worker fault, which must meet the top
+// of its own cycle.
+func (sw *swpState) span(t int64, left int) int64 {
+	k := min(sw.block, int64(left))
+	for _, c := range sw.cuts {
+		if c > t {
+			return min(k, c-t)
+		}
+	}
+	return k
+}
+
+// stageClock is one stage level's position in the cycle at hand, computed
+// once per cycle for every step and in-edge at that level.
+type stageClock struct {
+	// fi is the first logical iteration (1-based, within the segment) the
+	// level's steps fire this cycle; gated reports whether they fire at all.
+	fi    int64
+	gated bool
+	// ship is how many iterations of the level's staged output the flush at
+	// the end of this cycle carries: every iteration since the last flush
+	// when the cycle reaches a batch boundary or the segment's last
+	// iteration, else 0 — no flush, and no matching receive.
+	ship int64
+}
+
+// tick sets every level's clock for the cycle at position t covering k
+// iterations.
+func (sw *swpState) tick(clock []stageClock, t, k int64) {
+	for l := range clock {
+		c := &clock[l]
+		c.fi = t - int64(l)*sw.batch + 1
+		c.gated = c.fi >= 1 && c.fi <= sw.segIters
+		c.ship = 0
+		if last := c.fi + k - 1; c.gated && (last%sw.batch == 0 || last == sw.segIters) {
+			c.ship = last - (c.fi-1)/sw.batch*sw.batch
+		}
+	}
 }
 
 // reach extends a zero-skew plan's open segment to cover cycle position
@@ -119,6 +167,7 @@ func newSWPState(g *ir.Graph, s *sched.Schedule, opts Options) (*swpState, error
 		teleport:  teleport{g: g, sch: s, trace: opts.Trace},
 		numLevels: 1,
 		batch:     1,
+		block:     1,
 		clusterOf: make([]int, n),
 		msgNode:   make([]bool, n),
 		sends:     make([]bool, n),
@@ -126,9 +175,18 @@ func newSWPState(g *ir.Graph, s *sched.Schedule, opts Options) (*swpState, error
 	for i := range sw.clusterOf {
 		sw.clusterOf[i] = -1
 	}
+	if opts.Faults != nil {
+		for _, wf := range opts.Faults.WorkerFaults {
+			sw.cuts = append(sw.cuts, wf.Iter)
+		}
+		slices.Sort(sw.cuts)
+	}
 	if opts.Stages == nil {
 		// NewMappedOpts has already turned away what only clusters can host.
 		sw.levels = make([]int, n)
+		if opts.LocalWorkers == nil {
+			sw.block = StageBatch
+		}
 		return sw, nil
 	}
 	if len(opts.Stages) != n {
@@ -241,13 +299,21 @@ func newSWPState(g *ir.Graph, s *sched.Schedule, opts Options) (*swpState, error
 // node, or a whole stage cluster fired through the data-driven loop.
 type swpStep struct {
 	nodes   []*nodeRT
-	stage   int64 // first gated cycle (level * batch)
+	level   int
 	cluster bool
 	// goal is the cluster members' firing targets for the cycle at hand.
 	goal []int64
 	// pre lists the cross-worker in-edges whose producer runs at this
 	// step's stage: received immediately before the step fires.
 	pre []swpIn
+	// in is a singleton filter's input ring, nil for any other step, and
+	// inBase + T*inPer is the ring's pushed position once its producer has
+	// fired T steady iterations — all a sequential run has buffered when the
+	// filter fires its T-th. A cycle of several iterations holds the ring to
+	// that per iteration, so a firing that pops past its iteration's share
+	// fails at the firing it fails at under the sequential engine.
+	in            *channel
+	inBase, inPer int64
 }
 
 // swpIn is one cross-worker in-edge with its producer's flush schedule: its
@@ -256,16 +322,18 @@ type swpIn struct {
 	e        *ir.Edge
 	l        *link
 	q        *channel
-	srcStage int64
+	srcLevel int
 }
 
 // workerPlan is one worker's share of the stage plan: its steps in
-// topological order, and the in-edges received after the cycle's steps
-// (those that advance the stage). It is topology data — planWorkers derives
-// it once per buildTopology, not per Run or epoch.
+// topological order, the in-edges received after the cycle's steps (those
+// that advance the stage), and the per-level clock of the cycle at hand. It
+// is topology data — planWorkers derives it once per buildTopology, not per
+// Run or epoch.
 type workerPlan struct {
 	steps []*swpStep
 	post  []swpIn
+	clock []stageClock
 }
 
 // planWorkers builds every local worker's plan over the current topology
@@ -274,7 +342,7 @@ func (me *MappedEngine) planWorkers() {
 	sw := me.swp
 	me.plans = make([]*workerPlan, me.Workers)
 	for w, nodes := range me.order {
-		pl := &workerPlan{}
+		pl := &workerPlan{clock: make([]stageClock, sw.numLevels)}
 		units := map[int]*swpStep{}
 		for _, n := range nodes {
 			rt := me.nodes[n.ID]
@@ -286,13 +354,17 @@ func (me *MappedEngine) planWorkers() {
 			}
 			sp := units[ci]
 			if sp == nil {
-				sp = &swpStep{stage: int64(sw.levels[n.ID]) * sw.batch, cluster: clustered}
+				sp = &swpStep{level: sw.levels[n.ID], cluster: clustered}
 				units[ci] = sp
 				pl.steps = append(pl.steps, sp)
 			}
 			sp.nodes = append(sp.nodes, rt) // me.order is topological, so nodes stay ordered
 			if sp.cluster {
 				sp.goal = append(sp.goal, 0)
+			} else if rt.in != nil {
+				e := n.InEdge()
+				sp.in, sp.inBase = rt.in, me.initPushed[e.ID]
+				sp.inPer = int64(me.Sch.Reps[e.Src.ID] * e.Src.PushPort(e.SrcPort))
 			}
 			for _, e := range n.In {
 				if e == nil {
@@ -302,8 +374,8 @@ func (me *MappedEngine) planWorkers() {
 				if l == nil && me.localWorker(me.Assign[e.Src.ID]) {
 					continue // both ends on this worker
 				}
-				in := swpIn{e: e, l: l, q: me.queues[e.ID], srcStage: int64(sw.levels[e.Src.ID]) * sw.batch}
-				if in.srcStage == sp.stage {
+				in := swpIn{e: e, l: l, q: me.queues[e.ID], srcLevel: sw.levels[e.Src.ID]}
+				if in.srcLevel == sp.level {
 					sp.pre = append(sp.pre, in)
 				} else {
 					pl.post = append(pl.post, in)
@@ -314,15 +386,15 @@ func (me *MappedEngine) planWorkers() {
 	}
 }
 
-// runWorker drives one worker through cycles macro-cycles of the current
-// epoch — the one run loop of every plan. Per cycle: for each gated step,
-// receive the same-stage producer flushes due this cycle, fire the step
-// once, and flush its staged cross-worker output at batch boundaries; then
-// receive every stage-advancing producer flush scheduled for this cycle
-// index.
+// runWorker drives one worker through cycles cycles of the current epoch —
+// the one run loop of every plan. A cycle covers k logical iterations (k =
+// 1 but on a zero-skew plan's blocks); per cycle: for each gated step,
+// receive the same-stage producer flushes due this cycle, fire the step's k
+// iterations, and flush its staged cross-worker output at batch boundaries;
+// then receive every stage-advancing producer flush scheduled for this
+// cycle index.
 func (me *MappedEngine) runWorker(w, lane, cycles int) (err error) {
 	sw, pl := me.swp, me.plans[w]
-	K := sw.batch
 	var cur *nodeRT // the node currently firing or flushing, for fault attribution
 	defer func() {
 		if r := recover(); r != nil {
@@ -333,8 +405,10 @@ func (me *MappedEngine) runWorker(w, lane, cycles int) (err error) {
 			err = blame(r, cur, fmt.Sprintf("worker %d", w))
 		}
 	}()
-	for it := 0; it < cycles; it++ {
-		t := me.iter + int64(it)
+	for done := 0; done < cycles; {
+		t := me.iter + int64(done)
+		k := sw.span(t, cycles-done)
+		done += int(k)
 		if me.sup != nil {
 			if wf, ok := me.sup.takeWorker(w, t); ok {
 				if err := me.workerFault(w, lane, t, wf); err != nil {
@@ -346,13 +420,13 @@ func (me *MappedEngine) runWorker(w, lane, cycles int) (err error) {
 		if me.rec != nil {
 			t0 = me.rec.Stamp()
 		}
+		sw.tick(pl.clock, t, k)
 		for _, sp := range pl.steps {
-			fi := t - sp.stage + 1
-			if fi < 1 || fi > sw.segIters {
+			c := &pl.clock[sp.level]
+			if !c.gated {
 				continue
 			}
-			due := sw.flushDue(fi)
-			if due {
+			if c.ship > 0 {
 				for _, in := range sp.pre {
 					if err := me.recvEdge(in); err != nil {
 						return err
@@ -360,10 +434,10 @@ func (me *MappedEngine) runWorker(w, lane, cycles int) (err error) {
 				}
 			}
 			if sp.cluster {
-				// Every member's one logical iteration, interleaved at
-				// firing granularity.
+				// Every member's k logical iterations, interleaved at firing
+				// granularity.
 				for i, rt := range sp.nodes {
-					sp.goal[i] = me.initFired[rt.node.ID] + (sw.base+fi)*int64(me.Sch.Reps[rt.node.ID])
+					sp.goal[i] = me.initFired[rt.node.ID] + (sw.base+c.fi+k-1)*int64(me.Sch.Reps[rt.node.ID])
 				}
 				fired, err := me.dataDriven(sp.nodes, sp.goal, "steady-state", &cur)
 				me.live.progress.Add(fired)
@@ -371,19 +445,16 @@ func (me *MappedEngine) runWorker(w, lane, cycles int) (err error) {
 					return err
 				}
 			} else {
-				// A singleton's one logical iteration: reps firings.
 				cur = sp.nodes[0]
-				for r := me.Sch.Reps[cur.node.ID]; r > 0; r-- {
-					if err := me.fire(cur); err != nil {
-						return err
-					}
-					me.live.progress.Add(1)
+				if err := me.fireIters(sp, sw.base+c.fi, k); err != nil {
+					return err
 				}
+				me.live.progress.Add(int64(me.Sch.Reps[cur.node.ID]) * k)
 			}
-			if due {
+			if c.ship > 0 {
 				for _, rt := range sp.nodes {
 					cur = rt
-					if err := me.flush(rt, (fi-1)%K+1); err != nil {
+					if err := me.flush(rt, c.ship); err != nil {
 						return err
 					}
 				}
@@ -391,7 +462,7 @@ func (me *MappedEngine) runWorker(w, lane, cycles int) (err error) {
 			cur = nil
 		}
 		for _, in := range pl.post {
-			if sw.flushDue(t - in.srcStage + 1) {
+			if pl.clock[in.srcLevel].ship > 0 {
 				if err := me.recvEdge(in); err != nil {
 					return err
 				}
@@ -400,6 +471,35 @@ func (me *MappedEngine) runWorker(w, lane, cycles int) (err error) {
 		if me.rec != nil {
 			end := me.rec.Stamp()
 			me.rec.Slice(lane, fmt.Sprintf("worker %d", w), "cycle", t0, end)
+		}
+	}
+	return nil
+}
+
+// fireIters fires a singleton step's k logical iterations from steady
+// iteration from (1-based): reps firings each. Over more than one
+// iteration a filter's input ring is held, per iteration, to what a
+// sequential run buffers there (swpStep.in).
+func (me *MappedEngine) fireIters(sp *swpStep, from, k int64) error {
+	rt := sp.nodes[0]
+	reps := int64(me.Sch.Reps[rt.node.ID])
+	in := sp.in
+	if in == nil || k == 1 {
+		for r := reps * k; r > 0; r-- {
+			if err := me.fire(rt); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	top := in.pushed
+	defer func() { in.pushed = top }()
+	for T := from; T < from+k; T++ {
+		in.pushed = min(top, sp.inBase+T*sp.inPer)
+		for r := reps; r > 0; r-- {
+			if err := me.fire(rt); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
