@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"streamit/internal/apps"
+	"streamit/internal/wfunc"
 )
 
 // BenchmarkEngineFMRadio measures sequential-runtime throughput on the FM
@@ -44,7 +45,7 @@ func BenchmarkEngineTeleport(b *testing.B) {
 
 // BenchmarkChannelOps measures the ring buffer.
 func BenchmarkChannelOps(b *testing.B) {
-	ch := newChannel(64)
+	ch := wfunc.NewRing(64)
 	for i := 0; i < 32; i++ {
 		ch.Push(float64(i))
 	}

@@ -373,8 +373,8 @@ func (e *Engine) WriteCheckpoint(w io.Writer, iteration int64) error {
 		img.nodes[i] = ckptNode{fired: rt.fired, state: rt.state}
 	}
 	for i, ch := range e.chans {
-		items, more := ch.stretches()
-		img.edges[i] = ckptEdge{pushed: ch.pushed, popped: ch.popped, items: items, more: more}
+		items, more := ch.Stretches()
+		img.edges[i] = ckptEdge{pushed: ch.Pushed, popped: ch.Popped, items: items, more: more}
 	}
 	_, err := w.Write(encodeImage(spare(w), e.fp, img))
 	return err
@@ -404,7 +404,7 @@ func (e *Engine) RestoreCheckpoint(data []byte) (int64, error) {
 	for i, ie := range img.edges {
 		// Refill the existing ring, at the image's positions: filters are
 		// bound to it.
-		e.chans[i].fill(ie.popped, ie.items)
+		e.chans[i].Fill(ie.popped, ie.items)
 	}
 	copy(e.pending, img.pending)
 	e.Firings = img.firings

@@ -23,8 +23,8 @@ type DynamicEngine struct {
 	ChanCap int
 
 	e     *Engine
-	order []*nodeRT  // topological
-	sinks []*channel // the sinks' input rings
+	order []*nodeRT     // topological
+	sinks []*wfunc.Ring // the sinks' input rings
 	// wait[n.ID] is the input count (its pushed) a dynamic-rate filter that
 	// ran its input dry waits for; fields[n.ID] holds its fields during an
 	// attempt, when its work writes them.
@@ -79,7 +79,7 @@ func (d *DynamicEngine) SinkItems() int64 { return d.popped }
 
 func (d *DynamicEngine) consumed() (n int64) {
 	for _, c := range d.sinks {
-		n += c.popped
+		n += c.Popped
 	}
 	return n
 }
@@ -119,11 +119,11 @@ func (d *DynamicEngine) blocker(n *ir.Node) (e *ir.Edge, full bool) {
 	if e := d.starved(n); e != nil {
 		return e, false
 	}
-	if in := n.InEdge(); in != nil && d.e.chans[in.ID].pushed < d.wait[n.ID] {
+	if in := n.InEdge(); in != nil && d.e.chans[in.ID].Pushed < d.wait[n.ID] {
 		return in, false
 	}
 	for _, e := range n.Out {
-		if c := d.e.chans[e.ID]; c.Len() >= d.ChanCap && c.pushed >= d.wait[e.Dst.ID] {
+		if c := d.e.chans[e.ID]; c.Len() >= d.ChanCap && c.Pushed >= d.wait[e.Dst.ID] {
 			return e, true
 		}
 	}
@@ -145,12 +145,12 @@ func (d *DynamicEngine) attempt(rt *nodeRT) error {
 	restore := d.savePoint(rt, d.fields[n.ID])
 	defer func() {
 		if r := recover(); r != nil {
-			f, short := r.(tapeFault)
-			if !short || f.short == 0 {
+			f, short := r.(wfunc.TapeFault)
+			if !short || f.Short == 0 {
 				panic(r)
 			}
 			restore()
-			d.wait[n.ID] = d.e.chans[n.InEdge().ID].pushed + int64(f.short)
+			d.wait[n.ID] = d.e.chans[n.InEdge().ID].Pushed + int64(f.Short)
 			traceRecovery(d.rec, n.ID, n.Name, "rewind")
 		}
 	}()

@@ -259,9 +259,9 @@ func TestDynamicUnderflowMidFiring(t *testing.T) {
 			// hold, which the rewinds put back.
 			rt := d.nodes[1]
 			for _, p := range d.Profile().Snapshot() {
-				if strings.HasPrefix(p.Name, "Unpack") && (p.Firings != rt.fired || p.Popped != rt.in.popped || p.Pushed != rt.out.pushed) {
+				if strings.HasPrefix(p.Name, "Unpack") && (p.Firings != rt.fired || p.Popped != rt.in.Popped || p.Pushed != rt.out.Pushed) {
 					t.Fatalf("profile counts %d firings, %d pops, %d pushes; the engine %d, its rings %d and %d",
-						p.Firings, p.Popped, p.Pushed, rt.fired, rt.in.popped, rt.out.pushed)
+						p.Firings, p.Popped, p.Pushed, rt.fired, rt.in.Popped, rt.out.Pushed)
 				}
 			}
 		})
@@ -289,12 +289,12 @@ func TestDynamicUnderflowMidFiring(t *testing.T) {
 		attempts, completed := 0, int64(0)
 		dry, pushedAt := false, int64(0)
 		f.WorkFn = func(in, out wfunc.Tape, _ *wfunc.State) {
-			ring := in.(*channel)
-			if dry && ring.pushed <= pushedAt {
-				t.Errorf("attempt %d follows a rewound one with no new input (%d items pushed)", attempts, ring.pushed)
+			ring := in.(*wfunc.Ring)
+			if dry && ring.Pushed <= pushedAt {
+				t.Errorf("attempt %d follows a rewound one with no new input (%d items pushed)", attempts, ring.Pushed)
 			}
 			attempts++
-			dry, pushedAt = true, ring.pushed
+			dry, pushedAt = true, ring.Pushed
 			k := in.Pop()
 			for i := 0; i < int(k); i++ {
 				out.Push(in.Pop()*2 + k)

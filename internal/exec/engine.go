@@ -1,3 +1,15 @@
+// Package exec runs flattened StreamIt graphs. Two engines — the
+// sequential engine (the oracle, with teleport messaging and MAX_LATENCY
+// constraints on the schedule) and the mapped engine (worker goroutines
+// over batched queues, every parallel plan) — fire their nodes through one
+// firing core (fire.go): filters run their IL work functions (or native Go
+// kernels), splitters and joiners route values, and teleport messages are
+// delivered at the tape positions dictated by the information-wavefront
+// semantics. Every edge is a wfunc.Ring, the one storage tape: the engines
+// own only the placement of their rings, their progress counting and their
+// outer loops. Programs with data-dependent rates run on the sequential
+// engine built without a schedule, under a data-driven loop of their own
+// (DynamicEngine).
 package exec
 
 import (
@@ -20,7 +32,7 @@ type Engine struct {
 	// core holds the node records, the supervisor and the observability
 	// hooks, and fires every node.
 	core
-	chans []*channel
+	chans []*wfunc.Ring
 	// fp is the graph fingerprint every image is written and checked under.
 	fp uint64
 
@@ -243,10 +255,10 @@ func (e *Engine) runDataDriven(reps []int, iters int, phase string) error {
 }
 
 // inRing implements coreHost: an edge is one ring, read by its consumer.
-func (e *Engine) inRing(edge *ir.Edge) *channel { return e.chans[edge.ID] }
+func (e *Engine) inRing(edge *ir.Edge) *wfunc.Ring { return e.chans[edge.ID] }
 
 // outRing implements coreHost: the same ring, written by its producer.
-func (e *Engine) outRing(edge *ir.Edge) *channel { return e.chans[edge.ID] }
+func (e *Engine) outRing(edge *ir.Edge) *wfunc.Ring { return e.chans[edge.ID] }
 
 // park implements coreHost. The engine is single-threaded, with no
 // watchdog to notice a wedged filter, so it never parks: an injected stall

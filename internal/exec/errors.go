@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"time"
+
+	"streamit/internal/wfunc"
 )
 
 // ExecError is a structured runtime failure of one node firing. Tape
@@ -29,27 +31,15 @@ func (e *ExecError) Error() string {
 // Unwrap exposes the underlying cause to errors.Is/As.
 func (e *ExecError) Unwrap() error { return e.Err }
 
-// tapeFault is the panic payload of channel/tape misuse. It carries the
-// operation so the recover site (which knows the firing node) can build a
-// full ExecError; the tape itself does not know who is using it. short is
-// how many more items an underflow needed (0 for other misuse), which the
-// dynamic engine waits for before a dynamic-rate filter's next attempt.
-type tapeFault struct {
-	op     string
-	detail string
-	short  int
-}
-
-func (f tapeFault) Error() string { return fmt.Sprintf("%s: %s", f.op, f.detail) }
-
 // asExecError converts a recovered panic value into an *ExecError carrying
-// the node and firing context.
+// the node and firing context: a ring's wfunc.TapeFault keeps its
+// operation, anything else is the work's fault.
 func asExecError(filter string, firing int64, r any) *ExecError {
 	switch r := r.(type) {
 	case *ExecError:
 		return r
-	case tapeFault:
-		return &ExecError{Filter: filter, Op: r.op, Iteration: firing, Err: fmt.Errorf("%s", r.detail)}
+	case wfunc.TapeFault:
+		return &ExecError{Filter: filter, Op: r.Op, Iteration: firing, Err: fmt.Errorf("%s", r.Detail)}
 	case error:
 		return &ExecError{Filter: filter, Op: "work", Iteration: firing, Err: r}
 	default:

@@ -47,7 +47,7 @@ type nodeRT struct {
 	// in and out are a filter's rings, nil where it has no such edge; tin
 	// and tout are the same rings as the tapes its work runs on — nil
 	// interfaces where there is no ring, which the backends test for.
-	in, out   *channel
+	in, out   *wfunc.Ring
 	tin, tout wfunc.Tape
 }
 
@@ -55,8 +55,8 @@ type nodeRT struct {
 type coreHost interface {
 	// inRing and outRing are edge e's ring at its consumer's and at its
 	// producer's end.
-	inRing(e *ir.Edge) *channel
-	outRing(e *ir.Edge) *channel
+	inRing(e *ir.Edge) *wfunc.Ring
+	outRing(e *ir.Edge) *wfunc.Ring
 	// park is an injected stall under the fail policy: block like a wedged
 	// kernel until the watchdog aborts the run, then unwind. An engine with
 	// no watchdog returns nil, and the stall is reported synchronously.
@@ -111,10 +111,10 @@ type ringMark struct{ popped, pushed int64 }
 
 func (rt *nodeRT) mark() (m ringMark) {
 	if rt.in != nil {
-		m.popped = rt.in.popped
+		m.popped = rt.in.Popped
 	}
 	if rt.out != nil {
-		m.pushed = rt.out.pushed
+		m.pushed = rt.out.Pushed
 	}
 	return m
 }
@@ -134,10 +134,10 @@ func (c *core) savePoint(rt *nodeRT, keep *wfunc.State) (restore func()) {
 	}
 	return func() {
 		if rt.in != nil {
-			rt.in.popped = at.popped
+			rt.in.Popped = at.popped
 		}
 		if rt.out != nil {
-			rt.out.pushed = at.pushed
+			rt.out.Pushed = at.pushed
 		}
 		if rt.msg != nil {
 			c.msgs.rewind(sent)
@@ -228,24 +228,24 @@ func (c *core) watched(rt *nodeRT) error {
 func (rt *nodeRT) committed(at ringMark) {
 	in, out := rt.in, rt.out
 	if rt.tap != nil {
-		for k := at.popped; k < in.popped; k++ {
-			rt.tap(in.buf[int(k)&in.mask])
+		for k := at.popped; k < in.Popped; k++ {
+			rt.tap(*in.At(k))
 		}
 	}
 	if rt.corrupt {
 		rt.corrupt = false
-		for k := at.pushed; out != nil && k < out.pushed; k++ {
-			out.buf[int(k)&out.mask] = faults.CorruptValue
+		for k := at.pushed; out != nil && k < out.Pushed; k++ {
+			*out.At(k) = faults.CorruptValue
 		}
 	}
 	if st := rt.pst; st != nil {
 		st.AddFiring()
 		if in != nil {
-			st.AddPops(in.popped - at.popped)
+			st.AddPops(in.Popped - at.popped)
 			st.AddPeeks(int64(rt.node.Filter.Kernel.Peek))
 		}
 		if out != nil {
-			st.AddPushes(out.pushed - at.pushed)
+			st.AddPushes(out.Pushed - at.pushed)
 			st.NoteOccupancy(int64(out.Len()))
 		}
 	}
@@ -390,10 +390,10 @@ func (c *core) starved(n *ir.Node) *ir.Edge {
 // rewinds it with the ring.
 func (c *core) tapeProgress(n *ir.Node) int64 {
 	if e := n.OutEdge(); e != nil {
-		return c.eng.outRing(e).pushed
+		return c.eng.outRing(e).Pushed
 	}
 	if e := n.InEdge(); e != nil {
-		return c.eng.inRing(e).popped
+		return c.eng.inRing(e).Popped
 	}
 	return 0
 }

@@ -17,11 +17,11 @@ import (
 
 // ringHost is a coreHost over one ring per edge, read and written alike:
 // its positions count the traffic.
-type ringHost []*channel
+type ringHost []*wfunc.Ring
 
-func (h ringHost) inRing(e *ir.Edge) *channel  { return h[e.ID] }
-func (h ringHost) outRing(e *ir.Edge) *channel { return h[e.ID] }
-func (h ringHost) park(*nodeRT) error          { return nil }
+func (h ringHost) inRing(e *ir.Edge) *wfunc.Ring  { return h[e.ID] }
+func (h ringHost) outRing(e *ir.Edge) *wfunc.Ring { return h[e.ID] }
+func (h ringHost) park(*nodeRT) error             { return nil }
 
 // TestSJCountsMatchRoute pins sjCounts, the profile's arithmetic, to the
 // traffic the one routing body actually moves. Every engine's split/join
@@ -48,7 +48,7 @@ func TestSJCountsMatchRoute(t *testing.T) {
 			const preload = 64
 			host := make(ringHost, 4)
 			for i := range host {
-				host[i] = newChannel(0)
+				host[i] = wfunc.NewRing(0)
 				host[i].Append(make([]float64, preload))
 			}
 			prof := obs.NewProfiler([]string{"sj"})
@@ -62,8 +62,8 @@ func TestSJCountsMatchRoute(t *testing.T) {
 			}
 			var pops, pushes int64
 			for _, r := range host {
-				pops += r.popped
-				pushes += r.pushed - preload
+				pops += r.Popped
+				pushes += r.Pushed - preload
 			}
 			wantPops, wantPushes := sjCounts(tc.node)
 			if pops != firings*wantPops || pushes != firings*wantPushes {

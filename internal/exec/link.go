@@ -1,6 +1,10 @@
 package exec
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"streamit/internal/wfunc"
+)
 
 // link is a cross-worker edge inside one process: a single-producer
 // single-consumer ring of batch slots, each owning its storage. The
@@ -66,7 +70,7 @@ func (l *link) feed(s int) {
 
 // send fills the free slot at tail with exactly k items taken from stage
 // (Take's rate check) and publishes it. The side must be ready.
-func (l *link) send(stage *channel, k int) {
+func (l *link) send(stage *wfunc.Ring, k int) {
 	slot := &l.slots[l.tail.Load()%uint64(len(l.slots))]
 	*slot = stage.Take(*slot, k)
 	if l.tail.Add(1); l.waiting[sideRecv].CompareAndSwap(true, false) {
@@ -76,7 +80,7 @@ func (l *link) send(stage *channel, k int) {
 
 // recv appends the oldest published slot to q and releases it. The side
 // must be ready.
-func (l *link) recv(q *channel) {
+func (l *link) recv(q *wfunc.Ring) {
 	q.Append(l.slots[l.head.Load()%uint64(len(l.slots))])
 	if l.head.Add(1); l.waiting[sideSend].CompareAndSwap(true, false) {
 		l.feed(sideSend)

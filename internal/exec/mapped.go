@@ -136,8 +136,8 @@ type MappedEngine struct {
 	// Steady-state topology, built at construction and by every re-plan:
 	// per-edge consumer rings, and for cross-worker edges a producer
 	// staging ring and, within this process, the link.
-	queues []*channel
-	stage  []*channel
+	queues []*wfunc.Ring
+	stage  []*wfunc.Ring
 	links  []*link
 
 	// Checkpoint bookkeeping: ready marks a completed setup or restore,
@@ -394,7 +394,7 @@ func (me *MappedEngine) capture() error {
 		}
 	}
 	for _, e := range me.G.Edges {
-		a, b := seq.chans[e.ID].stretches()
+		a, b := seq.chans[e.ID].Stretches()
 		p.items[e.ID] = append(append(make([]float64, 0, len(a)+len(b)), a...), b...)
 	}
 	p.pending = seq.pending
@@ -430,9 +430,9 @@ func copyState(dst, src *wfunc.State) {
 // the link (if any) empty, whatever an aborted epoch left in it.
 func (me *MappedEngine) refill(e *ir.Edge, pushed int64, queued, staged []float64) {
 	at := pushed - int64(len(staged))
-	me.queues[e.ID].fill(at-int64(len(queued)), queued)
+	me.queues[e.ID].Fill(at-int64(len(queued)), queued)
 	if st := me.stage[e.ID]; st != nil {
-		st.fill(at, staged)
+		st.Fill(at, staged)
 	}
 	if l := me.links[e.ID]; l != nil {
 		l.reset()
@@ -455,16 +455,16 @@ func (me *MappedEngine) buildTopology() error {
 		}
 		me.order[w] = append(me.order[w], n)
 	}
-	me.queues = make([]*channel, len(me.G.Edges))
-	me.stage = make([]*channel, len(me.G.Edges))
+	me.queues = make([]*wfunc.Ring, len(me.G.Edges))
+	me.stage = make([]*wfunc.Ring, len(me.G.Edges))
 	me.links = make([]*link, len(me.G.Edges))
 	for _, e := range me.G.Edges {
-		me.queues[e.ID] = newChannel(0)
+		me.queues[e.ID] = wfunc.NewRing(0)
 		srcLocal, dstLocal := me.localWorker(me.Assign[e.Src.ID]), me.localWorker(me.Assign[e.Dst.ID])
 		switch {
 		case srcLocal && dstLocal:
 			if me.Assign[e.Src.ID] != me.Assign[e.Dst.ID] {
-				me.stage[e.ID] = newChannel(0)
+				me.stage[e.ID] = wfunc.NewRing(0)
 				me.links[e.ID] = newLink(me.Depth, &me.halted)
 			}
 		case srcLocal || dstLocal:
@@ -474,7 +474,7 @@ func (me *MappedEngine) buildTopology() error {
 				return fmt.Errorf("exec: edge %s crosses the shard boundary but no remote transport is configured", e)
 			}
 			if srcLocal {
-				me.stage[e.ID] = newChannel(0)
+				me.stage[e.ID] = wfunc.NewRing(0)
 			}
 		}
 	}
@@ -811,12 +811,12 @@ func (me *MappedEngine) await(e *ir.Edge, s, buffered int) error {
 }
 
 // inRing implements coreHost: an edge's consumer reads its consumer ring.
-func (me *MappedEngine) inRing(e *ir.Edge) *channel { return me.queues[e.ID] }
+func (me *MappedEngine) inRing(e *ir.Edge) *wfunc.Ring { return me.queues[e.ID] }
 
 // outRing implements coreHost: where an edge's producer pushes — the
 // consumer ring itself on a same-worker edge, else the staging ring flushed
 // into batches.
-func (me *MappedEngine) outRing(e *ir.Edge) *channel {
+func (me *MappedEngine) outRing(e *ir.Edge) *wfunc.Ring {
 	if st := me.stage[e.ID]; st != nil {
 		return st
 	}

@@ -60,10 +60,10 @@ func initCounts(g *ir.Graph, s *sched.Schedule) (fired, pushed []int64) {
 // consumer ring's, then any unflushed staging residue (the newest stretch
 // of the edge's content).
 func (me *MappedEngine) edgeItems(dst []float64, e *ir.Edge) []float64 {
-	a, b := me.queues[e.ID].stretches()
+	a, b := me.queues[e.ID].Stretches()
 	dst = append(append(dst, a...), b...)
 	if st := me.stage[e.ID]; st != nil {
-		a, b = st.stretches()
+		a, b = st.Stretches()
 		dst = append(append(dst, a...), b...)
 	}
 	return dst
@@ -99,13 +99,13 @@ func (me *MappedEngine) image(iteration int64) *ckptImage {
 	}
 	for _, e := range me.G.Edges {
 		q := me.queues[e.ID]
-		ie := ckptEdge{pushed: me.outRing(e).pushed, popped: q.popped}
+		ie := ckptEdge{pushed: me.outRing(e).Pushed, popped: q.Popped}
 		if st := me.stage[e.ID]; st != nil && st.Len() > 0 {
 			// A skewed barrier mid-segment: the residue follows the queue.
 			me.gather[e.ID] = me.edgeItems(me.gather[e.ID][:0], e)
 			ie.items = me.gather[e.ID]
 		} else {
-			ie.items, ie.more = q.stretches()
+			ie.items, ie.more = q.Stretches()
 		}
 		img.edges[e.ID] = ie
 	}

@@ -8,6 +8,7 @@ import (
 
 	"streamit/internal/ir"
 	"streamit/internal/sched"
+	"streamit/internal/wfunc"
 )
 
 // The mapped engine's stage plan and the one worker loop that runs it.
@@ -312,7 +313,7 @@ type swpStep struct {
 	// filter fires its T-th. A cycle of several iterations holds the ring to
 	// that per iteration, so a firing that pops past its iteration's share
 	// fails at the firing it fails at under the sequential engine.
-	in            *channel
+	in            *wfunc.Ring
 	inBase, inPer int64
 }
 
@@ -321,7 +322,7 @@ type swpStep struct {
 type swpIn struct {
 	e        *ir.Edge
 	l        *link
-	q        *channel
+	q        *wfunc.Ring
 	srcLevel int
 }
 
@@ -492,10 +493,10 @@ func (me *MappedEngine) fireIters(sp *swpStep, from, k int64) error {
 		}
 		return nil
 	}
-	top := in.pushed
-	defer func() { in.pushed = top }()
+	top := in.Pushed
+	defer func() { in.Pushed = top }()
 	for T := from; T < from+k; T++ {
-		in.pushed = min(top, sp.inBase+T*sp.inPer)
+		in.Pushed = min(top, sp.inBase+T*sp.inPer)
 		for r := reps; r > 0; r-- {
 			if err := me.fire(rt); err != nil {
 				return err

@@ -132,7 +132,7 @@ func (sh *Shared) NewEngine(opts Options) (*Engine, error) {
 		Sch:     sh.Sch,
 		Backend: sh.Backend,
 		fp:      sh.fp,
-		chans:   make([]*channel, len(sh.G.Edges)),
+		chans:   make([]*wfunc.Ring, len(sh.G.Edges)),
 		dynamic: sh.dynamic,
 		teleport: teleport{g: sh.G, sch: sh.Sch, constraints: sh.constraints,
 			pending: make([][]*message, len(sh.G.Nodes))},
@@ -140,7 +140,7 @@ func (sh *Shared) NewEngine(opts Options) (*Engine, error) {
 	e.core = core{eng: e, nodes: make([]*nodeRT, len(sh.G.Nodes)), msgs: &e.teleport}
 	e.host = &e.core
 	for _, edge := range sh.G.Edges {
-		ch := newChannel(sh.ringCap[edge.ID])
+		ch := wfunc.NewRing(sh.ringCap[edge.ID])
 		for _, v := range edge.Initial {
 			ch.Push(v)
 		}

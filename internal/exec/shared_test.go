@@ -147,7 +147,7 @@ func TestRingSizedToHighWaterMark(t *testing.T) {
 		for want < hwm {
 			want *= 2
 		}
-		if got := len(e.chans[edge.ID].buf); got != want {
+		if got := slots(e.chans[edge.ID]); got != want {
 			t.Fatalf("edge %d: ring capacity %d, want %d (HWM %d)", edge.ID, got, want, hwm)
 		}
 	}

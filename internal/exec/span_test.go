@@ -14,26 +14,31 @@ import (
 
 // spanOnly is a storage tape whose per-item reads are forbidden: a firing
 // over it completes only if every read went through a span instruction.
+// Its pushes, per item or through a write span, land in out.
 type spanOnly struct {
-	inner  wfunc.Window
-	pushed []float64
+	inner wfunc.Window
+	out   *wfunc.Ring
 }
 
 func (*spanOnly) Peek(int) float64 { panic("per-item peek: a span's guard failed") }
 func (*spanOnly) Pop() float64     { panic("per-item pop: a span's guard failed") }
-func (t *spanOnly) Push(v float64) { t.pushed = append(t.pushed, v) }
+func (t *spanOnly) Push(v float64) { t.out.Push(v) }
 
-func (t *spanOnly) Window() ([]float64, int, int, int) { return t.inner.Window() }
-func (t *spanOnly) Advance(pops int)                   { t.inner.Advance(pops) }
+func (t *spanOnly) Window() ([]float64, int, int, int)  { return t.inner.Window() }
+func (t *spanOnly) Advance(pops int)                    { t.inner.Advance(pops) }
+func (t *spanOnly) Reserve(n int) ([]float64, int, int) { return t.out.Reserve(n) }
+func (t *spanOnly) Commit(pushes int)                   { t.out.Commit(pushes) }
 
 // windowKernel reads the tape through span instructions only: an 8-tap
-// reduce over peeks, a 2-item reduce over pops, a 3-item drain.
+// reduce over peeks, an 8-trip map over peeks in reverse, a 2-item reduce
+// over pops, a 3-item drain.
 func windowKernel() *wfunc.Kernel {
-	kb := wfunc.NewKernel("window", 8, 5, 2)
+	kb := wfunc.NewKernel("window", 8, 5, 10)
 	w := kb.FieldArray("w", 8, 0.5, -1.25, 2, 0.75, -3, 1.5, 0.125, -0.625)
 	i, sum, head := kb.Local("i"), kb.Local("sum"), kb.Local("head")
 	kb.WorkBody(
 		wfunc.ForUp(i, wfunc.Ci(0), wfunc.Ci(8), wfunc.Set(sum, wfunc.AddX(sum, wfunc.MulX(wfunc.PeekX(i), wfunc.FIdx(w, i))))),
+		wfunc.ForUp(i, wfunc.Ci(0), wfunc.Ci(8), wfunc.Push1(wfunc.MulX(wfunc.PeekX(wfunc.SubX(wfunc.C(7), i)), wfunc.FIdx(w, i)))),
 		wfunc.ForUp(i, wfunc.Ci(0), wfunc.Ci(2), wfunc.Set(head, wfunc.AddX(head, wfunc.PopE()))),
 		wfunc.ForUp(i, wfunc.Ci(0), wfunc.Ci(3), wfunc.Pop1()),
 		wfunc.Push1(sum), wfunc.Push1(head),
@@ -44,23 +49,24 @@ func windowKernel() *wfunc.Kernel {
 // TestSpanWindowsOfStorageTapes fires a kernel of span instructions over
 // the one storage tape of the timed paths in states a straight run does
 // not reach — a ring whose window wraps the buffer's end, a ring that grew
-// while wrapped, its positions far from zero — and holds the result to the
-// interpreter's per-item reads of an identical ring.
+// while wrapped, its positions far from zero, an out ring whose write
+// reservation wraps and then grows — and holds the result to the
+// interpreter's per-item reads and pushes on identical rings.
 func TestSpanWindowsOfStorageTapes(t *testing.T) {
 	k := windowKernel()
 	prog, err := vm.Compile(k.Work)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r, d, m := prog.SpanCounts(); r != 2 || d != 1 || m != 0 {
-		t.Fatalf("span instructions reduce/drain/move = %d/%d/%d, want 2/1/0", r, d, m)
+	if r, d, m, mp := prog.SpanCounts(); r != 2 || d != 1 || m != 0 || mp != 1 {
+		t.Fatalf("span instructions reduce/drain/move/map = %d/%d/%d/%d, want 2/1/0/1", r, d, m, mp)
 	}
 	item := func(i int) float64 { return math.Sin(float64(i)*0.9) * 3 }
 
 	// wrapped: 16 slots, head at 12, 14 items buffered — two firings' worth,
 	// the first window lying over the ring's end.
-	wrapped := func() *channel {
-		c := newChannel(16)
+	wrapped := func() *wfunc.Ring {
+		c := wfunc.NewRing(16)
 		for i := 0; i < 12; i++ {
 			c.Push(0)
 			c.Pop()
@@ -68,39 +74,43 @@ func TestSpanWindowsOfStorageTapes(t *testing.T) {
 		for i := 0; i < 14; i++ {
 			c.Push(item(i))
 		}
-		if _, more := c.stretches(); len(more) == 0 {
-			t.Fatalf("the window does not wrap: popped %d, %d items, %d slots", c.popped, c.Len(), len(c.buf))
+		if _, more := c.Stretches(); len(more) == 0 {
+			t.Fatalf("the window does not wrap: popped %d, %d items, %d slots", c.Popped, c.Len(), slots(c))
 		}
 		return c
 	}
 	// grown: a 4-slot ring at position 1e9+3 holding three items that wrap,
 	// then an 11-item batch that grows it to 16 slots around them, each item
 	// staying at its position's slot — where the window wraps again.
-	grown := func() *channel {
-		c := newChannel(4)
-		c.fill(1e9+3, []float64{item(0), item(1), item(2)})
+	grown := func() *wfunc.Ring {
+		c := wfunc.NewRing(4)
+		c.Fill(1e9+3, []float64{item(0), item(1), item(2)})
 		batch := make([]float64, 11)
 		for i := range batch {
 			batch[i] = item(i + 3)
 		}
 		c.Append(batch)
-		if _, more := c.stretches(); len(c.buf) != 16 || len(more) == 0 {
-			t.Fatalf("the grown window does not wrap: %d slots, popped %d", len(c.buf), c.popped)
+		if _, more := c.Stretches(); slots(c) != 16 || len(more) == 0 {
+			t.Fatalf("the grown window does not wrap: %d slots, popped %d", slots(c), c.Popped)
 		}
 		return c
 	}
 
-	for name, mk := range map[string]func() *channel{
+	for name, mk := range map[string]func() *wfunc.Ring{
 		"channel wrapping the ring end": wrapped,
 		"channel grown while wrapped":   grown,
 	} {
 		t.Run(name, func(t *testing.T) {
-			ref, refOut := mk(), newChannel(0)
+			ref, refOut := mk(), wfunc.NewRing(0)
 			env := wfunc.NewEnv(k.Work)
 			env.State, env.In, env.Out = k.NewState(), ref, refOut
 
 			got := mk()
-			over := &spanOnly{inner: got}
+			// The out ring's write end sits 12 slots into 16, so the first
+			// firing's map reservation wraps the buffer's end and the second
+			// grows the ring while wrapped.
+			over := &spanOnly{inner: got, out: wfunc.NewRing(16)}
+			over.out.Fill(12, nil)
 			m := vm.NewMachine(prog)
 			m.SetState(k.NewState())
 			for firing := 0; firing < 2; firing++ {
@@ -115,13 +125,13 @@ func TestSpanWindowsOfStorageTapes(t *testing.T) {
 					t.Fatalf("firing %d: vm left %d items, interp %d", firing, got.Len(), ref.Len())
 				}
 			}
-			want := refOut.Take(nil, refOut.Len())
-			if len(over.pushed) != len(want) {
-				t.Fatalf("vm pushed %d items, interp %d", len(over.pushed), len(want))
+			want, pushed := refOut.Take(nil, refOut.Len()), over.out.Take(nil, over.out.Len())
+			if len(pushed) != len(want) {
+				t.Fatalf("vm pushed %d items, interp %d", len(pushed), len(want))
 			}
 			for i := range want {
-				if math.Float64bits(over.pushed[i]) != math.Float64bits(want[i]) {
-					t.Errorf("output %d: vm %v, interp %v", i, over.pushed[i], want[i])
+				if math.Float64bits(pushed[i]) != math.Float64bits(want[i]) {
+					t.Errorf("output %d: vm %v, interp %v", i, pushed[i], want[i])
 				}
 			}
 			for i := 0; i < ref.Len(); i++ {
@@ -129,8 +139,8 @@ func TestSpanWindowsOfStorageTapes(t *testing.T) {
 					t.Errorf("buffered item %d: vm %v, interp %v", i, got.Peek(i), ref.Peek(i))
 				}
 			}
-			if got.popped != ref.popped || got.pushed != ref.pushed {
-				t.Errorf("ring after the spans at %d..%d, interp's at %d..%d", got.popped, got.pushed, ref.popped, ref.pushed)
+			if got.Popped != ref.Popped || got.Pushed != ref.Pushed {
+				t.Errorf("ring after the spans at %d..%d, interp's at %d..%d", got.Popped, got.Pushed, ref.Popped, ref.Pushed)
 			}
 		})
 	}
@@ -151,7 +161,7 @@ func TestProfiledSpanCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	host := ringHost{newChannel(16), newChannel(0)}
+	host := ringHost{wfunc.NewRing(16), wfunc.NewRing(0)}
 	for i := 0; i < 9; i++ {
 		host[0].Push(float64(i))
 	}
@@ -166,8 +176,8 @@ func TestProfiledSpanCounts(t *testing.T) {
 	if err := (&core{eng: host}).fire(rt); err != nil {
 		t.Fatal(err)
 	}
-	if fp := prof.Snapshot()[0]; fp.Peeked != 8 || fp.Popped != 5 || fp.Pushed != 2 || host[0].Len() != 4 || host[1].Len() != 2 {
-		t.Fatalf("peeked/popped/pushed = %d/%d/%d with %d items left, want 8/5/2 with 4", fp.Peeked, fp.Popped, fp.Pushed, host[0].Len())
+	if fp := prof.Snapshot()[0]; fp.Peeked != 8 || fp.Popped != 5 || fp.Pushed != 10 || host[0].Len() != 4 || host[1].Len() != 10 {
+		t.Fatalf("peeked/popped/pushed = %d/%d/%d with %d items left, want 8/5/10 with 4", fp.Peeked, fp.Popped, fp.Pushed, host[0].Len())
 	}
 	if !reflect.DeepEqual(tapped, []float64{0, 1, 2, 3, 4}) {
 		t.Fatalf("the tap saw %v, want the five popped items", tapped)

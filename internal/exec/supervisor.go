@@ -344,7 +344,7 @@ func (s *supervisor) fire(c *core, rt *nodeRT) error {
 	attempt := func(corrupt bool) (err error) {
 		defer func() {
 			if r := recover(); r != nil {
-				if _, short := r.(tapeFault); short && n.Filter.Kernel.Dynamic {
+				if _, short := r.(wfunc.TapeFault); short && n.Filter.Kernel.Dynamic {
 					// A dynamic-rate filter ran its input dry: the dynamic
 					// engine rewinds the attempt, and retries the firing
 					// with the same fault.
@@ -423,7 +423,7 @@ func (s *supervisor) fire(c *core, rt *nodeRT) error {
 
 // skipFiring honors a filter's static rates without running its kernel:
 // pop-rate items are consumed and discarded, push-rate zeros emitted.
-func skipFiring(n *ir.Node, in, out *channel) {
+func skipFiring(n *ir.Node, in, out *wfunc.Ring) {
 	for i := 0; i < n.TotalPop(); i++ {
 		in.Pop()
 	}

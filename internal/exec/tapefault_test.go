@@ -112,7 +112,7 @@ func TestTakeUnderflowIsExecErrorPipelined(t *testing.T) {
 // converts into the same ExecError shape the engines report, and leaves
 // the ring as it was.
 func TestRingTakeGuard(t *testing.T) {
-	c := newChannel(0)
+	c := wfunc.NewRing(0)
 	c.Append([]float64{1, 2})
 	defer func() {
 		r := recover()
@@ -123,8 +123,8 @@ func TestRingTakeGuard(t *testing.T) {
 		if ee.Op != "take" || ee.Filter != "f" || ee.Iteration != 7 {
 			t.Fatalf("unexpected error shape: %v", ee)
 		}
-		if c.popped != 0 || c.pushed != 2 {
-			t.Fatalf("a refused take moved the ring to popped %d, pushed %d", c.popped, c.pushed)
+		if c.Popped != 0 || c.Pushed != 2 {
+			t.Fatalf("a refused take moved the ring to popped %d, pushed %d", c.Popped, c.Pushed)
 		}
 	}()
 	c.Take(nil, 5)

@@ -90,3 +90,9 @@ func (b *sliceBuffer) Write(p []byte) (int, error) {
 	*b = append(*b, p...)
 	return len(p), nil
 }
+
+// slots is a ring's capacity: the length of the storage its window lies in.
+func slots(r *wfunc.Ring) int {
+	buf, _, _, _ := r.Window()
+	return len(buf)
+}

@@ -76,12 +76,12 @@ type Session struct {
 	mu          sync.Mutex
 	eng         engineRunner
 	inited      bool
-	input       ringf // fed items awaiting consumption
-	output      ringf // produced items awaiting drain
-	goal        int64 // steady iterations requested
-	done        int64 // steady iterations completed
-	scheduled   bool  // true while queued or running on the pool
-	paused      int   // pause requests (checkpoint quiesce); >0 blocks dispatch
+	input       wfunc.Ring // fed items awaiting consumption
+	output      wfunc.Ring // produced items awaiting drain
+	goal        int64      // steady iterations requested
+	done        int64      // steady iterations completed
+	scheduled   bool       // true while queued or running on the pool
+	paused      int        // pause requests (checkpoint quiesce); >0 blocks dispatch
 	closed      bool
 	quarantined bool // terminal error counted in server quarantine stats
 	err         error
@@ -104,44 +104,6 @@ type engineRunner interface {
 	Profile() *obs.Profiler
 	WriteCheckpoint(w io.Writer, iteration int64) error
 	RestoreCheckpoint(data []byte) (int64, error)
-}
-
-// ringf is a growable float64 ring buffer (FIFO).
-type ringf struct {
-	buf  []float64
-	head int
-	size int
-}
-
-func (r *ringf) len() int { return r.size }
-
-func (r *ringf) push(v float64) {
-	if r.size == len(r.buf) {
-		next := make([]float64, max(8, 2*len(r.buf)))
-		for i := 0; i < r.size; i++ {
-			next[i] = r.buf[(r.head+i)%len(r.buf)]
-		}
-		r.buf = next
-		r.head = 0
-	}
-	r.buf[(r.head+r.size)%len(r.buf)] = v
-	r.size++
-}
-
-func (r *ringf) pop() float64 {
-	v := r.buf[r.head]
-	r.head = (r.head + 1) % len(r.buf)
-	r.size--
-	return v
-}
-
-// items copies the buffered values in FIFO order without consuming them.
-func (r *ringf) items() []float64 {
-	out := make([]float64, r.size)
-	for i := range out {
-		out[i] = r.buf[(r.head+i)%len(r.buf)]
-	}
-	return out
 }
 
 // Run requests n more steady-state iterations. Admission control bounds the
@@ -180,11 +142,9 @@ func (s *Session) Feed(vals []float64) (int, error) {
 	if s.opt.Source == "" {
 		return 0, fmt.Errorf("serve: session %d has no fed source", s.ID)
 	}
-	room := s.srv.cfg.MaxBufferedIn - s.input.len()
+	room := s.srv.cfg.MaxBufferedIn - s.input.Len()
 	n := min(room, len(vals))
-	for _, v := range vals[:n] {
-		s.input.push(v)
-	}
+	s.input.Append(vals[:n])
 	if n > 0 {
 		s.kickLocked()
 	}
@@ -197,17 +157,14 @@ func (s *Session) Feed(vals []float64) (int, error) {
 func (s *Session) Drain(max int) []float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := s.output.len()
+	n := s.output.Len()
 	if max > 0 && max < n {
 		n = max
 	}
 	if n == 0 {
 		return nil
 	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = s.output.pop()
-	}
+	out := s.output.Take(nil, n)
 	s.kickLocked()
 	return out
 }
@@ -216,7 +173,7 @@ func (s *Session) Drain(max int) []float64 {
 func (s *Session) Buffered() (in, out int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.input.len(), s.output.len()
+	return s.input.Len(), s.output.Len()
 }
 
 // Progress reports completed and requested steady iterations.
@@ -327,7 +284,7 @@ func (s *Session) dispatchableLocked() int {
 	}
 	k := int(pending)
 	if s.opt.Source != "" {
-		avail := s.input.len()
+		avail := s.input.Len()
 		if !s.inited {
 			avail -= s.inPerInit
 		}
@@ -338,7 +295,7 @@ func (s *Session) dispatchableLocked() int {
 		}
 	}
 	if s.ver.outPerIter > 0 {
-		room := s.srv.cfg.MaxBufferedOut - s.output.len()
+		room := s.srv.cfg.MaxBufferedOut - s.output.Len()
 		if !s.inited {
 			room -= s.ver.outPerInit
 		}
@@ -379,10 +336,8 @@ func (s *Session) runBatch() bool {
 	if err != nil {
 		s.failLocked(err)
 	}
-	if !s.closed && len(s.stageOut) > 0 {
-		for _, v := range s.stageOut {
-			s.output.push(v)
-		}
+	if !s.closed {
+		s.output.Append(s.stageOut)
 	}
 	s.stageOut = s.stageOut[:0]
 	s.done += int64(completed)
@@ -428,10 +383,7 @@ func (s *Session) beginBatch() (k int, runInit bool, ok bool) {
 			if runInit {
 				want += s.inPerInit
 			}
-			s.stage = s.stage[:0]
-			for i := 0; i < want; i++ {
-				s.stage = append(s.stage, s.input.pop())
-			}
+			s.stage = s.input.Take(s.stage, want)
 			s.stagePos = 0
 		}
 	}()

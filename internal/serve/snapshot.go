@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"streamit/internal/faults"
+	"streamit/internal/wfunc"
 	"streamit/internal/wire"
 )
 
@@ -75,8 +76,8 @@ func (s *Session) Checkpoint(w io.Writer) error {
 	e.Bool(s.inited)
 	e.I64(s.goal)
 	e.I64(s.done)
-	e.Floats(s.input.items())
-	e.Floats(s.output.items())
+	e.Floats(ringItems(&s.input))
+	e.Floats(ringItems(&s.output))
 	e.Bytes(eng.Bytes())
 	_, err := w.Write(e)
 	return err
@@ -331,12 +332,8 @@ func (srv *Server) restoreSession(data []byte) error {
 	}
 	s.inited = img.inited
 	s.goal, s.done = img.goal, img.done
-	for _, v := range img.input {
-		s.input.push(v)
-	}
-	for _, v := range img.output {
-		s.output.push(v)
-	}
+	s.input.Append(img.input)
+	s.output.Append(img.output)
 
 	srv.mu.Lock()
 	if _, dup := srv.sessions[s.ID]; dup {
@@ -363,4 +360,11 @@ func (srv *Server) restoreSession(data []byte) error {
 	s.kickLocked() // resume any iterations that were still owed
 	s.mu.Unlock()
 	return nil
+}
+
+// ringItems copies a ring's buffered items, in order, without consuming
+// them.
+func ringItems(r *wfunc.Ring) []float64 {
+	a, b := r.Stretches()
+	return append(append(make([]float64, 0, len(a)+len(b)), a...), b...)
 }

@@ -245,10 +245,11 @@ func TestStagingPanicContainment(t *testing.T) {
 		t.Fatalf("NewSession: %v", err)
 	}
 	// Corrupt the invariant staging relies on: make the input ring lie
-	// about its depth. dispatchableLocked sees 4 items, pop() finds none
-	// and panics inside beginBatch while s.mu is held.
+	// about its depth. dispatchableLocked sees 4 items, the ring has no
+	// storage behind them, and staging panics inside beginBatch while s.mu
+	// is held.
 	s.mu.Lock()
-	s.input.size = 4
+	s.input.Pushed += 4
 	s.mu.Unlock()
 	if err := s.Run(2); err != nil {
 		t.Fatalf("Run: %v", err)

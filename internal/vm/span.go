@@ -9,22 +9,29 @@ import (
 // Span instructions. Rates are static, so the items a counted loop touches
 // are known when it is entered. For a closed family of loops
 //
-//	for v = From; v < Const; v += 1 { one statement }
+//	for v = From; v < Const; v += 1 { body }
 //
 // the compiler puts one opSpan in front of the loop's ordinary bytecode:
 //
 //	reduce  acc = acc + a[v+p] * b[v+q]    acc = acc + a[v+p]
 //	drain   pop()
 //	move    a[v+p] = b[v+q]
+//	map     push(E); t = E; ...            straight-line, E pure
 //
 // A reduce operand is a peek, a pop(), a field array or a local array; a
 // move goes between arrays. p and q are loop-invariant and cannot fault:
 // constants and other locals under + - *, evaluated once on loop entry.
+// A map body is push statements and assignments to body locals, over
+// expressions that read peeks, arrays, fields, constants, the loop
+// variable and locals the loop does not assign, under any operator; a body
+// local must be assigned in a trip before it is read there (map.go).
 //
-// At run time the instruction checks, once, that every access of the whole
-// loop is in range. If so it runs the loop natively over the spans, leaves
-// the loop variable at its exit value and jumps past the loop. If not it
-// changes nothing and falls into the generic loop, which raises the fault
+// At run time the instruction checks that every access of the whole loop
+// is in range — once on entry for the first three, at each read for a map,
+// whose pushes stay uncommitted in the out tape's reservation until every
+// trip has succeeded. If so it has run the loop natively, leaves the loop
+// variable at its exit value and jumps past the loop. If not it has
+// changed nothing and falls into the generic loop, which raises the fault
 // the interpreter raises, at the iteration it raises it.
 
 type spanKind uint8
@@ -33,6 +40,7 @@ const (
 	spanReduce spanKind = iota
 	spanDrain
 	spanMove
+	spanMap
 )
 
 type opndKind uint8
@@ -58,8 +66,8 @@ type spanOperand struct {
 // operands wide).
 type spanInstr struct {
 	kind spanKind
-	// peeks and pops are the tape operations of one trip; a span with
-	// neither never looks at the tape.
+	// peeks and pops are the tape operations of one trip (a map's peeks is
+	// 1 when it peeks at all); a span with neither never reads the tape.
 	peeks, pops uint8
 	v           int32 // loop variable
 	acc         int32 // reduce: the accumulator local
@@ -69,6 +77,8 @@ type spanInstr struct {
 	// reduce: the factors in the IL's order (the second opndNone for a
 	// plain sum). move: destination and source.
 	opnd [2]spanOperand
+	// map: the expression program (map.go).
+	mapped *mapProg
 }
 
 // spanLimit bounds a span's start, bound and offsets, so that the
@@ -78,7 +88,7 @@ const spanLimit = 1 << 30
 
 // SpanCounts returns the number of span instructions in the program by
 // kind, so tests can pin which loops the compiler recognises.
-func (p *Program) SpanCounts() (reduce, drain, move int) {
+func (p *Program) SpanCounts() (reduce, drain, move, mapped int) {
 	for i := range p.spans {
 		switch p.spans[i].kind {
 		case spanReduce:
@@ -87,6 +97,8 @@ func (p *Program) SpanCounts() (reduce, drain, move int) {
 			drain++
 		case spanMove:
 			move++
+		case spanMap:
+			mapped++
 		}
 	}
 	return
@@ -97,29 +109,43 @@ func (p *Program) SpanCounts() (reduce, drain, move int) {
 // the exit patch; -1, with nothing emitted, when s is not in the family.
 func (c *compiler) span(s *wfunc.For) int {
 	to, ok := s.To.(*wfunc.Const)
-	if !ok || len(s.Body) != 1 {
+	if !ok {
 		return -1
 	}
 	if step, ok := s.Step.(*wfunc.Const); s.Step != nil && !(ok && step.V == 1) {
 		return -1
 	}
-	sp := spanInstr{v: int32(s.Var), acc: -1, bound: math.Ceil(to.V)}
-	if !(math.Abs(sp.bound) < spanLimit) {
+	loop := spanInstr{v: int32(s.Var), acc: -1, bound: math.Ceil(to.V)}
+	if !(math.Abs(loop.bound) < spanLimit) {
 		return -1
 	}
+	sp := loop
+	if len(s.Body) != 1 || !c.spanStmt(s.Body[0], &sp) {
+		if sp = loop; !c.mapSpan(s.Body, &sp) {
+			return -1
+		}
+	}
+	c.p.spans = append(c.p.spans, sp)
+	return c.emit(opSpan, len(c.p.spans)-1)
+}
+
+// spanStmt matches a one-statement body against reduce, drain and move,
+// filling sp and emitting the code that fills its hidden offset slots.
+func (c *compiler) spanStmt(body wfunc.Stmt, sp *spanInstr) bool {
+	var ok bool
 	var reads []wfunc.Expr // the operands, in opnd's order
-	switch st := s.Body[0].(type) {
+	switch st := body.(type) {
 	case *wfunc.PopStmt:
 		sp.kind, sp.pops = spanDrain, 1
 	case *wfunc.Assign:
 		switch st.LHS.Kind {
 		case wfunc.LVLocal:
 			sum, ok := st.X.(*wfunc.Binary)
-			if !ok || sum.Op != wfunc.Add || st.LHS.Idx == s.Var {
-				return -1
+			if !ok || sum.Op != wfunc.Add || st.LHS.Idx == int(sp.v) {
+				return false
 			}
 			if l, ok := sum.A.(*wfunc.LocalRef); !ok || l.Idx != st.LHS.Idx {
-				return -1
+				return false
 			}
 			sp.kind, sp.acc = spanReduce, int32(st.LHS.Idx)
 			reads = []wfunc.Expr{sum.B}
@@ -133,15 +159,15 @@ func (c *compiler) span(s *wfunc.For) int {
 			sp.kind = spanMove
 			reads = []wfunc.Expr{&wfunc.FieldIndex{Arr: st.LHS.Idx, Index: st.LHS.Index}, st.X}
 		default:
-			return -1
+			return false
 		}
 	default:
-		return -1
+		return false
 	}
 	var offs [2]wfunc.Expr
 	for i, e := range reads {
-		if sp.opnd[i], offs[i], ok = spanRead(e, &sp); !ok {
-			return -1
+		if sp.opnd[i], offs[i], ok = spanRead(e, sp); !ok {
+			return false
 		}
 		switch sp.opnd[i].kind {
 		case opndPeek:
@@ -154,16 +180,16 @@ func (c *compiler) span(s *wfunc.For) int {
 	case sp.kind == spanReduce && (sp.pops > 1 || sp.pops == 1 && sp.peeks > 0):
 		// One pop at most, and no peek beside it: a pop moves what a peek's
 		// index is relative to.
-		return -1
+		return false
 	case sp.kind == spanMove && sp.peeks+sp.pops > 0:
-		return -1 // between arrays only
+		return false // between arrays only
 	case sp.kind == spanMove && a.kind == b.kind && a.arr == b.arr:
 		// Within one array only a copy toward lower indices reads every
 		// element before the loop would have overwritten it.
 		p, constP := offs[0].(*wfunc.Const)
 		q, constQ := offs[1].(*wfunc.Const)
 		if !constP || !constQ || p.V > q.V {
-			return -1
+			return false
 		}
 	}
 	for i := range sp.opnd {
@@ -180,8 +206,7 @@ func (c *compiler) span(s *wfunc.For) int {
 			c.pop(1)
 		}
 	}
-	c.p.spans = append(c.p.spans, sp)
-	return c.emit(opSpan, len(c.p.spans)-1)
+	return true
 }
 
 // spanRead matches one readable operand a[v+p] of sp's loop and returns it
@@ -273,7 +298,10 @@ func (v spanView) run(k, n int) []float64 {
 // span executes span instruction s if its guard holds and reports whether
 // it did; if not, nothing has changed. The tape's window is fetched here,
 // per instruction: any pop, push or restore in between moves it.
-func (m *Machine) span(s *spanInstr, in wfunc.Tape) bool {
+func (m *Machine) span(s *spanInstr, in, out wfunc.Tape) bool {
+	if s.kind == spanMap {
+		return m.mapSpan(s, in, out)
+	}
 	start := m.locals[s.v]
 	// NaN fails the comparisons; a fractional start would truncate to a
 	// different index at every access.

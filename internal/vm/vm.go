@@ -15,7 +15,9 @@
 // switches, recursive calls, and error plumbing, which is worth several
 // times the throughput on the hot path every engine shares. Counted loops
 // of a closed family skip dispatch altogether: one guarded span instruction
-// runs the whole loop natively over tape and array spans (span.go).
+// runs the whole loop natively over tape and array spans (span.go), or, for
+// a loop of pure pushes, as an expression program over blocks of trips that
+// writes in place into the out tape (map.go).
 package vm
 
 import (
@@ -331,7 +333,7 @@ func (m *Machine) Run(in, out wfunc.Tape, msg wfunc.Messenger, print func(float6
 				pc = int(ins.a)
 			}
 		case opSpan:
-			if m.span(&p.spans[ins.a], in) {
+			if m.span(&p.spans[ins.a], in, out) {
 				pc = int(ins.b)
 			}
 

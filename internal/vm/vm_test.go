@@ -133,8 +133,8 @@ func TestSendsFireAtSamePoints(t *testing.T) {
 
 	run := func(useVM bool) []string {
 		rec := &recorder{}
-		in := wfunc.NewSliceTape(1.5, -2, 3)
-		out := wfunc.NewSliceTape()
+		in := ringOf(1.5, -2, 3)
+		out := ringOf()
 		st := k.NewState()
 		if useVM {
 			p, err := Compile(k.Work)
@@ -189,8 +189,8 @@ func TestPrintMatchesAndNilHookDiscards(t *testing.T) {
 	var got []float64
 	m := NewMachine(p)
 	m.SetState(k.NewState())
-	in := wfunc.NewSliceTape(4)
-	out := wfunc.NewSliceTape()
+	in := ringOf(4)
+	out := ringOf()
 	if err := m.Run(in, out, nil, func(x float64) { got = append(got, x) }); err != nil {
 		t.Fatal(err)
 	}
@@ -198,8 +198,8 @@ func TestPrintMatchesAndNilHookDiscards(t *testing.T) {
 		t.Fatalf("print hook got %v, want [40]", got)
 	}
 	// nil hook: must not crash.
-	in2 := wfunc.NewSliceTape(4)
-	if err := m.Run(in2, wfunc.NewSliceTape(), nil, nil); err != nil {
+	in2 := ringOf(4)
+	if err := m.Run(in2, ringOf(), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -318,11 +318,18 @@ func TestFoldThenCompile(t *testing.T) {
 	}
 	m := NewMachine(p)
 	m.SetState(k.NewState())
-	out := wfunc.NewSliceTape()
-	if err := m.Run(wfunc.NewSliceTape(2), out, nil, nil); err != nil {
+	out := ringOf()
+	if err := m.Run(ringOf(2), out, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := out.Items(); len(got) != 1 || got[0] != 10 {
+	if got := out.Take(nil, out.Len()); len(got) != 1 || got[0] != 10 {
 		t.Fatalf("got %v, want [10]", got)
 	}
+}
+
+// ringOf returns a ring holding items.
+func ringOf(items ...float64) *wfunc.Ring {
+	r := wfunc.NewRing(len(items))
+	r.Append(items)
+	return r
 }

@@ -22,11 +22,11 @@ func BenchmarkInterpFIR(b *testing.B) {
 	)
 	k := kb.Build()
 	st := k.NewState()
-	in := NewSliceTape()
+	in := NewRing(0)
 	for j := 0; j < n+4; j++ {
 		in.Push(float64(j))
 	}
-	out := NewSliceTape()
+	out := NewRing(0)
 	env := NewEnv(k.Work)
 	env.State = st
 	env.In, env.Out = in, out

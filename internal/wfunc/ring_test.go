@@ -1,7 +1,10 @@
-package exec
+package wfunc
 
 import (
+	"errors"
+	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -13,16 +16,16 @@ type ringModel struct {
 }
 
 // check holds ring c to model m: counters, content through every reader
-// (stretches, Peek, Window), and a power-of-two buffer that fits it.
-func (m *ringModel) check(t *testing.T, step int, c *channel) {
+// (Stretches, Peek, Window), and a power-of-two buffer that fits it.
+func (m *ringModel) check(t *testing.T, step int, c *Ring) {
 	t.Helper()
-	if c.popped != m.popped || c.pushed != m.popped+int64(len(m.items)) {
-		t.Fatalf("step %d: ring at %d..%d, model at %d..%d", step, c.popped, c.pushed, m.popped, m.popped+int64(len(m.items)))
+	if c.Popped != m.popped || c.Pushed != m.popped+int64(len(m.items)) {
+		t.Fatalf("step %d: ring at %d..%d, model at %d..%d", step, c.Popped, c.Pushed, m.popped, m.popped+int64(len(m.items)))
 	}
 	if n := len(c.buf); n < c.Len() || n&(n-1) != 0 || c.mask != n-1 {
 		t.Fatalf("step %d: %d slots (mask %d) for %d items", step, n, c.mask, c.Len())
 	}
-	a, b := c.stretches()
+	a, b := c.Stretches()
 	if got := append(slices.Clone(a), b...); !slices.Equal(got, m.items) {
 		t.Fatalf("step %d: ring holds %v, model %v", step, got, m.items)
 	}
@@ -36,13 +39,14 @@ func (m *ringModel) check(t *testing.T, step int, c *channel) {
 
 // TestRingMatchesSliceModel drives two rings through seeded random
 // operations — pushes, pops, batch appends and takes, window advances,
+// reservations written in place and committed in part or not at all,
 // refills at arbitrary positions, and firings under a save point that
 // commit or rewind — across wrap-around and growth, and holds both to a
 // slice model after every step. A firing pops its in ring and pushes (and
 // may grow) its out ring, as a filter firing does; its rewind puts both
-// back exactly.
+// counters back, which is all an engine's save point restores.
 func TestRingMatchesSliceModel(t *testing.T) {
-	rng := newRand(7)
+	rng := rand.New(rand.NewSource(7))
 	next := 0.0
 	fresh := func(n int) []float64 {
 		out := make([]float64, n)
@@ -52,12 +56,12 @@ func TestRingMatchesSliceModel(t *testing.T) {
 		}
 		return out
 	}
-	rings := [2]*channel{newChannel(0), newChannel(0)}
+	rings := [2]*Ring{NewRing(0), NewRing(0)}
 	models := [2]*ringModel{{}, {}}
 	for step := 0; step < 20000; step++ {
 		i := rng.Intn(2)
 		c, m := rings[i], models[i]
-		switch op := rng.Intn(8); {
+		switch op := rng.Intn(9); {
 		case op == 0:
 			v := fresh(1)[0]
 			c.Push(v)
@@ -84,26 +88,37 @@ func TestRingMatchesSliceModel(t *testing.T) {
 		case op == 5 && rng.Intn(8) == 0:
 			at := rng.Int63n(1 << 40)
 			items := fresh(rng.Intn(40))
-			c.fill(at, items)
+			c.Fill(at, items)
 			m.items, m.popped = items, at
-		case op >= 6:
+		case op == 6:
+			// A write span: reserve, write every reserved slot, commit a
+			// prefix (none when its guard failed).
+			n := rng.Intn(40)
+			buf, base, mask := c.Reserve(n)
+			batch := fresh(n)
+			for j, v := range batch {
+				buf[(base+j)&mask] = v
+			}
+			k := rng.Intn(n + 1)
+			c.Commit(k)
+			m.items = append(m.items, batch[:k]...)
+		case op >= 7:
 			in, out := rings[i], rings[1-i]
 			mIn, mOut := models[i], models[1-i]
-			rt := &nodeRT{in: in, out: out}
-			restore := (&core{}).savePoint(rt, nil)
+			popped, pushed := in.Popped, out.Pushed
 			pops := rng.Intn(len(mIn.items) + 1)
 			for k := 0; k < pops; k++ {
 				in.Pop()
 			}
-			pushed := fresh(rng.Intn(40))
-			for _, v := range pushed {
+			items := fresh(rng.Intn(40))
+			for _, v := range items {
 				out.Push(v)
 			}
-			if op == 6 {
-				restore()
+			if op == 7 {
+				in.Popped, out.Pushed = popped, pushed
 			} else {
 				mIn.items, mIn.popped = mIn.items[pops:], mIn.popped+int64(pops)
-				mOut.items = append(mOut.items, pushed...)
+				mOut.items = append(mOut.items, items...)
 			}
 		}
 		for k := range rings {
@@ -116,5 +131,18 @@ func TestRingMatchesSliceModel(t *testing.T) {
 			models[j].popped += int64(len(models[j].items))
 			models[j].items = nil
 		}
+	}
+}
+
+// TestRunKernelReturnsTapeFaults: a kernel that peeks past its declared
+// window makes RunKernel return the ring's fault as an error, not panic.
+func TestRunKernelReturnsTapeFaults(t *testing.T) {
+	kb := NewKernel("overpeek", 1, 1, 1)
+	k := kb.Field("k", 3)
+	kb.WorkBody(Push1(PeekX(k)), Pop1())
+	out, err := RunKernel(kb.Build(), []float64{1, 2, 3})
+	var f TapeFault
+	if !errors.As(err, &f) || f.Op != "peek" || !strings.Contains(err.Error(), "peek(3) with 3 items buffered") {
+		t.Fatalf("RunKernel = %v, %v; want the peek(3) tape fault", out, err)
 	}
 }
