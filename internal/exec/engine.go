@@ -45,8 +45,9 @@ type Engine struct {
 
 	// Firings counts total node firings (for throughput metrics).
 	Firings int64
-	// dynamic is set when messaging requires constraint-aware scheduling.
-	dynamic bool
+	// dynamic is set when messaging requires constraint-aware scheduling,
+	// sends when some filter sends teleport messages.
+	dynamic, sends bool
 	// cur is the node being fired, for blameFiring.
 	cur *nodeRT
 
@@ -220,17 +221,30 @@ func (e *Engine) blameFiring(err *error) {
 	}
 }
 
-// runEntries fires one pass of a static schedule phase, delivering due
-// teleport messages around each firing.
+// runEntries fires one pass of a static schedule phase.
 func (e *Engine) runEntries(entries []sched.Entry) error {
 	for _, en := range entries {
-		rt := e.nodes[en.Node.ID]
-		e.cur = rt
-		for i := 0; i < en.Count; i++ {
-			if err := e.step(rt); err != nil {
-				return err
-			}
-			e.Firings++
+		if err := e.fireEntry(e.nodes[en.Node.ID], int64(en.Count)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fireEntry fires one schedule entry, n firings of rt: in one fireN, or
+// one step at a time, with delivery around each, when some filter sends
+// teleport messages. Firings counts the firings that completed, also when
+// one panics on its way to blameFiring.
+func (e *Engine) fireEntry(rt *nodeRT, n int64) error {
+	e.cur = rt
+	from := rt.fired
+	defer func() { e.Firings += rt.fired - from }()
+	if !e.sends {
+		return e.fireN(rt, n)
+	}
+	for ; n > 0; n-- {
+		if err := e.step(rt); err != nil {
+			return err
 		}
 	}
 	return nil

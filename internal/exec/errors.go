@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -39,7 +40,7 @@ func asExecError(filter string, firing int64, r any) *ExecError {
 	case *ExecError:
 		return r
 	case wfunc.TapeFault:
-		return &ExecError{Filter: filter, Op: r.Op, Iteration: firing, Err: fmt.Errorf("%s", r.Detail)}
+		return &ExecError{Filter: filter, Op: r.Op, Iteration: firing, Err: errors.New(r.Detail())}
 	case error:
 		return &ExecError{Filter: filter, Op: "work", Iteration: firing, Err: r}
 	default:

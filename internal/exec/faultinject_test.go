@@ -42,8 +42,14 @@ func accFilter(name string) *ir.Filter {
 // the captured output slice.
 func faultPipeline(t *testing.T, mid *ir.Filter) (*ir.Graph, *sched.Schedule, *[]float64) {
 	t.Helper()
+	return faultPipelineFrom(t, rampFilter("Src"), mid)
+}
+
+// faultPipelineFrom is faultPipeline fed by src.
+func faultPipelineFrom(t *testing.T, src, mid *ir.Filter) (*ir.Graph, *sched.Schedule, *[]float64) {
+	t.Helper()
 	snk, got := SliceSink("snk")
-	prog := &ir.Program{Name: "fi", Top: ir.Pipe("main", rampFilter("Src"), mid, snk)}
+	prog := &ir.Program{Name: "fi", Top: ir.Pipe("main", src, mid, snk)}
 	g, err := ir.Flatten(prog)
 	if err != nil {
 		t.Fatal(err)

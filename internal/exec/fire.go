@@ -184,6 +184,26 @@ func (c *core) fire(rt *nodeRT) error {
 	return nil
 }
 
+// fireN fires rt n times. A plain VM filter — nothing attached, no
+// override, no native WorkFn, no sends — runs all n in one VM entry, which
+// counts each firing that completes in rt.fired, so a fault names the
+// firing fire would; any other node fires n times through fire.
+func (c *core) fireN(rt *nodeRT, n int64) error {
+	r := rt.runner
+	if r == nil || r.mach == nil || rt.override != nil || rt.msg != nil || rt.pst != nil || rt.tap != nil || c.sup != nil || c.rec != nil {
+		for ; n > 0; n-- {
+			if err := c.fire(rt); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := r.mach.RunN(rt.tin, rt.tout, n, &rt.fired, nil, rt.print); err != nil {
+		return &ExecError{Filter: rt.node.Name, Op: "work", Iteration: rt.fired, Err: err}
+	}
+	return nil
+}
+
 // watched is a filter firing with something attached: its work — handed to
 // the supervisor when there is one — timed for the profile and the trace
 // when either is on, then, once the firing has committed, the per-firing

@@ -152,12 +152,25 @@ func TestTapSeesCommittedPopsOnce(t *testing.T) {
 // mid failing at its firing errAt, and the options that make it fail.
 type errorCase struct {
 	name string
+	// src feeds mid; nil is rampFilter.
+	src  func() *ir.Filter
 	mid  func() *ir.Filter
 	opts func(t *testing.T) Options
 	op   string
 }
 
 const errAt = 5
+
+// blockSource pushes four ramp items a firing, so mid fires four times per
+// steady iteration and its firing errAt lies inside one schedule entry —
+// inside one VM entry on the sequential engine.
+func blockSource() *ir.Filter {
+	b := wfunc.NewKernel("Src", 0, 0, 4)
+	n := b.Field("n", 0)
+	i := b.Local("i")
+	b.WorkBody(wfunc.ForUp(i, wfunc.Ci(0), wfunc.Ci(4), wfunc.Push1(n), wfunc.SetF(n, wfunc.AddX(n, wfunc.C(1)))))
+	return &ir.Filter{Kernel: b.Build(), In: ir.TypeVoid, Out: ir.TypeFloat}
+}
 
 // errorEngine is one engine of the cross-engine error table.
 type errorEngine struct {
@@ -170,10 +183,12 @@ type errorEngine struct {
 // sequential engine, the mapped engine under the identity plan, a task
 // plan and a pipelined plan (whose stage cluster fires through the
 // data-driven loop), and the dynamic engine — whether a native kernel
-// panics, an IL kernel indexes out of bounds, a native kernel pops past its
-// input, or the injector panics it under the fail policy. Each engine
-// recovers a firing's panic once, where its loop runs, and attributes it
-// to the node being fired.
+// panics, an IL kernel indexes out of bounds or pops past its window, a
+// native kernel pops past its input, or the injector panics it under the
+// fail policy. Each engine recovers a firing's panic once, where its loop
+// runs, and attributes it to the node being fired. The IL rows fail in the
+// middle of a VM entry of several firings (blockSource), and the
+// sequential engine's Firings must count only the firings that completed.
 func TestCrossEngineErrors(t *testing.T) {
 	cases := []errorCase{
 		{name: "native panic", op: "work", mid: func() *ir.Filter {
@@ -188,12 +203,24 @@ func TestCrossEngineErrors(t *testing.T) {
 			}
 			return f
 		}},
-		{name: "IL index out of bounds", op: "work", mid: func() *ir.Filter {
+		{name: "IL index out of bounds", op: "work", src: blockSource, mid: func() *ir.Filter {
 			b := wfunc.NewKernel("mid", 1, 1, 1)
 			a := b.FieldArray("a", errAt)
 			n := b.Field("n", 0)
 			b.WorkBody(
 				wfunc.Push1(wfunc.AddX(wfunc.PopE(), wfunc.FIdx(a, n))),
+				wfunc.SetF(n, wfunc.AddX(n, wfunc.C(1))),
+			)
+			return &ir.Filter{Kernel: b.Build(), In: ir.TypeFloat, Out: ir.TypeFloat}
+		}},
+		{name: "IL pop past the window", op: "pop", src: blockSource, mid: func() *ir.Filter {
+			b := wfunc.NewKernel("mid", 1, 1, 1)
+			n := b.Field("n", 0)
+			i := b.Local("i")
+			b.WorkBody(
+				wfunc.IfS(wfunc.Bin(wfunc.Eq, n, wfunc.Ci(errAt)),
+					wfunc.ForUp(i, wfunc.Ci(0), wfunc.Ci(64), wfunc.Pop1())),
+				wfunc.Push1(wfunc.PopE()),
 				wfunc.SetF(n, wfunc.AddX(n, wfunc.C(1))),
 			)
 			return &ir.Filter{Kernel: b.Build(), In: ir.TypeFloat, Out: ir.TypeFloat}
@@ -234,7 +261,16 @@ func TestCrossEngineErrors(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			return e.Run(16)
+			err = e.Run(16)
+			// A failed entry counts the firings that completed, no more.
+			var completed int64
+			for _, rt := range e.nodes {
+				completed += rt.fired
+			}
+			if e.Firings != completed {
+				return fmt.Errorf("Firings = %d after the failed entry, %d firings completed", e.Firings, completed)
+			}
+			return err
 		}},
 		{"parallel", func(g *ir.Graph, s *sched.Schedule, opts Options) error {
 			me, err := NewParallelOpts(g, s, opts)
@@ -280,7 +316,11 @@ func TestCrossEngineErrors(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var want *ExecError
 			for _, eng := range engines {
-				g, s, _ := faultPipeline(t, tc.mid())
+				src := rampFilter("Src")
+				if tc.src != nil {
+					src = tc.src()
+				}
+				g, s, _ := faultPipelineFrom(t, src, tc.mid())
 				var opts Options
 				if tc.opts != nil {
 					opts = tc.opts(t)

@@ -42,13 +42,14 @@ import (
 // iterations while consumers still drain earlier ones — and feedback
 // loops and teleport messaging run inside single-worker stage clusters at
 // firing granularity. Without it the engine runs the zero-skew plan (every
-// level 0, a flush per cycle, no clusters), which is lockstep in blocks: a
-// cycle covers up to StageBatch steady iterations, each worker fires its
-// nodes' shares of all of them in global topological order, and every
-// cross-worker edge carries the block's items as one batch. Blocks are cut
-// at every barrier, so barriers and images are those of one iteration per
-// cycle. It has no clusters to host feedback or messaging, so it rejects
-// both.
+// level 0, a flush per cycle, no clusters), which is lockstep: each worker
+// fires its nodes in global topological order, and every cross-worker edge
+// carries a cycle's items as one batch. On every unsharded plan a cycle is
+// a block of up to StageBatch steady iterations, each step firing its
+// node's share of all of them; blocks are cut at batch boundaries and at
+// every barrier, so barriers and images are those of one iteration per
+// cycle. The zero-skew plan has no clusters to host feedback or messaging,
+// so it rejects both.
 //
 // Fault tolerance: steady state runs in epochs, each a release of the
 // drive's workers and a rendezvous at a barrier where all of them have

@@ -26,17 +26,24 @@ import (
 // receive at the same cycle index, waiting only on an empty ring, so links
 // are drained at every epoch barrier.
 //
+// A cycle is a block of up to StageBatch iterations — the cycle position
+// advances by the block — and each step fires its node's share of all of
+// them: one fireN per iteration, one VM entry for a plain filter. Blocks
+// start at multiples of StageBatch, which on a skewed plan are the batch
+// boundaries, so no level flushes inside a block; they are cut at epoch
+// ends and at scheduled worker faults, which every worker knows, so the
+// workers agree on every block and barriers fall where they would one
+// iteration per cycle; and each level's block is clamped at the segment's
+// end. A stage cluster still advances its data-driven goal one iteration
+// at a time inside a block. k = 1 only on a sharded engine: its shard
+// transport frames carry one iteration each.
+//
 // Lockstep is the zero-skew plan, which the engine builds itself when the
 // caller supplies no Options.Stages: every level 0, no clusters. There is
 // no prologue or epilogue, every barrier is uniform, and the segment stays
 // open — it starts at iteration 0 and is extended at each barrier the run
-// continues from. A zero-skew cycle is a block of up to StageBatch steady
-// iterations: each node fires its share of all of them in one step, and
-// every cross-worker edge ships the block as one batch. Blocks are cut at
-// epoch ends and at scheduled worker faults, which every worker knows, so
-// the workers agree on every block and barriers fall where they would one
-// iteration per cycle. A sharded engine keeps one iteration per cycle: its
-// shard transport frames carry one iteration each.
+// continues from. Its flush interval is one cycle, so every cross-worker
+// edge ships each block as one batch.
 //
 // Where a batch is received is a property of its edge, read off the stage
 // map. When the producer runs at the consumer's stage (every cross-worker
@@ -62,8 +69,8 @@ import (
 
 // StageBatch is the pipelined flush interval in macro-cycles: how many
 // iterations each stage runs ahead of the next, and how many iterations'
-// worth of items one cross-worker transfer carries. It is also the
-// zero-skew plan's block: the steady iterations one lockstep cycle covers.
+// worth of items one cross-worker transfer carries. It is also every
+// unsharded plan's block: the steady iterations one cycle covers.
 const StageBatch = 8
 
 // swpState is the stage plan and its runtime position; every mapped engine
@@ -72,9 +79,9 @@ type swpState struct {
 	levels    []int // per-node stage level
 	numLevels int
 	batch     int64 // K: flush interval and per-level stage distance
-	// block is the iterations one cycle covers at most: StageBatch on an
-	// unsharded zero-skew plan, else 1. cuts are the iterations every
-	// scheduled worker fault hits, sorted: a cycle never spans one.
+	// block is the iterations one cycle covers at most: StageBatch, but 1
+	// on a sharded engine. cuts are the iterations every scheduled worker
+	// fault hits, sorted: a cycle never spans one.
 	block     int64
 	cuts      []int64
 	clusters  [][]int
@@ -105,11 +112,12 @@ func (sw *swpState) completed(cycle int64) int64 {
 }
 
 // span returns how many iterations the cycle at position t covers, with
-// left cycles remaining in the epoch: the plan's block, cut at the epoch's
-// end and before the next scheduled worker fault, which must meet the top
-// of its own cycle.
+// left cycles remaining in the epoch: the plan's block, cut at the next
+// multiple of the block — on a skewed plan that is the next batch boundary,
+// so no level flushes inside a cycle — at the epoch's end, and before the
+// next scheduled worker fault, which must meet the top of its own cycle.
 func (sw *swpState) span(t int64, left int) int64 {
-	k := min(sw.block, int64(left))
+	k := min(sw.block-t%sw.block, int64(left))
 	for _, c := range sw.cuts {
 		if c > t {
 			return min(k, c-t)
@@ -122,8 +130,10 @@ func (sw *swpState) span(t int64, left int) int64 {
 // once per cycle for every step and in-edge at that level.
 type stageClock struct {
 	// fi is the first logical iteration (1-based, within the segment) the
-	// level's steps fire this cycle; gated reports whether they fire at all.
-	fi    int64
+	// level's steps fire this cycle and k how many they fire: the cycle's
+	// span, clamped at the segment's end; gated reports whether they fire
+	// at all.
+	fi, k int64
 	gated bool
 	// ship is how many iterations of the level's staged output the flush at
 	// the end of this cycle carries: every iteration since the last flush
@@ -139,8 +149,9 @@ func (sw *swpState) tick(clock []stageClock, t, k int64) {
 		c := &clock[l]
 		c.fi = t - int64(l)*sw.batch + 1
 		c.gated = c.fi >= 1 && c.fi <= sw.segIters
+		c.k = min(k, sw.segIters-c.fi+1)
 		c.ship = 0
-		if last := c.fi + k - 1; c.gated && (last%sw.batch == 0 || last == sw.segIters) {
+		if last := c.fi + c.k - 1; c.gated && (last%sw.batch == 0 || last == sw.segIters) {
 			c.ship = last - (c.fi-1)/sw.batch*sw.batch
 		}
 	}
@@ -168,7 +179,6 @@ func newSWPState(g *ir.Graph, s *sched.Schedule, opts Options) (*swpState, error
 		teleport:  teleport{g: g, sch: s, trace: opts.Trace},
 		numLevels: 1,
 		batch:     1,
-		block:     1,
 		clusterOf: make([]int, n),
 		msgNode:   make([]bool, n),
 		sends:     make([]bool, n),
@@ -182,12 +192,13 @@ func newSWPState(g *ir.Graph, s *sched.Schedule, opts Options) (*swpState, error
 		}
 		slices.Sort(sw.cuts)
 	}
+	sw.block = StageBatch
+	if opts.LocalWorkers != nil {
+		sw.block = 1
+	}
 	if opts.Stages == nil {
 		// NewMappedOpts has already turned away what only clusters can host.
 		sw.levels = make([]int, n)
-		if opts.LocalWorkers == nil {
-			sw.block = StageBatch
-		}
 		return sw, nil
 	}
 	if len(opts.Stages) != n {
@@ -389,11 +400,11 @@ func (me *MappedEngine) planWorkers() {
 
 // runWorker drives one worker through cycles cycles of the current epoch —
 // the one run loop of every plan. A cycle covers k logical iterations (k =
-// 1 but on a zero-skew plan's blocks); per cycle: for each gated step,
-// receive the same-stage producer flushes due this cycle, fire the step's k
-// iterations, and flush its staged cross-worker output at batch boundaries;
-// then receive every stage-advancing producer flush scheduled for this
-// cycle index.
+// 1 only on a sharded engine); per cycle: for each gated step, receive the
+// same-stage producer flushes due this cycle, fire the step's share of its
+// level's k iterations, and flush its staged cross-worker output at batch
+// boundaries; then receive every stage-advancing producer flush scheduled
+// for this cycle index.
 func (me *MappedEngine) runWorker(w, lane, cycles int) (err error) {
 	sw, pl := me.swp, me.plans[w]
 	var cur *nodeRT // the node currently firing or flushing, for fault attribution
@@ -435,22 +446,25 @@ func (me *MappedEngine) runWorker(w, lane, cycles int) (err error) {
 				}
 			}
 			if sp.cluster {
-				// Every member's k logical iterations, interleaved at firing
-				// granularity.
-				for i, rt := range sp.nodes {
-					sp.goal[i] = me.initFired[rt.node.ID] + (sw.base+c.fi+k-1)*int64(me.Sch.Reps[rt.node.ID])
-				}
-				fired, err := me.dataDriven(sp.nodes, sp.goal, "steady-state", &cur)
-				me.live.progress.Add(fired)
-				if err != nil {
-					return err
+				// Every member's logical iterations, interleaved at firing
+				// granularity, the goal advanced one iteration at a time so
+				// members interleave as they do one iteration per cycle.
+				for T := sw.base + c.fi; T < sw.base+c.fi+c.k; T++ {
+					for i, rt := range sp.nodes {
+						sp.goal[i] = me.initFired[rt.node.ID] + T*int64(me.Sch.Reps[rt.node.ID])
+					}
+					fired, err := me.dataDriven(sp.nodes, sp.goal, "steady-state", &cur)
+					me.live.progress.Add(fired)
+					if err != nil {
+						return err
+					}
 				}
 			} else {
 				cur = sp.nodes[0]
-				if err := me.fireIters(sp, sw.base+c.fi, k); err != nil {
+				if err := me.fireIters(sp, sw.base+c.fi, c.k); err != nil {
 					return err
 				}
-				me.live.progress.Add(int64(me.Sch.Reps[cur.node.ID]) * k)
+				me.live.progress.Add(int64(me.Sch.Reps[cur.node.ID]) * c.k)
 			}
 			if c.ship > 0 {
 				for _, rt := range sp.nodes {
@@ -478,29 +492,22 @@ func (me *MappedEngine) runWorker(w, lane, cycles int) (err error) {
 }
 
 // fireIters fires a singleton step's k logical iterations from steady
-// iteration from (1-based): reps firings each. Over more than one
-// iteration a filter's input ring is held, per iteration, to what a
+// iteration from (1-based): reps firings each, in one fireN — one per
+// iteration when a filter's input ring is held, per iteration, to what a
 // sequential run buffers there (swpStep.in).
 func (me *MappedEngine) fireIters(sp *swpStep, from, k int64) error {
 	rt := sp.nodes[0]
 	reps := int64(me.Sch.Reps[rt.node.ID])
 	in := sp.in
 	if in == nil || k == 1 {
-		for r := reps * k; r > 0; r-- {
-			if err := me.fire(rt); err != nil {
-				return err
-			}
-		}
-		return nil
+		return me.fireN(rt, reps*k)
 	}
 	top := in.Pushed
 	defer func() { in.Pushed = top }()
 	for T := from; T < from+k; T++ {
 		in.Pushed = min(top, sp.inBase+T*sp.inPer)
-		for r := reps; r > 0; r-- {
-			if err := me.fire(rt); err != nil {
-				return err
-			}
+		if err := me.fireN(rt, reps); err != nil {
+			return err
 		}
 	}
 	return nil

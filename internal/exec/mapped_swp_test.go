@@ -113,6 +113,111 @@ func TestMappedSWPStageSkew(t *testing.T) {
 	}
 }
 
+// TestSWPBlocks: a pipelined cycle covers up to StageBatch iterations, cut
+// at the next batch boundary, at epoch ends and, per stage level, at the
+// segment's end, so run lengths and checkpoint intervals that leave partial
+// blocks must not move a bit. Over the suite under task+swp and
+// task+data+swp, runs of 1, 3, 8, 13 and 21 iterations, and 21-iteration
+// runs with a checkpoint every 1, 3, 8 and 13, give sink streams
+// bit-identical to the sequential engine's, every barrier image byte-equal
+// to the one the same plan writes one iteration per cycle, and a final
+// image byte-equal to the sequential engine's.
+func TestSWPBlocks(t *testing.T) {
+	lengths := []int{1, 3, 8, 13, 21}
+	const total = 21
+	for _, app := range apps.Suite() {
+		for _, strat := range []partition.Strategy{partition.StratSWP, partition.StratCombined} {
+			app, strat := app, strat
+			t.Run(fmt.Sprintf("%s/%s", app.Name, strat), func(t *testing.T) {
+				t.Parallel()
+				sb := buildMapped(t, app.Build, strat)
+				se, err := NewFromGraphBackend(sb.g2, sb.s2, BackendVM)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := se.RunInit(); err != nil {
+					t.Fatal(err)
+				}
+				seqImg := map[int][]byte{}
+				prefix := map[int][]int{}
+				done := 0
+				for _, n := range lengths {
+					if err := se.RunSteady(n - done); err != nil {
+						t.Fatal(err)
+					}
+					done = n
+					seqImg[n], prefix[n] = checkpointBytes(t, se, int64(n)), sinkLens(sb.outs)
+				}
+				stream := since(sb.outs, make([]int, len(sb.outs)))
+
+				mb := buildMapped(t, app.Build, strat)
+				if mb.stages == nil {
+					t.Fatal("plan is not pipelined")
+				}
+				blocked, single := mb.engine(t, Options{}), mb.engine(t, Options{})
+				if blocked.swp.block != StageBatch {
+					t.Fatalf("pipelined plan runs blocks of %d iterations, want %d", blocked.swp.block, StageBatch)
+				}
+				single.swp.block = 1
+				for _, c := range []struct{ n, every int }{
+					{1, 0}, {3, 0}, {8, 0}, {13, 0}, {21, 0}, {total, 1}, {total, 3}, {total, 8}, {total, 13},
+				} {
+					label := fmt.Sprintf("%d iterations, checkpoint every %d", c.n, c.every)
+					from := sinkLens(mb.outs)
+					got := driveBarriers(t, blocked, c.n, c.every)
+					want := make([][]float64, len(stream))
+					for i := range stream {
+						want[i] = stream[i][:prefix[c.n][i]]
+					}
+					tailIs(t, want, mb.outs, from, label)
+					ref := driveBarriers(t, single, c.n, c.every)
+					if len(got) != len(ref) {
+						t.Fatalf("%s: %d barriers, one iteration per cycle has %d", label, len(got), len(ref))
+					}
+					for i := range got {
+						if !bytes.Equal(got[i], ref[i]) {
+							t.Fatalf("%s: barrier %d image differs from one iteration per cycle's", label, i)
+						}
+					}
+					if !bytes.Equal(mappedCkptBytes(t, blocked, int64(c.n)), seqImg[c.n]) {
+						t.Fatalf("%s: final image differs from the sequential engine's", label)
+					}
+				}
+			})
+		}
+	}
+}
+
+// driveBarriers runs a fresh n-iteration segment on me, its epochs every
+// cycles long (0: one epoch), with a checkpoint at every barrier, and
+// returns the image each barrier took.
+func driveBarriers(tb testing.TB, me *MappedEngine, n, every int) [][]byte {
+	tb.Helper()
+	if err := me.setup(); err != nil {
+		tb.Fatal(err)
+	}
+	sw := me.swp
+	sw.segIters = int64(n)
+	end := sw.segIters + sw.maxStage()
+	step := end
+	if every > 0 {
+		step = int64(every)
+	}
+	me.CheckpointEvery = every
+	var imgs [][]byte
+	for at := min(step, end); ; at = min(at+step, end) {
+		if err := me.driveTo(at); err != nil {
+			tb.Fatal(err)
+		}
+		if every > 0 {
+			imgs = append(imgs, bytes.Clone(me.lastImg))
+		}
+		if at == end {
+			return imgs
+		}
+	}
+}
+
 // skewedCheckpoint drives a fresh pipelined engine partway into a
 // segIters-iteration segment — stopping at the cycle barrier after the
 // given macro-cycle count — and returns the stage-skewed checkpoint image

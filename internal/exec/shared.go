@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"streamit/internal/ir"
 	"streamit/internal/obs"
@@ -134,6 +135,7 @@ func (sh *Shared) NewEngine(opts Options) (*Engine, error) {
 		fp:      sh.fp,
 		chans:   make([]*wfunc.Ring, len(sh.G.Edges)),
 		dynamic: sh.dynamic,
+		sends:   slices.Contains(sh.sends, true),
 		teleport: teleport{g: sh.G, sch: sh.Sch, constraints: sh.constraints,
 			pending: make([][]*message, len(sh.G.Nodes))},
 	}

@@ -4,7 +4,7 @@
 // local/field/array slots, short-circuit control flow turned into jumps,
 // and direct push/pop/peek tape instructions; the Machine here runs that
 // bytecode against the same wfunc.Tape / wfunc.Messenger interfaces the
-// interpreter uses.
+// interpreter uses, binding a wfunc.Ring (every engine's tape) as one.
 //
 // The VM is bit-identical to the interpreter by construction: all values
 // are float64, the uncommon operators delegate to wfunc.EvalUnary and
@@ -169,226 +169,257 @@ func (m *Machine) fail(format string, args ...any) error {
 // in/out are the filter's tapes, msg receives teleport sends, and print
 // receives println values (nil discards them).
 func (m *Machine) Run(in, out wfunc.Tape, msg wfunc.Messenger, print func(float64)) error {
-	locals := m.locals
-	for i := range locals {
-		locals[i] = 0
-	}
-	for _, arr := range m.arrays {
-		for i := range arr {
-			arr[i] = 0
-		}
-	}
+	var done int64
+	return m.RunN(in, out, 1, &done, msg, print)
+}
+
+// RunN executes n invocations as Run's in one entry, the one dispatch loop,
+// and counts each that completes in *fired: after an error or a panic,
+// *fired has advanced by exactly the invocations that completed. A tape
+// that is a *wfunc.Ring is bound as one, so its pops, peeks and pushes are
+// direct, inlined calls; any other tape is used through the interface.
+func (m *Machine) RunN(in, out wfunc.Tape, n int64, fired *int64, msg wfunc.Messenger, print func(float64)) error {
+	rin, _ := in.(*wfunc.Ring)
+	rout, _ := out.(*wfunc.Ring)
 	p := m.prog
 	code := p.code
 	st := m.stack
+	locals := m.locals
 	var scalars []float64
 	var fieldArrs [][]float64
 	if m.state != nil {
 		scalars = m.state.Scalars
 		fieldArrs = m.state.Arrays
 	}
-	sp := 0
-	for pc := 0; pc < len(code); {
-		ins := code[pc]
-		pc++
-		switch ins.op {
-		case opConst:
-			st[sp] = p.consts[ins.a]
-			sp++
-		case opLoadLocal:
-			st[sp] = locals[ins.a]
-			sp++
-		case opStoreLocal:
-			sp--
-			locals[ins.a] = st[sp]
-		case opLoadField:
-			st[sp] = scalars[ins.a]
-			sp++
-		case opStoreField:
-			sp--
-			scalars[ins.a] = st[sp]
-		case opLoadLocalIdx:
-			arr := m.arrays[ins.a]
-			ix := int(st[sp-1])
-			if ix < 0 || ix >= len(arr) {
-				return m.fail("array index %d out of range [0,%d)", ix, len(arr))
-			}
-			st[sp-1] = arr[ix]
-		case opStoreLocalIdx:
-			arr := m.arrays[ins.a]
-			ix := int(st[sp-1])
-			if ix < 0 || ix >= len(arr) {
-				return m.fail("array index %d out of range [0,%d)", ix, len(arr))
-			}
-			arr[ix] = st[sp-2]
-			sp -= 2
-		case opLoadFieldIdx:
-			arr := fieldArrs[ins.a]
-			ix := int(st[sp-1])
-			if ix < 0 || ix >= len(arr) {
-				return m.fail("array index %d out of range [0,%d)", ix, len(arr))
-			}
-			st[sp-1] = arr[ix]
-		case opStoreFieldIdx:
-			arr := fieldArrs[ins.a]
-			ix := int(st[sp-1])
-			if ix < 0 || ix >= len(arr) {
-				return m.fail("array index %d out of range [0,%d)", ix, len(arr))
-			}
-			arr[ix] = st[sp-2]
-			sp -= 2
-		case opPeek:
-			if in == nil {
-				return m.fail("peek outside work function")
-			}
-			st[sp-1] = in.Peek(int(st[sp-1]))
-		case opPopV:
-			if in == nil {
-				return m.fail("pop outside work function")
-			}
-			st[sp] = in.Pop()
-			sp++
-		case opPopN:
-			if in == nil {
-				return m.fail("pop outside work function")
-			}
-			in.Pop()
-		case opPushV:
-			if out == nil {
-				return m.fail("push outside work function")
-			}
-			sp--
-			out.Push(st[sp])
-		case opJump:
-			pc = int(ins.a)
-		case opJumpIfZero:
-			sp--
-			if st[sp] == 0 {
-				pc = int(ins.a)
-			}
-		case opBool:
-			if st[sp-1] != 0 {
-				st[sp-1] = 1
-			} else {
-				st[sp-1] = 0
-			}
-		case opIncLocal:
-			sp--
-			locals[ins.a] += st[sp]
-		case opPrint:
-			sp--
-			if print != nil {
-				print(st[sp])
-			}
-		case opSend:
-			if msg == nil {
-				return m.fail("message send with no messenger attached")
-			}
-			site := &p.sends[ins.a]
-			args := make([]float64, site.nargs)
-			sp -= site.nargs
-			copy(args, st[sp:sp+site.nargs])
-			if err := msg.Send(site.portal, site.handler, args, site.minLat, site.maxLat, site.bestEffort); err != nil {
-				return m.fail("%v", err)
-			}
-
-		case opPeekLocal:
-			if in == nil {
-				return m.fail("peek outside work function")
-			}
-			st[sp] = in.Peek(int(locals[ins.a]))
-			sp++
-		case opLoadLocalIdxL:
-			arr := m.arrays[ins.a]
-			ix := int(locals[ins.b])
-			if ix < 0 || ix >= len(arr) {
-				return m.fail("array index %d out of range [0,%d)", ix, len(arr))
-			}
-			st[sp] = arr[ix]
-			sp++
-		case opLoadFieldIdxL:
-			arr := fieldArrs[ins.a]
-			ix := int(locals[ins.b])
-			if ix < 0 || ix >= len(arr) {
-				return m.fail("array index %d out of range [0,%d)", ix, len(arr))
-			}
-			st[sp] = arr[ix]
-			sp++
-		case opJGeLC:
-			// Counted-loop head: jump out unless locals < const. Written as
-			// !(a < b) — not a >= b — so NaN bounds exit like the
-			// interpreter's failed < comparison.
-			if !(locals[ins.b&0xffff] < p.consts[ins.b>>16]) {
-				pc = int(ins.a)
-			}
-		case opIncLocalC:
-			locals[ins.a] += p.consts[ins.b]
-		case opLoopLC:
-			// Counted-loop back edge. The variable and bound are the ones
-			// packed into the head the body sits under; v < bound — not
-			// !(v >= bound) — so a NaN leaves the loop as it does there.
-			h := code[ins.a-1].b
-			locals[h&0xffff] += p.consts[ins.b]
-			if locals[h&0xffff] < p.consts[h>>16] {
-				pc = int(ins.a)
-			}
-		case opSpan:
-			if m.span(&p.spans[ins.a], in, out) {
-				pc = int(ins.b)
-			}
-
-		case opNeg:
-			st[sp-1] = -st[sp-1]
-		case opNot:
-			if st[sp-1] == 0 {
-				st[sp-1] = 1
-			} else {
-				st[sp-1] = 0
-			}
-		case opTrunc:
-			st[sp-1] = wfunc.EvalUnary(wfunc.Trunc, st[sp-1])
-		case opAbs:
-			st[sp-1] = wfunc.EvalUnary(wfunc.Abs, st[sp-1])
-		case opUnaryEv:
-			st[sp-1] = wfunc.EvalUnary(wfunc.UnOp(ins.a), st[sp-1])
-
-		case opAdd:
-			st[sp-2] += st[sp-1]
-			sp--
-		case opSub:
-			st[sp-2] -= st[sp-1]
-			sp--
-		case opMul:
-			st[sp-2] *= st[sp-1]
-			sp--
-		case opDiv:
-			st[sp-2] /= st[sp-1]
-			sp--
-		case opEq:
-			st[sp-2] = b2f(st[sp-2] == st[sp-1])
-			sp--
-		case opNe:
-			st[sp-2] = b2f(st[sp-2] != st[sp-1])
-			sp--
-		case opLt:
-			st[sp-2] = b2f(st[sp-2] < st[sp-1])
-			sp--
-		case opLe:
-			st[sp-2] = b2f(st[sp-2] <= st[sp-1])
-			sp--
-		case opGt:
-			st[sp-2] = b2f(st[sp-2] > st[sp-1])
-			sp--
-		case opGe:
-			st[sp-2] = b2f(st[sp-2] >= st[sp-1])
-			sp--
-		case opBinaryEv:
-			st[sp-2] = wfunc.EvalBinary(wfunc.BinOp(ins.a), st[sp-2], st[sp-1])
-			sp--
-
-		default:
-			return m.fail("invalid opcode %d at pc %d", ins.op, pc-1)
+	for ; n > 0; n-- {
+		clear(locals)
+		for _, arr := range m.arrays {
+			clear(arr)
 		}
+		sp := 0
+		for pc := 0; pc < len(code); {
+			ins := code[pc]
+			pc++
+			switch ins.op {
+			case opConst:
+				st[sp] = p.consts[ins.a]
+				sp++
+			case opLoadLocal:
+				st[sp] = locals[ins.a]
+				sp++
+			case opStoreLocal:
+				sp--
+				locals[ins.a] = st[sp]
+			case opLoadField:
+				st[sp] = scalars[ins.a]
+				sp++
+			case opStoreField:
+				sp--
+				scalars[ins.a] = st[sp]
+			case opLoadLocalIdx:
+				arr := m.arrays[ins.a]
+				ix := int(st[sp-1])
+				if ix < 0 || ix >= len(arr) {
+					return m.fail("array index %d out of range [0,%d)", ix, len(arr))
+				}
+				st[sp-1] = arr[ix]
+			case opStoreLocalIdx:
+				arr := m.arrays[ins.a]
+				ix := int(st[sp-1])
+				if ix < 0 || ix >= len(arr) {
+					return m.fail("array index %d out of range [0,%d)", ix, len(arr))
+				}
+				arr[ix] = st[sp-2]
+				sp -= 2
+			case opLoadFieldIdx:
+				arr := fieldArrs[ins.a]
+				ix := int(st[sp-1])
+				if ix < 0 || ix >= len(arr) {
+					return m.fail("array index %d out of range [0,%d)", ix, len(arr))
+				}
+				st[sp-1] = arr[ix]
+			case opStoreFieldIdx:
+				arr := fieldArrs[ins.a]
+				ix := int(st[sp-1])
+				if ix < 0 || ix >= len(arr) {
+					return m.fail("array index %d out of range [0,%d)", ix, len(arr))
+				}
+				arr[ix] = st[sp-2]
+				sp -= 2
+			case opPeek:
+				switch ix := int(st[sp-1]); {
+				case rin != nil:
+					st[sp-1] = rin.Peek(ix)
+				case in != nil:
+					st[sp-1] = in.Peek(ix)
+				default:
+					return m.fail("peek outside work function")
+				}
+			case opPopV:
+				switch {
+				case rin != nil:
+					st[sp] = rin.Pop()
+				case in != nil:
+					st[sp] = in.Pop()
+				default:
+					return m.fail("pop outside work function")
+				}
+				sp++
+			case opPopN:
+				switch {
+				case rin != nil:
+					rin.Pop()
+				case in != nil:
+					in.Pop()
+				default:
+					return m.fail("pop outside work function")
+				}
+			case opPushV:
+				sp--
+				switch {
+				case rout != nil:
+					rout.Push(st[sp])
+				case out != nil:
+					out.Push(st[sp])
+				default:
+					return m.fail("push outside work function")
+				}
+			case opJump:
+				pc = int(ins.a)
+			case opJumpIfZero:
+				sp--
+				if st[sp] == 0 {
+					pc = int(ins.a)
+				}
+			case opBool:
+				if st[sp-1] != 0 {
+					st[sp-1] = 1
+				} else {
+					st[sp-1] = 0
+				}
+			case opIncLocal:
+				sp--
+				locals[ins.a] += st[sp]
+			case opPrint:
+				sp--
+				if print != nil {
+					print(st[sp])
+				}
+			case opSend:
+				if msg == nil {
+					return m.fail("message send with no messenger attached")
+				}
+				site := &p.sends[ins.a]
+				args := make([]float64, site.nargs)
+				sp -= site.nargs
+				copy(args, st[sp:sp+site.nargs])
+				if err := msg.Send(site.portal, site.handler, args, site.minLat, site.maxLat, site.bestEffort); err != nil {
+					return m.fail("%v", err)
+				}
+
+			case opPeekLocal:
+				switch ix := int(locals[ins.a]); {
+				case rin != nil:
+					st[sp] = rin.Peek(ix)
+				case in != nil:
+					st[sp] = in.Peek(ix)
+				default:
+					return m.fail("peek outside work function")
+				}
+				sp++
+			case opLoadLocalIdxL:
+				arr := m.arrays[ins.a]
+				ix := int(locals[ins.b])
+				if ix < 0 || ix >= len(arr) {
+					return m.fail("array index %d out of range [0,%d)", ix, len(arr))
+				}
+				st[sp] = arr[ix]
+				sp++
+			case opLoadFieldIdxL:
+				arr := fieldArrs[ins.a]
+				ix := int(locals[ins.b])
+				if ix < 0 || ix >= len(arr) {
+					return m.fail("array index %d out of range [0,%d)", ix, len(arr))
+				}
+				st[sp] = arr[ix]
+				sp++
+			case opJGeLC:
+				// Counted-loop head: jump out unless locals < const. Written as
+				// !(a < b) — not a >= b — so NaN bounds exit like the
+				// interpreter's failed < comparison.
+				if !(locals[ins.b&0xffff] < p.consts[ins.b>>16]) {
+					pc = int(ins.a)
+				}
+			case opIncLocalC:
+				locals[ins.a] += p.consts[ins.b]
+			case opLoopLC:
+				// Counted-loop back edge. The variable and bound are the ones
+				// packed into the head the body sits under; v < bound — not
+				// !(v >= bound) — so a NaN leaves the loop as it does there.
+				h := code[ins.a-1].b
+				locals[h&0xffff] += p.consts[ins.b]
+				if locals[h&0xffff] < p.consts[h>>16] {
+					pc = int(ins.a)
+				}
+			case opSpan:
+				if m.span(&p.spans[ins.a], in, out) {
+					pc = int(ins.b)
+				}
+
+			case opNeg:
+				st[sp-1] = -st[sp-1]
+			case opNot:
+				if st[sp-1] == 0 {
+					st[sp-1] = 1
+				} else {
+					st[sp-1] = 0
+				}
+			case opTrunc:
+				st[sp-1] = wfunc.EvalUnary(wfunc.Trunc, st[sp-1])
+			case opAbs:
+				st[sp-1] = wfunc.EvalUnary(wfunc.Abs, st[sp-1])
+			case opUnaryEv:
+				st[sp-1] = wfunc.EvalUnary(wfunc.UnOp(ins.a), st[sp-1])
+
+			case opAdd:
+				st[sp-2] += st[sp-1]
+				sp--
+			case opSub:
+				st[sp-2] -= st[sp-1]
+				sp--
+			case opMul:
+				st[sp-2] *= st[sp-1]
+				sp--
+			case opDiv:
+				st[sp-2] /= st[sp-1]
+				sp--
+			case opEq:
+				st[sp-2] = b2f(st[sp-2] == st[sp-1])
+				sp--
+			case opNe:
+				st[sp-2] = b2f(st[sp-2] != st[sp-1])
+				sp--
+			case opLt:
+				st[sp-2] = b2f(st[sp-2] < st[sp-1])
+				sp--
+			case opLe:
+				st[sp-2] = b2f(st[sp-2] <= st[sp-1])
+				sp--
+			case opGt:
+				st[sp-2] = b2f(st[sp-2] > st[sp-1])
+				sp--
+			case opGe:
+				st[sp-2] = b2f(st[sp-2] >= st[sp-1])
+				sp--
+			case opBinaryEv:
+				st[sp-2] = wfunc.EvalBinary(wfunc.BinOp(ins.a), st[sp-2], st[sp-1])
+				sp--
+
+			default:
+				return m.fail("invalid opcode %d at pc %d", ins.op, pc-1)
+			}
+		}
+		*fired++
 	}
 	return nil
 }

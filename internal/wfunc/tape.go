@@ -32,13 +32,22 @@ type Window interface {
 // can report it; the tape itself does not know who is using it. Short is
 // how many more items an underflow needed (0 for other misuse), which the
 // dynamic engine waits for before a dynamic-rate filter's next attempt.
+// Detail formats At (a peek's index, a take's count) and Buffered lazily,
+// so raising a fault makes no call and the ring's hot operations inline.
 type TapeFault struct {
-	Op     string
-	Detail string
-	Short  int
+	Op                  string
+	At, Buffered, Short int
 }
 
-func (f TapeFault) Error() string { return fmt.Sprintf("%s: %s", f.Op, f.Detail) }
+// Detail describes the misuse.
+func (f TapeFault) Detail() string {
+	if f.Op == "pop" {
+		return "pop on empty channel"
+	}
+	return fmt.Sprintf("%s(%d) with %d items buffered", f.Op, f.At, f.Buffered)
+}
+
+func (f TapeFault) Error() string { return f.Op + ": " + f.Detail() }
 
 // Ring is the one storage tape: a growable ring of float64 items
 // implementing Tape and Window, behind every edge of every engine and
@@ -68,10 +77,11 @@ func NewRing(capacity int) *Ring {
 // Len returns the number of buffered items.
 func (c *Ring) Len() int { return int(c.Pushed - c.Popped) }
 
-// Peek returns the item i positions from the read end.
+// Peek returns the item i positions from the read end. Peek, Pop and Push
+// inline into the VM's dispatch loop: none of them makes a call.
 func (c *Ring) Peek(i int) float64 {
-	if n := c.Len(); i < 0 || i >= n {
-		panic(TapeFault{Op: "peek", Detail: fmt.Sprintf("peek(%d) with %d items buffered", i, n), Short: max(i+1-n, 0)})
+	if uint(i) >= uint(c.Len()) {
+		panic(TapeFault{Op: "peek", At: i, Buffered: c.Len(), Short: max(i+1-c.Len(), 0)})
 	}
 	return c.buf[(int(c.Popped)+i)&c.mask]
 }
@@ -79,17 +89,23 @@ func (c *Ring) Peek(i int) float64 {
 // Pop consumes the next item.
 func (c *Ring) Pop() float64 {
 	if c.Popped == c.Pushed {
-		panic(TapeFault{Op: "pop", Detail: "pop on empty channel", Short: 1})
+		panic(TapeFault{Op: "pop", Short: 1})
 	}
 	v := c.buf[int(c.Popped)&c.mask]
 	c.Popped++
 	return v
 }
 
-// Push appends an item, growing the buffer when full.
+// Push appends an item. A full ring doubles by appending a copy of itself:
+// item k sits at k&mask in either half, so every item keeps its position's
+// slot.
 func (c *Ring) Push(v float64) {
-	if c.Len() == len(c.buf) {
-		c.grow(1)
+	if n := len(c.buf); c.Len() == n {
+		c.buf = append(c.buf, c.buf...)
+		if n == 0 {
+			c.buf = make([]float64, 4)
+		}
+		c.mask = len(c.buf) - 1
 	}
 	c.buf[int(c.Pushed)&c.mask] = v
 	c.Pushed++
@@ -133,7 +149,7 @@ func (c *Ring) Append(batch []float64) {
 // buffered is a tape fault: the mapped engine's producer-side rate check.
 func (c *Ring) Take(dst []float64, n int) []float64 {
 	if n < 0 || n > c.Len() {
-		panic(TapeFault{Op: "take", Detail: fmt.Sprintf("take(%d) with %d items buffered", n, c.Len())})
+		panic(TapeFault{Op: "take", At: n, Buffered: c.Len()})
 	}
 	i := int(c.Popped) & c.mask
 	first := min(n, len(c.buf)-i)
