@@ -6,6 +6,7 @@ import (
 
 	"errors"
 	"math"
+	"slices"
 	"streamit/internal/ir"
 	"strings"
 	"testing"
@@ -557,5 +558,47 @@ func TestMappedElasticDriver(t *testing.T) {
 	}
 	if me.Replans() < 1 {
 		t.Error("scheduled resize never re-planned")
+	}
+}
+
+// A counted loop that assigns its own variable runs fewer trips than its
+// bounds say, so its pops and pushes cannot be counted statically: the
+// filter below pushes 4 items, as declared, and must compile and run.
+const skipSrc = `
+void->float filter Ramp() {
+    float n;
+    work push 1 { push(n); n = n + 1; }
+}
+float->float filter Skip() {
+    work pop 1 push 4 {
+        float x = pop();
+        for (int i = 0; i < 8; i++) { push(x * 10 + i); i = i + 1; }
+    }
+}
+float->void filter Out() { work pop 1 { println(pop()); } }
+void->void pipeline Main() {
+    add Ramp();
+    add Skip();
+    add Out();
+}
+`
+
+func TestCompileLoopAssigningItsVariable(t *testing.T) {
+	c, err := CompileSource(skipSrc, "Main", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := c.Engine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []float64
+	e.Printer = func(_ string, v float64) { got = append(got, v) }
+	if err := e.Run(2); err != nil {
+		t.Fatal(err)
+	}
+	want := []float64{0, 2, 4, 6, 10, 12, 14, 16}
+	if !slices.Equal(got, want) {
+		t.Errorf("sink saw %v, want %v", got, want)
 	}
 }

@@ -49,13 +49,13 @@ func TestSuiteSpanKernels(t *testing.T) {
 		"BitonicSort":    {[4]int{0, 21, 0, 20}, [4]int{0, 21, 0, 20}},
 		"ChannelVocoder": {[4]int{17, 2, 0, 0}, [4]int{17, 2, 0, 0}},
 		"DCT":            {[4]int{3, 4, 0, 0}, [4]int{6, 1, 0, 0}},
-		"DES":            {[4]int{0, 81, 0, 96}, [4]int{0, 33, 0, 48}},
+		"DES":            {[4]int{0, 81, 0, 96}, [4]int{0, 33, 0, 96}},
 		"FFT":            {[4]int{0, 6, 0, 5}, [4]int{0, 6, 0, 5}},
 		"FilterBank":     {[4]int{17, 10, 0, 0}, [4]int{17, 2, 0, 0}},
 		"FMRadio":        {[4]int{22, 2, 0, 0}, [4]int{22, 2, 0, 0}},
-		"Serpent":        {[4]int{0, 97, 0, 96}, [4]int{0, 3, 0, 2}},
+		"Serpent":        {[4]int{0, 97, 0, 96}, [4]int{0, 3, 0, 192}},
 		"TDE":            {[4]int{10, 11, 0, 0}, [4]int{20, 3, 0, 0}},
-		"MPEG2Decoder":   {[4]int{1, 4, 0, 2}, [4]int{2, 3, 0, 1}},
+		"MPEG2Decoder":   {[4]int{1, 4, 0, 2}, [4]int{2, 3, 0, 2}},
 		"Vocoder":        {[4]int{17, 2, 0, 0}, [4]int{17, 2, 0, 0}},
 		"Radar":          {[4]int{28, 5, 48, 0}, [4]int{28, 5, 48, 0}},
 	}
@@ -70,8 +70,9 @@ func TestSuiteSpanKernels(t *testing.T) {
 			t.Fatalf("%s: %v", app.Name, err)
 		}
 		check(app.Name, "as written", spanCounts(t, c.Graph), want.flat)
-		// Fusion turns a stage's drains into cursor arithmetic and its
-		// peeks into loads from the edge array, so the plan's counts differ.
+		// Fusion turns a stage's drains into cursor arithmetic, its peeks
+		// into loads from the edge array and its pushes into stores to the
+		// next, so the plan's counts differ.
 		plan, err := partition.BuildExecPlan(c.Program, c.Graph, c.Schedule,
 			partition.ExecPlanOptions{Strategy: partition.StratCoarseData, Workers: 2})
 		if err != nil {

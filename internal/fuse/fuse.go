@@ -7,7 +7,11 @@
 // arrays and fields into one frame, wraps each stage's work body in a loop
 // over its multiplicity, and turns the push/pop/peek operations on the
 // edges between stages into stores and loads on local arrays (two in all:
-// the stages run in turn, so the edges take turns too).
+// the stages run in turn, so the edges take turns too). A counted loop
+// that moves an edge's cursor a constant number of times per trip indexes
+// the array by its loop variable, per·v + k, with no position of its own:
+// the VM's span instructions then take the fused loop as they took the
+// stage's (vm's map.go stores to a local array as it pushes to a tape).
 // Only the first stage reads the real input tape and only the last writes
 // the real output, so nothing is fired twice and the engines, backends,
 // checkpoints and profiler see a filter like any other.
@@ -411,13 +415,13 @@ func (s *stage) nested(out []wfunc.Stmt, st wfunc.Stmt) []wfunc.Stmt {
 	io := wfunc.CountIO([]wfunc.Stmt{st})
 	cur := [2]*cursor{&s.in, &s.out}
 	moved := [2]int{io.Pops, io.Pushes}
-	var rides [2]bool
+	var per [2]int // moves per trip of a cursor that rides the loop
 	if f, ok := st.(*wfunc.For); ok {
-		rides = [2]bool{cur[0].rides(f, moved[0], false), cur[1].rides(f, moved[1], true)}
+		per = [2]int{cur[0].rides(f, moved[0], false), cur[1].rides(f, moved[1], true)}
 	}
 	var moves [2]bool
 	for i, c := range cur {
-		if moves[i] = !c.real() && moved[i] > 0 && !rides[i]; moves[i] {
+		if moves[i] = !c.real() && moved[i] > 0 && per[i] == 0; moves[i] {
 			out = c.sync(out)
 		}
 	}
@@ -446,9 +450,13 @@ func (s *stage) nested(out []wfunc.Stmt, st wfunc.Stmt) []wfunc.Stmt {
 		}
 		for i := range entry {
 			entry[i].loopMoves = moves[i]
-			if rides[i] {
-				entry[i].ride = &wfunc.LocalRef{Idx: f.Var}
-				entry[i].pend -= int(st.From.(*wfunc.Const).V)
+			if per[i] > 0 {
+				var v wfunc.Expr = &wfunc.LocalRef{Idx: f.Var}
+				if per[i] > 1 {
+					v = &wfunc.Binary{Op: wfunc.Mul, A: v, B: wfunc.Ci(per[i])}
+				}
+				entry[i].ride = v
+				entry[i].pend -= int(st.From.(*wfunc.Const).V) * per[i]
 				before[i].pend += moved[i]
 			}
 		}
@@ -470,22 +478,26 @@ func (s *stage) header(e wfunc.Expr) wfunc.Expr {
 	return s.expr(e, &pops, "a loop bound or condition")
 }
 
-// rides reports whether the cursor, at a known place before counted loop f,
-// stays a constant distance from f's loop variable inside it: the loop
-// steps by one and moves the cursor exactly once per iteration (moved times
-// in all), in a plain statement of its body. Such a loop needs no position
-// of its own — the commonest shape of all, for i { push(g(peek(i))) },
-// then indexes both its arrays by i. Like CountIO's trip counts this takes
-// the body to leave the loop variable alone.
-func (c *cursor) rides(f *wfunc.For, moved int, pushes bool) bool {
+// rides returns how many times counted loop f moves the cursor per trip
+// if the cursor, at a known place before f, stays at a constant distance
+// from per·v inside it for f's loop variable v — zero if it does not: the
+// loop steps by one and every statement of its body that moves the cursor
+// is a plain one, so trip v's k-th move is at per·v + k from a constant
+// base. Such a loop needs no position of its own: the commonest shape of
+// all, for i { push(g(peek(i))) }, indexes both its arrays by i, and an
+// S-box's for i { v = ...; push(v / 8 % 2); ... push(v % 2) } stores at
+// 4i, 4i+1, 4i+2 and 4i+3. Like CountIO's trip counts this takes the body
+// to leave the loop variable alone, which CanFollow's Known check
+// guarantees: CountIO does not count a loop that assigns its variable.
+func (c *cursor) rides(f *wfunc.For, moved int, pushes bool) int {
 	trip, counted := wfunc.ConstTrip(f)
-	if c.real() || !c.known || !counted || trip == 0 || moved != trip {
-		return false
+	if c.real() || !c.known || !counted || trip == 0 || moved == 0 {
+		return 0
 	}
 	if step, ok := f.Step.(*wfunc.Const); f.Step != nil && !(ok && step.V == 1) {
-		return false
+		return 0
 	}
-	movers := 0
+	per := 0
 	for _, st := range f.Body {
 		io := wfunc.CountIO([]wfunc.Stmt{st})
 		n := io.Pops
@@ -497,11 +509,14 @@ func (c *cursor) rides(f *wfunc.For, moved int, pushes bool) bool {
 		}
 		switch st.(type) {
 		case *wfunc.If, *wfunc.For, *wfunc.While:
-			return false
+			return 0
 		}
-		movers++
+		per += n
 	}
-	return movers == 1
+	if per*trip != moved {
+		return 0
+	}
+	return per
 }
 
 // expr rewrites an expression. pops counts the pops evaluated so far in the

@@ -8,9 +8,11 @@ import (
 	"sync"
 	"testing"
 
+	"streamit/internal/apps"
 	"streamit/internal/exec"
 	"streamit/internal/ir"
 	"streamit/internal/sched"
+	"streamit/internal/vm"
 	"streamit/internal/wfunc"
 )
 
@@ -139,6 +141,32 @@ func mkGather(name string, pop, push int) *ir.Filter {
 		wfunc.ForUp(i, wfunc.Ci(0), wfunc.Ci(pop), wfunc.Pop1()),
 		wfunc.Push1(i), // the loop variable's value behind the dropped loop
 	)
+	return filterOf(b)
+}
+
+// mkSbox reads its input in groups of four at peeks 4i+k-4 for i from one
+// and pushes per items a group, each in a plain statement of the group's
+// loop, then drops the input in a loop of bare pops — Serpent's S-box,
+// whose pushes fusion turns into stores at per·i + k - per.
+func mkSbox(name string, groups, per int) *ir.Filter {
+	b := wfunc.NewKernel(name, 4*groups, 4*groups, per*groups)
+	i, v := b.Local("i"), b.Local("v")
+	t := b.FieldArray("t", 16)
+	b.InitBody(wfunc.ForUp(i, wfunc.Ci(0), wfunc.Ci(16),
+		wfunc.SetFIdx(t, i, wfunc.Bin(wfunc.Mod, wfunc.MulX(wfunc.AddX(i, wfunc.Ci(5)), wfunc.Ci(7)), wfunc.Ci(16)))))
+	at := func(k int) wfunc.Expr {
+		return wfunc.MulX(wfunc.PeekX(wfunc.AddX(wfunc.MulX(i, wfunc.Ci(4)), wfunc.Ci(k-4))), wfunc.Ci(8>>k))
+	}
+	group := []wfunc.Stmt{
+		wfunc.Set(v, wfunc.Un(wfunc.Abs, wfunc.AddX(wfunc.AddX(at(0), at(1)), wfunc.AddX(at(2), at(3))))),
+		wfunc.Set(v, wfunc.FIdx(t, wfunc.Bin(wfunc.Mod, v, wfunc.Ci(16)))),
+	}
+	for k := 0; k < per; k++ {
+		group = append(group, wfunc.Push1(wfunc.AddX(wfunc.Bin(wfunc.Mod, wfunc.DivX(v, wfunc.Ci(1<<k)), wfunc.Ci(2)),
+			wfunc.MulX(i, wfunc.C(0.25)))))
+	}
+	b.WorkBody(wfunc.ForUp(i, wfunc.Ci(1), wfunc.Ci(groups+1), group...),
+		wfunc.ForUp(i, wfunc.Ci(0), wfunc.Ci(4*groups), wfunc.Pop1()))
 	return filterOf(b)
 }
 
@@ -298,6 +326,10 @@ func TestChainTable(t *testing.T) {
 		"peeking head fires thrice": func() []*ir.Filter {
 			return []*ir.Filter{mkStateless("A", 5, 2, 1, 1), mkBranchy("B", 3, 3), mkScratch("C", 3, 1)}
 		},
+		"S-boxes in the middle": func() []*ir.Filter {
+			return []*ir.Filter{mkStateless("A", 5, 4, 4, 0.5), mkSbox("B", 2, 4), mkSbox("C", 1, 3),
+				mkHorner("D", 3, 2), mkSbox("E", 1, 4), mkGather("F", 4, 3)}
+		},
 		"six stages": func() []*ir.Filter {
 			return []*ir.Filter{mkBranchy("A", 1, 2), mkScratch("B", 4, 3), mkHorner("C", 1, 1),
 				mkStateless("D", 2, 2, 3, 0.25), mkBranchy("E", 4, 1), mkStateful("F", 3, 3, 2)}
@@ -307,6 +339,48 @@ func TestChainTable(t *testing.T) {
 		mk := mk
 		t.Run(name, func(t *testing.T) { wantFusedMatches(t, name, mk) })
 	}
+}
+
+// TestFusedSerpentRoundIsSpans: fusion keeps a Serpent round's loops in
+// the VM's span family. The key mix stores into the first edge array, the
+// S-box reads it at 4i+k and stores four bits a group at 4i+k into the
+// second, the permutation gathers from that onto the tape, and only the
+// head's drain is left of the three drains.
+func TestFusedSerpentRoundIsSpans(t *testing.T) {
+	fused, err := Chain("round", apps.KeyXor("key", 128, 3), apps.Sbox("sbox", 128), apps.Permute("perm", 128, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var loops func(body []wfunc.Stmt) int
+	loops = func(body []wfunc.Stmt) int {
+		n := 0
+		for _, st := range body {
+			switch st := st.(type) {
+			case *wfunc.For:
+				n += 1 + loops(st.Body)
+			case *wfunc.If:
+				n += loops(st.Then) + loops(st.Else)
+			case *wfunc.While:
+				n += 1 + loops(st.Body)
+			}
+		}
+		return n
+	}
+	p, err := vm.Compile(fused.Kernel.Work)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, d, m, mp := p.SpanCounts()
+	if n := loops(fused.Kernel.Work.Body); r != 0 || d != 1 || m != 0 || mp != 3 || n != 4 {
+		t.Errorf("%d loops compile to reduce/drain/move/map = %d/%d/%d/%d spans, want 4 loops: 0/1/0/3", n, r, d, m, mp)
+	}
+	// Behind a stage that turns the ramp into bits, the round is
+	// bit-identical to its pipeline on both backends.
+	wantFusedMatches(t, "Serpent round", func() []*ir.Filter {
+		b := wfunc.NewKernel("bits", 1, 1, 1)
+		b.WorkBody(wfunc.Push1(wfunc.Bin(wfunc.Mod, wfunc.PopE(), wfunc.Ci(2))))
+		return []*ir.Filter{filterOf(b), apps.KeyXor("key", 128, 3), apps.Sbox("sbox", 128), apps.Permute("perm", 128, 5)}
+	})
 }
 
 // TestChainEdgesTakeTurns: the frame of a chain does not grow with its
@@ -413,6 +487,14 @@ func TestFuseRejections(t *testing.T) {
 	if _, err := Chain("x", filterOf(cb), plain()); err != nil {
 		t.Errorf("conditional pops in the head stage: %v", err)
 	}
+
+	// A loop that assigns its own variable pushes 4 items here, not 8: no
+	// cursor can follow it.
+	kb := wfunc.NewKernel("skip", 1, 1, 4)
+	i, x := kb.Local("i"), kb.Local("x")
+	kb.WorkBody(wfunc.Set(x, wfunc.PopE()), wfunc.ForUp(i, wfunc.Ci(0), wfunc.Ci(8),
+		wfunc.Push1(wfunc.AddX(x, i)), wfunc.Set(i, wfunc.AddX(i, wfunc.Ci(1)))))
+	refused("loop assigns its variable", "cannot be counted statically", filterOf(kb), plain())
 
 	refused("single filter", "at least two", plain())
 }

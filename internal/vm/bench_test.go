@@ -85,7 +85,8 @@ func BenchmarkFIRVM(b *testing.B) {
 // span instruction and once with the instruction turned into a jump to
 // the bytecode loop behind it, the one its guard falls back to. ns/trip is
 // the number to compare: an FIR's reduce, a firing's drain, a history
-// shift's move and a DES-style permute-and-xor map.
+// shift's move, a DES-style permute-and-xor map, and the same map storing
+// into a local array as a fused kernel's stage does.
 func BenchmarkSpanKinds(b *testing.B) {
 	const trips = 64
 	kinds := []struct {
@@ -102,6 +103,10 @@ func BenchmarkSpanKinds(b *testing.B) {
 		{"map", func(v, _ *wfunc.LocalRef, fa, _ int) wfunc.Stmt {
 			perm := wfunc.Bin(wfunc.Mod, wfunc.MulX(v, wfunc.C(5)), wfunc.C(trips))
 			return wfunc.Push1(wfunc.Bin(wfunc.BitXor, wfunc.PeekX(perm), wfunc.FIdx(fa, v)))
+		}},
+		{"store", func(v, _ *wfunc.LocalRef, fa, la int) wfunc.Stmt {
+			perm := wfunc.Bin(wfunc.Mod, wfunc.MulX(v, wfunc.C(5)), wfunc.C(trips))
+			return wfunc.SetLIdx(la, v, wfunc.Bin(wfunc.BitXor, wfunc.PeekX(perm), wfunc.FIdx(fa, v)))
 		}},
 	}
 	for _, kind := range kinds {

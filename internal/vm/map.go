@@ -7,11 +7,13 @@ import (
 	"streamit/internal/wfunc"
 )
 
-// Map spans: write spans. A counted loop whose body is push statements and
-// assignments to body locals, over pure expressions that do not pop,
+// Map spans: write spans. A counted loop whose body is push statements,
+// assignments to body locals and stores to local arrays, over pure
+// expressions that do not pop,
 //
 //	for i = 0; i < 32; i++ { push(peek(i) ^ peek(i + 32)) }
 //	for i = 0; i < 32; i++ { v = peek(4*i)*8 + ...; v = t[v]; push(v / 8 % 2); ... }
+//	for i = 0; i < 32; i++ { v = a[4*i]*8 + ...; v = t[v]; b[4*i] = v / 8 % 2; b[4*i+1] = ... }
 //
 // compiles to an expression program over lane registers: each register
 // holds one value for each of mapLanes consecutive trips, and each step
@@ -24,15 +26,30 @@ import (
 // register by the local's next assignment.
 //
 // Pushes go straight into a reservation on the out tape (wfunc.Window's
-// Reserve), committed only once every trip has run. Every read is checked
-// where it happens — a peek against the window, an array element against
-// the array — and a check that fails, like a fractional or NaN start or a
-// tape without a window, abandons the span before anything is committed:
-// the ring, the loop variable and the locals are as they were, and the
-// generic loop behind the instruction runs the loop from the start and
-// raises the interpreter's fault. Both sides of ?:, && and || are
-// evaluated, which the purity of the body makes invisible except when the
-// side the interpreter skips would fault; then the span is abandoned too.
+// Reserve), committed only once every trip has run. Every read and store
+// is checked where it happens — a peek against the window, an array
+// element against the array — and a check that fails, like a fractional
+// or NaN start or a tape without a window, abandons the span: the ring,
+// the loop variable and the locals are as they were, and the generic loop
+// behind the instruction runs the loop from the start and raises the
+// interpreter's fault. Both sides of ?:, && and || are evaluated, which
+// the purity of the body makes invisible except when the side the
+// interpreter skips would fault; then the span is abandoned too.
+//
+// Stores land in place, statement by statement over a block of trips, and
+// an abandoned span leaves the ones it made behind. The compiler admits
+// only bodies for which neither can show:
+//
+//   - no expression of the body reads an array the body stores to, so a
+//     trip computes the same values at the same indices whatever was
+//     stored before it, and a generic loop that reruns the loop from the
+//     start remakes every store the span made, with the same value;
+//   - an array stored by more than one statement is indexed c·v + k, with
+//     one integer c and distinct integers k spanning less than |c|, so no
+//     two of the loop's stores hit one cell (one statement's stores land in
+//     trip order, as the generic loop's do);
+//   - local arrays only: a firing starts them at zero, so what a faulted
+//     firing left in them is never read, while a field array outlives it.
 //
 // Arithmetic rounds as the bytecode does: + - * / natively (a product is
 // written float64(x*y), so no multiply fuses into an add), every other
@@ -75,6 +92,7 @@ const (
 	mBinary   // dst = wfunc.EvalBinary(arg, a, b)
 	mCond     // dst = a != 0 ? b : register arg
 	mPush     // push a as the trip's push number arg
+	mStore    // arrays[arg][int(b)] = a
 
 	// Exit steps.
 	mSetLocal // locals[arg] = a, its last trip's lane
@@ -106,6 +124,7 @@ type mapCompiler struct {
 	steps  []mapStep // the program so far
 	entry  int       // steps[:entry] are its entry steps
 	used   uint32    // allocated registers
+	stored []int     // the local arrays the body stores to, once per store
 	peeks  bool
 	ok     bool
 }
@@ -127,17 +146,19 @@ func (c *compiler) mapSpan(body []wfunc.Stmt, sp *spanInstr) bool {
 		case *wfunc.PushStmt:
 			pushes++
 		case *wfunc.Assign:
-			if st.LHS.Kind != wfunc.LVLocal || st.LHS.Idx == mc.v {
+			switch {
+			case st.LHS.Kind == wfunc.LVLocalArr:
+				mc.stored = append(mc.stored, st.LHS.Idx)
+			case st.LHS.Kind != wfunc.LVLocal || st.LHS.Idx == mc.v:
 				return false
-			}
-			if mc.local(st.LHS.Idx) == nil {
+			case mc.local(st.LHS.Idx) == nil:
 				mc.locals = append(mc.locals, bodyLocal{st.LHS.Idx, -1})
 			}
 		default:
 			return false
 		}
 	}
-	if pushes == 0 {
+	if pushes+len(mc.stored) == 0 || !mc.disjoint(body) {
 		return false
 	}
 	// Entry registers first, so that no trip step can have written one
@@ -149,6 +170,9 @@ func (c *compiler) mapSpan(body []wfunc.Stmt, sp *spanInstr) bool {
 			mc.leaves(st.X)
 		case *wfunc.Assign:
 			mc.leaves(st.X)
+			if st.LHS.Index != nil {
+				mc.leaves(st.LHS.Index)
+			}
 		}
 	}
 	if mc.varReg >= 0 {
@@ -164,6 +188,13 @@ func (c *compiler) mapSpan(body []wfunc.Stmt, sp *spanInstr) bool {
 			pushes++
 		case *wfunc.Assign:
 			r, temp := mc.expr(st.X)
+			if st.LHS.Kind == wfunc.LVLocalArr {
+				ix, ixTemp := mc.expr(st.LHS.Index)
+				mc.steps = append(mc.steps, mapStep{op: mStore, a: r, b: ix, arg: int32(st.LHS.Idx)})
+				mc.release(r, temp)
+				mc.release(ix, ixTemp)
+				continue
+			}
 			if !temp {
 				d := mc.alloc()
 				mc.steps = append(mc.steps, mapStep{op: mCopy, dst: d, a: r})
@@ -189,6 +220,70 @@ func (c *compiler) mapSpan(body []wfunc.Stmt, sp *spanInstr) bool {
 		sp.peeks = 1
 	}
 	return true
+}
+
+// disjoint reports whether the body's stores may land in any order (see
+// the header): no expression reads a stored array — leaves checks that —
+// and the stores to one array from several statements hit distinct cells.
+func (mc *mapCompiler) disjoint(body []wfunc.Stmt) bool {
+	for i, arr := range mc.stored {
+		if slices.Index(mc.stored, arr) < i || !slices.Contains(mc.stored[i+1:], arr) {
+			continue // checked at its first store, or one statement's stores, which land in trip order
+		}
+		var c float64
+		var ks []float64
+		for _, st := range body {
+			if st, ok := st.(*wfunc.Assign); ok && st.LHS.Kind == wfunc.LVLocalArr && st.LHS.Idx == arr {
+				sc, k, ok := mc.stride(st.LHS.Index)
+				if !ok || len(ks) > 0 && sc != c {
+					return false
+				}
+				c, ks = sc, append(ks, k)
+			}
+		}
+		slices.Sort(ks)
+		if ks[len(ks)-1]-ks[0] >= math.Abs(c) || len(slices.Compact(ks)) < len(ks) {
+			return false
+		}
+	}
+	return true
+}
+
+// stride matches index e as c·v + k — v, c*v or v*c, plus or minus k —
+// for integers c ≠ 0 and k below spanLimit. An index in an array's range
+// then came out of exact arithmetic, so distinct pairs (c, k) with one c
+// and k spanning less than |c| hit distinct cells.
+func (mc *mapCompiler) stride(e wfunc.Expr) (c, k float64, ok bool) {
+	c = 1
+	if x, kv, isSum := constOperand(e, wfunc.Add, wfunc.Sub); isSum {
+		e, k = x, kv
+	}
+	if x, cv, isProduct := constOperand(e, wfunc.Mul); isProduct {
+		e, c = x, cv
+	}
+	l, isVar := e.(*wfunc.LocalRef)
+	ok = isVar && l.Idx == mc.v && c != 0 && c == math.Trunc(c) && k == math.Trunc(k) &&
+		math.Abs(c) < spanLimit && math.Abs(k) < spanLimit
+	return c, k, ok
+}
+
+// constOperand matches e as x op K, or K op x unless op is Sub, for one of
+// ops and a constant K, and returns x and K (-K under Sub).
+func constOperand(e wfunc.Expr, ops ...wfunc.BinOp) (wfunc.Expr, float64, bool) {
+	b, ok := e.(*wfunc.Binary)
+	if !ok || !slices.Contains(ops, b.Op) {
+		return nil, 0, false
+	}
+	if k, ok := b.B.(*wfunc.Const); ok {
+		if b.Op == wfunc.Sub {
+			return b.A, -k.V, true
+		}
+		return b.A, k.V, true
+	}
+	if k, ok := b.A.(*wfunc.Const); ok && b.Op != wfunc.Sub {
+		return b.B, k.V, true
+	}
+	return nil, 0, false
 }
 
 // local returns the body local l, nil if the body does not assign it.
@@ -239,7 +334,8 @@ func (mc *mapCompiler) release(r uint8, temp bool) {
 }
 
 // leaves gives every leaf of e that the loop cannot change an entry
-// register, and the loop variable its register; it rejects a pop.
+// register, and the loop variable its register; it rejects a pop and a
+// read of a stored array.
 func (mc *mapCompiler) leaves(e wfunc.Expr) {
 	switch e := e.(type) {
 	case *wfunc.Const:
@@ -258,6 +354,9 @@ func (mc *mapCompiler) leaves(e wfunc.Expr) {
 	case *wfunc.Peek:
 		mc.leaves(e.Index)
 	case *wfunc.LocalIndex:
+		if slices.Contains(mc.stored, e.Arr) {
+			mc.ok = false // a block's stores may already have overwritten it
+		}
 		mc.leaves(e.Index)
 	case *wfunc.FieldIndex:
 		mc.leaves(e.Index)
@@ -354,19 +453,18 @@ func (m *Machine) mapSpan(s *spanInstr, in, out wfunc.Tape) bool {
 	if n*mp.pushes > mapMaxItems {
 		return false
 	}
-	ow, ok := out.(wfunc.Window)
-	if !ok {
+	ow, _ := out.(wfunc.Window)
+	iw, _ := in.(wfunc.Window)
+	if ow == nil && mp.pushes > 0 || iw == nil && s.peeks > 0 {
 		return false
-	}
-	var iw wfunc.Window
-	if s.peeks > 0 {
-		if iw, ok = in.(wfunc.Window); !ok {
-			return false
-		}
 	}
 	// Reserve before fetching the read window: a reservation may grow a
 	// ring, which moves its storage.
-	obuf, obase, omask := ow.Reserve(n * mp.pushes)
+	var obuf []float64
+	obase, omask := 0, 0
+	if ow != nil {
+		obuf, obase, omask = ow.Reserve(n * mp.pushes)
+	}
 	var ibuf []float64
 	ibase, imask, buffered := 0, 0, 0
 	if iw != nil {
@@ -468,10 +566,16 @@ func (m *Machine) mapSpan(s *spanInstr, in, out wfunc.Tape) bool {
 				for i, x := range a {
 					obuf[(at+i*mp.pushes)&omask] = x
 				}
+			case mStore:
+				if !scatter(m.arrays[st.arg], regs[st.b][:w], a) {
+					return false
+				}
 			}
 		}
 	}
-	ow.Commit(n * mp.pushes)
+	if ow != nil {
+		ow.Commit(n * mp.pushes)
+	}
 	last := (n - 1) % mapLanes
 	for _, st := range mp.steps[mp.exit:] {
 		m.locals[st.arg] = regs[st.a][last]
@@ -487,6 +591,18 @@ func gather(d, ix, arr []float64) bool {
 			return false
 		}
 		d[i] = arr[int(x)]
+	}
+	return true
+}
+
+// scatter sets arr[int(ix[i])] = xs[i], in order, while the index is in
+// range, and reports whether every one was.
+func scatter(arr, ix, xs []float64) bool {
+	for i, x := range ix {
+		if !(x >= 0 && x < float64(len(arr))) {
+			return false
+		}
+		arr[int(x)] = xs[i]
 	}
 	return true
 }

@@ -16,23 +16,28 @@ import (
 //	reduce  acc = acc + a[v+p] * b[v+q]    acc = acc + a[v+p]
 //	drain   pop()
 //	move    a[v+p] = b[v+q]
-//	map     push(E); t = E; ...            straight-line, E pure
+//	map     push(E); t = E; la[I] = E; ...  straight-line, E and I pure
 //
 // A reduce operand is a peek, a pop(), a field array or a local array; a
 // move goes between arrays. p and q are loop-invariant and cannot fault:
 // constants and other locals under + - *, evaluated once on loop entry.
-// A map body is push statements and assignments to body locals, over
-// expressions that read peeks, arrays, fields, constants, the loop
-// variable and locals the loop does not assign, under any operator; a body
-// local must be assigned in a trip before it is read there (map.go).
+// A map body is push statements, assignments to body locals and stores to
+// local arrays, over expressions that read peeks, arrays, fields,
+// constants, the loop variable and locals the loop does not assign, under
+// any operator; a body local must be assigned in a trip before it is read
+// there, no expression may read an array the body stores to, and an array
+// stored by several statements takes indices c·v + k that cannot meet
+// (map.go).
 //
 // At run time the instruction checks that every access of the whole loop
-// is in range — once on entry for the first three, at each read for a map,
-// whose pushes stay uncommitted in the out tape's reservation until every
-// trip has succeeded. If so it has run the loop natively, leaves the loop
-// variable at its exit value and jumps past the loop. If not it has
-// changed nothing and falls into the generic loop, which raises the fault
-// the interpreter raises, at the iteration it raises it.
+// is in range — once on entry for the first three, at each read and store
+// for a map, whose pushes stay uncommitted in the out tape's reservation
+// until every trip has succeeded. If so it has run the loop natively,
+// leaves the loop variable at its exit value and jumps past the loop. If
+// not it falls into the generic loop, which raises the fault the
+// interpreter raises, at the iteration it raises it. It has changed
+// nothing the generic loop would not change the same way: a map's stores
+// land in place, and the rerun makes each of them again (map.go).
 
 type spanKind uint8
 

@@ -287,6 +287,32 @@ var familyCases = []spanCase{
 	{"map past one block of lanes", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(40, wfunc.Push1(wfunc.MulX(wfunc.PeekX(wfunc.Bin(wfunc.Mod, f.v, wfunc.C(24))), f.v)))
 	}, 0, 0, 0, 1},
+	{"move from the tape", func(f *spanFixture) wfunc.Stmt {
+		return f.upTo(8, wfunc.SetLIdx(f.la, f.v, wfunc.PeekX(f.v)))
+	}, 0, 0, 0, 1},
+	{"map: an array store", func(f *spanFixture) wfunc.Stmt {
+		return f.upTo(8, wfunc.SetLIdx(f.la, f.v, wfunc.PeekX(f.v)), wfunc.Push1(f.v))
+	}, 0, 0, 0, 1},
+	{"map: strided stores into an edge array (a fused S-box)", func(f *spanFixture) wfunc.Stmt {
+		// The shape fuse.Chain gives Serpent's S-box: a body local from the
+		// previous edge array, then two stores a trip into the next one.
+		nibble := wfunc.AddX(wfunc.MulX(wfunc.LIdx(f.lb, wfunc.MulX(f.v, wfunc.C(2))), wfunc.C(2)),
+			wfunc.LIdx(f.lb, wfunc.AddX(wfunc.MulX(f.v, wfunc.C(2)), wfunc.C(1))))
+		return f.upTo(5, wfunc.Set(f.acc, nibble),
+			wfunc.SetLIdx(f.la, wfunc.MulX(f.v, wfunc.C(2)), wfunc.Bin(wfunc.Mod, f.acc, wfunc.C(2))),
+			wfunc.SetLIdx(f.la, wfunc.AddX(wfunc.C(1), wfunc.MulX(wfunc.C(2), f.v)), wfunc.DivX(f.acc, wfunc.C(4))))
+	}, 0, 0, 0, 1},
+	{"map: descending strided stores, two arrays", func(f *spanFixture) wfunc.Stmt {
+		down := func(k float64) wfunc.Expr { return wfunc.AddX(wfunc.MulX(f.v, wfunc.C(-2)), wfunc.C(k)) }
+		return f.upTo(5, wfunc.SetLIdx(f.la, down(9), wfunc.PeekX(f.v)), wfunc.SetLIdx(f.lb, f.v, wfunc.FIdx(f.fa, f.v)),
+			wfunc.SetLIdx(f.la, down(8), wfunc.MulX(f.v, f.fs)), wfunc.Push1(wfunc.PeekX(wfunc.AddX(f.v, f.q))))
+	}, 0, 0, 0, 1},
+	{"map: one statement's colliding stores land in trip order", func(f *spanFixture) wfunc.Stmt {
+		return f.upTo(20, wfunc.SetLIdx(f.la, wfunc.DivX(f.v, wfunc.C(3)), wfunc.PeekX(f.v)))
+	}, 0, 0, 0, 1},
+	{"map: a store at a computed index", func(f *spanFixture) wfunc.Stmt {
+		return f.upTo(12, wfunc.SetLIdx(f.lb, wfunc.Bin(wfunc.Mod, wfunc.MulX(f.v, wfunc.C(7)), wfunc.C(10)), wfunc.PeekX(f.v)))
+	}, 0, 0, 0, 1},
 }
 
 // nearMisses look like family members and must compile to generic loops
@@ -346,15 +372,22 @@ var nearMisses = []spanCase{
 	{"operand under a unary", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(8, f.accum(wfunc.Un(wfunc.Abs, wfunc.PeekX(f.v))))
 	}, 0, 0, 0, 0},
-	{"move from the tape", func(f *spanFixture) wfunc.Stmt {
-		return f.upTo(8, wfunc.SetLIdx(f.la, f.v, wfunc.PeekX(f.v)))
-	}, 0, 0, 0, 0},
 	{"map: body local read before the trip assigns it", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(8, wfunc.Push1(f.acc), wfunc.Set(f.acc, wfunc.PeekX(f.v)))
 	}, 0, 0, 0, 0},
 	{"map: a pop", func(f *spanFixture) wfunc.Stmt { return f.upTo(8, wfunc.Push1(wfunc.PopE())) }, 0, 0, 0, 0},
-	{"map: an array store", func(f *spanFixture) wfunc.Stmt {
-		return f.upTo(8, wfunc.SetLIdx(f.la, f.v, wfunc.PeekX(f.v)), wfunc.Push1(f.v))
+	{"map: reads the array it stores to", func(f *spanFixture) wfunc.Stmt {
+		return f.upTo(8, wfunc.SetLIdx(f.la, f.v, wfunc.AddX(wfunc.LIdx(f.la, f.v), wfunc.PeekX(f.v))))
+	}, 0, 0, 0, 0},
+	{"map: two stores can hit one cell", func(f *spanFixture) wfunc.Stmt {
+		return f.upTo(8, wfunc.SetLIdx(f.la, f.v, wfunc.PeekX(f.v)), wfunc.SetLIdx(f.la, wfunc.AddX(f.v, wfunc.C(1)), f.v))
+	}, 0, 0, 0, 0},
+	{"map: a field-array store", func(f *spanFixture) wfunc.Stmt {
+		return f.upTo(8, wfunc.SetFIdx(f.fa, f.v, wfunc.PeekX(f.v)), wfunc.Push1(f.v))
+	}, 0, 0, 0, 0},
+	{"map: two stores to one array, index not affine", func(f *spanFixture) wfunc.Stmt {
+		return f.upTo(5, wfunc.SetLIdx(f.la, wfunc.Bin(wfunc.Mod, f.v, wfunc.C(5)), wfunc.PeekX(f.v)),
+			wfunc.SetLIdx(f.la, wfunc.AddX(wfunc.Bin(wfunc.Mod, f.v, wfunc.C(5)), wfunc.C(5)), f.v))
 	}, 0, 0, 0, 0},
 	{"map: a field store", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(8, wfunc.SetF(f.fs, wfunc.PeekX(f.v)), wfunc.Push1(f.fs))
@@ -514,6 +547,26 @@ func TestSpanGuardFailures(t *testing.T) {
 		{"map: negative start", fixInput, nil, func(f *spanFixture) wfunc.Stmt { return from(f, wfunc.C(-3), 8, perm(f, 24)) }, "peek(-15)", false},
 		{"map: fractional start", fixInput, nil, func(f *spanFixture) wfunc.Stmt { return from(f, wfunc.C(0.5), 4, perm(f, 24)) }, "", false},
 		{"map: NaN start", fixInput, nil, func(f *spanFixture) wfunc.Stmt { return from(f, wfunc.C(math.NaN()), 8, perm(f, 24)) }, "", false},
+		{"map: store, then a computed peek past the window in the second block", 20, nil, func(f *spanFixture) wfunc.Stmt {
+			// The first block's stores and the second block's first
+			// statement have landed when the peek fails.
+			return f.upTo(30, wfunc.SetLIdx(f.la, wfunc.Bin(wfunc.Mod, f.v, wfunc.C(10)), wfunc.MulX(f.v, wfunc.C(2))),
+				wfunc.Push1(wfunc.PeekX(f.v)))
+		}, "peek(20)", false},
+		{"map: store index out of range at trip 7", fixInput, nil, func(f *spanFixture) wfunc.Stmt {
+			return f.upTo(8, wfunc.SetLIdx(f.lb, f.v, wfunc.PeekX(f.v)), wfunc.SetLIdx(f.la, wfunc.AddX(f.v, wfunc.C(3)), f.v))
+		}, "array index 10 out of range [0,10)", false},
+		{"map: stores, then the side ?: skips would fault", fixInput, nil, func(f *spanFixture) wfunc.Stmt {
+			// The span gives up after its stores; the generic loop completes
+			// and the fixture pushes both arrays.
+			return f.upTo(8, wfunc.SetLIdx(f.la, f.v, wfunc.PeekX(f.v)),
+				wfunc.Push1(&wfunc.Cond{C: wfunc.Bin(wfunc.Lt, f.v, wfunc.C(100)), A: f.v, B: wfunc.PeekX(wfunc.AddX(f.v, wfunc.C(100)))}))
+		}, "", false},
+		{"map: stores, then a negative fractional store index", fixInput, nil, func(f *spanFixture) wfunc.Stmt {
+			// int(-0.5) is index 0 to the interpreter; the span's check
+			// refuses it after lb's stores have landed.
+			return f.upTo(8, wfunc.SetLIdx(f.lb, f.v, wfunc.PeekX(f.v)), wfunc.SetLIdx(f.la, wfunc.SubX(f.v, wfunc.C(0.5)), f.v))
+		}, "", false},
 		{"map: more items than one reservation", fixInput, nil, func(f *spanFixture) wfunc.Stmt {
 			return f.upTo(mapMaxItems+1, wfunc.Push1(wfunc.PeekX(wfunc.Bin(wfunc.Mod, f.v, wfunc.C(24)))))
 		}, "", false},
@@ -633,20 +686,42 @@ func (g *spanGen) loop() *wfunc.For {
 	return f
 }
 
-// mapBody is a body in and around the map family: one to four pushes,
-// assignments to acc between them — now and then read before the trip
-// assigns it, which keeps the loop generic — over pure expressions.
+// mapBody is a body in and around the map family: one to four pushes or
+// stores to the local arrays, assignments to acc between them — now and
+// then read before the trip assigns it, which keeps the loop generic —
+// over pure expressions. A store reads its value and index from the same
+// expressions, so now and then it stores into an array the body reads,
+// which keeps the loop generic too.
 func (g *spanGen) mapBody() []wfunc.Stmt {
 	var body []wfunc.Stmt
 	set := g.pick(4) == 0 // acc is readable: a loop-carried read when not yet assigned
+	stride := g.pick(3) + 1
 	for n := g.pick(4) + 1; n > 0; n-- {
 		if g.pick(2) == 0 {
 			body = append(body, wfunc.Set(g.acc, g.pure(3, set)))
 			set = true
 		}
+		if g.pick(3) == 0 {
+			body = append(body, wfunc.SetLIdx(g.larrs[g.pick(len(g.larrs))], g.storeIndex(stride, set), g.pure(3, set)))
+			continue
+		}
 		body = append(body, wfunc.Push1(g.pure(3, set)))
 	}
 	return body
+}
+
+// storeIndex is a store's index: mostly stride·v + k with k up to stride,
+// so that two stores to one array are disjoint unless their k are equal or
+// stride apart, now and then a generated index (v plus an offset) or a
+// computed one.
+func (g *spanGen) storeIndex(stride int, acc bool) wfunc.Expr {
+	switch g.pick(4) {
+	case 0:
+		return g.index()
+	case 1:
+		return g.pure(2, acc)
+	}
+	return wfunc.AddX(wfunc.MulX(g.v, wfunc.Ci(stride)), wfunc.Ci(g.pick(stride+1)))
 }
 
 // pure is a pure expression of depth at most d: constants, the loop
@@ -702,7 +777,8 @@ func (g *spanGen) pure(d int, acc bool) wfunc.Expr {
 
 // FuzzSpanKernel decodes bytes into a kernel of three generated loops over
 // arrays and a window of fuzzed lengths, and holds the VM to the
-// interpreter's outcome, faults included.
+// interpreter's outcome, faults included; the kernel ends by pushing every
+// cell of both local arrays, so a store a span made out of place shows.
 func FuzzSpanKernel(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{7, 5, 12, 1, 0, 8, 3, 3, 0, 2, 1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
@@ -726,17 +802,20 @@ func FuzzSpanKernel(f *testing.F) {
 			return out
 		}
 		nfa, nfb, nin := pick(10)+1, pick(10)+1, pick(24)
-		g := &spanGen{pick: pick, tapeRead: true,
-			farrs: []int{kb.FieldArray("fa", nfa, vals(nfa)...), kb.FieldArray("fb", nfb, vals(nfb)...)},
-			larrs: []int{kb.LocalArray("la", pick(10)+1), kb.LocalArray("lb", pick(10)+1)},
+		fa, fb := kb.FieldArray("fa", nfa, vals(nfa)...), kb.FieldArray("fb", nfb, vals(nfb)...)
+		nl := []int{pick(10) + 1, pick(10) + 1}
+		g := &spanGen{pick: pick, tapeRead: true, farrs: []int{fa, fb},
+			larrs: []int{kb.LocalArray("la", nl[0]), kb.LocalArray("lb", nl[1])},
 			v:     kb.Local("v"), acc: kb.Local("acc"), offs: []*wfunc.LocalRef{kb.Local("p"), kb.Local("q")},
 		}
 		body := []wfunc.Stmt{wfunc.Set(g.offs[0], wfunc.C(float64(pick(9)-2)/2)), wfunc.Set(g.offs[1], wfunc.C(float64(pick(4))))}
 		for i := 0; i < 3; i++ {
 			body = append(body, g.loop(), wfunc.Push1(g.acc), wfunc.Push1(g.v))
 		}
-		for _, arr := range g.larrs {
-			body = append(body, wfunc.Push1(wfunc.LIdx(arr, wfunc.C(0))))
+		for i, arr := range g.larrs {
+			for j := 0; j < nl[i]; j++ {
+				body = append(body, wfunc.Push1(wfunc.LIdx(arr, wfunc.Ci(j))))
+			}
 		}
 		k := kb.WorkBody(body...).Build()
 		interp, vm := fireBoth(t, k, vals(nin), nil)

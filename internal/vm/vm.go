@@ -16,8 +16,9 @@
 // times the throughput on the hot path every engine shares. Counted loops
 // of a closed family skip dispatch altogether: one guarded span instruction
 // runs the whole loop natively over tape and array spans (span.go), or, for
-// a loop of pure pushes, as an expression program over blocks of trips that
-// writes in place into the out tape (map.go).
+// a loop of pure pushes and local-array stores, as an expression program
+// over blocks of trips that writes in place into the out tape and the
+// arrays (map.go).
 package vm
 
 import (

@@ -269,8 +269,10 @@ func countStmtIO(s Stmt) IOCount {
 		if b.Pops == 0 && b.Pushes == 0 && b.Known {
 			return IOCount{Known: true}
 		}
+		// The trip count is the loop's only if the body leaves the variable
+		// alone: for (i = 0; i < 8; i++) { push(x); i = i + 1; } pushes 4.
 		trip, ok := ConstTrip(s)
-		if !ok || !b.Known {
+		if !ok || !b.Known || assignsLocal(s.Body, s.Var) {
 			return IOCount{Known: false}
 		}
 		return IOCount{Pops: b.Pops * trip, Pushes: b.Pushes * trip, Known: true}
@@ -294,6 +296,32 @@ func countStmtIO(s Stmt) IOCount {
 	default:
 		return IOCount{Known: true}
 	}
+}
+
+// assignsLocal reports whether any statement in body assigns local l,
+// directly or as a nested loop's variable.
+func assignsLocal(body []Stmt, l int) bool {
+	for _, s := range body {
+		switch s := s.(type) {
+		case *Assign:
+			if s.LHS.Kind == LVLocal && s.LHS.Idx == l {
+				return true
+			}
+		case *If:
+			if assignsLocal(s.Then, l) || assignsLocal(s.Else, l) {
+				return true
+			}
+		case *For:
+			if s.Var == l || assignsLocal(s.Body, l) {
+				return true
+			}
+		case *While:
+			if assignsLocal(s.Body, l) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func exprIO(e Expr) IOCount {
