@@ -360,15 +360,16 @@ func (s *Schedule) order(opt Options) error {
 		return err
 	}
 	sim := NewSim(g)
-	high := make([]int, len(g.Edges))
-	note := func() {
-		for i, v := range sim.Items {
-			if v > high[i] {
-				high[i] = v
+	// An edge's occupancy rises only when its producer fires, so after a
+	// firing only the fired node's output edges can set a new high.
+	high := append([]int(nil), sim.Items...)
+	note := func(n *ir.Node) {
+		for _, e := range n.Out {
+			if e != nil {
+				high[e.ID] = max(high[e.ID], sim.Items[e.ID])
 			}
 		}
 	}
-	note()
 
 	// runPhase fires each node until it reaches target[n], sweeping in
 	// topological order; peeking and feedback make multiple sweeps
@@ -387,7 +388,7 @@ func (s *Schedule) order(opt Options) error {
 						break
 					}
 					sim.Fire(n)
-					note()
+					note(n)
 					count++
 				}
 				if count > 0 {

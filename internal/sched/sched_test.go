@@ -1,10 +1,15 @@
 package sched
 
 import (
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"streamit/internal/apps"
 	"streamit/internal/ir"
+	"streamit/internal/lang"
 	"streamit/internal/wfunc"
 )
 
@@ -316,6 +321,52 @@ func TestItemsPerSteady(t *testing.T) {
 		items := s.ItemsPerSteady(e)
 		if items != s.Reps[e.Dst.ID]*e.Dst.PopPort(e.DstPort) {
 			t.Errorf("edge %s: produced %d != consumed %d per steady", e, items, s.Reps[e.Dst.ID]*e.Dst.PopPort(e.DstPort))
+		}
+	}
+}
+
+// TestBufCapMatchesRescan pins BufCap, which order updates from the fired
+// node's output edges alone, against a replay that rescans every edge
+// after every firing: Init, then the steady schedule twice (order's
+// verification pass repeats it), on the 12 suite apps and the benchmark's
+// four .str programs.
+func TestBufCapMatchesRescan(t *testing.T) {
+	progs := map[string]*ir.Program{}
+	for _, app := range apps.Suite() {
+		progs[app.Name] = app.Build()
+	}
+	for _, name := range []string{"bitonic.str", "filterbank.str", "fmradio.str", "freqhop.str"} {
+		src, err := os.ReadFile(filepath.Join("..", "..", "examples", "strprogs", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if progs[name], err = lang.ParseAndElaborate(string(src), "Main"); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	for name, prog := range progs {
+		g, err := ir.Flatten(prog)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		s, err := Compute(g)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sim := NewSim(g)
+		high := append([]int(nil), sim.Items...)
+		for _, phase := range [][]Entry{s.Init, s.Steady, s.Steady} {
+			for _, en := range phase {
+				for k := 0; k < en.Count; k++ {
+					sim.Fire(en.Node)
+					for i, v := range sim.Items {
+						high[i] = max(high[i], v)
+					}
+				}
+			}
+		}
+		if !slices.Equal(s.BufCap, high) {
+			t.Errorf("%s: BufCap %v, rescan %v", name, s.BufCap, high)
 		}
 	}
 }

@@ -83,52 +83,68 @@ func BenchmarkFIRVM(b *testing.B) {
 // BenchmarkSpanKinds measures each span kind against its own generic loop,
 // on the ring every engine runs: the same 64-trip loop fired once with its
 // span instruction and once with the instruction turned into a jump to
-// the bytecode loop behind it, the one its guard falls back to. ns/trip is
+// the code loop behind it, the one its guard falls back to. ns/trip is
 // the number to compare: an FIR's reduce, a firing's drain, a history
 // shift's move, a DES-style permute-and-xor map, and the same map storing
-// into a local array as a fused kernel's stage does.
+// into a local array as a fused kernel's stage does. The generic row has
+// no span at all: PhaseUnwrap's loop-carried d = d + sin(d)*1e-9 and a
+// compare-and-swap, the register code's own number.
 func BenchmarkSpanKinds(b *testing.B) {
 	const trips = 64
 	kinds := []struct {
-		name string
-		loop func(v, acc *wfunc.LocalRef, fa, la int) wfunc.Stmt
+		name  string
+		spans int
+		loop  func(v, acc, t *wfunc.LocalRef, fa, la int) []wfunc.Stmt
 	}{
-		{"reduce", func(v, acc *wfunc.LocalRef, fa, _ int) wfunc.Stmt {
-			return wfunc.Set(acc, wfunc.AddX(acc, wfunc.MulX(wfunc.PeekX(v), wfunc.FIdx(fa, v))))
+		{"reduce", 1, func(v, acc, _ *wfunc.LocalRef, fa, _ int) []wfunc.Stmt {
+			return []wfunc.Stmt{wfunc.Set(acc, wfunc.AddX(acc, wfunc.MulX(wfunc.PeekX(v), wfunc.FIdx(fa, v))))}
 		}},
-		{"drain", func(_, _ *wfunc.LocalRef, _, _ int) wfunc.Stmt { return wfunc.Pop1() }},
-		{"move", func(v, _ *wfunc.LocalRef, fa, la int) wfunc.Stmt {
-			return wfunc.SetLIdx(la, v, wfunc.FIdx(fa, v))
+		{"drain", 1, func(_, _, _ *wfunc.LocalRef, _, _ int) []wfunc.Stmt { return []wfunc.Stmt{wfunc.Pop1()} }},
+		{"move", 1, func(v, _, _ *wfunc.LocalRef, fa, la int) []wfunc.Stmt {
+			return []wfunc.Stmt{wfunc.SetLIdx(la, v, wfunc.FIdx(fa, v))}
 		}},
-		{"map", func(v, _ *wfunc.LocalRef, fa, _ int) wfunc.Stmt {
+		{"map", 1, func(v, _, _ *wfunc.LocalRef, fa, _ int) []wfunc.Stmt {
 			perm := wfunc.Bin(wfunc.Mod, wfunc.MulX(v, wfunc.C(5)), wfunc.C(trips))
-			return wfunc.Push1(wfunc.Bin(wfunc.BitXor, wfunc.PeekX(perm), wfunc.FIdx(fa, v)))
+			return []wfunc.Stmt{wfunc.Push1(wfunc.Bin(wfunc.BitXor, wfunc.PeekX(perm), wfunc.FIdx(fa, v)))}
 		}},
-		{"store", func(v, _ *wfunc.LocalRef, fa, la int) wfunc.Stmt {
+		{"store", 1, func(v, _, _ *wfunc.LocalRef, fa, la int) []wfunc.Stmt {
 			perm := wfunc.Bin(wfunc.Mod, wfunc.MulX(v, wfunc.C(5)), wfunc.C(trips))
-			return wfunc.SetLIdx(la, v, wfunc.Bin(wfunc.BitXor, wfunc.PeekX(perm), wfunc.FIdx(fa, v)))
+			return []wfunc.Stmt{wfunc.SetLIdx(la, v, wfunc.Bin(wfunc.BitXor, wfunc.PeekX(perm), wfunc.FIdx(fa, v)))}
+		}},
+		{"generic", 0, func(v, d, t *wfunc.LocalRef, _, la int) []wfunc.Stmt {
+			return []wfunc.Stmt{
+				wfunc.Set(d, wfunc.AddX(d, wfunc.MulX(wfunc.Un(wfunc.Sin, d), wfunc.C(1e-9)))),
+				wfunc.Set(t, wfunc.LIdx(la, v)),
+				wfunc.IfS(wfunc.Bin(wfunc.Gt, t, d),
+					wfunc.SetLIdx(la, v, d),
+					wfunc.Set(d, t)),
+			}
 		}},
 	}
 	for _, kind := range kinds {
 		kb := wfunc.NewKernel(kind.name, trips, 0, 0).Dynamic()
 		fa, la := kb.FieldArray("fa", trips), kb.LocalArray("la", trips)
-		v, acc := kb.Local("v"), kb.Local("acc")
-		k := kb.WorkBody(wfunc.ForUp(v, wfunc.Ci(0), wfunc.Ci(trips), kind.loop(v, acc, fa, la))).Build()
+		v, acc, t := kb.Local("v"), kb.Local("acc"), kb.Local("t")
+		k := kb.WorkBody(&wfunc.For{Var: v.Idx, From: wfunc.C(0), To: wfunc.C(trips), Body: kind.loop(v, acc, t, fa, la)}).Build()
 		p, err := Compile(k.Work)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if r, d, m, mp := p.SpanCounts(); r+d+m+mp != 1 {
-			b.Fatalf("%s: reduce/drain/move/map = %d/%d/%d/%d, want one span", kind.name, r, d, m, mp)
+		if r, d, m, mp := p.SpanCounts(); r+d+m+mp != kind.spans {
+			b.Fatalf("%s: reduce/drain/move/map = %d/%d/%d/%d, want %d spans", kind.name, r, d, m, mp, kind.spans)
 		}
 		batch := make([]float64, trips)
 		for i := range batch {
 			batch[i] = float64(i % 2)
 		}
-		for _, run := range []struct {
+		runs := []struct {
 			mode string
 			p    *Program
-		}{{"span", p}, {"generic", withoutSpans(p)}} {
+		}{{"span", p}, {"generic", withoutSpans(p)}}
+		if kind.spans == 0 {
+			runs = runs[1:]
+		}
+		for _, run := range runs {
 			b.Run(kind.name+"/"+run.mode, func(b *testing.B) {
 				p := run.p
 				m := NewMachine(p)
@@ -157,7 +173,7 @@ func withoutSpans(p *Program) *Program {
 	q.code = slices.Clone(p.code)
 	for pc, ins := range q.code {
 		if ins.op == opSpan {
-			q.code[pc] = instr{op: opJump, a: int32(pc + 1)}
+			q.code[pc] = instr{op: opJump, k: int32(pc + 1)}
 		}
 	}
 	return &q

@@ -51,8 +51,8 @@ import (
 //   - local arrays only: a firing starts them at zero, so what a faulted
 //     firing left in them is never read, while a field array outlives it.
 //
-// Arithmetic rounds as the bytecode does: + - * / natively (a product is
-// written float64(x*y), so no multiply fuses into an add), every other
+// Arithmetic rounds as the generic code does: + - * / natively (a product
+// is written float64(x*y), so no multiply fuses into an add), every other
 // operator through wfunc.EvalUnary and wfunc.EvalBinary.
 
 const (
@@ -445,7 +445,7 @@ func (mc *mapCompiler) step(op mapOp, arg int, x, y, z wfunc.Expr) (uint8, bool)
 // reports whether it did; if not, nothing has changed.
 func (m *Machine) mapSpan(s *spanInstr, in, out wfunc.Tape) bool {
 	mp := s.mapped
-	start := m.locals[s.v]
+	start := m.regs[s.v]
 	if !(start >= 0 && start < s.bound) || start != math.Trunc(start) {
 		return false
 	}
@@ -483,7 +483,7 @@ func (m *Machine) mapSpan(s *spanInstr, in, out wfunc.Tape) bool {
 		case mConst:
 			x = m.prog.consts[st.arg]
 		case mLocal:
-			x = m.locals[st.arg]
+			x = m.regs[st.arg]
 		case mField:
 			if m.state == nil {
 				return false
@@ -578,9 +578,9 @@ func (m *Machine) mapSpan(s *spanInstr, in, out wfunc.Tape) bool {
 	}
 	last := (n - 1) % mapLanes
 	for _, st := range mp.steps[mp.exit:] {
-		m.locals[st.arg] = regs[st.a][last]
+		m.regs[st.arg] = regs[st.a][last]
 	}
-	m.locals[s.v] = s.bound
+	m.regs[s.v] = s.bound
 	return true
 }
 

@@ -11,7 +11,7 @@ import (
 //
 //	for v = From; v < Const; v += 1 { body }
 //
-// the compiler puts one opSpan in front of the loop's ordinary bytecode:
+// the compiler puts one opSpan in front of the loop's ordinary code:
 //
 //	reduce  acc = acc + a[v+p] * b[v+q]    acc = acc + a[v+p]
 //	drain   pop()
@@ -67,8 +67,7 @@ type spanOperand struct {
 	off  float64
 }
 
-// spanInstr is the side-table entry of one opSpan (instr stays two
-// operands wide).
+// spanInstr is the side-table entry of one opSpan.
 type spanInstr struct {
 	kind spanKind
 	// peeks and pops are the tape operations of one trip (a map's peeks is
@@ -84,6 +83,8 @@ type spanInstr struct {
 	opnd [2]spanOperand
 	// map: the expression program (map.go).
 	mapped *mapProg
+	// exit is the pc behind the loop, where a span that ran continues.
+	exit int32
 }
 
 // spanLimit bounds a span's start, bound and offsets, so that the
@@ -109,9 +110,9 @@ func (p *Program) SpanCounts() (reduce, drain, move, mapped int) {
 	return
 }
 
-// span emits the span instruction of loop s, preceded by the code that
-// fills its hidden offset slots, and returns the instruction's index for
-// the exit patch; -1, with nothing emitted, when s is not in the family.
+// span adds loop s's span, emits the code that fills its hidden offset
+// slots and returns the span's index, for the opSpan in front of the loop;
+// -1, with nothing emitted, when s is not in the family.
 func (c *compiler) span(s *wfunc.For) int {
 	to, ok := s.To.(*wfunc.Const)
 	if !ok {
@@ -131,7 +132,7 @@ func (c *compiler) span(s *wfunc.For) int {
 		}
 	}
 	c.p.spans = append(c.p.spans, sp)
-	return c.emit(opSpan, len(c.p.spans)-1)
+	return len(c.p.spans) - 1
 }
 
 // spanStmt matches a one-statement body against reduce, drain and move,
@@ -206,9 +207,7 @@ func (c *compiler) spanStmt(body wfunc.Stmt, sp *spanInstr) bool {
 		default:
 			o.slot = int32(c.p.numLocals)
 			c.p.numLocals++
-			c.expr(off)
-			c.emit(opStoreLocal, int(o.slot))
-			c.pop(1)
+			c.expr(off, o.slot)
 		}
 	}
 	return true
@@ -307,7 +306,7 @@ func (m *Machine) span(s *spanInstr, in, out wfunc.Tape) bool {
 	if s.kind == spanMap {
 		return m.mapSpan(s, in, out)
 	}
-	start := m.locals[s.v]
+	start := m.regs[s.v]
 	// NaN fails the comparisons; a fractional start would truncate to a
 	// different index at every access.
 	if !(start >= 0 && start < s.bound) || start != math.Trunc(start) {
@@ -333,7 +332,7 @@ func (m *Machine) span(s *spanInstr, in, out wfunc.Tape) bool {
 		}
 		off := o.off
 		if o.slot >= 0 {
-			off = m.locals[o.slot]
+			off = m.regs[o.slot]
 		}
 		if !(math.Abs(off) < spanLimit) || off != math.Trunc(off) {
 			return spanView{}, false
@@ -372,7 +371,7 @@ func (m *Machine) span(s *spanInstr, in, out wfunc.Tape) bool {
 		if !ok {
 			return false
 		}
-		acc := m.locals[s.acc]
+		acc := m.regs[s.acc]
 		if s.opnd[1].kind == opndNone {
 			for k := 0; k < n; {
 				xs := a.run(k, n)
@@ -402,11 +401,11 @@ func (m *Machine) span(s *spanInstr, in, out wfunc.Tape) bool {
 				k += len(xs)
 			}
 		}
-		m.locals[s.acc] = acc
+		m.regs[s.acc] = acc
 	}
 	if tape != nil {
 		tape.Advance(int(s.pops) * n)
 	}
-	m.locals[s.v] = s.bound
+	m.regs[s.v] = s.bound
 	return true
 }

@@ -3,6 +3,7 @@ package vm
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -42,18 +43,21 @@ type outcome struct {
 	pushes int    // per-item pushes
 	pushed []float64
 	state  *wfunc.State
+	sends  []string // teleport sends, as a recorder logs them
 }
 
-// fireBoth fires k's work function once on each backend over input; tapes,
-// when set, stands between the tapes and the firing.
+// fireBoth fires k's work function once on each backend over input, with a
+// recorder for its sends; tapes, when set, stands between the tapes and the
+// firing.
 func fireBoth(t *testing.T, k *wfunc.Kernel, input []float64, tapes func(in, out wfunc.Tape) (wfunc.Tape, wfunc.Tape)) (interp, vm outcome) {
 	t.Helper()
 	p, err := Compile(k.Work)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	fire := func(run func(in, out wfunc.Tape, st *wfunc.State) error) (o outcome) {
+	fire := func(run func(in, out wfunc.Tape, st *wfunc.State, msg wfunc.Messenger) error) (o outcome) {
 		in, out := &callTape{Ring: ringOf(input...)}, &callTape{Ring: wfunc.NewRing(0)}
+		rec := &recorder{}
 		o.state = k.NewState()
 		defer func() {
 			if r := recover(); r != nil {
@@ -61,25 +65,26 @@ func fireBoth(t *testing.T, k *wfunc.Kernel, input []float64, tapes func(in, out
 			}
 			o.left, o.calls, o.pushes = in.Len(), in.calls, out.calls
 			o.pushed = out.Take(nil, out.Len())
+			o.sends = rec.log
 		}()
 		var tin, tout wfunc.Tape = in, out
 		if tapes != nil {
 			tin, tout = tapes(tin, tout)
 		}
-		if err := run(tin, tout, o.state); err != nil {
+		if err := run(tin, tout, o.state, rec); err != nil {
 			o.err = err.Error()
 		}
 		return o
 	}
-	interp = fire(func(in, out wfunc.Tape, st *wfunc.State) error {
+	interp = fire(func(in, out wfunc.Tape, st *wfunc.State, msg wfunc.Messenger) error {
 		env := wfunc.NewEnv(k.Work)
-		env.State, env.In, env.Out = st, in, out
+		env.State, env.In, env.Out, env.Msg = st, in, out, msg
 		return wfunc.Exec(k.Work, env)
 	})
-	vm = fire(func(in, out wfunc.Tape, st *wfunc.State) error {
+	vm = fire(func(in, out wfunc.Tape, st *wfunc.State, msg wfunc.Messenger) error {
 		m := NewMachine(p)
 		m.SetState(st)
-		return m.Run(in, out, nil, nil)
+		return m.Run(in, out, msg, nil)
 	})
 	return interp, vm
 }
@@ -103,6 +108,9 @@ func sameOutcome(t *testing.T, interp, vm outcome) {
 	}
 	if interp.left != vm.left {
 		t.Errorf("interp left %d items buffered, vm %d", interp.left, vm.left)
+	}
+	if !slices.Equal(interp.sends, vm.sends) {
+		t.Errorf("sends differ:\n  interp: %q\n  vm:     %q", interp.sends, vm.sends)
 	}
 	if !sameBits(interp.pushed, vm.pushed) {
 		t.Errorf("pushed items differ:\n  interp: %v\n  vm:     %v", interp.pushed, vm.pushed)

@@ -1,10 +1,13 @@
-// Package vm executes work-function IL as flat bytecode instead of walking
-// the statement/expression tree. The compiler (compile.go) lowers a
-// wfunc.Func — after constant folding — into a stack bytecode with resolved
-// local/field/array slots, short-circuit control flow turned into jumps,
-// and direct push/pop/peek tape instructions; the Machine here runs that
-// bytecode against the same wfunc.Tape / wfunc.Messenger interfaces the
-// interpreter uses, binding a wfunc.Ring (every engine's tape) as one.
+// Package vm executes work-function IL as flat register code instead of
+// walking the statement/expression tree. The compiler (compile.go) lowers a
+// wfunc.Func — after constant folding — into three-address instructions
+// over one register file per Machine: the frame's locals, then temporaries,
+// then the program's constants. A constant or a local is its own register,
+// so reading one costs no instruction; short-circuit control flow becomes
+// jumps, and tape, field and array accesses are explicit instructions with
+// register operands. The Machine here runs that code against the same
+// wfunc.Tape / wfunc.Messenger interfaces the interpreter uses, binding a
+// wfunc.Ring (every engine's tape) as one.
 //
 // The VM is bit-identical to the interpreter by construction: all values
 // are float64, the uncommon operators delegate to wfunc.EvalUnary and
@@ -23,87 +26,76 @@ package vm
 
 import (
 	"fmt"
+	"math"
 
 	"streamit/internal/wfunc"
 )
 
-// Op is a bytecode opcode. The zero value is invalid so that sparse
+// Op is an opcode. The zero value is invalid so that sparse
 // operator-mapping tables fail loudly on unmapped entries.
 type Op uint8
 
-// Opcodes. The structural group below carries an operand in instr.a: a
-// constant-pool index, a local/field/array slot, an absolute jump target,
-// or a send-site index. The operator group is operand-free stack
-// arithmetic; logical && and || have no opcodes because the compiler
-// lowers their short-circuit evaluation into jumps.
+// Opcodes. r is the register file; d, a and b are register operands, k is
+// the one operand that is not a register: a field, array, send-site or
+// span index, an absolute jump target, or a wfunc operator. Logical && and
+// || have no opcodes because the compiler lowers their short-circuit
+// evaluation into jumps.
 const (
 	opInvalid Op = iota
 
-	opConst         // push consts[a]
-	opLoadLocal     // push locals[a]
-	opStoreLocal    // locals[a] = pop
-	opLoadField     // push state.Scalars[a]
-	opStoreField    // state.Scalars[a] = pop
-	opLoadLocalIdx  // i = pop; push arrays[a][i]
-	opStoreLocalIdx // i = pop; arrays[a][i] = pop
-	opLoadFieldIdx  // i = pop; push state.Arrays[a][i]
-	opStoreFieldIdx // i = pop; state.Arrays[a][i] = pop
-	opPeek          // i = pop; push in.Peek(i)
-	opPopV          // push in.Pop()
+	opMov           // r[d] = r[a]
+	opLoadField     // r[d] = state.Scalars[k]
+	opStoreField    // state.Scalars[k] = r[a]
+	opLoadLocalIdx  // r[d] = arrays[k][int(r[a])]
+	opStoreLocalIdx // arrays[k][int(r[b])] = r[a]
+	opLoadFieldIdx  // r[d] = state.Arrays[k][int(r[a])]
+	opStoreFieldIdx // state.Arrays[k][int(r[b])] = r[a]
+	opPeek          // r[d] = in.Peek(int(r[a]))
+	opPopV          // r[d] = in.Pop()
 	opPopN          // in.Pop(), value discarded
-	opPushV         // out.Push(pop)
-	opJump          // pc = a
-	opJumpIfZero    // if pop == 0 { pc = a }
-	opBool          // tos = (tos != 0) ? 1 : 0
-	opIncLocal      // locals[a] += pop (counted-loop step)
-	opPrint         // print hook gets pop
-	opSend          // deliver sends[a], popping its argument count
-
-	// Fused superinstructions. The compiler emits these for the hot
-	// shapes of real work functions (FIR-style accumulation loops):
-	// peeking at a loop variable, indexing an array by a loop variable,
-	// counted-loop heads with constant bounds, and constant steps. Each
-	// replaces a 2–4 instruction sequence with identical semantics.
-	opPeekLocal     // push in.Peek(int(locals[a]))
-	opLoadLocalIdxL // push arrays[a][int(locals[b])]
-	opLoadFieldIdxL // push state.Arrays[a][int(locals[b])]
-	opJGeLC         // if !(locals[b&0xffff] < consts[b>>16]) { pc = a }
-	opIncLocalC     // locals[a] += consts[b]
-	opLoopLC        // v, bound from the opJGeLC at a-1: locals[v] += consts[b]; if locals[v] < bound { pc = a }
+	opPushV         // out.Push(r[a])
+	opJump          // pc = k
+	opJumpIfZero    // if r[a] == 0 { pc = k }
+	opFor           // r[d] = r[a]; if !(r[d] < r[b]) { pc = k }: a counted loop's head
+	opLoop          // r[d] += r[a]; if r[d] < r[b] { pc = k }: its back edge
+	opBool          // r[d] = r[a] != 0 ? 1 : 0
+	opPrint         // print hook gets r[a]
+	opMessenger     // fault unless a messenger is attached: a send's first step
+	opSend          // deliver sends[k] with the arguments r[a : a+nargs]
 
 	// The span instruction (span.go) sits in front of a counted loop's
-	// ordinary bytecode: if the guard of spans[a] holds it runs the whole
-	// loop natively and sets pc = b, the instruction behind the loop;
-	// otherwise it does nothing.
+	// ordinary code. It sets the loop variable r[d] = r[a]; then, if the
+	// guard of spans[k] holds, it runs the whole loop natively and jumps to
+	// the span's exit, the instruction behind the loop.
 	opSpan
 
-	// Unary operators (dedicated opcodes keep the hot ones branch-cheap;
-	// the trigonometric tail delegates to wfunc.EvalUnary).
+	// Unary operators, r[d] = op r[a] (dedicated opcodes run the cheap ones
+	// in the dispatch loop; the rest delegate to wfunc.EvalUnary).
 	opNeg
 	opNot
-	opTrunc
 	opAbs
-	opUnaryEv // a = wfunc.UnOp, via wfunc.EvalUnary
+	opUnaryEv // k = wfunc.UnOp, via wfunc.EvalUnary
 
-	// Binary operators.
+	// Binary operators, r[d] = r[a] op r[b].
 	opAdd
 	opSub
 	opMul
 	opDiv
+	opMulAcc // r[d] += r[a] * r[b], the product rounded first
 	opEq
 	opNe
 	opLt
 	opLe
 	opGt
 	opGe
-	opBinaryEv // a = wfunc.BinOp, via wfunc.EvalBinary
+	opBinaryEv // k = wfunc.BinOp, via wfunc.EvalBinary
 )
 
-// instr is one bytecode instruction: an opcode plus up to two operands
-// (the second is used only by fused superinstructions).
+// instr is one three-address instruction.
 type instr struct {
-	op   Op
-	a, b int32
+	op      Op
+	d, a, b int32
+	k       int32
 }
 
 // sendSite is the static part of one teleport Send statement.
@@ -126,29 +118,37 @@ type Program struct {
 	sends      []sendSite
 	spans      []spanInstr // operands of the opSpan instructions
 	numLocals  int         // the function's locals, then the spans' hidden offset slots
+	frame      int         // numLocals plus the temporaries: the registers a firing zeroes
 	arraySizes []int
-	maxStack   int
 }
 
-// Machine is the mutable execution frame for one Program: the operand
-// stack, zero-initialized locals, and local arrays. One Machine per filter
-// instance; Run fires the work function once.
+// Machine is the mutable execution frame for one Program: the register
+// file and the local arrays. One Machine per filter instance; Run fires
+// the work function once.
 type Machine struct {
-	prog   *Program
-	stack  []float64
-	locals []float64
+	prog *Program
+	// regs is the register file: the locals, which spans address
+	// directly, then the temporaries, then the constants.
+	regs   []float64
 	arrays [][]float64
 	state  *wfunc.State
 }
 
-// NewMachine allocates a frame sized for p.
+// hooks is what RunN was handed besides the rings, for slow.
+type hooks struct {
+	in, out wfunc.Tape
+	msg     wfunc.Messenger
+	print   func(float64)
+}
+
+// NewMachine allocates a frame sized for p, with its constants in place.
 func NewMachine(p *Program) *Machine {
 	m := &Machine{
 		prog:   p,
-		stack:  make([]float64, p.maxStack),
-		locals: make([]float64, p.numLocals),
+		regs:   make([]float64, p.frame+len(p.consts)),
 		arrays: make([][]float64, len(p.arraySizes)),
 	}
+	copy(m.regs[p.frame:], p.consts)
 	for i, n := range p.arraySizes {
 		m.arrays[i] = make([]float64, n)
 	}
@@ -165,10 +165,15 @@ func (m *Machine) fail(format string, args ...any) error {
 	return fmt.Errorf("%s: %s", m.prog.name, fmt.Sprintf(format, args...))
 }
 
-// Run executes one invocation of the program: locals and local arrays are
-// zeroed (IL frame semantics), then the bytecode runs to completion.
-// in/out are the filter's tapes, msg receives teleport sends, and print
-// receives println values (nil discards them).
+// indexFault is the interpreter's error for an array index out of range.
+func (m *Machine) indexFault(ix int, arr []float64) error {
+	return m.fail("array index %d out of range [0,%d)", ix, len(arr))
+}
+
+// Run executes one invocation of the program: locals, temporaries and
+// local arrays are zeroed (IL frame semantics), then the code runs to
+// completion. in/out are the filter's tapes, msg receives teleport sends,
+// and print receives println values (nil discards them).
 func (m *Machine) Run(in, out wfunc.Tape, msg wfunc.Messenger, print func(float64)) error {
 	var done int64
 	return m.RunN(in, out, 1, &done, msg, print)
@@ -179,250 +184,200 @@ func (m *Machine) Run(in, out wfunc.Tape, msg wfunc.Messenger, print func(float6
 // *fired has advanced by exactly the invocations that completed. A tape
 // that is a *wfunc.Ring is bound as one, so its pops, peeks and pushes are
 // direct, inlined calls; any other tape is used through the interface.
+//
+// The dispatch loop holds only what its call-free instructions use, so Go
+// keeps that in registers. Every instruction that calls out — an operator
+// of wfunc's, a span, a send, a tape that is not a ring — goes through
+// slow, which takes the pc and hands it back, so that nothing the loop
+// holds lives across the call.
 func (m *Machine) RunN(in, out wfunc.Tape, n int64, fired *int64, msg wfunc.Messenger, print func(float64)) error {
+	h := hooks{in, out, msg, print}
 	rin, _ := in.(*wfunc.Ring)
 	rout, _ := out.(*wfunc.Ring)
-	p := m.prog
-	code := p.code
-	st := m.stack
-	locals := m.locals
-	var scalars []float64
-	var fieldArrs [][]float64
-	if m.state != nil {
-		scalars = m.state.Scalars
-		fieldArrs = m.state.Arrays
-	}
+	code := m.prog.code
+	r := m.regs
 	for ; n > 0; n-- {
-		clear(locals)
+		clear(r[:m.prog.frame])
 		for _, arr := range m.arrays {
 			clear(arr)
 		}
-		sp := 0
 		for pc := 0; pc < len(code); {
-			ins := code[pc]
+			ins := &code[pc]
 			pc++
 			switch ins.op {
-			case opConst:
-				st[sp] = p.consts[ins.a]
-				sp++
-			case opLoadLocal:
-				st[sp] = locals[ins.a]
-				sp++
-			case opStoreLocal:
-				sp--
-				locals[ins.a] = st[sp]
+			case opMov:
+				r[ins.d] = r[ins.a]
 			case opLoadField:
-				st[sp] = scalars[ins.a]
-				sp++
+				r[ins.d] = m.state.Scalars[ins.k]
 			case opStoreField:
-				sp--
-				scalars[ins.a] = st[sp]
+				m.state.Scalars[ins.k] = r[ins.a]
 			case opLoadLocalIdx:
-				arr := m.arrays[ins.a]
-				ix := int(st[sp-1])
+				arr := m.arrays[ins.k]
+				ix := int(r[ins.a])
 				if ix < 0 || ix >= len(arr) {
-					return m.fail("array index %d out of range [0,%d)", ix, len(arr))
+					return m.indexFault(ix, arr)
 				}
-				st[sp-1] = arr[ix]
+				r[ins.d] = arr[ix]
 			case opStoreLocalIdx:
-				arr := m.arrays[ins.a]
-				ix := int(st[sp-1])
+				arr := m.arrays[ins.k]
+				ix := int(r[ins.b])
 				if ix < 0 || ix >= len(arr) {
-					return m.fail("array index %d out of range [0,%d)", ix, len(arr))
+					return m.indexFault(ix, arr)
 				}
-				arr[ix] = st[sp-2]
-				sp -= 2
+				arr[ix] = r[ins.a]
 			case opLoadFieldIdx:
-				arr := fieldArrs[ins.a]
-				ix := int(st[sp-1])
+				arr := m.state.Arrays[ins.k]
+				ix := int(r[ins.a])
 				if ix < 0 || ix >= len(arr) {
-					return m.fail("array index %d out of range [0,%d)", ix, len(arr))
+					return m.indexFault(ix, arr)
 				}
-				st[sp-1] = arr[ix]
+				r[ins.d] = arr[ix]
 			case opStoreFieldIdx:
-				arr := fieldArrs[ins.a]
-				ix := int(st[sp-1])
+				arr := m.state.Arrays[ins.k]
+				ix := int(r[ins.b])
 				if ix < 0 || ix >= len(arr) {
-					return m.fail("array index %d out of range [0,%d)", ix, len(arr))
+					return m.indexFault(ix, arr)
 				}
-				arr[ix] = st[sp-2]
-				sp -= 2
+				arr[ix] = r[ins.a]
 			case opPeek:
-				switch ix := int(st[sp-1]); {
-				case rin != nil:
-					st[sp-1] = rin.Peek(ix)
-				case in != nil:
-					st[sp-1] = in.Peek(ix)
-				default:
-					return m.fail("peek outside work function")
+				if rin == nil {
+					goto slow
 				}
+				r[ins.d] = rin.Peek(int(r[ins.a]))
 			case opPopV:
-				switch {
-				case rin != nil:
-					st[sp] = rin.Pop()
-				case in != nil:
-					st[sp] = in.Pop()
-				default:
-					return m.fail("pop outside work function")
+				if rin == nil {
+					goto slow
 				}
-				sp++
+				r[ins.d] = rin.Pop()
 			case opPopN:
-				switch {
-				case rin != nil:
-					rin.Pop()
-				case in != nil:
-					in.Pop()
-				default:
-					return m.fail("pop outside work function")
+				if rin == nil {
+					goto slow
 				}
+				rin.Pop()
 			case opPushV:
-				sp--
-				switch {
-				case rout != nil:
-					rout.Push(st[sp])
-				case out != nil:
-					out.Push(st[sp])
-				default:
-					return m.fail("push outside work function")
+				if rout == nil {
+					goto slow
 				}
+				rout.Push(r[ins.a])
 			case opJump:
-				pc = int(ins.a)
+				pc = int(ins.k)
 			case opJumpIfZero:
-				sp--
-				if st[sp] == 0 {
-					pc = int(ins.a)
+				if r[ins.a] == 0 {
+					pc = int(ins.k)
+				}
+			case opFor:
+				// !(v < bound), not v >= bound, so that a NaN leaves the
+				// loop like the interpreter's failed < comparison.
+				r[ins.d] = r[ins.a]
+				if !(r[ins.d] < r[ins.b]) {
+					pc = int(ins.k)
+				}
+			case opLoop:
+				r[ins.d] += r[ins.a]
+				if r[ins.d] < r[ins.b] {
+					pc = int(ins.k)
 				}
 			case opBool:
-				if st[sp-1] != 0 {
-					st[sp-1] = 1
-				} else {
-					st[sp-1] = 0
-				}
-			case opIncLocal:
-				sp--
-				locals[ins.a] += st[sp]
-			case opPrint:
-				sp--
-				if print != nil {
-					print(st[sp])
-				}
-			case opSend:
-				if msg == nil {
-					return m.fail("message send with no messenger attached")
-				}
-				site := &p.sends[ins.a]
-				args := make([]float64, site.nargs)
-				sp -= site.nargs
-				copy(args, st[sp:sp+site.nargs])
-				if err := msg.Send(site.portal, site.handler, args, site.minLat, site.maxLat, site.bestEffort); err != nil {
-					return m.fail("%v", err)
-				}
-
-			case opPeekLocal:
-				switch ix := int(locals[ins.a]); {
-				case rin != nil:
-					st[sp] = rin.Peek(ix)
-				case in != nil:
-					st[sp] = in.Peek(ix)
-				default:
-					return m.fail("peek outside work function")
-				}
-				sp++
-			case opLoadLocalIdxL:
-				arr := m.arrays[ins.a]
-				ix := int(locals[ins.b])
-				if ix < 0 || ix >= len(arr) {
-					return m.fail("array index %d out of range [0,%d)", ix, len(arr))
-				}
-				st[sp] = arr[ix]
-				sp++
-			case opLoadFieldIdxL:
-				arr := fieldArrs[ins.a]
-				ix := int(locals[ins.b])
-				if ix < 0 || ix >= len(arr) {
-					return m.fail("array index %d out of range [0,%d)", ix, len(arr))
-				}
-				st[sp] = arr[ix]
-				sp++
-			case opJGeLC:
-				// Counted-loop head: jump out unless locals < const. Written as
-				// !(a < b) — not a >= b — so NaN bounds exit like the
-				// interpreter's failed < comparison.
-				if !(locals[ins.b&0xffff] < p.consts[ins.b>>16]) {
-					pc = int(ins.a)
-				}
-			case opIncLocalC:
-				locals[ins.a] += p.consts[ins.b]
-			case opLoopLC:
-				// Counted-loop back edge. The variable and bound are the ones
-				// packed into the head the body sits under; v < bound — not
-				// !(v >= bound) — so a NaN leaves the loop as it does there.
-				h := code[ins.a-1].b
-				locals[h&0xffff] += p.consts[ins.b]
-				if locals[h&0xffff] < p.consts[h>>16] {
-					pc = int(ins.a)
-				}
-			case opSpan:
-				if m.span(&p.spans[ins.a], in, out) {
-					pc = int(ins.b)
-				}
-
+				r[ins.d] = b2f(r[ins.a] != 0)
 			case opNeg:
-				st[sp-1] = -st[sp-1]
+				r[ins.d] = -r[ins.a]
 			case opNot:
-				if st[sp-1] == 0 {
-					st[sp-1] = 1
-				} else {
-					st[sp-1] = 0
-				}
-			case opTrunc:
-				st[sp-1] = wfunc.EvalUnary(wfunc.Trunc, st[sp-1])
+				r[ins.d] = b2f(r[ins.a] == 0)
 			case opAbs:
-				st[sp-1] = wfunc.EvalUnary(wfunc.Abs, st[sp-1])
-			case opUnaryEv:
-				st[sp-1] = wfunc.EvalUnary(wfunc.UnOp(ins.a), st[sp-1])
-
+				r[ins.d] = math.Abs(r[ins.a]) // wfunc.EvalUnary's, inlined
 			case opAdd:
-				st[sp-2] += st[sp-1]
-				sp--
+				r[ins.d] = r[ins.a] + r[ins.b]
 			case opSub:
-				st[sp-2] -= st[sp-1]
-				sp--
+				r[ins.d] = r[ins.a] - r[ins.b]
 			case opMul:
-				st[sp-2] *= st[sp-1]
-				sp--
+				r[ins.d] = r[ins.a] * r[ins.b]
 			case opDiv:
-				st[sp-2] /= st[sp-1]
-				sp--
+				r[ins.d] = r[ins.a] / r[ins.b]
+			case opMulAcc:
+				// The conversion keeps Go from fusing the multiply into the
+				// add, which would round once where the interpreter rounds
+				// twice.
+				r[ins.d] += float64(r[ins.a] * r[ins.b])
 			case opEq:
-				st[sp-2] = b2f(st[sp-2] == st[sp-1])
-				sp--
+				r[ins.d] = b2f(r[ins.a] == r[ins.b])
 			case opNe:
-				st[sp-2] = b2f(st[sp-2] != st[sp-1])
-				sp--
+				r[ins.d] = b2f(r[ins.a] != r[ins.b])
 			case opLt:
-				st[sp-2] = b2f(st[sp-2] < st[sp-1])
-				sp--
+				r[ins.d] = b2f(r[ins.a] < r[ins.b])
 			case opLe:
-				st[sp-2] = b2f(st[sp-2] <= st[sp-1])
-				sp--
+				r[ins.d] = b2f(r[ins.a] <= r[ins.b])
 			case opGt:
-				st[sp-2] = b2f(st[sp-2] > st[sp-1])
-				sp--
+				r[ins.d] = b2f(r[ins.a] > r[ins.b])
 			case opGe:
-				st[sp-2] = b2f(st[sp-2] >= st[sp-1])
-				sp--
-			case opBinaryEv:
-				st[sp-2] = wfunc.EvalBinary(wfunc.BinOp(ins.a), st[sp-2], st[sp-1])
-				sp--
-
+				r[ins.d] = b2f(r[ins.a] >= r[ins.b])
 			default:
-				return m.fail("invalid opcode %d at pc %d", ins.op, pc-1)
+				goto slow
+			}
+			continue
+		slow:
+			var err error
+			if pc, err = m.slow(&h, ins, pc); err != nil {
+				return err
 			}
 		}
 		*fired++
 	}
 	return nil
+}
+
+// slow runs one instruction that calls out, or a tape operation on a tape
+// that is not a ring, and returns the next pc.
+func (m *Machine) slow(h *hooks, ins *instr, pc int) (int, error) {
+	r := m.regs
+	switch ins.op {
+	case opPeek:
+		if h.in == nil {
+			return 0, m.fail("peek outside work function")
+		}
+		r[ins.d] = h.in.Peek(int(r[ins.a]))
+	case opPopV:
+		if h.in == nil {
+			return 0, m.fail("pop outside work function")
+		}
+		r[ins.d] = h.in.Pop()
+	case opPopN:
+		if h.in == nil {
+			return 0, m.fail("pop outside work function")
+		}
+		h.in.Pop()
+	case opPushV:
+		if h.out == nil {
+			return 0, m.fail("push outside work function")
+		}
+		h.out.Push(r[ins.a])
+	case opPrint:
+		if h.print != nil {
+			h.print(r[ins.a])
+		}
+	case opMessenger:
+		if h.msg == nil {
+			return 0, m.fail("message send with no messenger attached")
+		}
+	case opSend:
+		site := &m.prog.sends[ins.k]
+		args := make([]float64, site.nargs)
+		copy(args, r[ins.a:])
+		if err := h.msg.Send(site.portal, site.handler, args, site.minLat, site.maxLat, site.bestEffort); err != nil {
+			return 0, m.fail("%v", err)
+		}
+	case opSpan:
+		r[ins.d] = r[ins.a]
+		if s := &m.prog.spans[ins.k]; m.span(s, h.in, h.out) {
+			return int(s.exit), nil
+		}
+	case opUnaryEv:
+		r[ins.d] = wfunc.EvalUnary(wfunc.UnOp(ins.k), r[ins.a])
+	case opBinaryEv:
+		r[ins.d] = wfunc.EvalBinary(wfunc.BinOp(ins.k), r[ins.a], r[ins.b])
+	default:
+		return 0, m.fail("invalid opcode %d at pc %d", ins.op, pc-1)
+	}
+	return pc, nil
 }
 
 func b2f(b bool) float64 {
