@@ -45,16 +45,10 @@
 //	-checkpoint st.ckpt -checkpoint-after 500   stop at iteration 500, save state
 //	-resume st.ckpt                        restore and finish the remaining iterations
 //	-checkpoint-every 100                  with -map: coordinated checkpoint cadence
-//	-queue-depth 2                         with -map: batch slots per cross-worker edge ring
-//	-elastic                               with -map: re-plan at barriers from live profiles
-//	-resize-at 500 -resize-to 2            with -elastic: change the worker count mid-run
+//	-queue-depth 2                         with -map or -shards: batch slots per cross-worker edge ring
 //
-// With -elastic, the mapped engine watches per-worker busy time over a
-// sliding window (-elastic-window, -elastic-threshold) and, when the load
-// skews — or when -resize-at/-resize-to ask for a different worker count —
-// re-packs the same rewritten graph from the measured work at the next
-// coordinated-checkpoint barrier and resumes from the in-memory image. No
-// restart, and the output stays bit-identical to an uninterrupted run.
+// -workers and -checkpoint-every are read by -map alone and -queue-depth
+// by -map and -shards; given to any other engine, each is refused.
 //
 // Checkpoints are engine-state images taken at iteration boundaries; a
 // resumed run is bit-identical to an uninterrupted one, on either backend.
@@ -153,12 +147,7 @@ func main() {
 	ckptAfter := flag.Int("checkpoint-after", 0, "with -checkpoint: stop and save after this many steady iterations")
 	resumePath := flag.String("resume", "", "restore a checkpoint written by -checkpoint and run the remaining iterations (sequential and -map engines)")
 	ckptEvery := flag.Int("checkpoint-every", 0, "with -map: take a coordinated checkpoint every N steady iterations (0 = only when worker faults are scheduled)")
-	queueDepth := flag.Int("queue-depth", 0, "with -map: batch slots in each cross-worker edge's ring (0 = default)")
-	elastic := flag.Bool("elastic", false, "with -map: enable runtime re-planning from live profiles at checkpoint barriers")
-	elasticWindow := flag.Int("elastic-window", 0, "with -elastic: imbalance-observation window in steady iterations (0 = default)")
-	elasticThreshold := flag.Float64("elastic-threshold", 0, "with -elastic: max/mean worker-busy ratio that trips a re-plan (0 = default)")
-	resizeAt := flag.Int64("resize-at", 0, "with -elastic: re-plan onto -resize-to workers at the first barrier at or past this iteration")
-	resizeTo := flag.Int("resize-to", 0, "with -elastic: target worker count for -resize-at")
+	queueDepth := flag.Int("queue-depth", 0, "with -map or -shards: batch slots in each cross-worker edge's ring (0 = default)")
 	repeat := flag.Int("repeat", 1, "run the whole program N times on the sequential engine; compilation is cached, so repeats only stamp fresh engines")
 	shards := flag.Int("shards", 0, "run distributed: spawn N local shard worker processes and coordinate them over TCP")
 	coordAddr := flag.String("coordinator", "", "with -shards: coordinator listen address (default 127.0.0.1: an ephemeral port)")
@@ -177,7 +166,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *shards > 0 {
-		if *parallel || *strategy != "" || *repeat > 1 || *elastic ||
+		if *parallel || *strategy != "" || *repeat > 1 || *workers != 0 || *ckptEvery != 0 ||
 			*ckptPath != "" || *resumePath != "" || *traceOut != "" || *profile {
 			fatal(fmt.Errorf("-shards runs the distributed engine; it composes with -map (strategy), -per-shard, -epoch, -queue-depth, and -faults only"))
 		}
@@ -186,6 +175,9 @@ func main() {
 			queueDepth: *queueDepth, faults: *faultSpec,
 		})
 		return
+	}
+	if *mapStrat == "" && (*workers != 0 || *ckptEvery != 0 || *queueDepth != 0) {
+		fatal(fmt.Errorf("-workers, -checkpoint-every and -queue-depth configure the mapped engine; they need -map"))
 	}
 	backend, err := core.ParseBackend(*backendName)
 	if err != nil {
@@ -313,16 +305,6 @@ func main() {
 			runOpts.Workers = *workers
 			runOpts.QueueDepth = *queueDepth
 			runOpts.CheckpointEvery = *ckptEvery
-			if (*resizeAt != 0 || *resizeTo != 0) && !*elastic {
-				fatal(fmt.Errorf("-resize-at/-resize-to need -elastic"))
-			}
-			runOpts.Elastic = *elastic
-			runOpts.ElasticWindow = *elasticWindow
-			runOpts.ElasticThreshold = *elasticThreshold
-			runOpts.ResizeAt = *resizeAt
-			runOpts.ResizeTo = *resizeTo
-		} else if *elastic || *resizeAt != 0 || *resizeTo != 0 {
-			fatal(fmt.Errorf("-elastic/-resize-at/-resize-to need -map"))
 		}
 		r, err := c.Runner(kind, runOpts)
 		if err != nil {
@@ -366,13 +348,8 @@ func main() {
 		dur := time.Since(start)
 		fmt.Printf("ran %d steady-state iterations on the %s backend in %v\n", *iters, label, dur.Round(time.Microsecond))
 		fmt.Printf("%.0f iterations/sec\n", float64(*iters)/dur.Seconds())
-		if me, ok := r.(*exec.MappedEngine); ok {
-			switch {
-			case *elastic:
-				fmt.Printf("elastic re-plans: %d (finished on %s)\n", me.Replans(), cutSummary(me))
-			case engineLabel(r, *mapStrat) != label:
-				fmt.Printf("re-planned after a crash: finished on %s\n", cutSummary(me))
-			}
+		if me, ok := r.(*exec.MappedEngine); ok && engineLabel(r, *mapStrat) != label {
+			fmt.Printf("re-planned after a crash: finished on %s\n", cutSummary(me))
 		}
 		report(r.SupervisionReport(), len(r.Degraded()) > 0)
 		finishObs(r, runOpts.TracePath)
@@ -426,8 +403,8 @@ func main() {
 
 // engineLabel names the engine c.Runner built, which is the sequential one
 // when the program made core fall back, and for a mapped plan its cut.
-// Taken before the run: recovery and elastic re-plans change the cut, and
-// the run reports the final one after it.
+// Taken before the run: crash recovery changes the cut, and the run reports
+// the final one after it.
 func engineLabel(r core.Runner, mapStrat string) string {
 	me, ok := r.(*exec.MappedEngine)
 	switch {

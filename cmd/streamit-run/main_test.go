@@ -54,8 +54,7 @@ func TestCLIEndToEnd(t *testing.T) {
 	}
 
 	// The mapped summary reports the plan's cut — how many edges cross
-	// between workers — and, after a crash or an elastic re-plan, the cut
-	// the run finished on.
+	// between workers — and, after a crash, the cut the run finished on.
 	t.Run("cut", func(t *testing.T) {
 		const cut = `(\d+) of (\d+) edges cross`
 		for _, tc := range []struct {
@@ -66,8 +65,6 @@ func TestCLIEndToEnd(t *testing.T) {
 				`on the mapped \(task\+data, 2 workers, ` + cut + `\) backend`},
 			{[]string{"-map", "task+data+swp", "-workers", "4", "-faults", "crash:worker1@2"},
 				`(?s)mapped \(task\+data\+swp, 4 workers, ` + cut + `\) backend.*\nre-planned after a crash: finished on 3 workers, ` + cut + `\n`},
-			{[]string{"-map", "task", "-workers", "2", "-elastic", "-resize-at", "5", "-resize-to", "3"},
-				`(?s)mapped \(task, 2 workers, ` + cut + `\) backend.*\nelastic re-plans: \d+ \(finished on 3 workers, ` + cut + `\)\n`},
 		} {
 			out := run(t, append([]string{"-iters", iters}, tc.args...)...)
 			m := regexp.MustCompile(tc.pattern).FindStringSubmatch(out)
@@ -78,6 +75,29 @@ func TestCLIEndToEnd(t *testing.T) {
 				if m[i] == "0" || m[i] == m[i+1] {
 					t.Fatalf("%v: %s of %s edges cross; want some but not every edge crossing:\n%s", tc.args, m[i], m[i+1], out)
 				}
+			}
+		}
+	})
+
+	// A flag only the mapped engine reads is refused wherever that engine
+	// does not run, instead of being silently ignored; -shards reads
+	// -queue-depth but neither -workers nor -checkpoint-every.
+	t.Run("unread flags", func(t *testing.T) {
+		const needMap, shardsOnly = "they need -map", "it composes with -map (strategy), -per-shard, -epoch, -queue-depth, and -faults only"
+		for _, tc := range []struct {
+			args []string
+			want string
+		}{
+			{[]string{"-workers", "7"}, needMap},
+			{[]string{"-checkpoint-every", "5"}, needMap},
+			{[]string{"-queue-depth", "3"}, needMap},
+			{[]string{"-parallel", "-workers", "2"}, needMap},
+			{[]string{"-shards", "2", "-workers", "2"}, shardsOnly},
+			{[]string{"-shards", "2", "-checkpoint-every", "5"}, shardsOnly},
+		} {
+			out, err := exec.Command(bin, append(tc.args, prog)...).CombinedOutput()
+			if err == nil || !strings.Contains(string(out), tc.want) {
+				t.Fatalf("streamit-run %v: err %v, want a refusal saying %q\n%s", tc.args, err, tc.want, out)
 			}
 		}
 	})

@@ -86,25 +86,6 @@ type RunOptions struct {
 	// worker-crash recovery. 0 checkpoints only when a worker fault is
 	// scheduled (then every iteration).
 	CheckpointEvery int
-	// Elastic enables the mapped engine's runtime replan controller:
-	// windowed per-worker busy time from the profiler trips a re-plan of
-	// the same elaborated graph from live measured work, applied at a
-	// checkpoint barrier with no restart and bit-identical output. Implies
-	// Profile on the mapped engine.
-	Elastic bool
-	// ElasticWindow is the imbalance-observation window in steady
-	// iterations (macro-cycles on pipelined plans); 0 selects
-	// exec.DefaultElasticWindow.
-	ElasticWindow int
-	// ElasticThreshold is the max/mean per-worker busy ratio that trips a
-	// re-plan; 0 selects exec.DefaultElasticThreshold.
-	ElasticThreshold float64
-	// ResizeAt/ResizeTo schedule a one-shot elastic worker-count change:
-	// at the first barrier at or past iteration ResizeAt the engine
-	// re-plans onto ResizeTo workers. Zero values disable it; requires
-	// Elastic.
-	ResizeAt int64
-	ResizeTo int
 	// Log receives driver notes (engine fallbacks and the like). Nil logs
 	// through the standard logger.
 	Log func(format string, args ...any)
@@ -121,18 +102,13 @@ func (o RunOptions) logf(format string, args ...any) {
 // execOptions lowers driver-level run options to the engine layer.
 func (o RunOptions) execOptions() exec.Options {
 	opts := exec.Options{
-		Backend:          o.Backend,
-		Faults:           o.Faults,
-		OnError:          o.OnError,
-		Watchdog:         o.Watchdog,
-		Profile:          o.Profile,
-		QueueDepth:       o.QueueDepth,
-		CheckpointEvery:  o.CheckpointEvery,
-		Elastic:          o.Elastic,
-		ElasticWindow:    o.ElasticWindow,
-		ElasticThreshold: o.ElasticThreshold,
-		ResizeAt:         o.ResizeAt,
-		ResizeTo:         o.ResizeTo,
+		Backend:         o.Backend,
+		Faults:          o.Faults,
+		OnError:         o.OnError,
+		Watchdog:        o.Watchdog,
+		Profile:         o.Profile,
+		QueueDepth:      o.QueueDepth,
+		CheckpointEvery: o.CheckpointEvery,
 	}
 	if o.TracePath != "" {
 		opts.Trace = obs.NewRecorder()
@@ -244,14 +220,13 @@ func (c *Compiled) ParallelEngineOpts(opts RunOptions) (*exec.MappedEngine, erro
 }
 
 // replanner is the planner core hands every mapped engine: the plan's own
-// packer over the rewritten graph the engine runs. Crash recovery and the
-// elastic controller re-pack that graph; the rewrite itself is never redone
-// (its fission factor — and with it the graph and checkpoint fingerprint —
-// depends on the worker count, so a re-plan must only re-assign). Engine
-// and plan index the same graph, so measured work crosses by node ID.
-func replanner(plan *partition.ExecPlan, g2 *ir.Graph, s2 *sched.Schedule) func(int, []int64) ([]int, error) {
-	return func(workers int, workNS []int64) ([]int, error) {
-		return plan.Pack(g2, s2, partition.Topology{Shards: workers, PerShard: 1}, workNS)
+// packer over the rewritten graph the engine runs. Crash recovery re-packs
+// that graph; the rewrite itself is never redone (its fission factor — and
+// with it the graph and checkpoint fingerprint — depends on the worker
+// count, so a re-plan must only re-assign).
+func replanner(plan *partition.ExecPlan, g2 *ir.Graph, s2 *sched.Schedule) func(int) ([]int, error) {
+	return func(workers int) ([]int, error) {
+		return plan.Pack(g2, s2, partition.Topology{Shards: workers, PerShard: 1})
 	}
 }
 

@@ -534,33 +534,6 @@ func TestMappedCrashMatrix(t *testing.T) {
 	})
 }
 
-// TestMappedElasticDriver: the driver lowers the elastic options and wires
-// the measured re-plan hook; a scheduled mid-run resize lands on the target
-// worker count.
-func TestMappedElasticDriver(t *testing.T) {
-	c, err := Compile(apps.FMRadio(4, 16), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := c.Run(EngineMapped, 20, RunOptions{
-		Workers: 4, MapStrategy: partition.StratCoarseData,
-		Elastic: true, CheckpointEvery: 4, ResizeAt: 8, ResizeTo: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	me, ok := r.(*exec.MappedEngine)
-	if !ok {
-		t.Fatalf("runner is %T, want *exec.MappedEngine", r)
-	}
-	if me.Workers != 2 {
-		t.Errorf("Workers = %d after scheduled resize, want 2", me.Workers)
-	}
-	if me.Replans() < 1 {
-		t.Error("scheduled resize never re-planned")
-	}
-}
-
 // A counted loop that assigns its own variable runs fewer trips than its
 // bounds say, so its pops and pushes cannot be counted statically: the
 // filter below pushes 4 items, as declared, and must compile and run.

@@ -459,7 +459,7 @@ func (co *Coordinator) install() error {
 			return err
 		}
 	}
-	assign, err := co.jp.plan.Pack(co.jp.g2, co.jp.s2, partition.Topology{Shards: len(co.live), PerShard: co.cfg.PerShard}, nil)
+	assign, err := co.jp.plan.Pack(co.jp.g2, co.jp.s2, partition.Topology{Shards: len(co.live), PerShard: co.cfg.PerShard})
 	if err != nil {
 		return err
 	}

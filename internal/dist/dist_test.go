@@ -93,7 +93,7 @@ func refRun(t *testing.T, spec Spec, cfg Config, total int) (map[string][]float6
 	if err != nil {
 		t.Fatal(err)
 	}
-	assign, err := jp.plan.Pack(jp.g2, jp.s2, partition.Topology{Shards: cfg.Shards, PerShard: cfg.PerShard}, nil)
+	assign, err := jp.plan.Pack(jp.g2, jp.s2, partition.Topology{Shards: cfg.Shards, PerShard: cfg.PerShard})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,10 +102,7 @@ type MappedEngine struct {
 
 	// replan is the planner behind every re-plan (Options.Replan); nil on an
 	// engine whose configuration never re-plans.
-	replan func(workers int, workNS []int64) ([]int, error)
-
-	// elastic is the runtime replan controller (nil unless Options.Elastic).
-	elastic *elasticState
+	replan func(workers int) ([]int, error)
 
 	// core holds the node records (which outlive epochs and re-plans), the
 	// supervisor and the observability hooks, and fires every node.
@@ -196,7 +193,7 @@ func NewMappedOpts(g *ir.Graph, s *sched.Schedule, assign []int, workers int, op
 		return nil, fmt.Errorf("exec: %s needs finer-than-batch interleaving; use a pipelined plan or the sequential Engine", why)
 	}
 	if opts.Replan == nil && opts.replans() {
-		return nil, fmt.Errorf("exec: elastic re-planning and worker-crash recovery re-pack the graph through Options.Replan, and none is attached")
+		return nil, fmt.Errorf("exec: worker-crash recovery re-packs the graph through Options.Replan, and none is attached")
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -234,16 +231,7 @@ func NewMappedOpts(g *ir.Graph, s *sched.Schedule, assign []int, workers int, op
 	if err := me.validAssign(me.Assign, workers); err != nil {
 		return nil, fmt.Errorf("exec: %w", err)
 	}
-	if opts.Elastic {
-		es, err := newElasticState(opts)
-		if err != nil {
-			return nil, err
-		}
-		me.elastic = es
-	}
-	if opts.Profile || opts.Elastic {
-		// The elastic detector reads the profiler's work counters, so
-		// Elastic forces profiling on.
+	if opts.Profile {
 		me.prof = obs.NewProfiler(nodeNames(g))
 	}
 	sup, err := newSupervisor(g, opts)
@@ -510,15 +498,6 @@ func (me *MappedEngine) driveTo(end int64) error {
 		// granularity so a crash replays at most one iteration.
 		every = 1
 	}
-	if me.elastic != nil {
-		// Elastic re-plans happen at checkpoint barriers (the replan
-		// restores the barrier image onto the new topology), so the
-		// controller needs barriers at least every observation window.
-		if every <= 0 || int64(every) > me.elastic.window {
-			every = int(me.elastic.window)
-		}
-		me.elasticReset()
-	}
 	if every > 0 {
 		if err := me.snapshot(); err != nil {
 			return err
@@ -548,11 +527,6 @@ func (me *MappedEngine) driveTo(end int64) error {
 		me.iter += int64(n)
 		if every > 0 {
 			if err := me.snapshot(); err != nil {
-				return err
-			}
-		}
-		if me.elastic != nil && me.iter < end {
-			if err := me.elasticStep(); err != nil {
 				return err
 			}
 		}
@@ -703,7 +677,7 @@ func (me *MappedEngine) recoverFromCrash(wc *workerCrash) error {
 	name := fmt.Sprintf("worker%d", wc.worker)
 	me.sup.noteCrash(name)
 	traceRecovery(me.rec, len(me.G.Nodes)+1+wc.worker, name, "replan")
-	assign, err := me.planOnto(me.Workers-1, nil)
+	assign, err := me.planOnto(me.Workers - 1)
 	if err == nil {
 		err = me.adopt(me.Workers-1, assign)
 	}
@@ -715,10 +689,9 @@ func (me *MappedEngine) recoverFromCrash(wc *workerCrash) error {
 
 // planOnto asks the planner to re-pack the engine's graph onto workers and
 // holds the answer to the engine's invariants. The planner and the engine
-// index the same rewritten graph, so workNS (nil, or one window's measured
-// work) and the assignment are both by node ID.
-func (me *MappedEngine) planOnto(workers int, workNS []int64) ([]int, error) {
-	assign, err := me.replan(workers, workNS)
+// index the same rewritten graph, so the assignment is by node ID.
+func (me *MappedEngine) planOnto(workers int) ([]int, error) {
+	assign, err := me.replan(workers)
 	if err == nil {
 		err = me.validAssign(assign, workers)
 	}

@@ -16,6 +16,7 @@ import (
 	"streamit/internal/obs"
 	"streamit/internal/partition"
 	"streamit/internal/sched"
+	"streamit/internal/wfunc"
 )
 
 // mappedBuild is one rewritten application instance: the flat rewritten
@@ -37,9 +38,9 @@ type mappedBuild struct {
 // packer is the planner every binary attaches (core.MappedEngineOpts):
 // partition's packer over the plan the graph came from. A hand-built graph
 // has no rewrite to account for, so the empty plan packs it.
-func packer(plan *partition.ExecPlan, g *ir.Graph, s *sched.Schedule) func(int, []int64) ([]int, error) {
-	return func(workers int, workNS []int64) ([]int, error) {
-		return plan.Pack(g, s, partition.Topology{Shards: workers, PerShard: 1}, workNS)
+func packer(plan *partition.ExecPlan, g *ir.Graph, s *sched.Schedule) func(int) ([]int, error) {
+	return func(workers int) ([]int, error) {
+		return plan.Pack(g, s, partition.Topology{Shards: workers, PerShard: 1})
 	}
 }
 
@@ -492,11 +493,11 @@ func TestMappedWorkerCrashMidBlock(t *testing.T) {
 	crashedAt := int64(-1)
 	me, err = NewMappedOpts(g, s, assign, 3, Options{Faults: mustPlan(t, fmt.Sprintf("crash:worker1@%d", crashAt)),
 		CheckpointEvery: every,
-		Replan: func(workers int, workNS []int64) ([]int, error) {
+		Replan: func(workers int) ([]int, error) {
 			// The planner runs before the rollback: the crashed worker's
 			// filter still stands where the crash found it.
 			crashedAt = (me.nodes[mid.ID].fired - me.initFired[mid.ID]) / int64(s.Reps[mid.ID])
-			return pack(workers, workNS)
+			return pack(workers)
 		}})
 	if err != nil {
 		t.Fatal(err)
@@ -547,11 +548,8 @@ func TestMappedWorkerCrashReplanHook(t *testing.T) {
 	replanned := 0
 	var answer []int
 	me, err := NewMappedOpts(g, s, assign, 3, Options{Faults: mustPlan(t, "crash:worker2@1"),
-		Replan: func(workers int, workNS []int64) ([]int, error) {
+		Replan: func(workers int) ([]int, error) {
 			replanned++
-			if workNS != nil {
-				t.Errorf("crash recovery passed a measurement: %v", workNS)
-			}
 			answer = make([]int, len(g.Nodes))
 			for i := range answer {
 				answer[i] = (i + 1) % workers
@@ -589,7 +587,7 @@ func TestMappedWorkerCrashReplanHook(t *testing.T) {
 	} {
 		g, s, _ := faultPipeline(t, gainFilter("Double", 2))
 		me, err := NewMappedOpts(g, s, assign, 3, Options{Faults: mustPlan(t, "crash:worker2@1"),
-			Replan: func(workers int, _ []int64) ([]int, error) { return bad.answer(workers) }})
+			Replan: bad.answer})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -602,7 +600,7 @@ func TestMappedWorkerCrashReplanHook(t *testing.T) {
 	rb := buildMapped(t, func() *ir.Program { return apps.Reverb(4, 0.5) }, partition.StratSWP)
 	loop := rb.stages.Clusters[0]
 	split := rb.engine(t, Options{Faults: mustPlan(t, fmt.Sprintf("crash:worker%d@2", rb.assign[loop[0]])),
-		Replan: func(int, []int64) ([]int, error) {
+		Replan: func(int) ([]int, error) {
 			a := make([]int, len(rb.g2.Nodes))
 			a[loop[0]] = 1
 			return a, nil
@@ -611,13 +609,8 @@ func TestMappedWorkerCrashReplanHook(t *testing.T) {
 		t.Errorf("cluster-splitting answer: err = %v, want one naming the split cluster", err)
 	}
 
-	for name, opts := range map[string]Options{
-		"crash fault": {Faults: mustPlan(t, "crash:worker2@1")},
-		"elastic":     {Elastic: true},
-	} {
-		if _, err := NewMappedOpts(g, s, assign, 3, opts); err == nil || !strings.Contains(err.Error(), "Options.Replan") {
-			t.Errorf("%s without a planner: err = %v, want a construction error naming Options.Replan", name, err)
-		}
+	if _, err := NewMappedOpts(g, s, assign, 3, Options{Faults: mustPlan(t, "crash:worker2@1")}); err == nil || !strings.Contains(err.Error(), "Options.Replan") {
+		t.Errorf("crash fault without a planner: err = %v, want a construction error naming Options.Replan", err)
 	}
 	// Worker faults that never re-plan build as before.
 	if _, err := NewMappedOpts(g, s, assign, 3, Options{Faults: mustPlan(t, "slow:worker0@1;stall:worker1@9")}); err != nil {
@@ -760,6 +753,97 @@ func TestMappedCrashNoSurvivors(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "no surviving workers") {
 		t.Fatalf("err = %v, want a no-surviving-workers failure", err)
 	}
+}
+
+// positionalSinks is buildMapped whose collectors record each item at its
+// position on the sink's input ring instead of appending it: a rollback's
+// replay then writes over what the first pass recorded, so the collected
+// stream of a recovered run is comparable item for item with a clean run's.
+func positionalSinks(tb testing.TB, build func() *ir.Program, strat partition.Strategy) *mappedBuild {
+	tb.Helper()
+	prog := build()
+	var fs []*ir.Filter
+	var outs []*[]float64
+	prog.Top = swapSinks(prog.Top, &fs, &outs)
+	for i, f := range fs {
+		got, pop := outs[i], f.Kernel.Pop
+		f.WorkFn = func(in, _ wfunc.Tape, _ *wfunc.State) {
+			at := int(in.(*wfunc.Ring).Popped)
+			if grow := at + pop - len(*got); grow > 0 {
+				*got = append(*got, make([]float64, grow)...)
+			}
+			for k := range pop {
+				(*got)[at+k] = in.Pop()
+			}
+		}
+	}
+	mb := planMapped(tb, prog, strat)
+	mb.outs = outs
+	return mb
+}
+
+// FuzzMappedCrashReplan: worker k crashes at a fuzzed iteration, and
+// optionally a second worker of the re-planned topology crashes in a later
+// epoch, so the recovered plan is itself re-planned — on 2 to 4 workers, a
+// checkpoint every 1 to 4 iterations, lockstep or pipelined. Every crash
+// costs one worker, the collected output is bit-identical to an undisturbed
+// run's, and the final image is byte-equal to it.
+func FuzzMappedCrashReplan(f *testing.F) {
+	f.Add(uint8(2), uint8(1), uint8(1), uint8(5), false, uint8(0), uint8(0), false)
+	f.Add(uint8(4), uint8(1), uint8(1), uint8(5), true, uint8(0), uint8(0), false)
+	f.Add(uint8(3), uint8(3), uint8(2), uint8(7), true, uint8(1), uint8(2), true)
+	f.Add(uint8(4), uint8(4), uint8(0), uint8(0), true, uint8(2), uint8(3), true)
+	f.Add(uint8(2), uint8(2), uint8(0), uint8(16), false, uint8(0), uint8(0), true)
+	f.Fuzz(func(t *testing.T, workers, every, k1, at1 uint8, second bool, k2, gap uint8, pipelined bool) {
+		const goal = 24
+		n := 2 + int(workers)%3
+		ckpt := 1 + int(every)%4
+		first := int64(at1) % 17
+		spec := fmt.Sprintf("crash:worker%d@%d", int(k1)%n, first)
+		crashes := 1
+		if second && n > 2 {
+			// Past the end of the first crash's epoch: the second crash
+			// meets the topology the first one re-planned.
+			later := (first/int64(ckpt)+1)*int64(ckpt) + int64(gap)%4
+			spec += fmt.Sprintf(";crash:worker%d@%d", int(k2)%(n-1), later)
+			crashes++
+		}
+		strat := partition.StratTask
+		if pipelined {
+			strat = partition.StratSWP
+		}
+		build := func() *ir.Program { return apps.FMRadio(2, 8) }
+		run := func(opts Options) (*mappedBuild, *MappedEngine) {
+			mb := positionalSinks(t, build, strat)
+			assign, err := packer(mb.plan, mb.g2, mb.s2)(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mb.assign, mb.workers = assign, n
+			me := mb.engine(t, opts)
+			if err := me.Run(goal); err != nil {
+				t.Fatalf("%s: %v", spec, err)
+			}
+			return mb, me
+		}
+		ref, re := run(Options{})
+		mb, me := run(Options{CheckpointEvery: ckpt, Faults: mustPlan(t, spec)})
+
+		if me.Workers != n-crashes {
+			t.Fatalf("%s on %d workers: finished on %d, want %d", spec, n, me.Workers, n-crashes)
+		}
+		var recovered int64
+		for _, st := range me.Degraded() {
+			recovered += st.Crashes
+		}
+		if recovered != int64(crashes) {
+			t.Fatalf("%s: %d crashes recovered, want %d", spec, recovered, crashes)
+		}
+		compareOuts(t, ref.outs, mb.outs, spec)
+		if !bytes.Equal(mappedCkptBytes(t, me, goal), mappedCkptBytes(t, re, goal)) {
+			t.Fatalf("%s: final image differs from the undisturbed run's", spec)
+		}
+	})
 }
 
 // TestMappedQueueDepth: a minimal queue depth of one batch still conforms

@@ -53,37 +53,11 @@ type Options struct {
 	// Replan is the mapped engine's planner: it re-assigns the nodes of the
 	// engine's own graph to a new worker count (partition.ExecPlan.Pack
 	// over the plan the engine was built from). The engine never packs:
-	// crash recovery asks for the surviving count with nil workNS (the
-	// plan's static estimates), the elastic controller passes the closed
-	// window's measured work per node, indexed by node ID. An answer that
+	// crash recovery asks it for the surviving count. An answer that
 	// breaks the engine's invariants (every node covered, workers in range,
-	// stage clusters whole) fails the run. Required by the two
-	// configurations that re-plan — Elastic, and a fault plan scheduling
-	// crash:workerN; the other engines ignore it.
-	Replan func(workers int, workNS []int64) ([]int, error)
-	// Elastic enables the mapped engine's runtime re-plan controller: the
-	// profiler's windowed per-worker busy time feeds an imbalance detector
-	// that, when it trips (or when Resize asks for a different worker
-	// count), quiesces at the next coordinated-checkpoint barrier,
-	// re-packs the same elaborated graph from the live measured work, and
-	// resumes from the in-memory image — no restart, bit-identical output.
-	// Forces Profile on; the other engines ignore it.
-	Elastic bool
-	// ElasticWindow is the observation window between imbalance checks, in
-	// steady iterations (macro-cycles on pipelined plans). 0 selects
-	// DefaultElasticWindow. Only meaningful with Elastic.
-	ElasticWindow int
-	// ElasticThreshold trips a re-plan when the busiest worker's windowed
-	// work exceeds the worker mean by this factor. 0 selects
-	// DefaultElasticThreshold; must exceed 1 otherwise. Only meaningful
-	// with Elastic.
-	ElasticThreshold float64
-	// ResizeAt/ResizeTo schedule a one-shot elastic resize: at the first
-	// checkpoint barrier at or past steady iteration (pipelined:
-	// macro-cycle) ResizeAt, the engine re-plans onto ResizeTo workers.
-	// Zero values disable it. Only meaningful with Elastic.
-	ResizeAt int64
-	ResizeTo int
+	// stage clusters whole) fails the run. Required by a fault plan
+	// scheduling crash:workerN; the other engines ignore it.
+	Replan func(workers int) ([]int, error)
 	// Profile enables the per-filter profiler (internal/obs): firings,
 	// tape traffic, work/stall time, and buffer high-water marks,
 	// retrievable via the engine's Profile method.
@@ -115,9 +89,8 @@ func (o Options) supervised() bool {
 	return !o.Faults.Empty() || o.OnError.Active()
 }
 
-// replans reports whether the options select one of the two mapped-engine
-// configurations that re-plan at run time: the elastic controller, or
-// recovery from a scheduled worker crash.
+// replans reports whether the options schedule a worker crash, the one
+// mapped-engine configuration that re-plans at run time.
 func (o Options) replans() bool {
 	if o.Faults != nil {
 		for _, wf := range o.Faults.WorkerFaults {
@@ -126,7 +99,7 @@ func (o Options) replans() bool {
 			}
 		}
 	}
-	return o.Elastic
+	return false
 }
 
 // filterNames lists the graph's filter-node names in deterministic graph

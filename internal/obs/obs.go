@@ -125,52 +125,6 @@ func (p *Profiler) Snapshot() []FilterProfile {
 	return out
 }
 
-// WorkWindow watches a Profiler over sliding windows: each Advance closes
-// the current window and returns the per-node work and firing deltas
-// accumulated inside it, indexed by node ID like the profiler itself.
-// Whole-run averages dilute behaviour changes (a filter that got slow an
-// hour in still looks fast on average); windowed deltas are what lets the
-// elastic replan controller judge worker balance from *recent* firings, and
-// see the effect of a re-plan in the very next window.
-type WorkWindow struct {
-	prof    *Profiler
-	work    []int64
-	firings []int64
-}
-
-// NewWorkWindow opens a window baseline at the profiler's current counters
-// (so an init transient or earlier run is excluded from the first sample).
-func NewWorkWindow(p *Profiler) *WorkWindow {
-	w := &WorkWindow{prof: p,
-		work:    make([]int64, len(p.stats)),
-		firings: make([]int64, len(p.stats))}
-	w.Advance()
-	return w
-}
-
-// WindowSample holds one closed window's per-node deltas, indexed by node
-// ID.
-type WindowSample struct {
-	WorkNS  []int64
-	Firings []int64
-}
-
-// Advance closes the current window and starts the next, returning the
-// closed window's deltas.
-func (w *WorkWindow) Advance() WindowSample {
-	ws := WindowSample{
-		WorkNS:  make([]int64, len(w.work)),
-		Firings: make([]int64, len(w.firings)),
-	}
-	for i, s := range w.prof.stats {
-		wk, fi := s.workNS.Load(), s.firings.Load()
-		ws.WorkNS[i] = wk - w.work[i]
-		ws.Firings[i] = fi - w.firings[i]
-		w.work[i], w.firings[i] = wk, fi
-	}
-	return ws
-}
-
 // Table renders the per-filter profile as an aligned text table (the
 // streamit-run -profile report). Nodes that never fired are omitted. The
 // "peek window" column is FilterProfile.Peeked: the declared peek window

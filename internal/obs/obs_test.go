@@ -95,42 +95,3 @@ func TestTableOmitsIdleNodes(t *testing.T) {
 		t.Errorf("table missing header:\n%s", tab)
 	}
 }
-
-// TestWorkWindow: windows sample per-node deltas, not lifetime totals —
-// the opening baseline excludes everything before NewWorkWindow, and each
-// Advance resets the baseline for the next window.
-func TestWorkWindow(t *testing.T) {
-	p := NewProfiler([]string{"a", "b", "c"})
-	p.At(0).AddFiring()
-	p.At(0).AddWork(100 * time.Microsecond)
-
-	w := NewWorkWindow(p) // baseline swallows the pre-window activity
-
-	p.At(0).AddFiring()
-	p.At(0).AddWork(10 * time.Microsecond)
-	p.At(1).AddFiring()
-	p.At(1).AddFiring()
-	p.At(1).AddWork(30 * time.Microsecond)
-
-	s1 := w.Advance()
-	if got := s1.WorkNS[0]; got != int64(10*time.Microsecond) {
-		t.Errorf("window 1 node a work = %d, want %d (lifetime total leaked in)", got, int64(10*time.Microsecond))
-	}
-	if s1.Firings[1] != 2 || s1.WorkNS[1] != int64(30*time.Microsecond) {
-		t.Errorf("window 1 node b = %d firings / %d ns", s1.Firings[1], s1.WorkNS[1])
-	}
-	if s1.Firings[2] != 0 || s1.WorkNS[2] != 0 {
-		t.Errorf("idle node c sampled %d firings / %d ns", s1.Firings[2], s1.WorkNS[2])
-	}
-
-	// Second window sees only what happened after the first Advance.
-	p.At(2).AddFiring()
-	p.At(2).AddWork(5 * time.Microsecond)
-	s2 := w.Advance()
-	if s2.Firings[0] != 0 || s2.WorkNS[0] != 0 {
-		t.Errorf("node a leaked into window 2: %d firings / %d ns", s2.Firings[0], s2.WorkNS[0])
-	}
-	if s2.Firings[2] != 1 || s2.WorkNS[2] != int64(5*time.Microsecond) {
-		t.Errorf("window 2 node c = %d firings / %d ns", s2.Firings[2], s2.WorkNS[2])
-	}
-}

@@ -18,12 +18,12 @@ import (
 // lower-numbered worker to a higher one: the workers form a chain, and an
 // edge crosses only where the cut falls. Every mapping in the package — an
 // exec plan's initial worker assignment, its lowering onto the simulator's
-// tiles, and every re-pack of it (crash recovery, the elastic controller, a
-// distributed fleet and its recovery) — is this cut.
+// tiles, and every re-pack of it (crash recovery, a distributed fleet and
+// its recovery) — is this cut.
 
 // SteadyWork is the static estimate of each node's cycles per steady
 // iteration, indexed by node ID: the weights every plan packs by.
-func SteadyWork(g *ir.Graph, s *sched.Schedule) []int64 { return steadyWork(g, s, nil, nil) }
+func SteadyWork(g *ir.Graph, s *sched.Schedule) []int64 { return steadyWork(g, s, nil) }
 
 // steadyWork estimates each node's work per steady iteration, indexed by
 // node ID: for filters the IL estimator's cycles per firing (override's,
@@ -31,19 +31,8 @@ func SteadyWork(g *ir.Graph, s *sched.Schedule) []int64 { return steadyWork(g, s
 // times repetitions, for splitters and joiners routerCost per item routed.
 // File readers and writers stream from the DRAM ports in the paper's setup:
 // they contribute traffic but no cycles.
-//
-// measured, when non-nil, holds each node's measured work over a span all
-// nodes share (one profile window, or nanoseconds per firing times
-// repetitions); entries <= 0 are unmeasured. The filters it covers take
-// their measured share of the covered set's total static estimate, so the
-// total stays on the estimator's cycle scale — measured and estimated nodes
-// pack on one scale, and the machine model's compute/communication
-// calibration is preserved — while the distribution between filters shifts
-// to the measured proportions.
-func steadyWork(g *ir.Graph, s *sched.Schedule, override map[*ir.Filter]int64, measured []int64) []int64 {
+func steadyWork(g *ir.Graph, s *sched.Schedule, override map[*ir.Filter]int64) []int64 {
 	work := make([]int64, len(g.Nodes))
-	covered := make([]bool, len(g.Nodes))
-	var sumStatic, sumMeasured float64
 	for _, n := range g.Nodes {
 		reps := int64(s.Reps[n.ID])
 		switch {
@@ -56,20 +45,6 @@ func steadyWork(g *ir.Graph, s *sched.Schedule, override map[*ir.Filter]int64, m
 				perFiring = wfunc.EstimateKernel(n.Filter.Kernel).Cycles
 			}
 			work[n.ID] = perFiring * reps
-			if measured != nil && measured[n.ID] > 0 {
-				covered[n.ID] = true
-				sumStatic += float64(work[n.ID])
-				sumMeasured += float64(measured[n.ID])
-			}
-		}
-	}
-	if sumStatic <= 0 || sumMeasured <= 0 {
-		return work
-	}
-	scale := sumStatic / sumMeasured
-	for id, ok := range covered {
-		if ok {
-			work[id] = max(int64(float64(measured[id])*scale), 1)
 		}
 	}
 	return work
@@ -90,7 +65,7 @@ type Topology struct {
 // flattening and schedule of plan.Program; the result is nil if that graph
 // cannot be staged (Pack reports why).
 func (p *ExecPlan) Assign(g2 *ir.Graph, s2 *sched.Schedule) []int {
-	assign, _ := p.Pack(g2, s2, Topology{Shards: p.Workers, PerShard: 1}, nil)
+	assign, _ := p.Pack(g2, s2, Topology{Shards: p.Workers, PerShard: 1})
 	return assign
 }
 
@@ -103,24 +78,21 @@ func (p *ExecPlan) Assign(g2 *ir.Graph, s2 *sched.Schedule) []int {
 // therefore the checkpoint fingerprint all stay fixed and only the cut
 // moves: that is what lets crash recovery move a dead worker's or shard's
 // partitions onto the survivors and restore the last barrier image
-// unchanged. measured is steadyWork's (nil cuts by the plan's static
-// estimates; the elastic controller passes a profile window). Every node
-// weighs at least 1, and stage clusters (feedback cycles, messaging hulls)
-// are one unit at both levels: their members must fire together on one
-// worker. No worker is left empty while there are units for it.
-func (p *ExecPlan) Pack(g2 *ir.Graph, s2 *sched.Schedule, topo Topology, measured []int64) ([]int, error) {
+// unchanged. The weights are the plan's static estimates (steadyWork):
+// every node weighs at least 1, and stage clusters (feedback cycles,
+// messaging hulls) are one unit at both levels: their members must fire
+// together on one worker. No worker is left empty while there are units
+// for it.
+func (p *ExecPlan) Pack(g2 *ir.Graph, s2 *sched.Schedule, topo Topology) ([]int, error) {
 	if topo.Shards < 1 || topo.PerShard < 1 {
 		return nil, fmt.Errorf("partition: assignment wants >= 1 shards and workers per shard, got %d x %d", topo.Shards, topo.PerShard)
-	}
-	if measured != nil && len(measured) != len(g2.Nodes) {
-		return nil, fmt.Errorf("partition: measured work covers %d of %d nodes", len(measured), len(g2.Nodes))
 	}
 	sp, err := PipelineStages(g2)
 	if err != nil {
 		return nil, err
 	}
 	units := structureOrder(g2, sp)
-	work := steadyWork(g2, s2, p.Work, measured)
+	work := steadyWork(g2, s2, p.Work)
 	weights := make([]int64, len(units))
 	for i, members := range units {
 		for _, id := range members {

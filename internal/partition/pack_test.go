@@ -30,9 +30,9 @@ func buildShardedPlan(t *testing.T, strat Strategy, workers int) (*ExecPlan, *ir
 	return buildPlan(t, apps.FMRadio(4, 16), strat, workers)
 }
 
-func mustPack(t *testing.T, plan *ExecPlan, g2 *ir.Graph, s2 *sched.Schedule, topo Topology, measured []int64) []int {
+func mustPack(t *testing.T, plan *ExecPlan, g2 *ir.Graph, s2 *sched.Schedule, topo Topology) []int {
 	t.Helper()
-	assign, err := plan.Pack(g2, s2, topo, measured)
+	assign, err := plan.Pack(g2, s2, topo)
 	if err != nil {
 		t.Fatalf("Pack onto %dx%d: %v", topo.Shards, topo.PerShard, err)
 	}
@@ -40,11 +40,11 @@ func mustPack(t *testing.T, plan *ExecPlan, g2 *ir.Graph, s2 *sched.Schedule, to
 }
 
 // TestPackContract states the packer's contract once, over every app, host
-// strategy, bin count, and weight source: every node lands in range, every
-// stage cluster sits on one worker, the packing is deterministic (the
-// coordinator and the engines each compute it and must agree), the heaviest
-// bin carries at most the mean plus the heaviest unit (a bound every
-// min-max cut meets), and both levels are the same cut — n shards of one worker, one shard of n
+// strategy and bin count: every node lands in range, every stage cluster
+// sits on one worker, the packing is deterministic (the coordinator and the
+// engines each compute it and must agree), the heaviest bin carries at most
+// the mean plus the heaviest unit (a bound every min-max cut meets), and
+// both levels are the same cut — n shards of one worker, one shard of n
 // workers, and Assign on the plan's own count all agree, while a real grid
 // keeps clusters whole too. Reverb and the frequency-hopping radio add the
 // feedback and teleport-messaging clusters the twelve suite apps lack.
@@ -68,55 +68,47 @@ func TestPackContract(t *testing.T) {
 					units = append(units, []int{id})
 				}
 			}
-			rng := rand.New(rand.NewSource(int64(len(g2.Nodes))))
-			skewed := make([]int64, len(g2.Nodes))
-			for id := range skewed {
-				skewed[id] = 1 + rng.Int63n(1000)
-			}
-			skewed[rng.Intn(len(skewed))] *= 1000
-			for _, measured := range [][]int64{nil, skewed} {
-				work := steadyWork(g2, s2, plan.Work, measured)
-				for _, bins := range []int{1, 2, 3, 4, 8} {
-					what := fmt.Sprintf("%s under %s onto %d (measured=%v)", app.Name, strat, bins, measured != nil)
-					assign := mustPack(t, plan, g2, s2, Topology{Shards: bins, PerShard: 1}, measured)
-					if len(assign) != len(g2.Nodes) {
-						t.Fatalf("%s: assignment covers %d of %d nodes", what, len(assign), len(g2.Nodes))
-					}
-					load := make([]int64, bins)
-					var total, heaviest int64
-					for _, members := range units {
-						var w int64
-						for _, id := range members {
-							if assign[id] < 0 || assign[id] >= bins {
-								t.Fatalf("%s: node %d on worker %d", what, id, assign[id])
-							}
-							if assign[id] != assign[members[0]] {
-								t.Fatalf("%s: cluster %v splits across workers %d and %d", what, members, assign[members[0]], assign[id])
-							}
-							w += max(work[id], 1)
+			work := steadyWork(g2, s2, plan.Work)
+			for _, bins := range []int{1, 2, 3, 4, 8} {
+				what := fmt.Sprintf("%s under %s onto %d", app.Name, strat, bins)
+				assign := mustPack(t, plan, g2, s2, Topology{Shards: bins, PerShard: 1})
+				if len(assign) != len(g2.Nodes) {
+					t.Fatalf("%s: assignment covers %d of %d nodes", what, len(assign), len(g2.Nodes))
+				}
+				load := make([]int64, bins)
+				var total, heaviest int64
+				for _, members := range units {
+					var w int64
+					for _, id := range members {
+						if assign[id] < 0 || assign[id] >= bins {
+							t.Fatalf("%s: node %d on worker %d", what, id, assign[id])
 						}
-						load[assign[members[0]]] += w
-						total += w
-						heaviest = max(heaviest, w)
+						if assign[id] != assign[members[0]] {
+							t.Fatalf("%s: cluster %v splits across workers %d and %d", what, members, assign[members[0]], assign[id])
+						}
+						w += max(work[id], 1)
 					}
-					if got, bound := slices.Max(load), total/int64(bins)+heaviest; got > bound {
-						t.Errorf("%s: heaviest bin carries %d, above mean + heaviest unit = %d", what, got, bound)
-					}
-					if again := mustPack(t, plan, g2, s2, Topology{Shards: bins, PerShard: 1}, measured); !slices.Equal(assign, again) {
-						t.Errorf("%s: two calls disagree", what)
-					}
-					if oneShard := mustPack(t, plan, g2, s2, Topology{Shards: 1, PerShard: bins}, measured); !slices.Equal(assign, oneShard) {
-						t.Errorf("%s: %d shards of one worker and one shard of %d workers disagree", what, bins, bins)
-					}
-					if bins == plan.Workers && measured == nil && !slices.Equal(assign, plan.Assign(g2, s2)) {
-						t.Errorf("%s: Assign disagrees with Pack onto the plan's own worker count", what)
-					}
-					grid := mustPack(t, plan, g2, s2, Topology{Shards: bins, PerShard: 2}, measured)
-					for _, members := range units {
-						for _, id := range members {
-							if grid[id] < 0 || grid[id] >= 2*bins || grid[id] != grid[members[0]] {
-								t.Fatalf("%s: %dx2 grid puts node %d of unit %v on worker %d", what, bins, id, members, grid[id])
-							}
+					load[assign[members[0]]] += w
+					total += w
+					heaviest = max(heaviest, w)
+				}
+				if got, bound := slices.Max(load), total/int64(bins)+heaviest; got > bound {
+					t.Errorf("%s: heaviest bin carries %d, above mean + heaviest unit = %d", what, got, bound)
+				}
+				if again := mustPack(t, plan, g2, s2, Topology{Shards: bins, PerShard: 1}); !slices.Equal(assign, again) {
+					t.Errorf("%s: two calls disagree", what)
+				}
+				if oneShard := mustPack(t, plan, g2, s2, Topology{Shards: 1, PerShard: bins}); !slices.Equal(assign, oneShard) {
+					t.Errorf("%s: %d shards of one worker and one shard of %d workers disagree", what, bins, bins)
+				}
+				if bins == plan.Workers && !slices.Equal(assign, plan.Assign(g2, s2)) {
+					t.Errorf("%s: Assign disagrees with Pack onto the plan's own worker count", what)
+				}
+				grid := mustPack(t, plan, g2, s2, Topology{Shards: bins, PerShard: 2})
+				for _, members := range units {
+					for _, id := range members {
+						if grid[id] < 0 || grid[id] >= 2*bins || grid[id] != grid[members[0]] {
+							t.Fatalf("%s: %dx2 grid puts node %d of unit %v on worker %d", what, bins, id, members, grid[id])
 						}
 					}
 				}
@@ -133,7 +125,7 @@ func TestPackContract(t *testing.T) {
 func TestPackSharded(t *testing.T) {
 	plan, g2, s2 := buildShardedPlan(t, StratCoarseData, 4)
 	const shards, perShard = 2, 2
-	assign := mustPack(t, plan, g2, s2, Topology{Shards: shards, PerShard: perShard}, nil)
+	assign := mustPack(t, plan, g2, s2, Topology{Shards: shards, PerShard: perShard})
 	perWorker := make([]int, shards*perShard)
 	perShardN := make([]int, shards)
 	for _, w := range assign {
@@ -156,47 +148,15 @@ func TestPackSharded(t *testing.T) {
 	}
 }
 
-// TestPackShardedMeasured: live measurements steer the cut at both levels
-// of a grid — a filter measured as costlier than everything else together
-// gets a worker of its own, and the call stays valid.
-func TestPackShardedMeasured(t *testing.T) {
-	plan, g2, s2 := buildShardedPlan(t, StratTask, 4)
-	measured := make([]int64, len(g2.Nodes))
-	hot := -1
-	for _, n := range g2.Nodes {
-		if n.Kind == ir.NodeFilter && !n.IsSource() && !n.IsSink() {
-			measured[n.ID] = 1
-			if hot < 0 && n.ID > len(g2.Nodes)/2 {
-				hot = n.ID
-			}
-		}
-	}
-	if hot < 0 {
-		t.Fatal("no interior filter found")
-	}
-	measured[hot] = 1_000_000
-	assign := mustPack(t, plan, g2, s2, Topology{Shards: 2, PerShard: 2}, measured)
-	for id, w := range assign {
-		if w == assign[hot] && id != hot {
-			t.Fatalf("hot filter %s shares worker %d with %s; measured weights ignored",
-				g2.Nodes[hot].Name, w, g2.Nodes[id].Name)
-		}
-	}
-}
-
-// TestPackRejects: degenerate shapes, a measurement of the wrong
-// graph, and a pipelined plan whose graph cannot be staged fail loudly —
+// TestPackRejects: degenerate shapes and a pipelined plan whose graph cannot be staged fail loudly —
 // nothing behind Pack packs a second opinion without the clusters.
 func TestPackRejects(t *testing.T) {
 	plan, g2, s2 := buildShardedPlan(t, StratCoarseData, 4)
-	if _, err := plan.Pack(g2, s2, Topology{Shards: 0, PerShard: 2}, nil); err == nil {
+	if _, err := plan.Pack(g2, s2, Topology{Shards: 0, PerShard: 2}); err == nil {
 		t.Fatal("0 shards should be rejected")
 	}
-	if _, err := plan.Pack(g2, s2, Topology{Shards: 2, PerShard: 0}, nil); err == nil {
+	if _, err := plan.Pack(g2, s2, Topology{Shards: 2, PerShard: 0}); err == nil {
 		t.Fatal("0 workers per shard should be rejected")
-	}
-	if _, err := plan.Pack(g2, s2, Topology{Shards: 2, PerShard: 1}, make([]int64, 1)); err == nil {
-		t.Fatal("a measurement covering 1 node should be rejected")
 	}
 
 	// A forward cycle no back edge accounts for: stage contraction fails.
@@ -206,98 +166,11 @@ func TestPackRejects(t *testing.T) {
 		Edges: []*ir.Edge{{ID: 0, Src: a, Dst: b}, {ID: 1, Src: b, Dst: a}}}
 	swp := &ExecPlan{Strategy: StratSWP, Workers: 2, Pipelined: true}
 	sch := &sched.Schedule{Reps: []int{1, 1}}
-	if _, err := swp.Pack(cyclic, sch, Topology{Shards: 2, PerShard: 1}, nil); err == nil || !strings.Contains(err.Error(), "left a cycle") {
+	if _, err := swp.Pack(cyclic, sch, Topology{Shards: 2, PerShard: 1}); err == nil || !strings.Contains(err.Error(), "left a cycle") {
 		t.Fatalf("err = %v, want the stage contraction's cycle error", err)
 	}
 	if assign := swp.Assign(cyclic, sch); assign != nil {
 		t.Fatalf("Assign packed an unstageable graph: %v", assign)
-	}
-}
-
-// measuredPipe flattens and schedules src -> a -> b -> snk, a and b with
-// identical static work; the pipeline's node IDs are 0..3 in that order.
-func measuredPipe(t *testing.T) (*ir.Graph, *sched.Schedule) {
-	t.Helper()
-	g, err := ir.Flatten(&ir.Program{Name: "mw", Top: ir.Pipe("p",
-		heavyFilter("src", 100, 0, 0, 1),
-		heavyFilter("a", 200, 0, 1, 1),
-		heavyFilter("b", 200, 0, 1, 1),
-		heavyFilter("snk", 100, 0, 1, 0))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := sched.Compute(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g, s
-}
-
-// TestMeasuredWorkReshapesProportions: measurements that say filter a is 3x
-// filter b shift steadyWork's split to 3:1 while the covered filters'
-// combined cycle total stays on the static scale, so measured and
-// estimated nodes still pack on one scale.
-func TestMeasuredWorkReshapesProportions(t *testing.T) {
-	g, s := measuredPipe(t)
-	const src, a, b, snk = 0, 1, 2, 3
-	sw := steadyWork(g, s, nil, nil)
-	if sw[a] == 0 || sw[a] != sw[b] {
-		t.Fatalf("static baseline skewed: a=%d b=%d", sw[a], sw[b])
-	}
-	mw := steadyWork(g, s, nil, []int64{src: 0, a: 3000, b: 1000, snk: 0})
-	if ratio := float64(mw[a]) / float64(mw[b]); ratio < 2.9 || ratio > 3.1 {
-		t.Errorf("a/b work ratio = %.2f, want ~3.0", ratio)
-	}
-	// Integer truncation allows a little slack.
-	if diff := sw[a] + sw[b] - mw[a] - mw[b]; diff < -2 || diff > 2 {
-		t.Errorf("covered work total drifted: static %d, measured %d", sw[a]+sw[b], mw[a]+mw[b])
-	}
-}
-
-// TestMeasuredWorkPartialCoverage: a filter without a measurement keeps its
-// static estimate, file endpoints stay at zero work whatever was measured
-// on them, and a sole covered filter rescales onto its own static total.
-func TestMeasuredWorkPartialCoverage(t *testing.T) {
-	g, s := measuredPipe(t)
-	const src, a, b, snk = 0, 1, 2, 3
-	sw := steadyWork(g, s, nil, nil)
-	mw := steadyWork(g, s, nil, []int64{src: 9999, a: 5000, b: 0, snk: 9999})
-	if mw[b] != sw[b] {
-		t.Errorf("unmeasured filter b changed: %d -> %d", sw[b], mw[b])
-	}
-	if mw[src] != 0 || mw[snk] != 0 {
-		t.Errorf("io endpoints gained work: src=%d snk=%d", mw[src], mw[snk])
-	}
-	if mw[a] != sw[a] {
-		t.Errorf("sole covered filter a should keep its static total: %d -> %d", sw[a], mw[a])
-	}
-}
-
-// TestMeasuredWorkIgnoredWhenUseless: no measurement, all zeros, and
-// non-positive entries leave the static estimates untouched.
-func TestMeasuredWorkIgnoredWhenUseless(t *testing.T) {
-	g, s := measuredPipe(t)
-	sw := steadyWork(g, s, nil, nil)
-	for _, m := range [][]int64{nil, make([]int64, 4), {0, 0, -5, 0}} {
-		if mw := steadyWork(g, s, nil, m); !slices.Equal(mw, sw) {
-			t.Errorf("measured %v: work %v, want static %v", m, mw, sw)
-		}
-	}
-}
-
-// TestMeasuredWorkTotalStable: the graph-wide total does not move when
-// measurements only redistribute filter weights.
-func TestMeasuredWorkTotalStable(t *testing.T) {
-	g, s := measuredPipe(t)
-	total := func(work []int64) (sum int64) {
-		for _, w := range work {
-			sum += w
-		}
-		return sum
-	}
-	static, measured := total(steadyWork(g, s, nil, nil)), total(steadyWork(g, s, nil, []int64{0, 7000, 500, 0}))
-	if d := static - measured; d < -2 || d > 2 {
-		t.Errorf("total work drifted by %d (static %d, measured %d)", d, static, measured)
 	}
 }
 
@@ -369,7 +242,7 @@ func TestPackChain(t *testing.T) {
 				what := fmt.Sprintf("%s under %s onto %d", app.Name, strat, workers)
 				checkChain(t, what, g2, sp, plan.Assign(g2, s2), workers)
 				if workers == 4 {
-					grid := mustPack(t, plan, g2, s2, Topology{Shards: 2, PerShard: 2}, nil)
+					grid := mustPack(t, plan, g2, s2, Topology{Shards: 2, PerShard: 2})
 					checkChain(t, what+" as 2x2", g2, sp, grid, 4)
 				}
 			}

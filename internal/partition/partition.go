@@ -131,7 +131,7 @@ func Lower(prog *ir.Program, g *ir.Graph, s *sched.Schedule, strat Strategy, til
 			members = append(members, ids)
 		}
 	}
-	work := steadyWork(g2, s2, plan.Work, nil)
+	work := steadyWork(g2, s2, plan.Work)
 	wg := &machine.WGraph{}
 	for _, ids := range members {
 		var w, flops int64
@@ -184,7 +184,7 @@ func Lower(prog *ir.Program, g *ir.Graph, s *sched.Schedule, strat Strategy, til
 		if strat.Pipelined() {
 			m.Mode = machine.ModePipelined
 		}
-		assign, err := plan.Pack(g2, s2, Topology{Shards: tiles, PerShard: 1}, nil)
+		assign, err := plan.Pack(g2, s2, Topology{Shards: tiles, PerShard: 1})
 		if err != nil {
 			return nil, err
 		}

@@ -35,7 +35,6 @@ var surfaceAllow = map[string]string{
 	"SliceSource": "exec: cross-package test fixture, the pair of SliceSink (which examples/quickstart uses)",
 	"RunCollect":  "exec: cross-package test fixture over New and SliceSink",
 	"Reverb":      "apps: the suites' feedback-loop program (pipelined conformance, crash matrix, pack clusters)",
-	"Resize":      "exec.MappedEngine: live resize request taken at the next barrier, the entry a control plane calls; ResizeAt/ResizeTo only schedules one before the run",
 }
 
 // TestExportedSurfaceHasShippingCallers fails for every exported function
