@@ -11,10 +11,10 @@ import (
 	"streamit/internal/vm"
 )
 
-// spanCounts sums the span instructions, by kind, of every IL filter in g.
-func spanCounts(t *testing.T, g *ir.Graph) [4]int {
+// spanCounts sums the span instructions, by kind, of every IL filter in g,
+// and counts its row kernels.
+func spanCounts(t *testing.T, g *ir.Graph) (sum [4]int, rows int) {
 	t.Helper()
-	var sum [4]int
 	for _, n := range g.Nodes {
 		if n.Kind != ir.NodeFilter || n.Filter.WorkFn != nil {
 			continue
@@ -25,39 +25,51 @@ func spanCounts(t *testing.T, g *ir.Graph) [4]int {
 		}
 		r, d, m, mp := p.SpanCounts()
 		sum[0], sum[1], sum[2], sum[3] = sum[0]+r, sum[1]+d, sum[2]+m, sum[3]+mp
+		if vm.NewMachine(p).RowKernel() {
+			rows++
+		}
 	}
-	return sum
+	return sum, rows
 }
 
 // TestSuiteSpanKernels pins, per program the benchmark runs, how many loops
 // of its work functions the VM compiles to span instructions (reduce,
-// drain, move, map) — in the program as written and in the task+data plan's
-// rewrite for 2 workers, whose fused kernels are what mapped-fission runs.
+// drain, move, map) and how many of its work functions are row kernels,
+// which blocks run four firings at a time — in the program as written and
+// in the task+data plan's rewrite for 2 workers, whose fused kernels are
+// what mapped-fission runs.
 // A change to lang's lowering, wfunc.FoldKernel, fuse.Chain or the VM's
 // recogniser that stops a loop matching costs that loop its speed-up of
 // several times and moves no other test; it fails here instead. Raise a
 // row when the family grows.
 func TestSuiteSpanKernels(t *testing.T) {
-	check := func(name, what string, got, want [4]int) {
+	check := func(name, what string, g *ir.Graph, want [4]int, wantRows int) {
 		t.Helper()
+		got, rows := spanCounts(t, g)
 		if got != want {
 			t.Errorf("%s, %s: span instructions reduce/drain/move/map = %d/%d/%d/%d, want %d/%d/%d/%d",
 				name, what, got[0], got[1], got[2], got[3], want[0], want[1], want[2], want[3])
 		}
+		if rows != wantRows {
+			t.Errorf("%s, %s: %d row kernels, want %d", name, what, rows, wantRows)
+		}
 	}
-	suite := map[string]struct{ flat, plan [4]int }{
-		"BitonicSort":    {[4]int{0, 21, 0, 20}, [4]int{0, 21, 0, 20}},
-		"ChannelVocoder": {[4]int{17, 2, 0, 0}, [4]int{17, 2, 0, 0}},
-		"DCT":            {[4]int{3, 4, 0, 0}, [4]int{6, 1, 0, 0}},
-		"DES":            {[4]int{0, 81, 0, 96}, [4]int{0, 33, 0, 96}},
-		"FFT":            {[4]int{0, 6, 0, 5}, [4]int{0, 6, 0, 5}},
-		"FilterBank":     {[4]int{17, 10, 0, 0}, [4]int{17, 2, 0, 0}},
-		"FMRadio":        {[4]int{22, 2, 0, 0}, [4]int{22, 2, 0, 0}},
-		"Serpent":        {[4]int{0, 97, 0, 96}, [4]int{0, 3, 0, 192}},
-		"TDE":            {[4]int{10, 11, 0, 0}, [4]int{20, 3, 0, 0}},
-		"MPEG2Decoder":   {[4]int{1, 4, 0, 2}, [4]int{2, 3, 0, 2}},
-		"Vocoder":        {[4]int{17, 2, 0, 0}, [4]int{17, 2, 0, 0}},
-		"Radar":          {[4]int{28, 5, 48, 0}, [4]int{28, 5, 48, 0}},
+	suite := map[string]struct {
+		flat, plan         [4]int
+		flatRows, planRows int
+	}{
+		"BitonicSort":    {[4]int{0, 21, 0, 20}, [4]int{0, 21, 0, 20}, 0, 0},
+		"ChannelVocoder": {[4]int{17, 2, 0, 0}, [4]int{17, 2, 0, 0}, 17, 16},
+		"DCT":            {[4]int{3, 4, 0, 0}, [4]int{6, 1, 0, 0}, 0, 0},
+		"DES":            {[4]int{0, 81, 0, 96}, [4]int{0, 33, 0, 96}, 0, 0},
+		"FFT":            {[4]int{0, 6, 0, 5}, [4]int{0, 6, 0, 5}, 0, 0},
+		"FilterBank":     {[4]int{17, 10, 0, 0}, [4]int{17, 2, 0, 0}, 17, 9},
+		"FMRadio":        {[4]int{22, 2, 0, 0}, [4]int{22, 2, 0, 0}, 22, 12},
+		"Serpent":        {[4]int{0, 97, 0, 96}, [4]int{0, 3, 0, 192}, 0, 0},
+		"TDE":            {[4]int{10, 11, 0, 0}, [4]int{20, 3, 0, 0}, 0, 0},
+		"MPEG2Decoder":   {[4]int{1, 4, 0, 2}, [4]int{2, 3, 0, 2}, 0, 0},
+		"Vocoder":        {[4]int{17, 2, 0, 0}, [4]int{17, 2, 0, 0}, 17, 17},
+		"Radar":          {[4]int{28, 5, 48, 0}, [4]int{28, 5, 48, 0}, 0, 0},
 	}
 	for _, app := range apps.Suite() {
 		want, ok := suite[app.Name]
@@ -69,7 +81,7 @@ func TestSuiteSpanKernels(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", app.Name, err)
 		}
-		check(app.Name, "as written", spanCounts(t, c.Graph), want.flat)
+		check(app.Name, "as written", c.Graph, want.flat, want.flatRows)
 		// Fusion turns a stage's drains into cursor arithmetic, its peeks
 		// into loads from the edge array and its pushes into stores to the
 		// next, so the plan's counts differ.
@@ -82,11 +94,17 @@ func TestSuiteSpanKernels(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", app.Name, err)
 		}
-		check(app.Name, "task+data plan for 2 workers", spanCounts(t, g2), want.plan)
+		check(app.Name, "task+data plan for 2 workers", g2, want.plan, want.planRows)
 	}
-	// freqhop.str has no loop at all: the benchmark's bypass.
-	for name, want := range map[string][4]int{
-		"fmradio.str": {14, 0, 0, 0}, "filterbank.str": {9, 4, 0, 4}, "bitonic.str": {0, 13, 0, 12}, "freqhop.str": {0, 0, 0, 0},
+	// freqhop.str has no loop at all: the benchmark's bypass. The FIRs of
+	// fmradio.str and filterbank.str are row kernels, and so is
+	// filterbank.str's adder; fmradio.str's divides its sum.
+	for name, want := range map[string]struct {
+		spans [4]int
+		rows  int
+	}{
+		"fmradio.str": {[4]int{14, 0, 0, 0}, 13}, "filterbank.str": {[4]int{9, 4, 0, 4}, 9},
+		"bitonic.str": {[4]int{0, 13, 0, 12}, 0}, "freqhop.str": {[4]int{0, 0, 0, 0}, 0},
 	} {
 		src, err := os.ReadFile(filepath.Join("..", "..", "examples", "strprogs", name))
 		if err != nil {
@@ -96,6 +114,6 @@ func TestSuiteSpanKernels(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		check(name, "as written", spanCounts(t, c.Graph), want)
+		check(name, "as written", c.Graph, want.spans, want.rows)
 	}
 }

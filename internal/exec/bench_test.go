@@ -61,11 +61,10 @@ func BenchmarkChannelOps(b *testing.B) {
 
 // BenchmarkFiringOverhead reports ns per firing of a one-push IL source
 // that fires 64 times a steady iteration, through the sequential engine's
-// runEntries and the mapped engine's fireIters, each both ways a filter
-// fires: its entry's whole share in one VM entry, and firing by firing —
-// runEntries' step loop on a graph where some filter sends messages, and
-// fire, which fireIters looped before and a filter with anything attached
-// still takes.
+// runEntries and the firing core's fireHeld under a mapped block, each both
+// ways a filter fires: its entry's whole share in one VM entry, and firing
+// by firing — runEntries' step loop on a graph where some filter sends
+// messages, and fire, which a filter with anything attached takes.
 func BenchmarkFiringOverhead(b *testing.B) {
 	const reps = 64
 	ramp := rampFilter("src")
@@ -95,7 +94,7 @@ func BenchmarkFiringOverhead(b *testing.B) {
 			rt := e.nodes[src.ID]
 			entries := []sched.Entry{{Node: src, Count: reps}}
 			perFiring(b, reps, func() {
-				if err := e.runEntries(entries); err != nil {
+				if err := e.runEntries(entries, 1); err != nil {
 					b.Fatal(err)
 				}
 				rt.out.Popped = rt.out.Pushed
@@ -113,17 +112,17 @@ func BenchmarkFiringOverhead(b *testing.B) {
 		me.planWorkers()
 		return me, me.plans[0].steps[0]
 	}
-	b.Run("fireIters/one-entry", func(b *testing.B) {
+	b.Run("fireHeld/one-entry", func(b *testing.B) {
 		me, sp := mapped(b)
 		rt := sp.nodes[0]
 		perFiring(b, reps*StageBatch, func() {
-			if err := me.fireIters(sp, 1, StageBatch); err != nil {
+			if err := me.fireHeld(rt, StageBatch, reps, sp.inPer, sp.inBase); err != nil {
 				b.Fatal(err)
 			}
 			rt.out.Popped = rt.out.Pushed
 		})
 	})
-	b.Run("fireIters/per-firing", func(b *testing.B) {
+	b.Run("fireHeld/per-firing", func(b *testing.B) {
 		me, sp := mapped(b)
 		rt := sp.nodes[0]
 		perFiring(b, reps*StageBatch, func() {

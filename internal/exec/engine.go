@@ -55,6 +55,12 @@ type Engine struct {
 	// them across RunSteady calls.
 	laneSched int
 	steadyIdx int64
+
+	// block is how many steady iterations RunSteady fires per entry at
+	// once (blockOf); first, allocated by the first block of several, is
+	// where each steady entry's input ring ended when the block began.
+	block int64
+	first []int64
 }
 
 // message is an in-flight teleport message.
@@ -169,10 +175,15 @@ func (e *Engine) RunInit() (err error) {
 	if e.dynamic {
 		return e.runDataDriven(e.Sch.InitReps, 1, "initialization")
 	}
-	return e.runEntries(e.Sch.Init)
+	return e.runEntries(e.Sch.Init, 1)
 }
 
-// RunSteady executes the steady-state schedule iters times.
+// RunSteady executes the steady-state schedule iters times, in blocks of
+// up to e.block iterations — one while a Printer is attached, as println
+// order across filters is observable, or when filters send teleport
+// messages, delivered around each firing. A block fires each steady entry's
+// share of all its iterations at once (core.fireHeld); a trace gets one
+// slice per block, "steady T xN" for the N iterations from T.
 func (e *Engine) RunSteady(iters int) (err error) {
 	defer e.blameFiring(&err)
 	if e.dynamic {
@@ -186,17 +197,23 @@ func (e *Engine) RunSteady(iters int) (err error) {
 		e.rec.Slice(e.laneSched, fmt.Sprintf("steady x%d", iters), "iteration", t0, e.rec.Stamp())
 		return err
 	}
-	for k := 0; k < iters; k++ {
+	k := e.block
+	if e.Printer != nil || e.sends {
+		k = 1
+	}
+	for done := int64(0); done < int64(iters); {
+		n := min(k, int64(iters)-done)
 		var t0 time.Duration
 		if e.rec != nil {
 			t0 = e.rec.Stamp()
 		}
-		if err := e.runEntries(e.Sch.Steady); err != nil {
+		if err := e.runEntries(e.Sch.Steady, n); err != nil {
 			return err
 		}
+		done += n
 		if e.rec != nil {
-			e.steadyIdx++
-			e.rec.Slice(e.laneSched, fmt.Sprintf("steady %d", e.steadyIdx), "iteration", t0, e.rec.Stamp())
+			e.rec.Slice(e.laneSched, fmt.Sprintf("steady %d x%d", e.steadyIdx+1, n), "iteration", t0, e.rec.Stamp())
+			e.steadyIdx += n
 		}
 	}
 	return nil
@@ -221,33 +238,87 @@ func (e *Engine) blameFiring(err *error) {
 	}
 }
 
-// runEntries fires one pass of a static schedule phase.
-func (e *Engine) runEntries(entries []sched.Entry) error {
-	for _, en := range entries {
-		if err := e.fireEntry(e.nodes[en.Node.ID], int64(en.Count)); err != nil {
+// runEntries fires n iterations of a static schedule phase, entry by
+// entry: each entry's share of all n at once (core.fireHeld), its filter's
+// input held per iteration from where its ring ended when the pass began,
+// or one step at a time, with delivery around each, when some filter sends
+// teleport messages. Firings counts the firings that completed, also when
+// one panics on its way to blameFiring.
+func (e *Engine) runEntries(entries []sched.Entry, n int64) (err error) {
+	if n > 1 {
+		if e.first == nil {
+			e.first = make([]int64, len(entries))
+		}
+		for i, en := range entries {
+			if in := e.nodes[en.Node.ID].in; in != nil {
+				e.first[i] = in.Pushed
+			}
+		}
+	}
+	var rt *nodeRT
+	var from int64
+	defer func() {
+		if rt != nil {
+			e.Firings += rt.fired - from
+		}
+	}()
+	for i, en := range entries {
+		if rt != nil {
+			e.Firings += rt.fired - from
+		}
+		rt = e.nodes[en.Node.ID]
+		e.cur, from = rt, rt.fired
+		reps := int64(en.Count)
+		if e.sends {
+			for k := n * reps; k > 0 && err == nil; k-- {
+				err = e.step(rt)
+			}
+		} else if n > 1 {
+			err = e.fireHeld(rt, n, reps, perIteration(e.Sch, en.Node), e.first[i])
+		} else {
+			err = e.fireHeld(rt, 1, reps, 0, 0)
+		}
+		if err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// fireEntry fires one schedule entry, n firings of rt: in one fireN, or
-// one step at a time, with delivery around each, when some filter sends
-// teleport messages. Firings counts the firings that completed, also when
-// one panics on its way to blameFiring.
-func (e *Engine) fireEntry(rt *nodeRT, n int64) error {
-	e.cur = rt
-	from := rt.fired
-	defer func() { e.Firings += rt.fired - from }()
-	if !e.sends {
-		return e.fireN(rt, n)
-	}
-	for ; n > 0; n-- {
-		if err := e.step(rt); err != nil {
-			return err
+// blockOf is the steady iterations the sequential engine fires per entry
+// at once: one on a feedback edge (a loop's delay bounds how far its
+// members run ahead) or when a node fires in several steady entries, else
+// StageBatch, cut so that a block moves at most blockItems items.
+func blockOf(g *ir.Graph, s *sched.Schedule) int64 {
+	items := 0
+	for _, edge := range g.Edges {
+		if edge.Back {
+			return 1
 		}
+		items += s.Reps[edge.Src.ID] * edge.Src.PushPort(edge.SrcPort)
 	}
-	return nil
+	seen := make([]bool, len(g.Nodes))
+	for _, en := range s.Steady {
+		if seen[en.Node.ID] {
+			return 1
+		}
+		seen[en.Node.ID] = true
+	}
+	return int64(max(1, min(StageBatch, blockItems/max(items, 1))))
+}
+
+// blockItems bounds a sequential block's ring traffic: 32 KiB of float64
+// items, an L1 data cache, the budget the StreamIt compiler's execution
+// scaling sizes its factor by.
+const blockItems = 4096
+
+// perIteration is the items n's input edge receives per steady iteration,
+// 0 for a node without one.
+func perIteration(s *sched.Schedule, n *ir.Node) int64 {
+	if edge := n.InEdge(); edge != nil {
+		return int64(s.Reps[edge.Src.ID] * edge.Src.PushPort(edge.SrcPort))
+	}
+	return 0
 }
 
 // runDataDriven fires nodes through the core's constraint-aware data-driven

@@ -7,6 +7,7 @@ import (
 	"streamit/internal/faults"
 	"streamit/internal/ir"
 	"streamit/internal/obs"
+	"streamit/internal/vm"
 	"streamit/internal/wfunc"
 )
 
@@ -184,21 +185,66 @@ func (c *core) fire(rt *nodeRT) error {
 	return nil
 }
 
-// fireN fires rt n times. A plain VM filter — nothing attached, no
-// override, no native WorkFn, no sends — runs all n in one VM entry, which
-// counts each firing that completes in rt.fired, so a fault names the
-// firing fire would; any other node fires n times through fire.
-func (c *core) fireN(rt *nodeRT, n int64) error {
+// plainVM is the VM frame of a plain VM filter — nothing attached, no
+// override, no native WorkFn, no sends — whose firings may share one VM
+// entry; nil for any other node.
+func (c *core) plainVM(rt *nodeRT) *vm.Machine {
 	r := rt.runner
-	if r == nil || r.mach == nil || rt.override != nil || rt.msg != nil || rt.pst != nil || rt.tap != nil || c.sup != nil || c.rec != nil {
-		for ; n > 0; n-- {
-			if err := c.fire(rt); err != nil {
-				return err
-			}
-		}
+	if r == nil || rt.override != nil || rt.msg != nil || rt.pst != nil || rt.tap != nil || c.sup != nil || c.rec != nil {
 		return nil
 	}
-	if err := r.mach.RunN(rt.tin, rt.tout, n, &rt.fired, nil, rt.print); err != nil {
+	return r.mach
+}
+
+// fireN fires rt n times. A plain VM filter, m its frame (plainVM), runs
+// all n in one VM entry, which counts each firing that completes in
+// rt.fired, so a fault names the firing fire would; any other node fires n
+// times through fire.
+func (c *core) fireN(rt *nodeRT, m *vm.Machine, n int64) error {
+	if m != nil {
+		return rt.vmErr(m.RunN(rt.tin, rt.tout, n, &rt.fired, nil, rt.print))
+	}
+	for ; n > 0; n-- {
+		if err := c.fire(rt); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fireHeld fires rt's share of a block of iters steady iterations, reps
+// firings each, both engines' blocks: its input ring's visible end held at
+// iteration T (from 1) to min(top, first+T·per), what a run of one
+// iteration at a time has buffered when rt fires its T-th, so a firing that
+// reads past its share fails at the firing that run names. A single
+// iteration is not held. A plain VM row kernel's share is one
+// Machine.RunHeld entry, four firings at a time; any other filter's is one
+// fireN per iteration, or one in all when nothing is held.
+func (c *core) fireHeld(rt *nodeRT, iters, reps, per, first int64) error {
+	in, m := rt.in, c.plainVM(rt)
+	if m != nil && in != nil && rt.out != nil && iters*reps >= 4 && m.RowKernel() {
+		if iters == 1 {
+			first, per = in.Pushed, 0
+		}
+		return rt.vmErr(m.RunHeld(in, rt.out, iters, reps, per, first, &rt.fired, rt.print))
+	}
+	if in == nil || iters == 1 {
+		return c.fireN(rt, m, iters*reps)
+	}
+	top := in.Pushed
+	defer func() { in.Pushed = top }()
+	for T := int64(1); T <= iters; T++ {
+		in.Pushed = min(top, first+T*per)
+		if err := c.fireN(rt, m, reps); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// vmErr wraps a VM entry's error as the work fault of rt's current firing.
+func (rt *nodeRT) vmErr(err error) error {
+	if err != nil {
 		return &ExecError{Filter: rt.node.Name, Op: "work", Iteration: rt.fired, Err: err}
 	}
 	return nil

@@ -148,6 +148,21 @@ func TestTapSeesCommittedPopsOnce(t *testing.T) {
 	}
 }
 
+// overreadFIR is a row kernel declared peek 4 whose loop reads 7 taps.
+func overreadFIR() *ir.Filter {
+	b := wfunc.NewKernel("mid", 4, 1, 1)
+	w := b.FieldArray("w", 7, 1, 2, 3, 4, 5, 6, 7)
+	i, sum := b.Local("i"), b.Local("sum")
+	b.WorkBody(
+		wfunc.Set(sum, wfunc.C(0)),
+		wfunc.ForUp(i, wfunc.Ci(0), wfunc.Ci(7),
+			wfunc.Set(sum, wfunc.AddX(sum, wfunc.MulX(wfunc.PeekX(i), wfunc.FIdx(w, i))))),
+		wfunc.Pop1(),
+		wfunc.Push1(sum),
+	)
+	return &ir.Filter{Kernel: b.Build(), In: ir.TypeFloat, Out: ir.TypeFloat}
+}
+
 // errorCase builds a fresh copy of src -> mid -> snk for one engine, with
 // mid failing at its firing errAt, and the options that make it fail.
 type errorCase struct {
@@ -157,6 +172,8 @@ type errorCase struct {
 	mid  func() *ir.Filter
 	opts func(t *testing.T) Options
 	op   string
+	// first: mid fails at its first firing instead of at errAt.
+	first bool
 }
 
 const errAt = 5
@@ -237,6 +254,10 @@ func TestCrossEngineErrors(t *testing.T) {
 			}
 			return f
 		}},
+		// Validate cannot see the overread, and the first firing's peek(4)
+		// finds 4 items buffered. Row lanes must guard against the held
+		// end, not the ring's.
+		{name: "IL row kernel reading past its declared peek", op: "peek", first: true, mid: overreadFIR},
 		{name: "injected panic under fail", op: "injected panic",
 			mid: func() *ir.Filter { return gainFilter("mid", 2) },
 			opts: func(t *testing.T) Options {
@@ -272,6 +293,21 @@ func TestCrossEngineErrors(t *testing.T) {
 			}
 			return err
 		}},
+		{"sequential, one iteration a call", func(g *ir.Graph, s *sched.Schedule, opts Options) error {
+			e, err := NewFromGraphOpts(g, s, opts)
+			if err != nil {
+				return err
+			}
+			if err := e.RunInit(); err != nil {
+				return err
+			}
+			for range 16 {
+				if err := e.RunSteady(1); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
 		{"parallel", func(g *ir.Graph, s *sched.Schedule, opts Options) error {
 			me, err := NewParallelOpts(g, s, opts)
 			if err != nil {
@@ -306,9 +342,15 @@ func TestCrossEngineErrors(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			// One item ahead per edge: mid sees exactly its declared window,
-			// as under the schedule, so a pop past it underflows.
+			// As many items ahead per edge as the widest peek window: mid
+			// sees exactly its declared window, as under the schedule, so a
+			// pop or peek past it underflows.
 			d.ChanCap = 1
+			for _, n := range g.Nodes {
+				if n.Kind == ir.NodeFilter {
+					d.ChanCap = max(d.ChanCap, n.Filter.Kernel.Peek)
+				}
+			}
 			return d.Run(64)
 		}},
 	}
@@ -332,8 +374,12 @@ func TestCrossEngineErrors(t *testing.T) {
 				}
 				got := ExecError{Filter: ee.Filter, Op: ee.Op, Iteration: ee.Iteration}
 				if want == nil {
-					if faults.BaseName(got.Filter) != "mid" || got.Op != tc.op || got.Iteration != errAt {
-						t.Fatalf("%s: %+v, want filter mid, op %q, firing %d", eng.name, got, tc.op, errAt)
+					at := int64(errAt)
+					if tc.first {
+						at = 0
+					}
+					if faults.BaseName(got.Filter) != "mid" || got.Op != tc.op || got.Iteration != at {
+						t.Fatalf("%s: %+v, want filter mid, op %q, firing %d", eng.name, got, tc.op, at)
 					}
 					want = &got
 				} else if got != *want {

@@ -318,13 +318,10 @@ type swpStep struct {
 	// pre lists the cross-worker in-edges whose producer runs at this
 	// step's stage: received immediately before the step fires.
 	pre []swpIn
-	// in is a singleton filter's input ring, nil for any other step, and
-	// inBase + T*inPer is the ring's pushed position once its producer has
-	// fired T steady iterations — all a sequential run has buffered when the
-	// filter fires its T-th. A cycle of several iterations holds the ring to
-	// that per iteration, so a firing that pops past its iteration's share
-	// fails at the firing it fails at under the sequential engine.
-	in            *wfunc.Ring
+	// inBase + T*inPer is a singleton filter's input ring's pushed position
+	// once its producer has fired T steady iterations — all a sequential run
+	// has buffered when the filter fires its T-th. A cycle of several
+	// iterations holds the ring to that per iteration (core.fireHeld).
 	inBase, inPer int64
 }
 
@@ -374,9 +371,7 @@ func (me *MappedEngine) planWorkers() {
 			if sp.cluster {
 				sp.goal = append(sp.goal, 0)
 			} else if rt.in != nil {
-				e := n.InEdge()
-				sp.in, sp.inBase = rt.in, me.initPushed[e.ID]
-				sp.inPer = int64(me.Sch.Reps[e.Src.ID] * e.Src.PushPort(e.SrcPort))
+				sp.inBase, sp.inPer = me.initPushed[n.InEdge().ID], perIteration(me.Sch, n)
 			}
 			for _, e := range n.In {
 				if e == nil {
@@ -461,10 +456,11 @@ func (me *MappedEngine) runWorker(w, lane, cycles int) (err error) {
 				}
 			} else {
 				cur = sp.nodes[0]
-				if err := me.fireIters(sp, sw.base+c.fi, c.k); err != nil {
+				reps := int64(me.Sch.Reps[cur.node.ID])
+				if err := me.fireHeld(cur, c.k, reps, sp.inPer, sp.inBase+(sw.base+c.fi-1)*sp.inPer); err != nil {
 					return err
 				}
-				me.live.progress.Add(int64(me.Sch.Reps[cur.node.ID]) * c.k)
+				me.live.progress.Add(reps * c.k)
 			}
 			if c.ship > 0 {
 				for _, rt := range sp.nodes {
@@ -486,28 +482,6 @@ func (me *MappedEngine) runWorker(w, lane, cycles int) (err error) {
 		if me.rec != nil {
 			end := me.rec.Stamp()
 			me.rec.Slice(lane, fmt.Sprintf("worker %d", w), "cycle", t0, end)
-		}
-	}
-	return nil
-}
-
-// fireIters fires a singleton step's k logical iterations from steady
-// iteration from (1-based): reps firings each, in one fireN — one per
-// iteration when a filter's input ring is held, per iteration, to what a
-// sequential run buffers there (swpStep.in).
-func (me *MappedEngine) fireIters(sp *swpStep, from, k int64) error {
-	rt := sp.nodes[0]
-	reps := int64(me.Sch.Reps[rt.node.ID])
-	in := sp.in
-	if in == nil || k == 1 {
-		return me.fireN(rt, reps*k)
-	}
-	top := in.Pushed
-	defer func() { in.Pushed = top }()
-	for T := from; T < from+k; T++ {
-		in.Pushed = min(top, sp.inBase+T*sp.inPer)
-		if err := me.fireN(rt, reps); err != nil {
-			return err
 		}
 	}
 	return nil

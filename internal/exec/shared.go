@@ -49,6 +49,9 @@ type Shared struct {
 
 	constraints []constraint
 	dynamic     bool
+	// block is the sequential engine's block (blockOf); 0 without a
+	// schedule.
+	block int64
 }
 
 // NewShared compiles the reusable execution artifacts for g under the
@@ -114,6 +117,9 @@ func NewShared(g *ir.Graph, s *sched.Schedule, backend Backend) (*Shared, error)
 		return nil, err
 	}
 	sh.dynamic = len(sh.constraints) > 0
+	if s != nil {
+		sh.block = blockOf(g, s)
+	}
 	return sh, nil
 }
 
@@ -136,6 +142,7 @@ func (sh *Shared) NewEngine(opts Options) (*Engine, error) {
 		chans:   make([]*wfunc.Ring, len(sh.G.Edges)),
 		dynamic: sh.dynamic,
 		sends:   slices.Contains(sh.sends, true),
+		block:   sh.block,
 		teleport: teleport{g: sh.G, sch: sh.Sch, constraints: sh.constraints,
 			pending: make([][]*message, len(sh.G.Nodes))},
 	}

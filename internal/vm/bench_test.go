@@ -88,7 +88,9 @@ func BenchmarkFIRVM(b *testing.B) {
 // shift's move, a DES-style permute-and-xor map, and the same map storing
 // into a local array as a fused kernel's stage does. The generic row has
 // no span at all: PhaseUnwrap's loop-carried d = d + sin(d)*1e-9 and a
-// compare-and-swap, the register code's own number.
+// compare-and-swap, the register code's own number. The row row is a
+// 64-tap FIR's block of 8 firings in ns/tap: RunHeld's lanes, four
+// firings at a time, against one RunN per firing.
 func BenchmarkSpanKinds(b *testing.B) {
 	const trips = 64
 	kinds := []struct {
@@ -163,6 +165,42 @@ func BenchmarkSpanKinds(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*trips), "ns/trip")
 			})
 		}
+	}
+	const firings = 8
+	fir := firKernel(trips)
+	p, err := Compile(fir.Work)
+	if err != nil || p.row == nil {
+		b.Fatalf("the FIR is no row kernel: %v", err)
+	}
+	for _, mode := range []string{"lanes", "generic"} {
+		b.Run("row/"+mode, func(b *testing.B) {
+			m := NewMachine(p)
+			m.SetState(firState(fir, trips))
+			in, out := wfunc.NewRing(4*trips), wfunc.NewRing(2*firings)
+			batch := make([]float64, trips)
+			for i := range batch {
+				batch[i] = float64(i%5) - 2
+			}
+			var fired int64
+			for b.Loop() {
+				for in.Len() < trips+firings {
+					in.Append(batch)
+				}
+				if mode == "lanes" {
+					if err := m.RunHeld(in, out, 1, firings, firings, in.Pushed, &fired, nil); err != nil {
+						b.Fatal(err)
+					}
+				} else {
+					for range firings {
+						if err := m.RunN(in, out, 1, &fired, nil, nil); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				out.Advance(out.Len())
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*firings*trips), "ns/tap")
+		})
 	}
 }
 

@@ -21,13 +21,15 @@ func Compile(f *wfunc.Func) (*Program, error) {
 			numLocals:  f.NumLocals,
 			arraySizes: append([]int(nil), f.ArraySizes...),
 		},
-		constIdx: map[float64]int{},
+		constIdx: map[uint64]int{},
+		spanOf:   map[*wfunc.For]int{},
 	}
 	c.block(f.Body)
 	if c.err != nil {
 		return nil, fmt.Errorf("vm: compile %s: %w", f.Name, c.err)
 	}
 	c.layout()
+	c.p.row = c.rowOf(f.Body)
 	return c.p, nil
 }
 
@@ -68,9 +70,10 @@ const (
 
 type compiler struct {
 	p        *Program
-	constIdx map[float64]int
+	constIdx map[uint64]int
 	cur, max int // live temporaries, and the most ever live
 	loops    []loopCtx
+	spanOf   map[*wfunc.For]int // the span instruction of each loop that has one
 	err      error
 }
 
@@ -113,24 +116,16 @@ func (c *compiler) dest(dst int32) int32 {
 	return dst
 }
 
-// cpool interns a constant. NaN needs special casing because it is not
-// equal to itself as a map key.
+// cpool interns a constant by its bits, so that -0 and +0 stay apart and
+// a NaN, which is not equal to itself, is found again.
 func (c *compiler) cpool(v float64) int {
-	if math.IsNaN(v) {
-		for i, k := range c.p.consts {
-			if math.IsNaN(k) {
-				return i
-			}
-		}
-		c.p.consts = append(c.p.consts, v)
-		return len(c.p.consts) - 1
-	}
-	if i, ok := c.constIdx[v]; ok {
+	bits := math.Float64bits(v)
+	if i, ok := c.constIdx[bits]; ok {
 		return i
 	}
 	i := len(c.p.consts)
 	c.p.consts = append(c.p.consts, v)
-	c.constIdx[v] = i
+	c.constIdx[bits] = i
 	return i
 }
 
@@ -296,6 +291,7 @@ func (c *compiler) forLoop(s *wfunc.For) {
 	span := c.span(s)
 	if span >= 0 {
 		c.emit(instr{op: opSpan, d: v, a: from, k: int32(span)})
+		c.spanOf[s] = span
 	}
 	if !fused {
 		from = c.mov(from, v)

@@ -117,6 +117,7 @@ type Program struct {
 	consts     []float64
 	sends      []sendSite
 	spans      []spanInstr // operands of the opSpan instructions
+	row        *rowKernel  // the row kernel shape, nil when the program has none
 	numLocals  int         // the function's locals, then the spans' hidden offset slots
 	frame      int         // numLocals plus the temporaries: the registers a firing zeroes
 	arraySizes []int

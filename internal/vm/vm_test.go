@@ -46,6 +46,20 @@ func TestFIRMatchesInterpreter(t *testing.T) {
 	matchesInterpreter(t, k, input)
 }
 
+// TestSignedZeroConstants: -0 and +0 are distinct constants; a pool that
+// interned them as one would push 0 + -0 = +0 where the interpreter
+// pushes -0 + -0 = -0.
+func TestSignedZeroConstants(t *testing.T) {
+	kb := wfunc.NewKernel("zeros", 1, 1, 2)
+	acc := kb.Local("acc")
+	k := kb.WorkBody(
+		wfunc.Push1(wfunc.AddX(wfunc.C(0), wfunc.PeekE(0))),
+		wfunc.Set(acc, wfunc.C(math.Copysign(0, -1))),
+		wfunc.Push1(wfunc.AddX(acc, wfunc.PopE())),
+	).Build()
+	matchesInterpreter(t, k, []float64{math.Copysign(0, -1)})
+}
+
 func TestControlFlowMatchesInterpreter(t *testing.T) {
 	// Nested loops with break/continue, if/else, while, conditional
 	// expressions, and short-circuit logic — the full structural surface.
