@@ -86,6 +86,8 @@
 //	                    chrome://tracing or https://ui.perfetto.dev); with
 //	                    -strategy, traces the simulated NoC execution
 //	                    instead of the runtime engines
+//	-cpuprofile cpu.prof write a pprof CPU profile of the run, not of
+//	                    compilation (go tool pprof cpu.prof)
 package main
 
 import (
@@ -95,6 +97,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/pprof"
 	"time"
 
 	"streamit/internal/core"
@@ -154,6 +157,7 @@ func main() {
 	joinAddr := flag.String("join", "", "run as a shard worker: join the coordinator at this address (no program argument; the job arrives over the wire)")
 	perShard := flag.Int("per-shard", 0, "with -shards: engine workers per shard process (0 = default 2)")
 	epoch := flag.Int("epoch", 0, "with -shards: steady iterations per coordinated barrier — the rollback granularity (0 = default 8)")
+	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run, not of compilation, to this file")
 	flag.Parse()
 
 	if *joinAddr != "" {
@@ -167,7 +171,7 @@ func main() {
 	}
 	if *shards > 0 {
 		if *parallel || *strategy != "" || *repeat > 1 || *workers != 0 || *ckptEvery != 0 ||
-			*ckptPath != "" || *resumePath != "" || *traceOut != "" || *profile {
+			*ckptPath != "" || *resumePath != "" || *traceOut != "" || *profile || *cpuProfile != "" {
 			fatal(fmt.Errorf("-shards runs the distributed engine; it composes with -map (strategy), -per-shard, -epoch, -queue-depth, and -faults only"))
 		}
 		runDistributed(*shards, *coordAddr, *perShard, *epoch, distFlags{
@@ -179,9 +183,36 @@ func main() {
 	if *mapStrat == "" && (*workers != 0 || *ckptEvery != 0 || *queueDepth != 0) {
 		fatal(fmt.Errorf("-workers, -checkpoint-every and -queue-depth configure the mapped engine; they need -map"))
 	}
+	if *cpuProfile != "" && *strategy != "" {
+		fatal(fmt.Errorf("-cpuprofile profiles a run on this process's engines; -strategy simulates one"))
+	}
 	backend, err := core.ParseBackend(*backendName)
 	if err != nil {
 		fatal(err)
+	}
+	// The profile file is created before compiling, so that a bad path
+	// fails fast; profiling starts with the run (runStart).
+	var prof *os.File
+	if *cpuProfile != "" {
+		if prof, err = os.Create(*cpuProfile); err != nil {
+			fatal(err)
+		}
+	}
+	stopProfile := func() {}
+	defer func() { stopProfile() }()
+	runStart := func() time.Time {
+		if prof != nil {
+			if err := pprof.StartCPUProfile(prof); err != nil {
+				fatal(err)
+			}
+			stopProfile = func() {
+				pprof.StopCPUProfile()
+				if err := prof.Close(); err != nil {
+					fatal(err)
+				}
+			}
+		}
+		return time.Now()
 	}
 	runOpts := core.RunOptions{Backend: backend, Watchdog: *watchdog, Profile: *profile}
 	if *traceOut != "" && *strategy == "" {
@@ -230,7 +261,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		start := time.Now()
+		start := runStart()
 		if err := d.Run(int64(*iters)); err != nil {
 			report(d.SupervisionReport(), len(d.Degraded()) > 0)
 			fatal(err)
@@ -250,7 +281,7 @@ func main() {
 		if useCkpt || *parallel || *strategy != "" || *mapStrat != "" {
 			fatal(fmt.Errorf("-repeat supports the plain sequential engine only"))
 		}
-		start := time.Now()
+		start := runStart()
 		for i := 0; i < *repeat; i++ {
 			// Cache hit: same Compiled, same shared artifact bundle; only
 			// the engine (tapes, filter state, VM frames) is rebuilt.
@@ -311,7 +342,7 @@ func main() {
 			fatal(err)
 		}
 		label := engineLabel(r, *mapStrat)
-		start := time.Now()
+		start := runStart()
 		switch {
 		case *resumePath != "":
 			img, err := os.ReadFile(*resumePath)
@@ -359,7 +390,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	start := time.Now()
+	start := runStart()
 	switch {
 	case *resumePath != "":
 		img, err := os.ReadFile(*resumePath)

@@ -102,6 +102,25 @@ func TestCLIEndToEnd(t *testing.T) {
 		}
 	})
 
+	// -cpuprofile writes a gzipped pprof profile of the run; a path it
+	// cannot create fails the command before compiling.
+	t.Run("cpuprofile", func(t *testing.T) {
+		path := filepath.Join(dir, "cpu.pprof")
+		run(t, "-iters", iters, "-cpuprofile", path)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
+			t.Fatalf("%s holds %d bytes, not a gzipped profile", path, len(data))
+		}
+		bad := filepath.Join(dir, "missing", "cpu.pprof")
+		err = exec.Command(bin, "-iters", iters, "-cpuprofile", bad, prog).Run()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+			t.Fatalf("-cpuprofile %s: err %v, want exit status 1", bad, err)
+		}
+	})
+
 	// A teleport program cannot run under a lockstep plan: core falls back
 	// to the sequential engine, and the summary must name what ran.
 	t.Run("fallback", func(t *testing.T) {

@@ -20,16 +20,18 @@ var (
 	codeSpan = regexp.MustCompile("`([^`\n]+)`")
 	goPath   = regexp.MustCompile(`^([\w./-]+\.go)(?::\d+)?$`)
 	qualName = regexp.MustCompile(`^([a-z]\w*)\.([A-Za-z][A-Za-z0-9]*)(?:\.([A-Za-z][A-Za-z0-9]*))?(?:[({\[].*)?$`)
+	testRef  = regexp.MustCompile(`^((?:Test|Fuzz|Benchmark)\w*)(?:/\S*)?$`)
 )
 
 // TestDocsNameExistingCode fails for every backticked code reference in
 // the documents that names nothing in the tree: a `*.go` path that is
-// neither a repository file's path nor a suffix of one, or a `pkg.Name` or
+// neither a repository file's path nor a suffix of one, a `pkg.Name` or
 // `pkg.Type.Member`, pkg a package under internal/, that the package does
-// not declare. Member is a method, a struct field or an interface method
-// of Type. Go names have no underscore, so `exec.mapped_work_x` is a
-// benchmark metric, not a reference; fenced code blocks are commands and
-// examples, not references. Both are skipped.
+// not declare, or a `Test…`, `Fuzz…` or `Benchmark…` name, any `/sub`
+// stripped, that no _test.go file declares. Member is a method, a struct
+// field or an interface method of Type. Go names have no underscore, so
+// `exec.mapped_work_x` is a benchmark metric, not a reference; fenced code
+// blocks are commands and examples, not references. Both are skipped.
 func TestDocsNameExistingCode(t *testing.T) {
 	var goFiles []string
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -47,7 +49,7 @@ func TestDocsNameExistingCode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decls := packageDecls(t, goFiles)
+	decls, tests := packageDecls(t, goFiles), testFuncs(t, goFiles)
 
 	for _, doc := range docFiles {
 		src, err := os.ReadFile(doc)
@@ -64,7 +66,7 @@ func TestDocsNameExistingCode(t *testing.T) {
 				continue
 			}
 			for _, m := range codeSpan.FindAllStringSubmatch(line, -1) {
-				if why := danglingRef(m[1], goFiles, decls); why != "" {
+				if why := danglingRef(m[1], goFiles, decls, tests); why != "" {
 					t.Errorf("%s:%d: `%s` %s", doc, i+1, m[1], why)
 				}
 			}
@@ -74,7 +76,13 @@ func TestDocsNameExistingCode(t *testing.T) {
 
 // danglingRef says what ref fails to name, or "" when it names existing
 // code or is no code reference the gate checks.
-func danglingRef(ref string, goFiles []string, decls map[string]map[string]bool) string {
+func danglingRef(ref string, goFiles []string, decls map[string]map[string]bool, tests map[string]bool) string {
+	if m := testRef.FindStringSubmatch(ref); m != nil {
+		if !tests[m[1]] {
+			return "is no test, fuzz target or benchmark a _test.go file declares"
+		}
+		return ""
+	}
 	if m := goPath.FindStringSubmatch(ref); m != nil {
 		for _, f := range goFiles {
 			if f == m[1] || strings.HasSuffix(f, "/"+m[1]) {
@@ -144,6 +152,29 @@ func packageDecls(t *testing.T, goFiles []string) map[string]map[string]bool {
 		}
 	}
 	return decls
+}
+
+// testFuncs is the set of top-level function names the _test.go files
+// declare.
+func testFuncs(t *testing.T, goFiles []string) map[string]bool {
+	t.Helper()
+	fset := token.NewFileSet()
+	names := map[string]bool{}
+	for _, path := range goFiles {
+		if !strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			if d, ok := decl.(*ast.FuncDecl); ok && d.Recv == nil {
+				names[d.Name.Name] = true
+			}
+		}
+	}
+	return names
 }
 
 // typeName is the name of a receiver or embedded field's type: T, *T, T[P]

@@ -13,7 +13,7 @@ import (
 
 // spanCounts sums the span instructions, by kind, of every IL filter in g,
 // and counts its row kernels.
-func spanCounts(t *testing.T, g *ir.Graph) (sum [4]int, rows int) {
+func spanCounts(t *testing.T, g *ir.Graph) (sum [5]int, rows int) {
 	t.Helper()
 	for _, n := range g.Nodes {
 		if n.Kind != ir.NodeFilter || n.Filter.WorkFn != nil {
@@ -23,8 +23,8 @@ func spanCounts(t *testing.T, g *ir.Graph) (sum [4]int, rows int) {
 		if err != nil {
 			t.Fatalf("%s: %v", n.Name, err)
 		}
-		r, d, m, mp := p.SpanCounts()
-		sum[0], sum[1], sum[2], sum[3] = sum[0]+r, sum[1]+d, sum[2]+m, sum[3]+mp
+		r, d, m, mp, rw := p.SpanCounts()
+		sum[0], sum[1], sum[2], sum[3], sum[4] = sum[0]+r, sum[1]+d, sum[2]+m, sum[3]+mp, sum[4]+rw
 		if vm.NewMachine(p).RowKernel() {
 			rows++
 		}
@@ -34,7 +34,7 @@ func spanCounts(t *testing.T, g *ir.Graph) (sum [4]int, rows int) {
 
 // TestSuiteSpanKernels pins, per program the benchmark runs, how many loops
 // of its work functions the VM compiles to span instructions (reduce,
-// drain, move, map) and how many of its work functions are row kernels,
+// drain, move, map, rows) and how many of its work functions are row kernels,
 // which blocks run four firings at a time — in the program as written and
 // in the task+data plan's rewrite for 2 workers, whose fused kernels are
 // what mapped-fission runs.
@@ -43,33 +43,33 @@ func spanCounts(t *testing.T, g *ir.Graph) (sum [4]int, rows int) {
 // several times and moves no other test; it fails here instead. Raise a
 // row when the family grows.
 func TestSuiteSpanKernels(t *testing.T) {
-	check := func(name, what string, g *ir.Graph, want [4]int, wantRows int) {
+	check := func(name, what string, g *ir.Graph, want [5]int, wantRows int) {
 		t.Helper()
 		got, rows := spanCounts(t, g)
 		if got != want {
-			t.Errorf("%s, %s: span instructions reduce/drain/move/map = %d/%d/%d/%d, want %d/%d/%d/%d",
-				name, what, got[0], got[1], got[2], got[3], want[0], want[1], want[2], want[3])
+			t.Errorf("%s, %s: span instructions reduce/drain/move/map/rows = %d/%d/%d/%d/%d, want %d/%d/%d/%d/%d",
+				name, what, got[0], got[1], got[2], got[3], got[4], want[0], want[1], want[2], want[3], want[4])
 		}
 		if rows != wantRows {
 			t.Errorf("%s, %s: %d row kernels, want %d", name, what, rows, wantRows)
 		}
 	}
 	suite := map[string]struct {
-		flat, plan         [4]int
+		flat, plan         [5]int
 		flatRows, planRows int
 	}{
-		"BitonicSort":    {[4]int{0, 21, 0, 20}, [4]int{0, 21, 0, 20}, 0, 0},
-		"ChannelVocoder": {[4]int{17, 2, 0, 0}, [4]int{17, 2, 0, 0}, 17, 16},
-		"DCT":            {[4]int{3, 4, 0, 0}, [4]int{6, 1, 0, 0}, 0, 0},
-		"DES":            {[4]int{0, 81, 0, 96}, [4]int{0, 33, 0, 96}, 0, 0},
-		"FFT":            {[4]int{0, 6, 0, 5}, [4]int{0, 6, 0, 5}, 0, 0},
-		"FilterBank":     {[4]int{17, 10, 0, 0}, [4]int{17, 2, 0, 0}, 17, 9},
-		"FMRadio":        {[4]int{22, 2, 0, 0}, [4]int{22, 2, 0, 0}, 22, 12},
-		"Serpent":        {[4]int{0, 97, 0, 96}, [4]int{0, 3, 0, 192}, 0, 0},
-		"TDE":            {[4]int{10, 11, 0, 0}, [4]int{20, 3, 0, 0}, 0, 0},
-		"MPEG2Decoder":   {[4]int{1, 4, 0, 2}, [4]int{2, 3, 0, 2}, 0, 0},
-		"Vocoder":        {[4]int{17, 2, 0, 0}, [4]int{17, 2, 0, 0}, 17, 17},
-		"Radar":          {[4]int{28, 5, 48, 0}, [4]int{28, 5, 48, 0}, 0, 0},
+		"BitonicSort":    {[5]int{0, 21, 0, 20, 0}, [5]int{0, 21, 0, 20, 0}, 0, 0},
+		"ChannelVocoder": {[5]int{17, 2, 0, 0, 0}, [5]int{17, 2, 0, 0, 0}, 17, 16},
+		"DCT":            {[5]int{3, 4, 0, 0, 3}, [5]int{6, 1, 0, 0, 0}, 0, 0},
+		"DES":            {[5]int{0, 81, 0, 96, 0}, [5]int{0, 33, 0, 96, 0}, 0, 0},
+		"FFT":            {[5]int{0, 6, 0, 5, 0}, [5]int{0, 6, 0, 5, 0}, 0, 0},
+		"FilterBank":     {[5]int{17, 10, 0, 0, 0}, [5]int{17, 2, 0, 0, 0}, 17, 9},
+		"FMRadio":        {[5]int{22, 2, 0, 0, 0}, [5]int{22, 2, 0, 0, 0}, 22, 12},
+		"Serpent":        {[5]int{0, 97, 0, 96, 0}, [5]int{0, 3, 0, 192, 0}, 0, 0},
+		"TDE":            {[5]int{10, 11, 0, 0, 10}, [5]int{20, 3, 0, 0, 0}, 0, 0},
+		"MPEG2Decoder":   {[5]int{1, 4, 0, 2, 1}, [5]int{2, 3, 0, 2, 0}, 0, 0},
+		"Vocoder":        {[5]int{17, 2, 0, 0, 0}, [5]int{17, 2, 0, 0, 0}, 17, 17},
+		"Radar":          {[5]int{28, 5, 48, 0, 4}, [5]int{28, 5, 48, 0, 0}, 0, 0},
 	}
 	for _, app := range apps.Suite() {
 		want, ok := suite[app.Name]
@@ -100,11 +100,11 @@ func TestSuiteSpanKernels(t *testing.T) {
 	// fmradio.str and filterbank.str are row kernels, and so is
 	// filterbank.str's adder; fmradio.str's divides its sum.
 	for name, want := range map[string]struct {
-		spans [4]int
+		spans [5]int
 		rows  int
 	}{
-		"fmradio.str": {[4]int{14, 0, 0, 0}, 13}, "filterbank.str": {[4]int{9, 4, 0, 4}, 9},
-		"bitonic.str": {[4]int{0, 13, 0, 12}, 0}, "freqhop.str": {[4]int{0, 0, 0, 0}, 0},
+		"fmradio.str": {[5]int{14, 0, 0, 0, 0}, 13}, "filterbank.str": {[5]int{9, 4, 0, 4, 0}, 9},
+		"bitonic.str": {[5]int{0, 13, 0, 12, 0}, 0}, "freqhop.str": {[5]int{0, 0, 0, 0, 0}, 0},
 	} {
 		src, err := os.ReadFile(filepath.Join("..", "..", "examples", "strprogs", name))
 		if err != nil {

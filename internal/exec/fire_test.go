@@ -163,6 +163,30 @@ func overreadFIR() *ir.Filter {
 	return &ir.Filter{Kernel: b.Build(), In: ir.TypeFloat, Out: ir.TypeFloat}
 }
 
+// matrixFilter is a 2×4 apps.MatMul declared peek peek, pop 1: its rows
+// read 4 columns. With short set, firing errAt multiplies by a matrix one
+// element short of 2·4 instead, which faults in its second row.
+func matrixFilter(peek int, short bool) *ir.Filter {
+	b := wfunc.NewKernel("mid", peek, 1, 2)
+	j, i, sum := b.Local("j"), b.Local("i"), b.Local("sum")
+	rows := func(m int) wfunc.Stmt {
+		return wfunc.ForUp(j, wfunc.Ci(0), wfunc.Ci(2),
+			wfunc.Set(sum, wfunc.C(0)),
+			wfunc.ForUp(i, wfunc.Ci(0), wfunc.Ci(4),
+				wfunc.Set(sum, wfunc.AddX(sum, wfunc.MulX(wfunc.PeekX(i), wfunc.FIdx(m, wfunc.AddX(wfunc.MulX(j, wfunc.Ci(4)), i)))))),
+			wfunc.Push1(sum))
+	}
+	body := rows(b.FieldArray("m", 8, 1, -2, 3, -4, 5, -6, 7, -8))
+	if short {
+		n := b.Field("n", 0)
+		body = wfunc.IfElse(wfunc.Bin(wfunc.Eq, n, wfunc.Ci(errAt)),
+			[]wfunc.Stmt{rows(b.FieldArray("short", 7, 2, 1, 0, -1, -2, -3, -4))},
+			[]wfunc.Stmt{body, wfunc.SetF(n, wfunc.AddX(n, wfunc.C(1)))})
+	}
+	b.WorkBody(body, wfunc.Pop1())
+	return &ir.Filter{Kernel: b.Build(), In: ir.TypeFloat, Out: ir.TypeFloat}
+}
+
 // errorCase builds a fresh copy of src -> mid -> snk for one engine, with
 // mid failing at its firing errAt, and the options that make it fail.
 type errorCase struct {
@@ -196,8 +220,9 @@ type errorEngine struct {
 }
 
 // TestCrossEngineErrors: a filter that fails at firing errAt surfaces as
-// the identical *ExecError{Filter, Op, Iteration} on every engine — the
-// sequential engine, the mapped engine under the identity plan, a task
+// the identical *ExecError{Filter, Op, Iteration, Err} on every engine,
+// the message the interpreter's — the sequential engine on either backend,
+// the mapped engine under the identity plan, a task
 // plan and a pipelined plan (whose stage cluster fires through the
 // data-driven loop), and the dynamic engine — whether a native kernel
 // panics, an IL kernel indexes out of bounds or pops past its window, a
@@ -258,6 +283,10 @@ func TestCrossEngineErrors(t *testing.T) {
 		// finds 4 items buffered. Row lanes must guard against the held
 		// end, not the ring's.
 		{name: "IL row kernel reading past its declared peek", op: "peek", first: true, mid: overreadFIR},
+		// The rows span's guard must check every row's window of F, and the
+		// peek window against the held end.
+		{name: "IL matrix reading past its declared peek", op: "peek", first: true, mid: func() *ir.Filter { return matrixFilter(3, false) }},
+		{name: "IL matrix past its field's end", op: "work", src: blockSource, mid: func() *ir.Filter { return matrixFilter(4, true) }},
 		{name: "injected panic under fail", op: "injected panic",
 			mid: func() *ir.Filter { return gainFilter("mid", 2) },
 			opts: func(t *testing.T) Options {
@@ -277,6 +306,14 @@ func TestCrossEngineErrors(t *testing.T) {
 		return a
 	}
 	engines := []errorEngine{
+		{"sequential, interpreter", func(g *ir.Graph, s *sched.Schedule, opts Options) error {
+			opts.Backend = BackendInterp
+			e, err := NewFromGraphOpts(g, s, opts)
+			if err != nil {
+				return err
+			}
+			return e.Run(16)
+		}},
 		{"sequential", func(g *ir.Graph, s *sched.Schedule, opts Options) error {
 			e, err := NewFromGraphOpts(g, s, opts)
 			if err != nil {
@@ -372,7 +409,7 @@ func TestCrossEngineErrors(t *testing.T) {
 				if !errors.As(err, &ee) {
 					t.Fatalf("%s: err = %v, want an *ExecError", eng.name, err)
 				}
-				got := ExecError{Filter: ee.Filter, Op: ee.Op, Iteration: ee.Iteration}
+				got := ExecError{Filter: ee.Filter, Op: ee.Op, Iteration: ee.Iteration, Err: errors.New(fmt.Sprint(ee.Err))}
 				if want == nil {
 					at := int64(errAt)
 					if tc.first {
@@ -382,8 +419,8 @@ func TestCrossEngineErrors(t *testing.T) {
 						t.Fatalf("%s: %+v, want filter mid, op %q, firing %d", eng.name, got, tc.op, at)
 					}
 					want = &got
-				} else if got != *want {
-					t.Fatalf("%s: %+v, sequential reports %+v", eng.name, got, *want)
+				} else if got.Filter != want.Filter || got.Op != want.Op || got.Iteration != want.Iteration || got.Err.Error() != want.Err.Error() {
+					t.Fatalf("%s: %v, the interpreter reports %v", eng.name, &got, want)
 				}
 			}
 		})

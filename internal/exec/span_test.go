@@ -58,8 +58,8 @@ func TestSpanWindowsOfStorageTapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r, d, m, mp := prog.SpanCounts(); r != 2 || d != 1 || m != 0 || mp != 1 {
-		t.Fatalf("span instructions reduce/drain/move/map = %d/%d/%d/%d, want 2/1/0/1", r, d, m, mp)
+	if r, d, m, mp, rw := prog.SpanCounts(); r != 2 || d != 1 || m != 0 || mp != 1 || rw != 0 {
+		t.Fatalf("span instructions reduce/drain/move/map/rows = %d/%d/%d/%d/%d, want 2/1/0/1/0", r, d, m, mp, rw)
 	}
 	item := func(i int) float64 { return math.Sin(float64(i)*0.9) * 3 }
 

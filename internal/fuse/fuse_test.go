@@ -370,9 +370,9 @@ func TestFusedSerpentRoundIsSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, d, m, mp := p.SpanCounts()
-	if n := loops(fused.Kernel.Work.Body); r != 0 || d != 1 || m != 0 || mp != 3 || n != 4 {
-		t.Errorf("%d loops compile to reduce/drain/move/map = %d/%d/%d/%d spans, want 4 loops: 0/1/0/3", n, r, d, m, mp)
+	r, d, m, mp, rw := p.SpanCounts()
+	if n := loops(fused.Kernel.Work.Body); r != 0 || d != 1 || m != 0 || mp != 3 || rw != 0 || n != 4 {
+		t.Errorf("%d loops compile to reduce/drain/move/map/rows = %d/%d/%d/%d/%d spans, want 4 loops: 0/1/0/3/0", n, r, d, m, mp, rw)
 	}
 	// Behind a stage that turns the ramp into bits, the round is
 	// bit-identical to its pipeline on both backends.

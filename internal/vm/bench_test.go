@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"streamit/internal/apps"
 	"streamit/internal/wfunc"
 )
 
@@ -90,7 +91,9 @@ func BenchmarkFIRVM(b *testing.B) {
 // no span at all: PhaseUnwrap's loop-carried d = d + sin(d)*1e-9 and a
 // compare-and-swap, the register code's own number. The row row is a
 // 64-tap FIR's block of 8 firings in ns/tap: RunHeld's lanes, four
-// firings at a time, against one RunN per firing.
+// firings at a time, against one RunN per firing. The rows row is one
+// firing of a 64×64 apps.MatMul in ns per multiply-add: its rows span, four
+// rows at a time, against the program without spans.
 func BenchmarkSpanKinds(b *testing.B) {
 	const trips = 64
 	kinds := []struct {
@@ -132,7 +135,7 @@ func BenchmarkSpanKinds(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if r, d, m, mp := p.SpanCounts(); r+d+m+mp != kind.spans {
+		if r, d, m, mp, _ := p.SpanCounts(); r+d+m+mp != kind.spans {
 			b.Fatalf("%s: reduce/drain/move/map = %d/%d/%d/%d, want %d spans", kind.name, r, d, m, mp, kind.spans)
 		}
 		batch := make([]float64, trips)
@@ -200,6 +203,41 @@ func BenchmarkSpanKinds(b *testing.B) {
 				out.Advance(out.Len())
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*firings*trips), "ns/tap")
+		})
+	}
+	mm := apps.MatMul("matmul", trips, trips, 0.37).Kernel
+	st := mm.NewState()
+	env := wfunc.NewEnv(mm.Init)
+	env.State = st
+	if err := wfunc.Exec(mm.Init, env); err != nil {
+		b.Fatal(err)
+	}
+	p, err = Compile(mm.Work)
+	if _, _, _, _, rows := p.SpanCounts(); err != nil || rows != 1 {
+		b.Fatalf("the MatMul has %d rows spans: %v", rows, err)
+	}
+	for _, run := range []struct {
+		mode string
+		p    *Program
+	}{{"span", p}, {"generic", withoutSpans(p)}} {
+		b.Run("rows/"+run.mode, func(b *testing.B) {
+			m := NewMachine(run.p)
+			m.SetState(st)
+			in, out := wfunc.NewRing(2*trips), wfunc.NewRing(2*trips)
+			batch := make([]float64, trips)
+			for i := range batch {
+				batch[i] = float64(i%5) - 2
+			}
+			for b.Loop() {
+				if in.Len() < trips {
+					in.Append(batch)
+				}
+				if err := m.Run(in, out, nil, nil); err != nil {
+					b.Fatal(err)
+				}
+				out.Advance(out.Len())
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*trips*trips), "ns/madd")
 		})
 	}
 }

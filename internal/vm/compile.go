@@ -321,7 +321,12 @@ func (c *compiler) forLoop(s *wfunc.For) {
 		c.patch(at)
 	}
 	if span >= 0 {
-		c.p.spans[span].exit = int32(len(c.p.code))
+		sp := &c.p.spans[span]
+		sp.exit = int32(len(c.p.code))
+		if sp.kind == spanRows {
+			// The inner loop's reduce span keeps a·j+b in a hidden slot.
+			sp.rows.slot = c.p.spans[c.spanOf[s.Body[1].(*wfunc.For)]].opnd[sp.rows.fieldAt].slot
+		}
 	}
 }
 

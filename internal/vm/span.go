@@ -17,6 +17,7 @@ import (
 //	drain   pop()
 //	move    a[v+p] = b[v+q]
 //	map     push(E); t = E; la[I] = E; ...  straight-line, E and I pure
+//	rows    acc = c; for i { acc = acc + peek(i+p)*F[i+a·v+b] }; push(acc)  (rows.go)
 //
 // A reduce operand is a peek, a pop(), a field array or a local array; a
 // move goes between arrays. p and q are loop-invariant and cannot fault:
@@ -46,6 +47,7 @@ const (
 	spanDrain
 	spanMove
 	spanMap
+	spanRows
 )
 
 type opndKind uint8
@@ -74,7 +76,7 @@ type spanInstr struct {
 	// 1 when it peeks at all); a span with neither never reads the tape.
 	peeks, pops uint8
 	v           int32 // loop variable
-	acc         int32 // reduce: the accumulator local
+	acc         int32 // reduce and rows: the accumulator local
 	// bound is the first integer not below the loop's constant bound: the
 	// end of the trip count and the loop variable's exit value.
 	bound float64
@@ -83,6 +85,7 @@ type spanInstr struct {
 	opnd [2]spanOperand
 	// map: the expression program (map.go).
 	mapped *mapProg
+	rows   *rowsShape // rows: the row loop's shape (rows.go)
 	// exit is the pc behind the loop, where a span that ran continues.
 	exit int32
 }
@@ -94,7 +97,7 @@ const spanLimit = 1 << 30
 
 // SpanCounts returns the number of span instructions in the program by
 // kind, so tests can pin which loops the compiler recognises.
-func (p *Program) SpanCounts() (reduce, drain, move, mapped int) {
+func (p *Program) SpanCounts() (reduce, drain, move, mapped, rows int) {
 	for i := range p.spans {
 		switch p.spans[i].kind {
 		case spanReduce:
@@ -105,6 +108,8 @@ func (p *Program) SpanCounts() (reduce, drain, move, mapped int) {
 			move++
 		case spanMap:
 			mapped++
+		case spanRows:
+			rows++
 		}
 	}
 	return
@@ -127,7 +132,7 @@ func (c *compiler) span(s *wfunc.For) int {
 	}
 	sp := loop
 	if len(s.Body) != 1 || !c.spanStmt(s.Body[0], &sp) {
-		if sp = loop; !c.mapSpan(s.Body, &sp) {
+		if sp = loop; !c.mapSpan(s.Body, &sp) && !c.rowsSpan(s.Body, &sp) {
 			return -1
 		}
 	}
@@ -138,65 +143,9 @@ func (c *compiler) span(s *wfunc.For) int {
 // spanStmt matches a one-statement body against reduce, drain and move,
 // filling sp and emitting the code that fills its hidden offset slots.
 func (c *compiler) spanStmt(body wfunc.Stmt, sp *spanInstr) bool {
-	var ok bool
-	var reads []wfunc.Expr // the operands, in opnd's order
-	switch st := body.(type) {
-	case *wfunc.PopStmt:
-		sp.kind, sp.pops = spanDrain, 1
-	case *wfunc.Assign:
-		switch st.LHS.Kind {
-		case wfunc.LVLocal:
-			sum, ok := st.X.(*wfunc.Binary)
-			if !ok || sum.Op != wfunc.Add || st.LHS.Idx == int(sp.v) {
-				return false
-			}
-			if l, ok := sum.A.(*wfunc.LocalRef); !ok || l.Idx != st.LHS.Idx {
-				return false
-			}
-			sp.kind, sp.acc = spanReduce, int32(st.LHS.Idx)
-			reads = []wfunc.Expr{sum.B}
-			if mul, ok := sum.B.(*wfunc.Binary); ok && mul.Op == wfunc.Mul {
-				reads = []wfunc.Expr{mul.A, mul.B}
-			}
-		case wfunc.LVLocalArr:
-			sp.kind = spanMove
-			reads = []wfunc.Expr{&wfunc.LocalIndex{Arr: st.LHS.Idx, Index: st.LHS.Index}, st.X}
-		case wfunc.LVFieldArr:
-			sp.kind = spanMove
-			reads = []wfunc.Expr{&wfunc.FieldIndex{Arr: st.LHS.Idx, Index: st.LHS.Index}, st.X}
-		default:
-			return false
-		}
-	default:
+	offs, ok := spanMatch(body, sp)
+	if !ok {
 		return false
-	}
-	var offs [2]wfunc.Expr
-	for i, e := range reads {
-		if sp.opnd[i], offs[i], ok = spanRead(e, sp); !ok {
-			return false
-		}
-		switch sp.opnd[i].kind {
-		case opndPeek:
-			sp.peeks++
-		case opndPop:
-			sp.pops++
-		}
-	}
-	switch a, b := sp.opnd[0], sp.opnd[1]; {
-	case sp.kind == spanReduce && (sp.pops > 1 || sp.pops == 1 && sp.peeks > 0):
-		// One pop at most, and no peek beside it: a pop moves what a peek's
-		// index is relative to.
-		return false
-	case sp.kind == spanMove && sp.peeks+sp.pops > 0:
-		return false // between arrays only
-	case sp.kind == spanMove && a.kind == b.kind && a.arr == b.arr:
-		// Within one array only a copy toward lower indices reads every
-		// element before the loop would have overwritten it.
-		p, constP := offs[0].(*wfunc.Const)
-		q, constQ := offs[1].(*wfunc.Const)
-		if !constP || !constQ || p.V > q.V {
-			return false
-		}
 	}
 	for i := range sp.opnd {
 		o := &sp.opnd[i]
@@ -211,6 +160,70 @@ func (c *compiler) spanStmt(body wfunc.Stmt, sp *spanInstr) bool {
 		}
 	}
 	return true
+}
+
+// spanMatch matches a one-statement body against reduce, drain and move,
+// filling sp, and returns the operands' offset expressions.
+func spanMatch(body wfunc.Stmt, sp *spanInstr) (offs [2]wfunc.Expr, ok bool) {
+	var reads []wfunc.Expr // the operands, in opnd's order
+	switch st := body.(type) {
+	case *wfunc.PopStmt:
+		sp.kind, sp.pops = spanDrain, 1
+	case *wfunc.Assign:
+		switch st.LHS.Kind {
+		case wfunc.LVLocal:
+			sum, ok := st.X.(*wfunc.Binary)
+			if !ok || sum.Op != wfunc.Add || st.LHS.Idx == int(sp.v) {
+				return offs, false
+			}
+			if l, ok := sum.A.(*wfunc.LocalRef); !ok || l.Idx != st.LHS.Idx {
+				return offs, false
+			}
+			sp.kind, sp.acc = spanReduce, int32(st.LHS.Idx)
+			reads = []wfunc.Expr{sum.B}
+			if mul, ok := sum.B.(*wfunc.Binary); ok && mul.Op == wfunc.Mul {
+				reads = []wfunc.Expr{mul.A, mul.B}
+			}
+		case wfunc.LVLocalArr:
+			sp.kind = spanMove
+			reads = []wfunc.Expr{&wfunc.LocalIndex{Arr: st.LHS.Idx, Index: st.LHS.Index}, st.X}
+		case wfunc.LVFieldArr:
+			sp.kind = spanMove
+			reads = []wfunc.Expr{&wfunc.FieldIndex{Arr: st.LHS.Idx, Index: st.LHS.Index}, st.X}
+		default:
+			return offs, false
+		}
+	default:
+		return offs, false
+	}
+	for i, e := range reads {
+		if sp.opnd[i], offs[i], ok = spanRead(e, sp); !ok {
+			return offs, false
+		}
+		switch sp.opnd[i].kind {
+		case opndPeek:
+			sp.peeks++
+		case opndPop:
+			sp.pops++
+		}
+	}
+	switch a, b := sp.opnd[0], sp.opnd[1]; {
+	case sp.kind == spanReduce && (sp.pops > 1 || sp.pops == 1 && sp.peeks > 0):
+		// One pop at most, and no peek beside it: a pop moves what a peek's
+		// index is relative to.
+		return offs, false
+	case sp.kind == spanMove && sp.peeks+sp.pops > 0:
+		return offs, false // between arrays only
+	case sp.kind == spanMove && a.kind == b.kind && a.arr == b.arr:
+		// Within one array only a copy toward lower indices reads every
+		// element before the loop would have overwritten it.
+		p, constP := offs[0].(*wfunc.Const)
+		q, constQ := offs[1].(*wfunc.Const)
+		if !constP || !constQ || p.V > q.V {
+			return offs, false
+		}
+	}
+	return offs, true
 }
 
 // spanRead matches one readable operand a[v+p] of sp's loop and returns it
@@ -303,8 +316,11 @@ func (v spanView) run(k, n int) []float64 {
 // it did; if not, nothing has changed. The tape's window is fetched here,
 // per instruction: any pop, push or restore in between moves it.
 func (m *Machine) span(s *spanInstr, in, out wfunc.Tape) bool {
-	if s.kind == spanMap {
+	switch s.kind {
+	case spanMap:
 		return m.mapSpan(s, in, out)
+	case spanRows:
+		return m.rowsSpan(s, in, out)
 	}
 	start := m.regs[s.v]
 	// NaN fails the comparisons; a fractional start would truncate to a

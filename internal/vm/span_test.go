@@ -188,10 +188,25 @@ func (f *spanFixture) upTo(n float64, body ...wfunc.Stmt) wfunc.Stmt {
 	return &wfunc.For{Var: f.v.Idx, From: wfunc.C(0), To: wfunc.C(n), Body: body}
 }
 
+// matRows is apps.MatMul's row loop over the fixture, q its row and v
+// its column: for q = 0; q < rows; q++ { acc = init; for v = 0; v < n;
+// v++ { acc = acc + term }; push(acc) }, term peek(v+1) * fb[v+q*4] when
+// nil, the pushes push(acc) when none are given.
+func (f *spanFixture) matRows(rows float64, init, n, term wfunc.Expr, pushes ...wfunc.Stmt) wfunc.Stmt {
+	if term == nil {
+		term = wfunc.MulX(wfunc.PeekX(wfunc.AddX(f.v, wfunc.C(1))), wfunc.FIdx(f.fb, wfunc.AddX(f.v, wfunc.MulX(f.q, wfunc.C(4)))))
+	}
+	if len(pushes) == 0 {
+		pushes = []wfunc.Stmt{wfunc.Push1(f.acc)}
+	}
+	return &wfunc.For{Var: f.q.Idx, From: wfunc.C(0), To: wfunc.C(rows), Body: append([]wfunc.Stmt{
+		wfunc.Set(f.acc, init), &wfunc.For{Var: f.v.Idx, From: wfunc.C(0), To: n, Body: []wfunc.Stmt{f.accum(term)}}}, pushes...)}
+}
+
 type spanCase struct {
-	name                        string
-	loop                        func(f *spanFixture) wfunc.Stmt
-	reduce, drain, move, mapped int
+	name                              string
+	loop                              func(f *spanFixture) wfunc.Stmt
+	reduce, drain, move, mapped, rows int
 }
 
 // fixturePushes is how many items spanKernel pushes after its loop.
@@ -202,66 +217,72 @@ const fixturePushes = 2 + 2*fixL
 var familyCases = []spanCase{
 	{"reduce peek*field", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(8, f.accum(wfunc.MulX(wfunc.PeekX(f.v), wfunc.FIdx(f.fa, f.v))))
-	}, 1, 0, 0, 0},
+	}, 1, 0, 0, 0, 0},
 	{"reduce field*peek offset", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(8, f.accum(wfunc.MulX(wfunc.FIdx(f.fa, f.v), wfunc.PeekX(wfunc.AddX(f.v, wfunc.C(3))))))
-	}, 1, 0, 0, 0},
+	}, 1, 0, 0, 0, 0},
 	{"reduce peek*peek", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(8, f.accum(wfunc.MulX(wfunc.PeekX(f.v), wfunc.PeekX(wfunc.AddX(wfunc.C(2), f.v)))))
-	}, 1, 0, 0, 0},
+	}, 1, 0, 0, 0, 0},
 	{"reduce pop*field", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(8, f.accum(wfunc.MulX(wfunc.PopE(), wfunc.FIdx(f.fa, f.v))))
-	}, 1, 0, 0, 0},
+	}, 1, 0, 0, 0, 0},
 	{"reduce local*pop", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(8, f.accum(wfunc.MulX(wfunc.LIdx(f.la, f.v), wfunc.PopE())))
-	}, 1, 0, 0, 0},
+	}, 1, 0, 0, 0, 0},
 	{"reduce local*field, run-time offsets", func(f *spanFixture) wfunc.Stmt {
 		// MatMul's shape: la[v+p] * fb[q*2+v].
 		return f.upTo(8, f.accum(wfunc.MulX(
 			wfunc.LIdx(f.la, wfunc.AddX(f.v, f.p)),
 			wfunc.FIdx(f.fb, wfunc.AddX(wfunc.MulX(f.q, wfunc.C(2)), f.v)))))
-	}, 1, 0, 0, 0},
+	}, 1, 0, 0, 0, 0},
 	{"reduce field*field, v-P", func(f *spanFixture) wfunc.Stmt {
 		return &wfunc.For{Var: f.v.Idx, From: wfunc.AddX(f.p, f.q), To: wfunc.C(8), Step: wfunc.C(1), Body: []wfunc.Stmt{
 			f.accum(wfunc.MulX(wfunc.FIdx(f.fa, wfunc.SubX(f.v, f.q)), wfunc.FIdx(f.fb, wfunc.SubX(f.v, wfunc.C(3)))))}}
-	}, 1, 0, 0, 0},
-	{"sum peek", func(f *spanFixture) wfunc.Stmt { return f.upTo(8, f.accum(wfunc.PeekX(f.v))) }, 1, 0, 0, 0},
-	{"sum pop", func(f *spanFixture) wfunc.Stmt { return f.upTo(6, f.accum(wfunc.PopE())) }, 1, 0, 0, 0},
-	{"sum field", func(f *spanFixture) wfunc.Stmt { return f.upTo(8, f.accum(wfunc.FIdx(f.fa, f.v))) }, 1, 0, 0, 0},
+	}, 1, 0, 0, 0, 0},
+	{"sum peek", func(f *spanFixture) wfunc.Stmt { return f.upTo(8, f.accum(wfunc.PeekX(f.v))) }, 1, 0, 0, 0, 0},
+	{"sum pop", func(f *spanFixture) wfunc.Stmt { return f.upTo(6, f.accum(wfunc.PopE())) }, 1, 0, 0, 0, 0},
+	{"sum field", func(f *spanFixture) wfunc.Stmt { return f.upTo(8, f.accum(wfunc.FIdx(f.fa, f.v))) }, 1, 0, 0, 0, 0},
 	{"sum local, fractional bound", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(7.5, f.accum(wfunc.LIdx(f.lb, wfunc.AddX(f.v, f.q))))
-	}, 1, 0, 0, 0},
-	{"drain", func(f *spanFixture) wfunc.Stmt { return f.upTo(17, wfunc.Pop1()) }, 0, 1, 0, 0},
+	}, 1, 0, 0, 0, 0},
+	{"drain", func(f *spanFixture) wfunc.Stmt { return f.upTo(17, wfunc.Pop1()) }, 0, 1, 0, 0, 0},
 	{"move field<-field", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(8, wfunc.SetFIdx(f.fb, wfunc.AddX(f.v, f.q), wfunc.FIdx(f.fa, f.v)))
-	}, 0, 0, 1, 0},
+	}, 0, 0, 1, 0, 0},
 	{"move local<-field", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(8, wfunc.SetLIdx(f.la, wfunc.AddX(f.v, wfunc.C(1)), wfunc.FIdx(f.fa, f.v)))
-	}, 0, 0, 1, 0},
+	}, 0, 0, 1, 0, 0},
 	{"move field<-local", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(8, wfunc.SetFIdx(f.fa, f.v, wfunc.LIdx(f.lb, wfunc.AddX(f.p, f.v))))
-	}, 0, 0, 1, 0},
+	}, 0, 0, 1, 0, 0},
 	{"move local<-local", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(10, wfunc.SetLIdx(f.la, f.v, wfunc.LIdx(f.lb, f.v)))
-	}, 0, 0, 1, 0},
+	}, 0, 0, 1, 0, 0},
 	{"move down one array", func(f *spanFixture) wfunc.Stmt {
 		// StatefulFIR's shift: h[i] = h[i+1].
 		return f.upTo(7, wfunc.SetFIdx(f.fa, f.v, wfunc.FIdx(f.fa, wfunc.AddX(f.v, wfunc.C(1)))))
-	}, 0, 0, 1, 0},
+	}, 0, 0, 1, 0, 0},
 	{"nested: outer variable in the offset", func(f *spanFixture) wfunc.Stmt {
 		return &wfunc.For{Var: f.q.Idx, From: wfunc.C(0), To: wfunc.C(3), Body: []wfunc.Stmt{
 			f.upTo(4, f.accum(wfunc.MulX(wfunc.PeekX(f.v), wfunc.FIdx(f.fb, wfunc.AddX(wfunc.MulX(f.q, wfunc.C(4)), f.v)))))}}
-	}, 1, 0, 0, 0},
+	}, 1, 0, 0, 0, 0},
+	{"rows: MatMul", func(f *spanFixture) wfunc.Stmt { return f.matRows(3, wfunc.C(0.5), wfunc.C(4), nil) }, 1, 0, 0, 0, 1},
+	{"rows: F first, descending rows, five of them", func(f *spanFixture) wfunc.Stmt {
+		// Row q reads fb from 8-2q on: four rows in lanes, one alone.
+		return f.matRows(5, wfunc.C(math.Copysign(0, -1)), wfunc.C(2), wfunc.MulX(
+			wfunc.FIdx(f.fb, wfunc.AddX(f.v, wfunc.SubX(wfunc.C(8), wfunc.MulX(wfunc.C(2), f.q)))), wfunc.PeekX(wfunc.AddX(f.v, wfunc.C(3)))))
+	}, 1, 0, 0, 0, 1},
 	{"map permutation (DES's E-box)", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(20, wfunc.Push1(wfunc.PeekX(wfunc.Bin(wfunc.Mod, wfunc.MulX(f.v, wfunc.C(5)), wfunc.C(24)))))
-	}, 0, 0, 0, 1},
+	}, 0, 0, 0, 1, 0},
 	{"map xor of two peeks", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(12, wfunc.Push1(wfunc.Bin(wfunc.BitXor, wfunc.PeekX(f.v), wfunc.PeekX(wfunc.AddX(f.v, wfunc.C(12))))))
-	}, 0, 0, 0, 1},
+	}, 0, 0, 0, 1, 0},
 	{"map table lookup, two pushes a trip", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(8, wfunc.Push1(wfunc.FIdx(f.fa, wfunc.Bin(wfunc.Mod, wfunc.MulX(f.v, wfunc.C(3)), wfunc.C(8)))),
 			wfunc.Push1(wfunc.LIdx(f.lb, wfunc.SubX(wfunc.C(9), f.v))))
-	}, 0, 0, 0, 1},
+	}, 0, 0, 0, 1, 0},
 	{"map body local reassigned (Serpent's S-box)", func(f *spanFixture) wfunc.Stmt {
 		// acc is pushed after the loop: its last trip's value must be left.
 		nibble := wfunc.Bin(wfunc.Mod, wfunc.Un(wfunc.Abs, wfunc.Un(wfunc.Trunc,
@@ -269,38 +290,38 @@ var familyCases = []spanCase{
 		return f.upTo(12, wfunc.Set(f.acc, nibble), wfunc.Set(f.acc, wfunc.FIdx(f.fb, f.acc)),
 			wfunc.Push1(wfunc.Bin(wfunc.Mod, wfunc.DivX(f.acc, wfunc.C(8)), wfunc.C(2))),
 			wfunc.Push1(wfunc.Bin(wfunc.Mod, f.acc, wfunc.C(2))))
-	}, 0, 0, 0, 1},
+	}, 0, 0, 0, 1, 0},
 	{"map invariant field and local (MPEG-2's predictor)", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(16, wfunc.Set(f.acc, wfunc.AddX(wfunc.PeekX(f.v), f.fs)), wfunc.Push1(wfunc.MulX(f.acc, f.q)))
-	}, 0, 0, 0, 1},
+	}, 0, 0, 0, 1, 0},
 	{"map ?: && || min max", func(f *spanFixture) wfunc.Stmt {
 		x := wfunc.PeekX(f.v)
 		return f.upTo(24,
 			wfunc.Push1(&wfunc.Cond{C: wfunc.Bin(wfunc.Gt, x, wfunc.C(0)), A: wfunc.Bin(wfunc.Min, x, f.fs), B: wfunc.Bin(wfunc.Max, f.p, x)}),
 			wfunc.Push1(wfunc.Bin(wfunc.Or, wfunc.Bin(wfunc.And, wfunc.Bin(wfunc.Gt, x, wfunc.C(1)), wfunc.Bin(wfunc.Lt, f.v, wfunc.C(9))),
 				wfunc.Bin(wfunc.Eq, f.v, wfunc.C(20)))))
-	}, 0, 0, 0, 1},
+	}, 0, 0, 0, 1, 0},
 	{"map trigonometry, division, shifts, modulo by zero", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(10, wfunc.Push1(wfunc.AddX(wfunc.Un(wfunc.Sin, wfunc.PeekX(f.v)), wfunc.DivX(wfunc.C(1), f.v))),
 			wfunc.Push1(wfunc.Bin(wfunc.Shl, f.v, f.q)), wfunc.Push1(wfunc.Bin(wfunc.Mod, f.v, wfunc.SubX(f.p, wfunc.C(1)))),
 			wfunc.Push1(wfunc.Un(wfunc.Neg, wfunc.SubX(f.v, wfunc.C(0.25)))))
-	}, 0, 0, 0, 1},
+	}, 0, 0, 0, 1, 0},
 	{"map from a run-time start to a fractional bound", func(f *spanFixture) wfunc.Stmt {
 		return &wfunc.For{Var: f.v.Idx, From: wfunc.AddX(f.p, f.q), To: wfunc.C(9.5), Body: []wfunc.Stmt{
 			wfunc.Push1(wfunc.SubX(wfunc.LIdx(f.la, f.v), f.q))}}
-	}, 0, 0, 0, 1},
+	}, 0, 0, 0, 1, 0},
 	{"map copies a constant into a body local", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(5, wfunc.Set(f.acc, wfunc.C(3)), wfunc.Push1(wfunc.AddX(f.acc, f.v)), wfunc.Set(f.acc, f.p))
-	}, 0, 0, 0, 1},
+	}, 0, 0, 0, 1, 0},
 	{"map past one block of lanes", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(40, wfunc.Push1(wfunc.MulX(wfunc.PeekX(wfunc.Bin(wfunc.Mod, f.v, wfunc.C(24))), f.v)))
-	}, 0, 0, 0, 1},
+	}, 0, 0, 0, 1, 0},
 	{"move from the tape", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(8, wfunc.SetLIdx(f.la, f.v, wfunc.PeekX(f.v)))
-	}, 0, 0, 0, 1},
+	}, 0, 0, 0, 1, 0},
 	{"map: an array store", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(8, wfunc.SetLIdx(f.la, f.v, wfunc.PeekX(f.v)), wfunc.Push1(f.v))
-	}, 0, 0, 0, 1},
+	}, 0, 0, 0, 1, 0},
 	{"map: strided stores into an edge array (a fused S-box)", func(f *spanFixture) wfunc.Stmt {
 		// The shape fuse.Chain gives Serpent's S-box: a body local from the
 		// previous edge array, then two stores a trip into the next one.
@@ -309,18 +330,18 @@ var familyCases = []spanCase{
 		return f.upTo(5, wfunc.Set(f.acc, nibble),
 			wfunc.SetLIdx(f.la, wfunc.MulX(f.v, wfunc.C(2)), wfunc.Bin(wfunc.Mod, f.acc, wfunc.C(2))),
 			wfunc.SetLIdx(f.la, wfunc.AddX(wfunc.C(1), wfunc.MulX(wfunc.C(2), f.v)), wfunc.DivX(f.acc, wfunc.C(4))))
-	}, 0, 0, 0, 1},
+	}, 0, 0, 0, 1, 0},
 	{"map: descending strided stores, two arrays", func(f *spanFixture) wfunc.Stmt {
 		down := func(k float64) wfunc.Expr { return wfunc.AddX(wfunc.MulX(f.v, wfunc.C(-2)), wfunc.C(k)) }
 		return f.upTo(5, wfunc.SetLIdx(f.la, down(9), wfunc.PeekX(f.v)), wfunc.SetLIdx(f.lb, f.v, wfunc.FIdx(f.fa, f.v)),
 			wfunc.SetLIdx(f.la, down(8), wfunc.MulX(f.v, f.fs)), wfunc.Push1(wfunc.PeekX(wfunc.AddX(f.v, f.q))))
-	}, 0, 0, 0, 1},
+	}, 0, 0, 0, 1, 0},
 	{"map: one statement's colliding stores land in trip order", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(20, wfunc.SetLIdx(f.la, wfunc.DivX(f.v, wfunc.C(3)), wfunc.PeekX(f.v)))
-	}, 0, 0, 0, 1},
+	}, 0, 0, 0, 1, 0},
 	{"map: a store at a computed index", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(12, wfunc.SetLIdx(f.lb, wfunc.Bin(wfunc.Mod, wfunc.MulX(f.v, wfunc.C(7)), wfunc.C(10)), wfunc.PeekX(f.v)))
-	}, 0, 0, 0, 1},
+	}, 0, 0, 0, 1, 0},
 }
 
 // nearMisses look like family members and must compile to generic loops
@@ -328,89 +349,116 @@ var familyCases = []spanCase{
 var nearMisses = []spanCase{
 	{"step 2", func(f *spanFixture) wfunc.Stmt {
 		return &wfunc.For{Var: f.v.Idx, From: wfunc.C(0), To: wfunc.C(8), Step: wfunc.C(2), Body: []wfunc.Stmt{f.accum(wfunc.PeekX(f.v))}}
-	}, 0, 0, 0, 0},
+	}, 0, 0, 0, 0, 0},
 	{"variable bound", func(f *spanFixture) wfunc.Stmt {
 		return &wfunc.For{Var: f.v.Idx, From: wfunc.C(0), To: wfunc.MulX(f.q, wfunc.C(4)), Body: []wfunc.Stmt{f.accum(wfunc.PeekX(f.v))}}
-	}, 0, 0, 0, 0},
+	}, 0, 0, 0, 0, 0},
 	{"two statements", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(8, f.accum(wfunc.PeekX(f.v)), wfunc.Pop1())
-	}, 0, 0, 0, 0},
+	}, 0, 0, 0, 0, 0},
 	{"accumulator in an offset", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(8, f.accum(wfunc.FIdx(f.fb, wfunc.AddX(f.v, wfunc.MulX(f.acc, wfunc.C(0))))))
-	}, 0, 0, 0, 0},
+	}, 0, 0, 0, 0, 0},
 	{"loop variable in an offset", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(4, f.accum(wfunc.PeekX(wfunc.AddX(f.v, f.v))))
-	}, 0, 0, 0, 0},
+	}, 0, 0, 0, 0, 0},
 	{"loop variable as accumulator", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(8, wfunc.Set(f.v, wfunc.AddX(f.v, wfunc.LIdx(f.lb, f.v))))
-	}, 0, 0, 0, 0},
+	}, 0, 0, 0, 0, 0},
 	{"move up one array smears", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(7, wfunc.SetFIdx(f.fa, wfunc.AddX(f.v, wfunc.C(1)), wfunc.FIdx(f.fa, f.v)))
-	}, 0, 0, 0, 0},
+	}, 0, 0, 0, 0, 0},
 	{"move within one array, run-time offset", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(7, wfunc.SetFIdx(f.fa, wfunc.AddX(f.v, f.p), wfunc.FIdx(f.fa, f.v)))
-	}, 0, 0, 0, 0},
+	}, 0, 0, 0, 0, 0},
 	{"peek in an offset", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(4, f.accum(wfunc.FIdx(f.fb, wfunc.AddX(f.v, wfunc.Un(wfunc.Abs, wfunc.Un(wfunc.Trunc, wfunc.PeekE(0)))))))
-	}, 0, 0, 0, 0},
+	}, 0, 0, 0, 0, 0},
 	{"array load in an offset", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(4, f.accum(wfunc.FIdx(f.fb, wfunc.AddX(f.v, wfunc.LIdx(f.la, wfunc.C(2))))))
-	}, 0, 0, 0, 0},
+	}, 0, 0, 0, 0, 0},
 	{"field in an offset", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(4, f.accum(wfunc.FIdx(f.fb, wfunc.AddX(f.v, f.fs))))
-	}, 0, 0, 0, 0},
+	}, 0, 0, 0, 0, 0},
 	{"addends swapped", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(8, wfunc.Set(f.acc, wfunc.AddX(wfunc.PeekX(f.v), f.acc)))
-	}, 0, 0, 0, 0},
+	}, 0, 0, 0, 0, 0},
 	{"pop beside peek", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(8, f.accum(wfunc.MulX(wfunc.PopE(), wfunc.PeekX(f.v))))
-	}, 0, 0, 0, 0},
+	}, 0, 0, 0, 0, 0},
 	{"two pops", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(8, f.accum(wfunc.MulX(wfunc.PopE(), wfunc.PopE())))
-	}, 0, 0, 0, 0},
+	}, 0, 0, 0, 0, 0},
 	{"descending index", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(8, f.accum(wfunc.FIdx(f.fa, wfunc.SubX(wfunc.C(7), f.v))))
-	}, 0, 0, 0, 0},
+	}, 0, 0, 0, 0, 0},
 	{"strided index", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(4, f.accum(wfunc.PeekX(wfunc.MulX(f.v, wfunc.C(2)))))
-	}, 0, 0, 0, 0},
+	}, 0, 0, 0, 0, 0},
 	{"field accumulator", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(8, wfunc.SetF(f.fs, wfunc.AddX(f.fs, wfunc.PeekX(f.v))))
-	}, 0, 0, 0, 0},
+	}, 0, 0, 0, 0, 0},
 	{"operand under a unary", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(8, f.accum(wfunc.Un(wfunc.Abs, wfunc.PeekX(f.v))))
-	}, 0, 0, 0, 0},
+	}, 0, 0, 0, 0, 0},
 	{"map: body local read before the trip assigns it", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(8, wfunc.Push1(f.acc), wfunc.Set(f.acc, wfunc.PeekX(f.v)))
-	}, 0, 0, 0, 0},
-	{"map: a pop", func(f *spanFixture) wfunc.Stmt { return f.upTo(8, wfunc.Push1(wfunc.PopE())) }, 0, 0, 0, 0},
+	}, 0, 0, 0, 0, 0},
+	{"map: a pop", func(f *spanFixture) wfunc.Stmt { return f.upTo(8, wfunc.Push1(wfunc.PopE())) }, 0, 0, 0, 0, 0},
 	{"map: reads the array it stores to", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(8, wfunc.SetLIdx(f.la, f.v, wfunc.AddX(wfunc.LIdx(f.la, f.v), wfunc.PeekX(f.v))))
-	}, 0, 0, 0, 0},
+	}, 0, 0, 0, 0, 0},
 	{"map: two stores can hit one cell", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(8, wfunc.SetLIdx(f.la, f.v, wfunc.PeekX(f.v)), wfunc.SetLIdx(f.la, wfunc.AddX(f.v, wfunc.C(1)), f.v))
-	}, 0, 0, 0, 0},
+	}, 0, 0, 0, 0, 0},
 	{"map: a field-array store", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(8, wfunc.SetFIdx(f.fa, f.v, wfunc.PeekX(f.v)), wfunc.Push1(f.v))
-	}, 0, 0, 0, 0},
+	}, 0, 0, 0, 0, 0},
 	{"map: two stores to one array, index not affine", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(5, wfunc.SetLIdx(f.la, wfunc.Bin(wfunc.Mod, f.v, wfunc.C(5)), wfunc.PeekX(f.v)),
 			wfunc.SetLIdx(f.la, wfunc.AddX(wfunc.Bin(wfunc.Mod, f.v, wfunc.C(5)), wfunc.C(5)), f.v))
-	}, 0, 0, 0, 0},
+	}, 0, 0, 0, 0, 0},
 	{"map: a field store", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(8, wfunc.SetF(f.fs, wfunc.PeekX(f.v)), wfunc.Push1(f.fs))
-	}, 0, 0, 0, 0},
+	}, 0, 0, 0, 0, 0},
 	{"map: the loop variable assigned", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(8, wfunc.Push1(f.v), wfunc.Set(f.v, wfunc.AddX(f.v, wfunc.C(1))))
-	}, 0, 0, 0, 0},
-	{"map: no push", func(f *spanFixture) wfunc.Stmt { return f.upTo(8, wfunc.Set(f.acc, wfunc.PeekX(f.v))) }, 0, 0, 0, 0},
+	}, 0, 0, 0, 0, 0},
+	{"map: no push", func(f *spanFixture) wfunc.Stmt { return f.upTo(8, wfunc.Set(f.acc, wfunc.PeekX(f.v))) }, 0, 0, 0, 0, 0},
+	{"rows: inner bound not constant", func(f *spanFixture) wfunc.Stmt {
+		return f.matRows(3, wfunc.C(0.5), wfunc.MulX(f.p, wfunc.C(4)), nil)
+	}, 0, 0, 0, 0, 0},
+	{"rows: acc not reset to a constant", func(f *spanFixture) wfunc.Stmt { return f.matRows(3, f.p, wfunc.C(4), nil) }, 1, 0, 0, 0, 0},
+	{"rows: push(acc*2)", func(f *spanFixture) wfunc.Stmt {
+		return f.matRows(3, wfunc.C(0.5), wfunc.C(4), nil, wfunc.Push1(wfunc.MulX(f.acc, wfunc.C(2))))
+	}, 1, 0, 0, 0, 0},
+	{"rows: a second push", func(f *spanFixture) wfunc.Stmt {
+		return f.matRows(3, wfunc.C(0.5), wfunc.C(4), nil, wfunc.Push1(f.acc), wfunc.Push1(f.q))
+	}, 1, 0, 0, 0, 0},
+	{"rows: peek offset depends on the row", func(f *spanFixture) wfunc.Stmt {
+		return f.matRows(3, wfunc.C(0.5), wfunc.C(4), wfunc.MulX(wfunc.PeekX(wfunc.AddX(f.v, f.q)), wfunc.FIdx(f.fb, f.v)))
+	}, 1, 0, 0, 0, 0},
+	{"rows: stride q*1.5", func(f *spanFixture) wfunc.Stmt {
+		// One row, so that the inner span's run-time offset stays whole.
+		return f.matRows(1, wfunc.C(0.5), wfunc.C(4), wfunc.MulX(wfunc.PeekX(f.v), wfunc.FIdx(f.fb, wfunc.AddX(f.v, wfunc.MulX(f.q, wfunc.C(1.5))))))
+	}, 1, 0, 0, 0, 0},
+	{"rows: a local-array operand", func(f *spanFixture) wfunc.Stmt {
+		return f.matRows(3, wfunc.C(0.5), wfunc.C(4), wfunc.MulX(wfunc.LIdx(f.la, wfunc.AddX(f.v, f.q)), wfunc.FIdx(f.fb, f.v)))
+	}, 1, 0, 0, 0, 0},
+	{"rows: acc reused as the row variable", func(f *spanFixture) wfunc.Stmt {
+		// acc ends its first row at 59 or more, which ends the loop.
+		return &wfunc.For{Var: f.acc.Idx, From: wfunc.C(0), To: wfunc.C(3), Body: []wfunc.Stmt{
+			wfunc.Set(f.acc, wfunc.C(100)),
+			f.upTo(4, f.accum(wfunc.MulX(wfunc.PeekX(wfunc.AddX(f.v, wfunc.C(1))), wfunc.FIdx(f.fb, f.v)))),
+			wfunc.Push1(f.acc)}}
+	}, 1, 0, 0, 0, 0},
 	{"map: more registers than the cap", func(f *spanFixture) wfunc.Stmt {
 		var e wfunc.Expr = f.v
 		for i := 1; i <= mapRegs; i++ {
 			e = wfunc.AddX(e, wfunc.C(float64(i)))
 		}
 		return f.upTo(8, wfunc.Push1(e))
-	}, 0, 0, 0, 0},
+	}, 0, 0, 0, 0, 0},
 }
 
 func TestSpanFamily(t *testing.T) {
@@ -421,20 +469,20 @@ func TestSpanFamily(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if r, d, m, mp := p.SpanCounts(); r != tc.reduce || d != tc.drain || m != tc.move || mp != tc.mapped {
-				t.Fatalf("span instructions reduce/drain/move/map = %d/%d/%d/%d, want %d/%d/%d/%d",
-					r, d, m, mp, tc.reduce, tc.drain, tc.move, tc.mapped)
+			if r, d, m, mp, rw := p.SpanCounts(); r != tc.reduce || d != tc.drain || m != tc.move || mp != tc.mapped || rw != tc.rows {
+				t.Fatalf("span instructions reduce/drain/move/map/rows = %d/%d/%d/%d/%d, want %d/%d/%d/%d/%d",
+					r, d, m, mp, rw, tc.reduce, tc.drain, tc.move, tc.mapped, tc.rows)
 			}
 			interp, vm := fireBoth(t, k, ramp(fixInput), nil)
 			if interp.err != "" {
 				t.Fatalf("the interpreter faulted: %s", interp.err)
 			}
 			sameOutcome(t, interp, vm)
-			switch matched := tc.reduce+tc.drain+tc.move+tc.mapped > 0; {
+			switch matched := tc.reduce+tc.drain+tc.move+tc.mapped+tc.rows > 0; {
 			case matched && vm.calls != 0:
 				t.Errorf("vm made %d per-item tape calls: the span's guard failed", vm.calls)
-			case tc.mapped > 0 && vm.pushes != fixturePushes:
-				t.Errorf("vm made %d per-item pushes, the fixture's %d: the map span's guard failed", vm.pushes, fixturePushes)
+			case tc.mapped+tc.rows > 0 && vm.pushes != fixturePushes:
+				t.Errorf("vm made %d per-item pushes, the fixture's %d: the write span's guard failed", vm.pushes, fixturePushes)
 			case !matched && vm.calls != interp.calls:
 				t.Errorf("vm made %d per-item tape calls, interp %d", vm.calls, interp.calls)
 			}
@@ -457,8 +505,8 @@ func TestSpanBoundLimits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r, d, m, mp := p.SpanCounts(); r+d+m+mp != 0 {
-			t.Errorf("bound %v: span instructions reduce/drain/move/map = %d/%d/%d/%d, want none", bound, r, d, m, mp)
+		if r, d, m, mp, rw := p.SpanCounts(); r+d+m+mp+rw != 0 {
+			t.Errorf("bound %v: span instructions reduce/drain/move/map/rows = %d/%d/%d/%d/%d, want none", bound, r, d, m, mp, rw)
 		}
 	}
 }
@@ -586,7 +634,7 @@ func TestSpanGuardFailures(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if r, d, m, mp := p.SpanCounts(); r+d+m+mp != 1 {
+			if r, d, m, mp, _ := p.SpanCounts(); r+d+m+mp != 1 {
 				t.Fatalf("the loop is not in the family (reduce/drain/move/map = %d/%d/%d/%d): the case tests nothing", r, d, m, mp)
 			}
 			interp, vm := fireBoth(t, k, ramp(tc.input), tc.tapes)
@@ -616,6 +664,11 @@ type spanGen struct {
 	farrs    []int             // field arrays
 	larrs    []int             // local arrays
 	tapeRead bool              // operands may peek and pop
+	// i and field, when set, let loop emit matrix row loops: i is their
+	// inner loop variable, and field(n) declares a field array of n
+	// elements.
+	i     *wfunc.LocalRef
+	field func(n int) int
 }
 
 func (g *spanGen) index() wfunc.Expr {
@@ -657,6 +710,9 @@ func (g *spanGen) operand() wfunc.Expr {
 }
 
 func (g *spanGen) loop() *wfunc.For {
+	if g.i != nil && g.pick(4) == 0 {
+		return g.rows()
+	}
 	f := &wfunc.For{Var: g.v.Idx, From: wfunc.C(float64(g.pick(4))), To: wfunc.C(float64(g.pick(20)) / 2)}
 	switch g.pick(8) {
 	case 0:
@@ -692,6 +748,36 @@ func (g *spanGen) loop() *wfunc.For {
 	}
 	f.Body = []wfunc.Stmt{body}
 	return f
+}
+
+// rows is a matrix row loop (rows.go), for v = From; v < R; v++ { acc = c;
+// for i = 0; i < N; i++ { acc = acc + peek(i+p) * F[i+a·v+b] }; push(acc) }
+// with the factors in either order, over a field array F declared to hold
+// every row, or one element short. a may be 0, negative or MatMul's N.
+func (g *spanGen) rows() *wfunc.For {
+	r, n, p, from := g.pick(11), g.pick(6), g.pick(3), g.pick(3)
+	a := []int{n, 0, -n, 1, -2}[g.pick(5)]
+	last := max(r-1, from)
+	lo, hi := min(a*from, a*last), max(a*from, a*last)
+	b := g.pick(2) - lo // the lowest row starts at 0 or 1
+	f := g.field(max(hi+b+n-g.pick(2), 1))
+	var off wfunc.Expr = wfunc.AddX(wfunc.MulX(g.v, wfunc.Ci(a)), wfunc.Ci(b))
+	if g.pick(2) == 0 {
+		off = wfunc.SubX(wfunc.Ci(b), wfunc.MulX(wfunc.Un(wfunc.Neg, wfunc.Ci(a)), g.v))
+	}
+	var x wfunc.Expr = wfunc.PeekX(g.i)
+	if p > 0 {
+		x = wfunc.PeekX(wfunc.AddX(g.i, wfunc.Ci(p)))
+	}
+	w := wfunc.FIdx(f, wfunc.AddX(g.i, off))
+	term := wfunc.MulX(x, w)
+	if g.pick(2) == 0 {
+		term = wfunc.MulX(w, x)
+	}
+	init := wfunc.C([]float64{0, math.Copysign(0, -1), 1.5, -2}[g.pick(4)])
+	return wfunc.ForUp(g.v, wfunc.Ci(from), wfunc.Ci(r), wfunc.Set(g.acc, init),
+		wfunc.ForUp(g.i, wfunc.Ci(0), wfunc.Ci(n), wfunc.Set(g.acc, wfunc.AddX(g.acc, term))),
+		wfunc.Push1(g.acc))
 }
 
 // mapBody is a body in and around the map family: one to four pushes or
@@ -784,14 +870,19 @@ func (g *spanGen) pure(d int, acc bool) wfunc.Expr {
 }
 
 // FuzzSpanKernel decodes bytes into a kernel of three generated loops over
-// arrays and a window of fuzzed lengths, and holds the VM to the
-// interpreter's outcome, faults included; the kernel ends by pushing every
-// cell of both local arrays, so a store a span made out of place shows.
+// arrays and a window of fuzzed lengths — items now and then NaN or ±Inf,
+// the window at any offset into its ring, so that it may wrap — and holds
+// the VM to the interpreter's outcome, faults included; the kernel ends by
+// pushing every cell of both local arrays, so a store a span made out of
+// place shows.
 func FuzzSpanKernel(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{7, 5, 12, 1, 0, 8, 3, 3, 0, 2, 1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{3, 3, 4, 0, 16, 0, 0, 1, 1, 1, 4, 4, 4, 2, 2, 2, 9, 9, 9, 9, 9, 9, 9, 9})
 	f.Add([]byte{9, 9, 20, 2, 2, 19, 2, 0, 0, 0, 1, 0, 0, 2, 19, 2, 1, 1, 1, 1, 3, 18, 4, 4})
+	// A 9-row MatMul of 4 columns from peek(1) on, its window wrapping the
+	// ring; a NaN and a -Inf lie behind the window.
+	f.Add([]byte{0, 0, 23, 20, 12, 0, 0, 2, 0, 0, 9, 4, 1, 0, 0, 0, 0, 0, 7, 14, 21, 28, 2, 9, 16, 23, 30, 4, 11, 18, 25, 32, 6, 13, 20, 27, 1, 8, 15, 22, 29, 3, 10, 17, 24, 31, 5, 12, 19, 26, 0, 7, 14, 0, 1, 1, 1, 0, 0, 2, 1, 0, 1, 0, 0, 2, 1, 0, 0, 11, 22, 0, 11, 22, 0, 11, 22, 0, 11, 22, 0, 11, 22, 0, 11, 22, 0, 11, 22, 0, 11, 5, 5, 5, 5, 5, 5, 5, 5, 5, 0, 5, 5, 1, 1, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 30})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pick := func(n int) int {
 			if len(data) == 0 {
@@ -815,10 +906,16 @@ func FuzzSpanKernel(f *testing.F) {
 		g := &spanGen{pick: pick, tapeRead: true, farrs: []int{fa, fb},
 			larrs: []int{kb.LocalArray("la", nl[0]), kb.LocalArray("lb", nl[1])},
 			v:     kb.Local("v"), acc: kb.Local("acc"), offs: []*wfunc.LocalRef{kb.Local("p"), kb.Local("q")},
+			i: kb.Local("i"),
+		}
+		rowArrays := 0
+		g.field = func(n int) int {
+			rowArrays++
+			return kb.FieldArray(fmt.Sprint("fm", rowArrays), n, vals(n)...)
 		}
 		body := []wfunc.Stmt{wfunc.Set(g.offs[0], wfunc.C(float64(pick(9)-2)/2)), wfunc.Set(g.offs[1], wfunc.C(float64(pick(4))))}
 		for i := 0; i < 3; i++ {
-			body = append(body, g.loop(), wfunc.Push1(g.acc), wfunc.Push1(g.v))
+			body = append(body, g.loop(), wfunc.Push1(g.acc), wfunc.Push1(g.v), wfunc.Push1(g.i))
 		}
 		for i, arr := range g.larrs {
 			for j := 0; j < nl[i]; j++ {
@@ -826,7 +923,32 @@ func FuzzSpanKernel(f *testing.F) {
 			}
 		}
 		k := kb.WorkBody(body...).Build()
-		interp, vm := fireBoth(t, k, vals(nin), nil)
+		items := vals(nin)
+		for i := range items {
+			switch pick(12) {
+			case 0:
+				items[i] = math.NaN()
+			case 1:
+				items[i] = math.Inf(1 - 2*pick(2))
+			}
+		}
+		interp, vm := fireBoth(t, k, items, wrapAt(pick(32)))
+		// Where two NaNs meet in an add, which one the sum carries is the
+		// operand order Go's register allocator picks (row_test.go).
+		quiet(interp.pushed)
+		quiet(vm.pushed)
 		sameOutcome(t, interp, vm)
 	})
+}
+
+// wrapAt moves the input's items to ring positions from skew on, so that a
+// window over them may wrap the ring's end.
+func wrapAt(skew int) func(in, out wfunc.Tape) (wfunc.Tape, wfunc.Tape) {
+	return func(in, out wfunc.Tape) (wfunc.Tape, wfunc.Tape) {
+		ct := in.(*callTape)
+		items := ct.Take(nil, ct.Len())
+		ct.Ring = wfunc.NewRing(len(items))
+		ct.Fill(int64(skew), items)
+		return in, out
+	}
 }
