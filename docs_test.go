@@ -21,15 +21,18 @@ var (
 	goPath   = regexp.MustCompile(`^([\w./-]+\.go)(?::\d+)?$`)
 	qualName = regexp.MustCompile(`^([a-z]\w*)\.([A-Za-z][A-Za-z0-9]*)(?:\.([A-Za-z][A-Za-z0-9]*))?(?:[({\[].*)?$`)
 	testRef  = regexp.MustCompile(`^((?:Test|Fuzz|Benchmark)\w*)(?:/\S*)?$`)
+	bareName = regexp.MustCompile(`^([A-Z][A-Za-z0-9]*)\.([A-Za-z][A-Za-z0-9]*)(?:[({\[].*)?$`)
 )
 
 // TestDocsNameExistingCode fails for every backticked code reference in
 // the documents that names nothing in the tree: a `*.go` path that is
 // neither a repository file's path nor a suffix of one, a `pkg.Name` or
 // `pkg.Type.Member`, pkg a package under internal/, that the package does
-// not declare, or a `Test…`, `Fuzz…` or `Benchmark…` name, any `/sub`
-// stripped, that no _test.go file declares. Member is a method, a struct
-// field or an interface method of Type. Go names have no underscore, so
+// not declare, a bare `Type.Member`, Type a type some package under
+// internal/ declares, that none of those packages declares on it, or a
+// `Test…`, `Fuzz…` or `Benchmark…` name, any `/sub` stripped, that no
+// _test.go file declares. Member is a method, a struct field or an
+// interface method of Type. Go names have no underscore, so
 // `exec.mapped_work_x` is a benchmark metric, not a reference; fenced code
 // blocks are commands and examples, not references. Both are skipped.
 func TestDocsNameExistingCode(t *testing.T) {
@@ -91,6 +94,21 @@ func danglingRef(ref string, goFiles []string, decls map[string]map[string]bool,
 		}
 		return "is not the path of a Go file in the repository, nor a suffix of one"
 	}
+	if m := bareName.FindStringSubmatch(ref); m != nil {
+		typed := false
+		for _, names := range decls {
+			if names["type "+m[1]] {
+				if names[m[1]+"."+m[2]] {
+					return ""
+				}
+				typed = true
+			}
+		}
+		if typed {
+			return "names no member of any type " + m[1] + " declared under internal/"
+		}
+		return ""
+	}
 	m := qualName.FindStringSubmatch(ref)
 	if m == nil || decls[m[1]] == nil {
 		return ""
@@ -108,7 +126,7 @@ func danglingRef(ref string, goFiles []string, decls map[string]map[string]bool,
 // packageDecls maps each package directory under internal/ (by its last
 // path element) to the names its files declare at top level — functions,
 // types, constants and variables — and, as "Type.Member", every method,
-// struct field and interface method.
+// struct field and interface method; "type T" marks each type T.
 func packageDecls(t *testing.T, goFiles []string) map[string]map[string]bool {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -142,7 +160,7 @@ func packageDecls(t *testing.T, goFiles []string) map[string]map[string]bool {
 							names[n.Name] = true
 						}
 					case *ast.TypeSpec:
-						names[s.Name.Name] = true
+						names[s.Name.Name], names["type "+s.Name.Name] = true, true
 						for _, member := range members(s.Type) {
 							names[s.Name.Name+"."+member] = true
 						}

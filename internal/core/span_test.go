@@ -59,17 +59,17 @@ func TestSuiteSpanKernels(t *testing.T) {
 		flatRows, planRows int
 	}{
 		"BitonicSort":    {[5]int{0, 21, 0, 20, 0}, [5]int{0, 21, 0, 20, 0}, 0, 0},
-		"ChannelVocoder": {[5]int{17, 2, 0, 0, 0}, [5]int{17, 2, 0, 0, 0}, 17, 16},
+		"ChannelVocoder": {[5]int{17, 2, 0, 0, 0}, [5]int{17, 2, 0, 0, 0}, 17, 17},
 		"DCT":            {[5]int{3, 4, 0, 0, 3}, [5]int{6, 1, 0, 0, 0}, 0, 0},
 		"DES":            {[5]int{0, 81, 0, 96, 0}, [5]int{0, 33, 0, 96, 0}, 0, 0},
 		"FFT":            {[5]int{0, 6, 0, 5, 0}, [5]int{0, 6, 0, 5, 0}, 0, 0},
-		"FilterBank":     {[5]int{17, 10, 0, 0, 0}, [5]int{17, 2, 0, 0, 0}, 17, 9},
-		"FMRadio":        {[5]int{22, 2, 0, 0, 0}, [5]int{22, 2, 0, 0, 0}, 22, 12},
+		"FilterBank":     {[5]int{17, 10, 0, 0, 0}, [5]int{17, 2, 0, 0, 8}, 17, 9},
+		"FMRadio":        {[5]int{22, 2, 0, 0, 0}, [5]int{22, 2, 0, 0, 0}, 22, 22},
 		"Serpent":        {[5]int{0, 97, 0, 96, 0}, [5]int{0, 3, 0, 192, 0}, 0, 0},
-		"TDE":            {[5]int{10, 11, 0, 0, 10}, [5]int{20, 3, 0, 0, 0}, 0, 0},
+		"TDE":            {[5]int{10, 11, 0, 0, 10}, [5]int{20, 3, 0, 0, 2}, 0, 0},
 		"MPEG2Decoder":   {[5]int{1, 4, 0, 2, 1}, [5]int{2, 3, 0, 2, 0}, 0, 0},
 		"Vocoder":        {[5]int{17, 2, 0, 0, 0}, [5]int{17, 2, 0, 0, 0}, 17, 17},
-		"Radar":          {[5]int{28, 5, 48, 0, 4}, [5]int{28, 5, 48, 0, 0}, 0, 0},
+		"Radar":          {[5]int{28, 5, 48, 0, 4}, [5]int{28, 5, 48, 0, 4}, 0, 0},
 	}
 	for _, app := range apps.Suite() {
 		want, ok := suite[app.Name]
@@ -103,7 +103,7 @@ func TestSuiteSpanKernels(t *testing.T) {
 		spans [5]int
 		rows  int
 	}{
-		"fmradio.str": {[5]int{14, 0, 0, 0, 0}, 13}, "filterbank.str": {[5]int{9, 4, 0, 4, 0}, 9},
+		"fmradio.str": {[5]int{14, 0, 0, 0, 0}, 14}, "filterbank.str": {[5]int{9, 4, 0, 4, 0}, 9},
 		"bitonic.str": {[5]int{0, 13, 0, 12, 0}, 0}, "freqhop.str": {[5]int{0, 0, 0, 0, 0}, 0},
 	} {
 		src, err := os.ReadFile(filepath.Join("..", "..", "examples", "strprogs", name))

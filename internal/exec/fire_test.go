@@ -187,6 +187,29 @@ func matrixFilter(peek int, short bool) *ir.Filter {
 	return &ir.Filter{Kernel: b.Build(), In: ir.TypeFloat, Out: ir.TypeFloat}
 }
 
+// headFilter is fuse.Chain's FIR head (FilterBank) declared peek peek, pop
+// 3, push 1: three rows of a 4-tap FIR, one pop after each, stored at a
+// cursor into a local array of 3 cells, then push(la[0]). The rows read 6
+// items. With short set, firing errAt starts the cursor at 1, which leaves
+// the array one cell short of the rows.
+func headFilter(peek int, short bool) *ir.Filter {
+	b := wfunc.NewKernel("mid", peek, 3, 1)
+	w, la := b.FieldArray("w", 4, 1, -2, 3, -4), b.LocalArray("la", 3)
+	j, i, sum, c := b.Local("j"), b.Local("i"), b.Local("sum"), b.Local("c")
+	var body []wfunc.Stmt
+	if short {
+		n := b.Field("n", 0)
+		body = append(body, wfunc.Set(c, wfunc.Bin(wfunc.Eq, n, wfunc.Ci(errAt))), wfunc.SetF(n, wfunc.AddX(n, wfunc.C(1))))
+	}
+	b.WorkBody(append(body,
+		wfunc.ForUp(j, wfunc.Ci(0), wfunc.Ci(3),
+			wfunc.Set(i, wfunc.C(0)), wfunc.Set(sum, wfunc.C(0)), wfunc.Set(sum, wfunc.C(0)),
+			wfunc.ForUp(i, wfunc.Ci(0), wfunc.Ci(4), wfunc.Set(sum, wfunc.AddX(sum, wfunc.MulX(wfunc.PeekX(i), wfunc.FIdx(w, i))))),
+			wfunc.Pop1(), wfunc.SetLIdx(la, c, sum), wfunc.Set(c, wfunc.AddX(c, wfunc.C(1)))),
+		wfunc.Push1(wfunc.LIdx(la, wfunc.Ci(0))))...)
+	return &ir.Filter{Kernel: b.Build(), In: ir.TypeFloat, Out: ir.TypeFloat}
+}
+
 // errorCase builds a fresh copy of src -> mid -> snk for one engine, with
 // mid failing at its firing errAt, and the options that make it fail.
 type errorCase struct {
@@ -287,6 +310,10 @@ func TestCrossEngineErrors(t *testing.T) {
 		// peek window against the held end.
 		{name: "IL matrix reading past its declared peek", op: "peek", first: true, mid: func() *ir.Filter { return matrixFilter(3, false) }},
 		{name: "IL matrix past its field's end", op: "work", src: blockSource, mid: func() *ir.Filter { return matrixFilter(4, true) }},
+		// A fused head's rows span must check the last row's window, which
+		// its pops move, and every store's cell.
+		{name: "IL fused head reading past its declared peek", op: "peek", first: true, mid: func() *ir.Filter { return headFilter(5, false) }},
+		{name: "IL fused head's local array one cell short", op: "work", src: blockSource, mid: func() *ir.Filter { return headFilter(6, true) }},
 		{name: "injected panic under fail", op: "injected panic",
 			mid: func() *ir.Filter { return gainFilter("mid", 2) },
 			opts: func(t *testing.T) Options {

@@ -12,6 +12,11 @@ import (
 // accumulation loop — for microbenchmarking the execution substrates in
 // isolation (no engine, no scheduling, a bare ring).
 func firKernel(n int) *wfunc.Kernel {
+	return firPushing(n, func(sum wfunc.Expr) wfunc.Expr { return sum })
+}
+
+// firPushing is firKernel pushing push(sum) instead of the sum.
+func firPushing(n int, push func(sum wfunc.Expr) wfunc.Expr) *wfunc.Kernel {
 	b := wfunc.NewKernel("fir", n, 1, 1)
 	w := b.FieldArray("w", n)
 	i := b.Local("i")
@@ -21,7 +26,24 @@ func firKernel(n int) *wfunc.Kernel {
 		wfunc.ForUp(i, wfunc.Ci(0), wfunc.Ci(n),
 			wfunc.Set(sum, wfunc.AddX(sum, wfunc.MulX(wfunc.PeekX(i), wfunc.FIdx(w, i))))),
 		wfunc.Pop1(),
-		wfunc.Push1(sum),
+		wfunc.Push1(push(sum)),
+	)
+	return b.Build()
+}
+
+// headKernel is FilterBank's fused FIR head as fuse.Chain writes it: rows
+// rows of an n-tap FIR, one pop after each, stored at a cursor into a
+// local array, then push(la[0]).
+func headKernel(rows, n int) *wfunc.Kernel {
+	b := wfunc.NewKernel("head", n+rows-1, rows, 1)
+	w, la := b.FieldArray("w", n), b.LocalArray("la", rows)
+	j, i, sum, c := b.Local("j"), b.Local("i"), b.Local("sum"), b.Local("c")
+	b.WorkBody(
+		wfunc.ForUp(j, wfunc.Ci(0), wfunc.Ci(rows),
+			wfunc.Set(i, wfunc.C(0)), wfunc.Set(sum, wfunc.C(0)), wfunc.Set(sum, wfunc.C(0)),
+			wfunc.ForUp(i, wfunc.Ci(0), wfunc.Ci(n), wfunc.Set(sum, wfunc.AddX(sum, wfunc.MulX(wfunc.PeekX(i), wfunc.FIdx(w, i))))),
+			wfunc.Pop1(), wfunc.SetLIdx(la, c, sum), wfunc.Set(c, wfunc.AddX(c, wfunc.C(1)))),
+		wfunc.Push1(wfunc.LIdx(la, wfunc.Ci(0))),
 	)
 	return b.Build()
 }
@@ -35,6 +57,9 @@ func firState(k *wfunc.Kernel, n int) *wfunc.State {
 }
 
 const benchTaps = 256
+
+// firings is the block BenchmarkSpanKinds' row kernels fire at once.
+const firings = 8
 
 // BenchmarkFIRInterp measures one work-function firing on the
 // tree-walking interpreter.
@@ -91,9 +116,11 @@ func BenchmarkFIRVM(b *testing.B) {
 // no span at all: PhaseUnwrap's loop-carried d = d + sin(d)*1e-9 and a
 // compare-and-swap, the register code's own number. The row row is a
 // 64-tap FIR's block of 8 firings in ns/tap: RunHeld's lanes, four
-// firings at a time, against one RunN per firing. The rows row is one
+// firings at a time, against one RunN per firing; row/scaled is the same
+// FIR pushing acc*0.1, as FMRadio's fused bands do. The rows row is one
 // firing of a 64×64 apps.MatMul in ns per multiply-add: its rows span, four
-// rows at a time, against the program without spans.
+// rows at a time, against the program without spans; rows/stride is one
+// firing of FilterBank's fused head, 8 rows of 64 taps a pop apart.
 func BenchmarkSpanKinds(b *testing.B) {
 	const trips = 64
 	kinds := []struct {
@@ -169,14 +196,71 @@ func BenchmarkSpanKinds(b *testing.B) {
 			})
 		}
 	}
-	const firings = 8
-	fir := firKernel(trips)
+	for _, row := range []struct {
+		name string
+		fir  *wfunc.Kernel
+	}{
+		{"row", firKernel(trips)},
+		{"row/scaled", firPushing(trips, func(sum wfunc.Expr) wfunc.Expr { return wfunc.MulX(sum, wfunc.C(0.1)) })},
+	} {
+		benchRow(b, row.name, row.fir, trips)
+	}
+	for _, rows := range []struct {
+		name string
+		k    *wfunc.Kernel
+		madd int // multiply-adds a firing
+	}{
+		{"rows", apps.MatMul("matmul", trips, trips, 0.37).Kernel, trips * trips},
+		{"rows/stride", headKernel(firings, trips), firings * trips},
+	} {
+		p, err := Compile(rows.k.Work)
+		if _, _, _, _, n := p.SpanCounts(); err != nil || n != 1 {
+			b.Fatalf("%s: %d rows spans: %v", rows.name, n, err)
+		}
+		st := rows.k.NewState()
+		if rows.k.Init != nil {
+			env := wfunc.NewEnv(rows.k.Init)
+			env.State = st
+			if err := wfunc.Exec(rows.k.Init, env); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, run := range []struct {
+			mode string
+			p    *Program
+		}{{"span", p}, {"generic", withoutSpans(p)}} {
+			b.Run(rows.name+"/"+run.mode, func(b *testing.B) {
+				m := NewMachine(run.p)
+				m.SetState(st)
+				in, out := wfunc.NewRing(4*trips), wfunc.NewRing(2*trips)
+				batch := make([]float64, trips)
+				for i := range batch {
+					batch[i] = float64(i%5) - 2
+				}
+				for b.Loop() {
+					for in.Len() < rows.k.Peek {
+						in.Append(batch)
+					}
+					if err := m.Run(in, out, nil, nil); err != nil {
+						b.Fatal(err)
+					}
+					out.Advance(out.Len())
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows.madd), "ns/madd")
+			})
+		}
+	}
+}
+
+// benchRow runs row kernel fir's block of firings: RunHeld's lanes against
+// one RunN per firing.
+func benchRow(b *testing.B, name string, fir *wfunc.Kernel, trips int) {
 	p, err := Compile(fir.Work)
 	if err != nil || p.row == nil {
-		b.Fatalf("the FIR is no row kernel: %v", err)
+		b.Fatalf("%s: the FIR is no row kernel: %v", name, err)
 	}
 	for _, mode := range []string{"lanes", "generic"} {
-		b.Run("row/"+mode, func(b *testing.B) {
+		b.Run(name+"/"+mode, func(b *testing.B) {
 			m := NewMachine(p)
 			m.SetState(firState(fir, trips))
 			in, out := wfunc.NewRing(4*trips), wfunc.NewRing(2*firings)
@@ -203,41 +287,6 @@ func BenchmarkSpanKinds(b *testing.B) {
 				out.Advance(out.Len())
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*firings*trips), "ns/tap")
-		})
-	}
-	mm := apps.MatMul("matmul", trips, trips, 0.37).Kernel
-	st := mm.NewState()
-	env := wfunc.NewEnv(mm.Init)
-	env.State = st
-	if err := wfunc.Exec(mm.Init, env); err != nil {
-		b.Fatal(err)
-	}
-	p, err = Compile(mm.Work)
-	if _, _, _, _, rows := p.SpanCounts(); err != nil || rows != 1 {
-		b.Fatalf("the MatMul has %d rows spans: %v", rows, err)
-	}
-	for _, run := range []struct {
-		mode string
-		p    *Program
-	}{{"span", p}, {"generic", withoutSpans(p)}} {
-		b.Run("rows/"+run.mode, func(b *testing.B) {
-			m := NewMachine(run.p)
-			m.SetState(st)
-			in, out := wfunc.NewRing(2*trips), wfunc.NewRing(2*trips)
-			batch := make([]float64, trips)
-			for i := range batch {
-				batch[i] = float64(i%5) - 2
-			}
-			for b.Loop() {
-				if in.Len() < trips {
-					in.Append(batch)
-				}
-				if err := m.Run(in, out, nil, nil); err != nil {
-					b.Fatal(err)
-				}
-				out.Advance(out.Len())
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*trips*trips), "ns/madd")
 		})
 	}
 }

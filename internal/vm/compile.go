@@ -325,7 +325,7 @@ func (c *compiler) forLoop(s *wfunc.For) {
 		sp.exit = int32(len(c.p.code))
 		if sp.kind == spanRows {
 			// The inner loop's reduce span keeps a·j+b in a hidden slot.
-			sp.rows.slot = c.p.spans[c.spanOf[s.Body[1].(*wfunc.For)]].opnd[sp.rows.fieldAt].slot
+			sp.rows.slot = c.p.spans[c.spanOf[s.Body[sp.rows.loop].(*wfunc.For)]].opnd[sp.rows.fieldAt].slot
 		}
 	}
 }

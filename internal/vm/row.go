@@ -2,6 +2,7 @@ package vm
 
 import (
 	"math"
+	"reflect"
 	"slices"
 
 	"streamit/internal/wfunc"
@@ -13,10 +14,13 @@ import (
 // for v = 0; v < N; v += 1 whose reduce span is acc = acc + x[v+p] or
 // acc = acc + x[v+p] * F[v+q] — x a peek or a pop, F a field array, p and
 // q integer constants — at most one acc = c before it (acc starts at 0
-// without it) and one push(acc) after it. As one chain of dependent adds a
-// firing is latency-bound; RunHeld runs a held block's firings four at a
-// time, one accumulator each, its additions in IL order, so four chains
-// overlap and every output is the generic code's bit for bit.
+// without it) and one push after it, of acc or of the cell one la[k] = acc
+// stored it to (k constant), alone, times a constant in either order or
+// divided by one: fuse.Chain's FIR-then-gain. As one chain of dependent
+// adds a firing is latency-bound; RunHeld runs a held block's firings four
+// at a time, one accumulator each, its additions in IL order, so four
+// chains overlap and every output is the generic code's bit for bit. The
+// cell needs no copy: RunN clears local arrays at every firing.
 
 // rowKernel is a row kernel's shape: its firing reads the n items from off
 // on (relative to its read end), pops pops items and pushes one.
@@ -25,6 +29,21 @@ type rowKernel struct {
 	// field is F's index, -1 for a plain sum; F[q:q+n] are the factors.
 	field, q int
 	init     float64
+	// scaled: the push is sum op c, or c op sum when cFirst.
+	scaled, cFirst bool
+	op             wfunc.BinOp
+	c              float64
+}
+
+// scale is what the firing pushes for sum a.
+func (rk *rowKernel) scale(a float64) float64 {
+	switch {
+	case !rk.scaled:
+		return a
+	case rk.cFirst:
+		return wfunc.EvalBinary(rk.op, rk.c, a)
+	}
+	return wfunc.EvalBinary(rk.op, a, rk.c)
 }
 
 // RowKernel reports whether m's program is a row kernel, which RunHeld
@@ -37,12 +56,26 @@ func (c *compiler) rowOf(body []wfunc.Stmt) *rowKernel {
 	rk := &rowKernel{field: -1}
 	acc, set := int32(-1), int32(-1) // the accumulator, and the local assigned a constant
 	var drains []int32               // drain loop variables
+	var cell wfunc.Expr              // la[k], once la[k] = acc stored the sum there
 	pushed := false
+	// sum reports whether e reads the sum: acc, or the cell holding it.
+	sum := func(e wfunc.Expr) bool {
+		return reflect.DeepEqual(e, &wfunc.LocalRef{Idx: int(acc)}) || cell != nil && reflect.DeepEqual(e, cell)
+	}
 	for _, s := range body {
 		switch s := s.(type) {
 		case *wfunc.PopStmt:
 			rk.pops++
 		case *wfunc.Assign:
+			if s.LHS.Kind == wfunc.LVLocalArr {
+				k, isConst := s.LHS.Index.(*wfunc.Const)
+				if cell != nil || pushed || acc < 0 || !sum(s.X) ||
+					!isConst || !rowConst(k.V) || k.V >= float64(c.p.arraySizes[s.LHS.Idx]) {
+					return nil
+				}
+				cell = &wfunc.LocalIndex{Arr: s.LHS.Idx, Index: k}
+				continue
+			}
 			k, ok := s.X.(*wfunc.Const)
 			if !ok || s.LHS.Kind != wfunc.LVLocal || set >= 0 || acc >= 0 {
 				return nil
@@ -79,8 +112,15 @@ func (c *compiler) rowOf(body []wfunc.Stmt) *rowKernel {
 			}
 			acc, rk.n = sp.acc, trips
 		case *wfunc.PushStmt:
-			l, ok := s.X.(*wfunc.LocalRef)
-			if !ok || acc < 0 || pushed || int32(l.Idx) != acc {
+			x := s.X
+			if b, ok := x.(*wfunc.Binary); ok && (b.Op == wfunc.Mul || b.Op == wfunc.Div) {
+				if c, ok := b.B.(*wfunc.Const); ok {
+					x, rk.scaled, rk.op, rk.c = b.A, true, b.Op, c.V
+				} else if c, ok := b.A.(*wfunc.Const); ok && b.Op == wfunc.Mul {
+					x, rk.scaled, rk.op, rk.c, rk.cFirst = b.B, true, b.Op, c.V, true
+				}
+			}
+			if acc < 0 || pushed || !sum(x) {
 				return nil
 			}
 			pushed = true
@@ -129,8 +169,7 @@ func (m *Machine) RunHeld(in, out *wfunc.Ring, iters, reps, per, first int64, fi
 // lanes runs the row kernel's firings from the block's first in groups of
 // four while the guard holds, and returns how many it ran. Lane j of the
 // group from firing f reads the window pops·j items further along than
-// lane 0 and belongs to iteration (f+j)/reps + 1, held as RunHeld's. A
-// group's taps run in segments that no lane's window wraps inside.
+// lane 0 and belongs to iteration (f+j)/reps + 1, held as RunHeld's.
 func (m *Machine) lanes(in, out *wfunc.Ring, n, reps, per, first, top int64) int64 {
 	rk := m.prog.row
 	var w []float64
@@ -156,39 +195,47 @@ func (m *Machine) lanes(in, out *wfunc.Ring, n, reps, per, first, top int64) int
 			}
 		}
 		buf, base, mask, _ := in.Window()
-		a0, a1, a2, a3 := rk.init, rk.init, rk.init, rk.init
-		for k := 0; k < rk.n; {
-			var at [4]int
-			seg := rk.n - k
-			for j := range at {
-				at[j] = (base + rk.off + j*rk.pops + k) & mask
-				seg = min(seg, len(buf)-at[j])
-			}
-			x0, x1, x2, x3 := buf[at[0]:][:seg], buf[at[1]:][:seg], buf[at[2]:][:seg], buf[at[3]:][:seg]
-			if w == nil {
-				for i := range x0 {
-					a0 += x0[i]
-					a1 += x1[i]
-					a2 += x2[i]
-					a3 += x3[i]
-				}
-			} else {
-				for i, c := range w[k:][:seg] {
-					// The conversions keep Go from fusing a multiply into
-					// the add, as in the span instructions.
-					a0 += float64(x0[i] * c)
-					a1 += float64(x1[i] * c)
-					a2 += float64(x2[i] * c)
-					a3 += float64(x3[i] * c)
-				}
-			}
-			k += seg
+		at := base + rk.off
+		for _, a := range dot4(buf, mask, [4]int{at, at + rk.pops, at + 2*rk.pops, at + 3*rk.pops}, w, rk.n, rk.init) {
+			out.Push(rk.scale(a))
 		}
 		in.Advance(4 * rk.pops)
-		out.Push(a0)
-		out.Push(a1)
-		out.Push(a2)
-		out.Push(a3)
 	}
 	return f
+}
+
+// dot4 returns four dot products, one a lane, each init plus its n terms
+// added in IL order: term k of lane j is x·w[k], or x alone when w is nil,
+// x being buf[(at[j]+k)&mask]. The lanes share w and run in segments that
+// no lane's window wraps inside.
+func dot4(buf []float64, mask int, at [4]int, w []float64, n int, init float64) [4]float64 {
+	a0, a1, a2, a3 := init, init, init, init
+	for k := 0; k < n; {
+		var ix [4]int
+		seg := n - k
+		for j := range ix {
+			ix[j] = (at[j] + k) & mask
+			seg = min(seg, len(buf)-ix[j])
+		}
+		x0, x1, x2, x3 := buf[ix[0]:][:seg], buf[ix[1]:][:seg], buf[ix[2]:][:seg], buf[ix[3]:][:seg]
+		if w == nil {
+			for i := range x0 {
+				a0 += x0[i]
+				a1 += x1[i]
+				a2 += x2[i]
+				a3 += x3[i]
+			}
+		} else {
+			for i, c := range w[k:][:seg] {
+				// The conversions keep Go from fusing a multiply into the
+				// add, as in the span instructions.
+				a0 += float64(x0[i] * c)
+				a1 += float64(x1[i] * c)
+				a2 += float64(x2[i] * c)
+				a3 += float64(x3[i] * c)
+			}
+		}
+		k += seg
+	}
+	return [4]float64{a0, a1, a2, a3}
 }

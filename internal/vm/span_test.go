@@ -141,8 +141,8 @@ const (
 )
 
 // spanKernel wraps loop in the fixture: locals set up before it; the
-// accumulator, the loop variable and both local arrays pushed after it, so
-// that every local the loop can change is observable.
+// accumulator, the loop variable, p, q and both local arrays pushed after
+// it, so that every local the loop can change is observable.
 func spanKernel(name string, loop func(f *spanFixture) wfunc.Stmt) *wfunc.Kernel {
 	kb := wfunc.NewKernel(name, 0, 0, 0).Dynamic()
 	fav := make([]float64, fixFA)
@@ -165,7 +165,7 @@ func spanKernel(name string, loop func(f *spanFixture) wfunc.Stmt) *wfunc.Kernel
 			wfunc.SetLIdx(f.la, wfunc.Ci(i), wfunc.C(float64(i)*1.5-2)),
 			wfunc.SetLIdx(f.lb, wfunc.Ci(i), wfunc.C(1/float64(i+1))))
 	}
-	body = append(body, loop(f), wfunc.Push1(f.acc), wfunc.Push1(f.v))
+	body = append(body, loop(f), wfunc.Push1(f.acc), wfunc.Push1(f.v), wfunc.Push1(f.p), wfunc.Push1(f.q))
 	for i := 0; i < fixL; i++ {
 		body = append(body, wfunc.Push1(wfunc.LIdx(f.la, wfunc.Ci(i))), wfunc.Push1(wfunc.LIdx(f.lb, wfunc.Ci(i))))
 	}
@@ -203,6 +203,28 @@ func (f *spanFixture) matRows(rows float64, init, n, term wfunc.Expr, pushes ...
 		wfunc.Set(f.acc, init), &wfunc.For{Var: f.v.Idx, From: wfunc.C(0), To: n, Body: []wfunc.Stmt{f.accum(term)}}}, pushes...)}
 }
 
+// head is fuse.Chain's FIR head (FilterBank) over the fixture, q its row, v
+// its tap and p its cursor: for q = 0; q < rows; q++ { v = 0; acc = 0;
+// acc = 0.5; for v = 0; v < 8; v++ { acc = acc + peek(v) * fa[v] }; then
+// tail }, tail pop(); la[p] = acc; p = p + 1 when none is given.
+func (f *spanFixture) head(rows float64, tail ...wfunc.Stmt) wfunc.Stmt {
+	if len(tail) == 0 {
+		tail = []wfunc.Stmt{wfunc.Pop1(), f.store(f.la, f.p), f.step(1)}
+	}
+	return &wfunc.For{Var: f.q.Idx, From: wfunc.C(0), To: wfunc.C(rows), Body: append(append(f.prelude(),
+		f.upTo(8, f.accum(wfunc.MulX(wfunc.PeekX(f.v), wfunc.FIdx(f.fa, f.v))))), tail...)}
+}
+
+// prelude is the head's row prelude, fuse's rezero then the FIR's own
+// reset: v = 0; acc = 0; acc = 0.5.
+func (f *spanFixture) prelude() []wfunc.Stmt {
+	return []wfunc.Stmt{wfunc.Set(f.v, wfunc.C(0)), wfunc.Set(f.acc, wfunc.C(0)), wfunc.Set(f.acc, wfunc.C(0.5))}
+}
+
+// store is arr[ix] = acc; step is p = p + k.
+func (f *spanFixture) store(arr int, ix wfunc.Expr) wfunc.Stmt { return wfunc.SetLIdx(arr, ix, f.acc) }
+func (f *spanFixture) step(k float64) wfunc.Stmt               { return wfunc.Set(f.p, wfunc.AddX(f.p, wfunc.C(k))) }
+
 type spanCase struct {
 	name                              string
 	loop                              func(f *spanFixture) wfunc.Stmt
@@ -210,7 +232,7 @@ type spanCase struct {
 }
 
 // fixturePushes is how many items spanKernel pushes after its loop.
-const fixturePushes = 2 + 2*fixL
+const fixturePushes = 4 + 2*fixL
 
 // familyCases has one loop per family member and operand kind. With the
 // fixture's full input every guard holds.
@@ -272,6 +294,14 @@ var familyCases = []spanCase{
 		// Row q reads fb from 8-2q on: four rows in lanes, one alone.
 		return f.matRows(5, wfunc.C(math.Copysign(0, -1)), wfunc.C(2), wfunc.MulX(
 			wfunc.FIdx(f.fb, wfunc.AddX(f.v, wfunc.SubX(wfunc.C(8), wfunc.MulX(wfunc.C(2), f.q)))), wfunc.PeekX(wfunc.AddX(f.v, wfunc.C(3)))))
+	}, 1, 0, 0, 0, 1},
+	{"rows: a fused FIR head, one pop a row, stored at a cursor", func(f *spanFixture) wfunc.Stmt { return f.head(5) }, 1, 0, 0, 0, 1},
+	{"rows: two pops a row, pushed", func(f *spanFixture) wfunc.Stmt { return f.head(4, wfunc.Pop1(), wfunc.Pop1(), wfunc.Push1(f.acc)) }, 1, 0, 0, 0, 1},
+	{"rows: MatMul stored at la[2q+1]", func(f *spanFixture) wfunc.Stmt {
+		return f.matRows(3, wfunc.C(0.5), wfunc.C(4), nil, f.store(f.la, wfunc.AddX(wfunc.MulX(wfunc.C(2), f.q), wfunc.C(1))))
+	}, 1, 0, 0, 0, 1},
+	{"rows: a head stored at la[2q+1]", func(f *spanFixture) wfunc.Stmt {
+		return f.head(5, wfunc.Pop1(), f.store(f.lb, wfunc.AddX(wfunc.MulX(f.q, wfunc.C(2)), wfunc.C(1))))
 	}, 1, 0, 0, 0, 1},
 	{"map permutation (DES's E-box)", func(f *spanFixture) wfunc.Stmt {
 		return f.upTo(20, wfunc.Push1(wfunc.PeekX(wfunc.Bin(wfunc.Mod, wfunc.MulX(f.v, wfunc.C(5)), wfunc.C(24)))))
@@ -452,6 +482,31 @@ var nearMisses = []spanCase{
 			f.upTo(4, f.accum(wfunc.MulX(wfunc.PeekX(wfunc.AddX(f.v, wfunc.C(1))), wfunc.FIdx(f.fb, f.v)))),
 			wfunc.Push1(f.acc)}}
 	}, 1, 0, 0, 0, 0},
+	{"rows: a pop before the reduce", func(f *spanFixture) wfunc.Stmt {
+		return &wfunc.For{Var: f.q.Idx, From: wfunc.C(0), To: wfunc.C(5), Body: append(append(f.prelude(), wfunc.Pop1()),
+			f.upTo(8, f.accum(wfunc.MulX(wfunc.PeekX(f.v), wfunc.FIdx(f.fa, f.v)))), f.store(f.la, f.p), f.step(1))}
+	}, 1, 0, 0, 0, 0},
+	{"rows: weights that move with the row under pops", func(f *spanFixture) wfunc.Stmt {
+		return f.matRows(3, wfunc.C(0.5), wfunc.C(4), nil, wfunc.Pop1(), f.store(f.la, f.p), f.step(1))
+	}, 1, 0, 0, 0, 0},
+	// The rest pop nothing, so that a generic row makes no per-item call.
+	{"rows: the cursor assigned in the prelude", func(f *spanFixture) wfunc.Stmt {
+		return &wfunc.For{Var: f.q.Idx, From: wfunc.C(0), To: wfunc.C(5), Body: append(append([]wfunc.Stmt{wfunc.Set(f.p, wfunc.C(2))}, f.prelude()...),
+			f.upTo(8, f.accum(wfunc.MulX(wfunc.PeekX(f.v), wfunc.FIdx(f.fa, f.v)))), f.store(f.la, f.p), f.step(1))}
+	}, 1, 0, 0, 0, 0},
+	{"rows: c = c + 2", func(f *spanFixture) wfunc.Stmt { return f.head(4, f.store(f.la, f.p), f.step(2)) }, 1, 0, 0, 0, 0},
+	{"rows: a store of something other than acc", func(f *spanFixture) wfunc.Stmt {
+		return f.head(4, wfunc.SetLIdx(f.la, f.p, f.v), f.step(1))
+	}, 1, 0, 0, 0, 0},
+	{"rows: a store to a field array", func(f *spanFixture) wfunc.Stmt {
+		return f.head(4, wfunc.SetFIdx(f.fb, f.p, f.acc), f.step(1))
+	}, 1, 0, 0, 0, 0},
+	{"rows: a second store", func(f *spanFixture) wfunc.Stmt {
+		return f.head(4, f.store(f.la, f.p), f.store(f.lb, f.p), f.step(1))
+	}, 1, 0, 0, 0, 0},
+	{"rows: the row variable as the cursor", func(f *spanFixture) wfunc.Stmt {
+		return f.head(4, f.store(f.la, f.q), wfunc.Set(f.q, wfunc.AddX(f.q, wfunc.C(1))))
+	}, 1, 0, 0, 0, 0},
 	{"map: more registers than the cap", func(f *spanFixture) wfunc.Stmt {
 		var e wfunc.Expr = f.v
 		for i := 1; i <= mapRegs; i++ {
@@ -462,6 +517,9 @@ var nearMisses = []spanCase{
 }
 
 func TestSpanFamily(t *testing.T) {
+	// The per-item calls a near miss makes outside its spans: a generic row
+	// loop's pops.
+	outside := map[string]int{"rows: a pop before the reduce": 5, "rows: weights that move with the row under pops": 3}
 	for _, tc := range append(append([]spanCase(nil), familyCases...), nearMisses...) {
 		t.Run(tc.name, func(t *testing.T) {
 			k := spanKernel("span", tc.loop)
@@ -479,7 +537,7 @@ func TestSpanFamily(t *testing.T) {
 			}
 			sameOutcome(t, interp, vm)
 			switch matched := tc.reduce+tc.drain+tc.move+tc.mapped+tc.rows > 0; {
-			case matched && vm.calls != 0:
+			case matched && vm.calls != outside[tc.name]:
 				t.Errorf("vm made %d per-item tape calls: the span's guard failed", vm.calls)
 			case tc.mapped+tc.rows > 0 && vm.pushes != fixturePushes:
 				t.Errorf("vm made %d per-item pushes, the fixture's %d: the write span's guard failed", vm.pushes, fixturePushes)
@@ -574,6 +632,20 @@ func TestSpanGuardFailures(t *testing.T) {
 		{"no tape at all", 0, noTapes, func(f *spanFixture) wfunc.Stmt { return f.upTo(8, fir(f)) }, "peek outside work function", false},
 		{"drain with no tape at all", 0, noTapes, func(f *spanFixture) wfunc.Stmt { return f.upTo(8, wfunc.Pop1()) }, "pop outside work function", false},
 
+		{"rows head: the cursor one past the local array", fixInput, nil, func(f *spanFixture) wfunc.Stmt { return f.head(10) }, "array index 10 out of range [0,10)", false},
+		{"rows head: the last row's window one item short", 11, nil, func(f *spanFixture) wfunc.Stmt { return f.head(5) }, "peek(7)", false},
+		{"rows head: a negative fractional cursor", fixInput, nil, func(f *spanFixture) wfunc.Stmt {
+			// int(-0.5) is index 0 to the interpreter; the guard wants a
+			// whole start.
+			return wfunc.IfS(wfunc.C(1), wfunc.Set(f.p, wfunc.C(-0.5)), f.head(5))
+		}, "", false},
+		{"rows head: la[2q+1] one cell short", fixInput, nil, func(f *spanFixture) wfunc.Stmt {
+			return f.head(6, wfunc.Pop1(), f.store(f.la, wfunc.AddX(wfunc.MulX(f.q, wfunc.C(2)), wfunc.C(1))))
+		}, "array index 11 out of range [0,10)", false},
+		{"rows head: pops past the window", 12, nil, func(f *spanFixture) wfunc.Stmt {
+			return f.head(5, wfunc.Pop1(), wfunc.Pop1(), wfunc.Pop1(), f.store(f.la, f.p), f.step(1))
+		}, "peek(", false},
+
 		{"map: computed peek one past the window at trip 2", 10, nil, func(f *spanFixture) wfunc.Stmt { return f.upTo(8, perm(f, 11)) }, "peek(10)", false},
 		{"map: computed peek one past the window in the second block", 20, nil, func(f *spanFixture) wfunc.Stmt {
 			return f.upTo(30, wfunc.Push1(wfunc.PeekX(wfunc.SubX(f.v, wfunc.C(10)))))
@@ -634,7 +706,8 @@ func TestSpanGuardFailures(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if r, d, m, mp, _ := p.SpanCounts(); r+d+m+mp != 1 {
+			r, d, m, mp, rows := p.SpanCounts()
+			if r+d+m+mp != 1 {
 				t.Fatalf("the loop is not in the family (reduce/drain/move/map = %d/%d/%d/%d): the case tests nothing", r, d, m, mp)
 			}
 			interp, vm := fireBoth(t, k, ramp(tc.input), tc.tapes)
@@ -645,7 +718,11 @@ func TestSpanGuardFailures(t *testing.T) {
 			switch {
 			case tc.native && (vm.calls != 0 || vm.pushes != fixturePushes):
 				t.Errorf("vm made %d per-item reads and %d pushes: the span did not run", vm.calls, vm.pushes)
-			case !tc.native && (vm.calls != interp.calls || vm.pushes != interp.pushes):
+			case !tc.native && rows > 0 && vm.calls == 0:
+				// The generic row loop's inner reduce span reads natively;
+				// its pops are per-item calls.
+				t.Errorf("vm made no per-item reads: the guard let the rows span run")
+			case !tc.native && rows == 0 && (vm.calls != interp.calls || vm.pushes != interp.pushes):
 				t.Errorf("vm made %d per-item reads and %d pushes, interp %d and %d: the guard let the span run",
 					vm.calls, vm.pushes, interp.calls, interp.pushes)
 			}
@@ -663,6 +740,7 @@ type spanGen struct {
 	offs     []*wfunc.LocalRef // locals usable in offsets
 	farrs    []int             // field arrays
 	larrs    []int             // local arrays
+	llens    []int             // their lengths, when rows are on
 	tapeRead bool              // operands may peek and pop
 	// i and field, when set, let loop emit matrix row loops: i is their
 	// inner loop variable, and field(n) declares a field array of n
@@ -750,10 +828,15 @@ func (g *spanGen) loop() *wfunc.For {
 	return f
 }
 
-// rows is a matrix row loop (rows.go), for v = From; v < R; v++ { acc = c;
-// for i = 0; i < N; i++ { acc = acc + peek(i+p) * F[i+a·v+b] }; push(acc) }
-// with the factors in either order, over a field array F declared to hold
-// every row, or one element short. a may be 0, negative or MatMul's N.
+// rows is a matrix row loop (rows.go), for v = From; v < R; v++ {
+// prelude; for i = 0; i < N; i++ { acc = acc + peek(i+p) * F[i+a·v+b] };
+// P pops; output } with the factors in either order, over a field array F
+// declared to hold every row, or one element short. a may be 0, negative
+// or MatMul's N. The prelude ends in acc = c; it may start with fuse's
+// rezero (i = 0; acc = 0) or assign q or the cursor p. P runs from 0 to 3.
+// The output is push(acc), la[p] = acc; p = p + 1 — p starting wherever
+// the firing left it: negative, fractional or past the end — or
+// la[s·v+t] with the rows' highest index la's last or one past it.
 func (g *spanGen) rows() *wfunc.For {
 	r, n, p, from := g.pick(11), g.pick(6), g.pick(3), g.pick(3)
 	a := []int{n, 0, -n, 1, -2}[g.pick(5)]
@@ -775,9 +858,33 @@ func (g *spanGen) rows() *wfunc.For {
 		term = wfunc.MulX(w, x)
 	}
 	init := wfunc.C([]float64{0, math.Copysign(0, -1), 1.5, -2}[g.pick(4)])
-	return wfunc.ForUp(g.v, wfunc.Ci(from), wfunc.Ci(r), wfunc.Set(g.acc, init),
-		wfunc.ForUp(g.i, wfunc.Ci(0), wfunc.Ci(n), wfunc.Set(g.acc, wfunc.AddX(g.acc, term))),
-		wfunc.Push1(g.acc))
+	var body []wfunc.Stmt
+	switch g.pick(4) {
+	case 1:
+		body = []wfunc.Stmt{wfunc.Set(g.i, wfunc.C(0)), wfunc.Set(g.acc, wfunc.C(0))}
+	case 2:
+		body = []wfunc.Stmt{wfunc.Set(g.offs[1], wfunc.C(float64(g.pick(4))))}
+	case 3:
+		body = []wfunc.Stmt{wfunc.Set(g.offs[0], wfunc.C(float64(g.pick(4))))}
+	}
+	body = append(body, wfunc.Set(g.acc, init), wfunc.ForUp(g.i, wfunc.Ci(0), wfunc.Ci(n), wfunc.Set(g.acc, wfunc.AddX(g.acc, term))))
+	for range g.pick(4) {
+		body = append(body, wfunc.Pop1())
+	}
+	k := g.pick(len(g.larrs))
+	la, top := g.larrs[k], g.llens[k]-1+g.pick(2) // la's last index, or one past it
+	switch g.pick(3) {
+	case 0:
+		body = append(body, wfunc.Push1(g.acc))
+	case 1:
+		body = append(body, wfunc.SetLIdx(la, g.offs[0], g.acc), wfunc.Set(g.offs[0], wfunc.AddX(g.offs[0], wfunc.C(1))))
+	default:
+		// Row v stores to la[s·v+t]; the rows' highest index is top.
+		s := []int{1, 2, -1}[g.pick(3)]
+		t := top - max(s*from, s*last)
+		body = append(body, wfunc.SetLIdx(la, wfunc.AddX(wfunc.MulX(wfunc.Ci(s), g.v), wfunc.Ci(t)), g.acc))
+	}
+	return wfunc.ForUp(g.v, wfunc.Ci(from), wfunc.Ci(r), body...)
 }
 
 // mapBody is a body in and around the map family: one to four pushes or
@@ -882,7 +989,14 @@ func FuzzSpanKernel(f *testing.F) {
 	f.Add([]byte{9, 9, 20, 2, 2, 19, 2, 0, 0, 0, 1, 0, 0, 2, 19, 2, 1, 1, 1, 1, 3, 18, 4, 4})
 	// A 9-row MatMul of 4 columns from peek(1) on, its window wrapping the
 	// ring; a NaN and a -Inf lie behind the window.
-	f.Add([]byte{0, 0, 23, 20, 12, 0, 0, 2, 0, 0, 9, 4, 1, 0, 0, 0, 0, 0, 7, 14, 21, 28, 2, 9, 16, 23, 30, 4, 11, 18, 25, 32, 6, 13, 20, 27, 1, 8, 15, 22, 29, 3, 10, 17, 24, 31, 5, 12, 19, 26, 0, 7, 14, 0, 1, 1, 1, 0, 0, 2, 1, 0, 1, 0, 0, 2, 1, 0, 0, 11, 22, 0, 11, 22, 0, 11, 22, 0, 11, 22, 0, 11, 22, 0, 11, 22, 0, 11, 22, 0, 11, 5, 5, 5, 5, 5, 5, 5, 5, 5, 0, 5, 5, 1, 1, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 30})
+	f.Add([]byte{0, 0, 23, 20, 12, 0, 0, 2, 0, 0, 9, 4, 1, 0, 0, 0, 0, 0, 7, 14, 21, 28, 2, 9, 16, 23, 30, 4, 11, 18, 25, 32, 6, 13, 20, 27, 1, 8, 15, 22, 29, 3, 10, 17, 24, 31, 5, 12, 19, 26, 0, 7, 14, 0, 1, 1, 0, 0, 0, 0, 0, 1, 0, 0, 2, 1, 0, 1, 0, 0, 2, 1, 0, 0, 11, 22, 0, 11, 22, 0, 11, 22, 0, 11, 22, 0, 11, 22, 0, 11, 22, 0, 11, 22, 0, 11, 5, 5, 5, 5, 5, 5, 5, 5, 5, 0, 5, 5, 1, 1, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 30})
+	// FilterBank's fused head, 5 rows of 5 taps from F[0] on: fuse's
+	// prelude, one pop a row, stored at a cursor from 1 on, the window
+	// wrapping the ring.
+	f.Add([]byte{0, 0, 20, 4, 20, 7, 3, 4, 2, 0, 5, 5, 0, 0, 1, 0, 0, 20, 12, 28, 8, 17, 1, 1, 0, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 10, 17, 24, 31, 5, 12, 19, 26, 0, 7, 14, 21, 28, 2, 9, 16, 23, 30, 4, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 28})
+	// The same head with two pops a row, storing to la[2v+t] one cell past
+	// la's end.
+	f.Add([]byte{0, 0, 20, 4, 20, 7, 3, 4, 2, 0, 5, 5, 0, 0, 1, 0, 0, 20, 12, 28, 8, 17, 1, 1, 0, 1, 2, 0, 1, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 10, 17, 24, 31, 5, 12, 19, 26, 0, 7, 14, 21, 28, 2, 9, 16, 23, 30, 4, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 28})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pick := func(n int) int {
 			if len(data) == 0 {
@@ -906,7 +1020,7 @@ func FuzzSpanKernel(f *testing.F) {
 		g := &spanGen{pick: pick, tapeRead: true, farrs: []int{fa, fb},
 			larrs: []int{kb.LocalArray("la", nl[0]), kb.LocalArray("lb", nl[1])},
 			v:     kb.Local("v"), acc: kb.Local("acc"), offs: []*wfunc.LocalRef{kb.Local("p"), kb.Local("q")},
-			i: kb.Local("i"),
+			i: kb.Local("i"), llens: nl,
 		}
 		rowArrays := 0
 		g.field = func(n int) int {
