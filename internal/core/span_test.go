@@ -63,7 +63,7 @@ func TestSuiteSpanKernels(t *testing.T) {
 		"DCT":            {[5]int{3, 4, 0, 0, 3}, [5]int{6, 1, 0, 0, 0}, 0, 0},
 		"DES":            {[5]int{0, 81, 0, 96, 0}, [5]int{0, 33, 0, 96, 0}, 0, 0},
 		"FFT":            {[5]int{0, 6, 0, 5, 0}, [5]int{0, 6, 0, 5, 0}, 0, 0},
-		"FilterBank":     {[5]int{17, 10, 0, 0, 0}, [5]int{17, 2, 0, 0, 8}, 17, 9},
+		"FilterBank":     {[5]int{17, 10, 0, 0, 0}, [5]int{17, 10, 0, 0, 0}, 17, 9},
 		"FMRadio":        {[5]int{22, 2, 0, 0, 0}, [5]int{22, 2, 0, 0, 0}, 22, 22},
 		"Serpent":        {[5]int{0, 97, 0, 96, 0}, [5]int{0, 3, 0, 192, 0}, 0, 0},
 		"TDE":            {[5]int{10, 11, 0, 0, 10}, [5]int{20, 3, 0, 0, 2}, 0, 0},
@@ -84,7 +84,9 @@ func TestSuiteSpanKernels(t *testing.T) {
 		check(app.Name, "as written", c.Graph, want.flat, want.flatRows)
 		// Fusion turns a stage's drains into cursor arithmetic, its peeks
 		// into loads from the edge array and its pushes into stores to the
-		// next, so the plan's counts differ.
+		// next, so the plan's counts differ. FilterBank's fused heads keep
+		// only the FIR row their Downsample reads (fuse's dead trips): a
+		// reduce span and a drain each, the counts as written.
 		plan, err := partition.BuildExecPlan(c.Program, c.Graph, c.Schedule,
 			partition.ExecPlanOptions{Strategy: partition.StratCoarseData, Workers: 2})
 		if err != nil {

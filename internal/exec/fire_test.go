@@ -9,6 +9,7 @@ import (
 
 	"streamit/internal/apps"
 	"streamit/internal/faults"
+	"streamit/internal/fuse"
 	"streamit/internal/ir"
 	"streamit/internal/obs"
 	"streamit/internal/sched"
@@ -210,6 +211,21 @@ func headFilter(peek int, short bool) *ir.Filter {
 	return &ir.Filter{Kernel: b.Build(), In: ir.TypeFloat, Out: ir.TypeFloat}
 }
 
+// deadRowOverread is fuse.Chain of a 4-tap FIR declared peek 3 ahead of
+// a Downsample by 4: the FIR's trips 1-3 are dead, since the decimator
+// reads only trip 0's row. Trips 1 and 2 read inside the fused window and
+// are dropped; trip 3 reads one item past it, so it stays and faults at
+// firing 0, where the unfused FIR faults.
+func deadRowOverread() *ir.Filter {
+	fir := apps.FIR("mid", 4, 0.3)
+	fir.Kernel.Peek = 3
+	f, _, err := fuse.Chain("mid", fir, apps.Downsample("dec", 4))
+	if err != nil {
+		panic(err)
+	}
+	return f
+}
+
 // errorCase builds a fresh copy of src -> mid -> snk for one engine, with
 // mid failing at its firing errAt, and the options that make it fail.
 type errorCase struct {
@@ -314,6 +330,8 @@ func TestCrossEngineErrors(t *testing.T) {
 		// its pops move, and every store's cell.
 		{name: "IL fused head reading past its declared peek", op: "peek", first: true, mid: func() *ir.Filter { return headFilter(5, false) }},
 		{name: "IL fused head's local array one cell short", op: "work", src: blockSource, mid: func() *ir.Filter { return headFilter(6, true) }},
+		// Fusion may drop a dead trip only if it cannot fault.
+		{name: "IL fused FIR's dead row reading past its declared peek", op: "peek", first: true, mid: deadRowOverread},
 		{name: "injected panic under fail", op: "injected panic",
 			mid: func() *ir.Filter { return gainFilter("mid", 2) },
 			opts: func(t *testing.T) Options {

@@ -140,7 +140,7 @@ func TestFusedNodeRunsOnSelectedBackend(t *testing.T) {
 			b.WorkBody(wfunc.Push1(wfunc.MulX(wfunc.PopE(), wfunc.C(2))))
 			return &ir.Filter{Kernel: b.Build(), In: ir.TypeFloat, Out: ir.TypeFloat}
 		}
-		fused, err := fuse.Chain("a+b", gain("a"), gain("b"))
+		fused, _, err := fuse.Chain("a+b", gain("a"), gain("b"))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,0 +1,104 @@
+package fuse_test
+
+import (
+	"fmt"
+	"regexp"
+	"strings"
+	"testing"
+
+	"streamit/internal/apps"
+	"streamit/internal/core"
+	"streamit/internal/fuse"
+	"streamit/internal/ir"
+	"streamit/internal/partition"
+)
+
+// planVerdicts builds app's task+data plan for 2 workers and returns, per
+// fused kernel of it that drops trips (fission replicas once), the trips
+// fuse.Chain keeps of each constituent, "kept/mult" joined by spaces, and
+// how many fused kernels keep every trip.
+func planVerdicts(t *testing.T, app apps.App) (dropped map[string]string, whole int) {
+	t.Helper()
+	c, err := core.Compile(app.Build(), core.Options{})
+	if err != nil {
+		t.Fatalf("%s: %v", app.Name, err)
+	}
+	byName := map[string]*ir.Filter{}
+	for _, n := range c.Graph.Nodes {
+		if n.Kind == ir.NodeFilter {
+			byName[n.Filter.Kernel.Name] = n.Filter
+		}
+	}
+	plan, err := partition.BuildExecPlan(c.Program, c.Graph, c.Schedule,
+		partition.ExecPlanOptions{Strategy: partition.StratCoarseData, Workers: 2})
+	if err != nil {
+		t.Fatalf("%s: %v", app.Name, err)
+	}
+	g, err := ir.Flatten(plan.Program)
+	if err != nil {
+		t.Fatalf("%s: %v", app.Name, err)
+	}
+	replica := regexp.MustCompile(`/f[0-9]+$`)
+	dropped, seen := map[string]string{}, map[string]bool{}
+	for _, n := range g.Nodes {
+		if n.Kind != ir.NodeFilter {
+			continue
+		}
+		name := replica.ReplaceAllString(n.Filter.Kernel.Name, "")
+		if !strings.Contains(name, "+") || seen[name] {
+			continue
+		}
+		seen[name] = true
+		var seg []*ir.Filter
+		for _, part := range strings.Split(name, "+") {
+			seg = append(seg, byName[part])
+		}
+		_, trips, err := fuse.Chain(name, seg...)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var v []string
+		drops := false
+		for _, tr := range trips {
+			v = append(v, fmt.Sprintf("%d/%d", tr.Kept, tr.Of))
+			drops = drops || tr.Kept < tr.Of
+		}
+		if !drops {
+			whole++
+			continue
+		}
+		dropped[name] = strings.Join(v, " ")
+	}
+	return dropped, whole
+}
+
+// TestChainDeadTripsSuite pins the dropped-trip verdict of every fused
+// kernel in the task+data plans of the 12 apps and of the linear suite's
+// decimating chains: only FilterBank's 8 heads drop trips, each keeping 1
+// of its FIR's 8 rows — the one its Downsample reads — and so do
+// FilterBankL's (32 taps), RateConvert's interp+down3 (1 of 3) and DToA's
+// da_shape+da_dec (1 of 2).
+// Every other fused kernel keeps every trip.
+func TestChainDeadTripsSuite(t *testing.T) {
+	heads := map[string]string{}
+	for i := range 8 {
+		heads[fmt.Sprintf("analysis%d+down%d+up%d", i, i, i)] = "1/8 1/1 1/1"
+	}
+	want := map[string]map[string]string{
+		"FilterBank":  heads,
+		"FilterBankL": heads,
+		"RateConvert": {"interp+down3": "1/3 1/1"},
+		"DToA":        {"da_shape+da_dec": "1/2 1/1"},
+	}
+	for _, app := range append(apps.Suite(), apps.LinearSuite()...) {
+		dropped, whole := planVerdicts(t, app)
+		w := want[app.Name]
+		if w == nil {
+			w = map[string]string{}
+		}
+		if fmt.Sprint(dropped) != fmt.Sprint(w) {
+			t.Errorf("%s: dropped trips %v, want %v", app.Name, dropped, w)
+		}
+		t.Logf("%s: %d fused kernels keep every trip, %d drop some", app.Name, whole, len(dropped))
+	}
+}

@@ -16,6 +16,13 @@
 // the real output, so nothing is fired twice and the engines, backends,
 // checkpoints and profiler see a filter like any other.
 //
+// A dead trip — one of a stage's runs inside the fused firing whose pushes
+// no kept run of the next stage reads, as a FIR's rows behind a decimator
+// — keeps only its pops, if it provably cannot fault: its peeks inside the
+// fused window given the pops before it, its array indices constants or
+// counted-loop expressions inside their arrays, no print or send (see
+// dropped; planners scale a stage's work estimate by Chain's verdict).
+//
 // The paper's coarsening keeps the result as parallelisable as its parts:
 // a filter that peeks beyond its pop rate may head a chain but never joins
 // one (its peek history would have to become state of the fused filter),
@@ -73,15 +80,16 @@ func CanFollow(a, b *ir.Filter) error {
 //	peek = (m[0]-1) * pop[0] + peek[0]
 //
 // where m is the minimal repetition vector of the chain. Every adjacent
-// pair must satisfy CanFollow.
-func Chain(name string, filters ...*ir.Filter) (*ir.Filter, error) {
+// pair must satisfy CanFollow. trips[i] counts how many of filter i's m[i]
+// firings inside one fused firing are kept whole.
+func Chain(name string, filters ...*ir.Filter) (f *ir.Filter, trips []Trips, err error) {
 	n := len(filters)
 	if n < 2 {
-		return nil, fmt.Errorf("fuse: a chain needs at least two filters, got %d", n)
+		return nil, nil, fmt.Errorf("fuse: a chain needs at least two filters, got %d", n)
 	}
 	for i := 1; i < n; i++ {
 		if err := CanFollow(filters[i-1], filters[i]); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	mult := repetitions(filters)
@@ -146,6 +154,7 @@ func Chain(name string, filters ...*ir.Filter) (*ir.Filter, error) {
 		stages[i].out = cursor{buf: buf, pos: fr.local(), known: mult[i] == 1}
 		stages[i+1].in = cursor{buf: buf, pos: fr.local(), known: mult[i+1] == 1}
 	}
+	drop, trips := dropped(filters, mult)
 	var work []wfunc.Stmt
 	for i, f := range filters {
 		st, body := stages[i], f.Kernel.Work.Body
@@ -158,19 +167,23 @@ func Chain(name string, filters ...*ir.Filter) (*ir.Filter, error) {
 		iter := st.rezero(&fr)
 		iter = append(iter, st.block(body)...)
 		iter = st.out.sync(st.in.sync(iter))
-		work = append(work, &wfunc.For{Var: fr.local(), From: wfunc.Ci(0), To: wfunc.Ci(mult[i]), Body: iter})
+		work = st.trips(work, iter, drop[i], &fr, f.Kernel)
 	}
 	for _, st := range stages {
 		if st.err != nil {
-			return nil, st.err
+			return nil, nil, st.err
 		}
 	}
 	kern.Work = &wfunc.Func{Name: name + ".work", Body: work, NumLocals: fr.locals, ArraySizes: fr.arrays}
 	if err := wfunc.Validate(kern); err != nil {
-		return nil, fmt.Errorf("fuse: %w", err)
+		return nil, nil, fmt.Errorf("fuse: %w", err)
 	}
-	return &ir.Filter{Kernel: kern, In: filters[0].In, Out: filters[n-1].Out}, nil
+	return &ir.Filter{Kernel: kern, In: filters[0].In, Out: filters[n-1].Out}, trips, nil
 }
+
+// Trips counts a stage's firings inside one fused firing: Of in all, Kept
+// of them whole. Of the others, dead trips, only the pops are left.
+type Trips struct{ Kept, Of int }
 
 // Name is the conventional name of the chain of filters, "a+b+c": fault
 // plans split fused instance names at the plus signs to find the

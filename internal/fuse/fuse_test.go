@@ -1,9 +1,11 @@
 package fuse
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -170,6 +172,16 @@ func mkSbox(name string, groups, per int) *ir.Filter {
 	return filterOf(b)
 }
 
+// mkDecimate keeps one item of every pop, the keep-th, and drains the
+// rest: behind it, the trips of its producer that store the other items
+// are dead.
+func mkDecimate(name string, pop, keep int) *ir.Filter {
+	b := wfunc.NewKernel(name, pop, pop, 1)
+	i := b.Local("i")
+	b.WorkBody(wfunc.Push1(wfunc.PeekE(keep)), wfunc.ForUp(i, wfunc.Ci(0), wfunc.Ci(pop), wfunc.Pop1()))
+	return filterOf(b)
+}
+
 func ramp(name string) *ir.Filter {
 	b := wfunc.NewKernel(name, 0, 0, 1)
 	n := b.Field("n", 0)
@@ -193,7 +205,7 @@ func TestConcurrentFusion(t *testing.T) {
 				a := mkStateless("a", 2, 1, 2, 0.5)
 				b := mkStateless("b", 2, 2, 1, 2)
 				c := mkStateful("c", 1, 1, 1)
-				abc, err := Chain("abc", a, b, c)
+				abc, _, err := Chain("abc", a, b, c)
 				if err != nil {
 					t.Errorf("worker %d: %v", w, err)
 					return
@@ -208,7 +220,9 @@ func TestConcurrentFusion(t *testing.T) {
 	wg.Wait()
 }
 
-func outputsOn(t *testing.T, backend exec.Backend, mid []ir.Stream, iters int) []float64 {
+// outputsOn runs ramp -> mid -> sink on backend for iters iterations and
+// returns what the sink saw and the run's error.
+func outputsOn(t *testing.T, backend exec.Backend, mid []ir.Stream, iters int) ([]float64, error) {
 	t.Helper()
 	snk, got := exec.SliceSink("snk")
 	children := append([]ir.Stream{ramp("src")}, mid...)
@@ -226,15 +240,18 @@ func outputsOn(t *testing.T, backend exec.Backend, mid []ir.Stream, iters int) [
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(iters); err != nil {
-		t.Fatal(err)
-	}
-	return *got
+	err = e.Run(iters)
+	return *got, err
 }
 
-func outputsOf(t *testing.T, mid []ir.Stream, iters int) []float64 {
-	t.Helper()
-	return outputsOn(t, exec.BackendVM, mid, iters)
+// faultOf is what a run's error says beside the filter and firing, which
+// fusion renames and renumbers: the operation and the tape's message.
+func faultOf(err error) string {
+	var ee *exec.ExecError
+	if errors.As(err, &ee) {
+		return fmt.Sprintf("%s: %v", ee.Op, ee.Err)
+	}
+	return fmt.Sprint(err)
 }
 
 // wantSameBits compares the common prefix of two output streams bit for
@@ -253,22 +270,38 @@ func wantSameBits(t *testing.T, what string, plain, fused []float64, atLeast int
 }
 
 // wantFusedMatches runs the unfused pipeline on the interpreter and the
-// fused filter on both backends.
-func wantFusedMatches(t *testing.T, what string, mk func() []*ir.Filter) {
+// fused filter on both backends: the same outputs bit for bit. A chain
+// built to fault (wantFault) must fault, and the fused filter the same
+// way after the same outputs; any other chain must run clean. It reports
+// whether the pipeline faulted.
+func wantFusedMatches(t *testing.T, what string, wantFault bool, mk func() []*ir.Filter) bool {
 	t.Helper()
 	var mid []ir.Stream
 	for _, f := range mk() {
 		mid = append(mid, f)
 	}
-	plain := outputsOn(t, exec.BackendInterp, mid, 64)
+	plain, plainErr := outputsOn(t, exec.BackendInterp, mid, 64)
+	atLeast := 16
+	switch {
+	case !wantFault && plainErr != nil:
+		t.Fatalf("%s: pipeline: %v", what, plainErr)
+	case wantFault && plainErr == nil:
+		t.Fatalf("%s: the pipeline reads past its declared peek but does not fault", what)
+	case wantFault:
+		atLeast = 0
+	}
 	for _, backend := range []exec.Backend{exec.BackendVM, exec.BackendInterp} {
-		fused, err := Chain("fused", mk()...)
+		fused, _, err := Chain("fused", mk()...)
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
-		wantSameBits(t, fmt.Sprintf("%s on %s", what, backend), plain,
-			outputsOn(t, backend, []ir.Stream{fused}, 64), 16)
+		got, err := outputsOn(t, backend, []ir.Stream{fused}, 64)
+		if faultOf(err) != faultOf(plainErr) {
+			t.Fatalf("%s on %s: fused run ends in %v, the pipeline in %v", what, backend, err, plainErr)
+		}
+		wantSameBits(t, fmt.Sprintf("%s on %s", what, backend), plain, got, atLeast)
 	}
+	return plainErr != nil
 }
 
 // wantPeekRule asserts err is the refusal that names the paper's rule.
@@ -303,11 +336,11 @@ func TestFusedMatchesPipeline(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			if c.refused {
-				_, err := Chain("fused", c.a(), c.b())
+				_, _, err := Chain("fused", c.a(), c.b())
 				wantPeekRule(t, err)
 				return
 			}
-			wantFusedMatches(t, c.name, func() []*ir.Filter { return []*ir.Filter{c.a(), c.b()} })
+			wantFusedMatches(t, c.name, false, func() []*ir.Filter { return []*ir.Filter{c.a(), c.b()} })
 		})
 	}
 }
@@ -337,7 +370,7 @@ func TestChainTable(t *testing.T) {
 	}
 	for name, mk := range cases {
 		mk := mk
-		t.Run(name, func(t *testing.T) { wantFusedMatches(t, name, mk) })
+		t.Run(name, func(t *testing.T) { wantFusedMatches(t, name, false, mk) })
 	}
 }
 
@@ -347,7 +380,7 @@ func TestChainTable(t *testing.T) {
 // second, the permutation gathers from that onto the tape, and only the
 // head's drain is left of the three drains.
 func TestFusedSerpentRoundIsSpans(t *testing.T) {
-	fused, err := Chain("round", apps.KeyXor("key", 128, 3), apps.Sbox("sbox", 128), apps.Permute("perm", 128, 5))
+	fused, _, err := Chain("round", apps.KeyXor("key", 128, 3), apps.Sbox("sbox", 128), apps.Permute("perm", 128, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +409,7 @@ func TestFusedSerpentRoundIsSpans(t *testing.T) {
 	}
 	// Behind a stage that turns the ramp into bits, the round is
 	// bit-identical to its pipeline on both backends.
-	wantFusedMatches(t, "Serpent round", func() []*ir.Filter {
+	wantFusedMatches(t, "Serpent round", false, func() []*ir.Filter {
 		b := wfunc.NewKernel("bits", 1, 1, 1)
 		b.WorkBody(wfunc.Push1(wfunc.Bin(wfunc.Mod, wfunc.PopE(), wfunc.Ci(2))))
 		return []*ir.Filter{filterOf(b), apps.KeyXor("key", 128, 3), apps.Sbox("sbox", 128), apps.Permute("perm", 128, 5)}
@@ -389,7 +422,7 @@ func TestFusedSerpentRoundIsSpans(t *testing.T) {
 // per edge zeroed and streamed through 97 KB every firing).
 func TestChainEdgesTakeTurns(t *testing.T) {
 	// Edge sizes in one fused firing: 6, 6, 4, 4, 2.
-	fused, err := Chain("x", mkHorner("A", 1, 6), mkHorner("B", 1, 1), mkHorner("C", 3, 2),
+	fused, _, err := Chain("x", mkHorner("A", 1, 6), mkHorner("B", 1, 1), mkHorner("C", 3, 2),
 		mkHorner("D", 1, 1), mkHorner("E", 2, 1), mkHorner("F", 1, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -399,52 +432,137 @@ func TestChainEdgesTakeTurns(t *testing.T) {
 	}
 }
 
-// TestFuseRandomized: seeded random chains of 2-6 kernels over the rate
-// pairs 1:1, 2:3 and 3:2 (and their mixes), any body style in any place, a
-// peeking head and a stateful tail now and then.
-func TestFuseRandomized(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	rates := [][2]int{{1, 1}, {2, 3}, {3, 2}, {1, 2}, {4, 1}}
-	for trial := 0; trial < 40; trial++ {
-		n := 2 + rng.Intn(5)
-		type spec struct{ style, peek, pop, push int }
-		specs := make([]spec, n)
-		var desc []string
-		for i := range specs {
-			r := rates[rng.Intn(len(rates))]
-			s := spec{style: rng.Intn(5), peek: r[0], pop: r[0], push: r[1]}
-			if i == 0 && rng.Intn(2) == 0 {
-				s.style, s.peek = 0, s.pop+1+rng.Intn(4)
-			}
-			if i == n-1 && rng.Intn(3) == 0 {
-				s.style = 5
-			}
-			specs[i] = s
-			desc = append(desc, fmt.Sprintf("%d:%d/%d/%d", s.style, s.peek, s.pop, s.push))
+// chainSpec is one stage of a generated chain: a body style and its
+// rates; keep is the item a decimating stage pushes, and a head that
+// overreads peeks one item past its declared peek.
+type chainSpec struct {
+	style, peek, pop, push, keep int
+	overread                     bool
+}
+
+const (
+	styleDecimate = 5
+	styleStateful = 6
+)
+
+// decodeChain reads a chain of 2-6 stages from b, one byte a choice (0
+// once b runs out), over the rate pairs 1:1, 2:3, 3:2, 1:2 and 4:1: any
+// body style in any place, a peeking head now and then (one in four of
+// them reading past its declared peek, so the run faults), and a stateful
+// tail now and then.
+func decodeChain(b []byte) []chainSpec {
+	next := func(n int) int {
+		if len(b) == 0 {
+			return 0
 		}
-		mk := func() []*ir.Filter {
-			fs := make([]*ir.Filter, n)
-			for i, s := range specs {
-				name := fmt.Sprintf("K%d", i)
-				switch s.style {
-				case 0:
-					fs[i] = mkStateless(name, s.peek, s.pop, s.push, 0.5)
-				case 1:
-					fs[i] = mkHorner(name, s.pop, s.push)
-				case 2:
-					fs[i] = mkBranchy(name, s.pop, s.push)
-				case 3:
-					fs[i] = mkScratch(name, s.pop, s.push)
-				case 4:
-					fs[i] = mkGather(name, s.pop, s.push)
-				case 5:
-					fs[i] = mkStateful(name, s.pop, s.pop, s.push)
-				}
-			}
-			return fs
-		}
-		wantFusedMatches(t, fmt.Sprintf("trial %d (%s)", trial, strings.Join(desc, " ")), mk)
+		v := int(b[0]) % n
+		b = b[1:]
+		return v
 	}
+	rates := [][2]int{{1, 1}, {2, 3}, {3, 2}, {1, 2}, {4, 1}}
+	specs := make([]chainSpec, 2+next(5))
+	for i := range specs {
+		r := rates[next(len(rates))]
+		s := chainSpec{style: next(6), peek: r[0], pop: r[0], push: r[1]}
+		if s.style == styleDecimate {
+			s.push, s.keep = 1, next(s.pop)
+		}
+		if i == 0 && next(2) == 0 {
+			s.style, s.peek, s.overread = 0, s.pop+1+next(4), next(4) == 0
+		}
+		if i == len(specs)-1 && next(3) == 0 {
+			s.style = styleStateful
+		}
+		specs[i] = s
+	}
+	return specs
+}
+
+// String is style:peek/pop/push, then @keep for a decimator and + for a
+// head that overreads.
+func (s chainSpec) String() string {
+	d := fmt.Sprintf("%d:%d/%d/%d", s.style, s.peek, s.pop, s.push)
+	if s.style == styleDecimate {
+		d += fmt.Sprintf("@%d", s.keep)
+	}
+	if s.overread {
+		d += "+"
+	}
+	return d
+}
+
+// buildChain builds fresh filters for specs.
+func buildChain(specs []chainSpec) []*ir.Filter {
+	fs := make([]*ir.Filter, len(specs))
+	for i, s := range specs {
+		name := fmt.Sprintf("K%d", i)
+		switch s.style {
+		case 0:
+			if s.overread {
+				fs[i] = mkStateless(name, s.peek+1, s.pop, s.push, 0.5)
+				fs[i].Kernel.Peek = s.peek
+			} else {
+				fs[i] = mkStateless(name, s.peek, s.pop, s.push, 0.5)
+			}
+		case 1:
+			fs[i] = mkHorner(name, s.pop, s.push)
+		case 2:
+			fs[i] = mkBranchy(name, s.pop, s.push)
+		case 3:
+			fs[i] = mkScratch(name, s.pop, s.push)
+		case 4:
+			fs[i] = mkGather(name, s.pop, s.push)
+		case styleDecimate:
+			fs[i] = mkDecimate(name, s.pop, s.keep)
+		case styleStateful:
+			fs[i] = mkStateful(name, s.pop, s.pop, s.push)
+		}
+	}
+	return fs
+}
+
+// chainTrials are TestFuseRandomized's seeded chains, as the bytes
+// decodeChain reads: FuzzChain's seed corpus.
+func chainTrials() [][]byte {
+	rng := rand.New(rand.NewSource(31))
+	trials := make([][]byte, 40)
+	for i := range trials {
+		trials[i] = make([]byte, 24)
+		rng.Read(trials[i])
+	}
+	return trials
+}
+
+// TestFuseRandomized: seeded random chains (decodeChain). A decimating
+// stage leaves most of its producer's trips dead, so random chains drop
+// trips and keep them: an overreading head's last trip is dead but
+// faults, and the fused run must fault where the pipeline does.
+func TestFuseRandomized(t *testing.T) {
+	dropping, faulting := 0, 0
+	for trial, b := range chainTrials() {
+		specs := decodeChain(b)
+		if wantFusedMatches(t, fmt.Sprintf("trial %d %v", trial, specs), specs[0].overread, func() []*ir.Filter { return buildChain(specs) }) {
+			faulting++
+		}
+		if _, trips, _ := Chain("fused", buildChain(specs)...); slices.ContainsFunc(trips, func(tr Trips) bool { return tr.Kept < tr.Of }) {
+			dropping++
+		}
+	}
+	if dropping == 0 || faulting == 0 {
+		t.Errorf("%d trials drop trips and %d fault: the generator no longer covers both", dropping, faulting)
+	}
+}
+
+// FuzzChain fuses chains decoded from fuzzed bytes: outputs bit-equal to
+// the pipeline's on both backends, and the same fault.
+func FuzzChain(f *testing.F) {
+	for _, b := range chainTrials() {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		specs := decodeChain(b)
+		wantFusedMatches(t, fmt.Sprint(specs), specs[0].overread, func() []*ir.Filter { return buildChain(specs) })
+	})
 }
 
 // TestFuseRejections: a peeking non-head, a stateful producer, handlers,
@@ -454,7 +572,7 @@ func TestFuseRejections(t *testing.T) {
 	plain := func() *ir.Filter { return mkStateless("P", 1, 1, 1, 1) }
 	refused := func(what, want string, fs ...*ir.Filter) {
 		t.Helper()
-		_, err := Chain("x", fs...)
+		_, _, err := Chain("x", fs...)
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: want an error containing %q, got %v", what, want, err)
 		}
@@ -484,7 +602,7 @@ func TestFuseRejections(t *testing.T) {
 	cb.WorkBody(wfunc.Push1(&wfunc.Cond{C: wfunc.PopE(), A: wfunc.PopE(), B: wfunc.PopE()}))
 	refused("conditional pop", "a conditional arm", plain(), mkStateless("U", 1, 1, 2, 1), filterOf(cb))
 	// The same body reads the real tape when it heads the chain.
-	if _, err := Chain("x", filterOf(cb), plain()); err != nil {
+	if _, _, err := Chain("x", filterOf(cb), plain()); err != nil {
 		t.Errorf("conditional pops in the head stage: %v", err)
 	}
 
@@ -501,13 +619,19 @@ func TestFuseRejections(t *testing.T) {
 
 // BenchmarkFusionOverhead compares a three-filter pipeline against its
 // fully fused form: fusion removes per-firing engine and channel overhead.
+// filterbank-head does the same for FilterBank's analysis -> down -> up
+// (64 taps, factor 8), whose FIR keeps 1 of its 8 rows once fused. An op
+// is one steady iteration: one firing of the fused filter.
 func BenchmarkFusionOverhead(b *testing.B) {
-	mk := func() []*ir.Filter {
+	threeStage := func() []*ir.Filter {
 		return []*ir.Filter{
 			mkStateless("A", 3, 1, 1, 0.5),
 			mkStateless("B", 1, 1, 1, 2),
 			mkStateless("C", 1, 1, 1, 0.25),
 		}
+	}
+	filterbankHead := func() []*ir.Filter {
+		return []*ir.Filter{apps.FIR("analysis", 64, 0.3), apps.Downsample("down", 8), apps.Upsample("up", 8)}
 	}
 	run := func(b *testing.B, mid ...*ir.Filter) {
 		snk, _ := exec.SliceSink("snk")
@@ -531,12 +655,15 @@ func BenchmarkFusionOverhead(b *testing.B) {
 			}
 		}
 	}
-	b.Run("unfused", func(b *testing.B) { run(b, mk()...) })
-	b.Run("fused", func(b *testing.B) {
-		fused, err := Chain(Name(mk()), mk()...)
+	fused := func(b *testing.B, mk func() []*ir.Filter) {
+		f, _, err := Chain(Name(mk()), mk()...)
 		if err != nil {
 			b.Fatal(err)
 		}
-		run(b, fused)
-	})
+		run(b, f)
+	}
+	b.Run("unfused", func(b *testing.B) { run(b, threeStage()...) })
+	b.Run("fused", func(b *testing.B) { fused(b, threeStage) })
+	b.Run("filterbank-head/unfused", func(b *testing.B) { run(b, filterbankHead()...) })
+	b.Run("filterbank-head/fused", func(b *testing.B) { fused(b, filterbankHead) })
 }

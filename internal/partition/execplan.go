@@ -249,7 +249,7 @@ func (b *planBuilder) rewriteRun(run []*ir.Filter) ([]ir.Stream, error) {
 	if b.strategy == StratFineData {
 		var out []ir.Stream
 		for _, f := range run {
-			st, err := b.rewriteSegment([]*ir.Filter{f}, b.fineFactor(f))
+			st, err := b.rewriteSegment([]*ir.Filter{f}, f, b.perSteady(f), b.fineFactor(f))
 			if err != nil {
 				return nil, err
 			}
@@ -259,11 +259,21 @@ func (b *planBuilder) rewriteRun(run []*ir.Filter) ([]ir.Stream, error) {
 	}
 	var out []ir.Stream
 	for _, seg := range b.segment(run) {
-		var work int64
-		for _, f := range seg {
-			work += b.perSteady(f)
+		whole, work := seg[0], b.perSteady(seg[0])
+		if len(seg) > 1 {
+			// The estimate follows the fused kernel: each filter's share is
+			// scaled to the trips fusion keeps of it.
+			var trips []fuse.Trips
+			var err error
+			if whole, trips, err = fuse.Chain(fuse.Name(seg), seg...); err != nil {
+				return nil, err
+			}
+			work = 0
+			for i, f := range seg {
+				work += b.perSteady(f) * int64(trips[i].Kept) / int64(trips[i].Of)
+			}
 		}
-		st, err := b.rewriteSegment(seg, b.fissFactor(work))
+		st, err := b.rewriteSegment(seg, whole, work, b.fissFactor(work))
 		if err != nil {
 			return nil, err
 		}
@@ -296,28 +306,17 @@ func (b *planBuilder) segment(run []*ir.Filter) [][]*ir.Filter {
 	return segs
 }
 
-// rewriteSegment emits the executable form of one fusable segment with
-// fission factor k: the original filter (len 1, k==1), a single fused
-// filter (k==1), or a scatter/replicas/gather split-join (k>1). Every
-// filter it synthesizes is plain IL; replicas are fresh Filter and Kernel
-// values sharing immutable bodies.
-func (b *planBuilder) rewriteSegment(seg []*ir.Filter, k int) (ir.Stream, error) {
-	var segWork int64
-	for _, f := range seg {
-		segWork += b.perSteady(f)
-	}
+// rewriteSegment emits the executable form of one fusable segment, whole
+// once fused, of segWork cycles per steady iteration, with fission factor
+// k: the original filter (len 1, k==1), a single fused filter (k==1), or a
+// scatter/replicas/gather split-join (k>1). Every filter it synthesizes is
+// plain IL; replicas are fresh Filter and Kernel values sharing immutable
+// bodies.
+func (b *planBuilder) rewriteSegment(seg []*ir.Filter, whole *ir.Filter, segWork int64, k int) (ir.Stream, error) {
 	// Items entering the segment per original steady iteration, for
 	// converting segment work to per-firing work of the fused result.
 	inItems := b.reps(seg[0]) * int64(seg[0].Kernel.Pop)
-
-	whole := seg[0]
-	if len(seg) > 1 {
-		var err error
-		if whole, err = fuse.Chain(fuse.Name(seg), seg...); err != nil {
-			return nil, err
-		}
-		b.plan.Fused += len(seg) - 1
-	}
+	b.plan.Fused += len(seg) - 1
 	kw := whole.Kernel
 	P, U, E := kw.Pop, kw.Push, kw.Peek-kw.Pop
 	pf := perFiring(segWork, int64(P), inItems)
