@@ -32,7 +32,7 @@ func spanCounts(t *testing.T, g *ir.Graph) (sum [5]int, rows int) {
 	return sum, rows
 }
 
-// TestSuiteSpanKernels pins, per program the benchmark runs, how many loops
+// TestSuiteSpanKernels pins, per program the benchmark and E7 run, how many loops
 // of its work functions the VM compiles to span instructions (reduce,
 // drain, move, map, rows) and how many of its work functions are row kernels,
 // which blocks run four firings at a time — in the program as written and
@@ -70,8 +70,16 @@ func TestSuiteSpanKernels(t *testing.T) {
 		"MPEG2Decoder":   {[5]int{1, 4, 0, 2, 1}, [5]int{2, 3, 0, 2, 0}, 0, 0},
 		"Vocoder":        {[5]int{17, 2, 0, 0, 0}, [5]int{17, 2, 0, 0, 0}, 17, 17},
 		"Radar":          {[5]int{28, 5, 48, 0, 4}, [5]int{28, 5, 48, 0, 4}, 0, 0},
+		// The linear suite, as E7 runs it unoptimised.
+		"FIR":          {[5]int{1, 1, 0, 0, 0}, [5]int{2, 3, 0, 0, 0}, 1, 2},
+		"RateConvert":  {[5]int{2, 2, 0, 0, 0}, [5]int{4, 7, 0, 0, 0}, 2, 2},
+		"TargetDetect": {[5]int{4, 1, 0, 0, 0}, [5]int{8, 9, 0, 0, 0}, 4, 8},
+		"FMRadioL":     {[5]int{14, 2, 0, 0, 0}, [5]int{14, 2, 0, 0, 0}, 14, 14},
+		"FilterBankL":  {[5]int{17, 10, 0, 0, 0}, [5]int{17, 10, 0, 0, 0}, 17, 9},
+		"Oversampler":  {[5]int{4, 1, 0, 0, 0}, [5]int{7, 7, 0, 0, 0}, 4, 2},
+		"DToA":         {[5]int{2, 2, 0, 0, 0}, [5]int{4, 7, 0, 0, 0}, 2, 2},
 	}
-	for _, app := range apps.Suite() {
+	for _, app := range append(apps.Suite(), apps.LinearSuite()...) {
 		want, ok := suite[app.Name]
 		if !ok {
 			t.Errorf("%s: no row in the table", app.Name)

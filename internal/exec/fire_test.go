@@ -319,15 +319,15 @@ func TestCrossEngineErrors(t *testing.T) {
 			return f
 		}},
 		// Validate cannot see the overread, and the first firing's peek(4)
-		// finds 4 items buffered. Row lanes must guard against the held
-		// end, not the ring's.
+		// finds 4 items buffered. A row kernel's nest must guard against the
+		// held end, not the ring's.
 		{name: "IL row kernel reading past its declared peek", op: "peek", first: true, mid: overreadFIR},
 		// The rows span's guard must check every row's window of F, and the
 		// peek window against the held end.
 		{name: "IL matrix reading past its declared peek", op: "peek", first: true, mid: func() *ir.Filter { return matrixFilter(3, false) }},
 		{name: "IL matrix past its field's end", op: "work", src: blockSource, mid: func() *ir.Filter { return matrixFilter(4, true) }},
-		// A fused head's rows span must check the last row's window, which
-		// its pops move, and every store's cell.
+		// fuse's old FIR heads pop between their rows, which no rows span
+		// takes: the generic row loop must fault where the interpreter does.
 		{name: "IL fused head reading past its declared peek", op: "peek", first: true, mid: func() *ir.Filter { return headFilter(5, false) }},
 		{name: "IL fused head's local array one cell short", op: "work", src: blockSource, mid: func() *ir.Filter { return headFilter(6, true) }},
 		// Fusion may drop a dead trip only if it cannot fault.

@@ -37,9 +37,23 @@ import (
 )
 
 // CanFollow reports why filter b cannot be fused directly behind filter a
-// (nil when it can). Chain applies it to every adjacent pair; planners use
-// it to cut a pipeline into fusable segments without fusing anything.
+// (nil when it can). Planners use it to cut a pipeline into fusable
+// segments without fusing anything.
 func CanFollow(a, b *ir.Filter) error {
+	if err := follows(a, b); err != nil {
+		return err
+	}
+	// Dry run of the consumer's rewrite: its pops must sit where a cursor
+	// into the edge array can follow them.
+	probe := stage{in: cursor{buf: 0}, out: tape}
+	probe.block(b.Kernel.Work.Body)
+	return probe.err
+}
+
+// follows is CanFollow's checks of the two filters' kinds and rates. Chain
+// applies it to every adjacent pair; its own rewrite of each consumer
+// fails as CanFollow's dry run does.
+func follows(a, b *ir.Filter) error {
 	for _, f := range []*ir.Filter{a, b} {
 		k := f.Kernel
 		switch {
@@ -65,11 +79,7 @@ func CanFollow(a, b *ir.Filter) error {
 		return fmt.Errorf("fuse: %s peeks %d items beyond its pop rate; a peeking filter may head a chain but never joins one (its peek history would become state)",
 			kb.Name, kb.Peek-kb.Pop)
 	}
-	// Dry run of the consumer's rewrite: its pops must sit where a cursor
-	// into the edge array can follow them.
-	probe := stage{in: cursor{buf: 0}, out: tape}
-	probe.block(kb.Work.Body)
-	return probe.err
+	return nil
 }
 
 // Chain fuses filters, given in pipeline order, into a single filter with
@@ -80,15 +90,17 @@ func CanFollow(a, b *ir.Filter) error {
 //	peek = (m[0]-1) * pop[0] + peek[0]
 //
 // where m is the minimal repetition vector of the chain. Every adjacent
-// pair must satisfy CanFollow. trips[i] counts how many of filter i's m[i]
-// firings inside one fused firing are kept whole.
+// pair must satisfy CanFollow, and Chain reports the first that does not:
+// a kind or rate in pair order, else the first stage whose rewrite fails.
+// trips[i] counts how many of filter i's m[i] firings inside one fused
+// firing are kept whole.
 func Chain(name string, filters ...*ir.Filter) (f *ir.Filter, trips []Trips, err error) {
 	n := len(filters)
 	if n < 2 {
 		return nil, nil, fmt.Errorf("fuse: a chain needs at least two filters, got %d", n)
 	}
 	for i := 1; i < n; i++ {
-		if err := CanFollow(filters[i-1], filters[i]); err != nil {
+		if err := follows(filters[i-1], filters[i]); err != nil {
 			return nil, nil, err
 		}
 	}

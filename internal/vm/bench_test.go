@@ -31,23 +31,6 @@ func firPushing(n int, push func(sum wfunc.Expr) wfunc.Expr) *wfunc.Kernel {
 	return b.Build()
 }
 
-// headKernel is FilterBank's fused FIR head as fuse.Chain writes it: rows
-// rows of an n-tap FIR, one pop after each, stored at a cursor into a
-// local array, then push(la[0]).
-func headKernel(rows, n int) *wfunc.Kernel {
-	b := wfunc.NewKernel("head", n+rows-1, rows, 1)
-	w, la := b.FieldArray("w", n), b.LocalArray("la", rows)
-	j, i, sum, c := b.Local("j"), b.Local("i"), b.Local("sum"), b.Local("c")
-	b.WorkBody(
-		wfunc.ForUp(j, wfunc.Ci(0), wfunc.Ci(rows),
-			wfunc.Set(i, wfunc.C(0)), wfunc.Set(sum, wfunc.C(0)), wfunc.Set(sum, wfunc.C(0)),
-			wfunc.ForUp(i, wfunc.Ci(0), wfunc.Ci(n), wfunc.Set(sum, wfunc.AddX(sum, wfunc.MulX(wfunc.PeekX(i), wfunc.FIdx(w, i))))),
-			wfunc.Pop1(), wfunc.SetLIdx(la, c, sum), wfunc.Set(c, wfunc.AddX(c, wfunc.C(1)))),
-		wfunc.Push1(wfunc.LIdx(la, wfunc.Ci(0))),
-	)
-	return b.Build()
-}
-
 func firState(k *wfunc.Kernel, n int) *wfunc.State {
 	st := k.NewState()
 	for i := range st.Arrays[0] {
@@ -119,8 +102,7 @@ func BenchmarkFIRVM(b *testing.B) {
 // firings at a time, against one RunN per firing; row/scaled is the same
 // FIR pushing acc*0.1, as FMRadio's fused bands do. The rows row is one
 // firing of a 64×64 apps.MatMul in ns per multiply-add: its rows span, four
-// rows at a time, against the program without spans; rows/stride is one
-// firing of FilterBank's fused head, 8 rows of 64 taps a pop apart.
+// rows at a time, against the program without spans.
 func BenchmarkSpanKinds(b *testing.B) {
 	const trips = 64
 	kinds := []struct {
@@ -205,50 +187,40 @@ func BenchmarkSpanKinds(b *testing.B) {
 	} {
 		benchRow(b, row.name, row.fir, trips)
 	}
-	for _, rows := range []struct {
-		name string
-		k    *wfunc.Kernel
-		madd int // multiply-adds a firing
-	}{
-		{"rows", apps.MatMul("matmul", trips, trips, 0.37).Kernel, trips * trips},
-		{"rows/stride", headKernel(firings, trips), firings * trips},
-	} {
-		p, err := Compile(rows.k.Work)
-		if _, _, _, _, n := p.SpanCounts(); err != nil || n != 1 {
-			b.Fatalf("%s: %d rows spans: %v", rows.name, n, err)
-		}
-		st := rows.k.NewState()
-		if rows.k.Init != nil {
-			env := wfunc.NewEnv(rows.k.Init)
-			env.State = st
-			if err := wfunc.Exec(rows.k.Init, env); err != nil {
-				b.Fatal(err)
+	mat := apps.MatMul("matmul", trips, trips, 0.37).Kernel
+	p, err := Compile(mat.Work)
+	if _, _, _, _, n := p.SpanCounts(); err != nil || n != 1 {
+		b.Fatalf("rows: %d rows spans: %v", n, err)
+	}
+	st := mat.NewState()
+	env := wfunc.NewEnv(mat.Init)
+	env.State = st
+	if err := wfunc.Exec(mat.Init, env); err != nil {
+		b.Fatal(err)
+	}
+	for _, run := range []struct {
+		mode string
+		p    *Program
+	}{{"span", p}, {"generic", withoutSpans(p)}} {
+		b.Run("rows/"+run.mode, func(b *testing.B) {
+			m := NewMachine(run.p)
+			m.SetState(st)
+			in, out := wfunc.NewRing(4*trips), wfunc.NewRing(2*trips)
+			batch := make([]float64, trips)
+			for i := range batch {
+				batch[i] = float64(i%5) - 2
 			}
-		}
-		for _, run := range []struct {
-			mode string
-			p    *Program
-		}{{"span", p}, {"generic", withoutSpans(p)}} {
-			b.Run(rows.name+"/"+run.mode, func(b *testing.B) {
-				m := NewMachine(run.p)
-				m.SetState(st)
-				in, out := wfunc.NewRing(4*trips), wfunc.NewRing(2*trips)
-				batch := make([]float64, trips)
-				for i := range batch {
-					batch[i] = float64(i%5) - 2
+			for b.Loop() {
+				for in.Len() < mat.Peek {
+					in.Append(batch)
 				}
-				for b.Loop() {
-					for in.Len() < rows.k.Peek {
-						in.Append(batch)
-					}
-					if err := m.Run(in, out, nil, nil); err != nil {
-						b.Fatal(err)
-					}
-					out.Advance(out.Len())
+				if err := m.Run(in, out, nil, nil); err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows.madd), "ns/madd")
-			})
-		}
+				out.Advance(out.Len())
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*trips*trips), "ns/madd")
+		})
 	}
 }
 

@@ -22,14 +22,13 @@ func Compile(f *wfunc.Func) (*Program, error) {
 			arraySizes: append([]int(nil), f.ArraySizes...),
 		},
 		constIdx: map[uint64]int{},
-		spanOf:   map[*wfunc.For]int{},
 	}
 	c.block(f.Body)
 	if c.err != nil {
 		return nil, fmt.Errorf("vm: compile %s: %w", f.Name, c.err)
 	}
 	c.layout()
-	c.p.row = c.rowOf(f.Body)
+	c.p.row = c.dotRow(f.Body, -1, 1)
 	return c.p, nil
 }
 
@@ -73,7 +72,6 @@ type compiler struct {
 	constIdx map[uint64]int
 	cur, max int // live temporaries, and the most ever live
 	loops    []loopCtx
-	spanOf   map[*wfunc.For]int // the span instruction of each loop that has one
 	err      error
 }
 
@@ -291,7 +289,6 @@ func (c *compiler) forLoop(s *wfunc.For) {
 	span := c.span(s)
 	if span >= 0 {
 		c.emit(instr{op: opSpan, d: v, a: from, k: int32(span)})
-		c.spanOf[s] = span
 	}
 	if !fused {
 		from = c.mov(from, v)
@@ -321,12 +318,7 @@ func (c *compiler) forLoop(s *wfunc.For) {
 		c.patch(at)
 	}
 	if span >= 0 {
-		sp := &c.p.spans[span]
-		sp.exit = int32(len(c.p.code))
-		if sp.kind == spanRows {
-			// The inner loop's reduce span keeps a·j+b in a hidden slot.
-			sp.rows.slot = c.p.spans[c.spanOf[s.Body[sp.rows.loop].(*wfunc.For)]].opnd[sp.rows.fieldAt].slot
-		}
+		c.p.spans[span].exit = int32(len(c.p.code))
 	}
 }
 

@@ -158,7 +158,7 @@ func (c *compiler) mapSpan(body []wfunc.Stmt, sp *spanInstr) bool {
 			return false
 		}
 	}
-	if pushes+len(mc.stored) == 0 || !mc.disjoint(body) {
+	if pushes+len(mc.stored) == 0 || !mc.disjoint(body, max(sp.bound, 1)) {
 		return false
 	}
 	// Entry registers first, so that no trip step can have written one
@@ -225,7 +225,11 @@ func (c *compiler) mapSpan(body []wfunc.Stmt, sp *spanInstr) bool {
 // disjoint reports whether the body's stores may land in any order (see
 // the header): no expression reads a stored array — leaves checks that —
 // and the stores to one array from several statements hit distinct cells.
-func (mc *mapCompiler) disjoint(body []wfunc.Stmt) bool {
+// Their indices are affine in v, c·v + k with c ≠ 0, over the loop's trips
+// below bound: an index in an array's range then came out of exact
+// arithmetic, so distinct pairs (c, k) with one c and k spanning less than
+// |c| hit distinct cells.
+func (mc *mapCompiler) disjoint(body []wfunc.Stmt, bound float64) bool {
 	for i, arr := range mc.stored {
 		if slices.Index(mc.stored, arr) < i || !slices.Contains(mc.stored[i+1:], arr) {
 			continue // checked at its first store, or one statement's stores, which land in trip order
@@ -234,8 +238,8 @@ func (mc *mapCompiler) disjoint(body []wfunc.Stmt) bool {
 		var ks []float64
 		for _, st := range body {
 			if st, ok := st.(*wfunc.Assign); ok && st.LHS.Kind == wfunc.LVLocalArr && st.LHS.Idx == arr {
-				sc, k, ok := mc.stride(st.LHS.Index)
-				if !ok || len(ks) > 0 && sc != c {
+				sc, k, ok := affine(st.LHS.Index, int32(mc.v), bound)
+				if !ok || sc == 0 || len(ks) > 0 && sc != c {
 					return false
 				}
 				c, ks = sc, append(ks, k)
@@ -247,43 +251,6 @@ func (mc *mapCompiler) disjoint(body []wfunc.Stmt) bool {
 		}
 	}
 	return true
-}
-
-// stride matches index e as c·v + k — v, c*v or v*c, plus or minus k —
-// for integers c ≠ 0 and k below spanLimit. An index in an array's range
-// then came out of exact arithmetic, so distinct pairs (c, k) with one c
-// and k spanning less than |c| hit distinct cells.
-func (mc *mapCompiler) stride(e wfunc.Expr) (c, k float64, ok bool) {
-	c = 1
-	if x, kv, isSum := constOperand(e, wfunc.Add, wfunc.Sub); isSum {
-		e, k = x, kv
-	}
-	if x, cv, isProduct := constOperand(e, wfunc.Mul); isProduct {
-		e, c = x, cv
-	}
-	l, isVar := e.(*wfunc.LocalRef)
-	ok = isVar && l.Idx == mc.v && c != 0 && c == math.Trunc(c) && k == math.Trunc(k) &&
-		math.Abs(c) < spanLimit && math.Abs(k) < spanLimit
-	return c, k, ok
-}
-
-// constOperand matches e as x op K, or K op x unless op is Sub, for one of
-// ops and a constant K, and returns x and K (-K under Sub).
-func constOperand(e wfunc.Expr, ops ...wfunc.BinOp) (wfunc.Expr, float64, bool) {
-	b, ok := e.(*wfunc.Binary)
-	if !ok || !slices.Contains(ops, b.Op) {
-		return nil, 0, false
-	}
-	if k, ok := b.B.(*wfunc.Const); ok {
-		if b.Op == wfunc.Sub {
-			return b.A, -k.V, true
-		}
-		return b.A, k.V, true
-	}
-	if k, ok := b.A.(*wfunc.Const); ok && b.Op != wfunc.Sub {
-		return b.B, k.V, true
-	}
-	return nil, 0, false
 }
 
 // local returns the body local l, nil if the body does not assign it.
@@ -441,15 +408,11 @@ func (mc *mapCompiler) step(op mapOp, arg int, x, y, z wfunc.Expr) (uint8, bool)
 	return d, true
 }
 
-// mapSpan runs map span s over in and out if every trip succeeds and
-// reports whether it did; if not, nothing has changed.
-func (m *Machine) mapSpan(s *spanInstr, in, out wfunc.Tape) bool {
+// mapSpan runs map span s over in and out from trip from if every trip
+// succeeds and reports whether it did; if not, nothing has changed.
+func (m *Machine) mapSpan(s *spanInstr, in, out wfunc.Tape, from int) bool {
 	mp := s.mapped
-	start := m.regs[s.v]
-	if !(start >= 0 && start < s.bound) || start != math.Trunc(start) {
-		return false
-	}
-	from, n := int(start), int(s.bound)-int(start)
+	n := int(s.bound) - from
 	if n*mp.pushes > mapMaxItems {
 		return false
 	}

@@ -17,7 +17,7 @@ import (
 //	drain   pop()
 //	move    a[v+p] = b[v+q]
 //	map     push(E); t = E; la[I] = E; ...  straight-line, E and I pure
-//	rows    acc = c; for i { acc = acc + peek(i+p)*F[i+a·v+b] }; push(acc)  (rows.go)
+//	rows    acc = c; for i { acc = acc + peek(i+p)*F[i+a·v+b] }; push(acc) or la[a'·v+b'] = acc  (dot.go)
 //
 // A reduce operand is a peek, a pop(), a field array or a local array; a
 // move goes between arrays. p and q are loop-invariant and cannot fault:
@@ -31,14 +31,14 @@ import (
 // (map.go).
 //
 // At run time the instruction checks that every access of the whole loop
-// is in range — once on entry for the first three, at each read and store
-// for a map, whose pushes stay uncommitted in the out tape's reservation
-// until every trip has succeeded. If so it has run the loop natively,
-// leaves the loop variable at its exit value and jumps past the loop. If
-// not it falls into the generic loop, which raises the fault the
-// interpreter raises, at the iteration it raises it. It has changed
-// nothing the generic loop would not change the same way: a map's stores
-// land in place, and the rerun makes each of them again (map.go).
+// is in range — once on entry, except at each read and store for a map,
+// whose pushes stay uncommitted in the out tape's reservation until every
+// trip has succeeded. If so it has run the loop natively, leaves the loop
+// variable at its exit value and jumps past the loop. If not it falls into
+// the generic loop, which raises the fault the interpreter raises, at the
+// iteration it raises it. It has changed nothing the generic loop would
+// not change the same way: a map's stores land in place, and the rerun
+// makes each of them again (map.go).
 
 type spanKind uint8
 
@@ -76,7 +76,7 @@ type spanInstr struct {
 	// 1 when it peeks at all); a span with neither never reads the tape.
 	peeks, pops uint8
 	v           int32 // loop variable
-	acc         int32 // reduce and rows: the accumulator local
+	acc         int32 // reduce: the accumulator local
 	// bound is the first integer not below the loop's constant bound: the
 	// end of the trip count and the loop variable's exit value.
 	bound float64
@@ -85,7 +85,7 @@ type spanInstr struct {
 	opnd [2]spanOperand
 	// map: the expression program (map.go).
 	mapped *mapProg
-	rows   *rowsShape // rows: the row loop's shape (rows.go)
+	nest   *dotNest // rows: the row loop's nest (dot.go)
 	// exit is the pc behind the loop, where a span that ran continues.
 	exit int32
 }
@@ -119,25 +119,35 @@ func (p *Program) SpanCounts() (reduce, drain, move, mapped, rows int) {
 // slots and returns the span's index, for the opSpan in front of the loop;
 // -1, with nothing emitted, when s is not in the family.
 func (c *compiler) span(s *wfunc.For) int {
-	to, ok := s.To.(*wfunc.Const)
+	loop, ok := countedLoop(s)
 	if !ok {
-		return -1
-	}
-	if step, ok := s.Step.(*wfunc.Const); s.Step != nil && !(ok && step.V == 1) {
-		return -1
-	}
-	loop := spanInstr{v: int32(s.Var), acc: -1, bound: math.Ceil(to.V)}
-	if !(math.Abs(loop.bound) < spanLimit) {
 		return -1
 	}
 	sp := loop
 	if len(s.Body) != 1 || !c.spanStmt(s.Body[0], &sp) {
-		if sp = loop; !c.mapSpan(s.Body, &sp) && !c.rowsSpan(s.Body, &sp) {
-			return -1
+		if sp = loop; !c.mapSpan(s.Body, &sp) {
+			if sp.nest = c.dotRow(s.Body, sp.v, max(sp.bound, 1)); sp.nest == nil {
+				return -1
+			}
+			sp.kind = spanRows
 		}
 	}
 	c.p.spans = append(c.p.spans, sp)
 	return len(c.p.spans) - 1
+}
+
+// countedLoop returns the span instruction of loop s, its kind yet to be
+// matched, when s is for v = From; v < Const; v += 1 with a bound the
+// guards accept.
+func countedLoop(s *wfunc.For) (spanInstr, bool) {
+	to, ok := s.To.(*wfunc.Const)
+	step, unit := s.Step.(*wfunc.Const)
+	sp := spanInstr{v: int32(s.Var), acc: -1}
+	if !ok || s.Step != nil && !(unit && step.V == 1) {
+		return sp, false
+	}
+	sp.bound = math.Ceil(to.V)
+	return sp, math.Abs(sp.bound) < spanLimit
 }
 
 // spanStmt matches a one-statement body against reduce, drain and move,
@@ -316,12 +326,6 @@ func (v spanView) run(k, n int) []float64 {
 // it did; if not, nothing has changed. The tape's window is fetched here,
 // per instruction: any pop, push or restore in between moves it.
 func (m *Machine) span(s *spanInstr, in, out wfunc.Tape) bool {
-	switch s.kind {
-	case spanMap:
-		return m.mapSpan(s, in, out)
-	case spanRows:
-		return m.rowsSpan(s, in, out)
-	}
 	start := m.regs[s.v]
 	// NaN fails the comparisons; a fractional start would truncate to a
 	// different index at every access.
@@ -329,6 +333,14 @@ func (m *Machine) span(s *spanInstr, in, out wfunc.Tape) bool {
 		return false
 	}
 	from := int(start)
+	switch s.kind {
+	case spanMap:
+		return m.mapSpan(s, in, out, from)
+	case spanRows:
+		iw, _ := in.(wfunc.Window)
+		ow, _ := out.(wfunc.Window)
+		return m.nest(s.nest, s, iw, ow, from, int(s.bound))
+	}
 	n := int(s.bound) - from
 	var tape wfunc.Window
 	var win spanView

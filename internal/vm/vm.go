@@ -21,7 +21,8 @@
 // runs the whole loop natively over tape and array spans (span.go), or, for
 // a loop of pure pushes and local-array stores, as an expression program
 // over blocks of trips that writes in place into the out tape and the
-// arrays (map.go).
+// arrays (map.go). The dot products of a FIR's firings and of a matrix's
+// rows run four rows at a time, as one nest (dot.go).
 package vm
 
 import (
@@ -117,7 +118,7 @@ type Program struct {
 	consts     []float64
 	sends      []sendSite
 	spans      []spanInstr // operands of the opSpan instructions
-	row        *rowKernel  // the row kernel shape, nil when the program has none
+	row        *dotNest    // the row kernel's nest, nil when the program is none
 	numLocals  int         // the function's locals, then the spans' hidden offset slots
 	frame      int         // numLocals plus the temporaries: the registers a firing zeroes
 	arraySizes []int
