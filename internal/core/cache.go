@@ -90,11 +90,6 @@ func CachedCompileSource(src, top string, opts Options) (*Compiled, bool, error)
 	return DefaultCache.CompileSource(src, top, opts)
 }
 
-// Fingerprint hashes the compiled graph and schedule structure — the same
-// fingerprint execution checkpoints embed, so a cache entry, a checkpoint
-// image, and a server program version can all be matched to one another.
-func (c *Compiled) Fingerprint() uint64 { return exec.GraphFingerprint(c.Graph, c.Schedule) }
-
 // Shared returns the compiled program's reusable execution-artifact
 // bundle for the given backend (VM bytecode per kernel, init-state
 // prototypes, ring geometry), building it on first use. Engines stamped

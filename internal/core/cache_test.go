@@ -123,7 +123,7 @@ func TestCompiledSharedMemo(t *testing.T) {
 	if iv == a {
 		t.Fatal("different backends share one bundle")
 	}
-	if c.Fingerprint() != a.Fingerprint() {
+	if exec.GraphFingerprint(c.Graph, c.Schedule) != a.Fingerprint() {
 		t.Fatal("Compiled and Shared fingerprints disagree")
 	}
 }

@@ -312,17 +312,6 @@ func (c *Compiled) Runner(kind EngineKind, opts RunOptions) (Runner, error) {
 	return nil, fmt.Errorf("core: unknown engine kind %q", kind)
 }
 
-// Run builds the requested engine (falling back to sequential when the
-// program demands it, see Runner) and runs iters steady-state iterations,
-// returning the engine for inspection of profiles and reports.
-func (c *Compiled) Run(kind EngineKind, iters int, opts RunOptions) (Runner, error) {
-	r, err := c.Runner(kind, opts)
-	if err != nil {
-		return nil, err
-	}
-	return r, r.Run(iters)
-}
-
 // CompileDynamicOpts flattens a program with dynamic-rate filters (no
 // static schedule exists) and returns the dynamic engine: the sequential
 // engine without a schedule, under a data-driven loop.

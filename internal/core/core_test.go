@@ -260,7 +260,7 @@ func TestRunnerFeedbackFallback(t *testing.T) {
 		opts := RunOptions{Log: func(format string, args ...any) {
 			notes = append(notes, fmt.Sprintf(format, args...))
 		}}
-		r, err := c.Run(kind, 8, opts)
+		r, err := runKind(c, kind, 8, opts)
 		if err != nil {
 			t.Fatalf("%s: fallback run failed: %v", kind, err)
 		}
@@ -294,7 +294,7 @@ func TestRunnerPipelinedNoFallback(t *testing.T) {
 			}
 			for _, strat := range []partition.Strategy{partition.StratSWP, partition.StratCombined} {
 				var notes []string
-				r, err := c.Run(EngineMapped, 4, RunOptions{
+				r, err := runKind(c, EngineMapped, 4, RunOptions{
 					Workers: 3, MapStrategy: strat,
 					Log: func(format string, args ...any) {
 						notes = append(notes, fmt.Sprintf(format, args...))
@@ -329,7 +329,7 @@ func TestRunnerKinds(t *testing.T) {
 		{EngineMapped, "*exec.MappedEngine"},
 	}
 	for _, tc := range cases {
-		r, err := c.Run(tc.kind, 8, RunOptions{Workers: 2, Log: func(string, ...any) {
+		r, err := runKind(c, tc.kind, 8, RunOptions{Workers: 2, Log: func(string, ...any) {
 			t.Errorf("%s: unexpected fallback note", tc.kind)
 		}})
 		if err != nil {
@@ -357,7 +357,7 @@ func TestRunnerParallelIsIdentityPlan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := c.Run(kind, 12, RunOptions{})
+		r, err := runKind(c, kind, 12, RunOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
@@ -415,7 +415,7 @@ func TestMappedEngineRuns(t *testing.T) {
 // enabled and returns the items popped by the program's sink.
 func sinkPopped(t *testing.T, c *Compiled, kind EngineKind, iters int) int64 {
 	t.Helper()
-	r, err := c.Run(kind, iters, RunOptions{Workers: 2, Profile: true})
+	r, err := runKind(c, kind, iters, RunOptions{Workers: 2, Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +442,7 @@ func TestMappedCrashRecoveryDriver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := c.Run(EngineMapped, 6, RunOptions{
+	r, err := runKind(c, EngineMapped, 6, RunOptions{
 		Workers: 3, MapStrategy: partition.StratCoarseData,
 		Faults: plan, CheckpointEvery: 1, QueueDepth: 2,
 	})
@@ -482,7 +482,7 @@ func TestMappedCrashMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		r, err := c.Run(kind, iters, opts)
+		r, err := runKind(c, kind, iters, opts)
 		if err != nil {
 			t.Fatalf("run did not finish: %v", err)
 		}
@@ -574,4 +574,15 @@ func TestCompileLoopAssigningItsVariable(t *testing.T) {
 	if !slices.Equal(got, want) {
 		t.Errorf("sink saw %v, want %v", got, want)
 	}
+}
+
+// runKind builds the requested engine (falling back to sequential when the
+// program demands it, see Compiled.Runner) and runs iters steady-state
+// iterations, returning the engine for inspection of profiles and reports.
+func runKind(c *Compiled, kind EngineKind, iters int, opts RunOptions) (Runner, error) {
+	r, err := c.Runner(kind, opts)
+	if err != nil {
+		return nil, err
+	}
+	return r, r.Run(iters)
 }

@@ -224,10 +224,6 @@ func NewCoordinator(spec Spec, cfg Config) (*Coordinator, error) {
 	}, nil
 }
 
-// Fingerprint is the rewritten graph's fingerprint every shard must
-// reproduce.
-func (co *Coordinator) Fingerprint() uint64 { return co.jp.fp }
-
 // Graph exposes the rewritten graph and schedule (for interchange tests
 // and output bookkeeping).
 func (co *Coordinator) Graph() (*ir.Graph, *sched.Schedule) { return co.jp.g2, co.jp.s2 }

@@ -6,24 +6,27 @@ import (
 	"math/rand/v2"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"streamit/internal/exec"
 	"streamit/internal/ir"
 )
 
-// The data plane: each unordered pair of live shards that shares at least
-// one cross-shard edge holds exactly one TCP connection, carrying batch
-// frames in both directions. The lower live index dials the higher one's
-// data listener; the dialer identifies itself with a linkHello naming the
+// The data plane. A shard's engine carries every cross-worker edge on one
+// transport, an exec link; on a shard-boundary edge the link's far side
+// is a pump of this file instead of a worker. Each unordered pair of live
+// shards that shares at least one boundary edge holds exactly one TCP
+// connection, carrying batch frames in both directions. The pair's writer
+// drains the local producers' published slots into mtBatch frames
+// numbered per edge (MappedEngine.DrainBoundary); the pair's reader checks
+// each frame's edge and sequence and fills the local consumer's link from
+// it (MappedEngine.FillBoundary). Backpressure is the links' depth plus
+// the sockets' buffers. The lower live index dials the higher one's data
+// listener; the dialer identifies itself with a linkHello naming the
 // generation, and retries (the acceptor may not have installed the
-// generation yet) until acked. Batches multiplex over the pair's
-// connection by edge ID with a per-edge sequence number, landing in
-// per-edge inboxes whose capacity mirrors the engine's queue depth — the
-// same backpressure bound as the in-memory channels they replace. A
-// teardown (abort or peer failure) closes the down channel so every
-// worker blocked in Send/Recv unwinds immediately.
+// generation yet) until acked. A teardown (abort or peer failure) closes
+// the connections and aborts the engine, so every worker and pump blocked
+// on a link unwinds.
 
 // acceptedConn hands an inbound peer connection (and the buffered reader
 // that already consumed its linkHello) from the shard's acceptor to the
@@ -38,25 +41,19 @@ type peerLink struct {
 	idx  int
 	conn net.Conn
 	r    *bufio.Reader
-	wmu  sync.Mutex
-	seq  map[int]uint64 // per out-edge send sequence, guarded by wmu
+	out  []int          // out-edge IDs the peer consumes, producers in topological order
+	next map[int]uint64 // in-edge ID → next expected sequence; the reader's alone
 }
 
-// linkSet is one generation's data plane on one shard. It implements the
-// engine's RemoteHooks: Send ships a local producer's batch to the
-// consuming peer, Recv delivers a remote producer's batch to a local
-// consumer.
+// linkSet is one generation's data plane on one shard: the pumps at the
+// far side of its engine's boundary links.
 type linkSet struct {
 	gen     uint32
 	myIdx   int
 	wto     time.Duration
+	eng     *exec.MappedEngine
 	peers   map[int]*peerLink
-	outPeer map[int]*peerLink         // out-edge ID → carrying link
-	inbox   map[int]chan []float64    // in-edge ID → delivery channel
-	inPeer  map[int]int               // in-edge ID → producing peer index
-	expSeq  map[int]*uint64           // in-edge ID → next expected sequence
 	waiting map[int]chan acceptedConn // peer index → inbound-conn handoff
-	blocked []atomic.Int32            // per live index: Recvs blocked on that peer
 
 	down  chan struct{}
 	once  sync.Once
@@ -65,27 +62,23 @@ type linkSet struct {
 }
 
 // newLinkSet classifies the generation's edges against the assignment:
-// edges whose producer and consumer land on different shards become
-// remote, and each remote peer gets one link. Worker w runs on shard
+// edges whose producer and consumer land on different shards cross the
+// boundary, and each peer across one gets one link. Worker w runs on shard
 // w/perShard, matching partition.Topology's numbering.
-func newLinkSet(g2 *ir.Graph, assign []int, perShard, myIdx, liveCount int, gen uint32, depth int, wto time.Duration) *linkSet {
+func newLinkSet(eng *exec.MappedEngine, g2 *ir.Graph, assign []int, perShard, myIdx int, gen uint32, wto time.Duration) *linkSet {
 	ls := &linkSet{
 		gen:     gen,
 		myIdx:   myIdx,
 		wto:     wto,
+		eng:     eng,
 		peers:   make(map[int]*peerLink),
-		outPeer: make(map[int]*peerLink),
-		inbox:   make(map[int]chan []float64),
-		inPeer:  make(map[int]int),
-		expSeq:  make(map[int]*uint64),
 		waiting: make(map[int]chan acceptedConn),
-		blocked: make([]atomic.Int32, liveCount),
 		down:    make(chan struct{}),
 	}
 	peer := func(idx int) *peerLink {
 		pl := ls.peers[idx]
 		if pl == nil {
-			pl = &peerLink{idx: idx, seq: make(map[int]uint64)}
+			pl = &peerLink{idx: idx, next: make(map[int]uint64)}
 			ls.peers[idx] = pl
 			if myIdx > idx {
 				ls.waiting[idx] = make(chan acceptedConn, 1)
@@ -93,26 +86,24 @@ func newLinkSet(g2 *ir.Graph, assign []int, perShard, myIdx, liveCount int, gen 
 		}
 		return pl
 	}
-	for _, e := range g2.Edges {
-		si, di := assign[e.Src.ID]/perShard, assign[e.Dst.ID]/perShard
-		if si == di {
-			continue
-		}
-		if si == myIdx {
-			ls.outPeer[e.ID] = peer(di)
-		}
-		if di == myIdx {
-			peer(si)
-			ls.inbox[e.ID] = make(chan []float64, depth)
-			ls.inPeer[e.ID] = si
-			ls.expSeq[e.ID] = new(uint64)
+	topo, _ := g2.TopoOrder() // the engine ordered the same graph
+	for _, n := range topo {
+		for _, e := range n.Out {
+			if e == nil {
+				continue
+			}
+			si, di := assign[e.Src.ID]/perShard, assign[e.Dst.ID]/perShard
+			switch {
+			case si == di:
+			case si == myIdx:
+				pl := peer(di)
+				pl.out = append(pl.out, e.ID)
+			case di == myIdx:
+				peer(si).next[e.ID] = 0
+			}
 		}
 	}
 	return ls
-}
-
-func (ls *linkSet) hooks() *exec.RemoteHooks {
-	return &exec.RemoteHooks{Send: ls.Send, Recv: ls.Recv}
 }
 
 // expectsAccept reports whether this linkSet is waiting for an inbound
@@ -136,8 +127,8 @@ func (ls *linkSet) offer(from int, c net.Conn, r *bufio.Reader) bool {
 }
 
 // connect establishes every peer link — dialing lower-index side, waiting
-// for the acceptor otherwise — then starts the readers. On any failure
-// the whole set tears down.
+// for the acceptor otherwise — then starts the pumps. On any failure the
+// whole set tears down.
 func (ls *linkSet) connect(peerAddrs []string, budget time.Duration) error {
 	deadline := time.Now().Add(budget)
 	errs := make(chan error, len(ls.peers))
@@ -161,10 +152,19 @@ func (ls *linkSet) connect(peerAddrs []string, budget time.Duration) error {
 			return err
 		}
 	}
+	ls.start()
+	return nil
+}
+
+// start runs every established peer's pumps: its reader, and its writer
+// if the peer consumes any edge. They return once the set tears down.
+func (ls *linkSet) start() {
 	for _, pl := range ls.peers {
 		go ls.reader(pl)
+		if len(pl.out) > 0 {
+			go ls.writer(pl)
+		}
 	}
-	return nil
 }
 
 // dialPeer dials a higher-index peer's data listener until the linkHello
@@ -241,8 +241,10 @@ func (ls *linkSet) awaitPeer(pl *peerLink, deadline time.Time) error {
 	}
 }
 
-// reader drains one peer connection, routing batches to their edge
-// inboxes and verifying the per-edge sequence.
+// reader drains one peer connection into the local consumers' links,
+// verifying that the peer feeds each batch's edge and the per-edge
+// sequence. A link it fills stays full until its consumer moves, which
+// holds back the pair's later frames, and through the socket the writers.
 func (ls *linkSet) reader(pl *peerLink) {
 	for {
 		t, p, err := readFrame(pl.r)
@@ -260,100 +262,45 @@ func (ls *linkSet) reader(pl *peerLink) {
 			return
 		}
 		edge := int(m.Edge)
-		ch := ls.inbox[edge]
-		if ch == nil || ls.inPeer[edge] != pl.idx {
+		want, ok := pl.next[edge]
+		if !ok {
 			ls.fail(fmt.Errorf("dist: peer %d sent batch for edge %d it does not feed", pl.idx, edge))
 			return
 		}
-		// expSeq entries are per-edge pointers and each edge has exactly
-		// one producing peer, so only this reader touches this counter.
-		sp := ls.expSeq[edge]
-		if m.Seq != *sp {
-			ls.fail(fmt.Errorf("dist: edge %d batch out of sequence: got %d, want %d", edge, m.Seq, *sp))
+		if m.Seq != want {
+			ls.fail(fmt.Errorf("dist: edge %d batch out of sequence: got %d, want %d", edge, m.Seq, want))
 			return
 		}
-		*sp++
-		select {
-		case ch <- m.Items:
-		case <-ls.down:
+		pl.next[edge] = want + 1
+		if ls.eng.FillBoundary(edge, m.Items) != nil {
 			return
 		}
 	}
 }
 
-// Send ships one local producer batch to the consuming peer
-// (exec.RemoteHooks.Send).
-func (ls *linkSet) Send(edge int, batch []float64, stop <-chan struct{}) error {
-	pl := ls.outPeer[edge]
-	if pl == nil {
-		return fmt.Errorf("dist: edge %d is not a remote output", edge)
-	}
-	select {
-	case <-ls.down:
-		return ls.takeErr()
-	case <-stop:
-		return exec.ErrRemoteStopped
-	default:
-	}
-	pl.wmu.Lock()
-	seq := pl.seq[edge]
-	pl.seq[edge] = seq + 1
-	pl.conn.SetWriteDeadline(time.Now().Add(ls.wto))
-	err := writeFrame(pl.conn, mtBatch, (&batchMsg{Edge: uint32(edge), Seq: seq, Items: batch}).encode())
-	pl.wmu.Unlock()
-	if err != nil {
-		select {
-		case <-ls.down:
-			return ls.takeErr()
-		case <-stop:
-			return exec.ErrRemoteStopped
-		default:
-		}
-		err = fmt.Errorf("dist: send to peer %d: %w", pl.idx, err)
-		ls.fail(err)
-		return err
-	}
-	return nil
-}
-
-// Recv delivers one remote producer batch to a local consumer
-// (exec.RemoteHooks.Recv).
-func (ls *linkSet) Recv(edge int, stop <-chan struct{}) ([]float64, error) {
-	ch := ls.inbox[edge]
-	if ch == nil {
-		return nil, fmt.Errorf("dist: edge %d is not a remote input", edge)
-	}
-	select {
-	case b := <-ch:
-		return b, nil
-	default:
-	}
-	// Record who we are blocked on: the shard's heartbeats report this,
-	// and the coordinator's wait-graph uses it to tell a wedged shard
-	// from its starved downstream victims.
-	src := ls.inPeer[edge]
-	ls.blocked[src].Add(1)
-	defer ls.blocked[src].Add(-1)
-	select {
-	case b := <-ch:
-		return b, nil
-	case <-ls.down:
-		return nil, ls.takeErr()
-	case <-stop:
-		return nil, exec.ErrRemoteStopped
-	}
-}
-
-// blockedPeers returns the live indices of peers some local worker is
-// currently blocked receiving from.
-func (ls *linkSet) blockedPeers() []int {
-	var out []int
-	for i := range ls.blocked {
-		if ls.blocked[i].Load() > 0 {
-			out = append(out, i)
+// writer ships the batches of every out-edge the peer consumes, one frame
+// each under a write deadline, in rounds: one batch per edge — a lockstep
+// shard's edges carry one a cycle — in the producers' topological order.
+// A batch depends only on batches of earlier rounds and of its producer's
+// ancestors, all ahead of it on the wire, so the peer's reader never holds
+// a frame its consumer cannot take while the one it waits for sits behind
+// it. The writer returns once the engine halts or the connection fails.
+func (ls *linkSet) writer(pl *peerLink) {
+	for seq := uint64(0); ; seq++ {
+		for _, edge := range pl.out {
+			err := ls.eng.DrainBoundary(edge, func(items []float64) error {
+				pl.conn.SetWriteDeadline(time.Now().Add(ls.wto))
+				err := writeFrame(pl.conn, mtBatch, (&batchMsg{Edge: uint32(edge), Seq: seq, Items: items}).encode())
+				if err != nil {
+					ls.fail(fmt.Errorf("dist: send to peer %d: %w", pl.idx, err))
+				}
+				return err
+			})
+			if err != nil {
+				return
+			}
 		}
 	}
-	return out
 }
 
 // fail records the first transport error and tears the set down.
@@ -373,20 +320,22 @@ func (ls *linkSet) failure() error {
 	return ls.err
 }
 
-// takeErr maps a closed-down linkSet to its cause: the recorded transport
-// error, or the quiet stop sentinel for a deliberate teardown.
-func (ls *linkSet) takeErr() error {
-	if err := ls.failure(); err != nil {
-		return err
+// torn reports whether the set has torn down.
+func (ls *linkSet) torn() bool {
+	select {
+	case <-ls.down:
+		return true
+	default:
+		return false
 	}
-	return exec.ErrRemoteStopped
 }
 
-// teardown closes the down channel and every peer connection, unwinding
-// all blocked workers and readers. Idempotent.
+// teardown closes the down channel and every peer connection and aborts
+// the engine, unwinding every blocked worker and pump. Idempotent.
 func (ls *linkSet) teardown() {
 	ls.once.Do(func() {
 		close(ls.down)
+		ls.eng.Abort()
 		for _, pl := range ls.peers {
 			if pl.conn != nil {
 				pl.conn.Close()

@@ -2,11 +2,13 @@ package dist
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"fmt"
 	"log"
 	"net"
 	"os"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -74,6 +76,10 @@ func (o *ShardOptions) defaults() {
 // partition fault wedged it (and teardown later unblocked it); the
 // generation is discarded quietly.
 var errWedged = errors.New("dist: epoch wedged by injected fault")
+
+// errTorn voids an epoch whose engine returned after its link set tore
+// down: batches it published may never have shipped.
+var errTorn = errors.New("dist: link set torn down during the epoch")
 
 // generation is one installed topology on a shard: the sharded engine,
 // its data links, and the sink-capture buffers.
@@ -244,9 +250,10 @@ func (sh *shard) acceptLink(c net.Conn) {
 	c.SetWriteDeadline(time.Time{})
 }
 
-// heartbeatLoop reports liveness plus the set of shards local workers are
-// blocked receiving from (the coordinator's wait-graph input). A
-// partition fault pauses it without stopping the shard.
+// heartbeatLoop reports liveness plus the set of shards local nodes are
+// blocked on across a boundary link (the coordinator's wait-graph input),
+// read from the engine's wait states. A partition fault pauses it without
+// stopping the shard.
 func (sh *shard) heartbeatLoop() {
 	t := time.NewTicker(sh.opts.Heartbeat)
 	defer t.Stop()
@@ -261,8 +268,10 @@ func (sh *shard) heartbeatLoop() {
 		}
 		var waits []uint32
 		if g := sh.curMu.Load(); g != nil {
-			for _, idx := range g.links.blockedPeers() {
-				waits = append(waits, g.live[idx])
+			for _, w := range g.eng.WaitingOn() {
+				if id := g.live[w/int(sh.job.PerShard)]; !slices.Contains(waits, id) {
+					waits = append(waits, id)
+				}
 			}
 		}
 		// Best-effort: a dead control conn surfaces in the serve loop.
@@ -361,22 +370,17 @@ func (sh *shard) handleAssign(p []byte) error {
 	for w := range local {
 		local[w] = w/perShard == myIdx
 	}
-	depth := int(sh.job.QueueDepth)
-	if depth <= 0 {
-		depth = exec.DefaultQueueDepth
-	}
-	links := newLinkSet(sh.jp.g2, assign, perShard, myIdx, len(m.LiveShards), m.Gen, depth, sh.opts.WriteTimeout)
 	eng, err := exec.NewMappedOpts(sh.jp.g2, sh.jp.s2, assign, workers, exec.Options{
 		Backend:      exec.Backend(sh.job.Backend),
-		QueueDepth:   depth,
+		QueueDepth:   int(sh.job.QueueDepth),
 		Watchdog:     -1, // blocking on a remote peer is not a deadlock
 		LocalWorkers: local,
-		Remote:       links.hooks(),
 	})
 	if err != nil {
 		sh.fc.send(mtError, (&textMsg{Text: err.Error()}).encode())
 		return nil
 	}
+	links := newLinkSet(eng, sh.jp.g2, assign, perShard, myIdx, m.Gen, sh.opts.WriteTimeout)
 	g := &generation{gen: m.Gen, live: m.LiveShards, myIdx: myIdx, eng: eng, links: links}
 	if sh.job.TapSinks {
 		if g.sinks, err = tapSinks(eng, sh.jp.g2, assign, local); err != nil {
@@ -526,11 +530,14 @@ func (sh *shard) finishEpoch(err error) error {
 	if g == nil {
 		return nil
 	}
-	if err != nil {
-		// Quiet failures: a deliberate teardown, an injected wedge, or a
-		// transport error whose root cause is a peer the coordinator will
-		// detect itself. Anything else is this shard's own fault — say so.
-		quiet := errors.Is(err, errWedged) || errors.Is(err, exec.ErrRemoteStopped) || g.links.failure() != nil
+	if err != nil || g.links.torn() {
+		// Quiet failures: an injected wedge, or a torn-down link set — a
+		// deliberate teardown, or a transport error whose root cause is a
+		// peer the coordinator will detect itself. A teardown voids the
+		// epoch even if the engine returned (errTorn). Anything else is this
+		// shard's own fault — say so.
+		quiet := errors.Is(err, errWedged) || g.links.torn()
+		err = cmp.Or(g.links.failure(), err, errTorn)
 		sh.opts.Log("dist shard %d: generation %d epoch failed: %v", sh.job.ShardID, g.gen, err)
 		sh.destroyGen()
 		if !quiet {

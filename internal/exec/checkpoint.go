@@ -92,10 +92,6 @@ func graphFingerprint(g *ir.Graph, s *sched.Schedule) uint64 {
 	return h.Sum64()
 }
 
-// Fingerprint is the hash of the engine's graph and schedule structure,
-// computed once when its Shared bundle was built.
-func (e *Engine) Fingerprint() uint64 { return e.fp }
-
 // GraphFingerprint hashes a graph and schedule structure — the identity
 // under which checkpoints restore, compiled-program caches key, and the
 // streaming server names program versions.

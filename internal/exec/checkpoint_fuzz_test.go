@@ -25,7 +25,7 @@ func FuzzCheckpointRestore(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("STRMCKPT"))
 	f.Add(valid[:len(valid)/2])
-	f.Add(hostileMessageImage(src.Fingerprint(), 1<<10, 32<<10))
+	f.Add(hostileMessageImage(src.fp, 1<<10, 32<<10))
 	for _, off := range []int{8, 12, 20, 28, 36, len(valid) - 9} {
 		if off >= 0 && off < len(valid) {
 			mut := append([]byte(nil), valid...)

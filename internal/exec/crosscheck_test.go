@@ -77,7 +77,7 @@ func TestEngineMatchesAbstractSim(t *testing.T) {
 		for k := 0; k < iters; k++ {
 			run(s.Steady)
 		}
-		img, err := readImage(checkpointBytes(t, e, int64(iters)), e.Fingerprint(), len(g.Nodes),
+		img, err := readImage(checkpointBytes(t, e, int64(iters)), e.fp, len(g.Nodes),
 			func(i int) (string, *wfunc.State) { return g.Nodes[i].Name, e.nodes[i].state })
 		if err != nil {
 			t.Fatal(err)

@@ -6,11 +6,13 @@ import (
 	"streamit/internal/wfunc"
 )
 
-// link is a cross-worker edge inside one process: a single-producer
-// single-consumer ring of batch slots, each owning its storage. The
-// producer fills the slot at tail in place and publishes it by advancing
-// tail; the consumer appends the slot at head to its ring and releases it
-// by advancing head. A side that can move touches only these atomics.
+// link is a cross-worker edge: a single-producer single-consumer ring of
+// batch slots, each owning its storage. Each side has a position, the
+// slots it has passed: the producer fills the slot at its position in
+// place and publishes it by advancing; the consumer appends the slot at
+// its position to its ring and releases it by advancing. A side that can
+// move touches only these atomics. On a shard-boundary edge one side is a
+// socket pump instead of a worker (mapped_dist.go).
 //
 // A side that cannot — a full ring to send into, an empty one to receive
 // from — raises its waiting flag, re-checks, and blocks on its one-token
@@ -19,11 +21,11 @@ import (
 // the move or the mover sees the flag. An abort raises halted and feeds
 // both sides of every link.
 type link struct {
-	slots      [][]float64
-	head, tail atomic.Uint64 // slots released, slots published
-	waiting    [2]atomic.Bool
-	wake       [2]chan struct{}
-	halted     *atomic.Bool // the engine's abort flag
+	slots   [][]float64
+	pos     [2]atomic.Uint64 // per side: slots published, slots released
+	waiting [2]atomic.Bool
+	wake    [2]chan struct{}
+	halted  *atomic.Bool // the engine's abort flag
 }
 
 // The two sides of a link.
@@ -42,7 +44,7 @@ func newLink(depth int, halted *atomic.Bool) *link {
 // ready reports whether side s can move: a free slot to fill, or a
 // published one to empty.
 func (l *link) ready(s int) bool {
-	n := l.tail.Load() - l.head.Load()
+	n := l.pos[sideSend].Load() - l.pos[sideRecv].Load()
 	return s == sideSend && n < uint64(len(l.slots)) || s == sideRecv && n > 0
 }
 
@@ -68,25 +70,32 @@ func (l *link) feed(s int) {
 	}
 }
 
-// send fills the free slot at tail with exactly k items taken from stage
-// (Take's rate check) and publishes it. The side must be ready.
-func (l *link) send(stage *wfunc.Ring, k int) {
-	slot := &l.slots[l.tail.Load()%uint64(len(l.slots))]
-	*slot = stage.Take(*slot, k)
-	if l.tail.Add(1); l.waiting[sideRecv].CompareAndSwap(true, false) {
-		l.feed(sideRecv)
+// slot is the storage of the slot at side s's position.
+func (l *link) slot(s int) *[]float64 { return &l.slots[l.pos[s].Load()%uint64(len(l.slots))] }
+
+// advance moves side s past its slot, filled or emptied, and wakes the
+// other side if it waits.
+func (l *link) advance(s int) {
+	if l.pos[s].Add(1); l.waiting[1-s].CompareAndSwap(true, false) {
+		l.feed(1 - s)
 	}
+}
+
+// send fills the free slot with exactly k items taken from stage (Take's
+// rate check) and publishes it. The side must be ready.
+func (l *link) send(stage *wfunc.Ring, k int) {
+	s := l.slot(sideSend)
+	*s = stage.Take(*s, k)
+	l.advance(sideSend)
 }
 
 // recv appends the oldest published slot to q and releases it. The side
 // must be ready.
 func (l *link) recv(q *wfunc.Ring) {
-	q.Append(l.slots[l.head.Load()%uint64(len(l.slots))])
-	if l.head.Add(1); l.waiting[sideSend].CompareAndSwap(true, false) {
-		l.feed(sideSend)
-	}
+	q.Append(*l.slot(sideRecv))
+	l.advance(sideRecv)
 }
 
 // reset empties the link at a barrier, dropping what an aborted epoch left
 // in it. A wake token or waiting flag left over costs one spurious wake.
-func (l *link) reset() { l.head.Store(l.tail.Load()) }
+func (l *link) reset() { l.pos[sideRecv].Store(l.pos[sideSend].Load()) }

@@ -34,7 +34,7 @@ func TestLinkMovesBatchesInOrder(t *testing.T) {
 		}
 		var halted atomic.Bool
 		l := newLink(depth, &halted)
-		over := func() bool { return l.tail.Load()-l.head.Load() > uint64(depth) }
+		over := func() bool { return l.pos[sideSend].Load()-l.pos[sideRecv].Load() > uint64(depth) }
 		var wg sync.WaitGroup
 		var prodErr error
 		wg.Add(1)
@@ -66,7 +66,7 @@ func TestLinkMovesBatchesInOrder(t *testing.T) {
 				}
 			}
 			if over() {
-				t.Fatalf("depth %d batch %d: %d slots published, depth is %d", depth, i, l.tail.Load()-l.head.Load(), depth)
+				t.Fatalf("depth %d batch %d: %d slots published, depth is %d", depth, i, l.pos[sideSend].Load()-l.pos[sideRecv].Load(), depth)
 			}
 			l.recv(q)
 			if q.Len() != n {

@@ -115,10 +115,8 @@ type MappedEngine struct {
 
 	// local masks the workers this engine instance actually runs when it
 	// is one shard of a distributed run (Options.LocalWorkers); nil means
-	// all workers are local. remote carries the cross-shard transports of
-	// the edges with one end on a peer shard.
-	local  []bool
-	remote *RemoteHooks
+	// all workers are local.
+	local []bool
 
 	// shared compiles the work runners and stamps the init transient's
 	// scratch engine; construction and a restore leave it nil (compile
@@ -156,7 +154,8 @@ type MappedEngine struct {
 	fp uint64
 
 	// Drive supervision: the worker set (nil between drives), the signals
-	// that abort it, and what its watchdog reads.
+	// that abort it — halted stays up until setup or a restore resets what
+	// an aborted epoch left — and what its watchdog reads.
 	crew     *crew
 	stopCh   chan struct{}
 	halted   atomic.Bool
@@ -176,7 +175,8 @@ type mappedProto struct {
 }
 
 // errStopped unwinds a worker goroutine after the run was aborted (watchdog
-// deadlock, or another worker's error). It never reaches the caller of Run.
+// deadlock, another worker's error, or Abort). It reaches a caller only
+// after Abort.
 var errStopped = errors.New("exec: run aborted")
 
 // DefaultQueueDepth is the cross-worker link capacity in batches.
@@ -219,7 +219,6 @@ func NewMappedOpts(g *ir.Graph, s *sched.Schedule, assign []int, workers int, op
 			return nil, fmt.Errorf("exec: sharded execution requires a lockstep plan (no Stages)")
 		}
 		me.local = append([]bool(nil), opts.LocalWorkers...)
-		me.remote = opts.Remote
 	}
 	sw, err := newSWPState(g, s, opts)
 	if err != nil {
@@ -341,6 +340,7 @@ func (me *MappedEngine) setup() error {
 	for _, e := range me.G.Edges {
 		me.refill(e, me.initPushed[e.ID], p.items[e.ID], nil)
 	}
+	me.halted.Store(false)
 	sw := me.swp
 	for i := range sw.pending {
 		sw.pending[i] = append(sw.pending[i][:0], p.pending[i]...)
@@ -450,21 +450,13 @@ func (me *MappedEngine) buildTopology() error {
 	for _, e := range me.G.Edges {
 		me.queues[e.ID] = wfunc.NewRing(0)
 		srcLocal, dstLocal := me.localWorker(me.Assign[e.Src.ID]), me.localWorker(me.Assign[e.Dst.ID])
-		switch {
-		case srcLocal && dstLocal:
-			if me.Assign[e.Src.ID] != me.Assign[e.Dst.ID] {
-				me.stage[e.ID] = wfunc.NewRing(0)
-				me.links[e.ID] = newLink(me.Depth, &me.halted)
-			}
-		case srcLocal || dstLocal:
-			// The edge crosses the shard boundary: no link, its batches go
-			// through the remote transport, staged here by a local producer.
-			if me.remote == nil {
-				return fmt.Errorf("exec: edge %s crosses the shard boundary but no remote transport is configured", e)
-			}
+		if me.Assign[e.Src.ID] != me.Assign[e.Dst.ID] && (srcLocal || dstLocal) {
+			// A cross-worker edge with a local end: a link, staged at a
+			// local producer.
 			if srcLocal {
 				me.stage[e.ID] = wfunc.NewRing(0)
 			}
+			me.links[e.ID] = newLink(me.Depth, &me.halted)
 		}
 	}
 	me.plans = nil
@@ -557,8 +549,8 @@ type crew struct {
 	parked  []atomic.Bool // per worker: waiting at the barrier
 	wd      *watchdog
 	wg      sync.WaitGroup
-	// abort raises halted, wakes every link and closes the crew's stopCh:
-	// every waiting transfer and parked filter unwinds.
+	// abort halts every link and closes the crew's stopCh: every waiting
+	// transfer and parked filter unwinds.
 	abort func()
 }
 
@@ -576,17 +568,10 @@ func (me *MappedEngine) startCrew() error {
 		parked: make([]atomic.Bool, me.Workers)}
 	stop := make(chan struct{})
 	c.abort = sync.OnceFunc(func() {
-		me.halted.Store(true)
+		me.halt()
 		close(stop)
-		for _, l := range me.links {
-			if l != nil {
-				l.feed(sideSend)
-				l.feed(sideRecv)
-			}
-		}
 	})
 	me.stopCh = stop
-	me.halted.Store(false)
 	for _, st := range me.statuses {
 		st.set(wsRunning, -1, 0, -1)
 	}
@@ -636,9 +621,21 @@ func (me *MappedEngine) stopCrew() {
 	me.crew = nil
 }
 
+// halt raises halted and wakes both sides of every link, to unwind.
+func (me *MappedEngine) halt() {
+	me.halted.Store(true)
+	for _, l := range me.links {
+		if l != nil {
+			l.feed(sideSend)
+			l.feed(sideRecv)
+		}
+	}
+}
+
 // epoch runs cycles macro-cycles across the worker set and waits for the
 // barrier. On return without error every link is drained and the engine
-// state is at a consistent iteration boundary.
+// state is at a consistent iteration boundary; an epoch some worker
+// unwound from is no barrier, even when only Abort stopped it.
 func (me *MappedEngine) epoch(cycles int) error {
 	c := me.crew
 	for w, r := range c.release {
@@ -647,11 +644,14 @@ func (me *MappedEngine) epoch(cycles int) error {
 			r <- cycles
 		}
 	}
-	// A crash is recoverable; any other failure wins over it.
-	var crash, failed error
+	// A crash is recoverable; any other failure wins over it, and both over
+	// the unwinds they caused.
+	var crash, failed, stopped error
 	for i := 0; i < c.started; i++ {
 		switch err := <-c.arrive; {
-		case err == nil || err == errStopped:
+		case err == nil:
+		case err == errStopped:
+			stopped = err
 		case errors.As(err, new(*workerCrash)):
 			if crash == nil {
 				crash = err
@@ -663,7 +663,7 @@ func (me *MappedEngine) epoch(cycles int) error {
 	if derr := c.wd.verdict(); derr != nil {
 		return derr
 	}
-	return cmp.Or(failed, crash)
+	return cmp.Or(failed, crash, stopped)
 }
 
 // recoverFromCrash degrades the engine onto the surviving workers: count

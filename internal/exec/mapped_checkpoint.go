@@ -36,11 +36,6 @@ import (
 // uniform, and so is every image of a zero-skew plan: those interchange
 // with the sequential engine.
 
-// Fingerprint is the hash of the engine's graph and schedule structure,
-// computed once at construction; it equals the sequential engine's
-// fingerprint over the same graph and schedule.
-func (me *MappedEngine) Fingerprint() uint64 { return me.fp }
-
 // initCounts derives the post-initialization firing totals (per node) and
 // push totals (per edge) from the schedule. These let checkpoints be
 // written, assembled and validated without replaying initialization.
@@ -134,9 +129,6 @@ func (me *MappedEngine) checkpoint(dst []byte, iteration int64) ([]byte, error) 
 		return nil, fmt.Errorf("exec: mapped engine has no state to checkpoint; run it (or restore into it) first")
 	}
 	if me.local != nil && me.iter > 0 {
-		// A shard advances only its own partitions; the rest of the graph
-		// is stale here. The coordinator assembles full images from the
-		// shards' ExportShard slices instead.
 		return nil, fmt.Errorf("exec: a sharded engine holds only its local partitions' state; use ExportShard + AssembleShardImage")
 	}
 	return encodeImage(dst, me.fp, me.image(iteration)), nil
@@ -240,6 +232,7 @@ func (me *MappedEngine) applyImage(data []byte) error {
 		split := len(ie.items) - staged[e.ID]
 		me.refill(e, ie.pushed, ie.items[:split], ie.items[split:])
 	}
+	me.halted.Store(false)
 	for i := range sw.pending {
 		sw.pending[i] = append([]*message(nil), img.pending[i]...)
 	}

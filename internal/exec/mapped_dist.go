@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"errors"
 	"fmt"
 
 	"streamit/internal/ir"
@@ -12,35 +11,72 @@ import (
 // This file is the mapped engine's shard face: the pieces internal/dist
 // composes into a distributed run. A shard is a full MappedEngine over the
 // whole rewritten graph whose Options.LocalWorkers mask names the workers
-// this process executes; initialization runs locally (it is
-// deterministic and cheap), steady state fires only the local partitions,
-// and edges crossing the shard boundary move their per-iteration batches
-// through RemoteHooks instead of in-memory links. At every epoch
-// barrier each shard exports the state it owns (ExportShard) and the
-// coordinator reassembles the canonical engine-neutral checkpoint image
-// (AssembleShardImage) — byte-identical to what a single-process run
-// would have written, which is what makes cross-process rollback,
-// migration, and sequential-engine interchange work.
-
-// ErrRemoteStopped is the sentinel a RemoteHooks implementation returns
-// when the epoch's stop channel fired while it was blocked; the worker
-// unwinds quietly instead of reporting a transport error.
-var ErrRemoteStopped = errors.New("exec: remote transfer stopped")
-
-// RemoteHooks carries the cross-shard edge transport of a sharded mapped
-// engine. Send ships one iteration's batch of a local producer's edge;
-// Recv delivers one batch of a remote producer's edge. Both may block
-// (that is the backpressure) but must unwind with ErrRemoteStopped when
-// stop closes. Batches may be empty but are never nil on Send.
-type RemoteHooks struct {
-	Send func(edge int, batch []float64, stop <-chan struct{}) error
-	Recv func(edge int, stop <-chan struct{}) ([]float64, error)
-}
+// this process executes; initialization runs locally (it is deterministic
+// and cheap), steady state fires only the local partitions. Every
+// cross-worker edge with a local end is a link; on a shard-boundary edge
+// the far side is the caller's socket pump (DrainBoundary, FillBoundary)
+// instead of a worker, so workers wait, report who they wait on
+// (WaitingOn) and unwind (Abort) the same way on every edge. At every
+// epoch barrier each shard exports the state it owns (ExportShard) and the
+// coordinator reassembles the canonical checkpoint image
+// (AssembleShardImage), byte-identical to a single-process run's: what
+// makes cross-process rollback, migration, and sequential-engine
+// interchange work.
 
 // localWorker reports whether worker w runs in this process.
 func (me *MappedEngine) localWorker(w int) bool {
 	return me.local == nil || me.local[w]
 }
+
+// DrainBoundary waits for the next batch the local producer of
+// shard-boundary edge publishes, hands it to ship, then releases its slot;
+// one goroutine at a time per edge. It fails once the engine halts, or
+// with ship's error, leaving the batch in place.
+func (me *MappedEngine) DrainBoundary(edge int, ship func([]float64) error) error {
+	l := me.links[edge]
+	if err := l.wait(sideRecv); err != nil {
+		return err
+	}
+	if err := ship(*l.slot(sideRecv)); err != nil {
+		return err
+	}
+	l.advance(sideRecv)
+	return nil
+}
+
+// FillBoundary waits for a free slot in the link of shard-boundary edge,
+// whose producer runs on a peer shard, and publishes a copy of batch in
+// it; one goroutine at a time per edge. It fails once the engine halts.
+func (me *MappedEngine) FillBoundary(edge int, batch []float64) error {
+	l := me.links[edge]
+	if err := l.wait(sideSend); err != nil {
+		return err
+	}
+	s := l.slot(sideSend)
+	*s = append((*s)[:0], batch...)
+	l.advance(sideSend)
+	return nil
+}
+
+// WaitingOn lists the workers of peer shards whose nodes local nodes are
+// blocked on right now, once per blocked node: a consumer on a boundary
+// link its remote producer has not filled, or a producer on one its pump
+// has not drained. It samples the wait states await publishes, from any
+// goroutine.
+func (me *MappedEngine) WaitingOn() (workers []int) {
+	for _, st := range me.statuses {
+		if on := st.blockedOn.Load(); on >= 0 && !me.localWorker(me.Assign[on]) {
+			workers = append(workers, me.Assign[on])
+		}
+	}
+	return workers
+}
+
+// Abort halts the engine from any goroutine: every link wait, a worker's
+// or a pump's, unwinds, now and in later epochs, until Prepare or a
+// restore resets the engine; an epoch a wait unwound from fails. It must
+// not race a reset or a re-plan, which a shard's engine never makes.
+func (me *MappedEngine) Abort() { me.halt() }
 
 // Prepare resets the engine to the post-init prototype (running the init
 // schedule only the first time) without running any steady iterations —

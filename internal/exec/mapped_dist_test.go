@@ -1,8 +1,10 @@
 package exec
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"streamit/internal/apps"
 	"streamit/internal/ir"
@@ -54,36 +56,54 @@ func buildShardRig(t *testing.T, build func() *ir.Program, strat partition.Strat
 	return &shardRig{g: g2, s: s2, assign: plan.Assign(g2, s2), fs: fs, outs: outs}
 }
 
-// chanHooks wires two in-process sharded engines edge-to-edge with plain
-// channels — the transport contract of RemoteHooks without any sockets.
-type chanHooks struct {
-	chs map[int]chan []float64
-}
-
-func (h *chanHooks) hooks() *RemoteHooks {
-	return &RemoteHooks{
-		Send: func(edge int, batch []float64, stop <-chan struct{}) error {
-			select {
-			case h.chs[edge] <- batch:
-				return nil
-			case <-stop:
-				return ErrRemoteStopped
+// shardEngines builds one prepared sharded engine per rig, shard sh
+// running the workers w with w/perShard == sh, and joins them in one
+// process: for every shard-boundary edge a pump drains the producing
+// engine's link into the consuming engine's, the part a socket plays
+// between processes. stop aborts every engine and returns once every pump
+// has exited.
+func shardEngines(t *testing.T, rigs []*shardRig, workers, perShard int) (engines []*MappedEngine, stop func()) {
+	t.Helper()
+	engines = make([]*MappedEngine, len(rigs))
+	for sh, r := range rigs {
+		local := make([]bool, workers)
+		for w := range local {
+			local[w] = w/perShard == sh
+		}
+		me, err := NewMappedOpts(r.g, r.s, r.assign, workers, Options{LocalWorkers: local, Watchdog: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := me.Prepare(); err != nil {
+			t.Fatal(err)
+		}
+		engines[sh] = me
+	}
+	var wg sync.WaitGroup
+	r := rigs[0]
+	for _, e := range r.g.Edges {
+		from, to := r.assign[e.Src.ID]/perShard, r.assign[e.Dst.ID]/perShard
+		if from == to {
+			continue
+		}
+		wg.Add(1)
+		go func(id int, from, to *MappedEngine) {
+			defer wg.Done()
+			for from.DrainBoundary(id, func(b []float64) error { return to.FillBoundary(id, b) }) == nil {
 			}
-		},
-		Recv: func(edge int, stop <-chan struct{}) ([]float64, error) {
-			select {
-			case b := <-h.chs[edge]:
-				return b, nil
-			case <-stop:
-				return nil, ErrRemoteStopped
-			}
-		},
+		}(e.ID, engines[from], engines[to])
+	}
+	return engines, func() {
+		for _, me := range engines {
+			me.Abort()
+		}
+		wg.Wait()
 	}
 }
 
 // TestMappedShardedBitIdentical splits a 4-worker coarse-data plan into
-// two 2-worker shards (each an independently-compiled engine, exchanging
-// cross-shard batches over channel hooks), drives them in lockstep
+// two 2-worker shards (each an independently-compiled engine, their
+// boundary links pumped into each other), drives them in lockstep
 // epochs, and checks: sink outputs bit-identical to a single-process
 // mapped engine and to a sequential engine; and the barrier image
 // assembled from the two shards' exported slices byte-equal to the
@@ -107,30 +127,8 @@ func TestMappedShardedBitIdentical(t *testing.T) {
 		}
 	}
 
-	hooks := &chanHooks{chs: map[int]chan []float64{}}
-	for _, e := range single.g.Edges {
-		if shardOf(single.assign[e.Src.ID]) != shardOf(single.assign[e.Dst.ID]) {
-			hooks.chs[e.ID] = make(chan []float64, DefaultQueueDepth)
-		}
-	}
-
-	engines := make([]*MappedEngine, 2)
-	for sh, r := range rigs {
-		local := make([]bool, workers)
-		for w := 0; w < workers; w++ {
-			local[w] = shardOf(w) == sh
-		}
-		me, err := NewMappedOpts(r.g, r.s, r.assign, workers, Options{
-			LocalWorkers: local, Remote: hooks.hooks(), Watchdog: -1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := me.Prepare(); err != nil {
-			t.Fatal(err)
-		}
-		engines[sh] = me
-	}
+	engines, stop := shardEngines(t, rigs, workers, perShard)
+	defer stop()
 
 	ms, err := NewMappedOpts(single.g, single.s, single.assign, workers, Options{})
 	if err != nil {
@@ -232,36 +230,14 @@ func TestMappedShardedRestore(t *testing.T) {
 	build := func() *ir.Program { return apps.FMRadio(2, 8) }
 	const workers, perShard, iters, epoch = 4, 2, 6, 2
 	strat := partition.StratCoarseData
-	shardOf := func(w int) int { return w / perShard }
 
 	single := buildShardRig(t, build, strat, workers)
 	rigs := []*shardRig{
 		buildShardRig(t, build, strat, workers),
 		buildShardRig(t, build, strat, workers),
 	}
-	hooks := &chanHooks{chs: map[int]chan []float64{}}
-	for _, e := range single.g.Edges {
-		if shardOf(single.assign[e.Src.ID]) != shardOf(single.assign[e.Dst.ID]) {
-			hooks.chs[e.ID] = make(chan []float64, DefaultQueueDepth)
-		}
-	}
-	engines := make([]*MappedEngine, 2)
-	for sh, r := range rigs {
-		local := make([]bool, workers)
-		for w := 0; w < workers; w++ {
-			local[w] = shardOf(w) == sh
-		}
-		me, err := NewMappedOpts(r.g, r.s, r.assign, workers, Options{
-			LocalWorkers: local, Remote: hooks.hooks(), Watchdog: -1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := me.Prepare(); err != nil {
-			t.Fatal(err)
-		}
-		engines[sh] = me
-	}
+	engines, stop := shardEngines(t, rigs, workers, perShard)
+	defer stop()
 
 	step := func(n int) {
 		t.Helper()
@@ -335,6 +311,68 @@ func TestMappedShardedRestore(t *testing.T) {
 			if gotOuts[i][j] != want[j] {
 				t.Fatalf("sink slice %d item %d: replay %v, original %v", i, j, gotOuts[i][j], want[j])
 			}
+		}
+	}
+}
+
+// TestMappedShardedAbortUnwindsPumps runs only the producing shard of a
+// pair, so its boundary pump blocks on the consuming shard's full link and
+// the producer on its own; Abort then unwinds all of it. The epoch fails,
+// so does a later one that has to wait on a link, and no goroutine is left
+// behind.
+func TestMappedShardedAbortUnwindsPumps(t *testing.T) {
+	build := func() *ir.Program { return apps.FMRadio(2, 8) }
+	const workers, perShard = 4, 2
+	before := runtime.NumGoroutine()
+	rigs := []*shardRig{
+		buildShardRig(t, build, partition.StratCoarseData, workers),
+		buildShardRig(t, build, partition.StratCoarseData, workers),
+	}
+	engines, stop := shardEngines(t, rigs, workers, perShard)
+	var edge *ir.Edge
+	for _, e := range rigs[0].g.Edges {
+		if rigs[0].assign[e.Src.ID]/perShard != rigs[0].assign[e.Dst.ID]/perShard {
+			edge = e
+			break
+		}
+	}
+	if edge == nil {
+		t.Fatal("the plan has no shard-boundary edge")
+	}
+	from, to := engines[rigs[0].assign[edge.Src.ID]/perShard], engines[rigs[0].assign[edge.Dst.ID]/perShard]
+	done := make(chan error, 1)
+	go func() { done <- from.StepEpoch(16) }()
+
+	full := to.links[edge.ID]
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if full.pos[sideSend].Load()-full.pos[sideRecv].Load() == uint64(len(full.slots)) && full.waiting[sideSend].Load() {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the pump never blocked on the consuming shard's full link")
+		}
+	}
+	unwound := make(chan struct{})
+	go func() { stop(); close(unwound) }()
+	select {
+	case <-unwound:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the pumps did not unwind")
+	}
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("an aborted epoch reported a barrier")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the producing shard's epoch did not unwind")
+	}
+	if err := to.StepEpoch(16); err == nil {
+		t.Fatal("an epoch after Abort ran past what its links held")
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left behind", runtime.NumGoroutine()-before)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -35,8 +34,7 @@ import (
 // workers agree on every block and barriers fall where they would one
 // iteration per cycle; and each level's block is clamped at the segment's
 // end. A stage cluster still advances its data-driven goal one iteration
-// at a time inside a block. k = 1 only on a sharded engine: its shard
-// transport frames carry one iteration each.
+// at a time inside a block. k = 1 only on a sharded engine (ROADMAP 9c).
 //
 // Lockstep is the zero-skew plan, which the engine builds itself when the
 // caller supplies no Options.Stages: every level 0, no clusters. There is
@@ -325,11 +323,9 @@ type swpStep struct {
 	inBase, inPer int64
 }
 
-// swpIn is one cross-worker in-edge with its producer's flush schedule: its
-// link, or nil on a shard-boundary edge.
+// swpIn is one cross-worker in-edge with its producer's flush schedule.
 type swpIn struct {
 	e        *ir.Edge
-	l        *link
 	q        *wfunc.Ring
 	srcLevel int
 }
@@ -377,11 +373,10 @@ func (me *MappedEngine) planWorkers() {
 				if e == nil {
 					continue
 				}
-				l := me.links[e.ID]
-				if l == nil && me.localWorker(me.Assign[e.Src.ID]) {
+				if me.links[e.ID] == nil {
 					continue // both ends on this worker
 				}
-				in := swpIn{e: e, l: l, q: me.queues[e.ID], srcLevel: sw.levels[e.Src.ID]}
+				in := swpIn{e: e, q: me.queues[e.ID], srcLevel: sw.levels[e.Src.ID]}
 				if in.srcLevel == sp.level {
 					sp.pre = append(sp.pre, in)
 				} else {
@@ -493,8 +488,7 @@ func (me *MappedEngine) runWorker(w, lane, cycles int) (err error) {
 // batch. It takes exactly produce × iters items, not whatever is staged:
 // that is the producer-side rate check, so a filter that pushed less than
 // it declared faults here, as a take naming it, instead of starving its
-// consumer a stage later. A shard transport may keep what it is given, so
-// it gets a new batch; a link's slot is filled in place.
+// consumer a stage later.
 func (me *MappedEngine) flush(rt *nodeRT, iters int64) error {
 	n := rt.node
 	for p, e := range n.Out {
@@ -502,42 +496,22 @@ func (me *MappedEngine) flush(rt *nodeRT, iters int64) error {
 			continue
 		}
 		k := me.Sch.Reps[n.ID] * n.PushPort(p) * int(iters)
-		var err error
-		if l := me.links[e.ID]; l == nil {
-			err = remoteErr(me.remote.Send(e.ID, me.stage[e.ID].Take(make([]float64, 0, k), k), me.stopCh))
-		} else if err = me.await(e, sideSend, k); err == nil {
-			l.send(me.stage[e.ID], k)
-			me.live.progress.Add(1)
-		}
-		if err != nil {
+		if err := me.await(e, sideSend, k); err != nil {
 			return err
 		}
+		me.links[e.ID].send(me.stage[e.ID], k)
+		me.live.progress.Add(1)
 	}
 	return nil
 }
 
-// recvEdge receives one batch of a cross-worker or shard-boundary in-edge
-// into its consumer queue, releasing a link's slot to its producer.
+// recvEdge receives one batch of a cross-worker in-edge into its consumer
+// queue, releasing the link's slot to its producer.
 func (me *MappedEngine) recvEdge(in swpIn) error {
-	if in.l == nil {
-		batch, err := me.remote.Recv(in.e.ID, me.stopCh)
-		if err == nil {
-			in.q.Append(batch)
-		}
-		return remoteErr(err)
-	}
 	if err := me.await(in.e, sideRecv, in.q.Len()); err != nil {
 		return err
 	}
-	in.l.recv(in.q)
+	me.links[in.e.ID].recv(in.q)
 	me.live.progress.Add(1)
 	return nil
-}
-
-// remoteErr maps a shard transport's stop sentinel onto the quiet unwind.
-func remoteErr(err error) error {
-	if errors.Is(err, ErrRemoteStopped) {
-		return errStopped
-	}
-	return err
 }

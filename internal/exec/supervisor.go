@@ -68,15 +68,11 @@ type Options struct {
 	Trace *obs.Recorder
 	// LocalWorkers turns the mapped engine into one shard of a
 	// distributed run: LocalWorkers[w] marks the workers this process
-	// actually executes, the rest belong to peer shards. Edges crossing
-	// the local/remote boundary move their batches through Remote instead
-	// of in-memory links. nil (the default) runs every worker locally;
-	// the other engines ignore it. Requires a lockstep plan (no Stages).
+	// executes, the rest belong to peer shards, and the caller pumps the
+	// far side of every link crossing the boundary (DrainBoundary,
+	// FillBoundary). nil runs every worker locally; the other engines
+	// ignore it. Requires a lockstep plan (no Stages).
 	LocalWorkers []bool
-	// Remote supplies the cross-shard edge transport for a sharded mapped
-	// engine (internal/dist wires these to TCP links). Required when
-	// LocalWorkers leaves any cross-boundary edge.
-	Remote *RemoteHooks
 }
 
 // DefaultWatchdogInterval is the no-progress window after which the mapped

@@ -458,41 +458,3 @@ func (inj *Injector) Next(filter string, firing int64) (Fault, bool) {
 	inj.pending[filter] = q[1:]
 	return f, true
 }
-
-// Remaining returns the number of faults not yet triggered.
-func (inj *Injector) Remaining() int {
-	if inj == nil {
-		return 0
-	}
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	n := 0
-	for _, q := range inj.pending {
-		n += len(q)
-	}
-	return n
-}
-
-// Schedule returns the not-yet-triggered faults in deterministic order
-// (for -explain style tooling).
-func (inj *Injector) Schedule() []Fault {
-	if inj == nil {
-		return nil
-	}
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	var out []Fault
-	for _, q := range inj.pending {
-		out = append(out, q...)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Firing != out[j].Firing {
-			return out[i].Firing < out[j].Firing
-		}
-		if out[i].Filter != out[j].Filter {
-			return out[i].Filter < out[j].Filter
-		}
-		return out[i].Kind < out[j].Kind
-	})
-	return out
-}

@@ -93,8 +93,8 @@ func TestInjectorConsumesOneShot(t *testing.T) {
 	if _, ok := inj.Next("A", 3); ok {
 		t.Fatal("fault fired twice")
 	}
-	if inj.Remaining() != 0 {
-		t.Fatalf("remaining = %d, want 0", inj.Remaining())
+	if n := len(inj.pending["A"]); n != 0 {
+		t.Fatalf("%d faults remain, want 0", n)
 	}
 }
 

@@ -36,9 +36,6 @@ type FilterStats struct {
 	tapeHWM atomic.Int64
 }
 
-// Name returns the node name the stats belong to.
-func (s *FilterStats) Name() string { return s.name }
-
 // AddFiring counts one completed firing.
 func (s *FilterStats) AddFiring() { s.firings.Add(1) }
 

@@ -10,8 +10,8 @@ import (
 func TestFilterStatsCounters(t *testing.T) {
 	p := NewProfiler([]string{"src", "fir", "sink"})
 	st := p.At(1)
-	if st.Name() != "fir" {
-		t.Fatalf("At(1).Name() = %q, want fir", st.Name())
+	if st.name != "fir" {
+		t.Fatalf("At(1) is %q's, want fir's", st.name)
 	}
 	st.AddFiring()
 	st.AddFiring()

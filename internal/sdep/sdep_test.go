@@ -336,7 +336,7 @@ func TestVerifyEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Verify(g); err != nil {
+	if _, err := sched.Compute(g); err != nil {
 		t.Fatal(err)
 	}
 }

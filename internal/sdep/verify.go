@@ -7,27 +7,6 @@ import (
 	"streamit/internal/sched"
 )
 
-// Verify performs the paper's static program-verification checks on a flat
-// graph:
-//
-//   - Overflow detection: split-join branches (and feedback cycles) whose
-//     production rates differ by more than O(1) per steady state make some
-//     buffer grow without bound. This surfaces as inconsistent balance
-//     equations.
-//
-//   - Deadlock detection: a feedback loop whose delay is insufficient for
-//     the information wavefront around the loop (maxloop(x) < x + delay)
-//     starves the feedback joiner.
-//
-// On success it returns the schedule so callers don't recompute it.
-func Verify(g *ir.Graph) (*sched.Schedule, error) {
-	s, err := sched.Compute(g)
-	if err != nil {
-		return nil, fmt.Errorf("program verification failed: %w", err)
-	}
-	return s, nil
-}
-
 // MaxLoop computes the information wavefront around a feedback loop using
 // the simulation-based transfer functions: maxloop(x) = ma{I2->O}(ma{O->I2}(x)),
 // where O is the feedback joiner's output tape and I2 the loop (back) edge.

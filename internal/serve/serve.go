@@ -384,9 +384,6 @@ func (srv *Server) Drain(timeout time.Duration) error {
 	}
 }
 
-// Draining reports whether Drain has stopped session admission.
-func (srv *Server) Draining() bool { return srv.draining.Load() }
-
 // quiet reports whether no session has dispatchable or in-flight work.
 func (srv *Server) quiet() bool {
 	srv.mu.Lock()

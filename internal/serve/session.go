@@ -190,14 +190,6 @@ func (s *Session) Err() error {
 	return s.err
 }
 
-// Quarantined reports whether the session hit a terminal error and was
-// isolated from the pool. Its buffered output stays drainable.
-func (s *Session) Quarantined() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.quarantined
-}
-
 // failLocked records a terminal session error (the first one wins — a
 // stuck verdict must not be overwritten by the batch eventually limping
 // home) and counts the quarantine once. Callers hold s.mu.

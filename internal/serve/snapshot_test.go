@@ -279,7 +279,7 @@ func TestDrain(t *testing.T) {
 	if done, goal := s.Progress(); done != goal {
 		t.Fatalf("Drain returned with %d/%d iterations done", done, goal)
 	}
-	if !srv.Draining() {
+	if !srv.draining.Load() {
 		t.Fatal("server not marked draining")
 	}
 	if _, err := srv.NewSession(SessionOptions{Program: "t"}); !errors.Is(err, ErrDraining) {

@@ -138,7 +138,7 @@ func TestSessionPanicQuarantinesOnlySession(t *testing.T) {
 	if !strings.Contains(ee.Filter, "g") {
 		t.Fatalf("ExecError names filter %q, want the faulty gain", ee.Filter)
 	}
-	if !bad.Quarantined() {
+	if !quarantined(bad) {
 		t.Fatal("faulty session not marked quarantined")
 	}
 
@@ -217,7 +217,7 @@ func TestRunBatchPanicContainment(t *testing.T) {
 	if ee.Op != "contained panic" {
 		t.Fatalf("ExecError.Op = %q, want %q", ee.Op, "contained panic")
 	}
-	if !victim.Quarantined() {
+	if !quarantined(victim) {
 		t.Fatal("session not quarantined after contained panic")
 	}
 
@@ -261,7 +261,7 @@ func TestStagingPanicContainment(t *testing.T) {
 	}
 	// Session lock must still be healthy (a panic with s.mu held would
 	// deadlock here) and the worker alive.
-	if !s.Quarantined() {
+	if !quarantined(s) {
 		t.Fatal("session not quarantined")
 	}
 	probe, err := srv.NewSession(SessionOptions{Program: "t"})
@@ -324,7 +324,7 @@ func TestStuckSessionWatchdog(t *testing.T) {
 	if se.Elapsed < 50*time.Millisecond {
 		t.Fatalf("StuckError.Elapsed = %v, want >= BatchTimeout", se.Elapsed)
 	}
-	if !stuck.Quarantined() {
+	if !quarantined(stuck) {
 		t.Fatal("stuck session not quarantined")
 	}
 
@@ -409,4 +409,12 @@ func TestLostSessionAccounting(t *testing.T) {
 	if srv.Session(s.ID) != nil {
 		t.Fatal("quarantined session still resolvable after Close")
 	}
+}
+
+// quarantined reports whether the session hit a terminal error and was
+// isolated from the pool.
+func quarantined(s *Session) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.quarantined
 }
