@@ -4,8 +4,9 @@ import (
 	"fmt"
 	"io"
 	"text/tabwriter"
-	"time"
 
+	"streamit/internal/apps"
+	"streamit/internal/ir"
 	"streamit/internal/linear"
 	"streamit/internal/machine"
 	"streamit/internal/partition"
@@ -156,17 +157,19 @@ type BlockRow struct {
 
 // FreqBlockAblation measures the frequency-translation speedup of a
 // 512-tap FIR at several overlap-save block sizes, against the direct
-// (unrolled) implementation — the block-size trade-off behind the
-// optimizer's cost model.
+// kernel linear.ToKernel emits for it — the block-size trade-off behind
+// the optimizer's cost model. Both sides run as E7's programs do: between
+// the suite's source and sink, timed by measureRate on the sequential
+// engine's VM.
 func FreqBlockAblation() ([]BlockRow, error) {
 	const taps = 512
 	weights := make([]float64, taps)
 	for i := range weights {
 		weights[i] = 1.0 / float64(i+1)
 	}
-	rep := linearRepFor(weights)
-	direct := linear.ToKernel("directFIR", rep)
-	directRate, err := kernelRate(direct)
+	rep := linear.NewRep(taps, 1, 1)
+	copy(rep.A[0], weights)
+	directRate, err := measureRate(kernelProgram(linear.ToKernel("directFIR", rep)), MeasureDur)
 	if err != nil {
 		return nil, err
 	}
@@ -176,7 +179,7 @@ func FreqBlockAblation() ([]BlockRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		rate, err := kernelRate(k)
+		rate, err := measureRate(kernelProgram(k), MeasureDur)
 		if err != nil {
 			return nil, err
 		}
@@ -185,28 +188,10 @@ func FreqBlockAblation() ([]BlockRow, error) {
 	return out, nil
 }
 
-func linearRepFor(weights []float64) *linear.Rep {
-	r := linear.NewRep(len(weights), 1, 1)
-	copy(r.A[0], weights)
-	return r
-}
-
-// kernelRate measures a standalone kernel's outputs per second.
-func kernelRate(k *wfunc.Kernel) (float64, error) {
-	input := make([]float64, 4096+k.Peek)
-	for i := range input {
-		input[i] = float64(i % 31)
-	}
-	start := time.Now()
-	outputs := 0
-	for time.Since(start) < MeasureDur {
-		out, err := wfunc.RunKernel(k, input)
-		if err != nil {
-			return 0, err
-		}
-		outputs += len(out)
-	}
-	return float64(outputs) / time.Since(start).Seconds(), nil
+// kernelProgram runs k between the suite's source and sink.
+func kernelProgram(k *wfunc.Kernel) *ir.Program {
+	return &ir.Program{Name: k.Name, Top: ir.Pipe(k.Name+"Pipe",
+		apps.Source("in"), &ir.Filter{Kernel: k, In: ir.TypeFloat, Out: ir.TypeFloat}, apps.Sink("out", 1))}
 }
 
 // PrintFreqBlocks renders the block-size ablation.

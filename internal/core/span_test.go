@@ -3,10 +3,12 @@ package core
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"streamit/internal/apps"
 	"streamit/internal/ir"
+	"streamit/internal/linear"
 	"streamit/internal/partition"
 	"streamit/internal/vm"
 )
@@ -106,6 +108,35 @@ func TestSuiteSpanKernels(t *testing.T) {
 		}
 		check(app.Name, "task+data plan for 2 workers", g2, want.plan, want.planRows)
 	}
+	// The linear suite as E7 runs it optimised: every LinearMatrix kernel
+	// is a row kernel when it pushes one item, else one rows span (its
+	// inner loop counts as a reduce span too).
+	for name, want := range map[string]struct {
+		spans [5]int
+		rows  int
+	}{
+		"FIR": {[5]int{0, 2, 0, 2, 0}, 0}, "RateConvert": {[5]int{2, 2, 0, 0, 1}, 1},
+		"TargetDetect": {[5]int{1, 2, 0, 0, 1}, 0}, "FMRadioL": {[5]int{2, 2, 0, 0, 0}, 2},
+		"FilterBankL": {[5]int{17, 10, 0, 0, 8}, 9}, "Oversampler": {[5]int{1, 2, 0, 0, 1}, 0},
+		"DToA": {[5]int{1, 2, 0, 0, 0}, 1},
+	} {
+		c := compileOptimised(t, name)
+		check(name, "optimised", c.Graph, want.spans, want.rows)
+		for _, n := range c.Graph.Nodes {
+			if n.Kind != ir.NodeFilter || !strings.HasPrefix(n.Filter.Kernel.Name, "LinearMatrix") {
+				continue
+			}
+			k := n.Filter.Kernel
+			p, err := vm.Compile(k.Work)
+			if err != nil {
+				t.Fatalf("%s: %v", n.Name, err)
+			}
+			_, _, _, _, rw := p.SpanCounts()
+			if row := vm.NewMachine(p).RowKernel(); k.Push == 1 && !row || k.Push > 1 && rw != 1 {
+				t.Errorf("%s, %s (push %d): row kernel %v, %d rows spans", name, n.Name, k.Push, row, rw)
+			}
+		}
+	}
 	// freqhop.str has no loop at all: the benchmark's bypass. The FIRs of
 	// fmradio.str and filterbank.str are row kernels, and so is
 	// filterbank.str's adder; fmradio.str's divides its sum.
@@ -125,5 +156,46 @@ func TestSuiteSpanKernels(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		check(name, "as written", c.Graph, want.spans, want.rows)
+	}
+}
+
+// compileOptimised compiles the linear-suite program name after
+// linear.Optimize with its default options, as E7 runs it.
+func compileOptimised(t *testing.T, name string) *Compiled {
+	t.Helper()
+	for _, app := range apps.LinearSuite() {
+		if app.Name != name {
+			continue
+		}
+		lo := linear.DefaultOptions()
+		c, err := Compile(app.Build(), Options{Linear: &lo})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return c
+	}
+	t.Fatalf("%s: not in the linear suite", name)
+	return nil
+}
+
+// TestLinearSuiteReport pins what the optimiser decides for each program
+// of the linear suite: the linear filters it finds, the filters combination
+// removes, and how many regions become frequency or matrix kernels. A
+// change to the kernels it emits must leave these where they are; a change
+// to its cost model moves them on purpose.
+func TestLinearSuiteReport(t *testing.T) {
+	for name, want := range map[string][4]int{
+		"FIR":          {1, 0, 1, 0},
+		"RateConvert":  {4, 2, 0, 1},
+		"TargetDetect": {8, 7, 0, 1},
+		"FMRadioL":     {20, 18, 0, 1},
+		"FilterBankL":  {33, 16, 0, 8},
+		"Oversampler":  {8, 7, 0, 1},
+		"DToA":         {4, 3, 0, 1},
+	} {
+		r := compileOptimised(t, name).Linear
+		if got := [4]int{r.LinearFilters, r.Combined, r.FreqTranslated, r.MatrixReplaced}; got != want {
+			t.Errorf("%s: linear/combined/frequency/matrix = %v, want %v", name, got, want)
+		}
 	}
 }

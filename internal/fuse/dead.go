@@ -12,11 +12,11 @@ import (
 // j-th push at cell t·push + j of its edge array; it is dead when no kept
 // trip of the next stage reads those cells, and dropped when it cannot
 // fault either: a head's trip must read inside the fused window given the
-// pops before it. Nothing goes unless every other stage reads inside its
-// own window with every index proved (else it might read cells another
-// edge left in the array they share), and a stage keeps every trip rather
-// than more than two copies of its body. The last stage, the only one
-// CanFollow lets write fields, keeps every trip.
+// pops before it. Nothing goes unless every other stage's indices are all
+// proved (inside its window: Chain refused a stage that reads past it),
+// and a stage keeps every trip rather than more than two copies of its
+// body. The last stage, the only one CanFollow lets write fields, keeps
+// every trip.
 func dropped(filters []*ir.Filter, mult []int) ([][]bool, []Trips) {
 	n := len(filters)
 	drop, walks, trips := make([][]bool, n), make([]*walker, n), make([]Trips, n)
@@ -24,7 +24,7 @@ func dropped(filters []*ir.Filter, mult []int) ([][]bool, []Trips) {
 		drop[i], trips[i] = make([]bool, mult[i]), Trips{Kept: mult[i], Of: mult[i]}
 	}
 	for i := 1; i < n; i++ {
-		if walks[i] = walk(filters[i].Kernel); !walks[i].ok || walks[i].hi > filters[i].Kernel.Peek {
+		if walks[i] = walk(filters[i].Kernel); !walks[i].ok {
 			return drop, trips
 		}
 	}
@@ -193,4 +193,110 @@ func (w *walker) read(k int) {
 		w.reads[k] = true
 	}
 	w.hi = max(w.hi, k+1)
+}
+
+// bound returns an upper bound on walk's hi for k, or ok false where it
+// cannot tell, without unrolling a loop: it follows the body once, gives a
+// counted loop's variable its range, and bounds each peek index by
+// interval arithmetic. A peek the body may reach after a pop fails it;
+// pops alone read no further than k's declared pop rate.
+func bound(k *wfunc.Kernel) (hi int, ok bool) {
+	b := &bounder{vars: make([]span, k.Work.NumLocals), ok: true}
+	for i := range b.vars {
+		b.vars[i].lo = math.NaN()
+	}
+	b.block(k.Work.Body)
+	return max(b.hi, k.Pop), b.ok
+}
+
+type span struct{ lo, hi float64 }
+
+type bounder struct {
+	vars   []span // by local: a live loop variable's range, else lo NaN
+	popped bool   // a pop may have run
+	hi     int
+	ok     bool
+}
+
+func (b *bounder) block(body []wfunc.Stmt) {
+	for _, st := range body {
+		switch st := st.(type) {
+		case *wfunc.Assign:
+			b.expr(st.X)
+			if st.LHS.Index != nil {
+				b.expr(st.LHS.Index)
+			}
+			b.ok = b.ok && !(st.LHS.Kind == wfunc.LVLocal && b.live(st.LHS.Idx))
+		case *wfunc.PushStmt:
+			b.expr(st.X)
+		case *wfunc.PopStmt:
+			b.popped = true
+		case *wfunc.If:
+			b.expr(st.C)
+			b.block(st.Then)
+			b.block(st.Else)
+		case *wfunc.For:
+			trips, counted := wfunc.ConstTrip(st)
+			if !counted || st.Step != nil || b.live(st.Var) {
+				b.ok = false
+				return
+			}
+			if trips == 0 {
+				continue
+			}
+			from := st.From.(*wfunc.Const).V
+			b.vars[st.Var] = span{from, from + float64(trips-1)}
+			b.popped = b.popped || wfunc.CountIO(st.Body).Pops > 0
+			b.block(st.Body)
+			b.vars[st.Var].lo = math.NaN()
+		default:
+			b.ok = false
+		}
+	}
+}
+
+func (b *bounder) live(l int) bool { return !math.IsNaN(b.vars[l].lo) }
+
+// expr visits e's peeks and returns its range when constants and loop
+// variables alone give it.
+func (b *bounder) expr(e wfunc.Expr) (span, bool) {
+	switch e := e.(type) {
+	case *wfunc.Const:
+		return span{e.V, e.V}, true
+	case *wfunc.LocalRef:
+		return b.vars[e.Idx], b.live(e.Idx)
+	case *wfunc.LocalIndex:
+		b.expr(e.Index)
+	case *wfunc.FieldIndex:
+		b.expr(e.Index)
+	case *wfunc.Peek:
+		r, known := b.expr(e.Index)
+		if b.ok = b.ok && known && !b.popped && r.lo >= 0 && r.hi < 1<<14; b.ok {
+			b.hi = max(b.hi, int(r.hi)+1)
+		}
+	case *wfunc.PopExpr:
+		b.popped = true
+	case *wfunc.Unary:
+		b.expr(e.X)
+	case *wfunc.Binary:
+		x, okX := b.expr(e.A)
+		y, okY := b.expr(e.B)
+		if !okX || !okY {
+			return span{}, false
+		}
+		switch e.Op {
+		case wfunc.Add:
+			return span{x.lo + y.lo, x.hi + y.hi}, true
+		case wfunc.Mul:
+			p := []float64{x.lo * y.lo, x.lo * y.hi, x.hi * y.lo, x.hi * y.hi}
+			return span{slices.Min(p), slices.Max(p)}, true
+		case wfunc.Mod:
+			if m := int64(y.lo); y.lo == y.hi && m >= 1 && x.lo >= 0 {
+				return span{0, min(float64(int64(x.hi)), float64(m-1))}, true
+			}
+		}
+	default:
+		b.ok = false
+	}
+	return span{}, false
 }

@@ -8,9 +8,11 @@ import (
 
 	"streamit/internal/apps"
 	"streamit/internal/core"
+	"streamit/internal/exec"
 	"streamit/internal/fuse"
 	"streamit/internal/ir"
 	"streamit/internal/partition"
+	"streamit/internal/wfunc"
 )
 
 // planVerdicts builds app's task+data plan for 2 workers and returns, per
@@ -100,5 +102,60 @@ func TestChainDeadTripsSuite(t *testing.T) {
 			t.Errorf("%s: dropped trips %v, want %v", app.Name, dropped, w)
 		}
 		t.Logf("%s: %d fused kernels keep every trip, %d drop some", app.Name, whole, len(dropped))
+	}
+}
+
+// TestChainRefusesReadPastWindow: a stage behind the head that reads past
+// its declared window would read the edge array it shares instead of
+// faulting, so Chain and CanFollow refuse it by name, the task+data plan
+// leaves the pair unfused, and the plan faults as the pipeline does.
+func TestChainRefusesReadPastWindow(t *testing.T) {
+	build := func() (*ir.Program, *[]float64) {
+		ka := wfunc.NewKernel("A", 1, 1, 2)
+		ka.WorkBody(wfunc.Push1(wfunc.PeekE(0)), wfunc.Push1(wfunc.PopE()))
+		kb := wfunc.NewKernel("B", 1, 1, 1)
+		i, sum := kb.Local("i"), kb.Local("sum")
+		kb.WorkBody(wfunc.ForUp(i, wfunc.Ci(0), wfunc.Ci(2), wfunc.Set(sum, wfunc.AddX(sum, wfunc.PeekX(i)))),
+			wfunc.Push1(sum), wfunc.Pop1())
+		snk, got := exec.SliceSink("snk")
+		return &ir.Program{Name: "p", Top: ir.Pipe("main", exec.SliceSource("src", []float64{1, 2, 3}),
+			&ir.Filter{Kernel: ka.Build(), In: ir.TypeFloat, Out: ir.TypeFloat},
+			&ir.Filter{Kernel: kb.Build(), In: ir.TypeFloat, Out: ir.TypeFloat}, snk)}, got
+	}
+	prog, _ := build()
+	a, b := prog.Top.(*ir.Pipeline).Children[1].(*ir.Filter), prog.Top.(*ir.Pipeline).Children[2].(*ir.Filter)
+	const want = "B reads item 1 of its input, past its window of 1"
+	if _, _, err := fuse.Chain("AB", a, b); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Chain: %v, want an error containing %q", err, want)
+	}
+	if err := fuse.CanFollow(a, b); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("CanFollow: %v, want an error containing %q", err, want)
+	}
+	_, pipeErr := exec.RunCollect(prog, 4, new([]float64))
+	const fault = "peek(1) with 1 items buffered"
+	if pipeErr == nil || !strings.Contains(pipeErr.Error(), fault) {
+		t.Fatalf("pipeline: %v, want the %q fault", pipeErr, fault)
+	}
+	fresh, _ := build()
+	c, err := core.Compile(fresh, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := partition.BuildExecPlan(c.Program, c.Graph, c.Schedule,
+		partition.ExecPlanOptions{Strategy: partition.StratCoarseData, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := ir.Flatten(plan.Program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range g.Nodes {
+		if n.Kind == ir.NodeFilter && strings.Contains(n.Filter.Kernel.Name, "+") {
+			t.Errorf("the plan fused %s", n.Filter.Kernel.Name)
+		}
+	}
+	if _, err := exec.RunCollect(plan.Program, 4, new([]float64)); err == nil || !strings.Contains(err.Error(), fault) {
+		t.Errorf("plan: %v, want the %q fault", err, fault)
 	}
 }

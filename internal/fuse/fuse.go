@@ -47,7 +47,25 @@ func CanFollow(a, b *ir.Filter) error {
 	// into the edge array can follow them.
 	probe := stage{in: cursor{buf: 0}, out: tape}
 	probe.block(b.Kernel.Work.Body)
-	return probe.err
+	if probe.err != nil {
+		return probe.err
+	}
+	return inWindow(b.Kernel)
+}
+
+// inWindow is the check of a stage behind a chain's head: such a stage
+// reads an edge array, not a tape, so an item past its window would be a
+// cell of that array instead of a fault. The bound settles most bodies
+// without unrolling a loop; the walk settles the rest, and indices it
+// cannot follow pass.
+func inWindow(k *wfunc.Kernel) error {
+	if hi, ok := bound(k); ok && hi <= k.Peek {
+		return nil
+	}
+	if w := walk(k); w.ok && w.hi > k.Peek {
+		return fmt.Errorf("fuse: %s reads item %d of its input, past its window of %d; only a chain's head may read outside its window", k.Name, w.hi-1, k.Peek)
+	}
+	return nil
 }
 
 // follows is CanFollow's checks of the two filters' kinds and rates. Chain
@@ -101,6 +119,9 @@ func Chain(name string, filters ...*ir.Filter) (f *ir.Filter, trips []Trips, err
 	}
 	for i := 1; i < n; i++ {
 		if err := follows(filters[i-1], filters[i]); err != nil {
+			return nil, nil, err
+		}
+		if err := inWindow(filters[i].Kernel); err != nil {
 			return nil, nil, err
 		}
 	}

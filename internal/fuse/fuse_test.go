@@ -667,3 +667,32 @@ func BenchmarkFusionOverhead(b *testing.B) {
 	b.Run("filterbank-head/unfused", func(b *testing.B) { run(b, filterbankHead()...) })
 	b.Run("filterbank-head/fused", func(b *testing.B) { fused(b, filterbankHead) })
 }
+
+// TestBoundCoversWalk: the window check's interval bound, where it answers,
+// is never below what the walk reads, for every filter of both suites, so
+// a body it settles needs no walk.
+func TestBoundCoversWalk(t *testing.T) {
+	settled := 0
+	for _, app := range append(apps.Suite(), apps.LinearSuite()...) {
+		g, err := ir.Flatten(app.Build())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range g.Nodes {
+			if n.Kind != ir.NodeFilter || n.Filter.WorkFn != nil {
+				continue
+			}
+			hi, ok := bound(n.Filter.Kernel)
+			if !ok {
+				continue
+			}
+			settled++
+			if w := walk(n.Filter.Kernel); w.ok && hi < w.hi {
+				t.Errorf("%s: bound %d, but the walk reads up to item %d", n.Name, hi, w.hi-1)
+			}
+		}
+	}
+	if settled < 600 {
+		t.Errorf("the bound settles %d filters of 666", settled)
+	}
+}

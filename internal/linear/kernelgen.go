@@ -3,95 +3,50 @@ package linear
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"streamit/internal/fft"
 	"streamit/internal/wfunc"
 )
 
-// unrollLimit bounds the straight-line expansion of one output row; rows
-// with more nonzeros fall back to a CSR loop.
-const unrollLimit = 1024
-
 // ToKernel generates an IL kernel that executes the linear representation
-// directly. Rows with few nonzeros are emitted as straight-line code with
-// literal coefficients (exactly what the paper's compiler produces for a
-// collapsed linear region — no loads for coefficients, no multiplies by
-// zero); very wide rows fall back to a sparse CSR loop.
+// directly, as the dot-product nest the VM runs four rows at a time. The
+// coefficients are one field array, row-major, and row j is
+//
+//	sum = B[j]; for i < Peek { sum = sum + peek(i) * coef[i + Peek·j] }; push(sum)
+//
+// then the firing pops Pop items. One row (Push = 1) is a row kernel,
+// whose firings RunHeld runs as the rows; more sit in a loop over j, which
+// the VM runs as a rows span. Rows whose constants differ start from a
+// bias field array instead, which only the generic loop runs. Every
+// coefficient is multiplied, zeros included, so a non-finite input meets
+// a zero and gives NaN where Rep.Apply skips the term.
 func ToKernel(name string, r *Rep) *wfunc.Kernel {
 	b := wfunc.NewKernel(name, r.Peek, r.Pop, r.Push)
-
-	// Shared CSR tables, only materialized if some row needs the loop.
-	var colIdx, coef []float64
-	type csrRow struct{ j, lo, hi int }
-	var loops []csrRow
-	var unrolled [][]wfunc.Stmt
-
-	for j, row := range r.A {
-		nnz := 0
-		for _, c := range row {
-			if c != 0 {
-				nnz++
-			}
-		}
-		if nnz <= unrollLimit {
-			// out = B[j] + c1*peek(i1) + c2*peek(i2) + ...
-			expr := wfunc.Expr(wfunc.C(r.B[j]))
-			first := r.B[j] == 0
-			for i, c := range row {
-				if c == 0 {
-					continue
-				}
-				term := wfunc.Expr(wfunc.MulX(wfunc.PeekE(i), wfunc.C(c)))
-				if c == 1 {
-					term = wfunc.PeekE(i)
-				}
-				if first {
-					expr = term
-					first = false
-				} else {
-					expr = wfunc.AddX(expr, term)
-				}
-			}
-			unrolled = append(unrolled, []wfunc.Stmt{wfunc.Push1(expr)})
-		} else {
-			lo := len(colIdx)
-			for i, c := range row {
-				if c != 0 {
-					colIdx = append(colIdx, float64(i))
-					coef = append(coef, c)
-				}
-			}
-			loops = append(loops, csrRow{j: j, lo: lo, hi: len(colIdx)})
-			unrolled = append(unrolled, nil)
-		}
+	var coef []float64
+	for _, row := range r.A {
+		coef = append(coef, row...)
 	}
-
-	var ciArr, cfArr int
-	if len(colIdx) > 0 {
-		ciArr = b.FieldArray("colIdx", len(colIdx), colIdx...)
-		cfArr = b.FieldArray("coef", len(coef), coef...)
-	}
-	t := b.Local("t")
-	sum := b.Local("sum")
-
-	var body []wfunc.Stmt
-	li := 0
-	for j := 0; j < r.Push; j++ {
-		if unrolled[j] != nil {
-			body = append(body, unrolled[j]...)
-			continue
-		}
-		row := loops[li]
-		li++
-		body = append(body,
-			wfunc.Set(sum, wfunc.C(r.B[j])),
-			wfunc.ForUp(t, wfunc.Ci(row.lo), wfunc.Ci(row.hi),
-				wfunc.Set(sum, wfunc.AddX(sum,
-					wfunc.MulX(wfunc.PeekX(wfunc.FIdx(ciArr, t)), wfunc.FIdx(cfArr, t))))),
+	// A zero-width window reads no coefficient, but an array needs a cell.
+	cf := b.FieldArray("coef", max(len(coef), 1), coef...)
+	i, j, sum := b.Local("i"), b.Local("j"), b.Local("sum")
+	row := func(init, off wfunc.Expr) []wfunc.Stmt {
+		return []wfunc.Stmt{
+			wfunc.Set(sum, init),
+			wfunc.ForUp(i, wfunc.Ci(0), wfunc.Ci(r.Peek),
+				wfunc.Set(sum, wfunc.AddX(sum, wfunc.MulX(wfunc.PeekX(i), wfunc.FIdx(cf, wfunc.AddX(i, off)))))),
 			wfunc.Push1(sum),
-		)
+		}
 	}
-	body = append(body, wfunc.ForUp(t, wfunc.Ci(0), wfunc.Ci(r.Pop), wfunc.Pop1()))
+	init := wfunc.Expr(wfunc.C(r.B[0]))
+	if slices.ContainsFunc(r.B, func(c float64) bool { return c != r.B[0] }) {
+		init = wfunc.FIdx(b.FieldArray("bias", r.Push, r.B...), j)
+	}
+	body := row(init, wfunc.Ci(0))
+	if r.Push > 1 {
+		body = []wfunc.Stmt{wfunc.ForUp(j, wfunc.Ci(0), wfunc.Ci(r.Push), row(init, wfunc.MulX(j, wfunc.Ci(r.Peek)))...)}
+	}
+	body = append(body, wfunc.ForUp(i, wfunc.Ci(0), wfunc.Ci(r.Pop), wfunc.Pop1()))
 	b.WorkBody(body...)
 	return b.Build()
 }
@@ -252,16 +207,19 @@ func FreqCostPerOutput(taps, block int) float64 {
 	butterflies := float64(n) / 2 * logN
 	// Calibrated against the tree-walking interpreter: one butterfly costs
 	// about eight direct FIR taps (measured ~400ns vs ~55ns per tap), i.e.
-	// ~110 abstract cycles against the ~14 of a CSR tap. Two FFTs plus the
+	// ~110 abstract cycles against the ~14 of a looped tap. Two FFTs plus the
 	// bit-reverse, pointwise-multiply, load and scale stages.
 	total := 2*butterflies*110 + float64(n)*80
 	return total / float64(block)
 }
 
 // DirectCostPerOutput estimates interpreter cycles per output for the
-// unrolled matrix kernel of r: ~7 abstract cycles per nonzero coefficient
-// (straight-line multiply-add with literal coefficients) plus per-row
-// overhead, on the same calibration scale as FreqCostPerOutput.
+// matrix kernel of r: ~7 abstract cycles per nonzero coefficient plus
+// per-row overhead, on the same calibration scale as FreqCostPerOutput.
+// The constants were fitted to straight-line code with literal
+// coefficients on the tree-walking interpreter; ToKernel's nest, which
+// multiplies zeros too and runs on the VM, keeps them until the model is
+// re-fitted.
 func DirectCostPerOutput(r *Rep) float64 {
 	return 7*float64(r.NonZeros())/float64(r.Push) + 6
 }

@@ -343,8 +343,10 @@ func worthCombiningSJ(reps []*Rep, comb *Rep) bool {
 	return float64(costOf(comb)) <= pair*1.25
 }
 
-// costOf approximates a rep's per-firing execution cost in the CSR matrix
-// kernel: one multiply-add per nonzero plus per-row overhead.
+// costOf approximates a rep's per-firing execution cost: one multiply-add
+// per nonzero coefficient plus per-row overhead. ToKernel's nest
+// multiplies the zeros too, four rows at a time; the count is the
+// interpreter-era model the optimiser's decisions still rest on.
 func costOf(r *Rep) int {
 	return r.NonZeros() + 2*r.Push
 }
