@@ -403,12 +403,6 @@ func LinearBench() ([]LinearRow, float64, error) {
 			SpeedupComb:   comb / base,
 			SpeedupFull:   full / base,
 		}
-		if row.SpeedupFull < row.SpeedupComb {
-			// The optimizer's cost model picked frequency translation only
-			// where beneficial; report the better of the two as "full",
-			// matching the paper's automatic selection.
-			row.SpeedupFull = row.SpeedupComb
-		}
 		rows = append(rows, row)
 		fulls = append(fulls, row.SpeedupFull)
 	}

@@ -2,8 +2,11 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"streamit/internal/apps"
 	"streamit/internal/partition"
@@ -235,7 +238,7 @@ func TestGeoMean(t *testing.T) {
 }
 
 // TestTablesRender smoke-tests every printer (the simulation-backed ones;
-// the wall-clock benchmarks E7/E8 are exercised by the root benchmarks).
+// TestWallClockBenchesSmoke runs the wall-clock ones).
 func TestTablesRender(t *testing.T) {
 	var buf bytes.Buffer
 	printers := map[string]func(*bytes.Buffer) error{
@@ -274,4 +277,49 @@ func TestScalingMonotone(t *testing.T) {
 	if rows[0].Task <= 0 || rows[0].TaskData < rows[0].Task {
 		t.Errorf("unexpected ordering at 4 tiles: %+v", rows[0])
 	}
+}
+
+// TestWallClockBenchesSmoke runs the wall-clock benchmarks — E7
+// (LinearBench), A3 (FreqBlockAblation) and E8 (TeleportBench), all timed
+// by measureRate — at a 1 ms window: every row they report, and every
+// ratio finite and positive. The numbers mean nothing at this window; the
+// test keeps the harness EXPERIMENTS.md quotes running.
+func TestWallClockBenchesSmoke(t *testing.T) {
+	defer func(d time.Duration) { MeasureDur = d }(MeasureDur)
+	MeasureDur = time.Millisecond
+	ratio := func(what string, v float64) {
+		t.Helper()
+		if !(v > 0) || math.IsInf(v, 0) {
+			t.Errorf("%s = %v, want a finite positive ratio", what, v)
+		}
+	}
+	rows, mean, err := LinearBench()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(apps.LinearSuite()) {
+		t.Errorf("E7 reports %d rows for %d programs", len(rows), len(apps.LinearSuite()))
+	}
+	for _, r := range rows {
+		ratio("E7 "+r.Name+" combination", r.SpeedupComb)
+		ratio("E7 "+r.Name+" full", r.SpeedupFull)
+	}
+	ratio("E7 geometric mean", mean)
+	blocks, err := FreqBlockAblation()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(blocks) != 4 {
+		t.Errorf("A3 reports %d block sizes, want 4", len(blocks))
+	}
+	for _, b := range blocks {
+		ratio(fmt.Sprintf("A3 block %d", b.Block), b.Speedup)
+	}
+	tele, err := TeleportBench()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ratio("E8 teleport rate", tele.TeleportRate)
+	ratio("E8 manual rate", tele.ManualRate)
+	ratio("E8 teleport over manual", tele.TeleportRate/tele.ManualRate)
 }

@@ -105,6 +105,9 @@ type shard struct {
 	job     *jobMsg
 	jp      *jobPlan
 	pending []faults.ShardFault // this shard's unconsumed injected faults
+	// cuts holds every shard's faults, consumed or not: each engine cuts
+	// its blocks at them, so blocks match across every boundary.
+	cuts *faults.Plan
 
 	curMu   atomic.Pointer[generation] // read by the acceptor and heartbeat goroutines
 	hbPause atomic.Bool
@@ -194,8 +197,9 @@ func (sh *shard) handshake() error {
 			sh.fc.send(mtError, (&textMsg{Text: err.Error()}).encode())
 			return err
 		}
-		// Only shard faults aimed at this shard's stable ID apply here;
+		// Only shard faults aimed at this shard's stable ID fire here;
 		// filter- and worker-level faults are single-process concerns.
+		sh.cuts = &faults.Plan{ShardFaults: plan.ShardFaults}
 		for _, f := range plan.ShardFaults {
 			if f.Shard == int(sh.job.ShardID) {
 				sh.pending = append(sh.pending, f)
@@ -375,6 +379,7 @@ func (sh *shard) handleAssign(p []byte) error {
 		QueueDepth:   int(sh.job.QueueDepth),
 		Watchdog:     -1, // blocking on a remote peer is not a deadlock
 		LocalWorkers: local,
+		Faults:       sh.cuts,
 	})
 	if err != nil {
 		sh.fc.send(mtError, (&textMsg{Text: err.Error()}).encode())

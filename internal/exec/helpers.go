@@ -9,12 +9,9 @@ import (
 // item per firing. It is the standard test/example input driver (the
 // paper's ReadFromAtoD / file-input filter).
 func SliceSource(name string, data []float64) *ir.Filter {
-	b := wfunc.NewKernel(name, 0, 0, 1)
-	b.WorkBody(wfunc.Push1(wfunc.C(0))) // placeholder body; native fn used
-	k := b.Build()
 	pos := 0
 	return &ir.Filter{
-		Kernel: k,
+		Kernel: wfunc.NewKernel(name, 0, 0, 1).WorkBody(wfunc.Push1(wfunc.C(0))).Build(), // placeholder body; native fn used
 		In:     ir.TypeVoid,
 		Out:    ir.TypeFloat,
 		WorkFn: func(in, out wfunc.Tape, state *wfunc.State) {
@@ -28,12 +25,9 @@ func SliceSource(name string, data []float64) *ir.Filter {
 // plus a pointer to that slice for inspection after execution (the paper's
 // AudioBackEnd / file-output filter).
 func SliceSink(name string) (*ir.Filter, *[]float64) {
-	b := wfunc.NewKernel(name, 1, 1, 0)
-	b.WorkBody(wfunc.Pop1())
-	k := b.Build()
 	collected := &[]float64{}
 	return &ir.Filter{
-		Kernel: k,
+		Kernel: wfunc.NewKernel(name, 1, 1, 0).WorkBody(wfunc.Pop1()).Build(),
 		In:     ir.TypeFloat,
 		Out:    ir.TypeVoid,
 		WorkFn: func(in, out wfunc.Tape, state *wfunc.State) {

@@ -35,21 +35,12 @@ import (
 // outcome as the post-init prototype every later Run resets to in place.
 //
 // One run loop (mapped_swp.go) executes every plan, parameterised by a
-// stage map. A node at stage level l fires logical iteration
-// t-l*StageBatch at macro-cycle t, and cross-worker transfers flush once
-// per StageBatch cycles. With Options.Stages the levels skew the workers
-// — coarse-grained software pipelining: producers work on later
-// iterations while consumers still drain earlier ones — and feedback
-// loops and teleport messaging run inside single-worker stage clusters at
-// firing granularity. Without it the engine runs the zero-skew plan (every
-// level 0, a flush per cycle, no clusters), which is lockstep: each worker
-// fires its nodes in global topological order, and every cross-worker edge
-// carries a cycle's items as one batch. On every unsharded plan a cycle is
-// a block of up to StageBatch steady iterations, each step firing its
-// node's share of all of them; blocks are cut at batch boundaries and at
-// every barrier, so barriers and images are those of one iteration per
-// cycle. The zero-skew plan has no clusters to host feedback or messaging,
-// so it rejects both.
+// stage map. With Options.Stages the levels skew the workers — coarse-
+// grained software pipelining — and feedback loops and teleport messaging
+// run inside single-worker stage clusters; without it the engine runs the
+// zero-skew plan, lockstep, which has no clusters and rejects both. A
+// cycle is a block of up to StageBatch steady iterations, cut so that
+// barriers and images are those of one iteration per cycle.
 //
 // Fault tolerance: steady state runs in epochs, each a release of the
 // drive's workers and a rendezvous at a barrier where all of them have
@@ -68,14 +59,11 @@ import (
 // set.
 //
 // Deadlock-freedom: every worker visits its nodes in a common linear
-// extension of the dataflow order, and a batch is received where its edge
-// needs it — before the consumer's step when producer and consumer share a
-// stage, after the cycle's steps when the edge advances the stage — so
-// the worker holding the globally earliest incomplete firing always has
-// its inputs available and its output links short of capacity. A
-// watchdog still supervises the run (fault injection can wedge it
-// deliberately) and attributes blocked edges to workers in its
-// DeadlockError.
+// extension of the dataflow order and receives each batch where its edge
+// needs it (mapped_swp.go). A watchdog still supervises the run (fault
+// injection can wedge it deliberately), attributes blocked edges to
+// workers in its DeadlockError, and has a worker wedged inside a kernel
+// written off (epoch).
 type MappedEngine struct {
 	G   *ir.Graph
 	Sch *sched.Schedule
@@ -161,6 +149,9 @@ type MappedEngine struct {
 	halted   atomic.Bool
 	live     liveness
 	statuses []*nodeStatus
+	// lost, once set, names a worker an epoch wrote off: every later
+	// setup, restore or epoch refuses with it, and no crew is joined.
+	lost error
 }
 
 // mappedProto is the post-init prototype: the init schedule's edge residue
@@ -310,6 +301,9 @@ func (me *MappedEngine) compile() error {
 // setup resets the engine to the post-init prototype in the queues and
 // states it already has, at a fresh segment at iteration 0.
 func (me *MappedEngine) setup() error {
+	if me.lost != nil {
+		return me.lost
+	}
 	if err := me.compile(); err != nil {
 		return err
 	}
@@ -606,6 +600,8 @@ func (me *MappedEngine) startCrew() error {
 }
 
 // stopCrew ends the worker set, waiting at the barrier, and its watchdog.
+// A crew with a written-off worker is not joined: that worker's goroutine
+// exits on its own if its kernel ever returns.
 func (me *MappedEngine) stopCrew() {
 	c := me.crew
 	if c == nil {
@@ -616,7 +612,9 @@ func (me *MappedEngine) stopCrew() {
 			close(r)
 		}
 	}
-	c.wg.Wait()
+	if me.lost == nil {
+		c.wg.Wait()
+	}
 	c.wd.finish()
 	me.crew = nil
 }
@@ -647,17 +645,39 @@ func (me *MappedEngine) epoch(cycles int) error {
 	// A crash is recoverable; any other failure wins over it, and both over
 	// the unwinds they caused.
 	var crash, failed, stopped error
-	for i := 0; i < c.started; i++ {
-		switch err := <-c.arrive; {
-		case err == nil:
-		case err == errStopped:
-			stopped = err
-		case errors.As(err, new(*workerCrash)):
-			if crash == nil {
-				crash = err
+	var verdict <-chan struct{}
+	var wedged <-chan time.Time
+	if c.wd != nil {
+		verdict = c.wd.fired
+	}
+	for arrived := 0; arrived < c.started; {
+		select {
+		case <-verdict:
+			verdict, wedged = nil, time.After(c.wd.interval)
+		case <-wedged:
+			// A worker not back within the interval after the verdict is
+			// wedged inside a kernel, where no abort reaches it: write it
+			// off, as the serve pool does a lost worker, and refuse to run
+			// from here on.
+			for w, r := range c.release {
+				if r != nil && !c.parked[w].Load() {
+					me.ready, me.lost = false, fmt.Errorf("exec: worker %d wedged inside a kernel and was written off; the engine cannot run again", w)
+				}
 			}
-		case failed == nil:
-			failed = err
+			return c.wd.verdict()
+		case err := <-c.arrive:
+			arrived++
+			switch {
+			case err == nil:
+			case err == errStopped:
+				stopped = err
+			case errors.As(err, new(*workerCrash)):
+				if crash == nil {
+					crash = err
+				}
+			case failed == nil:
+				failed = err
+			}
 		}
 	}
 	if derr := c.wd.verdict(); derr != nil {
@@ -675,7 +695,7 @@ func (me *MappedEngine) recoverFromCrash(wc *workerCrash) error {
 			Iteration: wc.iter, Err: fmt.Errorf("no surviving workers to recover onto")}
 	}
 	name := fmt.Sprintf("worker%d", wc.worker)
-	me.sup.noteCrash(name)
+	me.sup.note(name, func(d *DegradedStats) { d.Crashes++ })
 	traceRecovery(me.rec, len(me.G.Nodes)+1+wc.worker, name, "replan")
 	assign, err := me.planOnto(me.Workers - 1)
 	if err == nil {
@@ -751,7 +771,7 @@ func (me *MappedEngine) workerFault(w, lane int, iter int64, wf faults.WorkerFau
 		<-me.stopCh
 		return errStopped
 	case faults.Slow:
-		me.sup.noteSlow(name)
+		me.sup.note(name, func(d *DegradedStats) { d.Slowed++ })
 		time.Sleep(2 * time.Millisecond)
 	}
 	return nil

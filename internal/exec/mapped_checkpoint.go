@@ -140,6 +140,9 @@ func (me *MappedEngine) checkpoint(dst []byte, iteration int64) ([]byte, error) 
 // time (the retired-iteration count, for a skewed barrier). On error the
 // engine's state is unspecified and it must not be run.
 func (me *MappedEngine) RestoreCheckpoint(data []byte) (int64, error) {
+	if me.lost != nil {
+		return 0, me.lost
+	}
 	// The constructor already initialized states and topology, and the image
 	// supersedes initialization effects: a restore compiles nothing.
 	me.ready = true

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
 
 	"streamit/internal/ir"
@@ -97,7 +98,7 @@ func (me *MappedEngine) Iteration() int64 { return me.iter }
 // or restored first.
 func (me *MappedEngine) StepEpoch(iters int) error {
 	if !me.ready {
-		return fmt.Errorf("exec: engine not prepared; call Prepare or RestoreCheckpoint first")
+		return cmp.Or(me.lost, fmt.Errorf("exec: engine not prepared; call Prepare or RestoreCheckpoint first"))
 	}
 	if iters <= 0 {
 		return fmt.Errorf("exec: epoch of %d iterations", iters)

@@ -317,7 +317,8 @@ func TestMappedShardedRestore(t *testing.T) {
 
 // TestMappedShardedAbortUnwindsPumps runs only the producing shard of a
 // pair, so its boundary pump blocks on the consuming shard's full link and
-// the producer on its own; Abort then unwinds all of it. The epoch fails,
+// the producer on its own (a 64-iteration epoch ships 8 blocks, far more
+// than the link's slots hold); Abort then unwinds all of it. The epoch fails,
 // so does a later one that has to wait on a link, and no goroutine is left
 // behind.
 func TestMappedShardedAbortUnwindsPumps(t *testing.T) {
@@ -341,7 +342,7 @@ func TestMappedShardedAbortUnwindsPumps(t *testing.T) {
 	}
 	from, to := engines[rigs[0].assign[edge.Src.ID]/perShard], engines[rigs[0].assign[edge.Dst.ID]/perShard]
 	done := make(chan error, 1)
-	go func() { done <- from.StepEpoch(16) }()
+	go func() { done <- from.StepEpoch(64) }()
 
 	full := to.links[edge.ID]
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
@@ -367,7 +368,7 @@ func TestMappedShardedAbortUnwindsPumps(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("the producing shard's epoch did not unwind")
 	}
-	if err := to.StepEpoch(16); err == nil {
+	if err := to.StepEpoch(64); err == nil {
 		t.Fatal("an epoch after Abort ran past what its links held")
 	}
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {

@@ -30,11 +30,11 @@ import (
 // them: one fireN per iteration, one VM entry for a plain filter. Blocks
 // start at multiples of StageBatch, which on a skewed plan are the batch
 // boundaries, so no level flushes inside a block; they are cut at epoch
-// ends and at scheduled worker faults, which every worker knows, so the
-// workers agree on every block and barriers fall where they would one
-// iteration per cycle; and each level's block is clamped at the segment's
-// end. A stage cluster still advances its data-driven goal one iteration
-// at a time inside a block. k = 1 only on a sharded engine (ROADMAP 9c).
+// ends and at scheduled worker and shard faults, which every worker (and
+// every shard) knows, so the workers agree on every block and barriers
+// fall where they would one iteration per cycle; and each level's block
+// is clamped at the segment's end. A stage cluster still advances its
+// data-driven goal one iteration at a time inside a block.
 //
 // Lockstep is the zero-skew plan, which the engine builds itself when the
 // caller supplies no Options.Stages: every level 0, no clusters. There is
@@ -68,7 +68,7 @@ import (
 // StageBatch is the pipelined flush interval in macro-cycles: how many
 // iterations each stage runs ahead of the next, and how many iterations'
 // worth of items one cross-worker transfer carries. It is also every
-// unsharded plan's block: the steady iterations one cycle covers.
+// plan's block: the steady iterations one cycle covers at most.
 const StageBatch = 8
 
 // swpState is the stage plan and its runtime position; every mapped engine
@@ -77,10 +77,8 @@ type swpState struct {
 	levels    []int // per-node stage level
 	numLevels int
 	batch     int64 // K: flush interval and per-level stage distance
-	// block is the iterations one cycle covers at most: StageBatch, but 1
-	// on a sharded engine. cuts are the iterations every scheduled worker
-	// fault hits, sorted: a cycle never spans one.
-	block     int64
+	// cuts are the iterations every scheduled worker or shard fault hits,
+	// sorted: a cycle never spans one.
 	cuts      []int64
 	clusters  [][]int
 	clusterOf []int  // node ID -> cluster index, -1 for singletons
@@ -110,12 +108,13 @@ func (sw *swpState) completed(cycle int64) int64 {
 }
 
 // span returns how many iterations the cycle at position t covers, with
-// left cycles remaining in the epoch: the plan's block, cut at the next
-// multiple of the block — on a skewed plan that is the next batch boundary,
-// so no level flushes inside a cycle — at the epoch's end, and before the
-// next scheduled worker fault, which must meet the top of its own cycle.
+// left cycles remaining in the epoch: StageBatch, cut at the next
+// multiple of it — on a skewed plan that is the next batch boundary, so
+// no level flushes inside a cycle — at the epoch's end, and before the
+// next scheduled worker or shard fault, which must meet the top of its
+// own cycle.
 func (sw *swpState) span(t int64, left int) int64 {
-	k := min(sw.block-t%sw.block, int64(left))
+	k := min(StageBatch-t%StageBatch, int64(left))
 	for _, c := range sw.cuts {
 		if c > t {
 			return min(k, c-t)
@@ -188,11 +187,11 @@ func newSWPState(g *ir.Graph, s *sched.Schedule, opts Options) (*swpState, error
 		for _, wf := range opts.Faults.WorkerFaults {
 			sw.cuts = append(sw.cuts, wf.Iter)
 		}
+		// Every shard cuts at every shard's faults: its batches match its peers'.
+		for _, sf := range opts.Faults.ShardFaults {
+			sw.cuts = append(sw.cuts, sf.Iter)
+		}
 		slices.Sort(sw.cuts)
-	}
-	sw.block = StageBatch
-	if opts.LocalWorkers != nil {
-		sw.block = 1
 	}
 	if opts.Stages == nil {
 		// NewMappedOpts has already turned away what only clusters can host.
@@ -389,8 +388,8 @@ func (me *MappedEngine) planWorkers() {
 }
 
 // runWorker drives one worker through cycles cycles of the current epoch —
-// the one run loop of every plan. A cycle covers k logical iterations (k =
-// 1 only on a sharded engine); per cycle: for each gated step, receive the
+// the one run loop of every plan. A cycle covers k logical iterations
+// (span); per cycle: for each gated step, receive the
 // same-stage producer flushes due this cycle, fire the step's share of its
 // level's k iterations, and flush its staged cross-worker output at batch
 // boundaries; then receive every stage-advancing producer flush scheduled

@@ -155,10 +155,9 @@ func TestSWPBlocks(t *testing.T) {
 					t.Fatal("plan is not pipelined")
 				}
 				blocked, single := mb.engine(t, Options{}), mb.engine(t, Options{})
-				if blocked.swp.block != StageBatch {
-					t.Fatalf("pipelined plan runs blocks of %d iterations, want %d", blocked.swp.block, StageBatch)
+				for c := int64(1); c <= 256; c++ { // a cut at every cycle position
+					single.swp.cuts = append(single.swp.cuts, c)
 				}
-				single.swp.block = 1
 				for _, c := range []struct{ n, every int }{
 					{1, 0}, {3, 0}, {8, 0}, {13, 0}, {21, 0}, {total, 1}, {total, 3}, {total, 8}, {total, 13},
 				} {

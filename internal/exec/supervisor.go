@@ -19,7 +19,8 @@ import (
 type Options struct {
 	// Backend selects the work-function substrate (zero value: bytecode VM).
 	Backend Backend
-	// Faults schedules deterministic fault injection (nil: none).
+	// Faults schedules deterministic fault injection (nil: none); its
+	// shard faults only cut the mapped engine's blocks.
 	Faults *faults.Plan
 	// OnError maps filters to recovery policies (zero value: fail).
 	OnError faults.Policies
@@ -80,9 +81,11 @@ type Options struct {
 // (never a slow kernel making progress) trips it.
 const DefaultWatchdogInterval = 5 * time.Second
 
-// supervised reports whether the options ask for any supervision work.
+// supervised reports whether the options ask for any supervision work;
+// shard faults ask for none (the distributed runtime fires them).
 func (o Options) supervised() bool {
-	return !o.Faults.Empty() || o.OnError.Active()
+	f := o.Faults
+	return f != nil && (len(f.Faults) > 0 || len(f.WorkerFaults) > 0 || f.Rand != nil) || o.OnError.Active()
 }
 
 // replans reports whether the options schedule a worker crash, the one
@@ -229,25 +232,10 @@ func (s *supervisor) take(n *ir.Node, firing int64) (faults.Fault, bool) {
 	return f, ok
 }
 
-func (s *supervisor) noteRetry(filter string) {
+// note bumps one of name's recovery counters.
+func (s *supervisor) note(name string, bump func(*DegradedStats)) {
 	s.mu.Lock()
-	s.statFor(filter).Retries++
-	s.mu.Unlock()
-}
-func (s *supervisor) noteSkip(filter string) { s.mu.Lock(); s.statFor(filter).Skips++; s.mu.Unlock() }
-func (s *supervisor) noteRestart(filter string) {
-	s.mu.Lock()
-	s.statFor(filter).Restarts++
-	s.mu.Unlock()
-}
-func (s *supervisor) noteCrash(worker string) {
-	s.mu.Lock()
-	s.statFor(worker).Crashes++
-	s.mu.Unlock()
-}
-func (s *supervisor) noteSlow(worker string) {
-	s.mu.Lock()
-	s.statFor(worker).Slowed++
+	bump(s.statFor(name))
 	s.mu.Unlock()
 }
 
@@ -356,7 +344,7 @@ func (s *supervisor) fire(c *core, rt *nodeRT) error {
 	switch pol.Action {
 	case faults.Retry:
 		for a := 1; a <= pol.Retries; a++ {
-			s.noteRetry(name)
+			s.note(name, func(d *DegradedStats) { d.Retries++ })
 			traceRecovery(rec, n.ID, name, "retry")
 			if pol.Backoff > 0 {
 				time.Sleep(time.Duration(a) * pol.Backoff)
@@ -369,7 +357,7 @@ func (s *supervisor) fire(c *core, rt *nodeRT) error {
 		return fmt.Errorf("exec: %d retries exhausted: %w", pol.Retries, err)
 	case faults.Skip:
 		restore()
-		s.noteSkip(name)
+		s.note(name, func(d *DegradedStats) { d.Skips++ })
 		traceRecovery(rec, n.ID, name, "skip")
 		skipFiring(n, rt.in, rt.out)
 		return nil
@@ -380,7 +368,7 @@ func (s *supervisor) fire(c *core, rt *nodeRT) error {
 			return serr
 		}
 		rt.setState(st)
-		s.noteRestart(name)
+		s.note(name, func(d *DegradedStats) { d.Restarts++ })
 		traceRecovery(rec, n.ID, name, "restart")
 		if err = attempt(false); err != nil {
 			return fmt.Errorf("exec: restart did not recover: %w", err)

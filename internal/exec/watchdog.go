@@ -77,9 +77,10 @@ type watchdog struct {
 	parked []atomic.Bool
 	stop   func() // aborts the run (idempotent)
 
-	quit chan struct{}
-	wg   sync.WaitGroup
-	err  atomic.Pointer[DeadlockError] // the report, once the watchdog fired
+	quit  chan struct{}
+	wg    sync.WaitGroup
+	err   atomic.Pointer[DeadlockError] // the report, once the watchdog fired
+	fired chan struct{}                 // closed once err is set
 }
 
 // newWatchdog starts the monitor goroutine over every node's status,
@@ -95,7 +96,7 @@ func newWatchdog(interval time.Duration, g *ir.Graph, live *liveness, statuses [
 	}
 	w := &watchdog{
 		interval: interval, tick: max(interval/4, 5*time.Millisecond), g: g, live: live,
-		statuses: statuses, parked: parked, stop: stop, quit: make(chan struct{}),
+		statuses: statuses, parked: parked, stop: stop, quit: make(chan struct{}), fired: make(chan struct{}),
 	}
 	w.wg.Add(1)
 	go w.run()
@@ -127,11 +128,13 @@ func (w *watchdog) run() {
 		// an item. Declare deadlock at the interval only when every live
 		// node is blocked on a tape; while something still reports running,
 		// hold off until a generous multiple has passed (a truly wedged
-		// kernel never moves the counter again, so it is still caught).
+		// kernel never moves the counter again, so it is still caught; no
+		// abort reaches it, and the epoch writes its worker off).
 		if w.anyRunning() && still < 4*w.interval {
 			continue
 		}
 		w.err.Store(w.report(now))
+		close(w.fired)
 		w.stop()
 		return
 	}

@@ -9,6 +9,7 @@ import (
 	"streamit/internal/faults"
 	"streamit/internal/ir"
 	"streamit/internal/obs"
+	"streamit/internal/wfunc"
 )
 
 // expectStall asserts that the trace recorded the injector delivering a
@@ -166,5 +167,48 @@ func TestWaitCycleTrace(t *testing.T) {
 	chain := traceWaitCycle(map[int]int{1: 2, 2: 3}, g)
 	if len(chain) < 2 || chain[0] != "A" {
 		t.Fatalf("chain = %v, want the A -> B -> C chain", chain)
+	}
+}
+
+// TestMappedWedgedKernelIsWrittenOff: a native kernel that never returns
+// from its third firing wedges its worker where no abort reaches it. The
+// watchdog's verdict still ends the run, and the engine writes the worker
+// off as the serve pool writes off a lost one: every later Run, Prepare,
+// RestoreCheckpoint and StepEpoch refuses, naming the worker.
+func TestMappedWedgedKernelIsWrittenOff(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release) // the wedged goroutine exits once the kernel returns
+	fired := 0
+	wedge := gainFilter("wedge", 1)
+	wedge.WorkFn = func(in, out wfunc.Tape, _ *wfunc.State) {
+		if fired++; fired == 3 {
+			<-release
+		}
+		out.Push(in.Pop())
+	}
+	g, s, _ := faultPipelineFrom(t, SliceSource("src", make([]float64, 200)), wedge)
+	me, err := NewMappedOpts(g, s, []int{0, 0, 1}, 2, Options{Watchdog: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- me.Run(100) }()
+	select {
+	case err = <-done:
+	case <-time.After(time.Second):
+		t.Fatal("Run has not returned 1 s after the kernel wedged")
+	}
+	var de *DeadlockError
+	if !errors.As(err, &de) {
+		t.Fatalf("err = %v, want a *DeadlockError", err)
+	}
+	const lost = "worker 0"
+	for what, err := range map[string]error{"Run": me.Run(1), "Prepare": me.Prepare(), "StepEpoch": me.StepEpoch(1)} {
+		if err == nil || !strings.Contains(err.Error(), lost) {
+			t.Errorf("%s after the write-off: %v, want an error naming %s", what, err, lost)
+		}
+	}
+	if _, err := me.RestoreCheckpoint(nil); err == nil || !strings.Contains(err.Error(), lost) {
+		t.Errorf("RestoreCheckpoint after the write-off: %v, want an error naming %s", err, lost)
 	}
 }

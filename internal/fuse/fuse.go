@@ -20,8 +20,8 @@
 // no kept run of the next stage reads, as a FIR's rows behind a decimator
 // — keeps only its pops, if it provably cannot fault: its peeks inside the
 // fused window given the pops before it, its array indices constants or
-// counted-loop expressions inside their arrays, no print or send (see
-// dropped; planners scale a stage's work estimate by Chain's verdict).
+// counted-loop expressions inside their arrays, no branch, print or send
+// (see dropped; planners scale a stage's work estimate by Chain's verdict).
 //
 // The paper's coarsening keeps the result as parallelisable as its parts:
 // a filter that peeks beyond its pop rate may head a chain but never joins
@@ -55,14 +55,9 @@ func CanFollow(a, b *ir.Filter) error {
 
 // inWindow is the check of a stage behind a chain's head: such a stage
 // reads an edge array, not a tape, so an item past its window would be a
-// cell of that array instead of a fault. The bound settles most bodies
-// without unrolling a loop; the walk settles the rest, and indices it
-// cannot follow pass.
+// cell of that array instead of a fault. Indices reach cannot settle pass.
 func inWindow(k *wfunc.Kernel) error {
-	if hi, ok := bound(k); ok && hi <= k.Peek {
-		return nil
-	}
-	if w := walk(k); w.ok && w.hi > k.Peek {
+	if w := reach(k); w.settled && w.hi > k.Peek {
 		return fmt.Errorf("fuse: %s reads item %d of its input, past its window of %d; only a chain's head may read outside its window", k.Name, w.hi-1, k.Peek)
 	}
 	return nil

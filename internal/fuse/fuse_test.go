@@ -433,8 +433,9 @@ func TestChainEdgesTakeTurns(t *testing.T) {
 }
 
 // chainSpec is one stage of a generated chain: a body style and its
-// rates; keep is the item a decimating stage pushes, and a head that
-// overreads peeks one item past its declared peek.
+// rates; keep is the item a decimating stage pushes, and a stage that
+// overreads peeks one item past its declared peek (a head faults, Chain
+// refuses any other stage).
 type chainSpec struct {
 	style, peek, pop, push, keep int
 	overread                     bool
@@ -448,8 +449,9 @@ const (
 // decodeChain reads a chain of 2-6 stages from b, one byte a choice (0
 // once b runs out), over the rate pairs 1:1, 2:3, 3:2, 1:2 and 4:1: any
 // body style in any place, a peeking head now and then (one in four of
-// them reading past its declared peek, so the run faults), and a stateful
-// tail now and then.
+// them reading past its declared peek, so the run faults), a stateful
+// tail now and then, and last, now and then, a plain stage behind the
+// head that reads one item past its window through a computed index.
 func decodeChain(b []byte) []chainSpec {
 	next := func(n int) int {
 		if len(b) == 0 {
@@ -475,11 +477,14 @@ func decodeChain(b []byte) []chainSpec {
 		}
 		specs[i] = s
 	}
+	if k := next(2 * len(specs)); k > 0 && k < len(specs) && specs[k].style == 0 {
+		specs[k].overread = true
+	}
 	return specs
 }
 
 // String is style:peek/pop/push, then @keep for a decimator and + for a
-// head that overreads.
+// stage that overreads.
 func (s chainSpec) String() string {
 	d := fmt.Sprintf("%d:%d/%d/%d", s.style, s.peek, s.pop, s.push)
 	if s.style == styleDecimate {
@@ -533,36 +538,67 @@ func chainTrials() [][]byte {
 	return trials
 }
 
+// wantChain checks the chain specs describe: CanFollow refuses exactly
+// the stages behind the head that read past their window, by name, and
+// Chain the first of them; any other chain runs as its pipeline does
+// (wantFusedMatches). It reports whether the chain was refused and
+// whether its pipeline faulted.
+func wantChain(t *testing.T, specs []chainSpec) (refused, faulted bool) {
+	t.Helper()
+	fs := buildChain(specs)
+	first := ""
+	for i := 1; i < len(fs); i++ {
+		want := fs[i].Kernel.Name + " reads item"
+		if err := CanFollow(fs[i-1], fs[i]); (err != nil) != specs[i].overread || err != nil && !strings.Contains(err.Error(), want) {
+			t.Fatalf("%v: CanFollow(%s, %s) = %v", specs, fs[i-1].Kernel.Name, fs[i].Kernel.Name, err)
+		}
+		if specs[i].overread && first == "" {
+			first = want
+		}
+	}
+	if first != "" {
+		if _, _, err := Chain("fused", fs...); err == nil || !strings.Contains(err.Error(), first) {
+			t.Fatalf("%v: Chain: %v, want an error containing %q", specs, err, first)
+		}
+		return true, false
+	}
+	return false, wantFusedMatches(t, fmt.Sprint(specs), specs[0].overread, func() []*ir.Filter { return buildChain(specs) })
+}
+
 // TestFuseRandomized: seeded random chains (decodeChain). A decimating
 // stage leaves most of its producer's trips dead, so random chains drop
 // trips and keep them: an overreading head's last trip is dead but
-// faults, and the fused run must fault where the pipeline does.
+// faults, and the fused run must fault where the pipeline does; an
+// overreading stage behind the head is refused.
 func TestFuseRandomized(t *testing.T) {
-	dropping, faulting := 0, 0
-	for trial, b := range chainTrials() {
+	dropping, faulting, refusing := 0, 0, 0
+	for _, b := range chainTrials() {
 		specs := decodeChain(b)
-		if wantFusedMatches(t, fmt.Sprintf("trial %d %v", trial, specs), specs[0].overread, func() []*ir.Filter { return buildChain(specs) }) {
+		refused, faulted := wantChain(t, specs)
+		if refused {
+			refusing++
+			continue
+		}
+		if faulted {
 			faulting++
 		}
 		if _, trips, _ := Chain("fused", buildChain(specs)...); slices.ContainsFunc(trips, func(tr Trips) bool { return tr.Kept < tr.Of }) {
 			dropping++
 		}
 	}
-	if dropping == 0 || faulting == 0 {
-		t.Errorf("%d trials drop trips and %d fault: the generator no longer covers both", dropping, faulting)
+	if dropping == 0 || faulting == 0 || refusing == 0 {
+		t.Errorf("%d trials drop trips, %d fault and %d are refused: the generator no longer covers all three", dropping, faulting, refusing)
 	}
 }
 
 // FuzzChain fuses chains decoded from fuzzed bytes: outputs bit-equal to
-// the pipeline's on both backends, and the same fault.
+// the pipeline's on both backends, the same fault, and a refusal of
+// exactly the stages behind the head that read past their window.
 func FuzzChain(f *testing.F) {
 	for _, b := range chainTrials() {
 		f.Add(b)
 	}
-	f.Fuzz(func(t *testing.T, b []byte) {
-		specs := decodeChain(b)
-		wantFusedMatches(t, fmt.Sprint(specs), specs[0].overread, func() []*ir.Filter { return buildChain(specs) })
-	})
+	f.Fuzz(func(t *testing.T, b []byte) { wantChain(t, decodeChain(b)) })
 }
 
 // TestFuseRejections: a peeking non-head, a stateful producer, handlers,
@@ -668,31 +704,83 @@ func BenchmarkFusionOverhead(b *testing.B) {
 	b.Run("filterbank-head/fused", func(b *testing.B) { fused(b, filterbankHead) })
 }
 
-// TestBoundCoversWalk: the window check's interval bound, where it answers,
-// is never below what the walk reads, for every filter of both suites, so
-// a body it settles needs no walk.
-func TestBoundCoversWalk(t *testing.T) {
-	settled := 0
-	for _, app := range append(apps.Suite(), apps.LinearSuite()...) {
-		g, err := ir.Flatten(app.Build())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, n := range g.Nodes {
-			if n.Kind != ir.NodeFilter || n.Filter.WorkFn != nil {
-				continue
-			}
-			hi, ok := bound(n.Filter.Kernel)
-			if !ok {
-				continue
-			}
-			settled++
-			if w := walk(n.Filter.Kernel); w.ok && hi < w.hi {
-				t.Errorf("%s: bound %d, but the walk reads up to item %d", n.Name, hi, w.hi-1)
-			}
-		}
+// TestReach: the window one pass over a work body finds, for the shapes
+// it follows, and the shapes that leave it unsettled. An unsettled
+// window's cells are not compared: no caller reads them.
+func TestReach(t *testing.T) {
+	type reachEnv struct {
+		i, x      *wfunc.LocalRef
+		f         *wfunc.FieldRef
+		arr, farr int // 4 items each
 	}
-	if settled < 600 {
-		t.Errorf("the bound settles %d filters of 666", settled)
+	none := window{lo: math.MaxInt}
+	cases := []struct {
+		name string
+		body func(e reachEnv) []wfunc.Stmt
+		want window
+	}{
+		{"peek after pops", func(e reachEnv) []wfunc.Stmt {
+			return []wfunc.Stmt{wfunc.Pop1(), wfunc.Push1(wfunc.PeekE(1)), wfunc.Pop1()}
+		}, window{2, 3, true, false}},
+		{"pops in a loop", func(e reachEnv) []wfunc.Stmt {
+			return []wfunc.Stmt{wfunc.ForUp(e.i, wfunc.Ci(0), wfunc.Ci(4), wfunc.Push1(wfunc.PopE()))}
+		}, window{0, 4, true, false}},
+		{"peeks inside and behind a loop of pops", func(e reachEnv) []wfunc.Stmt {
+			return []wfunc.Stmt{wfunc.ForUp(e.i, wfunc.Ci(0), wfunc.Ci(3), wfunc.Pop1(), wfunc.Push1(wfunc.PeekE(0))), wfunc.Push1(wfunc.PeekE(1))}
+		}, window{1, 5, true, false}},
+		{"a window read past its peek", func(e reachEnv) []wfunc.Stmt {
+			return []wfunc.Stmt{wfunc.ForUp(e.i, wfunc.Ci(0), wfunc.Ci(9), wfunc.Set(e.x, wfunc.AddX(e.x, wfunc.PeekX(e.i))))}
+		}, window{0, 9, true, false}},
+		{"a product modulo a constant", func(e reachEnv) []wfunc.Stmt {
+			return []wfunc.Stmt{wfunc.ForUp(e.i, wfunc.Ci(0), wfunc.Ci(8),
+				wfunc.Push1(wfunc.PeekX(wfunc.Bin(wfunc.Mod, wfunc.MulX(e.i, wfunc.Ci(3)), wfunc.Ci(4)))))}
+		}, window{0, 4, true, false}},
+		{"a difference", func(e reachEnv) []wfunc.Stmt {
+			return []wfunc.Stmt{wfunc.ForUp(e.i, wfunc.Ci(0), wfunc.Ci(4), wfunc.Push1(wfunc.PeekX(wfunc.SubX(wfunc.Ci(5), e.i))))}
+		}, window{2, 6, true, false}},
+		{"a negation", func(e reachEnv) []wfunc.Stmt {
+			return []wfunc.Stmt{wfunc.ForUp(e.i, wfunc.Ci(1), wfunc.Ci(4), wfunc.Push1(wfunc.PeekX(wfunc.AddX(wfunc.Un(wfunc.Neg, e.i), wfunc.Ci(9)))))}
+		}, window{6, 9, true, false}},
+		{"if arms that pop", func(e reachEnv) []wfunc.Stmt {
+			return []wfunc.Stmt{wfunc.IfElse(wfunc.Bin(wfunc.Gt, e.f, wfunc.Ci(0)),
+				[]wfunc.Stmt{wfunc.Pop1(), wfunc.Pop1()}, []wfunc.Stmt{wfunc.Set(e.x, wfunc.PeekE(1))}),
+				wfunc.Push1(wfunc.PeekE(0))}
+		}, window{0, 3, true, true}},
+		{"?: arms that pop", func(e reachEnv) []wfunc.Stmt {
+			return []wfunc.Stmt{wfunc.Push1(&wfunc.Cond{C: e.f, A: wfunc.PopE(), B: wfunc.PeekE(2)}), wfunc.Push1(wfunc.PeekE(0))}
+		}, window{0, 3, true, true}},
+		{"a short-circuit operand", func(e reachEnv) []wfunc.Stmt {
+			return []wfunc.Stmt{wfunc.Push1(wfunc.Bin(wfunc.And, e.f, wfunc.PeekE(2)))}
+		}, window{2, 3, true, true}},
+		{"scalar field reads", func(e reachEnv) []wfunc.Stmt {
+			return []wfunc.Stmt{wfunc.Set(e.x, e.f), wfunc.Push1(wfunc.MulX(wfunc.PeekE(1), e.f))}
+		}, window{1, 2, true, false}},
+		{"array indices inside their arrays", func(e reachEnv) []wfunc.Stmt {
+			return []wfunc.Stmt{wfunc.ForUp(e.i, wfunc.Ci(0), wfunc.Ci(4),
+				wfunc.SetLIdx(e.arr, e.i, wfunc.MulX(wfunc.PeekX(e.i), wfunc.FIdx(e.farr, wfunc.SubX(wfunc.Ci(3), e.i)))))}
+		}, window{0, 4, true, false}},
+		{"a peek at a field's value", func(e reachEnv) []wfunc.Stmt {
+			return []wfunc.Stmt{wfunc.Push1(wfunc.PeekX(e.f))}
+		}, none},
+		{"a local array index outside its array", func(e reachEnv) []wfunc.Stmt {
+			return []wfunc.Stmt{wfunc.ForUp(e.i, wfunc.Ci(0), wfunc.Ci(5), wfunc.SetLIdx(e.arr, e.i, wfunc.PeekE(0)))}
+		}, none},
+		{"a field array index outside its array", func(e reachEnv) []wfunc.Stmt {
+			return []wfunc.Stmt{wfunc.Push1(wfunc.FIdx(e.farr, wfunc.Ci(-1)))}
+		}, none},
+		{"a loop that assigns its own variable", func(e reachEnv) []wfunc.Stmt {
+			return []wfunc.Stmt{wfunc.ForUp(e.i, wfunc.Ci(0), wfunc.Ci(4), wfunc.Push1(wfunc.PeekX(e.i)), wfunc.Set(e.i, wfunc.AddX(e.i, wfunc.Ci(1))))}
+		}, none},
+		{"a while loop", func(e reachEnv) []wfunc.Stmt {
+			return []wfunc.Stmt{&wfunc.While{C: wfunc.Bin(wfunc.Lt, e.x, wfunc.Ci(2)), Body: []wfunc.Stmt{wfunc.Set(e.x, wfunc.AddX(e.x, wfunc.PopE()))}}}
+		}, none},
+	}
+	for _, c := range cases {
+		b := wfunc.NewKernel(c.name, 4, 4, 1).Dynamic() // rates unchecked
+		e := reachEnv{i: b.Local("i"), x: b.Local("x"), f: b.Field("f", 1), arr: b.LocalArray("a", 4), farr: b.FieldArray("w", 4)}
+		got := reach(b.WorkBody(c.body(e)...).Build())
+		if got != c.want && (c.want.settled || got.settled) {
+			t.Errorf("%s: window %+v, want %+v", c.name, got, c.want)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package lang
 
 import (
 	"fmt"
-	"math"
 
 	"streamit/internal/ir"
 	"streamit/internal/wfunc"
@@ -526,16 +525,8 @@ func (e *elab) constExpr(x Expr, env *cenv) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		switch x.Op {
-		case "-":
-			return -v, nil
-		case "!":
-			if v == 0 {
-				return 1, nil
-			}
-			return 0, nil
-		case "~":
-			return float64(^int64(v)), nil
+		if op, ok := ilUnOps[x.Op]; ok {
+			return wfunc.EvalUnary(op, v), nil
 		}
 	case *BinaryExpr:
 		l, err := e.constExpr(x.L, env)
@@ -546,7 +537,16 @@ func (e *elab) constExpr(x Expr, env *cenv) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		return evalBinOp(x.Op, l, r)
+		op, ok := ilBinOps[x.Op]
+		switch {
+		case !ok:
+			return 0, fmt.Errorf("unknown operator %q", x.Op)
+		case op == wfunc.Div && r == 0:
+			return 0, fmt.Errorf("division by zero in compile-time expression")
+		case op == wfunc.Mod && int64(r) == 0:
+			return 0, fmt.Errorf("modulo by zero in compile-time expression")
+		}
+		return wfunc.EvalBinary(op, l, r), nil
 	case *CondExpr:
 		c, err := e.constExpr(x.C, env)
 		if err != nil {
@@ -557,113 +557,32 @@ func (e *elab) constExpr(x Expr, env *cenv) (float64, error) {
 		}
 		return e.constExpr(x.B, env)
 	case *CallExpr:
-		if fn, ok := mathBuiltins[x.Name]; ok {
-			args := make([]float64, len(x.Args))
-			for i, a := range x.Args {
-				v, err := e.constExpr(a, env)
-				if err != nil {
-					return 0, err
-				}
-				args[i] = v
-			}
-			return fn(args)
+		un, isUn := unOpFor[x.Name]
+		bin, isBin := binOpFor[x.Name]
+		if !isUn && !isBin {
+			return 0, fmt.Errorf("line %d: %q is not usable in a compile-time expression", x.Line, x.Name)
 		}
-		return 0, fmt.Errorf("line %d: %q is not usable in a compile-time expression", x.Line, x.Name)
+		arity := 1
+		if isBin {
+			arity = 2
+		}
+		if len(x.Args) != arity {
+			return 0, fmt.Errorf("line %d: %s takes %d argument(s), got %d", x.Line, x.Name, arity, len(x.Args))
+		}
+		args := make([]float64, len(x.Args))
+		for i, a := range x.Args {
+			v, err := e.constExpr(a, env)
+			if err != nil {
+				return 0, err
+			}
+			args[i] = v
+		}
+		if isBin {
+			return wfunc.EvalBinary(bin, args[0], args[1]), nil
+		}
+		return wfunc.EvalUnary(un, args[0]), nil
 	}
 	return 0, fmt.Errorf("unsupported compile-time expression %T", x)
-}
-
-func boolF(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-func evalBinOp(op string, l, r float64) (float64, error) {
-	switch op {
-	case "+":
-		return l + r, nil
-	case "-":
-		return l - r, nil
-	case "*":
-		return l * r, nil
-	case "/":
-		if r == 0 {
-			return 0, fmt.Errorf("division by zero in compile-time expression")
-		}
-		return l / r, nil
-	case "%":
-		if int64(r) == 0 {
-			return 0, fmt.Errorf("modulo by zero in compile-time expression")
-		}
-		return float64(int64(l) % int64(r)), nil
-	case "<":
-		return boolF(l < r), nil
-	case "<=":
-		return boolF(l <= r), nil
-	case ">":
-		return boolF(l > r), nil
-	case ">=":
-		return boolF(l >= r), nil
-	case "==":
-		return boolF(l == r), nil
-	case "!=":
-		return boolF(l != r), nil
-	case "&&":
-		return boolF(l != 0 && r != 0), nil
-	case "||":
-		return boolF(l != 0 || r != 0), nil
-	case "&":
-		return float64(int64(l) & int64(r)), nil
-	case "|":
-		return float64(int64(l) | int64(r)), nil
-	case "^":
-		return float64(int64(l) ^ int64(r)), nil
-	case "<<":
-		return float64(int64(l) << (uint64(r) & 63)), nil
-	case ">>":
-		return float64(int64(l) >> (uint64(r) & 63)), nil
-	}
-	return 0, fmt.Errorf("unknown operator %q", op)
-}
-
-var mathBuiltins = map[string]func([]float64) (float64, error){
-	"sin":   unary1(math.Sin),
-	"cos":   unary1(math.Cos),
-	"tan":   unary1(math.Tan),
-	"asin":  unary1(math.Asin),
-	"acos":  unary1(math.Acos),
-	"atan":  unary1(math.Atan),
-	"exp":   unary1(math.Exp),
-	"log":   unary1(math.Log),
-	"sqrt":  unary1(math.Sqrt),
-	"abs":   unary1(math.Abs),
-	"floor": unary1(math.Floor),
-	"ceil":  unary1(math.Ceil),
-	"round": unary1(math.Round),
-	"pow":   binary1(math.Pow),
-	"atan2": binary1(math.Atan2),
-	"min":   binary1(math.Min),
-	"max":   binary1(math.Max),
-}
-
-func unary1(f func(float64) float64) func([]float64) (float64, error) {
-	return func(args []float64) (float64, error) {
-		if len(args) != 1 {
-			return 0, fmt.Errorf("builtin takes 1 argument, got %d", len(args))
-		}
-		return f(args[0]), nil
-	}
-}
-
-func binary1(f func(float64, float64) float64) func([]float64) (float64, error) {
-	return func(args []float64) (float64, error) {
-		if len(args) != 2 {
-			return 0, fmt.Errorf("builtin takes 2 arguments, got %d", len(args))
-		}
-		return f(args[0], args[1]), nil
-	}
 }
 
 // unOpFor maps builtin names to IL unary ops for filter compilation.

@@ -461,13 +461,8 @@ func (fc *filterComp) expr(x Expr) (wfunc.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		switch x.Op {
-		case "-":
-			return wfunc.Un(wfunc.Neg, v), nil
-		case "!":
-			return wfunc.Un(wfunc.Not, v), nil
-		case "~":
-			return wfunc.Un(wfunc.BitNot, v), nil
+		if op, ok := ilUnOps[x.Op]; ok {
+			return wfunc.Un(op, v), nil
 		}
 		return nil, fmt.Errorf("unknown unary operator %q", x.Op)
 	case *BinaryExpr:
@@ -540,6 +535,11 @@ func (fc *filterComp) expr(x Expr) (wfunc.Expr, error) {
 	}
 	return nil, fmt.Errorf("unsupported expression %T", x)
 }
+
+// ilUnOps and ilBinOps map the language's operators to the IL's: filter
+// bodies compile to them, and compile-time expressions evaluate through
+// them (constExpr).
+var ilUnOps = map[string]wfunc.UnOp{"-": wfunc.Neg, "!": wfunc.Not, "~": wfunc.BitNot}
 
 var ilBinOps = map[string]wfunc.BinOp{
 	"+": wfunc.Add, "-": wfunc.Sub, "*": wfunc.Mul, "/": wfunc.Div,

@@ -244,6 +244,15 @@ func TestElaborationErrors(t *testing.T) {
 		{"rate mismatch", `
 			void->float filter Src() { work push 2 { push(1.0); } }
 			void->void pipeline Main() { add Src(); }`, "push"},
+		{"compile-time division by zero", `
+			float->float filter F(int N) { work pop 1 push 1 { push(pop() * N); } }
+			void->void pipeline Main() { add F(4 / (2 - 2)); }`, "division by zero"},
+		{"compile-time modulo by zero", `
+			float->float filter F(int N) { work pop 1 push 1 { push(pop() * N); } }
+			void->void pipeline Main() { add F(7 % 0); }`, "modulo by zero"},
+		{"compile-time builtin arity", `
+			float->float filter F(int N) { work pop 1 push 1 { push(pop() * N); } }
+			void->void pipeline Main() { add F(pow(2)); }`, "pow takes 2 argument"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
