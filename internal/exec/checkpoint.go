@@ -118,12 +118,6 @@ type ckptSWP struct {
 	levels   []int // per-node stage levels
 }
 
-// done is how many of the segment's iterations node id had completed at
-// the barrier: its gated cycles, clamped to the segment.
-func (s *ckptSWP) done(id int) int64 {
-	return min(max(s.cycles-int64(s.levels[id])*int64(s.batch), 0), s.segIters)
-}
-
 type ckptNode struct {
 	fired int64
 	// state is what an engine writing an image lends it (nil for stateless

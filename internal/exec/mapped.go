@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,13 +51,14 @@ import (
 // consumer-queue residue — is bit-identical to a sequential engine's at
 // the same iteration; on a skewed plan that holds at segment boundaries,
 // and a barrier in between carries an SWPS trailer recording the skew plus
-// any unflushed staging residue. That barrier is where coordinated
-// checkpoints are taken (WriteCheckpoint, sharing the sequential engine's
-// image format) and where worker-crash recovery rolls back to: an injected
-// crash (faults "crash:workerN@iter") unwinds the epoch, the planner
-// (Options.Replan) re-packs the graph onto the surviving workers, and the
-// engine restores the last checkpoint there and resumes with a new worker
-// set.
+// any unflushed staging residue. The engine keeps a barrier as a copied
+// record (barrier): the post-init prototype, and the rollback target a
+// checkpointing drive takes at every barrier. Bytes exist only where state
+// leaves the engine (WriteCheckpoint, in the sequential engine's image
+// format) or enters it (a restore). An injected crash ("crash:workerN@iter")
+// unwinds the epoch, the planner (Options.Replan) re-packs the graph onto
+// the surviving workers, and the engine installs the last record there and
+// resumes with a new worker set.
 //
 // Deadlock-freedom: every worker visits its nodes in a common linear
 // extension of the dataflow order and receives each batch where its edge
@@ -108,9 +110,12 @@ type MappedEngine struct {
 
 	// shared compiles the work runners and stamps the init transient's
 	// scratch engine; construction and a restore leave it nil (compile
-	// nothing). proto is what every Run resets to.
+	// nothing). proto is what every Run resets to, last the rollback target
+	// (nil for none), kept in saved's storage.
 	shared *Shared
-	proto  *mappedProto
+	proto  *barrier
+	last   *barrier
+	saved  barrier
 
 	order [][]*ir.Node // per-worker node lists in topological order
 	// plans is each worker's schedule over the current topology
@@ -126,15 +131,15 @@ type MappedEngine struct {
 
 	// Checkpoint bookkeeping: ready marks a completed setup or restore,
 	// iter counts completed steady iterations, initFired/initPushed are
-	// the schedule-derived post-initialization counters (the prototype's
-	// ring positions, and what an image's counters are checked against),
-	// lastImg is the rollback target (empty for none). Every barrier image
-	// reuses lastImg's buffer, img, imgSWP and, per edge, gather.
+	// the schedule-derived post-initialization counters (what a barrier's
+	// counters follow from), writes marks the nodes whose state a firing
+	// can change. Every image WriteCheckpoint encodes reuses img, imgSWP
+	// and, per edge, gather, which a restore also lends its decoded items.
 	ready      bool
 	iter       int64
 	initFired  []int64
 	initPushed []int64
-	lastImg    []byte
+	writes     []bool
 	img        ckptImage
 	imgSWP     ckptSWP
 	gather     [][]float64
@@ -154,15 +159,19 @@ type MappedEngine struct {
 	lost error
 }
 
-// mappedProto is the post-init prototype: the init schedule's edge residue
-// and pending messages, the field state of every filter whose work can
-// change it (no other field is written after init), and the init phase's
-// profile counts, replayed into every later Run's.
-type mappedProto struct {
-	items   [][]float64         // by edge ID
-	pending [][]*message        // by node ID
-	states  []*wfunc.State      // by node ID; nil for stateless nodes
-	profile []obs.FilterProfile // by node ID; nil unless profiling
+// barrier is the engine's state at a barrier, in plain copies. It stores
+// no counters: at a barrier they follow from the position (firedAt, then
+// pushedAt).
+type barrier struct {
+	base, segIters, cycle int64        // position: the segment, and the cycle in it
+	items                 [][]float64  // by edge ID: the consumer ring's, then staging residue
+	pending               [][]*message // by node ID
+	// states holds, by node ID, a copy of every state a firing can write,
+	// and the live object of every other: no firing writes that one, but a
+	// Restart swaps it out through setState, so its pointer is kept. Nil
+	// when the engine's states already hold the barrier's (a restore).
+	states  []*wfunc.State
+	profile []obs.FilterProfile // by node ID: the init phase's counts (prototype, when profiling)
 }
 
 // errStopped unwinds a worker goroutine after the run was aborted (watchdog
@@ -200,8 +209,8 @@ func NewMappedOpts(g *ir.Graph, s *sched.Schedule, assign []int, workers int, op
 		return nil, fmt.Errorf("exec: checkpoint interval %d out of range (want >= 0 iterations)", opts.CheckpointEvery)
 	}
 	me := &MappedEngine{G: g, Sch: s, fp: graphFingerprint(g, s), Backend: opts.Backend, Workers: workers,
-		Assign: append([]int(nil), assign...), Depth: depth,
-		Watchdog: opts.Watchdog, CheckpointEvery: opts.CheckpointEvery, replan: opts.Replan}
+		Assign: append([]int(nil), assign...), Depth: depth, gather: make([][]float64, len(g.Edges)),
+		Watchdog: opts.Watchdog, CheckpointEvery: opts.CheckpointEvery, replan: opts.Replan, writes: make([]bool, len(g.Nodes))}
 	if opts.LocalWorkers != nil {
 		if len(opts.LocalWorkers) != workers {
 			return nil, fmt.Errorf("exec: LocalWorkers masks %d of %d workers", len(opts.LocalWorkers), workers)
@@ -239,6 +248,7 @@ func NewMappedOpts(g *ir.Graph, s *sched.Schedule, assign []int, workers int, op
 			if rt.state, err = freshState(n); err != nil {
 				return nil, err
 			}
+			me.writes[n.ID] = n.Filter.WorkFn != nil || n.IsStateful()
 		}
 		if sw.sends[n.ID] {
 			rt.msg = &sender{t: &sw.teleport, node: n}
@@ -313,42 +323,18 @@ func (me *MappedEngine) setup() error {
 		}
 	} else if p := me.proto.profile; p != nil {
 		for id, d := range p {
-			st := me.prof.At(id)
-			for k := d.Firings; k > 0; k-- {
-				st.AddFiring()
-			}
-			st.AddPushes(d.Pushed)
-			st.AddPops(d.Popped)
-			st.AddPeeks(d.Peeked)
+			me.prof.At(id).AddCounts(d)
 		}
 	}
-	p := me.proto
-	for id, st := range p.states {
-		if st != nil {
-			copyState(me.nodes[id].state, st)
-		}
-	}
-	for id, rt := range me.nodes {
-		rt.fired = me.initFired[id]
-	}
-	for _, e := range me.G.Edges {
-		me.refill(e, me.initPushed[e.ID], p.items[e.ID], nil)
-	}
-	me.halted.Store(false)
-	sw := me.swp
-	for i := range sw.pending {
-		sw.pending[i] = append(sw.pending[i][:0], p.pending[i]...)
-	}
-	sw.base, sw.segIters = 0, 0
-	me.iter = 0
-	me.lastImg = me.lastImg[:0]
+	me.install(me.proto)
+	me.last = nil
 	me.ready = true
 	return nil
 }
 
 // capture runs the init schedule on a scratch engine stamped from the
 // Shared and sharing the engine's profiler and recorder, installs its
-// field states and keeps the prototype.
+// outcome at iteration 0 and takes it as the prototype.
 func (me *MappedEngine) capture() error {
 	seq, err := me.shared.NewEngine(Options{})
 	if err != nil {
@@ -362,25 +348,23 @@ func (me *MappedEngine) capture() error {
 	if err := seq.RunInit(); err != nil {
 		return err
 	}
-	p := &mappedProto{items: make([][]float64, len(me.G.Edges)), states: make([]*wfunc.State, len(me.G.Nodes))}
 	for _, n := range me.G.Nodes {
 		rt := seq.nodes[n.ID]
 		if rt.fired != me.initFired[n.ID] {
 			return fmt.Errorf("exec: internal: %s fired %d times during init, schedule says %d", n.Name, rt.fired, me.initFired[n.ID])
 		}
-		if rt.state == nil {
-			continue
-		}
-		copyState(me.nodes[n.ID].state, rt.state)
-		if n.Filter.WorkFn != nil || n.IsStateful() {
-			p.states[n.ID] = rt.state
+		if rt.state != nil {
+			copyState(me.nodes[n.ID].state, rt.state)
 		}
 	}
 	for _, e := range me.G.Edges {
 		a, b := seq.chans[e.ID].Stretches()
-		p.items[e.ID] = append(append(make([]float64, 0, len(a)+len(b)), a...), b...)
+		me.refill(e, me.initPushed[e.ID], slices.Concat(a, b), nil)
 	}
-	p.pending = seq.pending
+	copy(me.swp.pending, seq.pending)
+	me.swp.base, me.swp.segIters, me.iter = 0, 0, 0
+	p := &barrier{}
+	me.take(p)
 	if me.prof != nil {
 		// Snapshots are sorted by name, and node names are unique.
 		id := map[string]int{}
@@ -398,12 +382,94 @@ func (me *MappedEngine) capture() error {
 	return nil
 }
 
-// copyState overwrites dst's fields with src's in place.
-func copyState(dst, src *wfunc.State) {
-	copy(dst.Scalars, src.Scalars)
-	for i, a := range src.Arrays {
-		copy(dst.Arrays[i], a)
+// take fills r with the barrier at hand, in the storage r already has, and
+// returns how many values it copied.
+func (me *MappedEngine) take(r *barrier) (n int) {
+	sw := me.swp
+	if r.states == nil {
+		r.items, r.pending = make([][]float64, len(me.G.Edges)), make([][]*message, len(me.nodes))
+		r.states = make([]*wfunc.State, len(me.nodes))
 	}
+	r.base, r.segIters, r.cycle = sw.base, sw.segIters, me.iter
+	for id, rt := range me.nodes {
+		switch {
+		case !me.writes[id]:
+			r.states[id] = rt.state
+		case r.states[id] == nil:
+			r.states[id] = rt.state.Clone()
+			fallthrough
+		default:
+			n += copyState(r.states[id], rt.state)
+		}
+	}
+	for _, e := range me.G.Edges {
+		r.items[e.ID] = me.edgeItems(r.items[e.ID][:0], e)
+		n += len(r.items[e.ID])
+	}
+	for i := range sw.pending {
+		r.pending[i] = append(r.pending[i][:0], sw.pending[i]...)
+	}
+	return n
+}
+
+// install resets the engine to r in its own rings and states: counters
+// follow from r's position, lent states go back by pointer.
+func (me *MappedEngine) install(r *barrier) {
+	sw := me.swp
+	sw.base, sw.segIters, me.iter = r.base, r.segIters, r.cycle
+	for id, rt := range me.nodes {
+		rt.fired = me.firedAt(r, id)
+		switch {
+		case r.states == nil || r.states[id] == rt.state:
+		case me.writes[id]:
+			copyState(rt.state, r.states[id])
+		default:
+			rt.setState(r.states[id])
+		}
+	}
+	for _, e := range me.G.Edges {
+		items := r.items[e.ID]
+		q := len(items) - me.staged(r, e)
+		me.refill(e, pushedAt(e, me.nodes[e.Src.ID].fired, me.initFired, me.initPushed), items[:q], items[q:])
+	}
+	for i := range sw.pending {
+		sw.pending[i] = append(sw.pending[i][:0], r.pending[i]...)
+	}
+	me.halted.Store(false)
+}
+
+// done is how many of r's segment's iterations node id has completed at
+// r's cycle: its stage's gated cycles, clamped to the segment.
+func (r *barrier) done(sw *swpState, id int) int64 {
+	return min(max(r.cycle-int64(sw.levels[id])*sw.batch, 0), r.segIters)
+}
+
+// firedAt is node id's firing count at r: its init count, and Reps for
+// every iteration it has completed.
+func (me *MappedEngine) firedAt(r *barrier, id int) int64 {
+	return me.initFired[id] + (r.base+r.done(me.swp, id))*int64(me.Sch.Reps[id])
+}
+
+// staged is how many of edge e's items at r are unflushed residue in its
+// producer's staging ring on the current topology (a re-plan moves those
+// rings): on a skewed plan, whole iterations since the last flush point, a
+// batch boundary or the segment's last firing.
+func (me *MappedEngine) staged(r *barrier, e *ir.Edge) int {
+	sw := me.swp
+	if iseg := r.done(sw, e.Src.ID); me.stage[e.ID] != nil && sw.maxStage() > 0 && iseg < r.segIters {
+		return int(iseg%sw.batch) * me.Sch.Reps[e.Src.ID] * e.Src.PushPort(e.SrcPort)
+	}
+	return 0
+}
+
+// copyState overwrites dst's fields with src's in place and returns how
+// many values it copied.
+func copyState(dst, src *wfunc.State) int {
+	n := copy(dst.Scalars, src.Scalars)
+	for i, a := range src.Arrays {
+		n += copy(dst.Arrays[i], a)
+	}
+	return n
 }
 
 // refill installs edge e's content at a barrier, in place, at the edge's
@@ -485,9 +551,7 @@ func (me *MappedEngine) driveTo(end int64) error {
 		every = 1
 	}
 	if every > 0 {
-		if err := me.snapshot(); err != nil {
-			return err
-		}
+		me.snapshot()
 	}
 	defer me.stopCrew()
 	for me.iter < end {
@@ -502,7 +566,7 @@ func (me *MappedEngine) driveTo(end int64) error {
 		}
 		if err := me.epoch(n); err != nil {
 			var wc *workerCrash
-			if errors.As(err, &wc) && len(me.lastImg) > 0 {
+			if errors.As(err, &wc) && me.last != nil {
 				if rerr := me.recoverFromCrash(wc); rerr != nil {
 					return rerr
 				}
@@ -512,27 +576,21 @@ func (me *MappedEngine) driveTo(end int64) error {
 		}
 		me.iter += int64(n)
 		if every > 0 {
-			if err := me.snapshot(); err != nil {
-				return err
-			}
+			me.snapshot()
 		}
 	}
 	return nil
 }
 
-// snapshot records the coordinated checkpoint at the current barrier.
-func (me *MappedEngine) snapshot() error {
-	// The previous rollback target is dead once this one exists: write over it.
-	img, err := me.checkpoint(me.lastImg, me.iter)
-	if err != nil {
-		return err
-	}
-	me.lastImg = img
+// snapshot takes the rollback target at the current barrier, over the
+// last one.
+func (me *MappedEngine) snapshot() {
+	n := me.take(&me.saved)
+	me.last = &me.saved
 	if me.rec != nil {
 		me.rec.Instant(len(me.G.Nodes), "checkpoint", "checkpoint",
-			fmt.Sprintf("iteration %d (%d bytes)", me.iter, len(img)))
+			fmt.Sprintf("iteration %d (%d bytes copied)", me.iter, 8*n))
 	}
-	return nil
 }
 
 // crew is the worker goroutines of one drive over one topology.
@@ -722,14 +780,15 @@ func (me *MappedEngine) planOnto(workers int) ([]int, error) {
 }
 
 // adopt moves the engine onto a re-planned assignment: stop the worker set,
-// rebuild the worker topology, and restore the last barrier image onto it.
+// rebuild the worker topology, and install the rollback target onto it.
 func (me *MappedEngine) adopt(workers int, assign []int) error {
 	me.stopCrew()
 	me.Workers, me.Assign = workers, assign
 	if err := me.buildTopology(); err != nil {
 		return err
 	}
-	return me.applyImage(me.lastImg)
+	me.install(me.last)
+	return nil
 }
 
 // validAssign holds an assignment — the constructor's, or a planner's

@@ -15,14 +15,8 @@ import (
 // a sequential engine over the mapped graph and vice versa. An edge's
 // counters are its rings' positions, as on the sequential engine: pushed is
 // where its producer's ring ends, popped where its consumer's ring starts.
-// A restore checks them against the firing counts, which is exact because
-// every firing of an edge's source pushes a static rate onto it:
-//
-//	pushed(e) = initPushed(e) + (fired(src) - initFired(src)) * rate(e)
-//
-// where initFired/initPushed are the schedule's initialization totals
-// (initPushed includes an edge's pre-loaded delay items, which the ring
-// counts as pushes).
+// Both follow from the firing counts (pushedAt), which is exact because
+// every firing of an edge's source pushes a static rate onto it.
 //
 // Skewed plans add two wrinkles. An edge's buffered items split between
 // the consumer's ring and the producer's unflushed staging residue; the
@@ -51,6 +45,12 @@ func initCounts(g *ir.Graph, s *sched.Schedule) (fired, pushed []int64) {
 	return fired, pushed
 }
 
+// pushedAt is edge e's pushed count once its source has fired fired times:
+// initPushed counts an edge's pre-loaded delay items, as its ring does.
+func pushedAt(e *ir.Edge, fired int64, initFired, initPushed []int64) int64 {
+	return initPushed[e.ID] + (fired-initFired[e.Src.ID])*int64(e.Src.PushPort(e.SrcPort))
+}
+
 // edgeItems appends edge e's buffered content at a barrier to dst: the
 // consumer ring's, then any unflushed staging residue (the newest stretch
 // of the edge's content).
@@ -73,7 +73,6 @@ func (me *MappedEngine) image(iteration int64) *ckptImage {
 		img.nodes = make([]ckptNode, len(me.nodes))
 		img.edges = make([]ckptEdge, len(me.G.Edges))
 		img.pending = make([][]*message, len(me.nodes))
-		me.gather = make([][]float64, len(me.G.Edges))
 	}
 	img.iteration, img.firings, img.swp = iteration, 0, nil
 	if sw.maxStage() > 0 {
@@ -114,24 +113,14 @@ func (me *MappedEngine) image(iteration int64) *ckptImage {
 // plans the recorded iteration is derived from the cycle position (retired
 // iterations), superseding the argument.
 func (me *MappedEngine) WriteCheckpoint(w io.Writer, iteration int64) error {
-	img, err := me.checkpoint(spare(w), iteration)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(img)
-	return err
-}
-
-// checkpoint is WriteCheckpoint into dst[:0] when that has the room, into a
-// fresh slice otherwise.
-func (me *MappedEngine) checkpoint(dst []byte, iteration int64) ([]byte, error) {
 	if !me.ready {
-		return nil, fmt.Errorf("exec: mapped engine has no state to checkpoint; run it (or restore into it) first")
+		return fmt.Errorf("exec: mapped engine has no state to checkpoint; run it (or restore into it) first")
 	}
 	if me.local != nil && me.iter > 0 {
-		return nil, fmt.Errorf("exec: a sharded engine holds only its local partitions' state; use ExportShard + AssembleShardImage")
+		return fmt.Errorf("exec: a sharded engine holds only its local partitions' state; use ExportShard + AssembleShardImage")
 	}
-	return encodeImage(dst, me.fp, me.image(iteration)), nil
+	_, err := w.Write(encodeImage(spare(w), me.fp, me.image(iteration)))
+	return err
 }
 
 // RestoreCheckpoint loads a checkpoint image taken over the same graph and
@@ -149,13 +138,13 @@ func (me *MappedEngine) RestoreCheckpoint(data []byte) (int64, error) {
 	if err := me.applyImage(data); err != nil {
 		return 0, err
 	}
-	// Like setup, a restore leaves no rollback target: a drive that needs
-	// one takes its own snapshot before its first epoch.
-	me.lastImg = me.lastImg[:0]
+	// Like setup, a restore leaves no rollback target: a drive takes its own.
+	me.last = nil
 	return me.swp.base + me.swp.completed(me.iter), nil
 }
 
-// applyImage decodes, validates, and installs a checkpoint image.
+// applyImage decodes and validates a checkpoint image, then installs it as
+// a barrier record whose states are the engine's own, decoded in place.
 func (me *MappedEngine) applyImage(data []byte) error {
 	img, err := readImage(data, me.fp, len(me.nodes), func(i int) (string, *wfunc.State) {
 		return me.nodes[i].node.Name, me.nodes[i].state
@@ -181,85 +170,49 @@ func (me *MappedEngine) applyImage(data []byte) error {
 		}
 	}
 	for i, msgs := range img.pending {
-		if len(msgs) == 0 {
-			continue
-		}
-		if sw.pending == nil {
+		if len(msgs) > 0 && sw.pending == nil {
 			return fmt.Errorf("exec: checkpoint carries pending teleport messages for node %d, but this graph has no messaging", i)
 		}
 	}
-	// Field states are already in place (readImage decoded them there);
-	// validate every counter before touching anything else.
-	for i, rt := range me.nodes {
-		in := img.nodes[i]
-		if in.fired < me.initFired[i] {
-			return fmt.Errorf("exec: checkpoint fired count %d of node %s below its initialization count %d", in.fired, rt.node.Name, me.initFired[i])
-		}
-		// Gating targets are derived from the segment position, so firing
-		// counts must sit exactly on the stage schedule (skewed images) or on
-		// a common iteration boundary (uniform images).
-		done := img.iteration
-		if img.swp != nil {
-			done = img.swp.base + img.swp.done(i)
-		}
-		if want := me.initFired[i] + done*int64(me.Sch.Reps[i]); in.fired != want {
-			return fmt.Errorf("exec: checkpoint fired count %d of node %s off the stage schedule (want %d)", in.fired, rt.node.Name, want)
-		}
+	if img.iteration < 0 {
+		return fmt.Errorf("exec: checkpoint iteration %d is negative", img.iteration)
 	}
-	staged := make([]int, len(me.G.Edges))
-	for _, e := range me.G.Edges {
-		ie := img.edges[e.ID]
-		want := me.initPushed[e.ID] +
-			(img.nodes[e.Src.ID].fired-me.initFired[e.Src.ID])*int64(e.Src.PushPort(e.SrcPort))
-		if ie.pushed != want {
-			return fmt.Errorf("exec: checkpoint edge %s pushed counter %d disagrees with its source's firing count (want %d)", e, ie.pushed, want)
-		}
-		if img.swp != nil && me.stage[e.ID] != nil {
-			// Re-derive the producer's unflushed staging residue from the
-			// flush schedule: everything produced since its last flush point
-			// (a batch boundary, or the segment's last firing) — whole
-			// iterations, each Reps firings of the port's push rate.
-			if iseg := img.swp.done(e.Src.ID); iseg < img.swp.segIters {
-				staged[e.ID] = int(iseg%int64(img.swp.batch)) * me.Sch.Reps[e.Src.ID] * e.Src.PushPort(e.SrcPort)
-			}
-			if staged[e.ID] > len(ie.items) {
-				return fmt.Errorf("exec: checkpoint edge %s buffers %d items, fewer than its %d-item staging residue", e, len(ie.items), staged[e.ID])
-			}
-		}
-	}
-	for i, rt := range me.nodes {
-		rt.fired = img.nodes[i].fired
-	}
-	for _, e := range me.G.Edges {
-		ie := img.edges[e.ID]
-		split := len(ie.items) - staged[e.ID]
-		me.refill(e, ie.pushed, ie.items[:split], ie.items[split:])
-	}
-	me.halted.Store(false)
-	for i := range sw.pending {
-		sw.pending[i] = append([]*message(nil), img.pending[i]...)
-	}
+	r := &barrier{base: sw.base, segIters: sw.segIters, items: me.gather, pending: img.pending}
 	switch {
 	case img.swp != nil:
-		sw.base, sw.segIters = img.swp.base, img.swp.segIters
-		me.iter = img.swp.cycles
+		r.base, r.segIters, r.cycle = img.swp.base, img.swp.segIters, img.swp.cycles
 	case sw.maxStage() == 0:
 		// Every barrier of a zero-skew plan is uniform and its one segment
-		// starts at iteration 0, so the cycle position is the iteration — of
-		// a rollback mid-run as of a foreign image.
-		me.iter = img.iteration
-		sw.reach(me.iter)
+		// starts at iteration 0, so the cycle position is the iteration.
+		r.cycle, r.segIters = img.iteration, max(r.segIters, img.iteration)
 	case sw.segIters > 0 && img.iteration == sw.base:
-		// Rollback to the running segment's start barrier.
-		me.iter = 0
+		// The running segment's start barrier.
 	case sw.segIters > 0 && img.iteration == sw.base+sw.segIters:
-		me.iter = sw.segIters + sw.maxStage()
+		r.cycle = sw.segIters + sw.maxStage()
 	default:
 		// A foreign uniform image starts a fresh segment here; the next
 		// RunFromCheckpoint sets the segment length.
-		sw.base, sw.segIters = img.iteration, 0
-		me.iter = 0
+		r.base, r.segIters = img.iteration, 0
 	}
+	// Field states are already in place (readImage decoded them there);
+	// validate every counter before touching anything else: firing counts
+	// sit exactly where r's position puts them.
+	for i, rt := range me.nodes {
+		if want := me.firedAt(r, i); img.nodes[i].fired != want {
+			return fmt.Errorf("exec: checkpoint fired count %d of node %s off the stage schedule (want %d)", img.nodes[i].fired, rt.node.Name, want)
+		}
+	}
+	for _, e := range me.G.Edges {
+		ie := img.edges[e.ID]
+		if want := pushedAt(e, img.nodes[e.Src.ID].fired, me.initFired, me.initPushed); ie.pushed != want {
+			return fmt.Errorf("exec: checkpoint edge %s pushed counter %d disagrees with its source's firing count (want %d)", e, ie.pushed, want)
+		}
+		r.items[e.ID] = ie.items
+		if s := me.staged(r, e); s > len(ie.items) {
+			return fmt.Errorf("exec: checkpoint edge %s buffers %d items, fewer than its %d-item staging residue", e, len(ie.items), s)
+		}
+	}
+	me.install(r)
 	return nil
 }
 

@@ -104,7 +104,10 @@ func (me *MappedEngine) StepEpoch(iters int) error {
 		return fmt.Errorf("exec: epoch of %d iterations", iters)
 	}
 	end := me.iter + int64(iters)
-	me.swp.reach(end)
+	if sw := me.swp; sw.maxStage() == 0 {
+		// A skewed segment's length is fixed when it starts.
+		sw.segIters = max(sw.segIters, end)
+	}
 	return me.driveTo(end)
 }
 
@@ -220,8 +223,7 @@ func AssembleShardImage(g *ir.Graph, s *sched.Schedule, iteration int64, parts [
 		}
 	}
 	for _, e := range g.Edges {
-		pushed := initPushed[e.ID] +
-			(img.nodes[e.Src.ID].fired-initFired[e.Src.ID])*int64(e.Src.PushPort(e.SrcPort))
+		pushed := pushedAt(e, img.nodes[e.Src.ID].fired, initFired, initPushed)
 		ie := &img.edges[e.ID]
 		ie.pushed = pushed
 		ie.popped = pushed - int64(len(ie.items))

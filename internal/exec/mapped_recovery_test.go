@@ -785,16 +785,29 @@ func positionalSinks(tb testing.TB, build func() *ir.Program, strat partition.St
 // FuzzMappedCrashReplan: worker k crashes at a fuzzed iteration, and
 // optionally a second worker of the re-planned topology crashes in a later
 // epoch, so the recovered plan is itself re-planned — on 2 to 4 workers, a
-// checkpoint every 1 to 4 iterations, lockstep or pipelined. Every crash
-// costs one worker, the collected output is bit-identical to an undisturbed
+// checkpoint every 1 to 4 iterations, lockstep or pipelined, over FMRadio
+// (its rollback state almost all lent), Vocoder (stateful scalars) or Radar
+// (stateful field arrays). With restart, a filter of the crashing worker
+// panics under the restart policy earlier in the crash's epoch, so a
+// swapped state object goes through the rollback too. Every crash costs
+// one worker, the collected output is bit-identical to an undisturbed
 // run's, and the final image is byte-equal to it.
 func FuzzMappedCrashReplan(f *testing.F) {
-	f.Add(uint8(2), uint8(1), uint8(1), uint8(5), false, uint8(0), uint8(0), false)
-	f.Add(uint8(4), uint8(1), uint8(1), uint8(5), true, uint8(0), uint8(0), false)
-	f.Add(uint8(3), uint8(3), uint8(2), uint8(7), true, uint8(1), uint8(2), true)
-	f.Add(uint8(4), uint8(4), uint8(0), uint8(0), true, uint8(2), uint8(3), true)
-	f.Add(uint8(2), uint8(2), uint8(0), uint8(16), false, uint8(0), uint8(0), true)
-	f.Fuzz(func(t *testing.T, workers, every, k1, at1 uint8, second bool, k2, gap uint8, pipelined bool) {
+	f.Add(uint8(2), uint8(1), uint8(1), uint8(5), false, uint8(0), uint8(0), false, uint8(0), false)
+	f.Add(uint8(4), uint8(1), uint8(1), uint8(5), true, uint8(0), uint8(0), false, uint8(0), false)
+	f.Add(uint8(3), uint8(3), uint8(2), uint8(7), true, uint8(1), uint8(2), true, uint8(0), false)
+	f.Add(uint8(4), uint8(4), uint8(0), uint8(0), true, uint8(2), uint8(3), true, uint8(0), false)
+	f.Add(uint8(2), uint8(2), uint8(0), uint8(16), false, uint8(0), uint8(0), true, uint8(0), false)
+	f.Add(uint8(3), uint8(3), uint8(1), uint8(6), false, uint8(0), uint8(1), false, uint8(1), true)
+	f.Add(uint8(2), uint8(1), uint8(0), uint8(7), true, uint8(0), uint8(2), true, uint8(2), true)
+	f.Add(uint8(4), uint8(2), uint8(3), uint8(10), true, uint8(1), uint8(1), false, uint8(0), true)
+	f.Add(uint8(4), uint8(2), uint8(3), uint8(10), true, uint8(1), uint8(1), false, uint8(2), true)
+	progs := []func() *ir.Program{
+		func() *ir.Program { return apps.FMRadio(2, 8) },
+		func() *ir.Program { return apps.Vocoder(4) },
+		func() *ir.Program { return apps.Radar(4, 2) },
+	}
+	f.Fuzz(func(t *testing.T, workers, every, k1, at1 uint8, second bool, k2, gap uint8, pipelined bool, prog uint8, restart bool) {
 		const goal = 24
 		n := 2 + int(workers)%3
 		ckpt := 1 + int(every)%4
@@ -812,22 +825,38 @@ func FuzzMappedCrashReplan(f *testing.F) {
 		if pipelined {
 			strat = partition.StratSWP
 		}
-		build := func() *ir.Program { return apps.FMRadio(2, 8) }
-		run := func(opts Options) (*mappedBuild, *MappedEngine) {
+		build := progs[int(prog)%len(progs)]
+		plan := func() *mappedBuild {
 			mb := positionalSinks(t, build, strat)
 			assign, err := packer(mb.plan, mb.g2, mb.s2)(n)
 			if err != nil {
 				t.Fatal(err)
 			}
 			mb.assign, mb.workers = assign, n
+			return mb
+		}
+		run := func(mb *mappedBuild, opts Options) *MappedEngine {
 			me := mb.engine(t, opts)
 			if err := me.Run(goal); err != nil {
 				t.Fatalf("%s: %v", spec, err)
 			}
-			return mb, me
+			return me
 		}
-		ref, re := run(Options{})
-		mb, me := run(Options{CheckpointEvery: ckpt, Faults: mustPlan(t, spec)})
+		ref := plan()
+		re := run(ref, Options{})
+		mb := plan()
+		opts := Options{CheckpointEvery: ckpt}
+		if at := first / int64(ckpt) * int64(ckpt); restart && at < first {
+			// The crash rolls back to the barrier at cycle at: a filter of
+			// the crashing worker that fires in that cycle restarts there,
+			// once (a consumed fault is not re-armed by the replay).
+			if name, firing, ok := restartAt(mb, int(k1)%n, at, int(gap)); ok {
+				spec = fmt.Sprintf("panic:%s@%d;%s", name, firing, spec)
+				opts.OnError = mustPolicies(t, name+"=restart")
+			}
+		}
+		opts.Faults = mustPlan(t, spec)
+		me := run(mb, opts)
 
 		if me.Workers != n-crashes {
 			t.Fatalf("%s on %d workers: finished on %d, want %d", spec, n, me.Workers, n-crashes)
@@ -844,6 +873,28 @@ func FuzzMappedCrashReplan(f *testing.F) {
 			t.Fatalf("%s: final image differs from the undisturbed run's", spec)
 		}
 	})
+}
+
+// restartAt picks the pick-th filter (cyclically) of worker w that fires in
+// cycle at of a fresh segment, and names its first firing there.
+func restartAt(mb *mappedBuild, w int, at int64, pick int) (string, int64, bool) {
+	var names []string
+	var firings []int64
+	for _, nd := range mb.g2.Nodes {
+		level := int64(0)
+		if mb.stages != nil {
+			level = int64(mb.stages.Levels[nd.ID]) * StageBatch
+		}
+		if nd.Kind != ir.NodeFilter || mb.assign[nd.ID] != w || at < level {
+			continue
+		}
+		names = append(names, nd.Name)
+		firings = append(firings, int64(mb.s2.InitReps[nd.ID])+(at-level)*int64(mb.s2.Reps[nd.ID]))
+	}
+	if len(names) == 0 {
+		return "", 0, false
+	}
+	return names[pick%len(names)], firings[pick%len(names)], true
 }
 
 // TestMappedQueueDepth: a minimal queue depth of one batch still conforms

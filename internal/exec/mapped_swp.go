@@ -93,7 +93,7 @@ type swpState struct {
 	// segment, with base iterations retired by earlier segments
 	// (checkpointed restarts); MappedEngine.iter is the cycle position
 	// within it. A zero-skew plan runs one open segment from iteration 0
-	// (base 0, cycle position = iteration) that reach extends.
+	// (base 0, cycle position = iteration) that StepEpoch extends.
 	base     int64
 	segIters int64
 }
@@ -151,15 +151,6 @@ func (sw *swpState) tick(clock []stageClock, t, k int64) {
 		if last := c.fi + c.k - 1; c.gated && (last%sw.batch == 0 || last == sw.segIters) {
 			c.ship = last - (c.fi-1)/sw.batch*sw.batch
 		}
-	}
-}
-
-// reach extends a zero-skew plan's open segment to cover cycle position
-// end. A skewed segment's length is fixed when it starts: its epilogue and
-// last flush are scheduled against it.
-func (sw *swpState) reach(end int64) {
-	if sw.maxStage() == 0 && sw.segIters < end {
-		sw.segIters = end
 	}
 }
 

@@ -189,7 +189,7 @@ func TestSWPBlocks(t *testing.T) {
 
 // driveBarriers runs a fresh n-iteration segment on me, its epochs every
 // cycles long (0: one epoch), with a checkpoint at every barrier, and
-// returns the image each barrier took.
+// returns the image WriteCheckpoint writes at each barrier.
 func driveBarriers(tb testing.TB, me *MappedEngine, n, every int) [][]byte {
 	tb.Helper()
 	if err := me.setup(); err != nil {
@@ -209,7 +209,7 @@ func driveBarriers(tb testing.TB, me *MappedEngine, n, every int) [][]byte {
 			tb.Fatal(err)
 		}
 		if every > 0 {
-			imgs = append(imgs, bytes.Clone(me.lastImg))
+			imgs = append(imgs, mappedCkptBytes(tb, me, me.iter))
 		}
 		if at == end {
 			return imgs

@@ -84,7 +84,12 @@ func (s *stage) trips(out, iter []wfunc.Stmt, drop []bool, fr *frame, k *wfunc.K
 // index, the place of every pop and every array index is computed from
 // constants and counted-loop variables under + - * % and negation, and
 // every array index lies inside its array (init's arrays, if more, size
-// the frame's); branched when the body has an if, ?:, && or ||.
+// the frame's); branched when the body has an if, ?:, && or ||. A peek
+// whose index range lies below 0, or reaches below 0 with no branch before
+// it, takes lo below 0, settled or not: on a tape such a peek faults, in
+// an edge array it would read an item already popped. A range can be wider
+// than the values, so the second case may also catch a peek that never
+// goes below 0.
 type window struct {
 	lo, hi            int
 	settled, branched bool
@@ -111,8 +116,9 @@ func reach(k *wfunc.Kernel) window {
 	return r.window
 }
 
-// exact is a window dead trips may rely on: settled, with no branch.
-func (w window) exact() bool { return w.settled && !w.branched }
+// exact is a window dead trips may rely on: settled, with no branch and
+// no read below 0.
+func (w window) exact() bool { return w.settled && !w.branched && w.lo >= 0 }
 
 type span struct{ lo, hi float64 }
 
@@ -184,6 +190,9 @@ func (r *reacher) expr(e wfunc.Expr) (span, bool) {
 		r.index(e.Index, r.fields, e.Arr)
 	case *wfunc.Peek:
 		x, known := r.expr(e.Index)
+		if known && (x.hi < 0 || x.lo < 0 && !r.branched) {
+			r.lo = min(r.lo, int(x.lo))
+		}
 		if r.settled = r.settled && known && x.lo >= 0; r.settled {
 			r.read(r.pops.lo+x.lo, r.pops.hi+x.hi)
 		}

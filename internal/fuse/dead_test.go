@@ -110,13 +110,37 @@ func TestChainDeadTripsSuite(t *testing.T) {
 // faulting, so Chain and CanFollow refuse it by name, the task+data plan
 // leaves the pair unfused, and the plan faults as the pipeline does.
 func TestChainRefusesReadPastWindow(t *testing.T) {
+	wantRefusedLikePipeline(t, func(kb *wfunc.KernelBuilder) {
+		i, sum := kb.Local("i"), kb.Local("sum")
+		kb.WorkBody(wfunc.ForUp(i, wfunc.Ci(0), wfunc.Ci(2), wfunc.Set(sum, wfunc.AddX(sum, wfunc.PeekX(i)))),
+			wfunc.Push1(sum), wfunc.Pop1())
+	}, "B reads item 1 of its input, past its window of 1", "peek(1) with 1 items buffered")
+}
+
+// TestChainRefusesNegativePeek: a stage behind the head that pops and then
+// peeks at index -1 would read the item it just popped from the edge
+// array, where the pipeline's tape faults; Chain and CanFollow refuse it.
+func TestChainRefusesNegativePeek(t *testing.T) {
+	wantRefusedLikePipeline(t, func(kb *wfunc.KernelBuilder) {
+		i, sum := kb.Local("i"), kb.Local("sum")
+		kb.WorkBody(wfunc.Pop1(),
+			wfunc.ForUp(i, wfunc.Ci(0), wfunc.Ci(1), wfunc.Set(sum, wfunc.AddX(sum, wfunc.PeekX(wfunc.SubX(i, wfunc.Ci(1)))))),
+			wfunc.Push1(sum))
+	}, "B peeks at index -1", "peek at firing 0: peek(-1) with")
+}
+
+// wantRefusedLikePipeline builds A (push peek(0), push pop()) then B (peek
+// 1, pop 1, push 1, its body from bodyB) between a three-item source and a
+// sink: Chain and CanFollow refuse the pair with an error containing
+// refusal, the pipeline ends in fault, and so does the task+data plan,
+// which leaves the pair unfused.
+func wantRefusedLikePipeline(t *testing.T, bodyB func(*wfunc.KernelBuilder), refusal, fault string) {
+	t.Helper()
 	build := func() (*ir.Program, *[]float64) {
 		ka := wfunc.NewKernel("A", 1, 1, 2)
 		ka.WorkBody(wfunc.Push1(wfunc.PeekE(0)), wfunc.Push1(wfunc.PopE()))
 		kb := wfunc.NewKernel("B", 1, 1, 1)
-		i, sum := kb.Local("i"), kb.Local("sum")
-		kb.WorkBody(wfunc.ForUp(i, wfunc.Ci(0), wfunc.Ci(2), wfunc.Set(sum, wfunc.AddX(sum, wfunc.PeekX(i)))),
-			wfunc.Push1(sum), wfunc.Pop1())
+		bodyB(kb)
 		snk, got := exec.SliceSink("snk")
 		return &ir.Program{Name: "p", Top: ir.Pipe("main", exec.SliceSource("src", []float64{1, 2, 3}),
 			&ir.Filter{Kernel: ka.Build(), In: ir.TypeFloat, Out: ir.TypeFloat},
@@ -124,15 +148,13 @@ func TestChainRefusesReadPastWindow(t *testing.T) {
 	}
 	prog, _ := build()
 	a, b := prog.Top.(*ir.Pipeline).Children[1].(*ir.Filter), prog.Top.(*ir.Pipeline).Children[2].(*ir.Filter)
-	const want = "B reads item 1 of its input, past its window of 1"
-	if _, _, err := fuse.Chain("AB", a, b); err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("Chain: %v, want an error containing %q", err, want)
+	if _, _, err := fuse.Chain("AB", a, b); err == nil || !strings.Contains(err.Error(), refusal) {
+		t.Errorf("Chain: %v, want an error containing %q", err, refusal)
 	}
-	if err := fuse.CanFollow(a, b); err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("CanFollow: %v, want an error containing %q", err, want)
+	if err := fuse.CanFollow(a, b); err == nil || !strings.Contains(err.Error(), refusal) {
+		t.Errorf("CanFollow: %v, want an error containing %q", err, refusal)
 	}
 	_, pipeErr := exec.RunCollect(prog, 4, new([]float64))
-	const fault = "peek(1) with 1 items buffered"
 	if pipeErr == nil || !strings.Contains(pipeErr.Error(), fault) {
 		t.Fatalf("pipeline: %v, want the %q fault", pipeErr, fault)
 	}

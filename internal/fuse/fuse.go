@@ -54,10 +54,14 @@ func CanFollow(a, b *ir.Filter) error {
 }
 
 // inWindow is the check of a stage behind a chain's head: such a stage
-// reads an edge array, not a tape, so an item past its window would be a
-// cell of that array instead of a fault. Indices reach cannot settle pass.
+// reads an edge array, not a tape, so an item outside its window would be
+// a cell of that array instead of a fault. Indices reach cannot settle
+// pass, unless one takes the window's lo below 0.
 func inWindow(k *wfunc.Kernel) error {
-	if w := reach(k); w.settled && w.hi > k.Peek {
+	switch w := reach(k); {
+	case w.lo < 0:
+		return fmt.Errorf("fuse: %s peeks at index %d; only a chain's head may read outside its window", k.Name, w.lo)
+	case w.settled && w.hi > k.Peek:
 		return fmt.Errorf("fuse: %s reads item %d of its input, past its window of %d; only a chain's head may read outside its window", k.Name, w.hi-1, k.Peek)
 	}
 	return nil

@@ -49,6 +49,15 @@ func (s *FilterStats) AddPops(n int64) { s.popped.Add(n) }
 // AddPeeks counts n items of peek window.
 func (s *FilterStats) AddPeeks(n int64) { s.peeked.Add(n) }
 
+// AddCounts credits d's firings and tape traffic, as if its firings had
+// run here: how a reset engine replays the init phase it does not re-run.
+func (s *FilterStats) AddCounts(d FilterProfile) {
+	s.firings.Add(d.Firings)
+	s.pushed.Add(d.Pushed)
+	s.popped.Add(d.Popped)
+	s.peeked.Add(d.Peeked)
+}
+
 // AddWork accumulates time spent inside the work function.
 func (s *FilterStats) AddWork(d time.Duration) { s.workNS.Add(int64(d)) }
 
