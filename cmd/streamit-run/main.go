@@ -262,13 +262,14 @@ func main() {
 			fatal(err)
 		}
 		start := runStart()
-		if err := d.Run(int64(*iters)); err != nil {
+		items, err := d.RunItems(int64(*iters))
+		if err != nil {
 			report(d.SupervisionReport(), len(d.Degraded()) > 0)
 			fatal(err)
 		}
 		dur := time.Since(start)
 		fmt.Printf("dynamic run: %d sink items in %v (%.0f items/sec)\n",
-			d.SinkItems(), dur.Round(time.Microsecond), float64(d.SinkItems())/dur.Seconds())
+			items, dur.Round(time.Microsecond), float64(items)/dur.Seconds())
 		report(d.SupervisionReport(), len(d.Degraded()) > 0)
 		finishObs(d, runOpts.TracePath)
 		return

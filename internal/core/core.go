@@ -51,13 +51,14 @@ type RunOptions struct {
 	Faults *faults.Plan
 	// OnError maps filters to recovery policies (fail, retry, skip,
 	// restart); the zero value fails fast. Build with
-	// faults.ParsePolicies. The dynamic engine rejects non-fail policies.
+	// faults.ParsePolicies. A dynamic-rate run rejects non-fail policies.
 	OnError faults.Policies
 	// Watchdog is the no-progress window after which the mapped engine,
 	// under every plan (-parallel's identity plan included), aborts with a
 	// *exec.DeadlockError naming the blocked filters and wait-cycle. 0
 	// selects exec.DefaultWatchdogInterval; negative disables detection.
-	// The sequential and dynamic engines are single-threaded and have none.
+	// The sequential engine, dynamic rates included, is single-threaded
+	// and has none.
 	Watchdog time.Duration
 	// Profile enables the per-filter profiler (firings, tape traffic,
 	// work/stall time, buffer high-water marks). Read the results from the
@@ -136,9 +137,9 @@ type Compiled struct {
 }
 
 // ErrDynamicRates is Compile's error for a program with dynamic-rate
-// filters: it has no steady-state schedule, and runs on the engine
-// CompileDynamicOpts builds.
-var ErrDynamicRates = errors.New("dynamic rates have no static schedule (use the dynamic engine)")
+// filters: it has no steady-state schedule, and runs on the schedule-less
+// sequential engine CompileDynamicOpts builds.
+var ErrDynamicRates = errors.New("dynamic rates have no static schedule (use CompileDynamicOpts)")
 
 // Compile verifies and schedules prog, applying the optional linear
 // optimization first. The input program is not modified.
@@ -313,14 +314,16 @@ func (c *Compiled) Runner(kind EngineKind, opts RunOptions) (Runner, error) {
 }
 
 // CompileDynamicOpts flattens a program with dynamic-rate filters (no
-// static schedule exists) and returns the dynamic engine: the sequential
-// engine without a schedule, under a data-driven loop.
-func CompileDynamicOpts(prog *ir.Program, opts RunOptions) (*exec.DynamicEngine, error) {
+// static schedule exists) and returns the sequential engine built without
+// a schedule, which runs by Engine.RunItems: a sink-item count through the
+// data-driven loop. Teleport messaging and recovery policies are
+// construction errors.
+func CompileDynamicOpts(prog *ir.Program, opts RunOptions) (*exec.Engine, error) {
 	g, err := ir.Flatten(prog)
 	if err != nil {
 		return nil, err
 	}
-	return exec.NewDynamicOpts(g, opts.execOptions())
+	return exec.NewFromGraphOpts(g, nil, opts.execOptions())
 }
 
 // MapOnto maps the program onto the simulated multicore through the plan

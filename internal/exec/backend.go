@@ -7,9 +7,9 @@ import (
 	"streamit/internal/wfunc"
 )
 
-// Backend selects the work-function execution substrate shared by all
-// engines (sequential, mapped, dynamic). The zero value is the
-// bytecode VM, so engines default to the fast path.
+// Backend selects the work-function execution substrate shared by the
+// sequential and mapped engines. The zero value is the bytecode VM, so
+// engines default to the fast path.
 type Backend int
 
 const (

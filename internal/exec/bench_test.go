@@ -94,7 +94,7 @@ func BenchmarkFiringOverhead(b *testing.B) {
 			rt := e.nodes[src.ID]
 			entries := []sched.Entry{{Node: src, Count: reps}}
 			perFiring(b, reps, func() {
-				if err := e.runEntries(entries, 1); err != nil {
+				if err := e.runEntries(entries, nil, 1); err != nil {
 					b.Fatal(err)
 				}
 				rt.out.Popped = rt.out.Pushed

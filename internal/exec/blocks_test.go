@@ -74,7 +74,7 @@ func TestSequentialBlocks(t *testing.T) {
 					// the iterations of one call, blocks or not: its
 					// reference makes the same calls.
 					step := 1
-					if single.dynamic {
+					if single.constrained {
 						step = n
 					}
 					for k := 0; k < n; k += step {

@@ -137,7 +137,7 @@ func TestEngineConformance(t *testing.T) {
 				{
 					label := fmt.Sprintf("dynamic/%s", bname)
 					g, s := flattenApp(t, app)
-					d, err := NewDynamicOpts(g, Options{Backend: backend, Profile: true})
+					d, err := NewFromGraphOpts(g, nil, Options{Backend: backend, Profile: true})
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -53,11 +54,11 @@ func TestDynamicRunLengthDecoder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDynamicOpts(g, Options{})
+	d, err := NewFromGraphOpts(g, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Run(12); err != nil {
+	if _, err := d.RunItems(12); err != nil {
 		t.Fatal(err)
 	}
 	// Pairs (1,10),(2,20),(3,30) repeat: expansion 10, 20,20, 30,30,30, ...
@@ -82,41 +83,150 @@ func TestDynamicRejectedByStaticScheduler(t *testing.T) {
 	}
 }
 
-// TestDynamicMatchesSequentialOnStaticProgram: for a static-rate program,
-// the dynamic engine produces the same output stream (Kahn determinism).
+// TestDynamicMatchesSequentialOnStaticProgram: for every static-rate suite
+// program, the schedule-less engine in item mode at the default run-ahead
+// limit produces a prefix of the scheduled engine's output stream (Kahn
+// determinism), at every sink.
 func TestDynamicMatchesSequentialOnStaticProgram(t *testing.T) {
-	build := func() (*ir.Program, *[]float64) {
-		prog := apps.FMRadio(4, 16)
-		pipe := prog.Top.(*ir.Pipeline)
-		snk, got := SliceSink("cap")
-		pipe.Children[len(pipe.Children)-1] = snk
-		return prog, got
-	}
-	seqProg, seqGot := build()
-	seqOut, err := RunCollect(seqProg, 60, seqGot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dynProg, dynGot := build()
-	g, err := ir.Flatten(dynProg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := NewDynamicOpts(g, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Run(40); err != nil {
-		t.Fatal(err)
-	}
-	n := 40
-	if len(seqOut) < n || len(*dynGot) < n {
-		t.Fatalf("too few outputs: seq %d dyn %d", len(seqOut), len(*dynGot))
-	}
-	for i := 0; i < n; i++ {
-		if seqOut[i] != (*dynGot)[i] {
-			t.Fatalf("output %d: sequential %v, dynamic %v", i, seqOut[i], (*dynGot)[i])
+	// tapSinks records what every sink of e pops, sink by sink.
+	tapSinks := func(t *testing.T, e *Engine) [][]float64 {
+		var sinks []*ir.Node
+		for _, n := range e.G.Nodes {
+			if n.IsSink() && n.InEdge() != nil {
+				sinks = append(sinks, n)
+			}
 		}
+		got := make([][]float64, len(sinks))
+		for i, n := range sinks {
+			if err := e.TapSink(n.Name, func(v float64) { got[i] = append(got[i], v) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return got
+	}
+	for _, app := range apps.Suite() {
+		t.Run(app.Name, func(t *testing.T) {
+			g, s := flattenApp(t, app)
+			seq, err := NewFromGraphOpts(g, s, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			seqGot := tapSinks(t, seq)
+			dynG, _ := flattenApp(t, app)
+			d, err := NewFromGraphOpts(dynG, nil, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dynGot := tapSinks(t, d)
+			n := int64(40)
+			items, err := d.RunItems(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total := 0
+			for _, got := range dynGot {
+				total += len(got)
+			}
+			if items < n || int64(total) != items {
+				t.Fatalf("RunItems(%d) reports %d sink items, the sinks popped %d", n, items, total)
+			}
+			if err := seq.RunInit(); err != nil {
+				t.Fatal(err)
+			}
+			for k := range dynGot {
+				for len(seqGot[k]) < len(dynGot[k]) {
+					if err := seq.RunSteady(1); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i, v := range dynGot[k] {
+					if math.Float64bits(seqGot[k][i]) != math.Float64bits(v) {
+						t.Fatalf("sink %d output %d: sequential %v, dynamic %v", k, i, seqGot[k][i], v)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestDynamicBudgetDeadlock: a goal-mode pass of the data-driven loop that
+// cannot move reports a *DeadlockError listing only the nodes short of
+// their goal, each with the edge it waits on — short of input, or held by a
+// messaging constraint.
+func TestDynamicBudgetDeadlock(t *testing.T) {
+	check := func(t *testing.T, err error, want map[string]string) {
+		t.Helper()
+		var de *DeadlockError
+		if !errors.As(err, &de) {
+			t.Fatalf("err = %v, want *DeadlockError", err)
+		}
+		got := map[string]string{}
+		for _, fs := range de.Blocked {
+			if fs.Edge == "" {
+				t.Fatalf("%s is blocked on no edge: %v", fs.Name, err)
+			}
+			got[fs.Name] = fs.State + " on " + fs.Edge
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("blocked %v, want %v (%v)", got, want, err)
+		}
+	}
+	t.Run("input", func(t *testing.T) {
+		g, _, _ := faultPipeline(t, gainFilter("Double", 2))
+		d, err := NewFromGraphOpts(g, nil, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Src, Double and snk, in a pipeline: Src stops at 2 firings.
+		mid, snk := g.Nodes[1], g.Nodes[2]
+		budget := []int64{2, 5, 5}
+		check(t, d.runBudget(budget), map[string]string{
+			mid.Name: "waiting recv on " + mid.InEdge().String(),
+			snk.Name: "waiting recv on " + snk.InEdge().String(),
+		})
+	})
+	t.Run("constraint", func(t *testing.T) {
+		// MAX_LATENCY(a, snk, 3): a may not run more than three firings
+		// ahead of snk, which its budget holds at none.
+		src, a := rampFilter("Src"), gainFilter("a", 1)
+		snk, _ := SliceSink("snk")
+		prog := &ir.Program{Name: "lat", Top: ir.Pipe("main", src, a, snk),
+			Constraints: []ir.LatencyConstraint{{Upstream: a, Downstream: snk, Latency: 3}}}
+		e, err := New(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		an, sn := e.G.FilterNode[a], e.G.FilterNode[snk]
+		budget := make([]int64, len(e.G.Nodes))
+		budget[e.G.FilterNode[src].ID], budget[an.ID] = 100, 100
+		check(t, e.runBudget(budget), map[string]string{
+			an.Name: "waiting constraint on " + sn.InEdge().String(),
+		})
+	})
+}
+
+// TestDynamicRunsByItems: an engine built without a schedule runs by
+// RunItems only — its schedule runs return an error instead of reading a
+// schedule it does not have — and a scheduled engine refuses RunItems.
+func TestDynamicRunsByItems(t *testing.T) {
+	g, s, _ := faultPipeline(t, gainFilter("Double", 2))
+	d, err := NewFromGraphOpts(g, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, run := range map[string]func() error{
+		"Run": func() error { return d.Run(1) }, "RunInit": d.RunInit, "RunSteady": func() error { return d.RunSteady(1) },
+	} {
+		if err := run(); err == nil || !strings.Contains(err.Error(), "RunItems") {
+			t.Fatalf("%s on a schedule-less engine: err = %v, want one naming RunItems", name, err)
+		}
+	}
+	e, err := NewFromGraphOpts(g, s, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RunItems(1); err == nil {
+		t.Fatal("RunItems ran an engine that has a schedule")
 	}
 }
 
@@ -141,11 +251,11 @@ func TestDynamicFeedbackLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDynamicOpts(g, Options{})
+	d, err := NewFromGraphOpts(g, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Run(5); err != nil {
+	if _, err := d.RunItems(5); err != nil {
 		t.Fatal(err)
 	}
 	want := []float64{1, 2, 3, 4, 5} // running sum of ones
@@ -171,9 +281,9 @@ func blockStream(blocks int) []float64 {
 
 // blockPipeline builds blocks -> f -> out, where blocks repeats
 // blockStream(8), and the dynamic engine over it with one item ahead per
-// edge (ChanCap 1): f, which reads a whole block per firing, then runs its
+// edge (ahead 1): f, which reads a whole block per firing, then runs its
 // input dry part-way through nearly every firing.
-func blockPipeline(t *testing.T, f *ir.Filter, opts Options) (*DynamicEngine, *[]float64) {
+func blockPipeline(t *testing.T, f *ir.Filter, opts Options) (*Engine, *[]float64) {
 	t.Helper()
 	snk, got := SliceSink("out")
 	prog := &ir.Program{Name: "blocks", Top: ir.Pipe("main", SliceSource("blocks", blockStream(8)), f, snk)}
@@ -181,11 +291,11 @@ func blockPipeline(t *testing.T, f *ir.Filter, opts Options) (*DynamicEngine, *[
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDynamicOpts(g, opts)
+	d, err := NewFromGraphOpts(g, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.ChanCap = 1
+	d.ahead = 1
 	return d, got
 }
 
@@ -247,7 +357,7 @@ func TestDynamicUnderflowMidFiring(t *testing.T) {
 		t.Run(backend.String(), func(t *testing.T) {
 			rec := obs.NewRecorder()
 			d, got := blockPipeline(t, unpack(), Options{Backend: backend, Trace: rec, Profile: true})
-			if err := d.Run(40); err != nil {
+			if _, err := d.RunItems(40); err != nil {
 				t.Fatal(err)
 			}
 			checkOutput(t, *got, 40, wantAt)
@@ -271,7 +381,7 @@ func TestDynamicUnderflowMidFiring(t *testing.T) {
 	// the corruption.
 	t.Run("corrupt", func(t *testing.T) {
 		d, got := blockPipeline(t, unpack(), Options{Faults: mustPlan(t, "corrupt:Unpack@2")})
-		if err := d.Run(40); err != nil {
+		if _, err := d.RunItems(40); err != nil {
 			t.Fatal(err)
 		}
 		checkOutput(t, *got, 40, func(i int) float64 {
@@ -304,7 +414,7 @@ func TestDynamicUnderflowMidFiring(t *testing.T) {
 		}
 		rec := obs.NewRecorder()
 		d, got := blockPipeline(t, f, Options{Trace: rec})
-		if err := d.Run(40); err != nil {
+		if _, err := d.RunItems(40); err != nil {
 			t.Fatal(err)
 		}
 		checkOutput(t, *got, 40, wantAt)
@@ -319,7 +429,7 @@ func TestDynamicUnderflowMidFiring(t *testing.T) {
 }
 
 // TestDynamicRewindIsProgress: a producer that pushes 8 items per firing
-// fills its ring past ChanCap in one firing, and the unpacker's blocks (a
+// fills its ring past its run-ahead limit in one firing, and the unpacker's blocks (a
 // length 5, then 5 items) are longer than what one burst leaves behind. A
 // pass in which the unpacker only rewinds fires nothing, but the rewind
 // lifts the producer's full ring, so the next pass fires it: the run goes
@@ -348,12 +458,12 @@ func TestDynamicRewindIsProgress(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := obs.NewRecorder()
-	d, err := NewDynamicOpts(g, Options{Trace: rec})
+	d, err := NewFromGraphOpts(g, nil, Options{Trace: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.ChanCap = 2
-	if err := d.Run(100); err != nil {
+	d.ahead = 2
+	if _, err := d.RunItems(100); err != nil {
 		t.Fatal(err)
 	}
 	checkOutput(t, *got, 100, func(i int) float64 {
@@ -393,7 +503,7 @@ func TestDynamicRewindKeepsFields(t *testing.T) {
 		t.Run(backend.String(), func(t *testing.T) {
 			rec := obs.NewRecorder()
 			d, got := blockPipeline(t, counter(), Options{Backend: backend, Trace: rec})
-			if err := d.Run(40); err != nil {
+			if _, err := d.RunItems(40); err != nil {
 				t.Fatal(err)
 			}
 			checkOutput(t, *got, 40, func(i int) float64 { return want[i] })
@@ -426,11 +536,11 @@ func TestDynamicDeterministicProfile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := NewDynamicOpts(g, Options{Backend: backend, Profile: true})
+		d, err := NewFromGraphOpts(g, nil, Options{Backend: backend, Profile: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := d.Run(20000); err != nil {
+		if _, err := d.RunItems(20000); err != nil {
 			t.Fatal(err)
 		}
 		got := d.Profile().Snapshot()
@@ -466,11 +576,11 @@ func TestDynamicReportsNodeErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDynamicOpts(g, Options{})
+	d, err := NewFromGraphOpts(g, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = d.Run(10)
+	_, err = d.RunItems(10)
 	if err == nil {
 		t.Fatal("expected node error")
 	}

@@ -8,11 +8,12 @@
 // semantics. Every edge is a wfunc.Ring, the one storage tape: the engines
 // own only the placement of their rings, their progress counting and their
 // outer loops. Programs with data-dependent rates run on the sequential
-// engine built without a schedule, under a data-driven loop of their own
-// (DynamicEngine).
+// engine built without a schedule (Engine.RunItems), through the same
+// data-driven loop that runs a schedule under messaging constraints.
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -45,9 +46,15 @@ type Engine struct {
 
 	// Firings counts total node firings (for throughput metrics).
 	Firings int64
-	// dynamic is set when messaging requires constraint-aware scheduling,
-	// sends when some filter sends teleport messages.
-	dynamic, sends bool
+	// constrained is set when messaging constraints (mc1/mc2) need the
+	// data-driven loop, sends when some filter sends teleport messages.
+	constrained, sends bool
+	// order is the nodes in topological order for the data-driven loop (nil
+	// when unused). Without a schedule RunItems counts the sinks' input
+	// rings, and producers wait at ahead items (4096; only tests lower it).
+	order []*nodeRT
+	sinks []*wfunc.Ring
+	ahead int
 	// cur is the node being fired, for blameFiring.
 	cur *nodeRT
 
@@ -73,12 +80,14 @@ type message struct {
 }
 
 // constraint bounds how far a receiver may run ahead of a potential sender
-// (paper equations mc1/mc2).
+// (paper equations mc1/mc2). tapeA and tapeB are the sender's and the
+// receiver's progress tapes, pushA and pushB their advance per firing.
 type constraint struct {
-	sender   *ir.Node
-	receiver *ir.Node
-	latency  int
-	upstream bool // receiver upstream of sender
+	sender, receiver *ir.Node
+	latency          int
+	upstream         bool // receiver upstream of sender
+	tapeA, tapeB     *ir.Edge
+	pushA, pushB     int64
 }
 
 // New flattens, verifies, and prepares prog for execution on the default
@@ -114,41 +123,15 @@ func NewFromGraphOpts(g *ir.Graph, s *sched.Schedule, opts Options) (*Engine, er
 	return sh.NewEngine(opts)
 }
 
-func collectSends(f *wfunc.Func) []*wfunc.Send {
-	var out []*wfunc.Send
-	var walk func(body []wfunc.Stmt)
-	walk = func(body []wfunc.Stmt) {
-		for _, s := range body {
-			switch s := s.(type) {
-			case *wfunc.Send:
-				out = append(out, s)
-			case *wfunc.If:
-				walk(s.Then)
-				walk(s.Else)
-			case *wfunc.For:
-				walk(s.Body)
-			case *wfunc.While:
-				walk(s.Body)
-			}
-		}
-	}
-	if f != nil {
-		walk(f.Body)
-	}
-	return out
-}
-
 // progressTapeOf returns the tape that measures a node's execution progress
 // for messaging purposes: its output tape, or — for sinks, which the paper's
-// MAX_LATENCY example uses as endpoints — its input tape.
-func progressTapeOf(n *ir.Node) (*ir.Edge, error) {
+// MAX_LATENCY example uses as endpoints — its input tape; nil for a node
+// with no tapes, which deriveConstraints refuses as an endpoint.
+func progressTapeOf(n *ir.Node) *ir.Edge {
 	if edge := n.OutEdge(); edge != nil {
-		return edge, nil
+		return edge
 	}
-	if edge := n.InEdge(); edge != nil {
-		return edge, nil
-	}
-	return nil, fmt.Errorf("%s has no tapes; it cannot be a messaging endpoint", n.Name)
+	return n.InEdge()
 }
 
 // progressRateOf is the per-firing advance of the node's progress tape.
@@ -169,13 +152,16 @@ func sinkMargin(n *ir.Node) int64 {
 	return 0
 }
 
+// errNoSchedule is what a schedule-less engine's schedule runs return.
+var errNoSchedule = errors.New("exec: engine has no schedule (dynamic rates); run it with RunItems")
+
 // RunInit executes the initialization schedule.
 func (e *Engine) RunInit() (err error) {
-	defer e.blameFiring(&err)
-	if e.dynamic {
-		return e.runDataDriven(e.Sch.InitReps, 1, "initialization")
+	if e.Sch == nil {
+		return errNoSchedule
 	}
-	return e.runEntries(e.Sch.Init, 1)
+	defer e.blameFiring(&err)
+	return e.runEntries(e.Sch.Init, e.Sch.InitReps, 1)
 }
 
 // RunSteady executes the steady-state schedule iters times, in blocks of
@@ -185,20 +171,15 @@ func (e *Engine) RunInit() (err error) {
 // share of all its iterations at once (core.fireHeld); a trace gets one
 // slice per block, "steady T xN" for the N iterations from T.
 func (e *Engine) RunSteady(iters int) (err error) {
-	defer e.blameFiring(&err)
-	if e.dynamic {
-		if e.rec == nil {
-			return e.runDataDriven(e.Sch.Reps, iters, "steady-state")
-		}
-		// Constraint-aware scheduling interleaves iterations, so the trace
-		// gets one slice covering the whole batch.
-		t0 := e.rec.Stamp()
-		err = e.runDataDriven(e.Sch.Reps, iters, "steady-state")
-		e.rec.Slice(e.laneSched, fmt.Sprintf("steady x%d", iters), "iteration", t0, e.rec.Stamp())
-		return err
+	if e.Sch == nil {
+		return errNoSchedule
 	}
+	defer e.blameFiring(&err)
 	k := e.block
-	if e.Printer != nil || e.sends {
+	switch {
+	case e.constrained:
+		k = int64(iters) // the data-driven loop interleaves iterations
+	case e.Printer != nil || e.sends:
 		k = 1
 	}
 	for done := int64(0); done < int64(iters); {
@@ -207,7 +188,7 @@ func (e *Engine) RunSteady(iters int) (err error) {
 		if e.rec != nil {
 			t0 = e.rec.Stamp()
 		}
-		if err := e.runEntries(e.Sch.Steady, n); err != nil {
+		if err := e.runEntries(e.Sch.Steady, e.Sch.Reps, n); err != nil {
 			return err
 		}
 		done += n
@@ -242,9 +223,13 @@ func (e *Engine) blameFiring(err *error) {
 // entry: each entry's share of all n at once (core.fireHeld), its filter's
 // input held per iteration from where its ring ended when the pass began,
 // or one step at a time, with delivery around each, when some filter sends
-// teleport messages. Firings counts the firings that completed, also when
-// one panics on its way to blameFiring.
-func (e *Engine) runEntries(entries []sched.Entry, n int64) (err error) {
+// teleport messages. Under messaging constraints the data-driven loop
+// fires each node reps[id] times per iteration instead. Firings counts the
+// firings that completed, also when one panics on its way to blameFiring.
+func (e *Engine) runEntries(entries []sched.Entry, reps []int, n int64) (err error) {
+	if e.constrained {
+		return e.runDataDriven(reps, n)
+	}
 	if n > 1 {
 		if e.first == nil {
 			e.first = make([]int64, len(entries))
@@ -321,22 +306,31 @@ func perIteration(s *sched.Schedule, n *ir.Node) int64 {
 	return 0
 }
 
-// runDataDriven fires nodes through the core's constraint-aware data-driven
-// loop until each has fired iters*reps[n] more times than at entry.
-func (e *Engine) runDataDriven(reps []int, iters int, phase string) error {
-	topo, err := e.G.TopoOrder()
-	if err != nil {
-		return err
+// runDataDriven fires nodes through the core's data-driven loop until each
+// has fired iters*reps[id] more times than at entry.
+func (e *Engine) runDataDriven(reps []int, iters int64) error {
+	fires := make([]int64, len(e.nodes))
+	for id, rt := range e.nodes {
+		fires[id] = rt.fired + iters*int64(reps[id])
 	}
-	order := make([]*nodeRT, len(topo))
-	goal := make([]int64, len(topo))
-	for i, n := range topo {
-		order[i] = e.nodes[n.ID]
-		goal[i] = order[i].fired + int64(iters*reps[n.ID])
-	}
-	fired, err := e.dataDriven(order, goal, phase, &e.cur)
+	fired, err := e.dataDriven(e.order, goal{fires: fires}, "sequential", &e.cur)
 	e.Firings += fired
 	return err
+}
+
+// RunItems runs a schedule-less engine (dynamic rates) until its sinks
+// have consumed at least n more items and returns how many they consumed,
+// up to a pass's worth more: producers run up to ahead items in front.
+// Nodes fire in topological passes on one thread, so two runs fire alike.
+func (e *Engine) RunItems(n int64) (items int64, err error) {
+	if e.Sch != nil {
+		return 0, errors.New("exec: RunItems runs an engine built without a schedule; use Run")
+	}
+	defer e.blameFiring(&err)
+	start := consumed(e.sinks)
+	fired, err := e.dataDriven(e.order, goal{sinks: e.sinks, items: start + n, ahead: e.ahead}, "sequential", &e.cur)
+	e.Firings += fired
+	return consumed(e.sinks) - start, err
 }
 
 // inRing implements coreHost: an edge is one ring, read by its consumer.

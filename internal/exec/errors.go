@@ -75,13 +75,14 @@ func (s FilterStatus) String() string {
 }
 
 // DeadlockError reports a run that cannot move: on the mapped engine, no
-// batch moved anywhere for at least Interval (the watchdog's verdict); on
-// the dynamic engine, a pass of its data-driven loop neither fired nor
-// rewound while the sinks were short (Interval 0). Blocked lists every node still waiting
-// and what it is waiting on; Cycle names the wait-cycle (or terminal chain)
-// traced through the blocked nodes.
+// batch moved anywhere for at least Interval (the watchdog's verdict); in
+// the data-driven loop (a dynamic-rate run, a schedule under messaging
+// constraints, a stage cluster), a pass neither fired nor rewound while its
+// goal was unmet (Interval 0). Blocked lists every node still waiting — in
+// the loop, every node short of its goal — and what it is waiting on; Cycle
+// names the wait-cycle (or terminal chain) traced through the blocked nodes.
 type DeadlockError struct {
-	Engine   string // "mapped" or "dynamic"
+	Engine   string // "sequential" or "mapped"
 	Interval time.Duration
 	Blocked  []FilterStatus
 	Cycle    []string

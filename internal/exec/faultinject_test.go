@@ -332,11 +332,11 @@ func TestParallelPanicFailPolicy(t *testing.T) {
 // as structured errors too.
 func TestDynamicPanicFailPolicy(t *testing.T) {
 	g, _, _ := faultPipeline(t, gainFilter("Double", 2))
-	d, err := NewDynamicOpts(g, Options{Faults: mustPlan(t, "panic:Double@3")})
+	d, err := NewFromGraphOpts(g, nil, Options{Faults: mustPlan(t, "panic:Double@3")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = d.Run(64)
+	_, err = d.RunItems(64)
 	var ee *ExecError
 	if !errors.As(err, &ee) || faults.BaseName(ee.Filter) != "Double" {
 		t.Fatalf("err = %v, want *ExecError for Double", err)
@@ -347,11 +347,11 @@ func TestDynamicPanicFailPolicy(t *testing.T) {
 // engine (no rollback needed).
 func TestDynamicCorruptSentinel(t *testing.T) {
 	g, _, got := faultPipeline(t, gainFilter("Double", 2))
-	d, err := NewDynamicOpts(g, Options{Faults: mustPlan(t, "corrupt:Double@2")})
+	d, err := NewFromGraphOpts(g, nil, Options{Faults: mustPlan(t, "corrupt:Double@2")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Run(32); err != nil {
+	if _, err := d.RunItems(32); err != nil {
 		t.Fatal(err)
 	}
 	found := false
@@ -370,7 +370,7 @@ func TestDynamicCorruptSentinel(t *testing.T) {
 // construction-time error.
 func TestDynamicRejectsRecoveryPolicies(t *testing.T) {
 	g, _, _ := faultPipeline(t, gainFilter("Double", 2))
-	if _, err := NewDynamicOpts(g, Options{OnError: mustPolicies(t, "retry")}); err == nil {
+	if _, err := NewFromGraphOpts(g, nil, Options{OnError: mustPolicies(t, "retry")}); err == nil {
 		t.Fatal("expected the dynamic engine to reject recovery policies")
 	}
 }

@@ -13,13 +13,13 @@ import (
 
 // The firing core: how a node fires, stated once for every engine. The
 // sequential and mapped engines differ in where their rings sit, in how
-// they count progress and in their outer loops; the dynamic engine is the
-// sequential one with its own outer loop. What a firing is — a filter's
-// work dispatch (override, native WorkFn, then the work runner) under the
-// supervisor when one is attached, a splitter's or joiner's routing, the
-// one per-firing hook that profiles, taps and corrupts a committed firing,
-// a supervised firing's save point, and the constraint-aware data-driven
-// loop that hosts teleport messaging — is this file.
+// they count progress and in their outer loops. What a firing is — a
+// filter's work dispatch (override, native WorkFn, then the work runner)
+// under the supervisor when one is attached, a splitter's or joiner's
+// routing, the one per-firing hook that profiles, taps and corrupts a
+// committed firing, a supervised firing's save point, and the one
+// data-driven loop that hosts teleport messaging and dynamic rates — is
+// this file.
 
 // nodeRT is one node's runtime record, the same under every engine. It
 // outlives epochs, re-plans and restores; only the mapped engine rebinds its
@@ -78,6 +78,18 @@ type core struct {
 	// msgs is the teleport-messaging runtime filters send through and the
 	// data-driven loop delivers from.
 	msgs *teleport
+	// spec is the data-driven loop's speculation state by node ID, on an
+	// engine that runs the loop (nil elsewhere).
+	spec []speculation
+}
+
+// speculation is a node's state across data-driven attempts: on marks a
+// speculative filter (dynamic rate, reading an input), wait is the input
+// count it waits for after running dry, and keep a stateful one's fields.
+type speculation struct {
+	on   bool
+	wait int64
+	keep *wfunc.State
 }
 
 // bind points a filter's tapes at the engine's rings for its edges.
@@ -397,57 +409,139 @@ func (c *core) step(rt *nodeRT) error {
 	return c.msgs.deliverDue(rt.node, false)
 }
 
-// dataDriven is the constraint-aware data-driven loop, the sequential
-// engine's schedule under messaging constraints and the mapped engine's
-// stage clusters: topological passes over nodes, firing each — with
-// delivery around it — while it is short of its goal, has input on every
-// port, and is allowed by the messaging constraints (mc1/mc2), until every
-// node reaches goal[i]. It returns the firings it made; *cur is the node
-// being fired, for the caller's recover. phase names the schedule phase a
-// pass that cannot move is reported in.
-func (c *core) dataDriven(nodes []*nodeRT, goal []int64, phase string, cur **nodeRT) (int64, error) {
+// goal is where a run of the data-driven loop stops, as data: when every
+// node has fired fires[id] times (a schedule phase under messaging
+// constraints, a stage cluster's iteration; sinks nil), or when the sinks'
+// input rings have been popped items times in all (dynamic rates; fires
+// nil, every node's goal unbounded). ahead is how many items an output ring
+// holds before its producer waits, 0 for no limit.
+type goal struct {
+	fires []int64
+	sinks []*wfunc.Ring
+	items int64
+	ahead int
+}
+
+// short reports whether rt has fired fewer times than g asks of it.
+func (g *goal) short(rt *nodeRT) bool { return g.fires == nil || rt.fired < g.fires[rt.node.ID] }
+
+// dataDriven is the one data-driven loop (the sequential engine's runs
+// under messaging constraints and without a schedule, the mapped engine's
+// stage clusters): topological passes over nodes, each attempted while it
+// is short of its goal and blocker finds nothing in its way, until g is
+// met. A rewind is progress too — it raises the filter's wait above its
+// input, which may lift its producer's full ring, and cannot repeat without
+// new input — so only a pass with neither is a deadlock, reported for
+// engine. It returns the firings made; *cur is the node being fired.
+func (c *core) dataDriven(nodes []*nodeRT, g goal, engine string, cur **nodeRT) (int64, error) {
 	var fired int64
-	for {
+	for g.sinks == nil || consumed(g.sinks) < g.items {
 		progressed, done := false, true
-		for i, rt := range nodes {
-			for rt.fired < goal[i] && c.starved(rt.node) == nil {
-				ok, err := c.msgs.constraintsAllow(rt.node)
+		for _, rt := range nodes {
+			for g.short(rt) {
+				e, _, _, err := c.blocker(rt, g.ahead)
 				if err != nil {
 					return fired, err
 				}
-				if !ok {
+				if e != nil {
 					break
 				}
 				*cur = rt
-				if err := c.step(rt); err != nil {
+				k, err := c.attempt(rt)
+				if err != nil {
 					return fired, err
 				}
-				fired++
-				progressed = true
+				fired, progressed = fired+k, true
 			}
-			if rt.fired < goal[i] {
-				done = false
-			}
+			done = done && !g.short(rt)
 		}
 		if done {
-			return fired, nil
+			break
 		}
 		if !progressed {
-			return fired, fmt.Errorf("messaging constraints are unsatisfiable: no progress possible during %s", phase)
+			return fired, c.stuck(g, engine)
 		}
 	}
+	return fired, nil
 }
 
-// starved checks input availability for one firing of n: it returns the
-// first in port's edge that holds less than its peek window, nil when n can
-// fire.
-func (c *core) starved(n *ir.Node) *ir.Edge {
+func consumed(sinks []*wfunc.Ring) (n int64) {
+	for _, r := range sinks {
+		n += r.Popped
+	}
+	return n
+}
+
+// blocker returns the edge rt cannot fire for, the node it waits on and
+// how, nil when it can fire: an input short of its peek window, the input a
+// speculative filter waits on after a rewind, an output ring holding ahead
+// items (ahead > 0) whose consumer waits for no more, or a messaging
+// constraint (mc1/mc2), waited on along its sender's progress tape.
+func (c *core) blocker(rt *nodeRT, ahead int) (*ir.Edge, *ir.Node, waitState, error) {
+	n := rt.node
 	for p, e := range n.In {
-		if e != nil && c.eng.inRing(e).Len() < n.PeekPort(p) {
-			return e
+		if e == nil {
+			continue
+		}
+		if r := c.eng.inRing(e); r.Len() < n.PeekPort(p) || r.Pushed < c.spec[n.ID].wait {
+			return e, e.Src, wsWaitRecv, nil
 		}
 	}
-	return nil
+	for _, e := range n.Out {
+		if e == nil || ahead == 0 {
+			continue
+		}
+		if r := c.eng.outRing(e); r.Len() >= ahead && r.Pushed >= c.spec[e.Dst.ID].wait {
+			return e, e.Dst, wsWaitSend, nil
+		}
+	}
+	k, err := c.msgs.blocking(n)
+	if k == nil || err != nil {
+		return nil, nil, wsRunning, err
+	}
+	return k.tapeA, k.sender, wsWaitMsg, nil
+}
+
+// attempt fires rt once through step and returns the firings it committed,
+// 0 or 1. A speculative filter fires under a save point (savePoint: its
+// rings, and its fields when its work writes them). An attempt that runs
+// its input dry is rewound, leaving a trace instant and nothing in the
+// profile or at a tap (the per-firing hook sees committed firings only),
+// and the filter waits until its input has grown by the items it was
+// short, so no attempt repeats without new input.
+func (c *core) attempt(rt *nodeRT) (fired int64, err error) {
+	s := &c.spec[rt.node.ID]
+	if !s.on {
+		return 1, c.step(rt)
+	}
+	restore := c.savePoint(rt, s.keep)
+	defer func() {
+		if r := recover(); r != nil {
+			f, short := r.(wfunc.TapeFault)
+			if !short || f.Short == 0 {
+				panic(r)
+			}
+			restore()
+			s.wait = rt.in.Pushed + int64(f.Short)
+			traceRecovery(c.rec, rt.node.ID, rt.node.Name, "rewind")
+			fired, err = 0, nil
+		}
+	}()
+	return 1, c.step(rt)
+}
+
+// stuck reports a pass of the data-driven loop that neither fired nor
+// rewound: every node short of its goal waits on what blocker names. Only
+// the sequential engine's rings fill (ahead > 0), where inRing is outRing.
+func (c *core) stuck(g goal, engine string) *DeadlockError {
+	return deadlockReport(engine, 0, c.msgs.g, func(n *ir.Node) (FilterStatus, int, bool) {
+		rt := c.nodes[n.ID]
+		if !g.short(rt) {
+			return FilterStatus{}, -1, false
+		}
+		e, on, state, _ := c.blocker(rt, g.ahead)
+		return FilterStatus{Worker: -1, State: waitStates[state], Edge: e.String(), Buffered: c.eng.inRing(e).Len()}, on.ID, true
+	})
 }
 
 // tapeProgress is a node's position on its progress tape, read live off

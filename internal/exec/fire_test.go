@@ -420,20 +420,21 @@ func TestCrossEngineErrors(t *testing.T) {
 			return me.Run(16)
 		}},
 		{"dynamic", func(g *ir.Graph, _ *sched.Schedule, opts Options) error {
-			d, err := NewDynamicOpts(g, opts)
+			d, err := NewFromGraphOpts(g, nil, opts)
 			if err != nil {
 				return err
 			}
 			// As many items ahead per edge as the widest peek window: mid
 			// sees exactly its declared window, as under the schedule, so a
 			// pop or peek past it underflows.
-			d.ChanCap = 1
+			d.ahead = 1
 			for _, n := range g.Nodes {
 				if n.Kind == ir.NodeFilter {
-					d.ChanCap = max(d.ChanCap, n.Filter.Kernel.Peek)
+					d.ahead = max(d.ahead, n.Filter.Kernel.Peek)
 				}
 			}
-			return d.Run(64)
+			_, err = d.RunItems(64)
+			return err
 		}},
 	}
 	for _, tc := range cases {

@@ -129,20 +129,19 @@ type MappedEngine struct {
 	stage  []*wfunc.Ring
 	links  []*link
 
-	// Checkpoint bookkeeping: ready marks a completed setup or restore,
-	// iter counts completed steady iterations, initFired/initPushed are
-	// the schedule-derived post-initialization counters (what a barrier's
-	// counters follow from), writes marks the nodes whose state a firing
-	// can change. Every image WriteCheckpoint encodes reuses img, imgSWP
-	// and, per edge, gather, which a restore also lends its decoded items.
-	ready      bool
-	iter       int64
-	initFired  []int64
-	initPushed []int64
-	writes     []bool
-	img        ckptImage
-	imgSWP     ckptSWP
-	gather     [][]float64
+	// Checkpoint bookkeeping: ready marks a completed setup or restore, iter
+	// counts completed steady iterations, the schedule's post-init counters
+	// initFired and initPushed and each edge's push per firing are what a
+	// barrier's counters follow from, writes marks the nodes whose state a
+	// firing can change. Every image WriteCheckpoint encodes reuses img,
+	// imgSWP and, per edge, gather, which a restore also lends its items.
+	ready                       bool
+	iter                        int64
+	initFired, initPushed, push []int64
+	writes                      []bool
+	img                         ckptImage
+	imgSWP                      ckptSWP
+	gather                      [][]float64
 	// fp is the graph fingerprint every image is written and checked under.
 	fp uint64
 
@@ -225,7 +224,7 @@ func NewMappedOpts(g *ir.Graph, s *sched.Schedule, assign []int, workers int, op
 		return nil, err
 	}
 	me.swp = sw
-	me.core = core{eng: me, rec: opts.Trace, msgs: &sw.teleport}
+	me.core = core{eng: me, rec: opts.Trace, msgs: &sw.teleport, spec: make([]speculation, len(g.Nodes))}
 	sw.host = &me.core
 	if err := me.validAssign(me.Assign, workers); err != nil {
 		return nil, fmt.Errorf("exec: %w", err)
@@ -239,7 +238,7 @@ func NewMappedOpts(g *ir.Graph, s *sched.Schedule, assign []int, workers int, op
 	}
 	me.sup = sup
 
-	me.initFired, me.initPushed = initCounts(g, s)
+	me.initFired, me.initPushed, me.push = initCounts(g, s)
 	me.nodes = make([]*nodeRT, len(g.Nodes))
 	me.statuses = make([]*nodeStatus, len(g.Nodes))
 	for _, n := range g.Nodes {
@@ -430,7 +429,7 @@ func (me *MappedEngine) install(r *barrier) {
 	for _, e := range me.G.Edges {
 		items := r.items[e.ID]
 		q := len(items) - me.staged(r, e)
-		me.refill(e, pushedAt(e, me.nodes[e.Src.ID].fired, me.initFired, me.initPushed), items[:q], items[q:])
+		me.refill(e, pushedAt(e, me.nodes[e.Src.ID].fired, me.push), items[:q], items[q:])
 	}
 	for i := range sw.pending {
 		sw.pending[i] = append(sw.pending[i][:0], r.pending[i]...)
@@ -457,7 +456,7 @@ func (me *MappedEngine) firedAt(r *barrier, id int) int64 {
 func (me *MappedEngine) staged(r *barrier, e *ir.Edge) int {
 	sw := me.swp
 	if iseg := r.done(sw, e.Src.ID); me.stage[e.ID] != nil && sw.maxStage() > 0 && iseg < r.segIters {
-		return int(iseg%sw.batch) * me.Sch.Reps[e.Src.ID] * e.Src.PushPort(e.SrcPort)
+		return int(iseg%sw.batch) * me.Sch.Reps[e.Src.ID] * int(me.push[e.ID])
 	}
 	return 0
 }

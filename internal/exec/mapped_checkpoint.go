@@ -30,25 +30,26 @@ import (
 // uniform, and so is every image of a zero-skew plan: those interchange
 // with the sequential engine.
 
-// initCounts derives the post-initialization firing totals (per node) and
-// push totals (per edge) from the schedule. These let checkpoints be
-// written, assembled and validated without replaying initialization.
-func initCounts(g *ir.Graph, s *sched.Schedule) (fired, pushed []int64) {
+// initCounts derives from the schedule each node's firings and each edge's
+// pushes after initialization, and each edge's push per firing: checkpoints
+// are written, assembled and validated by them without replaying init.
+func initCounts(g *ir.Graph, s *sched.Schedule) (fired, pushed, push []int64) {
 	fired = make([]int64, len(g.Nodes))
 	for _, n := range g.Nodes {
 		fired[n.ID] = int64(s.InitReps[n.ID])
 	}
-	pushed = make([]int64, len(g.Edges))
+	pushed, push = make([]int64, len(g.Edges)), make([]int64, len(g.Edges))
 	for _, e := range g.Edges {
-		pushed[e.ID] = fired[e.Src.ID]*int64(e.Src.PushPort(e.SrcPort)) + int64(len(e.Initial))
+		push[e.ID] = int64(e.Src.PushPort(e.SrcPort))
+		pushed[e.ID] = pushedAt(e, fired[e.Src.ID], push)
 	}
-	return fired, pushed
+	return fired, pushed, push
 }
 
-// pushedAt is edge e's pushed count once its source has fired fired times:
-// initPushed counts an edge's pre-loaded delay items, as its ring does.
-func pushedAt(e *ir.Edge, fired int64, initFired, initPushed []int64) int64 {
-	return initPushed[e.ID] + (fired-initFired[e.Src.ID])*int64(e.Src.PushPort(e.SrcPort))
+// pushedAt is edge e's pushed count once its source has fired fired times,
+// its pre-loaded delay items included, as its ring counts them.
+func pushedAt(e *ir.Edge, fired int64, push []int64) int64 {
+	return fired*push[e.ID] + int64(len(e.Initial))
 }
 
 // edgeItems appends edge e's buffered content at a barrier to dst: the
@@ -204,7 +205,7 @@ func (me *MappedEngine) applyImage(data []byte) error {
 	}
 	for _, e := range me.G.Edges {
 		ie := img.edges[e.ID]
-		if want := pushedAt(e, img.nodes[e.Src.ID].fired, me.initFired, me.initPushed); ie.pushed != want {
+		if want := pushedAt(e, img.nodes[e.Src.ID].fired, me.push); ie.pushed != want {
 			return fmt.Errorf("exec: checkpoint edge %s pushed counter %d disagrees with its source's firing count (want %d)", e, ie.pushed, want)
 		}
 		r.items[e.ID] = ie.items

@@ -173,7 +173,7 @@ func (me *MappedEngine) ExportShard() (*ShardState, error) {
 // totals, and per-edge pushed/popped counters are reconstructed from the
 // firing counts by the rule a mapped restore checks its image against.
 func AssembleShardImage(g *ir.Graph, s *sched.Schedule, iteration int64, parts []*ShardState) ([]byte, error) {
-	initFired, initPushed := initCounts(g, s)
+	initFired, _, push := initCounts(g, s)
 	img := &ckptImage{
 		iteration: iteration,
 		nodes:     make([]ckptNode, len(g.Nodes)),
@@ -223,7 +223,7 @@ func AssembleShardImage(g *ir.Graph, s *sched.Schedule, iteration int64, parts [
 		}
 	}
 	for _, e := range g.Edges {
-		pushed := pushedAt(e, img.nodes[e.Src.ID].fired, initFired, initPushed)
+		pushed := pushedAt(e, img.nodes[e.Src.ID].fired, push)
 		ie := &img.edges[e.ID]
 		ie.pushed = pushed
 		ie.popped = pushed - int64(len(ie.items))

@@ -301,7 +301,8 @@ type swpStep struct {
 	nodes   []*nodeRT
 	level   int
 	cluster bool
-	// goal is the cluster members' firing targets for the cycle at hand.
+	// goal is the cluster members' firing targets for the cycle at hand,
+	// by node ID.
 	goal []int64
 	// pre lists the cross-worker in-edges whose producer runs at this
 	// step's stage: received immediately before the step fires.
@@ -350,13 +351,14 @@ func (me *MappedEngine) planWorkers() {
 			sp := units[ci]
 			if sp == nil {
 				sp = &swpStep{level: sw.levels[n.ID], cluster: clustered}
+				if clustered {
+					sp.goal = make([]int64, len(me.G.Nodes))
+				}
 				units[ci] = sp
 				pl.steps = append(pl.steps, sp)
 			}
 			sp.nodes = append(sp.nodes, rt) // me.order is topological, so nodes stay ordered
-			if sp.cluster {
-				sp.goal = append(sp.goal, 0)
-			} else if rt.in != nil {
+			if !sp.cluster && rt.in != nil {
 				sp.inBase, sp.inPer = me.initPushed[n.InEdge().ID], perIteration(me.Sch, n)
 			}
 			for _, e := range n.In {
@@ -430,10 +432,10 @@ func (me *MappedEngine) runWorker(w, lane, cycles int) (err error) {
 				// granularity, the goal advanced one iteration at a time so
 				// members interleave as they do one iteration per cycle.
 				for T := sw.base + c.fi; T < sw.base+c.fi+c.k; T++ {
-					for i, rt := range sp.nodes {
-						sp.goal[i] = me.initFired[rt.node.ID] + T*int64(me.Sch.Reps[rt.node.ID])
+					for _, rt := range sp.nodes {
+						sp.goal[rt.node.ID] = me.initFired[rt.node.ID] + T*int64(me.Sch.Reps[rt.node.ID])
 					}
-					fired, err := me.dataDriven(sp.nodes, sp.goal, "steady-state", &cur)
+					fired, err := me.dataDriven(sp.nodes, goal{fires: sp.goal}, "mapped", &cur)
 					me.live.progress.Add(fired)
 					if err != nil {
 						return err
@@ -481,11 +483,11 @@ func (me *MappedEngine) runWorker(w, lane, cycles int) (err error) {
 // consumer a stage later.
 func (me *MappedEngine) flush(rt *nodeRT, iters int64) error {
 	n := rt.node
-	for p, e := range n.Out {
+	for _, e := range n.Out {
 		if e == nil || me.stage[e.ID] == nil {
 			continue
 		}
-		k := me.Sch.Reps[n.ID] * n.PushPort(p) * int(iters)
+		k := me.Sch.Reps[n.ID] * int(me.push[e.ID]*iters)
 		if err := me.await(e, sideSend, k); err != nil {
 			return err
 		}

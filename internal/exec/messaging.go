@@ -77,45 +77,35 @@ func (t *teleport) maTapes(a, b *ir.Edge, bNode *ir.Node, x int64) (int64, error
 	return t.sdepCalc().Ma(a, b, x)
 }
 
-// constraintsAllow checks equations mc1/mc2 for every constraint whose
-// receiver is n: firing n must not advance its output tape beyond the point
-// where a message from the (potential) sender could still be delivered.
-func (t *teleport) constraintsAllow(n *ir.Node) (bool, error) {
-	for _, c := range t.constraints {
+// wavefront is where c's receiver stands on its progress tape when a message
+// its sender sends at progress s is due: mi{O_B->O_A}(s + push_A*λ) upstream,
+// ma{O_A->O_B}(s + push_A*(λ-1)) downstream (equations 2 and 3; mc1/mc2).
+func (t *teleport) wavefront(c *constraint, s int64) (int64, error) {
+	if c.upstream {
+		return t.miTapes(c.tapeB, c.tapeA, c.sender, s+c.pushA*int64(c.latency))
+	}
+	return t.maTapes(c.tapeA, c.tapeB, c.receiver, s+c.pushA*int64(c.latency-1))
+}
+
+// blocking returns the first constraint whose receiver is n that firing n
+// would break (mc1/mc2): the firing must not advance n's progress tape past
+// the wavefront of a message the (potential) sender could still send. Nil
+// when n may fire.
+func (t *teleport) blocking(n *ir.Node) (*constraint, error) {
+	for i := range t.constraints {
+		c := &t.constraints[i]
 		if c.receiver != n {
 			continue
 		}
-		oB, err := progressTapeOf(c.receiver)
+		bound, err := t.wavefront(c, t.host.tapeProgress(c.sender))
 		if err != nil {
-			return false, err
+			return nil, err
 		}
-		oA, err := progressTapeOf(c.sender)
-		if err != nil {
-			return false, err
-		}
-		pushA := progressRateOf(c.sender)
-		nOB := t.host.tapeProgress(c.receiver)
-		nOA := t.host.tapeProgress(c.sender)
-		pushB := progressRateOf(n)
-		if c.upstream {
-			bound, err := t.miTapes(oB, oA, c.sender, nOA+pushA*int64(c.latency))
-			if err != nil {
-				return false, err
-			}
-			if nOB+pushB > bound {
-				return false, nil
-			}
-		} else {
-			bound, err := t.maTapes(oA, oB, c.receiver, nOA+pushA*int64(c.latency-1))
-			if err != nil {
-				return false, err
-			}
-			if nOB+pushB > bound {
-				return false, nil
-			}
+		if t.host.tapeProgress(n)+c.pushB > bound {
+			return c, nil
 		}
 	}
-	return true, nil
+	return nil, nil
 }
 
 // sender adapts the messaging runtime to the wfunc.Messenger interface for
@@ -153,40 +143,23 @@ func (s *sender) Send(portal int, handler string, args []float64, minLat, maxLat
 		}
 		m := &message{handler: handler, args: args, bestEffort: bestEffort}
 		if !bestEffort {
-			oA, err := progressTapeOf(s.node)
-			if err != nil {
-				return err
-			}
-			oB, err := progressTapeOf(r)
-			if err != nil {
-				return err
-			}
-			sCount := t.host.tapeProgress(s.node)
-			pushA := progressRateOf(s.node)
-			lam := int64(minLat)
-			switch {
-			case t.g.Downstream(r, s.node): // receiver upstream
-				m.upstream = true
-				target, err := t.miTapes(oB, oA, s.node, sCount+pushA*lam)
-				if err != nil {
-					return err
-				}
-				if t.host.tapeProgress(r) > target {
-					return fmt.Errorf("message from %s to upstream %s with latency %d is undeliverable: receiver already past the wavefront (add a MAX_LATENCY constraint)", s.node.Name, r.Name, lam)
-				}
-				m.target = target
-			case t.g.Downstream(s.node, r): // receiver downstream
-				target, err := t.maTapes(oA, oB, r, sCount+pushA*(lam-1))
-				if err != nil {
-					return err
-				}
-				if t.host.tapeProgress(r) > target {
-					return fmt.Errorf("message from %s to downstream %s with latency %d is undeliverable: receiver already past the wavefront", s.node.Name, r.Name, lam)
-				}
-				m.target = target
-			default:
+			k := constraint{sender: s.node, receiver: r, latency: minLat, upstream: t.g.Downstream(r, s.node),
+				tapeA: progressTapeOf(s.node), tapeB: progressTapeOf(r), pushA: progressRateOf(s.node)}
+			if !k.upstream && !t.g.Downstream(s.node, r) {
 				return fmt.Errorf("message from %s to %s: parallel receivers are beyond this implementation (as in the paper)", s.node.Name, r.Name)
 			}
+			target, err := t.wavefront(&k, t.host.tapeProgress(s.node))
+			if err != nil {
+				return err
+			}
+			if t.host.tapeProgress(r) > target {
+				dir, hint := "downstream", ""
+				if k.upstream {
+					dir, hint = "upstream", " (add a MAX_LATENCY constraint)"
+				}
+				return fmt.Errorf("message from %s to %s %s with latency %d is undeliverable: receiver already past the wavefront%s", s.node.Name, dir, r.Name, minLat, hint)
+			}
+			m.target, m.upstream = target, k.upstream
 		}
 		t.pending[r.ID] = append(t.pending[r.ID], m)
 	}

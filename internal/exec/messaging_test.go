@@ -155,8 +155,8 @@ func TestMaxLatencyConstraintBoundsRunahead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !e.dynamic {
-		t.Fatal("MAX_LATENCY should force dynamic scheduling")
+	if !e.constrained {
+		t.Fatal("MAX_LATENCY should force constraint-aware scheduling")
 	}
 	if err := e.RunInit(); err != nil {
 		t.Fatal(err)

@@ -48,7 +48,9 @@ type Shared struct {
 	ringCap []int
 
 	constraints []constraint
-	dynamic     bool
+	// topo is the topological order the data-driven loop passes in; nil
+	// when no engine of this bundle runs it (a schedule, no constraints).
+	topo []*ir.Node
 	// block is the sequential engine's block (blockOf); 0 without a
 	// schedule.
 	block int64
@@ -58,9 +60,13 @@ type Shared struct {
 // given backend. The work is everything expensive about engine
 // construction: VM compilation per kernel, init-function interpretation,
 // and constraint derivation. s is nil for a graph with dynamic rates, which
-// has none: its rings start at their consumer's peek window, and its
-// engines have no fingerprint.
+// has none: its rings start at their consumer's peek window, its engines
+// have no fingerprint and run by RunItems, and it may have no teleport
+// messaging (its delivery assumes static rates, as the paper notes).
 func NewShared(g *ir.Graph, s *sched.Schedule, backend Backend) (*Shared, error) {
+	if s == nil && (len(g.Portals) > 0 || len(g.Constraints) > 0) {
+		return nil, fmt.Errorf("exec: dynamic-rate execution does not support teleport messaging or MAX_LATENCY")
+	}
 	sh := &Shared{
 		G:       g,
 		Sch:     s,
@@ -78,7 +84,7 @@ func NewShared(g *ir.Graph, s *sched.Schedule, backend Backend) (*Shared, error)
 		sh.ringCap[edge.ID] = max(c, len(edge.Initial))
 	}
 	if s != nil {
-		sh.fp = graphFingerprint(g, s)
+		sh.fp, sh.block = graphFingerprint(g, s), blockOf(g, s)
 	}
 	// Fission replicas and fused partitions can share one kernel object;
 	// compile each distinct work function once.
@@ -113,12 +119,14 @@ func NewShared(g *ir.Graph, s *sched.Schedule, backend Backend) (*Shared, error)
 			}
 		}
 	}
-	if err := sh.deriveConstraints(); err != nil {
+	var err error
+	if sh.constraints, err = deriveConstraints(g); err != nil {
 		return nil, err
 	}
-	sh.dynamic = len(sh.constraints) > 0
-	if s != nil {
-		sh.block = blockOf(g, s)
+	if s == nil || len(sh.constraints) > 0 {
+		if sh.topo, err = g.TopoOrder(); err != nil {
+			return nil, err
+		}
 	}
 	return sh, nil
 }
@@ -135,18 +143,22 @@ func (sh *Shared) Fingerprint() uint64 { return sh.fp }
 func (sh *Shared) NewEngine(opts Options) (*Engine, error) {
 	opts.Backend = sh.Backend
 	e := &Engine{
-		G:       sh.G,
-		Sch:     sh.Sch,
-		Backend: sh.Backend,
-		fp:      sh.fp,
-		chans:   make([]*wfunc.Ring, len(sh.G.Edges)),
-		dynamic: sh.dynamic,
-		sends:   slices.Contains(sh.sends, true),
-		block:   sh.block,
+		G:           sh.G,
+		Sch:         sh.Sch,
+		Backend:     sh.Backend,
+		fp:          sh.fp,
+		chans:       make([]*wfunc.Ring, len(sh.G.Edges)),
+		constrained: len(sh.constraints) > 0,
+		sends:       slices.Contains(sh.sends, true),
+		block:       sh.block,
+		ahead:       4096,
 		teleport: teleport{g: sh.G, sch: sh.Sch, constraints: sh.constraints,
 			pending: make([][]*message, len(sh.G.Nodes))},
 	}
 	e.core = core{eng: e, nodes: make([]*nodeRT, len(sh.G.Nodes)), msgs: &e.teleport}
+	if sh.topo != nil {
+		e.spec = make([]speculation, len(sh.G.Nodes))
+	}
 	e.host = &e.core
 	for _, edge := range sh.G.Edges {
 		ch := wfunc.NewRing(sh.ringCap[edge.ID])
@@ -170,14 +182,32 @@ func (sh *Shared) NewEngine(opts Options) (*Engine, error) {
 					e.Printer(name, v)
 				}
 			}
+			if k.Dynamic && n.InEdge() != nil {
+				e.spec[n.ID].on = true
+				if n.IsStateful() {
+					e.spec[n.ID].keep = rt.state.Clone()
+				}
+			}
 		}
 		e.nodes[n.ID] = rt
+	}
+	for _, n := range sh.topo {
+		e.order = append(e.order, e.nodes[n.ID])
+		if in := n.InEdge(); sh.Sch == nil && in != nil && n.IsSink() {
+			e.sinks = append(e.sinks, e.chans[in.ID])
+		}
+	}
+	if sh.Sch == nil && opts.OnError.Active() {
+		return nil, fmt.Errorf("exec: recovery policies need declared rates, which a dynamic-rate filter does not have")
 	}
 	sup, err := newSupervisor(sh.G, opts)
 	if err != nil {
 		return nil, err
 	}
 	e.sup = sup
+	if sh.Sch == nil && len(e.sinks) == 0 {
+		return nil, fmt.Errorf("exec: dynamic execution needs at least one sink to count output")
+	}
 	var prof *obs.Profiler
 	if opts.Profile {
 		prof = obs.NewProfiler(nodeNames(sh.G))
@@ -188,18 +218,9 @@ func (sh *Shared) NewEngine(opts Options) (*Engine, error) {
 
 // deriveConstraints statically scans kernels for Send statements and
 // combines them with portal registrations and MAX_LATENCY directives to
-// produce the schedule constraints of the paper's operational semantics.
-func (sh *Shared) deriveConstraints() error {
-	cs, err := deriveConstraints(sh.G)
-	if err != nil {
-		return err
-	}
-	sh.constraints = cs
-	return nil
-}
-
-// deriveConstraints is the graph-level derivation, shared between the
-// sequential/dynamic engine (via Shared) and the pipelined mapped engine.
+// produce the schedule constraints of the paper's operational semantics,
+// each with its progress tapes and rates resolved once. The sequential
+// engine (via Shared) and the pipelined mapped engine share it.
 func deriveConstraints(g *ir.Graph) ([]constraint, error) {
 	var out []constraint
 	// Map portal ID -> receiver nodes.
@@ -217,8 +238,7 @@ func deriveConstraints(g *ir.Graph) ([]constraint, error) {
 		if n.Kind != ir.NodeFilter {
 			continue
 		}
-		sends := collectSends(n.Filter.Kernel.Work)
-		for _, s := range sends {
+		for _, s := range wfunc.Sends(n.Filter.Kernel.Work) {
 			if s.BestEffort {
 				continue
 			}
@@ -250,6 +270,14 @@ func deriveConstraints(g *ir.Graph) ([]constraint, error) {
 		out = append(out, constraint{
 			sender: b, receiver: a, latency: lc.Latency, upstream: true,
 		})
+	}
+	for i := range out {
+		c := &out[i]
+		c.tapeA, c.tapeB = progressTapeOf(c.sender), progressTapeOf(c.receiver)
+		if c.tapeA == nil || c.tapeB == nil {
+			return nil, fmt.Errorf("message from %s to %s: an endpoint has no tapes", c.sender.Name, c.receiver.Name)
+		}
+		c.pushA, c.pushB = progressRateOf(c.sender), progressRateOf(c.receiver)
 	}
 	return out, nil
 }

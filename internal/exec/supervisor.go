@@ -136,7 +136,7 @@ type supervisor struct {
 	stats        map[string]*DegradedStats
 	workerFaults map[int][]faults.WorkerFault // per worker, sorted by Iter
 	// held is, per dynamic-rate filter, the corrupt fault of an attempt the
-	// dynamic engine rewound: the retry of that firing takes it again. Only
+	// data-driven loop rewound: the retry of that firing takes it again. Only
 	// dynamic-rate firings read or write it.
 	held map[string]faults.Fault
 }
@@ -302,9 +302,9 @@ func (s *supervisor) fire(c *core, rt *nodeRT) error {
 		defer func() {
 			if r := recover(); r != nil {
 				if _, short := r.(wfunc.TapeFault); short && n.Filter.Kernel.Dynamic {
-					// A dynamic-rate filter ran its input dry: the dynamic
-					// engine rewinds the attempt, and retries the firing
-					// with the same fault.
+					// A dynamic-rate filter ran its input dry: the
+					// data-driven loop rewinds the attempt, and retries the
+					// firing with the same fault.
 					if corrupt {
 						s.mu.Lock()
 						s.held[name] = fault

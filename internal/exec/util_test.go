@@ -46,19 +46,15 @@ func scheduleBudget(s *sched.Schedule, iters int) []int64 {
 }
 
 // runBudget fires every node exactly budget[nodeID] times (see
-// scheduleBudget) through the firing core's data-driven loop. Run stops on
-// a sink-item count with producers up to ChanCap items ahead; a budgeted
-// run stops every node at the schedule's count, which is what lets the
-// cross-engine conformance suite compare the schedule-less engine's
-// profile against the schedule-driven ones. An infeasible budget fails
-// with the loop's no-progress error.
-func (d *DynamicEngine) runBudget(budget []int64) (err error) {
-	defer d.e.blameFiring(&err)
-	goal := make([]int64, len(d.order))
-	for i, rt := range d.order {
-		goal[i] = budget[rt.node.ID]
-	}
-	_, err = d.dataDriven(d.order, goal, "budget", &d.e.cur)
+// scheduleBudget) through the firing core's data-driven loop in goal mode.
+// RunItems stops on a sink-item count with producers up to ahead items in
+// front; a budgeted run stops every node at the schedule's count, which is
+// what lets the cross-engine conformance suite compare the schedule-less
+// engine's profile against the schedule-driven ones. An infeasible budget
+// fails with the loop's *DeadlockError.
+func (e *Engine) runBudget(budget []int64) (err error) {
+	defer e.blameFiring(&err)
+	_, err = e.dataDriven(e.order, goal{fires: budget}, "sequential", &e.cur)
 	return err
 }
 

@@ -18,12 +18,13 @@ const (
 	wsWaitRecv
 	wsWaitSend
 	wsStalled
+	wsWaitMsg // held by a messaging constraint (the data-driven loop only)
 )
 
 const stStalled = "stalled (injected)"
 
 var waitStates = [...]string{wsRunning: "running", wsWaitRecv: "waiting recv", wsWaitSend: "waiting send",
-	wsStalled: stStalled}
+	wsStalled: stStalled, wsWaitMsg: "waiting constraint"}
 
 // liveness is what a watchdog reads of the mapped engine: the progress
 // counter its workers bump on every batch moved and every firing, and the

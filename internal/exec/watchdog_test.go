@@ -77,14 +77,14 @@ func TestParallelStallWatchdog(t *testing.T) {
 func TestDynamicStallWatchdog(t *testing.T) {
 	g, _, _ := faultPipeline(t, gainFilter("Double", 2))
 	rec := obs.NewRecorder()
-	d, err := NewDynamicOpts(g, Options{
+	d, err := NewFromGraphOpts(g, nil, Options{
 		Faults: mustPlan(t, "stall:Double@5"),
 		Trace:  rec,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = d.Run(64)
+	_, err = d.RunItems(64)
 	var ee *ExecError
 	if !errors.As(err, &ee) {
 		t.Fatalf("err = %v, want *ExecError", err)
@@ -108,12 +108,12 @@ func TestDynamicBufferDeadlockCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDynamicOpts(g, Options{})
+	d, err := NewFromGraphOpts(g, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.ChanCap = 4
-	err = d.Run(1000)
+	d.ahead = 4
+	_, err = d.RunItems(1000)
 	var de *DeadlockError
 	if !errors.As(err, &de) {
 		t.Fatalf("err = %v, want *DeadlockError", err)

@@ -69,11 +69,11 @@ func TestExampleProgramsCompileAndRun(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				d, err := exec.NewDynamicOpts(g, exec.Options{})
+				d, err := exec.NewFromGraphOpts(g, nil, exec.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := d.Run(50); err != nil {
+				if _, err := d.RunItems(50); err != nil {
 					t.Fatal(err)
 				}
 				return

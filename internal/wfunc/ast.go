@@ -275,7 +275,7 @@ type Kernel struct {
 
 	// Dynamic marks a filter with data-dependent rates — the paper's
 	// stated future work. Dynamic kernels cannot be statically scheduled;
-	// they run on the dynamic engine's data-driven loop.
+	// they run on the sequential engine built without a schedule.
 	Dynamic bool
 
 	Fields   []FieldSpec

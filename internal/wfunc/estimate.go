@@ -231,31 +231,29 @@ func blockWritesFields(body []Stmt) bool {
 }
 
 // SendsMessages reports whether f contains any teleport Send statement.
-func SendsMessages(f *Func) bool {
-	if f == nil {
-		return false
-	}
-	return blockSends(f.Body)
-}
+func SendsMessages(f *Func) bool { return len(Sends(f)) > 0 }
 
-func blockSends(body []Stmt) bool {
-	for _, s := range body {
-		switch s := s.(type) {
-		case *Send:
-			return true
-		case *If:
-			if blockSends(s.Then) || blockSends(s.Else) {
-				return true
-			}
-		case *For:
-			if blockSends(s.Body) {
-				return true
-			}
-		case *While:
-			if blockSends(s.Body) {
-				return true
+// Sends returns f's teleport Send statements in program order.
+func Sends(f *Func) []*Send {
+	var out []*Send
+	var walk func(body []Stmt)
+	walk = func(body []Stmt) {
+		for _, s := range body {
+			switch s := s.(type) {
+			case *Send:
+				out = append(out, s)
+			case *If:
+				walk(s.Then)
+				walk(s.Else)
+			case *For:
+				walk(s.Body)
+			case *While:
+				walk(s.Body)
 			}
 		}
 	}
-	return false
+	if f != nil {
+		walk(f.Body)
+	}
+	return out
 }

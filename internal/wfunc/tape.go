@@ -31,7 +31,7 @@ type Window interface {
 // carries the operation, so the recover site (which knows the firing node)
 // can report it; the tape itself does not know who is using it. Short is
 // how many more items an underflow needed (0 for other misuse), which the
-// dynamic engine waits for before a dynamic-rate filter's next attempt.
+// data-driven loop waits for before a dynamic-rate filter's next attempt.
 // Detail formats At (a peek's index, a take's count) and Buffered lazily,
 // so raising a fault makes no call and the ring's hot operations inline.
 type TapeFault struct {
