@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -168,4 +169,134 @@ func TestSequentialBlockRowFault(t *testing.T) {
 			t.Fatalf("calls %v: err = %v, want mid's peek at firing 2", calls, err)
 		}
 	}
+}
+
+// TestSequentialBlockFaults: a block faults as one iteration at a time
+// would. RunSteady(8) and eight RunSteady(1) calls give the same
+// *ExecError (filter, op and firing), bit-equal items at the sink's tap and
+// the same count of completed iterations, for a panic planned in the sixth
+// iteration of every filter of a pipeline and of a split-join, for two
+// faults where the later schedule entry faults at an earlier iteration, for
+// a native kernel that panics, and for an overreading filter that fires
+// the iteration before another's fault.
+func TestSequentialBlockFaults(t *testing.T) {
+	// nativeGain doubles its input and panics at firing at (never when
+	// negative); each call builds a fresh counter.
+	nativeGain := func(at int) *ir.Filter {
+		fired := 0
+		return &ir.Filter{Kernel: wfunc.NewKernel("N", 1, 1, 1).WorkBody(wfunc.Push1(wfunc.PopE())).Build(),
+			In: ir.TypeFloat, Out: ir.TypeFloat,
+			WorkFn: func(in, out wfunc.Tape, _ *wfunc.State) {
+				if fired == at {
+					panic("native kernel bug")
+				}
+				fired++
+				out.Push(2 * in.Pop())
+			}}
+	}
+	pipeline := func(native int) *ir.Program {
+		return &ir.Program{Name: "p", Top: ir.Pipe("P", blockSource(), gainFilter("G", 3),
+			firFilter("F", []float64{0.5, 0.25, 0.125}), nativeGain(native), accFilter("A"), nullSink("K", 1))}
+	}
+	splitJoin := func(int) *ir.Program {
+		return &ir.Program{Name: "s", Top: ir.Pipe("P", blockSource(),
+			ir.SJ("SJ", ir.RoundRobin(1, 1), ir.RoundRobin(2, 2),
+				ir.Pipe("L", gainFilter("G", 3), firFilter("F", []float64{0.5, 0.25})),
+				ir.Pipe("R", accFilter("A"), gainFilter("H", 0.5))),
+			nullSink("K", 4))}
+	}
+	// run builds prog and runs init plus calls, stopping at the first
+	// error; it returns the error, the sink's tapped items and the
+	// iterations every node completed.
+	run := func(t *testing.T, prog *ir.Program, plan string, calls []int) (error, []float64, int64) {
+		t.Helper()
+		g, s := flattenScheduled(t, prog)
+		opts := Options{}
+		if plan != "" {
+			opts.Faults = mustPlan(t, plan)
+		}
+		e, err := NewFromGraphOpts(g, s, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []float64
+		for _, n := range g.Nodes {
+			if n.Kind == ir.NodeFilter && n.IsSink() {
+				if err := e.TapSink(n.Name, func(v float64) { got = append(got, v) }); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := e.RunInit(); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range calls {
+			if err = e.RunSteady(k); err != nil {
+				break
+			}
+		}
+		return err, got, e.Iterations()
+	}
+	// check runs both ways and wants the fault of iteration `fault`.
+	check := func(t *testing.T, build func(int) *ir.Program, native int, plan string, fault int64) {
+		t.Helper()
+		bErr, bGot, bDone := run(t, build(native), plan, []int{8})
+		sErr, sGot, sDone := run(t, build(native), plan, []int{1, 1, 1, 1, 1, 1, 1, 1})
+		var be, se *ExecError
+		if !errors.As(bErr, &be) || !errors.As(sErr, &se) {
+			t.Fatalf("errors %v and %v, want an *ExecError from both", bErr, sErr)
+		}
+		if be.Filter != se.Filter || be.Op != se.Op || be.Iteration != se.Iteration || bErr.Error() != sErr.Error() {
+			t.Fatalf("block: %v\none at a time: %v", bErr, sErr)
+		}
+		if bDone != sDone || bDone != fault-1 {
+			t.Fatalf("completed %d iterations in a block, %d one at a time, want %d", bDone, sDone, fault-1)
+		}
+		if len(bGot) != len(sGot) {
+			t.Fatalf("sink tapped %d items in a block, %d one at a time", len(bGot), len(sGot))
+		}
+		for i := range bGot {
+			if math.Float64bits(bGot[i]) != math.Float64bits(sGot[i]) {
+				t.Fatalf("sink item %d: %v in a block, %v one at a time", i, bGot[i], sGot[i])
+			}
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		build func(int) *ir.Program
+	}{{"pipeline", pipeline}, {"splitjoin", splitJoin}} {
+		g, s := flattenScheduled(t, c.build(-1))
+		for _, n := range g.Nodes {
+			if n.Kind != ir.NodeFilter || n.Filter.WorkFn != nil {
+				continue
+			}
+			at := s.InitReps[n.ID] + 5*s.Reps[n.ID] + s.Reps[n.ID]/2 // in steady iteration 6
+			t.Run(c.name+"/"+n.Name, func(t *testing.T) {
+				check(t, c.build, -1, fmt.Sprintf("panic:%s@%d", n.Name, at), 6)
+			})
+		}
+	}
+	t.Run("later entry faults earlier", func(t *testing.T) {
+		check(t, pipeline, -1, "panic:G@20,panic:A@9", 3) // A faults in iteration 3, G later
+	})
+	t.Run("native kernel panic", func(t *testing.T) {
+		check(t, pipeline, 21, "", 6)
+	})
+	t.Run("catch-up is held", func(t *testing.T) {
+		// G faults in steady iteration 2 after the splitter has fired all
+		// eight, so mid fires one iteration after it, held to what that
+		// iteration buffered: its read past its peek fails in iteration 1
+		// there too, and that fault wins.
+		overread := func(int) *ir.Program {
+			return &ir.Program{Name: "o", Top: ir.Pipe("P", blockSource(),
+				ir.SJ("SJ", ir.Duplicate(), ir.RoundRobin(1, 1), gainFilter("G", 2), overreadFIR()),
+				nullSink("K", 1))}
+		}
+		g, s := flattenScheduled(t, overread(-1))
+		for _, n := range g.Nodes {
+			if strings.HasPrefix(n.Name, "G#") {
+				check(t, overread, -1, fmt.Sprintf("panic:G@%d", s.InitReps[n.ID]+s.Reps[n.ID]), 1)
+			}
+		}
+	})
 }

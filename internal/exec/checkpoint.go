@@ -56,11 +56,13 @@ const (
 	swpMagic          = "SWPS"
 )
 
-// graphFingerprint hashes a graph and schedule structure (FNV-1a). A
-// checkpoint only restores into an engine whose fingerprint matches, which
-// catches restoring against a different program, different flattening,
-// different mapped rewrite, or different schedule.
-func graphFingerprint(g *ir.Graph, s *sched.Schedule) uint64 {
+// GraphFingerprint hashes a graph and schedule structure (FNV-1a) — the
+// identity under which checkpoints restore, compiled-program caches key,
+// and the streaming server names program versions. A checkpoint only
+// restores into an engine whose fingerprint matches, which catches
+// restoring against a different program, different flattening, different
+// mapped rewrite, or different schedule.
+func GraphFingerprint(g *ir.Graph, s *sched.Schedule) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	wi := func(v int64) {
@@ -91,11 +93,6 @@ func graphFingerprint(g *ir.Graph, s *sched.Schedule) uint64 {
 	}
 	return h.Sum64()
 }
-
-// GraphFingerprint hashes a graph and schedule structure — the identity
-// under which checkpoints restore, compiled-program caches key, and the
-// streaming server names program versions.
-func GraphFingerprint(g *ir.Graph, s *sched.Schedule) uint64 { return graphFingerprint(g, s) }
 
 // ckptImage is the engine-neutral decoded form of a checkpoint: what any
 // engine over the fingerprinted graph needs to resume.
@@ -241,19 +238,23 @@ func encodeImage(dst []byte, fp uint64, img *ckptImage) []byte {
 
 // readNodeState decodes the section WriteNodeState wrote straight into
 // have, the state the engine holds for node name (nil for a node without
-// one), checking the shapes as it goes: field state is most of an image, and
-// this way a restore allocates nothing for it.
-func readNodeState(r *wire.Reader, name string, have *wfunc.State) {
+// one), checking the shapes as it goes, and returns the state that holds
+// the image: field state is most of an image, and this way a restore
+// allocates nothing for it. A shared have (a Shared's proto) is compared
+// with the image bit for bit in the same pass instead of written: at the
+// first difference the node takes a private copy, and decoding goes on
+// into that.
+func readNodeState(r *wire.Reader, name string, have *wfunc.State, shared bool) *wfunc.State {
 	if r.Bool() != (have != nil) {
 		r.Failf("state presence mismatch on node %s", name)
 	}
 	if have == nil || r.Err() != nil {
-		return
+		return have
 	}
 	if n := r.Count(8); n != len(have.Scalars) {
 		r.Failf("has %d scalar fields for node %s, which has %d", n, name, len(have.Scalars))
 	}
-	r.F64s(have.Scalars)
+	st, shared := readField(r, have, have, shared, -1)
 	if n := r.Count(4); n != len(have.Arrays) {
 		r.Failf("has %d array fields for node %s, which has %d", n, name, len(have.Arrays))
 	}
@@ -261,18 +262,45 @@ func readNodeState(r *wire.Reader, name string, have *wfunc.State) {
 		if n := r.Count(8); n != len(a) {
 			r.Failf("array field %d of node %s has size %d, checkpoint has %d", k, name, len(a), n)
 		}
-		r.F64s(a)
+		st, shared = readField(r, st, have, shared, k)
 	}
+	return st
+}
+
+// readField reads field k of st (its scalars when k < 0) into it or, while
+// shared, compares it with them, moving to a private copy of have at the
+// first difference.
+func readField(r *wire.Reader, st, have *wfunc.State, shared bool, k int) (*wfunc.State, bool) {
+	vs := fieldOf(st, k)
+	b := r.Raw(8 * len(vs)) // nil after a fault
+	if shared && !wire.EqualF64s(vs, b) {
+		st, shared = have.Clone(), false
+		vs = fieldOf(st, k)
+	}
+	if !shared {
+		wire.DecodeF64s(vs, b)
+	}
+	return st, shared
+}
+
+// fieldOf is st's array field k, or its scalars when k < 0.
+func fieldOf(st *wfunc.State, k int) []float64 {
+	if k < 0 {
+		return st.Scalars
+	}
+	return st.Arrays[k]
 }
 
 // readImage decodes a checkpoint into the engine that calls it: node i's
 // field state goes directly into the state node(i) returns with the node's
-// name, everything else into the returned image for the engine to validate
-// against its graph and install. The fingerprint, the node count, state
-// shapes and structural invariants (edge counters vs. buffered items, flag
-// ranges, no trailing bytes) are enforced here. After an error the states
-// handed out may hold part of the image.
-func readImage(data []byte, wantFP uint64, numNodes int, node func(i int) (string, *wfunc.State)) (*ckptImage, error) {
+// name and whether it is shared (readNodeState), and the image keeps a
+// state only where that moved to a private copy; everything else goes into
+// the returned image for the engine to validate against its graph and
+// install. The fingerprint, the node count, state shapes and structural
+// invariants (edge counters vs. buffered items, flag ranges, no trailing
+// bytes) are enforced here. After an error the unshared states handed out
+// may hold part of the image.
+func readImage(data []byte, wantFP uint64, numNodes int, node func(i int) (string, *wfunc.State, bool)) (*ckptImage, error) {
 	r := wire.NewReader("exec: checkpoint", data)
 	if magic := r.Raw(len(checkpointMagic)); string(magic) != checkpointMagic {
 		r.Failf("has a bad magic (not a checkpoint image)")
@@ -293,8 +321,10 @@ func readImage(data []byte, wantFP uint64, numNodes int, node func(i int) (strin
 			break
 		}
 		img.nodes[i].fired = r.I64()
-		name, have := node(i)
-		readNodeState(r, name, have)
+		name, have, shared := node(i)
+		if st := readNodeState(r, name, have, shared); st != have {
+			img.nodes[i].state = st
+		}
 	}
 	img.edges = make([]ckptEdge, r.Count(20)) // i64+i64+u32 minimum
 	for i := range img.edges {
@@ -376,8 +406,9 @@ func (e *Engine) WriteCheckpoint(w io.Writer, iteration int64) error {
 // must be freshly constructed or otherwise disposable: on error the
 // engine's state is unspecified and it must not be run.
 func (e *Engine) RestoreCheckpoint(data []byte) (int64, error) {
-	img, err := readImage(data, e.fp, len(e.nodes), func(i int) (string, *wfunc.State) {
-		return e.nodes[i].node.Name, e.nodes[i].state
+	img, err := readImage(data, e.fp, len(e.nodes), func(i int) (string, *wfunc.State, bool) {
+		rt := e.nodes[i]
+		return rt.node.Name, rt.state, rt.state != nil && rt.state == e.protos[i]
 	})
 	if err != nil {
 		return 0, err
@@ -389,7 +420,9 @@ func (e *Engine) RestoreCheckpoint(data []byte) (int64, error) {
 		return 0, fmt.Errorf("exec: checkpoint has %d edges, engine has %d", len(img.edges), len(e.chans))
 	}
 	for i, rt := range e.nodes {
-		rt.fired = img.nodes[i].fired
+		if rt.fired = img.nodes[i].fired; img.nodes[i].state != nil {
+			rt.setState(img.nodes[i].state)
+		}
 	}
 	for i, ie := range img.edges {
 		// Refill the existing ring, at the image's positions: filters are

@@ -78,7 +78,9 @@ func TestEngineMatchesAbstractSim(t *testing.T) {
 			run(s.Steady)
 		}
 		img, err := readImage(checkpointBytes(t, e, int64(iters)), e.fp, len(g.Nodes),
-			func(i int) (string, *wfunc.State) { return g.Nodes[i].Name, e.nodes[i].state })
+			func(i int) (string, *wfunc.State, bool) {
+				return g.Nodes[i].Name, e.nodes[i].state, e.nodes[i].state == e.protos[i]
+			})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,6 +15,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"streamit/internal/ir"
@@ -36,6 +37,8 @@ type Engine struct {
 	chans []*wfunc.Ring
 	// fp is the graph fingerprint every image is written and checked under.
 	fp uint64
+	// protos is the Shared's: a state that is its node's proto is shared.
+	protos []*wfunc.State
 
 	// teleport holds the pending messages and latency constraints, and
 	// delivers on the paper's timing rules around each firing.
@@ -55,7 +58,7 @@ type Engine struct {
 	order []*nodeRT
 	sinks []*wfunc.Ring
 	ahead int
-	// cur is the node being fired, for blameFiring.
+	// cur is the node the data-driven loop fires, for blameFiring.
 	cur *nodeRT
 
 	// laneSched is the trace lane for steady iterations; steadyIdx numbers
@@ -165,10 +168,10 @@ func (e *Engine) RunInit() (err error) {
 }
 
 // RunSteady executes the steady-state schedule iters times, in blocks of
-// up to e.block iterations — one while a Printer is attached, as println
-// order across filters is observable, or when filters send teleport
-// messages, delivered around each firing. A block fires each steady entry's
-// share of all its iterations at once (core.fireHeld); a trace gets one
+// up to e.block iterations — one with a Printer (println order across
+// filters is observable) or when filters send teleport messages. A block
+// fires each entry's share at once (core.fireHeld) and faults where one
+// iteration at a time would (runEntries, Iterations); a trace gets one
 // slice per block, "steady T xN" for the N iterations from T.
 func (e *Engine) RunSteady(iters int) (err error) {
 	if e.Sch == nil {
@@ -208,11 +211,10 @@ func (e *Engine) Run(iters int) error {
 	return e.RunSteady(iters)
 }
 
-// blameFiring is the sequential engine's one recover on the firing path,
-// deferred by RunInit and RunSteady — none is installed per firing. A
-// runtime panic (a native-kernel bug, buffer misuse) unwinds to it and
-// surfaces as an *ExecError naming the node being fired, the operation and
-// the firing index.
+// blameFiring is the recover of the data-driven runs (fireEntry holds a
+// static schedule's), deferred by RunInit, RunSteady and RunItems: a
+// runtime panic unwinds to it and surfaces as an *ExecError naming the
+// node being fired, the operation and the firing index.
 func (e *Engine) blameFiring(err *error) {
 	if r := recover(); r != nil {
 		*err = blame(r, e.cur, "sequential engine")
@@ -223,9 +225,11 @@ func (e *Engine) blameFiring(err *error) {
 // entry: each entry's share of all n at once (core.fireHeld), its filter's
 // input held per iteration from where its ring ended when the pass began,
 // or one step at a time, with delivery around each, when some filter sends
-// teleport messages. Under messaging constraints the data-driven loop
-// fires each node reps[id] times per iteration instead. Firings counts the
-// firings that completed, also when one panics on its way to blameFiring.
+// teleport messages. A block faults as one iteration at a time would: when
+// an entry faults in its j-th iteration, every later entry fires only the
+// first j-1, and a fault among those wins, as that run meets it first.
+// Under messaging constraints the data-driven loop fires each node
+// reps[id] times per iteration instead.
 func (e *Engine) runEntries(entries []sched.Entry, reps []int, n int64) (err error) {
 	if e.constrained {
 		return e.runDataDriven(reps, n)
@@ -240,34 +244,56 @@ func (e *Engine) runEntries(entries []sched.Entry, reps []int, n int64) (err err
 			}
 		}
 	}
-	var rt *nodeRT
-	var from int64
-	defer func() {
-		if rt != nil {
-			e.Firings += rt.fired - from
+	for i, done := 0, n; i < len(entries) && done > 0; i++ {
+		en := entries[i]
+		rt, k, per, first := e.nodes[en.Node.ID], int64(en.Count), int64(0), int64(0)
+		if n > 1 {
+			per, first = perIteration(e.Sch, en.Node), e.first[i]
 		}
-	}()
-	for i, en := range entries {
-		if rt != nil {
-			e.Firings += rt.fired - from
-		}
-		rt = e.nodes[en.Node.ID]
-		e.cur, from = rt, rt.fired
-		reps := int64(en.Count)
-		if e.sends {
-			for k := n * reps; k > 0 && err == nil; k-- {
-				err = e.step(rt)
-			}
-		} else if n > 1 {
-			err = e.fireHeld(rt, n, reps, perIteration(e.Sch, en.Node), e.first[i])
-		} else {
-			err = e.fireHeld(rt, 1, reps, 0, 0)
-		}
-		if err != nil {
-			return err
+		from := rt.fired
+		if ferr := e.fireEntry(rt, done, k, per, first); ferr != nil {
+			err, done = ferr, (rt.fired-from)/k
 		}
 	}
-	return nil
+	return err
+}
+
+// fireEntry fires rt's share of iters iterations, reps firings each
+// (fireHeld), or step by step when filters send messages. It holds one
+// recover per entry, none per firing: a runtime panic surfaces as an
+// *ExecError naming rt, and Firings counts the firings that completed.
+func (e *Engine) fireEntry(rt *nodeRT, iters, reps, per, first int64) (err error) {
+	from := rt.fired
+	defer func() {
+		e.Firings += rt.fired - from
+		if r := recover(); r != nil {
+			err = blame(r, rt, "sequential engine")
+		}
+	}()
+	if e.sends {
+		for k := iters * reps; k > 0 && err == nil; k-- {
+			err = e.step(rt)
+		}
+		return err
+	}
+	return e.fireHeld(rt, iters, reps, per, first)
+}
+
+// Iterations is how many steady iterations every node has completed, read
+// off the firing counts (which a restore sets): after a RunSteady that
+// faulted, the iterations before the one it faulted in. 0 without a
+// schedule.
+func (e *Engine) Iterations() int64 {
+	if e.Sch == nil {
+		return 0
+	}
+	done := int64(math.MaxInt64)
+	for id, rt := range e.nodes {
+		if r := int64(e.Sch.Reps[id]); r > 0 {
+			done = min(done, (rt.fired-int64(e.Sch.InitReps[id]))/r)
+		}
+	}
+	return done
 }
 
 // blockOf is the steady iterations the sequential engine fires per entry

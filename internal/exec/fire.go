@@ -228,19 +228,19 @@ func (c *core) fireN(rt *nodeRT, m *vm.Machine, n int64) error {
 // firings each, both engines' blocks: its input ring's visible end held at
 // iteration T (from 1) to min(top, first+T·per), what a run of one
 // iteration at a time has buffered when rt fires its T-th, so a firing that
-// reads past its share fails at the firing that run names. A single
-// iteration is not held. A plain VM row kernel's share is one
+// reads past its share fails at the firing that run names. per 0 holds
+// nothing (a one-iteration run). A plain VM row kernel's share is one
 // Machine.RunHeld entry, four firings at a time; any other filter's is one
 // fireN per iteration, or one in all when nothing is held.
 func (c *core) fireHeld(rt *nodeRT, iters, reps, per, first int64) error {
 	in, m := rt.in, c.plainVM(rt)
 	if m != nil && in != nil && rt.out != nil && iters*reps >= 4 && m.RowKernel() {
-		if iters == 1 {
-			first, per = in.Pushed, 0
+		if per == 0 {
+			first = in.Pushed
 		}
 		return rt.vmErr(m.RunHeld(in, rt.out, iters, reps, per, first, &rt.fired, rt.print))
 	}
-	if in == nil || iters == 1 {
+	if in == nil || per == 0 {
 		return c.fireN(rt, m, iters*reps)
 	}
 	top := in.Pushed

@@ -207,7 +207,7 @@ func NewMappedOpts(g *ir.Graph, s *sched.Schedule, assign []int, workers int, op
 	if opts.CheckpointEvery < 0 {
 		return nil, fmt.Errorf("exec: checkpoint interval %d out of range (want >= 0 iterations)", opts.CheckpointEvery)
 	}
-	me := &MappedEngine{G: g, Sch: s, fp: graphFingerprint(g, s), Backend: opts.Backend, Workers: workers,
+	me := &MappedEngine{G: g, Sch: s, fp: GraphFingerprint(g, s), Backend: opts.Backend, Workers: workers,
 		Assign: append([]int(nil), assign...), Depth: depth, gather: make([][]float64, len(g.Edges)),
 		Watchdog: opts.Watchdog, CheckpointEvery: opts.CheckpointEvery, replan: opts.Replan, writes: make([]bool, len(g.Nodes))}
 	if opts.LocalWorkers != nil {
@@ -247,7 +247,7 @@ func NewMappedOpts(g *ir.Graph, s *sched.Schedule, assign []int, workers int, op
 			if rt.state, err = freshState(n); err != nil {
 				return nil, err
 			}
-			me.writes[n.ID] = n.Filter.WorkFn != nil || n.IsStateful()
+			me.writes[n.ID] = writesState(n)
 		}
 		if sw.sends[n.ID] {
 			rt.msg = &sender{t: &sw.teleport, node: n}

@@ -231,5 +231,5 @@ func AssembleShardImage(g *ir.Graph, s *sched.Schedule, iteration int64, parts [
 			return nil, fmt.Errorf("exec: assemble: edge %s buffers %d items but only %d were ever pushed", e, len(ie.items), pushed)
 		}
 	}
-	return encodeImage(nil, graphFingerprint(g, s), img), nil
+	return encodeImage(nil, GraphFingerprint(g, s), img), nil
 }

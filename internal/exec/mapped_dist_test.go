@@ -122,7 +122,7 @@ func TestMappedShardedBitIdentical(t *testing.T) {
 
 	// Cross-build determinism: the fingerprinted rewrite must be stable.
 	for i, r := range rigs {
-		if got, want := graphFingerprint(r.g, r.s), graphFingerprint(single.g, single.s); got != want {
+		if got, want := GraphFingerprint(r.g, r.s), GraphFingerprint(single.g, single.s); got != want {
 			t.Fatalf("shard %d compiled fingerprint %x, coordinator has %x", i, got, want)
 		}
 	}

@@ -36,9 +36,11 @@ type Shared struct {
 	// back. Programs are immutable and shared by every engine's Machines.
 	progs []*vm.Program
 	// protos[n.ID] is the filter's field state after its init function ran
-	// (init is deterministic IL, so it runs once here and per-engine
-	// construction clones the result instead of re-interpreting it).
+	// (init is deterministic IL, so it runs once here). Every engine holds
+	// the proto itself of a filter no firing writes, and a clone of any
+	// other: writes[n.ID] is writesState(n).
 	protos []*wfunc.State
+	writes []bool
 	// sends[n.ID] marks filters whose work function sends teleport
 	// messages; only those engines' nodes carry a messenger.
 	sends []bool
@@ -73,6 +75,7 @@ func NewShared(g *ir.Graph, s *sched.Schedule, backend Backend) (*Shared, error)
 		Backend: backend,
 		progs:   make([]*vm.Program, len(g.Nodes)),
 		protos:  make([]*wfunc.State, len(g.Nodes)),
+		writes:  make([]bool, len(g.Nodes)),
 		sends:   make([]bool, len(g.Nodes)),
 		ringCap: make([]int, len(g.Edges)),
 	}
@@ -84,7 +87,7 @@ func NewShared(g *ir.Graph, s *sched.Schedule, backend Backend) (*Shared, error)
 		sh.ringCap[edge.ID] = max(c, len(edge.Initial))
 	}
 	if s != nil {
-		sh.fp, sh.block = graphFingerprint(g, s), blockOf(g, s)
+		sh.fp, sh.block = GraphFingerprint(g, s), blockOf(g, s)
 	}
 	// Fission replicas and fused partitions can share one kernel object;
 	// compile each distinct work function once.
@@ -104,7 +107,7 @@ func NewShared(g *ir.Graph, s *sched.Schedule, backend Backend) (*Shared, error)
 				return nil, fmt.Errorf("init of %s: %w", n.Name, err)
 			}
 		}
-		sh.protos[n.ID] = st
+		sh.protos[n.ID], sh.writes[n.ID] = st, writesState(n)
 		sh.sends[n.ID] = wfunc.SendsMessages(k.Work)
 		if backend == BackendVM && n.Filter.WorkFn == nil {
 			if p, ok := compiled[k.Work]; ok {
@@ -137,9 +140,9 @@ func (sh *Shared) Fingerprint() uint64 { return sh.fp }
 
 // NewEngine stamps out one engine instance from the shared artifacts.
 // Construction is allocation-light: tape rings at their schedule high-water
-// marks, cloned field states, and one VM frame per filter. opts.Backend is
-// ignored — the bundle's backend applies (its programs were compiled for
-// it).
+// marks, the field states a firing can write cloned, and one VM frame per
+// filter. opts.Backend is ignored — the bundle's backend applies (its
+// programs were compiled for it).
 func (sh *Shared) NewEngine(opts Options) (*Engine, error) {
 	opts.Backend = sh.Backend
 	e := &Engine{
@@ -147,6 +150,7 @@ func (sh *Shared) NewEngine(opts Options) (*Engine, error) {
 		Sch:         sh.Sch,
 		Backend:     sh.Backend,
 		fp:          sh.fp,
+		protos:      sh.protos,
 		chans:       make([]*wfunc.Ring, len(sh.G.Edges)),
 		constrained: len(sh.constraints) > 0,
 		sends:       slices.Contains(sh.sends, true),
@@ -171,7 +175,9 @@ func (sh *Shared) NewEngine(opts Options) (*Engine, error) {
 		rt := &nodeRT{node: n}
 		if n.Kind == ir.NodeFilter {
 			k := n.Filter.Kernel
-			rt.state = sh.protos[n.ID].Clone()
+			if rt.state = sh.protos[n.ID]; sh.writes[n.ID] {
+				rt.state = rt.state.Clone()
+			}
 			rt.runner = newWorkRunnerCompiled(k, rt.state, sh.progs[n.ID])
 			if sh.sends[n.ID] {
 				rt.msg = &sender{t: &e.teleport, node: n}
@@ -184,7 +190,7 @@ func (sh *Shared) NewEngine(opts Options) (*Engine, error) {
 			}
 			if k.Dynamic && n.InEdge() != nil {
 				e.spec[n.ID].on = true
-				if n.IsStateful() {
+				if sh.writes[n.ID] {
 					e.spec[n.ID].keep = rt.state.Clone()
 				}
 			}
@@ -215,6 +221,11 @@ func (sh *Shared) NewEngine(opts Options) (*Engine, error) {
 	e.adoptObs(prof, opts.Trace)
 	return e, nil
 }
+
+// writesState reports whether a firing of filter n can write its field
+// state: a native WorkFn may, and so may IL whose work function or a message
+// handler assigns a field.
+func writesState(n *ir.Node) bool { return n.Filter.WorkFn != nil || n.IsStateful() }
 
 // deriveConstraints statically scans kernels for Send statements and
 // combines them with portal registrations and MAX_LATENCY directives to

@@ -3,6 +3,9 @@ package exec
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"strings"
+	"sync"
 	"testing"
 
 	"streamit/internal/apps"
@@ -314,5 +317,185 @@ func TestTapAndProfileSurviveRestore(t *testing.T) {
 				diffCounts(t, "RestoreCheckpoint", profileCounts(ref.Profile()), profileCounts(e.Profile()))
 			}
 		})
+	}
+}
+
+// sharedStateGraph is a stateful ramp, a FIR whose weights no firing
+// writes, a native gain and a sink, flattened and scheduled; the FIR's
+// second weight is w. Graphs for any w share a fingerprint.
+func sharedStateGraph(t *testing.T, w float64) (*ir.Graph, *sched.Schedule) {
+	t.Helper()
+	native := &ir.Filter{Kernel: wfunc.NewKernel("N", 1, 1, 1).WorkBody(wfunc.Push1(wfunc.PopE())).Build(),
+		In: ir.TypeFloat, Out: ir.TypeFloat,
+		WorkFn: func(in, out wfunc.Tape, _ *wfunc.State) { out.Push(in.Pop()) }}
+	return flattenScheduled(t, &ir.Program{Name: "S", Top: ir.Pipe("P", rampFilter("R"),
+		firFilter("F", []float64{0.5, w, 0.125}), native, nullSink("K", 1))})
+}
+
+// nodeNamed is the record of the node whose base name is base.
+func (c *core) nodeNamed(base string) *nodeRT {
+	for _, rt := range c.nodes {
+		if strings.SplitN(rt.node.Name, "#", 2)[0] == base {
+			return rt
+		}
+	}
+	return nil
+}
+
+// TestSharedStateIsTheProto: engines of one Shared hold the proto itself of
+// a filter no firing writes, and private states of a stateful filter and of
+// a native kernel.
+func TestSharedStateIsTheProto(t *testing.T) {
+	g, s := sharedStateGraph(t, 0.25)
+	sh, err := NewShared(g, s, BackendVM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := sh.NewEngine(Options{})
+	b, _ := sh.NewEngine(Options{})
+	for _, name := range []string{"R", "F", "N"} {
+		ra, rb := a.nodeNamed(name), b.nodeNamed(name)
+		if shared := name == "F"; (ra.state == rb.state) != shared || (ra.state == sh.protos[ra.node.ID]) != shared {
+			t.Fatalf("%s: engines share its state: %v, want %v", name, ra.state == rb.state, shared)
+		}
+	}
+}
+
+// TestSharedStateRestore: restoring an image whose stateless FIR weights
+// differ from the proto's gives that engine a private copy holding them,
+// while a sibling engine's state and output stay the proto's; an image that
+// matches keeps the state shared.
+func TestSharedStateRestore(t *testing.T) {
+	bundle := func(w float64) *Shared {
+		g, s := sharedStateGraph(t, w)
+		sh, err := NewShared(g, s, BackendVM)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sh
+	}
+	shA, shB := bundle(0.25), bundle(0.75)
+	if shA.Fingerprint() != shB.Fingerprint() {
+		t.Fatal("the two weights give two fingerprints")
+	}
+	engine := func(sh *Shared, iters int) (*Engine, *[]float64) {
+		e, err := sh.NewEngine(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := &[]float64{}
+		if err := e.TapSink(e.nodeNamed("K").node.Name, func(v float64) { *got = append(*got, v) }); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Run(iters); err != nil {
+			t.Fatal(err)
+		}
+		return e, got
+	}
+	restore := func(e *Engine, img []byte) {
+		if _, err := e.RestoreCheckpoint(img); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, aGot := engine(shA, 5)
+	b, bGot := engine(shB, 5)
+	imgA, imgB := checkpointBytes(t, a, 5), checkpointBytes(t, b, 5)
+	proto := shA.protos[a.nodeNamed("F").node.ID]
+
+	same, _ := engine(shA, 0)
+	restore(same, imgA)
+	if same.nodeNamed("F").state != proto {
+		t.Fatal("a matching image gave the FIR a private state")
+	}
+
+	sib, sibGot := engine(shA, 5)
+	diff, diffGot := engine(shA, 0)
+	restore(diff, imgB)
+	if st := diff.nodeNamed("F").state; st == proto || st.Arrays[0][1] != 0.75 {
+		t.Fatalf("a differing image left the FIR's state %v shared=%v", st.Arrays, st == proto)
+	}
+	if proto.Arrays[0][1] != 0.25 || sib.nodeNamed("F").state != proto {
+		t.Fatal("the restore wrote into the shared proto")
+	}
+	for _, e := range []*Engine{a, b, sib, diff} {
+		if err := e.RunSteady(7); err != nil {
+			t.Fatal(err)
+		}
+	}
+	equal := func(what string, got, want []float64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d items, want %d", what, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: item %d is %v, want %v", what, i, got[i], want[i])
+			}
+		}
+	}
+	equal("restored engine", *diffGot, (*bGot)[len(*bGot)-7:])
+	equal("sibling engine", *sibGot, *aGot)
+}
+
+// TestSharedStateConcurrentRetry: two engines of one Shared — two
+// sessions of one program — run blocks at once with a retry policy on the
+// FIR, whose weights they share, and faults that make it roll back. A
+// rollback leaves a state no firing writes alone (run under -race), and
+// both engines' output matches an unsupervised run's.
+func TestSharedStateConcurrentRetry(t *testing.T) {
+	const iters = 400
+	g, s := sharedStateGraph(t, 0.25)
+	sh, err := NewShared(g, s, BackendVM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(opts Options) ([]float64, error) {
+		e, err := sh.NewEngine(opts)
+		if err != nil {
+			return nil, err
+		}
+		var got []float64
+		if err := e.TapSink(e.nodeNamed("K").node.Name, func(v float64) { got = append(got, v) }); err != nil {
+			return nil, err
+		}
+		if err := e.RunInit(); err != nil {
+			return nil, err
+		}
+		for i := 0; i < iters; i += 8 {
+			if err := e.RunSteady(8); err != nil {
+				return nil, err
+			}
+		}
+		return got, nil
+	}
+	want, err := run(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var outs [2][]float64
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range outs {
+		opts := Options{Faults: mustPlan(t, "panic:F@3,panic:F@50,panic:F@51,panic:F@300"),
+			OnError: mustPolicies(t, "F=retry:2")}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outs[i], errs[i] = run(opts)
+		}()
+	}
+	wg.Wait()
+	for i, got := range outs {
+		if errs[i] != nil {
+			t.Fatalf("engine %d: %v", i, errs[i])
+		}
+		if len(got) != len(want) {
+			t.Fatalf("engine %d: %d items, want %d", i, len(got), len(want))
+		}
+		for k := range want {
+			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+				t.Fatalf("engine %d: item %d is %v, want %v", i, k, got[k], want[k])
+			}
+		}
 	}
 }

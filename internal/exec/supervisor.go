@@ -139,6 +139,11 @@ type supervisor struct {
 	// data-driven loop rewound: the retry of that firing takes it again. Only
 	// dynamic-rate firings read or write it.
 	held map[string]faults.Fault
+	// keep[n.ID] is the save point's copy of the fields of a filter whose
+	// firing can write them (writesState) under a policy that rolls back,
+	// allocated once; nil for every other node, whose state a rollback
+	// leaves alone (it may be a Shared's proto).
+	keep []*wfunc.State
 }
 
 // newSupervisor materializes the options against a graph. Returns nil when
@@ -151,7 +156,13 @@ func newSupervisor(g *ir.Graph, o Options) (*supervisor, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &supervisor{inj: inj, pol: o.OnError, stats: map[string]*DegradedStats{}, held: map[string]faults.Fault{}}
+	s := &supervisor{inj: inj, pol: o.OnError, stats: map[string]*DegradedStats{}, held: map[string]faults.Fault{},
+		keep: make([]*wfunc.State, len(g.Nodes))}
+	for _, n := range g.Nodes {
+		if n.Kind == ir.NodeFilter && writesState(n) && o.OnError.For(n.Name).Action != faults.Fail {
+			s.keep[n.ID] = n.Filter.Kernel.NewState()
+		}
+	}
 	if o.Faults != nil && len(o.Faults.WorkerFaults) > 0 {
 		s.workerFaults = map[int][]faults.WorkerFault{}
 		for _, wf := range o.Faults.WorkerFaults {
@@ -277,22 +288,18 @@ func (s *supervisor) Report() string {
 // fire wraps one filter firing in the fault injector and the filter's
 // recovery policy; the engine contributes only what a wedged kernel looks
 // like on it (coreHost). When the policy may need to roll the firing back
-// (anything but Fail), the filter's ring positions, state, and the
-// messages it sends are saved first; recovery rewinds to that save point,
-// so a failed attempt leaves no trace. A corrupt fault marks the firing,
-// once its work has survived, for the firing core's hook to overwrite
-// what it pushed.
+// (anything but Fail), the filter's ring positions, the messages it sends
+// and, when its firing can write them, its fields are saved first;
+// recovery rewinds to that save point, so a failed attempt leaves no trace.
+// A corrupt fault marks the firing, once its work has survived, for the
+// firing core's hook to overwrite what it pushed.
 func (s *supervisor) fire(c *core, rt *nodeRT) error {
 	n, name, rec := rt.node, rt.node.Name, c.rec
 	pol := s.pol.For(name)
 	rollback := pol.Action != faults.Fail
 	var restore func()
 	if rollback {
-		var keep *wfunc.State
-		if rt.state != nil {
-			keep = rt.state.Clone()
-		}
-		restore = c.savePoint(rt, keep)
+		restore = c.savePoint(rt, s.keep[n.ID])
 	}
 	fault, injected := s.take(n, rt.fired)
 	if injected {

@@ -14,6 +14,7 @@ package serve
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -23,11 +24,11 @@ import (
 	"streamit/internal/core"
 	"streamit/internal/exec"
 	"streamit/internal/ir"
+	"streamit/internal/sched"
 	"streamit/internal/wire"
 )
 
-// maxBatch caps Config.Batch; it bounds the worker's stack-allocated
-// latency staging.
+// maxBatch caps Config.Batch, the iterations of one engine call.
 const maxBatch = 64
 
 // Config sizes the server. Zero values select the documented defaults.
@@ -147,8 +148,28 @@ type version struct {
 	outPerIter int
 	outPerInit int
 	sinks      []string
+	// initOrder and iterOrder are the sink firings of init and of one
+	// steady iteration in schedule order: the order in which a session
+	// merges its sinks' taps into one stream, whatever its batch size.
+	initOrder, iterOrder []outShare
 
 	active atomic.Int64
+}
+
+// outShare is one schedule entry of a sink: items its firings pop, and
+// the sink's index in version.sinks.
+type outShare struct{ sink, items int }
+
+// sinkOrder lists the sink entries of a schedule phase and the items they
+// pop in all.
+func sinkOrder(entries []sched.Entry, sinks []string) (order []outShare, items int) {
+	for _, en := range entries {
+		if i := slices.Index(sinks, en.Node.Name); i >= 0 {
+			order = append(order, outShare{i, en.Count * en.Node.TotalPop()})
+			items += en.Count * en.Node.TotalPop()
+		}
+	}
+	return order, items
 }
 
 // New starts a server with its worker pool running.
@@ -209,11 +230,11 @@ func (srv *Server) LoadCompiled(name string, c *core.Compiled) (int, error) {
 	for _, n := range sh.G.Nodes {
 		if n.Kind == ir.NodeFilter && n.IsSink() {
 			v.sinks = append(v.sinks, n.Name)
-			v.outPerIter += sh.Sch.Reps[n.ID] * n.TotalPop()
-			v.outPerInit += sh.Sch.InitReps[n.ID] * n.TotalPop()
 		}
 	}
 	sort.Strings(v.sinks)
+	v.initOrder, v.outPerInit = sinkOrder(sh.Sch.Init, v.sinks)
+	v.iterOrder, v.outPerIter = sinkOrder(sh.Sch.Steady, v.sinks)
 
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
@@ -345,8 +366,9 @@ func (srv *Server) buildSession(ver *version, opt SessionOptions) (*Session, err
 			return nil, err
 		}
 	}
-	for _, sink := range ver.sinks {
-		if err := eng.TapSink(sink, func(v float64) { s.stageOut = append(s.stageOut, v) }); err != nil {
+	s.sinkOut, s.sinkPos = make([][]float64, len(ver.sinks)), make([]int, len(ver.sinks))
+	for i, sink := range ver.sinks {
+		if err := eng.TapSink(sink, func(v float64) { s.sinkOut[i] = append(s.sinkOut[i], v) }); err != nil {
 			return nil, err
 		}
 	}
@@ -478,15 +500,13 @@ func (srv *Server) closeSession(s *Session) {
 	srv.closedCount.Add(1)
 }
 
-// recordIters folds a finished batch into the server-wide latency
-// histogram and counters.
-func (srv *Server) recordIters(tenant string, latNS []int64) {
-	for _, ns := range latNS {
-		srv.lat.record(ns)
-	}
-	srv.itersDone.Add(int64(len(latNS)))
+// recordIters folds a finished batch of n iterations into the server-wide
+// latency histogram, each at the batch's mean, and the counters.
+func (srv *Server) recordIters(tenant string, n int, meanNS int64) {
+	srv.lat.record(meanNS, int64(n))
+	srv.itersDone.Add(int64(n))
 	srv.mu.Lock()
-	srv.tenantIters[tenant] += int64(len(latNS))
+	srv.tenantIters[tenant] += int64(n)
 	srv.mu.Unlock()
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"streamit/internal/apps"
 	"streamit/internal/core"
 	"streamit/internal/exec"
+	"streamit/internal/faults"
 	"streamit/internal/ir"
 	"streamit/internal/wfunc"
 )
@@ -409,5 +411,111 @@ func TestSessionProfile(t *testing.T) {
 	}
 	if firings != 5 {
 		t.Fatalf("profiled firings for g = %d, want 5", firings)
+	}
+}
+
+// twoSinkProgram duplicates a source into two sinks of different rates:
+// k pops one item a firing, l two behind the gain g, so one steady
+// iteration fires k twice and l once.
+func twoSinkProgram() *ir.Program {
+	return &ir.Program{Name: "TS", Top: ir.Pipe("TSP",
+		apps.Source("src"),
+		ir.SJ("SJ", ir.Duplicate(), ir.Null(),
+			apps.Sink("k", 1),
+			ir.Pipe("LP", apps.Gain("g", 2), apps.Sink("l", 2))))}
+}
+
+// twoSinkReference runs twoSinkProgram one steady iteration at a time
+// with both sinks tapped into one stream, and returns that stream and the
+// items init and one iteration tap.
+func twoSinkReference(t *testing.T, iters int) (out []float64, perInit, perIter int) {
+	t.Helper()
+	c, err := core.Compile(twoSinkProgram(), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := c.Shared(exec.BackendVM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := sh.NewEngine(exec.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range c.Graph.Nodes {
+		if n.Kind == ir.NodeFilter && n.IsSink() {
+			if err := eng.TapSink(n.Name, func(v float64) { out = append(out, v) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := eng.RunInit(); err != nil {
+		t.Fatal(err)
+	}
+	perInit = len(out)
+	for i := 0; i < iters; i++ {
+		if err := eng.RunSteady(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out, perInit, (len(out) - perInit) / iters
+}
+
+// TestMultiSinkStreamBatchIndependent: a session merges its sinks' taps
+// one iteration at a time in schedule order, so a program with two sinks
+// drains the stream a one-iteration-at-a-time run taps under any batch
+// size; after a fault, the drained stream stops at the last completed
+// iteration, whatever the batch.
+func TestMultiSinkStreamBatchIndependent(t *testing.T) {
+	const iters = 40
+	want, perInit, perIter := twoSinkReference(t, iters)
+	if perIter != 4 {
+		t.Fatalf("reference taps %d items an iteration, want 4", perIter)
+	}
+	serveRun := func(batch int, plan string) ([]float64, int64) {
+		t.Helper()
+		srv := newTestServer(t, Config{Workers: 1, Batch: batch})
+		if _, err := srv.LoadProgram("ts", twoSinkProgram()); err != nil {
+			t.Fatal(err)
+		}
+		opt := SessionOptions{Program: "ts"}
+		if plan != "" {
+			p, err := faults.ParsePlan(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt.Faults = p
+		}
+		s, err := srv.NewSession(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Run(iters); err != nil {
+			t.Fatal(err)
+		}
+		err = s.WaitDone(iters, 5*time.Second)
+		if (err != nil) != (plan != "") {
+			t.Fatalf("batch %d plan %q: WaitDone: %v", batch, plan, err)
+		}
+		done, _ := s.Progress()
+		return s.Drain(0), done
+	}
+	for _, plan := range []string{"", "panic:g@20"} {
+		var first []float64
+		for _, batch := range []int{1, 8} {
+			got, done := serveRun(batch, plan)
+			if n := perInit + int(done)*perIter; len(got) != n {
+				t.Fatalf("plan %q batch %d: drained %d items after %d iterations, want %d", plan, batch, len(got), done, n)
+			}
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("plan %q batch %d: item %d is %v, want %v", plan, batch, i, got[i], want[i])
+				}
+			}
+			if first != nil && len(got) != len(first) {
+				t.Fatalf("plan %q: batch 8 drained %d items, batch 1 %d", plan, len(got), len(first))
+			}
+			first = got
+		}
 	}
 }

@@ -91,7 +91,8 @@ type Session struct {
 	// and the scheduled flag guarantees one worker at a time.
 	stage    []float64 // inputs for the in-flight batch
 	stagePos int
-	stageOut []float64 // outputs captured by sink taps during the batch
+	sinkOut  [][]float64 // items each sink's tap captured during the batch, by version.sinks index
+	sinkPos  []int       // emitLocked's read position in each sinkOut
 
 	prof *obs.Profiler
 }
@@ -101,6 +102,7 @@ type Session struct {
 type engineRunner interface {
 	RunInit() error
 	RunSteady(iters int) error
+	Iterations() int64
 	Profile() *obs.Profiler
 	WriteCheckpoint(w io.Writer, iteration int64) error
 	RestoreCheckpoint(data []byte) (int64, error)
@@ -312,13 +314,12 @@ func (s *Session) runBatch() bool {
 		return false
 	}
 
-	var lat [maxBatch]int64
-	completed, initDone, err := s.runEngine(runInit, k, &lat)
+	completed, elapsed, initDone, err := s.runEngine(runInit, k)
 
 	// Before s.done moves: a waiter this batch wakes must never find the
 	// server-wide counters behind its own session's progress.
 	if completed > 0 {
-		s.srv.recordIters(s.opt.Tenant, lat[:completed])
+		s.srv.recordIters(s.opt.Tenant, completed, int64(elapsed)/int64(completed))
 	}
 
 	s.mu.Lock()
@@ -329,9 +330,11 @@ func (s *Session) runBatch() bool {
 		s.failLocked(err)
 	}
 	if !s.closed {
-		s.output.Append(s.stageOut)
+		s.emitLocked(initDone, completed)
 	}
-	s.stageOut = s.stageOut[:0]
+	for i := range s.sinkOut {
+		s.sinkOut[i] = s.sinkOut[i][:0]
+	}
 	s.done += int64(completed)
 	runnable := s.err == nil && !s.closed && s.paused == 0 && s.dispatchableLocked() > 0
 	if !runnable {
@@ -340,6 +343,43 @@ func (s *Session) runBatch() bool {
 	s.notifyLocked()
 	s.mu.Unlock()
 	return runnable
+}
+
+// emitLocked appends the batch's tapped items to the output buffer in the
+// order one iteration at a time produces them: init's sink firings when
+// init ran in this batch, then each completed iteration's, in schedule
+// order. A block fires each sink's share of all its iterations at once,
+// so this merge is what keeps the stream of a program with several sinks
+// independent of the batch size. Items past the completed iterations (a
+// sink scheduled before a faulting filter has fired the whole block) are
+// dropped: done and the drainable output cover the same iterations.
+// Callers hold s.mu.
+func (s *Session) emitLocked(initDone bool, completed int) {
+	pos := s.sinkPos
+	clear(pos)
+	run, from := -1, 0 // the pending span: sinkOut[run][from:pos[run]]
+	take := func(sh outShare) {
+		if sh.sink != run {
+			if run >= 0 {
+				s.output.Append(s.sinkOut[run][from:pos[run]])
+			}
+			run, from = sh.sink, pos[sh.sink]
+		}
+		pos[run] = min(pos[run]+sh.items, len(s.sinkOut[run]))
+	}
+	if initDone {
+		for _, sh := range s.ver.initOrder {
+			take(sh)
+		}
+	}
+	for range completed {
+		for _, sh := range s.ver.iterOrder {
+			take(sh)
+		}
+	}
+	if run >= 0 {
+		s.output.Append(s.sinkOut[run][from:pos[run]])
+	}
 }
 
 // beginBatch claims up to Config.Batch dispatchable iterations and stages
@@ -388,11 +428,15 @@ func (s *Session) beginBatch() (k int, runInit bool, ok bool) {
 }
 
 // runEngine drives the engine for one claimed batch without holding the
-// session lock, recovering any panic that escapes the engine into a
-// structured error (last-resort containment — the engine already converts
-// kernel panics into *exec.ExecError, so anything caught here is a bug in
-// a native work function's surroundings or the tap/override plumbing).
-func (s *Session) runEngine(runInit bool, k int, lat *[maxBatch]int64) (completed int, initDone bool, err error) {
+// session lock: one RunSteady call for all k iterations, which the engine
+// fires as blocks, timed once. completed is what the engine reports every
+// node has finished (exec.Engine.Iterations), so after a fault it counts
+// the iterations before the faulting one, and emitLocked keeps only their
+// output. Any panic that escapes the engine is recovered into a structured
+// error (last-resort containment — the engine already converts kernel
+// panics into *exec.ExecError, so anything caught here is a bug in a
+// native work function's surroundings or the tap/override plumbing).
+func (s *Session) runEngine(runInit bool, k int) (completed int, elapsed time.Duration, initDone bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = containedPanic(r)
@@ -404,15 +448,11 @@ func (s *Session) runEngine(runInit bool, k int, lat *[maxBatch]int64) (complete
 		}
 		initDone = true
 	}
-	for completed < k {
-		t0 := time.Now()
-		if err = s.eng.RunSteady(1); err != nil {
-			return
-		}
-		lat[completed] = int64(time.Since(t0))
-		completed++
-	}
-	return
+	before := s.eng.Iterations()
+	t0 := time.Now()
+	err = s.eng.RunSteady(k)
+	elapsed = time.Since(t0)
+	return int(s.eng.Iterations() - before), elapsed, initDone, err
 }
 
 // containedPanic converts a recovered panic value into the structured

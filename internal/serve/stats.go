@@ -7,10 +7,11 @@ import (
 )
 
 // latHist is a lock-free log-bucketed histogram of per-iteration latencies
-// in nanoseconds. Values below 16 get exact buckets; above that each
-// power-of-two octave splits into 8 sub-buckets, bounding quantile error at
-// ~6%. Recording is two atomic adds plus a CAS loop for the max — cheap
-// enough to sit on the per-iteration hot path of every worker.
+// in nanoseconds. A batch runs as one engine call, so an iteration's latency
+// is its batch's mean: a batch of k iterations records its time over k, k
+// times. Values below 16 get exact buckets; above that each power-of-two
+// octave splits into 8 sub-buckets, bounding quantile error at ~6%.
+// Recording a batch is three atomic adds plus a CAS loop for the max.
 type latHist struct {
 	buckets [16 + 8*59]atomic.Int64
 	count   atomic.Int64
@@ -40,10 +41,11 @@ func latValue(idx int) int64 {
 	return lo + int64(1)<<(msb-3)/2
 }
 
-func (h *latHist) record(ns int64) {
-	h.buckets[latIndex(ns)].Add(1)
-	h.count.Add(1)
-	h.sum.Add(ns)
+// record adds n iterations of ns each.
+func (h *latHist) record(ns, n int64) {
+	h.buckets[latIndex(ns)].Add(n)
+	h.count.Add(n)
+	h.sum.Add(ns * n)
 	for {
 		cur := h.max.Load()
 		if ns <= cur || h.max.CompareAndSwap(cur, ns) {
@@ -114,7 +116,10 @@ type IterCounters struct {
 	Queued    int64 `json:"queued"`
 }
 
-// LatencySummary summarizes the per-iteration latency histogram.
+// LatencySummary summarizes the per-iteration latency histogram. A pool
+// batch of k iterations runs as one engine call, and each of its
+// iterations counts at the batch's mean, time over k: Count is iterations,
+// and Max the slowest batch's mean, not the slowest single iteration.
 type LatencySummary struct {
 	Count int64 `json:"count"`
 	P50   int64 `json:"p50"`

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -95,6 +96,59 @@ func TestSessionRecoveryPolicies(t *testing.T) {
 	}
 }
 
+// TestSessionsShareStateUnderRetry: two sessions of one program hold the
+// same weights of a FIR no firing writes, and both retry it at once on two
+// workers. A rollback leaves that shared state alone (run under -race),
+// and each session's output is bit-identical to a supervised standalone
+// run.
+func TestSessionsShareStateUnderRetry(t *testing.T) {
+	prog := func() *ir.Program {
+		return &ir.Program{Name: "F", Top: ir.Pipe("FP", apps.Source("src"), apps.FIR("f", 16, 0.25), apps.Sink("out", 1))}
+	}
+	srv := newTestServer(t, Config{Workers: 2, Batch: 4})
+	if _, err := srv.LoadProgram("f", prog()); err != nil {
+		t.Fatal(err)
+	}
+	const spec, iters = "panic:f@3,panic:f@40,panic:f@41,panic:f@90", 120
+	ps, err := faults.ParsePolicies("f=retry:2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sessions []*Session
+	for i := 0; i < 2; i++ {
+		plan, err := faults.ParsePlan(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := srv.NewSession(SessionOptions{Program: "f", Faults: plan, OnError: ps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sessions = append(sessions, s)
+	}
+	for _, s := range sessions {
+		if err := s.Run(iters); err != nil {
+			t.Fatal(err)
+		}
+	}
+	refPlan, _ := faults.ParsePlan(spec)
+	want := supervisedStandalone(t, prog(), iters, exec.Options{Faults: refPlan, OnError: ps})
+	for i, s := range sessions {
+		if err := s.WaitDone(iters, 5*time.Second); err != nil {
+			t.Fatalf("session %d: %v", i, err)
+		}
+		got := s.Drain(0)
+		if len(got) != len(want) {
+			t.Fatalf("session %d drained %d items, want %d", i, len(got), len(want))
+		}
+		for k := range got {
+			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+				t.Fatalf("session %d item %d: %v, want %v", i, k, got[k], want[k])
+			}
+		}
+	}
+}
+
 // TestSessionPanicQuarantinesOnlySession is the acceptance check for
 // supervision: an injected kernel panic quarantines exactly the faulty
 // session — every other tenant's session completes unaffected with
@@ -172,19 +226,22 @@ func TestSessionPanicQuarantinesOnlySession(t *testing.T) {
 }
 
 // panicEngine is a fake engineRunner whose steady-state run panics with a
-// raw value (not an ExecError): the case where a bug escapes the engine's
-// own recovery and only the runBatch containment stands between one bad
+// raw value (not an ExecError) once a call asks for more than after
+// iterations in all: the case where a bug escapes the engine's own
+// recovery and only the runBatch containment stands between one bad
 // session and the whole process.
-type panicEngine struct{ after int }
+type panicEngine struct{ after, done int }
 
 func (p *panicEngine) RunInit() error { return nil }
-func (p *panicEngine) RunSteady(int) error {
-	if p.after <= 0 {
+func (p *panicEngine) RunSteady(iters int) error {
+	if p.after < iters {
 		panic("engine bug: escaped the kernel recovery")
 	}
-	p.after--
+	p.after -= iters
+	p.done += iters
 	return nil
 }
+func (p *panicEngine) Iterations() int64                      { return int64(p.done) }
 func (p *panicEngine) Profile() *obs.Profiler                 { return nil }
 func (p *panicEngine) WriteCheckpoint(io.Writer, int64) error { return nil }
 func (p *panicEngine) RestoreCheckpoint([]byte) (int64, error) {

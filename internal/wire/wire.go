@@ -23,10 +23,12 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
+	"unsafe"
 )
 
 // Writer accumulates an encoding. Unframed bytes (a magic) are appended
@@ -197,8 +199,11 @@ func (r *Reader) Floats() []float64 {
 
 // F64s fills vs with the next len(vs) floats: the elements of a floats list
 // whose count the caller read, and checked, itself.
-func (r *Reader) F64s(vs []float64) {
-	b := r.Raw(8 * len(vs))
+func (r *Reader) F64s(vs []float64) { DecodeF64s(vs, r.Raw(8*len(vs))) }
+
+// DecodeF64s fills vs from b, the 8·len(vs) bytes Raw returned for them; a
+// nil b (Raw after a fault) leaves vs as it is.
+func DecodeF64s(vs []float64, b []byte) {
 	if b == nil {
 		return
 	}
@@ -212,3 +217,25 @@ func (r *Reader) F64s(vs []float64) {
 		vs[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 }
+
+// EqualF64s reports whether b, the 8·len(vs) bytes Raw returned for them,
+// encodes vs bit for bit; a nil b (Raw after a fault) counts as equal. On a
+// little-endian host the encoding is vs's own memory, so the comparison is
+// one bytes.Equal.
+func EqualF64s(vs []float64, b []byte) bool {
+	switch {
+	case b == nil:
+		return true
+	case littleEndian:
+		return bytes.Equal(b, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vs))), 8*len(vs)))
+	}
+	for i, v := range vs {
+		if binary.LittleEndian.Uint64(b[8*i:]) != math.Float64bits(v) {
+			return false
+		}
+	}
+	return true
+}
+
+// littleEndian reports whether the host stores a float64 as its encoding.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -114,6 +115,47 @@ func TestFloatRuns(t *testing.T) {
 					math.Float64bits(counted[i]), math.Float64bits(bare[i]), math.Float64bits(v))
 			}
 		}
+	}
+}
+
+// TestEqualF64s: EqualF64s holds a float run's encoding to the floats bit
+// for bit — a flipped bit anywhere, -0 against +0 and a NaN's payload all
+// differ — and a nil run (Raw after a fault) counts as equal, through the
+// memory comparison and through the loop a big-endian host runs.
+func TestEqualF64s(t *testing.T) {
+	defer func(le bool) { littleEndian = le }(littleEndian)
+	for _, le := range []bool{littleEndian, false} {
+		littleEndian = le
+		t.Run(fmt.Sprintf("memory=%v", le), testEqualF64s)
+	}
+}
+
+func testEqualF64s(t *testing.T) {
+	for n := 1; n <= 9; n++ {
+		vs := make([]float64, n)
+		for i := range vs {
+			vs[i] = math.Float64frombits(0x0102030405060708 * uint64(i+1))
+		}
+		var w Writer
+		w.F64s(vs)
+		if !EqualF64s(vs, w) || !EqualF64s(vs, nil) {
+			t.Fatalf("%d floats: their own encoding, or nil, compares unequal", n)
+		}
+		for i := range vs {
+			for _, flip := range []uint64{1, 1 << 63} {
+				other := append([]float64(nil), vs...)
+				other[i] = math.Float64frombits(math.Float64bits(other[i]) ^ flip)
+				if EqualF64s(other, w) {
+					t.Fatalf("%d floats: item %d with bits %x flipped compares equal", n, i, flip)
+				}
+			}
+		}
+	}
+	var w Writer
+	w.F64s([]float64{0, math.NaN()})
+	if EqualF64s([]float64{math.Copysign(0, -1), math.NaN()}, w) ||
+		EqualF64s([]float64{0, math.Float64frombits(math.Float64bits(math.NaN()) + 1)}, w) {
+		t.Fatal("-0 or another NaN payload compares equal")
 	}
 }
 
