@@ -11,8 +11,9 @@ import (
 // lineBudgets caps the non-test Go of the packages whose size ROADMAP
 // states a limit for, in lines as wc -l counts them.
 var lineBudgets = map[string]int{
-	"internal/exec": 5000, // ROADMAP item 3
-	"internal/fuse": 900,  // ROADMAP item 26
+	"internal/exec":   5000, // ROADMAP item 3
+	"internal/fuse":   900,  // ROADMAP item 26
+	"internal/linear": 1150, // ROADMAP item 27
 }
 
 // TestPackageLineBudgets fails when a capped package's non-test Go files

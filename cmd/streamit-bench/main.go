@@ -1,5 +1,5 @@
 // Command streamit-bench regenerates the tables and figures of the paper's
-// evaluation (E1–E8, A1–A3 in EXPERIMENTS.md) on the simulated 16-tile
+// evaluation (E1–E8, A1–A2 in EXPERIMENTS.md) on the simulated 16-tile
 // machine and the sequential runtime. Numbers for the native runtimes come
 // from `go run ./benchmark`.
 //
@@ -8,8 +8,7 @@
 //	streamit-bench                 # all tables
 //	streamit-bench -table main     # one table: benchchar, main, finegrain,
 //	                               # softpipe, thruput, vsspace, linear,
-//	                               # teleport, scaling, commablation,
-//	                               # freqblocks
+//	                               # teleport, scaling, commablation
 //	streamit-bench -dur 500ms      # longer measurement windows for E7/E8
 package main
 
@@ -23,7 +22,7 @@ import (
 )
 
 func main() {
-	table := flag.String("table", "all", "table to print: all, benchchar, main, finegrain, softpipe, thruput, vsspace, linear, teleport, scaling, commablation, freqblocks")
+	table := flag.String("table", "all", "table to print: all, benchchar, main, finegrain, softpipe, thruput, vsspace, linear, teleport, scaling, commablation")
 	dur := flag.Duration("dur", 150*time.Millisecond, "measurement window per configuration for the execution benchmarks")
 	flag.Parse()
 
@@ -52,8 +51,6 @@ func main() {
 		err = bench.PrintScaling(os.Stdout)
 	case "commablation":
 		err = bench.PrintCommAblation(os.Stdout)
-	case "freqblocks":
-		err = bench.PrintFreqBlocks(os.Stdout)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown table %q\n", *table)
 		os.Exit(2)

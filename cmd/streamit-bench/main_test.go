@@ -9,8 +9,8 @@ import (
 
 // TestCLIEndToEnd builds the binary and drives it the way a user does: a
 // paper table renders, and everything that is not a paper table — an
-// unknown name, the retired runtime modes and snapshot flags — is refused
-// with the usage status.
+// unknown name, the retired runtime modes, the retired frequency-block
+// ablation and the snapshot flags — is refused with the usage status.
 func TestCLIEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	bin := filepath.Join(dir, "streamit-bench")
@@ -39,6 +39,7 @@ func TestCLIEndToEnd(t *testing.T) {
 	refused := [][]string{
 		{"-table", "nosuch"},
 		{"-table", "mapped"},
+		{"-table", "freqblocks"},
 		{"-json", dir},
 		{"-validate", "*.json"},
 	}

@@ -245,7 +245,7 @@ func main() {
 	}
 	opts := core.Options{}
 	if *doLinear {
-		lo := linear.DefaultOptions()
+		lo := linear.Options{Combine: true}
 		opts.Linear = &lo
 	}
 	c, _, err := core.CachedCompileSource(string(src), *top, opts)

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	streamitc [-top Main] [-linear] [-freq] [-maxitems N] prog.str
+//	streamitc [-top Main] [-linear] [-maxitems N] prog.str
 package main
 
 import (
@@ -23,7 +23,6 @@ import (
 func main() {
 	top := flag.String("top", "Main", "top-level stream to elaborate")
 	doLinear := flag.Bool("linear", false, "apply linear combination before scheduling")
-	doFreq := flag.Bool("freq", false, "also apply frequency translation (implies -linear)")
 	verify := flag.Bool("verify", false, "with -linear: cross-check every generated replacement kernel against its linear representation")
 	maxItems := flag.Int("maxitems", 0, "bound total live items in the schedule (0 = unbounded)")
 	dot := flag.Bool("dot", false, "emit the flattened stream graph in Graphviz DOT format instead of the report")
@@ -42,10 +41,8 @@ func main() {
 		os.Exit(1)
 	}
 	opts := core.Options{MaxLiveItems: *maxItems, CheckFeedback: true}
-	if *doLinear || *doFreq {
-		lo := linear.DefaultOptions()
-		lo.Frequency = *doFreq
-		lo.Verify = *verify
+	if *doLinear {
+		lo := linear.Options{Combine: true, Verify: *verify}
 		opts.Linear = &lo
 	}
 	c, err := core.CompileSource(string(src), *top, opts)

@@ -45,6 +45,8 @@ func TestCLIEndToEnd(t *testing.T) {
 		{"missing file", []string{filepath.Join(dir, "nope.str")}, 1, []string{"streamitc:", "nope.str"}},
 		{"source error", []string{bad}, 1, []string{"streamitc: 1:1:"}},
 		{"no argument", nil, 2, []string{"usage: streamitc"}},
+		{"linear", []string{"-linear", prog}, 0, []string{"linear optimization: ", "matrix kernels"}},
+		{"retired -freq", []string{"-freq", prog}, 2, []string{"flag provided but not defined: -freq"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -16,10 +16,8 @@
 //   - internal/sdep     — information-wavefront (sdep) transfer functions,
 //     closed-form and simulation-based
 //   - internal/exec     — the sequential runtime with teleport messaging
-//   - internal/linear   — linear extraction, combination, and frequency
-//     translation
+//   - internal/linear   — linear extraction and combination
 //   - internal/fuse     — executable filter fusion
-//   - internal/fft      — the FFT substrate
 //   - internal/machine  — the simulated 16-tile Raw-like multicore
 //   - internal/partition — fusion, fission, and the mapping strategies of
 //     the paper's evaluation

@@ -119,7 +119,7 @@ func TestLinearSuiteOptimizedEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			optProg := app.Build()
-			top, err := linear.Optimize(optProg.Top, linear.Options{Combine: true, Frequency: true, Block: 64}, nil)
+			top, err := linear.Optimize(optProg.Top, linear.Options{Combine: true}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

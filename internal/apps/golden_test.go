@@ -10,7 +10,7 @@ import (
 )
 
 func linearOptimize(top ir.Stream) (ir.Stream, error) {
-	return linear.Optimize(top, linear.Options{Combine: true, Frequency: true}, nil)
+	return linear.Optimize(top, linear.Options{Combine: true}, nil)
 }
 
 // Golden output prefixes pin the exact numerical behaviour of two

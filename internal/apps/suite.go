@@ -33,8 +33,7 @@ func Suite() []App {
 
 // LinearSuite returns the linear-optimization benchmark suite (the PLDI'03
 // applications reproducible in this framework): each is dominated by
-// linear filters that the optimizer can collapse and/or move to the
-// frequency domain.
+// linear filters that the optimizer can collapse.
 func LinearSuite() []App {
 	return []App{
 		{"FIR", "single 512-tap FIR filter", func() *ir.Program {

@@ -5,12 +5,8 @@ import (
 	"io"
 	"text/tabwriter"
 
-	"streamit/internal/apps"
-	"streamit/internal/ir"
-	"streamit/internal/linear"
 	"streamit/internal/machine"
 	"streamit/internal/partition"
-	"streamit/internal/wfunc"
 )
 
 // The ablation experiments go beyond the paper's figures: they vary the
@@ -145,66 +141,6 @@ func PrintCommAblation(w io.Writer) error {
 	fmt.Fprintln(tw, "Machine variant\ttask+data\ttask+data+swp\tSWP margin")
 	for _, r := range rows {
 		fmt.Fprintf(tw, "%s\t%.2fx\t%.2fx\t%+.0f%%\n", r.Name, r.TaskData, r.Combined, (r.Combined/r.TaskData-1)*100)
-	}
-	return tw.Flush()
-}
-
-// BlockRow is one frequency-translation block-size point.
-type BlockRow struct {
-	Block   int
-	Speedup float64
-}
-
-// FreqBlockAblation measures the frequency-translation speedup of a
-// 512-tap FIR at several overlap-save block sizes, against the direct
-// kernel linear.ToKernel emits for it — the block-size trade-off behind
-// the optimizer's cost model. Both sides run as E7's programs do: between
-// the suite's source and sink, timed by measureRate on the sequential
-// engine's VM.
-func FreqBlockAblation() ([]BlockRow, error) {
-	const taps = 512
-	weights := make([]float64, taps)
-	for i := range weights {
-		weights[i] = 1.0 / float64(i+1)
-	}
-	rep := linear.NewRep(taps, 1, 1)
-	copy(rep.A[0], weights)
-	directRate, err := measureRate(kernelProgram(linear.ToKernel("directFIR", rep)), MeasureDur)
-	if err != nil {
-		return nil, err
-	}
-	var out []BlockRow
-	for _, block := range []int{128, 256, 512, 1024} {
-		k, err := linear.FreqKernel(fmt.Sprintf("freq%d", block), weights, block)
-		if err != nil {
-			return nil, err
-		}
-		rate, err := measureRate(kernelProgram(k), MeasureDur)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, BlockRow{Block: block, Speedup: rate / directRate})
-	}
-	return out, nil
-}
-
-// kernelProgram runs k between the suite's source and sink.
-func kernelProgram(k *wfunc.Kernel) *ir.Program {
-	return &ir.Program{Name: k.Name, Top: ir.Pipe(k.Name+"Pipe",
-		apps.Source("in"), &ir.Filter{Kernel: k, In: ir.TypeFloat, Out: ir.TypeFloat}, apps.Sink("out", 1))}
-}
-
-// PrintFreqBlocks renders the block-size ablation.
-func PrintFreqBlocks(w io.Writer) error {
-	rows, err := FreqBlockAblation()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "Ablation: frequency translation of a 512-tap FIR vs block size")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "Block\tspeedup over direct")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%d\t%.2fx\n", r.Block, r.Speedup)
 	}
 	return tw.Flush()
 }

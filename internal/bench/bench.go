@@ -14,6 +14,7 @@ package bench
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"streamit/internal/apps"
@@ -311,41 +312,88 @@ func VsSpace() ([]VsSpaceRow, float64, error) {
 	return rows, GeoMean(ratios), nil
 }
 
-// measureRate runs a program for at least minDur and returns output items
-// per second (items consumed by the graph's sinks, per wall-clock second)
-// on the default (VM) backend.
-func measureRate(prog *ir.Program, minDur time.Duration) (float64, error) {
+// timed is one side of a paired measurement: an engine past its init
+// schedule, the sink items one steady iteration delivers, and the steady
+// iterations it runs per call, which grow while it is timed.
+type timed struct {
+	e       *exec.Engine
+	perIter int64
+	chunk   int
+}
+
+func newTimed(prog *ir.Program) (*timed, error) {
 	e, err := exec.New(prog)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	if err := e.RunInit(); err != nil {
-		return 0, err
+		return nil, err
 	}
-	// Items delivered to sinks per steady iteration.
-	var perIter int64
+	t := &timed{e: e, chunk: 4}
 	for _, n := range e.G.Nodes {
 		if n.IsSink() {
-			perIter += int64(e.Sch.Reps[n.ID] * n.TotalPop())
+			t.perIter += int64(e.Sch.Reps[n.ID] * n.TotalPop())
 		}
 	}
-	if perIter == 0 {
-		return 0, fmt.Errorf("%s: no sink items per steady iteration", prog.Name)
+	if t.perIter == 0 {
+		return nil, fmt.Errorf("%s: no sink items per steady iteration", prog.Name)
 	}
+	return t, nil
+}
+
+// run steps the engine for at least d and returns the items its sinks
+// consumed per wall-clock second.
+func (t *timed) run(d time.Duration) (float64, error) {
 	var iters int64
 	start := time.Now()
-	chunk := 4
-	for time.Since(start) < minDur {
-		if err := e.RunSteady(chunk); err != nil {
+	for time.Since(start) < d {
+		if err := t.e.RunSteady(t.chunk); err != nil {
 			return 0, err
 		}
-		iters += int64(chunk)
-		if chunk < 1024 {
-			chunk *= 2
+		iters += int64(t.chunk)
+		if t.chunk < 1024 {
+			t.chunk *= 2
 		}
 	}
-	sec := time.Since(start).Seconds()
-	return float64(iters*perIter) / sec, nil
+	return float64(iters*t.perIter) / time.Since(start).Seconds(), nil
+}
+
+// pairSlices is how many slices of MeasureDur a paired measurement takes.
+const pairSlices = 5
+
+// measurePair times a against b on the sequential engine's default (VM)
+// backend, interleaved: both engines are built and past init first, then
+// the two run by turns over pairSlices slices of MeasureDur/pairSlices
+// each, the side that goes first alternating, so that drift on a noisy
+// machine lands on both. It returns the median of the per-slice rate
+// ratios a/b and each side's median rate in sink items per second.
+func measurePair(a, b *ir.Program) (ratio, rateA, rateB float64, err error) {
+	sides := [2]*timed{}
+	for i, p := range [2]*ir.Program{a, b} {
+		if sides[i], err = newTimed(p); err != nil {
+			return 0, 0, 0, err
+		}
+	}
+	slice := MeasureDur / pairSlices
+	var rates [2][]float64
+	var ratios []float64
+	for s := 0; s < pairSlices; s++ {
+		var r [2]float64
+		for k := 0; k < 2; k++ {
+			i := (s + k) % 2
+			if r[i], err = sides[i].run(slice); err != nil {
+				return 0, 0, 0, err
+			}
+			rates[i] = append(rates[i], r[i])
+		}
+		ratios = append(ratios, r[0]/r[1])
+	}
+	return median(ratios), median(rates[0]), median(rates[1]), nil
+}
+
+func median(xs []float64) float64 {
+	slices.Sort(xs)
+	return xs[len(xs)/2]
 }
 
 // LinearRow reports one linear-suite benchmark (E7).
@@ -353,9 +401,7 @@ type LinearRow struct {
 	Name          string
 	LinearFilters int
 	Combined      int
-	FreqKernels   int
-	SpeedupComb   float64 // combination only
-	SpeedupFull   float64 // combination + frequency translation
+	Speedup       float64 // optimised over as written
 }
 
 // MeasureDur is the default wall-clock measurement window per
@@ -363,50 +409,32 @@ type LinearRow struct {
 var MeasureDur = 150 * time.Millisecond
 
 // LinearBench measures E7: sequential-engine throughput (default VM
-// backend) of each linear benchmark unoptimized, with linear combination,
-// and with combination plus frequency translation.
+// backend) of each linear benchmark after linear optimisation, over the
+// program as written, timed by measurePair.
 func LinearBench() ([]LinearRow, float64, error) {
 	var rows []LinearRow
-	var fulls []float64
+	var speedups []float64
 	for _, app := range apps.LinearSuite() {
-		base, err := measureRate(app.Build(), MeasureDur)
-		if err != nil {
-			return nil, 0, fmt.Errorf("%s base: %w", app.Name, err)
-		}
-		combProg := app.Build()
-		var repC linear.Report
-		top, err := linear.Optimize(combProg.Top, linear.Options{Combine: true}, &repC)
+		opt := app.Build()
+		var rep linear.Report
+		top, err := linear.Optimize(opt.Top, linear.Options{Combine: true}, &rep)
 		if err != nil {
 			return nil, 0, err
 		}
-		combProg.Top = top
-		comb, err := measureRate(combProg, MeasureDur)
+		opt.Top = top
+		speedup, _, _, err := measurePair(opt, app.Build())
 		if err != nil {
-			return nil, 0, fmt.Errorf("%s combined: %w", app.Name, err)
+			return nil, 0, fmt.Errorf("%s: %w", app.Name, err)
 		}
-		fullProg := app.Build()
-		var repF linear.Report
-		top, err = linear.Optimize(fullProg.Top, linear.Options{Combine: true, Frequency: true, Block: 64}, &repF)
-		if err != nil {
-			return nil, 0, err
-		}
-		fullProg.Top = top
-		full, err := measureRate(fullProg, MeasureDur)
-		if err != nil {
-			return nil, 0, fmt.Errorf("%s full: %w", app.Name, err)
-		}
-		row := LinearRow{
+		rows = append(rows, LinearRow{
 			Name:          app.Name,
-			LinearFilters: repF.LinearFilters,
-			Combined:      repF.Combined,
-			FreqKernels:   repF.FreqTranslated,
-			SpeedupComb:   comb / base,
-			SpeedupFull:   full / base,
-		}
-		rows = append(rows, row)
-		fulls = append(fulls, row.SpeedupFull)
+			LinearFilters: rep.LinearFilters,
+			Combined:      rep.Combined,
+			Speedup:       speedup,
+		})
+		speedups = append(speedups, speedup)
 	}
-	return rows, GeoMean(fulls), nil
+	return rows, GeoMean(speedups), nil
 }
 
 // TeleportResult reports E8.
@@ -417,19 +445,16 @@ type TeleportResult struct {
 }
 
 // TeleportBench measures E8: the frequency-hopping radio with teleport
-// messaging versus manually-embedded control tokens.
+// messaging versus manually-embedded control tokens, timed by
+// measurePair.
 func TeleportBench() (*TeleportResult, error) {
-	tele, err := measureRate(apps.FreqHoppingRadio(true), MeasureDur)
+	ratio, tele, man, err := measurePair(apps.FreqHoppingRadio(true), apps.FreqHoppingRadio(false))
 	if err != nil {
-		return nil, fmt.Errorf("teleport: %w", err)
-	}
-	man, err := measureRate(apps.FreqHoppingRadio(false), MeasureDur)
-	if err != nil {
-		return nil, fmt.Errorf("manual: %w", err)
+		return nil, err
 	}
 	return &TeleportResult{
 		TeleportRate: tele,
 		ManualRate:   man,
-		Improvement:  (tele/man - 1) * 100,
+		Improvement:  (ratio - 1) * 100,
 	}, nil
 }

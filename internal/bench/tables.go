@@ -109,12 +109,11 @@ func PrintLinear(w io.Writer) error {
 	}
 	fmt.Fprintln(w, "Table linear: measured speedup from linear optimization (bytecode VM backend)")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "Benchmark\tLinear filters\tCombined away\tFreq kernels\tCombination\tFull")
+	fmt.Fprintln(tw, "Benchmark\tLinear filters\tCombined away\tOptimised")
 	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%.2fx\t%.2fx\n",
-			r.Name, r.LinearFilters, r.Combined, r.FreqKernels, r.SpeedupComb, r.SpeedupFull)
+		fmt.Fprintf(tw, "%s\t%d\t%d\t%.2fx\n", r.Name, r.LinearFilters, r.Combined, r.Speedup)
 	}
-	fmt.Fprintf(tw, "geometric mean\t\t\t\t\t%.2fx\n", mean)
+	fmt.Fprintf(tw, "geometric mean\t\t\t%.2fx\n", mean)
 	if err := tw.Flush(); err != nil {
 		return err
 	}
@@ -145,7 +144,7 @@ func PrintAll(w io.Writer) error {
 	printers := []func(io.Writer) error{
 		PrintBenchChar, PrintMainComparison, PrintFineGrained, PrintSoftPipe,
 		PrintThroughput, PrintVsSpace, PrintLinear, PrintTeleport,
-		PrintScaling, PrintCommAblation, PrintFreqBlocks,
+		PrintScaling, PrintCommAblation,
 	}
 	for i, p := range printers {
 		if i > 0 {

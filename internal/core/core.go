@@ -374,9 +374,9 @@ func (c *Compiled) Report() string {
 	fmt.Fprintf(&b, "  steady state: %d firings\n", c.Schedule.TotalFirings())
 	fmt.Fprintf(&b, "  init schedule: %d firings\n", totalInit(c.Schedule))
 	if c.Linear != nil {
-		fmt.Fprintf(&b, "  linear optimization: %d/%d filters linear, %d combined away, %d matrix kernels, %d frequency kernels\n",
+		fmt.Fprintf(&b, "  linear optimization: %d/%d filters linear, %d combined away, %d matrix kernels\n",
 			c.Linear.LinearFilters, c.Linear.TotalFilters,
-			c.Linear.Combined, c.Linear.MatrixReplaced, c.Linear.FreqTranslated)
+			c.Linear.Combined, c.Linear.MatrixReplaced)
 	}
 	b.WriteString("\nstructure:\n")
 	b.WriteString(ir.String(c.Program.Top))

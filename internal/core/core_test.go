@@ -70,7 +70,7 @@ func TestCompileSourceAndRun(t *testing.T) {
 }
 
 func TestCompileWithLinearOptimization(t *testing.T) {
-	opt := linear.Options{Combine: true, Force: true}
+	opt := linear.Options{Combine: true}
 	c, err := CompileSource(firSrc, "Main", Options{Linear: &opt})
 	if err != nil {
 		t.Fatal(err)

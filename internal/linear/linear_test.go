@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"streamit/internal/apps"
 	"streamit/internal/exec"
 	"streamit/internal/ir"
 	"streamit/internal/wfunc"
@@ -73,13 +74,12 @@ func TestExtractFIR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Toeplitz() {
-		t.Fatal("FIR should extract to a Toeplitz rep")
+	if r.Peek != len(weights) || r.Pop != 1 || r.Push != 1 {
+		t.Fatalf("FIR extracts to peek/pop/push %d/%d/%d, want %d/1/1", r.Peek, r.Pop, r.Push, len(weights))
 	}
-	taps := r.Taps()
 	for i, w := range weights {
-		if taps[i] != w {
-			t.Errorf("taps[%d] = %v, want %v", i, taps[i], w)
+		if r.A[0][i] != w {
+			t.Errorf("A[0][%d] = %v, want %v", i, r.A[0][i], w)
 		}
 	}
 	if r.B[0] != 0 {
@@ -366,25 +366,6 @@ func TestToKernelMatchesRep(t *testing.T) {
 	}
 }
 
-func TestFreqKernelMatchesRep(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, taps := range []int{3, 8, 17, 32} {
-		h := make([]float64, taps)
-		for i := range h {
-			h[i] = math.Round(rng.NormFloat64() * 4)
-		}
-		r := NewRep(taps, 1, 1)
-		copy(r.A[0], h)
-		k, err := FreqKernel("F", h, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := VerifyEquivalent(r, k, 4); err != nil {
-			t.Fatalf("taps=%d: %v", taps, err)
-		}
-	}
-}
-
 func buildFIRFilter(name string, weights []float64) *ir.Filter {
 	return &ir.Filter{Kernel: firKernel(name, weights), In: ir.TypeFloat, Out: ir.TypeFloat}
 }
@@ -413,24 +394,17 @@ func TestOptimizePipelineEndToEnd(t *testing.T) {
 		return out, rep
 	}
 	base, _ := run(nil)
-	combined, repC := run(&Options{Combine: true, Force: true})
+	combined, repC := run(&Options{Combine: true})
 	if repC.Combined < 1 {
 		t.Errorf("expected at least one combination, report: %+v", repC)
 	}
-	freq, repF := run(&Options{Combine: true, Frequency: true, Block: 32, Force: true})
-	if repF.FreqTranslated < 1 {
-		t.Errorf("expected frequency translation, report: %+v", repF)
-	}
-	n := min(len(base), min(len(combined), len(freq)))
+	n := min(len(base), len(combined))
 	if n < 32 {
 		t.Fatalf("too few outputs to compare: %d", n)
 	}
 	for i := 0; i < n; i++ {
 		if math.Abs(base[i]-combined[i]) > 1e-6 {
 			t.Fatalf("combined diverges at %d: %v vs %v", i, combined[i], base[i])
-		}
-		if math.Abs(base[i]-freq[i]) > 1e-6 {
-			t.Fatalf("freq diverges at %d: %v vs %v", i, freq[i], base[i])
 		}
 	}
 }
@@ -454,7 +428,7 @@ func TestOptimizeSplitJoinEndToEnd(t *testing.T) {
 	}
 	base := runIt(mk())
 	rep := &Report{}
-	opt, err := Optimize(mk(), Options{Combine: true, Force: true}, rep)
+	opt, err := Optimize(mk(), Options{Combine: true}, rep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,6 +447,62 @@ func TestOptimizeSplitJoinEndToEnd(t *testing.T) {
 	}
 }
 
+// TestOptimizeSplitsRunsAtTheCheapestCuts: a run of linear filters is cut
+// where the nest costs least over the whole run. An expander's zero rows
+// cost the nest until the FIR after it joins, so a cascade of expanders
+// and FIRs collapses whole, where a greedy merge of neighbours stops at
+// the second expander; a filter-bank branch splits at its expander, since
+// combined whole it recomputes each decimated sample for every row; and
+// an expander that no FIR follows stays as written, since the nest would
+// multiply its zero rows, which its own IL never does.
+func TestOptimizeSplitsRunsAtTheCheapestCuts(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		mk               func() ir.Stream
+		combined, matrix int
+	}{
+		{"cascade", func() ir.Stream {
+			return ir.Pipe("cascade", apps.Upsample("u1", 2), apps.FIR("f1", 32, 0.2),
+				apps.Upsample("u2", 2), apps.FIR("f2", 32, 0.1))
+		}, 3, 1},
+		{"branch", func() ir.Stream {
+			return ir.Pipe("branch", apps.FIR("a", 32, 0.3), apps.Downsample("d", 8),
+				apps.Upsample("u", 8), apps.FIR("s", 32, 0.3))
+		}, 2, 2},
+		{"zero rows", func() ir.Stream {
+			return ir.Pipe("zeros", apps.FIR("a", 32, 0.3), apps.Downsample("d", 8), apps.Upsample("u", 8))
+		}, 1, 1},
+	} {
+		runIt := func(s ir.Stream) []float64 {
+			snk, got := exec.SliceSink("snk")
+			prog := &ir.Program{Name: "p", Top: ir.Pipe("main", exec.SliceSource("src", randStream(5, 64)), s, snk)}
+			out, err := exec.RunCollect(prog, 64, got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}
+		rep := &Report{}
+		opt, err := Optimize(tc.mk(), Options{Combine: true, Verify: true}, rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Combined != tc.combined || rep.MatrixReplaced != tc.matrix {
+			t.Errorf("%s: combined %d into %d matrix kernels, want %d into %d",
+				tc.name, rep.Combined, rep.MatrixReplaced, tc.combined, tc.matrix)
+		}
+		base, got := runIt(tc.mk()), runIt(opt)
+		if len(got) < 32 || len(base) < len(got) {
+			t.Fatalf("%s: %d outputs optimised, %d as written", tc.name, len(got), len(base))
+		}
+		for i := range got {
+			if math.Abs(base[i]-got[i]) > 1e-9 {
+				t.Fatalf("%s diverges at %d: %v vs %v", tc.name, i, got[i], base[i])
+			}
+		}
+	}
+}
+
 func TestAnalyzeReportsLinearity(t *testing.T) {
 	nonlin := func() *ir.Filter {
 		b := wfunc.NewKernel("sq", 1, 1, 1)
@@ -487,24 +517,6 @@ func TestAnalyzeReportsLinearity(t *testing.T) {
 	}
 	if _, ok := m["sq"]; ok {
 		t.Error("squarer wrongly reported linear")
-	}
-}
-
-func TestFreqCostCrossover(t *testing.T) {
-	// Small FIRs should stay direct; large FIRs should prefer frequency.
-	small := NewRep(4, 1, 1)
-	big := NewRep(512, 1, 1)
-	for i := range big.A[0] {
-		big.A[0][i] = 1
-	}
-	for i := range small.A[0] {
-		small.A[0][i] = 1
-	}
-	if FreqCostPerOutput(4, 64) < DirectCostPerOutput(small) {
-		t.Error("4-tap FIR should not be frequency-translated")
-	}
-	if FreqCostPerOutput(512, 512) >= DirectCostPerOutput(big) {
-		t.Error("512-tap FIR should be frequency-translated")
 	}
 }
 
@@ -557,22 +569,13 @@ func TestVerifyEquivalentDetectsDivergence(t *testing.T) {
 	}
 }
 
-func TestFreqKernelRejectsBadArgs(t *testing.T) {
-	if _, err := FreqKernel("x", nil, 8); err == nil {
-		t.Error("empty taps should be rejected")
-	}
-	if _, err := FreqKernel("x", []float64{1}, 0); err == nil {
-		t.Error("zero block should be rejected")
-	}
-}
-
 func TestOptimizeLeavesFeedbackAlone(t *testing.T) {
 	body := buildFIRFilter("loopfir", []float64{1, 1})
 	fl := &ir.FeedbackLoop{
 		Name: "fl", Join: ir.RoundRobin(1, 1), Body: body,
 		Split: ir.Duplicate(), Delay: 2,
 	}
-	top, err := Optimize(fl, DefaultOptions(), nil)
+	top, err := Optimize(fl, Options{Combine: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -601,7 +604,7 @@ func TestOptimizeVerifyMode(t *testing.T) {
 		buildFIRFilter("v2", []float64{0.5, -1}),
 	)
 	rep := &Report{}
-	if _, err := Optimize(s, Options{Combine: true, Force: true, Verify: true}, rep); err != nil {
+	if _, err := Optimize(s, Options{Combine: true, Verify: true}, rep); err != nil {
 		t.Fatal(err)
 	}
 	if rep.Combined < 1 {

@@ -2,6 +2,8 @@ package linear
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"streamit/internal/ir"
 	"streamit/internal/wfunc"
@@ -12,23 +14,10 @@ type Options struct {
 	// Combine collapses adjacent linear filters (pipelines and split-joins)
 	// into single matrix filters when the estimated cost decreases.
 	Combine bool
-	// Frequency translates convolution-shaped linear filters into
-	// overlap-save FFT kernels when beneficial.
-	Frequency bool
-	// Block is the output block size for frequency kernels (default 64).
-	Block int
-	// Force applies transformations even when the cost model predicts no
-	// benefit (used by ablation benchmarks).
-	Force bool
 	// Verify cross-checks every generated replacement kernel against its
 	// linear representation on a pseudo-random stream before accepting it;
 	// failures abort the optimization with an error.
 	Verify bool
-}
-
-// DefaultOptions enables everything with the standard block size.
-func DefaultOptions() Options {
-	return Options{Combine: true, Frequency: true, Block: 64}
 }
 
 // Report summarizes what the optimizer did.
@@ -36,18 +25,13 @@ type Report struct {
 	LinearFilters  int // linear filters detected
 	TotalFilters   int
 	Combined       int // filters removed by combination
-	FreqTranslated int // filters converted to frequency domain
 	MatrixReplaced int // regions replaced by direct matrix kernels
-	Notes          []string
 }
 
 // Optimize rewrites a hierarchical stream, replacing linear regions with
-// collapsed matrix filters and/or frequency-domain kernels. The input
-// stream is not modified; shared filters are reused where untouched.
+// collapsed matrix filters. The input stream is not modified; shared
+// filters are reused where untouched.
 func Optimize(s ir.Stream, opt Options, rep *Report) (ir.Stream, error) {
-	if opt.Block <= 0 {
-		opt.Block = 64
-	}
 	if rep == nil {
 		rep = &Report{}
 	}
@@ -88,10 +72,9 @@ func Analyze(s ir.Stream) map[string]*Rep {
 }
 
 type optimizer struct {
-	opt  Options
-	rep  *Report
-	uniq int
-	err  error
+	opt Options
+	rep *Report
+	err error
 }
 
 // linRes is the result of rewriting a stream: the (possibly replaced)
@@ -112,11 +95,6 @@ func (o *optimizer) rewrite(s ir.Stream) (ir.Stream, error) {
 		return nil, o.err
 	}
 	return out, nil
-}
-
-func (o *optimizer) name(prefix string) string {
-	o.uniq++
-	return fmt.Sprintf("%s_%d", prefix, o.uniq)
 }
 
 // walk rewrites bottom-up. It returns the stream's linear rep when the
@@ -168,33 +146,27 @@ func (o *optimizer) walkPipeline(p *ir.Pipeline) (linRes, error) {
 		}
 		kids[i] = r
 	}
-	if !o.opt.Combine {
-		out := &ir.Pipeline{Name: p.Name}
-		for _, k := range kids {
-			out.Add(o.finalize(k))
-		}
-		return linRes{stream: out}, nil
-	}
-
-	// Merge maximal runs of linear children.
-	var merged []linRes
-	for _, k := range kids {
-		if k.rep != nil && len(merged) > 0 && merged[len(merged)-1].rep != nil {
-			prev := &merged[len(merged)-1]
-			comb, err := CombinePipeline(prev.rep, k.rep)
-			if err == nil && (o.opt.Force || worthCombining(prev.rep, k.rep, comb)) {
-				prev.rep = comb
-				prev.nsrc += k.nsrc
-				prev.stream = nil // replaced on finalize
-				continue
+	merged := kids
+	if o.opt.Combine {
+		// Split each maximal run of linear children into regions.
+		merged = nil
+		for i := 0; i < len(kids); {
+			j := i + 1
+			if kids[i].rep == nil {
+				merged = append(merged, kids[i])
+			} else {
+				for j < len(kids) && kids[j].rep != nil {
+					j++
+				}
+				merged = append(merged, cheapestSplit(kids[i:j])...)
 			}
+			i = j
 		}
-		merged = append(merged, k)
-	}
-	if len(merged) == 1 && merged[0].rep != nil {
-		// Whole pipeline is one linear region: let the parent keep
-		// combining; finalize only at the top.
-		return merged[0], nil
+		if len(merged) == 1 && merged[0].rep != nil {
+			// Whole pipeline is one linear region: let the parent keep
+			// combining; finalize only at the top.
+			return merged[0], nil
+		}
 	}
 	out := &ir.Pipeline{Name: p.Name}
 	for _, k := range merged {
@@ -238,7 +210,7 @@ func (o *optimizer) walkSplitJoin(sj *ir.SplitJoin) (linRes, error) {
 			}
 		}
 		comb, err := CombineSplitJoin(split, reps, join)
-		if err == nil && (o.opt.Force || worthCombiningSJ(reps, comb)) {
+		if err == nil && worthCombiningSJ(kids, comb) {
 			return linRes{rep: comb, nsrc: total}, nil
 		}
 	}
@@ -249,27 +221,16 @@ func (o *optimizer) walkSplitJoin(sj *ir.SplitJoin) (linRes, error) {
 	return linRes{stream: out}, nil
 }
 
-// finalize materializes a linear region as a concrete filter: a frequency
-// kernel when profitable, else a direct matrix kernel, else the original
-// stream when the region is a single untouched filter.
+// finalize materializes a linear region as a concrete filter: a combined
+// region becomes a direct matrix kernel, and a single untouched filter
+// stays as written.
 func (o *optimizer) finalize(k linRes) ir.Stream {
-	if k.rep == nil {
+	if k.rep == nil || k.stream != nil {
 		return k.stream
 	}
-	if k.stream != nil && k.nsrc <= 1 {
-		// Single linear filter: consider frequency translation only.
-		if repl := o.maybeFreq(k.rep); repl != nil {
-			return repl
-		}
-		return k.stream
-	}
-	// A combined region.
 	o.rep.Combined += k.nsrc - 1
-	if repl := o.maybeFreq(k.rep); repl != nil {
-		return repl
-	}
 	o.rep.MatrixReplaced++
-	kern := ToKernel(o.name("LinearMatrix"), k.rep)
+	kern := ToKernel(fmt.Sprintf("LinearMatrix_%d", o.rep.MatrixReplaced), k.rep)
 	o.verify(k.rep, kern)
 	return &ir.Filter{Kernel: kern, In: ir.TypeFloat, Out: ir.TypeFloat}
 }
@@ -284,71 +245,91 @@ func (o *optimizer) verify(r *Rep, kern *wfunc.Kernel) {
 	}
 }
 
-func (o *optimizer) maybeFreq(r *Rep) ir.Stream {
-	if !o.opt.Frequency || !r.Toeplitz() {
-		return nil
-	}
-	if r.B[0] != 0 {
-		return nil // affine offset not supported by the frequency kernel
-	}
-	taps := r.Taps()
-	// Pick the block size minimizing estimated cost per output; Options.
-	// Block acts as a lower bound on the candidates considered.
-	best, bestCost := 0, 0.0
-	for _, blk := range []int{64, 128, 256, 512, 1024, 2048} {
-		if blk < o.opt.Block {
-			continue
+// cheapestSplit cuts a run of pipelined linear regions into consecutive
+// groups, each combined into one region, so that the run costs the least
+// per firing of its first region: the paper's optimal selection, by
+// dynamic programming over the cut points. A greedy merge of neighbours
+// would stop where one step costs more than it saves, as a zero-stuffing
+// expander's rows do until the FIR after it joins.
+func cheapestSplit(run []linRes) []linRes {
+	n := len(run)
+	// fires[i] is region i's firings per firing of region 0.
+	fires := make([]float64, n)
+	fires[0] = 1
+	for i := 1; i < n; i++ {
+		if run[i].rep.Pop == 0 {
+			return append(cheapestSplit(run[:i]), cheapestSplit(run[i:])...)
 		}
-		c := FreqCostPerOutput(len(taps), blk)
-		if best == 0 || c < bestCost {
-			best, bestCost = blk, c
+		fires[i] = fires[i-1] * float64(run[i-1].rep.Push) / float64(run[i].rep.Pop)
+	}
+	best := make([]float64, n+1) // best[k]: the least cost of run[:k]
+	from := make([]int, n+1)     // the last group of that split is run[from[k]:k],
+	group := make([]linRes, n+1) // combined into group[k]
+	for k := 1; k <= n; k++ {
+		best[k] = math.Inf(1)
+	}
+	for j := 0; j < n; j++ {
+		g := run[j]
+		for k := j + 1; k <= n; k++ {
+			if k > j+1 {
+				comb, err := CombinePipeline(g.rep, run[k-1].rep)
+				if err != nil {
+					break
+				}
+				g = linRes{rep: comb, nsrc: g.nsrc + run[k-1].nsrc}
+			}
+			// The group fires once per g.rep.Pop items into run[j], or,
+			// headed by a source, once per g.rep.Push out of run[k-1].
+			gFires := fires[j]
+			switch {
+			case g.rep.Pop > 0:
+				gFires *= float64(run[j].rep.Pop) / float64(g.rep.Pop)
+			case g.rep.Push > 0:
+				gFires = fires[k-1] * float64(run[k-1].rep.Push) / float64(g.rep.Push)
+			}
+			if c := best[j] + gFires*float64(g.cost()); c < best[k] {
+				best[k], from[k], group[k] = c, j, g
+			}
 		}
 	}
-	if best == 0 {
-		best, bestCost = o.opt.Block, FreqCostPerOutput(len(taps), o.opt.Block)
+	var out []linRes
+	for k := n; k > 0; k = from[k] {
+		out = append(out, group[k])
 	}
-	if !o.opt.Force && bestCost >= DirectCostPerOutput(r) {
-		return nil
-	}
-	kern, err := FreqKernel(o.name("LinearFreq"), taps, best)
-	if err != nil {
-		return nil
-	}
-	o.verify(r, kern)
-	o.rep.FreqTranslated++
-	return &ir.Filter{Kernel: kern, In: ir.TypeFloat, Out: ir.TypeFloat}
+	slices.Reverse(out)
+	return out
 }
 
-// worthCombining: combining two pipelined linear filters pays off when the
-// combined matrix does no more multiplies per steady output than the pair.
-func worthCombining(f, g, comb *Rep) bool {
-	// Costs per combined firing: the pair executes f and g enough times to
-	// match comb's rates.
-	u := lcm(f.Push, g.Pop)
-	fFires := u / f.Push
-	gFires := u / g.Pop
-	pairCost := float64(fFires*costOf(f) + gFires*costOf(g))
-	return float64(costOf(comb)) <= pairCost*1.05
-}
-
-func worthCombiningSJ(reps []*Rep, comb *Rep) bool {
+// worthCombiningSJ: combining a split-join's linear branches pays off when
+// the combined nest costs at most a quarter more than the branches per
+// combined firing.
+func worthCombiningSJ(kids []linRes, comb *Rep) bool {
 	pair := 0.0
-	for _, r := range reps {
+	for _, k := range kids {
 		fires := 1.0
-		if r.Pop > 0 {
-			fires = float64(comb.Pop) / float64(r.Pop)
+		if k.rep.Pop > 0 {
+			fires = float64(comb.Pop) / float64(k.rep.Pop)
 		}
-		pair += fires * float64(costOf(r))
+		pair += fires * float64(k.cost())
 	}
-	return float64(costOf(comb)) <= pair*1.25
+	return float64(nestCost(comb)) <= pair*1.25
 }
 
-// costOf approximates a rep's per-firing execution cost: one multiply-add
-// per nonzero coefficient plus per-row overhead. ToKernel's nest
-// multiplies the zeros too, four rows at a time; the count is the
-// interpreter-era model the optimiser's decisions still rest on.
-func costOf(r *Rep) int {
-	return r.NonZeros() + 2*r.Push
+// cost approximates a linear region's per-firing execution cost: one
+// multiply-add per coefficient plus per-row overhead. A filter left as
+// written is priced at its nonzero coefficients; a combined region runs
+// as ToKernel's nest, which multiplies all of them (nestCost).
+func (k linRes) cost() int {
+	if k.stream == nil {
+		return nestCost(k.rep)
+	}
+	return k.rep.NonZeros() + 2*k.rep.Push
+}
+
+// nestCost is the per-firing cost of ToKernel's nest for r, which
+// multiplies every coefficient, zeros included.
+func nestCost(r *Rep) int {
+	return r.Peek*r.Push + 2*r.Push
 }
 
 // VerifyEquivalent checks that a replacement kernel computes the same

@@ -1,9 +1,11 @@
 // Package linear implements the paper's linear analysis and optimization:
 // detecting filters whose outputs are affine combinations of their inputs
-// (FIR filters, expanders, compressors, DCTs...), collapsing neighboring
-// linear nodes into a single linear representation (eliminating redundant
-// computation), and translating convolutions into the frequency domain for
-// algorithmic savings.
+// (FIR filters, expanders, compressors, DCTs...) and collapsing
+// neighboring linear nodes into a single linear representation
+// (eliminating redundant computation). The paper's third step, translating
+// convolutions into the frequency domain, is left out: written as IL, an
+// overlap-save FFT ran slower than the direct kernel on the VM at every
+// block size measured (EXPERIMENTS.md, A3).
 //
 // Replacement filters are generated back into the wfunc IL, so optimized
 // and unoptimized programs execute through the same interpreter and
@@ -65,18 +67,6 @@ func (r *Rep) Apply(window []float64) ([]float64, error) {
 		out[j] = acc
 	}
 	return out, nil
-}
-
-// Toeplitz reports whether the representation is a pure sliding
-// convolution: pop == push == 1 and a single row (then frequency
-// translation applies directly).
-func (r *Rep) Toeplitz() bool {
-	return r.Pop == 1 && r.Push == 1 && len(r.A) == 1
-}
-
-// Taps returns the convolution kernel for a Toeplitz representation.
-func (r *Rep) Taps() []float64 {
-	return append([]float64(nil), r.A[0]...)
 }
 
 func gcd(a, b int) int {
