@@ -14,6 +14,7 @@ package bench
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"time"
 
@@ -365,8 +366,9 @@ const pairSlices = 5
 // backend, interleaved: both engines are built and past init first, then
 // the two run by turns over pairSlices slices of MeasureDur/pairSlices
 // each, the side that goes first alternating, so that drift on a noisy
-// machine lands on both. It returns the median of the per-slice rate
-// ratios a/b and each side's median rate in sink items per second.
+// machine lands on both, and each slice starts on a collected heap. It
+// returns the median of the per-slice rate ratios a/b and each side's
+// median rate in sink items per second.
 func measurePair(a, b *ir.Program) (ratio, rateA, rateB float64, err error) {
 	sides := [2]*timed{}
 	for i, p := range [2]*ir.Program{a, b} {
@@ -381,6 +383,9 @@ func measurePair(a, b *ir.Program) (ratio, rateA, rateB float64, err error) {
 		var r [2]float64
 		for k := 0; k < 2; k++ {
 			i := (s + k) % 2
+			// A clean heap for every slice: a collection one side's garbage
+			// starts must not land in the other side's slice.
+			runtime.GC()
 			if r[i], err = sides[i].run(slice); err != nil {
 				return 0, 0, 0, err
 			}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"slices"
 
 	"streamit/internal/ir"
 	"streamit/internal/sched"
@@ -37,12 +38,14 @@ import (
 //	    u32 batch | u32 level count, u32 levels...
 //
 // The fields are internal/wire primitives (the one codec the session
-// envelope and the distributed payloads also use): encodeImage and
-// readImage below are this list spelled once each way. The reader validates
-// every count against the remaining data before allocation and latches the
-// first fault, and shapes are re-validated against the engine's graph at
-// apply time, so corrupt or truncated images produce errors, never panics
-// or huge allocations.
+// envelope and the distributed payloads also use): appendImage and
+// readImage below are this list spelled once each way. The writer streams
+// from the engine's rings and states into the caller's buffer, and the
+// reader decodes field state and items in place, so neither side makes
+// garbage. The reader validates every count against the remaining data
+// before allocation and latches the first fault, and shapes are
+// re-validated against the engine's graph at apply time, so corrupt or
+// truncated images produce errors, never panics or huge allocations.
 //
 // Images without the SWPS trailer are uniform: every node sits at the same
 // logical iteration, and any engine over the fingerprinted graph can
@@ -95,7 +98,8 @@ func GraphFingerprint(g *ir.Graph, s *sched.Schedule) uint64 {
 }
 
 // ckptImage is the engine-neutral decoded form of a checkpoint: what any
-// engine over the fingerprinted graph needs to resume.
+// engine over the fingerprinted graph needs to resume, and what its field
+// state and items did not already decode into.
 type ckptImage struct {
 	iteration int64
 	firings   int64
@@ -117,19 +121,17 @@ type ckptSWP struct {
 
 type ckptNode struct {
 	fired int64
-	// state is what an engine writing an image lends it (nil for stateless
-	// nodes); reading one decodes straight into the engine's states instead.
+	// state is the private copy a shared state moved to (readNodeState);
+	// nil where the image decoded into the engine's own state.
 	state *wfunc.State
 }
 
-// ckptEdge is one edge's counters and buffered items. An engine writing an
-// image lends its own buffers instead of copying them — more is the stretch
-// that follows items there, a ring's wrapped part — so such an image must
-// be encoded before the engine runs again. A decoded image has everything
-// in items.
+// ckptEdge is one edge's counters and its buffered items, still encoded:
+// raw holds 8 bytes per item and aliases the image, so the engine decodes
+// it into its own storage before the image's buffer goes away.
 type ckptEdge struct {
 	pushed, popped int64
-	items, more    []float64
+	raw            []byte
 }
 
 // WriteNodeState appends one node's state section, `u8 has | floats
@@ -161,58 +163,43 @@ func ReadNodeState(r *wire.Reader) *wfunc.State {
 	return st
 }
 
-// spare is the free space w lends a caller that is about to Write to it (a
-// bytes.Buffer and a bufio.Writer do): a reused buffer then takes an image
-// without an allocation or a copy. It is nil for any other writer.
-func spare(w io.Writer) []byte {
-	if sb, ok := w.(interface{ AvailableBuffer() []byte }); ok {
-		return sb.AvailableBuffer()
-	}
-	return nil
-}
-
-// encodeImage serializes an image under the given graph fingerprint,
-// appending to dst[:0] when that has the room.
-func encodeImage(dst []byte, fp uint64, img *ckptImage) []byte {
-	// Size the buffer for everything but pending messages and the trailer,
-	// so a typical image is one allocation instead of a doubling series.
-	size := 64 + 32*len(img.nodes) + 24*len(img.edges)
-	for _, e := range img.edges {
-		size += 8 * (len(e.items) + len(e.more))
-	}
-	for _, n := range img.nodes {
-		if n.state != nil {
-			size += 8 * len(n.state.Scalars)
-			for _, a := range n.state.Arrays {
-				size += 4 + 8*len(a)
-			}
-		}
-	}
-	w := wire.Writer(dst[:0])
-	if cap(w) < size {
-		w = make(wire.Writer, 0, size)
-	}
+// appendImage appends to dst the image of an engine at iteration, streamed
+// from what the engine holds: its nodes' firing counts and states; per edge
+// the items of queues[i], then of stage[i] (a producer's unflushed residue,
+// where stage has one), its pushed counter where the later ring ends; the
+// messages pending per node (nil without messaging); and sw's trailer (nil
+// for a uniform image). dst grows at most once, to imageSize, and a reused
+// buffer not at all.
+func appendImage(dst []byte, fp uint64, iteration, firings int64, nodes []*nodeRT, queues, stage []*wfunc.Ring,
+	pending [][]*message, sw *ckptSWP) []byte {
+	w := wire.Writer(slices.Grow(dst, imageSize(nodes, queues, stage, pending, sw)))
 	w = append(w, checkpointMagic...)
 	w.U32(checkpointVersion)
 	w.U64(fp)
-	w.I64(img.iteration)
-	w.I64(img.firings)
-	w.Count(len(img.nodes))
-	for _, n := range img.nodes {
-		w.I64(n.fired)
-		WriteNodeState(&w, n.state)
+	w.I64(iteration)
+	w.I64(firings)
+	w.Count(len(nodes))
+	for _, rt := range nodes {
+		w.I64(rt.fired)
+		WriteNodeState(&w, rt.state)
 	}
-	w.Count(len(img.edges))
-	for _, e := range img.edges {
-		w.I64(e.pushed)
-		w.I64(e.popped)
-		w.Count(len(e.items) + len(e.more))
-		w.F64s(e.items)
-		if len(e.more) > 0 { // most edges lend one stretch: skip the call
-			w.F64s(e.more)
+	w.Count(len(queues))
+	for i := range queues {
+		q, end, n := edgeRings(queues, stage, i)
+		w.I64(end.Pushed)
+		w.I64(q.Popped)
+		w.Count(n)
+		a, b := q.Stretches()
+		w.F64s(a)
+		w.F64s(b)
+		if end != q {
+			a, b = end.Stretches()
+			w.F64s(a)
+			w.F64s(b)
 		}
 	}
-	for _, msgs := range img.pending {
+	for i := range nodes {
+		msgs := pendingAt(pending, i)
 		w.Count(len(msgs))
 		for _, m := range msgs {
 			w.Str(m.handler)
@@ -222,7 +209,7 @@ func encodeImage(dst []byte, fp uint64, img *ckptImage) []byte {
 			w.Bool(m.bestEffort)
 		}
 	}
-	if sw := img.swp; sw != nil {
+	if sw != nil {
 		w = append(w, swpMagic...)
 		w.I64(sw.base)
 		w.I64(sw.segIters)
@@ -234,6 +221,49 @@ func encodeImage(dst []byte, fp uint64, img *ckptImage) []byte {
 		}
 	}
 	return w
+}
+
+// imageSize is the length of the image appendImage writes from the same
+// engine state: the static rates fix every count before a byte is written.
+func imageSize(nodes []*nodeRT, queues, stage []*wfunc.Ring, pending [][]*message, sw *ckptSWP) int {
+	size := 44 + 13*len(nodes) + 20*len(queues)
+	for i, rt := range nodes {
+		if st := rt.state; st != nil {
+			size += 8 + 8*len(st.Scalars) + 4*len(st.Arrays)
+			for _, a := range st.Arrays {
+				size += 8 * len(a)
+			}
+		}
+		for _, m := range pendingAt(pending, i) {
+			size += 18 + len(m.handler) + 8*len(m.args)
+		}
+	}
+	for i := range queues {
+		_, _, n := edgeRings(queues, stage, i)
+		size += 8 * n
+	}
+	if sw != nil {
+		size += 36 + 4*len(sw.levels)
+	}
+	return size
+}
+
+// edgeRings is edge i in appendImage: the ring it starts in, the ring it
+// ends in (its staging ring, where it has one) and the items they buffer.
+func edgeRings(queues, stage []*wfunc.Ring, i int) (q, end *wfunc.Ring, n int) {
+	q, end, n = queues[i], queues[i], queues[i].Len()
+	if i < len(stage) && stage[i] != nil {
+		end, n = stage[i], n+stage[i].Len()
+	}
+	return q, end, n
+}
+
+// pendingAt is node i's pending messages, none where pending is nil.
+func pendingAt(pending [][]*message, i int) []*message {
+	if i < len(pending) {
+		return pending[i]
+	}
+	return nil
 }
 
 // readNodeState decodes the section WriteNodeState wrote straight into
@@ -294,12 +324,13 @@ func fieldOf(st *wfunc.State, k int) []float64 {
 // readImage decodes a checkpoint into the engine that calls it: node i's
 // field state goes directly into the state node(i) returns with the node's
 // name and whether it is shared (readNodeState), and the image keeps a
-// state only where that moved to a private copy; everything else goes into
-// the returned image for the engine to validate against its graph and
-// install. The fingerprint, the node count, state shapes and structural
-// invariants (edge counters vs. buffered items, flag ranges, no trailing
-// bytes) are enforced here. After an error the unshared states handed out
-// may hold part of the image.
+// state only where that moved to a private copy; each edge's items stay
+// encoded, aliasing data, for the engine to decode into its own storage;
+// everything else goes into the returned image for the engine to validate
+// against its graph and install. The fingerprint, the node count, state
+// shapes and structural invariants (edge counters vs. buffered items, flag
+// ranges, no trailing bytes) are enforced here. After an error the
+// unshared states handed out may hold part of the image.
 func readImage(data []byte, wantFP uint64, numNodes int, node func(i int) (string, *wfunc.State, bool)) (*ckptImage, error) {
 	r := wire.NewReader("exec: checkpoint", data)
 	if magic := r.Raw(len(checkpointMagic)); string(magic) != checkpointMagic {
@@ -329,9 +360,9 @@ func readImage(data []byte, wantFP uint64, numNodes int, node func(i int) (strin
 	img.edges = make([]ckptEdge, r.Count(20)) // i64+i64+u32 minimum
 	for i := range img.edges {
 		e := &img.edges[i]
-		e.pushed, e.popped, e.items = r.I64(), r.I64(), r.Floats()
-		if e.pushed-e.popped != int64(len(e.items)) {
-			r.Failf("edge %d counters (pushed %d, popped %d) disagree with %d buffered items", i, e.pushed, e.popped, len(e.items))
+		e.pushed, e.popped, e.raw = r.I64(), r.I64(), r.Raw(8*r.Count(8))
+		if e.pushed-e.popped != int64(len(e.raw)/8) {
+			r.Failf("edge %d counters (pushed %d, popped %d) disagree with %d buffered items", i, e.pushed, e.popped, len(e.raw)/8)
 		}
 	}
 	img.pending = make([][]*message, len(img.nodes))
@@ -382,22 +413,15 @@ func readSWP(r *wire.Reader, numNodes int) *ckptSWP {
 // the caller's steady-state position (how many iterations have run), so a
 // resuming process knows how many remain.
 func (e *Engine) WriteCheckpoint(w io.Writer, iteration int64) error {
-	img := &ckptImage{
-		iteration: iteration,
-		firings:   e.Firings,
-		nodes:     make([]ckptNode, len(e.nodes)),
-		edges:     make([]ckptEdge, len(e.chans)),
-		pending:   e.pending,
-	}
-	for i, rt := range e.nodes {
-		img.nodes[i] = ckptNode{fired: rt.fired, state: rt.state}
-	}
-	for i, ch := range e.chans {
-		items, more := ch.Stretches()
-		img.edges[i] = ckptEdge{pushed: ch.Pushed, popped: ch.Popped, items: items, more: more}
-	}
-	_, err := w.Write(encodeImage(spare(w), e.fp, img))
+	_, err := w.Write(e.AppendCheckpoint(wire.Spare(w), iteration))
 	return err
+}
+
+// AppendCheckpoint appends the image WriteCheckpoint writes to dst and
+// returns the extended buffer, allocating nothing when dst has the room: a
+// server that wraps an image in its own envelope encodes both in one pass.
+func (e *Engine) AppendCheckpoint(dst []byte, iteration int64) []byte {
+	return appendImage(dst, e.fp, iteration, e.Firings, e.nodes, e.chans, nil, e.pending, nil)
 }
 
 // RestoreCheckpoint loads a checkpoint image into an engine constructed
@@ -425,9 +449,11 @@ func (e *Engine) RestoreCheckpoint(data []byte) (int64, error) {
 		}
 	}
 	for i, ie := range img.edges {
-		// Refill the existing ring, at the image's positions: filters are
-		// bound to it.
-		e.chans[i].Fill(ie.popped, ie.items)
+		// Refill the existing ring, at the image's positions (filters are
+		// bound to it), decoding the items straight into its slots.
+		a, b := e.chans[i].Refill(ie.popped, len(ie.raw)/8)
+		wire.DecodeF64s(a, ie.raw[:8*len(a)])
+		wire.DecodeF64s(b, ie.raw[8*len(a):])
 	}
 	copy(e.pending, img.pending)
 	e.Firings = img.firings

@@ -26,6 +26,15 @@ func FuzzCheckpointRestore(f *testing.F) {
 	f.Add([]byte("STRMCKPT"))
 	f.Add(valid[:len(valid)/2])
 	f.Add(hostileMessageImage(src.fp, 1<<10, 32<<10))
+	// The same state at every ring offset: some restores decode items across
+	// the end of a ring's storage.
+	most := 0
+	for _, ch := range buildEngine(f, apps.FMRadio(2, 8), BackendVM).chans {
+		most = max(most, slots(ch))
+	}
+	for _, img := range shiftedImages(f, src, 2, most+1) {
+		f.Add(img)
+	}
 	for _, off := range []int{8, 12, 20, 28, 36, len(valid) - 9} {
 		if off >= 0 && off < len(valid) {
 			mut := append([]byte(nil), valid...)

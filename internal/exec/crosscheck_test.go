@@ -85,7 +85,7 @@ func TestEngineMatchesAbstractSim(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, edge := range g.Edges {
-			if got, want := len(img.edges[edge.ID].items), sim.Items[edge.ID]; got != want {
+			if got, want := len(img.edges[edge.ID].raw)/8, sim.Items[edge.ID]; got != want {
 				t.Fatalf("trial %d: channel %s holds %d items, abstract sim says %d",
 					trial, edge, got, want)
 			}

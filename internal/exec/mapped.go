@@ -133,14 +133,12 @@ type MappedEngine struct {
 	// counts completed steady iterations, the schedule's post-init counters
 	// initFired and initPushed and each edge's push per firing are what a
 	// barrier's counters follow from, writes marks the nodes whose state a
-	// firing can change. Every image WriteCheckpoint encodes reuses img,
-	// imgSWP and, per edge, gather, which a restore also lends its items.
+	// firing can change. A restore decodes each edge's items into gather,
+	// which it reuses.
 	ready                       bool
 	iter                        int64
 	initFired, initPushed, push []int64
 	writes                      []bool
-	img                         ckptImage
-	imgSWP                      ckptSWP
 	gather                      [][]float64
 	// fp is the graph fingerprint every image is written and checked under.
 	fp uint64

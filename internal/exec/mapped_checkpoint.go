@@ -3,10 +3,12 @@ package exec
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"streamit/internal/ir"
 	"streamit/internal/sched"
 	"streamit/internal/wfunc"
+	"streamit/internal/wire"
 )
 
 // Mapped checkpoints reuse the sequential engine's image format over the
@@ -65,54 +67,12 @@ func (me *MappedEngine) edgeItems(dst []float64, e *ir.Edge) []float64 {
 	return dst
 }
 
-// image captures the engine-neutral checkpoint at the current barrier, in
-// storage the engine reuses. It lends the engine's rings, states, stage
-// levels and pending messages: encode it before the engine runs again.
-func (me *MappedEngine) image(iteration int64) *ckptImage {
-	sw, img := me.swp, &me.img
-	if img.nodes == nil {
-		img.nodes = make([]ckptNode, len(me.nodes))
-		img.edges = make([]ckptEdge, len(me.G.Edges))
-		img.pending = make([][]*message, len(me.nodes))
-	}
-	img.iteration, img.firings, img.swp = iteration, 0, nil
-	if sw.maxStage() > 0 {
-		// Only a skewed plan has barriers that are not uniform: it records
-		// the iterations every stage has retired, and between segment
-		// boundaries the stage trailer. Zero-skew images never carry one, so
-		// they stay interchangeable with the sequential engine.
-		img.iteration = sw.base + sw.completed(me.iter)
-		if me.iter > 0 && me.iter < sw.segIters+sw.maxStage() {
-			me.imgSWP = ckptSWP{base: sw.base, segIters: sw.segIters, cycles: me.iter,
-				batch: int(sw.batch), levels: sw.levels}
-			img.swp = &me.imgSWP
-		}
-	}
-	for i, rt := range me.nodes {
-		img.nodes[i] = ckptNode{fired: rt.fired, state: rt.state}
-		img.firings += rt.fired
-	}
-	for _, e := range me.G.Edges {
-		q := me.queues[e.ID]
-		ie := ckptEdge{pushed: me.outRing(e).Pushed, popped: q.Popped}
-		if st := me.stage[e.ID]; st != nil && st.Len() > 0 {
-			// A skewed barrier mid-segment: the residue follows the queue.
-			me.gather[e.ID] = me.edgeItems(me.gather[e.ID][:0], e)
-			ie.items = me.gather[e.ID]
-		} else {
-			ie.items, ie.more = q.Stretches()
-		}
-		img.edges[e.ID] = ie
-	}
-	copy(img.pending, sw.pending)
-	return img
-}
-
 // WriteCheckpoint serializes the engine's execution state at an iteration
-// boundary. The engine must have completed a Run or a RestoreCheckpoint
-// (steady state quiesced: all workers joined, links drained). On skewed
-// plans the recorded iteration is derived from the cycle position (retired
-// iterations), superseding the argument.
+// boundary, streamed from its rings (a skewed barrier's staging residue
+// after its queue) and states. The engine must have completed a Run or a
+// RestoreCheckpoint (steady state quiesced: all workers joined, links
+// drained). On skewed plans the recorded iteration is derived from the
+// cycle position (retired iterations), superseding the argument.
 func (me *MappedEngine) WriteCheckpoint(w io.Writer, iteration int64) error {
 	if !me.ready {
 		return fmt.Errorf("exec: mapped engine has no state to checkpoint; run it (or restore into it) first")
@@ -120,7 +80,22 @@ func (me *MappedEngine) WriteCheckpoint(w io.Writer, iteration int64) error {
 	if me.local != nil && me.iter > 0 {
 		return fmt.Errorf("exec: a sharded engine holds only its local partitions' state; use ExportShard + AssembleShardImage")
 	}
-	_, err := w.Write(encodeImage(spare(w), me.fp, me.image(iteration)))
+	sw, trailer := me.swp, (*ckptSWP)(nil)
+	if sw.maxStage() > 0 {
+		// Only a skewed plan has barriers that are not uniform: it records
+		// the iterations every stage has retired, and between segment
+		// boundaries the stage trailer. Zero-skew images never carry one, so
+		// they stay interchangeable with the sequential engine.
+		iteration = sw.base + sw.completed(me.iter)
+		if me.iter > 0 && me.iter < sw.segIters+sw.maxStage() {
+			trailer = &ckptSWP{base: sw.base, segIters: sw.segIters, cycles: me.iter, batch: int(sw.batch), levels: sw.levels}
+		}
+	}
+	var firings int64
+	for _, rt := range me.nodes {
+		firings += rt.fired
+	}
+	_, err := w.Write(appendImage(wire.Spare(w), me.fp, iteration, firings, me.nodes, me.queues, me.stage, sw.pending, trailer))
 	return err
 }
 
@@ -208,9 +183,11 @@ func (me *MappedEngine) applyImage(data []byte) error {
 		if want := pushedAt(e, img.nodes[e.Src.ID].fired, me.push); ie.pushed != want {
 			return fmt.Errorf("exec: checkpoint edge %s pushed counter %d disagrees with its source's firing count (want %d)", e, ie.pushed, want)
 		}
-		r.items[e.ID] = ie.items
-		if s := me.staged(r, e); s > len(ie.items) {
-			return fmt.Errorf("exec: checkpoint edge %s buffers %d items, fewer than its %d-item staging residue", e, len(ie.items), s)
+		n := len(ie.raw) / 8
+		r.items[e.ID] = slices.Grow(r.items[e.ID][:0], n)[:n]
+		wire.DecodeF64s(r.items[e.ID], ie.raw)
+		if s := me.staged(r, e); s > n {
+			return fmt.Errorf("exec: checkpoint edge %s buffers %d items, fewer than its %d-item staging residue", e, n, s)
 		}
 	}
 	me.install(r)

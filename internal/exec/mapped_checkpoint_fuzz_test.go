@@ -68,8 +68,20 @@ func FuzzMappedCheckpointRestore(f *testing.F) {
 	if err := src.WriteCheckpoint(&buf, 2); err != nil {
 		f.Fatal(err)
 	}
-	valid := buf.Bytes()
+	valid := bytes.Clone(buf.Bytes())
 	f.Add(valid)
+	// Later barriers: a fresh engine's rings place their items from other
+	// offsets, some across the end of their storage.
+	for n := 3; n <= 10; n++ {
+		if err := src.Run(n); err != nil {
+			f.Fatal(err)
+		}
+		buf.Reset()
+		if err := src.WriteCheckpoint(&buf, int64(n)); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(bytes.Clone(buf.Bytes()))
+	}
 	f.Add([]byte{})
 	f.Add([]byte("STRMCKPT"))
 	f.Add(valid[:len(valid)/2])

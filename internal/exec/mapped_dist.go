@@ -174,14 +174,10 @@ func (me *MappedEngine) ExportShard() (*ShardState, error) {
 // firing counts by the rule a mapped restore checks its image against.
 func AssembleShardImage(g *ir.Graph, s *sched.Schedule, iteration int64, parts []*ShardState) ([]byte, error) {
 	initFired, _, push := initCounts(g, s)
-	img := &ckptImage{
-		iteration: iteration,
-		nodes:     make([]ckptNode, len(g.Nodes)),
-		edges:     make([]ckptEdge, len(g.Edges)),
-		pending:   make([][]*message, len(g.Nodes)),
-	}
-	haveNode := make([]bool, len(g.Nodes))
+	nodes := make([]*nodeRT, len(g.Nodes))
+	items := make([][]float64, len(g.Edges))
 	haveEdge := make([]bool, len(g.Edges))
+	var firings int64
 	for pi, part := range parts {
 		if part == nil {
 			return nil, fmt.Errorf("exec: assemble: part %d is nil", pi)
@@ -190,16 +186,15 @@ func AssembleShardImage(g *ir.Graph, s *sched.Schedule, iteration int64, parts [
 			if ns.ID < 0 || ns.ID >= len(g.Nodes) {
 				return nil, fmt.Errorf("exec: assemble: part %d names node %d of %d", pi, ns.ID, len(g.Nodes))
 			}
-			if haveNode[ns.ID] {
+			if nodes[ns.ID] != nil {
 				return nil, fmt.Errorf("exec: assemble: node %d owned by two shards", ns.ID)
 			}
-			haveNode[ns.ID] = true
 			if ns.Fired < initFired[ns.ID] {
 				return nil, fmt.Errorf("exec: assemble: node %s fired %d times, below its initialization count %d",
 					g.Nodes[ns.ID].Name, ns.Fired, initFired[ns.ID])
 			}
-			img.nodes[ns.ID] = ckptNode{fired: ns.Fired, state: ns.State}
-			img.firings += ns.Fired
+			nodes[ns.ID] = &nodeRT{fired: ns.Fired, state: ns.State}
+			firings += ns.Fired
 		}
 		for _, es := range part.Edges {
 			if es.ID < 0 || es.ID >= len(g.Edges) {
@@ -209,11 +204,11 @@ func AssembleShardImage(g *ir.Graph, s *sched.Schedule, iteration int64, parts [
 				return nil, fmt.Errorf("exec: assemble: edge %d owned by two shards", es.ID)
 			}
 			haveEdge[es.ID] = true
-			img.edges[es.ID] = ckptEdge{items: es.Items}
+			items[es.ID] = es.Items
 		}
 	}
-	for id, ok := range haveNode {
-		if !ok {
+	for id, rt := range nodes {
+		if rt == nil {
 			return nil, fmt.Errorf("exec: assemble: node %s owned by no shard", g.Nodes[id].Name)
 		}
 	}
@@ -222,14 +217,15 @@ func AssembleShardImage(g *ir.Graph, s *sched.Schedule, iteration int64, parts [
 			return nil, fmt.Errorf("exec: assemble: edge %s owned by no shard", g.Edges[id])
 		}
 	}
+	queues := make([]*wfunc.Ring, len(g.Edges))
 	for _, e := range g.Edges {
-		pushed := pushedAt(e, img.nodes[e.Src.ID].fired, push)
-		ie := &img.edges[e.ID]
-		ie.pushed = pushed
-		ie.popped = pushed - int64(len(ie.items))
-		if ie.popped < 0 {
-			return nil, fmt.Errorf("exec: assemble: edge %s buffers %d items but only %d were ever pushed", e, len(ie.items), pushed)
+		pushed := pushedAt(e, nodes[e.Src.ID].fired, push)
+		popped := pushed - int64(len(items[e.ID]))
+		if popped < 0 {
+			return nil, fmt.Errorf("exec: assemble: edge %s buffers %d items but only %d were ever pushed", e, len(items[e.ID]), pushed)
 		}
+		queues[e.ID] = new(wfunc.Ring)
+		queues[e.ID].Fill(popped, items[e.ID])
 	}
-	return encodeImage(nil, GraphFingerprint(g, s), img), nil
+	return appendImage(nil, GraphFingerprint(g, s), iteration, firings, nodes, queues, nil, nil, nil), nil
 }

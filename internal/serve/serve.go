@@ -347,7 +347,7 @@ func (srv *Server) NewSession(opt SessionOptions) (*Session, error) {
 // wires the session's source override, sink taps, and supervision options.
 // The caller registers the result (and assigns its ID) under srv.mu.
 func (srv *Server) buildSession(ver *version, opt SessionOptions) (*Session, error) {
-	s := &Session{srv: srv, ver: ver, opt: opt, waitCh: make(chan struct{})}
+	s := &Session{srv: srv, ver: ver, opt: opt, policies: policiesSpec(opt.OnError), waitCh: make(chan struct{})}
 	engOpts := exec.Options{
 		Profile: opt.Profile,
 		Faults:  opt.Faults,

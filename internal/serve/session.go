@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"streamit/internal/exec"
@@ -66,6 +65,9 @@ type Session struct {
 	srv *Server
 	ver *version
 	opt SessionOptions
+	// policies is opt.OnError in its ParsePolicies spec form, rendered once
+	// for every checkpoint envelope to carry.
+	policies string
 
 	// Input geometry when opt.Source is set: items consumed per source
 	// firing, per steady iteration, and by the init schedule.
@@ -104,7 +106,7 @@ type engineRunner interface {
 	RunSteady(iters int) error
 	Iterations() int64
 	Profile() *obs.Profiler
-	WriteCheckpoint(w io.Writer, iteration int64) error
+	AppendCheckpoint(dst []byte, iteration int64) []byte
 	RestoreCheckpoint(data []byte) (int64, error)
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -24,7 +25,9 @@ import (
 // stopped. It is a list of internal/wire primitives, in sessImage's field
 // order behind the magic and a u32 version: u64 fingerprint, u64 id, str
 // program/source/tenant/policy spec, bool profile/inited, i64 goal/done,
-// floats input/output, bytes engine image.
+// floats input/output, bytes engine image. Checkpoint encodes it in one
+// pass into the writer's spare buffer, the engine's image in place behind
+// its length, and a restore decodes the image in place.
 const (
 	sessMagic    = "STRMSESS"
 	sessVersion  = 1
@@ -60,27 +63,35 @@ func (s *Session) Checkpoint(w io.Writer) error {
 	if s.err != nil {
 		return fmt.Errorf("serve: session %d is quarantined: %w", s.ID, s.err)
 	}
-	var eng bytes.Buffer
-	if err := s.eng.WriteCheckpoint(&eng, s.done); err != nil {
-		return err
-	}
-	e := append(wire.Writer(nil), sessMagic...)
+	e := append(wire.Writer(wire.Spare(w)), sessMagic...)
 	e.U32(sessVersion)
 	e.U64(s.ver.fp)
 	e.U64(s.ID)
 	e.Str(s.ver.name)
 	e.Str(s.opt.Source)
 	e.Str(s.opt.Tenant)
-	e.Str(policiesSpec(s.opt.OnError))
+	e.Str(s.policies)
 	e.Bool(s.opt.Profile)
 	e.Bool(s.inited)
 	e.I64(s.goal)
 	e.I64(s.done)
-	e.Floats(ringItems(&s.input))
-	e.Floats(ringItems(&s.output))
-	e.Bytes(eng.Bytes())
+	writeRing(&e, &s.input)
+	writeRing(&e, &s.output)
+	at := len(e)
+	e.Count(0) // the image's length, known once it is written
+	e = s.eng.AppendCheckpoint(e, s.done)
+	binary.LittleEndian.PutUint32(e[at:], uint32(len(e)-at-4))
 	_, err := w.Write(e)
 	return err
+}
+
+// writeRing appends a ring's buffered items, in order, as a floats list,
+// reading them in place.
+func writeRing(w *wire.Writer, r *wfunc.Ring) {
+	a, b := r.Stretches()
+	w.Count(len(a) + len(b))
+	w.F64s(a)
+	w.F64s(b)
 }
 
 // policiesSpec renders recovery policies back into the ParsePolicies spec
@@ -103,7 +114,9 @@ func policiesSpec(ps faults.Policies) string {
 	return strings.Join(parts, ",")
 }
 
-// sessImage is a decoded session checkpoint envelope.
+// sessImage is a decoded session checkpoint envelope. Its engine image is
+// still encoded and aliases the envelope: restoreSession decodes it into
+// the session's engine.
 type sessImage struct {
 	fp            uint64
 	id            uint64
@@ -204,8 +217,9 @@ func (srv *Server) Snapshot(dir string) (SnapshotSummary, error) {
 
 	sum := SnapshotSummary{Dir: dir}
 	man := snapshotManifest{Schema: SnapshotSchema}
+	var buf bytes.Buffer // one buffer for the sweep: no file is kept past its write
 	for _, s := range sessions {
-		var buf bytes.Buffer
+		buf.Reset()
 		if err := s.Checkpoint(&buf); err != nil {
 			sum.Skipped++
 			continue
@@ -263,10 +277,12 @@ func (srv *Server) Restore(dir string) (RestoreSummary, error) {
 	}
 	sort.Strings(files)
 	sum := RestoreSummary{Dir: dir}
+	var buf bytes.Buffer // one buffer for every file: nothing restored keeps a view into it
 	for _, f := range files {
-		data, err := os.ReadFile(f)
+		buf.Reset()
+		err := readFile(&buf, f)
 		if err == nil {
-			err = srv.restoreSession(data)
+			err = srv.restoreSession(buf.Bytes())
 		}
 		if err != nil {
 			sum.Failed = append(sum.Failed, fmt.Sprintf("%s: %v", filepath.Base(f), err))
@@ -277,7 +293,20 @@ func (srv *Server) Restore(dir string) (RestoreSummary, error) {
 	return sum, nil
 }
 
-// restoreSession rebuilds one session from its checkpoint envelope.
+// readFile reads the file at path into buf.
+func readFile(buf *bytes.Buffer, path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	_, err = buf.ReadFrom(f)
+	return err
+}
+
+// restoreSession rebuilds one session from its checkpoint envelope. data
+// is the caller's to reuse once it returns: the session and its engine
+// decode what they keep.
 func (srv *Server) restoreSession(data []byte) error {
 	img, err := decodeSession(data)
 	if err != nil {
@@ -360,11 +389,4 @@ func (srv *Server) restoreSession(data []byte) error {
 	s.kickLocked() // resume any iterations that were still owed
 	s.mu.Unlock()
 	return nil
-}
-
-// ringItems copies a ring's buffered items, in order, without consuming
-// them.
-func ringItems(r *wfunc.Ring) []float64 {
-	a, b := r.Stretches()
-	return append(append(make([]float64, 0, len(a)+len(b)), a...), b...)
 }

@@ -569,3 +569,74 @@ func TestRestoreOnBootDir(t *testing.T) {
 		t.Fatal("Snapshot with no directory configured succeeded")
 	}
 }
+
+// TestSessionCheckpointAllocatesNothing: Checkpoint encodes the envelope,
+// the queues read in place and the engine's image behind them, in one pass
+// into a warmed buffer's spare room, recovery policies included.
+func TestSessionCheckpointAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	srv := goldenSessionServer(t)
+	onError, err := faults.ParsePolicies("lowpass=retry:2,default=skip")
+	if err != nil {
+		t.Fatalf("ParsePolicies: %v", err)
+	}
+	s, err := srv.NewSession(SessionOptions{Program: "radio", Source: "antenna", Tenant: "acme", OnError: onError})
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
+	}
+	if _, err := s.Feed(goldenFeed(s.inPerInit + 5*s.inPerIter + 3)); err != nil {
+		t.Fatalf("Feed: %v", err)
+	}
+	if err := s.Run(5); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if err := s.WaitDone(5, 5*time.Second); err != nil {
+		t.Fatalf("WaitDone: %v", err)
+	}
+	s.Drain(2)
+	var buf bytes.Buffer
+	n := testing.AllocsPerRun(10, func() {
+		buf.Reset()
+		if err := s.Checkpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n != 0 {
+		t.Errorf("Checkpoint into a warmed buffer allocates %.0f times, want 0", n)
+	}
+	if _, err := decodeSession(buf.Bytes()); err != nil {
+		t.Fatalf("the envelope does not decode: %v", err)
+	}
+}
+
+// TestRestoreKeepsNoViewOfItsInput: Server.Restore reads every file into one
+// reused buffer, so a restored session must keep nothing of the envelope it
+// was decoded from — overwriting it afterwards leaves the session's own
+// re-encoding the envelope it was restored from.
+func TestRestoreKeepsNoViewOfItsInput(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "session_fmradio.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := bytes.Clone(golden)
+	srv := goldenSessionServer(t)
+	if err := srv.restoreSession(data); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	for i := range data {
+		data[i] = 0xa5
+	}
+	img, err := decodeSession(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := srv.Session(img.id).Checkpoint(&again); err != nil {
+		t.Fatalf("Checkpoint after restore: %v", err)
+	}
+	if !bytes.Equal(again.Bytes(), golden) {
+		t.Fatal("overwriting the restored envelope changed the session it restored")
+	}
+}

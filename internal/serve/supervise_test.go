@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"strings"
 	"testing"
@@ -241,9 +240,9 @@ func (p *panicEngine) RunSteady(iters int) error {
 	p.done += iters
 	return nil
 }
-func (p *panicEngine) Iterations() int64                      { return int64(p.done) }
-func (p *panicEngine) Profile() *obs.Profiler                 { return nil }
-func (p *panicEngine) WriteCheckpoint(io.Writer, int64) error { return nil }
+func (p *panicEngine) Iterations() int64                           { return int64(p.done) }
+func (p *panicEngine) Profile() *obs.Profiler                      { return nil }
+func (p *panicEngine) AppendCheckpoint(dst []byte, _ int64) []byte { return dst }
 func (p *panicEngine) RestoreCheckpoint([]byte) (int64, error) {
 	return 0, fmt.Errorf("fake engine")
 }

@@ -161,8 +161,21 @@ func (c *Ring) Take(dst []float64, n int) []float64 {
 // Fill replaces the ring's content with items, at the positions from
 // popped on: a setup, restore or rollback placing an edge at its counts.
 func (c *Ring) Fill(popped int64, items []float64) {
+	a, b := c.Refill(popped, len(items))
+	copy(b, items[copy(a, items):])
+}
+
+// Refill is Fill for n items the caller writes itself: it places the ring at
+// the positions from popped on and returns the slots of those n positions,
+// in order, as at most two stretches of its storage — where a restore
+// decodes an image's items straight into place.
+func (c *Ring) Refill(popped int64, n int) (a, b []float64) {
 	c.Popped, c.Pushed = popped, popped
-	c.Append(items)
+	if len(c.buf) < n {
+		c.grow(n)
+	}
+	c.Pushed += int64(n)
+	return c.Stretches()
 }
 
 // Stretches returns the buffered items, in order, as at most two slices of

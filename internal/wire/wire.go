@@ -26,6 +26,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"slices"
 	"unsafe"
@@ -34,6 +35,17 @@ import (
 // Writer accumulates an encoding. Unframed bytes (a magic) are appended
 // directly: w = append(w, magic...).
 type Writer []byte
+
+// Spare is the free space w lends a caller that is about to Write to it (a
+// bytes.Buffer and a bufio.Writer do): an encoding appended to it and then
+// written lands in a reused buffer without an allocation or a copy. It is
+// nil for any other writer.
+func Spare(w io.Writer) []byte {
+	if sb, ok := w.(interface{ AvailableBuffer() []byte }); ok {
+		return sb.AvailableBuffer()
+	}
+	return nil
+}
 
 func (w *Writer) U8(v byte)    { *w = append(*w, v) }
 func (w *Writer) U32(v uint32) { *w = binary.LittleEndian.AppendUint32(*w, v) }
