@@ -44,7 +44,7 @@
 //	-watchdog 2s                           stall-detection interval (-1s disables)
 //	-checkpoint st.ckpt -checkpoint-after 500   stop at iteration 500, save state
 //	-resume st.ckpt                        restore and finish the remaining iterations
-//	-checkpoint-every 100                  with -map: coordinated checkpoint cadence
+//	-checkpoint-every 100                  with -map: coordinated checkpoint cadence (block-aligned)
 //	-queue-depth 2                         with -map or -shards: batch slots per cross-worker edge ring
 //
 // -workers and -checkpoint-every are read by -map alone and -queue-depth
@@ -58,7 +58,10 @@
 // -map, a worker crash (injected with crash:workerN@iter) rolls back to
 // the last coordinated checkpoint, re-plans the partitions onto the
 // surviving workers, and resumes — degradation shows in the supervision
-// report.
+// report. Coordinated checkpoints fall at block ends (blocks of up to 8
+// iterations): -checkpoint-every N takes one at the first block end at
+// least N iterations on; with N = 1, the default under worker faults, a
+// crash (which cuts its block) rolls back to the iteration it hit.
 //
 // Distributed execution (-shards):
 //
@@ -149,7 +152,7 @@ func main() {
 	ckptPath := flag.String("checkpoint", "", "write an engine checkpoint to this file (sequential and -map engines)")
 	ckptAfter := flag.Int("checkpoint-after", 0, "with -checkpoint: stop and save after this many steady iterations")
 	resumePath := flag.String("resume", "", "restore a checkpoint written by -checkpoint and run the remaining iterations (sequential and -map engines)")
-	ckptEvery := flag.Int("checkpoint-every", 0, "with -map: take a coordinated checkpoint every N steady iterations (0 = only when worker faults are scheduled)")
+	ckptEvery := flag.Int("checkpoint-every", 0, "with -map: take a coordinated checkpoint at the first block end at least N steady iterations on, so 1 = once per block of up to 8 (0 = only when worker faults are scheduled)")
 	queueDepth := flag.Int("queue-depth", 0, "with -map or -shards: batch slots in each cross-worker edge's ring (0 = default)")
 	repeat := flag.Int("repeat", 1, "run the whole program N times on the sequential engine; compilation is cached, so repeats only stamp fresh engines")
 	shards := flag.Int("shards", 0, "run distributed: spawn N local shard worker processes and coordinate them over TCP")

@@ -83,9 +83,12 @@ type RunOptions struct {
 	// ahead of a consumer.
 	QueueDepth int
 	// CheckpointEvery makes the mapped engine take a coordinated
-	// checkpoint every N steady iterations — the rollback target for
-	// worker-crash recovery. 0 checkpoints only when a worker fault is
-	// scheduled (then every iteration).
+	// checkpoint — the rollback target for worker-crash recovery — at the
+	// first block end at least N steady iterations on: barriers fall at
+	// block ends, so N = 1 is one record per block of up to
+	// exec.StageBatch iterations, and a crash rolls back to the top of its
+	// own block. 0 checkpoints only when a worker fault is scheduled (then
+	// once per block).
 	CheckpointEvery int
 	// Log receives driver notes (engine fallbacks and the like). Nil logs
 	// through the standard logger.

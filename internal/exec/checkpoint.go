@@ -326,12 +326,12 @@ func fieldOf(st *wfunc.State, k int) []float64 {
 // name and whether it is shared (readNodeState), and the image keeps a
 // state only where that moved to a private copy; each edge's items stay
 // encoded, aliasing data, for the engine to decode into its own storage;
-// everything else goes into the returned image for the engine to validate
-// against its graph and install. The fingerprint, the node count, state
-// shapes and structural invariants (edge counters vs. buffered items, flag
-// ranges, no trailing bytes) are enforced here. After an error the
-// unshared states handed out may hold part of the image.
-func readImage(data []byte, wantFP uint64, numNodes int, node func(i int) (string, *wfunc.State, bool)) (*ckptImage, error) {
+// everything else goes into img, whose slices it reuses, for the engine to
+// validate against its graph and install; it returns img. The fingerprint,
+// the node count, state shapes and structural invariants (edge counters vs.
+// buffered items, flag ranges, no trailing bytes) are enforced here. After
+// an error the unshared states handed out may hold part of the image.
+func readImage(img *ckptImage, data []byte, wantFP uint64, numNodes int, node func(i int) (string, *wfunc.State, bool)) (*ckptImage, error) {
 	r := wire.NewReader("exec: checkpoint", data)
 	if magic := r.Raw(len(checkpointMagic)); string(magic) != checkpointMagic {
 		r.Failf("has a bad magic (not a checkpoint image)")
@@ -342,22 +342,20 @@ func readImage(data []byte, wantFP uint64, numNodes int, node func(i int) (strin
 	if fp := r.U64(); fp != wantFP {
 		r.Failf("fingerprint %016x does not match this program (%016x); was it taken from a different graph or schedule?", fp, wantFP)
 	}
-	img := &ckptImage{iteration: r.I64(), firings: r.I64()}
+	img.iteration, img.firings, img.swp = r.I64(), r.I64(), nil
 	if n := r.Count(9); n != numNodes { // i64 fired + u8 hasState minimum
 		r.Failf("has %d nodes, engine has %d", n, numNodes)
 	}
-	img.nodes = make([]ckptNode, numNodes)
-	for i := range img.nodes {
-		if r.Err() != nil {
-			break
-		}
-		img.nodes[i].fired = r.I64()
+	img.nodes = slices.Grow(img.nodes[:0], numNodes)[:numNodes]
+	for i := range img.nodes { // after a fault, r reads zeros and keeps its first error
+		img.nodes[i] = ckptNode{fired: r.I64()}
 		name, have, shared := node(i)
 		if st := readNodeState(r, name, have, shared); st != have {
 			img.nodes[i].state = st
 		}
 	}
-	img.edges = make([]ckptEdge, r.Count(20)) // i64+i64+u32 minimum
+	n := r.Count(20) // i64+i64+u32 minimum
+	img.edges = slices.Grow(img.edges[:0], n)[:n]
 	for i := range img.edges {
 		e := &img.edges[i]
 		e.pushed, e.popped, e.raw = r.I64(), r.I64(), r.Raw(8*r.Count(8))
@@ -365,10 +363,11 @@ func readImage(data []byte, wantFP uint64, numNodes int, node func(i int) (strin
 			r.Failf("edge %d counters (pushed %d, popped %d) disagree with %d buffered items", i, e.pushed, e.popped, len(e.raw)/8)
 		}
 	}
-	img.pending = make([][]*message, len(img.nodes))
+	img.pending = slices.Grow(img.pending[:0], numNodes)[:numNodes]
 	for i := range img.pending {
 		// str length + floats count + i64 target + two flags minimum. The list
 		// grows by append, so the loop itself must stop at a fault.
+		img.pending[i] = img.pending[i][:0]
 		for k := r.Count(18); k > 0 && r.Err() == nil; k-- {
 			img.pending[i] = append(img.pending[i], &message{
 				handler: r.Str(), args: r.Floats(), target: r.I64(),
@@ -430,7 +429,7 @@ func (e *Engine) AppendCheckpoint(dst []byte, iteration int64) []byte {
 // must be freshly constructed or otherwise disposable: on error the
 // engine's state is unspecified and it must not be run.
 func (e *Engine) RestoreCheckpoint(data []byte) (int64, error) {
-	img, err := readImage(data, e.fp, len(e.nodes), func(i int) (string, *wfunc.State, bool) {
+	img, err := readImage(new(ckptImage), data, e.fp, len(e.nodes), func(i int) (string, *wfunc.State, bool) {
 		rt := e.nodes[i]
 		return rt.node.Name, rt.state, rt.state != nil && rt.state == e.protos[i]
 	})

@@ -144,7 +144,7 @@ func shiftedImages(tb testing.TB, e *Engine, iteration int64, slots int) [][]byt
 func imageEdges(tb testing.TB, data []byte, fp uint64, nodes []*nodeRT) (popped []int64, items [][]float64) {
 	tb.Helper()
 	// Shared states are compared, never written: the engine keeps its own.
-	img, err := readImage(data, fp, len(nodes), func(i int) (string, *wfunc.State, bool) {
+	img, err := readImage(new(ckptImage), data, fp, len(nodes), func(i int) (string, *wfunc.State, bool) {
 		return nodes[i].node.Name, nodes[i].state, nodes[i].state != nil
 	})
 	if err != nil {

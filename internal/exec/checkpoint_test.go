@@ -251,7 +251,7 @@ func TestCheckpointHostileMessageCount(t *testing.T) {
 		data := hostileMessageImage(fp, count, size)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := readImage(data, fp, 1, func(int) (string, *wfunc.State, bool) { return "n", nil, false })
+		_, err := readImage(new(ckptImage), data, fp, 1, func(int) (string, *wfunc.State, bool) { return "n", nil, false })
 		runtime.ReadMemStats(&after)
 		if err == nil || !strings.Contains(err.Error(), "truncated") {
 			t.Fatalf("count %d: got %v, want a truncation error", count, err)

@@ -77,7 +77,7 @@ func TestEngineMatchesAbstractSim(t *testing.T) {
 		for k := 0; k < iters; k++ {
 			run(s.Steady)
 		}
-		img, err := readImage(checkpointBytes(t, e, int64(iters)), e.fp, len(g.Nodes),
+		img, err := readImage(new(ckptImage), checkpointBytes(t, e, int64(iters)), e.fp, len(g.Nodes),
 			func(i int) (string, *wfunc.State, bool) {
 				return g.Nodes[i].Name, e.nodes[i].state, e.nodes[i].state == e.protos[i]
 			})

@@ -41,7 +41,8 @@ import (
 // run inside single-worker stage clusters; without it the engine runs the
 // zero-skew plan, lockstep, which has no clusters and rejects both. A
 // cycle is a block of up to StageBatch steady iterations, cut so that
-// barriers and images are those of one iteration per cycle.
+// barriers and images are those of one iteration per cycle; a
+// checkpointing drive's barriers fall at block ends.
 //
 // Fault tolerance: steady state runs in epochs, each a release of the
 // drive's workers and a rendezvous at a barrier where all of them have
@@ -85,9 +86,9 @@ type MappedEngine struct {
 	// DefaultWatchdogInterval, negative disables detection.
 	Watchdog time.Duration
 
-	// CheckpointEvery snapshots a coordinated checkpoint every N steady
-	// iterations. 0 checkpoints only when worker faults are scheduled
-	// (then every iteration, the rollback target for crash recovery).
+	// CheckpointEvery takes a coordinated checkpoint at the first block end
+	// at least N steady iterations on (N = 1: once per block). 0 checkpoints
+	// only when worker faults are scheduled (then once per block).
 	CheckpointEvery int
 
 	// replan is the planner behind every re-plan (Options.Replan); nil on an
@@ -133,13 +134,14 @@ type MappedEngine struct {
 	// counts completed steady iterations, the schedule's post-init counters
 	// initFired and initPushed and each edge's push per firing are what a
 	// barrier's counters follow from, writes marks the nodes whose state a
-	// firing can change. A restore decodes each edge's items into gather,
-	// which it reuses.
+	// firing can change. A restore decodes the image into decoded and each
+	// edge's items into gather, both reused.
 	ready                       bool
 	iter                        int64
 	initFired, initPushed, push []int64
 	writes                      []bool
 	gather                      [][]float64
+	decoded                     ckptImage
 	// fp is the graph fingerprint every image is written and checked under.
 	fp uint64
 
@@ -538,29 +540,29 @@ func (me *MappedEngine) runTo(total int64) error {
 	return me.driveTo(sw.segIters + sw.maxStage())
 }
 
-// driveTo runs epochs until the cycle position me.iter reaches end, rolling
-// back to the last coordinated checkpoint on injected worker crashes.
+// driveTo runs epochs (epochEnd) until the cycle position me.iter reaches
+// end, rolling back to the last coordinated checkpoint on worker crashes.
 func (me *MappedEngine) driveTo(end int64) error {
+	if err := me.compile(); err != nil {
+		return err
+	}
 	every := me.CheckpointEvery
-	if every <= 0 && me.sup.hasWorkerFaults() {
-		// Crash recovery needs a rollback target; default to the finest
-		// granularity so a crash replays at most one iteration.
+	if every <= 0 && me.sup != nil && me.sup.workerFaults != nil {
+		// Crash recovery needs a rollback target; default to one per block:
+		// a crash cuts its block, so it rolls back to the iteration it hit.
 		every = 1
 	}
+	me.swp.block = StageBatch
 	if every > 0 {
+		me.swp.block = me.shared.block
 		me.snapshot()
 	}
 	defer me.stopCrew()
 	for me.iter < end {
 		if me.crew == nil {
-			if err := me.startCrew(); err != nil {
-				return err
-			}
+			me.startCrew()
 		}
-		n := int(end - me.iter)
-		if every > 0 && n > every {
-			n = every
-		}
+		n := int(me.swp.epochEnd(me.iter, end, every) - me.iter)
 		if err := me.epoch(n); err != nil {
 			var wc *workerCrash
 			if errors.As(err, &wc) && me.last != nil {
@@ -606,10 +608,7 @@ type crew struct {
 // startCrew starts the current topology's workers and their watchdog: the
 // one place a worker starts. A worker waits at the barrier, runs each
 // epoch it is released for and reports back, until the drive ends.
-func (me *MappedEngine) startCrew() error {
-	if err := me.compile(); err != nil {
-		return err
-	}
+func (me *MappedEngine) startCrew() {
 	if me.plans == nil {
 		me.planWorkers()
 	}
@@ -651,7 +650,6 @@ func (me *MappedEngine) startCrew() error {
 	}
 	c.wd = newWatchdog(me.Watchdog, me.G, &me.live, me.statuses, c.parked, c.abort)
 	me.crew = c
-	return nil
 }
 
 // stopCrew ends the worker set, waiting at the barrier, and its watchdog.

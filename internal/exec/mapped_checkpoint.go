@@ -122,7 +122,8 @@ func (me *MappedEngine) RestoreCheckpoint(data []byte) (int64, error) {
 // applyImage decodes and validates a checkpoint image, then installs it as
 // a barrier record whose states are the engine's own, decoded in place.
 func (me *MappedEngine) applyImage(data []byte) error {
-	img, err := readImage(data, me.fp, len(me.nodes), func(i int) (string, *wfunc.State, bool) {
+	defer func() { clear(me.decoded.edges) }() // the kept record keeps no view of data
+	img, err := readImage(&me.decoded, data, me.fp, len(me.nodes), func(i int) (string, *wfunc.State, bool) {
 		return me.nodes[i].node.Name, me.nodes[i].state, false
 	})
 	if err != nil {

@@ -785,13 +785,13 @@ func positionalSinks(tb testing.TB, build func() *ir.Program, strat partition.St
 // FuzzMappedCrashReplan: worker k crashes at a fuzzed iteration, and
 // optionally a second worker of the re-planned topology crashes in a later
 // epoch, so the recovered plan is itself re-planned — on 2 to 4 workers, a
-// checkpoint every 1 to 4 iterations, lockstep or pipelined, over FMRadio
-// (its rollback state almost all lent), Vocoder (stateful scalars) or Radar
-// (stateful field arrays). With restart, a filter of the crashing worker
-// panics under the restart policy earlier in the crash's epoch, so a
-// swapped state object goes through the rollback too. Every crash costs
-// one worker, the collected output is bit-identical to an undisturbed
-// run's, and the final image is byte-equal to it.
+// checkpoint at the first block end 1 to 4 iterations on, lockstep or
+// pipelined, over FMRadio (its rollback state almost all lent), Vocoder
+// (stateful scalars) or Radar (stateful field arrays). With restart, a
+// filter of the crashing worker panics under the restart policy earlier in
+// the crash's epoch, so a swapped state object goes through the rollback
+// too. Every crash costs one worker, the collected output is bit-identical
+// to an undisturbed run's, and the final image is byte-equal to it.
 func FuzzMappedCrashReplan(f *testing.F) {
 	f.Add(uint8(2), uint8(1), uint8(1), uint8(5), false, uint8(0), uint8(0), false, uint8(0), false)
 	f.Add(uint8(4), uint8(1), uint8(1), uint8(5), true, uint8(0), uint8(0), false, uint8(0), false)
@@ -802,6 +802,9 @@ func FuzzMappedCrashReplan(f *testing.F) {
 	f.Add(uint8(2), uint8(1), uint8(0), uint8(7), true, uint8(0), uint8(2), true, uint8(2), true)
 	f.Add(uint8(4), uint8(2), uint8(3), uint8(10), true, uint8(1), uint8(1), false, uint8(0), true)
 	f.Add(uint8(4), uint8(2), uint8(3), uint8(10), true, uint8(1), uint8(1), false, uint8(2), true)
+	// A checkpoint every iteration, the second crash in the first one's
+	// block: it moves to the next block, a later epoch.
+	f.Add(uint8(4), uint8(0), uint8(2), uint8(5), true, uint8(1), uint8(0), false, uint8(1), false)
 	progs := []func() *ir.Program{
 		func() *ir.Program { return apps.FMRadio(2, 8) },
 		func() *ir.Program { return apps.Vocoder(4) },
@@ -813,14 +816,6 @@ func FuzzMappedCrashReplan(f *testing.F) {
 		ckpt := 1 + int(every)%4
 		first := int64(at1) % 17
 		spec := fmt.Sprintf("crash:worker%d@%d", int(k1)%n, first)
-		crashes := 1
-		if second && n > 2 {
-			// Past the end of the first crash's epoch: the second crash
-			// meets the topology the first one re-planned.
-			later := (first/int64(ckpt)+1)*int64(ckpt) + int64(gap)%4
-			spec += fmt.Sprintf(";crash:worker%d@%d", int(k2)%(n-1), later)
-			crashes++
-		}
 		strat := partition.StratTask
 		if pipelined {
 			strat = partition.StratSWP
@@ -844,9 +839,25 @@ func FuzzMappedCrashReplan(f *testing.F) {
 		}
 		ref := plan()
 		re := run(ref, Options{})
+		// The first crash's epoch runs from the barrier at cycle at to stop,
+		// by the engine's own rule over the blocks of a checkpointing drive
+		// that crash cuts.
+		sw, end := &swpState{cuts: []int64{first}, block: re.shared.block}, goal+re.swp.maxStage()
+		at, stop := int64(0), sw.epochEnd(0, end, ckpt)
+		for stop <= first {
+			at, stop = stop, sw.epochEnd(stop, end, ckpt)
+		}
+		crashes := 1
+		if second && n > 2 && stop < end {
+			// At or past the end of the first crash's epoch: the second crash
+			// meets the topology the first one re-planned.
+			later := min(stop+int64(gap)%4, end-1)
+			spec += fmt.Sprintf(";crash:worker%d@%d", int(k2)%(n-1), later)
+			crashes++
+		}
 		mb := plan()
 		opts := Options{CheckpointEvery: ckpt}
-		if at := first / int64(ckpt) * int64(ckpt); restart && at < first {
+		if restart && at < first {
 			// The crash rolls back to the barrier at cycle at: a filter of
 			// the crashing worker that fires in that cycle restarts there,
 			// once (a consumed fault is not re-armed by the replay).

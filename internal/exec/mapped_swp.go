@@ -77,6 +77,10 @@ type swpState struct {
 	levels    []int // per-node stage level
 	numLevels int
 	batch     int64 // K: flush interval and per-level stage distance
+	// block is the most iterations a cycle covers in the drive at hand:
+	// StageBatch, or in a checkpointing drive the sequential engine's block
+	// (blockOf), so that a graph moving much per iteration keeps small rings.
+	block int64
 	// cuts are the iterations every scheduled worker or shard fault hits,
 	// sorted: a cycle never spans one.
 	cuts      []int64
@@ -108,19 +112,33 @@ func (sw *swpState) completed(cycle int64) int64 {
 }
 
 // span returns how many iterations the cycle at position t covers, with
-// left cycles remaining in the epoch: StageBatch, cut at the next
-// multiple of it — on a skewed plan that is the next batch boundary, so
+// left cycles remaining in the epoch: block, cut at the next multiple of
+// StageBatch — on a skewed plan that is the next batch boundary, so
 // no level flushes inside a cycle — at the epoch's end, and before the
 // next scheduled worker or shard fault, which must meet the top of its
 // own cycle.
 func (sw *swpState) span(t int64, left int) int64 {
-	k := min(StageBatch-t%StageBatch, int64(left))
+	k := min(sw.block, StageBatch-t%StageBatch, int64(left))
 	for _, c := range sw.cuts {
 		if c > t {
 			return min(k, c-t)
 		}
 	}
 	return k
+}
+
+// epochEnd is where an epoch from cycle position t stops on its way to
+// end: with a checkpoint every iterations, at the first block end (span) at
+// least every cycles on; without (every <= 0), at end.
+func (sw *swpState) epochEnd(t, end int64, every int) int64 {
+	if every <= 0 {
+		return end
+	}
+	for stop := t; ; stop += sw.span(stop, int(end-stop)) {
+		if stop >= end || stop-t >= int64(every) {
+			return stop
+		}
+	}
 }
 
 // stageClock is one stage level's position in the cycle at hand, computed
@@ -198,9 +216,7 @@ func newSWPState(g *ir.Graph, s *sched.Schedule, opts Options) (*swpState, error
 		if lv < 0 {
 			return nil, fmt.Errorf("exec: node %d has negative stage level %d", id, lv)
 		}
-		if lv+1 > sw.numLevels {
-			sw.numLevels = lv + 1
-		}
+		sw.numLevels = max(sw.numLevels, lv+1)
 	}
 	for ci, members := range opts.StageClusters {
 		if len(members) == 0 {
@@ -227,9 +243,8 @@ func newSWPState(g *ir.Graph, s *sched.Schedule, opts Options) (*swpState, error
 			}
 			continue
 		}
-		sameCluster := sw.clusterOf[e.Src.ID] >= 0 && sw.clusterOf[e.Src.ID] == sw.clusterOf[e.Dst.ID]
-		if sameCluster {
-			continue
+		if sw.clusterOf[e.Src.ID] >= 0 && sw.clusterOf[e.Src.ID] == sw.clusterOf[e.Dst.ID] {
+			continue // inside one cluster
 		}
 		if sw.levels[e.Dst.ID] <= sw.levels[e.Src.ID] {
 			return nil, fmt.Errorf("exec: edge %s does not advance the pipeline stage (level %d -> %d)",
@@ -362,11 +377,8 @@ func (me *MappedEngine) planWorkers() {
 				sp.inBase, sp.inPer = me.initPushed[n.InEdge().ID], perIteration(me.Sch, n)
 			}
 			for _, e := range n.In {
-				if e == nil {
-					continue
-				}
-				if me.links[e.ID] == nil {
-					continue // both ends on this worker
+				if e == nil || me.links[e.ID] == nil {
+					continue // none, or both ends on this worker
 				}
 				in := swpIn{e: e, q: me.queues[e.ID], srcLevel: sw.levels[e.Src.ID]}
 				if in.srcLevel == sp.level {

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -33,10 +34,11 @@ type Options struct {
 	// QueueDepth bounds the mapped engine's cross-worker links, in
 	// batches. 0 selects DefaultQueueDepth; the other engines ignore it.
 	QueueDepth int
-	// CheckpointEvery makes the mapped engine snapshot a coordinated
-	// checkpoint image every N steady iterations (the rollback target for
-	// worker-crash recovery). 0 checkpoints only when a worker fault is
-	// scheduled; the other engines ignore it.
+	// CheckpointEvery makes the mapped engine take a coordinated checkpoint
+	// record (the rollback target for worker-crash recovery) at the first
+	// block end at least N steady iterations on: N = 1 is one per block of
+	// up to StageBatch iterations. 0 checkpoints only when a worker fault is
+	// scheduled (then once per block); the other engines ignore it.
 	CheckpointEvery int
 	// Stages enables coarse-grained software pipelining on the mapped
 	// engine: Stages[n.ID] is the node's pipeline stage level (typically
@@ -91,14 +93,7 @@ func (o Options) supervised() bool {
 // replans reports whether the options schedule a worker crash, the one
 // mapped-engine configuration that re-plans at run time.
 func (o Options) replans() bool {
-	if o.Faults != nil {
-		for _, wf := range o.Faults.WorkerFaults {
-			if wf.Kind == faults.Crash {
-				return true
-			}
-		}
-	}
-	return false
+	return o.Faults != nil && slices.ContainsFunc(o.Faults.WorkerFaults, func(wf faults.WorkerFault) bool { return wf.Kind == faults.Crash })
 }
 
 // filterNames lists the graph's filter-node names in deterministic graph
@@ -134,7 +129,7 @@ type supervisor struct {
 
 	mu           sync.Mutex
 	stats        map[string]*DegradedStats
-	workerFaults map[int][]faults.WorkerFault // per worker, sorted by Iter
+	workerFaults map[int][]faults.WorkerFault // per worker, sorted by Iter; nil when none is scheduled
 	// held is, per dynamic-rate filter, the corrupt fault of an attempt the
 	// data-driven loop rewound: the retry of that firing takes it again. Only
 	// dynamic-rate firings read or write it.
@@ -173,17 +168,6 @@ func newSupervisor(g *ir.Graph, o Options) (*supervisor, error) {
 		}
 	}
 	return s, nil
-}
-
-// hasWorkerFaults reports whether any worker-level faults are scheduled
-// (consumed or not) — the signal that the mapped engine must checkpoint.
-func (s *supervisor) hasWorkerFaults() bool {
-	if s == nil {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.workerFaults) > 0
 }
 
 // takeWorker consumes the first worker fault due at or before the given
