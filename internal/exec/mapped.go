@@ -63,10 +63,10 @@ import (
 //
 // Deadlock-freedom: every worker visits its nodes in a common linear
 // extension of the dataflow order and receives each batch where its edge
-// needs it (mapped_swp.go). A watchdog still supervises the run (fault
-// injection can wedge it deliberately), attributes blocked edges to
-// workers in its DeadlockError, and has a worker wedged inside a kernel
-// written off (epoch).
+// needs it (mapped_swp.go). The epoch driver, waiting on the workers,
+// still judges stalls on its own ticker (fault injection can wedge a run
+// deliberately), attributes blocked edges to workers in its DeadlockError,
+// and writes off a worker wedged inside a kernel (epoch).
 type MappedEngine struct {
 	G   *ir.Graph
 	Sch *sched.Schedule
@@ -78,22 +78,17 @@ type MappedEngine struct {
 	Workers int
 	Assign  []int
 
-	// Depth is the cross-worker link capacity in batches (the
-	// backpressure bound; default DefaultQueueDepth).
-	Depth int
-
-	// Watchdog is the stall-detection interval: 0 selects
-	// DefaultWatchdogInterval, negative disables detection.
-	Watchdog time.Duration
-
 	// CheckpointEvery takes a coordinated checkpoint at the first block end
 	// at least N steady iterations on (N = 1: once per block). 0 checkpoints
 	// only when worker faults are scheduled (then once per block).
 	CheckpointEvery int
 
 	// replan is the planner behind every re-plan (Options.Replan); nil on an
-	// engine whose configuration never re-plans.
-	replan func(workers int) ([]int, error)
+	// engine whose configuration never re-plans. depth (Options.QueueDepth)
+	// and watchdog (Options.Watchdog) are fixed at construction.
+	replan   func(workers int) ([]int, error)
+	depth    int
+	watchdog time.Duration
 
 	// core holds the node records (which outlive epochs and re-plans), the
 	// supervisor and the observability hooks, and fires every node.
@@ -208,8 +203,8 @@ func NewMappedOpts(g *ir.Graph, s *sched.Schedule, assign []int, workers int, op
 		return nil, fmt.Errorf("exec: checkpoint interval %d out of range (want >= 0 iterations)", opts.CheckpointEvery)
 	}
 	me := &MappedEngine{G: g, Sch: s, fp: GraphFingerprint(g, s), Backend: opts.Backend, Workers: workers,
-		Assign: append([]int(nil), assign...), Depth: depth, gather: make([][]float64, len(g.Edges)),
-		Watchdog: opts.Watchdog, CheckpointEvery: opts.CheckpointEvery, replan: opts.Replan, writes: make([]bool, len(g.Nodes))}
+		Assign: append([]int(nil), assign...), depth: depth, gather: make([][]float64, len(g.Edges)),
+		watchdog: opts.Watchdog, CheckpointEvery: opts.CheckpointEvery, replan: opts.Replan, writes: make([]bool, len(g.Nodes))}
 	if opts.LocalWorkers != nil {
 		if len(opts.LocalWorkers) != workers {
 			return nil, fmt.Errorf("exec: LocalWorkers masks %d of %d workers", len(opts.LocalWorkers), workers)
@@ -515,7 +510,7 @@ func (me *MappedEngine) buildTopology() error {
 			if srcLocal {
 				me.stage[e.ID] = wfunc.NewRing(0)
 			}
-			me.links[e.ID] = newLink(me.Depth, &me.halted)
+			me.links[e.ID] = newLink(me.depth, &me.halted)
 		}
 	}
 	me.plans = nil
@@ -592,7 +587,8 @@ func (me *MappedEngine) snapshot() {
 	}
 }
 
-// crew is the worker goroutines of one drive over one topology.
+// crew is the worker goroutines of one drive over one topology, and the
+// watchdog the epoch driver ticks in its wait on them.
 type crew struct {
 	release []chan int // per worker: the next epoch's cycles; nil for a worker with nothing to run
 	arrive  chan error // one result per started worker per epoch
@@ -605,9 +601,9 @@ type crew struct {
 	abort func()
 }
 
-// startCrew starts the current topology's workers and their watchdog: the
-// one place a worker starts. A worker waits at the barrier, runs each
-// epoch it is released for and reports back, until the drive ends.
+// startCrew starts the current topology's workers, the one place a worker
+// starts, and their watchdog's ticker. A worker waits at the barrier, runs
+// each epoch it is released for and reports back, until the drive ends.
 func (me *MappedEngine) startCrew() {
 	if me.plans == nil {
 		me.planWorkers()
@@ -648,13 +644,13 @@ func (me *MappedEngine) startCrew() {
 			}
 		}(w)
 	}
-	c.wd = newWatchdog(me.Watchdog, me.G, &me.live, me.statuses, c.parked, c.abort)
+	c.wd = newWatchdog(me.watchdog, me.G, &me.live, me.statuses, c.parked)
 	me.crew = c
 }
 
-// stopCrew ends the worker set, waiting at the barrier, and its watchdog.
-// A crew with a written-off worker is not joined: that worker's goroutine
-// exits on its own if its kernel ever returns.
+// stopCrew ends the worker set, waiting at the barrier, and stops its
+// watchdog's ticker. A crew with a written-off worker is not joined: that
+// worker's goroutine exits on its own if its kernel ever returns.
 func (me *MappedEngine) stopCrew() {
 	c := me.crew
 	if c == nil {
@@ -668,7 +664,9 @@ func (me *MappedEngine) stopCrew() {
 	if me.lost == nil {
 		c.wg.Wait()
 	}
-	c.wd.finish()
+	if c.wd != nil {
+		c.wd.ticker.Stop()
+	}
 	me.crew = nil
 }
 
@@ -686,7 +684,9 @@ func (me *MappedEngine) halt() {
 // epoch runs cycles macro-cycles across the worker set and waits for the
 // barrier. On return without error every link is drained and the engine
 // state is at a consistent iteration boundary; an epoch some worker
-// unwound from is no barrier, even when only Abort stopped it.
+// unwound from is no barrier, even when only Abort stopped it. The wait is
+// the drive's watchdog: each tick of its ticker judges the workers, and a
+// verdict aborts them.
 func (me *MappedEngine) epoch(cycles int) error {
 	c := me.crew
 	for w, r := range c.release {
@@ -695,18 +695,25 @@ func (me *MappedEngine) epoch(cycles int) error {
 			r <- cycles
 		}
 	}
-	// A crash is recoverable; any other failure wins over it, and both over
-	// the unwinds they caused.
-	var crash, failed, stopped error
-	var verdict <-chan struct{}
-	var wedged <-chan time.Time
+	var ticks <-chan time.Time
 	if c.wd != nil {
-		verdict = c.wd.fired
+		c.wd.reset(time.Now())
+		ticks = c.wd.ticker.C
 	}
+	// A crash is recoverable; any other failure wins over it, and both over
+	// the unwinds they caused; a verdict wins over all.
+	var crash, failed, stopped error
+	var dead *DeadlockError
+	var wedged <-chan time.Time
 	for arrived := 0; arrived < c.started; {
 		select {
-		case <-verdict:
-			verdict, wedged = nil, time.After(c.wd.interval)
+		case <-ticks:
+			// Judged when read: a tick kept from between epochs is dated
+			// before the release.
+			if dead = c.wd.tick(time.Now()); dead != nil {
+				c.abort()
+				ticks, wedged = nil, time.After(c.wd.interval)
+			}
 		case <-wedged:
 			// A worker not back within the interval after the verdict is
 			// wedged inside a kernel, where no abort reaches it: write it
@@ -717,7 +724,7 @@ func (me *MappedEngine) epoch(cycles int) error {
 					me.ready, me.lost = false, fmt.Errorf("exec: worker %d wedged inside a kernel and was written off; the engine cannot run again", w)
 				}
 			}
-			return c.wd.verdict()
+			return dead
 		case err := <-c.arrive:
 			arrived++
 			switch {
@@ -733,8 +740,8 @@ func (me *MappedEngine) epoch(cycles int) error {
 			}
 		}
 	}
-	if derr := c.wd.verdict(); derr != nil {
-		return derr
+	if dead != nil {
+		return dead
 	}
 	return cmp.Or(failed, crash, stopped)
 }

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -26,10 +25,10 @@ const stStalled = "stalled (injected)"
 var waitStates = [...]string{wsRunning: "running", wsWaitRecv: "waiting recv", wsWaitSend: "waiting send",
 	wsStalled: stStalled, wsWaitMsg: "waiting constraint"}
 
-// liveness is what a watchdog reads of the mapped engine: the progress
-// counter its workers bump on every batch moved and every firing, and the
-// watchdog's own tick count, which dates every wait-state transition
-// without a clock read.
+// liveness is what the drive's watchdog reads of the mapped engine: the
+// progress counter its workers bump on every batch moved and every firing,
+// and the count of the driver's watchdog ticks, which dates every
+// wait-state transition without a clock read.
 type liveness struct {
 	progress atomic.Int64
 	ticks    atomic.Int64
@@ -41,7 +40,7 @@ type liveness struct {
 // lock, reads no clock and formats nothing. The zero state is running.
 type nodeStatus struct {
 	// worker is the mapped-engine worker running the node; it changes only
-	// while no watchdog runs.
+	// while no crew runs.
 	worker int
 	live   *liveness
 
@@ -62,123 +61,73 @@ func (s *nodeStatus) set(state waitState, edge, buffered, blockedOn int) {
 	s.state.Store(int32(state))
 }
 
-// watchdog detects stalls of the mapped engine: it samples the engine's
-// progress counter once per tick and, when the counter freezes for the
-// configured interval, collects every node's wait state, traces the
-// wait-cycle, and aborts the run.
+// watchdog judges stalls of a mapped drive. It has no goroutine: the epoch
+// driver, already waiting on its workers, passes it every tick of ticker,
+// and tick compares the progress counter with the last one it saw.
 type watchdog struct {
 	interval time.Duration
-	tick     time.Duration
+	period   time.Duration // of ticker
+	ticker   *time.Ticker
 	g        *ir.Graph // names the nodes and edges in the report
 	live     *liveness
 	statuses []*nodeStatus
 	// parked marks, per worker, one waiting at the epoch barrier: its nodes
-	// are idle rather than running, and while every worker is parked the
-	// driver is between epochs, which is no stall.
+	// are idle rather than running.
 	parked []atomic.Bool
-	stop   func() // aborts the run (idempotent)
-
-	quit  chan struct{}
-	wg    sync.WaitGroup
-	err   atomic.Pointer[DeadlockError] // the report, once the watchdog fired
-	fired chan struct{}                 // closed once err is set
+	last   int64     // the progress counter as tick last saw it
+	moved  time.Time // when it last moved, or the epoch released its workers
 }
 
-// newWatchdog starts the monitor goroutine over every node's status,
+// newWatchdog starts the ticker of a drive over every node's status,
 // indexed by node ID. interval is the engine's Watchdog setting: 0 selects
-// DefaultWatchdogInterval, negative disables detection (a nil watchdog,
-// whose finish reports nothing).
-func newWatchdog(interval time.Duration, g *ir.Graph, live *liveness, statuses []*nodeStatus, parked []atomic.Bool, stop func()) *watchdog {
+// DefaultWatchdogInterval, negative disables detection (a nil watchdog).
+func newWatchdog(interval time.Duration, g *ir.Graph, live *liveness, statuses []*nodeStatus, parked []atomic.Bool) *watchdog {
 	if interval < 0 {
 		return nil
 	}
 	if interval == 0 {
 		interval = DefaultWatchdogInterval
 	}
-	w := &watchdog{
-		interval: interval, tick: max(interval/4, 5*time.Millisecond), g: g, live: live,
-		statuses: statuses, parked: parked, stop: stop, quit: make(chan struct{}), fired: make(chan struct{}),
-	}
-	w.wg.Add(1)
-	go w.run()
-	return w
+	period := max(interval/4, 5*time.Millisecond)
+	return &watchdog{interval: interval, period: period, ticker: time.NewTicker(period),
+		g: g, live: live, statuses: statuses, parked: parked}
 }
 
-func (w *watchdog) run() {
-	defer w.wg.Done()
-	t := time.NewTicker(w.tick)
-	defer t.Stop()
-	last := w.live.progress.Load()
-	var still time.Duration // how long the counter has stood still
-	for {
-		select {
-		case <-w.quit:
-			return
-		case <-t.C:
-		}
-		now := w.live.ticks.Add(1)
-		if cur := w.live.progress.Load(); cur != last || w.allParked() {
-			last, still = cur, 0
-			continue
-		}
-		if still += w.tick; still < w.interval {
-			continue
-		}
-		// A frozen counter alone is not proof of a wedge: a node can
-		// legitimately compute for longer than the interval without moving
-		// an item. Declare deadlock at the interval only when every live
-		// node is blocked on a tape; while something still reports running,
-		// hold off until a generous multiple has passed (a truly wedged
-		// kernel never moves the counter again, so it is still caught; no
-		// abort reaches it, and the epoch writes its worker off).
-		if w.anyRunning() && still < 4*w.interval {
-			continue
-		}
-		w.err.Store(w.report(now))
-		close(w.fired)
-		w.stop()
-		return
-	}
+// reset opens the window at an epoch's release: between epochs nothing
+// moves by design.
+func (w *watchdog) reset(now time.Time) {
+	w.last, w.moved = w.live.progress.Load(), now
 }
 
-// allParked reports whether every worker waits at the barrier.
-func (w *watchdog) allParked() bool {
-	for i := range w.parked {
-		if !w.parked[i].Load() {
-			return false
-		}
-	}
-	return true
-}
-
-// anyRunning reports whether any node claims to be computing (rather than
-// blocked on a tape, stalled, or idle at the barrier).
-func (w *watchdog) anyRunning() bool {
-	for _, st := range w.statuses {
-		if waitState(st.state.Load()) == wsRunning && !w.parked[st.worker].Load() {
-			return true
-		}
-	}
-	return false
-}
-
-// verdict returns the deadlock report if the watchdog has fired, else nil.
-func (w *watchdog) verdict() error {
-	if w == nil {
+// tick judges the drive at time now and returns the report once
+// progress has stood still for the interval. A frozen counter alone is not
+// proof of a wedge: a node can legitimately compute for longer than the
+// interval without moving an item. So while a node on an unparked worker
+// reports running, the verdict waits for 4× the interval (a truly wedged
+// kernel never moves the counter again, so it is still caught; no abort
+// reaches it, and the epoch writes its worker off). With every worker
+// parked the epoch is over, its arrivals queued, which is no stall.
+func (w *watchdog) tick(now time.Time) *DeadlockError {
+	t := w.live.ticks.Add(1)
+	if cur := w.live.progress.Load(); cur != w.last {
+		w.last, w.moved = cur, now
 		return nil
 	}
-	if e := w.err.Load(); e != nil {
-		return e
+	still := now.Sub(w.moved)
+	if still < w.interval {
+		return nil
 	}
-	return nil // a typed nil must not escape into a plain error
-}
-
-// finish stops the monitor once the drive has ended and waits for it.
-func (w *watchdog) finish() {
-	if w != nil {
-		close(w.quit)
-		w.wg.Wait()
+	running, released := false, false
+	for _, st := range w.statuses {
+		if !w.parked[st.worker].Load() {
+			released = true
+			running = running || waitState(st.state.Load()) == wsRunning
+		}
 	}
+	if !released || running && still < 4*w.interval {
+		return nil
+	}
+	return w.report(t)
 }
 
 // report builds the deadlock description from the sampled statuses at
@@ -188,7 +137,7 @@ func (w *watchdog) report(now int64) *DeadlockError {
 		st := w.statuses[n.ID]
 		state := waitState(st.state.Load())
 		fs := FilterStatus{Worker: st.worker, State: waitStates[state],
-			Buffered: int(st.buffered.Load()), Blocked: time.Duration(now-st.since.Load()) * w.tick}
+			Buffered: int(st.buffered.Load()), Blocked: time.Duration(now-st.since.Load()) * w.period}
 		if edge := st.edge.Load(); edge >= 0 {
 			fs.Edge = w.g.Edges[edge].String()
 		}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -211,4 +212,88 @@ func TestMappedWedgedKernelIsWrittenOff(t *testing.T) {
 	if _, err := me.RestoreCheckpoint(nil); err == nil || !strings.Contains(err.Error(), lost) {
 		t.Errorf("RestoreCheckpoint after the write-off: %v, want an error naming %s", err, lost)
 	}
+}
+
+// TestMappedDriveRunsOnlyItsWorkers: a drive starts one goroutine per
+// worker that has nodes and none beside them, since the epoch driver judges
+// stalls in its own wait. A native kernel counts the goroutines in its
+// third firing; once Run returns, the count is back at its baseline.
+func TestMappedDriveRunsOnlyItsWorkers(t *testing.T) {
+	// A written-off worker of an earlier test exits only once its kernel
+	// returns: let it go before taking the baseline.
+	for deadline := time.Now().Add(time.Second); strings.Contains(allStacks(), "(*MappedEngine).startCrew"); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("a worker of an earlier drive still runs:\n%s", allStacks())
+		}
+	}
+	base, during, fired := 0, 0, 0
+	count := gainFilter("count", 1)
+	count.WorkFn = func(in, out wfunc.Tape, _ *wfunc.State) {
+		if fired++; fired == 3 {
+			during = runtime.NumGoroutine() - base
+		}
+		out.Push(in.Pop())
+	}
+	g, s, _ := faultPipelineFrom(t, SliceSource("src", make([]float64, 200)), count)
+	me, err := NewMappedOpts(g, s, []int{0, 0, 1}, 2, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base = runtime.NumGoroutine()
+	if err := me.Run(100); err != nil {
+		t.Fatal(err)
+	}
+	if during != 2 {
+		t.Errorf("the drive ran %d goroutines beside the caller's, want its 2 workers", during)
+	}
+	// A worker is joined at its deferred Done, just before its goroutine ends.
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() != base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 1 s after Run returned, want the %d from before it", runtime.NumGoroutine(), base)
+		}
+	}
+}
+
+// TestMappedWatchdogWaitsItsInterval: the verdict comes no sooner than the
+// interval after progress stopped, even after many epochs. At one epoch per
+// block the ticker ticks between epochs too; the window opens when an epoch
+// releases its workers, so a tick kept from between epochs cannot shorten
+// it. One node per worker, and the stall takes Src's: from the release on
+// nothing moves and no node reports running, so the verdict is due at the
+// interval itself, timed from the epoch's start.
+func TestMappedWatchdogWaitsItsInterval(t *testing.T) {
+	const interval = 100 * time.Millisecond
+	g, s, _ := faultPipeline(t, gainFilter("Double", 2))
+	rec := obs.NewRecorder()
+	me, err := NewMappedOpts(g, s, []int{0, 1, 2}, 3, Options{
+		Faults:          mustPlan(t, "stall:worker0@400"), // a block start: 50 epochs of 8 iterations in
+		Watchdog:        interval,
+		CheckpointEvery: 1,
+		Trace:           rec,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = me.Run(1000)
+	end := rec.Stamp()
+	var de *DeadlockError
+	if !errors.As(err, &de) {
+		t.Fatalf("err = %v, want a *DeadlockError", err)
+	}
+	for _, ev := range rec.Events() {
+		if ev.Name != "fault: stall" {
+			continue
+		}
+		if waited := end - time.Duration(ev.TS*float64(time.Microsecond)); waited < interval {
+			t.Fatalf("verdict %v after the stall, want at least the %v interval", waited, interval)
+		}
+		return
+	}
+	t.Fatal("no fault: stall instant in the trace")
+}
+
+// allStacks is the stack of every goroutine.
+func allStacks() string {
+	buf := make([]byte, 1<<20)
+	return string(buf[:runtime.Stack(buf, true)])
 }
